@@ -6,9 +6,9 @@
 //! N−1 new circuit pairs, provisioned device by device.
 //!
 //! Two extra columns drive the same joins through a *running* backbone
-//! ([`backbone_join_series`]): the per-join cost of the in-band MP-BGP
-//! delta (update packets on the wire — flat) vs the oracle's full-table
-//! resync (route installs — grows with the table).
+//! ([`backbone_join_series`]) and count the MP-BGP deltas each join
+//! originated under either transport: update packets on the wire
+//! in-band, deltas applied at once under the oracle. Both are flat.
 
 use mplsvpn_core::membership::{
     backbone_join_series, mpls_join_series, overlay_join_series, JoinCost,
@@ -40,7 +40,7 @@ pub fn run(quick: bool) -> String {
             "mpls devices",
             "mpls messages",
             "in-band bgp pkts",
-            "oracle resync installs",
+            "oracle deltas applied",
             "ovl devices",
             "ovl new circuits",
         ],

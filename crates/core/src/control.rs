@@ -1,19 +1,20 @@
-//! In-band incremental control plane (`ControlMode::InBand`).
+//! The VPN route-distribution engine and its two transports.
 //!
-//! The oracle control plane recomputes IGP/LDP state globally and pushes
-//! every imported route into every VRF out-of-band. This module replaces
-//! that with *messages*: IGP link-state advertisements flood hop-by-hop as
-//! CS6-marked control packets through the same links and queues as data,
-//! LDP mappings/withdraws ride single-hop session messages, and MP-BGP VPN
-//! updates (labels piggybacked on the route, per the paper's §4) travel
-//! PE-to-PE and are applied as deltas.
-//!
-//! The shared [`ControlDb`] holds one *view* per router: what that node
+//! Every control-plane change is a typed `CtrlMsg` applied as a delta:
+//! IGP link-state advertisements, LDP mappings/withdraws, and MP-BGP VPN
+//! updates (labels piggybacked on the route, per the paper's §4). The
+//! shared [`ControlDb`] holds one *view* per router: what that node
 //! currently believes about the topology (failed links, its SPF tree) and
 //! its LDP session state (bindings received from each neighbor, its FTN).
-//! Routers hand the database mutable references to their live tables
-//! (LFIB, VRF FIBs) when a control packet arrives, so incremental updates
-//! land directly in the forwarding plane — there is no global rebuild.
+//! The views are the only FTN source the provider network reads.
+//!
+//! [`ControlMode`] chooses only how a message travels. In-band, it is a
+//! CS6-marked control packet through the same links and queues as data;
+//! routers hand the database mutable references to their live tables
+//! (LFIB, VRF FIBs) when one arrives, so updates land directly in the
+//! forwarding plane. Under the oracle, a BGP delta is applied at its
+//! target PE the instant it is originated, through the same apply code,
+//! and routing changes only when `reconverge()` re-seeds the views.
 //!
 //! Determinism: the database never iterates a hash map. All fan-out walks
 //! index ranges (FEC ordinals, topology adjacency order) or ordered sets,
@@ -38,11 +39,10 @@ use crate::router::{VrfFib, VrfRoute};
 /// How routing, label and VPN state propagates through the backbone.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ControlMode {
-    /// Out-of-band oracle: global IGP/LDP recomputation on demand and a
-    /// full-table route push into every VRF (`sync_remote_routes`). Zero
-    /// control packets on the wire; convergence is instantaneous at the
-    /// reconvergence instant. This is the historical behavior and remains
-    /// bit-identical to it.
+    /// Out-of-band oracle: MP-BGP deltas are applied at their target PE
+    /// the instant they are originated, with no wire cost and no loss;
+    /// IGP/LDP state changes only when `reconverge()` recomputes it
+    /// globally. Zero control packets on the wire.
     #[default]
     Oracle,
     /// In-band event-driven control plane: LSAs flood hop-by-hop as CS6
@@ -58,7 +58,7 @@ pub enum ControlMode {
 pub const CTRL_FLOW_BASE: u64 = 1 << 49;
 
 /// Shared handle to the control database: the builder creates one per
-/// in-band network and threads it through every backbone router.
+/// network and, in in-band mode, threads it through every backbone router.
 pub type ControlHandle = Rc<RefCell<ControlDb>>;
 
 /// Protocol ordinal inside the control flow-id namespace.
@@ -149,6 +149,14 @@ impl CtrlMsg {
         }
     }
 
+    /// Target PE ordinal of a BGP message (`None` for IGP/LDP).
+    pub(crate) fn bgp_target(&self) -> Option<usize> {
+        match *self {
+            CtrlMsg::BgpUpdate { target, .. } | CtrlMsg::BgpWithdraw { target, .. } => Some(target),
+            _ => None,
+        }
+    }
+
     fn port(&self) -> u16 {
         match self.proto() {
             PROTO_IGP => 89,
@@ -185,17 +193,17 @@ pub struct CtrlStats {
     /// FTN repairs deferred because no binding from the new next hop was
     /// retained yet (session refresh in flight).
     pub ldp_missing_binding: u64,
-    /// BGP deltas applied into a VRF FIB.
+    /// BGP deltas applied at their target PE (either transport).
     pub bgp_applied: u64,
-    /// Route installs skipped because the receiving PE has no LSP toward
-    /// the egress PE (counted, never a panic — see also the oracle-path
-    /// counter on `ProviderNetwork`).
+    /// Route installs skipped because the installing PE has no LSP toward
+    /// the egress PE (counted, never a panic).
     pub no_lsp_to_egress: u64,
 }
 
 /// What one router currently believes: its link-state database, SPF tree
-/// and LDP session state. Cloned from the oracle at bring-up ("initial
-/// RIB download"), then maintained purely by messages.
+/// and LDP session state. Seeded from the global recomputation at
+/// bring-up and at every `reconverge()`, otherwise maintained purely by
+/// messages.
 struct NodeView {
     /// Links this node believes are down.
     failed: BTreeSet<usize>,
@@ -223,8 +231,8 @@ pub(crate) struct NodeTables<'a> {
     pub vrfs: Option<&'a mut Vec<VrfFib>>,
 }
 
-/// The shared in-band control database: per-node views, the message side
-/// table, and control-plane telemetry.
+/// The shared control database: per-node views, the message side table,
+/// and control-plane telemetry.
 pub struct ControlDb {
     topo: Topology,
     pes: Vec<usize>,
@@ -249,31 +257,15 @@ pub struct ControlDb {
 }
 
 impl ControlDb {
-    /// Builds the database from the converged oracle state: every node's
-    /// view starts as an exact copy of the oracle's SPF tree and LDP
-    /// session state (the "initial bring-up" the tentpole permits).
+    /// Builds the database from the converged bring-up state: every
+    /// node's view starts as an exact copy of the global SPF tree and LDP
+    /// session state.
     pub(crate) fn new(topo: &Topology, pes: &[usize], igp: &Igp, ldp: &LdpDomain) -> ControlDb {
-        let n = topo.node_count();
         let nl = topo.link_count();
-        let mut views = Vec::with_capacity(n);
-        for u in 0..n {
-            let spf = igp.tree(u).clone();
-            let st = &ldp.nodes[u];
-            let fec_reachable = pes.iter().map(|&e| u == e || spf.next_hop[e].is_some()).collect();
-            views.push(NodeView {
-                failed: BTreeSet::new(),
-                link_state: vec![(0, false); nl],
-                spf,
-                bindings: st.bindings.clone(),
-                received: st.received.clone(),
-                ftn: st.ftn.clone(),
-                fec_reachable,
-            });
-        }
-        ControlDb {
+        let mut db = ControlDb {
             topo: topo.clone(),
             pes: pes.to_vec(),
-            views,
+            views: Vec::new(),
             msgs: FxHashMap::default(),
             next_msg_id: 1,
             link_seq: vec![0; nl],
@@ -282,33 +274,42 @@ impl ControlDb {
             convergence: Histogram::new(),
             max_convergence_ns: 0,
             stats: CtrlStats::default(),
-        }
+        };
+        db.rebuild(igp, ldp, &std::collections::HashSet::new());
+        db
     }
 
-    /// Re-seeds every view from a freshly recomputed oracle (the safety
-    /// net used when `reconverge()` is invoked on an in-band network).
-    /// Dedup sequence state advances to the current per-link sequence so
-    /// stale in-flight LSAs are ignored afterwards.
+    /// Re-seeds every view from a global IGP/LDP recomputation (what
+    /// `reconverge()` does in either mode). Dedup sequence state advances
+    /// to the current per-link sequence so stale in-flight LSAs are
+    /// ignored afterwards.
     pub(crate) fn rebuild(
         &mut self,
         igp: &Igp,
         ldp: &LdpDomain,
         failed: &std::collections::HashSet<usize>,
     ) {
-        for u in 0..self.topo.node_count() {
-            let view = &mut self.views[u];
-            view.spf = igp.tree(u).clone();
-            view.bindings = ldp.nodes[u].bindings.clone();
-            view.received = ldp.nodes[u].received.clone();
-            view.ftn = ldp.nodes[u].ftn.clone();
-            view.failed = failed.iter().copied().collect();
-            for (f, &e) in self.pes.iter().enumerate() {
-                view.fec_reachable[f] = u == e || view.spf.next_hop[e].is_some();
-            }
-            for l in 0..self.topo.link_count() {
-                view.link_state[l] = (self.link_seq[l], failed.contains(&l));
-            }
-        }
+        self.views = (0..self.topo.node_count())
+            .map(|u| {
+                let spf = igp.tree(u).clone();
+                let st = &ldp.nodes[u];
+                NodeView {
+                    failed: failed.iter().copied().collect(),
+                    link_state: (0..self.topo.link_count())
+                        .map(|l| (self.link_seq[l], failed.contains(&l)))
+                        .collect(),
+                    fec_reachable: self
+                        .pes
+                        .iter()
+                        .map(|&e| u == e || spf.next_hop[e].is_some())
+                        .collect(),
+                    spf,
+                    bindings: st.bindings.clone(),
+                    received: st.received.clone(),
+                    ftn: st.ftn.clone(),
+                }
+            })
+            .collect();
     }
 
     /// Records a physical link event: bumps the per-link LSA sequence and
@@ -389,54 +390,64 @@ impl ControlDb {
                 self.views[node].received.remove(&(Fec(fec), from));
                 self.repair_fec(node, fec as usize, tables, ctx);
             }
-            CtrlMsg::BgpUpdate { target, vrf_idx, prefix, egress_pe, vpn_label } => {
+            msg @ (CtrlMsg::BgpUpdate { target, .. } | CtrlMsg::BgpWithdraw { target, .. }) => {
                 if self.pes[target] != node {
-                    let msg = CtrlMsg::BgpUpdate { target, vrf_idx, prefix, egress_pe, vpn_label };
                     self.forward_toward(node, self.pes[target], msg, ctx);
-                    return;
+                } else if let Some(vrfs) = tables.vrfs.as_deref_mut() {
+                    self.apply_bgp(node, vrfs, msg);
                 }
-                let Some(vrfs) = tables.vrfs.as_deref_mut() else { return };
-                let Some(ftn) = self.views[node].ftn.get(&Fec(egress_pe as u32)).cloned() else {
-                    self.stats.no_lsp_to_egress += 1;
-                    return;
-                };
+            }
+        }
+    }
+
+    /// Oracle transport: applies a BGP delta at its target PE the instant
+    /// it is originated — no packet, no wire cost, no loss. `vrfs` are the
+    /// target PE's VRF tables.
+    pub(crate) fn apply_bgp_now(&mut self, vrfs: &mut [VrfFib], msg: CtrlMsg) {
+        self.stats.bgp_originated += 1;
+        if let Some(target) = msg.bgp_target() {
+            self.apply_bgp(self.pes[target], vrfs, msg);
+        }
+    }
+
+    /// Applies a BGP delta at its target PE, whichever transport carried
+    /// it. A withdraw evicts the old route, then installs the replacement
+    /// best path, if any.
+    fn apply_bgp(&mut self, node: usize, vrfs: &mut [VrfFib], msg: CtrlMsg) {
+        self.stats.bgp_applied += 1;
+        match msg {
+            CtrlMsg::BgpUpdate { vrf_idx, prefix, egress_pe, vpn_label, .. } => {
+                self.install_route(node, &mut vrfs[vrf_idx], prefix, egress_pe, vpn_label);
+            }
+            CtrlMsg::BgpWithdraw { vrf_idx, prefix, replacement, .. } => {
                 let vrf = &mut vrfs[vrf_idx];
-                if matches!(vrf.fib.get(prefix), Some(VrfRoute::Local { .. })) {
+                if !vrf.remove_remote(prefix) {
                     return; // locally attached always wins
                 }
-                vrf.fib.insert(prefix, VrfRoute::Remote { egress_pe, vpn_label, tunnel: ftn });
-                self.stats.bgp_applied += 1;
+                if let Some((egress_pe, vpn_label)) = replacement {
+                    self.install_route(node, vrf, prefix, egress_pe, vpn_label);
+                }
             }
-            CtrlMsg::BgpWithdraw { target, vrf_idx, prefix, replacement } => {
-                if self.pes[target] != node {
-                    let msg = CtrlMsg::BgpWithdraw { target, vrf_idx, prefix, replacement };
-                    self.forward_toward(node, self.pes[target], msg, ctx);
-                    return;
-                }
-                let Some(vrfs) = tables.vrfs.as_deref_mut() else { return };
-                let vrf = &mut vrfs[vrf_idx];
-                if matches!(vrf.fib.get(prefix), Some(VrfRoute::Local { .. })) {
-                    return;
-                }
-                match replacement {
-                    Some((egress_pe, vpn_label)) => {
-                        if let Some(ftn) = self.views[node].ftn.get(&Fec(egress_pe as u32)).cloned()
-                        {
-                            vrf.fib.insert(
-                                prefix,
-                                VrfRoute::Remote { egress_pe, vpn_label, tunnel: ftn },
-                            );
-                        } else {
-                            self.stats.no_lsp_to_egress += 1;
-                            vrf.fib.remove(prefix);
-                        }
-                    }
-                    None => {
-                        vrf.fib.remove(prefix);
-                    }
-                }
-                self.stats.bgp_applied += 1;
-            }
+            _ => {}
+        }
+    }
+
+    /// Installs `prefix → (egress_pe, vpn_label)` into `vrf` at PE `node`
+    /// over the node's current tunnel toward the egress: the one place a
+    /// VPN route meets an LSP. Without an LSP the install is skipped and
+    /// counted (any existing route stays in place); a locally attached
+    /// route always wins.
+    pub(crate) fn install_route(
+        &mut self,
+        node: usize,
+        vrf: &mut VrfFib,
+        prefix: Prefix,
+        egress_pe: usize,
+        vpn_label: u32,
+    ) {
+        match self.views[node].ftn.get(&Fec(egress_pe as u32)) {
+            Some(tunnel) => vrf.install_remote(prefix, egress_pe, vpn_label, tunnel.clone()),
+            None => self.stats.no_lsp_to_egress += 1,
         }
     }
 
@@ -596,21 +607,17 @@ impl ControlDb {
         self.send_msg(node, iface, msg, ctx);
     }
 
-    /// Prepares a BGP message for injection at `origin_node` (used by the
-    /// provider-network layer, which has no router context): returns the
-    /// first-hop interface and the wire packet, or `None` if the origin's
-    /// view has no path toward the target.
+    /// In-band transport: prepares a BGP message for injection at
+    /// `origin_node` (used by the provider-network layer, which has no
+    /// router context). Returns the first-hop interface and the wire
+    /// packet, or `None` if the origin's view has no path toward the
+    /// target.
     pub(crate) fn prepare_bgp_from(
         &mut self,
         origin_node: usize,
         msg: CtrlMsg,
     ) -> Option<(IfaceId, Packet)> {
-        let target = match &msg {
-            CtrlMsg::BgpUpdate { target, .. } | CtrlMsg::BgpWithdraw { target, .. } => {
-                self.pes[*target]
-            }
-            _ => return None,
-        };
+        let target = self.pes[msg.bgp_target()?];
         self.stats.bgp_originated += 1;
         let Some(nh) = self.views[origin_node].spf.next_hop[target] else {
             self.stats.undeliverable += 1;
@@ -676,7 +683,7 @@ impl ControlDb {
         &self.views[node].spf
     }
 
-    /// This node's current FTN entry for a tunnel FEC (parity hook).
+    /// This node's current FTN entry for a tunnel FEC (egress-PE ordinal).
     pub fn view_ftn(&self, node: usize, fec: u32) -> Option<&FtnEntry> {
         self.views[node].ftn.get(&Fec(fec))
     }
@@ -684,8 +691,8 @@ impl ControlDb {
 
 /// Re-points every VRF route tunneled toward `egress_pe` at the new FTN.
 /// When the LSP is gone entirely the stale tunnel is left in place — the
-/// same degrade-in-place the oracle sync path exhibits — so traffic drops
-/// at the dead link instead of silently un-routing.
+/// same degrade-in-place `install_route` exhibits — so traffic drops at
+/// the dead link instead of silently un-routing.
 fn repoint_vrfs(vrfs: &mut [VrfFib], egress_pe: usize, ftn: Option<&FtnEntry>) {
     let Some(t) = ftn else { return };
     for vrf in vrfs.iter_mut() {

@@ -73,21 +73,18 @@ pub fn mpls_join_series(pe_count: usize, n_sites: usize, mode: DistributionMode)
 /// records per-join control cost under `mode`.
 ///
 /// Unlike [`mpls_join_series`] — which measures the abstract fabric —
-/// this drives the deployed network: under [`ControlMode::InBand`] the
-/// cost is the MP-BGP update packets that actually crossed backbone
-/// links (one per remote member PE, flat in the number of *sites*);
-/// under [`ControlMode::Oracle`] it is the route installs the oracle's
-/// full-table resync performed, which grows with the table.
+/// this drives the deployed network and counts the MP-BGP deltas each
+/// join originated: one per remote member PE, flat in the number of
+/// *sites*. The cost is the same under either transport — packets on the
+/// wire under [`ControlMode::InBand`], deltas applied at once under
+/// [`ControlMode::Oracle`].
 pub fn backbone_join_series(pe_count: usize, n_sites: usize, mode: ControlMode) -> Vec<JoinCost> {
     let attrs = LinkAttrs { cost: 1, capacity_bps: 1_000_000_000 };
     let topo = Topology::full_mesh(pe_count, attrs);
     let pes: Vec<usize> = (0..pe_count).collect();
     let mut pn = BackboneBuilder::new(topo, pes).control_mode(mode).build();
     let vpn = pn.new_vpn("m1");
-    let cost_so_far = |pn: &crate::ProviderNetwork| match mode {
-        ControlMode::Oracle => pn.sync_route_pushes(),
-        ControlMode::InBand => pn.control_stats().map_or(0, |s| s.pkts_by_proto[2]),
-    };
+    let cost_so_far = |pn: &crate::ProviderNetwork| pn.control.borrow().stats.bgp_originated;
     let mut costs = Vec::with_capacity(n_sites);
     for i in 0..n_sites {
         let pe = i % pe_count;
@@ -151,26 +148,21 @@ mod tests {
     }
 
     #[test]
-    fn inband_join_cost_is_flat_where_the_oracle_resync_grows() {
+    fn both_transports_cost_one_update_per_remote_pe() {
         let (pe_count, n) = (4, 12);
-        let inband = backbone_join_series(pe_count, n, ControlMode::InBand);
-        // Steady state (every PE already has the VRF): exactly one MP-BGP
-        // update packet per remote member PE, regardless of table size.
-        for c in &inband[pe_count..] {
-            assert_eq!(
-                c.control_messages,
-                (pe_count - 1) as u64,
-                "join {} must cost one update per remote PE",
-                c.site_index
-            );
+        for mode in [ControlMode::InBand, ControlMode::Oracle] {
+            let costs = backbone_join_series(pe_count, n, mode);
+            // Steady state (every PE already has the VRF): exactly one
+            // MP-BGP update per remote member PE, regardless of table size.
+            for c in &costs[pe_count..] {
+                assert_eq!(
+                    c.control_messages,
+                    (pe_count - 1) as u64,
+                    "{mode:?} join {} must cost one update per remote PE",
+                    c.site_index
+                );
+            }
         }
-        let oracle = backbone_join_series(pe_count, n, ControlMode::Oracle);
-        assert!(
-            oracle[n - 1].control_messages > oracle[pe_count].control_messages,
-            "the oracle full resync grows with the table: {:?}",
-            oracle.iter().map(|c| c.control_messages).collect::<Vec<_>>()
-        );
-        assert!(inband[n - 1].control_messages < oracle[n - 1].control_messages);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! 3. Backbone links are materialized in topology order, so simulator
 //!    interface numbers equal topology adjacency positions.
 //! 4. VPNs and sites are added through [`ProviderNetwork::new_vpn`] /
-//!    [`ProviderNetwork::add_site`]; the BGP/MPLS fabric distributes the
-//!    routes and the builder installs them into PE data planes.
+//!    [`ProviderNetwork::add_site`]; the BGP/MPLS fabric selects the
+//!    routes and each change reaches the PE data planes as an MP-BGP
+//!    delta through the control database ([`crate::control`]).
 
 use std::collections::HashMap;
 
@@ -24,7 +25,8 @@ use netsim_qos::{
     QueueDiscipline, RedParams, RedQueue, WfqScheduler,
 };
 use netsim_routing::{
-    BgpVpnFabric, DistributionMode, Igp, RouteDistinguisher, RouteTarget, Topology, VrfHandle,
+    BgpVpnFabric, DistributionMode, Igp, RemoteRoute, RouteDistinguisher, RouteTarget, Topology,
+    VrfHandle,
 };
 use netsim_sim::{
     CbrSource, IfaceId, LinkConfig, LinkId, Network, NodeId, OnOffSource, PoissonSource, Sink,
@@ -186,9 +188,9 @@ impl BackboneBuilder {
         }
     }
 
-    /// Selects the control-plane mode: the out-of-band [`ControlMode::Oracle`]
-    /// (default, historical behavior) or the in-band, message-driven
-    /// [`ControlMode::InBand`].
+    /// Selects how control messages travel: applied at once by the
+    /// out-of-band [`ControlMode::Oracle`] (default) or carried as packets
+    /// by the in-band [`ControlMode::InBand`].
     pub fn control_mode(mut self, m: ControlMode) -> Self {
         self.control_mode = m;
         self
@@ -292,23 +294,19 @@ impl BackboneBuilder {
         }
 
         let fabric = BgpVpnFabric::new(self.pes.len(), self.distribution);
-        // In-band mode: every backbone router shares the control database,
-        // seeded from the converged bring-up state (the one permitted
-        // oracle download); everything after this travels as messages.
-        let control = match self.control_mode {
-            ControlMode::Oracle => None,
-            ControlMode::InBand => {
-                let db = Rc::new(RefCell::new(ControlDb::new(&self.topo, &self.pes, &igp, &ldp)));
-                for (u, &nid) in node_ids.iter().enumerate().take(self.topo.node_count()) {
-                    if pe_ordinal.contains_key(&u) {
-                        net.node_mut::<PeRouter>(nid).set_control(db.clone(), u);
-                    } else {
-                        net.node_mut::<CoreRouter>(nid).set_control(db.clone(), u);
-                    }
+        // One control database in either mode, seeded from the converged
+        // bring-up state. Only in-band routers hold a handle: under the
+        // oracle, routing changes only at `reconverge()`.
+        let control = Rc::new(RefCell::new(ControlDb::new(&self.topo, &self.pes, &igp, &ldp)));
+        if self.control_mode == ControlMode::InBand {
+            for (u, &nid) in node_ids.iter().enumerate() {
+                if pe_ordinal.contains_key(&u) {
+                    net.node_mut::<PeRouter>(nid).set_control(control.clone(), u);
+                } else {
+                    net.node_mut::<CoreRouter>(nid).set_control(control.clone(), u);
                 }
-                Some(db)
             }
-        };
+        }
         ProviderNetwork {
             net,
             topo: self.topo,
@@ -333,8 +331,7 @@ impl BackboneBuilder {
             registry: MetricsRegistry::new(),
             probes: Vec::new(),
             control,
-            no_lsp_to_egress: 0,
-            sync_route_pushes: 0,
+            control_mode: self.control_mode,
         }
     }
 }
@@ -352,7 +349,10 @@ pub struct ProviderNetwork {
     pub topo: Topology,
     /// Converged IGP.
     pub igp: Igp,
-    /// Converged LDP domain (FTN tables; LFIBs have moved into routers).
+    /// LDP domain from bring-up or the last [`ProviderNetwork::reconverge`]
+    /// (label spaces and message counts). Its LFIBs have moved into the
+    /// routers, and the live FTNs are the control database's per-node
+    /// views.
     pub ldp: LdpDomain,
     /// The BGP/MPLS VPN route fabric.
     pub fabric: BgpVpnFabric,
@@ -374,13 +374,8 @@ pub struct ProviderNetwork {
     pub(crate) recorder: FlightRecorder,
     pub(crate) registry: MetricsRegistry,
     pub(crate) probes: Vec<crate::obs::ProbeSpec>,
-    pub(crate) control: Option<ControlHandle>,
-    /// Oracle-path count of route installs skipped because the PE had no
-    /// LSP toward the egress (partition degradation; never a panic).
-    no_lsp_to_egress: u64,
-    /// Route installs performed by the oracle full-table sync — the
-    /// O(routes × VRFs) cost the in-band mode removes from the hot path.
-    sync_route_pushes: u64,
+    pub(crate) control: ControlHandle,
+    control_mode: ControlMode,
 }
 
 impl ProviderNetwork {
@@ -446,30 +441,11 @@ impl ProviderNetwork {
                 let fwd = self.registry.counter(&format!("vrf.{name}.pe{pe}.forwarded"));
                 self.net.node_mut::<PeRouter>(pe_node).vrfs[vrf_idx].set_forward_counter(fwd);
                 self.fabric.refresh_vrf(handle);
-                if self.control.is_some() {
-                    // In-band: a brand-new VRF gets its initial RIB
-                    // download directly (the one full pull the tentpole
-                    // permits at bring-up); afterwards only deltas arrive.
-                    let routes: Vec<(Prefix, netsim_routing::RemoteRoute)> =
-                        self.fabric.routes(handle).iter().map(|(p, r)| (p, *r)).collect();
-                    for (prefix, r) in routes {
-                        let ftn = self.control.as_ref().and_then(|db| {
-                            db.borrow().view_ftn(pe_topo, r.egress_pe as u32).cloned()
-                        });
-                        let Some(ftn) = ftn else {
-                            self.no_lsp_to_egress += 1;
-                            continue;
-                        };
-                        self.net.node_mut::<PeRouter>(pe_node).install_remote_route(
-                            vrf_idx,
-                            prefix,
-                            r.egress_pe,
-                            r.vpn_label,
-                            ftn,
-                        );
-                    }
-                }
                 self.vrf_handles.insert((pe, vpn), (handle, vrf_idx));
+                // The new VRF's initial route download is local to the one
+                // touched PE; afterwards only deltas arrive.
+                let routes = self.fabric_routes(handle);
+                self.install_routes(pe, vrf_idx, &routes);
                 (handle, vrf_idx)
             }
         };
@@ -494,23 +470,17 @@ impl ProviderNetwork {
             per.install_local_route(vrf_idx, prefix, pe_if.0);
             per.install_vpn_label(label, vrf_idx);
         }
-        if self.control.is_some() {
-            // In-band: the join cost is O(delta) — one BGP update (VPN
-            // label piggybacked, §4) per importing PE, each travelling
-            // hop-by-hop as a CS6 control packet. No full-table resync.
-            for ((pe2, _vpn2), (h2, v2)) in self.sorted_vrf_handles() {
-                if pe2 == pe {
-                    continue;
-                }
-                let selected = self
-                    .fabric
-                    .routes(h2)
-                    .get(prefix)
-                    .is_some_and(|r| r.egress_pe == pe && r.vpn_label == label);
-                if !selected {
-                    continue;
-                }
-                self.inject_bgp(
+        // One MP-BGP update (VPN label piggybacked, §4) to every VRF whose
+        // best path is now this route. The fabric never imports a PE's own
+        // routes, so every target is remote.
+        for ((pe2, _), (h2, v2)) in self.sorted_vrf_handles() {
+            let selected = self
+                .fabric
+                .routes(h2)
+                .get(prefix)
+                .is_some_and(|r| r.egress_pe == pe && r.vpn_label == label);
+            if selected {
+                self.send_bgp(
                     pe,
                     CtrlMsg::BgpUpdate {
                         target: pe2,
@@ -521,8 +491,6 @@ impl ProviderNetwork {
                     },
                 );
             }
-        } else {
-            self.sync_remote_routes();
         }
 
         let site = SiteId(self.sites.len());
@@ -550,27 +518,21 @@ impl ProviderNetwork {
     /// another PE (a dual-homed site), every importer fails over to the
     /// surviving home.
     pub fn detach_site(&mut self, site: SiteId) {
-        let (vpn, pe, prefix, access_link, pe_iface) = {
+        let (vpn, pe, prefix, access_link) = {
             let s = &self.sites[site.0];
-            (s.vpn, s.pe, s.prefix, s.access_link, s.pe_iface)
+            (s.vpn, s.pe, s.prefix, s.access_link)
         };
         let (handle, vrf_idx) = self.vrf_handles[&(pe, vpn)];
         // The VPN label this home advertised for the prefix.
         let label =
             self.fabric.local_routes(handle).iter().find(|(p, _)| *p == prefix).map(|(_, l)| *l);
-        // In-band: snapshot every importer's current selection so the
-        // withdrawal becomes a per-importer delta message.
+        // Every VRF's best path before the withdrawal: each one that
+        // changes gets a withdraw carrying the replacement, if any.
         let handles = self.sorted_vrf_handles();
-        let before: Vec<Option<(usize, u32)>> = if self.control.is_some() {
-            handles
-                .iter()
-                .map(|&((_, _), (h2, _))| {
-                    self.fabric.routes(h2).get(prefix).map(|r| (r.egress_pe, r.vpn_label))
-                })
-                .collect()
-        } else {
-            Vec::new()
+        let selection = |pn: &Self, h: VrfHandle| {
+            pn.fabric.routes(h).get(prefix).map(|r| (r.egress_pe, r.vpn_label))
         };
+        let before: Vec<_> = handles.iter().map(|&(_, (h2, _))| selection(self, h2)).collect();
         self.fabric.withdraw(handle, prefix);
         {
             let per = self.net.node_mut::<PeRouter>(self.pe_node(pe));
@@ -580,58 +542,19 @@ impl ProviderNetwork {
             }
         }
         self.net.set_link_enabled(access_link, false);
-        let _ = pe_iface;
-        if self.control.is_some() {
-            // The detaching PE itself fails over locally (it is the one
-            // touched device); every other importer whose selection
-            // changed gets a withdraw message carrying the replacement
-            // best path, if any.
-            if let Some(r) = self.fabric.routes(handle).get(prefix).copied() {
-                let pe_topo = self.pes[pe];
-                let ftn = self
-                    .control
-                    .as_ref()
-                    .and_then(|db| db.borrow().view_ftn(pe_topo, r.egress_pe as u32).cloned());
-                if let Some(ftn) = ftn {
-                    let node = self.pe_node(pe);
-                    self.net.node_mut::<PeRouter>(node).install_remote_route(
-                        vrf_idx,
-                        prefix,
-                        r.egress_pe,
-                        r.vpn_label,
-                        ftn,
-                    );
-                } else {
-                    self.no_lsp_to_egress += 1;
-                }
-            }
-            for (i, ((pe2, _vpn2), (h2, v2))) in handles.iter().copied().enumerate() {
-                if pe2 == pe {
-                    continue;
-                }
-                let now = self.fabric.routes(h2).get(prefix).map(|r| (r.egress_pe, r.vpn_label));
-                if now == before[i] {
-                    continue;
-                }
-                self.inject_bgp(
+        // The detaching PE is the one touched device: it fails over
+        // locally to the route its local one masked (a dual-homed site).
+        if let Some(&masked) = self.fabric.routes(handle).get(prefix) {
+            self.install_routes(pe, vrf_idx, &[(prefix, masked)]);
+        }
+        for (((pe2, _), (h2, v2)), was) in handles.into_iter().zip(before) {
+            let now = selection(self, h2);
+            if now != was {
+                self.send_bgp(
                     pe,
                     CtrlMsg::BgpWithdraw { target: pe2, vrf_idx: v2, prefix, replacement: now },
                 );
             }
-        } else {
-            // Oracle: drop data-plane routes that no longer exist in the
-            // fabric, then install the failover selections.
-            for ((pe2, vpn2), (h2, v2)) in handles {
-                if vpn2 != vpn || pe2 == pe {
-                    continue;
-                }
-                let still_local = self.fabric.local_routes(h2).iter().any(|(p, _)| *p == prefix);
-                if !still_local && self.fabric.routes(h2).get(prefix).is_none() {
-                    let node = self.pe_node(pe2);
-                    self.net.node_mut::<PeRouter>(node).vrfs[v2].fib.remove(prefix);
-                }
-            }
-            self.sync_remote_routes();
         }
     }
 
@@ -643,47 +566,50 @@ impl ProviderNetwork {
         v
     }
 
-    /// Originates an in-band BGP control message at PE `origin_pe`,
-    /// injecting it toward its target along the origin's current view of
-    /// the shortest path. No-op in Oracle mode or when the target is
-    /// unreachable (counted as undeliverable).
-    fn inject_bgp(&mut self, origin_pe: usize, msg: CtrlMsg) {
-        let Some(db) = &self.control else { return };
-        let origin_node = self.pes[origin_pe];
-        if let Some((iface, pkt)) = db.borrow_mut().prepare_bgp_from(origin_node, msg) {
-            self.net.inject(self.node_ids[origin_node], iface, pkt);
+    /// Delivers an MP-BGP delta originated at PE `origin_pe` — the one
+    /// place the control mode picks a transport. In-band, it leaves as a
+    /// CS6 packet along the origin's view of the shortest path (counted
+    /// undeliverable when there is none); under the oracle, it is applied
+    /// at the target PE at once.
+    fn send_bgp(&mut self, origin_pe: usize, msg: CtrlMsg) {
+        match self.control_mode {
+            ControlMode::InBand => {
+                let origin = self.pes[origin_pe];
+                let prepared = self.control.borrow_mut().prepare_bgp_from(origin, msg);
+                if let Some((iface, pkt)) = prepared {
+                    self.net.inject(self.node_ids[origin], iface, pkt);
+                }
+            }
+            ControlMode::Oracle => {
+                let Some(target) = msg.bgp_target() else { return };
+                let vrfs = &mut self.net.node_mut::<PeRouter>(self.pe_node(target)).vrfs;
+                self.control.borrow_mut().apply_bgp_now(vrfs, msg);
+            }
         }
     }
 
-    /// Pushes the fabric's current imported routes into every PE data
-    /// plane. Called automatically by [`ProviderNetwork::add_site`].
-    pub fn sync_remote_routes(&mut self) {
-        let handles: Vec<((usize, VpnId), (VrfHandle, usize))> =
-            self.vrf_handles.iter().map(|(&k, &v)| (k, v)).collect();
-        for ((pe, _vpn), (handle, vrf_idx)) in handles {
-            let pe_topo = self.pes[pe];
-            let pe_node = self.node_ids[pe_topo];
-            let routes: Vec<(Prefix, netsim_routing::RemoteRoute)> =
-                self.fabric.routes(handle).iter().map(|(p, r)| (p, *r)).collect();
-            for (prefix, r) in routes {
-                let Some(ftn) = self.ldp.nodes[pe_topo].ftn.get(&Fec(r.egress_pe as u32)) else {
-                    // No LSP toward the egress (a partitioned PE, or a
-                    // healthy-looking fabric ahead of reconvergence):
-                    // leave any existing route in place and count the
-                    // degradation instead of aborting the run.
-                    self.no_lsp_to_egress += 1;
-                    continue;
-                };
-                let ftn = ftn.clone();
-                self.sync_route_pushes += 1;
-                self.net.node_mut::<PeRouter>(pe_node).install_remote_route(
-                    vrf_idx,
-                    prefix,
-                    r.egress_pe,
-                    r.vpn_label,
-                    ftn,
-                );
-            }
+    /// The fabric's selected routes for one VRF.
+    fn fabric_routes(&self, handle: VrfHandle) -> Vec<(Prefix, RemoteRoute)> {
+        self.fabric.routes(handle).iter().map(|(p, r)| (p, *r)).collect()
+    }
+
+    /// Installs routes into VRF `vrf_idx` of PE `pe` over the PE's current
+    /// tunnels: a local step at the one PE that owns the VRF.
+    fn install_routes(&mut self, pe: usize, vrf_idx: usize, routes: &[(Prefix, RemoteRoute)]) {
+        let node = self.pes[pe];
+        let vrf = &mut self.net.node_mut::<PeRouter>(self.node_ids[node]).vrfs[vrf_idx];
+        let mut db = self.control.borrow_mut();
+        for &(prefix, r) in routes {
+            db.install_route(node, vrf, prefix, r.egress_pe, r.vpn_label);
+        }
+    }
+
+    /// Re-installs every VRF's imported routes over the freshly re-seeded
+    /// tunnels. Only [`ProviderNetwork::reconverge`] calls this.
+    fn sync_remote_routes(&mut self) {
+        for ((pe, _), (handle, vrf_idx)) in self.sorted_vrf_handles() {
+            let routes = self.fabric_routes(handle);
+            self.install_routes(pe, vrf_idx, &routes);
         }
     }
 
@@ -900,67 +826,36 @@ impl ProviderNetwork {
 
     fn apply_refilter(&mut self, pe: usize, handle: VrfHandle, vrf_idx: usize) {
         let (added, removed) = self.fabric.refilter_vrf(handle);
-        let pe_topo = self.pes[pe];
-        let pe_node = self.node_ids[pe_topo];
+        let vrf = &mut self.net.node_mut::<PeRouter>(self.pe_node(pe)).vrfs[vrf_idx];
         for (prefix, _) in removed {
-            let per = self.net.node_mut::<PeRouter>(pe_node);
-            if matches!(per.vrfs[vrf_idx].fib.get(prefix), Some(VrfRoute::Local { .. })) {
-                continue; // locally attached routes never leave via policy
-            }
-            per.vrfs[vrf_idx].fib.remove(prefix);
+            vrf.remove_remote(prefix);
         }
-        for (prefix, r) in added {
-            let ftn = match &self.control {
-                None => self.ldp.nodes[pe_topo].ftn.get(&Fec(r.egress_pe as u32)).cloned(),
-                Some(db) => db.borrow().view_ftn(pe_topo, r.egress_pe as u32).cloned(),
-            };
-            let Some(ftn) = ftn else {
-                self.no_lsp_to_egress += 1;
-                continue;
-            };
-            self.net.node_mut::<PeRouter>(pe_node).install_remote_route(
-                vrf_idx,
-                prefix,
-                r.egress_pe,
-                r.vpn_label,
-                ftn,
-            );
-        }
+        self.install_routes(pe, vrf_idx, &added);
     }
 
     // -- control-plane observability & parity hooks -------------------------
 
     /// Which control-plane mode this network runs.
     pub fn control_mode(&self) -> ControlMode {
-        if self.control.is_some() {
-            ControlMode::InBand
-        } else {
-            ControlMode::Oracle
-        }
+        self.control_mode
     }
 
-    /// In-band control-plane counters (`None` in Oracle mode).
+    /// Control-plane counters. Always `Some`: both modes share one control
+    /// database; under the oracle the packet and byte counters stay 0.
     pub fn control_stats(&self) -> Option<CtrlStats> {
-        self.control.as_ref().map(|db| db.borrow().stats())
+        Some(self.control.borrow().stats())
     }
 
-    /// Route installs skipped for lack of an LSP toward the egress, summed
-    /// over the oracle sync path and the in-band message path.
+    /// Route installs skipped for lack of an LSP toward the egress.
     pub fn no_lsp_to_egress(&self) -> u64 {
-        self.no_lsp_to_egress
-            + self.control.as_ref().map_or(0, |db| db.borrow().stats.no_lsp_to_egress)
-    }
-
-    /// Route installs performed by the oracle full-table sync so far.
-    pub fn sync_route_pushes(&self) -> u64 {
-        self.sync_route_pushes
+        self.control.borrow().stats.no_lsp_to_egress
     }
 
     /// Convergence-latency quantiles (p50, p99, max) in ns of in-band LSA
     /// application — the propagation + processing component of an outage
     /// window. `None` in Oracle mode or before any link event.
     pub fn control_convergence_ns(&self) -> Option<(u64, u64, u64)> {
-        let db = self.control.as_ref()?.borrow();
+        let db = self.control.borrow();
         if db.convergence().count() == 0 {
             return None;
         }
@@ -974,16 +869,14 @@ impl ProviderNetwork {
     /// Control bytes offered on backbone link `l` (both directions) since
     /// bring-up. Always 0 in Oracle mode.
     pub fn control_bytes_on_link(&self, l: usize) -> u64 {
-        self.control.as_ref().map_or(0, |db| db.borrow().ctrl_bytes_on_link(l))
+        self.control.borrow().ctrl_bytes_on_link(l)
     }
 
-    /// The SPF tree node `u` currently forwards on: the oracle's tree in
-    /// Oracle mode, the node's own view in in-band mode (parity hook).
+    /// The SPF tree node `u` currently forwards on: its own view in the
+    /// control database (under the oracle, the tree of the last global
+    /// recomputation).
     pub fn effective_spf(&self, u: usize) -> netsim_routing::SpfTree {
-        match &self.control {
-            None => self.igp.tree(u).clone(),
-            Some(db) => db.borrow().view_spf(u).clone(),
-        }
+        self.control.borrow().view_spf(u).clone()
     }
 
     /// Walks the LSP from PE ordinal `ingress` to PE ordinal `egress`
@@ -994,10 +887,7 @@ impl ProviderNetwork {
     /// forwarding path must not.
     pub fn lsp_path(&mut self, ingress: usize, egress: usize) -> Option<Vec<usize>> {
         let start = self.pes[ingress];
-        let ftn = match &self.control {
-            None => self.ldp.nodes[start].ftn.get(&Fec(egress as u32)).cloned(),
-            Some(db) => db.borrow().view_ftn(start, egress as u32).cloned(),
-        }?;
+        let ftn = self.control.borrow().view_ftn(start, egress as u32).cloned()?;
         let want = self.pes[egress];
         self.walk_tunnel(start, &ftn, want)
     }
@@ -1080,8 +970,8 @@ impl ProviderNetwork {
 
     /// Rebinds one remote route at an ingress PE onto a different tunnel
     /// (e.g. a TE LSP from [`ProviderNetwork::install_explicit_lsp`]).
-    /// Call after all sites are added — [`ProviderNetwork::add_site`]'s
-    /// route sync would otherwise restore the LDP tunnel.
+    /// Site joins and detaches elsewhere leave the binding alone; only
+    /// [`ProviderNetwork::reconverge`] restores the LDP tunnel.
     ///
     /// # Panics
     /// Panics if the VRF or the route does not exist at that PE.
@@ -1102,8 +992,7 @@ impl ProviderNetwork {
             .get(prefix)
             .unwrap_or_else(|| panic!("no remote route {prefix} at PE{ingress_pe}"));
         let pe_node = self.pe_node(ingress_pe);
-        self.net.node_mut::<PeRouter>(pe_node).install_remote_route(
-            vrf_idx,
+        self.net.node_mut::<PeRouter>(pe_node).vrfs[vrf_idx].install_remote(
             prefix,
             r.egress_pe,
             r.vpn_label,
@@ -1151,9 +1040,8 @@ impl ProviderNetwork {
     /// detection fires (so the histogram measures propagation +
     /// processing, not the detection delay itself).
     fn note_control_event(&mut self, topo_link: usize) {
-        if let Some(db) = &self.control {
-            db.borrow_mut().note_link_event(topo_link, self.net.now() + self.detect_ns);
-        }
+        let at = self.net.now() + self.detect_ns;
+        self.control.borrow_mut().note_link_event(topo_link, at);
     }
 
     /// Fails every backbone link incident to `topo_node` — a node (power
@@ -1232,13 +1120,10 @@ impl ProviderNetwork {
             });
         }
         self.ldp = ldp;
+        // The reference recompute re-seeds every router's view, then
+        // re-points every VRF route at the fresh tunnels.
+        self.control.borrow_mut().rebuild(&self.igp, &self.ldp, &self.failed_links);
         self.sync_remote_routes();
-        if let Some(db) = &self.control {
-            // An explicit reconvergence on an in-band network is the
-            // safety net: re-seed every router's view from the fresh
-            // oracle so views and tables stay coherent.
-            db.borrow_mut().rebuild(&self.igp, &self.ldp, &self.failed_links);
-        }
         ControlSummary {
             igp_lsa_messages: self.igp.lsa_messages(),
             ldp_messages: self.ldp.messages,
@@ -1274,8 +1159,7 @@ impl ProviderNetwork {
             .lookup(prefix.addr())
             .unwrap_or_else(|| panic!("no covering route for {prefix} at PE{ingress_pe}"));
         let pe_node = self.pe_node(ingress_pe);
-        self.net.node_mut::<PeRouter>(pe_node).install_remote_route(
-            vrf_idx,
+        self.net.node_mut::<PeRouter>(pe_node).vrfs[vrf_idx].install_remote(
             prefix,
             r.egress_pe,
             r.vpn_label,
@@ -1507,7 +1391,7 @@ mod tests {
             per.install_vpn_label(label, depot_vrf);
             per.install_local_route(depot_vrf, pfx("10.77.0.0/16"), depot_iface);
         }
-        pn.sync_remote_routes();
+        pn.reconverge();
 
         let sink_depot = pn.attach_sink(depot, pfx("10.77.0.0/16"));
         let sink_acme_hq = pn.attach_sink(acme_hq, pfx("10.1.0.0/16"));

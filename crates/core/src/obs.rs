@@ -189,30 +189,29 @@ impl ProviderNetwork {
                 }
             }
         }
-        // Control plane: the oracle-vs-in-band cost surface.
-        snap.push_counter("control.no_lsp_to_egress".to_owned(), self.no_lsp_to_egress());
-        snap.push_counter("control.sync_route_pushes".to_owned(), self.sync_route_pushes());
-        if let Some(stats) = self.control_stats() {
-            snap.push_counter("control.igp.pkts".to_owned(), stats.pkts_by_proto[0]);
-            snap.push_counter("control.ldp.pkts".to_owned(), stats.pkts_by_proto[1]);
-            snap.push_counter("control.bgp.pkts".to_owned(), stats.pkts_by_proto[2]);
-            snap.push_counter("control.pkts_sent".to_owned(), stats.pkts_sent);
-            snap.push_counter("control.pkts_terminated".to_owned(), stats.pkts_terminated);
-            snap.push_counter("control.bytes_sent".to_owned(), stats.bytes_sent);
-            snap.push_counter("control.spf_runs".to_owned(), stats.spf_runs);
-            snap.push_counter("control.spf_skips".to_owned(), stats.spf_skips);
-            snap.push_counter("control.undeliverable".to_owned(), stats.undeliverable);
-            for l in 0..self.topo.link_count() {
-                let b = self.control_bytes_on_link(l);
-                if b > 0 {
-                    snap.push_counter(format!("control.link{l}.bytes"), b);
-                }
+        // Control plane: one database in either mode; under the oracle the
+        // packet, byte and convergence rows stay 0 or absent.
+        let stats = self.control.borrow().stats();
+        snap.push_counter("control.no_lsp_to_egress".to_owned(), stats.no_lsp_to_egress);
+        snap.push_counter("control.igp.pkts".to_owned(), stats.pkts_by_proto[0]);
+        snap.push_counter("control.ldp.pkts".to_owned(), stats.pkts_by_proto[1]);
+        snap.push_counter("control.bgp.pkts".to_owned(), stats.pkts_by_proto[2]);
+        snap.push_counter("control.pkts_sent".to_owned(), stats.pkts_sent);
+        snap.push_counter("control.pkts_terminated".to_owned(), stats.pkts_terminated);
+        snap.push_counter("control.bytes_sent".to_owned(), stats.bytes_sent);
+        snap.push_counter("control.spf_runs".to_owned(), stats.spf_runs);
+        snap.push_counter("control.spf_skips".to_owned(), stats.spf_skips);
+        snap.push_counter("control.undeliverable".to_owned(), stats.undeliverable);
+        for l in 0..self.topo.link_count() {
+            let b = self.control_bytes_on_link(l);
+            if b > 0 {
+                snap.push_counter(format!("control.link{l}.bytes"), b);
             }
-            if let Some((p50, p99, max)) = self.control_convergence_ns() {
-                snap.push_counter("control.convergence.p50_ns".to_owned(), p50);
-                snap.push_counter("control.convergence.p99_ns".to_owned(), p99);
-                snap.push_counter("control.convergence.max_ns".to_owned(), max);
-            }
+        }
+        if let Some((p50, p99, max)) = self.control_convergence_ns() {
+            snap.push_counter("control.convergence.p50_ns".to_owned(), p50);
+            snap.push_counter("control.convergence.p99_ns".to_owned(), p99);
+            snap.push_counter("control.convergence.max_ns".to_owned(), max);
         }
         snap.probes = self.probe_rows();
         snap

@@ -97,7 +97,7 @@ pub struct CoreRouter {
     pub trace: Option<TraceLog>,
     /// Optional drop-cause flight recorder (shared with the network's).
     pub recorder: Option<FlightRecorder>,
-    /// In-band control plane, if the network runs `ControlMode::InBand`.
+    /// The control database, attached only under `ControlMode::InBand`.
     control: Option<ControlHandle>,
     /// This router's backbone topology node id (only meaningful when
     /// `control` is set).
@@ -277,6 +277,36 @@ pub struct VrfFib {
 }
 
 impl VrfFib {
+    /// Installs a remote route learned from the BGP/MPLS fabric. A locally
+    /// attached route for the same prefix always wins (standard preference
+    /// for locally originated paths — this is what keeps a dual-homed
+    /// site's traffic local at each of its homes).
+    pub fn install_remote(
+        &mut self,
+        prefix: Prefix,
+        egress_pe: usize,
+        vpn_label: u32,
+        tunnel: FtnEntry,
+    ) {
+        if !self.is_local(prefix) {
+            self.fib.insert(prefix, VrfRoute::Remote { egress_pe, vpn_label, tunnel });
+        }
+    }
+
+    /// Removes a remote route. A locally attached route is never removed
+    /// this way; returns `false` when one holds the prefix.
+    pub fn remove_remote(&mut self, prefix: Prefix) -> bool {
+        if self.is_local(prefix) {
+            return false;
+        }
+        self.fib.remove(prefix);
+        true
+    }
+
+    fn is_local(&self, prefix: Prefix) -> bool {
+        matches!(self.fib.get(prefix), Some(VrfRoute::Local { .. }))
+    }
+
     /// Attaches a registry counter bumped once per packet this VRF
     /// forwards (ingress impositions and egress dispatches alike).
     pub fn set_forward_counter(&mut self, c: Counter) {
@@ -326,7 +356,7 @@ pub struct PeRouter {
     pub trace: Option<TraceLog>,
     /// Optional drop-cause flight recorder (shared with the network's).
     pub recorder: Option<FlightRecorder>,
-    /// In-band control plane, if the network runs `ControlMode::InBand`.
+    /// The control database, attached only under `ControlMode::InBand`.
     control: Option<ControlHandle>,
     /// This router's backbone topology node id (only meaningful when
     /// `control` is set).
@@ -402,24 +432,6 @@ impl PeRouter {
     /// interface `out_iface` in `vrf`.
     pub fn install_local_route(&mut self, vrf: usize, prefix: Prefix, out_iface: usize) {
         self.vrfs[vrf].fib.insert(prefix, VrfRoute::Local { out_iface });
-    }
-
-    /// Installs a remote route learned from the BGP/MPLS fabric. A locally
-    /// attached route for the same prefix always wins (standard preference
-    /// for locally originated paths — this is what keeps a dual-homed
-    /// site's traffic local at each of its homes).
-    pub fn install_remote_route(
-        &mut self,
-        vrf: usize,
-        prefix: Prefix,
-        egress_pe: usize,
-        vpn_label: u32,
-        tunnel: FtnEntry,
-    ) {
-        if matches!(self.vrfs[vrf].fib.get(prefix), Some(VrfRoute::Local { .. })) {
-            return;
-        }
-        self.vrfs[vrf].fib.insert(prefix, VrfRoute::Remote { egress_pe, vpn_label, tunnel });
     }
 
     /// Registers an incoming VPN label as belonging to `vrf`.
@@ -818,8 +830,7 @@ mod tests {
         let mut pe0 = PeRouter::new("PE0", Lfib::new(), 1);
         let v0 = pe0.add_vrf("acme");
         pe0.attach_customer_iface(v0); // iface 1
-        pe0.install_remote_route(
-            v0,
+        pe0.vrfs[v0].install_remote(
             pfx("10.2.0.0/16"),
             1,
             500,

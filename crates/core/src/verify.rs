@@ -8,7 +8,7 @@
 //! that build one):
 //!
 //! 1. **Label plane** — every router's LFIB plus every ingress stack
-//!    (LDP FTNs and per-VRF remote routes) is checked for dangling
+//!    (live LDP FTNs and per-VRF remote routes) is checked for dangling
 //!    references, black holes, loops and reserved-label misuse.
 //! 2. **VRF isolation** — the route-target import/export graph is
 //!    checked for cross-VPN leaks (unless declared via
@@ -67,8 +67,8 @@ impl ProviderNetwork {
     }
 
     /// Builds the label-plane model: per-router ILMs straight out of
-    /// the simulated routers, plus one stack walk per LDP FTN and per
-    /// remote VRF route.
+    /// the simulated routers, plus one stack walk per live FTN (each
+    /// router's control-database view) and per remote VRF route.
     fn extract_label_plane(&self) -> LabelPlane {
         let n = self.topo.node_count();
         let mut nodes = Vec::with_capacity(n);
@@ -88,20 +88,16 @@ impl ProviderNetwork {
         }
 
         let mut walks = Vec::new();
-        for (u, (lnode, ldp_node)) in nodes.iter().zip(&self.ldp.nodes).enumerate() {
-            let mut ftns: Vec<_> = ldp_node.ftn.iter().collect();
-            ftns.sort_by_key(|(fec, _)| fec.0);
-            for (fec, ftn) in ftns {
-                let egress = self.ldp.egress.get(fec).copied();
-                if egress == Some(u) {
-                    continue;
-                }
+        let db = self.control.borrow();
+        for (u, lnode) in nodes.iter().enumerate() {
+            for (f, &egress) in self.pes.iter().enumerate().filter(|&(_, &e)| e != u) {
+                let Some(ftn) = db.view_ftn(u, f as u32) else { continue };
                 walks.push(StackWalk {
                     origin: u,
-                    fec: format!("{} Fec({})", lnode.name, fec.0),
+                    fec: format!("{} Fec({f})", lnode.name),
                     push: ftn.push.clone(),
                     out_iface: ftn.out_iface,
-                    expect_delivery: egress,
+                    expect_delivery: Some(egress),
                 });
             }
         }

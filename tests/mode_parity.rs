@@ -1,11 +1,12 @@
 //! Oracle ↔ in-band control-plane parity.
 //!
-//! The in-band control plane (`ControlMode::InBand`) replaces the
-//! oracle's instantaneous full resync with LSA flooding, LDP label
-//! messages and MP-BGP route deltas carried as CS6 packets through the
-//! same links the data plane uses. Convergence therefore takes simulated
-//! *time* — but once quiescent, both modes must agree on every piece of
-//! forwarding state: SPF trees, LSP forwarding paths through the live
+//! Both control modes run one delta engine and differ only in transport.
+//! In-band (`ControlMode::InBand`), LSAs, LDP label messages and MP-BGP
+//! route deltas travel as CS6 packets through the same links the data
+//! plane uses, so convergence takes simulated *time*; the oracle applies
+//! each MP-BGP delta at once and recomputes IGP/LDP globally at
+//! `reconverge()`. Once quiescent, both modes must agree on every piece
+//! of forwarding state: SPF trees, LSP forwarding paths through the live
 //! LFIBs, VRF contents, and VPN-label dispatch tables.
 //!
 //! Label *values* are deliberately outside the contract: the oracle
@@ -13,6 +14,7 @@
 //! retention keeps them stable. The digests below compare forwarding
 //! *paths*, not label numbers.
 
+use mplsvpn::net::Prefix;
 use mplsvpn::routing::{LinkAttrs, RouteTarget, Topology};
 use mplsvpn::sim::MSEC;
 use mplsvpn::vpn::{BackboneBuilder, ControlMode, ProviderNetwork, VpnId, VrfDigestRow};
@@ -97,8 +99,9 @@ fn digest(pn: &mut ProviderNetwork, vpns: &[VpnId]) -> Digest {
 
 /// Runs the canonical churn scenario — cut, join-under-failure, repair,
 /// detach, RT-policy add/remove — returning the digest at each
-/// checkpoint. Oracle arms reconverge explicitly after cut and repair;
-/// in-band arms are given settle time and converge by themselves.
+/// checkpoint, where the static verifier must also find the live tables
+/// clean. Oracle arms reconverge explicitly after cut and repair; in-band
+/// arms are given settle time and converge by themselves.
 fn run_scenario(
     topo: Topology,
     pes: Vec<usize>,
@@ -117,7 +120,12 @@ fn run_scenario(
     pn.add_site(vpn_b, 0, "10.1.0.0/16".parse().unwrap(), None); // overlap is the point
     let b1 = pn.add_site(vpn_b, 1, "10.9.0.0/16".parse().unwrap(), None);
     pn.run_for(100 * MSEC);
-    let mut out = vec![digest(&mut pn, &vpns)];
+    let mut out = Vec::new();
+    let mut checkpoint = |pn: &mut ProviderNetwork| {
+        pn.verify().assert_clean(&format!("{mode:?} seed {seed} checkpoint {}", out.len()));
+        out.push(digest(pn, &vpns));
+    };
+    checkpoint(&mut pn);
 
     // Cut a short-path link; detection fires, then LSAs (or the oracle).
     pn.fail_link(cut);
@@ -126,13 +134,13 @@ fn run_scenario(
         pn.reconverge();
     }
     pn.run_for(100 * MSEC);
-    out.push(digest(&mut pn, &vpns));
+    checkpoint(&mut pn);
 
     // Membership join while the failure is still active: the new route
     // must reach the other PE over the surviving path.
     pn.add_site(vpn_a, 1, "10.3.0.0/16".parse().unwrap(), None);
     pn.run_for(100 * MSEC);
-    out.push(digest(&mut pn, &vpns));
+    checkpoint(&mut pn);
 
     pn.repair_link(cut);
     pn.run_for(300 * MSEC);
@@ -140,21 +148,23 @@ fn run_scenario(
         pn.reconverge();
     }
     pn.run_for(100 * MSEC);
-    out.push(digest(&mut pn, &vpns));
+    checkpoint(&mut pn);
 
     // Membership leave: the withdraw must evict the route remotely.
     pn.detach_site(b1);
     pn.run_for(100 * MSEC);
-    out.push(digest(&mut pn, &vpns));
+    checkpoint(&mut pn);
 
     // RT-policy extranet: import acme's routes into buynlarge at PE0,
-    // then take the import back. Local re-filtering, zero messages.
+    // then take the import back. Local re-filtering, zero messages. The
+    // coupling is declared, so the verifier reports no leak.
+    pn.declare_extranet(vpn_a, vpn_b);
     pn.add_import_target(0, vpn_b, RouteTarget(100 + vpn_a.0 as u64));
     pn.run_for(50 * MSEC);
-    out.push(digest(&mut pn, &vpns));
+    checkpoint(&mut pn);
     pn.remove_import_target(0, vpn_b, RouteTarget(100 + vpn_a.0 as u64));
     pn.run_for(50 * MSEC);
-    out.push(digest(&mut pn, &vpns));
+    checkpoint(&mut pn);
     out
 }
 
@@ -271,26 +281,75 @@ fn partition_counts_no_lsp_to_egress_instead_of_panicking() {
     }
 }
 
-/// Detaching the only remote site leaves the importing VRF without the
-/// route in both modes (satellite: withdraw coverage).
+/// Detaching the only remote site leaves every importing VRF without the
+/// route in both modes — including an extranet partner that imports it
+/// through an extra route target.
 #[test]
 fn detach_withdraws_remotely_in_both_modes() {
+    let far_prefix: Prefix = "10.2.0.0/16".parse().unwrap();
+    for mode in [ControlMode::Oracle, ControlMode::InBand] {
+        let (t, p) = fish();
+        let mut pn = BackboneBuilder::new(t, p).detection(20 * MSEC).control_mode(mode).build();
+        let vpn = pn.new_vpn("acme");
+        let partner = pn.new_vpn("buynlarge");
+        pn.add_site(vpn, 0, "10.1.0.0/16".parse().unwrap(), None);
+        let far = pn.add_site(vpn, 1, far_prefix, None);
+        pn.add_site(partner, 0, "10.8.0.0/16".parse().unwrap(), None);
+        pn.add_import_target(0, partner, RouteTarget(100 + vpn.0 as u64));
+        pn.run_for(100 * MSEC);
+        for v in [vpn, partner] {
+            assert!(
+                pn.vrf_digest(0, v).iter().any(|(p, _)| *p == far_prefix),
+                "{} holds the route before detach",
+                pn.vpn_name(v)
+            );
+        }
+        pn.detach_site(far);
+        pn.run_for(100 * MSEC);
+        for v in [vpn, partner] {
+            assert!(
+                pn.vrf_digest(0, v).iter().all(|(p, _)| *p != far_prefix),
+                "withdraw evicted the route from {} ({mode:?})",
+                pn.vpn_name(v)
+            );
+        }
+    }
+}
+
+/// A route moved onto a TE tunnel keeps it when a site joins elsewhere:
+/// the join sends one delta per importer and re-installs nothing else.
+/// Only `reconverge()` puts the route back on its LDP tunnel.
+#[test]
+fn override_survives_a_join_elsewhere_in_both_modes() {
+    let moved: Prefix = "10.2.0.0/16".parse().unwrap();
+    let path_at_pe0 = |pn: &mut ProviderNetwork, vpn: VpnId| {
+        let rows = pn.vrf_digest(0, vpn);
+        rows.into_iter().find(|(p, _)| *p == moved).and_then(|(_, r)| r?.2)
+    };
     for mode in [ControlMode::Oracle, ControlMode::InBand] {
         let (t, p) = fish();
         let mut pn = BackboneBuilder::new(t, p).detection(20 * MSEC).control_mode(mode).build();
         let vpn = pn.new_vpn("acme");
         pn.add_site(vpn, 0, "10.1.0.0/16".parse().unwrap(), None);
-        let far = pn.add_site(vpn, 1, "10.2.0.0/16".parse().unwrap(), None);
+        pn.add_site(vpn, 1, moved, None);
         pn.run_for(100 * MSEC);
-        assert!(
-            pn.vrf_digest(0, vpn).iter().any(|(p, _)| *p == "10.2.0.0/16".parse().unwrap()),
-            "route present before detach"
+        let long_way = pn.install_explicit_lsp(&[0, 2, 3, 4]);
+        pn.override_route_tunnel(vpn, 0, moved, long_way);
+        assert_eq!(path_at_pe0(&mut pn, vpn), Some(vec![0, 2, 3, 4]));
+
+        pn.add_site(vpn, 1, "10.3.0.0/16".parse().unwrap(), None);
+        pn.run_for(100 * MSEC);
+        assert_eq!(
+            path_at_pe0(&mut pn, vpn),
+            Some(vec![0, 2, 3, 4]),
+            "a join elsewhere kept the override ({mode:?})"
         );
-        pn.detach_site(far);
-        pn.run_for(100 * MSEC);
-        assert!(
-            pn.vrf_digest(0, vpn).iter().all(|(p, _)| *p != "10.2.0.0/16".parse().unwrap()),
-            "withdraw evicted the route ({mode:?})"
+
+        pn.reconverge();
+        assert_eq!(
+            path_at_pe0(&mut pn, vpn),
+            Some(vec![0, 1, 4]),
+            "reconverge restores the LDP tunnel ({mode:?})"
         );
     }
 }
