@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mplsvpn_core::membership::site_prefix;
 use netsim_mpls::ldp::{Fec, LdpConfig, LdpDomain};
+use netsim_routing::igp::spf;
 use netsim_routing::{
     BgpVpnFabric, DistributionMode, Igp, LinkAttrs, RouteDistinguisher, RouteTarget, Topology,
 };
@@ -31,6 +32,18 @@ fn bench_ldp(c: &mut Criterion) {
     g.finish();
 }
 
+/// The 2×5 ladder the `control` perfbench workload churns: rails 0-2-4-6-8
+/// and 1-3-5-7-9 (links 0–7) joined by five rungs (links 8–12).
+fn ladder() -> Topology {
+    let mut t = Topology::new(10);
+    let attrs = LinkAttrs { cost: 1, capacity_bps: 1_000_000_000 };
+    let rails = [(0, 2), (2, 4), (4, 6), (6, 8), (1, 3), (3, 5), (5, 7), (7, 9)];
+    for (u, v) in rails.into_iter().chain([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]) {
+        t.add_link(u, v, attrs);
+    }
+    t
+}
+
 fn bench_spf(c: &mut Criterion) {
     let mut g = c.benchmark_group("igp_spf");
     for &n in &[16usize, 64, 256] {
@@ -39,6 +52,16 @@ fn bench_spf(c: &mut Criterion) {
             b.iter(|| black_box(Igp::converge(black_box(&topo))));
         });
     }
+    // One router's SPF run as the in-band control plane does it: a single
+    // root, a warm tree recomputed in place, the middle rung down.
+    let topo = ladder();
+    let mut tree = spf(&topo, 0);
+    g.bench_function("ladder_2x5_in_place", |b| {
+        b.iter(|| {
+            tree.recompute(black_box(&topo), 0, &|l| l != 10);
+            black_box(&tree);
+        });
+    });
     g.finish();
 }
 

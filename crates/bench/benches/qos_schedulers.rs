@@ -3,18 +3,16 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use netsim_net::addr::ip;
-use netsim_net::{Dscp, Packet};
+use netsim_net::{Dscp, Packet, Pkt};
 use netsim_qos::sched::CbqClassConfig;
 use netsim_qos::{
-    CbqScheduler, ClassOf, DrrScheduler, FifoQueue, PriorityScheduler, QueueDiscipline, RedParams,
-    RedQueue, WfqScheduler, WredQueue,
+    CbqScheduler, ClassOf, DrrScheduler, EnqueueOutcome, FifoQueue, PriorityScheduler,
+    QueueDiscipline, RedParams, RedQueue, WfqScheduler, WredQueue,
 };
 use std::hint::black_box;
 
-fn mk_pkt(class: u64) -> Packet {
-    let mut p = Packet::udp(ip("10.0.0.1"), ip("10.0.0.2"), 1, 2, Dscp::BE, 472);
-    p.meta.flow = class;
-    p
+fn mk_pkt() -> Pkt {
+    Packet::udp(ip("10.0.0.1"), ip("10.0.0.2"), 1, 2, Dscp::BE, 472).into()
 }
 
 fn by_flow() -> ClassOf {
@@ -25,13 +23,24 @@ fn bench_qdisc(c: &mut Criterion, name: &str, mut q: Box<dyn QueueDiscipline>) {
     let mut g = c.benchmark_group("qdisc");
     g.throughput(Throughput::Elements(1));
     g.bench_function(name, |b| {
+        // Packets are built before timing starts and every dequeued (or
+        // dropped) box is re-enqueued, so the loop times the qdisc, not
+        // packet construction. Only if a scheduler holds back the whole
+        // pool does the loop build a packet.
+        let mut pool: Vec<Pkt> = (0..64).map(|_| mk_pkt()).collect();
         let mut now = 0u64;
         let mut class = 0u64;
         b.iter(|| {
             now += 1_000;
             class = (class + 1) % 4;
-            let _ = q.enqueue(mk_pkt(class).into(), now);
-            black_box(q.dequeue(now));
+            let mut pkt = pool.pop().unwrap_or_else(mk_pkt);
+            pkt.meta.flow = class;
+            if let EnqueueOutcome::Dropped(pkt, _) = q.enqueue(pkt, now) {
+                pool.push(pkt);
+            }
+            if let Some(pkt) = black_box(q.dequeue(now)) {
+                pool.push(pkt);
+            }
         });
     });
     g.finish();

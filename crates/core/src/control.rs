@@ -4,7 +4,7 @@
 //! IGP link-state advertisements, LDP mappings/withdraws, and MP-BGP VPN
 //! updates (labels piggybacked on the route, per the paper's §4). The
 //! shared [`ControlDb`] holds one *view* per router: what that node
-//! currently believes about the topology (failed links, its SPF tree) and
+//! currently believes about the topology (link states, its SPF tree) and
 //! its LDP session state (bindings received from each neighbor, its FTN).
 //! The views are the only FTN source the provider network reads.
 //!
@@ -16,12 +16,11 @@
 //! target PE the instant it is originated, through the same apply code,
 //! and routing changes only when `reconverge()` re-seeds the views.
 //!
-//! Determinism: the database never iterates a hash map. All fan-out walks
+//! Determinism: no message depends on hash-map order. All fan-out walks
 //! index ranges (FEC ordinals, topology adjacency order) or ordered sets,
 //! so replays are bit-identical for a fixed seed and event sequence.
 
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use netsim_mpls::ldp::{Fec, LdpDomain};
@@ -30,8 +29,7 @@ use netsim_net::mpls::IMPLICIT_NULL;
 use netsim_net::{Dscp, Ip, Packet, Prefix};
 use netsim_obs::Histogram;
 use netsim_qos::Nanos;
-use netsim_routing::igp::spf_filtered;
-use netsim_routing::{Igp, Topology};
+use netsim_routing::{Igp, SpfTree, Topology};
 use netsim_sim::{Ctx, FxHashMap, IfaceId};
 
 use crate::router::{VrfFib, VrfRoute};
@@ -203,20 +201,20 @@ pub struct CtrlStats {
 /// What one router currently believes: its link-state database, SPF tree
 /// and LDP session state. Seeded from the global recomputation at
 /// bring-up and at every `reconverge()`, otherwise maintained purely by
-/// messages.
+/// messages. Dense: indexed by link id, tunnel FEC ordinal (egress-PE
+/// index) and neighbor node id, so applying a message hashes nothing.
 struct NodeView {
-    /// Links this node believes are down.
-    failed: BTreeSet<usize>,
-    /// Latest applied (seq, down) per link — the LSA dedup state.
+    /// Latest applied (seq, down) per link: LSA dedup state and topology.
     link_state: Vec<(u64, bool)>,
     /// This node's shortest-path tree over the believed topology.
-    spf: netsim_routing::SpfTree,
-    /// Local label bindings per tunnel FEC (immutable once allocated).
-    bindings: std::collections::HashMap<Fec, u32>,
-    /// Liberal-retention label store: (fec, neighbor) → advertised label.
-    received: std::collections::HashMap<(Fec, usize), u32>,
-    /// Current FEC-to-NHLFE map (ingress push state).
-    ftn: std::collections::HashMap<Fec, FtnEntry>,
+    spf: SpfTree,
+    /// Local label binding per FEC (immutable once allocated).
+    bindings: Vec<Option<u32>>,
+    /// Liberal-retention label store, one row of FECs per neighbor node:
+    /// slot `ControlDb::rx(neighbor, fec)` holds the advertised label.
+    received: Vec<Option<u32>>,
+    /// Current FEC-to-NHLFE map (ingress push state), per FEC.
+    ftn: Vec<Option<FtnEntry>>,
     /// Whether each tunnel FEC's egress is currently believed reachable
     /// (drives withdraw / re-advertise on transitions).
     fec_reachable: Vec<bool>,
@@ -289,12 +287,12 @@ impl ControlDb {
         ldp: &LdpDomain,
         failed: &std::collections::HashSet<usize>,
     ) {
-        self.views = (0..self.topo.node_count())
+        let (n, np) = (self.topo.node_count(), self.pes.len());
+        self.views = (0..n)
             .map(|u| {
                 let spf = igp.tree(u).clone();
                 let st = &ldp.nodes[u];
-                NodeView {
-                    failed: failed.iter().copied().collect(),
+                let mut view = NodeView {
                     link_state: (0..self.topo.link_count())
                         .map(|l| (self.link_seq[l], failed.contains(&l)))
                         .collect(),
@@ -304,10 +302,21 @@ impl ControlDb {
                         .map(|&e| u == e || spf.next_hop[e].is_some())
                         .collect(),
                     spf,
-                    bindings: st.bindings.clone(),
-                    received: st.received.clone(),
-                    ftn: st.ftn.clone(),
+                    bindings: vec![None; np],
+                    received: vec![None; n * np],
+                    ftn: vec![None; np],
+                };
+                // Every map entry fills its own slot: map order cannot matter.
+                for (&Fec(f), &label) in &st.bindings {
+                    view.bindings[f as usize] = Some(label);
                 }
+                for (&(Fec(f), nbr), &label) in &st.received {
+                    view.received[nbr * np + f as usize] = Some(label);
+                }
+                for (&Fec(f), entry) in &st.ftn {
+                    view.ftn[f as usize] = Some(entry.clone());
+                }
+                view
             })
             .collect();
     }
@@ -332,17 +341,15 @@ impl ControlDb {
         tables: &mut NodeTables<'_>,
         ctx: &mut Ctx,
     ) {
-        let Some((far, link)) = self.topo.neighbors(node).nth(iface).map(|(p, _, l)| (p, l)) else {
+        let Some((far, _, link)) = self.topo.neighbors(node).nth(iface) else {
             return;
         };
         let seq = self.link_seq[link];
         if down {
             // LDP session loss: retained labels from the far end die with
             // the session.
-            let view = &mut self.views[node];
-            for f in 0..self.pes.len() {
-                view.received.remove(&(Fec(f as u32), far));
-            }
+            let row = self.rx(far, 0)..self.rx(far + 1, 0);
+            self.views[node].received[row].fill(None);
         }
         self.stats.lsa_originated += 1;
         self.apply_lsa(node, link, down, seq, None, tables, ctx);
@@ -350,8 +357,7 @@ impl ControlDb {
             // Session re-establishment: re-advertise our bindings to the
             // peer (it dropped them when the session died).
             for f in 0..self.pes.len() {
-                let fec = Fec(f as u32);
-                let Some(&label) = self.views[node].bindings.get(&fec) else { continue };
+                let Some(label) = self.views[node].bindings[f] else { continue };
                 if !self.views[node].fec_reachable[f] {
                     continue;
                 }
@@ -383,11 +389,13 @@ impl ControlDb {
                 self.apply_lsa(node, link, down, seq, Some(iface), tables, ctx);
             }
             CtrlMsg::LdpMapping { fec, label, from } => {
-                self.views[node].received.insert((Fec(fec), from), label);
+                let slot = self.rx(from, fec as usize);
+                self.views[node].received[slot] = Some(label);
                 self.repair_fec(node, fec as usize, tables, ctx);
             }
             CtrlMsg::LdpWithdraw { fec, from } => {
-                self.views[node].received.remove(&(Fec(fec), from));
+                let slot = self.rx(from, fec as usize);
+                self.views[node].received[slot] = None;
                 self.repair_fec(node, fec as usize, tables, ctx);
             }
             msg @ (CtrlMsg::BgpUpdate { target, .. } | CtrlMsg::BgpWithdraw { target, .. }) => {
@@ -445,7 +453,7 @@ impl ControlDb {
         egress_pe: usize,
         vpn_label: u32,
     ) {
-        match self.views[node].ftn.get(&Fec(egress_pe as u32)) {
+        match &self.views[node].ftn[egress_pe] {
             Some(tunnel) => vrf.install_remote(prefix, egress_pe, vpn_label, tunnel.clone()),
             None => self.stats.no_lsp_to_egress += 1,
         }
@@ -472,17 +480,12 @@ impl ControlDb {
                 return;
             }
             view.link_state[link] = (seq, down);
-            if down {
-                view.failed.insert(link);
-            } else {
-                view.failed.remove(&link);
-            }
         }
         // Incremental SPF: recompute only if the changed link can alter
         // this root's tree; otherwise the LSA is topological noise here.
-        if self.views[node].spf.affected_by(&self.topo, link, down) {
-            let failed = self.views[node].failed.clone();
-            self.views[node].spf = spf_filtered(&self.topo, node, &|l| !failed.contains(&l));
+        let NodeView { spf, link_state, .. } = &mut self.views[node];
+        if spf.affected_by(&self.topo, link, down) {
+            spf.recompute(&self.topo, node, &|l| !link_state[l].1);
             self.stats.spf_runs += 1;
         } else {
             self.stats.spf_skips += 1;
@@ -498,16 +501,7 @@ impl ControlDb {
             self.max_convergence_ns = self.max_convergence_ns.max(d);
         }
         // Re-flood to every live neighbor except the one we heard from.
-        let floods: Vec<usize> = self
-            .topo
-            .neighbors(node)
-            .enumerate()
-            .filter(|(i, (_, _, l))| Some(*i) != arrival && !self.views[node].failed.contains(l))
-            .map(|(i, _)| i)
-            .collect();
-        for iface in floods {
-            self.send_msg(node, iface, CtrlMsg::Lsa { link, down, seq }, ctx);
-        }
+        self.fan_out(node, arrival, &CtrlMsg::Lsa { link, down, seq }, ctx);
     }
 
     /// Recomputes the desired FTN for tunnel FEC `f` at `node` from the
@@ -518,82 +512,69 @@ impl ControlDb {
         if node == egress {
             return;
         }
-        let fec = Fec(f as u32);
-        let (desired, reachable) = {
-            let view = &self.views[node];
-            match view.spf.next_hop[egress] {
-                None => (None, false),
-                Some(nh) => {
-                    let iface = self.topo.iface_toward(node, nh);
-                    match view.received.get(&(fec, nh)) {
-                        Some(&l) => (Some((iface, l)), true),
-                        None => (None, true), // session refresh in flight
-                    }
-                }
+        let view = &self.views[node];
+        let (desired, reachable) = match view.spf.next_hop[egress] {
+            None => (None, false),
+            Some(nh) => {
+                let iface = self.topo.iface_toward(node, nh);
+                // No label yet: session refresh in flight.
+                (view.received[self.rx(nh, f)].map(|l| (iface, l)), true)
             }
         };
         if desired.is_none() && reachable {
             self.stats.ldp_missing_binding += 1;
         }
-        let new_ftn = desired.map(|(iface, l)| FtnEntry {
-            push: if l == IMPLICIT_NULL { Vec::new() } else { vec![l] },
-            out_iface: iface,
-        });
-        let changed = self.views[node].ftn.get(&fec) != new_ftn.as_ref();
-        if changed {
+        let current = view.ftn[f].as_ref().map(|e| (e.out_iface, e.push.as_slice()));
+        if current != desired.as_ref().map(|(iface, l)| (*iface, push_stack(l))) {
             let view = &mut self.views[node];
-            match new_ftn.clone() {
-                Some(e) => {
-                    view.ftn.insert(fec, e);
-                }
-                None => {
-                    view.ftn.remove(&fec);
-                }
-            }
+            view.ftn[f] = desired
+                .map(|(iface, l)| FtnEntry { push: push_stack(&l).to_vec(), out_iface: iface });
             // Transit repair: re-point the ILM entry for our own binding.
-            if let Some(&local) = self.views[node].bindings.get(&fec) {
-                if local != IMPLICIT_NULL {
-                    match desired {
-                        Some((iface, l)) => {
-                            let op =
-                                if l == IMPLICIT_NULL { LabelOp::Pop } else { LabelOp::Swap(l) };
-                            tables.lfib.install(local, Nhlfe { op, out_iface: iface });
-                        }
-                        None => {
-                            tables.lfib.remove(local);
-                        }
+            if let Some(local) = view.bindings[f].filter(|&l| l != IMPLICIT_NULL) {
+                match desired {
+                    Some((iface, l)) => {
+                        let op = if l == IMPLICIT_NULL { LabelOp::Pop } else { LabelOp::Swap(l) };
+                        tables.lfib.install(local, Nhlfe { op, out_iface: iface });
+                    }
+                    None => {
+                        tables.lfib.remove(local);
                     }
                 }
             }
             // Ingress repair: VRF routes tunneled toward this egress.
             if let Some(vrfs) = tables.vrfs.as_deref_mut() {
-                repoint_vrfs(vrfs, f, new_ftn.as_ref());
+                repoint_vrfs(vrfs, f, view.ftn[f].as_ref());
             }
         }
-        let was = self.views[node].fec_reachable[f];
-        if reachable != was {
-            self.views[node].fec_reachable[f] = reachable;
-            let label = self.views[node].bindings.get(&fec).copied();
-            let nbrs: Vec<usize> = self
-                .topo
-                .neighbors(node)
-                .enumerate()
-                .filter(|(_, (_, _, l))| !self.views[node].failed.contains(l))
-                .map(|(i, _)| i)
-                .collect();
-            for iface in nbrs {
-                let msg = if reachable {
-                    match label {
-                        Some(l) => CtrlMsg::LdpMapping { fec: f as u32, label: l, from: node },
-                        None => continue,
-                    }
-                } else {
-                    CtrlMsg::LdpWithdraw { fec: f as u32, from: node }
-                };
-                self.stats.ldp_originated += 1;
-                self.send_msg(node, iface, msg, ctx);
+        let view = &mut self.views[node];
+        if reachable != view.fec_reachable[f] {
+            view.fec_reachable[f] = reachable;
+            let msg = match (reachable, view.bindings[f]) {
+                (true, Some(label)) => CtrlMsg::LdpMapping { fec: f as u32, label, from: node },
+                (true, None) => return,
+                (false, _) => CtrlMsg::LdpWithdraw { fec: f as u32, from: node },
+            };
+            self.stats.ldp_originated += self.fan_out(node, None, &msg, ctx);
+        }
+    }
+
+    /// Slot of neighbor `nbr`'s label for tunnel FEC `f` in `NodeView::received`.
+    fn rx(&self, nbr: usize, f: usize) -> usize {
+        nbr * self.pes.len() + f
+    }
+
+    /// Sends a copy of `msg` on every interface of `node` whose link it believes up, except
+    /// `skip` (a flood's arrival interface); returns the number of copies sent.
+    fn fan_out(&mut self, node: usize, skip: Option<usize>, msg: &CtrlMsg, ctx: &mut Ctx) -> u64 {
+        let mut sent = 0;
+        for iface in 0..self.topo.degree(node) {
+            let Some((_, _, link)) = self.topo.neighbors(node).nth(iface) else { break };
+            if Some(iface) != skip && !self.views[node].link_state[link].1 {
+                self.send_msg(node, iface, msg.clone(), ctx);
+                sent += 1;
             }
         }
+        sent
     }
 
     /// Forwards a PE-addressed message one hop along the current view's
@@ -679,13 +660,22 @@ impl ControlDb {
     }
 
     /// This node's current view of the SPF tree (parity/testing hook).
-    pub fn view_spf(&self, node: usize) -> &netsim_routing::SpfTree {
+    pub fn view_spf(&self, node: usize) -> &SpfTree {
         &self.views[node].spf
     }
 
     /// This node's current FTN entry for a tunnel FEC (egress-PE ordinal).
     pub fn view_ftn(&self, node: usize, fec: u32) -> Option<&FtnEntry> {
-        self.views[node].ftn.get(&Fec(fec))
+        self.views[node].ftn.get(fec as usize)?.as_ref()
+    }
+}
+
+/// The labels an FTN pushes for next-hop binding `l` (none for implicit null).
+fn push_stack(l: &u32) -> &[u32] {
+    if *l == IMPLICIT_NULL {
+        &[]
+    } else {
+        std::slice::from_ref(l)
     }
 }
 

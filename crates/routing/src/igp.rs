@@ -11,7 +11,7 @@ use std::collections::BinaryHeap;
 use crate::topology::Topology;
 
 /// The SPF result rooted at one node.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SpfTree {
     /// Root node.
     pub root: usize,
@@ -23,9 +23,56 @@ pub struct SpfTree {
     /// All equal-cost first hops toward each node (ECMP set; the single
     /// `next_hop` is the smallest id, making runs deterministic).
     pub ecmp: Vec<Vec<usize>>,
+    /// Dijkstra frontier: empty between runs, kept for its storage.
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
 }
 
 impl SpfTree {
+    /// Dijkstra from `root` over the links where `usable(link_id)` holds, in place: the
+    /// buffers are reused whatever the previous root or filter, so a warm run allocates nothing.
+    pub fn recompute(&mut self, topo: &Topology, root: usize, usable: &dyn Fn(usize) -> bool) {
+        let n = topo.node_count();
+        self.root = root;
+        self.dist.clear();
+        self.dist.resize(n, u64::MAX);
+        self.next_hop.clear();
+        self.next_hop.resize(n, None);
+        self.ecmp.resize_with(n, Vec::new);
+        self.ecmp.iter_mut().for_each(Vec::clear);
+        self.dist[root] = 0;
+        // (cost, node) min-heap; ties resolve by node id (deterministic).
+        self.heap.reserve(n);
+        self.heap.push(Reverse((0, root)));
+        while let Some(Reverse((d, u))) = self.heap.pop() {
+            if d > self.dist[u] {
+                continue;
+            }
+            for (v, attrs, _) in topo.neighbors(u).filter(|&(_, _, link)| usable(link)) {
+                let nd = d.saturating_add(attrs.cost);
+                if nd < self.dist[v] {
+                    self.dist[v] = nd;
+                    self.ecmp[v].clear();
+                    self.heap.push(Reverse((nd, v)));
+                } else if nd != self.dist[v] || nd == u64::MAX {
+                    continue;
+                }
+                // v's first hops gain those through u: v itself when u is
+                // the root, else u's own first hops.
+                let through = if u == root { 1 } else { self.ecmp[u].len() };
+                for i in 0..through {
+                    let h = if u == root { v } else { self.ecmp[u][i] };
+                    if !self.ecmp[v].contains(&h) {
+                        self.ecmp[v].push(h);
+                    }
+                }
+            }
+        }
+        for (v, hops) in self.ecmp.iter_mut().enumerate() {
+            hops.sort_unstable();
+            self.next_hop[v] = if v == root { None } else { hops.first().copied() };
+        }
+    }
+
     /// Whether `dst` is reachable from the root.
     pub fn reachable(&self, dst: usize) -> bool {
         self.dist[dst] != u64::MAX
@@ -130,49 +177,11 @@ pub fn spf(topo: &Topology, root: usize) -> SpfTree {
     spf_filtered(topo, root, &|_| true)
 }
 
-/// [`spf`] restricted to links for which `usable(link_id)` holds.
+/// [`spf`] restricted to links for which `usable(link_id)` holds; see [`SpfTree::recompute`].
 pub fn spf_filtered(topo: &Topology, root: usize, usable: &dyn Fn(usize) -> bool) -> SpfTree {
-    let n = topo.node_count();
-    let mut dist = vec![u64::MAX; n];
-    let mut first_hops: Vec<Vec<usize>> = vec![Vec::new(); n];
-    dist[root] = 0;
-    // (cost, node); BinaryHeap min via Reverse. Ties resolve by node id,
-    // which keeps runs deterministic.
-    let mut heap = BinaryHeap::new();
-    heap.push(Reverse((0u64, root)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if d > dist[u] {
-            continue;
-        }
-        for (v, attrs, link) in topo.neighbors(u) {
-            if !usable(link) {
-                continue;
-            }
-            let nd = d.saturating_add(attrs.cost);
-            // First hop set toward v through u.
-            let through: Vec<usize> = if u == root { vec![v] } else { first_hops[u].clone() };
-            if nd < dist[v] {
-                dist[v] = nd;
-                first_hops[v] = through;
-                heap.push(Reverse((nd, v)));
-            } else if nd == dist[v] && nd != u64::MAX {
-                for h in through {
-                    if !first_hops[v].contains(&h) {
-                        first_hops[v].push(h);
-                    }
-                }
-            }
-        }
-    }
-    let next_hop = first_hops
-        .iter()
-        .enumerate()
-        .map(|(v, hops)| if v == root { None } else { hops.iter().copied().min() })
-        .collect();
-    for h in &mut first_hops {
-        h.sort_unstable();
-    }
-    SpfTree { root, dist, next_hop, ecmp: first_hops }
+    let mut tree = SpfTree::default();
+    tree.recompute(topo, root, usable);
+    tree
 }
 
 #[cfg(test)]

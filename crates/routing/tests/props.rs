@@ -1,8 +1,11 @@
-//! Property-based tests for routing: SPF against a Floyd–Warshall oracle
-//! on random weighted graphs, and BGP/VPN fabric invariants under random
-//! VRF/route scripts.
+//! Property-based tests for routing: SPF against Floyd–Warshall and
+//! Bellman–Ford reference models on random weighted graphs, and BGP/VPN
+//! fabric invariants under random VRF/route scripts.
+
+use std::collections::BTreeSet;
 
 use netsim_net::{Ip, Prefix};
+use netsim_routing::igp::spf_filtered;
 use netsim_routing::{
     BgpVpnFabric, DistributionMode, Igp, LinkAttrs, RouteDistinguisher, RouteTarget, Topology,
 };
@@ -30,6 +33,71 @@ fn arb_topo(max_n: usize) -> impl Strategy<Value = Topology> {
             }
             t
         })
+}
+
+/// Random multigraph, not necessarily connected: costs 1–3 (so equal-cost
+/// ties are common), and any link may get a parallel twin.
+fn arb_multigraph(max_n: usize) -> impl Strategy<Value = Topology> {
+    (2..max_n)
+        .prop_flat_map(|n| {
+            let links = proptest::collection::vec((0..n, 0..n, 1u64..4, any::<bool>()), 1..3 * n);
+            (Just(n), links)
+        })
+        .prop_map(|(n, links)| {
+            let mut t = Topology::new(n);
+            for (u, v, cost, twin) in links {
+                if u != v {
+                    for _ in 0..=usize::from(twin) {
+                        t.add_link(u, v, LinkAttrs { cost, capacity_bps: 1 });
+                    }
+                }
+            }
+            t
+        })
+}
+
+/// Link-failure bitmask: each link is down with probability 1/4.
+fn arb_failures() -> impl Strategy<Value = u64> {
+    (any::<u64>(), any::<u64>()).prop_map(|(a, b)| a & b)
+}
+
+/// SPF result as plain vectors: distances, next hops, sorted ECMP sets.
+type SpfRows = (Vec<u64>, Vec<Option<usize>>, Vec<Vec<usize>>);
+
+/// Naive SPF reference: Bellman–Ford distances over the usable links,
+/// then first-hop sets grown to a fixpoint over every tight link (a link
+/// `u → v` with `dist[u] + cost == dist[v]` gives `v` the root's hop `v`
+/// itself when `u` is the root, else all of `u`'s first hops).
+fn bellman_ford(t: &Topology, root: usize, usable: &dyn Fn(usize) -> bool) -> SpfRows {
+    let n = t.node_count();
+    let arcs: Vec<(usize, usize, u64)> = (0..t.link_count())
+        .filter(|&l| usable(l))
+        .flat_map(|l| {
+            let (u, v, a) = t.link(l);
+            [(u, v, a.cost), (v, u, a.cost)]
+        })
+        .collect();
+    let mut dist = vec![u64::MAX; n];
+    dist[root] = 0;
+    for _ in 0..n {
+        for &(u, v, c) in &arcs {
+            if dist[u] != u64::MAX && dist[u] + c < dist[v] {
+                dist[v] = dist[u] + c;
+            }
+        }
+    }
+    let mut hops = vec![BTreeSet::new(); n];
+    for _ in 0..n {
+        for &(u, v, c) in &arcs {
+            if dist[u] != u64::MAX && dist[u] + c == dist[v] {
+                let through: Vec<usize> =
+                    if u == root { vec![v] } else { hops[u].iter().copied().collect() };
+                hops[v].extend(through);
+            }
+        }
+    }
+    let next_hop = hops.iter().map(|h| h.first().copied()).collect();
+    (dist, next_hop, hops.into_iter().map(|h| h.into_iter().collect()).collect())
 }
 
 fn floyd_warshall(t: &Topology) -> Vec<Vec<u64>> {
@@ -103,6 +171,33 @@ proptest! {
                 prop_assert!(tree.ecmp[b].contains(&nh));
                 prop_assert_eq!(Some(&nh), tree.ecmp[b].iter().min());
             }
+        }
+    }
+
+    /// In-place SPF on a dirty tree (computed for another root under
+    /// another failure set) equals a fresh `spf_filtered`, and both equal
+    /// the Bellman–Ford reference — over multigraphs with cost ties,
+    /// parallel links and random failed-link sets.
+    #[test]
+    fn spf_recompute_matches_bellman_ford(
+        topo in arb_multigraph(10),
+        roots in (any::<usize>(), 1usize..64),
+        failures in (arb_failures(), 1u64..u64::MAX),
+    ) {
+        let n = topo.node_count();
+        let root = roots.0 % n;
+        let prior_root = (root + 1 + roots.1 % (n - 1)) % n;
+        let (mask, prior_mask) = (failures.0, failures.0 ^ failures.1);
+        let usable = |l: usize| mask >> (l % 64) & 1 == 0;
+        let mut reused = spf_filtered(&topo, prior_root, &|l| prior_mask >> (l % 64) & 1 == 0);
+        reused.recompute(&topo, root, &usable);
+        let fresh = spf_filtered(&topo, root, &usable);
+        let reference = bellman_ford(&topo, root, &usable);
+        for tree in [&reused, &fresh] {
+            prop_assert_eq!(tree.root, root);
+            prop_assert_eq!(&tree.dist, &reference.0);
+            prop_assert_eq!(&tree.next_hop, &reference.1);
+            prop_assert_eq!(&tree.ecmp, &reference.2);
         }
     }
 

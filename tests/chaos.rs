@@ -244,6 +244,17 @@ fn chaos_every_loss_has_a_recorded_cause() {
 }
 
 #[test]
+fn chaos_live_tables_verify_clean_after_every_fault_plan() {
+    // 5. **Verifier** — after the fault plan has played out (bypass
+    //    activations, repairs, reconvergence or in-band LSA/LDP repair),
+    //    the static verifier finds nothing wrong with the live tables.
+    for seed in 0..8 {
+        let s = run_scenario(seed);
+        s.pn.verify().assert_clean(&format!("chaos seed {seed}"));
+    }
+}
+
+#[test]
 fn chaos_no_cross_vrf_delivery_ever() {
     for seed in 0..8 {
         let s = run_scenario(seed);
