@@ -8,13 +8,21 @@
 //! its LDP session state (bindings received from each neighbor, its FTN).
 //! The views are the only FTN source the provider network reads.
 //!
+//! VPN routes never hold a copy of an LDP tunnel. They are resolved
+//! recursively (RFC 4364 §5): VPN route → egress PE → the PE's tunnel
+//! table ([`crate::router::PeRouter::tunnels`], one slot per egress). An
+//! FTN change at a PE writes one slot, whatever number of routes ride it;
+//! a lost LSP leaves the stale slot in place. Routes installed here
+//! follow the table; only explicit TE bindings carry their own tunnel.
+//!
 //! [`ControlMode`] chooses only how a message travels. In-band, it is a
 //! CS6-marked control packet through the same links and queues as data;
 //! routers hand the database mutable references to their live tables
-//! (LFIB, VRF FIBs) when one arrives, so updates land directly in the
-//! forwarding plane. Under the oracle, a BGP delta is applied at its
-//! target PE the instant it is originated, through the same apply code,
-//! and routing changes only when `reconverge()` re-seeds the views.
+//! (LFIB; at PEs also the VRF FIBs and tunnel table) when one arrives, so
+//! updates land directly in the forwarding plane. Under the oracle, a BGP
+//! delta is applied at its target PE the instant it is originated, through
+//! the same apply code, and routing changes only when `reconverge()`
+//! re-seeds the views.
 //!
 //! Determinism: no message depends on hash-map order. All fan-out walks
 //! index ranges (FEC ordinals, topology adjacency order) or ordered sets,
@@ -32,7 +40,7 @@ use netsim_qos::Nanos;
 use netsim_routing::{Igp, SpfTree, Topology};
 use netsim_sim::{Ctx, FxHashMap, IfaceId};
 
-use crate::router::{VrfFib, VrfRoute};
+use crate::router::VrfFib;
 
 /// How routing, label and VPN state propagates through the backbone.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -227,6 +235,8 @@ pub(crate) struct NodeTables<'a> {
     pub lfib: &'a mut Lfib,
     /// PE routers also lend their VRF FIBs (None for P routers).
     pub vrfs: Option<&'a mut Vec<VrfFib>>,
+    /// PE routers also lend their LDP tunnel table (None for P routers).
+    pub tunnels: Option<&'a mut Vec<Option<FtnEntry>>>,
 }
 
 /// The shared control database: per-node views, the message side table,
@@ -441,10 +451,10 @@ impl ControlDb {
     }
 
     /// Installs `prefix → (egress_pe, vpn_label)` into `vrf` at PE `node`
-    /// over the node's current tunnel toward the egress: the one place a
-    /// VPN route meets an LSP. Without an LSP the install is skipped and
-    /// counted (any existing route stays in place); a locally attached
-    /// route always wins.
+    /// as an LDP-following route: the PE resolves it through its tunnel
+    /// table entry for `egress_pe`. Without an LSP in the node's view the
+    /// install is skipped and counted (any existing route stays in place);
+    /// a locally attached route always wins.
     pub(crate) fn install_route(
         &mut self,
         node: usize,
@@ -453,9 +463,10 @@ impl ControlDb {
         egress_pe: usize,
         vpn_label: u32,
     ) {
-        match &self.views[node].ftn[egress_pe] {
-            Some(tunnel) => vrf.install_remote(prefix, egress_pe, vpn_label, tunnel.clone()),
-            None => self.stats.no_lsp_to_egress += 1,
+        if self.views[node].ftn[egress_pe].is_some() {
+            vrf.install_remote(prefix, egress_pe, vpn_label, None);
+        } else {
+            self.stats.no_lsp_to_egress += 1;
         }
     }
 
@@ -505,8 +516,9 @@ impl ControlDb {
     }
 
     /// Recomputes the desired FTN for tunnel FEC `f` at `node` from the
-    /// current view, re-points the LFIB transit entry and any VRF routes
-    /// using that tunnel, and advertises/withdraws on reachability flips.
+    /// current view, re-points the LFIB transit entry and (at a PE) the
+    /// tunnel-table slot every LDP-following VPN route toward that egress
+    /// resolves through, and advertises/withdraws on reachability flips.
     fn repair_fec(&mut self, node: usize, f: usize, tables: &mut NodeTables<'_>, ctx: &mut Ctx) {
         let egress = self.pes[f];
         if node == egress {
@@ -541,9 +553,13 @@ impl ControlDb {
                     }
                 }
             }
-            // Ingress repair: VRF routes tunneled toward this egress.
-            if let Some(vrfs) = tables.vrfs.as_deref_mut() {
-                repoint_vrfs(vrfs, f, view.ftn[f].as_ref());
+            // Ingress repair: one tunnel-table slot. A lost LSP leaves the
+            // stale entry in place, so VPN traffic degrades in place (it
+            // drops at the dead link) instead of silently un-routing.
+            if let Some(tunnels) = tables.tunnels.as_deref_mut() {
+                if view.ftn[f].is_some() {
+                    tunnels[f].clone_from(&view.ftn[f]);
+                }
             }
         }
         let view = &mut self.views[node];
@@ -676,30 +692,5 @@ fn push_stack(l: &u32) -> &[u32] {
         &[]
     } else {
         std::slice::from_ref(l)
-    }
-}
-
-/// Re-points every VRF route tunneled toward `egress_pe` at the new FTN.
-/// When the LSP is gone entirely the stale tunnel is left in place — the
-/// same degrade-in-place `install_route` exhibits — so traffic drops at
-/// the dead link instead of silently un-routing.
-fn repoint_vrfs(vrfs: &mut [VrfFib], egress_pe: usize, ftn: Option<&FtnEntry>) {
-    let Some(t) = ftn else { return };
-    for vrf in vrfs.iter_mut() {
-        let stale: Vec<(Prefix, u32)> = vrf
-            .fib
-            .iter()
-            .filter_map(|(p, r)| match r {
-                VrfRoute::Remote { egress_pe: e, vpn_label, tunnel }
-                    if *e == egress_pe && tunnel != t =>
-                {
-                    Some((p, *vpn_label))
-                }
-                _ => None,
-            })
-            .collect();
-        for (p, vpn_label) in stale {
-            vrf.fib.insert(p, VrfRoute::Remote { egress_pe, vpn_label, tunnel: t.clone() });
-        }
     }
 }

@@ -188,7 +188,7 @@ impl InterProviderVpn {
             pe.install_vpn_label(vpn_label_a, v);
             // Remote: prefix_b via domain A's tunnel toward ASBR_A, label X.
             let tun = ldp_a.nodes[a.pe].ftn.get(&Fec(1)).expect("LSP PE_A→ASBR_A").clone();
-            pe.vrfs[v].install_remote(prefix_b, 1, x_b, tun);
+            pe.vrfs[v].install_remote(prefix_b, 1, x_b, Some(tun));
         }
         {
             let pe = net.node_mut::<PeRouter>(id_b(b.pe));
@@ -198,7 +198,7 @@ impl InterProviderVpn {
             pe.install_local_route(v, prefix_b, peb_if.0);
             pe.install_vpn_label(vpn_label_b, v);
             let tun = ldp_b.nodes[b.pe].ftn.get(&Fec(1)).expect("LSP PE_B→ASBR_B").clone();
-            pe.vrfs[v].install_remote(prefix_a, 0, x_a, tun);
+            pe.vrfs[v].install_remote(prefix_a, 0, x_a, Some(tun));
         }
 
         InterProviderVpn {

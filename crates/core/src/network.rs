@@ -307,7 +307,7 @@ impl BackboneBuilder {
                 }
             }
         }
-        ProviderNetwork {
+        let mut pn = ProviderNetwork {
             net,
             topo: self.topo,
             igp,
@@ -332,7 +332,9 @@ impl BackboneBuilder {
             probes: Vec::new(),
             control,
             control_mode: self.control_mode,
-        }
+        };
+        pn.seed_tunnel_tables();
+        pn
     }
 }
 
@@ -604,12 +606,29 @@ impl ProviderNetwork {
         }
     }
 
-    /// Re-installs every VRF's imported routes over the freshly re-seeded
-    /// tunnels. Only [`ProviderNetwork::reconverge`] calls this.
+    /// Re-installs every VRF's imported routes as LDP-following, which
+    /// clears TE overrides. Only [`ProviderNetwork::reconverge`] calls
+    /// this.
     fn sync_remote_routes(&mut self) {
         for ((pe, _), (handle, vrf_idx)) in self.sorted_vrf_handles() {
             let routes = self.fabric_routes(handle);
             self.install_routes(pe, vrf_idx, &routes);
+        }
+    }
+
+    /// Copies every PE's view FTNs into its tunnel table, the one place its
+    /// VPN routes resolve their LSPs. Where the view has no LSP the stale
+    /// entry stays, so traffic degrades in place as it does in-band.
+    fn seed_tunnel_tables(&mut self) {
+        let db = self.control.borrow();
+        for &u in &self.pes {
+            let tunnels = &mut self.net.node_mut::<PeRouter>(self.node_ids[u]).tunnels;
+            tunnels.resize(self.pes.len(), None);
+            for (f, slot) in tunnels.iter_mut().enumerate() {
+                if let Some(ftn) = db.view_ftn(u, f as u32) {
+                    *slot = Some(ftn.clone());
+                }
+            }
         }
     }
 
@@ -879,6 +898,14 @@ impl ProviderNetwork {
         self.control.borrow().view_spf(u).clone()
     }
 
+    /// The LDP tunnel PE ordinal `ingress`'s control-plane view holds
+    /// toward PE ordinal `egress` (`None` without an LSP). Every
+    /// LDP-following VPN route at `ingress` toward `egress` resolves
+    /// through the PE's tunnel-table entry, which must equal this.
+    pub fn view_tunnel(&self, ingress: usize, egress: usize) -> Option<netsim_mpls::FtnEntry> {
+        self.control.borrow().view_ftn(self.pes[ingress], egress as u32).cloned()
+    }
+
     /// Walks the LSP from PE ordinal `ingress` to PE ordinal `egress`
     /// through the live router LFIBs, returning the topology nodes
     /// visited. `None` when no complete LSP exists. Used by the
@@ -940,26 +967,26 @@ impl ProviderNetwork {
     /// Digest of one VRF's state at PE `pe` for cross-mode parity
     /// checks: one sorted row per prefix — `None` for a locally attached
     /// route, `Some((egress_pe, vpn_label, tunnel_path))` for a remote
-    /// one, where `tunnel_path` is the tunnel's node walk through the
-    /// live LFIBs (`None` = broken LSP). Label *values* are deliberately
-    /// excluded from the tunnel component: the oracle reallocates them on
-    /// reconvergence while in-band retention keeps them, but both must
-    /// forward over the same nodes.
+    /// one, where `tunnel_path` is the node walk of the tunnel the route
+    /// resolves to through the live LFIBs (`None` = broken LSP or no
+    /// tunnel). Label *values* are deliberately excluded from the tunnel
+    /// component: the oracle reallocates them on reconvergence while
+    /// in-band retention keeps them, but both must forward over the same
+    /// nodes.
     pub fn vrf_digest(&mut self, pe: usize, vpn: VpnId) -> Vec<VrfDigestRow> {
         let (_h, vrf_idx) = self.vrf_handles[&(pe, vpn)];
-        let pe_node = self.node_ids[self.pes[pe]];
-        let rows: Vec<(Prefix, VrfRoute)> = self.net.node_ref::<PeRouter>(pe_node).vrfs[vrf_idx]
-            .fib
-            .iter()
-            .map(|(p, r)| (p, r.clone()))
-            .collect();
+        let per = self.net.node_ref::<PeRouter>(self.node_ids[self.pes[pe]]);
+        let tunnels = per.tunnels.clone();
+        let rows: Vec<(Prefix, VrfRoute)> =
+            per.vrfs[vrf_idx].fib.iter().map(|(p, r)| (p, r.clone())).collect();
         let start = self.pes[pe];
         let mut out: Vec<_> = rows
             .into_iter()
             .map(|(p, r)| match r {
                 VrfRoute::Local { .. } => (p, None),
-                VrfRoute::Remote { egress_pe, vpn_label, tunnel } => {
-                    let path = self.walk_tunnel(start, &tunnel, self.pes[egress_pe]);
+                VrfRoute::Remote { egress_pe, vpn_label, .. } => {
+                    let path = PeRouter::resolve_tunnel(&tunnels, &r)
+                        .and_then(|t| self.walk_tunnel(start, t, self.pes[egress_pe]));
                     (p, Some((egress_pe, vpn_label, path)))
                 }
             })
@@ -970,7 +997,9 @@ impl ProviderNetwork {
 
     /// Rebinds one remote route at an ingress PE onto a different tunnel
     /// (e.g. a TE LSP from [`ProviderNetwork::install_explicit_lsp`]).
-    /// Site joins and detaches elsewhere leave the binding alone; only
+    /// The route then stops following the PE's LDP tunnel table: site
+    /// joins and detaches elsewhere leave the binding alone, and so does
+    /// in-band LDP repair after a link fails or recovers. Only
     /// [`ProviderNetwork::reconverge`] restores the LDP tunnel.
     ///
     /// # Panics
@@ -996,7 +1025,7 @@ impl ProviderNetwork {
             prefix,
             r.egress_pe,
             r.vpn_label,
-            tunnel,
+            Some(tunnel),
         );
     }
 
@@ -1120,9 +1149,11 @@ impl ProviderNetwork {
             });
         }
         self.ldp = ldp;
-        // The reference recompute re-seeds every router's view, then
-        // re-points every VRF route at the fresh tunnels.
+        // The reference recompute re-seeds every router's view and every
+        // PE's tunnel table, then re-installs every VRF route as
+        // LDP-following.
         self.control.borrow_mut().rebuild(&self.igp, &self.ldp, &self.failed_links);
+        self.seed_tunnel_tables();
         self.sync_remote_routes();
         ControlSummary {
             igp_lsa_messages: self.igp.lsa_messages(),
@@ -1163,7 +1194,7 @@ impl ProviderNetwork {
             prefix,
             r.egress_pe,
             r.vpn_label,
-            tunnel,
+            Some(tunnel),
         );
     }
 

@@ -167,7 +167,7 @@ impl Node for CoreRouter {
     fn on_packet(&mut self, _iface: IfaceId, mut pkt: Pkt, ctx: &mut Ctx) {
         if pkt.meta.flow >= CTRL_FLOW_BASE {
             if let Some(db) = &self.control {
-                let mut tables = NodeTables { lfib: &mut self.lfib, vrfs: None };
+                let mut tables = NodeTables { lfib: &mut self.lfib, vrfs: None, tunnels: None };
                 db.borrow_mut().on_control_packet(self.topo_id, _iface.0, &pkt, &mut tables, ctx);
                 return;
             }
@@ -221,7 +221,7 @@ impl Node for CoreRouter {
         if let Some((iface, down)) = decode_iface_token(token) {
             self.lfib.set_iface_down(iface, down);
             if let Some(db) = &self.control {
-                let mut tables = NodeTables { lfib: &mut self.lfib, vrfs: None };
+                let mut tables = NodeTables { lfib: &mut self.lfib, vrfs: None, tunnels: None };
                 db.borrow_mut().on_link_event(self.topo_id, iface, down, &mut tables, ctx);
             }
         }
@@ -249,14 +249,17 @@ pub enum VrfRoute {
         out_iface: usize,
     },
     /// The destination is behind a remote PE: push the VPN label, then the
-    /// tunnel labels of `tunnel`.
+    /// labels of the tunnel toward `egress_pe` (see
+    /// [`PeRouter::resolve_tunnel`]).
     Remote {
-        /// Egress PE ordinal (for bookkeeping).
+        /// Egress PE ordinal: the BGP next hop, resolved through the PE's
+        /// tunnel table.
         egress_pe: usize,
         /// VPN label advertised by the egress PE.
         vpn_label: u32,
-        /// Tunnel FTN toward the egress PE (from LDP or TE).
-        tunnel: FtnEntry,
+        /// An explicit TE binding; `None` follows the PE's LDP tunnel
+        /// toward `egress_pe`.
+        tunnel: Option<FtnEntry>,
     },
 }
 
@@ -277,16 +280,18 @@ pub struct VrfFib {
 }
 
 impl VrfFib {
-    /// Installs a remote route learned from the BGP/MPLS fabric. A locally
-    /// attached route for the same prefix always wins (standard preference
-    /// for locally originated paths — this is what keeps a dual-homed
-    /// site's traffic local at each of its homes).
+    /// Installs a remote route learned from the BGP/MPLS fabric; `tunnel`
+    /// is an explicit TE binding, or `None` to follow the PE's LDP tunnel
+    /// toward `egress_pe`. A locally attached route for the same prefix
+    /// always wins (standard preference for locally originated paths —
+    /// this is what keeps a dual-homed site's traffic local at each of its
+    /// homes).
     pub fn install_remote(
         &mut self,
         prefix: Prefix,
         egress_pe: usize,
         vpn_label: u32,
-        tunnel: FtnEntry,
+        tunnel: Option<FtnEntry>,
     ) {
         if !self.is_local(prefix) {
             self.fib.insert(prefix, VrfRoute::Remote { egress_pe, vpn_label, tunnel });
@@ -343,6 +348,9 @@ pub struct PeRouter {
     pub vpn_ilm: FxHashMap<u32, usize>,
     /// VRF tables.
     pub vrfs: Vec<VrfFib>,
+    /// LDP tunnel table, indexed by egress-PE ordinal: the one place a
+    /// BGP next hop meets its LSP, so an LSP change rewrites one slot.
+    pub tunnels: Vec<Option<FtnEntry>>,
     /// Role of each interface, indexed by [`IfaceId`].
     pub iface_roles: Vec<PeIfaceRole>,
     /// DSCP ↔ EXP mapping applied at label imposition.
@@ -372,6 +380,7 @@ impl PeRouter {
             lfib,
             vpn_ilm: FxHashMap::default(),
             vrfs: Vec::new(),
+            tunnels: Vec::new(),
             iface_roles: vec![PeIfaceRole::Core; core_ifaces],
             exp_map: ExpMap::default(),
             policers: FxHashMap::default(),
@@ -439,6 +448,22 @@ impl PeRouter {
         self.vpn_ilm.insert(label, vrf);
     }
 
+    /// The tunnel a VPN route rides, resolved recursively (RFC 4364 §5):
+    /// its explicit TE binding if it has one, else the `tunnels` entry for
+    /// its egress PE. `None` for a local route, or a remote one with
+    /// neither. Takes the table rather than `&self` so the forwarding path
+    /// can call it while it holds a VRF borrowed for its route cache.
+    pub fn resolve_tunnel<'a>(
+        tunnels: &'a [Option<FtnEntry>],
+        route: &'a VrfRoute,
+    ) -> Option<&'a FtnEntry> {
+        match route {
+            VrfRoute::Local { .. } => None,
+            VrfRoute::Remote { tunnel: Some(t), .. } => Some(t),
+            VrfRoute::Remote { egress_pe, tunnel: None, .. } => tunnels.get(*egress_pe)?.as_ref(),
+        }
+    }
+
     /// Total VRF routes installed (state metric).
     pub fn total_routes(&self) -> usize {
         self.vrfs.iter().map(|v| v.fib.len()).sum()
@@ -485,8 +510,8 @@ impl PeRouter {
         }
         let (dst, dscp, ttl) = (hdr.dst, hdr.dscp, hdr.ttl);
         self.counters.lpm_lookups += 1;
-        // The route is borrowed, not cloned: a `Remote` route owns its
-        // tunnel label vector, and cloning it per packet would put a heap
+        // The route and its tunnel are borrowed, not cloned: a tunnel owns
+        // its label vector, and cloning it per packet would put a heap
         // allocation on the forwarding fast path.
         let VrfFib { fib, ingress_cache, .. } = &mut self.vrfs[vrf];
         let Some(route) = fib.lookup_cached(dst, ingress_cache) else {
@@ -509,7 +534,12 @@ impl PeRouter {
                 }
                 ctx.send(IfaceId(out_iface), pkt);
             }
-            VrfRoute::Remote { vpn_label, tunnel, .. } => {
+            VrfRoute::Remote { vpn_label, .. } => {
+                let Some(tunnel) = PeRouter::resolve_tunnel(&self.tunnels, route) else {
+                    self.counters.dropped_no_route += 1;
+                    record_drop(&self.recorder, ctx.now(), &pkt, DropCause::NoRoute);
+                    return;
+                };
                 // §5: map the CPE's DiffServ marking into the MPLS QoS field.
                 let exp = self.exp_map.exp_of(dscp);
                 pkt.push_outer(Layer::Mpls(MplsLabel::new(*vpn_label, exp, ttl)));
@@ -634,7 +664,11 @@ impl Node for PeRouter {
     fn on_packet(&mut self, iface: IfaceId, pkt: Pkt, ctx: &mut Ctx) {
         if pkt.meta.flow >= CTRL_FLOW_BASE {
             if let Some(db) = &self.control {
-                let mut tables = NodeTables { lfib: &mut self.lfib, vrfs: Some(&mut self.vrfs) };
+                let mut tables = NodeTables {
+                    lfib: &mut self.lfib,
+                    vrfs: Some(&mut self.vrfs),
+                    tunnels: Some(&mut self.tunnels),
+                };
                 db.borrow_mut().on_control_packet(self.topo_id, iface.0, &pkt, &mut tables, ctx);
                 return;
             }
@@ -655,7 +689,11 @@ impl Node for PeRouter {
         if let Some((iface, down)) = decode_iface_token(token) {
             self.lfib.set_iface_down(iface, down);
             if let Some(db) = &self.control {
-                let mut tables = NodeTables { lfib: &mut self.lfib, vrfs: Some(&mut self.vrfs) };
+                let mut tables = NodeTables {
+                    lfib: &mut self.lfib,
+                    vrfs: Some(&mut self.vrfs),
+                    tunnels: Some(&mut self.tunnels),
+                };
                 db.borrow_mut().on_link_event(self.topo_id, iface, down, &mut tables, ctx);
             }
         }
@@ -830,12 +868,8 @@ mod tests {
         let mut pe0 = PeRouter::new("PE0", Lfib::new(), 1);
         let v0 = pe0.add_vrf("acme");
         pe0.attach_customer_iface(v0); // iface 1
-        pe0.vrfs[v0].install_remote(
-            pfx("10.2.0.0/16"),
-            1,
-            500,
-            FtnEntry { push: vec![100], out_iface: 0 },
-        );
+        pe0.tunnels = vec![None, Some(FtnEntry { push: vec![100], out_iface: 0 })];
+        pe0.vrfs[v0].install_remote(pfx("10.2.0.0/16"), 1, 500, None);
 
         // P: iface 0 to PE0, iface 1 to PE1; PHP-pops tunnel label 100.
         let mut p_lfib = Lfib::new();

@@ -22,8 +22,8 @@
 
 use netsim_qos::RedParams;
 use netsim_verify::{
-    lint_ef_admission, lint_exp_map, lint_red_profile, verify_isolation, verify_label_plane,
-    LabelNode, LabelPlane, StackWalk, VerifyReport, VrfPolicy,
+    codes, lint_ef_admission, lint_exp_map, lint_red_profile, verify_isolation, verify_label_plane,
+    LabelNode, LabelPlane, Severity, StackWalk, VerifyReport, VrfPolicy,
 };
 
 use crate::network::{CoreQos, ProviderNetwork, VpnId};
@@ -58,7 +58,8 @@ impl ProviderNetwork {
     /// clean; see [`netsim_verify`] for the diagnostic-code table.
     pub fn verify(&self) -> VerifyReport {
         let mut report = VerifyReport::new();
-        verify_label_plane(&self.extract_label_plane(), &mut report);
+        let plane = self.extract_label_plane(&mut report);
+        verify_label_plane(&plane, &mut report);
         let extranets: Vec<(usize, usize)> =
             self.extranets.iter().map(|&(a, b)| (a.0, b.0)).collect();
         verify_isolation(&self.vrf_policies(), &extranets, &mut report);
@@ -68,8 +69,10 @@ impl ProviderNetwork {
 
     /// Builds the label-plane model: per-router ILMs straight out of
     /// the simulated routers, plus one stack walk per live FTN (each
-    /// router's control-database view) and per remote VRF route.
-    fn extract_label_plane(&self) -> LabelPlane {
+    /// router's control-database view) and per remote VRF route over the
+    /// tunnel it resolves to. A remote route that resolves to no tunnel
+    /// cannot be walked; it is reported as a `V-LBL-003` black hole.
+    fn extract_label_plane(&self, report: &mut VerifyReport) -> LabelPlane {
         let n = self.topo.node_count();
         let mut nodes = Vec::with_capacity(n);
         for u in 0..n {
@@ -105,14 +108,24 @@ impl ProviderNetwork {
             let pe = self.net.node_ref::<PeRouter>(self.node_ids[pe_topo]);
             for vrf in &pe.vrfs {
                 for (prefix, route) in vrf.fib.iter() {
-                    let VrfRoute::Remote { egress_pe, vpn_label, tunnel } = route else {
+                    let VrfRoute::Remote { egress_pe, vpn_label, .. } = route else {
+                        continue;
+                    };
+                    let fec = format!("PE{k} vrf {} {prefix}", vrf.name);
+                    let Some(tunnel) = PeRouter::resolve_tunnel(&pe.tunnels, route) else {
+                        report.push(
+                            codes::LBL_BLACKHOLE,
+                            Severity::Error,
+                            fec,
+                            format!("remote route resolves to no tunnel toward PE{egress_pe}"),
+                        );
                         continue;
                     };
                     let mut push = vec![*vpn_label];
                     push.extend_from_slice(&tunnel.push);
                     walks.push(StackWalk {
                         origin: pe_topo,
-                        fec: format!("PE{k} vrf {} {prefix}", vrf.name),
+                        fec,
                         push,
                         out_iface: tunnel.out_iface,
                         expect_delivery: Some(self.pes[*egress_pe]),

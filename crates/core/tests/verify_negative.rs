@@ -47,6 +47,19 @@ fn removed_transit_ilm_is_a_black_hole() {
 }
 
 #[test]
+fn remote_route_without_a_tunnel_is_a_black_hole() {
+    let mut pn = testbed();
+    let pe0 = pn.pe_node(0);
+    // PE0's VPN routes toward PE1 follow the tunnel table; empty that slot.
+    pn.net.node_mut::<PeRouter>(pe0).tunnels[1] = None;
+    let report = pn.verify();
+    let holes: Vec<_> = report.with_code(codes::LBL_BLACKHOLE).collect();
+    // Both VPNs' remote routes at PE0 lost their tunnel.
+    assert_eq!(holes.len(), 2, "{report}");
+    assert!(holes.iter().all(|d| d.location.starts_with("PE0 vrf")), "{report}");
+}
+
+#[test]
 fn ilm_entry_out_a_nonexistent_interface_is_dangling() {
     let mut pn = testbed();
     let p1 = pn.backbone_node(1);

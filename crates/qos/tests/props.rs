@@ -2,6 +2,8 @@
 //! ordering, fairness and metering invariants that must hold for *any*
 //! traffic pattern.
 
+use std::collections::VecDeque;
+
 use netsim_net::addr::ip;
 use netsim_net::{Dscp, Packet, Pkt};
 use netsim_qos::sched::CbqClassConfig;
@@ -187,6 +189,62 @@ proptest! {
                         last_seen[c] = p.meta.seq;
                     }
                 }
+            }
+        }
+    }
+
+    /// Strict priority over FIFO bands matches a naive reference model —
+    /// one `VecDeque` per band with the same byte caps — on random
+    /// enqueue/dequeue traces: every enqueue has the same outcome, every
+    /// dequeue yields the same packet, and per-band drops agree. Three
+    /// bands for four classes also exercises the clamp onto the top band.
+    #[test]
+    fn priority_matches_reference_model(
+        ops in arb_ops(300),
+        caps in proptest::collection::vec(1_500usize..6_000, 3),
+    ) {
+        let bands: Vec<Box<dyn QueueDiscipline>> =
+            caps.iter().map(|&c| Box::new(FifoQueue::new(c)) as Box<dyn QueueDiscipline>).collect();
+        let mut q = PriorityScheduler::new(bands, by_flow());
+        // Reference: per band, (seq, wire bytes) in arrival order.
+        let mut reference: Vec<VecDeque<(u64, usize)>> = vec![VecDeque::new(); caps.len()];
+        let mut ref_drops = vec![0u64; caps.len()];
+        let ref_bytes = |r: &Vec<VecDeque<(u64, usize)>>, b: usize| -> usize {
+            r[b].iter().map(|&(_, sz)| sz).sum()
+        };
+        let mut now = 0u64;
+        for (seq, op) in ops.iter().enumerate() {
+            now += 1_000;
+            match op {
+                Op::Enq { class, payload } => {
+                    let p = mk_pkt(*class, *payload, seq as u64);
+                    let sz = p.wire_len();
+                    let band = usize::from(*class).min(caps.len() - 1);
+                    let fits = ref_bytes(&reference, band) + sz <= caps[band];
+                    if fits {
+                        reference[band].push_back((seq as u64, sz));
+                    } else {
+                        ref_drops[band] += 1;
+                    }
+                    let queued = q.enqueue(p, now).is_queued();
+                    prop_assert_eq!(queued, fits, "enqueue outcome of seq {}", seq);
+                }
+                Op::Deq => {
+                    let want = reference.iter_mut().rev().find_map(VecDeque::pop_front);
+                    let got = q.dequeue(now).map(|p| (p.meta.seq, p.wire_len()));
+                    prop_assert_eq!(got, want, "dequeue at seq {}", seq);
+                }
+            }
+            prop_assert_eq!(q.drops(), ref_drops.as_slice());
+            prop_assert_eq!(q.len_packets(), reference.iter().map(VecDeque::len).sum::<usize>());
+        }
+        // Drain: the remaining order must match too.
+        loop {
+            let want = reference.iter_mut().rev().find_map(VecDeque::pop_front);
+            let got = q.dequeue(now).map(|p| (p.meta.seq, p.wire_len()));
+            prop_assert_eq!(got, want);
+            if got.is_none() {
+                break;
             }
         }
     }

@@ -17,7 +17,8 @@
 use mplsvpn::net::Prefix;
 use mplsvpn::routing::{LinkAttrs, RouteTarget, Topology};
 use mplsvpn::sim::MSEC;
-use mplsvpn::vpn::{BackboneBuilder, ControlMode, ProviderNetwork, VpnId, VrfDigestRow};
+use mplsvpn::vpn::router::VrfRoute;
+use mplsvpn::vpn::{BackboneBuilder, ControlMode, PeRouter, ProviderNetwork, VpnId, VrfDigestRow};
 
 /// One node's SPF view: (dist, next_hop, ecmp) of the tree it forwards on.
 type SpfRow = (Vec<u64>, Vec<Option<usize>>, Vec<Vec<usize>>);
@@ -97,10 +98,39 @@ fn digest(pn: &mut ProviderNetwork, vpns: &[VpnId]) -> Digest {
     Digest { spf, lsps, vrfs, ilm }
 }
 
+/// Recursive next-hop resolution holds at every PE: the tunnel-table
+/// entry toward each egress equals the control-plane view's FTN wherever
+/// the view has an LSP, and every LDP-following VPN route toward that
+/// egress resolves to exactly that entry.
+fn assert_recursive_resolution(pn: &ProviderNetwork, what: &str) {
+    for k in 0..pn.pe_count() {
+        let pe = pn.net.node_ref::<PeRouter>(pn.pe_node(k));
+        for egress in (0..pn.pe_count()).filter(|&e| e != k) {
+            let entry = pe.tunnels[egress].as_ref();
+            if let Some(ftn) = pn.view_tunnel(k, egress) {
+                assert_eq!(entry, Some(&ftn), "{what}: PE{k} table slot {egress} != view FTN");
+            }
+            for vrf in &pe.vrfs {
+                for (prefix, route) in vrf.fib.iter() {
+                    if let VrfRoute::Remote { egress_pe, tunnel: None, .. } = route {
+                        if *egress_pe == egress {
+                            assert_eq!(
+                                PeRouter::resolve_tunnel(&pe.tunnels, route),
+                                entry,
+                                "{what}: PE{k} {prefix} does not follow its tunnel table"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Runs the canonical churn scenario — cut, join-under-failure, repair,
 /// detach, RT-policy add/remove — returning the digest at each
 /// checkpoint, where the static verifier must also find the live tables
-/// clean. Oracle arms reconverge explicitly after cut and repair; in-band
+/// clean and recursive resolution must hold. Oracle arms reconverge explicitly after cut and repair; in-band
 /// arms are given settle time and converge by themselves.
 fn run_scenario(
     topo: Topology,
@@ -122,7 +152,9 @@ fn run_scenario(
     pn.run_for(100 * MSEC);
     let mut out = Vec::new();
     let mut checkpoint = |pn: &mut ProviderNetwork| {
-        pn.verify().assert_clean(&format!("{mode:?} seed {seed} checkpoint {}", out.len()));
+        let what = format!("{mode:?} seed {seed} checkpoint {}", out.len());
+        pn.verify().assert_clean(&what);
+        assert_recursive_resolution(pn, &what);
         out.push(digest(pn, &vpns));
     };
     checkpoint(&mut pn);
@@ -349,6 +381,55 @@ fn override_survives_a_join_elsewhere_in_both_modes() {
         assert_eq!(
             path_at_pe0(&mut pn, vpn),
             Some(vec![0, 1, 4]),
+            "reconverge restores the LDP tunnel ({mode:?})"
+        );
+    }
+}
+
+/// A route moved onto a TE tunnel keeps it through in-band LDP repair:
+/// cutting and restoring a link on the route's LDP path rewrites the
+/// PE's tunnel table, not the explicitly bound route. The oracle sees no
+/// routing change without `reconverge()`, which restores the LDP tunnel
+/// in both modes.
+#[test]
+fn override_survives_ldp_repair_in_both_modes() {
+    let moved: Prefix = "10.2.0.0/16".parse().unwrap();
+    let path_at_pe0 = |pn: &mut ProviderNetwork, vpn: VpnId| {
+        let rows = pn.vrf_digest(0, vpn);
+        rows.into_iter().find(|(p, _)| *p == moved).and_then(|(_, r)| r?.2)
+    };
+    let link_1_3 = 2;
+    for mode in [ControlMode::Oracle, ControlMode::InBand] {
+        let (t, p) = ladder();
+        let mut pn = BackboneBuilder::new(t, p).detection(20 * MSEC).control_mode(mode).build();
+        let vpn = pn.new_vpn("acme");
+        pn.add_site(vpn, 0, "10.1.0.0/16".parse().unwrap(), None);
+        pn.add_site(vpn, 1, moved, None);
+        pn.run_for(100 * MSEC);
+        assert_eq!(pn.lsp_path(0, 1), Some(vec![0, 1, 3, 5]), "LDP path before the override");
+        let te = pn.install_explicit_lsp(&[0, 2, 4, 5]);
+        pn.override_route_tunnel(vpn, 0, moved, te);
+        assert_eq!(path_at_pe0(&mut pn, vpn), Some(vec![0, 2, 4, 5]));
+
+        pn.fail_link(link_1_3);
+        pn.run_for(300 * MSEC);
+        assert_eq!(
+            path_at_pe0(&mut pn, vpn),
+            Some(vec![0, 2, 4, 5]),
+            "LDP repair after the cut kept the override ({mode:?})"
+        );
+        pn.repair_link(link_1_3);
+        pn.run_for(300 * MSEC);
+        assert_eq!(
+            path_at_pe0(&mut pn, vpn),
+            Some(vec![0, 2, 4, 5]),
+            "LDP repair after the restore kept the override ({mode:?})"
+        );
+
+        pn.reconverge();
+        assert_eq!(
+            path_at_pe0(&mut pn, vpn),
+            Some(vec![0, 1, 3, 5]),
             "reconverge restores the LDP tunnel ({mode:?})"
         );
     }
