@@ -93,8 +93,11 @@ impl RedCore {
     fn update_avg(&mut self, qbytes: usize, now: Nanos) {
         if let Some(t0) = self.idle_since.take() {
             // Decay the average as if m small packets had drained while idle.
-            let m = ((now.saturating_sub(t0)) / self.mean_pkt_time.max(1)) as i32;
-            self.avg *= (1.0 - EWMA_WEIGHT).powi(m.min(100_000));
+            // The factor is finite, so an average of exactly zero stays zero.
+            if self.avg != 0.0 {
+                let m = (now.saturating_sub(t0) / self.mean_pkt_time.max(1)).min(100_000) as i32;
+                self.avg *= (1.0 - EWMA_WEIGHT).powi(m);
+            }
         }
         self.avg += EWMA_WEIGHT * (qbytes as f64 - self.avg);
     }
@@ -367,6 +370,76 @@ mod tests {
 
     fn pkt(n: usize) -> Pkt {
         Packet::udp(ip("1.1.1.1"), ip("2.2.2.2"), 1, 2, Dscp::BE, n).into()
+    }
+
+    /// `update_avg` with the idle decay applied unconditionally.
+    fn update_avg_always_decaying(core: &mut RedCore, qbytes: usize, now: Nanos) {
+        if let Some(t0) = core.idle_since.take() {
+            let m = (now.saturating_sub(t0) / core.mean_pkt_time.max(1)).min(100_000) as i32;
+            core.avg *= (1.0 - EWMA_WEIGHT).powi(m);
+        }
+        core.avg += EWMA_WEIGHT * (qbytes as f64 - core.avg);
+    }
+
+    /// Skipping the idle decay of a zero average changes no bit of the
+    /// average and no drop decision. Each trace alternates sparse segments
+    /// (every packet leaves before the next arrives, so a zero average
+    /// stays exactly zero) with bursty ones that raise it, separated by
+    /// idle gaps short and long enough to decay it back to zero.
+    #[test]
+    fn zero_average_decay_shortcut_is_exact() {
+        let params = RedParams::new(500, 4_000).with_max_p(0.5);
+        let (mut zero_arrivals, mut decayed_to_zero, mut drops) = (0u32, 0u32, 0u32);
+        for seed in 1..=8u64 {
+            let mut rng = DropRng::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let mut fast = RedCore::new(seed, 12_000);
+            let mut reference = fast.clone();
+            let mut queue: VecDeque<usize> = VecDeque::new();
+            let mut now = 0u64;
+            for _ in 0..200 {
+                let sparse = rng.next_f64() < 0.5;
+                let mut positive = fast.avg > 0.0;
+                for _ in 0..100 {
+                    if !queue.is_empty() && (sparse || rng.next_f64() < 0.3) {
+                        now += 1_000;
+                        queue.pop_front();
+                        if queue.is_empty() {
+                            fast.note_empty(now);
+                            reference.note_empty(now);
+                        }
+                        continue;
+                    }
+                    now += (rng.next_f64() * 20_000.0) as u64;
+                    let qbytes = queue.iter().sum();
+                    zero_arrivals += u32::from(fast.avg == 0.0);
+                    fast.update_avg(qbytes, now);
+                    update_avg_always_decaying(&mut reference, qbytes, now);
+                    assert_eq!(fast.avg.to_bits(), reference.avg.to_bits(), "seed {seed}");
+                    if positive && fast.avg == 0.0 {
+                        decayed_to_zero += 1;
+                    }
+                    positive = fast.avg > 0.0;
+                    let verdict = fast.should_drop(&params);
+                    assert_eq!(verdict, reference.should_drop(&params), "seed {seed}");
+                    if verdict.is_some() {
+                        drops += 1;
+                    } else {
+                        queue.push_back(500 + (rng.next_f64() * 1_000.0) as usize);
+                    }
+                }
+                // Idle gap: the queue drains, then stays silent for up to
+                // ~20 s (past the 100 000-packet decay cap).
+                if !queue.is_empty() {
+                    queue.clear();
+                    fast.note_empty(now);
+                    reference.note_empty(now);
+                }
+                now += (rng.next_f64() * rng.next_f64() * 2e10) as u64;
+            }
+        }
+        assert!(zero_arrivals > 1_000, "only {zero_arrivals} arrivals at a zero average");
+        assert!(decayed_to_zero > 0, "no trace decayed back to zero");
+        assert!(drops > 100, "only {drops} drops");
     }
 
     /// Fill-and-hold: with the average persistently above max_th, every

@@ -25,39 +25,63 @@ use crate::{Nanos, SEC};
 /// `class_of` maps a packet to a band index; **higher band index = higher
 /// priority** (matching MPLS EXP semantics where EXP 5 outranks EXP 0).
 /// A band can be any child discipline, e.g. WRED for the AF bands.
+///
+/// The scheduler counts the packets each band holds, so `dequeue` goes
+/// straight past empty bands (an empty band's `dequeue` is never called)
+/// and `len_packets` is O(1). The counts assume a child's backlog changes
+/// only through `enqueue`, `dequeue` and `purge`, as for every discipline
+/// in this crate.
 pub struct PriorityScheduler {
-    bands: Vec<Box<dyn QueueDiscipline>>,
+    bands: Vec<Band>,
     class_of: ClassOf,
-    drops: Vec<u64>,
+    /// Packets held by all bands together.
+    len: usize,
+}
+
+struct Band {
+    q: Box<dyn QueueDiscipline>,
+    /// Packets this band holds.
+    len: usize,
+    drops: u64,
 }
 
 impl PriorityScheduler {
     /// Creates a scheduler from child bands (index = class = priority).
     pub fn new(bands: Vec<Box<dyn QueueDiscipline>>, class_of: ClassOf) -> Self {
         assert!(!bands.is_empty(), "priority scheduler needs at least one band");
-        let n = bands.len();
-        PriorityScheduler { bands, class_of, drops: vec![0; n] }
+        let bands = bands.into_iter().map(|q| Band { q, len: 0, drops: 0 }).collect();
+        PriorityScheduler { bands, class_of, len: 0 }
     }
 
     /// Packets dropped per band (by the band's own discipline).
-    pub fn drops(&self) -> &[u64] {
-        &self.drops
+    pub fn drops(&self) -> Vec<u64> {
+        self.bands.iter().map(|b| b.drops).collect()
     }
 }
 
 impl QueueDiscipline for PriorityScheduler {
     fn enqueue(&mut self, pkt: Pkt, now: Nanos) -> EnqueueOutcome {
-        let band = (self.class_of)(&pkt).min(self.bands.len() - 1);
-        let out = self.bands[band].enqueue(pkt, now);
-        if !out.is_queued() {
-            self.drops[band] += 1;
+        let i = (self.class_of)(&pkt).min(self.bands.len() - 1);
+        let band = &mut self.bands[i];
+        let out = band.q.enqueue(pkt, now);
+        if out.is_queued() {
+            band.len += 1;
+            self.len += 1;
+        } else {
+            band.drops += 1;
         }
         out
     }
 
     fn dequeue(&mut self, now: Nanos) -> Option<Pkt> {
-        for band in self.bands.iter_mut().rev() {
-            if let Some(p) = band.dequeue(now) {
+        if self.len == 0 {
+            return None;
+        }
+        for band in self.bands.iter_mut().rev().filter(|b| b.len > 0) {
+            // A non-work-conserving band may hold packets and still refuse.
+            if let Some(p) = band.q.dequeue(now) {
+                band.len -= 1;
+                self.len -= 1;
                 return Some(p);
             }
         }
@@ -65,19 +89,26 @@ impl QueueDiscipline for PriorityScheduler {
     }
 
     fn len_packets(&self) -> usize {
-        self.bands.iter().map(|b| b.len_packets()).sum()
+        self.len
     }
 
     fn len_bytes(&self) -> usize {
-        self.bands.iter().map(|b| b.len_bytes()).sum()
+        self.bands.iter().map(|b| b.q.len_bytes()).sum()
     }
 
     fn next_ready(&self, now: Nanos) -> Option<Nanos> {
-        self.bands.iter().filter_map(|b| b.next_ready(now)).min()
+        self.bands.iter().filter(|b| b.len > 0).filter_map(|b| b.q.next_ready(now)).min()
     }
 
     fn purge(&mut self) -> Vec<Pkt> {
-        self.bands.iter_mut().flat_map(|b| b.purge()).collect()
+        self.len = 0;
+        self.bands
+            .iter_mut()
+            .flat_map(|b| {
+                b.len = 0;
+                b.q.purge()
+            })
+            .collect()
     }
 }
 
@@ -529,6 +560,45 @@ mod tests {
         let mut s = PriorityScheduler::new(bands, by_flow());
         s.enqueue(pkt_class(0, 100), 0); // 128 B > 50 B cap -> drop
         assert_eq!(s.drops()[0], 1);
+    }
+
+    /// A FIFO that fails the test when asked for a packet it does not have.
+    struct NoEmptyDequeue(FifoQueue);
+
+    impl QueueDiscipline for NoEmptyDequeue {
+        fn enqueue(&mut self, pkt: Pkt, now: Nanos) -> EnqueueOutcome {
+            self.0.enqueue(pkt, now)
+        }
+        fn dequeue(&mut self, now: Nanos) -> Option<Pkt> {
+            assert!(!self.0.is_empty(), "dequeue called on an empty band");
+            self.0.dequeue(now)
+        }
+        fn len_packets(&self) -> usize {
+            self.0.len_packets()
+        }
+        fn len_bytes(&self) -> usize {
+            self.0.len_bytes()
+        }
+        fn purge(&mut self) -> Vec<Pkt> {
+            self.0.purge()
+        }
+    }
+
+    #[test]
+    fn priority_skips_empty_bands_across_purge() {
+        let bands: Vec<Box<dyn QueueDiscipline>> = (0..3)
+            .map(|_| Box::new(NoEmptyDequeue(FifoQueue::new(1 << 20))) as Box<dyn QueueDiscipline>)
+            .collect();
+        let mut s = PriorityScheduler::new(bands, by_flow());
+        s.enqueue(pkt_class(2, 10), 0);
+        s.enqueue(pkt_class(1, 10), 0);
+        assert_eq!(s.purge().len(), 2);
+        assert!(s.is_empty() && s.dequeue(0).is_none());
+        s.enqueue(pkt_class(0, 10), 0);
+        s.enqueue(pkt_class(2, 10), 0);
+        let order: Vec<u64> = std::iter::from_fn(|| s.dequeue(0)).map(|p| p.meta.flow).collect();
+        assert_eq!(order, vec![2, 0]);
+        assert_eq!(s.len_packets(), 0);
     }
 
     // --- WFQ ---

@@ -196,21 +196,58 @@ proptest! {
     /// Strict priority over FIFO bands matches a naive reference model —
     /// one `VecDeque` per band with the same byte caps — on random
     /// enqueue/dequeue traces: every enqueue has the same outcome, every
-    /// dequeue yields the same packet, and per-band drops agree. Three
-    /// bands for four classes also exercises the clamp onto the top band.
+    /// dequeue yields the same packet, per-band drops agree, and so do
+    /// `len_packets` and `is_empty` after every operation. Three bands for
+    /// four classes also exercises the clamp onto the top band. Traces may
+    /// purge the scheduler midway. With `shaped_kbps` set, the middle band
+    /// is a token-bucket shaper (modelled by a bucket of the same contract):
+    /// while it holds packets but lacks tokens, dequeue must fall through
+    /// to the band below.
     #[test]
     fn priority_matches_reference_model(
         ops in arb_ops(300),
         caps in proptest::collection::vec(1_500usize..6_000, 3),
+        purge_after in proptest::collection::vec(0usize..300, 0..3),
+        shaped_kbps in proptest::option::of(64u64..10_000),
     ) {
-        let bands: Vec<Box<dyn QueueDiscipline>> =
-            caps.iter().map(|&c| Box::new(FifoQueue::new(c)) as Box<dyn QueueDiscipline>).collect();
+        const SHAPED: usize = 1;
+        const BURST: u64 = 3_000;
+        let bands: Vec<Box<dyn QueueDiscipline>> = caps
+            .iter()
+            .enumerate()
+            .map(|(b, &c)| -> Box<dyn QueueDiscipline> {
+                let fifo = Box::new(FifoQueue::new(c));
+                match shaped_kbps {
+                    Some(kbps) if b == SHAPED => {
+                        Box::new(netsim_qos::ShapedQueue::new(fifo, kbps * 1000, BURST))
+                    }
+                    _ => fifo,
+                }
+            })
+            .collect();
         let mut q = PriorityScheduler::new(bands, by_flow());
         // Reference: per band, (seq, wire bytes) in arrival order.
         let mut reference: Vec<VecDeque<(u64, usize)>> = vec![VecDeque::new(); caps.len()];
+        let mut bucket = shaped_kbps.map(|kbps| TokenBucket::new(kbps * 1000, BURST));
         let mut ref_drops = vec![0u64; caps.len()];
         let ref_bytes = |r: &Vec<VecDeque<(u64, usize)>>, b: usize| -> usize {
             r[b].iter().map(|&(_, sz)| sz).sum()
+        };
+        // The highest band whose head may leave now; the shaped band's head
+        // needs a full packet's worth of tokens.
+        let ref_dequeue = |r: &mut Vec<VecDeque<(u64, usize)>>,
+                           bucket: &mut Option<TokenBucket>,
+                           now: u64| {
+            (0..r.len()).rev().find_map(|b| {
+                let &(_, sz) = r[b].front()?;
+                if let Some(tb) = bucket.as_mut().filter(|_| b == SHAPED) {
+                    if (tb.level_bytes(now) as usize) < sz {
+                        return None;
+                    }
+                    assert!(tb.conforms(sz, now));
+                }
+                r[b].pop_front()
+            })
         };
         let mut now = 0u64;
         for (seq, op) in ops.iter().enumerate() {
@@ -230,23 +267,35 @@ proptest! {
                     prop_assert_eq!(queued, fits, "enqueue outcome of seq {}", seq);
                 }
                 Op::Deq => {
-                    let want = reference.iter_mut().rev().find_map(VecDeque::pop_front);
+                    let want = ref_dequeue(&mut reference, &mut bucket, now);
                     let got = q.dequeue(now).map(|p| (p.meta.seq, p.wire_len()));
                     prop_assert_eq!(got, want, "dequeue at seq {}", seq);
                 }
             }
+            if purge_after.contains(&seq) {
+                let mut got: Vec<u64> = q.purge().iter().map(|p| p.meta.seq).collect();
+                let mut want: Vec<u64> =
+                    reference.iter_mut().flat_map(|r| r.drain(..).map(|(s, _)| s)).collect();
+                got.sort_unstable();
+                want.sort_unstable();
+                prop_assert_eq!(got, want, "purge after seq {}", seq);
+            }
+            let held = reference.iter().map(VecDeque::len).sum::<usize>();
             prop_assert_eq!(q.drops(), ref_drops.as_slice());
-            prop_assert_eq!(q.len_packets(), reference.iter().map(VecDeque::len).sum::<usize>());
+            prop_assert_eq!(q.len_packets(), held);
+            prop_assert_eq!(q.is_empty(), held == 0);
         }
-        // Drain: the remaining order must match too.
-        loop {
-            let want = reference.iter_mut().rev().find_map(VecDeque::pop_front);
+        // Drain, waiting out the shaper: the remaining order must match too.
+        while !q.is_empty() {
+            let want = ref_dequeue(&mut reference, &mut bucket, now);
             let got = q.dequeue(now).map(|p| (p.meta.seq, p.wire_len()));
             prop_assert_eq!(got, want);
             if got.is_none() {
-                break;
+                now += SEC;
             }
         }
+        prop_assert!(reference.iter().all(VecDeque::is_empty));
+        prop_assert!(q.dequeue(now).is_none());
     }
 
     /// Hierarchical CBQ conserves packets/bytes over arbitrary scripts.

@@ -9,10 +9,9 @@
 //!
 //! Two structural decisions keep the constant factor low:
 //!
-//! * **Payloads live in a slab.** An event (which carries a whole `Packet`)
-//!   is written once into a free-listed slot; everything the wheel moves
-//!   around — slots, cascades, the `cur` heap — is a 24-byte
-//!   `(at, seq, slab index)` key.
+//! * **Events are stored inline.** An `Event` is 32 bytes (its packet is
+//!   boxed), so slots hold `(at, seq, event)` keys directly. Only level-0
+//!   slots keep their buffers; drained upper-level buffers are recycled.
 //! * **Three 256-slot levels over a 2^10 ns ≈ 1 µs granule** (level 0 spans
 //!   ~262 µs, level 1 ~67 ms, level 2 ~17 s), plus a binary heap for the
 //!   rare far-future timers beyond the wheel span, plus `cur` — a small
@@ -48,27 +47,25 @@ const LEVELS: usize = 3;
 /// Granules covered by all wheel levels together (2^24 granules ≈ 17 s).
 const WHEEL_SPAN: u64 = 1 << (SLOT_BITS * LEVELS as u32);
 
-/// Scheduling key: everything the wheel shuffles between slots. The payload
-/// stays parked in the slab at `idx`. Ordered by `(at, seq)`.
-#[derive(Clone, Copy)]
-struct Key {
+/// A scheduled event with its scheduling key, ordered by `(at, seq)` only.
+struct Key<T> {
     at: Nanos,
     seq: u64,
-    idx: u32,
+    item: T,
 }
 
-impl PartialEq for Key {
+impl<T> PartialEq for Key<T> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl Eq for Key {}
-impl PartialOrd for Key {
+impl<T> Eq for Key<T> {}
+impl<T> PartialOrd for Key<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Key {
+impl<T> Ord for Key<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
     }
@@ -96,14 +93,14 @@ fn next_set_bit(occ: &[u64; SLOTS / 64], from: usize) -> Option<usize> {
 /// A hierarchical timing wheel with a heap overflow level, popping items in
 /// strict `(at, seq)` order.
 pub(crate) struct TimingWheel<T> {
-    /// Payload slab; `free` lists vacant slots for reuse.
-    items: Vec<Option<T>>,
-    free: Vec<u32>,
     /// Events whose granule is ≤ the cursor, sorted descending by
     /// `(at, seq)`: the next event to pop is always `cur.last()`.
-    cur: Vec<Key>,
+    cur: Vec<Key<T>>,
     /// Wheel levels; `levels[l][s]` holds events `SLOTS^l` granules apart.
-    levels: [Vec<Vec<Key>>; LEVELS],
+    levels: [Vec<Vec<Key<T>>>; LEVELS],
+    /// Drained level-1 and level-2 slot buffers (never zero-capacity),
+    /// taken by the next upper-level slot to fill.
+    spare: Vec<Vec<Key<T>>>,
     /// Per-level slot-occupancy bitmaps (bit `s` set iff `levels[l][s]` is
     /// non-empty): `advance` finds the next populated slot with a couple of
     /// word scans instead of touching up to 255 slot `Vec` headers.
@@ -112,25 +109,29 @@ pub(crate) struct TimingWheel<T> {
     counts: [usize; LEVELS],
     /// Events beyond the wheel span, refilled as the cursor crosses
     /// top-level boundaries.
-    overflow: BinaryHeap<Reverse<Key>>,
+    overflow: BinaryHeap<Reverse<Key<T>>>,
     /// Cursor granule (`at >> GRANULE_BITS`).
     tick: u64,
     /// Total events pending (all storage areas).
     len: usize,
+    /// Most upper-level slots ever live at once, a cascading one included.
+    #[cfg(test)]
+    upper_peak: usize,
 }
 
 impl<T> TimingWheel<T> {
     pub(crate) fn new() -> Self {
         TimingWheel {
-            items: Vec::new(),
-            free: Vec::new(),
             cur: Vec::new(),
             levels: std::array::from_fn(|_| (0..SLOTS).map(|_| Vec::new()).collect()),
+            spare: Vec::new(),
             occ: [[0; SLOTS / 64]; LEVELS],
             counts: [0; LEVELS],
             overflow: BinaryHeap::new(),
             tick: 0,
             len: 0,
+            #[cfg(test)]
+            upper_peak: 0,
         }
     }
 
@@ -141,19 +142,8 @@ impl<T> TimingWheel<T> {
 
     /// Schedules `item` at time `at` with tie-break key `seq`.
     pub(crate) fn push(&mut self, at: Nanos, seq: u64, item: T) {
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.items[i as usize] = Some(item);
-                i
-            }
-            None => {
-                let i = u32::try_from(self.items.len()).expect("calendar slab overflow");
-                self.items.push(Some(item));
-                i
-            }
-        };
         self.len += 1;
-        self.place(Key { at, seq, idx });
+        self.place(Key { at, seq, item });
     }
 
     /// Timestamp of the earliest pending event. Advances the cursor (an
@@ -168,14 +158,12 @@ impl<T> TimingWheel<T> {
         self.advance();
         let k = self.cur.pop()?;
         self.len -= 1;
-        let item = self.items[k.idx as usize].take().expect("slab slot vacated early");
-        self.free.push(k.idx);
-        Some((k.at, k.seq, item))
+        Some((k.at, k.seq, k.item))
     }
 
     /// Routes a key to `cur`, a wheel slot, or the overflow heap based on
     /// its distance from the cursor. Does not touch `len`.
-    fn place(&mut self, k: Key) {
+    fn place(&mut self, k: Key<T>) {
         let g = k.at >> GRANULE_BITS;
         if g <= self.tick {
             // Sorted insert (descending). `cur` holds the few events of the
@@ -198,11 +186,23 @@ impl<T> TimingWheel<T> {
     }
 
     /// Appends `k` to `levels[lvl][slot]`, keeping the occupancy bitmap and
-    /// resident count in sync.
-    fn slot_in(&mut self, lvl: usize, slot: usize, k: Key) {
-        self.levels[lvl][slot].push(k);
+    /// resident count in sync. An upper-level slot without a buffer takes a
+    /// spare one.
+    fn slot_in(&mut self, lvl: usize, slot: usize, k: Key<T>) {
+        let buf = &mut self.levels[lvl][slot];
+        if lvl > 0 && buf.capacity() == 0 {
+            if let Some(spare) = self.spare.pop() {
+                *buf = spare;
+            }
+        }
+        buf.push(k);
         self.occ[lvl][slot >> 6] |= 1 << (slot & 63);
         self.counts[lvl] += 1;
+        #[cfg(test)]
+        {
+            let live = self.occ[1..].iter().flatten().map(|w| w.count_ones() as usize).sum();
+            self.upper_peak = self.upper_peak.max(live);
+        }
     }
 
     /// Empties `levels[lvl][slot]`, re-placing each key relative to the
@@ -210,9 +210,9 @@ impl<T> TimingWheel<T> {
     /// level-0 keys straight into `cur`.
     fn cascade(&mut self, lvl: usize, slot: usize) {
         let mut tmp = std::mem::take(&mut self.levels[lvl][slot]);
-        self.occ[lvl][slot >> 6] &= !(1 << (slot & 63));
         self.counts[lvl] -= tmp.len();
         if lvl == 0 {
+            self.occ[0][slot >> 6] &= !(1 << (slot & 63));
             // Every key in a level-0 slot shares one granule ≤ the cursor,
             // so the whole slot belongs in `cur`. With `cur` empty this is
             // a buffer swap (no copying); otherwise merge and re-sort.
@@ -222,13 +222,20 @@ impl<T> TimingWheel<T> {
                 self.cur.append(&mut tmp);
             }
             self.cur.sort_unstable_by(|a, b| b.cmp(a));
+            // Hand the (now empty) vector back so the slot keeps its capacity.
+            self.levels[0][slot] = tmp;
         } else {
+            // Still marked while its keys move: it is live for `upper_peak`.
             for k in tmp.drain(..) {
                 self.place(k);
             }
+            self.occ[lvl][slot >> 6] &= !(1 << (slot & 63));
+            // An empty cascade drains a buffer that never grew; keeping it
+            // would only stack up zero-capacity vectors.
+            if tmp.capacity() > 0 {
+                self.spare.push(tmp);
+            }
         }
-        // Hand the (now empty) vector back so the slot keeps its capacity.
-        self.levels[lvl][slot] = tmp;
     }
 
     /// Moves overflow events with granule below `horizon` into the wheels.
@@ -348,8 +355,7 @@ mod tests {
         }
         let mut seen = Vec::new();
         while let Some((at, seq, item)) = w.pop() {
-            // The slab index is recycled aggressively; the payload must
-            // still be the one pushed with this (at, seq).
+            // The payload must be the one pushed with this (at, seq).
             assert_eq!(u64::from(item % 10) * 100_000, at);
             assert_eq!(u64::from(item), seq);
             seen.push(item);
@@ -395,6 +401,47 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn spare_stack_keeps_only_buffers_of_live_slots() {
+        // A few sparse far-future timers at a time, each pop jumping the
+        // cursor across hundreds of empty level-1 and level-2 boundaries.
+        // Every such boundary cascades an empty slot; none of those may
+        // leave a buffer behind.
+        let mut w = TimingWheel::new();
+        let mut reference = BinaryHeap::new();
+        let mut rng = Rng(0x2545_f491_4f6c_dd1d);
+        let mut now = 0u64;
+        let mut seq = 0u64;
+        for _ in 0..3000 {
+            for _ in 0..1 + rng.next() % 3 {
+                // 2^18..2^34 ns ahead: level-1 and level-2 territory.
+                let at = now + (1 << 18) + rng.next() % (1 << 34);
+                w.push(at, seq, 0);
+                reference.push(Reverse((at, seq)));
+                seq += 1;
+            }
+            for _ in 0..1 + rng.next() % 3 {
+                let got = w.pop().map(|(at, s, _)| (at, s));
+                assert_eq!(got, reference.pop().map(|Reverse(p)| p));
+                if let Some((at, _)) = got {
+                    now = at;
+                }
+            }
+        }
+        assert_eq!(
+            drain(&mut w),
+            std::iter::from_fn(|| reference.pop().map(|Reverse(p)| p)).collect::<Vec<_>>()
+        );
+        let spare: Vec<usize> = w.spare.iter().map(Vec::capacity).collect();
+        let peak = w.upper_peak;
+        assert!(spare.iter().all(|&c| c > 0), "zero-capacity spare buffers: {spare:?}");
+        assert!(
+            !spare.is_empty() && spare.len() <= peak,
+            "{} spare buffers, peak {peak}",
+            spare.len()
+        );
     }
 
     #[test]

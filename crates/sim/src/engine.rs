@@ -12,7 +12,7 @@ use crate::node::{Action, Ctx, IfaceId, Node, NodeId};
 pub struct LinkId(pub usize);
 
 /// Configuration of one link direction (both directions share it unless
-/// connected with [`Network::connect_asymmetric`]).
+/// connected with [`Network::connect_with_qdiscs`]).
 #[derive(Clone, Copy, Debug)]
 pub struct LinkConfig {
     /// Serialization rate in bits per second.
@@ -218,21 +218,8 @@ impl Network {
         self.connect_with_qdiscs(a, b, cfg, cfg, qa, qb)
     }
 
-    /// Connects `a` and `b` with per-direction configs and explicit egress
-    /// disciplines (`qdisc_a` schedules a→b traffic at node `a`).
-    pub fn connect_asymmetric(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        cfg_ab: LinkConfig,
-        cfg_ba: LinkConfig,
-    ) -> (LinkId, IfaceId, IfaceId) {
-        let qa: Box<dyn QueueDiscipline> = Box::new(FifoQueue::new(cfg_ab.fifo_cap_bytes));
-        let qb: Box<dyn QueueDiscipline> = Box::new(FifoQueue::new(cfg_ba.fifo_cap_bytes));
-        self.connect_with_qdiscs(a, b, cfg_ab, cfg_ba, qa, qb)
-    }
-
-    /// Fully explicit connection: per-direction configs and disciplines.
+    /// Fully explicit connection: per-direction configs and disciplines
+    /// (`qdisc_a` schedules a→b traffic at node `a`).
     pub fn connect_with_qdiscs(
         &mut self,
         a: NodeId,
