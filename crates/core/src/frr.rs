@@ -9,12 +9,8 @@
 //! * [`ProviderNetwork::protect_link`] signals a bypass LSP around one
 //!   backbone link (both directions) and installs it as the link's
 //!   protection entry at each upstream router.
-//! * [`ProviderNetwork::install_trunk_protection`] takes the backup
-//!   routes a [`netsim_te::TeDomain`] computed for a trunk and signals
-//!   them into the running routers.
-//! * [`ProviderNetwork::reconverge_summary`] separates the two stages of
-//!   the reaction to a failure: the *switchover* (local, detection-time)
-//!   and the *re-optimization* (global, control-plane-time).
+//! * [`ProviderNetwork::active_switchovers`] counts the failed-link
+//!   directions whose traffic rides a bypass right now.
 //! * [`ProviderNetwork::execute_fault_plan`] replays a deterministic
 //!   [`FaultPlan`] against the network under either failover mode.
 //!
@@ -25,10 +21,10 @@
 
 use netsim_qos::Nanos;
 use netsim_sim::{FaultAction, FaultPlan};
-use netsim_te::{cspf_path_excluding, SrlgMap, TeDomain, TrunkId};
+use netsim_te::{cspf_path_excluding, SrlgMap};
 
 use crate::control::ControlMode;
-use crate::network::{ControlSummary, ProviderNetwork};
+use crate::network::ProviderNetwork;
 
 /// How the network reacts to a link failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,19 +35,6 @@ pub enum FailoverMode {
     /// Fast reroute: upstream routers switch onto precomputed bypass
     /// LSPs as soon as detection fires; no global reconvergence.
     FastReroute,
-}
-
-/// The two-stage cost of reacting to a failure set.
-#[derive(Clone, Copy, Debug)]
-pub struct ReconvergeSummary {
-    /// Failed-link directions that were actively rerouted onto a bypass
-    /// at the moment re-optimization started (i.e. FRR carried traffic
-    /// through the control-plane convergence window).
-    pub switchovers: u64,
-    /// The detection delay that gated the switchover.
-    pub detection_ns: Nanos,
-    /// Control-plane messages the re-optimization cost.
-    pub control: ControlSummary,
 }
 
 /// What happened while executing a [`FaultPlan`].
@@ -104,23 +87,6 @@ impl ProviderNetwork {
         (0..self.topo.link_count()).map(|l| self.protect_link(l, srlg)).sum()
     }
 
-    /// Signals the backup routes `te` computed for trunk `id` (see
-    /// [`netsim_te::TeDomain::protect_trunk`]) into the running routers.
-    /// The TE domain must have been built over this network's topology —
-    /// link and node ids are shared. Returns the bypasses installed.
-    pub fn install_trunk_protection(&mut self, te: &TeDomain, id: TrunkId) -> usize {
-        let backups: Vec<_> = te.backups(id).to_vec();
-        for b in &backups {
-            let ftn = self.install_explicit_lsp(&b.path);
-            let (u, v, _) = self.topo.link(b.protected_link);
-            let near = b.path[0];
-            let far = if near == u { v } else { u };
-            let iface = self.topo.iface_toward(near, far);
-            self.with_lfib(near, |lfib| lfib.install_protection(iface, ftn));
-        }
-        backups.len()
-    }
-
     /// Failed-link directions whose upstream router currently has both a
     /// bypass installed and the interface marked down — i.e. traffic is
     /// flowing over the bypass right now.
@@ -138,18 +104,6 @@ impl ProviderNetwork {
             }
         }
         n
-    }
-
-    /// Runs [`ProviderNetwork::reconverge`], but first records how many
-    /// failed directions FRR was actively carrying — separating the local
-    /// switchover from the global re-optimization. Reconvergence rebuilds
-    /// every LFIB and therefore *erases all protection state*; re-protect
-    /// afterwards if FRR should survive the next failure.
-    pub fn reconverge_summary(&mut self) -> ReconvergeSummary {
-        let switchovers = self.active_switchovers();
-        let detection_ns = self.detect_ns;
-        let control = self.reconverge();
-        ReconvergeSummary { switchovers, detection_ns, control }
     }
 
     /// Cut directions of `topo_link` that currently have a bypass
@@ -309,16 +263,14 @@ mod tests {
     }
 
     #[test]
-    fn reconverge_summary_separates_switchover_from_reoptimization() {
+    fn reconverge_wipes_active_switchovers() {
         let (mut pn, _a, _b) = fish_network(10 * MSEC);
         let srlg = SrlgMap::new(pn.topo.link_count());
         pn.protect_link(1, &srlg);
         pn.fail_link(1);
         pn.run_for(50 * MSEC); // detection fires at 10 ms
-        let summary = pn.reconverge_summary();
-        assert_eq!(summary.switchovers, 2);
-        assert_eq!(summary.detection_ns, 10 * MSEC);
-        assert!(summary.control.igp_lsa_messages > 0);
+        assert_eq!(pn.active_switchovers(), 2, "FRR carries both directions");
+        assert!(pn.reconverge().igp_lsa_messages > 0);
         // Reconvergence wiped protection state.
         assert_eq!(pn.active_switchovers(), 0);
     }

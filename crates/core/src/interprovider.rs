@@ -20,6 +20,7 @@ use netsim_mpls::ldp::{Fec, LdpConfig, LdpDomain};
 use netsim_mpls::lfib::{LabelOp, Nhlfe};
 use netsim_mpls::Lfib;
 use netsim_net::Prefix;
+use netsim_obs::FlightRecorder;
 use netsim_qos::{MarkingPolicy, Nanos};
 use netsim_routing::{Igp, Topology};
 use netsim_sim::{CbrSource, LinkConfig, Network, NodeId, Sink, SourceConfig};
@@ -97,8 +98,10 @@ impl InterProviderVpn {
                                                         // per prefix and direction.
         control_messages += 2 * 3;
 
-        // Materialize both domains in one simulator.
+        // Materialize both domains in one simulator, with one flight
+        // recorder for the losses of both carriers.
         let mut net = Network::new();
+        net.set_recorder(FlightRecorder::default());
         let n_a = a.topo.node_count();
         let mut ids = Vec::new();
         for u in 0..n_a {
@@ -307,6 +310,8 @@ mod tests {
         ip.net.run_until(SEC);
         assert_eq!(ip.net.node_ref::<Sink>(sink_b).flow(1).map(|f| f.rx_packets), Some(25));
         assert!(ip.control_messages > 0);
+        let rec = ip.net.recorder().expect("both carriers share one recorder");
+        assert_eq!(rec.total_drops(), 0, "{:?}", rec.cause_rows());
     }
 
     #[test]

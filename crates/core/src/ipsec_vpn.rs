@@ -18,6 +18,7 @@ use netsim_ipsec::{
     decapsulate, encapsulate, CryptoCostModel, IkeProposal, IpsecError, SecurityAssociation,
 };
 use netsim_net::{Ip, LpmTrie, Pkt, Prefix};
+use netsim_obs::{DropCause, FlightRecorder};
 use netsim_qos::{MarkingPolicy, Nanos};
 use netsim_routing::{Igp, Topology};
 use netsim_sim::{Ctx, IfaceId, LinkConfig, Network, NodeId, Sink};
@@ -92,8 +93,7 @@ impl IpsecGateway {
             policy.mark(&mut pkt);
         }
         let Some(dst) = pkt.outer_ipv4().map(|h| h.dst) else {
-            self.counters.dropped_no_route += 1;
-            return;
+            return ctx.discard(pkt, DropCause::NoRoute);
         };
         if let Some(&out) = self.local.lookup(dst) {
             self.counters.forwarded += 1;
@@ -102,8 +102,7 @@ impl IpsecGateway {
         }
         self.counters.lpm_lookups += 1;
         let Some(&peer_idx) = self.peers_by_prefix.lookup(dst) else {
-            self.counters.dropped_no_route += 1;
-            return;
+            return ctx.discard(pkt, DropCause::NoRoute);
         };
         let (peer_ip, out_sa, _) = &mut self.peers[peer_idx];
         let peer_ip = *peer_ip;
@@ -117,15 +116,11 @@ impl IpsecGateway {
 
     fn downstream(&mut self, pkt: Pkt, ctx: &mut Ctx) {
         if !pkt.outer_ipv4().map(|h| h.dst == self.public_ip).unwrap_or(false) {
-            self.counters.dropped_no_route += 1;
-            return;
+            return ctx.discard(pkt, DropCause::NoRoute);
         }
         let spi = match pkt.layers().get(1) {
             Some(netsim_net::Layer::Esp(e)) => e.spi,
-            _ => {
-                self.counters.dropped_no_route += 1;
-                return;
-            }
+            _ => return ctx.discard(pkt, DropCause::NoRoute),
         };
         let Some(&peer_idx) = self.spi_map.get(&spi) else {
             self.esp_errors += 1;
@@ -141,9 +136,10 @@ impl IpsecGateway {
                 return;
             }
         };
+        // The inner packet carries the outer one's flow and sequence
+        // number, so a drop past this point is recorded on the outer.
         let Some(dst) = inner.outer_ipv4().map(|h| h.dst) else {
-            self.counters.dropped_no_route += 1;
-            return;
+            return ctx.discard(pkt, DropCause::NoRoute);
         };
         self.counters.lpm_lookups += 1;
         match self.local.lookup(dst) {
@@ -151,7 +147,7 @@ impl IpsecGateway {
                 self.counters.forwarded += 1;
                 ctx.send_after(cost, IfaceId(out), inner);
             }
-            None => self.counters.dropped_no_route += 1,
+            None => ctx.discard(pkt, DropCause::NoRoute),
         }
     }
 }
@@ -206,6 +202,7 @@ impl IpsecVpnNetwork {
     pub fn build(topo: Topology, link_delay_ns: Nanos, qos: CoreQos) -> Self {
         let igp = Igp::converge(&topo);
         let mut net = Network::new();
+        net.set_recorder(FlightRecorder::default());
         let node_ids: Vec<NodeId> = (0..topo.node_count())
             .map(|u| net.add_node(Box::new(CoreRouter::new(format!("R{u}"), Default::default()))))
             .collect();
@@ -391,6 +388,9 @@ mod tests {
         n.attach_cbr_source(a, cfg, 1_000_000, Some(10));
         n.net.run_until(SEC);
         assert_eq!(n.net.node_ref::<Sink>(sink).total_packets, 0);
+        let rec = n.net.recorder().expect("the IPsec network attaches a recorder");
+        let gw = n.gateway_node(a).0;
+        assert_eq!(rec.node_total(gw, DropCause::NoRoute), 10, "no tunnel: dies at the gateway");
     }
 
     /// The backbone carries only ESP: an EF marking applied inside the

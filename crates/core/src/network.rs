@@ -257,10 +257,10 @@ impl BackboneBuilder {
         let mut ldp = LdpDomain::run(&adjacency, &fecs, &nh, LdpConfig { php: self.php });
 
         let mut net = Network::new();
-        // Observability is always on: one flight recorder shared by the
-        // engine and every router, one registry for named series.
-        let recorder = FlightRecorder::default();
-        net.set_recorder(recorder.clone());
+        // Observability is always on: one flight recorder in the engine,
+        // which every router reaches through its handler context, and one
+        // registry for named series.
+        net.set_recorder(FlightRecorder::default());
         let mut node_ids = Vec::with_capacity(self.topo.node_count());
         let pe_ordinal: HashMap<usize, usize> =
             self.pes.iter().enumerate().map(|(k, &pe)| (pe, k)).collect();
@@ -271,14 +271,12 @@ impl BackboneBuilder {
                 if let Some(t) = &self.trace {
                     pe = pe.with_trace(t.clone());
                 }
-                pe.set_recorder(recorder.clone());
                 net.add_node(Box::new(pe))
             } else {
                 let mut p = CoreRouter::new(format!("P{u}"), lfib);
                 if let Some(t) = &self.trace {
                     p = p.with_trace(t.clone());
                 }
-                p.set_recorder(recorder.clone());
                 net.add_node(Box::new(p))
             };
             node_ids.push(id);
@@ -327,7 +325,6 @@ impl BackboneBuilder {
             core_qos: self.core_qos,
             extranets: Vec::new(),
             ef_contracts: Vec::new(),
-            recorder,
             registry: MetricsRegistry::new(),
             probes: Vec::new(),
             control,
@@ -373,7 +370,6 @@ pub struct ProviderNetwork {
     pub(crate) core_qos: CoreQos,
     pub(crate) extranets: Vec<(VpnId, VpnId)>,
     pub(crate) ef_contracts: Vec<netsim_verify::EfContract>,
-    pub(crate) recorder: FlightRecorder,
     pub(crate) registry: MetricsRegistry,
     pub(crate) probes: Vec<crate::obs::ProbeSpec>,
     pub(crate) control: ControlHandle,
@@ -458,7 +454,6 @@ impl ProviderNetwork {
         if let Some(t) = &self.trace {
             ce = ce.with_trace(t.clone());
         }
-        ce.set_recorder(self.recorder.clone());
         let ce_id = self.net.add_node(Box::new(ce));
         let cfg = LinkConfig::new(self.access_rate_bps, self.access_delay_ns);
         let (access_link, _ce_if, pe_if) = self.net.connect(ce_id, pe_node, cfg);
@@ -921,7 +916,7 @@ impl ProviderNetwork {
 
     /// Follows a tunnel FTN from `start` through the live LFIBs until it
     /// unwinds at `want` (or breaks). Dead links break the walk.
-    pub fn walk_tunnel(
+    fn walk_tunnel(
         &mut self,
         start: usize,
         ftn: &netsim_mpls::FtnEntry,

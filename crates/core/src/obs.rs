@@ -4,16 +4,19 @@
 //! Every network built through [`crate::BackboneBuilder`] carries, always
 //! on:
 //!
-//! * one [`FlightRecorder`] shared by the simulator engine and every
-//!   PE/P/CE router — each discarded packet is attributed to a
-//!   [`netsim_obs::DropCause`] instead of vanishing into a bare count;
+//! * one [`FlightRecorder`] in the simulator engine — each packet a link
+//!   or a PE/P/CE router discards is attributed to a [`DropCause`]
+//!   instead of vanishing into a bare count, and router drops and
+//!   absorptions are also tallied against the router's node;
 //! * one [`MetricsRegistry`] holding named series (per-VRF forwarded
 //!   counters are wired at [`crate::ProviderNetwork::add_site`] time;
 //!   experiments may register their own).
 //!
 //! [`ProviderNetwork::metrics_snapshot`] folds the registry, the drop
-//! causes, per-router counters, per-LFIB label operations, and per-link
-//! class breakdowns into one [`MetricsSnapshot`] exportable as JSON/CSV.
+//! causes, per-router counters, per-router drops and absorptions (read
+//! from the recorder's node tallies), per-LFIB label operations, and
+//! per-link class breakdowns into one [`MetricsSnapshot`] exportable as
+//! JSON/CSV.
 //!
 //! [`ProviderNetwork::attach_sla_probe`] adds a synthetic low-rate probe
 //! flow for one ⟨VPN, class⟩ pair — the paper's §6 "measure the SLA you
@@ -22,7 +25,7 @@
 //! one-way delay/jitter/loss lands in the snapshot's probe table.
 
 use netsim_net::{Dscp, Prefix};
-use netsim_obs::{FlightRecorder, MetricsRegistry, MetricsSnapshot, ProbeRow};
+use netsim_obs::{DropCause, FlightRecorder, MetricsRegistry, MetricsSnapshot, ProbeRow};
 use netsim_qos::Nanos;
 use netsim_sim::{CbrSource, LinkId, NodeId, Sink, SourceConfig};
 
@@ -46,16 +49,23 @@ pub(crate) struct ProbeSpec {
     pub(crate) sink: NodeId,
 }
 
-/// Pushes one router's counters into `snap` under `prefix.`.
-fn push_router_counters(snap: &mut MetricsSnapshot, prefix: &str, c: &RouterCounters) {
+/// Pushes one router's rows into `snap` under `prefix.`: its forwarding
+/// counters, and the absorptions and drops the flight recorder tallied
+/// against its node.
+fn push_router_counters(
+    snap: &mut MetricsSnapshot,
+    prefix: &str,
+    c: &RouterCounters,
+    rec: &FlightRecorder,
+    node: NodeId,
+) {
     snap.push_counter(format!("{prefix}.forwarded"), c.forwarded);
-    snap.push_counter(format!("{prefix}.delivered_local"), c.delivered_local);
+    snap.push_counter(format!("{prefix}.delivered_local"), rec.node_absorbed(node.0));
     snap.push_counter(format!("{prefix}.label_ops"), c.label_ops);
     snap.push_counter(format!("{prefix}.lpm_lookups"), c.lpm_lookups);
-    snap.push_counter(format!("{prefix}.dropped.no_route"), c.dropped_no_route);
-    snap.push_counter(format!("{prefix}.dropped.ttl"), c.dropped_ttl);
-    snap.push_counter(format!("{prefix}.dropped.policer"), c.dropped_policer);
-    snap.push_counter(format!("{prefix}.dropped.vrf_miss"), c.dropped_vrf_miss);
+    for cause in [DropCause::NoRoute, DropCause::Ttl, DropCause::Policer, DropCause::VrfMiss] {
+        snap.push_counter(format!("{prefix}.dropped.{cause}"), rec.node_total(node.0, cause));
+    }
 }
 
 /// Pushes one LFIB's operation counters into `snap` under `prefix.lfib.`.
@@ -68,9 +78,9 @@ fn push_lfib_stats(snap: &mut MetricsSnapshot, prefix: &str, lfib: &netsim_mpls:
 }
 
 impl ProviderNetwork {
-    /// The shared drop-cause flight recorder (always attached).
+    /// The engine's drop-cause flight recorder (always attached).
     pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
+        self.net.recorder().expect("BackboneBuilder::build attaches a flight recorder")
     }
 
     /// The metrics registry; experiments can register extra series on it.
@@ -144,9 +154,10 @@ impl ProviderNetwork {
     /// per-LFIB counters, per-link class breakdowns, and the SLA probe
     /// table.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let rec = self.recorder();
         let mut snap = MetricsSnapshot::new(self.net.now());
         snap.merge_registry(&self.registry);
-        snap.merge_causes(&self.recorder);
+        snap.merge_causes(rec);
         snap.gauges.push(("sim.queued_packets".to_owned(), self.net.queued_packets() as i64));
 
         // Backbone routers, in topology-node order.
@@ -155,19 +166,19 @@ impl ProviderNetwork {
             if let Some(k) = self.pes.iter().position(|&p| p == u) {
                 let pe = self.net.node_ref::<PeRouter>(id);
                 let name = format!("pe{k}");
-                push_router_counters(&mut snap, &name, &pe.counters);
+                push_router_counters(&mut snap, &name, &pe.counters, rec, id);
                 push_lfib_stats(&mut snap, &name, &pe.lfib);
             } else {
                 let p = self.net.node_ref::<CoreRouter>(id);
                 let name = format!("p{u}");
-                push_router_counters(&mut snap, &name, &p.counters);
+                push_router_counters(&mut snap, &name, &p.counters, rec, id);
                 push_lfib_stats(&mut snap, &name, &p.lfib);
             }
         }
         // CE routers, in site order.
         for (i, s) in self.sites.iter().enumerate() {
             let ce = self.net.node_ref::<CeRouter>(s.ce);
-            push_router_counters(&mut snap, &format!("ce.site{i}"), &ce.counters);
+            push_router_counters(&mut snap, &format!("ce.site{i}"), &ce.counters, rec, s.ce);
         }
         // Backbone links: totals always, class breakdown only where a
         // class saw traffic (keeps snapshots readable on big topologies).

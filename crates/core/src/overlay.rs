@@ -16,6 +16,7 @@ use std::any::Any;
 use std::collections::HashMap;
 
 use netsim_net::{Layer, LpmTrie, Pkt, Prefix, VcHeader};
+use netsim_obs::{DropCause, FlightRecorder};
 use netsim_qos::Nanos;
 use netsim_routing::{Igp, Topology};
 use netsim_sim::{Ctx, IfaceId, LinkConfig, LinkId, Network, NodeId, Sink};
@@ -47,13 +48,11 @@ impl VcSwitch {
 impl netsim_sim::Node for VcSwitch {
     fn on_packet(&mut self, iface: IfaceId, mut pkt: Pkt, ctx: &mut Ctx) {
         let Some(Layer::Vc(vc)) = pkt.outer() else {
-            self.counters.dropped_no_route += 1;
-            return;
+            return ctx.discard(pkt, DropCause::NoRoute);
         };
         let de = vc.discard_eligible;
         let Some(&(out_iface, out_vc)) = self.table.get(&(iface.0, vc.vc_id)) else {
-            self.counters.dropped_no_route += 1;
-            return;
+            return ctx.discard(pkt, DropCause::NoRoute);
         };
         if let Some(Layer::Vc(v)) = pkt.outer_mut() {
             *v = VcHeader::new(out_vc, de);
@@ -108,8 +107,7 @@ impl netsim_sim::Node for VcEdge {
                 pkt.pop_outer();
             }
             let Some(dst) = pkt.outer_ipv4().map(|h| h.dst) else {
-                self.counters.dropped_no_route += 1;
-                return;
+                return ctx.discard(pkt, DropCause::NoRoute);
             };
             self.counters.lpm_lookups += 1;
             match self.local.lookup(dst) {
@@ -117,18 +115,16 @@ impl netsim_sim::Node for VcEdge {
                     self.counters.forwarded += 1;
                     ctx.send(IfaceId(out), pkt);
                 }
-                None => self.counters.dropped_no_route += 1,
+                None => ctx.discard(pkt, DropCause::NoRoute),
             }
             return;
         }
         // Upstream from a host: map to a PVC.
         let Some(hdr) = pkt.outer_ipv4_mut() else {
-            self.counters.dropped_no_route += 1;
-            return;
+            return ctx.discard(pkt, DropCause::NoRoute);
         };
         if !hdr.decrement_ttl() {
-            self.counters.dropped_ttl += 1;
-            return;
+            return ctx.discard(pkt, DropCause::Ttl);
         }
         let dst = hdr.dst;
         if let Some(&out) = self.local.lookup(dst) {
@@ -138,8 +134,7 @@ impl netsim_sim::Node for VcEdge {
         }
         self.counters.lpm_lookups += 1;
         let Some(&vc) = self.pvc_map.lookup(dst) else {
-            self.counters.dropped_no_route += 1;
-            return;
+            return ctx.discard(pkt, DropCause::NoRoute);
         };
         pkt.push_outer(Layer::Vc(VcHeader::new(vc, false)));
         self.counters.forwarded += 1;
@@ -193,6 +188,7 @@ impl OverlayNetwork {
     pub fn build(topo: Topology, link_delay_ns: Nanos) -> Self {
         let igp = Igp::converge(&topo);
         let mut net = Network::new();
+        net.set_recorder(FlightRecorder::default());
         let node_ids: Vec<NodeId> = (0..topo.node_count())
             .map(|u| net.add_node(Box::new(VcSwitch::new(format!("SW{u}")))))
             .collect();
@@ -386,7 +382,8 @@ mod tests {
         ov.net.run_until(SEC);
         assert_eq!(ov.net.node_ref::<Sink>(sink).total_packets, 0);
         let edge = ov.sites[a.0].edge;
-        assert_eq!(ov.net.node_ref::<VcEdge>(edge).counters.dropped_no_route, 10);
+        let rec = ov.net.recorder().expect("overlay attaches a recorder");
+        assert_eq!(rec.node_total(edge.0, DropCause::NoRoute), 10);
     }
 
     #[test]

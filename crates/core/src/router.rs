@@ -15,7 +15,7 @@ use std::any::Any;
 use netsim_mpls::lfib::{LfibVerdict, LOCAL_IFACE};
 use netsim_mpls::{FtnEntry, Lfib};
 use netsim_net::{Dscp, Ip, Layer, LpmCache, LpmTrie, MplsLabel, Packet, Pkt, Prefix};
-use netsim_obs::{Counter, DropCause, FlightRecorder};
+use netsim_obs::{Counter, DropCause};
 use netsim_qos::{Color, ExpMap, MarkingPolicy, SrTcm};
 use netsim_sim::{Ctx, FxHashMap, IfaceId, Node};
 
@@ -38,7 +38,10 @@ fn decode_iface_token(token: u64) -> Option<(usize, bool)> {
     Some((((token & !(1u64 << 63)) >> 1) as usize, token & 1 == 1))
 }
 
-/// Forwarding counters shared by all router roles.
+/// Forwarding counters shared by all router roles. A packet a router
+/// drops or absorbs is not counted here: the handler passes it to
+/// [`Ctx::discard`] or [`Ctx::absorb`], and the network's flight recorder
+/// tallies it against this router.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RouterCounters {
     /// Packets forwarded.
@@ -47,34 +50,6 @@ pub struct RouterCounters {
     pub label_ops: u64,
     /// Longest-prefix-match lookups performed.
     pub lpm_lookups: u64,
-    /// Packets dropped: no route / no label entry.
-    pub dropped_no_route: u64,
-    /// Packets dropped: TTL expired.
-    pub dropped_ttl: u64,
-    /// Packets dropped by the edge policer.
-    pub dropped_policer: u64,
-    /// Packets carrying a VPN label (or inner destination) this PE has no
-    /// VRF state for — the isolation drop, kept separate from plain
-    /// routing misses so a leak attempt is visible as such.
-    pub dropped_vrf_miss: u64,
-    /// Packets that arrived addressed to this device (absorbed).
-    pub delivered_local: u64,
-}
-
-/// Records a drop into an optional flight recorder (routers carry
-/// `Option<FlightRecorder>` so standalone unit setups pay one branch).
-fn record_drop(rec: &Option<FlightRecorder>, now: u64, pkt: &Packet, cause: DropCause) {
-    if let Some(r) = rec {
-        r.record(now, pkt.meta.flow, pkt.meta.seq, cause);
-    }
-}
-
-/// Records a local absorption (the packet terminated here by design, not
-/// by failure) so conservation checks can separate the two.
-fn record_absorbed(rec: &Option<FlightRecorder>, pkt: &Packet) {
-    if let Some(r) = rec {
-        r.record_absorbed(pkt.meta.flow);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -95,8 +70,6 @@ pub struct CoreRouter {
     pub counters: RouterCounters,
     /// Optional hop trace.
     pub trace: Option<TraceLog>,
-    /// Optional drop-cause flight recorder (shared with the network's).
-    pub recorder: Option<FlightRecorder>,
     /// The control database, attached only under `ControlMode::InBand`.
     control: Option<ControlHandle>,
     /// This router's backbone topology node id (only meaningful when
@@ -113,7 +86,6 @@ impl CoreRouter {
             fib: LpmTrie::new(),
             counters: RouterCounters::default(),
             trace: None,
-            recorder: None,
             control: None,
             topo_id: usize::MAX,
         }
@@ -132,28 +104,17 @@ impl CoreRouter {
         self
     }
 
-    /// Attaches a drop-cause flight recorder.
-    pub fn set_recorder(&mut self, rec: FlightRecorder) {
-        self.recorder = Some(rec);
-    }
-
     fn forward_ip(&mut self, mut pkt: Pkt, ctx: &mut Ctx) {
         self.counters.lpm_lookups += 1;
         let Some(hdr) = pkt.outer_ipv4_mut() else {
-            self.counters.dropped_no_route += 1;
-            record_drop(&self.recorder, ctx.now(), &pkt, DropCause::NoRoute);
-            return;
+            return ctx.discard(pkt, DropCause::NoRoute);
         };
         if !hdr.decrement_ttl() {
-            self.counters.dropped_ttl += 1;
-            record_drop(&self.recorder, ctx.now(), &pkt, DropCause::Ttl);
-            return;
+            return ctx.discard(pkt, DropCause::Ttl);
         }
         let dst = hdr.dst;
         let Some(&out) = self.fib.lookup(dst) else {
-            self.counters.dropped_no_route += 1;
-            record_drop(&self.recorder, ctx.now(), &pkt, DropCause::NoRoute);
-            return;
+            return ctx.discard(pkt, DropCause::NoRoute);
         };
         self.counters.forwarded += 1;
         if let Some(t) = &self.trace {
@@ -200,18 +161,9 @@ impl Node for CoreRouter {
                 }
                 ctx.send(IfaceId(out_iface), pkt);
             }
-            LfibVerdict::PoppedToLocal => {
-                self.counters.delivered_local += 1;
-                record_absorbed(&self.recorder, &pkt);
-            }
-            LfibVerdict::TtlExpired => {
-                self.counters.dropped_ttl += 1;
-                record_drop(&self.recorder, ctx.now(), &pkt, DropCause::Ttl);
-            }
-            LfibVerdict::NoEntry | LfibVerdict::NotLabeled => {
-                self.counters.dropped_no_route += 1;
-                record_drop(&self.recorder, ctx.now(), &pkt, DropCause::NoRoute);
-            }
+            LfibVerdict::PoppedToLocal => ctx.absorb(pkt),
+            LfibVerdict::TtlExpired => ctx.discard(pkt, DropCause::Ttl),
+            LfibVerdict::NoEntry | LfibVerdict::NotLabeled => ctx.discard(pkt, DropCause::NoRoute),
         }
     }
 
@@ -362,8 +314,6 @@ pub struct PeRouter {
     pub counters: RouterCounters,
     /// Optional hop trace.
     pub trace: Option<TraceLog>,
-    /// Optional drop-cause flight recorder (shared with the network's).
-    pub recorder: Option<FlightRecorder>,
     /// The control database, attached only under `ControlMode::InBand`.
     control: Option<ControlHandle>,
     /// This router's backbone topology node id (only meaningful when
@@ -386,7 +336,6 @@ impl PeRouter {
             policers: FxHashMap::default(),
             counters: RouterCounters::default(),
             trace: None,
-            recorder: None,
             control: None,
             topo_id: usize::MAX,
         }
@@ -403,11 +352,6 @@ impl PeRouter {
     pub fn with_trace(mut self, t: TraceLog) -> Self {
         self.trace = Some(t);
         self
-    }
-
-    /// Attaches a drop-cause flight recorder.
-    pub fn set_recorder(&mut self, rec: FlightRecorder) {
-        self.recorder = Some(rec);
     }
 
     /// Adds a VRF, returning its index.
@@ -494,19 +438,13 @@ impl PeRouter {
 
     fn handle_customer(&mut self, in_iface: usize, vrf: usize, mut pkt: Pkt, ctx: &mut Ctx) {
         if !self.police(in_iface, &mut pkt, ctx.now()) {
-            self.counters.dropped_policer += 1;
-            record_drop(&self.recorder, ctx.now(), &pkt, DropCause::Policer);
-            return;
+            return ctx.discard(pkt, DropCause::Policer);
         }
         let Some(hdr) = pkt.outer_ipv4_mut() else {
-            self.counters.dropped_no_route += 1;
-            record_drop(&self.recorder, ctx.now(), &pkt, DropCause::NoRoute);
-            return;
+            return ctx.discard(pkt, DropCause::NoRoute);
         };
         if !hdr.decrement_ttl() {
-            self.counters.dropped_ttl += 1;
-            record_drop(&self.recorder, ctx.now(), &pkt, DropCause::Ttl);
-            return;
+            return ctx.discard(pkt, DropCause::Ttl);
         }
         let (dst, dscp, ttl) = (hdr.dst, hdr.dscp, hdr.ttl);
         self.counters.lpm_lookups += 1;
@@ -515,9 +453,7 @@ impl PeRouter {
         // allocation on the forwarding fast path.
         let VrfFib { fib, ingress_cache, .. } = &mut self.vrfs[vrf];
         let Some(route) = fib.lookup_cached(dst, ingress_cache) else {
-            self.counters.dropped_no_route += 1;
-            record_drop(&self.recorder, ctx.now(), &pkt, DropCause::NoRoute);
-            return;
+            return ctx.discard(pkt, DropCause::NoRoute);
         };
         match route {
             VrfRoute::Local { out_iface } => {
@@ -536,9 +472,7 @@ impl PeRouter {
             }
             VrfRoute::Remote { vpn_label, .. } => {
                 let Some(tunnel) = PeRouter::resolve_tunnel(&self.tunnels, route) else {
-                    self.counters.dropped_no_route += 1;
-                    record_drop(&self.recorder, ctx.now(), &pkt, DropCause::NoRoute);
-                    return;
+                    return ctx.discard(pkt, DropCause::NoRoute);
                 };
                 // §5: map the CPE's DiffServ marking into the MPLS QoS field.
                 let exp = self.exp_map.exp_of(dscp);
@@ -577,22 +511,16 @@ impl PeRouter {
 
     fn dispatch_vpn_label(&mut self, mut pkt: Pkt, ctx: &mut Ctx) {
         let Some(top) = pkt.top_label() else {
-            self.counters.dropped_no_route += 1;
-            record_drop(&self.recorder, ctx.now(), &pkt, DropCause::NoRoute);
-            return;
+            return ctx.discard(pkt, DropCause::NoRoute);
         };
         let Some(&vrf) = self.vpn_ilm.get(&top.label) else {
             // Unknown VPN label: an isolation drop, not a routing miss.
-            self.counters.dropped_vrf_miss += 1;
-            record_drop(&self.recorder, ctx.now(), &pkt, DropCause::VrfMiss);
-            return;
+            return ctx.discard(pkt, DropCause::VrfMiss);
         };
         pkt.pop_outer();
         self.counters.label_ops += 1;
         let Some(dst) = pkt.outer_ipv4().map(|h| h.dst) else {
-            self.counters.dropped_no_route += 1;
-            record_drop(&self.recorder, ctx.now(), &pkt, DropCause::NoRoute);
-            return;
+            return ctx.discard(pkt, DropCause::NoRoute);
         };
         self.counters.lpm_lookups += 1;
         let VrfFib { fib, egress_cache, .. } = &mut self.vrfs[vrf];
@@ -613,8 +541,7 @@ impl PeRouter {
             _ => {
                 // A VPN label must terminate at a local site; anything else
                 // is a misdelivery and is dropped (isolation property).
-                self.counters.dropped_vrf_miss += 1;
-                record_drop(&self.recorder, ctx.now(), &pkt, DropCause::VrfMiss);
+                ctx.discard(pkt, DropCause::VrfMiss);
             }
         }
     }
@@ -623,9 +550,7 @@ impl PeRouter {
         let Some(top) = pkt.top_label() else {
             // Unlabeled traffic from the core is addressed to the PE
             // itself (control plane) in this architecture.
-            self.counters.delivered_local += 1;
-            record_absorbed(&self.recorder, &pkt);
-            return;
+            return ctx.absorb(pkt);
         };
         if self.lfib.lookup(top.label).is_some() {
             // Transit LSR role (or non-PHP tunnel egress).
@@ -644,14 +569,8 @@ impl PeRouter {
                     // this PE) or the VPN label — re-run the split.
                     self.handle_core(pkt, ctx);
                 }
-                LfibVerdict::TtlExpired => {
-                    self.counters.dropped_ttl += 1;
-                    record_drop(&self.recorder, ctx.now(), &pkt, DropCause::Ttl);
-                }
-                _ => {
-                    self.counters.dropped_no_route += 1;
-                    record_drop(&self.recorder, ctx.now(), &pkt, DropCause::NoRoute);
-                }
+                LfibVerdict::TtlExpired => ctx.discard(pkt, DropCause::Ttl),
+                _ => ctx.discard(pkt, DropCause::NoRoute),
             }
         } else {
             // PHP already removed the tunnel label: top is the VPN label.
@@ -676,10 +595,7 @@ impl Node for PeRouter {
         match self.iface_roles.get(iface.0).copied() {
             Some(PeIfaceRole::Customer { vrf }) => self.handle_customer(iface.0, vrf, pkt, ctx),
             Some(PeIfaceRole::Core) => self.handle_core(pkt, ctx),
-            None => {
-                self.counters.dropped_no_route += 1;
-                record_drop(&self.recorder, ctx.now(), &pkt, DropCause::NoRoute);
-            }
+            None => ctx.discard(pkt, DropCause::NoRoute),
         }
     }
 
@@ -731,8 +647,6 @@ pub struct CeRouter {
     pub counters: RouterCounters,
     /// Optional hop trace.
     pub trace: Option<TraceLog>,
-    /// Optional drop-cause flight recorder (shared with the network's).
-    pub recorder: Option<FlightRecorder>,
 }
 
 impl CeRouter {
@@ -746,7 +660,6 @@ impl CeRouter {
             marking,
             counters: RouterCounters::default(),
             trace: None,
-            recorder: None,
         }
     }
 
@@ -754,11 +667,6 @@ impl CeRouter {
     pub fn with_trace(mut self, t: TraceLog) -> Self {
         self.trace = Some(t);
         self
-    }
-
-    /// Attaches a drop-cause flight recorder.
-    pub fn set_recorder(&mut self, rec: FlightRecorder) {
-        self.recorder = Some(rec);
     }
 
     /// Registers a host route: `prefix` lives on local interface `iface`.
@@ -786,21 +694,16 @@ impl CeRouter {
 impl Node for CeRouter {
     fn on_packet(&mut self, iface: IfaceId, mut pkt: Pkt, ctx: &mut Ctx) {
         let Some(hdr) = pkt.outer_ipv4_mut() else {
-            self.counters.dropped_no_route += 1;
-            record_drop(&self.recorder, ctx.now(), &pkt, DropCause::NoRoute);
-            return;
+            return ctx.discard(pkt, DropCause::NoRoute);
         };
         if !hdr.decrement_ttl() {
-            self.counters.dropped_ttl += 1;
-            record_drop(&self.recorder, ctx.now(), &pkt, DropCause::Ttl);
-            return;
+            return ctx.discard(pkt, DropCause::Ttl);
         }
         let dst = hdr.dst;
         if iface.0 == self.uplink {
             // Downstream: from the provider into the site.
             if let Some(pkt) = self.deliver_local(dst, pkt, ctx) {
-                self.counters.dropped_no_route += 1;
-                record_drop(&self.recorder, ctx.now(), &pkt, DropCause::NoRoute);
+                ctx.discard(pkt, DropCause::NoRoute);
             }
             return;
         }
@@ -849,11 +752,20 @@ mod tests {
     use netsim_mpls::lfib::{LabelOp, Nhlfe};
     use netsim_net::addr::{ip, pfx};
     use netsim_net::ip::proto;
+    use netsim_obs::FlightRecorder;
     use netsim_qos::MatchRule;
     use netsim_sim::{LinkConfig, Network, Sink};
 
     fn fast() -> LinkConfig {
         LinkConfig::new(1_000_000_000, 1000)
+    }
+
+    /// A network with a flight recorder attached, and a reader of it.
+    fn recorded_network() -> (Network, FlightRecorder) {
+        let mut net = Network::new();
+        let rec = FlightRecorder::default();
+        net.set_recorder(rec.clone());
+        (net, rec)
     }
 
     /// Hand-built two-PE network: host→CE0→PE0→P→PE1→CE1→sink, PHP mode.
@@ -928,7 +840,7 @@ mod tests {
     fn pe_drops_unknown_vpn_label() {
         let mut pe = PeRouter::new("PE", Lfib::new(), 1);
         pe.add_vrf("x");
-        let mut net = Network::new();
+        let (mut net, rec) = recorded_network();
         let pe_id = net.add_node(Box::new(pe));
         let peer = net.add_node(Box::new(netsim_sim::node::BlackHole::default()));
         net.connect(pe_id, peer, fast());
@@ -936,9 +848,9 @@ mod tests {
         pkt.push_outer(Layer::Mpls(MplsLabel::new(999, 0, 64)));
         net.inject(peer, IfaceId(0), pkt);
         net.run_to_quiescence();
-        let c = net.node_ref::<PeRouter>(pe_id).counters;
-        assert_eq!(c.dropped_vrf_miss, 1, "unknown VPN label is an isolation drop");
-        assert_eq!(c.dropped_no_route, 0);
+        let n = pe_id.0;
+        assert_eq!(rec.node_total(n, DropCause::VrfMiss), 1, "an isolation drop");
+        assert_eq!(rec.node_total(n, DropCause::NoRoute), 0);
     }
 
     #[test]
@@ -990,7 +902,7 @@ mod tests {
         let mut p_lfib = Lfib::new();
         p_lfib.install(7, Nhlfe { op: LabelOp::Swap(8), out_iface: 0 });
         let p = CoreRouter::new("P", p_lfib);
-        let mut net = Network::new();
+        let (mut net, rec) = recorded_network();
         let p_id = net.add_node(Box::new(p));
         let peer = net.add_node(Box::new(netsim_sim::node::BlackHole::default()));
         net.connect(p_id, peer, fast());
@@ -999,7 +911,7 @@ mod tests {
         net.inject(peer, IfaceId(0), pkt);
         net.run_to_quiescence();
         let pr = net.node_ref::<CoreRouter>(p_id);
-        assert_eq!(pr.counters.dropped_ttl, 1);
+        assert_eq!(rec.node_total(p_id.0, DropCause::Ttl), 1);
         assert_eq!(pr.counters.forwarded, 0);
     }
 
@@ -1007,7 +919,7 @@ mod tests {
     /// never panicking or leaking.
     #[test]
     fn routers_absorb_garbage_gracefully() {
-        let mut net = Network::new();
+        let (mut net, rec) = recorded_network();
         let mut pe = PeRouter::new("PE", Lfib::new(), 1);
         let v = pe.add_vrf("x");
         pe.attach_customer_iface(v);
@@ -1039,9 +951,10 @@ mod tests {
 
         let per = net.node_ref::<PeRouter>(pe_id);
         assert_eq!(per.counters.forwarded, 0);
-        assert_eq!(per.counters.delivered_local, 1, "unlabeled core packet absorbed");
-        assert_eq!(per.counters.dropped_no_route, 2, "junk + unroutable");
-        assert_eq!(per.counters.dropped_ttl, 1);
+        let n = pe_id.0;
+        assert_eq!(rec.node_absorbed(n), 1, "unlabeled core packet absorbed");
+        assert_eq!(rec.node_total(n, DropCause::NoRoute), 2, "junk + unroutable");
+        assert_eq!(rec.node_total(n, DropCause::Ttl), 1);
     }
 
     #[test]
@@ -1052,7 +965,7 @@ mod tests {
         pe.install_local_route(v, pfx("10.2.0.0/16"), cust); // hairpin for test
         pe.set_policer(cust, SrTcm::new(8_000_000, 500, 500));
 
-        let mut net = Network::new();
+        let (mut net, rec) = recorded_network();
         let pe_id = net.add_node(Box::new(pe));
         let ce = net.add_node(Box::new(Sink::new()));
         net.connect(pe_id, ce, fast()); // customer iface 0
@@ -1063,7 +976,7 @@ mod tests {
         net.run_to_quiescence();
         let per = net.node_ref::<PeRouter>(pe_id);
         // 500 B wire each: first green, second yellow (demoted), third red.
-        assert_eq!(per.counters.dropped_policer, 1);
+        assert_eq!(rec.node_total(pe_id.0, DropCause::Policer), 1);
         assert_eq!(per.counters.forwarded, 2);
         let sink = net.node_ref::<Sink>(ce);
         assert_eq!(sink.total_packets, 2);

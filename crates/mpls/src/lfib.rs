@@ -8,7 +8,7 @@
 //! the LPM trie.
 
 use netsim_net::{Layer, MplsLabel, Packet};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 
 /// Forwarding-plane counters of one LFIB.
 ///
@@ -129,8 +129,6 @@ pub struct Lfib {
     any_down: bool,
     /// Forwarding counters (interior-mutable; see [`LfibStats`]).
     stats: LfibStats,
-    /// Per-entry hit counts, indexed like `ilm` by incoming label.
-    hits: RefCell<Vec<u64>>,
 }
 
 impl Lfib {
@@ -175,12 +173,6 @@ impl Lfib {
         &self.stats
     }
 
-    /// How many packets matched the ILM entry for `in_label` in
-    /// [`Lfib::forward`] (0 for labels never installed or never hit).
-    pub fn entry_hits(&self, in_label: u32) -> u64 {
-        self.hits.borrow().get(in_label as usize).copied().unwrap_or(0)
-    }
-
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.entries == 0
@@ -202,19 +194,9 @@ impl Lfib {
         self.protection[out_iface] = Some(bypass);
     }
 
-    /// Removes the bypass protecting `out_iface`, returning it if present.
-    pub fn remove_protection(&mut self, out_iface: usize) -> Option<FtnEntry> {
-        self.protection.get_mut(out_iface)?.take()
-    }
-
     /// The bypass protecting `out_iface`, if any.
     pub fn protection(&self, out_iface: usize) -> Option<&FtnEntry> {
         self.protection.get(out_iface)?.as_ref()
-    }
-
-    /// Interfaces that currently have a bypass installed.
-    pub fn protected_ifaces(&self) -> impl Iterator<Item = usize> + '_ {
-        self.protection.iter().enumerate().filter_map(|(i, p)| p.as_ref().map(|_| i))
     }
 
     /// Records the local failure detector's view of an interface. Marking
@@ -282,14 +264,6 @@ impl Lfib {
         let Some(nhlfe) = self.lookup(top.label) else {
             return LfibVerdict::NoEntry;
         };
-        {
-            let mut hits = self.hits.borrow_mut();
-            let idx = top.label as usize;
-            if idx >= hits.len() {
-                hits.resize(idx + 1, 0);
-            }
-            hits[idx] += 1;
-        }
         // TTL processing: decrement the top entry; expiry drops the packet.
         let mut top = top;
         if !top.decrement_ttl() {
@@ -476,18 +450,16 @@ mod tests {
         let mut lfib = Lfib::new();
         lfib.install_protection(4, FtnEntry { push: vec![1], out_iface: 0 });
         lfib.install_protection(9, FtnEntry { push: vec![2], out_iface: 1 });
-        assert_eq!(lfib.protected_ifaces().collect::<Vec<_>>(), vec![4, 9]);
-        assert!(lfib.protection(4).is_some());
-        assert!(lfib.remove_protection(4).is_some());
-        assert!(lfib.remove_protection(4).is_none());
-        assert_eq!(lfib.protected_ifaces().collect::<Vec<_>>(), vec![9]);
+        assert_eq!(lfib.protection(4).map(|b| b.out_iface), Some(0));
+        assert_eq!(lfib.protection(9).map(|b| b.out_iface), Some(1));
+        assert!(lfib.protection(5).is_none() && lfib.protection(1000).is_none());
         // Marking an out-of-range iface up is a no-op, not a panic.
         lfib.set_iface_down(1000, false);
         assert!(!lfib.iface_down(1000));
     }
 
     #[test]
-    fn stats_count_ops_and_entry_hits() {
+    fn stats_count_ops() {
         let mut lfib = Lfib::new();
         lfib.install(100, Nhlfe { op: LabelOp::Swap(200), out_iface: 3 });
         lfib.install(77, Nhlfe { op: LabelOp::Pop, out_iface: 2 });
@@ -504,9 +476,6 @@ mod tests {
         assert_eq!(lfib.stats().pops(), 1);
         assert_eq!(lfib.stats().pushes(), 1);
         assert_eq!(lfib.stats().bypass_activations(), 0);
-        assert_eq!(lfib.entry_hits(100), 3);
-        assert_eq!(lfib.entry_hits(77), 1);
-        assert_eq!(lfib.entry_hits(999), 0, "never-installed label has no hits");
     }
 
     #[test]

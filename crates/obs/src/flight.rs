@@ -30,15 +30,49 @@ struct Inner {
     /// (control traffic, PHP egress absorption) — not drops, but tracked
     /// per flow so conservation closes: sent = delivered + drops + absorbed.
     absorbed: BTreeMap<u64, u64>,
+    /// Per-node tallies of the drops and absorptions a node handler
+    /// reported, indexed by node id (grown on first report).
+    by_node: Vec<NodeTally>,
+}
+
+/// What one node's handler terminated: drops by cause, and absorptions.
+#[derive(Clone, Copy, Default)]
+struct NodeTally {
+    drops: [u64; DropCause::COUNT],
+    absorbed: u64,
+}
+
+impl Inner {
+    fn push(&mut self, rec: DropRecord) {
+        if self.ring.len() == self.cap {
+            self.ring.pop_front();
+        }
+        self.ring.push_back(rec);
+        self.totals[rec.cause.index()] += 1;
+        self.by_flow.entry(rec.flow).or_insert([0; DropCause::COUNT])[rec.cause.index()] += 1;
+    }
+
+    fn node_mut(&mut self, node: usize) -> &mut NodeTally {
+        if node >= self.by_node.len() {
+            self.by_node.resize(node + 1, NodeTally::default());
+        }
+        &mut self.by_node[node]
+    }
+
+    fn node(&self, node: usize) -> NodeTally {
+        self.by_node.get(node).copied().unwrap_or_default()
+    }
 }
 
 /// A cloneable, shareable drop recorder.
 ///
 /// Cloning shares the underlying state (the [`crate::Counter`] idiom):
-/// the simulation engine and every router hold handles to the same
-/// recorder, and any of them — or the test harness — can read the tallies.
-/// The ring keeps only the most recent `cap` records; the per-cause and
-/// per-flow totals are exact forever.
+/// the simulation engine writes through its handle, and the test harness
+/// or an experiment reads the tallies through a clone. Drops a node
+/// handler reports are also tallied against that node, so per-device loss
+/// comes from the same ledger as the per-cause and per-flow totals.
+/// The ring keeps only the most recent `cap` records; the per-cause,
+/// per-flow and per-node totals are exact forever.
 #[derive(Clone)]
 pub struct FlightRecorder {
     inner: Rc<RefCell<Inner>>,
@@ -71,25 +105,29 @@ impl FlightRecorder {
                 totals: [0; DropCause::COUNT],
                 by_flow: BTreeMap::new(),
                 absorbed: BTreeMap::new(),
+                by_node: Vec::new(),
             })),
         }
     }
 
-    /// Records one drop.
+    /// Records one drop that no node handler reported (a link dropped it).
     pub fn record(&self, at: u64, flow: u64, seq: u64, cause: DropCause) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.ring.len() == inner.cap {
-            inner.ring.pop_front();
-        }
-        inner.ring.push_back(DropRecord { at, flow, seq, cause });
-        inner.totals[cause.index()] += 1;
-        inner.by_flow.entry(flow).or_insert([0; DropCause::COUNT])[cause.index()] += 1;
+        self.inner.borrow_mut().push(DropRecord { at, flow, seq, cause });
     }
 
-    /// Records a packet absorbed (delivered locally) at a router — a
-    /// legitimate termination, tallied separately from drops.
-    pub fn record_absorbed(&self, flow: u64) {
-        *self.inner.borrow_mut().absorbed.entry(flow).or_insert(0) += 1;
+    /// Records one drop reported by the handler of node `node`.
+    pub fn record_at(&self, node: usize, at: u64, flow: u64, seq: u64, cause: DropCause) {
+        let mut inner = self.inner.borrow_mut();
+        inner.push(DropRecord { at, flow, seq, cause });
+        inner.node_mut(node).drops[cause.index()] += 1;
+    }
+
+    /// Records a packet of `flow` absorbed (delivered locally) at node
+    /// `node` — a legitimate termination, tallied separately from drops.
+    pub fn record_absorbed(&self, node: usize, flow: u64) {
+        let mut inner = self.inner.borrow_mut();
+        *inner.absorbed.entry(flow).or_insert(0) += 1;
+        inner.node_mut(node).absorbed += 1;
     }
 
     /// Total drops recorded for `cause`.
@@ -115,6 +153,16 @@ impl FlightRecorder {
     /// Total drops for one flow.
     pub fn flow_drops(&self, flow: u64) -> u64 {
         self.flow_causes(flow).iter().sum()
+    }
+
+    /// Drops for `cause` reported by the handler of node `node`.
+    pub fn node_total(&self, node: usize, cause: DropCause) -> u64 {
+        self.inner.borrow().node(node).drops[cause.index()]
+    }
+
+    /// Packets absorbed at node `node`.
+    pub fn node_absorbed(&self, node: usize) -> u64 {
+        self.inner.borrow().node(node).absorbed
     }
 
     /// Packets of `flow` absorbed at a local plane.
@@ -163,6 +211,7 @@ impl FlightRecorder {
         inner.totals = [0; DropCause::COUNT];
         inner.by_flow.clear();
         inner.absorbed.clear();
+        inner.by_node.clear();
     }
 }
 
@@ -196,11 +245,28 @@ mod tests {
     #[test]
     fn absorbed_is_not_a_drop() {
         let r = FlightRecorder::new(4);
-        r.record_absorbed(5);
-        r.record_absorbed(5);
+        r.record_absorbed(3, 5);
+        r.record_absorbed(3, 5);
         assert_eq!(r.absorbed_of(5), 2);
         assert_eq!(r.absorbed_total(), 2);
+        assert_eq!(r.node_absorbed(3), 2);
         assert_eq!(r.total_drops(), 0);
+    }
+
+    #[test]
+    fn node_drops_are_tallied_per_node_and_overall() {
+        let r = FlightRecorder::new(4);
+        r.record_at(2, 0, 9, 0, DropCause::Ttl);
+        r.record_at(2, 1, 9, 1, DropCause::NoRoute);
+        r.record_at(0, 2, 9, 2, DropCause::Ttl);
+        r.record(3, 9, 3, DropCause::QueueOverflow);
+        assert_eq!(r.node_total(2, DropCause::Ttl), 1);
+        assert_eq!(r.node_total(2, DropCause::NoRoute), 1);
+        assert_eq!(r.node_total(0, DropCause::Ttl), 1);
+        assert_eq!(r.node_total(1, DropCause::Ttl), 0, "a silent node has no drops");
+        assert_eq!(r.node_total(99, DropCause::Ttl), 0, "an unseen node has no drops");
+        assert_eq!(r.total(DropCause::Ttl), 2);
+        assert_eq!(r.flow_drops(9), 4, "node and link drops share the per-flow ledger");
     }
 
     #[test]
@@ -213,10 +279,12 @@ mod tests {
     #[test]
     fn clear_resets_everything() {
         let r = FlightRecorder::new(4);
-        r.record(0, 1, 0, DropCause::Policer);
-        r.record_absorbed(1);
+        r.record_at(0, 0, 1, 0, DropCause::Policer);
+        r.record_absorbed(0, 1);
         r.clear();
         assert!(r.is_empty());
         assert_eq!(r.absorbed_total(), 0);
+        assert_eq!(r.node_total(0, DropCause::Policer), 0);
+        assert_eq!(r.node_absorbed(0), 0);
     }
 }

@@ -10,8 +10,9 @@
 //!   counted pointer dereference and an add — never a string lookup, never
 //!   an allocation.
 //! * [`FlightRecorder`] — a fixed-size ring of the most recent drops plus
-//!   exact per-cause and per-flow totals, replacing bare "dropped" counts
-//!   with *why* ([`DropCause`]) and *who* (flow id).
+//!   exact per-cause, per-flow and per-node totals, replacing bare
+//!   "dropped" counts with *why* ([`DropCause`]), *who* (flow id) and
+//!   *where* (the node whose handler dropped it).
 //! * [`Histogram`] — the log₂-bucketed duration histogram shared by flow
 //!   statistics and registry handles.
 //! * [`MetricsSnapshot`] — a point-in-time export of all of the above,

@@ -50,7 +50,6 @@ struct TreeNode {
     /// Queue, present only on leaves.
     q: Option<VecDeque<Pkt>>,
     bytes: usize,
-    drops: u64,
 }
 
 /// The hierarchical CBQ discipline. Packets are classified to *leaves* by
@@ -84,13 +83,7 @@ impl HierCbq {
             .into_iter()
             .map(|cfg| {
                 let burst = (cfg.rate_bps / 80).max(3200);
-                TreeNode {
-                    bucket: TokenBucket::new(cfg.rate_bps, burst),
-                    cfg,
-                    q: None,
-                    bytes: 0,
-                    drops: 0,
-                }
+                TreeNode { bucket: TokenBucket::new(cfg.rate_bps, burst), cfg, q: None, bytes: 0 }
             })
             .collect();
         let mut me = HierCbq { nodes, leaves: Vec::new(), class_of, rr: 0 };
@@ -102,11 +95,6 @@ impl HierCbq {
         }
         assert!(!me.leaves.is_empty(), "CBQ tree needs at least one leaf");
         me
-    }
-
-    /// Drops per leaf, in leaf order.
-    pub fn drops(&self) -> Vec<u64> {
-        self.leaves.iter().map(|&i| self.nodes[i].drops).collect()
     }
 
     /// The node configurations in declaration order (read by the static
@@ -171,7 +159,6 @@ impl QueueDiscipline for HierCbq {
         let node = &mut self.nodes[leaf];
         let sz = pkt.wire_len();
         if node.bytes + sz > node.cfg.cap_bytes {
-            node.drops += 1;
             return EnqueueOutcome::Dropped(pkt, DropCause::QueueOverflow);
         }
         node.bytes += sz;
@@ -361,14 +348,16 @@ mod tests {
             ],
             Box::new(|_| 0),
         );
-        let mut queued = 0;
+        let (mut queued, mut overflowed) = (0, 0);
         for _ in 0..10 {
-            if q.enqueue(pkt(0, 972), 0).is_queued() {
-                queued += 1;
+            match q.enqueue(pkt(0, 972), 0) {
+                EnqueueOutcome::Queued => queued += 1,
+                EnqueueOutcome::Dropped(_, DropCause::QueueOverflow) => overflowed += 1,
+                EnqueueOutcome::Dropped(_, cause) => panic!("unexpected cause {cause}"),
             }
         }
         assert_eq!(queued, 2, "1000 B wire each against a 2000 B leaf cap");
-        assert_eq!(q.drops(), vec![8]);
+        assert_eq!(overflowed, 8);
         let mut got = 0;
         let mut now = 0;
         while !q.is_empty() {

@@ -72,9 +72,9 @@ pub trait QueueDiscipline: Send {
     /// gates, and returns the removed packets. The caller owns the loss
     /// accounting — e.g. a failing link flushes its egress buffer into
     /// `LinkStats.dropped` and records each packet with the flight
-    /// recorder. Per-discipline drop counters (tail/early drops) are *not*
-    /// incremented: a purge is a link event, not a buffer-management
-    /// decision.
+    /// recorder. Disciplines count no drops of their own: a refused packet
+    /// leaves through [`EnqueueOutcome::Dropped`] with its cause, and a
+    /// purged one is the caller's to count.
     fn purge(&mut self) -> Vec<Pkt>;
 }
 
@@ -107,18 +107,12 @@ pub struct FifoQueue {
     q: std::collections::VecDeque<Pkt>,
     bytes: usize,
     cap_bytes: usize,
-    drops: u64,
 }
 
 impl FifoQueue {
     /// Creates a FIFO holding at most `cap_bytes` of packet data.
     pub fn new(cap_bytes: usize) -> Self {
-        FifoQueue { q: std::collections::VecDeque::new(), bytes: 0, cap_bytes, drops: 0 }
-    }
-
-    /// Total packets tail-dropped so far.
-    pub fn drops(&self) -> u64 {
-        self.drops
+        FifoQueue { q: std::collections::VecDeque::new(), bytes: 0, cap_bytes }
     }
 }
 
@@ -126,7 +120,6 @@ impl QueueDiscipline for FifoQueue {
     fn enqueue(&mut self, pkt: Pkt, _now: Nanos) -> EnqueueOutcome {
         let sz = pkt.wire_len();
         if self.bytes + sz > self.cap_bytes {
-            self.drops += 1;
             return EnqueueOutcome::Dropped(pkt, DropCause::QueueOverflow);
         }
         self.bytes += sz;
@@ -195,7 +188,6 @@ mod tests {
             }
             EnqueueOutcome::Queued => panic!("should have tail-dropped"),
         }
-        assert_eq!(q.drops(), 1);
         assert_eq!(q.len_packets(), 2);
         assert_eq!(q.len_bytes(), 200);
     }

@@ -140,9 +140,6 @@ pub struct RedQueue {
     params: RedParams,
     core: RedCore,
     ecn: bool,
-    drops_early: u64,
-    drops_forced: u64,
-    drops_tail: u64,
     ce_marks: u64,
 }
 
@@ -158,9 +155,6 @@ impl RedQueue {
             params,
             core: RedCore::new(seed, mean_pkt_time_ns),
             ecn: false,
-            drops_early: 0,
-            drops_forced: 0,
-            drops_tail: 0,
             ce_marks: 0,
         }
     }
@@ -172,26 +166,9 @@ impl RedQueue {
         self
     }
 
-    /// RED drops so far (probabilistic early drops *plus* forced drops at
-    /// the max threshold; see [`RedQueue::drops_forced`] for the split).
-    pub fn drops_early(&self) -> u64 {
-        self.drops_early
-    }
-
-    /// The subset of RED drops that were *forced* — average queue at or
-    /// above `max_th`, where RED degenerates to tail-drop behaviour.
-    pub fn drops_forced(&self) -> u64 {
-        self.drops_forced
-    }
-
     /// CE marks applied instead of drops (ECN mode).
     pub fn ce_marks(&self) -> u64 {
         self.ce_marks
-    }
-
-    /// Hard tail drops so far.
-    pub fn drops_tail(&self) -> u64 {
-        self.drops_tail
     }
 
     /// Current average queue estimate in bytes.
@@ -205,7 +182,6 @@ impl QueueDiscipline for RedQueue {
         self.core.update_avg(self.bytes, now);
         let sz = pkt.wire_len();
         if self.bytes + sz > self.cap_bytes {
-            self.drops_tail += 1;
             return EnqueueOutcome::Dropped(pkt, DropCause::QueueOverflow);
         }
         if let Some(cause) = self.core.should_drop(&self.params) {
@@ -215,10 +191,6 @@ impl QueueDiscipline for RedQueue {
                 self.ce_marks += 1;
                 // fall through and queue the marked packet
             } else {
-                self.drops_early += 1;
-                if cause == DropCause::RedForced {
-                    self.drops_forced += 1;
-                }
                 return EnqueueOutcome::Dropped(pkt, cause);
             }
         }
@@ -265,8 +237,6 @@ pub struct WredQueue {
     profiles: Vec<RedParams>,
     class_of: ClassOf,
     core: RedCore,
-    drops_early: Vec<u64>,
-    drops_tail: u64,
 }
 
 impl WredQueue {
@@ -280,7 +250,6 @@ impl WredQueue {
         mean_pkt_time_ns: Nanos,
     ) -> Self {
         assert!(!profiles.is_empty(), "WRED needs at least one profile");
-        let n = profiles.len();
         WredQueue {
             q: VecDeque::new(),
             bytes: 0,
@@ -288,8 +257,6 @@ impl WredQueue {
             profiles,
             class_of,
             core: RedCore::new(seed, mean_pkt_time_ns),
-            drops_early: vec![0; n],
-            drops_tail: 0,
         }
     }
 
@@ -303,16 +270,6 @@ impl WredQueue {
             RedParams::new(cap_bytes / 10, cap_bytes * 4 / 10).with_max_p(0.2),
         ]
     }
-
-    /// Early drops per class.
-    pub fn drops_early(&self) -> &[u64] {
-        &self.drops_early
-    }
-
-    /// Hard tail drops.
-    pub fn drops_tail(&self) -> u64 {
-        self.drops_tail
-    }
 }
 
 impl QueueDiscipline for WredQueue {
@@ -320,13 +277,11 @@ impl QueueDiscipline for WredQueue {
         self.core.update_avg(self.bytes, now);
         let sz = pkt.wire_len();
         if self.bytes + sz > self.cap_bytes {
-            self.drops_tail += 1;
             return EnqueueOutcome::Dropped(pkt, DropCause::QueueOverflow);
         }
         let class = (self.class_of)(&pkt).min(self.profiles.len() - 1);
         let params = self.profiles[class];
         if let Some(cause) = self.core.should_drop(&params) {
-            self.drops_early[class] += 1;
             return EnqueueOutcome::Dropped(pkt, cause);
         }
         self.bytes += sz;
@@ -370,6 +325,26 @@ mod tests {
 
     fn pkt(n: usize) -> Pkt {
         Packet::udp(ip("1.1.1.1"), ip("2.2.2.2"), 1, 2, Dscp::BE, n).into()
+    }
+
+    /// Per-cause drop tally, indexed by [`DropCause::index`].
+    type Drops = [u64; DropCause::COUNT];
+
+    /// Offers `p` to `q`; a refused packet is tallied under its cause.
+    /// Returns whether `p` was queued.
+    fn offer(q: &mut impl QueueDiscipline, p: Pkt, now: Nanos, drops: &mut Drops) -> bool {
+        match q.enqueue(p, now) {
+            EnqueueOutcome::Queued => true,
+            EnqueueOutcome::Dropped(_, cause) => {
+                drops[cause.index()] += 1;
+                false
+            }
+        }
+    }
+
+    /// RED's own drops in a tally: probabilistic early plus forced.
+    fn red_drops(d: &Drops) -> u64 {
+        d[DropCause::RedEarly.index()] + d[DropCause::RedForced.index()]
     }
 
     /// `update_avg` with the idle decay applied unconditionally.
@@ -453,13 +428,13 @@ mod tests {
             assert!(q.enqueue(pkt(100), 0).is_queued());
             q.dequeue(0);
         }
-        assert_eq!(q.drops_early(), 0);
 
         // Force the average high by keeping ~10 KB buffered for many arrivals.
         let mut q = RedQueue::new(1_000_000, params, 42, 1000);
         let mut accepted = 0u32;
+        let mut drops = Drops::default();
         for i in 0..20_000u64 {
-            if q.enqueue(pkt(972), i).is_queued() {
+            if offer(&mut q, pkt(972), i, &mut drops) {
                 accepted += 1;
             }
             // Drain only enough to keep ~10 packets buffered.
@@ -469,28 +444,29 @@ mod tests {
         }
         assert!(accepted > 0);
         assert!(q.avg_bytes() > 2000.0, "avg should converge above max_th");
-        assert!(q.drops_early() > 1000, "persistent congestion must drop");
+        assert!(red_drops(&drops) > 1000, "persistent congestion must drop");
     }
 
-    /// Persistent congestion pushes the average past `max_th`: most drops
-    /// are then *forced*, and the forced tally is a subset of the total.
+    /// Persistent congestion pushes the average past `max_th`: drops are
+    /// then *forced*, and the climb there drops probabilistically first.
     #[test]
     fn forced_drops_are_distinguished_from_early() {
         let params = RedParams::new(1000, 2000);
         let mut q = RedQueue::new(1_000_000, params, 42, 1000);
+        let mut drops = Drops::default();
         for i in 0..20_000u64 {
-            q.enqueue(pkt(972), i);
+            offer(&mut q, pkt(972), i, &mut drops);
             if q.len_packets() > 10 {
                 q.dequeue(i);
             }
         }
-        assert!(q.drops_forced() > 0, "avg above max_th must force drops");
+        let (early, forced) =
+            (drops[DropCause::RedEarly.index()], drops[DropCause::RedForced.index()]);
+        assert!(forced > 0, "avg above max_th must force drops");
         assert!(
-            q.drops_early() > q.drops_forced(),
+            early > 0,
             "the climb through [min_th, max_th) must also drop probabilistically: \
-             total {} vs forced {}",
-            q.drops_early(),
-            q.drops_forced()
+             early {early} vs forced {forced}"
         );
     }
 
@@ -500,13 +476,14 @@ mod tests {
         let run = |seed: u64| {
             let mut q = RedQueue::new(100_000, params, seed, 1000);
             let mut pattern = Vec::new();
+            let mut drops = Drops::default();
             for i in 0..5000u64 {
-                pattern.push(q.enqueue(pkt(500), i * 10).is_queued());
+                pattern.push(offer(&mut q, pkt(500), i * 10, &mut drops));
                 if q.len_packets() > 3 {
                     q.dequeue(i * 10);
                 }
             }
-            (pattern, q.drops_early())
+            (pattern, red_drops(&drops))
         };
         assert_eq!(run(7), run(7));
         let (_, d7) = run(7);
@@ -519,8 +496,10 @@ mod tests {
     fn red_tail_drop_still_enforced() {
         let mut q = RedQueue::new(150, RedParams::new(10_000, 20_000), 1, 1000);
         assert!(q.enqueue(pkt(100), 0).is_queued());
-        assert!(!q.enqueue(pkt(100), 0).is_queued());
-        assert_eq!(q.drops_tail(), 1);
+        match q.enqueue(pkt(100), 0) {
+            EnqueueOutcome::Dropped(_, cause) => assert_eq!(cause, DropCause::QueueOverflow),
+            EnqueueOutcome::Queued => panic!("the hard cap must tail-drop"),
+        }
     }
 
     #[test]
@@ -549,12 +528,13 @@ mod tests {
         let params = RedParams::new(1000, 2000);
         let mut q = RedQueue::new(1_000_000, params, 42, 1000).with_ecn();
         let mut ce_seen = 0u64;
+        let mut drops = Drops::default();
         for i in 0..20_000u64 {
             let mut p = pkt(972);
             if i % 2 == 0 {
                 p.outer_ipv4_mut().unwrap().ecn = netsim_net::ip::ecn::ECT0;
             }
-            q.enqueue(p, i);
+            offer(&mut q, p, i, &mut drops);
             if q.len_packets() > 10 {
                 if let Some(out) = q.dequeue(i) {
                     if out.outer_ipv4().unwrap().is_ce() {
@@ -564,7 +544,7 @@ mod tests {
             }
         }
         assert!(q.ce_marks() > 500, "marks {}", q.ce_marks());
-        assert!(q.drops_early() > 500, "non-ECT packets still drop: {}", q.drops_early());
+        assert!(red_drops(&drops) > 500, "non-ECT packets still drop: {}", red_drops(&drops));
         assert!(ce_seen > 0, "marked packets are delivered with CE set");
     }
 
@@ -575,15 +555,19 @@ mod tests {
         let profiles = WredQueue::af_profiles(10_000);
         let class_of: ClassOf = Box::new(|p: &Packet| usize::from(p.meta.flow as u8 % 3));
         let mut q = WredQueue::new(10_000, profiles, class_of, 11, 1000);
+        let mut d = [0u64; 3];
         for i in 0..30_000u64 {
             let mut p = pkt(472);
             p.meta.flow = i % 3;
-            q.enqueue(p, i * 5);
+            if let EnqueueOutcome::Dropped(_, DropCause::RedEarly | DropCause::RedForced) =
+                q.enqueue(p, i * 5)
+            {
+                d[(i % 3) as usize] += 1;
+            }
             if q.len_bytes() > 5_000 {
                 q.dequeue(i * 5);
             }
         }
-        let d = q.drops_early();
         assert!(d[2] > d[1], "class2 {} should exceed class1 {}", d[2], d[1]);
         assert!(d[1] > d[0], "class1 {} should exceed class0 {}", d[1], d[0]);
     }

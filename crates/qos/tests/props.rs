@@ -41,6 +41,77 @@ fn by_flow() -> ClassOf {
     Box::new(|p: &Packet| p.meta.flow as usize)
 }
 
+/// The textbook deficit round robin that `drr_matches_reference_model`
+/// checks [`DrrScheduler`] against: per class a FIFO of `(seq, wire
+/// bytes)` and a deficit, plus the round of backlogged classes.
+struct RefDrr {
+    quanta: Vec<usize>,
+    cap: usize,
+    fifos: Vec<VecDeque<(u64, usize)>>,
+    deficits: Vec<usize>,
+    round: VecDeque<usize>,
+}
+
+impl RefDrr {
+    fn new(quanta: Vec<usize>, cap: usize) -> Self {
+        let n = quanta.len();
+        RefDrr {
+            quanta,
+            cap,
+            fifos: vec![VecDeque::new(); n],
+            deficits: vec![0; n],
+            round: VecDeque::new(),
+        }
+    }
+
+    fn class_bytes(&self, c: usize) -> usize {
+        self.fifos[c].iter().map(|&(_, sz)| sz).sum()
+    }
+
+    fn bytes(&self) -> usize {
+        (0..self.fifos.len()).map(|c| self.class_bytes(c)).sum()
+    }
+
+    /// Whether the packet fits its class's cap (and is queued).
+    fn enqueue(&mut self, class: usize, seq: u64, sz: usize) -> bool {
+        let c = class.min(self.fifos.len() - 1);
+        if self.class_bytes(c) + sz > self.cap {
+            return false;
+        }
+        self.fifos[c].push_back((seq, sz));
+        if !self.round.contains(&c) {
+            self.deficits[c] = self.quanta[c];
+            self.round.push_back(c);
+        }
+        true
+    }
+
+    fn dequeue(&mut self) -> Option<(u64, usize)> {
+        loop {
+            let c = *self.round.front()?;
+            let &(_, sz) = self.fifos[c].front().expect("classes in the round are backlogged");
+            if sz > self.deficits[c] {
+                self.deficits[c] += self.quanta[c];
+                self.round.rotate_left(1);
+                continue;
+            }
+            self.deficits[c] -= sz;
+            let head = self.fifos[c].pop_front();
+            if self.fifos[c].is_empty() {
+                self.deficits[c] = 0;
+                self.round.pop_front();
+            }
+            return head;
+        }
+    }
+
+    fn purge(&mut self) -> Vec<u64> {
+        self.round.clear();
+        self.deficits.iter_mut().for_each(|d| *d = 0);
+        self.fifos.iter_mut().flat_map(|f| f.drain(..).map(|(seq, _)| seq)).collect()
+    }
+}
+
 /// Runs a script against a discipline and checks the conservation law:
 /// every enqueued packet is either still buffered, was dequeued, or was
 /// explicitly dropped — and byte accounting matches exactly.
@@ -196,8 +267,8 @@ proptest! {
     /// Strict priority over FIFO bands matches a naive reference model —
     /// one `VecDeque` per band with the same byte caps — on random
     /// enqueue/dequeue traces: every enqueue has the same outcome, every
-    /// dequeue yields the same packet, per-band drops agree, and so do
-    /// `len_packets` and `is_empty` after every operation. Three bands for
+    /// dequeue yields the same packet, and `len_packets` and `is_empty`
+    /// agree after every operation. Three bands for
     /// four classes also exercises the clamp onto the top band. Traces may
     /// purge the scheduler midway. With `shaped_kbps` set, the middle band
     /// is a token-bucket shaper (modelled by a bucket of the same contract):
@@ -229,7 +300,6 @@ proptest! {
         // Reference: per band, (seq, wire bytes) in arrival order.
         let mut reference: Vec<VecDeque<(u64, usize)>> = vec![VecDeque::new(); caps.len()];
         let mut bucket = shaped_kbps.map(|kbps| TokenBucket::new(kbps * 1000, BURST));
-        let mut ref_drops = vec![0u64; caps.len()];
         let ref_bytes = |r: &Vec<VecDeque<(u64, usize)>>, b: usize| -> usize {
             r[b].iter().map(|&(_, sz)| sz).sum()
         };
@@ -260,8 +330,6 @@ proptest! {
                     let fits = ref_bytes(&reference, band) + sz <= caps[band];
                     if fits {
                         reference[band].push_back((seq as u64, sz));
-                    } else {
-                        ref_drops[band] += 1;
                     }
                     let queued = q.enqueue(p, now).is_queued();
                     prop_assert_eq!(queued, fits, "enqueue outcome of seq {}", seq);
@@ -281,7 +349,6 @@ proptest! {
                 prop_assert_eq!(got, want, "purge after seq {}", seq);
             }
             let held = reference.iter().map(VecDeque::len).sum::<usize>();
-            prop_assert_eq!(q.drops(), ref_drops.as_slice());
             prop_assert_eq!(q.len_packets(), held);
             prop_assert_eq!(q.is_empty(), held == 0);
         }
@@ -296,6 +363,56 @@ proptest! {
         }
         prop_assert!(reference.iter().all(VecDeque::is_empty));
         prop_assert!(q.dequeue(now).is_none());
+    }
+
+    /// DRR matches a naive reference model — one FIFO per class with the
+    /// same byte cap, plus a round-robin list — on random enqueue, dequeue
+    /// and purge traces. A class that joins the round starts with one
+    /// quantum; a head larger than the deficit banks one more quantum and
+    /// sends the class to the back; a class that empties leaves the round
+    /// with deficit 0. After every operation the enqueue outcome, the
+    /// dequeued `(seq, wire_len)`, `len_packets`, `len_bytes` and
+    /// `is_empty` must agree. Quanta as small as 1 byte make heads wait
+    /// through many rounds; fewer classes than traffic classes exercise
+    /// the clamp onto the last class.
+    #[test]
+    fn drr_matches_reference_model(
+        ops in arb_ops(300),
+        quanta in proptest::collection::vec(1usize..3_000, 1..5),
+        cap in 1_500usize..6_000,
+        purge_after in proptest::collection::vec(0usize..300, 0..3),
+    ) {
+        let mut q = DrrScheduler::new(&quanta, cap, by_flow());
+        let mut reference = RefDrr::new(quanta.clone(), cap);
+        for (seq, op) in ops.iter().enumerate() {
+            match op {
+                Op::Enq { class, payload } => {
+                    let p = mk_pkt(*class, *payload, seq as u64);
+                    let fits = reference.enqueue(usize::from(*class), seq as u64, p.wire_len());
+                    let queued = q.enqueue(p, 0).is_queued();
+                    prop_assert_eq!(queued, fits, "enqueue outcome of seq {}", seq);
+                }
+                Op::Deq => {
+                    let got = q.dequeue(0).map(|p| (p.meta.seq, p.wire_len()));
+                    prop_assert_eq!(got, reference.dequeue(), "dequeue at seq {}", seq);
+                }
+            }
+            if purge_after.contains(&seq) {
+                let mut got: Vec<u64> = q.purge().iter().map(|p| p.meta.seq).collect();
+                let mut want = reference.purge();
+                got.sort_unstable();
+                want.sort_unstable();
+                prop_assert_eq!(got, want, "purge after seq {}", seq);
+            }
+            let held = reference.fifos.iter().map(VecDeque::len).sum::<usize>();
+            prop_assert_eq!(q.len_packets(), held);
+            prop_assert_eq!(q.len_bytes(), reference.bytes());
+            prop_assert_eq!(q.is_empty(), held == 0);
+        }
+        while let Some(want) = reference.dequeue() {
+            prop_assert_eq!(q.dequeue(0).map(|p| (p.meta.seq, p.wire_len())), Some(want));
+        }
+        prop_assert!(q.dequeue(0).is_none());
     }
 
     /// Hierarchical CBQ conserves packets/bytes over arbitrary scripts.

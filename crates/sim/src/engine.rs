@@ -134,7 +134,9 @@ pub struct Network {
     scratch: Vec<Action>,
     /// Optional drop-cause flight recorder. When attached, every packet the
     /// link layer discards (egress refusal, AQM, purge on failure) lands
-    /// here with its cause; `None` keeps the hot path to a single branch.
+    /// here with its cause, and so does every packet a node handler passes
+    /// to [`Ctx::discard`] or [`Ctx::absorb`], attributed to that node;
+    /// `None` keeps the hot path to a single branch.
     recorder: Option<FlightRecorder>,
 }
 
@@ -429,6 +431,16 @@ impl Network {
                 Action::Timer { delay, token } => {
                     let at = self.now + delay;
                     self.push(at, Event::Timer { node, token });
+                }
+                Action::Discard { pkt, cause } => {
+                    if let Some(rec) = &self.recorder {
+                        rec.record_at(node.0, self.now, pkt.meta.flow, pkt.meta.seq, cause);
+                    }
+                }
+                Action::Absorb { pkt } => {
+                    if let Some(rec) = &self.recorder {
+                        rec.record_absorbed(node.0, pkt.meta.flow);
+                    }
                 }
             }
         }
@@ -810,6 +822,47 @@ mod tests {
         assert_eq!(st.dropped, 4, "stranded packets must be counted");
         assert_eq!(st.tx_packets, 1);
         assert_eq!(net.node_ref::<Recorder>(b).arrivals.len(), 1);
+    }
+
+    /// Drops every packet with TTL 1 and absorbs the rest.
+    struct Terminator;
+    impl Node for Terminator {
+        fn on_packet(&mut self, _iface: IfaceId, pkt: Pkt, ctx: &mut Ctx) {
+            if pkt.outer_ipv4().is_some_and(|h| h.ttl == 1) {
+                ctx.discard(pkt, DropCause::Ttl);
+            } else {
+                ctx.absorb(pkt);
+            }
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn handler_terminations_are_recorded_against_the_node() {
+        let mut net = Network::new();
+        let rec = FlightRecorder::default();
+        net.set_recorder(rec.clone());
+        let a = net.add_node(Box::new(BlackHole::default()));
+        let b = net.add_node(Box::new(Terminator));
+        let (_, ia, _) = net.connect(a, b, LinkConfig::new(1_000_000_000, MSEC));
+        let mut dying = pkt(10);
+        dying.meta.flow = 7;
+        dying.outer_ipv4_mut().expect("ipv4").ttl = 1;
+        net.inject(a, ia, dying);
+        net.inject(a, ia, pkt(10));
+        net.run_to_quiescence();
+        assert_eq!(rec.node_total(b.0, DropCause::Ttl), 1);
+        assert_eq!(rec.node_absorbed(b.0), 1);
+        assert_eq!(rec.total_drops(), 1);
+        assert_eq!(rec.flow_drops(7), 1);
+        let at = rec.recent()[0].at;
+        assert!(at > MSEC, "recorded at the handler's instant, not at send: {at}");
+        assert_eq!(rec.node_total(a.0, DropCause::Ttl), 0);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use std::any::Any;
 
 use netsim_net::Pkt;
+use netsim_obs::DropCause;
 use netsim_qos::Nanos;
 
 /// Identifies a node within one [`crate::Network`].
@@ -15,9 +16,10 @@ pub struct NodeId(pub usize);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct IfaceId(pub usize);
 
-/// Handler context: lets a node emit packets and arm timers. Actions are
-/// buffered and applied by the network after the handler returns, so the
-/// handler never sees a partially updated network.
+/// Handler context: lets a node emit packets, arm timers, and end a
+/// packet's life. Actions are buffered and applied by the network after
+/// the handler returns, so the handler never sees a partially updated
+/// network.
 pub struct Ctx {
     now: Nanos,
     node: NodeId,
@@ -28,6 +30,8 @@ pub(crate) enum Action {
     Send { iface: IfaceId, pkt: Pkt },
     SendLater { iface: IfaceId, pkt: Pkt, delay: Nanos },
     Timer { delay: Nanos, token: u64 },
+    Discard { pkt: Pkt, cause: DropCause },
+    Absorb { pkt: Pkt },
 }
 
 impl Ctx {
@@ -72,6 +76,18 @@ impl Ctx {
     /// Arms a one-shot timer that fires `on_timer(token)` after `delay`.
     pub fn schedule(&mut self, delay: Nanos, token: u64) {
         self.actions.push(Action::Timer { delay, token });
+    }
+
+    /// Drops `pkt` here for `cause`. The network records the drop in its
+    /// flight recorder, if one is attached, against this node.
+    pub fn discard(&mut self, pkt: Pkt, cause: DropCause) {
+        self.actions.push(Action::Discard { pkt, cause });
+    }
+
+    /// Ends `pkt`'s life here by design (it was addressed to this node).
+    /// The network records it as absorbed at this node, not as a drop.
+    pub fn absorb(&mut self, pkt: Pkt) {
+        self.actions.push(Action::Absorb { pkt });
     }
 }
 

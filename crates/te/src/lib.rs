@@ -10,8 +10,7 @@
 //!   those links with enough *unreserved* bandwidth at the trunk's setup
 //!   priority.
 //! * [`trunk`] — trunk admission control: bandwidth bookkeeping per link
-//!   and per priority, preemption of lower-priority trunks, release and
-//!   re-optimization.
+//!   and per priority, preemption of lower-priority trunks, and release.
 //!
 //! Experiment Q3 routes two trunks across the classic "fish" topology: the
 //! IGP piles both onto the shortest path and congests it; CSPF places the

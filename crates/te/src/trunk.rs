@@ -79,27 +79,24 @@ struct Trunk {
     path: Vec<usize>,
     links: Vec<usize>,
     /// Fast-reroute bypasses, one per protected link of `path` (empty
-    /// until [`TeDomain::protect_trunk`] runs; recompute after
-    /// re-optimization moves the trunk).
+    /// until [`TeDomain::protect_trunk`] runs; recompute after the trunk
+    /// moves).
     backups: Vec<BackupRoute>,
 }
 
 /// Control-plane counters of one [`TeDomain`]: how often admission,
-/// preemption, protection and re-optimization actually fired. Exported into
+/// preemption and protection actually fired. Exported into
 /// the observability snapshot so an experiment can report signalling churn
 /// next to the data-plane numbers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TeStats {
-    /// Trunks admitted (successful [`TeDomain::signal`] calls, including
-    /// re-placements during re-optimization).
+    /// Trunks admitted (successful [`TeDomain::signal`] calls).
     pub admitted: u64,
     /// Signalling attempts rejected (no feasible path / bad or full
     /// explicit path).
     pub rejected: u64,
     /// Trunks torn down to make room for higher-priority arrivals.
     pub preempted: u64,
-    /// Re-optimization passes run.
-    pub reoptimized: u64,
     /// Links for which [`TeDomain::protect_trunk`] found a risk-disjoint
     /// bypass, cumulative.
     pub protected_links: u64,
@@ -266,8 +263,8 @@ impl TeDomain {
     /// bypass down together. Returns how many of the path's links could be
     /// protected; links with no risk-disjoint detour are left unprotected.
     /// Bypasses reserve no bandwidth (the standard zero-bandwidth bypass
-    /// model: protection is transient, and moving the trunk for good is
-    /// the re-optimization pass's job).
+    /// model: protection is transient, and moving the trunk for good means
+    /// releasing and re-signalling it).
     ///
     /// # Panics
     /// Panics if `id` does not name an admitted trunk.
@@ -297,7 +294,7 @@ impl TeDomain {
 
     /// Overwrites one backup route — a fault-injection hook for the static
     /// verifier's negative tests (models a stale bypass surviving a
-    /// re-optimization that moved the primary onto it). Not used by any
+    /// re-placement that moved the primary onto it). Not used by any
     /// forwarding path.
     pub fn corrupt_backup_for_test(&mut self, id: TrunkId, backup_idx: usize, path: Vec<usize>) {
         self.trunks[id.0].as_mut().expect("unknown trunk").backups[backup_idx].path = path;
@@ -315,32 +312,6 @@ impl TeDomain {
             let r = &mut self.reserved[l][t.req.hold_priority as usize];
             *r = r.saturating_sub(t.req.demand_bps);
         }
-    }
-
-    /// Tears down and re-signals every trunk in admission order — the
-    /// periodic re-optimization pass operators run after topology changes.
-    /// Returns trunk ids that could no longer be placed. Re-placement
-    /// drops any fast-reroute backups (the primary may have moved); call
-    /// [`TeDomain::protect_trunk`] again afterwards.
-    pub fn reoptimize(&mut self) -> Vec<TrunkId> {
-        self.stats.reoptimized += 1;
-        let ids: Vec<TrunkId> =
-            (0..self.trunks.len()).filter(|&i| self.trunks[i].is_some()).map(TrunkId).collect();
-        let mut failed = Vec::new();
-        for id in ids {
-            let req = self.trunks[id.0].as_ref().expect("listed above").req.clone();
-            self.release(id);
-            match self.signal(req) {
-                Ok((new_id, _)) => {
-                    // Keep the original slot id stable for callers.
-                    let t = self.trunks[new_id.0].take();
-                    self.trunks[id.0] = t;
-                    self.trunks.truncate(self.trunks.len().saturating_sub(1));
-                }
-                Err(_) => failed.push(id),
-            }
-        }
-        failed
     }
 
     fn validate_explicit(&self, path: &[usize], demand: u64, prio: u8) -> Result<(), TeError> {
@@ -511,16 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn reoptimize_drops_stale_backups() {
-        let mut te = TeDomain::new(fish());
-        let (a, _) = te.signal(TrunkRequest::new(0, 4, 1_000_000)).unwrap();
-        te.protect_trunk(a);
-        assert!(!te.backups(a).is_empty());
-        assert!(te.reoptimize().is_empty());
-        assert!(te.backups(a).is_empty(), "protection must be recomputed after reopt");
-    }
-
-    #[test]
     fn stats_track_signalling_outcomes() {
         let mut te = TeDomain::new(fish());
         te.signal(TrunkRequest::new(0, 4, 9_000_000).priority(7)).unwrap();
@@ -532,13 +493,10 @@ mod tests {
         let (high, pre) = te.signal(TrunkRequest::new(0, 4, 9_000_000).priority(0)).unwrap();
         assert_eq!(pre.len(), 1);
         te.protect_trunk(high);
-        te.reoptimize();
         let s = te.stats();
         assert_eq!(s.rejected, 1);
         assert_eq!(s.preempted, 1);
-        assert_eq!(s.reoptimized, 1);
         assert!(s.protected_links >= 1);
-        // 3 direct admissions + the re-placements reoptimize performed.
         assert!(s.admitted >= 3, "admitted={}", s.admitted);
     }
 

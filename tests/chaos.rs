@@ -27,9 +27,7 @@ use mplsvpn::sim::{
     CbrSource, FaultPlan, LinkId, NodeId, PoissonSource, Sink, SourceConfig, MSEC, SEC,
 };
 use mplsvpn::te::SrlgMap;
-use mplsvpn::vpn::{
-    BackboneBuilder, CeRouter, ControlMode, CoreRouter, FailoverMode, PeRouter, ProviderNetwork,
-};
+use mplsvpn::vpn::{BackboneBuilder, ControlMode, DropCause, FailoverMode, ProviderNetwork};
 
 /// The control mode under test: `CHAOS_CONTROL_MODE=inband` opts in to
 /// the message-driven control plane; anything else runs the oracle.
@@ -71,7 +69,6 @@ fn ladder() -> (Topology, Vec<usize>, Vec<usize>) {
 /// Everything a scenario needs for its post-mortem.
 struct Scenario {
     pn: ProviderNetwork,
-    pes_topo: Vec<usize>,
     /// (source node, flow id) per attached source.
     sources: Vec<(NodeId, bool)>, // bool: true = CBR, false = Poisson
     /// Sink node and the flow ids that legitimately belong to it.
@@ -120,36 +117,25 @@ fn run_scenario(seed: u64) -> Scenario {
     // traffic window so the faults actually bite.
     let plan = FaultPlan::random(seed, &cuttable, 3 * SEC, 4, 200 * MSEC);
     pn.execute_fault_plan(&plan, mode, RUN_END);
-    Scenario { pn, pes_topo: pes, sources, sinks }
+    Scenario { pn, sources, sinks }
 }
 
-/// Sum of every router-level counter that terminates a packet.
-fn router_terminations(s: &mut Scenario) -> (u64, u64) {
-    let mut dropped = 0;
-    let mut local = 0;
-    let mut tally = |c: &mplsvpn::vpn::router::RouterCounters| {
-        dropped += c.dropped_no_route + c.dropped_ttl + c.dropped_policer + c.dropped_vrf_miss;
-        local += c.delivered_local;
-    };
-    for u in 0..s.pn.topo.node_count() {
-        let id = s.pn.backbone_node(u);
-        if s.pes_topo.contains(&u) {
-            tally(&s.pn.net.node_ref::<PeRouter>(id).counters);
-        } else {
-            tally(&s.pn.net.node_ref::<CoreRouter>(id).counters);
-        }
-    }
-    for i in 0..s.pn.sites.len() {
-        let ce = s.pn.sites[i].ce;
-        tally(&s.pn.net.node_ref::<CeRouter>(ce).counters);
-    }
-    (dropped, local)
+/// Every packet a router ended, from the flight recorder's per-node
+/// tallies: `(dropped over every cause, absorbed)`.
+fn router_terminations(s: &Scenario) -> (u64, u64) {
+    let rec = s.pn.recorder();
+    let backbone = (0..s.pn.topo.node_count()).map(|u| s.pn.backbone_node(u));
+    let ces = s.pn.sites.iter().map(|site| site.ce);
+    backbone.chain(ces).fold((0, 0), |(dropped, local), id| {
+        let node_drops: u64 = DropCause::ALL.iter().map(|&c| rec.node_total(id.0, c)).sum();
+        (dropped + node_drops, local + rec.node_absorbed(id.0))
+    })
 }
 
 #[test]
 fn chaos_packet_conservation_holds_under_any_failure_order() {
     for seed in 0..8 {
-        let mut s = run_scenario(seed);
+        let s = run_scenario(seed);
         let sent: u64 = s
             .sources
             .iter()
@@ -168,7 +154,7 @@ fn chaos_packet_conservation_holds_under_any_failure_order() {
             .map(|(l, d)| s.pn.net.link_stats(LinkId(l), d).dropped)
             .sum();
         let queued = s.pn.net.queued_packets();
-        let (router_dropped, delivered_local) = router_terminations(&mut s);
+        let (router_dropped, delivered_local) = router_terminations(&s);
         // In-band control packets enter the same ledger: each one sent is
         // terminated at a router, purged on a cut link (already inside
         // `link_dropped`), or still queued. Both terms are 0 under the
@@ -190,22 +176,23 @@ fn chaos_packet_conservation_holds_under_any_failure_order() {
 
 #[test]
 fn chaos_every_loss_has_a_recorded_cause() {
-    // 4. **Attribution** — the flight recorder's per-cause totals agree
-    //    with the raw drop counters, and per VPN every packet a source
-    //    emitted is delivered, attributed to a cause, absorbed locally,
-    //    or still queued. No loss may go unexplained.
+    // 4. **Attribution** — the drops the flight recorder holds that no
+    //    router reported (the link layer's) agree with the links' own
+    //    drop counters, and per VPN every packet a source emitted is
+    //    delivered, attributed to a cause, absorbed locally, or still
+    //    queued. No loss may go unexplained.
     for seed in 0..8 {
-        let mut s = run_scenario(seed);
+        let s = run_scenario(seed);
         let link_dropped: u64 = (0..s.pn.net.link_count())
             .flat_map(|l| (0..2).map(move |d| (l, d)))
             .map(|(l, d)| s.pn.net.link_stats(LinkId(l), d).dropped)
             .sum();
-        let (router_dropped, _local) = router_terminations(&mut s);
+        let (router_dropped, _local) = router_terminations(&s);
         let rec = s.pn.recorder().clone();
         assert_eq!(
-            rec.total_drops(),
-            link_dropped + router_dropped,
-            "recorder disagrees with raw drop counters at seed {seed}: {:?}",
+            rec.total_drops() - router_dropped,
+            link_dropped,
+            "recorded link drops disagree with LinkStats at seed {seed}: {:?}",
             rec.cause_rows()
         );
 

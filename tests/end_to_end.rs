@@ -162,6 +162,8 @@ fn forwarding_loops_die_by_ttl() {
     use mplsvpn::vpn::CoreRouter;
     // Two P routers pointing label 100 at each other.
     let mut net = mplsvpn::sim::Network::new();
+    let rec = mplsvpn::vpn::FlightRecorder::default();
+    net.set_recorder(rec.clone());
     let mut lfib_a = mplsvpn::mpls::Lfib::new();
     lfib_a.install(100, Nhlfe { op: LabelOp::Swap(100), out_iface: 0 });
     let mut lfib_b = mplsvpn::mpls::Lfib::new();
@@ -181,7 +183,7 @@ fn forwarding_loops_die_by_ttl() {
     net.inject(a, mplsvpn::sim::IfaceId(0), p);
     let events = net.run_to_quiescence();
     assert!(events < 1000, "loop must terminate quickly, processed {events}");
-    let ra = net.node_ref::<CoreRouter>(a);
-    let rb = net.node_ref::<CoreRouter>(b);
-    assert_eq!(ra.counters.dropped_ttl + rb.counters.dropped_ttl, 1);
+    let ttl = mplsvpn::vpn::DropCause::Ttl;
+    assert_eq!(rec.node_total(a.0, ttl) + rec.node_total(b.0, ttl), 1);
+    assert_eq!(rec.total_drops(), 1, "the TTL drop is the only loss: {:?}", rec.cause_rows());
 }
