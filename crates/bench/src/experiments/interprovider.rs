@@ -50,7 +50,6 @@ pub fn measure(duration: Nanos, diffserv: bool) -> (Vec<Q4Flow>, bool, u64) {
     } else {
         CoreQos::BestEffort { cap_bytes: 128 * 1024 }
     };
-    let trace = TraceLog::new();
     let mut ip = InterProviderVpn::build(
         domain(3, 0, 2, 10),
         domain(3, 2, 0, 10),
@@ -59,8 +58,9 @@ pub fn measure(duration: Nanos, diffserv: bool) -> (Vec<Q4Flow>, bool, u64) {
         qos,
         MSEC,
         None,
-        Some(trace.clone()),
     );
+    let trace = TraceLog::new();
+    ip.net.set_trace(trace.clone());
     let sink = ip.attach_sink_b(pfx("10.2.0.0/16"));
     // Voice: EF, 75 kb/s. Bulk: BE flood at ~12 Mb/s across 10 Mb/s links.
     let voice =

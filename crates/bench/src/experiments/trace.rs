@@ -16,8 +16,9 @@ use crate::topo;
 /// Runs the scenario and returns (trace log, delivered count).
 pub fn measure() -> (TraceLog, u64) {
     let (t, pes) = topo::line(2, 1000); // PE0 - P1 - P2 - PE3
+    let mut pn = BackboneBuilder::new(t, pes).build();
     let log = TraceLog::new();
-    let mut pn = BackboneBuilder::new(t, pes).trace(log.clone()).build();
+    pn.net.set_trace(log.clone());
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), Some(MarkingPolicy::enterprise_default()));
     let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
@@ -38,11 +39,11 @@ pub fn run(_quick: bool) -> String {
         format!("F3: hop-by-hop trace of one voice packet (delivered: {got}/1)"),
         &["t (us)", "device", "action", "label stack", "EXP", "DSCP"],
     );
-    for r in log.flow(1) {
+    for (op, r) in log.path(1, 0) {
         t.row(&[
             format!("{:.1}", r.at as f64 / 1e3),
-            r.device.clone(),
-            r.action.clone(),
+            if r.device.is_empty() { "host".into() } else { r.device.clone() },
+            format!("{op} → if{}", r.iface.0),
             format!("{:?}", r.labels),
             r.exp.map_or("-".into(), |e| e.to_string()),
             r.dscp.map_or("-".into(), |d| d.to_string()),
@@ -54,26 +55,37 @@ pub fn run(_quick: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mplsvpn_core::HopOp;
+    use netsim_net::Dscp;
 
     #[test]
     fn trace_shows_the_figure_3_sequence() {
         let (log, got) = measure();
         assert_eq!(got, 1);
-        let recs = log.flow(1);
-        let actions: Vec<&str> = recs.iter().map(|r| r.action.as_str()).collect();
-        // CE marks EF.
-        assert!(actions[0].contains("mark EF"), "{actions:?}");
-        // Ingress PE pushes a two-label stack with EXP 5.
-        assert!(actions[1].contains("push") && actions[1].contains("exp=5"), "{actions:?}");
-        assert_eq!(recs[1].labels.len(), 2, "tunnel + VPN label");
-        // A core swap, then the PHP pop.
-        assert!(actions.iter().any(|a| a.contains("swap")), "{actions:?}");
-        assert!(actions.iter().any(|a| a.contains("php pop")), "{actions:?}");
-        // Egress PE dispatches the VPN label into the right VRF.
-        assert!(actions.iter().any(|a| a.contains("pop vpn")), "{actions:?}");
+        let path = log.path(1, 0);
+        let devices: Vec<&str> = path.iter().map(|(_, r)| r.device.as_str()).collect();
+        assert_eq!(devices, ["", "CE-acme-s0", "PE0", "P1", "P2", "PE1", "CE-acme-s1"]);
+        let ops: Vec<HopOp> = path.iter().map(|(op, _)| op.clone()).collect();
+        // The host sends BE, the CE marks EF, the ingress PE pushes tunnel
+        // above VPN label, the core swaps then pops the tunnel label (PHP),
+        // the egress PE pops the VPN label and the remote CE delivers.
+        let (HopOp::Push(stack), HopOp::Swap(_, swapped)) = (&ops[2], &ops[3]) else {
+            panic!("no push then swap: {ops:?}");
+        };
+        let (tunnel, vpn, swapped) = (stack[0], stack[1], *swapped);
+        assert_eq!(
+            ops,
+            [
+                HopOp::Originate,
+                HopOp::Mark(Dscp::EF),
+                HopOp::Push(vec![tunnel, vpn]),
+                HopOp::Swap(tunnel, swapped),
+                HopOp::Pop(swapped, vpn),
+                HopOp::PopAll(vec![vpn]),
+                HopOp::Forward,
+            ]
+        );
         // EXP rode the whole labeled path.
-        assert!(recs.iter().filter_map(|r| r.exp).all(|e| e == 5));
-        // Final delivery happens at the remote CE.
-        assert!(recs.last().unwrap().action.contains("deliver"), "{actions:?}");
+        assert!(path.iter().filter_map(|(_, r)| r.exp).all(|e| e == 5));
     }
 }

@@ -27,7 +27,6 @@ use netsim_sim::{CbrSource, LinkConfig, Network, NodeId, Sink, SourceConfig};
 
 use crate::network::{make_core_qdisc, CoreQos};
 use crate::router::{CeRouter, CoreRouter, PeRouter};
-use crate::trace::TraceLog;
 
 /// Parameters of one member domain.
 #[derive(Clone)]
@@ -63,7 +62,6 @@ pub struct InterProviderVpn {
 impl InterProviderVpn {
     /// Builds the stitched network. Both domains use `qos` on their core
     /// links and `link_delay_ns` per hop; the inter-AS link is 100 Mb/s.
-    #[allow(clippy::too_many_arguments)] // a scenario constructor; a config struct would obscure it
     pub fn build(
         a: DomainSpec,
         b: DomainSpec,
@@ -72,7 +70,6 @@ impl InterProviderVpn {
         qos: CoreQos,
         link_delay_ns: Nanos,
         marking: Option<MarkingPolicy>,
-        trace: Option<TraceLog>,
     ) -> Self {
         // Per-domain control planes. FEC 0 = the PE, FEC 1 = the ASBR.
         let igp_a = Igp::converge(&a.topo);
@@ -106,11 +103,11 @@ impl InterProviderVpn {
         let mut ids = Vec::new();
         for u in 0..n_a {
             let lfib = std::mem::take(&mut ldp_a.nodes[u].lfib);
-            ids.push(add_backbone_node(&mut net, u, u == a.pe, "A", lfib, &a.topo, &trace));
+            ids.push(add_backbone_node(&mut net, u, u == a.pe, "A", lfib, &a.topo));
         }
         for u in 0..b.topo.node_count() {
             let lfib = std::mem::take(&mut ldp_b.nodes[u].lfib);
-            ids.push(add_backbone_node(&mut net, u, u == b.pe, "B", lfib, &b.topo, &trace));
+            ids.push(add_backbone_node(&mut net, u, u == b.pe, "B", lfib, &b.topo));
         }
         let id_a = |u: usize| ids[u];
         let id_b = |u: usize| ids[n_a + u];
@@ -169,14 +166,8 @@ impl InterProviderVpn {
         }
 
         // Customer attachment: CE_A on PE_A, CE_B on PE_B.
-        let mut ce_a_dev = CeRouter::new("CE-A", marking.clone());
-        let mut ce_b_dev = CeRouter::new("CE-B", marking);
-        if let Some(t) = &trace {
-            ce_a_dev = ce_a_dev.with_trace(t.clone());
-            ce_b_dev = ce_b_dev.with_trace(t.clone());
-        }
-        let ce_a = net.add_node(Box::new(ce_a_dev));
-        let ce_b = net.add_node(Box::new(ce_b_dev));
+        let ce_a = net.add_node(Box::new(CeRouter::new("CE-A", marking.clone())));
+        let ce_b = net.add_node(Box::new(CeRouter::new("CE-B", marking)));
         let access = LinkConfig::new(100_000_000, 100_000);
         let (_la, _cea_if, pea_if) = net.connect(ce_a, id_a(a.pe), access);
         let (_lb, _ceb_if, peb_if) = net.connect(ce_b, id_b(b.pe), access);
@@ -225,15 +216,6 @@ impl InterProviderVpn {
         sink
     }
 
-    /// Attaches a sink behind the domain-A site.
-    pub fn attach_sink_a(&mut self, host_prefix: Prefix) -> NodeId {
-        let sink = self.net.add_node(Box::new(Sink::new()));
-        let (_l, _s, ce_if) =
-            self.net.connect(sink, self.ce_a, LinkConfig::new(1_000_000_000, 10_000));
-        self.net.node_mut::<CeRouter>(self.ce_a).add_host_route(host_prefix, ce_if.0);
-        sink
-    }
-
     /// Attaches a CBR source behind the domain-A site and arms it.
     pub fn attach_cbr_source_a(
         &mut self,
@@ -255,20 +237,11 @@ fn add_backbone_node(
     domain: &str,
     lfib: Lfib,
     topo: &Topology,
-    trace: &Option<TraceLog>,
 ) -> NodeId {
     if is_pe {
-        let mut pe = PeRouter::new(format!("PE-{domain}{u}"), lfib, topo.degree(u));
-        if let Some(t) = trace {
-            pe = pe.with_trace(t.clone());
-        }
-        net.add_node(Box::new(pe))
+        net.add_node(Box::new(PeRouter::new(format!("PE-{domain}{u}"), lfib, topo.degree(u))))
     } else {
-        let mut p = CoreRouter::new(format!("{domain}{u}"), lfib);
-        if let Some(t) = trace {
-            p = p.with_trace(t.clone());
-        }
-        net.add_node(Box::new(p))
+        net.add_node(Box::new(CoreRouter::new(format!("{domain}{u}"), lfib)))
     }
 }
 
@@ -277,7 +250,7 @@ mod tests {
     use super::*;
     use netsim_net::addr::pfx;
     use netsim_routing::LinkAttrs;
-    use netsim_sim::SEC;
+    use netsim_sim::{TraceLog, SEC};
 
     fn line(n: usize) -> Topology {
         let mut t = Topology::new(n);
@@ -295,7 +268,6 @@ mod tests {
             pfx("10.2.0.0/16"),
             CoreQos::BestEffort { cap_bytes: 256 * 1024 },
             1_000_000,
-            None,
             None,
         )
     }
@@ -316,7 +288,6 @@ mod tests {
 
     #[test]
     fn exp_is_preserved_across_the_boundary() {
-        let trace = TraceLog::new();
         let mut ip = InterProviderVpn::build(
             DomainSpec { topo: line(3), pe: 0, asbr: 2 },
             DomainSpec { topo: line(2), pe: 1, asbr: 0 },
@@ -325,8 +296,9 @@ mod tests {
             CoreQos::BestEffort { cap_bytes: 256 * 1024 },
             1_000_000,
             Some(MarkingPolicy::enterprise_default()),
-            Some(trace.clone()),
         );
+        let trace = TraceLog::new();
+        ip.net.set_trace(trace.clone());
         let sink_b = ip.attach_sink_b(pfx("10.2.0.0/16"));
         // Voice-port flow: the CE marks it EF, PE maps to EXP 5.
         let cfg =

@@ -43,16 +43,15 @@ pub mod obs;
 pub mod overlay;
 pub mod router;
 pub mod sla;
-pub mod trace;
 mod verify;
 
 pub use control::{ControlMode, CtrlStats, CTRL_FLOW_BASE};
 pub use frr::{FailoverMode, FaultOutcome};
 pub use netsim_obs::{DropCause, FlightRecorder, MetricsRegistry, MetricsSnapshot, ProbeRow};
+pub use netsim_sim::{HopOp, HopRecord, TraceLog};
 pub use netsim_verify::{codes, Diagnostic, Severity, VerifyReport};
 pub use network::{BackboneBuilder, CoreQos, ProviderNetwork, SiteId, VpnId, VrfDigestRow};
 pub use obs::PROBE_FLOW_BASE;
 pub use router::{CeRouter, CoreRouter, PeRouter};
 pub use sla::{voice_mos, Sla, SlaReport};
-pub use trace::{HopRecord, TraceLog};
 pub use verify::EF_SHARE;

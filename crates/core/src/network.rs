@@ -38,7 +38,6 @@ use std::rc::Rc;
 
 use crate::control::{ControlDb, ControlHandle, ControlMode, CtrlMsg, CtrlStats};
 use crate::router::{CeRouter, CoreRouter, PeRouter, VrfRoute};
-use crate::trace::TraceLog;
 
 /// Handle to a VPN created on a provider network.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -150,17 +149,18 @@ pub(crate) struct VpnInfo {
     pub(crate) rd: RouteDistinguisher,
 }
 
+/// Propagation delay of every backbone link: 1 ms per hop.
+const BACKBONE_HOP_DELAY_NS: Nanos = 1_000_000;
+
 /// Builder for a [`ProviderNetwork`].
 pub struct BackboneBuilder {
     topo: Topology,
     pes: Vec<usize>,
-    link_delay_ns: Nanos,
     php: bool,
     core_qos: CoreQos,
     access_rate_bps: u64,
     access_delay_ns: Nanos,
     distribution: DistributionMode,
-    trace: Option<TraceLog>,
     seed: u64,
     detect_ns: Nanos,
     control_mode: ControlMode,
@@ -175,13 +175,11 @@ impl BackboneBuilder {
         BackboneBuilder {
             topo,
             pes,
-            link_delay_ns: 1_000_000, // 1 ms per backbone hop
             php: true,
             core_qos: CoreQos::BestEffort { cap_bytes: 256 * 1024 },
             access_rate_bps: 100_000_000,
             access_delay_ns: 100_000,
             distribution: DistributionMode::RouteReflector,
-            trace: None,
             seed: 1,
             detect_ns: 50_000_000, // 50 ms: ~3 missed BFD hellos at slow timers
             control_mode: ControlMode::Oracle,
@@ -201,12 +199,6 @@ impl BackboneBuilder {
     /// fast reroute can switch over.
     pub fn detection(mut self, ns: Nanos) -> Self {
         self.detect_ns = ns;
-        self
-    }
-
-    /// Sets the backbone propagation delay per link.
-    pub fn link_delay(mut self, ns: Nanos) -> Self {
-        self.link_delay_ns = ns;
         self
     }
 
@@ -232,12 +224,6 @@ impl BackboneBuilder {
     /// Sets the iBGP distribution mode.
     pub fn distribution(mut self, d: DistributionMode) -> Self {
         self.distribution = d;
-        self
-    }
-
-    /// Attaches a hop-trace log to every router.
-    pub fn trace(mut self, t: TraceLog) -> Self {
-        self.trace = Some(t);
         self
     }
 
@@ -267,17 +253,9 @@ impl BackboneBuilder {
         for u in 0..self.topo.node_count() {
             let lfib = std::mem::take(&mut ldp.nodes[u].lfib);
             let id = if let Some(&k) = pe_ordinal.get(&u) {
-                let mut pe = PeRouter::new(format!("PE{k}"), lfib, self.topo.degree(u));
-                if let Some(t) = &self.trace {
-                    pe = pe.with_trace(t.clone());
-                }
-                net.add_node(Box::new(pe))
+                net.add_node(Box::new(PeRouter::new(format!("PE{k}"), lfib, self.topo.degree(u))))
             } else {
-                let mut p = CoreRouter::new(format!("P{u}"), lfib);
-                if let Some(t) = &self.trace {
-                    p = p.with_trace(t.clone());
-                }
-                net.add_node(Box::new(p))
+                net.add_node(Box::new(CoreRouter::new(format!("P{u}"), lfib)))
             };
             node_ids.push(id);
         }
@@ -285,7 +263,7 @@ impl BackboneBuilder {
         // equal adjacency-list positions, which LDP's tables assume.
         for l in 0..self.topo.link_count() {
             let (u, v, attrs) = self.topo.link(l);
-            let cfg = LinkConfig::new(attrs.capacity_bps, self.link_delay_ns);
+            let cfg = LinkConfig::new(attrs.capacity_bps, BACKBONE_HOP_DELAY_NS);
             let qa = self.core_qos.make_qdisc(self.seed.wrapping_add(l as u64 * 2));
             let qb = self.core_qos.make_qdisc(self.seed.wrapping_add(l as u64 * 2 + 1));
             net.connect_with_qdiscs(node_ids[u], node_ids[v], cfg, cfg, qa, qb);
@@ -318,7 +296,6 @@ impl BackboneBuilder {
             vrf_handles: HashMap::new(),
             access_rate_bps: self.access_rate_bps,
             access_delay_ns: self.access_delay_ns,
-            trace: self.trace,
             php: self.php,
             failed_links: std::collections::HashSet::new(),
             detect_ns: self.detect_ns,
@@ -363,7 +340,6 @@ pub struct ProviderNetwork {
     pub(crate) vrf_handles: HashMap<(usize, VpnId), (VrfHandle, usize)>,
     access_rate_bps: u64,
     access_delay_ns: Nanos,
-    trace: Option<TraceLog>,
     php: bool,
     failed_links: std::collections::HashSet<usize>,
     pub(crate) detect_ns: Nanos,
@@ -449,11 +425,8 @@ impl ProviderNetwork {
         };
 
         // CE device + access link (CE first so its uplink is iface 0).
-        let mut ce =
+        let ce =
             CeRouter::new(format!("CE-{}-s{}", self.vpns[vpn.0].name, self.sites.len()), marking);
-        if let Some(t) = &self.trace {
-            ce = ce.with_trace(t.clone());
-        }
         let ce_id = self.net.add_node(Box::new(ce));
         let cfg = LinkConfig::new(self.access_rate_bps, self.access_delay_ns);
         let (access_link, _ce_if, pe_if) = self.net.connect(ce_id, pe_node, cfg);

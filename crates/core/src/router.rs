@@ -20,7 +20,6 @@ use netsim_qos::{Color, ExpMap, MarkingPolicy, SrTcm};
 use netsim_sim::{Ctx, FxHashMap, IfaceId, Node};
 
 use crate::control::{ControlHandle, NodeTables, CTRL_FLOW_BASE};
-use crate::trace::TraceLog;
 
 /// Timer-token namespace for BFD-style interface state changes delivered
 /// to routers: the high bit marks the namespace, bit 0 carries down/up,
@@ -68,8 +67,6 @@ pub struct CoreRouter {
     pub fib: LpmTrie<usize>,
     /// Forwarding counters.
     pub counters: RouterCounters,
-    /// Optional hop trace.
-    pub trace: Option<TraceLog>,
     /// The control database, attached only under `ControlMode::InBand`.
     control: Option<ControlHandle>,
     /// This router's backbone topology node id (only meaningful when
@@ -85,7 +82,6 @@ impl CoreRouter {
             lfib,
             fib: LpmTrie::new(),
             counters: RouterCounters::default(),
-            trace: None,
             control: None,
             topo_id: usize::MAX,
         }
@@ -96,12 +92,6 @@ impl CoreRouter {
     pub(crate) fn set_control(&mut self, db: ControlHandle, topo_id: usize) {
         self.control = Some(db);
         self.topo_id = topo_id;
-    }
-
-    /// Attaches a trace log.
-    pub fn with_trace(mut self, t: TraceLog) -> Self {
-        self.trace = Some(t);
-        self
     }
 
     fn forward_ip(&mut self, mut pkt: Pkt, ctx: &mut Ctx) {
@@ -117,9 +107,6 @@ impl CoreRouter {
             return ctx.discard(pkt, DropCause::NoRoute);
         };
         self.counters.forwarded += 1;
-        if let Some(t) = &self.trace {
-            t.record(ctx.now(), &self.name, format!("ip route → if{out}"), &pkt);
-        }
         ctx.send(IfaceId(out), pkt);
     }
 }
@@ -136,8 +123,6 @@ impl Node for CoreRouter {
         if pkt.top_label().is_none() {
             return self.forward_ip(pkt, ctx);
         }
-        let before = pkt.top_label().expect("labeled").label;
-        let depth_before = pkt.label_depth();
         self.counters.label_ops += 1;
         match self.lfib.forward(&mut pkt) {
             LfibVerdict::Forward { out_iface } if out_iface == LOCAL_IFACE => {
@@ -148,17 +133,6 @@ impl Node for CoreRouter {
             }
             LfibVerdict::Forward { out_iface } => {
                 self.counters.forwarded += 1;
-                if let Some(t) = &self.trace {
-                    let action = match pkt.top_label() {
-                        Some(l) if pkt.label_depth() < depth_before => {
-                            format!("php pop {before} (exposing {})", l.label)
-                        }
-                        Some(l) if l.label != before => format!("swap {before}→{}", l.label),
-                        Some(l) => format!("forward {}", l.label),
-                        None => format!("php pop {before}"),
-                    };
-                    t.record(ctx.now(), &self.name, action, &pkt);
-                }
                 ctx.send(IfaceId(out_iface), pkt);
             }
             LfibVerdict::PoppedToLocal => ctx.absorb(pkt),
@@ -177,6 +151,10 @@ impl Node for CoreRouter {
                 db.borrow_mut().on_link_event(self.topo_id, iface, down, &mut tables, ctx);
             }
         }
+    }
+
+    fn name(&self) -> &str {
+        &self.name
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -312,8 +290,6 @@ pub struct PeRouter {
     pub policers: FxHashMap<usize, SrTcm>,
     /// Forwarding counters.
     pub counters: RouterCounters,
-    /// Optional hop trace.
-    pub trace: Option<TraceLog>,
     /// The control database, attached only under `ControlMode::InBand`.
     control: Option<ControlHandle>,
     /// This router's backbone topology node id (only meaningful when
@@ -335,7 +311,6 @@ impl PeRouter {
             exp_map: ExpMap::default(),
             policers: FxHashMap::default(),
             counters: RouterCounters::default(),
-            trace: None,
             control: None,
             topo_id: usize::MAX,
         }
@@ -346,12 +321,6 @@ impl PeRouter {
     pub(crate) fn set_control(&mut self, db: ControlHandle, topo_id: usize) {
         self.control = Some(db);
         self.topo_id = topo_id;
-    }
-
-    /// Attaches a trace log.
-    pub fn with_trace(mut self, t: TraceLog) -> Self {
-        self.trace = Some(t);
-        self
     }
 
     /// Adds a VRF, returning its index.
@@ -408,11 +377,6 @@ impl PeRouter {
         }
     }
 
-    /// Total VRF routes installed (state metric).
-    pub fn total_routes(&self) -> usize {
-        self.vrfs.iter().map(|v| v.fib.len()).sum()
-    }
-
     fn police(&mut self, iface: usize, pkt: &mut Packet, now: u64) -> bool {
         let Some(meter) = self.policers.get_mut(&iface) else {
             return true;
@@ -460,14 +424,6 @@ impl PeRouter {
                 let out_iface = *out_iface;
                 self.counters.forwarded += 1;
                 self.vrfs[vrf].count_forward();
-                if let Some(t) = &self.trace {
-                    t.record(
-                        ctx.now(),
-                        &self.name,
-                        format!("vrf{vrf} local → if{out_iface}"),
-                        &pkt,
-                    );
-                }
                 ctx.send(IfaceId(out_iface), pkt);
             }
             VrfRoute::Remote { vpn_label, .. } => {
@@ -483,22 +439,6 @@ impl PeRouter {
                     self.counters.label_ops += 1;
                 }
                 self.counters.forwarded += 1;
-                if let Some(t) = &self.trace {
-                    let stack: Vec<u32> = pkt
-                        .layers()
-                        .iter()
-                        .map_while(|l| match l {
-                            Layer::Mpls(m) => Some(m.label),
-                            _ => None,
-                        })
-                        .collect();
-                    t.record(
-                        ctx.now(),
-                        &self.name,
-                        format!("vrf{vrf} push {stack:?} exp={exp}"),
-                        &pkt,
-                    );
-                }
                 // Fast reroute: if the primary core interface is held down
                 // by link-failure detection and a bypass is installed, the
                 // LFIB pushes the bypass label(s) and redirects locally.
@@ -528,14 +468,6 @@ impl PeRouter {
             Some(&VrfRoute::Local { out_iface }) => {
                 self.counters.forwarded += 1;
                 self.vrfs[vrf].count_forward();
-                if let Some(t) = &self.trace {
-                    t.record(
-                        ctx.now(),
-                        &self.name,
-                        format!("pop vpn {} → vrf{vrf} if{out_iface}", top.label),
-                        &pkt,
-                    );
-                }
                 ctx.send(IfaceId(out_iface), pkt);
             }
             _ => {
@@ -558,9 +490,6 @@ impl PeRouter {
             match self.lfib.forward(&mut pkt) {
                 LfibVerdict::Forward { out_iface } if out_iface != LOCAL_IFACE => {
                     self.counters.forwarded += 1;
-                    if let Some(t) = &self.trace {
-                        t.record(ctx.now(), &self.name, "transit swap".into(), &pkt);
-                    }
                     ctx.send(IfaceId(out_iface), pkt);
                 }
                 LfibVerdict::Forward { .. } | LfibVerdict::PoppedToLocal => {
@@ -615,6 +544,10 @@ impl Node for PeRouter {
         }
     }
 
+    fn name(&self) -> &str {
+        &self.name
+    }
+
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -645,8 +578,6 @@ pub struct CeRouter {
     pub marking: Option<MarkingPolicy>,
     /// Forwarding counters.
     pub counters: RouterCounters,
-    /// Optional hop trace.
-    pub trace: Option<TraceLog>,
 }
 
 impl CeRouter {
@@ -659,14 +590,7 @@ impl CeRouter {
             local: LpmTrie::new(),
             marking,
             counters: RouterCounters::default(),
-            trace: None,
         }
-    }
-
-    /// Attaches a trace log.
-    pub fn with_trace(mut self, t: TraceLog) -> Self {
-        self.trace = Some(t);
-        self
     }
 
     /// Registers a host route: `prefix` lives on local interface `iface`.
@@ -680,9 +604,6 @@ impl CeRouter {
         self.counters.lpm_lookups += 1;
         if let Some(&out) = self.local.lookup_cached(dst, &mut self.local_cache) {
             self.counters.forwarded += 1;
-            if let Some(t) = &self.trace {
-                t.record(ctx.now(), &self.name, format!("deliver → if{out}"), &pkt);
-            }
             ctx.send(IfaceId(out), pkt);
             None
         } else {
@@ -716,25 +637,17 @@ impl Node for CeRouter {
         // CPE classification + marking, then off to the PE. SLA probes are
         // exempt: the probe already carries the DSCP of the class it
         // measures, and remarking it would fold every probe into one class.
-        if pkt.meta.probe {
-            if let Some(t) = &self.trace {
-                t.record(
-                    ctx.now(),
-                    &self.name,
-                    "uplink (sla probe, marking bypassed)".into(),
-                    &pkt,
-                );
+        if !pkt.meta.probe {
+            if let Some(policy) = &self.marking {
+                policy.mark(&mut pkt);
             }
-        } else if let Some(policy) = &self.marking {
-            let mark = policy.mark(&mut pkt);
-            if let (Some(t), Some(m)) = (&self.trace, mark) {
-                t.record(ctx.now(), &self.name, format!("classify/mark {m}"), &pkt);
-            }
-        } else if let Some(t) = &self.trace {
-            t.record(ctx.now(), &self.name, "uplink (no marking)".into(), &pkt);
         }
         self.counters.forwarded += 1;
         ctx.send(IfaceId(self.uplink), pkt);
+    }
+
+    fn name(&self) -> &str {
+        &self.name
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -226,11 +226,6 @@ impl LdpDomain {
     pub fn total_labels(&self) -> u64 {
         self.nodes.iter().map(|s| s.space.live()).sum()
     }
-
-    /// Total ILM entries across all LSRs.
-    pub fn total_ilm_entries(&self) -> usize {
-        self.nodes.iter().map(|s| s.lfib.len()).sum()
-    }
 }
 
 #[cfg(test)]

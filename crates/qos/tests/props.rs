@@ -21,9 +21,14 @@ enum Op {
 }
 
 fn arb_ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
+    arb_ops_over(4, max)
+}
+
+/// Like [`arb_ops`], with traffic spread over `classes` classes.
+fn arb_ops_over(classes: u8, max: usize) -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
-            (0u8..4, 0u16..1400).prop_map(|(class, payload)| Op::Enq { class, payload }),
+            (0u8..classes, 0u16..1400).prop_map(|(class, payload)| Op::Enq { class, payload }),
             Just(Op::Deq),
         ],
         1..max,
@@ -109,6 +114,65 @@ impl RefDrr {
         self.round.clear();
         self.deficits.iter_mut().for_each(|d| *d = 0);
         self.fifos.iter_mut().flat_map(|f| f.drain(..).map(|(seq, _)| seq)).collect()
+    }
+}
+
+/// The textbook virtual-finish-time WFQ that `wfq_matches_reference_model`
+/// checks [`WfqScheduler`] against: one flat list of queued
+/// `(finish, class, seq, wire bytes)`, a system virtual time, and each
+/// class's last finish tag.
+struct RefWfq {
+    weights: Vec<u64>,
+    cap: usize,
+    queued: Vec<(u128, usize, u64, usize)>,
+    vtime: u128,
+    last_finish: Vec<u128>,
+}
+
+impl RefWfq {
+    fn new(weights: Vec<u64>, cap: usize) -> Self {
+        let n = weights.len();
+        RefWfq { weights, cap, queued: Vec::new(), vtime: 0, last_finish: vec![0; n] }
+    }
+
+    fn bytes(&self) -> usize {
+        self.queued.iter().map(|&(_, _, _, sz)| sz).sum()
+    }
+
+    /// Whether the packet fits its class's cap (and is queued).
+    fn enqueue(&mut self, class: usize, seq: u64, sz: usize) -> bool {
+        let c = class.min(self.weights.len() - 1);
+        let held: usize = self.queued.iter().filter(|q| q.1 == c).map(|q| q.3).sum();
+        if held + sz > self.cap {
+            return false;
+        }
+        let start = self.vtime.max(self.last_finish[c]);
+        let finish = start + (sz as u128 * (1 << 16)) / u128::from(self.weights[c]);
+        self.last_finish[c] = finish;
+        self.queued.push((finish, c, seq, sz));
+        true
+    }
+
+    /// Serves the smallest `(finish, class)`; an idle system restarts
+    /// virtual time from zero.
+    fn dequeue(&mut self) -> Option<(u64, usize)> {
+        let i = (0..self.queued.len()).min_by_key(|&i| (self.queued[i].0, self.queued[i].1))?;
+        let (finish, _, seq, sz) = self.queued.remove(i);
+        self.vtime = self.vtime.max(finish);
+        if self.queued.is_empty() {
+            self.reset();
+        }
+        Some((seq, sz))
+    }
+
+    fn purge(&mut self) -> Vec<u64> {
+        self.reset();
+        self.queued.drain(..).map(|(_, _, seq, _)| seq).collect()
+    }
+
+    fn reset(&mut self) {
+        self.vtime = 0;
+        self.last_finish.iter_mut().for_each(|f| *f = 0);
     }
 }
 
@@ -408,6 +472,56 @@ proptest! {
             prop_assert_eq!(q.len_packets(), held);
             prop_assert_eq!(q.len_bytes(), reference.bytes());
             prop_assert_eq!(q.is_empty(), held == 0);
+        }
+        while let Some(want) = reference.dequeue() {
+            prop_assert_eq!(q.dequeue(0).map(|p| (p.meta.seq, p.wire_len())), Some(want));
+        }
+        prop_assert!(q.dequeue(0).is_none());
+    }
+
+    /// WFQ matches a naive reference model — one flat list of finish
+    /// tags, scanned for the smallest `(finish, class)` — on random
+    /// enqueue, dequeue and purge traces. A packet starts at the later of
+    /// the system virtual time and its class's last finish, and finishes
+    /// `len·2¹⁶ / weight` after; serving a packet advances virtual time to
+    /// its finish; an idle or purged system resets every tag to zero.
+    /// After every operation the enqueue outcome, the dequeued `(seq,
+    /// wire_len)`, `len_packets`, `len_bytes` and `is_empty` must agree.
+    /// Traffic spans 8 classes, so fewer weights exercise the clamp onto
+    /// the last class. Small weights and payloads rounded to 350 B steps
+    /// make equal finish tags common, so the class tie-break is exercised.
+    #[test]
+    fn wfq_matches_reference_model(
+        ops in arb_ops_over(8, 300),
+        weights in proptest::collection::vec(1u64..5, 1..9),
+        cap in 1_500usize..6_000,
+        purge_after in proptest::collection::vec(0usize..300, 0..3),
+    ) {
+        let mut q = WfqScheduler::new(&weights, cap, by_flow());
+        let mut reference = RefWfq::new(weights.clone(), cap);
+        for (seq, op) in ops.iter().enumerate() {
+            match op {
+                Op::Enq { class, payload } => {
+                    let p = mk_pkt(*class, *payload / 350 * 350, seq as u64);
+                    let fits = reference.enqueue(usize::from(*class), seq as u64, p.wire_len());
+                    let queued = q.enqueue(p, 0).is_queued();
+                    prop_assert_eq!(queued, fits, "enqueue outcome of seq {}", seq);
+                }
+                Op::Deq => {
+                    let got = q.dequeue(0).map(|p| (p.meta.seq, p.wire_len()));
+                    prop_assert_eq!(got, reference.dequeue(), "dequeue at seq {}", seq);
+                }
+            }
+            if purge_after.contains(&seq) {
+                let mut got: Vec<u64> = q.purge().iter().map(|p| p.meta.seq).collect();
+                let mut want = reference.purge();
+                got.sort_unstable();
+                want.sort_unstable();
+                prop_assert_eq!(got, want, "purge after seq {}", seq);
+            }
+            prop_assert_eq!(q.len_packets(), reference.queued.len());
+            prop_assert_eq!(q.len_bytes(), reference.bytes());
+            prop_assert_eq!(q.is_empty(), reference.queued.is_empty());
         }
         while let Some(want) = reference.dequeue() {
             prop_assert_eq!(q.dequeue(0).map(|p| (p.meta.seq, p.wire_len())), Some(want));

@@ -213,11 +213,6 @@ impl BgpVpnFabric {
         &self.pes[vrf.pe].vrfs[vrf.index].export
     }
 
-    /// The route distinguisher of a VRF.
-    pub fn vrf_rd(&self, vrf: VrfHandle) -> RouteDistinguisher {
-        self.pes[vrf.pe].vrfs[vrf.index].rd
-    }
-
     /// Advertises `prefix` from `vrf` (a connected customer route learned
     /// from the attached CE): allocates a VPN label, installs the egress
     /// dispatch entry, and distributes the route to every importing VRF.

@@ -6,6 +6,7 @@ use netsim_qos::{EnqueueOutcome, FifoQueue, Nanos, QueueDiscipline, TxCost};
 
 use crate::calendar::TimingWheel;
 use crate::node::{Action, Ctx, IfaceId, Node, NodeId};
+use crate::trace::TraceLog;
 
 /// Identifies a duplex link within one [`Network`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -138,6 +139,10 @@ pub struct Network {
     /// to [`Ctx::discard`] or [`Ctx::absorb`], attributed to that node;
     /// `None` keeps the hot path to a single branch.
     recorder: Option<FlightRecorder>,
+    /// Optional hop trace. When attached, every send by any node is
+    /// recorded here, before the egress decides the packet's fate; `None`
+    /// costs one branch per send.
+    trace: Option<TraceLog>,
 }
 
 impl Default for Network {
@@ -159,6 +164,7 @@ impl Network {
             events_processed: 0,
             scratch: Vec::new(),
             recorder: None,
+            trace: None,
         }
     }
 
@@ -171,6 +177,12 @@ impl Network {
     /// The attached flight recorder, if any.
     pub fn recorder(&self) -> Option<&FlightRecorder> {
         self.recorder.as_ref()
+    }
+
+    /// Attaches a hop trace. The log is a shared handle: clone it before
+    /// attaching to keep a reader on the outside.
+    pub fn set_trace(&mut self, log: TraceLog) {
+        self.trace = Some(log);
     }
 
     /// Current simulation time.
@@ -398,12 +410,12 @@ impl Network {
     fn dispatch(&mut self, ev: Event) {
         match ev {
             Event::Arrival { node, iface, pkt } => {
-                let mut ctx = Ctx::new(self.now, node, std::mem::take(&mut self.scratch));
+                let mut ctx = Ctx::new(self.now, std::mem::take(&mut self.scratch));
                 self.nodes[node.0].on_packet(iface, pkt, &mut ctx);
                 self.apply_actions(node, ctx);
             }
             Event::Timer { node, token } => {
-                let mut ctx = Ctx::new(self.now, node, std::mem::take(&mut self.scratch));
+                let mut ctx = Ctx::new(self.now, std::mem::take(&mut self.scratch));
                 self.nodes[node.0].on_timer(token, &mut ctx);
                 self.apply_actions(node, ctx);
             }
@@ -452,6 +464,9 @@ impl Network {
         let Some(&(link, dir)) = self.ifaces[node.0].get(iface.0) else {
             panic!("node {node:?} has no interface {iface:?}");
         };
+        if let Some(t) = &self.trace {
+            t.record(self.now, self.nodes[node.0].name(), iface, &pkt);
+        }
         let d = &mut self.links[link.0].dirs[dir as usize];
         if !d.enabled {
             // Interface is down: the packet is lost on the floor.
@@ -558,6 +573,9 @@ mod tests {
     impl Node for Echo {
         fn on_packet(&mut self, iface: IfaceId, pkt: Pkt, ctx: &mut Ctx) {
             ctx.send(iface, pkt);
+        }
+        fn name(&self) -> &str {
+            "echo"
         }
         fn as_any(&self) -> &dyn std::any::Any {
             self
@@ -863,6 +881,27 @@ mod tests {
         let at = rec.recent()[0].at;
         assert!(at > MSEC, "recorded at the handler's instant, not at send: {at}");
         assert_eq!(rec.node_total(a.0, DropCause::Ttl), 0);
+    }
+
+    #[test]
+    fn every_send_is_traced_even_onto_a_dead_link() {
+        let mut net = Network::new();
+        let log = TraceLog::new();
+        net.set_trace(log.clone());
+        let a = net.add_node(Box::new(BlackHole::default()));
+        let b = net.add_node(Box::new(Echo));
+        let (l, ia, _) = net.connect(a, b, LinkConfig::new(10_000_000, MSEC));
+        net.inject(a, ia, pkt(1250 - 28));
+        net.run_to_quiescence();
+        net.set_link_enabled(l, false);
+        let mut lost = pkt(10);
+        lost.meta.seq = 1;
+        net.inject(a, ia, lost);
+        let records = log.flow(0);
+        let hops: Vec<(Nanos, &str, u64)> =
+            records.iter().map(|r| (r.at, r.device.as_str(), r.seq)).collect();
+        assert_eq!(hops, [(0, "", 0), (2 * MSEC, "echo", 0), (4 * MSEC, "", 1)]);
+        assert_eq!(net.link_stats(l, 0).dropped, 1);
     }
 
     #[test]

@@ -48,6 +48,7 @@ pub mod fxmap;
 pub mod node;
 pub mod stats;
 pub mod tcp;
+pub mod trace;
 pub mod traffic;
 
 pub use engine::{LinkConfig, LinkId, LinkStats, Network};
@@ -57,4 +58,5 @@ pub use netsim_qos::{Nanos, MSEC, SEC};
 pub use node::{Ctx, IfaceId, Node, NodeId};
 pub use stats::{FlowStats, Histogram};
 pub use tcp::{TcpSink, TcpSource};
+pub use trace::{HopOp, HopRecord, TraceLog};
 pub use traffic::{CbrSource, OnOffSource, PoissonSource, Sink, SourceConfig};

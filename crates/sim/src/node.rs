@@ -22,7 +22,6 @@ pub struct IfaceId(pub usize);
 /// network.
 pub struct Ctx {
     now: Nanos,
-    node: NodeId,
     pub(crate) actions: Vec<Action>,
 }
 
@@ -37,9 +36,9 @@ pub(crate) enum Action {
 impl Ctx {
     /// `actions` is a scratch buffer owned by the network and recycled
     /// across dispatches, so handlers don't cost an allocation per event.
-    pub(crate) fn new(now: Nanos, node: NodeId, actions: Vec<Action>) -> Self {
+    pub(crate) fn new(now: Nanos, actions: Vec<Action>) -> Self {
         debug_assert!(actions.is_empty(), "scratch buffer handed over dirty");
-        Ctx { now, node, actions }
+        Ctx { now, actions }
     }
 
     pub(crate) fn into_actions(self) -> Vec<Action> {
@@ -50,12 +49,6 @@ impl Ctx {
     #[inline]
     pub fn now(&self) -> Nanos {
         self.now
-    }
-
-    /// The node this context belongs to.
-    #[inline]
-    pub fn node_id(&self) -> NodeId {
-        self.node
     }
 
     /// Transmits `pkt` out of local interface `iface`. The packet enters
@@ -104,6 +97,11 @@ pub trait Node: Any {
 
     /// A timer armed via [`Ctx::schedule`] fired.
     fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx) {}
+
+    /// Device name shown in hop traces; hosts keep the empty default.
+    fn name(&self) -> &str {
+        ""
+    }
 
     /// Upcast for downcasting in experiment code.
     fn as_any(&self) -> &dyn Any;

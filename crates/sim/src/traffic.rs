@@ -72,12 +72,6 @@ impl SourceConfig {
         self
     }
 
-    /// Sets the emitting interface.
-    pub fn on_iface(mut self, iface: IfaceId) -> Self {
-        self.iface = iface;
-        self
-    }
-
     /// Marks the flow as a synthetic SLA probe.
     pub fn as_probe(mut self) -> Self {
         self.probe = true;

@@ -5,7 +5,7 @@ use mplsvpn::net::Prefix;
 use mplsvpn::routing::{LinkAttrs, Topology};
 use mplsvpn::sim::{Sink, SourceConfig, MSEC, SEC};
 use mplsvpn::vpn::network::DsSched;
-use mplsvpn::vpn::{BackboneBuilder, CoreQos, ProviderNetwork, TraceLog};
+use mplsvpn::vpn::{BackboneBuilder, CoreQos, HopOp, ProviderNetwork, TraceLog};
 
 fn pfx(s: &str) -> Prefix {
     s.parse().unwrap()
@@ -107,9 +107,12 @@ fn simulation_is_deterministic_per_seed() {
     assert_ne!(a, c, "different seed must change the trajectory");
 }
 
-fn delivery_with_php(php: bool) -> u64 {
+/// Delivered packets, and what the egress PE did to the first one.
+fn delivery_with_php(php: bool) -> (u64, HopOp) {
     let (t, pes) = national();
     let mut pn = BackboneBuilder::new(t, pes).php(php).build();
+    let log = TraceLog::new();
+    pn.net.set_trace(log.clone());
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
     let b = pn.add_site(vpn, 2, pfx("10.2.0.0/16"), None);
@@ -117,14 +120,23 @@ fn delivery_with_php(php: bool) -> u64 {
     let cfg = SourceConfig::udp(1, pn.site_addr(a, 1), pn.site_addr(b, 1), 5000, 300);
     pn.attach_cbr_source(a, cfg, MSEC, Some(100));
     pn.run_for(SEC);
-    pn.net.node_ref::<Sink>(sink).flow(1).map(|f| f.rx_packets).unwrap_or(0)
+    let delivered = pn.net.node_ref::<Sink>(sink).flow(1).map(|f| f.rx_packets).unwrap_or(0);
+    let egress =
+        log.path(1, 0).into_iter().find(|(_, r)| r.device == "PE2").expect("egress PE hop");
+    (delivered, egress.0)
 }
 
 /// PHP is a forwarding optimization: it must not change what is delivered.
+/// It does change the egress PE's work: with PHP only the VPN label is
+/// left to pop there; without it the tunnel label arrives too.
 #[test]
 fn php_and_non_php_deliver_identically() {
-    assert_eq!(delivery_with_php(true), 100);
-    assert_eq!(delivery_with_php(false), 100);
+    let (with_php, op) = delivery_with_php(true);
+    assert_eq!(with_php, 100);
+    assert!(matches!(&op, HopOp::PopAll(labels) if labels.len() == 1), "{op:?}");
+    let (without_php, op) = delivery_with_php(false);
+    assert_eq!(without_php, 100);
+    assert!(matches!(&op, HopOp::PopAll(labels) if labels.len() == 2), "{op:?}");
 }
 
 /// The EXP bits assigned at the ingress PE are visible at every labeled
@@ -132,8 +144,9 @@ fn php_and_non_php_deliver_identically() {
 #[test]
 fn exp_marking_survives_the_whole_backbone() {
     let (t, pes) = national();
+    let mut pn: ProviderNetwork = BackboneBuilder::new(t, pes).build();
     let log = TraceLog::new();
-    let mut pn: ProviderNetwork = BackboneBuilder::new(t, pes).trace(log.clone()).build();
+    pn.net.set_trace(log.clone());
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(
         vpn,
