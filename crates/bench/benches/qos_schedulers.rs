@@ -1,13 +1,13 @@
 //! Criterion bench for the queueing disciplines: enqueue+dequeue cost per
-//! packet for FIFO, RED, WRED, strict priority, WFQ, DRR, and CBQ.
+//! packet for FIFO, RED, strict priority, WFQ, DRR, and CBQ (flat
+//! and a link-sharing tree).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use netsim_net::addr::ip;
 use netsim_net::{Dscp, Packet, Pkt};
-use netsim_qos::sched::CbqClassConfig;
 use netsim_qos::{
-    CbqScheduler, ClassOf, DrrScheduler, EnqueueOutcome, FifoQueue, PriorityScheduler,
-    QueueDiscipline, RedParams, RedQueue, WfqScheduler, WredQueue,
+    CbqNodeConfig, ClassOf, DrrScheduler, EnqueueOutcome, FifoQueue, HierCbq, PriorityScheduler,
+    QueueDiscipline, RedParams, RedQueue, WfqScheduler,
 };
 use std::hint::black_box;
 
@@ -53,11 +53,6 @@ fn benches(c: &mut Criterion) {
         "red",
         Box::new(RedQueue::new(1 << 20, RedParams::new(64 << 10, 256 << 10), 7, 12_000)),
     );
-    bench_qdisc(
-        c,
-        "wred3",
-        Box::new(WredQueue::new(1 << 20, WredQueue::af_profiles(1 << 20), by_flow(), 7, 12_000)),
-    );
     let bands: Vec<Box<dyn QueueDiscipline>> =
         (0..4).map(|_| Box::new(FifoQueue::new(1 << 18)) as Box<dyn QueueDiscipline>).collect();
     bench_qdisc(c, "priority4", Box::new(PriorityScheduler::new(bands, by_flow())));
@@ -67,46 +62,41 @@ fn benches(c: &mut Criterion) {
         "drr4",
         Box::new(DrrScheduler::new(&[1500, 3000, 6000, 12000], 1 << 18, by_flow())),
     );
-    let cbq = CbqScheduler::new(
+    let cbq = HierCbq::new(
         (0..4)
-            .map(|_| CbqClassConfig { rate_bps: 100_000_000, bounded: false, cap_bytes: 1 << 18 })
+            .map(|_| CbqNodeConfig {
+                parent: None,
+                rate_bps: 100_000_000,
+                bounded: false,
+                cap_bytes: 1 << 18,
+            })
             .collect(),
         by_flow(),
     );
     bench_qdisc(c, "cbq4", Box::new(cbq));
-    let tree = netsim_qos::HierCbq::new(
+    let tree = HierCbq::new(
         vec![
-            netsim_qos::CbqNodeConfig {
-                parent: None,
-                rate_bps: 1_000_000_000,
-                bounded: true,
-                cap_bytes: 0,
-            },
-            netsim_qos::CbqNodeConfig {
-                parent: Some(0),
-                rate_bps: 600_000_000,
-                bounded: true,
-                cap_bytes: 0,
-            },
-            netsim_qos::CbqNodeConfig {
+            CbqNodeConfig { parent: None, rate_bps: 1_000_000_000, bounded: true, cap_bytes: 0 },
+            CbqNodeConfig { parent: Some(0), rate_bps: 600_000_000, bounded: true, cap_bytes: 0 },
+            CbqNodeConfig {
                 parent: Some(1),
                 rate_bps: 200_000_000,
                 bounded: false,
                 cap_bytes: 1 << 18,
             },
-            netsim_qos::CbqNodeConfig {
+            CbqNodeConfig {
                 parent: Some(1),
                 rate_bps: 400_000_000,
                 bounded: false,
                 cap_bytes: 1 << 18,
             },
-            netsim_qos::CbqNodeConfig {
+            CbqNodeConfig {
                 parent: Some(0),
                 rate_bps: 400_000_000,
                 bounded: false,
                 cap_bytes: 1 << 18,
             },
-            netsim_qos::CbqNodeConfig {
+            CbqNodeConfig {
                 parent: Some(0),
                 rate_bps: 100_000_000,
                 bounded: false,

@@ -1,7 +1,7 @@
 //! **A1 — active queue management ablation**: RED vs tail-drop under
 //! responsive (TCP-like) traffic through the MPLS VPN.
 //!
-//! DESIGN.md calls out WRED/RED as an ablation knob of the DiffServ core.
+//! DESIGN.md calls out RED as an ablation knob of the DiffServ core.
 //! Open-loop sources can't show why RED exists; this experiment runs eight
 //! closed-loop AIMD flows through the VPN's 10 Mb/s bottleneck and compares
 //! a deep tail-drop FIFO against RED: RED keeps the standing queue (and

@@ -20,7 +20,7 @@
 //!
 //! CE routers classify and mark (CBQ/DSCP, [`router::CeRouter`]); the
 //! ingress PE maps DSCP into the MPLS EXP bits
-//! ([`netsim_qos::ExpMap`]); core links schedule on EXP (priority + WRED);
+//! ([`netsim_qos::ExpMap`]); core links schedule on EXP (priority + RED);
 //! TE trunks steer traffic away from congestion ([`netsim_te`]).
 //!
 //! ## Baselines

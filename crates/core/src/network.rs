@@ -227,7 +227,7 @@ impl BackboneBuilder {
         self
     }
 
-    /// Seeds the RED/WRED queues (determinism knob).
+    /// Seeds the RED queues (determinism knob).
     pub fn seed(mut self, s: u64) -> Self {
         self.seed = s;
         self
@@ -466,20 +466,6 @@ impl ProviderNetwork {
         let site = SiteId(self.sites.len());
         self.sites.push(SiteInfo { vpn, pe, prefix, ce: ce_id, access_link, pe_iface: pe_if.0 });
         site
-    }
-
-    /// Replaces a site's uplink (CE→PE) queueing with a token-bucket
-    /// shaper at `rate_bps` — the access-contract enforcement knob. Any
-    /// packets queued in the old discipline are discarded, so call before
-    /// traffic starts.
-    pub fn shape_site_uplink(&mut self, site: SiteId, rate_bps: u64, burst_bytes: u64) {
-        let link = self.sites[site.0].access_link;
-        let shaped = netsim_qos::ShapedQueue::new(
-            Box::new(FifoQueue::new(256 * 1024)),
-            rate_bps,
-            burst_bytes,
-        );
-        self.net.set_qdisc(link, 0, Box::new(shaped));
     }
 
     /// Detaches a site: withdraws its prefix from the fabric, removes the
@@ -963,40 +949,6 @@ impl ProviderNetwork {
         out
     }
 
-    /// Rebinds one remote route at an ingress PE onto a different tunnel
-    /// (e.g. a TE LSP from [`ProviderNetwork::install_explicit_lsp`]).
-    /// The route then stops following the PE's LDP tunnel table: site
-    /// joins and detaches elsewhere leave the binding alone, and so does
-    /// in-band LDP repair after a link fails or recovers. Only
-    /// [`ProviderNetwork::reconverge`] restores the LDP tunnel.
-    ///
-    /// # Panics
-    /// Panics if the VRF or the route does not exist at that PE.
-    pub fn override_route_tunnel(
-        &mut self,
-        vpn: VpnId,
-        ingress_pe: usize,
-        prefix: Prefix,
-        tunnel: netsim_mpls::FtnEntry,
-    ) {
-        let (handle, vrf_idx) = *self
-            .vrf_handles
-            .get(&(ingress_pe, vpn))
-            .unwrap_or_else(|| panic!("no VRF for VPN {vpn:?} on PE{ingress_pe}"));
-        let r = *self
-            .fabric
-            .routes(handle)
-            .get(prefix)
-            .unwrap_or_else(|| panic!("no remote route {prefix} at PE{ingress_pe}"));
-        let pe_node = self.pe_node(ingress_pe);
-        self.net.node_mut::<PeRouter>(pe_node).vrfs[vrf_idx].install_remote(
-            prefix,
-            r.egress_pe,
-            r.vpn_label,
-            Some(tunnel),
-        );
-    }
-
     /// Takes a backbone link down (fiber cut): the data plane starts
     /// dropping immediately — anything queued on the link is flushed into
     /// [`netsim_sim::LinkStats::dropped`] — and BFD-style detection timers
@@ -1133,11 +1085,18 @@ impl ProviderNetwork {
         }
     }
 
-    /// Pins a (possibly more-specific) destination prefix at an ingress PE
-    /// onto a tunnel. The egress PE and VPN label are inherited from the
-    /// covering route in the VRF, so the pin only changes the *path*, not
-    /// the VPN semantics — the standard way to steer a subset of traffic
-    /// onto a TE trunk.
+    /// Pins a destination prefix at an ingress PE onto a tunnel (e.g. a TE
+    /// LSP from [`ProviderNetwork::install_explicit_lsp`]). The prefix may
+    /// be an existing route or a more-specific one; the egress PE and VPN
+    /// label are inherited from the longest route in the VRF that covers
+    /// the whole prefix (the route itself, if it exists), so the pin only
+    /// changes the *path*, not the VPN semantics — the standard way to
+    /// steer a subset of traffic onto a TE trunk.
+    ///
+    /// The pinned route stops following the PE's LDP tunnel table: site
+    /// joins and detaches elsewhere leave the binding alone, and so does
+    /// in-band LDP repair after a link fails or recovers. Only
+    /// [`ProviderNetwork::reconverge`] restores the LDP tunnel.
     ///
     /// # Panics
     /// Panics if the VRF has no covering route for `prefix`.
@@ -1152,10 +1111,10 @@ impl ProviderNetwork {
             .vrf_handles
             .get(&(ingress_pe, vpn))
             .unwrap_or_else(|| panic!("no VRF for VPN {vpn:?} on PE{ingress_pe}"));
-        let r = *self
-            .fabric
-            .routes(handle)
-            .lookup(prefix.addr())
+        let routes = self.fabric.routes(handle);
+        let r = *(0..=prefix.len())
+            .rev()
+            .find_map(|len| routes.get(Prefix::new(prefix.addr(), len)))
             .unwrap_or_else(|| panic!("no covering route for {prefix} at PE{ingress_pe}"));
         let pe_node = self.pe_node(ingress_pe);
         self.net.node_mut::<PeRouter>(pe_node).vrfs[vrf_idx].install_remote(
@@ -1412,29 +1371,6 @@ mod tests {
         assert!(acme_sink.flows().all(|(f, _)| f == 2), "extranet must not leak acme HQ");
     }
 
-    /// A shaped uplink caps a site's throughput at the contracted rate
-    /// even though the physical access link is far faster.
-    #[test]
-    fn shaped_uplink_enforces_the_contract() {
-        let mut pn = line();
-        let vpn = pn.new_vpn("acme");
-        let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
-        let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
-        pn.shape_site_uplink(a, 2_000_000, 4_000); // 2 Mb/s contract
-        let sink = pn.attach_sink(b, pfx("10.2.0.0/16"));
-        // Offer ~8 Mb/s for 2 s.
-        let to = pn.site_addr(b, 9);
-        let cfg = SourceConfig::udp(1, pn.site_addr(a, 1), to, 5000, 972);
-        pn.attach_cbr_source(a, cfg, MSEC, Some(2000));
-        pn.run_for(4 * SEC);
-        let f = pn.net.node_ref::<Sink>(sink).flow(1).expect("delivered");
-        let goodput = f.throughput_bps();
-        assert!(
-            (1_500_000.0..=2_400_000.0).contains(&goodput),
-            "shaped goodput {goodput} should sit at the 2 Mb/s contract"
-        );
-    }
-
     /// A dual-homed site: the prefix is served from two PEs; detaching the
     /// primary fails importers over to the survivor.
     #[test]
@@ -1540,13 +1476,45 @@ mod tests {
         let sink = pn.attach_sink(b, pfx("10.2.0.0/16"));
         // Pin A→B onto the long path 0-2-3.
         let ftn = pn.install_explicit_lsp(&[0, 2, 3]);
-        pn.override_route_tunnel(vpn, 0, pfx("10.2.0.0/16"), ftn);
+        pn.pin_prefix_to_tunnel(vpn, 0, pfx("10.2.0.0/16"), ftn);
         let to = pn.site_addr(b, 9);
         send_flow(&mut pn, a, to, 1, 20);
         pn.run_for(SEC);
         assert_eq!(pn.net.node_ref::<Sink>(sink).flow(1).map(|f| f.rx_packets), Some(20));
         assert_eq!(pn.net.link_stats(LinkId(0), 0).tx_packets, 0, "short path unused");
         assert_eq!(pn.net.link_stats(LinkId(2), 0).tx_packets, 20, "long path carries the LSP");
+    }
+
+    /// Pinning an existing route keeps that route's egress PE and VPN
+    /// label, even when a more-specific route from another PE sits at its
+    /// network address.
+    #[test]
+    fn pin_inherits_the_pinned_route_not_a_more_specific_one() {
+        // PE0(0)—P(1)—PE1(2), with PE2(3) also hanging off P.
+        let mut topo = Topology::new(4);
+        let attrs = LinkAttrs { cost: 1, capacity_bps: 100_000_000 };
+        topo.add_link(0, 1, attrs);
+        topo.add_link(1, 2, attrs);
+        topo.add_link(1, 3, attrs);
+        let mut pn = BackboneBuilder::new(topo, vec![0, 2, 3]).build();
+        let vpn = pn.new_vpn("acme");
+        pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
+        pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
+        pn.add_site(vpn, 2, pfx("10.2.0.0/24"), None);
+        let ftn = pn.install_explicit_lsp(&[0, 1, 2]);
+        pn.pin_prefix_to_tunnel(vpn, 0, pfx("10.2.0.0/16"), ftn.clone());
+        let (handle, vrf_idx) = pn.vrf_handle(0, vpn).unwrap();
+        let r = *pn.fabric.routes(handle).get(pfx("10.2.0.0/16")).unwrap();
+        assert_eq!(r.egress_pe, 1);
+        let pe = pn.net.node_ref::<PeRouter>(pn.pe_node(0));
+        assert_eq!(
+            pe.vrfs[vrf_idx].fib.get(pfx("10.2.0.0/16")),
+            Some(&VrfRoute::Remote {
+                egress_pe: r.egress_pe,
+                vpn_label: r.vpn_label,
+                tunnel: Some(ftn)
+            })
+        );
     }
 
     #[test]

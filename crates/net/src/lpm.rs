@@ -152,24 +152,6 @@ impl<V> LpmTrie<V> {
         }
     }
 
-    /// Like [`LpmTrie::lookup`] but also returns the matched prefix.
-    pub fn lookup_entry(&self, ip: Ip) -> Option<(Prefix, &V)> {
-        let mut best: Option<(u8, &V)> = self.nodes[0].value.as_ref().map(|v| (0u8, v));
-        let mut node = 0usize;
-        for i in 0..32u8 {
-            let bit = ip.bit(i) as usize;
-            let next = self.nodes[node].child[bit];
-            if next == NONE {
-                break;
-            }
-            node = next as usize;
-            if let Some(v) = self.nodes[node].value.as_ref() {
-                best = Some((i + 1, v));
-            }
-        }
-        best.map(|(len, v)| (Prefix::new(ip, len), v))
-    }
-
     /// Exact-match lookup of a stored prefix.
     pub fn get(&self, prefix: Prefix) -> Option<&V> {
         let node = self.find_node(prefix)?;
@@ -294,16 +276,6 @@ mod tests {
         t.insert(Prefix::host(ip("1.2.3.4")), "a");
         assert_eq!(t.lookup(ip("1.2.3.4")), Some(&"a"));
         assert_eq!(t.lookup(ip("1.2.3.5")), None);
-    }
-
-    #[test]
-    fn lookup_entry_returns_matched_prefix() {
-        let mut t = LpmTrie::new();
-        t.insert(pfx("10.0.0.0/8"), 8);
-        t.insert(pfx("10.1.0.0/16"), 16);
-        let (p, v) = t.lookup_entry(ip("10.1.2.3")).unwrap();
-        assert_eq!(p, pfx("10.1.0.0/16"));
-        assert_eq!(*v, 16);
     }
 
     #[test]

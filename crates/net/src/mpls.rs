@@ -67,12 +67,6 @@ impl MplsLabel {
         (MplsLabel { label, exp, ttl }, bos)
     }
 
-    /// Whether this entry carries a reserved label value.
-    #[inline]
-    pub fn is_reserved(self) -> bool {
-        self.label < MIN_UNRESERVED_LABEL
-    }
-
     /// Decrement TTL; returns `false` when it has expired.
     #[inline]
     pub fn decrement_ttl(&mut self) -> bool {
@@ -124,14 +118,6 @@ mod tests {
     #[should_panic(expected = "exceeds 3 bits")]
     fn rejects_oversized_exp() {
         MplsLabel::new(0, 8, 0);
-    }
-
-    #[test]
-    fn reserved_range() {
-        assert!(MplsLabel::new(EXPLICIT_NULL, 0, 1).is_reserved());
-        assert!(MplsLabel::new(IMPLICIT_NULL, 0, 1).is_reserved());
-        assert!(MplsLabel::new(15, 0, 1).is_reserved());
-        assert!(!MplsLabel::new(MIN_UNRESERVED_LABEL, 0, 1).is_reserved());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 pub enum DropCause {
     /// Tail drop: a queue (or scheduler band/class buffer) was full.
     QueueOverflow,
-    /// RED/WRED probabilistic early drop (average below the max threshold).
+    /// RED probabilistic early drop (average below the max threshold).
     RedEarly,
-    /// RED/WRED forced drop (average at or above the max threshold).
+    /// RED forced drop (average at or above the max threshold).
     RedForced,
     /// The packet was purged from (or refused by) a disabled link
     /// direction: cut-link flush, down-interface refusal, or a queue

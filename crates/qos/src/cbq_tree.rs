@@ -1,11 +1,11 @@
-//! Hierarchical CBQ: Floyd & Van Jacobson's link-sharing class tree.
+//! CBQ: Floyd & Van Jacobson's link-sharing class tree.
 //!
 //! The paper's CPE "could use technologies such as CBQ to classify
-//! traffic" (§5). The flat [`crate::CbqScheduler`] covers per-class rates;
-//! this discipline adds the *hierarchy*: an organization buys a bounded
-//! share of the link, divides it among departments, and departments'
-//! traffic classes borrow unused capacity from their own organization
-//! before anyone else sees it.
+//! traffic" (§5). An organization buys a bounded share of the link,
+//! divides it among departments, and departments' traffic classes borrow
+//! unused capacity from their own organization before anyone else sees it.
+//! The configuration is a forest: a flat CBQ is a forest whose classes are
+//! all root leaves.
 //!
 //! Semantics (simplified from the formal link-sharing guidelines, but
 //! faithful in effect):
@@ -33,7 +33,7 @@ use crate::{Nanos, SEC};
 /// Configuration of one node in the class tree.
 #[derive(Clone, Debug)]
 pub struct CbqNodeConfig {
-    /// Parent node index; `None` for the root. Parents must be declared
+    /// Parent node index; `None` for a root. Parents must be declared
     /// before children (indices ascend toward the leaves).
     pub parent: Option<usize>,
     /// The node's rate, bits/s.
@@ -63,11 +63,13 @@ pub struct HierCbq {
 }
 
 impl HierCbq {
-    /// Builds the tree.
+    /// Builds the forest; every node without a parent is a root. The last
+    /// node of a non-empty forest has no children, so there is always a
+    /// leaf.
     ///
     /// # Panics
-    /// Panics if a parent index is not smaller than its child's, or if the
-    /// tree has no leaves.
+    /// Panics if `configs` is empty or a parent index is not smaller than
+    /// its child's.
     pub fn new(configs: Vec<CbqNodeConfig>, class_of: ClassOf) -> Self {
         assert!(!configs.is_empty(), "CBQ tree needs nodes");
         let mut has_child = vec![false; configs.len()];
@@ -75,13 +77,14 @@ impl HierCbq {
             if let Some(p) = c.parent {
                 assert!(p < i, "parent {p} must be declared before child {i}");
                 has_child[p] = true;
-            } else {
-                assert_eq!(i, 0, "only node 0 may be the root");
             }
         }
         let nodes: Vec<TreeNode> = configs
             .into_iter()
             .map(|cfg| {
+                // Burst of ~100 ms at the node rate, floored at two MTUs so
+                // a bounded node can always eventually pass a full-size
+                // packet (a bucket smaller than the packet would deadlock).
                 let burst = (cfg.rate_bps / 80).max(3200);
                 TreeNode { bucket: TokenBucket::new(cfg.rate_bps, burst), cfg, q: None, bytes: 0 }
             })
@@ -93,7 +96,6 @@ impl HierCbq {
                 me.leaves.push(i);
             }
         }
-        assert!(!me.leaves.is_empty(), "CBQ tree needs at least one leaf");
         me
     }
 
@@ -103,29 +105,27 @@ impl HierCbq {
         self.nodes.iter().map(|n| n.cfg.clone()).collect()
     }
 
-    fn path_of(&self, mut node: usize) -> Vec<usize> {
-        let mut path = vec![node];
-        while let Some(p) = self.nodes[node].cfg.parent {
-            path.push(p);
-            node = p;
-        }
-        path
-    }
-
-    /// Whether every node in `path` (filtered by `only_bounded`) can cover
-    /// `bytes` at `now`; if yes, charges all of them and returns true.
-    fn try_charge(&mut self, path: &[usize], bytes: usize, now: Nanos, only_bounded: bool) -> bool {
+    /// Whether every node on `leaf`'s root path (filtered by
+    /// `only_bounded`) can cover `bytes` at `now`; if yes, charges all of
+    /// them and returns true.
+    fn try_charge(&mut self, leaf: usize, bytes: usize, now: Nanos, only_bounded: bool) -> bool {
         // Check first (level_bytes refills as a side effect, which is fine).
-        for &n in path {
-            let gate = !only_bounded || self.nodes[n].cfg.bounded;
-            if gate && (self.nodes[n].bucket.level_bytes(now) as usize) < bytes {
+        let mut node = Some(leaf);
+        while let Some(n) = node {
+            let n = &mut self.nodes[n];
+            let gate = !only_bounded || n.cfg.bounded;
+            if gate && (n.bucket.level_bytes(now) as usize) < bytes {
                 return false;
             }
+            node = n.cfg.parent;
         }
-        for &n in path {
+        let mut node = Some(leaf);
+        while let Some(n) = node {
             // Charge every node that can pay (hierarchical accounting);
             // nodes that can't are borrowers' victims and simply stay empty.
-            self.nodes[n].bucket.conforms(bytes, now);
+            let n = &mut self.nodes[n];
+            n.bucket.conforms(bytes, now);
+            node = n.cfg.parent;
         }
         true
     }
@@ -139,8 +139,7 @@ impl HierCbq {
                 Some(p) => p.wire_len(),
                 None => continue,
             };
-            let path = self.path_of(leaf);
-            if self.try_charge(&path, head_len, now, only_bounded) {
+            if self.try_charge(leaf, head_len, now, only_bounded) {
                 let node = &mut self.nodes[leaf];
                 let pkt = node.q.as_mut().expect("leaf").pop_front().expect("head");
                 node.bytes -= head_len;
@@ -379,5 +378,69 @@ mod tests {
             ],
             Box::new(|_| 0),
         );
+    }
+
+    /// A forest of root leaves `(rate_bps, bounded)`: flat CBQ.
+    fn flat(classes: &[(u64, bool)], cap_bytes: usize) -> HierCbq {
+        let cfgs = classes
+            .iter()
+            .map(|&(rate_bps, bounded)| CbqNodeConfig {
+                parent: None,
+                rate_bps,
+                bounded,
+                cap_bytes,
+            })
+            .collect();
+        HierCbq::new(cfgs, by_flow())
+    }
+
+    #[test]
+    fn cbq_bounded_class_is_rate_capped() {
+        // Class 0: bounded 1 Mb/s; class 1: unbounded.
+        let mut s = flat(&[(1_000_000, true), (1_000_000, false)], 1 << 22);
+        for _ in 0..2000 {
+            s.enqueue(pkt(0, 972), 0); // 1000 B wire
+            s.enqueue(pkt(1, 972), 0);
+        }
+        // Simulate 1 second of dequeues at effectively unlimited link rate.
+        let mut bytes = [0u64; 2];
+        for t in 0..100_000u64 {
+            if let Some(p) = s.dequeue(t * 10_000) {
+                bytes[p.meta.flow as usize] += p.wire_len() as u64;
+            }
+        }
+        // Bounded class ≈ 1 Mb/s ≈ 125 kB (+burst); unbounded takes the rest.
+        assert!(bytes[0] < 300_000, "bounded sent {}", bytes[0]);
+        assert!(bytes[1] > 1_000_000, "unbounded sent {}", bytes[1]);
+    }
+
+    #[test]
+    fn cbq_next_ready_signals_retry_for_bounded_backlog() {
+        let mut s = flat(&[(8_000, true)], 1 << 20);
+        for _ in 0..10 {
+            s.enqueue(pkt(0, 1472), 0); // 1500 B wire
+        }
+        // Exhaust the initial burst.
+        while s.dequeue(0).is_some() {}
+        assert!(!s.is_empty());
+        let t = s.next_ready(0).expect("backlogged");
+        assert!(t > 0, "bounded class must ask for a later retry");
+        // At 8 kb/s a 1500 B packet needs 1.5 seconds of tokens.
+        assert!(s.dequeue(3 * SEC).is_some());
+    }
+
+    #[test]
+    fn cbq_in_profile_round_robin_is_fair() {
+        let mut s = flat(&[(100_000_000, false), (100_000_000, false)], 1 << 22);
+        for _ in 0..100 {
+            s.enqueue(pkt(0, 100), 0);
+            s.enqueue(pkt(1, 100), 0);
+        }
+        let mut counts = [0; 2];
+        for _ in 0..100 {
+            counts[s.dequeue(0).unwrap().meta.flow as usize] += 1;
+        }
+        assert_eq!(counts[0], 50);
+        assert_eq!(counts[1], 50);
     }
 }

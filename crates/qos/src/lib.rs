@@ -10,10 +10,11 @@
 //!   the CPE's DiffServ marking into "the QoS field of the MPLS header".
 //! * **Metering** ([`meter`]): token bucket and srTCM (RFC 2697) for edge
 //!   policing.
-//! * **Active queue management** ([`red`]): RED and per-precedence WRED.
-//! * **Schedulers** ([`sched`]): FIFO, strict priority, WFQ, DRR and a CBQ
-//!   emulation, all behind one [`QueueDiscipline`] trait so any of them can
-//!   be attached to any simulated link egress.
+//! * **Active queue management** ([`red`]): RED, optionally ECN-marking.
+//! * **Schedulers** ([`queue`], [`sched`], [`cbq_tree`], [`shaper`]): FIFO,
+//!   strict priority, WFQ, DRR, CBQ (flat or a link-sharing tree) and a
+//!   token-bucket shaper, all behind one [`QueueDiscipline`] trait so any
+//!   of them can be attached to any simulated link egress.
 //!
 //! Time is a bare `u64` nanosecond count ([`Nanos`]); this crate never owns
 //! a clock — the simulator passes `now` in.
@@ -52,11 +53,11 @@ pub mod shaper;
 
 pub use cbq_tree::{CbqNodeConfig, HierCbq};
 pub use classify::{MarkingPolicy, MatchRule};
-pub use meter::{Color, SrTcm, TokenBucket, TrTcm};
+pub use meter::{Color, SrTcm, TokenBucket};
 pub use phb::{ExpMap, Phb};
 pub use queue::{ClassOf, EnqueueOutcome, FifoQueue, QueueDiscipline};
-pub use red::{RedParams, RedQueue, WredQueue};
-pub use sched::{CbqScheduler, DrrScheduler, PriorityScheduler, WfqScheduler};
+pub use red::{RedParams, RedQueue};
+pub use sched::{DrrScheduler, PriorityScheduler, WfqScheduler};
 pub use shaper::ShapedQueue;
 
 /// Simulation time in nanoseconds.

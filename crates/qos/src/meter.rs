@@ -3,8 +3,7 @@
 //! Used at the provider edge to police customer traffic against the
 //! contracted rate before it enters the backbone — the "granular Service
 //! Level Agreements" of the paper's §3.1. Out-of-profile traffic is either
-//! dropped or demoted to a higher drop precedence (AF model), which WRED in
-//! the core then discriminates against.
+//! dropped or demoted to a higher drop precedence (AF model).
 
 use crate::Nanos;
 
@@ -91,7 +90,6 @@ pub enum Color {
 /// with committed and excess burst sizes, color-blind mode.
 #[derive(Clone, Debug)]
 pub struct SrTcm {
-    cir_bps: u64,
     committed: TokenBucket,
     excess: TokenBucket,
 }
@@ -101,15 +99,9 @@ impl SrTcm {
     /// `cbs_bytes` and excess burst `ebs_bytes`.
     pub fn new(cir_bps: u64, cbs_bytes: u64, ebs_bytes: u64) -> Self {
         SrTcm {
-            cir_bps,
             committed: TokenBucket::new(cir_bps, cbs_bytes),
             excess: TokenBucket::new(cir_bps, ebs_bytes),
         }
-    }
-
-    /// The committed information rate in bits/s.
-    pub fn cir_bps(&self) -> u64 {
-        self.cir_bps
     }
 
     /// Meters one packet of `bytes` at time `now`.
@@ -120,44 +112,6 @@ impl SrTcm {
             Color::Yellow
         } else {
             Color::Red
-        }
-    }
-}
-
-/// Two-rate three-color marker (RFC 2698): peak information rate (PIR)
-/// gates Red, committed information rate (CIR) gates Green, color-blind
-/// mode. Unlike [`SrTcm`], sustained traffic between CIR and PIR stays
-/// Yellow indefinitely — the profile used when a contract sells a
-/// committed rate with a bursting ceiling.
-#[derive(Clone, Debug)]
-pub struct TrTcm {
-    peak: TokenBucket,
-    committed: TokenBucket,
-}
-
-impl TrTcm {
-    /// Creates a marker with peak rate/burst and committed rate/burst.
-    ///
-    /// # Panics
-    /// Panics if `pir_bps < cir_bps` (a peak below the commitment is a
-    /// configuration error).
-    pub fn new(pir_bps: u64, pbs_bytes: u64, cir_bps: u64, cbs_bytes: u64) -> Self {
-        assert!(pir_bps >= cir_bps, "PIR must be at least CIR");
-        TrTcm {
-            peak: TokenBucket::new(pir_bps, pbs_bytes),
-            committed: TokenBucket::new(cir_bps, cbs_bytes),
-        }
-    }
-
-    /// Meters one packet of `bytes` at time `now`.
-    pub fn meter(&mut self, bytes: usize, now: Nanos) -> Color {
-        if !self.peak.conforms(bytes, now) {
-            return Color::Red;
-        }
-        if self.committed.conforms(bytes, now) {
-            Color::Green
-        } else {
-            Color::Yellow
         }
     }
 }
@@ -219,40 +173,5 @@ mod tests {
     #[should_panic(expected = "rate must be positive")]
     fn zero_rate_rejected() {
         TokenBucket::new(0, 1);
-    }
-
-    #[test]
-    fn trtcm_colors_by_rate_band() {
-        // PIR 16 Mb/s, CIR 8 Mb/s, small bursts: sustained traffic between
-        // the rates stays Yellow (unlike srTCM, whose excess bucket would
-        // run dry).
-        let mut m = TrTcm::new(16_000_000, 2_000, 8_000_000, 2_000);
-        let mut colors = [0u32; 3];
-        // Offer 12 Mb/s: 1500 B every ms.
-        for i in 0..1000u64 {
-            match m.meter(1500, i * MSEC) {
-                Color::Green => colors[0] += 1,
-                Color::Yellow => colors[1] += 1,
-                Color::Red => colors[2] += 1,
-            }
-        }
-        // CIR admits ~2/3 of packets as green, the rest yellow, ~no red.
-        assert!(colors[0] > 500, "green {colors:?}");
-        assert!(colors[1] > 200, "yellow {colors:?}");
-        assert!(colors[2] < 50, "red {colors:?}");
-    }
-
-    #[test]
-    fn trtcm_red_above_peak() {
-        let mut m = TrTcm::new(8_000_000, 1_500, 4_000_000, 1_500);
-        // A 3000 B burst at t=0 blows both buckets.
-        assert_eq!(m.meter(1500, 0), Color::Green);
-        assert_eq!(m.meter(1500, 0), Color::Red, "peak bucket empty");
-    }
-
-    #[test]
-    #[should_panic(expected = "PIR must be at least CIR")]
-    fn trtcm_rejects_inverted_rates() {
-        TrTcm::new(1_000, 100, 2_000, 100);
     }
 }

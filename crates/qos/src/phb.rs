@@ -106,11 +106,6 @@ impl ExpMap {
         assert!(exp <= 7, "EXP {exp} exceeds 3 bits");
         self.dscp_to_exp[dscp.value() as usize] = exp;
     }
-
-    /// Overrides the inverse mapping for one EXP value.
-    pub fn set_dscp(&mut self, exp: u8, dscp: Dscp) {
-        self.exp_to_dscp[(exp & 7) as usize] = dscp;
-    }
 }
 
 #[cfg(test)]
@@ -153,8 +148,6 @@ mod tests {
         let mut m = ExpMap::default();
         m.set_exp(Dscp::AF11, 7);
         assert_eq!(m.exp_of(Dscp::AF11), 7);
-        m.set_dscp(7, Dscp::AF11);
-        assert_eq!(m.dscp_of(7), Dscp::AF11);
     }
 
     #[test]

@@ -79,14 +79,8 @@ pub trait QueueDiscipline: Send {
 }
 
 /// Maps a packet to a class index for classful disciplines (priority bands,
-/// WFQ/DRR/CBQ classes, WRED precedence levels).
+/// WFQ/DRR/CBQ classes).
 pub type ClassOf = Box<dyn Fn(&Packet) -> usize + Send>;
-
-/// Class selector: the MPLS EXP field of the top label (0 when unlabeled).
-/// This is what P routers in the backbone schedule on.
-pub fn class_by_exp() -> ClassOf {
-    Box::new(|p: &Packet| p.top_label().map_or(0, |l| usize::from(l.exp)))
-}
 
 /// Class selector: the EXP of the top label if labeled, else the EXP the
 /// default [`crate::ExpMap`] would assign from the IP DSCP. Lets one
@@ -203,16 +197,6 @@ mod tests {
         q.dequeue(0);
         assert_eq!(q.len_bytes(), 0);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn exp_class_selector() {
-        use netsim_net::{Layer, MplsLabel};
-        let by_exp = class_by_exp();
-        let mut p = pkt(0);
-        assert_eq!(by_exp(&p), 0);
-        p.push_outer(Layer::Mpls(MplsLabel::new(100, 5, 64)));
-        assert_eq!(by_exp(&p), 5);
     }
 
     #[test]

@@ -1,19 +1,17 @@
-//! Random Early Detection and Weighted RED.
+//! Random Early Detection.
 //!
 //! RED (Floyd & Jacobson) keeps an exponentially weighted moving average of
 //! the queue size and drops arriving packets with a probability that rises
 //! between two thresholds — signalling congestion to responsive sources
-//! before the buffer overflows. WRED runs several drop profiles over one
-//! physical queue, selected per packet (here: by AF drop precedence or by
-//! MPLS EXP), so that out-of-profile traffic is discarded first. This is the
-//! AQM half of the paper's DiffServ-over-MPLS core behaviour.
+//! before the buffer overflows. This is the AQM half of the paper's
+//! DiffServ-over-MPLS core behaviour.
 
 use std::collections::VecDeque;
 
 use netsim_net::Pkt;
 use netsim_obs::DropCause;
 
-use crate::queue::{ClassOf, EnqueueOutcome, QueueDiscipline};
+use crate::queue::{EnqueueOutcome, QueueDiscipline};
 use crate::Nanos;
 
 /// RED drop-curve parameters (byte-based).
@@ -140,7 +138,6 @@ pub struct RedQueue {
     params: RedParams,
     core: RedCore,
     ecn: bool,
-    ce_marks: u64,
 }
 
 impl RedQueue {
@@ -155,7 +152,6 @@ impl RedQueue {
             params,
             core: RedCore::new(seed, mean_pkt_time_ns),
             ecn: false,
-            ce_marks: 0,
         }
     }
 
@@ -164,16 +160,6 @@ impl RedQueue {
     pub fn with_ecn(mut self) -> Self {
         self.ecn = true;
         self
-    }
-
-    /// CE marks applied instead of drops (ECN mode).
-    pub fn ce_marks(&self) -> u64 {
-        self.ce_marks
-    }
-
-    /// Current average queue estimate in bytes.
-    pub fn avg_bytes(&self) -> f64 {
-        self.core.avg
     }
 }
 
@@ -187,102 +173,11 @@ impl QueueDiscipline for RedQueue {
         if let Some(cause) = self.core.should_drop(&self.params) {
             let ect = self.ecn && pkt.outer_ipv4().is_some_and(netsim_net::Ipv4Header::is_ect);
             if ect {
+                // Mark, then fall through and queue the packet.
                 pkt.outer_ipv4_mut().expect("checked above").set_ce();
-                self.ce_marks += 1;
-                // fall through and queue the marked packet
             } else {
                 return EnqueueOutcome::Dropped(pkt, cause);
             }
-        }
-        self.bytes += sz;
-        self.q.push_back(pkt);
-        EnqueueOutcome::Queued
-    }
-
-    fn dequeue(&mut self, now: Nanos) -> Option<Pkt> {
-        let pkt = self.q.pop_front()?;
-        self.bytes -= pkt.wire_len();
-        if self.q.is_empty() {
-            self.core.note_empty(now);
-        }
-        Some(pkt)
-    }
-
-    fn len_packets(&self) -> usize {
-        self.q.len()
-    }
-
-    fn len_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn peek_len(&self) -> Option<usize> {
-        self.q.front().map(|p| p.wire_len())
-    }
-
-    fn purge(&mut self) -> Vec<Pkt> {
-        self.bytes = 0;
-        self.q.drain(..).collect()
-    }
-}
-
-/// Weighted RED: one physical FIFO, several drop profiles selected per
-/// packet by a class function (e.g. AF drop precedence, or "discard
-/// eligible" for the overlay baseline). Classes with lower thresholds are
-/// culled earlier under congestion.
-pub struct WredQueue {
-    q: VecDeque<Pkt>,
-    bytes: usize,
-    cap_bytes: usize,
-    profiles: Vec<RedParams>,
-    class_of: ClassOf,
-    core: RedCore,
-}
-
-impl WredQueue {
-    /// Creates a WRED queue. `profiles[class_of(pkt)]` selects the drop
-    /// curve; out-of-range classes use the last profile.
-    pub fn new(
-        cap_bytes: usize,
-        profiles: Vec<RedParams>,
-        class_of: ClassOf,
-        seed: u64,
-        mean_pkt_time_ns: Nanos,
-    ) -> Self {
-        assert!(!profiles.is_empty(), "WRED needs at least one profile");
-        WredQueue {
-            q: VecDeque::new(),
-            bytes: 0,
-            cap_bytes,
-            profiles,
-            class_of,
-            core: RedCore::new(seed, mean_pkt_time_ns),
-        }
-    }
-
-    /// A standard three-precedence AF profile set over `cap_bytes`:
-    /// precedence 0 (in-profile) tolerates the deepest queue; precedence 2
-    /// is dropped earliest.
-    pub fn af_profiles(cap_bytes: usize) -> Vec<RedParams> {
-        vec![
-            RedParams::new(cap_bytes * 5 / 10, cap_bytes * 9 / 10).with_max_p(0.05),
-            RedParams::new(cap_bytes * 3 / 10, cap_bytes * 7 / 10).with_max_p(0.1),
-            RedParams::new(cap_bytes / 10, cap_bytes * 4 / 10).with_max_p(0.2),
-        ]
-    }
-}
-
-impl QueueDiscipline for WredQueue {
-    fn enqueue(&mut self, pkt: Pkt, now: Nanos) -> EnqueueOutcome {
-        self.core.update_avg(self.bytes, now);
-        let sz = pkt.wire_len();
-        if self.bytes + sz > self.cap_bytes {
-            return EnqueueOutcome::Dropped(pkt, DropCause::QueueOverflow);
-        }
-        let class = (self.class_of)(&pkt).min(self.profiles.len() - 1);
-        let params = self.profiles[class];
-        if let Some(cause) = self.core.should_drop(&params) {
-            return EnqueueOutcome::Dropped(pkt, cause);
         }
         self.bytes += sz;
         self.q.push_back(pkt);
@@ -443,7 +338,7 @@ mod tests {
             }
         }
         assert!(accepted > 0);
-        assert!(q.avg_bytes() > 2000.0, "avg should converge above max_th");
+        assert!(q.core.avg > 2000.0, "avg should converge above max_th");
         assert!(red_drops(&drops) > 1000, "persistent congestion must drop");
     }
 
@@ -513,12 +408,12 @@ mod tests {
                 q.dequeue(i);
             }
         }
-        let high = q.avg_bytes();
+        let high = q.core.avg;
         assert!(high > 1000.0);
         while q.dequeue(5000).is_some() {}
         // Long idle: next enqueue must see a decayed average.
         assert!(q.enqueue(pkt(100), 50_000_000).is_queued());
-        assert!(q.avg_bytes() < high / 10.0, "avg {high} -> {}", q.avg_bytes());
+        assert!(q.core.avg < high / 10.0, "avg {high} -> {}", q.core.avg);
     }
 
     /// With ECN enabled, ECT packets are marked instead of dropped; non-ECT
@@ -543,38 +438,7 @@ mod tests {
                 }
             }
         }
-        assert!(q.ce_marks() > 500, "marks {}", q.ce_marks());
+        assert!(ce_seen > 500, "marked packets are delivered with CE set: {ce_seen}");
         assert!(red_drops(&drops) > 500, "non-ECT packets still drop: {}", red_drops(&drops));
-        assert!(ce_seen > 0, "marked packets are delivered with CE set");
-    }
-
-    /// WRED must discriminate: under identical offered load, the
-    /// high-precedence (class 2) profile drops far more than class 0.
-    #[test]
-    fn wred_orders_drop_rates_by_precedence() {
-        let profiles = WredQueue::af_profiles(10_000);
-        let class_of: ClassOf = Box::new(|p: &Packet| usize::from(p.meta.flow as u8 % 3));
-        let mut q = WredQueue::new(10_000, profiles, class_of, 11, 1000);
-        let mut d = [0u64; 3];
-        for i in 0..30_000u64 {
-            let mut p = pkt(472);
-            p.meta.flow = i % 3;
-            if let EnqueueOutcome::Dropped(_, DropCause::RedEarly | DropCause::RedForced) =
-                q.enqueue(p, i * 5)
-            {
-                d[(i % 3) as usize] += 1;
-            }
-            if q.len_bytes() > 5_000 {
-                q.dequeue(i * 5);
-            }
-        }
-        assert!(d[2] > d[1], "class2 {} should exceed class1 {}", d[2], d[1]);
-        assert!(d[1] > d[0], "class1 {} should exceed class0 {}", d[1], d[0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one profile")]
-    fn wred_requires_profiles() {
-        WredQueue::new(100, vec![], Box::new(|_| 0), 1, 1);
     }
 }

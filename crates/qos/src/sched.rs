@@ -1,20 +1,19 @@
-//! Classful schedulers: strict priority, WFQ, DRR, and a CBQ emulation.
+//! Classful schedulers: strict priority, WFQ and DRR.
 //!
 //! These are the "consistent level of service for flows that are of higher
 //! priority" machinery of the paper's §5. The backbone experiments attach a
-//! [`PriorityScheduler`] over WRED children to core links (EF in the
-//! low-latency band, AF under WRED, BE at the bottom); the CPE experiments
-//! use [`CbqScheduler`] — the paper names CBQ as the customer-premises
-//! classifier/scheduler.
+//! [`PriorityScheduler`] over RED children to core links (EF in the
+//! low-latency band, AF under RED, BE at the bottom). CBQ, which the paper
+//! names as the customer-premises classifier/scheduler, is
+//! [`crate::HierCbq`].
 
 use std::collections::VecDeque;
 
 use netsim_net::Pkt;
 use netsim_obs::DropCause;
 
-use crate::meter::TokenBucket;
 use crate::queue::{ClassOf, EnqueueOutcome, QueueDiscipline};
-use crate::{Nanos, SEC};
+use crate::Nanos;
 
 // ---------------------------------------------------------------------------
 // Strict priority
@@ -24,7 +23,7 @@ use crate::{Nanos, SEC};
 ///
 /// `class_of` maps a packet to a band index; **higher band index = higher
 /// priority** (matching MPLS EXP semantics where EXP 5 outranks EXP 0).
-/// A band can be any child discipline, e.g. WRED for the AF bands.
+/// A band can be any child discipline, e.g. RED for the AF bands.
 ///
 /// The scheduler counts the packets each band holds, so `dequeue` goes
 /// straight past empty bands (an empty band's `dequeue` is never called)
@@ -323,145 +322,6 @@ impl QueueDiscipline for DrrScheduler {
     }
 }
 
-// ---------------------------------------------------------------------------
-// CBQ
-// ---------------------------------------------------------------------------
-
-/// Configuration of one CBQ class.
-#[derive(Clone, Debug)]
-pub struct CbqClassConfig {
-    /// Share of the link the class is entitled to, in bits/s.
-    pub rate_bps: u64,
-    /// Whether the class is *bounded*: a bounded class may never exceed its
-    /// rate, even when the link is otherwise idle (non-work-conserving). An
-    /// unbounded class borrows idle capacity.
-    pub bounded: bool,
-    /// Per-class buffer in bytes.
-    pub cap_bytes: usize,
-}
-
-struct CbqClass {
-    cfg: CbqClassConfig,
-    bucket: TokenBucket,
-    q: VecDeque<Pkt>,
-    bytes: usize,
-}
-
-/// Class-based queueing (Floyd & Van Jacobson's link-sharing model,
-/// emulated): each class owns a rate; in-profile classes are served
-/// round-robin; idle capacity is lent to unbounded classes. Bounded classes
-/// are rate-capped, which makes the discipline non-work-conserving — the
-/// link retries at [`QueueDiscipline::next_ready`].
-pub struct CbqScheduler {
-    classes: Vec<CbqClass>,
-    class_of: ClassOf,
-    rr: usize,
-}
-
-impl CbqScheduler {
-    /// Creates a CBQ scheduler from per-class configs.
-    pub fn new(configs: Vec<CbqClassConfig>, class_of: ClassOf) -> Self {
-        assert!(!configs.is_empty(), "CBQ needs at least one class");
-        let classes = configs
-            .into_iter()
-            .map(|cfg| {
-                // Burst of ~100 ms at the class rate, floored at two MTUs so
-                // a bounded class can always eventually send a full-size
-                // packet (a bucket smaller than the packet would deadlock).
-                let burst = (cfg.rate_bps / 80).max(3200);
-                CbqClass {
-                    bucket: TokenBucket::new(cfg.rate_bps, burst),
-                    cfg,
-                    q: VecDeque::new(),
-                    bytes: 0,
-                }
-            })
-            .collect();
-        CbqScheduler { classes, class_of, rr: 0 }
-    }
-}
-
-impl QueueDiscipline for CbqScheduler {
-    fn enqueue(&mut self, pkt: Pkt, _now: Nanos) -> EnqueueOutcome {
-        let ci = (self.class_of)(&pkt).min(self.classes.len() - 1);
-        let c = &mut self.classes[ci];
-        let sz = pkt.wire_len();
-        if c.bytes + sz > c.cfg.cap_bytes {
-            return EnqueueOutcome::Dropped(pkt, DropCause::QueueOverflow);
-        }
-        c.bytes += sz;
-        c.q.push_back(pkt);
-        EnqueueOutcome::Queued
-    }
-
-    fn dequeue(&mut self, now: Nanos) -> Option<Pkt> {
-        let n = self.classes.len();
-        // Pass 1: in-profile classes, round-robin from self.rr.
-        for off in 0..n {
-            let ci = (self.rr + off) % n;
-            let c = &mut self.classes[ci];
-            if let Some(head) = c.q.front() {
-                let sz = head.wire_len();
-                if c.bucket.conforms(sz, now) {
-                    let pkt = c.q.pop_front().expect("head exists");
-                    c.bytes -= sz;
-                    self.rr = (ci + 1) % n;
-                    return Some(pkt);
-                }
-            }
-        }
-        // Pass 2: borrowing — unbounded classes may exceed their rate.
-        for off in 0..n {
-            let ci = (self.rr + off) % n;
-            let c = &mut self.classes[ci];
-            if !c.cfg.bounded {
-                if let Some(pkt) = c.q.pop_front() {
-                    c.bytes -= pkt.wire_len();
-                    self.rr = (ci + 1) % n;
-                    return Some(pkt);
-                }
-            }
-        }
-        None
-    }
-
-    fn len_packets(&self) -> usize {
-        self.classes.iter().map(|c| c.q.len()).sum()
-    }
-
-    fn len_bytes(&self) -> usize {
-        self.classes.iter().map(|c| c.bytes).sum()
-    }
-
-    fn next_ready(&self, now: Nanos) -> Option<Nanos> {
-        // Any unbounded backlogged class can send immediately (borrowing).
-        let mut earliest: Option<Nanos> = None;
-        for c in &self.classes {
-            if let Some(head) = c.q.front() {
-                if !c.cfg.bounded {
-                    return Some(now);
-                }
-                // Conservative estimate: time to accrue one head's worth of
-                // tokens at the class rate.
-                let wait =
-                    (head.wire_len() as u128 * 8 * SEC as u128 / c.cfg.rate_bps as u128) as Nanos;
-                let t = now + wait.max(1);
-                earliest = Some(earliest.map_or(t, |e: Nanos| e.min(t)));
-            }
-        }
-        earliest
-    }
-
-    fn purge(&mut self) -> Vec<Pkt> {
-        let mut out = Vec::new();
-        for c in &mut self.classes {
-            out.extend(c.q.drain(..));
-            c.bytes = 0;
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,66 +518,5 @@ mod tests {
         for seq in 0..5u64 {
             assert_eq!(s.dequeue(0).unwrap().meta.seq, seq);
         }
-    }
-
-    // --- CBQ ---
-
-    #[test]
-    fn cbq_bounded_class_is_rate_capped() {
-        // Class 0: bounded 1 Mb/s; class 1: unbounded.
-        let cfgs = vec![
-            CbqClassConfig { rate_bps: 1_000_000, bounded: true, cap_bytes: 1 << 22 },
-            CbqClassConfig { rate_bps: 1_000_000, bounded: false, cap_bytes: 1 << 22 },
-        ];
-        let mut s = CbqScheduler::new(cfgs, by_flow());
-        for _ in 0..2000 {
-            s.enqueue(pkt_class(0, 972), 0); // 1000 B wire
-            s.enqueue(pkt_class(1, 972), 0);
-        }
-        // Simulate 1 second of dequeues at effectively unlimited link rate.
-        let mut bytes = [0u64; 2];
-        for t in 0..100_000u64 {
-            if let Some(p) = s.dequeue(t * 10_000) {
-                bytes[p.meta.flow as usize] += p.wire_len() as u64;
-            }
-        }
-        // Bounded class ≈ 1 Mb/s ≈ 125 kB (+burst); unbounded takes the rest.
-        assert!(bytes[0] < 300_000, "bounded sent {}", bytes[0]);
-        assert!(bytes[1] > 1_000_000, "unbounded sent {}", bytes[1]);
-    }
-
-    #[test]
-    fn cbq_next_ready_signals_retry_for_bounded_backlog() {
-        let cfgs = vec![CbqClassConfig { rate_bps: 8_000, bounded: true, cap_bytes: 1 << 20 }];
-        let mut s = CbqScheduler::new(cfgs, by_flow());
-        for _ in 0..10 {
-            s.enqueue(pkt_class(0, 1472), 0); // 1500 B wire
-        }
-        // Exhaust the initial burst.
-        while s.dequeue(0).is_some() {}
-        assert!(!s.is_empty());
-        let t = s.next_ready(0).expect("backlogged");
-        assert!(t > 0, "bounded class must ask for a later retry");
-        // At 8 kb/s a 1500 B packet needs 1.5 seconds of tokens.
-        assert!(s.dequeue(3 * SEC).is_some());
-    }
-
-    #[test]
-    fn cbq_in_profile_round_robin_is_fair() {
-        let cfgs = vec![
-            CbqClassConfig { rate_bps: 100_000_000, bounded: false, cap_bytes: 1 << 22 },
-            CbqClassConfig { rate_bps: 100_000_000, bounded: false, cap_bytes: 1 << 22 },
-        ];
-        let mut s = CbqScheduler::new(cfgs, by_flow());
-        for _ in 0..100 {
-            s.enqueue(pkt_class(0, 100), 0);
-            s.enqueue(pkt_class(1, 100), 0);
-        }
-        let mut counts = [0; 2];
-        for _ in 0..100 {
-            counts[s.dequeue(0).unwrap().meta.flow as usize] += 1;
-        }
-        assert_eq!(counts[0], 50);
-        assert_eq!(counts[1], 50);
     }
 }

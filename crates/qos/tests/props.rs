@@ -6,10 +6,9 @@ use std::collections::VecDeque;
 
 use netsim_net::addr::ip;
 use netsim_net::{Dscp, Packet, Pkt};
-use netsim_qos::sched::CbqClassConfig;
 use netsim_qos::{
-    CbqScheduler, ClassOf, DrrScheduler, EnqueueOutcome, FifoQueue, PriorityScheduler,
-    QueueDiscipline, RedParams, RedQueue, SrTcm, TokenBucket, WfqScheduler, WredQueue, SEC,
+    CbqNodeConfig, ClassOf, DrrScheduler, EnqueueOutcome, FifoQueue, HierCbq, PriorityScheduler,
+    QueueDiscipline, RedParams, RedQueue, SrTcm, TokenBucket, WfqScheduler, SEC,
 };
 use proptest::prelude::*;
 
@@ -44,6 +43,32 @@ fn mk_pkt(class: u8, payload: u16, seq: u64) -> Pkt {
 
 fn by_flow() -> ClassOf {
     Box::new(|p: &Packet| p.meta.flow as usize)
+}
+
+/// A random CBQ forest of 1–6 nodes: each node is a root or the child of
+/// an earlier node, with a rate of 64 kb/s–20 Mb/s, a random bounded flag
+/// and a leaf cap of 1.5–6 kB.
+fn arb_cbq() -> impl Strategy<Value = Vec<CbqNodeConfig>> {
+    proptest::collection::vec(
+        (any::<u8>(), 64_000u64..20_000_000, any::<bool>(), 1_500usize..6_000),
+        1..7,
+    )
+    .prop_map(|nodes| {
+        nodes
+            .into_iter()
+            .enumerate()
+            .map(|(i, (pick, rate_bps, bounded, cap_bytes))| {
+                // One pick in i + 1 makes node i a root.
+                let parent = usize::from(pick) % (i + 1);
+                CbqNodeConfig {
+                    parent: (parent < i).then_some(parent),
+                    rate_bps,
+                    bounded,
+                    cap_bytes,
+                }
+            })
+            .collect()
+    })
 }
 
 /// The textbook deficit round robin that `drr_matches_reference_model`
@@ -176,6 +201,89 @@ impl RefWfq {
     }
 }
 
+/// The naive link-sharing CBQ that `cbq_matches_reference_model` checks
+/// [`HierCbq`] against: per node a parent, a bounded flag and a token
+/// bucket; per leaf a FIFO of `(seq, wire bytes)` under its cap.
+struct RefCbq {
+    parent: Vec<Option<usize>>,
+    bounded: Vec<bool>,
+    buckets: Vec<TokenBucket>,
+    /// Node index and cap of each leaf, in declaration order.
+    leaves: Vec<(usize, usize)>,
+    fifos: Vec<VecDeque<(u64, usize)>>,
+    /// The leaf after the last one served.
+    next: usize,
+}
+
+impl RefCbq {
+    fn new(cfgs: &[CbqNodeConfig]) -> Self {
+        let leaves: Vec<(usize, usize)> = (0..cfgs.len())
+            .filter(|&i| cfgs.iter().all(|c| c.parent != Some(i)))
+            .map(|i| (i, cfgs[i].cap_bytes))
+            .collect();
+        RefCbq {
+            parent: cfgs.iter().map(|c| c.parent).collect(),
+            bounded: cfgs.iter().map(|c| c.bounded).collect(),
+            buckets: cfgs
+                .iter()
+                .map(|c| TokenBucket::new(c.rate_bps, (c.rate_bps / 80).max(3200)))
+                .collect(),
+            fifos: vec![VecDeque::new(); leaves.len()],
+            leaves,
+            next: 0,
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.fifos.iter().flatten().map(|&(_, sz)| sz).sum()
+    }
+
+    fn len(&self) -> usize {
+        self.fifos.iter().map(VecDeque::len).sum()
+    }
+
+    /// Whether the packet fits its leaf's cap (and is queued).
+    fn enqueue(&mut self, class: usize, seq: u64, sz: usize) -> bool {
+        let l = class.min(self.leaves.len() - 1);
+        let held: usize = self.fifos[l].iter().map(|&(_, sz)| sz).sum();
+        if held + sz > self.leaves[l].1 {
+            return false;
+        }
+        self.fifos[l].push_back((seq, sz));
+        true
+    }
+
+    /// Pass 1 gates on every node of the leaf's root path, pass 2 on its
+    /// bounded nodes only; each pass is round-robin from `next`.
+    fn dequeue(&mut self, now: u64) -> Option<(u64, usize)> {
+        let n = self.leaves.len();
+        for only_bounded in [false, true] {
+            for off in 0..n {
+                let l = (self.next + off) % n;
+                let Some(&(_, sz)) = self.fifos[l].front() else { continue };
+                let path: Vec<usize> =
+                    std::iter::successors(Some(self.leaves[l].0), |&v| self.parent[v]).collect();
+                let can_pay = path
+                    .iter()
+                    .filter(|&&v| !only_bounded || self.bounded[v])
+                    .all(|&v| self.buckets[v].level_bytes(now) as usize >= sz);
+                if can_pay {
+                    for &v in &path {
+                        self.buckets[v].conforms(sz, now);
+                    }
+                    self.next = (l + 1) % n;
+                    return self.fifos[l].pop_front();
+                }
+            }
+        }
+        None
+    }
+
+    fn purge(&mut self) -> Vec<u64> {
+        self.fifos.iter_mut().flat_map(|f| f.drain(..).map(|(seq, _)| seq)).collect()
+    }
+}
+
 /// Runs a script against a discipline and checks the conservation law:
 /// every enqueued packet is either still buffered, was dequeued, or was
 /// explicitly dropped — and byte accounting matches exactly.
@@ -249,14 +357,6 @@ proptest! {
     }
 
     #[test]
-    fn wred_conserves(ops in arb_ops(200), seed in any::<u64>()) {
-        check_conservation(
-            Box::new(WredQueue::new(64 * 1024, WredQueue::af_profiles(64 * 1024), by_flow(), seed, 10_000)),
-            &ops,
-        );
-    }
-
-    #[test]
     fn priority_conserves(ops in arb_ops(200)) {
         let bands: Vec<Box<dyn QueueDiscipline>> =
             (0..4).map(|_| Box::new(FifoQueue::new(16 * 1024)) as Box<dyn QueueDiscipline>).collect();
@@ -276,16 +376,10 @@ proptest! {
         );
     }
 
+    /// CBQ conserves packets and bytes on random forests and trees.
     #[test]
-    fn cbq_conserves(ops in arb_ops(200), bounded in any::<bool>()) {
-        let cfgs = (0..4)
-            .map(|i| CbqClassConfig {
-                rate_bps: 1_000_000 * (i + 1),
-                bounded: bounded && i == 0,
-                cap_bytes: 16 * 1024,
-            })
-            .collect();
-        check_conservation(Box::new(CbqScheduler::new(cfgs, by_flow())), &ops);
+    fn cbq_conserves(ops in arb_ops(200), cfgs in arb_cbq()) {
+        check_conservation(Box::new(HierCbq::new(cfgs, by_flow())), &ops);
     }
 
     /// Within one class, every work-conserving scheduler must preserve
@@ -529,23 +623,62 @@ proptest! {
         prop_assert!(q.dequeue(0).is_none());
     }
 
-    /// Hierarchical CBQ conserves packets/bytes over arbitrary scripts.
+    /// CBQ matches a naive reference model ([`RefCbq`]) on random forests
+    /// and trees from [`arb_cbq`]. Every node has a token bucket with
+    /// burst `max(rate/80, 3200)` and every leaf a FIFO under its cap.
+    /// Pass 1 serves a leaf if every node on its root path holds the
+    /// head's bytes, pass 2 if every *bounded* node does; each pass is
+    /// round-robin from the leaf after the last one served, and every
+    /// node on the path that can pay is charged. Traffic spans 8 classes,
+    /// so the clamp onto the last leaf is exercised, with gaps of 0–2 ms
+    /// and up to two purges. After every operation the enqueue outcome,
+    /// the dequeued `(seq, wire_len)`, `len_packets`, `len_bytes` and
+    /// `is_empty` must agree.
     #[test]
-    fn hier_cbq_conserves(ops in arb_ops(150), bounded_root in any::<bool>()) {
-        use netsim_qos::{CbqNodeConfig, HierCbq};
-        let m = 1_000_000u64;
-        let tree = HierCbq::new(
-            vec![
-                CbqNodeConfig { parent: None, rate_bps: 10 * m, bounded: bounded_root, cap_bytes: 0 },
-                CbqNodeConfig { parent: Some(0), rate_bps: 6 * m, bounded: true, cap_bytes: 0 },
-                CbqNodeConfig { parent: Some(1), rate_bps: 2 * m, bounded: false, cap_bytes: 16 * 1024 },
-                CbqNodeConfig { parent: Some(1), rate_bps: 4 * m, bounded: false, cap_bytes: 16 * 1024 },
-                CbqNodeConfig { parent: Some(0), rate_bps: 4 * m, bounded: false, cap_bytes: 16 * 1024 },
-                CbqNodeConfig { parent: Some(0), rate_bps: m, bounded: true, cap_bytes: 16 * 1024 },
-            ],
-            by_flow(),
-        );
-        check_conservation(Box::new(tree), &ops);
+    fn cbq_matches_reference_model(
+        cfgs in arb_cbq(),
+        ops in arb_ops_over(8, 300),
+        gaps in proptest::collection::vec(0u64..=2_000_000, 300),
+        purge_after in proptest::collection::vec(0usize..300, 0..3),
+    ) {
+        let mut reference = RefCbq::new(&cfgs);
+        let mut q = HierCbq::new(cfgs, by_flow());
+        let mut now = 0u64;
+        for (seq, op) in ops.iter().enumerate() {
+            now += gaps[seq];
+            match op {
+                Op::Enq { class, payload } => {
+                    let p = mk_pkt(*class, *payload, seq as u64);
+                    let fits = reference.enqueue(usize::from(*class), seq as u64, p.wire_len());
+                    let queued = q.enqueue(p, now).is_queued();
+                    prop_assert_eq!(queued, fits, "enqueue outcome of seq {}", seq);
+                }
+                Op::Deq => {
+                    let got = q.dequeue(now).map(|p| (p.meta.seq, p.wire_len()));
+                    prop_assert_eq!(got, reference.dequeue(now), "dequeue at seq {}", seq);
+                }
+            }
+            if purge_after.contains(&seq) {
+                let mut got: Vec<u64> = q.purge().iter().map(|p| p.meta.seq).collect();
+                let mut want = reference.purge();
+                got.sort_unstable();
+                want.sort_unstable();
+                prop_assert_eq!(got, want, "purge after seq {}", seq);
+            }
+            prop_assert_eq!(q.len_packets(), reference.len());
+            prop_assert_eq!(q.len_bytes(), reference.bytes());
+            prop_assert_eq!(q.is_empty(), reference.len() == 0);
+        }
+        // Drain, waiting out the bounded nodes: the order must match too.
+        while !q.is_empty() {
+            let got = q.dequeue(now).map(|p| (p.meta.seq, p.wire_len()));
+            prop_assert_eq!(got, reference.dequeue(now));
+            if got.is_none() {
+                now += SEC;
+            }
+        }
+        prop_assert_eq!(reference.len(), 0);
+        prop_assert!(q.dequeue(now).is_none());
     }
 
     /// The shaper conserves packets/bytes like every other discipline

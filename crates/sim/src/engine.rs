@@ -562,7 +562,7 @@ mod tests {
     use crate::node::BlackHole;
     use netsim_net::addr::ip;
     use netsim_net::{Dscp, Packet};
-    use netsim_qos::{CbqScheduler, MSEC, SEC};
+    use netsim_qos::{CbqNodeConfig, HierCbq, MSEC, SEC};
 
     fn pkt(payload: usize) -> Packet {
         Packet::udp(ip("10.0.0.1"), ip("10.0.0.2"), 1, 2, Dscp::BE, payload)
@@ -710,12 +710,16 @@ mod tests {
     /// wedging the link.
     #[test]
     fn non_work_conserving_qdisc_drains_via_retries() {
-        use netsim_qos::sched::CbqClassConfig;
         let mut net = Network::new();
         let a = net.add_node(Box::new(BlackHole::default()));
         let b = net.add_node(Box::new(Recorder::default()));
-        let cbq = CbqScheduler::new(
-            vec![CbqClassConfig { rate_bps: 800_000, bounded: true, cap_bytes: 1 << 20 }],
+        let cbq = HierCbq::new(
+            vec![CbqNodeConfig {
+                parent: None,
+                rate_bps: 800_000,
+                bounded: true,
+                cap_bytes: 1 << 20,
+            }],
             Box::new(|_| 0),
         );
         let cfg = LinkConfig::new(1_000_000_000, 0);

@@ -7,7 +7,7 @@
 //! * [`lint_cbq_tree`] — link-share over-subscription (`V-QOS-001`);
 //! * [`lint_exp_map`] — DSCP↔EXP maps that drop or merge PHBs
 //!   (`V-QOS-002`);
-//! * [`lint_red_profile`] — WRED threshold ordering (`V-QOS-003`);
+//! * [`lint_red_profile`] — RED threshold ordering (`V-QOS-003`);
 //! * [`lint_ef_admission`] — EF aggregate vs. engineered link share
 //!   (`V-QOS-004`).
 
@@ -87,7 +87,7 @@ pub fn lint_exp_map(map: &ExpMap, location: &str, report: &mut VerifyReport) {
     }
 }
 
-/// Checks one RED/WRED drop profile against its queue capacity:
+/// Checks one RED drop profile against its queue capacity:
 /// `0 ≤ min < max ≤ cap` and a sane drop probability.
 pub fn lint_red_profile(
     params: &RedParams,

@@ -11,7 +11,7 @@
 //!
 //! * [`net`] — packets, addresses, prefixes, LPM trie, wire codec.
 //! * [`sim`] — the discrete-event simulator, traffic sources, statistics.
-//! * [`qos`] — classifiers, meters, RED/WRED, schedulers, DSCP↔EXP.
+//! * [`qos`] — classifiers, meters, RED, schedulers, DSCP↔EXP.
 //! * [`mpls`] — label spaces, LFIB, LDP, explicit LSPs.
 //! * [`routing`] — topology, link-state IGP, BGP/MPLS VPN fabric.
 //! * [`te`] — CSPF and trunk admission with preemption.

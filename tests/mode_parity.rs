@@ -366,7 +366,7 @@ fn override_survives_a_join_elsewhere_in_both_modes() {
         pn.add_site(vpn, 1, moved, None);
         pn.run_for(100 * MSEC);
         let long_way = pn.install_explicit_lsp(&[0, 2, 3, 4]);
-        pn.override_route_tunnel(vpn, 0, moved, long_way);
+        pn.pin_prefix_to_tunnel(vpn, 0, moved, long_way);
         assert_eq!(path_at_pe0(&mut pn, vpn), Some(vec![0, 2, 3, 4]));
 
         pn.add_site(vpn, 1, "10.3.0.0/16".parse().unwrap(), None);
@@ -408,7 +408,7 @@ fn override_survives_ldp_repair_in_both_modes() {
         pn.run_for(100 * MSEC);
         assert_eq!(pn.lsp_path(0, 1), Some(vec![0, 1, 3, 5]), "LDP path before the override");
         let te = pn.install_explicit_lsp(&[0, 2, 4, 5]);
-        pn.override_route_tunnel(vpn, 0, moved, te);
+        pn.pin_prefix_to_tunnel(vpn, 0, moved, te);
         assert_eq!(path_at_pe0(&mut pn, vpn), Some(vec![0, 2, 4, 5]));
 
         pn.fail_link(link_1_3);
