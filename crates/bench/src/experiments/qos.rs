@@ -98,7 +98,7 @@ pub fn measure(qos: CoreQos, duration: Nanos, seed: u64) -> (Vec<ClassRow>, f64)
 
 /// Like [`measure`] with the DiffServ priority core, but with one SLA
 /// probe per class riding alongside the mix, and the full metrics
-/// snapshot (registry, drop causes, per-layer counters, probe table)
+/// snapshot (per-VRF and per-layer counters, drop causes, probe table)
 /// captured after the drain.
 pub fn measure_instrumented(duration: Nanos, seed: u64) -> (Vec<ClassRow>, MetricsSnapshot) {
     let qos = CoreQos::DiffServ { cap_bytes: 128 * 1024, sched: DsSched::Priority };

@@ -175,10 +175,6 @@ impl CtrlMsg {
 /// Control-plane counters, all emergent (counted, not analytic).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CtrlStats {
-    /// LSAs originated by detection events (not counting floods).
-    pub lsa_originated: u64,
-    /// LDP session messages originated (mappings + withdraws).
-    pub ldp_originated: u64,
     /// BGP VPN updates/withdraws originated at PEs.
     pub bgp_originated: u64,
     /// Control packets put on the wire, by protocol [igp, ldp, bgp].
@@ -196,11 +192,6 @@ pub struct CtrlStats {
     pub spf_runs: u64,
     /// LSA applications that incremental SPF proved irrelevant (skipped).
     pub spf_skips: u64,
-    /// FTN repairs deferred because no binding from the new next hop was
-    /// retained yet (session refresh in flight).
-    pub ldp_missing_binding: u64,
-    /// BGP deltas applied at their target PE (either transport).
-    pub bgp_applied: u64,
     /// Route installs skipped because the installing PE has no LSP toward
     /// the egress PE (counted, never a panic).
     pub no_lsp_to_egress: u64,
@@ -260,7 +251,6 @@ pub struct ControlDb {
     ctrl_bytes_by_link: Vec<u64>,
     /// Propagation + processing latency of LSA application, ns.
     convergence: Histogram,
-    max_convergence_ns: Nanos,
     pub(crate) stats: CtrlStats,
 }
 
@@ -280,7 +270,6 @@ impl ControlDb {
             episodes: FxHashMap::default(),
             ctrl_bytes_by_link: vec![0; nl],
             convergence: Histogram::new(),
-            max_convergence_ns: 0,
             stats: CtrlStats::default(),
         };
         db.rebuild(igp, ldp, &std::collections::HashSet::new());
@@ -361,7 +350,6 @@ impl ControlDb {
             let row = self.rx(far, 0)..self.rx(far + 1, 0);
             self.views[node].received[row].fill(None);
         }
-        self.stats.lsa_originated += 1;
         self.apply_lsa(node, link, down, seq, None, tables, ctx);
         if !down {
             // Session re-establishment: re-advertise our bindings to the
@@ -371,7 +359,6 @@ impl ControlDb {
                 if !self.views[node].fec_reachable[f] {
                     continue;
                 }
-                self.stats.ldp_originated += 1;
                 self.send_msg(
                     node,
                     iface,
@@ -432,7 +419,6 @@ impl ControlDb {
     /// it. A withdraw evicts the old route, then installs the replacement
     /// best path, if any.
     fn apply_bgp(&mut self, node: usize, vrfs: &mut [VrfFib], msg: CtrlMsg) {
-        self.stats.bgp_applied += 1;
         match msg {
             CtrlMsg::BgpUpdate { vrf_idx, prefix, egress_pe, vpn_label, .. } => {
                 self.install_route(node, &mut vrfs[vrf_idx], prefix, egress_pe, vpn_label);
@@ -509,7 +495,6 @@ impl ControlDb {
         if let Some(&t0) = self.episodes.get(&(link, seq)) {
             let d = ctx.now().saturating_sub(t0);
             self.convergence.record(d);
-            self.max_convergence_ns = self.max_convergence_ns.max(d);
         }
         // Re-flood to every live neighbor except the one we heard from.
         self.fan_out(node, arrival, &CtrlMsg::Lsa { link, down, seq }, ctx);
@@ -533,9 +518,6 @@ impl ControlDb {
                 (view.received[self.rx(nh, f)].map(|l| (iface, l)), true)
             }
         };
-        if desired.is_none() && reachable {
-            self.stats.ldp_missing_binding += 1;
-        }
         let current = view.ftn[f].as_ref().map(|e| (e.out_iface, e.push.as_slice()));
         if current != desired.as_ref().map(|(iface, l)| (*iface, push_stack(l))) {
             let view = &mut self.views[node];
@@ -570,7 +552,7 @@ impl ControlDb {
                 (true, None) => return,
                 (false, _) => CtrlMsg::LdpWithdraw { fec: f as u32, from: node },
             };
-            self.stats.ldp_originated += self.fan_out(node, None, &msg, ctx);
+            self.fan_out(node, None, &msg, ctx);
         }
     }
 
@@ -580,17 +562,14 @@ impl ControlDb {
     }
 
     /// Sends a copy of `msg` on every interface of `node` whose link it believes up, except
-    /// `skip` (a flood's arrival interface); returns the number of copies sent.
-    fn fan_out(&mut self, node: usize, skip: Option<usize>, msg: &CtrlMsg, ctx: &mut Ctx) -> u64 {
-        let mut sent = 0;
+    /// `skip` (a flood's arrival interface).
+    fn fan_out(&mut self, node: usize, skip: Option<usize>, msg: &CtrlMsg, ctx: &mut Ctx) {
         for iface in 0..self.topo.degree(node) {
             let Some((_, _, link)) = self.topo.neighbors(node).nth(iface) else { break };
             if Some(iface) != skip && !self.views[node].link_state[link].1 {
                 self.send_msg(node, iface, msg.clone(), ctx);
-                sent += 1;
             }
         }
-        sent
     }
 
     /// Forwards a PE-addressed message one hop along the current view's
@@ -663,11 +642,6 @@ impl ControlDb {
     /// Convergence-latency histogram (propagation + processing, ns).
     pub fn convergence(&self) -> &Histogram {
         &self.convergence
-    }
-
-    /// Worst observed propagation + processing latency, ns.
-    pub fn max_convergence_ns(&self) -> Nanos {
-        self.max_convergence_ns
     }
 
     /// Control bytes offered on `link` since bring-up.

@@ -47,7 +47,7 @@ mod verify;
 
 pub use control::{ControlMode, CtrlStats, CTRL_FLOW_BASE};
 pub use frr::{FailoverMode, FaultOutcome};
-pub use netsim_obs::{DropCause, FlightRecorder, MetricsRegistry, MetricsSnapshot, ProbeRow};
+pub use netsim_obs::{DropCause, FlightRecorder, MetricsSnapshot, ProbeRow};
 pub use netsim_sim::{HopOp, HopRecord, TraceLog};
 pub use netsim_verify::{codes, Diagnostic, Severity, VerifyReport};
 pub use network::{BackboneBuilder, CoreQos, ProviderNetwork, SiteId, VpnId, VrfDigestRow};

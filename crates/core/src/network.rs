@@ -18,7 +18,7 @@ use std::collections::HashMap;
 
 use netsim_mpls::ldp::{Fec, LdpConfig, LdpDomain};
 use netsim_net::{Ip, Packet, Prefix};
-use netsim_obs::{FlightRecorder, MetricsRegistry};
+use netsim_obs::FlightRecorder;
 use netsim_qos::sched::PriorityScheduler;
 use netsim_qos::{
     queue::class_by_exp_or_dscp, ClassOf, DrrScheduler, FifoQueue, MarkingPolicy, Nanos,
@@ -244,8 +244,7 @@ impl BackboneBuilder {
 
         let mut net = Network::new();
         // Observability is always on: one flight recorder in the engine,
-        // which every router reaches through its handler context, and one
-        // registry for named series.
+        // which every router reaches through its handler context.
         net.set_recorder(FlightRecorder::default());
         let mut node_ids = Vec::with_capacity(self.topo.node_count());
         let pe_ordinal: HashMap<usize, usize> =
@@ -302,7 +301,6 @@ impl BackboneBuilder {
             core_qos: self.core_qos,
             extranets: Vec::new(),
             ef_contracts: Vec::new(),
-            registry: MetricsRegistry::new(),
             probes: Vec::new(),
             control,
             control_mode: self.control_mode,
@@ -346,7 +344,6 @@ pub struct ProviderNetwork {
     pub(crate) core_qos: CoreQos,
     pub(crate) extranets: Vec<(VpnId, VpnId)>,
     pub(crate) ef_contracts: Vec<netsim_verify::EfContract>,
-    pub(crate) registry: MetricsRegistry,
     pub(crate) probes: Vec<crate::obs::ProbeSpec>,
     pub(crate) control: ControlHandle,
     control_mode: ControlMode,
@@ -375,10 +372,16 @@ impl ProviderNetwork {
 
     /// Declares a new VPN; its sites will all import/export one route
     /// target.
+    ///
+    /// # Panics
+    /// Panics if a VPN of the same name already exists: the name keys the
+    /// VPN's `vrf.<name>.pe<k>.forwarded` metrics rows.
     pub fn new_vpn(&mut self, name: impl Into<String>) -> VpnId {
+        let name = name.into();
+        assert!(self.vpns.iter().all(|v| v.name != name), "VPN name {name:?} already in use");
         let id = VpnId(self.vpns.len());
         self.vpns.push(VpnInfo {
-            name: name.into(),
+            name,
             rt: RouteTarget(100 + id.0 as u64),
             rd: RouteDistinguisher::new(65000, 1 + id.0 as u32),
         });
@@ -410,10 +413,7 @@ impl ProviderNetwork {
             None => {
                 let info = &self.vpns[vpn.0];
                 let handle = self.fabric.add_vrf(pe, info.rd, vec![info.rt], vec![info.rt]);
-                let name = info.name.clone();
-                let vrf_idx = self.net.node_mut::<PeRouter>(pe_node).add_vrf(name.clone());
-                let fwd = self.registry.counter(&format!("vrf.{name}.pe{pe}.forwarded"));
-                self.net.node_mut::<PeRouter>(pe_node).vrfs[vrf_idx].set_forward_counter(fwd);
+                let vrf_idx = self.net.node_mut::<PeRouter>(pe_node).add_vrf(info.name.clone());
                 self.fabric.refresh_vrf(handle);
                 self.vrf_handles.insert((pe, vpn), (handle, vrf_idx));
                 // The new VRF's initial route download is local to the one
@@ -835,7 +835,7 @@ impl ProviderNetwork {
         Some((
             db.convergence().quantile(0.5),
             db.convergence().quantile(0.99),
-            db.max_convergence_ns(),
+            db.convergence().max(),
         ))
     }
 
@@ -1182,6 +1182,14 @@ mod tests {
         let src_addr = pn.site_addr(from, 10);
         let cfg = SourceConfig::udp(flow, src_addr, to_addr, 5000, 200);
         pn.attach_cbr_source(from, cfg, 1_000_000, Some(n));
+    }
+
+    #[test]
+    #[should_panic(expected = "already in use")]
+    fn vpn_names_are_unique() {
+        let mut pn = line();
+        pn.new_vpn("acme");
+        pn.new_vpn("acme");
     }
 
     #[test]

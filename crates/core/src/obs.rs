@@ -8,15 +8,15 @@
 //!   or a PE/P/CE router discards is attributed to a [`DropCause`]
 //!   instead of vanishing into a bare count, and router drops and
 //!   absorptions are also tallied against the router's node;
-//! * one [`MetricsRegistry`] holding named series (per-VRF forwarded
-//!   counters are wired at [`crate::ProviderNetwork::add_site`] time;
-//!   experiments may register their own).
+//! * plain counter fields on the components that do the work (per-VRF,
+//!   per-router, per-LFIB, per-link and control-plane counters).
 //!
-//! [`ProviderNetwork::metrics_snapshot`] folds the registry, the drop
-//! causes, per-router counters, per-router drops and absorptions (read
-//! from the recorder's node tallies), per-LFIB label operations, and
-//! per-link class breakdowns into one [`MetricsSnapshot`] exportable as
-//! JSON/CSV.
+//! [`ProviderNetwork::metrics_snapshot`] is the one place those counters
+//! get names. It folds the per-VRF forwarded counts, the drop causes,
+//! per-router counters, per-router drops and absorptions (read from the
+//! recorder's node tallies), per-LFIB label operations, per-link class
+//! breakdowns and the control-plane counters into one [`MetricsSnapshot`],
+//! exported as `metrics/v1` JSON.
 //!
 //! [`ProviderNetwork::attach_sla_probe`] adds a synthetic low-rate probe
 //! flow for one ⟨VPN, class⟩ pair — the paper's §6 "measure the SLA you
@@ -25,7 +25,7 @@
 //! one-way delay/jitter/loss lands in the snapshot's probe table.
 
 use netsim_net::{Dscp, Prefix};
-use netsim_obs::{DropCause, FlightRecorder, MetricsRegistry, MetricsSnapshot, ProbeRow};
+use netsim_obs::{DropCause, FlightRecorder, MetricsSnapshot, ProbeRow};
 use netsim_qos::Nanos;
 use netsim_sim::{CbrSource, LinkId, NodeId, Sink, SourceConfig};
 
@@ -81,11 +81,6 @@ impl ProviderNetwork {
     /// The engine's drop-cause flight recorder (always attached).
     pub fn recorder(&self) -> &FlightRecorder {
         self.net.recorder().expect("BackboneBuilder::build attaches a flight recorder")
-    }
-
-    /// The metrics registry; experiments can register extra series on it.
-    pub fn registry(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
     }
 
     /// Provisions a synthetic SLA probe flow for one ⟨VPN, class⟩ pair:
@@ -150,13 +145,23 @@ impl ProviderNetwork {
     }
 
     /// Captures everything the network tracks into one exportable
-    /// [`MetricsSnapshot`]: registry series, drop causes, per-router and
-    /// per-LFIB counters, per-link class breakdowns, and the SLA probe
-    /// table.
+    /// [`MetricsSnapshot`]: per-VRF forwarded counts, drop causes,
+    /// per-router and per-LFIB counters, per-link class breakdowns,
+    /// control-plane counters, and the SLA probe table.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let rec = self.recorder();
         let mut snap = MetricsSnapshot::new(self.net.now());
-        snap.merge_registry(&self.registry);
+        // VRFs, in creation order: the first site of a VPN on a PE
+        // creates that PE's VRF for it.
+        let mut seen = std::collections::HashSet::new();
+        for s in &self.sites {
+            if seen.insert((s.pe, s.vpn)) {
+                let (_, vrf) = self.vrf_handles[&(s.pe, s.vpn)];
+                let fib = &self.net.node_ref::<PeRouter>(self.pe_node(s.pe)).vrfs[vrf];
+                let name = format!("vrf.{}.pe{}.forwarded", self.vpn_name(s.vpn), s.pe);
+                snap.push_counter(name, fib.forwarded);
+            }
+        }
         snap.merge_causes(rec);
         snap.gauges.push(("sim.queued_packets".to_owned(), self.net.queued_packets() as i64));
 
@@ -308,7 +313,7 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing counter {name}"))
                 .1
         };
-        // Registry series: the ingress VRF forwarded every data packet.
+        // VRF layer: the ingress VRF forwarded every data packet.
         assert!(get("vrf.acme.pe0.forwarded") >= 40);
         // Router layer: the egress PE decapsulated them.
         assert!(get("pe1.forwarded") >= 40);
@@ -318,9 +323,42 @@ mod tests {
         assert!(get("link0.d0.tx") >= 40 && get("link1.d0.tx") >= 40);
         // Healthy run: no drop causes recorded.
         assert!(snap.drop_causes.is_empty(), "unexpected drops: {:?}", snap.drop_causes);
-        // And the export formats carry the same numbers.
+        // And the export carries the same numbers.
         assert!(snap.to_json().contains("\"pe1.forwarded\""));
-        assert!(snap.to_csv().contains("pe1.forwarded,"));
+    }
+
+    #[test]
+    fn vrf_rows_follow_vrf_creation_order() {
+        let mut pn = line();
+        let a = pn.new_vpn("a");
+        let b = pn.new_vpn("b");
+        // VRFs come into being as (PE1, b), (PE0, a), (PE0, b), (PE1, a):
+        // neither a sorted nor a per-VPN walk yields this order.
+        let b1 = pn.add_site(b, 1, pfx("10.2.0.0/16"), None);
+        pn.add_site(a, 0, pfx("10.1.0.0/16"), None);
+        let b0 = pn.add_site(b, 0, pfx("10.1.0.0/16"), None);
+        pn.add_site(a, 1, pfx("10.2.0.0/16"), None);
+        pn.attach_sink(b0, pfx("10.1.0.0/16"));
+        let cfg = SourceConfig::udp(1, pn.site_addr(b1, 10), pn.site_addr(b0, 9), 5000, 200);
+        pn.attach_cbr_source(b1, cfg, 1_000_000, Some(7));
+        pn.run_for(SEC);
+
+        let snap = pn.metrics_snapshot();
+        let vrf_rows: Vec<(&str, u64)> = snap
+            .counters
+            .iter()
+            .filter(|(n, _)| n.starts_with("vrf."))
+            .map(|(n, v)| (n.as_str(), *v))
+            .collect();
+        assert_eq!(
+            vrf_rows,
+            [
+                ("vrf.b.pe1.forwarded", 7),
+                ("vrf.a.pe0.forwarded", 0),
+                ("vrf.b.pe0.forwarded", 7),
+                ("vrf.a.pe1.forwarded", 0),
+            ]
+        );
     }
 
     #[test]

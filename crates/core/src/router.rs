@@ -15,7 +15,7 @@ use std::any::Any;
 use netsim_mpls::lfib::{LfibVerdict, LOCAL_IFACE};
 use netsim_mpls::{FtnEntry, Lfib};
 use netsim_net::{Dscp, Ip, Layer, LpmCache, LpmTrie, MplsLabel, Packet, Pkt, Prefix};
-use netsim_obs::{Counter, DropCause};
+use netsim_obs::DropCause;
 use netsim_qos::{Color, ExpMap, MarkingPolicy, SrTcm};
 use netsim_sim::{Ctx, FxHashMap, IfaceId, Node};
 
@@ -204,9 +204,9 @@ pub struct VrfFib {
     ingress_cache: LpmCache,
     /// Route cache for egress (VPN label → local site) lookups.
     egress_cache: LpmCache,
-    /// Registry-backed per-VRF forwarded-packet counter (pre-resolved
-    /// handle: bumping it is a `Cell` write, not a name lookup).
-    fwd: Option<Counter>,
+    /// Packets this VRF forwarded (ingress impositions and egress
+    /// dispatches alike).
+    pub forwarded: u64,
 }
 
 impl VrfFib {
@@ -240,19 +240,6 @@ impl VrfFib {
 
     fn is_local(&self, prefix: Prefix) -> bool {
         matches!(self.fib.get(prefix), Some(VrfRoute::Local { .. }))
-    }
-
-    /// Attaches a registry counter bumped once per packet this VRF
-    /// forwards (ingress impositions and egress dispatches alike).
-    pub fn set_forward_counter(&mut self, c: Counter) {
-        self.fwd = Some(c);
-    }
-
-    #[inline]
-    fn count_forward(&self) {
-        if let Some(c) = &self.fwd {
-            c.inc();
-        }
     }
 }
 
@@ -330,7 +317,7 @@ impl PeRouter {
             fib: LpmTrie::new(),
             ingress_cache: LpmCache::default(),
             egress_cache: LpmCache::default(),
-            fwd: None,
+            forwarded: 0,
         });
         self.vrfs.len() - 1
     }
@@ -423,7 +410,7 @@ impl PeRouter {
             VrfRoute::Local { out_iface } => {
                 let out_iface = *out_iface;
                 self.counters.forwarded += 1;
-                self.vrfs[vrf].count_forward();
+                self.vrfs[vrf].forwarded += 1;
                 ctx.send(IfaceId(out_iface), pkt);
             }
             VrfRoute::Remote { vpn_label, .. } => {
@@ -443,7 +430,7 @@ impl PeRouter {
                 // by link-failure detection and a bypass is installed, the
                 // LFIB pushes the bypass label(s) and redirects locally.
                 let out_iface = self.lfib.apply_protection(&mut pkt, tunnel.out_iface);
-                self.vrfs[vrf].count_forward();
+                self.vrfs[vrf].forwarded += 1;
                 ctx.send(IfaceId(out_iface), pkt);
             }
         }
@@ -467,7 +454,7 @@ impl PeRouter {
         match fib.lookup_cached(dst, egress_cache) {
             Some(&VrfRoute::Local { out_iface }) => {
                 self.counters.forwarded += 1;
-                self.vrfs[vrf].count_forward();
+                self.vrfs[vrf].forwarded += 1;
                 ctx.send(IfaceId(out_iface), pkt);
             }
             _ => {

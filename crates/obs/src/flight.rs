@@ -66,9 +66,9 @@ impl Inner {
 
 /// A cloneable, shareable drop recorder.
 ///
-/// Cloning shares the underlying state (the [`crate::Counter`] idiom):
-/// the simulation engine writes through its handle, and the test harness
-/// or an experiment reads the tallies through a clone. Drops a node
+/// Cloning shares the underlying state: the simulation engine writes
+/// through its handle, and the test harness or an experiment reads the
+/// tallies through a clone. Drops a node
 /// handler reports are also tallied against that node, so per-device loss
 /// comes from the same ledger as the per-cause and per-flow totals.
 /// The ring keeps only the most recent `cap` records; the per-cause,

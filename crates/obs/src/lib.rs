@@ -4,19 +4,17 @@
 //! per-VPN, per-class service levels end to end. This crate is the
 //! machinery that makes seeing cheap enough to leave on:
 //!
-//! * [`MetricsRegistry`] — named counters/gauges/histograms handed out as
-//!   typed handles ([`Counter`], [`Gauge`], [`HistogramHandle`]). Handles
-//!   are pre-resolved shared cells, so the hot path pays one reference-
-//!   counted pointer dereference and an add — never a string lookup, never
-//!   an allocation.
 //! * [`FlightRecorder`] — a fixed-size ring of the most recent drops plus
 //!   exact per-cause, per-flow and per-node totals, replacing bare
 //!   "dropped" counts with *why* ([`DropCause`]), *who* (flow id) and
 //!   *where* (the node whose handler dropped it).
 //! * [`Histogram`] — the log₂-bucketed duration histogram shared by flow
-//!   statistics and registry handles.
-//! * [`MetricsSnapshot`] — a point-in-time export of all of the above,
-//!   serializable as JSON or CSV from any example or experiment.
+//!   statistics and the control plane's convergence samples.
+//! * [`MetricsSnapshot`] — a point-in-time export of named counters,
+//!   gauges, drop causes and SLA probe rows, serialized as `metrics/v1`
+//!   JSON from any example or experiment. Counters themselves are plain
+//!   fields of the component that does the work; the snapshot is where
+//!   they get names.
 //!
 //! The crate is std-only and dependency-free; every layer of the emulator
 //! (qos, mpls, sim, core, te) can use it without cycles.
@@ -24,11 +22,9 @@
 mod cause;
 mod flight;
 mod hist;
-mod registry;
 mod snapshot;
 
 pub use cause::DropCause;
 pub use flight::{DropRecord, FlightRecorder};
 pub use hist::Histogram;
-pub use registry::{Counter, Gauge, HistogramHandle, MetricsRegistry};
-pub use snapshot::{HistSummary, MetricsSnapshot, ProbeRow};
+pub use snapshot::{MetricsSnapshot, ProbeRow};

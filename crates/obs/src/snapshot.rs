@@ -1,36 +1,12 @@
 //! Point-in-time metric exports.
 
+use std::fmt::Display;
+
 use crate::flight::FlightRecorder;
-use crate::hist::Histogram;
-use crate::registry::MetricsRegistry;
 
-/// Summary of one histogram at snapshot time.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HistSummary {
-    /// Number of samples.
-    pub count: u64,
-    /// Mean sample, ns.
-    pub mean_ns: f64,
-    /// Median (log₂-bucket upper bound), ns.
-    pub p50_ns: u64,
-    /// 99th percentile (log₂-bucket upper bound), ns.
-    pub p99_ns: u64,
-    /// Largest sample, ns.
-    pub max_ns: u64,
-}
-
-impl HistSummary {
-    /// Summarizes a histogram.
-    pub fn of(h: &Histogram) -> Self {
-        HistSummary {
-            count: h.count(),
-            mean_ns: h.mean(),
-            p50_ns: h.quantile(0.5),
-            p99_ns: h.quantile(0.99),
-            max_ns: h.max(),
-        }
-    }
-}
+/// The schema tag written as the first key of every JSON export. A
+/// change to the layout of the export bumps it.
+const SCHEMA: &str = "metrics/v1";
 
 /// One SLA probe series: measured one-way service of a ⟨VPN, class⟩ pair.
 #[derive(Clone, Debug, PartialEq)]
@@ -53,14 +29,12 @@ pub struct ProbeRow {
     pub loss_pct: f64,
 }
 
-/// A point-in-time export of every metric the emulator tracks: registry
-/// counters/gauges/histograms, drop-cause totals, and SLA probe rows.
+/// A point-in-time export of every metric the emulator tracks: named
+/// counters and gauges, drop-cause totals, and SLA probe rows.
 ///
-/// Serializes to JSON ([`MetricsSnapshot::to_json`]) and CSV
-/// ([`MetricsSnapshot::to_csv`], [`MetricsSnapshot::probes_to_csv`])
-/// without any external dependency, so any example or experiment can dump
-/// its numbers for offline analysis (the R-table workflow in
-/// EXPERIMENTS.md).
+/// Serializes to `metrics/v1` JSON ([`MetricsSnapshot::to_json`]) without
+/// any external dependency, so any example or experiment can dump its
+/// numbers for offline analysis (the R-table workflow in EXPERIMENTS.md).
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Simulation time the snapshot was taken, ns.
@@ -71,8 +45,6 @@ pub struct MetricsSnapshot {
     pub gauges: Vec<(String, i64)>,
     /// `(cause name, total)` drop rows (nonzero causes only).
     pub drop_causes: Vec<(String, u64)>,
-    /// `(name, summary)` histogram rows.
-    pub histograms: Vec<(String, HistSummary)>,
     /// SLA probe measurements.
     pub probes: Vec<ProbeRow>,
 }
@@ -113,15 +85,6 @@ impl MetricsSnapshot {
         self.counters.push((name.into(), value));
     }
 
-    /// Copies every metric out of a registry.
-    pub fn merge_registry(&mut self, reg: &MetricsRegistry) {
-        self.counters.extend(reg.counter_values());
-        self.gauges.extend(reg.gauge_values());
-        reg.for_each_histogram(|name, h| {
-            self.histograms.push((name.to_owned(), HistSummary::of(h)));
-        });
-    }
-
     /// Copies the per-cause drop totals out of a flight recorder.
     pub fn merge_causes(&mut self, rec: &FlightRecorder) {
         for (name, total) in rec.cause_rows() {
@@ -129,48 +92,17 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Serializes the snapshot as a self-contained JSON object.
+    /// Serializes the snapshot as a self-contained `metrics/v1` JSON
+    /// object: `schema`, `captured_ns`, then the `counters`, `gauges` and
+    /// `drop_causes` objects (rows in push order) and the `probes` array.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
-        out.push_str(&format!("{{\n  \"captured_ns\": {},\n", self.captured_ns));
-        out.push_str("  \"counters\": {");
-        for (i, (n, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\": {v}", json_escape(n)));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (n, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\": {v}", json_escape(n)));
-        }
-        out.push_str("\n  },\n  \"drop_causes\": {");
-        for (i, (n, v)) in self.drop_causes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\": {v}", json_escape(n)));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (n, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    \"{}\": {{\"count\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \
-                 \"p99_ns\": {}, \"max_ns\": {}}}",
-                json_escape(n),
-                h.count,
-                json_f64(h.mean_ns),
-                h.p50_ns,
-                h.p99_ns,
-                h.max_ns
-            ));
-        }
-        out.push_str("\n  },\n  \"probes\": [");
+        out.push_str(&format!("{{\n  \"schema\": \"{SCHEMA}\",\n"));
+        out.push_str(&format!("  \"captured_ns\": {},\n", self.captured_ns));
+        json_object(&mut out, "counters", &self.counters);
+        json_object(&mut out, "gauges", &self.gauges);
+        json_object(&mut out, "drop_causes", &self.drop_causes);
+        out.push_str("  \"probes\": [");
         for (i, p) in self.probes.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -192,43 +124,18 @@ impl MetricsSnapshot {
         out.push_str("\n  ]\n}\n");
         out
     }
+}
 
-    /// Serializes the scalar metrics (counters, gauges, drop causes) as
-    /// `metric,value` CSV rows. Cause rows are prefixed `drop_cause.`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("metric,value\n");
-        out.push_str(&format!("captured_ns,{}\n", self.captured_ns));
-        for (n, v) in &self.counters {
-            out.push_str(&format!("{n},{v}\n"));
+/// Writes one `"key": { "name": value, ... },` section of the JSON export.
+fn json_object<V: Display>(out: &mut String, key: &str, rows: &[(String, V)]) {
+    out.push_str(&format!("  \"{key}\": {{"));
+    for (i, (n, v)) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        for (n, v) in &self.gauges {
-            out.push_str(&format!("{n},{v}\n"));
-        }
-        for (n, v) in &self.drop_causes {
-            out.push_str(&format!("drop_cause.{n},{v}\n"));
-        }
-        out
+        out.push_str(&format!("\n    \"{}\": {v}", json_escape(n)));
     }
-
-    /// Serializes the probe rows as a CSV table.
-    pub fn probes_to_csv(&self) -> String {
-        let mut out =
-            String::from("vpn,class,tx,rx,mean_delay_ns,p99_delay_ns,jitter_ns,loss_pct\n");
-        for p in &self.probes {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{}\n",
-                p.vpn,
-                p.class,
-                p.tx,
-                p.rx,
-                json_f64(p.mean_delay_ns),
-                p.p99_delay_ns,
-                json_f64(p.jitter_ns),
-                json_f64(p.loss_pct)
-            ));
-        }
-        out
-    }
+    out.push_str("\n  },\n");
 }
 
 #[cfg(test)]
@@ -259,7 +166,7 @@ mod tests {
     #[test]
     fn json_contains_every_section() {
         let j = sample().to_json();
-        assert!(j.contains("\"captured_ns\": 42"));
+        assert!(j.starts_with("{\n  \"schema\": \"metrics/v1\",\n  \"captured_ns\": 42,\n"));
         assert!(j.contains("\"link0.tx\": 10"));
         assert!(j.contains("\"queue.depth\": -1"));
         assert!(j.contains("\"red_early\": 1"));
@@ -268,30 +175,6 @@ mod tests {
         // Balanced braces/brackets — a cheap well-formedness check.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
-    fn csv_rows_are_flat() {
-        let c = sample().to_csv();
-        assert!(c.starts_with("metric,value\n"));
-        assert!(c.contains("link0.tx,10\n"));
-        assert!(c.contains("drop_cause.red_early,1\n"));
-        let p = sample().probes_to_csv();
-        assert!(p.contains("red,EF,100,99,"));
-    }
-
-    #[test]
-    fn registry_merge_copies_all_metric_kinds() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter("c").add(5);
-        reg.gauge("g").set(3);
-        reg.histogram("h").record(8);
-        let mut s = MetricsSnapshot::new(0);
-        s.merge_registry(&reg);
-        assert_eq!(s.counters, vec![("c".to_owned(), 5)]);
-        assert_eq!(s.gauges, vec![("g".to_owned(), 3)]);
-        assert_eq!(s.histograms.len(), 1);
-        assert_eq!(s.histograms[0].1.count, 1);
     }
 
     #[test]

@@ -60,12 +60,6 @@ impl MatchRule {
         self
     }
 
-    /// Builder: require a destination prefix.
-    pub fn to_prefix(mut self, p: Prefix) -> Self {
-        self.dst = Some(p);
-        self
-    }
-
     /// Whether this rule matches the packet's visible headers.
     pub fn matches(&self, pkt: &Packet) -> bool {
         let Some(t) = pkt.visible_five_tuple() else {

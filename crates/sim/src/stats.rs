@@ -1,8 +1,9 @@
 //! Measurement machinery: histograms and per-flow statistics.
 //!
-//! The histogram type itself lives in `netsim-obs` so the registry, the
-//! flow sinks and the SLA probes all share one implementation (and one set
-//! of bucket-boundary tests); it is re-exported here for compatibility.
+//! The histogram type itself lives in `netsim-obs` so the control plane's
+//! convergence samples, the flow sinks and the SLA probes all share one
+//! implementation (and one set of bucket-boundary tests); it is
+//! re-exported here for compatibility.
 
 use netsim_qos::Nanos;
 

@@ -45,4 +45,4 @@ pub mod trunk;
 pub use cspf::cspf_path;
 pub use frr::{cspf_path_excluding, BackupRoute, SrlgMap};
 pub use intserv::{FlowId, FlowRequest, IntServDomain, RsvpError};
-pub use trunk::{TeDomain, TeError, TeStats, TrunkId, TrunkRequest};
+pub use trunk::{TeDomain, TeError, TrunkId, TrunkRequest};

@@ -16,8 +16,8 @@
 //! * [`routing`] — topology, link-state IGP, BGP/MPLS VPN fabric.
 //! * [`te`] — CSPF and trunk admission with preemption.
 //! * [`ipsec`] — ESP tunnel emulation and IKE simulation.
-//! * [`obs`] — telemetry: metrics registry, drop-cause flight recorder,
-//!   SLA probes, metric snapshots (DESIGN.md §8).
+//! * [`obs`] — telemetry: drop-cause flight recorder, histograms, SLA
+//!   probe rows, `metrics/v1` snapshots (DESIGN.md §8).
 //! * [`vpn`] — the assembled architecture: provider networks, PE/P/CE
 //!   routers, baselines, SLAs, tracing.
 //!
@@ -71,7 +71,7 @@ pub use netsim_te as te;
 /// IPsec emulation ([`netsim_ipsec`]).
 pub use netsim_ipsec as ipsec;
 
-/// Telemetry: registry, flight recorder, snapshots ([`netsim_obs`]).
+/// Telemetry: flight recorder, histograms, snapshots ([`netsim_obs`]).
 pub use netsim_obs as obs;
 
 /// The assembled VPN architecture ([`mplsvpn_core`]).
