@@ -252,6 +252,9 @@ pub struct ControlDb {
     /// Propagation + processing latency of LSA application, ns.
     convergence: Histogram,
     pub(crate) stats: CtrlStats,
+    /// `repair_fec` calls so far.
+    #[cfg(test)]
+    fec_repairs: u64,
 }
 
 impl ControlDb {
@@ -271,6 +274,8 @@ impl ControlDb {
             ctrl_bytes_by_link: vec![0; nl],
             convergence: Histogram::new(),
             stats: CtrlStats::default(),
+            #[cfg(test)]
+            fec_repairs: 0,
         };
         db.rebuild(igp, ldp, &std::collections::HashSet::new());
         db
@@ -457,7 +462,9 @@ impl ControlDb {
     }
 
     /// Applies one LSA at one node: dedup, link-state update, incremental
-    /// SPF, LDP/FTN/VRF repair, convergence sample, re-flood.
+    /// SPF, LDP/FTN/VRF repair, convergence sample, re-flood. `arrival` is
+    /// the interface the LSA came in on, `None` when `node` detected the
+    /// link event itself.
     #[allow(clippy::too_many_arguments)]
     fn apply_lsa(
         &mut self,
@@ -487,11 +494,21 @@ impl ControlDb {
         } else {
             self.stats.spf_skips += 1;
         }
-        // Repair every tunnel FEC from retained LDP state (liberal
-        // retention is what makes this purely local in the common case).
+        // Repair, from retained LDP state, the tunnel FECs whose first hop
+        // moved (liberal retention is what makes this purely local in the
+        // common case). Every other write to `received` repairs its own
+        // FEC, so the rest already match the view; the exception is a
+        // failure `node` detected itself, which also ended the LDP session
+        // with the far end, whose labels `on_link_event` dropped.
+        let (a, b, _) = self.topo.link(link);
+        let lost = (down && arrival.is_none()).then_some(if a == node { b } else { a });
         for f in 0..self.pes.len() {
-            self.repair_fec(node, f, tables, ctx);
+            if self.needs_repair(node, f, lost) {
+                self.repair_fec(node, f, tables, ctx);
+            }
         }
+        #[cfg(test)]
+        tests::check_ftns(self, node);
         if let Some(&t0) = self.episodes.get(&(link, seq)) {
             let d = ctx.now().saturating_sub(t0);
             self.convergence.record(d);
@@ -505,19 +522,16 @@ impl ControlDb {
     /// tunnel-table slot every LDP-following VPN route toward that egress
     /// resolves through, and advertises/withdraws on reachability flips.
     fn repair_fec(&mut self, node: usize, f: usize, tables: &mut NodeTables<'_>, ctx: &mut Ctx) {
+        #[cfg(test)]
+        {
+            self.fec_repairs += 1;
+        }
         let egress = self.pes[f];
         if node == egress {
             return;
         }
+        let desired = self.desired_ftn(node, f);
         let view = &self.views[node];
-        let (desired, reachable) = match view.spf.next_hop[egress] {
-            None => (None, false),
-            Some(nh) => {
-                let iface = self.topo.iface_toward(node, nh);
-                // No label yet: session refresh in flight.
-                (view.received[self.rx(nh, f)].map(|l| (iface, l)), true)
-            }
-        };
         let current = view.ftn[f].as_ref().map(|e| (e.out_iface, e.push.as_slice()));
         if current != desired.as_ref().map(|(iface, l)| (*iface, push_stack(l))) {
             let view = &mut self.views[node];
@@ -545,6 +559,7 @@ impl ControlDb {
             }
         }
         let view = &mut self.views[node];
+        let reachable = view.spf.next_hop[egress].is_some();
         if reachable != view.fec_reachable[f] {
             view.fec_reachable[f] = reachable;
             let msg = match (reachable, view.bindings[f]) {
@@ -554,6 +569,35 @@ impl ControlDb {
             };
             self.fan_out(node, None, &msg, ctx);
         }
+    }
+
+    /// Whether repairing tunnel FEC `f` at `node` after an SPF rerun can
+    /// change anything. An FTN names the first hop it was built on (the
+    /// peer on its interface): it is stale when the tree's first hop
+    /// differs, or is `lost`, a neighbor whose labels were just dropped
+    /// (over a parallel link it can still be the first hop). A FEC without
+    /// an FTN repairs whenever it is or becomes reachable: while reachable
+    /// it waits for its first hop's label, and which hop that was is not
+    /// kept.
+    fn needs_repair(&self, node: usize, f: usize, lost: Option<usize>) -> bool {
+        let view = &self.views[node];
+        let hop = view.spf.next_hop[self.pes[f]];
+        match &view.ftn[f] {
+            Some(e) => {
+                hop != self.topo.neighbors(node).nth(e.out_iface).map(|n| n.0) || hop == lost
+            }
+            None => self.pes[f] != node && (hop.is_some() || view.fec_reachable[f]),
+        }
+    }
+
+    /// The FTN tunnel FEC `f` should have at `node` under its view: the
+    /// first hop's interface and label, `None` while the egress is
+    /// unreachable or before the first hop's label arrives (session
+    /// refresh in flight).
+    fn desired_ftn(&self, node: usize, f: usize) -> Option<(usize, u32)> {
+        let view = &self.views[node];
+        let nh = view.spf.next_hop[self.pes[f]]?;
+        view.received[self.rx(nh, f)].map(|l| (self.topo.iface_toward(node, nh), l))
     }
 
     /// Slot of neighbor `nbr`'s label for tunnel FEC `f` in `NodeView::received`.
@@ -666,5 +710,121 @@ fn push_stack(l: &u32) -> &[u32] {
         &[]
     } else {
         std::slice::from_ref(l)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use netsim_mpls::lfib::Nhlfe;
+    use netsim_routing::{LinkAttrs, Topology};
+    use netsim_sim::MSEC;
+
+    use super::*;
+    use crate::network::{BackboneBuilder, ProviderNetwork};
+    use crate::router::PeRouter;
+
+    /// Asserts that every FTN at `node` is what repairing its FEC would
+    /// write, and that its reachability is the SPF tree's. `apply_lsa`
+    /// calls it after every LSA.
+    pub(super) fn check_ftns(db: &ControlDb, node: usize) {
+        for (f, &egress) in db.pes.iter().enumerate().filter(|&(_, &e)| e != node) {
+            let view = &db.views[node];
+            let current = view.ftn[f].as_ref().map(|e| (e.out_iface, e.push.clone()));
+            let full = db.desired_ftn(node, f).map(|(iface, l)| (iface, push_stack(&l).to_vec()));
+            assert_eq!(current, full, "stale FTN for FEC {f} at node {node}");
+            let reachable = view.spf.next_hop[egress].is_some();
+            assert_eq!(view.fec_reachable[f], reachable, "stale reachability for FEC {f}");
+        }
+    }
+
+    fn in_band(topo: Topology, pes: Vec<usize>) -> ProviderNetwork {
+        let mut pn = BackboneBuilder::new(topo, pes).control_mode(ControlMode::InBand).build();
+        pn.run_to_quiescence();
+        pn
+    }
+
+    /// Every router's LFIB entries, then every PE's tunnel table.
+    type Tables = (Vec<Vec<(u32, Nhlfe)>>, Vec<Vec<Option<FtnEntry>>>);
+
+    fn tables(pn: &mut ProviderNetwork) -> Tables {
+        let mut lfibs = Vec::new();
+        for u in 0..pn.topo.node_count() {
+            pn.with_lfib(u, |l| lfibs.push(l.iter().map(|(k, n)| (k, *n)).collect()));
+        }
+        let tunnels = (0..pn.pe_count())
+            .map(|k| {
+                let id = pn.pe_node(k);
+                pn.net.node_mut::<PeRouter>(id).tunnels.clone()
+            })
+            .collect();
+        (lfibs, tunnels)
+    }
+
+    #[test]
+    fn lsa_that_moves_no_first_hop_repairs_nothing() {
+        // PE1 = 1 and PE2 = 2 around P nodes 0 and 3. Link 1-3 (cost 2)
+        // ties with 1-0-3, so it lies on shortest paths from 1 and 3 and
+        // its cut reruns their SPF, but every first hop toward a PE is the
+        // lower-id node 0 or a direct link and stays put.
+        let mut topo = Topology::new(4);
+        let attrs = |cost| LinkAttrs { cost, capacity_bps: 100_000_000 };
+        for (u, v, cost) in [(1, 0, 1), (0, 2, 1), (1, 3, 2), (3, 2, 1), (3, 0, 1)] {
+            topo.add_link(u, v, attrs(cost));
+        }
+        let mut pn = in_band(topo, vec![1, 2]);
+        let before = tables(&mut pn);
+        let (stats0, repairs0) = {
+            let db = pn.control.borrow();
+            (db.stats(), db.fec_repairs)
+        };
+        pn.fail_link(2);
+        pn.run_to_quiescence();
+        let db = pn.control.borrow();
+        let stats = db.stats();
+        assert_eq!(stats.spf_runs - stats0.spf_runs, 2, "nodes 1 and 3 rerun SPF");
+        assert_eq!(stats.spf_skips - stats0.spf_skips, 2, "nodes 0 and 2 skip it");
+        assert_eq!(stats.pkts_by_proto[PROTO_LDP], stats0.pkts_by_proto[PROTO_LDP]);
+        assert_eq!(db.fec_repairs, repairs0);
+        drop(db);
+        assert_eq!(tables(&mut pn), before);
+    }
+
+    #[test]
+    fn changed_fec_repair_matches_full_repair_under_random_cuts() {
+        // The perfbench ladder plus two parallel links (one equal-cost, one
+        // dearer), so a cut can end an LDP session while the tree still
+        // routes through that neighbor. After every LSA `check_ftns`
+        // compares each FTN with what repairing its FEC would write.
+        let mut topo = Topology::new(10);
+        let attrs = |cost| LinkAttrs { cost, capacity_bps: 100_000_000 };
+        let rails = [(0, 2), (2, 4), (4, 6), (6, 8), (1, 3), (3, 5), (5, 7), (7, 9)];
+        let rungs = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)];
+        for &(u, v) in rails.iter().chain(&rungs) {
+            topo.add_link(u, v, attrs(1));
+        }
+        topo.add_link(2, 4, attrs(1));
+        topo.add_link(5, 7, attrs(3));
+        let links = topo.link_count();
+        let mut pn = in_band(topo, vec![0, 1, 8, 9]);
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut down = vec![false; links];
+        for _ in 0..100 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let l = (rng % links as u64) as usize;
+            if down[l] {
+                pn.repair_link(l);
+            } else {
+                pn.fail_link(l);
+            }
+            down[l] = !down[l];
+            pn.run_for(20 * MSEC + (rng >> 40) % (30 * MSEC));
+        }
+        pn.run_to_quiescence();
+        // Every fresh LSA either reruns SPF or skips it, then is checked.
+        let stats = pn.control.borrow().stats();
+        assert!(stats.spf_runs + stats.spf_skips > 500, "{stats:?}");
+        assert!(stats.spf_runs > 100 && stats.spf_skips > 10, "{stats:?}");
     }
 }

@@ -6,8 +6,8 @@
 //! BFD-style detection timers fire. This module wires them together on a
 //! [`ProviderNetwork`]:
 //!
-//! * [`ProviderNetwork::protect_link`] signals a bypass LSP around one
-//!   backbone link (both directions) and installs it as the link's
+//! * [`ProviderNetwork::protect_all_links`] signals a bypass LSP around
+//!   each backbone link (both directions) and installs it as the link's
 //!   protection entry at each upstream router.
 //! * [`ProviderNetwork::active_switchovers`] counts the failed-link
 //!   directions whose traffic rides a bypass right now.
@@ -62,7 +62,7 @@ impl ProviderNetwork {
     /// every link sharing a risk group with it, and avoids currently
     /// failed links. Returns how many directions could be protected
     /// (0–2; an SRLG-disjoint detour does not always exist).
-    pub fn protect_link(&mut self, topo_link: usize, srlg: &SrlgMap) -> usize {
+    fn protect_link(&mut self, topo_link: usize, srlg: &SrlgMap) -> usize {
         assert!(topo_link < self.topo.link_count(), "unknown backbone link {topo_link}");
         let failed = self.failed_links();
         let (u, v, _) = self.topo.link(topo_link);

@@ -75,7 +75,7 @@ impl IpsecGateway {
 
     /// Registers a tunnel peer: `remote_prefix` is reachable through the
     /// gateway at `peer_ip` using the given SA pair.
-    pub fn add_peer(
+    fn add_peer(
         &mut self,
         peer_ip: Ip,
         remote_prefix: Prefix,

@@ -119,7 +119,7 @@ impl ProviderNetwork {
 
     /// The measured SLA probe table: one row per provisioned probe, in
     /// provisioning order.
-    pub fn probe_rows(&self) -> Vec<ProbeRow> {
+    fn probe_rows(&self) -> Vec<ProbeRow> {
         self.probes
             .iter()
             .map(|p| {

@@ -40,7 +40,7 @@ impl VcSwitch {
     }
 
     /// Installed cross-connect entries (state metric for T1).
-    pub fn table_size(&self) -> usize {
+    fn table_size(&self) -> usize {
         self.table.len()
     }
 }
@@ -237,7 +237,7 @@ impl OverlayNetwork {
     /// Provisions the unidirectional PVC `a → b` along the IGP path and
     /// maps `b`'s prefix onto it at `a`'s edge. Returns the number of
     /// devices touched.
-    pub fn provision_pvc(&mut self, a: OverlaySiteId, b: OverlaySiteId) -> u64 {
+    fn provision_pvc(&mut self, a: OverlaySiteId, b: OverlaySiteId) -> u64 {
         let (sa, sb) = (&self.sites[a.0], &self.sites[b.0]);
         let (swa, swb) = (sa.switch, sb.switch);
         let path = self.igp.path(swa, swb).expect("switches must be connected");

@@ -49,7 +49,7 @@ impl FeistelCipher {
     }
 
     /// Decrypts one 64-bit block.
-    pub fn decrypt_block(&self, block: u64) -> u64 {
+    fn decrypt_block(&self, block: u64) -> u64 {
         let (mut r, mut l) = ((block >> 32) as u32, block as u32);
         for &k in self.round_keys.iter().rev() {
             let (nr, nl) = (l, r ^ round_fn(l, k));

@@ -7,7 +7,7 @@
 //! each event in a slot indexed by its arrival granule in O(1) and only
 //! heap-orders the handful of events sharing the cursor's granule.
 //!
-//! Two structural decisions keep the constant factor low:
+//! Three structural decisions keep the constant factor low:
 //!
 //! * **Events are stored inline.** An `Event` is 32 bytes (its packet is
 //!   boxed), so slots hold `(at, seq, event)` keys directly. Only level-0
@@ -17,6 +17,11 @@
 //!   rare far-future timers beyond the wheel span, plus `cur` — a small
 //!   heap holding every event whose granule is at or behind the cursor,
 //!   which is what `pop` actually drains.
+//! * **The cursor jumps over empty time.** Per-level occupancy bitmaps
+//!   name the next occupied slot of the lowest non-empty level, and the
+//!   cursor moves straight to its start. Reaching a 1 ms backbone hop or
+//!   a 20 ms detection timer takes one boundary step, two when its slot
+//!   wrapped into the next level-2 revolution.
 //!
 //! Ordering contract: events pop in exactly `(at, seq)` order, identical to
 //! the `BinaryHeap<Reverse<Scheduled>>` the engine used before. Two
@@ -117,6 +122,9 @@ pub(crate) struct TimingWheel<T> {
     /// Most upper-level slots ever live at once, a cascading one included.
     #[cfg(test)]
     upper_peak: usize,
+    /// Boundary steps `jump` has taken.
+    #[cfg(test)]
+    steps: u64,
 }
 
 impl<T> TimingWheel<T> {
@@ -132,6 +140,8 @@ impl<T> TimingWheel<T> {
             len: 0,
             #[cfg(test)]
             upper_peak: 0,
+            #[cfg(test)]
+            steps: 0,
         }
     }
 
@@ -260,7 +270,7 @@ impl<T> TimingWheel<T> {
             // strictly after the cursor's slot can only hold this
             // revolution's granules (`base + s`); wrapped entries for the
             // next revolution sit in slots ≤ the cursor's and are reached
-            // after the boundary cascade below.
+            // after the boundary cascade in `jump`.
             if self.counts[0] > 0 {
                 let base = self.tick & !MASK;
                 let from = ((self.tick & MASK) + 1) as usize;
@@ -270,43 +280,64 @@ impl<T> TimingWheel<T> {
                     return;
                 }
             }
-            // All wheels empty: jump straight to the first overflow event
-            // and pull everything within a wheel span of it.
-            if self.counts == [0; LEVELS] {
-                let Some(Reverse(head)) = self.overflow.peek() else { return };
-                self.tick = head.at >> GRANULE_BITS;
-                self.refill_overflow(self.tick + WHEEL_SPAN);
-                debug_assert!(!self.cur.is_empty());
-                return;
-            }
-            // Step to the next boundary and cascade the parent slots. When
-            // levels 0 and 1 are empty, whole level-1 revolutions can be
-            // skipped by stepping level-2-boundary to level-2-boundary.
-            let next = if self.counts[0] == 0 && self.counts[1] == 0 {
-                ((self.tick >> (2 * SLOT_BITS)) + 1) << (2 * SLOT_BITS)
-            } else {
-                ((self.tick >> SLOT_BITS) + 1) << SLOT_BITS
-            };
-            self.tick = next;
-            if next & (WHEEL_SPAN - 1) == 0 {
-                self.refill_overflow(next + WHEEL_SPAN);
-            }
-            if next & ((1 << (2 * SLOT_BITS)) - 1) == 0 && self.counts[2] > 0 {
-                self.cascade(2, ((next >> (2 * SLOT_BITS)) & MASK) as usize);
-            }
-            if self.counts[1] > 0 {
-                self.cascade(1, ((next >> SLOT_BITS) & MASK) as usize);
-            }
-            // Events at exactly the boundary granule may now sit in `cur`
-            // (cascaded with zero delta) or in level-0 slot 0 (inserted
-            // directly before the cursor arrived); merge both.
-            if !self.levels[0][0].is_empty() {
-                self.cascade(0, 0);
-            }
-            if !self.cur.is_empty() {
+            if !self.jump() {
                 return;
             }
         }
+    }
+
+    /// Moves the cursor past a level-0 revolution with nothing left ahead
+    /// in it, to the next boundary that can release events, and cascades
+    /// what starts there. Returns whether `cur` is still empty, so level 0
+    /// needs scanning again. Out of line: dense traffic pops nearly every
+    /// event through the level-0 scan in `advance` and rarely gets here.
+    #[inline(never)]
+    fn jump(&mut self) -> bool {
+        // All wheels empty: jump straight to the first overflow event and
+        // pull everything within a wheel span of it.
+        let Some(lvl) = (0..LEVELS).find(|&l| self.counts[l] > 0) else {
+            let Some(Reverse(head)) = self.overflow.peek() else { return false };
+            self.tick = head.at >> GRANULE_BITS;
+            self.refill_overflow(self.tick + WHEEL_SPAN);
+            debug_assert!(!self.cur.is_empty());
+            return false;
+        };
+        // Every level below `lvl` is empty. Jump to the start of the next
+        // occupied slot of `lvl` in its parent's current revolution: the
+        // rule of the level-0 scan, one level up. Nothing at a higher level
+        // or in the overflow heap is due before that parent's next
+        // boundary. With nothing ahead (the keys wrapped, as at level 0
+        // here) step to that boundary.
+        let shift = SLOT_BITS * lvl as u32;
+        let slot = ((self.tick >> shift) & MASK) as usize;
+        let ahead = if lvl == 0 { None } else { next_set_bit(&self.occ[lvl], slot + 1) };
+        let next = match ahead {
+            Some(s) => (((self.tick >> shift) & !MASK) + s as u64) << shift,
+            None => ((self.tick >> (shift + SLOT_BITS)) + 1) << (shift + SLOT_BITS),
+        };
+        #[cfg(test)]
+        {
+            self.steps += 1;
+        }
+        // `next` is a level-1 boundary at least: cascade every slot that
+        // starts there, top level first.
+        self.tick = next;
+        if next & (WHEEL_SPAN - 1) == 0 {
+            self.refill_overflow(next + WHEEL_SPAN);
+        }
+        if next & ((1 << (2 * SLOT_BITS)) - 1) == 0 && self.counts[2] > 0 {
+            self.cascade(2, ((next >> (2 * SLOT_BITS)) & MASK) as usize);
+        }
+        if self.counts[1] > 0 {
+            self.cascade(1, ((next >> SLOT_BITS) & MASK) as usize);
+        }
+        // Events at exactly the boundary granule may now sit in `cur`
+        // (cascaded with zero delta) or in level-0 slot 0 (inserted
+        // directly before the cursor arrived); merge both.
+        if !self.levels[0][0].is_empty() {
+            self.cascade(0, 0);
+        }
+        self.cur.is_empty()
     }
 }
 
@@ -405,10 +436,10 @@ mod tests {
 
     #[test]
     fn spare_stack_keeps_only_buffers_of_live_slots() {
-        // A few sparse far-future timers at a time, each pop jumping the
-        // cursor across hundreds of empty level-1 and level-2 boundaries.
-        // Every such boundary cascades an empty slot; none of those may
-        // leave a buffer behind.
+        // A few sparse far-future timers at a time, each pop moving the
+        // cursor across empty level-1 and level-2 time. A step to a parent
+        // boundary (the keys wrapped) cascades whatever slot starts there,
+        // often an empty one; none of those may leave a buffer behind.
         let mut w = TimingWheel::new();
         let mut reference = BinaryHeap::new();
         let mut rng = Rng(0x2545_f491_4f6c_dd1d);
@@ -442,6 +473,78 @@ mod tests {
             "{} spare buffers, peak {peak}",
             spare.len()
         );
+    }
+
+    #[test]
+    fn matches_reference_heap_on_sparse_timeline() {
+        // Control-plane shaped load: level 0 is usually empty, most events
+        // sit 0.3-70 ms (level 1) or 67 ms-17 s (level 2) ahead, a few lie
+        // beyond the wheel span, and the clock crosses several `WHEEL_SPAN`
+        // boundaries. `peek_at` parks the cursor on the next event before
+        // some pushes, which then land at or behind it.
+        let mut w = TimingWheel::new();
+        let mut reference = BinaryHeap::new();
+        let mut rng = Rng(0x5851_f42d_4c95_7f2d);
+        let mut now = 0u64;
+        for round in 0..6000u64 {
+            if rng.next().is_multiple_of(4) {
+                if let Some(at) = w.peek_at() {
+                    assert!(at >= now);
+                }
+            }
+            let at = match rng.next() % 8 {
+                0 => now,
+                1 => now + rng.next() % (1 << 10),
+                2 => now + 17_000_000_000 + rng.next() % 30_000_000_000,
+                3 | 4 => now + 67_000_000 + rng.next() % 16_933_000_000,
+                _ => now + 300_000 + rng.next() % 69_700_000,
+            };
+            w.push(at, round, 0);
+            reference.push(Reverse((at, round)));
+            for _ in 0..rng.next() % 3 {
+                let got = w.pop().map(|(at, s, _)| (at, s));
+                assert_eq!(got, reference.pop().map(|Reverse(p)| p), "diverged at round {round}");
+                if let Some((at, _)) = got {
+                    now = at;
+                }
+            }
+        }
+        let spans = now >> (GRANULE_BITS + SLOT_BITS * LEVELS as u32);
+        assert!(spans >= 3, "the clock crossed only {spans} wheel-span boundaries");
+        assert_eq!(
+            drain(&mut w),
+            std::iter::from_fn(|| reference.pop().map(|Reverse(p)| p)).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn sparse_timers_pop_within_two_boundary_steps() {
+        // Two 1 ms hop chains and a 20 ms detection timer, rescheduled as
+        // each fires: the cursor crosses empty wheel time between nearly
+        // every pop. A jump to the next occupied slot takes one boundary
+        // step, plus one more when the slot wrapped into the next level-2
+        // revolution; walking level-0 revolutions would take about four
+        // per millisecond.
+        let periods = [1_000_000u64, 1_000_000, 20_000_000];
+        let mut w = TimingWheel::new();
+        let mut reference = BinaryHeap::new();
+        let mut seq = 0u64;
+        for (chain, (&period, offset)) in periods.iter().zip([0, 370_000, 5_000_000]).enumerate() {
+            w.push(offset + period, seq, chain);
+            reference.push(Reverse((offset + period, seq)));
+            seq += 1;
+        }
+        for _ in 0..5000 {
+            let before = w.steps;
+            let (at, s, chain) = w.pop().expect("chains never end");
+            assert_eq!(Some((at, s)), reference.pop().map(|Reverse(p)| p));
+            let steps = w.steps - before;
+            assert!(steps <= 2, "{steps} boundary steps to reach {at} ns");
+            w.push(at + periods[chain], seq, chain);
+            reference.push(Reverse((at + periods[chain], seq)));
+            seq += 1;
+        }
+        assert!(w.steps > 0);
     }
 
     #[test]

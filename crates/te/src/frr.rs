@@ -38,7 +38,7 @@ impl SrlgMap {
     }
 
     /// The risk groups `link` belongs to.
-    pub fn groups_of(&self, link: usize) -> &[u32] {
+    fn groups_of(&self, link: usize) -> &[u32] {
         self.groups.get(link).map_or(&[], Vec::as_slice)
     }
 

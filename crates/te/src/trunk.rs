@@ -126,7 +126,7 @@ impl TeDomain {
     /// Bandwidth on `link` still available to a trunk signalled at
     /// priority `prio` (reservations at numerically greater hold priority
     /// are preemptable and therefore count as available).
-    pub fn available_bps(&self, link: usize, prio: u8) -> u64 {
+    fn available_bps(&self, link: usize, prio: u8) -> u64 {
         let cap = self.topo.link(link).2.capacity_bps;
         let held: u64 = self.reserved[link][..=prio as usize].iter().sum();
         cap.saturating_sub(held)

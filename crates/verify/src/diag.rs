@@ -124,7 +124,7 @@ impl VerifyReport {
     }
 
     /// Only the error-severity diagnostics.
-    pub fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
+    fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics.iter().filter(|d| d.severity == Severity::Error)
     }
 
