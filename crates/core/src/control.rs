@@ -827,4 +827,52 @@ mod tests {
         assert!(stats.spf_runs + stats.spf_skips > 500, "{stats:?}");
         assert!(stats.spf_runs > 100 && stats.spf_skips > 10, "{stats:?}");
     }
+
+    /// MP-BGP deltas leave in `(pe, vpn)` order even where a PE created
+    /// its VRFs in another order than their VPN ids, and a fabric VRF the
+    /// network did not create gets none.
+    #[test]
+    fn bgp_deltas_leave_in_pe_vpn_order() {
+        // PE0, PE1 and PE2 (nodes 1, 2, 3) around P node 0.
+        let mut topo = Topology::new(4);
+        for u in 1..4 {
+            topo.add_link(0, u, LinkAttrs { cost: 1, capacity_bps: 100_000_000 });
+        }
+        let mut pn = in_band(topo, vec![1, 2, 3]);
+        let (acme, globex) = (pn.new_vpn("acme"), pn.new_vpn("globex"));
+        // PE1 and PE2 each create globex's VRF (index 0) before acme's
+        // (index 1); globex imports acme's routes too (an extranet).
+        for pe in [1, 2] {
+            pn.add_site(globex, pe, Prefix::new(Ip(0x0A10_0000 + ((pe as u32) << 8)), 24), None);
+            pn.add_site(acme, pe, Prefix::new(Ip(0x0A20_0000 + ((pe as u32) << 8)), 24), None);
+            let (globex_vrf, _) = pn.vrf_handle(pe, globex).expect("globex VRF");
+            pn.fabric.add_import_target(globex_vrf, pn.vpns[acme.0].rt);
+        }
+        // A fabric-only VRF on PE1 that imports acme as well.
+        let (rd, rt) = (pn.vpns[acme.0].rd, pn.vpns[acme.0].rt);
+        pn.fabric.add_vrf(1, rd, vec![rt], vec![rt]);
+        pn.run_to_quiescence();
+        let sent = |pn: &ProviderNetwork| -> Vec<(usize, usize)> {
+            let db = pn.control.borrow();
+            let mut msgs: Vec<(u64, (usize, usize))> = db
+                .msgs
+                .iter()
+                .filter_map(|(&id, msg)| match *msg {
+                    CtrlMsg::BgpUpdate { target, vrf_idx, .. }
+                    | CtrlMsg::BgpWithdraw { target, vrf_idx, .. } => Some((id, (target, vrf_idx))),
+                    _ => None,
+                })
+                .collect();
+            msgs.sort_unstable();
+            msgs.into_iter().map(|(_, m)| m).collect()
+        };
+        assert!(sent(&pn).is_empty());
+        // (PE1, acme), (PE1, globex), (PE2, acme), (PE2, globex).
+        let order = vec![(1, 1), (1, 0), (2, 1), (2, 0)];
+        let site = pn.add_site(acme, 0, Prefix::new(Ip(0x0A30_0000), 24), None);
+        assert_eq!(sent(&pn), order, "updates");
+        pn.run_to_quiescence();
+        pn.detach_site(site);
+        assert_eq!(sent(&pn), order, "withdraws");
+    }
 }

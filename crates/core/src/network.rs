@@ -25,12 +25,12 @@ use netsim_qos::{
     QueueDiscipline, RedParams, RedQueue, WfqScheduler,
 };
 use netsim_routing::{
-    BgpVpnFabric, DistributionMode, Igp, RemoteRoute, RouteDistinguisher, RouteTarget, Topology,
-    VrfHandle,
+    BgpVpnFabric, DistributionMode, Igp, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget,
+    Topology, VrfHandle,
 };
 use netsim_sim::{
-    CbrSource, IfaceId, LinkConfig, LinkId, Network, NodeId, OnOffSource, PoissonSource, Sink,
-    SourceConfig,
+    CbrSource, FxHashMap, IfaceId, LinkConfig, LinkId, Network, NodeId, OnOffSource, PoissonSource,
+    Sink, SourceConfig,
 };
 
 use std::cell::RefCell;
@@ -293,6 +293,7 @@ impl BackboneBuilder {
             vpns: Vec::new(),
             sites: Vec::new(),
             vrf_handles: HashMap::new(),
+            vrf_owners: FxHashMap::default(),
             access_rate_bps: self.access_rate_bps,
             access_delay_ns: self.access_delay_ns,
             php: self.php,
@@ -336,6 +337,8 @@ pub struct ProviderNetwork {
     /// All sites added so far, indexed by [`SiteId`].
     pub sites: Vec<SiteInfo>,
     pub(crate) vrf_handles: HashMap<(usize, VpnId), (VrfHandle, usize)>,
+    /// The inverse of `vrf_handles`: fabric handle → (VPN, VRF index).
+    vrf_owners: FxHashMap<VrfHandle, (VpnId, usize)>,
     access_rate_bps: u64,
     access_delay_ns: Nanos,
     php: bool,
@@ -416,6 +419,7 @@ impl ProviderNetwork {
                 let vrf_idx = self.net.node_mut::<PeRouter>(pe_node).add_vrf(info.name.clone());
                 self.fabric.refresh_vrf(handle);
                 self.vrf_handles.insert((pe, vpn), (handle, vrf_idx));
+                self.vrf_owners.insert(handle, (vpn, vrf_idx));
                 // The new VRF's initial route download is local to the one
                 // touched PE; afterwards only deltas arrive.
                 let routes = self.fabric_routes(handle);
@@ -434,7 +438,7 @@ impl ProviderNetwork {
         assert_eq!(declared, pe_if.0, "PE interface numbering out of sync");
 
         // Advertise and install.
-        let label = self.fabric.advertise(handle, prefix);
+        let (label, mut changed) = self.fabric.advertise(handle, prefix);
         {
             let per = self.net.node_mut::<PeRouter>(pe_node);
             per.install_local_route(vrf_idx, prefix, pe_if.0);
@@ -443,24 +447,19 @@ impl ProviderNetwork {
         // One MP-BGP update (VPN label piggybacked, §4) to every VRF whose
         // best path is now this route. The fabric never imports a PE's own
         // routes, so every target is remote.
-        for ((pe2, _), (h2, v2)) in self.sorted_vrf_handles() {
-            let selected = self
-                .fabric
-                .routes(h2)
-                .get(prefix)
-                .is_some_and(|r| r.egress_pe == pe && r.vpn_label == label);
-            if selected {
-                self.send_bgp(
-                    pe,
-                    CtrlMsg::BgpUpdate {
-                        target: pe2,
-                        vrf_idx: v2,
-                        prefix,
-                        egress_pe: pe,
-                        vpn_label: label,
-                    },
-                );
-            }
+        self.in_send_order(&mut changed);
+        for (h2, _) in changed {
+            let v2 = self.vrf_owners[&h2].1;
+            self.send_bgp(
+                pe,
+                CtrlMsg::BgpUpdate {
+                    target: h2.pe,
+                    vrf_idx: v2,
+                    prefix,
+                    egress_pe: pe,
+                    vpn_label: label,
+                },
+            );
         }
 
         let site = SiteId(self.sites.len());
@@ -482,14 +481,7 @@ impl ProviderNetwork {
         // The VPN label this home advertised for the prefix.
         let label =
             self.fabric.local_routes(handle).iter().find(|(p, _)| *p == prefix).map(|(_, l)| *l);
-        // Every VRF's best path before the withdrawal: each one that
-        // changes gets a withdraw carrying the replacement, if any.
-        let handles = self.sorted_vrf_handles();
-        let selection = |pn: &Self, h: VrfHandle| {
-            pn.fabric.routes(h).get(prefix).map(|r| (r.egress_pe, r.vpn_label))
-        };
-        let before: Vec<_> = handles.iter().map(|&(_, (h2, _))| selection(self, h2)).collect();
-        self.fabric.withdraw(handle, prefix);
+        let mut changed = self.fabric.withdraw(handle, prefix);
         {
             let per = self.net.node_mut::<PeRouter>(self.pe_node(pe));
             per.vrfs[vrf_idx].fib.remove(prefix);
@@ -503,23 +495,25 @@ impl ProviderNetwork {
         if let Some(&masked) = self.fabric.routes(handle).get(prefix) {
             self.install_routes(pe, vrf_idx, &[(prefix, masked)]);
         }
-        for (((pe2, _), (h2, v2)), was) in handles.into_iter().zip(before) {
-            let now = selection(self, h2);
-            if now != was {
-                self.send_bgp(
-                    pe,
-                    CtrlMsg::BgpWithdraw { target: pe2, vrf_idx: v2, prefix, replacement: now },
-                );
-            }
+        // Each VRF that held the withdrawn route gets a withdraw carrying
+        // its replacement, if any.
+        self.in_send_order(&mut changed);
+        for (h2, now) in changed {
+            let v2 = self.vrf_owners[&h2].1;
+            let replacement = now.map(|r| (r.egress_pe, r.vpn_label));
+            self.send_bgp(
+                pe,
+                CtrlMsg::BgpWithdraw { target: h2.pe, vrf_idx: v2, prefix, replacement },
+            );
         }
     }
 
-    /// All (pe, vpn) → (handle, vrf index) pairs in a deterministic order.
-    fn sorted_vrf_handles(&self) -> Vec<((usize, VpnId), (VrfHandle, usize))> {
-        let mut v: Vec<((usize, VpnId), (VrfHandle, usize))> =
-            self.vrf_handles.iter().map(|(&k, &v)| (k, v)).collect();
-        v.sort_by_key(|&((pe, vpn), _)| (pe, vpn.0));
-        v
+    /// Sorts the fabric's `changed` VRFs into `(pe, vpn)` order, the order
+    /// MP-BGP deltas leave in, and drops those the network did not create:
+    /// they get no message.
+    fn in_send_order(&self, changed: &mut Vec<RouteChange>) {
+        changed.retain(|(h, _)| self.vrf_owners.contains_key(h));
+        changed.sort_unstable_by_key(|(h, _)| (h.pe, self.vrf_owners[h].0 .0));
     }
 
     /// Delivers an MP-BGP delta originated at PE `origin_pe` — the one
@@ -564,7 +558,10 @@ impl ProviderNetwork {
     /// clears TE overrides. Only [`ProviderNetwork::reconverge`] calls
     /// this.
     fn sync_remote_routes(&mut self) {
-        for ((pe, _), (handle, vrf_idx)) in self.sorted_vrf_handles() {
+        let mut vrfs: Vec<_> =
+            self.vrf_handles.iter().map(|(&(pe, vpn), &hv)| ((pe, vpn.0), hv)).collect();
+        vrfs.sort_unstable_by_key(|&(key, _)| key);
+        for ((pe, _), (handle, vrf_idx)) in vrfs {
             let routes = self.fabric_routes(handle);
             self.install_routes(pe, vrf_idx, &routes);
         }
@@ -1349,7 +1346,7 @@ mod tests {
         pn.fabric.add_export_target(depot_handle, extranet_rt);
         pn.fabric.add_import_target(globex_handle, extranet_rt);
         pn.fabric.withdraw(depot_handle, pfx("10.77.0.0/16"));
-        let label = pn.fabric.advertise(depot_handle, pfx("10.77.0.0/16"));
+        let (label, _) = pn.fabric.advertise(depot_handle, pfx("10.77.0.0/16"));
         {
             let depot_iface = pn.sites[depot.0].pe_iface;
             let pe1 = pn.pe_node(1);

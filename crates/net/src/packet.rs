@@ -342,16 +342,6 @@ impl Packet {
         })
     }
 
-    /// The innermost IPv4 header — the customer packet inside any tunnels.
-    /// Note this cannot see through ESP: an encrypted inner packet lives in
-    /// the payload and is *not* visible here, by design.
-    pub fn inner_ipv4(&self) -> Option<&Ipv4Header> {
-        self.layers().iter().rev().find_map(|l| match l {
-            Layer::Ipv4(h) => Some(h),
-            _ => None,
-        })
-    }
-
     /// The classification 5-tuple *as visible at this point in the network*:
     /// computed from the outermost IPv4 header and the layer that follows
     /// it. For an ESP packet this yields `protocol = 50` with zero ports —
@@ -379,6 +369,18 @@ impl Packet {
 mod tests {
     use super::*;
     use crate::addr::ip;
+
+    impl Packet {
+        /// The innermost IPv4 header — the customer packet inside any tunnels.
+        /// Note this cannot see through ESP: an encrypted inner packet lives in
+        /// the payload and is *not* visible here, by design.
+        fn inner_ipv4(&self) -> Option<&Ipv4Header> {
+            self.layers().iter().rev().find_map(|l| match l {
+                Layer::Ipv4(h) => Some(h),
+                _ => None,
+            })
+        }
+    }
 
     fn sample() -> Packet {
         Packet::udp(ip("10.0.0.1"), ip("10.0.0.2"), 5000, 53, Dscp::EF, 100)

@@ -54,12 +54,6 @@ impl MatchRule {
         self
     }
 
-    /// Builder: require a source prefix.
-    pub fn from_prefix(mut self, p: Prefix) -> Self {
-        self.src = Some(p);
-        self
-    }
-
     /// Whether this rule matches the packet's visible headers.
     pub fn matches(&self, pkt: &Packet) -> bool {
         let Some(t) = pkt.visible_five_tuple() else {
@@ -210,7 +204,8 @@ mod tests {
 
     #[test]
     fn prefix_and_protocol_constraints() {
-        let rule = MatchRule::any().from_prefix("10.0.0.0/8".parse().unwrap()).protocol(proto::UDP);
+        let src = Some("10.0.0.0/8".parse().unwrap());
+        let rule = MatchRule { src, ..MatchRule::any() }.protocol(proto::UDP);
         assert!(rule.matches(&voice_pkt()));
         let wrong_src = Packet::udp(ip("11.0.0.1"), ip("10.9.0.1"), 1, 2, Dscp::BE, 0);
         assert!(!rule.matches(&wrong_src));

@@ -70,6 +70,10 @@ pub struct RemoteRoute {
     pub rd: RouteDistinguisher,
 }
 
+/// A VRF whose selected route for the prefix an advertise or withdraw
+/// changed, with its new route (`None` when it has none left).
+pub type RouteChange = (VrfHandle, Option<RemoteRoute>);
+
 /// A VPN-IPv4 advertisement as carried by the fabric.
 #[derive(Clone, Debug)]
 struct VpnRouteAd {
@@ -79,6 +83,13 @@ struct VpnRouteAd {
     vpn_label: u32,
     export_targets: Vec<RouteTarget>,
     origin: VrfHandle,
+}
+
+impl VpnRouteAd {
+    /// The route an importing VRF installs for this advertisement.
+    fn route(&self) -> RemoteRoute {
+        RemoteRoute { egress_pe: self.egress_pe, vpn_label: self.vpn_label, rd: self.rd }
+    }
 }
 
 /// One VRF's control-plane state.
@@ -216,8 +227,9 @@ impl BgpVpnFabric {
     /// Advertises `prefix` from `vrf` (a connected customer route learned
     /// from the attached CE): allocates a VPN label, installs the egress
     /// dispatch entry, and distributes the route to every importing VRF.
-    /// Returns the VPN label.
-    pub fn advertise(&mut self, vrf: VrfHandle, prefix: Prefix) -> u32 {
+    /// Returns the VPN label and every VRF that selected the new route, in
+    /// fabric order (PE, then VRF index).
+    pub fn advertise(&mut self, vrf: VrfHandle, prefix: Prefix) -> (u32, Vec<RouteChange>) {
         let pe = &mut self.pes[vrf.pe];
         let label = pe.label_space.allocate();
         pe.vpn_ilm.insert(label, (vrf.index, prefix));
@@ -231,62 +243,57 @@ impl BgpVpnFabric {
             export_targets: v.export.clone(),
             origin: vrf,
         };
-        self.distribute(&ad);
+        let changed = self.distribute(&ad);
         self.rib.push(ad);
-        label
+        (label, changed)
     }
 
     /// Withdraws a previously advertised prefix: removes it from every
     /// importer, frees the label, removes the dispatch entry — and, where
     /// another PE still advertises the same prefix (a multihomed site),
-    /// fails importers over to the next-best path.
-    pub fn withdraw(&mut self, vrf: VrfHandle, prefix: Prefix) {
+    /// fails importers over to the next-best path. Returns every VRF that
+    /// held the withdrawn route, with its failover, in fabric order.
+    pub fn withdraw(&mut self, vrf: VrfHandle, prefix: Prefix) -> Vec<RouteChange> {
         let Some(pos) = self.rib.iter().position(|ad| ad.origin == vrf && ad.prefix == prefix)
         else {
-            return;
+            return Vec::new();
         };
         let ad = self.rib.swap_remove(pos);
         // Withdrawal costs the same messages as the announcement.
         self.messages += self.update_fanout(ad.egress_pe);
-        // Remaining candidate advertisements for the same prefix.
-        let alternatives: Vec<VpnRouteAd> =
-            self.rib.iter().filter(|x| x.prefix == prefix).cloned().collect();
+        let withdrawn = ad.route();
+        let mut changed = Vec::with_capacity(self.pes.len());
         for (pi, pe) in self.pes.iter_mut().enumerate() {
-            for v in &mut pe.vrfs {
-                let Some(existing) = v.table.get(ad.prefix) else {
-                    continue;
-                };
-                let held_withdrawn = existing.rd == ad.rd
-                    && existing.egress_pe == ad.egress_pe
-                    && existing.vpn_label == ad.vpn_label
-                    && pi != ad.egress_pe;
-                if !held_withdrawn {
+            if pi == ad.egress_pe {
+                continue; // local routes are never imported
+            }
+            for (index, v) in pe.vrfs.iter_mut().enumerate() {
+                if v.table.get(prefix) != Some(&withdrawn) {
                     continue;
                 }
-                v.table.remove(ad.prefix);
+                v.table.remove(prefix);
                 // Failover: best remaining importable advertisement.
-                let best = alternatives
+                let best = self
+                    .rib
                     .iter()
                     .filter(|x| {
-                        x.egress_pe != pi && v.import.iter().any(|t| x.export_targets.contains(t))
+                        x.prefix == prefix
+                            && x.egress_pe != pi
+                            && v.import.iter().any(|t| x.export_targets.contains(t))
                     })
-                    .min_by_key(|x| (x.egress_pe, x.vpn_label));
+                    .min_by_key(|x| (x.egress_pe, x.vpn_label))
+                    .map(VpnRouteAd::route);
                 if let Some(alt) = best {
-                    v.table.insert(
-                        prefix,
-                        RemoteRoute {
-                            egress_pe: alt.egress_pe,
-                            vpn_label: alt.vpn_label,
-                            rd: alt.rd,
-                        },
-                    );
+                    v.table.insert(prefix, alt);
                 }
+                changed.push((VrfHandle { pe: pi, index }, best));
             }
         }
         let pe = &mut self.pes[vrf.pe];
         pe.vpn_ilm.remove(&ad.vpn_label);
         pe.label_space.release(ad.vpn_label);
         pe.vrfs[vrf.index].local.retain(|(p, _)| *p != prefix);
+        changed
     }
 
     fn update_fanout(&self, from_pe: usize) -> u64 {
@@ -306,25 +313,27 @@ impl BgpVpnFabric {
         (a.egress_pe, a.vpn_label) < (b.egress_pe, b.vpn_label)
     }
 
-    fn distribute(&mut self, ad: &VpnRouteAd) {
+    /// Offers `ad` to every importing VRF and returns those that selected it.
+    fn distribute(&mut self, ad: &VpnRouteAd) -> Vec<RouteChange> {
         self.messages += self.update_fanout(ad.egress_pe);
+        let cand = ad.route();
+        // A VPN usually has one VRF per PE.
+        let mut changed = Vec::with_capacity(self.pes.len());
         for (pi, pe) in self.pes.iter_mut().enumerate() {
             if pi == ad.egress_pe {
                 continue; // local routes are reached directly, not tunneled
             }
-            for v in &mut pe.vrfs {
-                if v.import.iter().any(|t| ad.export_targets.contains(t)) {
-                    let cand =
-                        RemoteRoute { egress_pe: ad.egress_pe, vpn_label: ad.vpn_label, rd: ad.rd };
-                    match v.table.get(ad.prefix) {
-                        Some(existing) if !Self::better(&cand, existing) => {}
-                        _ => {
-                            v.table.insert(ad.prefix, cand);
-                        }
-                    }
+            for (index, v) in pe.vrfs.iter_mut().enumerate() {
+                if !v.import.iter().any(|t| ad.export_targets.contains(t)) {
+                    continue;
+                }
+                if v.table.get(ad.prefix).is_none_or(|existing| Self::better(&cand, existing)) {
+                    v.table.insert(ad.prefix, cand);
+                    changed.push((VrfHandle { pe: pi, index }, Some(cand)));
                 }
             }
         }
+        changed
     }
 
     /// Re-sends every RIB route to a VRF (used after adding a VRF to an
@@ -339,8 +348,7 @@ impl BgpVpnFabric {
             }
             let v = &mut self.pes[vrf.pe].vrfs[vrf.index];
             if v.import.iter().any(|t| ad.export_targets.contains(t)) {
-                let cand =
-                    RemoteRoute { egress_pe: ad.egress_pe, vpn_label: ad.vpn_label, rd: ad.rd };
+                let cand = ad.route();
                 match v.table.get(ad.prefix) {
                     Some(existing) if !Self::better(&cand, existing) => {}
                     _ => {
@@ -378,8 +386,7 @@ impl BgpVpnFabric {
                 if !v.import.iter().any(|t| ad.export_targets.contains(t)) {
                     continue;
                 }
-                let cand =
-                    RemoteRoute { egress_pe: ad.egress_pe, vpn_label: ad.vpn_label, rd: ad.rd };
+                let cand = ad.route();
                 match desired.iter_mut().find(|(p, _)| *p == ad.prefix) {
                     Some((_, existing)) if !Self::better(&cand, existing) => {}
                     Some((_, existing)) => *existing = cand,
@@ -419,12 +426,6 @@ impl BgpVpnFabric {
         &self.pes[vrf.pe].vrfs[vrf.index].local
     }
 
-    /// Egress dispatch: which `(vrf index, prefix)` an incoming VPN label
-    /// on `pe` belongs to.
-    pub fn vpn_label_owner(&self, pe: usize, label: u32) -> Option<(usize, Prefix)> {
-        self.pes[pe].vpn_ilm.get(&label).copied()
-    }
-
     /// All `(label, vrf index, prefix)` dispatch entries of a PE.
     pub fn vpn_ilm(&self, pe: usize) -> impl Iterator<Item = (u32, usize, Prefix)> + '_ {
         self.pes[pe].vpn_ilm.iter().map(|(&l, &(v, p))| (l, v, p))
@@ -444,6 +445,14 @@ mod tests {
     use super::*;
     use netsim_net::addr::pfx;
 
+    impl BgpVpnFabric {
+        /// Egress dispatch: which `(vrf index, prefix)` an incoming VPN label
+        /// on `pe` belongs to.
+        fn vpn_label_owner(&self, pe: usize, label: u32) -> Option<(usize, Prefix)> {
+            self.pes[pe].vpn_ilm.get(&label).copied()
+        }
+    }
+
     const RT_A: RouteTarget = RouteTarget(100);
     const RT_B: RouteTarget = RouteTarget(200);
 
@@ -461,8 +470,8 @@ mod tests {
         let b0 = f.add_vrf(0, rd(2), vec![RT_B], vec![RT_B]);
         let b2 = f.add_vrf(2, rd(2), vec![RT_B], vec![RT_B]);
 
-        let la = f.advertise(a1, pfx("10.1.0.0/16"));
-        let lb = f.advertise(b2, pfx("10.1.0.0/16")); // same prefix, other VPN
+        let (la, _) = f.advertise(a1, pfx("10.1.0.0/16"));
+        let (lb, _) = f.advertise(b2, pfx("10.1.0.0/16")); // same prefix, other VPN
 
         let ra = f.routes(a0).lookup(pfx("10.1.0.0/16").addr()).copied().unwrap();
         assert_eq!(ra.egress_pe, 1);
@@ -483,8 +492,8 @@ mod tests {
         let mut f = BgpVpnFabric::new(2, DistributionMode::RouteReflector);
         let a = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
         let b = f.add_vrf(0, rd(2), vec![RT_B], vec![RT_B]);
-        let la = f.advertise(a, pfx("10.0.0.0/8"));
-        let lb = f.advertise(b, pfx("10.0.0.0/8"));
+        let (la, _) = f.advertise(a, pfx("10.0.0.0/8"));
+        let (lb, _) = f.advertise(b, pfx("10.0.0.0/8"));
         assert_ne!(la, lb);
         assert_eq!(f.vpn_label_owner(0, la), Some((a.index, pfx("10.0.0.0/8"))));
         assert_eq!(f.vpn_label_owner(0, lb), Some((b.index, pfx("10.0.0.0/8"))));
@@ -518,7 +527,7 @@ mod tests {
         let mut f = BgpVpnFabric::new(2, DistributionMode::RouteReflector);
         let a0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
         let a1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]);
-        let l = f.advertise(a1, pfx("172.16.0.0/12"));
+        let (l, _) = f.advertise(a1, pfx("172.16.0.0/12"));
         assert!(f.routes(a0).lookup(pfx("172.16.0.0/12").addr()).is_some());
         f.withdraw(a1, pfx("172.16.0.0/12"));
         assert!(f.routes(a0).lookup(pfx("172.16.0.0/12").addr()).is_none());
@@ -571,8 +580,8 @@ mod tests {
         let v1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]); // primary home
         let v2 = f.add_vrf(2, rd(1), vec![RT_A], vec![RT_A]); // backup home
         let p = pfx("10.5.0.0/16");
-        let l1 = f.advertise(v1, p);
-        let l2 = f.advertise(v2, p);
+        let (l1, _) = f.advertise(v1, p);
+        let (l2, _) = f.advertise(v2, p);
         // Best path: lowest egress PE (1) regardless of arrival order.
         let r = f.routes(v0).lookup(p.addr()).copied().unwrap();
         assert_eq!((r.egress_pe, r.vpn_label), (1, l1));

@@ -18,11 +18,9 @@ pub struct SpfTree {
     /// Total cost to each node (`u64::MAX` = unreachable).
     pub dist: Vec<u64>,
     /// First hop (neighbor of the root) toward each node; `None` for the
-    /// root itself and unreachable nodes.
+    /// root itself and unreachable nodes. Among equal-cost first hops it is
+    /// the smallest id, making runs deterministic.
     pub next_hop: Vec<Option<usize>>,
-    /// All equal-cost first hops toward each node (ECMP set; the single
-    /// `next_hop` is the smallest id, making runs deterministic).
-    pub ecmp: Vec<Vec<usize>>,
     /// Dijkstra frontier: empty between runs, kept for its storage.
     heap: BinaryHeap<Reverse<(u64, usize)>>,
 }
@@ -30,6 +28,12 @@ pub struct SpfTree {
 impl SpfTree {
     /// Dijkstra from `root` over the links where `usable(link_id)` holds, in place: the
     /// buffers are reused whatever the previous root or filter, so a warm run allocates nothing.
+    ///
+    /// Only the smallest first hop is kept. A strict improvement through `u` sets `v`'s
+    /// first hop to `u`'s (to `v` itself when `u` is the root); an equal-cost one keeps
+    /// the smaller of the two. The minimum of a union of first-hop sets is the minimum of
+    /// their minima, and every link cost is at least 1, so `u`'s first hop is final when
+    /// `u` leaves the heap: the result is the lowest id of the full ECMP set.
     pub fn recompute(&mut self, topo: &Topology, root: usize, usable: &dyn Fn(usize) -> bool) {
         let n = topo.node_count();
         self.root = root;
@@ -37,8 +41,6 @@ impl SpfTree {
         self.dist.resize(n, u64::MAX);
         self.next_hop.clear();
         self.next_hop.resize(n, None);
-        self.ecmp.resize_with(n, Vec::new);
-        self.ecmp.iter_mut().for_each(Vec::clear);
         self.dist[root] = 0;
         // (cost, node) min-heap; ties resolve by node id (deterministic).
         self.heap.reserve(n);
@@ -49,27 +51,15 @@ impl SpfTree {
             }
             for (v, attrs, _) in topo.neighbors(u).filter(|&(_, _, link)| usable(link)) {
                 let nd = d.saturating_add(attrs.cost);
+                let through = if u == root { Some(v) } else { self.next_hop[u] };
                 if nd < self.dist[v] {
                     self.dist[v] = nd;
-                    self.ecmp[v].clear();
+                    self.next_hop[v] = through;
                     self.heap.push(Reverse((nd, v)));
-                } else if nd != self.dist[v] || nd == u64::MAX {
-                    continue;
-                }
-                // v's first hops gain those through u: v itself when u is
-                // the root, else u's own first hops.
-                let through = if u == root { 1 } else { self.ecmp[u].len() };
-                for i in 0..through {
-                    let h = if u == root { v } else { self.ecmp[u][i] };
-                    if !self.ecmp[v].contains(&h) {
-                        self.ecmp[v].push(h);
-                    }
+                } else if nd == self.dist[v] && nd != u64::MAX {
+                    self.next_hop[v] = self.next_hop[v].min(through);
                 }
             }
-        }
-        for (v, hops) in self.ecmp.iter_mut().enumerate() {
-            hops.sort_unstable();
-            self.next_hop[v] = if v == root { None } else { hops.first().copied() };
         }
     }
 
@@ -85,7 +75,7 @@ impl SpfTree {
     /// (`dist[a] + cost == dist[b]` or vice versa). A repair matters only
     /// if the restored link offers a path at least as good as what either
     /// endpoint already has (`dist[a] + cost <= dist[b]` or vice versa;
-    /// equality included so equal-cost sets regain their ECMP members).
+    /// equality included, since an equal-cost path can lower the first hop).
     /// When the test returns false the tree is provably unaffected and
     /// the full Dijkstra rerun can be skipped.
     pub fn affected_by(&self, topo: &Topology, link: usize, down: bool) -> bool {
@@ -171,8 +161,8 @@ impl Igp {
     }
 }
 
-/// Dijkstra from `root` with deterministic tie-breaking and ECMP first-hop
-/// tracking.
+/// Dijkstra from `root` with deterministic tie-breaking: the lowest-id
+/// first hop among equal-cost paths.
 pub fn spf(topo: &Topology, root: usize) -> SpfTree {
     spf_filtered(topo, root, &|_| true)
 }
@@ -220,8 +210,7 @@ mod tests {
         t.add_link(1, 3, attrs(1));
         t.add_link(2, 3, attrs(1));
         let igp = Igp::converge(&t);
-        assert_eq!(igp.tree(0).ecmp[3], vec![1, 2]);
-        // Deterministic single choice: smallest id.
+        // Deterministic single choice among first hops {1, 2}: smallest id.
         assert_eq!(igp.next_hop(0, 3), Some(1));
         assert_eq!(igp.path_cost(0, 3), Some(2));
     }
@@ -280,7 +269,7 @@ mod tests {
         // After cutting link 1 the detour is in use; repairing link 1
         // (offering 0→3 at cost 2 < 6) affects the tree, while
         // "repairing" the already-loose link 3 at its current cost does:
-        // dist[2]=1, 1+5=6 == dist[3]=6 → equality recomputes (ECMP).
+        // dist[2]=1, 1+5=6 == dist[3]=6 → equality recomputes.
         let cut = spf_filtered(&t, 0, &|l| l != 1);
         assert_eq!(cut.dist[3], 6);
         assert!(cut.affected_by(&t, 1, false));

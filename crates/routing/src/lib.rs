@@ -36,7 +36,7 @@
 //! let mut fabric = BgpVpnFabric::new(2, DistributionMode::RouteReflector);
 //! let a = fabric.add_vrf(0, rd, vec![rt], vec![rt]);
 //! let b = fabric.add_vrf(1, rd, vec![rt], vec![rt]);
-//! let label = fabric.advertise(b, "10.2.0.0/16".parse().unwrap());
+//! let (label, _) = fabric.advertise(b, "10.2.0.0/16".parse().unwrap());
 //! let route = fabric.routes(a).lookup("10.2.0.9".parse().unwrap()).unwrap();
 //! assert_eq!((route.egress_pe, route.vpn_label), (1, label));
 //! ```
@@ -48,7 +48,8 @@ pub mod igp;
 pub mod topology;
 
 pub use bgpvpn::{
-    BgpVpnFabric, DistributionMode, RemoteRoute, RouteDistinguisher, RouteTarget, VrfHandle,
+    BgpVpnFabric, DistributionMode, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget,
+    VrfHandle,
 };
 pub use igp::{Igp, SpfTree};
 pub use topology::{LinkAttrs, Topology};

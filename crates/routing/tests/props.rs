@@ -7,7 +7,8 @@ use std::collections::BTreeSet;
 use netsim_net::{Ip, Prefix};
 use netsim_routing::igp::spf_filtered;
 use netsim_routing::{
-    BgpVpnFabric, DistributionMode, Igp, LinkAttrs, RouteDistinguisher, RouteTarget, Topology,
+    BgpVpnFabric, DistributionMode, Igp, LinkAttrs, RemoteRoute, RouteDistinguisher, RouteTarget,
+    Topology, VrfHandle,
 };
 use proptest::prelude::*;
 
@@ -61,7 +62,8 @@ fn arb_failures() -> impl Strategy<Value = u64> {
     (any::<u64>(), any::<u64>()).prop_map(|(a, b)| a & b)
 }
 
-/// SPF result as plain vectors: distances, next hops, sorted ECMP sets.
+/// SPF result as plain vectors: distances, next hops (the minimum of each
+/// ECMP set), sorted ECMP sets.
 type SpfRows = (Vec<u64>, Vec<Option<usize>>, Vec<Vec<usize>>);
 
 /// Naive SPF reference: Bellman–Ford distances over the usable links,
@@ -155,21 +157,17 @@ proptest! {
         }
     }
 
-    /// ECMP sets always contain the chosen next hop, and the chosen hop is
-    /// the minimum (determinism contract).
+    /// The chosen next hop is the minimum of the reference's ECMP set
+    /// (determinism contract).
     #[test]
     fn ecmp_contains_next_hop(topo in arb_topo(9)) {
         let igp = Igp::converge(&topo);
         let n = topo.node_count();
         for a in 0..n {
-            let tree = igp.tree(a);
-            for b in 0..n {
-                if a == b {
-                    continue;
-                }
-                let nh = tree.next_hop[b].expect("connected");
-                prop_assert!(tree.ecmp[b].contains(&nh));
-                prop_assert_eq!(Some(&nh), tree.ecmp[b].iter().min());
+            let ecmp = bellman_ford(&topo, a, &|_| true).2;
+            for (b, hops) in ecmp.iter().enumerate().filter(|&(b, _)| b != a) {
+                let nh = igp.tree(a).next_hop[b].expect("connected");
+                prop_assert_eq!(Some(&nh), hops.iter().min());
             }
         }
     }
@@ -177,27 +175,46 @@ proptest! {
     /// In-place SPF on a dirty tree (computed for another root under
     /// another failure set) equals a fresh `spf_filtered`, and both equal
     /// the Bellman–Ford reference — over multigraphs with cost ties,
-    /// parallel links and random failed-link sets.
+    /// parallel links and random failed-link sets. The reused tree then
+    /// follows a sequence of single-link flips and root changes, matching
+    /// the reference after each one; a flip that `affected_by` rejects
+    /// must already leave the tree correct without a rerun.
     #[test]
     fn spf_recompute_matches_bellman_ford(
         topo in arb_multigraph(10),
         roots in (any::<usize>(), 1usize..64),
         failures in (arb_failures(), 1u64..u64::MAX),
+        events in proptest::collection::vec((any::<usize>(), any::<bool>()), 0..12),
     ) {
         let n = topo.node_count();
-        let root = roots.0 % n;
+        let mut root = roots.0 % n;
         let prior_root = (root + 1 + roots.1 % (n - 1)) % n;
-        let (mask, prior_mask) = (failures.0, failures.0 ^ failures.1);
-        let usable = |l: usize| mask >> (l % 64) & 1 == 0;
-        let mut reused = spf_filtered(&topo, prior_root, &|l| prior_mask >> (l % 64) & 1 == 0);
-        reused.recompute(&topo, root, &usable);
-        let fresh = spf_filtered(&topo, root, &usable);
-        let reference = bellman_ford(&topo, root, &usable);
+        let (mut mask, prior_mask) = (failures.0, failures.0 ^ failures.1);
+        let usable = |mask: u64| move |l: usize| mask >> (l % 64) & 1 == 0;
+        let mut reused = spf_filtered(&topo, prior_root, &usable(prior_mask));
+        reused.recompute(&topo, root, &usable(mask));
+        let fresh = spf_filtered(&topo, root, &usable(mask));
+        let reference = bellman_ford(&topo, root, &usable(mask));
         for tree in [&reused, &fresh] {
             prop_assert_eq!(tree.root, root);
             prop_assert_eq!(&tree.dist, &reference.0);
             prop_assert_eq!(&tree.next_hop, &reference.1);
-            prop_assert_eq!(&tree.ecmp, &reference.2);
+        }
+        for (pick, reroot) in events {
+            if reroot || topo.link_count() == 0 {
+                root = pick % n;
+                reused.recompute(&topo, root, &usable(mask));
+            } else {
+                let link = pick % topo.link_count();
+                let down = usable(mask)(link);
+                mask ^= 1 << (link % 64);
+                if reused.affected_by(&topo, link, down) {
+                    reused.recompute(&topo, root, &usable(mask));
+                }
+            }
+            let reference = bellman_ford(&topo, root, &usable(mask));
+            prop_assert_eq!(&reused.dist, &reference.0);
+            prop_assert_eq!(&reused.next_hop, &reference.1);
         }
     }
 
@@ -263,6 +280,73 @@ proptest! {
         // Duplicate prefixes in `others` advertise twice; fine — both runs
         // do the same thing, so state must still match.
         prop_assert_eq!(build(false), build(true));
+    }
+
+    /// The change report of `advertise` and `withdraw` is exactly the set
+    /// of VRFs whose selected route for the prefix moved: after every step
+    /// it equals the before/after diff of every VRF's `routes(h).get(..)`,
+    /// in fabric order (PE, then VRF index). VRFs join random VPNs in a
+    /// random order, prefixes are shared (multihomed sites), and import
+    /// targets come and go without a refilter, leaving stale routes.
+    #[test]
+    fn change_report_matches_route_diff(
+        pe_count in 2usize..5,
+        vrfs in proptest::collection::vec((any::<usize>(), 0u64..3, 0u8..8), 1..10),
+        ops in proptest::collection::vec((0u8..6, any::<usize>(), any::<usize>()), 1..40),
+    ) {
+        let mut f = BgpVpnFabric::new(pe_count, DistributionMode::RouteReflector);
+        // A VRF of VPN `vpn` exports that VPN's target and imports it plus
+        // the extra targets in `extra`'s bits.
+        let handles: Vec<VrfHandle> = vrfs
+            .iter()
+            .map(|&(pe, vpn, extra)| {
+                let mut import = vec![RouteTarget(vpn)];
+                import.extend((0..3).filter(|b| extra & (1 << b) != 0).map(RouteTarget));
+                let rd = RouteDistinguisher::new(65000, vpn as u32);
+                f.add_vrf(pe % pe_count, rd, import, vec![RouteTarget(vpn)])
+            })
+            .collect();
+        let selected = |f: &BgpVpnFabric, p: Prefix| -> Vec<Option<RemoteRoute>> {
+            handles.iter().map(|&h| f.routes(h).get(p).copied()).collect()
+        };
+        let mut advertised: Vec<(VrfHandle, Prefix)> = Vec::new();
+        for (kind, a, b) in ops {
+            let vrf = handles[a % handles.len()];
+            let prefix = Prefix::new(Ip(0x0A00_0000 | (((b % 3) as u32) << 16)), 16);
+            let rt = RouteTarget((b % 3) as u64);
+            let (prefix, before, reported) = match kind {
+                0 | 1 => {
+                    let before = selected(&f, prefix);
+                    advertised.push((vrf, prefix));
+                    (prefix, before, f.advertise(vrf, prefix).1)
+                }
+                2 | 3 => {
+                    let (vrf, prefix) = if advertised.is_empty() {
+                        (vrf, prefix) // nothing to withdraw: a no-op
+                    } else {
+                        advertised.swap_remove(a % advertised.len())
+                    };
+                    let before = selected(&f, prefix);
+                    (prefix, before, f.withdraw(vrf, prefix))
+                }
+                4 => {
+                    f.remove_import_target(vrf, rt);
+                    continue;
+                }
+                _ => {
+                    f.add_import_target(vrf, rt);
+                    continue;
+                }
+            };
+            let mut expected: Vec<(VrfHandle, Option<RemoteRoute>)> = handles
+                .iter()
+                .zip(before.into_iter().zip(selected(&f, prefix)))
+                .filter(|(_, (was, now))| was != now)
+                .map(|(&h, (_, now))| (h, now))
+                .collect();
+            expected.sort_by_key(|&(h, _)| (h.pe, h.index));
+            prop_assert_eq!(reported, expected);
+        }
     }
 
     /// Session-count algebra: full mesh is quadratic, RR linear, and both

@@ -95,11 +95,6 @@ impl TcpSource {
         self
     }
 
-    /// Current congestion window (segments).
-    pub fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
     fn rto(&self) -> Nanos {
         if self.srtt == 0.0 {
             INITIAL_RTO as Nanos
@@ -338,6 +333,13 @@ mod tests {
     use crate::engine::{LinkConfig, Network};
     use crate::{LinkId, MSEC, SEC};
     use netsim_net::addr::ip;
+
+    impl TcpSource {
+        /// Current congestion window (segments).
+        fn cwnd(&self) -> f64 {
+            self.cwnd
+        }
+    }
 
     fn tcp_cfg(flow: u64) -> SourceConfig {
         SourceConfig::udp(flow, ip("10.0.0.1"), ip("10.0.0.2"), 80, 1000).as_tcp()

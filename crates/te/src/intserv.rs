@@ -147,11 +147,6 @@ impl<'a> IntServDomain<'a> {
         }
     }
 
-    /// Admitted flows.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
     /// The largest per-router soft-state table in the domain.
     pub fn max_node_state(&self) -> u64 {
         self.per_node_state.iter().copied().max().unwrap_or(0)
@@ -184,6 +179,13 @@ pub fn diffserv_node_state(topo: &Topology, node: usize) -> u64 {
 mod tests {
     use super::*;
     use netsim_routing::{Igp, LinkAttrs};
+
+    impl IntServDomain<'_> {
+        /// Admitted flows.
+        fn flow_count(&self) -> usize {
+            self.flows.len()
+        }
+    }
 
     fn line(n: usize, mbps: u64) -> Topology {
         let mut t = Topology::new(n);

@@ -20,8 +20,8 @@ use mplsvpn::sim::MSEC;
 use mplsvpn::vpn::router::VrfRoute;
 use mplsvpn::vpn::{BackboneBuilder, ControlMode, PeRouter, ProviderNetwork, VpnId, VrfDigestRow};
 
-/// One node's SPF view: (dist, next_hop, ecmp) of the tree it forwards on.
-type SpfRow = (Vec<u64>, Vec<Option<usize>>, Vec<Vec<usize>>);
+/// One node's SPF view: (dist, next_hop) of the tree it forwards on.
+type SpfRow = (Vec<u64>, Vec<Option<usize>>);
 
 /// Fish: short path PE0-P1-PE4 (links 0,1), long PE0-P2-P3-PE4 (2,3,4).
 fn fish() -> (Topology, Vec<usize>) {
@@ -61,7 +61,7 @@ fn digest(pn: &mut ProviderNetwork, vpns: &[VpnId]) -> Digest {
     let spf = (0..nodes)
         .map(|u| {
             let t = pn.effective_spf(u);
-            (t.dist.clone(), t.next_hop.clone(), t.ecmp.clone())
+            (t.dist.clone(), t.next_hop.clone())
         })
         .collect();
     let n_pe = pn.pe_count();
