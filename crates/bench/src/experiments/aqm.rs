@@ -31,7 +31,7 @@ pub enum Aqm {
 #[derive(Clone, Debug)]
 pub struct AqmResult {
     /// Aggregate goodput across flows, bits/s (in-order delivered).
-    pub goodput_bps: f64,
+    goodput_bps: f64,
     /// Mean one-way data latency across flows, ns.
     pub mean_latency_ns: u64,
     /// Jain fairness index over per-flow goodput (1.0 = perfectly fair).

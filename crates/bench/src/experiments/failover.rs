@@ -42,14 +42,14 @@ pub struct FailoverResult {
     /// Detection delay modelled, ns.
     pub detection_ns: Nanos,
     /// Voice packets sent across all 8 EF flows.
-    pub voice_tx: u64,
+    voice_tx: u64,
     /// Voice packets lost across all 8 EF flows.
-    pub voice_lost: u64,
+    voice_lost: u64,
     /// Blind window implied by the loss: aggregate voice runs at 400 pps,
     /// so each lost packet accounts for 2.5 ms of outage.
-    pub loss_window_ns: Nanos,
+    loss_window_ns: Nanos,
     /// Voice flows (of 8) violating the backbone voice SLA.
-    pub sla_violations: usize,
+    sla_violations: usize,
     /// Bypass switchovers activated by the cut.
     pub switchovers: u64,
     /// Global reconvergences run.
@@ -59,10 +59,10 @@ pub struct FailoverResult {
     /// Worst LSA propagation+processing latency of the in-band control
     /// plane, ns (0 in oracle arms — the oracle converges out of band,
     /// in zero simulated time).
-    pub ctrl_propagation_ns: Nanos,
+    ctrl_propagation_ns: Nanos,
     /// CS6 control packets that crossed backbone links (EXP 6 in the
     /// per-class link counters; 0 in oracle arms).
-    pub cs6_control_packets: u64,
+    cs6_control_packets: u64,
 }
 
 /// Runs the cut/repair cycle under `mode` with the given detection delay.
@@ -73,7 +73,7 @@ pub fn measure(mode: FailoverMode, detection_ns: Nanos) -> FailoverResult {
 /// [`measure`] plus the run's full metrics snapshot — the cut shows up as
 /// `link_down_purge` drop-cause rows, the bypass as LFIB
 /// `bypass_activations`.
-pub fn measure_full(mode: FailoverMode, detection_ns: Nanos) -> (FailoverResult, MetricsSnapshot) {
+fn measure_full(mode: FailoverMode, detection_ns: Nanos) -> (FailoverResult, MetricsSnapshot) {
     let (t, pes) = topo::fish(10);
     let mut pn = BackboneBuilder::new(t, pes)
         .core_qos(CoreQos::DiffServ { cap_bytes: 256 * 1024, sched: DsSched::Priority })
@@ -132,7 +132,7 @@ pub fn measure_full(mode: FailoverMode, detection_ns: Nanos) -> (FailoverResult,
 /// and routers repair their own FIB/LFIB state incrementally. The loss
 /// window therefore includes a nonzero propagation component, and the
 /// control traffic itself is visible in the per-class link counters.
-pub fn measure_inband(detection_ns: Nanos) -> FailoverResult {
+fn measure_inband(detection_ns: Nanos) -> FailoverResult {
     let (t, pes) = topo::fish(10);
     let mut pn = BackboneBuilder::new(t, pes)
         .core_qos(CoreQos::DiffServ { cap_bytes: 256 * 1024, sched: DsSched::Priority })

@@ -54,7 +54,7 @@ pub struct FwdPoint {
     /// LPM lookup cost, ns/op.
     pub lpm_ns: f64,
     /// Label lookup cost, ns/op.
-    pub label_ns: f64,
+    label_ns: f64,
 }
 
 /// Times both lookups over `iters` operations.
@@ -87,7 +87,7 @@ pub fn measure(k: usize, iters: usize) -> FwdPoint {
 /// In-simulator check: on the VPN path, P routers perform label operations
 /// only — zero LPM lookups (paper: the core never inspects customer
 /// headers). Returns (label ops, LPM lookups) at the P router.
-pub fn core_router_ops() -> (u64, u64) {
+fn core_router_ops() -> (u64, u64) {
     use mplsvpn_core::{BackboneBuilder, CoreRouter};
     use netsim_net::addr::pfx;
     use netsim_sim::{SourceConfig, MSEC, SEC};
@@ -109,7 +109,7 @@ pub fn core_router_ops() -> (u64, u64) {
 /// without penultimate-hop popping, on a 3-hop backbone.
 /// Returns rows of (config, egress-PE label ops, total backbone label ops,
 /// LDP labels allocated).
-pub fn php_ablation() -> Vec<(&'static str, u64, u64, u64)> {
+fn php_ablation() -> Vec<(&'static str, u64, u64, u64)> {
     use mplsvpn_core::{BackboneBuilder, CoreRouter, PeRouter};
     use netsim_net::addr::pfx;
     use netsim_sim::{SourceConfig, MSEC, SEC};

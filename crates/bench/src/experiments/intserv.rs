@@ -24,13 +24,13 @@ pub struct IntServPoint {
     /// Flows admitted (the rest hit admission control).
     pub admitted: usize,
     /// Largest per-router RSVP soft-state table.
-    pub rsvp_max_state: u64,
+    rsvp_max_state: u64,
     /// RSVP setup messages.
-    pub rsvp_setup_msgs: u64,
+    rsvp_setup_msgs: u64,
     /// Steady-state RSVP refresh load, messages/second.
-    pub rsvp_refresh_per_sec: f64,
+    rsvp_refresh_per_sec: f64,
     /// DiffServ state at the busiest router (constant).
-    pub diffserv_state: u64,
+    diffserv_state: u64,
 }
 
 /// Admits `n` 64 kb/s voice-like flows between round-robin PE pairs.

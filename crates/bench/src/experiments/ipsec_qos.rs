@@ -36,13 +36,13 @@ pub struct Q2Row {
     /// Per-class rows.
     pub rows: Vec<ClassRow>,
     /// Crypto CPU per delivered packet (ns), zero for MPLS.
-    pub crypto_ns_per_pkt: u64,
+    crypto_ns_per_pkt: u64,
     /// Tunnel setup latency (IKE), zero for MPLS site add.
     pub setup_ns: u64,
 }
 
 /// Runs the MPLS VPN reference.
-pub fn measure_mpls(duration: Nanos, seed: u64) -> Q2Row {
+fn measure_mpls(duration: Nanos, seed: u64) -> Q2Row {
     let (t, pes) = topo::dumbbell(10);
     let mut pn = BackboneBuilder::new(t, pes).core_qos(ds_core()).seed(seed).build();
     let vpn = pn.new_vpn("acme");
@@ -61,7 +61,7 @@ pub fn measure_mpls(duration: Nanos, seed: u64) -> Q2Row {
 }
 
 /// Runs the IPsec baseline, with or without ToS copy.
-pub fn measure_ipsec(duration: Nanos, seed: u64, copy_dscp: bool) -> Q2Row {
+fn measure_ipsec(duration: Nanos, seed: u64, copy_dscp: bool) -> Q2Row {
     let (t, _) = topo::dumbbell(10);
     let mut n = IpsecVpnNetwork::build(t, 1_000_000, ds_core());
     let a = n.add_gateway(0, pfx("10.1.0.0/16"), None);

@@ -100,7 +100,7 @@ pub fn measure(qos: CoreQos, duration: Nanos, seed: u64) -> (Vec<ClassRow>, f64)
 /// probe per class riding alongside the mix, and the full metrics
 /// snapshot (per-VRF and per-layer counters, drop causes, probe table)
 /// captured after the drain.
-pub fn measure_instrumented(duration: Nanos, seed: u64) -> (Vec<ClassRow>, MetricsSnapshot) {
+fn measure_instrumented(duration: Nanos, seed: u64) -> (Vec<ClassRow>, MetricsSnapshot) {
     let qos = CoreQos::DiffServ { cap_bytes: 128 * 1024, sched: DsSched::Priority };
     let (t, pes) = topo::dumbbell(10);
     let mut pn = BackboneBuilder::new(t, pes).core_qos(qos).seed(seed).build();

@@ -26,9 +26,9 @@ pub struct ResilienceResult {
     /// Packets lost across the whole run.
     pub lost: u64,
     /// Measured outage: largest gap between consecutive arrivals, ns.
-    pub outage_ns: Nanos,
+    outage_ns: Nanos,
     /// IGP + LDP messages spent reconverging (both events).
-    pub reconvergence_messages: u64,
+    reconvergence_messages: u64,
 }
 
 /// Runs one failure/repair cycle with the given detection delay.

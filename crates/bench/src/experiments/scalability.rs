@@ -26,20 +26,20 @@ pub struct ScalePoint {
     /// Sites in the VPN.
     pub n: usize,
     /// Overlay: bidirectional circuit pairs (the paper's headline number).
-    pub overlay_circuits: u64,
+    overlay_circuits: u64,
     /// Overlay: total switch cross-connect entries.
-    pub overlay_state: usize,
+    overlay_state: usize,
     /// Overlay: device-touch provisioning operations.
-    pub overlay_ops: u64,
+    overlay_ops: u64,
     /// MPLS: BGP update messages to distribute all site routes.
-    pub mpls_updates: u64,
+    mpls_updates: u64,
     /// MPLS: worst per-PE VRF route count.
-    pub mpls_max_pe_routes: usize,
+    mpls_max_pe_routes: usize,
     /// MPLS: tunnel LSP labels across the whole backbone (independent of
     /// the number of sites — it scales with PEs).
-    pub mpls_tunnel_labels: u64,
+    mpls_tunnel_labels: u64,
     /// MPLS: LDP + BGP sessions.
-    pub mpls_sessions: u64,
+    mpls_sessions: u64,
 }
 
 /// Builds both models for an `n`-site VPN.

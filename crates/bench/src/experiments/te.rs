@@ -25,9 +25,9 @@ pub struct TeResult {
     /// Per-trunk (loss, mean latency ns, node path used).
     pub trunks: Vec<(f64, u64, Vec<usize>)>,
     /// Utilization of the short path's first link.
-    pub util_short: f64,
+    util_short: f64,
     /// Utilization of the long path's first link.
-    pub util_long: f64,
+    util_long: f64,
 }
 
 const DEMAND_BPS: u64 = 6_500_000;

@@ -24,7 +24,7 @@ pub struct TunnelRecord {
     /// Backbone node path of the LSP.
     pub path: Vec<usize>,
     /// Path cost over IGP shortest-path cost.
-    pub stretch: f64,
+    stretch: f64,
 }
 
 /// Builds the Figure-2 scenario and walks every tunnel.

@@ -16,13 +16,20 @@
 //! follow the table; only explicit TE bindings carry their own tunnel.
 //!
 //! [`ControlMode`] chooses only how a message travels. In-band, it is a
-//! CS6-marked control packet through the same links and queues as data;
-//! routers hand the database mutable references to their live tables
-//! (LFIB; at PEs also the VRF FIBs and tunnel table) when one arrives, so
-//! updates land directly in the forwarding plane. Under the oracle, a BGP
-//! delta is applied at its target PE the instant it is originated, through
-//! the same apply code, and routing changes only when `reconverge()`
-//! re-seeds the views.
+//! CS6-marked control packet through the same links and queues as data,
+//! and the message rides in the packet itself: `CtrlMsg::encode` writes it
+//! into the packet's metadata words, so the database holds no per-packet
+//! state. Routers hand the database the packet and mutable references to
+//! their live tables (LFIB; at PEs also the VRF FIBs and tunnel table)
+//! when one arrives, so updates land directly in the forwarding plane.
+//! IGP and LDP messages are link-local: each hop terminates them and
+//! sends its own. An MP-BGP message runs PE to PE (paper §3–§4): a router
+//! that is not its target sends the same packet on, with the origin PE's
+//! source address, as P routers IP-forward a BGP session's packets. A
+//! terminated packet's box is kept for the next message. Under the
+//! oracle, a BGP delta is applied at its target PE the instant it is
+//! originated, through the same apply code, and routing changes only when
+//! `reconverge()` re-seeds the views.
 //!
 //! Determinism: no message depends on hash-map order. All fan-out walks
 //! index ranges (FEC ordinals, topology adjacency order) or ordered sets,
@@ -34,7 +41,7 @@ use std::rc::Rc;
 use netsim_mpls::ldp::{Fec, LdpDomain};
 use netsim_mpls::lfib::{FtnEntry, LabelOp, Lfib, Nhlfe};
 use netsim_net::mpls::IMPLICIT_NULL;
-use netsim_net::{Dscp, Ip, Packet, Prefix};
+use netsim_net::{Dscp, Ip, Packet, Pkt, PktMeta, Prefix};
 use netsim_obs::Histogram;
 use netsim_qos::Nanos;
 use netsim_routing::{Igp, SpfTree, Topology};
@@ -72,11 +79,11 @@ const PROTO_IGP: usize = 0;
 const PROTO_LDP: usize = 1;
 const PROTO_BGP: usize = 2;
 
-/// A typed control message. The on-wire packet carries only CS6-marked
-/// UDP bytes of a representative size; the structured content rides in the
-/// database's side table keyed by the packet's `meta.seq`, mirroring how
-/// the data plane never parses control payloads.
-#[derive(Clone, Debug)]
+/// A typed control message. The wire packet is CS6-marked UDP of a
+/// representative size; the message itself rides in the packet's two
+/// metadata words ([`CtrlMsg::encode`]), so the data plane never parses
+/// control payloads and the database keeps nothing per packet.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum CtrlMsg {
     /// Link-state advertisement: link `link` changed to `down` at event
     /// sequence `seq`. Flooded hop-by-hop; deduplicated per (link, seq).
@@ -170,6 +177,96 @@ impl CtrlMsg {
             _ => 179,
         }
     }
+
+    /// Writes the message into a control packet's metadata. `flow` names
+    /// the protocol (routers classify on it). `seq` holds the kind in its
+    /// low [`TAG_BITS`] and up to three [`FIELD_BITS`]-wide index fields
+    /// above it; `created_ns` holds the rest: an LSA's sequence number, or
+    /// a BGP message's prefix and VPN label ([`bgp_word`]).
+    fn encode(&self, meta: &mut PktMeta) {
+        let (tag, fields, rest) = match *self {
+            CtrlMsg::Lsa { link, down, seq } => (TAG_LSA, [link, usize::from(down), 0], seq),
+            CtrlMsg::LdpMapping { fec, label, from } => {
+                (TAG_LDP_MAPPING, [from, fec as usize, label as usize], 0)
+            }
+            CtrlMsg::LdpWithdraw { fec, from } => (TAG_LDP_WITHDRAW, [from, fec as usize, 0], 0),
+            CtrlMsg::BgpUpdate { target, vrf_idx, prefix, egress_pe, vpn_label } => {
+                (TAG_BGP_UPDATE, [target, vrf_idx, egress_pe], bgp_word(prefix, Some(vpn_label)))
+            }
+            CtrlMsg::BgpWithdraw { target, vrf_idx, prefix, replacement } => {
+                let (egress_pe, label) = replacement.unzip();
+                let fields = [target, vrf_idx, egress_pe.unwrap_or(0)];
+                (TAG_BGP_WITHDRAW, fields, bgp_word(prefix, label))
+            }
+        };
+        let mut word = tag;
+        for (shift, v) in (TAG_BITS..).step_by(FIELD_BITS as usize).zip(fields) {
+            debug_assert!(v as u64 <= FIELD_MAX, "control field {v} exceeds {FIELD_BITS} bits");
+            word |= (v as u64) << shift;
+        }
+        meta.flow = CTRL_FLOW_BASE + self.proto() as u64;
+        meta.seq = word;
+        meta.created_ns = rest;
+    }
+
+    /// Reads back the message [`CtrlMsg::encode`] wrote.
+    fn decode(meta: &PktMeta) -> CtrlMsg {
+        let field = |i: u32| ((meta.seq >> (TAG_BITS + FIELD_BITS * i)) & FIELD_MAX) as usize;
+        let rest = meta.created_ns;
+        let prefix = || Prefix::new(Ip(rest as u32), (rest >> 32) as u8 & 0x3F);
+        let label = (rest >> 38 & 1 == 1).then_some((rest >> 39 & FIELD_MAX) as u32);
+        match meta.seq & TAG_MASK {
+            TAG_LSA => CtrlMsg::Lsa { link: field(0), down: field(1) != 0, seq: rest },
+            TAG_LDP_MAPPING => {
+                CtrlMsg::LdpMapping { fec: field(1) as u32, label: field(2) as u32, from: field(0) }
+            }
+            TAG_LDP_WITHDRAW => CtrlMsg::LdpWithdraw { fec: field(1) as u32, from: field(0) },
+            TAG_BGP_UPDATE => CtrlMsg::BgpUpdate {
+                target: field(0),
+                vrf_idx: field(1),
+                prefix: prefix(),
+                egress_pe: field(2),
+                vpn_label: label.unwrap_or_default(),
+            },
+            _ => CtrlMsg::BgpWithdraw {
+                target: field(0),
+                vrf_idx: field(1),
+                prefix: prefix(),
+                replacement: label.map(|l| (field(2), l)),
+            },
+        }
+    }
+
+    /// Target PE ordinal of an encoded BGP message (`None` for IGP/LDP),
+    /// read without decoding the rest: what a transit router needs.
+    fn encoded_bgp_target(meta: &PktMeta) -> Option<usize> {
+        matches!(meta.seq & TAG_MASK, TAG_BGP_UPDATE | TAG_BGP_WITHDRAW)
+            .then(|| ((meta.seq >> TAG_BITS) & FIELD_MAX) as usize)
+    }
+}
+
+/// Width of the message kind at the bottom of a control packet's `seq`.
+const TAG_BITS: u32 = 3;
+const TAG_MASK: u64 = (1 << TAG_BITS) - 1;
+const TAG_LSA: u64 = 0;
+const TAG_LDP_MAPPING: u64 = 1;
+const TAG_LDP_WITHDRAW: u64 = 2;
+const TAG_BGP_UPDATE: u64 = 3;
+const TAG_BGP_WITHDRAW: u64 = 4;
+/// Width of each index field in a control packet's `seq`: node, link, PE,
+/// VRF and FEC indices fit, and so does an MPLS label (20 bits).
+const FIELD_BITS: u32 = 20;
+const FIELD_MAX: u64 = (1 << FIELD_BITS) - 1;
+
+/// A BGP message's second metadata word: the prefix address in bits 0–31,
+/// its length in bits 32–37, then a presence bit (38) and the 20-bit VPN
+/// label (39–58). A withdraw without a replacement carries no label.
+fn bgp_word(prefix: Prefix, label: Option<u32>) -> u64 {
+    let label = label.map_or(0, |l| {
+        debug_assert!(u64::from(l) <= FIELD_MAX, "VPN label {l} exceeds 20 bits");
+        u64::from(l) << 1 | 1
+    });
+    u64::from(prefix.addr().0) | u64::from(prefix.len()) << 32 | label << 38
 }
 
 /// Control-plane counters, all emergent (counted, not analytic).
@@ -230,17 +327,19 @@ pub(crate) struct NodeTables<'a> {
     pub tunnels: Option<&'a mut Vec<Option<FtnEntry>>>,
 }
 
-/// The shared control database: per-node views, the message side table,
-/// and control-plane telemetry.
+/// Most consumed control-packet boxes [`ControlDb`] keeps for reuse.
+const SPARE_PKTS: usize = 32;
+
+/// The shared control database: per-node views, spare control-packet
+/// boxes, and control-plane telemetry. It keeps no per-packet state: a
+/// message travels in its packet.
 pub struct ControlDb {
     topo: Topology,
     pes: Vec<usize>,
     views: Vec<NodeView>,
-    /// Structured content of in-flight control packets, keyed by the
-    /// packet's `meta.seq`. Entries are removed on termination; packets
-    /// purged at dead links leak their (bounded) entries harmlessly.
-    msgs: FxHashMap<u64, CtrlMsg>,
-    next_msg_id: u64,
+    /// Boxes of terminated control packets, at most [`SPARE_PKTS`];
+    /// [`ControlDb::prepare`] overwrites one before it allocates.
+    spare: Vec<Pkt>,
     /// Per-link event sequence, bumped once per fail/repair at the
     /// provider-network level so both endpoints originate the same LSA.
     link_seq: Vec<u64>,
@@ -255,6 +354,10 @@ pub struct ControlDb {
     /// `repair_fec` calls so far.
     #[cfg(test)]
     fec_repairs: u64,
+    /// Every control packet sent so far: sending node, the packet's
+    /// source address, and its message.
+    #[cfg(test)]
+    sent: Vec<(usize, Ip, CtrlMsg)>,
 }
 
 impl ControlDb {
@@ -267,8 +370,7 @@ impl ControlDb {
             topo: topo.clone(),
             pes: pes.to_vec(),
             views: Vec::new(),
-            msgs: FxHashMap::default(),
-            next_msg_id: 1,
+            spare: Vec::new(),
             link_seq: vec![0; nl],
             episodes: FxHashMap::default(),
             ctrl_bytes_by_link: vec![0; nl],
@@ -276,6 +378,8 @@ impl ControlDb {
             stats: CtrlStats::default(),
             #[cfg(test)]
             fec_repairs: 0,
+            #[cfg(test)]
+            sent: Vec::new(),
         };
         db.rebuild(igp, ldp, &std::collections::HashSet::new());
         db
@@ -375,17 +479,25 @@ impl ControlDb {
     }
 
     /// A control packet arrived at `node` on `iface`: terminate it and
-    /// apply (or forward) its message.
+    /// apply its message. An MP-BGP message for another PE is sent on in
+    /// the same packet, as P routers IP-forward a BGP session's packets;
+    /// any other packet's box is kept for reuse.
     pub(crate) fn on_control_packet(
         &mut self,
         node: usize,
         iface: usize,
-        pkt: &Packet,
+        pkt: Pkt,
         tables: &mut NodeTables<'_>,
         ctx: &mut Ctx,
     ) {
         self.stats.pkts_terminated += 1;
-        let Some(msg) = self.msgs.remove(&pkt.meta.seq) else { return };
+        if let Some(target) = CtrlMsg::encoded_bgp_target(&pkt.meta) {
+            if self.pes[target] != node {
+                return self.forward_toward(node, self.pes[target], pkt, ctx);
+            }
+        }
+        let msg = CtrlMsg::decode(&pkt.meta);
+        self.keep_spare(pkt);
         match msg {
             CtrlMsg::Lsa { link, down, seq } => {
                 self.apply_lsa(node, link, down, seq, Some(iface), tables, ctx);
@@ -400,10 +512,8 @@ impl ControlDb {
                 self.views[node].received[slot] = None;
                 self.repair_fec(node, fec as usize, tables, ctx);
             }
-            msg @ (CtrlMsg::BgpUpdate { target, .. } | CtrlMsg::BgpWithdraw { target, .. }) => {
-                if self.pes[target] != node {
-                    self.forward_toward(node, self.pes[target], msg, ctx);
-                } else if let Some(vrfs) = tables.vrfs.as_deref_mut() {
+            CtrlMsg::BgpUpdate { .. } | CtrlMsg::BgpWithdraw { .. } => {
+                if let Some(vrfs) = tables.vrfs.as_deref_mut() {
                     self.apply_bgp(node, vrfs, msg);
                 }
             }
@@ -514,7 +624,7 @@ impl ControlDb {
             self.convergence.record(d);
         }
         // Re-flood to every live neighbor except the one we heard from.
-        self.fan_out(node, arrival, &CtrlMsg::Lsa { link, down, seq }, ctx);
+        self.fan_out(node, arrival, CtrlMsg::Lsa { link, down, seq }, ctx);
     }
 
     /// Recomputes the desired FTN for tunnel FEC `f` at `node` from the
@@ -567,7 +677,7 @@ impl ControlDb {
                 (true, None) => return,
                 (false, _) => CtrlMsg::LdpWithdraw { fec: f as u32, from: node },
             };
-            self.fan_out(node, None, &msg, ctx);
+            self.fan_out(node, None, msg, ctx);
         }
     }
 
@@ -607,24 +717,26 @@ impl ControlDb {
 
     /// Sends a copy of `msg` on every interface of `node` whose link it believes up, except
     /// `skip` (a flood's arrival interface).
-    fn fan_out(&mut self, node: usize, skip: Option<usize>, msg: &CtrlMsg, ctx: &mut Ctx) {
+    fn fan_out(&mut self, node: usize, skip: Option<usize>, msg: CtrlMsg, ctx: &mut Ctx) {
         for iface in 0..self.topo.degree(node) {
             let Some((_, _, link)) = self.topo.neighbors(node).nth(iface) else { break };
             if Some(iface) != skip && !self.views[node].link_state[link].1 {
-                self.send_msg(node, iface, msg.clone(), ctx);
+                self.send_msg(node, iface, msg, ctx);
             }
         }
     }
 
-    /// Forwards a PE-addressed message one hop along the current view's
-    /// shortest path toward the target node.
-    fn forward_toward(&mut self, node: usize, target_node: usize, msg: CtrlMsg, ctx: &mut Ctx) {
+    /// Sends a PE-addressed packet on, unchanged, one hop along the
+    /// current view's shortest path toward the target node. The hop costs
+    /// what an originated one does: a send and its bytes on the link.
+    fn forward_toward(&mut self, node: usize, target_node: usize, pkt: Pkt, ctx: &mut Ctx) {
         let Some(nh) = self.views[node].spf.next_hop[target_node] else {
             self.stats.undeliverable += 1;
-            return;
+            return self.keep_spare(pkt);
         };
         let iface = self.topo.iface_toward(node, nh);
-        self.send_msg(node, iface, msg, ctx);
+        self.count_send(node, iface, PROTO_BGP, &pkt);
+        ctx.send(IfaceId(iface), pkt);
     }
 
     /// In-band transport: prepares a BGP message for injection at
@@ -636,7 +748,7 @@ impl ControlDb {
         &mut self,
         origin_node: usize,
         msg: CtrlMsg,
-    ) -> Option<(IfaceId, Packet)> {
+    ) -> Option<(IfaceId, Pkt)> {
         let target = self.pes[msg.bgp_target()?];
         self.stats.bgp_originated += 1;
         let Some(nh) = self.views[origin_node].spf.next_hop[target] else {
@@ -647,13 +759,10 @@ impl ControlDb {
         Some((IfaceId(iface), self.prepare(origin_node, iface, msg)))
     }
 
-    /// Builds the wire packet for `msg` leaving `node` on `iface` and does
-    /// all send-side bookkeeping (side table, counters, per-link bytes).
-    fn prepare(&mut self, node: usize, iface: usize, msg: CtrlMsg) -> Packet {
-        let id = self.next_msg_id;
-        self.next_msg_id += 1;
-        let proto = msg.proto();
-        let mut pkt = Packet::udp(
+    /// Builds the wire packet for `msg` leaving `node` on `iface`, in a
+    /// spare box when there is one, and counts the send.
+    fn prepare(&mut self, node: usize, iface: usize, msg: CtrlMsg) -> Pkt {
+        let fresh = Packet::udp(
             Ip(0xC0DE_0000 + node as u32),
             Ip(0xC0DE_FFFF),
             msg.port(),
@@ -661,16 +770,40 @@ impl ControlDb {
             Dscp::CS6,
             msg.payload_len(),
         );
-        pkt.meta.flow = CTRL_FLOW_BASE + proto as u64;
-        pkt.meta.seq = id;
+        let mut pkt = match self.spare.pop() {
+            Some(mut pkt) => {
+                *pkt = fresh;
+                pkt
+            }
+            None => Box::new(fresh),
+        };
+        msg.encode(&mut pkt.meta);
+        self.count_send(node, iface, msg.proto(), &pkt);
+        pkt
+    }
+
+    /// Keeps a terminated packet's box for [`ControlDb::prepare`], unless
+    /// [`SPARE_PKTS`] are already kept.
+    fn keep_spare(&mut self, pkt: Pkt) {
+        if self.spare.len() < SPARE_PKTS {
+            self.spare.push(pkt);
+        }
+    }
+
+    /// Send-side bookkeeping for one control packet leaving `node` on
+    /// `iface`: counters and per-link bytes.
+    fn count_send(&mut self, node: usize, iface: usize, proto: usize, pkt: &Packet) {
         self.stats.pkts_by_proto[proto] += 1;
         self.stats.pkts_sent += 1;
         self.stats.bytes_sent += pkt.wire_len() as u64;
         if let Some((_, _, link)) = self.topo.neighbors(node).nth(iface) {
             self.ctrl_bytes_by_link[link] += pkt.wire_len() as u64;
         }
-        self.msgs.insert(id, msg);
-        pkt
+        #[cfg(test)]
+        {
+            let src = pkt.outer_ipv4().map_or(Ip(0), |h| h.src);
+            self.sent.push((node, src, CtrlMsg::decode(&pkt.meta)));
+        }
     }
 
     fn send_msg(&mut self, node: usize, iface: usize, msg: CtrlMsg, ctx: &mut Ctx) {
@@ -718,6 +851,7 @@ mod tests {
     use netsim_mpls::lfib::Nhlfe;
     use netsim_routing::{LinkAttrs, Topology};
     use netsim_sim::MSEC;
+    use proptest::prelude::*;
 
     use super::*;
     use crate::network::{BackboneBuilder, ProviderNetwork};
@@ -852,27 +986,132 @@ mod tests {
         let (rd, rt) = (pn.vpns[acme.0].rd, pn.vpns[acme.0].rt);
         pn.fabric.add_vrf(1, rd, vec![rt], vec![rt]);
         pn.run_to_quiescence();
-        let sent = |pn: &ProviderNetwork| -> Vec<(usize, usize)> {
-            let db = pn.control.borrow();
-            let mut msgs: Vec<(u64, (usize, usize))> = db
-                .msgs
+        // The (target PE, VRF) of each BGP message sent since log entry `from`.
+        let sent = |pn: &ProviderNetwork, from: usize| -> Vec<(usize, usize)> {
+            pn.control.borrow().sent[from..]
                 .iter()
-                .filter_map(|(&id, msg)| match *msg {
+                .filter_map(|&(_, _, msg)| match msg {
                     CtrlMsg::BgpUpdate { target, vrf_idx, .. }
-                    | CtrlMsg::BgpWithdraw { target, vrf_idx, .. } => Some((id, (target, vrf_idx))),
+                    | CtrlMsg::BgpWithdraw { target, vrf_idx, .. } => Some((target, vrf_idx)),
                     _ => None,
                 })
-                .collect();
-            msgs.sort_unstable();
-            msgs.into_iter().map(|(_, m)| m).collect()
+                .collect()
         };
-        assert!(sent(&pn).is_empty());
         // (PE1, acme), (PE1, globex), (PE2, acme), (PE2, globex).
         let order = vec![(1, 1), (1, 0), (2, 1), (2, 0)];
+        let from = pn.control.borrow().sent.len();
         let site = pn.add_site(acme, 0, Prefix::new(Ip(0x0A30_0000), 24), None);
-        assert_eq!(sent(&pn), order, "updates");
+        assert_eq!(sent(&pn, from), order, "updates");
         pn.run_to_quiescence();
+        let from = pn.control.borrow().sent.len();
         pn.detach_site(site);
-        assert_eq!(sent(&pn), order, "withdraws");
+        assert_eq!(sent(&pn, from), order, "withdraws");
+    }
+
+    /// An index or label field at either end of its 20 bits, or between.
+    fn field() -> impl Strategy<Value = usize> {
+        let max = FIELD_MAX as usize;
+        prop_oneof![Just(0), Just(max), 0..=max]
+    }
+
+    fn arb_prefix() -> impl Strategy<Value = Prefix> {
+        let len = prop_oneof![Just(0u8), Just(32u8), 0u8..=32];
+        (any::<u32>(), len).prop_map(|(addr, len)| Prefix::new(Ip(addr), len))
+    }
+
+    fn arb_msg() -> impl Strategy<Value = CtrlMsg> {
+        let seq = prop_oneof![Just(0), Just(u64::MAX), any::<u64>()];
+        let fec = || field().prop_map(|f| f as u32);
+        prop_oneof![
+            (field(), any::<bool>(), seq).prop_map(|(link, down, seq)| CtrlMsg::Lsa {
+                link,
+                down,
+                seq
+            }),
+            (fec(), fec(), field()).prop_map(|(fec, label, from)| CtrlMsg::LdpMapping {
+                fec,
+                label,
+                from
+            }),
+            (fec(), field()).prop_map(|(fec, from)| CtrlMsg::LdpWithdraw { fec, from }),
+            (field(), field(), arb_prefix(), field(), fec()).prop_map(
+                |(target, vrf_idx, prefix, egress_pe, vpn_label)| CtrlMsg::BgpUpdate {
+                    target,
+                    vrf_idx,
+                    prefix,
+                    egress_pe,
+                    vpn_label
+                }
+            ),
+            (field(), field(), arb_prefix(), proptest::option::of((field(), fec()))).prop_map(
+                |(target, vrf_idx, prefix, replacement)| CtrlMsg::BgpWithdraw {
+                    target,
+                    vrf_idx,
+                    prefix,
+                    replacement
+                }
+            ),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Every message reads back from the metadata it was written to,
+        /// and the flow still names its protocol.
+        #[test]
+        fn ctrl_msg_round_trips_through_packet_metadata(msg in arb_msg()) {
+            let mut meta = PktMeta::default();
+            msg.encode(&mut meta);
+            prop_assert_eq!(meta.flow, CTRL_FLOW_BASE + msg.proto() as u64);
+            prop_assert_eq!(CtrlMsg::decode(&meta), msg);
+            prop_assert_eq!(CtrlMsg::encoded_bgp_target(&meta), msg.bgp_target());
+        }
+    }
+
+    /// An MP-BGP update crosses P routers in the packet its PE sent: it
+    /// arrives with the origin's source address, each hop counts one send
+    /// and one termination, and no P router's tables change.
+    #[test]
+    fn bgp_update_crosses_p_routers_in_its_origin_packet() {
+        // PE0 (node 1) - P0 - P3 - PE1 (node 2).
+        let mut topo = Topology::new(4);
+        for (u, v) in [(1, 0), (0, 3), (3, 2)] {
+            topo.add_link(u, v, LinkAttrs { cost: 1, capacity_bps: 100_000_000 });
+        }
+        let mut pn = in_band(topo, vec![1, 2]);
+        let vpn = pn.new_vpn("acme");
+        pn.add_site(vpn, 1, Prefix::new(Ip(0x0A01_0000), 16), None);
+        pn.run_to_quiescence();
+        let (lfibs0, _) = tables(&mut pn);
+        let (stats0, from, links0) = {
+            let db = pn.control.borrow();
+            let links: Vec<u64> = (0..3).map(|l| db.ctrl_bytes_on_link(l)).collect();
+            (db.stats(), db.sent.len(), links)
+        };
+        let prefix = Prefix::new(Ip(0x0A02_0000), 16);
+        pn.add_site(vpn, 0, prefix, None);
+        pn.run_to_quiescence();
+
+        let db = pn.control.borrow();
+        let hops: Vec<(usize, Ip)> = db.sent[from..].iter().map(|&(u, src, _)| (u, src)).collect();
+        let origin = Ip(0xC0DE_0001);
+        assert_eq!(hops, [(1, origin), (0, origin), (3, origin)], "one packet, three senders");
+        assert!(db.sent[from..].iter().all(|&(_, _, m)| m == db.sent[from].2));
+        let stats = db.stats();
+        assert_eq!(stats.bgp_originated - stats0.bgp_originated, 1);
+        assert_eq!(stats.pkts_sent - stats0.pkts_sent, 3);
+        assert_eq!(stats.pkts_terminated - stats0.pkts_terminated, 3);
+        assert_eq!(stats.pkts_by_proto[PROTO_BGP] - stats0.pkts_by_proto[PROTO_BGP], 3);
+        let wire = (stats.bytes_sent - stats0.bytes_sent) / 3;
+        for (l, before) in links0.into_iter().enumerate() {
+            assert_eq!(db.ctrl_bytes_on_link(l) - before, wire, "link {l}");
+        }
+        drop(db);
+        let (lfibs, _) = tables(&mut pn);
+        assert_eq!((&lfibs[0], &lfibs[3]), (&lfibs0[0], &lfibs0[3]), "P routers untouched");
+        let rows = pn.vrf_digest(1, vpn);
+        let row = rows.iter().find(|r| r.0 == prefix).expect("route installed at PE1");
+        assert_eq!(row.1.as_ref().map(|r| (r.0, r.2.clone())), Some((0, Some(vec![2, 3, 0, 1]))));
     }
 }

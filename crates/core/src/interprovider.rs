@@ -43,18 +43,12 @@ pub struct DomainSpec {
 pub struct InterProviderVpn {
     /// The simulator (both domains plus the inter-AS link).
     pub net: Network,
-    /// PE node of domain A.
-    pub pe_a: NodeId,
     /// PE node of domain B.
     pub pe_b: NodeId,
     /// CE node of the site in domain A.
     pub ce_a: NodeId,
     /// CE node of the site in domain B.
     pub ce_b: NodeId,
-    /// Site prefix in domain A.
-    pub prefix_a: Prefix,
-    /// Site prefix in domain B.
-    pub prefix_b: Prefix,
     /// Total control messages (LDP in both domains + BGP route exchanges).
     pub control_messages: u64,
 }
@@ -195,16 +189,7 @@ impl InterProviderVpn {
             pe.vrfs[v].install_remote(prefix_a, 0, x_a, Some(tun));
         }
 
-        InterProviderVpn {
-            net,
-            pe_a: id_a(a.pe),
-            pe_b: id_b(b.pe),
-            ce_a,
-            ce_b,
-            prefix_a,
-            prefix_b,
-            control_messages,
-        }
+        InterProviderVpn { net, pe_b: id_b(b.pe), ce_a, ce_b, control_messages }
     }
 
     /// Attaches a sink behind the domain-B site.

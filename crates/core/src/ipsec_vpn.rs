@@ -35,11 +35,11 @@ pub struct IpsecGateway {
     /// Uplink interface to the backbone (always 0).
     pub uplink: usize,
     /// Destination prefix → peer index.
-    pub peers_by_prefix: LpmTrie<usize>,
+    peers_by_prefix: LpmTrie<usize>,
     /// Per-peer state: (peer public ip, outbound SA, inbound SA).
     pub peers: Vec<(Ip, SecurityAssociation, SecurityAssociation)>,
     /// Inbound SPI → peer index.
-    pub spi_map: HashMap<u32, usize>,
+    spi_map: HashMap<u32, usize>,
     /// Host routes inside the site.
     pub local: LpmTrie<usize>,
     /// CPE marking policy applied before encryption.
@@ -191,7 +191,7 @@ pub struct IpsecVpnNetwork {
     gws: Vec<GwInfo>,
     next_spi: u32,
     /// IKE messages exchanged across all tunnels.
-    pub ike_messages: u64,
+    ike_messages: u64,
     /// Sum of IKE setup latencies (ns) across all tunnels.
     pub ike_setup_ns: u64,
 }

@@ -19,9 +19,6 @@ use crate::overlay::{OverlayNetwork, OverlaySiteId};
 /// Cost of one site join.
 #[derive(Clone, Copy, Debug)]
 pub struct JoinCost {
-    /// Which join this was (0-based; cost typically grows with it in the
-    /// overlay model and stays flat in the MPLS model).
-    pub site_index: usize,
     /// Devices whose configuration/tables had to be touched.
     pub devices_touched: u64,
     /// Control messages exchanged to restore full reachability.
@@ -58,7 +55,6 @@ pub fn mpls_join_series(pe_count: usize, n_sites: usize, mode: DistributionMode)
         };
         fabric.advertise(handle, site_prefix(i));
         costs.push(JoinCost {
-            site_index: i,
             // The join reconfigures exactly one device: the homing PE.
             devices_touched: 1,
             control_messages: fabric.messages() - before,
@@ -93,7 +89,6 @@ pub fn backbone_join_series(pe_count: usize, n_sites: usize, mode: ControlMode) 
         // Let in-band updates propagate (one hop on a full mesh).
         pn.run_for(20 * MSEC);
         costs.push(JoinCost {
-            site_index: i,
             devices_touched: 1,
             control_messages: cost_so_far(&pn) - before,
             new_circuits: 0,
@@ -118,7 +113,6 @@ pub fn overlay_join_series(topo: &Topology, attachments: &[usize]) -> Vec<JoinCo
         }
         sites.push(s);
         costs.push(JoinCost {
-            site_index: i,
             devices_touched: ov.provisioning_ops - ops_before,
             // Overlay "control messages" are the provisioning touches —
             // there is no routing protocol to do the work.
@@ -154,12 +148,11 @@ mod tests {
             let costs = backbone_join_series(pe_count, n, mode);
             // Steady state (every PE already has the VRF): exactly one
             // MP-BGP update per remote member PE, regardless of table size.
-            for c in &costs[pe_count..] {
+            for (i, c) in costs.iter().enumerate().skip(pe_count) {
                 assert_eq!(
                     c.control_messages,
                     (pe_count - 1) as u64,
-                    "{mode:?} join {} must cost one update per remote PE",
-                    c.site_index
+                    "{mode:?} join {i} must cost one update per remote PE"
                 );
             }
         }

@@ -1076,7 +1076,6 @@ impl ProviderNetwork {
             igp_lsa_messages: self.igp.lsa_messages(),
             ldp_messages: self.ldp.messages,
             ldp_sessions: self.ldp.sessions,
-            ldp_labels: self.ldp.total_labels(),
             bgp_messages: 0, // VPN routes are unchanged by an IGP event
             bgp_sessions: self.fabric.session_count(),
         }
@@ -1135,7 +1134,6 @@ impl ProviderNetwork {
             igp_lsa_messages: self.igp.lsa_messages(),
             ldp_messages: self.ldp.messages,
             ldp_sessions: self.ldp.sessions,
-            ldp_labels: self.ldp.total_labels(),
             bgp_messages: self.fabric.messages(),
             bgp_sessions: self.fabric.session_count(),
         }
@@ -1151,8 +1149,6 @@ pub struct ControlSummary {
     pub ldp_messages: u64,
     /// LDP sessions (one per backbone adjacency).
     pub ldp_sessions: u64,
-    /// Labels allocated for tunnel LSPs.
-    pub ldp_labels: u64,
     /// BGP VPN update messages.
     pub bgp_messages: u64,
     /// iBGP sessions.

@@ -79,7 +79,7 @@ pub struct VcEdge {
     /// Uplink interface to the switch (always 0).
     pub uplink: usize,
     /// Destination prefix → VC id on the uplink.
-    pub pvc_map: LpmTrie<u32>,
+    pvc_map: LpmTrie<u32>,
     /// Host routes inside the site.
     pub local: LpmTrie<usize>,
     /// Forwarding counters.

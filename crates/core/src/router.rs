@@ -112,11 +112,11 @@ impl CoreRouter {
 }
 
 impl Node for CoreRouter {
-    fn on_packet(&mut self, _iface: IfaceId, mut pkt: Pkt, ctx: &mut Ctx) {
+    fn on_packet(&mut self, iface: IfaceId, mut pkt: Pkt, ctx: &mut Ctx) {
         if pkt.meta.flow >= CTRL_FLOW_BASE {
             if let Some(db) = &self.control {
                 let mut tables = NodeTables { lfib: &mut self.lfib, vrfs: None, tunnels: None };
-                db.borrow_mut().on_control_packet(self.topo_id, _iface.0, &pkt, &mut tables, ctx);
+                db.borrow_mut().on_control_packet(self.topo_id, iface.0, pkt, &mut tables, ctx);
                 return;
             }
         }
@@ -269,7 +269,7 @@ pub struct PeRouter {
     /// BGP next hop meets its LSP, so an LSP change rewrites one slot.
     pub tunnels: Vec<Option<FtnEntry>>,
     /// Role of each interface, indexed by [`IfaceId`].
-    pub iface_roles: Vec<PeIfaceRole>,
+    iface_roles: Vec<PeIfaceRole>,
     /// DSCP ↔ EXP mapping applied at label imposition.
     pub exp_map: ExpMap,
     /// Optional per-customer-interface policer (srTCM): green passes,
@@ -504,7 +504,7 @@ impl Node for PeRouter {
                     vrfs: Some(&mut self.vrfs),
                     tunnels: Some(&mut self.tunnels),
                 };
-                db.borrow_mut().on_control_packet(self.topo_id, iface.0, &pkt, &mut tables, ctx);
+                db.borrow_mut().on_control_packet(self.topo_id, iface.0, pkt, &mut tables, ctx);
                 return;
             }
         }

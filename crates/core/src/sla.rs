@@ -107,7 +107,7 @@ pub struct SlaReport {
     /// Measured mean latency, ns.
     pub mean_latency_ns: Nanos,
     /// Measured p99 latency, ns.
-    pub p99_latency_ns: Nanos,
+    p99_latency_ns: Nanos,
     /// Measured jitter, ns.
     pub jitter_ns: f64,
     /// Measured loss fraction.

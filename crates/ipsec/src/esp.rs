@@ -51,9 +51,9 @@ pub enum IpsecError {
 #[derive(Clone, Copy, Debug)]
 pub struct CryptoCostModel {
     /// Fixed per-packet cost (header handling, ICV), ns.
-    pub per_packet_ns: u64,
+    per_packet_ns: u64,
     /// Per-byte cost of encrypt/decrypt, ns.
-    pub per_byte_ns: u64,
+    per_byte_ns: u64,
 }
 
 impl Default for CryptoCostModel {

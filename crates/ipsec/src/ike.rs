@@ -41,7 +41,7 @@ pub struct IkeExchange {
     /// Total messages exchanged (phase 1 + phase 2).
     pub messages: u32,
     /// Total CPU time consumed across both endpoints, ns.
-    pub cpu_ns: u64,
+    cpu_ns: u64,
     /// Handshake latency given a one-way network delay, computable via
     /// [`IkeExchange::setup_latency_ns`].
     rtt_messages: u32,

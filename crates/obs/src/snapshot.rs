@@ -38,7 +38,7 @@ pub struct ProbeRow {
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Simulation time the snapshot was taken, ns.
-    pub captured_ns: u64,
+    captured_ns: u64,
     /// `(name, value)` counter rows.
     pub counters: Vec<(String, u64)>,
     /// `(name, value)` gauge rows.

@@ -24,9 +24,9 @@ pub struct MatchRule {
     /// IP protocol number to match, if any.
     pub protocol: Option<u8>,
     /// Inclusive source port range, if any.
-    pub src_ports: Option<(u16, u16)>,
+    src_ports: Option<(u16, u16)>,
     /// Inclusive destination port range, if any.
-    pub dst_ports: Option<(u16, u16)>,
+    dst_ports: Option<(u16, u16)>,
     /// Existing DSCP value to match, if any (for re-marking policies).
     pub dscp: Option<Dscp>,
 }

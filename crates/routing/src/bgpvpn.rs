@@ -27,7 +27,7 @@ use netsim_net::{LpmTrie, Prefix};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct RouteDistinguisher {
     /// Provider AS number.
-    pub asn: u32,
+    asn: u32,
     /// Assigned number (unique per VPN or per VRF, per provider policy).
     pub assigned: u32,
 }

@@ -150,6 +150,13 @@ impl<T> TimingWheel<T> {
         self.len
     }
 
+    /// Every pending item, in no particular order.
+    pub(crate) fn items(&self) -> impl Iterator<Item = &T> {
+        let wheel = self.levels.iter().flatten().flatten();
+        let overflow = self.overflow.iter().map(|k| &k.0);
+        self.cur.iter().chain(wheel).chain(overflow).map(|k| &k.item)
+    }
+
     /// Schedules `item` at time `at` with tie-break key `seq`.
     pub(crate) fn push(&mut self, at: Nanos, seq: u64, item: T) {
         self.len += 1;

@@ -22,7 +22,7 @@ pub struct LinkConfig {
     pub delay_ns: Nanos,
     /// Byte capacity of the default FIFO attached to each egress. Ignored
     /// when an explicit discipline is supplied.
-    pub fifo_cap_bytes: usize,
+    fifo_cap_bytes: usize,
 }
 
 impl LinkConfig {
@@ -361,6 +361,14 @@ impl Network {
     /// (delivered + dropped + queued == sent).
     pub fn queued_packets(&self) -> u64 {
         self.links.iter().flat_map(|l| l.dirs.iter()).map(|d| d.qdisc.len_packets() as u64).sum()
+    }
+
+    /// Packets between nodes: propagating on a link or awaiting a deferred
+    /// send. With [`Network::queued_packets`], what a conservation check
+    /// counts as still in the network before the calendar drains.
+    pub fn packets_in_flight(&self) -> u64 {
+        let held = |ev: &&Event| matches!(ev, Event::Arrival { .. } | Event::DeferredSend { .. });
+        self.calendar.items().filter(held).count() as u64
     }
 
     /// Injects a packet as if node `node` had sent it on `iface` now.

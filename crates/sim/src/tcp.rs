@@ -52,9 +52,9 @@ pub struct TcpSource {
     /// Retransmitted segments.
     pub retransmits: u64,
     /// RTO events.
-    pub timeouts: u64,
+    timeouts: u64,
     /// Window reductions triggered by ECN echoes.
-    pub ecn_reductions: u64,
+    ecn_reductions: u64,
 }
 
 const INITIAL_RTO: f64 = 200e6; // 200 ms in ns
@@ -251,7 +251,7 @@ struct RxFlow {
 pub struct TcpSink {
     flows: HashMap<u64, RxFlow>,
     /// Total data segments received (including out-of-order/duplicates).
-    pub segments_rx: u64,
+    segments_rx: u64,
 }
 
 impl TcpSink {

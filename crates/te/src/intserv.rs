@@ -64,7 +64,7 @@ pub struct IntServDomain<'a> {
     reserved: Vec<u64>,
     flows: HashMap<FlowId, FlowState>,
     /// Per-node count of flow soft-state entries (the §2.2 metric).
-    pub per_node_state: Vec<u64>,
+    per_node_state: Vec<u64>,
     /// Signalling messages sent (PATH + RESV per hop per setup/teardown).
     pub messages: u64,
 }

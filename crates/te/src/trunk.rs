@@ -24,11 +24,11 @@ pub struct TrunkRequest {
     pub demand_bps: u64,
     /// Priority at which the trunk competes for bandwidth when signalled
     /// (may preempt reservations held at numerically greater priority).
-    pub setup_priority: u8,
+    setup_priority: u8,
     /// Priority at which the reservation is held afterwards.
     pub hold_priority: u8,
     /// Pin the trunk to this exact node path instead of running CSPF.
-    pub explicit_path: Option<Vec<usize>>,
+    explicit_path: Option<Vec<usize>>,
 }
 
 impl TrunkRequest {

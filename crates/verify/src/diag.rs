@@ -76,7 +76,7 @@ pub struct Diagnostic {
     /// Stable code, e.g. `V-LBL-001` (see [`codes`]).
     pub code: &'static str,
     /// Severity class.
-    pub severity: Severity,
+    severity: Severity,
     /// Where the problem is, e.g. `PE0/vrf acme` or `P3 label 17`.
     pub location: String,
     /// Human-readable explanation.

@@ -22,12 +22,14 @@
 //! queues with the data — the conservation ledger then carries explicit
 //! control-plane send/terminate terms.
 
-use mplsvpn::routing::{LinkAttrs, Topology};
+use mplsvpn::routing::{Igp, LinkAttrs, Topology};
 use mplsvpn::sim::{
     CbrSource, FaultPlan, LinkId, NodeId, PoissonSource, Sink, SourceConfig, MSEC, SEC,
 };
 use mplsvpn::te::SrlgMap;
-use mplsvpn::vpn::{BackboneBuilder, ControlMode, DropCause, FailoverMode, ProviderNetwork};
+use mplsvpn::vpn::{
+    BackboneBuilder, ControlMode, DropCause, FailoverMode, ProviderNetwork, CTRL_FLOW_BASE,
+};
 
 /// The control mode under test: `CHAOS_CONTROL_MODE=inband` opts in to
 /// the message-driven control plane; anything else runs the oracle.
@@ -42,6 +44,10 @@ fn control_mode() -> ControlMode {
 const TRAFFIC_END: u64 = 4 * SEC;
 /// …and the simulator runs on to here so everything in flight lands.
 const RUN_END: u64 = 6 * SEC;
+/// A fault's reaction has played out this long after it lands: the 25 ms
+/// detection, then reconvergence or the in-band flood and repair.
+/// [`assert_at_rest`] checks that it has.
+const SETTLE: u64 = 125 * MSEC;
 
 /// The fish: 5 nodes, short path 0-1-4 over links {0,1}, long path over
 /// {2,3,4}. Cutting any subset of the short path keeps the PEs connected.
@@ -69,6 +75,8 @@ fn ladder() -> (Topology, Vec<usize>, Vec<usize>) {
 /// Everything a scenario needs for its post-mortem.
 struct Scenario {
     pn: ProviderNetwork,
+    /// Fast reroute on even seeds, global reconvergence on odd ones.
+    mode: FailoverMode,
     /// (source node, flow id) per attached source.
     sources: Vec<(NodeId, bool)>, // bool: true = CBR, false = Poisson
     /// Sink node and the flow ids that legitimately belong to it.
@@ -77,6 +85,15 @@ struct Scenario {
 
 /// Builds the seeded scenario and replays its fault plan to `RUN_END`.
 fn run_scenario(seed: u64) -> Scenario {
+    run_checked(seed, |_| {})
+}
+
+/// [`run_scenario`], calling `at_rest` at every quiescent point between
+/// fault events: just before an event that lands more than [`SETTLE`]
+/// after the previous one, once [`assert_at_rest`] has passed there. The
+/// plan runs in groups split at those points, which replays exactly as
+/// one run of the whole plan.
+fn run_checked(seed: u64, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
     let (topo, pes, cuttable) = if seed % 4 < 2 { fish() } else { ladder() };
     let mode = if seed.is_multiple_of(2) {
         FailoverMode::FastReroute
@@ -116,8 +133,55 @@ fn run_scenario(seed: u64) -> Scenario {
     // 4 flaps over the cuttable links, outages ≥ 200 ms, all inside the
     // traffic window so the faults actually bite.
     let plan = FaultPlan::random(seed, &cuttable, 3 * SEC, 4, 200 * MSEC);
-    pn.execute_fault_plan(&plan, mode, RUN_END);
-    Scenario { pn, sources, sinks }
+    let events = plan.events();
+    let mut s = Scenario { pn, mode, sources, sinks };
+    let mut start = 0;
+    for end in 1..=events.len() {
+        let next = events.get(end).map(|e| e.at);
+        if next.is_some_and(|at| at - events[end - 1].at <= SETTLE) {
+            continue;
+        }
+        let group = FaultPlan::new(events[start..end].to_vec());
+        s.pn.execute_fault_plan(&group, mode, next.unwrap_or(RUN_END));
+        start = end;
+        if next.is_some() {
+            assert_at_rest(&s, seed);
+            at_rest(&s);
+        }
+    }
+    s
+}
+
+/// Asserts that the fault reactions have played out: no control packet
+/// is queued or in flight, and wherever the control plane reacts to
+/// faults (in-band floods, or the oracle's global reconvergence) every
+/// router's SPF view equals a fresh computation over the links that are
+/// up. Fast reroute under the oracle never reconverges, so there the
+/// views stay at bring-up.
+fn assert_at_rest(s: &Scenario, seed: u64) {
+    let t = s.pn.net.now();
+    let rec = s.pn.recorder();
+    let ctrl_dropped: u64 = (0..3).map(|proto| rec.flow_drops(CTRL_FLOW_BASE + proto)).sum();
+    let (ctrl_sent, ctrl_terminated) =
+        s.pn.control_stats().map_or((0, 0), |c| (c.pkts_sent, c.pkts_terminated));
+    assert_eq!(
+        ctrl_sent,
+        ctrl_terminated + ctrl_dropped,
+        "control packets still in the network at seed {seed}, t={t}"
+    );
+    if control_mode() == ControlMode::Oracle && s.mode == FailoverMode::FastReroute {
+        return;
+    }
+    let down = s.pn.failed_links();
+    let fresh = Igp::converge_filtered(&s.pn.topo, &|l| !down.contains(&l));
+    for u in 0..s.pn.topo.node_count() {
+        let (view, want) = (s.pn.effective_spf(u), fresh.tree(u));
+        assert_eq!(
+            (&view.dist, &view.next_hop),
+            (&want.dist, &want.next_hop),
+            "node {u}'s SPF view has not converged at seed {seed}, t={t}"
+        );
+    }
 }
 
 /// Every packet a router ended, from the flight recorder's per-node
@@ -132,46 +196,61 @@ fn router_terminations(s: &Scenario) -> (u64, u64) {
     })
 }
 
+/// Asserts that every packet sent so far is delivered, dropped, absorbed,
+/// terminated by the control plane, queued or still in flight.
+fn assert_conserved(s: &Scenario, seed: u64) {
+    let sent: u64 = s
+        .sources
+        .iter()
+        .map(|&(n, cbr)| {
+            if cbr {
+                s.pn.net.node_ref::<CbrSource>(n).tx.tx_packets
+            } else {
+                s.pn.net.node_ref::<PoissonSource>(n).tx.tx_packets
+            }
+        })
+        .sum();
+    let delivered: u64 =
+        s.sinks.iter().map(|&(n, _)| s.pn.net.node_ref::<Sink>(n).total_packets).sum();
+    let link_dropped: u64 = (0..s.pn.net.link_count())
+        .flat_map(|l| (0..2).map(move |d| (l, d)))
+        .map(|(l, d)| s.pn.net.link_stats(LinkId(l), d).dropped)
+        .sum();
+    let queued = s.pn.net.queued_packets() + s.pn.net.packets_in_flight();
+    let (router_dropped, delivered_local) = router_terminations(s);
+    // In-band control packets enter the same ledger: each one sent is
+    // terminated at a router, purged on a cut link (already inside
+    // `link_dropped`), or still queued. Both terms are 0 under the
+    // oracle, collapsing to the original data-only equation.
+    let (ctrl_sent, ctrl_terminated) =
+        s.pn.control_stats().map_or((0, 0), |c| (c.pkts_sent, c.pkts_terminated));
+    assert_eq!(
+        sent + ctrl_sent,
+        delivered + link_dropped + router_dropped + delivered_local + ctrl_terminated + queued,
+        "conservation broke at seed {seed}, t={}: sent={sent} ctrl_sent={ctrl_sent} \
+         delivered={delivered} link_dropped={link_dropped} \
+         router_dropped={router_dropped} local={delivered_local} \
+         ctrl_terminated={ctrl_terminated} queued or in flight={queued}",
+        s.pn.net.now()
+    );
+    assert!(sent > 0, "seed {seed} generated no traffic");
+}
+
 #[test]
 fn chaos_packet_conservation_holds_under_any_failure_order() {
+    let mut rests = 0;
     for seed in 0..8 {
-        let s = run_scenario(seed);
-        let sent: u64 = s
-            .sources
-            .iter()
-            .map(|&(n, cbr)| {
-                if cbr {
-                    s.pn.net.node_ref::<CbrSource>(n).tx.tx_packets
-                } else {
-                    s.pn.net.node_ref::<PoissonSource>(n).tx.tx_packets
-                }
-            })
-            .sum();
+        let s = run_checked(seed, |s| {
+            assert_conserved(s, seed);
+            rests += 1;
+        });
+        assert_eq!(s.pn.net.packets_in_flight(), 0, "packets in flight at the end, seed {seed}");
+        assert_conserved(&s, seed);
         let delivered: u64 =
             s.sinks.iter().map(|&(n, _)| s.pn.net.node_ref::<Sink>(n).total_packets).sum();
-        let link_dropped: u64 = (0..s.pn.net.link_count())
-            .flat_map(|l| (0..2).map(move |d| (l, d)))
-            .map(|(l, d)| s.pn.net.link_stats(LinkId(l), d).dropped)
-            .sum();
-        let queued = s.pn.net.queued_packets();
-        let (router_dropped, delivered_local) = router_terminations(&s);
-        // In-band control packets enter the same ledger: each one sent is
-        // terminated at a router, purged on a cut link (already inside
-        // `link_dropped`), or still queued. Both terms are 0 under the
-        // oracle, collapsing to the original data-only equation.
-        let (ctrl_sent, ctrl_terminated) =
-            s.pn.control_stats().map_or((0, 0), |c| (c.pkts_sent, c.pkts_terminated));
-        assert_eq!(
-            sent + ctrl_sent,
-            delivered + link_dropped + router_dropped + delivered_local + ctrl_terminated + queued,
-            "conservation broke at seed {seed}: sent={sent} ctrl_sent={ctrl_sent} \
-             delivered={delivered} link_dropped={link_dropped} \
-             router_dropped={router_dropped} local={delivered_local} \
-             ctrl_terminated={ctrl_terminated} queued={queued}"
-        );
-        assert!(sent > 0, "seed {seed} generated no traffic");
         assert!(delivered > 0, "seed {seed} delivered nothing — network dead");
     }
+    assert!(rests >= 8, "only {rests} quiescent points between faults");
 }
 
 #[test]
@@ -232,13 +311,19 @@ fn chaos_every_loss_has_a_recorded_cause() {
 
 #[test]
 fn chaos_live_tables_verify_clean_after_every_fault_plan() {
-    // 5. **Verifier** — after the fault plan has played out (bypass
-    //    activations, repairs, reconvergence or in-band LSA/LDP repair),
-    //    the static verifier finds nothing wrong with the live tables.
+    // 5. **Verifier** — at every quiescent point between faults and after
+    //    the fault plan has played out (bypass activations, repairs,
+    //    reconvergence or in-band LSA/LDP repair), the static verifier
+    //    finds nothing wrong with the live tables.
+    let mut rests = 0;
     for seed in 0..8 {
-        let s = run_scenario(seed);
+        let s = run_checked(seed, |s| {
+            s.pn.verify().assert_clean(&format!("chaos seed {seed} at t={}", s.pn.net.now()));
+            rests += 1;
+        });
         s.pn.verify().assert_clean(&format!("chaos seed {seed}"));
     }
+    assert!(rests >= 8, "only {rests} quiescent points between faults");
 }
 
 #[test]
