@@ -12,7 +12,7 @@
 
 use mplsvpn_core::interprovider::{DomainSpec, InterProviderVpn};
 use mplsvpn_core::network::DsSched;
-use mplsvpn_core::{CoreQos, Sla, TraceLog};
+use mplsvpn_core::{CoreQos, Sla};
 use netsim_net::addr::pfx;
 use netsim_net::Dscp;
 use netsim_qos::Nanos;
@@ -59,8 +59,7 @@ pub fn measure(duration: Nanos, diffserv: bool) -> (Vec<Q4Flow>, bool, u64) {
         MSEC,
         None,
     );
-    let trace = TraceLog::new();
-    ip.net.set_trace(trace.clone());
+    ip.net.enable_trace();
     let sink = ip.attach_sink_b(pfx("10.2.0.0/16"));
     // Voice: EF, 75 kb/s. Bulk: BE flood at ~12 Mb/s across 10 Mb/s links.
     let voice =
@@ -90,6 +89,7 @@ pub fn measure(duration: Nanos, diffserv: bool) -> (Vec<Q4Flow>, bool, u64) {
         },
     ];
     // EXP preservation: every labeled hop of the voice flow must carry 5.
+    let trace = ip.net.trace().expect("trace enabled");
     let exp_ok = trace.flow(1).iter().filter_map(|r| r.exp).all(|e| e == 5);
     (flows, exp_ok, ip.control_messages)
 }

@@ -17,8 +17,7 @@ use crate::topo;
 pub fn measure() -> (TraceLog, u64) {
     let (t, pes) = topo::line(2, 1000); // PE0 - P1 - P2 - PE3
     let mut pn = BackboneBuilder::new(t, pes).build();
-    let log = TraceLog::new();
-    pn.net.set_trace(log.clone());
+    pn.net.enable_trace();
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), Some(MarkingPolicy::enterprise_default()));
     let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
@@ -29,7 +28,7 @@ pub fn measure() -> (TraceLog, u64) {
     pn.attach_cbr_source(a, cfg, MSEC, Some(1));
     pn.run_for(SEC);
     let got = pn.net.node_ref::<Sink>(sink).flow(1).map(|f| f.rx_packets).unwrap_or(0);
-    (log, got)
+    (pn.net.trace().cloned().expect("trace enabled"), got)
 }
 
 /// Runs the experiment and renders the hop table.

@@ -2,10 +2,12 @@
 //!
 //! Every control-plane change is a typed `CtrlMsg` applied as a delta:
 //! IGP link-state advertisements, LDP mappings/withdraws, and MP-BGP VPN
-//! updates (labels piggybacked on the route, per the paper's §4). The
-//! shared [`ControlDb`] holds one *view* per router: what that node
-//! currently believes about the topology (link states, its SPF tree) and
-//! its LDP session state (bindings received from each neighbor, its FTN).
+//! updates (labels piggybacked on the route, per the paper's §4). Each
+//! backbone router owns its control plane (`NodeControl`): its *view* —
+//! link states, SPF tree, LDP bindings and FTN — and its counters, which
+//! it changes only from the messages it receives and its own detection
+//! events, as the paper's LSRs and PEs do (§3–§4). Routers share only
+//! read-only configuration (`ControlConfig`: topology, PE list, mode).
 //! The views are the only FTN source the provider network reads.
 //!
 //! VPN routes never hold a copy of an LDP tunnel. They are resolved
@@ -18,24 +20,24 @@
 //! [`ControlMode`] chooses only how a message travels. In-band, it is a
 //! CS6-marked control packet through the same links and queues as data,
 //! and the message rides in the packet itself: `CtrlMsg::encode` writes it
-//! into the packet's metadata words, so the database holds no per-packet
-//! state. Routers hand the database the packet and mutable references to
-//! their live tables (LFIB; at PEs also the VRF FIBs and tunnel table)
-//! when one arrives, so updates land directly in the forwarding plane.
-//! IGP and LDP messages are link-local: each hop terminates them and
-//! sends its own. An MP-BGP message runs PE to PE (paper §3–§4): a router
-//! that is not its target sends the same packet on, with the origin PE's
-//! source address, as P routers IP-forward a BGP session's packets. A
-//! terminated packet's box is kept for the next message. Under the
-//! oracle, a BGP delta is applied at its target PE the instant it is
-//! originated, through the same apply code, and routing changes only when
-//! `reconverge()` re-seeds the views.
+//! into the packet's metadata words, an LSA's origination instant
+//! included, so no router keeps per-packet or per-episode state. A router
+//! lends its control plane the packet and its live tables (LFIB; at PEs
+//! also the VRF FIBs and tunnel table), so updates land directly in the
+//! forwarding plane. IGP and LDP messages are link-local: each hop
+//! terminates them and sends its own. An MP-BGP message runs PE to PE
+//! (paper §3–§4): a router that is not its target sends the same packet
+//! on, with the origin PE's source address, as P routers IP-forward a BGP
+//! session's packets. A terminated packet's box goes back to the
+//! network's one spare stack ([`Ctx::recycle`]) for the next message any
+//! router builds. Under the oracle, a BGP delta is applied at its target
+//! PE the instant it is originated, through the same apply code, and
+//! routing changes only when `reconverge()` re-seeds the views.
 //!
 //! Determinism: no message depends on hash-map order. All fan-out walks
 //! index ranges (FEC ordinals, topology adjacency order) or ordered sets,
 //! so replays are bit-identical for a fixed seed and event sequence.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use netsim_mpls::ldp::{Fec, LdpDomain};
@@ -45,7 +47,7 @@ use netsim_net::{Dscp, Ip, Packet, Pkt, PktMeta, Prefix};
 use netsim_obs::Histogram;
 use netsim_qos::Nanos;
 use netsim_routing::{Igp, SpfTree, Topology};
-use netsim_sim::{Ctx, FxHashMap, IfaceId};
+use netsim_sim::{Ctx, IfaceId};
 
 use crate::router::VrfFib;
 
@@ -55,7 +57,8 @@ pub enum ControlMode {
     /// Out-of-band oracle: MP-BGP deltas are applied at their target PE
     /// the instant they are originated, with no wire cost and no loss;
     /// IGP/LDP state changes only when `reconverge()` recomputes it
-    /// globally. Zero control packets on the wire.
+    /// globally and re-seeds every router's view. Zero control packets on
+    /// the wire.
     #[default]
     Oracle,
     /// In-band event-driven control plane: LSAs flood hop-by-hop as CS6
@@ -70,10 +73,6 @@ pub enum ControlMode {
 /// `flow >= CTRL_FLOW_BASE` means control plane.
 pub const CTRL_FLOW_BASE: u64 = 1 << 49;
 
-/// Shared handle to the control database: the builder creates one per
-/// network and, in in-band mode, threads it through every backbone router.
-pub type ControlHandle = Rc<RefCell<ControlDb>>;
-
 /// Protocol ordinal inside the control flow-id namespace.
 const PROTO_IGP: usize = 0;
 const PROTO_LDP: usize = 1;
@@ -82,7 +81,7 @@ const PROTO_BGP: usize = 2;
 /// A typed control message. The wire packet is CS6-marked UDP of a
 /// representative size; the message itself rides in the packet's two
 /// metadata words ([`CtrlMsg::encode`]), so the data plane never parses
-/// control payloads and the database keeps nothing per packet.
+/// control payloads and no router keeps anything per packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum CtrlMsg {
     /// Link-state advertisement: link `link` changed to `down` at event
@@ -92,8 +91,12 @@ pub(crate) enum CtrlMsg {
         link: usize,
         /// New state of the link.
         down: bool,
-        /// Per-link event sequence number (dedup key).
+        /// Per-link event sequence number (dedup key); 0 is the bring-up
+        /// state, which no link event opens.
         seq: u64,
+        /// When the link event's detection fired: every router that
+        /// applies the LSA records its age as a convergence sample.
+        origin: Nanos,
     },
     /// LDP label mapping: `from`'s binding for tunnel FEC `fec` is
     /// `label`. Single hop (LDP sessions are link-local here).
@@ -181,11 +184,14 @@ impl CtrlMsg {
     /// Writes the message into a control packet's metadata. `flow` names
     /// the protocol (routers classify on it). `seq` holds the kind in its
     /// low [`TAG_BITS`] and up to three [`FIELD_BITS`]-wide index fields
-    /// above it; `created_ns` holds the rest: an LSA's sequence number, or
-    /// a BGP message's prefix and VPN label ([`bgp_word`]).
+    /// above it (an LSA's sequence number is one); `created_ns` holds the
+    /// rest: an LSA's origination instant, or a BGP message's prefix and
+    /// VPN label ([`bgp_word`]).
     fn encode(&self, meta: &mut PktMeta) {
         let (tag, fields, rest) = match *self {
-            CtrlMsg::Lsa { link, down, seq } => (TAG_LSA, [link, usize::from(down), 0], seq),
+            CtrlMsg::Lsa { link, down, seq, origin } => {
+                (TAG_LSA, [link, usize::from(down), seq as usize], origin)
+            }
             CtrlMsg::LdpMapping { fec, label, from } => {
                 (TAG_LDP_MAPPING, [from, fec as usize, label as usize], 0)
             }
@@ -216,7 +222,12 @@ impl CtrlMsg {
         let prefix = || Prefix::new(Ip(rest as u32), (rest >> 32) as u8 & 0x3F);
         let label = (rest >> 38 & 1 == 1).then_some((rest >> 39 & FIELD_MAX) as u32);
         match meta.seq & TAG_MASK {
-            TAG_LSA => CtrlMsg::Lsa { link: field(0), down: field(1) != 0, seq: rest },
+            TAG_LSA => CtrlMsg::Lsa {
+                link: field(0),
+                down: field(1) != 0,
+                seq: field(2) as u64,
+                origin: rest,
+            },
             TAG_LDP_MAPPING => {
                 CtrlMsg::LdpMapping { fec: field(1) as u32, label: field(2) as u32, from: field(0) }
             }
@@ -254,7 +265,8 @@ const TAG_LDP_WITHDRAW: u64 = 2;
 const TAG_BGP_UPDATE: u64 = 3;
 const TAG_BGP_WITHDRAW: u64 = 4;
 /// Width of each index field in a control packet's `seq`: node, link, PE,
-/// VRF and FEC indices fit, and so does an MPLS label (20 bits).
+/// VRF and FEC indices fit, and so do an MPLS label (20 bits) and an LSA
+/// sequence number (a million events on one link).
 const FIELD_BITS: u32 = 20;
 const FIELD_MAX: u64 = (1 << FIELD_BITS) - 1;
 
@@ -269,7 +281,8 @@ fn bgp_word(prefix: Prefix, label: Option<u32>) -> u64 {
     u64::from(prefix.addr().0) | u64::from(prefix.len()) << 32 | label << 38
 }
 
-/// Control-plane counters, all emergent (counted, not analytic).
+/// Control-plane counters, all emergent (counted, not analytic). Each
+/// router counts its own; the provider network sums them when read.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CtrlStats {
     /// BGP VPN updates/withdraws originated at PEs.
@@ -294,20 +307,36 @@ pub struct CtrlStats {
     pub no_lsp_to_egress: u64,
 }
 
+impl std::ops::AddAssign<&CtrlStats> for CtrlStats {
+    fn add_assign(&mut self, o: &CtrlStats) {
+        self.bgp_originated += o.bgp_originated;
+        for (a, b) in self.pkts_by_proto.iter_mut().zip(o.pkts_by_proto) {
+            *a += b;
+        }
+        self.pkts_sent += o.pkts_sent;
+        self.pkts_terminated += o.pkts_terminated;
+        self.bytes_sent += o.bytes_sent;
+        self.undeliverable += o.undeliverable;
+        self.spf_runs += o.spf_runs;
+        self.spf_skips += o.spf_skips;
+        self.no_lsp_to_egress += o.no_lsp_to_egress;
+    }
+}
+
 /// What one router currently believes: its link-state database, SPF tree
 /// and LDP session state. Seeded from the global recomputation at
 /// bring-up and at every `reconverge()`, otherwise maintained purely by
 /// messages. Dense: indexed by link id, tunnel FEC ordinal (egress-PE
 /// index) and neighbor node id, so applying a message hashes nothing.
-struct NodeView {
+pub(crate) struct NodeView {
     /// Latest applied (seq, down) per link: LSA dedup state and topology.
     link_state: Vec<(u64, bool)>,
     /// This node's shortest-path tree over the believed topology.
-    spf: SpfTree,
+    pub(crate) spf: SpfTree,
     /// Local label binding per FEC (immutable once allocated).
     bindings: Vec<Option<u32>>,
     /// Liberal-retention label store, one row of FECs per neighbor node:
-    /// slot `ControlDb::rx(neighbor, fec)` holds the advertised label.
+    /// slot `NodeControl::rx(neighbor, fec)` holds the advertised label.
     received: Vec<Option<u32>>,
     /// Current FEC-to-NHLFE map (ingress push state), per FEC.
     ftn: Vec<Option<FtnEntry>>,
@@ -316,8 +345,43 @@ struct NodeView {
     fec_reachable: Vec<bool>,
 }
 
-/// Mutable references to one router's forwarding tables, lent to the
-/// database for the duration of a single control-packet application.
+impl NodeView {
+    /// Node `u`'s copy of a global IGP/LDP recomputation, believing
+    /// `link_state`, whose sequence numbers make in-flight LSAs older than
+    /// the recomputation stale.
+    fn seeded(
+        ControlConfig { topo, pes, .. }: &ControlConfig,
+        u: usize,
+        (igp, ldp): (&Igp, &LdpDomain),
+        link_state: &[(u64, bool)],
+    ) -> NodeView {
+        let (n, np) = (topo.node_count(), pes.len());
+        let spf = igp.tree(u).clone();
+        let st = &ldp.nodes[u];
+        let mut view = NodeView {
+            link_state: link_state.to_vec(),
+            fec_reachable: pes.iter().map(|&e| u == e || spf.next_hop[e].is_some()).collect(),
+            spf,
+            bindings: vec![None; np],
+            received: vec![None; n * np],
+            ftn: vec![None; np],
+        };
+        // Every map entry fills its own slot: map order cannot matter.
+        for (&Fec(f), &label) in &st.bindings {
+            view.bindings[f as usize] = Some(label);
+        }
+        for (&(Fec(f), nbr), &label) in &st.received {
+            view.received[nbr * np + f as usize] = Some(label);
+        }
+        for (&Fec(f), entry) in &st.ftn {
+            view.ftn[f as usize] = Some(entry.clone());
+        }
+        view
+    }
+}
+
+/// Mutable references to one router's forwarding tables, lent to its
+/// control plane for the duration of a single control-packet application.
 pub(crate) struct NodeTables<'a> {
     /// The router's live LFIB.
     pub lfib: &'a mut Lfib,
@@ -327,164 +391,119 @@ pub(crate) struct NodeTables<'a> {
     pub tunnels: Option<&'a mut Vec<Option<FtnEntry>>>,
 }
 
-/// Most consumed control-packet boxes [`ControlDb`] keeps for reuse.
-const SPARE_PKTS: usize = 32;
+/// Configuration every router's control plane reads and none writes.
+pub(crate) struct ControlConfig {
+    /// The backbone topology.
+    pub(crate) topo: Topology,
+    /// Topology node of each PE ordinal.
+    pub(crate) pes: Vec<usize>,
+    /// Whether routers run the in-band control plane; under the oracle
+    /// they keep their views but originate nothing on a link event.
+    pub(crate) in_band: bool,
+}
 
-/// The shared control database: per-node views, spare control-packet
-/// boxes, and control-plane telemetry. It keeps no per-packet state: a
-/// message travels in its packet.
-pub struct ControlDb {
-    topo: Topology,
-    pes: Vec<usize>,
-    views: Vec<NodeView>,
-    /// Boxes of terminated control packets, at most [`SPARE_PKTS`];
-    /// [`ControlDb::prepare`] overwrites one before it allocates.
-    spare: Vec<Pkt>,
-    /// Per-link event sequence, bumped once per fail/repair at the
-    /// provider-network level so both endpoints originate the same LSA.
-    link_seq: Vec<u64>,
-    /// (link, seq) → origination timestamp (event + detection delay);
-    /// every LSA application records `now - t0` as a convergence sample.
-    episodes: FxHashMap<(usize, u64), Nanos>,
-    /// Control bytes offered per topology link (both directions).
-    ctrl_bytes_by_link: Vec<u64>,
-    /// Propagation + processing latency of LSA application, ns.
-    convergence: Histogram,
+/// One backbone router's control plane: its view, its attached links'
+/// latest events and its control counters. Owned by its router, through
+/// which the provider network reaches it.
+pub(crate) struct NodeControl {
+    pub(crate) cfg: Rc<ControlConfig>,
+    /// This router's backbone topology node id.
+    node: usize,
+    /// What this router believes (re-seeded whole by `reconverge()`).
+    pub(crate) view: NodeView,
+    /// Per link id: (sequence, origination instant) of the link's latest
+    /// event, which the provider network writes into both ends when the
+    /// link fails or is repaired. The detection timer's LSA carries them.
+    link_events: Vec<(u64, Nanos)>,
+    /// Control bytes this router put on each backbone interface.
+    bytes_by_iface: Vec<u64>,
+    /// Propagation + processing latency of LSA application here, ns.
+    pub(crate) convergence: Histogram,
     pub(crate) stats: CtrlStats,
     /// `repair_fec` calls so far.
     #[cfg(test)]
     fec_repairs: u64,
-    /// Every control packet sent so far: sending node, the packet's
-    /// source address, and its message.
+    /// Every control packet this router sent so far: the packet's source
+    /// address and its message.
     #[cfg(test)]
-    sent: Vec<(usize, Ip, CtrlMsg)>,
+    sent: Vec<(Ip, CtrlMsg)>,
 }
 
-impl ControlDb {
-    /// Builds the database from the converged bring-up state: every
-    /// node's view starts as an exact copy of the global SPF tree and LDP
-    /// session state.
-    pub(crate) fn new(topo: &Topology, pes: &[usize], igp: &Igp, ldp: &LdpDomain) -> ControlDb {
-        let nl = topo.link_count();
-        let mut db = ControlDb {
-            topo: topo.clone(),
-            pes: pes.to_vec(),
-            views: Vec::new(),
-            spare: Vec::new(),
-            link_seq: vec![0; nl],
-            episodes: FxHashMap::default(),
-            ctrl_bytes_by_link: vec![0; nl],
+impl NodeControl {
+    /// Node `node`'s control plane, seeded from the converged bring-up
+    /// state `igp`/`ldp`.
+    pub(crate) fn new(cfg: Rc<ControlConfig>, node: usize, igp: &Igp, ldp: &LdpDomain) -> Self {
+        let links = cfg.topo.link_count();
+        NodeControl {
+            view: NodeView::seeded(&cfg, node, (igp, ldp), &vec![(0, false); links]),
+            link_events: vec![(0, 0); links],
+            bytes_by_iface: vec![0; cfg.topo.degree(node)],
+            cfg,
+            node,
             convergence: Histogram::new(),
             stats: CtrlStats::default(),
             #[cfg(test)]
             fec_repairs: 0,
             #[cfg(test)]
             sent: Vec::new(),
-        };
-        db.rebuild(igp, ldp, &std::collections::HashSet::new());
-        db
+        }
     }
 
-    /// Re-seeds every view from a global IGP/LDP recomputation (what
-    /// `reconverge()` does in either mode). Dedup sequence state advances
-    /// to the current per-link sequence so stale in-flight LSAs are
-    /// ignored afterwards.
-    pub(crate) fn rebuild(
-        &mut self,
-        igp: &Igp,
-        ldp: &LdpDomain,
-        failed: &std::collections::HashSet<usize>,
-    ) {
-        let (n, np) = (self.topo.node_count(), self.pes.len());
-        self.views = (0..n)
-            .map(|u| {
-                let spf = igp.tree(u).clone();
-                let st = &ldp.nodes[u];
-                let mut view = NodeView {
-                    link_state: (0..self.topo.link_count())
-                        .map(|l| (self.link_seq[l], failed.contains(&l)))
-                        .collect(),
-                    fec_reachable: self
-                        .pes
-                        .iter()
-                        .map(|&e| u == e || spf.next_hop[e].is_some())
-                        .collect(),
-                    spf,
-                    bindings: vec![None; np],
-                    received: vec![None; n * np],
-                    ftn: vec![None; np],
-                };
-                // Every map entry fills its own slot: map order cannot matter.
-                for (&Fec(f), &label) in &st.bindings {
-                    view.bindings[f as usize] = Some(label);
-                }
-                for (&(Fec(f), nbr), &label) in &st.received {
-                    view.received[nbr * np + f as usize] = Some(label);
-                }
-                for (&Fec(f), entry) in &st.ftn {
-                    view.ftn[f as usize] = Some(entry.clone());
-                }
-                view
-            })
-            .collect();
+    /// Re-seeds the view from a global IGP/LDP recomputation over links
+    /// in `link_state` (`reconverge()`).
+    pub(crate) fn reseed(&mut self, igp: &Igp, ldp: &LdpDomain, link_state: &[(u64, bool)]) {
+        self.view = NodeView::seeded(&self.cfg, self.node, (igp, ldp), link_state);
     }
 
-    /// Records a physical link event: bumps the per-link LSA sequence and
-    /// opens a convergence episode whose clock starts at `origination_at`
-    /// (event time + detection delay, so samples measure propagation and
+    /// Records a physical event on attached link `link`: its LSA sequence
+    /// is now `seq`, and the convergence clock starts at `origin` (event
+    /// time + detection delay, so samples measure propagation and
     /// processing, not detection).
-    pub(crate) fn note_link_event(&mut self, link: usize, origination_at: Nanos) {
-        self.link_seq[link] += 1;
-        self.episodes.insert((link, self.link_seq[link]), origination_at);
+    pub(crate) fn note_link_event(&mut self, link: usize, seq: u64, origin: Nanos) {
+        self.link_events[link] = (seq, origin);
     }
 
-    /// A router's detection timer fired for `iface`: originate the LSA,
-    /// apply it locally, and (on link-up) refresh the LDP session over
-    /// the recovered link.
+    /// This router's detection timer fired for `iface`: originate the
+    /// LSA, apply it locally, and (on link-up) refresh the LDP session
+    /// over the recovered link.
     pub(crate) fn on_link_event(
         &mut self,
-        node: usize,
         iface: usize,
         down: bool,
         tables: &mut NodeTables<'_>,
         ctx: &mut Ctx,
     ) {
-        let Some((far, _, link)) = self.topo.neighbors(node).nth(iface) else {
+        let Some((far, _, link)) = self.cfg.topo.neighbors(self.node).nth(iface) else {
             return;
         };
-        let seq = self.link_seq[link];
+        let (seq, origin) = self.link_events[link];
         if down {
             // LDP session loss: retained labels from the far end die with
             // the session.
             let row = self.rx(far, 0)..self.rx(far + 1, 0);
-            self.views[node].received[row].fill(None);
+            self.view.received[row].fill(None);
         }
-        self.apply_lsa(node, link, down, seq, None, tables, ctx);
+        self.apply_lsa(CtrlMsg::Lsa { link, down, seq, origin }, None, tables, ctx);
         if !down {
             // Session re-establishment: re-advertise our bindings to the
             // peer (it dropped them when the session died).
-            for f in 0..self.pes.len() {
-                let Some(label) = self.views[node].bindings[f] else { continue };
-                if !self.views[node].fec_reachable[f] {
+            for f in 0..self.cfg.pes.len() {
+                let Some(label) = self.view.bindings[f] else { continue };
+                if !self.view.fec_reachable[f] {
                     continue;
                 }
-                self.send_msg(
-                    node,
-                    iface,
-                    CtrlMsg::LdpMapping { fec: f as u32, label, from: node },
-                    ctx,
-                );
+                let msg = CtrlMsg::LdpMapping { fec: f as u32, label, from: self.node };
+                self.send_msg(iface, msg, ctx);
             }
         }
     }
 
-    /// A control packet arrived at `node` on `iface`: terminate it and
-    /// apply its message. An MP-BGP message for another PE is sent on in
-    /// the same packet, as P routers IP-forward a BGP session's packets;
-    /// any other packet's box is kept for reuse.
+    /// A control packet arrived on `iface`: terminate it and apply its
+    /// message. An MP-BGP message for another PE is sent on in the same
+    /// packet, as P routers IP-forward a BGP session's packets; any other
+    /// packet's box goes back to the spare stack.
     pub(crate) fn on_control_packet(
         &mut self,
-        node: usize,
         iface: usize,
         pkt: Pkt,
         tables: &mut NodeTables<'_>,
@@ -492,51 +511,40 @@ impl ControlDb {
     ) {
         self.stats.pkts_terminated += 1;
         if let Some(target) = CtrlMsg::encoded_bgp_target(&pkt.meta) {
-            if self.pes[target] != node {
-                return self.forward_toward(node, self.pes[target], pkt, ctx);
+            let target_node = self.cfg.pes[target];
+            if target_node != self.node {
+                return self.forward_toward(target_node, pkt, ctx);
             }
         }
         let msg = CtrlMsg::decode(&pkt.meta);
-        self.keep_spare(pkt);
+        ctx.recycle(pkt);
         match msg {
-            CtrlMsg::Lsa { link, down, seq } => {
-                self.apply_lsa(node, link, down, seq, Some(iface), tables, ctx);
-            }
+            CtrlMsg::Lsa { .. } => self.apply_lsa(msg, Some(iface), tables, ctx),
             CtrlMsg::LdpMapping { fec, label, from } => {
                 let slot = self.rx(from, fec as usize);
-                self.views[node].received[slot] = Some(label);
-                self.repair_fec(node, fec as usize, tables, ctx);
+                self.view.received[slot] = Some(label);
+                self.repair_fec(fec as usize, tables, ctx);
             }
             CtrlMsg::LdpWithdraw { fec, from } => {
                 let slot = self.rx(from, fec as usize);
-                self.views[node].received[slot] = None;
-                self.repair_fec(node, fec as usize, tables, ctx);
+                self.view.received[slot] = None;
+                self.repair_fec(fec as usize, tables, ctx);
             }
             CtrlMsg::BgpUpdate { .. } | CtrlMsg::BgpWithdraw { .. } => {
                 if let Some(vrfs) = tables.vrfs.as_deref_mut() {
-                    self.apply_bgp(node, vrfs, msg);
+                    self.apply_bgp(vrfs, msg);
                 }
             }
         }
     }
 
-    /// Oracle transport: applies a BGP delta at its target PE the instant
-    /// it is originated — no packet, no wire cost, no loss. `vrfs` are the
-    /// target PE's VRF tables.
-    pub(crate) fn apply_bgp_now(&mut self, vrfs: &mut [VrfFib], msg: CtrlMsg) {
-        self.stats.bgp_originated += 1;
-        if let Some(target) = msg.bgp_target() {
-            self.apply_bgp(self.pes[target], vrfs, msg);
-        }
-    }
-
-    /// Applies a BGP delta at its target PE, whichever transport carried
-    /// it. A withdraw evicts the old route, then installs the replacement
-    /// best path, if any.
-    fn apply_bgp(&mut self, node: usize, vrfs: &mut [VrfFib], msg: CtrlMsg) {
+    /// Applies a BGP delta at this PE, its target, whichever transport
+    /// carried it. A withdraw evicts the old route, then installs the
+    /// replacement best path, if any.
+    pub(crate) fn apply_bgp(&mut self, vrfs: &mut [VrfFib], msg: CtrlMsg) {
         match msg {
             CtrlMsg::BgpUpdate { vrf_idx, prefix, egress_pe, vpn_label, .. } => {
-                self.install_route(node, &mut vrfs[vrf_idx], prefix, egress_pe, vpn_label);
+                self.install_route(&mut vrfs[vrf_idx], prefix, egress_pe, vpn_label);
             }
             CtrlMsg::BgpWithdraw { vrf_idx, prefix, replacement, .. } => {
                 let vrf = &mut vrfs[vrf_idx];
@@ -544,62 +552,56 @@ impl ControlDb {
                     return; // locally attached always wins
                 }
                 if let Some((egress_pe, vpn_label)) = replacement {
-                    self.install_route(node, vrf, prefix, egress_pe, vpn_label);
+                    self.install_route(vrf, prefix, egress_pe, vpn_label);
                 }
             }
             _ => {}
         }
     }
 
-    /// Installs `prefix → (egress_pe, vpn_label)` into `vrf` at PE `node`
-    /// as an LDP-following route: the PE resolves it through its tunnel
-    /// table entry for `egress_pe`. Without an LSP in the node's view the
-    /// install is skipped and counted (any existing route stays in place);
-    /// a locally attached route always wins.
+    /// Installs `prefix → (egress_pe, vpn_label)` into `vrf` at this PE as
+    /// an LDP-following route: the PE resolves it through its tunnel table
+    /// entry for `egress_pe`. Without an LSP in the view the install is
+    /// skipped and counted (any existing route stays in place); a locally
+    /// attached route always wins.
     pub(crate) fn install_route(
         &mut self,
-        node: usize,
         vrf: &mut VrfFib,
         prefix: Prefix,
         egress_pe: usize,
         vpn_label: u32,
     ) {
-        if self.views[node].ftn[egress_pe].is_some() {
+        if self.view.ftn[egress_pe].is_some() {
             vrf.install_remote(prefix, egress_pe, vpn_label, None);
         } else {
             self.stats.no_lsp_to_egress += 1;
         }
     }
 
-    /// Applies one LSA at one node: dedup, link-state update, incremental
-    /// SPF, LDP/FTN/VRF repair, convergence sample, re-flood. `arrival` is
-    /// the interface the LSA came in on, `None` when `node` detected the
+    /// Applies one LSA here: dedup, link-state update, incremental SPF,
+    /// LDP/FTN/VRF repair, convergence sample, re-flood. `arrival` is the
+    /// interface the LSA came in on, `None` when this router detected the
     /// link event itself.
-    #[allow(clippy::too_many_arguments)]
     fn apply_lsa(
         &mut self,
-        node: usize,
-        link: usize,
-        down: bool,
-        seq: u64,
+        lsa: CtrlMsg,
         arrival: Option<usize>,
         tables: &mut NodeTables<'_>,
         ctx: &mut Ctx,
     ) {
-        {
-            let view = &mut self.views[node];
-            let (s_seq, s_down) = view.link_state[link];
-            let fresh = seq > s_seq || (seq == s_seq && down != s_down);
-            if !fresh {
-                return;
-            }
-            view.link_state[link] = (seq, down);
+        let CtrlMsg::Lsa { link, down, seq, origin } = lsa else { return };
+        let (s_seq, s_down) = self.view.link_state[link];
+        let fresh = seq > s_seq || (seq == s_seq && down != s_down);
+        if !fresh {
+            return;
         }
+        self.view.link_state[link] = (seq, down);
         // Incremental SPF: recompute only if the changed link can alter
         // this root's tree; otherwise the LSA is topological noise here.
-        let NodeView { spf, link_state, .. } = &mut self.views[node];
-        if spf.affected_by(&self.topo, link, down) {
-            spf.recompute(&self.topo, node, &|l| !link_state[l].1);
+        let topo = &self.cfg.topo;
+        let NodeView { spf, link_state, .. } = &mut self.view;
+        if spf.affected_by(topo, link, down) {
+            spf.recompute(topo, self.node, &|l| !link_state[l].1);
             self.stats.spf_runs += 1;
         } else {
             self.stats.spf_skips += 1;
@@ -608,43 +610,41 @@ impl ControlDb {
         // moved (liberal retention is what makes this purely local in the
         // common case). Every other write to `received` repairs its own
         // FEC, so the rest already match the view; the exception is a
-        // failure `node` detected itself, which also ended the LDP session
-        // with the far end, whose labels `on_link_event` dropped.
-        let (a, b, _) = self.topo.link(link);
-        let lost = (down && arrival.is_none()).then_some(if a == node { b } else { a });
-        for f in 0..self.pes.len() {
-            if self.needs_repair(node, f, lost) {
-                self.repair_fec(node, f, tables, ctx);
+        // failure this router detected itself, which also ended the LDP
+        // session with the far end, whose labels `on_link_event` dropped.
+        let (a, b, _) = topo.link(link);
+        let lost = (down && arrival.is_none()).then_some(if a == self.node { b } else { a });
+        for f in 0..self.cfg.pes.len() {
+            if self.needs_repair(f, lost) {
+                self.repair_fec(f, tables, ctx);
             }
         }
         #[cfg(test)]
-        tests::check_ftns(self, node);
-        if let Some(&t0) = self.episodes.get(&(link, seq)) {
-            let d = ctx.now().saturating_sub(t0);
-            self.convergence.record(d);
+        tests::check_ftns(self);
+        if seq > 0 {
+            self.convergence.record(ctx.now().saturating_sub(origin));
         }
         // Re-flood to every live neighbor except the one we heard from.
-        self.fan_out(node, arrival, CtrlMsg::Lsa { link, down, seq }, ctx);
+        self.fan_out(arrival, lsa, ctx);
     }
 
-    /// Recomputes the desired FTN for tunnel FEC `f` at `node` from the
-    /// current view, re-points the LFIB transit entry and (at a PE) the
+    /// Recomputes the desired FTN for tunnel FEC `f` from the current
+    /// view, re-points the LFIB transit entry and (at a PE) the
     /// tunnel-table slot every LDP-following VPN route toward that egress
     /// resolves through, and advertises/withdraws on reachability flips.
-    fn repair_fec(&mut self, node: usize, f: usize, tables: &mut NodeTables<'_>, ctx: &mut Ctx) {
+    fn repair_fec(&mut self, f: usize, tables: &mut NodeTables<'_>, ctx: &mut Ctx) {
         #[cfg(test)]
         {
             self.fec_repairs += 1;
         }
-        let egress = self.pes[f];
-        if node == egress {
+        let egress = self.cfg.pes[f];
+        if self.node == egress {
             return;
         }
-        let desired = self.desired_ftn(node, f);
-        let view = &self.views[node];
+        let desired = self.desired_ftn(f);
+        let view = &mut self.view;
         let current = view.ftn[f].as_ref().map(|e| (e.out_iface, e.push.as_slice()));
         if current != desired.as_ref().map(|(iface, l)| (*iface, push_stack(l))) {
-            let view = &mut self.views[node];
             view.ftn[f] = desired
                 .map(|(iface, l)| FtnEntry { push: push_stack(&l).to_vec(), out_iface: iface });
             // Transit repair: re-point the ILM entry for our own binding.
@@ -668,172 +668,132 @@ impl ControlDb {
                 }
             }
         }
-        let view = &mut self.views[node];
         let reachable = view.spf.next_hop[egress].is_some();
         if reachable != view.fec_reachable[f] {
             view.fec_reachable[f] = reachable;
             let msg = match (reachable, view.bindings[f]) {
-                (true, Some(label)) => CtrlMsg::LdpMapping { fec: f as u32, label, from: node },
+                (true, Some(label)) => {
+                    CtrlMsg::LdpMapping { fec: f as u32, label, from: self.node }
+                }
                 (true, None) => return,
-                (false, _) => CtrlMsg::LdpWithdraw { fec: f as u32, from: node },
+                (false, _) => CtrlMsg::LdpWithdraw { fec: f as u32, from: self.node },
             };
-            self.fan_out(node, None, msg, ctx);
+            self.fan_out(None, msg, ctx);
         }
     }
 
-    /// Whether repairing tunnel FEC `f` at `node` after an SPF rerun can
-    /// change anything. An FTN names the first hop it was built on (the
-    /// peer on its interface): it is stale when the tree's first hop
-    /// differs, or is `lost`, a neighbor whose labels were just dropped
-    /// (over a parallel link it can still be the first hop). A FEC without
-    /// an FTN repairs whenever it is or becomes reachable: while reachable
-    /// it waits for its first hop's label, and which hop that was is not
+    /// Whether repairing tunnel FEC `f` after an SPF rerun can change
+    /// anything. An FTN names the first hop it was built on (the peer on
+    /// its interface): it is stale when the tree's first hop differs, or
+    /// is `lost`, a neighbor whose labels were just dropped (over a
+    /// parallel link it can still be the first hop). A FEC without an FTN
+    /// repairs whenever it is or becomes reachable: while reachable it
+    /// waits for its first hop's label, and which hop that was is not
     /// kept.
-    fn needs_repair(&self, node: usize, f: usize, lost: Option<usize>) -> bool {
-        let view = &self.views[node];
-        let hop = view.spf.next_hop[self.pes[f]];
+    fn needs_repair(&self, f: usize, lost: Option<usize>) -> bool {
+        let (view, egress) = (&self.view, self.cfg.pes[f]);
+        let hop = view.spf.next_hop[egress];
         match &view.ftn[f] {
             Some(e) => {
-                hop != self.topo.neighbors(node).nth(e.out_iface).map(|n| n.0) || hop == lost
+                hop != self.cfg.topo.neighbors(self.node).nth(e.out_iface).map(|n| n.0)
+                    || hop == lost
             }
-            None => self.pes[f] != node && (hop.is_some() || view.fec_reachable[f]),
+            None => egress != self.node && (hop.is_some() || view.fec_reachable[f]),
         }
     }
 
-    /// The FTN tunnel FEC `f` should have at `node` under its view: the
-    /// first hop's interface and label, `None` while the egress is
-    /// unreachable or before the first hop's label arrives (session
-    /// refresh in flight).
-    fn desired_ftn(&self, node: usize, f: usize) -> Option<(usize, u32)> {
-        let view = &self.views[node];
-        let nh = view.spf.next_hop[self.pes[f]]?;
-        view.received[self.rx(nh, f)].map(|l| (self.topo.iface_toward(node, nh), l))
+    /// The FTN tunnel FEC `f` should have under the view: the first hop's
+    /// interface and label, `None` while the egress is unreachable or
+    /// before the first hop's label arrives (session refresh in flight).
+    fn desired_ftn(&self, f: usize) -> Option<(usize, u32)> {
+        let nh = self.view.spf.next_hop[self.cfg.pes[f]]?;
+        self.view.received[self.rx(nh, f)].map(|l| (self.cfg.topo.iface_toward(self.node, nh), l))
     }
 
     /// Slot of neighbor `nbr`'s label for tunnel FEC `f` in `NodeView::received`.
     fn rx(&self, nbr: usize, f: usize) -> usize {
-        nbr * self.pes.len() + f
+        nbr * self.cfg.pes.len() + f
     }
 
-    /// Sends a copy of `msg` on every interface of `node` whose link it believes up, except
-    /// `skip` (a flood's arrival interface).
-    fn fan_out(&mut self, node: usize, skip: Option<usize>, msg: CtrlMsg, ctx: &mut Ctx) {
-        for iface in 0..self.topo.degree(node) {
-            let Some((_, _, link)) = self.topo.neighbors(node).nth(iface) else { break };
-            if Some(iface) != skip && !self.views[node].link_state[link].1 {
-                self.send_msg(node, iface, msg, ctx);
+    /// Sends a copy of `msg` on every interface whose link this router
+    /// believes up, except `skip` (a flood's arrival interface).
+    fn fan_out(&mut self, skip: Option<usize>, msg: CtrlMsg, ctx: &mut Ctx) {
+        let cfg = Rc::clone(&self.cfg);
+        for (iface, (_, _, link)) in cfg.topo.neighbors(self.node).enumerate() {
+            if Some(iface) != skip && !self.view.link_state[link].1 {
+                self.send_msg(iface, msg, ctx);
             }
         }
     }
 
     /// Sends a PE-addressed packet on, unchanged, one hop along the
-    /// current view's shortest path toward the target node. The hop costs
-    /// what an originated one does: a send and its bytes on the link.
-    fn forward_toward(&mut self, node: usize, target_node: usize, pkt: Pkt, ctx: &mut Ctx) {
-        let Some(nh) = self.views[node].spf.next_hop[target_node] else {
+    /// view's shortest path toward the target node. The hop costs what an
+    /// originated one does: a send and its bytes on the link.
+    fn forward_toward(&mut self, target_node: usize, pkt: Pkt, ctx: &mut Ctx) {
+        let Some(nh) = self.view.spf.next_hop[target_node] else {
             self.stats.undeliverable += 1;
-            return self.keep_spare(pkt);
+            return ctx.recycle(pkt);
         };
-        let iface = self.topo.iface_toward(node, nh);
-        self.count_send(node, iface, PROTO_BGP, &pkt);
+        let iface = self.cfg.topo.iface_toward(self.node, nh);
+        self.count_send(iface, PROTO_BGP, &pkt);
         ctx.send(IfaceId(iface), pkt);
     }
 
-    /// In-band transport: prepares a BGP message for injection at
-    /// `origin_node` (used by the provider-network layer, which has no
-    /// router context). Returns the first-hop interface and the wire
-    /// packet, or `None` if the origin's view has no path toward the
-    /// target.
-    pub(crate) fn prepare_bgp_from(
-        &mut self,
-        origin_node: usize,
-        msg: CtrlMsg,
-    ) -> Option<(IfaceId, Pkt)> {
-        let target = self.pes[msg.bgp_target()?];
+    /// In-band transport: originates a BGP message at this PE, sending it
+    /// along the view's shortest path toward its target PE (counted
+    /// undeliverable when there is none).
+    pub(crate) fn originate_bgp(&mut self, msg: CtrlMsg, ctx: &mut Ctx) {
+        let Some(target) = msg.bgp_target() else { return };
         self.stats.bgp_originated += 1;
-        let Some(nh) = self.views[origin_node].spf.next_hop[target] else {
+        let Some(nh) = self.view.spf.next_hop[self.cfg.pes[target]] else {
             self.stats.undeliverable += 1;
-            return None;
+            return;
         };
-        let iface = self.topo.iface_toward(origin_node, nh);
-        Some((IfaceId(iface), self.prepare(origin_node, iface, msg)))
+        let iface = self.cfg.topo.iface_toward(self.node, nh);
+        self.send_msg(iface, msg, ctx);
     }
 
-    /// Builds the wire packet for `msg` leaving `node` on `iface`, in a
-    /// spare box when there is one, and counts the send.
-    fn prepare(&mut self, node: usize, iface: usize, msg: CtrlMsg) -> Pkt {
+    /// Sends `msg` on `iface`, in a spare box when there is one, and
+    /// counts the send.
+    fn send_msg(&mut self, iface: usize, msg: CtrlMsg, ctx: &mut Ctx) {
         let fresh = Packet::udp(
-            Ip(0xC0DE_0000 + node as u32),
+            Ip(0xC0DE_0000 + self.node as u32),
             Ip(0xC0DE_FFFF),
             msg.port(),
             msg.port(),
             Dscp::CS6,
             msg.payload_len(),
         );
-        let mut pkt = match self.spare.pop() {
-            Some(mut pkt) => {
-                *pkt = fresh;
-                pkt
-            }
-            None => Box::new(fresh),
-        };
+        let mut pkt = ctx.boxed(fresh);
         msg.encode(&mut pkt.meta);
-        self.count_send(node, iface, msg.proto(), &pkt);
-        pkt
-    }
-
-    /// Keeps a terminated packet's box for [`ControlDb::prepare`], unless
-    /// [`SPARE_PKTS`] are already kept.
-    fn keep_spare(&mut self, pkt: Pkt) {
-        if self.spare.len() < SPARE_PKTS {
-            self.spare.push(pkt);
-        }
-    }
-
-    /// Send-side bookkeeping for one control packet leaving `node` on
-    /// `iface`: counters and per-link bytes.
-    fn count_send(&mut self, node: usize, iface: usize, proto: usize, pkt: &Packet) {
-        self.stats.pkts_by_proto[proto] += 1;
-        self.stats.pkts_sent += 1;
-        self.stats.bytes_sent += pkt.wire_len() as u64;
-        if let Some((_, _, link)) = self.topo.neighbors(node).nth(iface) {
-            self.ctrl_bytes_by_link[link] += pkt.wire_len() as u64;
-        }
-        #[cfg(test)]
-        {
-            let src = pkt.outer_ipv4().map_or(Ip(0), |h| h.src);
-            self.sent.push((node, src, CtrlMsg::decode(&pkt.meta)));
-        }
-    }
-
-    fn send_msg(&mut self, node: usize, iface: usize, msg: CtrlMsg, ctx: &mut Ctx) {
-        let pkt = self.prepare(node, iface, msg);
+        self.count_send(iface, msg.proto(), &pkt);
         ctx.send(IfaceId(iface), pkt);
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> CtrlStats {
-        self.stats.clone()
+    /// Send-side bookkeeping for one control packet leaving on `iface`:
+    /// counters and per-interface bytes.
+    fn count_send(&mut self, iface: usize, proto: usize, pkt: &Packet) {
+        self.stats.pkts_by_proto[proto] += 1;
+        self.stats.pkts_sent += 1;
+        self.stats.bytes_sent += pkt.wire_len() as u64;
+        self.bytes_by_iface[iface] += pkt.wire_len() as u64;
+        #[cfg(test)]
+        {
+            let src = pkt.outer_ipv4().map_or(Ip(0), |h| h.src);
+            self.sent.push((src, CtrlMsg::decode(&pkt.meta)));
+        }
     }
 
-    /// Convergence-latency histogram (propagation + processing, ns).
-    pub fn convergence(&self) -> &Histogram {
-        &self.convergence
+    /// Control bytes this router put on backbone link `link`.
+    pub(crate) fn bytes_on_link(&self, link: usize) -> u64 {
+        let mut links = self.cfg.topo.neighbors(self.node).map(|(_, _, l)| l);
+        links.position(|l| l == link).map_or(0, |iface| self.bytes_by_iface[iface])
     }
 
-    /// Control bytes offered on `link` since bring-up.
-    pub fn ctrl_bytes_on_link(&self, link: usize) -> u64 {
-        self.ctrl_bytes_by_link[link]
-    }
-
-    /// This node's current view of the SPF tree (parity/testing hook).
-    pub fn view_spf(&self, node: usize) -> &SpfTree {
-        &self.views[node].spf
-    }
-
-    /// This node's current FTN entry for a tunnel FEC (egress-PE ordinal).
-    pub fn view_ftn(&self, node: usize, fec: u32) -> Option<&FtnEntry> {
-        self.views[node].ftn.get(fec as usize)?.as_ref()
+    /// This router's current FTN entry for tunnel FEC `fec` (egress-PE
+    /// ordinal).
+    pub(crate) fn ftn(&self, fec: usize) -> Option<&FtnEntry> {
+        self.view.ftn.get(fec)?.as_ref()
     }
 }
 
@@ -857,14 +817,15 @@ mod tests {
     use crate::network::{BackboneBuilder, ProviderNetwork};
     use crate::router::PeRouter;
 
-    /// Asserts that every FTN at `node` is what repairing its FEC would
-    /// write, and that its reachability is the SPF tree's. `apply_lsa`
-    /// calls it after every LSA.
-    pub(super) fn check_ftns(db: &ControlDb, node: usize) {
-        for (f, &egress) in db.pes.iter().enumerate().filter(|&(_, &e)| e != node) {
-            let view = &db.views[node];
+    /// Asserts that every FTN at `c`'s router is what repairing its FEC
+    /// would write, and that its reachability is the SPF tree's.
+    /// `apply_lsa` calls it after every LSA.
+    pub(super) fn check_ftns(c: &NodeControl) {
+        let node = c.node;
+        for (f, &egress) in c.cfg.pes.iter().enumerate().filter(|&(_, &e)| e != node) {
+            let view = &c.view;
             let current = view.ftn[f].as_ref().map(|e| (e.out_iface, e.push.clone()));
-            let full = db.desired_ftn(node, f).map(|(iface, l)| (iface, push_stack(&l).to_vec()));
+            let full = c.desired_ftn(f).map(|(iface, l)| (iface, push_stack(&l).to_vec()));
             assert_eq!(current, full, "stale FTN for FEC {f} at node {node}");
             let reachable = view.spf.next_hop[egress].is_some();
             assert_eq!(view.fec_reachable[f], reachable, "stale reachability for FEC {f}");
@@ -880,18 +841,22 @@ mod tests {
     /// Every router's LFIB entries, then every PE's tunnel table.
     type Tables = (Vec<Vec<(u32, Nhlfe)>>, Vec<Vec<Option<FtnEntry>>>);
 
-    fn tables(pn: &mut ProviderNetwork) -> Tables {
-        let mut lfibs = Vec::new();
-        for u in 0..pn.topo.node_count() {
-            pn.with_lfib(u, |l| lfibs.push(l.iter().map(|(k, n)| (k, *n)).collect()));
-        }
-        let tunnels = (0..pn.pe_count())
-            .map(|k| {
-                let id = pn.pe_node(k);
-                pn.net.node_mut::<PeRouter>(id).tunnels.clone()
-            })
+    fn tables(pn: &ProviderNetwork) -> Tables {
+        let lfibs = (0..pn.topo.node_count())
+            .map(|u| pn.backbone(u).0.iter().map(|(k, n)| (k, *n)).collect())
             .collect();
-        (lfibs, tunnels)
+        let tunnels =
+            (0..pn.pe_count()).map(|k| pn.net.node_ref::<PeRouter>(pn.pe_node(k)).tunnels.clone());
+        (lfibs, tunnels.collect())
+    }
+
+    /// `repair_fec` calls so far, summed over every router.
+    fn fec_repairs(pn: &ProviderNetwork) -> u64 {
+        (0..pn.topo.node_count()).map(|u| pn.backbone(u).1.fec_repairs).sum()
+    }
+
+    fn stats(pn: &ProviderNetwork) -> CtrlStats {
+        pn.control_stats().expect("control counters")
     }
 
     #[test]
@@ -906,21 +871,16 @@ mod tests {
             topo.add_link(u, v, attrs(cost));
         }
         let mut pn = in_band(topo, vec![1, 2]);
-        let before = tables(&mut pn);
-        let (stats0, repairs0) = {
-            let db = pn.control.borrow();
-            (db.stats(), db.fec_repairs)
-        };
+        let before = tables(&pn);
+        let (stats0, repairs0) = (stats(&pn), fec_repairs(&pn));
         pn.fail_link(2);
         pn.run_to_quiescence();
-        let db = pn.control.borrow();
-        let stats = db.stats();
+        let stats = stats(&pn);
         assert_eq!(stats.spf_runs - stats0.spf_runs, 2, "nodes 1 and 3 rerun SPF");
         assert_eq!(stats.spf_skips - stats0.spf_skips, 2, "nodes 0 and 2 skip it");
         assert_eq!(stats.pkts_by_proto[PROTO_LDP], stats0.pkts_by_proto[PROTO_LDP]);
-        assert_eq!(db.fec_repairs, repairs0);
-        drop(db);
-        assert_eq!(tables(&mut pn), before);
+        assert_eq!(fec_repairs(&pn), repairs0);
+        assert_eq!(tables(&pn), before);
     }
 
     #[test]
@@ -957,7 +917,7 @@ mod tests {
         }
         pn.run_to_quiescence();
         // Every fresh LSA either reruns SPF or skips it, then is checked.
-        let stats = pn.control.borrow().stats();
+        let stats = stats(&pn);
         assert!(stats.spf_runs + stats.spf_skips > 500, "{stats:?}");
         assert!(stats.spf_runs > 100 && stats.spf_skips > 10, "{stats:?}");
     }
@@ -986,11 +946,15 @@ mod tests {
         let (rd, rt) = (pn.vpns[acme.0].rd, pn.vpns[acme.0].rt);
         pn.fabric.add_vrf(1, rd, vec![rt], vec![rt]);
         pn.run_to_quiescence();
-        // The (target PE, VRF) of each BGP message sent since log entry `from`.
+        // The (target PE, VRF) of each BGP message PE0 (node 1) sent since
+        // its log entry `from`.
+        fn log(pn: &ProviderNetwork) -> &[(Ip, CtrlMsg)] {
+            &pn.backbone(1).1.sent
+        }
         let sent = |pn: &ProviderNetwork, from: usize| -> Vec<(usize, usize)> {
-            pn.control.borrow().sent[from..]
+            log(pn)[from..]
                 .iter()
-                .filter_map(|&(_, _, msg)| match msg {
+                .filter_map(|&(_, msg)| match msg {
                     CtrlMsg::BgpUpdate { target, vrf_idx, .. }
                     | CtrlMsg::BgpWithdraw { target, vrf_idx, .. } => Some((target, vrf_idx)),
                     _ => None,
@@ -999,11 +963,11 @@ mod tests {
         };
         // (PE1, acme), (PE1, globex), (PE2, acme), (PE2, globex).
         let order = vec![(1, 1), (1, 0), (2, 1), (2, 0)];
-        let from = pn.control.borrow().sent.len();
+        let from = log(&pn).len();
         let site = pn.add_site(acme, 0, Prefix::new(Ip(0x0A30_0000), 24), None);
         assert_eq!(sent(&pn, from), order, "updates");
         pn.run_to_quiescence();
-        let from = pn.control.borrow().sent.len();
+        let from = log(&pn).len();
         pn.detach_site(site);
         assert_eq!(sent(&pn, from), order, "withdraws");
     }
@@ -1020,13 +984,11 @@ mod tests {
     }
 
     fn arb_msg() -> impl Strategy<Value = CtrlMsg> {
-        let seq = prop_oneof![Just(0), Just(u64::MAX), any::<u64>()];
+        let origin = prop_oneof![Just(0), Just(u64::MAX), any::<u64>()];
         let fec = || field().prop_map(|f| f as u32);
         prop_oneof![
-            (field(), any::<bool>(), seq).prop_map(|(link, down, seq)| CtrlMsg::Lsa {
-                link,
-                down,
-                seq
+            (field(), any::<bool>(), field(), origin).prop_map(|(link, down, seq, origin)| {
+                CtrlMsg::Lsa { link, down, seq: seq as u64, origin }
             }),
             (fec(), fec(), field()).prop_map(|(fec, label, from)| CtrlMsg::LdpMapping {
                 fec,
@@ -1083,32 +1045,37 @@ mod tests {
         let vpn = pn.new_vpn("acme");
         pn.add_site(vpn, 1, Prefix::new(Ip(0x0A01_0000), 16), None);
         pn.run_to_quiescence();
-        let (lfibs0, _) = tables(&mut pn);
-        let (stats0, from, links0) = {
-            let db = pn.control.borrow();
-            let links: Vec<u64> = (0..3).map(|l| db.ctrl_bytes_on_link(l)).collect();
-            (db.stats(), db.sent.len(), links)
+        let (lfibs0, _) = tables(&pn);
+        let links = |pn: &ProviderNetwork| -> Vec<u64> {
+            (0..3).map(|l| pn.control_bytes_on_link(l)).collect()
         };
+        let logs = |pn: &ProviderNetwork| -> Vec<usize> {
+            (0..4).map(|u| pn.backbone(u).1.sent.len()).collect()
+        };
+        let (stats0, from, links0) = (stats(&pn), logs(&pn), links(&pn));
         let prefix = Prefix::new(Ip(0x0A02_0000), 16);
         pn.add_site(vpn, 0, prefix, None);
         pn.run_to_quiescence();
 
-        let db = pn.control.borrow();
-        let hops: Vec<(usize, Ip)> = db.sent[from..].iter().map(|&(u, src, _)| (u, src)).collect();
+        // What each router sent since, by node id.
+        let sent: Vec<(usize, Ip, CtrlMsg)> = (0..4)
+            .flat_map(|u| pn.backbone(u).1.sent[from[u]..].iter().map(move |&(s, m)| (u, s, m)))
+            .collect();
+        let hops: Vec<(usize, Ip)> = sent.iter().map(|&(u, src, _)| (u, src)).collect();
         let origin = Ip(0xC0DE_0001);
-        assert_eq!(hops, [(1, origin), (0, origin), (3, origin)], "one packet, three senders");
-        assert!(db.sent[from..].iter().all(|&(_, _, m)| m == db.sent[from].2));
-        let stats = db.stats();
+        // PE0 (node 1), then P0 and P3; PE1 (node 2) sends nothing.
+        assert_eq!(hops, [(0, origin), (1, origin), (3, origin)], "one packet, three senders");
+        assert!(sent.iter().all(|&(_, _, m)| m == sent[0].2));
+        let stats = stats(&pn);
         assert_eq!(stats.bgp_originated - stats0.bgp_originated, 1);
         assert_eq!(stats.pkts_sent - stats0.pkts_sent, 3);
         assert_eq!(stats.pkts_terminated - stats0.pkts_terminated, 3);
         assert_eq!(stats.pkts_by_proto[PROTO_BGP] - stats0.pkts_by_proto[PROTO_BGP], 3);
         let wire = (stats.bytes_sent - stats0.bytes_sent) / 3;
-        for (l, before) in links0.into_iter().enumerate() {
-            assert_eq!(db.ctrl_bytes_on_link(l) - before, wire, "link {l}");
+        for (l, (after, before)) in links(&pn).into_iter().zip(links0).enumerate() {
+            assert_eq!(after - before, wire, "link {l}");
         }
-        drop(db);
-        let (lfibs, _) = tables(&mut pn);
+        let (lfibs, _) = tables(&pn);
         assert_eq!((&lfibs[0], &lfibs[3]), (&lfibs0[0], &lfibs0[3]), "P routers untouched");
         let rows = pn.vrf_digest(1, vpn);
         let row = rows.iter().find(|r| r.0 == prefix).expect("route installed at PE1");

@@ -75,7 +75,7 @@ impl ProviderNetwork {
             };
             let ftn = self.install_explicit_lsp(&path);
             let iface = self.topo.iface_toward(near, far);
-            self.with_lfib(near, |lfib| lfib.install_protection(iface, ftn));
+            self.backbone_mut(near).0.install_protection(iface, ftn);
             installed += 1;
         }
         installed
@@ -96,11 +96,8 @@ impl ProviderNetwork {
             let (u, v, _) = self.topo.link(link);
             for (near, far) in [(u, v), (v, u)] {
                 let iface = self.topo.iface_toward(near, far);
-                let mut active = false;
-                self.with_lfib(near, |l| {
-                    active = l.iface_down(iface) && l.protection(iface).is_some();
-                });
-                n += u64::from(active);
+                let l = self.backbone(near).0;
+                n += u64::from(l.iface_down(iface) && l.protection(iface).is_some());
             }
         }
         n
@@ -113,9 +110,7 @@ impl ProviderNetwork {
         let mut n = 0;
         for (near, far) in [(u, v), (v, u)] {
             let iface = self.topo.iface_toward(near, far);
-            let mut has = false;
-            self.with_lfib(near, |l| has = l.protection(iface).is_some());
-            n += u64::from(has);
+            n += u64::from(self.backbone(near).0.protection(iface).is_some());
         }
         n
     }

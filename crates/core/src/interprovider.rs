@@ -235,7 +235,7 @@ mod tests {
     use super::*;
     use netsim_net::addr::pfx;
     use netsim_routing::LinkAttrs;
-    use netsim_sim::{TraceLog, SEC};
+    use netsim_sim::SEC;
 
     fn line(n: usize) -> Topology {
         let mut t = Topology::new(n);
@@ -282,8 +282,7 @@ mod tests {
             1_000_000,
             Some(MarkingPolicy::enterprise_default()),
         );
-        let trace = TraceLog::new();
-        ip.net.set_trace(trace.clone());
+        ip.net.enable_trace();
         let sink_b = ip.attach_sink_b(pfx("10.2.0.0/16"));
         // Voice-port flow: the CE marks it EF, PE maps to EXP 5.
         let cfg =
@@ -292,6 +291,7 @@ mod tests {
         ip.net.run_until(SEC);
         assert_eq!(ip.net.node_ref::<Sink>(sink_b).total_packets, 3);
         // Every labeled hop recorded EXP 5 — in both domains.
+        let trace = ip.net.trace().expect("trace enabled");
         let labeled: Vec<_> = trace.flow(1).into_iter().filter(|r| r.exp.is_some()).collect();
         assert!(labeled.len() >= 3, "expected several labeled hops, got {}", labeled.len());
         assert!(

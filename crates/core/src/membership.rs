@@ -80,7 +80,8 @@ pub fn backbone_join_series(pe_count: usize, n_sites: usize, mode: ControlMode) 
     let pes: Vec<usize> = (0..pe_count).collect();
     let mut pn = BackboneBuilder::new(topo, pes).control_mode(mode).build();
     let vpn = pn.new_vpn("m1");
-    let cost_so_far = |pn: &crate::ProviderNetwork| pn.control.borrow().stats.bgp_originated;
+    let cost_so_far =
+        |pn: &crate::ProviderNetwork| pn.control_stats().map_or(0, |s| s.bgp_originated);
     let mut costs = Vec::with_capacity(n_sites);
     for i in 0..n_sites {
         let pe = i % pe_count;

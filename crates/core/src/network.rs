@@ -12,11 +12,13 @@
 //! 4. VPNs and sites are added through [`ProviderNetwork::new_vpn`] /
 //!    [`ProviderNetwork::add_site`]; the BGP/MPLS fabric selects the
 //!    routes and each change reaches the PE data planes as an MP-BGP
-//!    delta through the control database ([`crate::control`]).
+//!    delta through the PEs' control planes ([`crate::control`]).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 use netsim_mpls::ldp::{Fec, LdpConfig, LdpDomain};
+use netsim_mpls::Lfib;
 use netsim_net::{Ip, Packet, Prefix};
 use netsim_obs::FlightRecorder;
 use netsim_qos::sched::PriorityScheduler;
@@ -33,10 +35,7 @@ use netsim_sim::{
     Sink, SourceConfig,
 };
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use crate::control::{ControlDb, ControlHandle, ControlMode, CtrlMsg, CtrlStats};
+use crate::control::{ControlConfig, ControlMode, CtrlMsg, CtrlStats, NodeControl};
 use crate::router::{CeRouter, CoreRouter, PeRouter, VrfRoute};
 
 /// Handle to a VPN created on a provider network.
@@ -235,12 +234,7 @@ impl BackboneBuilder {
 
     /// Runs the control planes and materializes the simulated network.
     pub fn build(self) -> ProviderNetwork {
-        let igp = Igp::converge(&self.topo);
-        let adjacency = self.topo.adjacency_lists();
-        let fecs: Vec<(Fec, usize)> =
-            self.pes.iter().enumerate().map(|(k, &pe)| (Fec(k as u32), pe)).collect();
-        let nh = |u: usize, v: usize| igp.next_hop(u, v);
-        let mut ldp = LdpDomain::run(&adjacency, &fecs, &nh, LdpConfig { php: self.php });
+        let (igp, mut ldp) = converge(&self.topo, &self.pes, self.php, &HashSet::new());
 
         let mut net = Network::new();
         // Observability is always on: one flight recorder in the engine,
@@ -249,12 +243,24 @@ impl BackboneBuilder {
         let mut node_ids = Vec::with_capacity(self.topo.node_count());
         let pe_ordinal: HashMap<usize, usize> =
             self.pes.iter().enumerate().map(|(k, &pe)| (pe, k)).collect();
+        // Every backbone router owns its control plane in either mode,
+        // seeded from the converged bring-up state.
+        let cfg = Rc::new(ControlConfig {
+            topo: self.topo.clone(),
+            pes: self.pes.clone(),
+            in_band: self.control_mode == ControlMode::InBand,
+        });
         for u in 0..self.topo.node_count() {
+            let control = Some(Box::new(NodeControl::new(Rc::clone(&cfg), u, &igp, &ldp)));
             let lfib = std::mem::take(&mut ldp.nodes[u].lfib);
             let id = if let Some(&k) = pe_ordinal.get(&u) {
-                net.add_node(Box::new(PeRouter::new(format!("PE{k}"), lfib, self.topo.degree(u))))
+                let mut pe = PeRouter::new(format!("PE{k}"), lfib, self.topo.degree(u));
+                pe.control = control;
+                net.add_node(Box::new(pe))
             } else {
-                net.add_node(Box::new(CoreRouter::new(format!("P{u}"), lfib)))
+                let mut p = CoreRouter::new(format!("P{u}"), lfib);
+                p.control = control;
+                net.add_node(Box::new(p))
             };
             node_ids.push(id);
         }
@@ -269,19 +275,7 @@ impl BackboneBuilder {
         }
 
         let fabric = BgpVpnFabric::new(self.pes.len(), self.distribution);
-        // One control database in either mode, seeded from the converged
-        // bring-up state. Only in-band routers hold a handle: under the
-        // oracle, routing changes only at `reconverge()`.
-        let control = Rc::new(RefCell::new(ControlDb::new(&self.topo, &self.pes, &igp, &ldp)));
-        if self.control_mode == ControlMode::InBand {
-            for (u, &nid) in node_ids.iter().enumerate() {
-                if pe_ordinal.contains_key(&u) {
-                    net.node_mut::<PeRouter>(nid).set_control(control.clone(), u);
-                } else {
-                    net.node_mut::<CoreRouter>(nid).set_control(control.clone(), u);
-                }
-            }
-        }
+        let links = self.topo.link_count();
         let mut pn = ProviderNetwork {
             net,
             topo: self.topo,
@@ -297,13 +291,13 @@ impl BackboneBuilder {
             access_rate_bps: self.access_rate_bps,
             access_delay_ns: self.access_delay_ns,
             php: self.php,
-            failed_links: std::collections::HashSet::new(),
+            failed_links: HashSet::new(),
+            link_seq: vec![0; links],
             detect_ns: self.detect_ns,
             core_qos: self.core_qos,
             extranets: Vec::new(),
             ef_contracts: Vec::new(),
             probes: Vec::new(),
-            control,
             control_mode: self.control_mode,
         };
         pn.seed_tunnel_tables();
@@ -326,8 +320,7 @@ pub struct ProviderNetwork {
     pub igp: Igp,
     /// LDP domain from bring-up or the last [`ProviderNetwork::reconverge`]
     /// (label spaces and message counts). Its LFIBs have moved into the
-    /// routers, and the live FTNs are the control database's per-node
-    /// views.
+    /// routers, and the live FTNs are the routers' own views.
     pub ldp: LdpDomain,
     /// The BGP/MPLS VPN route fabric.
     pub fabric: BgpVpnFabric,
@@ -342,13 +335,15 @@ pub struct ProviderNetwork {
     access_rate_bps: u64,
     access_delay_ns: Nanos,
     php: bool,
-    failed_links: std::collections::HashSet<usize>,
+    failed_links: HashSet<usize>,
+    /// Per-link event sequence, bumped once per fail/repair and written
+    /// into both endpoint routers, so both originate the same LSA.
+    link_seq: Vec<u64>,
     pub(crate) detect_ns: Nanos,
     pub(crate) core_qos: CoreQos,
     pub(crate) extranets: Vec<(VpnId, VpnId)>,
     pub(crate) ef_contracts: Vec<netsim_verify::EfContract>,
     pub(crate) probes: Vec<crate::obs::ProbeSpec>,
-    pub(crate) control: ControlHandle,
     control_mode: ControlMode,
 }
 
@@ -522,18 +517,18 @@ impl ProviderNetwork {
     /// undeliverable when there is none); under the oracle, it is applied
     /// at the target PE at once.
     fn send_bgp(&mut self, origin_pe: usize, msg: CtrlMsg) {
+        let origin = self.pes[origin_pe];
         match self.control_mode {
             ControlMode::InBand => {
-                let origin = self.pes[origin_pe];
-                let prepared = self.control.borrow_mut().prepare_bgp_from(origin, msg);
-                if let Some((iface, pkt)) = prepared {
-                    self.net.inject(self.node_ids[origin], iface, pkt);
-                }
+                self.net.with_node(self.node_ids[origin], |pe: &mut PeRouter, ctx| {
+                    control_plane(&mut pe.control).originate_bgp(msg, ctx);
+                });
             }
             ControlMode::Oracle => {
+                self.backbone_mut(origin).1.stats.bgp_originated += 1;
                 let Some(target) = msg.bgp_target() else { return };
-                let vrfs = &mut self.net.node_mut::<PeRouter>(self.pe_node(target)).vrfs;
-                self.control.borrow_mut().apply_bgp_now(vrfs, msg);
+                let pe = self.net.node_mut::<PeRouter>(self.pe_node(target));
+                control_plane(&mut pe.control).apply_bgp(&mut pe.vrfs, msg);
             }
         }
     }
@@ -546,11 +541,10 @@ impl ProviderNetwork {
     /// Installs routes into VRF `vrf_idx` of PE `pe` over the PE's current
     /// tunnels: a local step at the one PE that owns the VRF.
     fn install_routes(&mut self, pe: usize, vrf_idx: usize, routes: &[(Prefix, RemoteRoute)]) {
-        let node = self.pes[pe];
-        let vrf = &mut self.net.node_mut::<PeRouter>(self.node_ids[node]).vrfs[vrf_idx];
-        let mut db = self.control.borrow_mut();
+        let per = self.net.node_mut::<PeRouter>(self.pe_node(pe));
+        let (control, vrf) = (control_plane(&mut per.control), &mut per.vrfs[vrf_idx]);
         for &(prefix, r) in routes {
-            db.install_route(node, vrf, prefix, r.egress_pe, r.vpn_label);
+            control.install_route(vrf, prefix, r.egress_pe, r.vpn_label);
         }
     }
 
@@ -571,12 +565,12 @@ impl ProviderNetwork {
     /// VPN routes resolve their LSPs. Where the view has no LSP the stale
     /// entry stays, so traffic degrades in place as it does in-band.
     fn seed_tunnel_tables(&mut self) {
-        let db = self.control.borrow();
-        for &u in &self.pes {
-            let tunnels = &mut self.net.node_mut::<PeRouter>(self.node_ids[u]).tunnels;
-            tunnels.resize(self.pes.len(), None);
-            for (f, slot) in tunnels.iter_mut().enumerate() {
-                if let Some(ftn) = db.view_ftn(u, f as u32) {
+        for k in 0..self.pes.len() {
+            let pe = self.net.node_mut::<PeRouter>(self.pe_node(k));
+            let control = control_plane(&mut pe.control);
+            pe.tunnels.resize(self.pes.len(), None);
+            for (f, slot) in pe.tunnels.iter_mut().enumerate() {
+                if let Some(ftn) = control.ftn(f) {
                     *slot = Some(ftn.clone());
                 }
             }
@@ -755,7 +749,7 @@ impl ProviderNetwork {
                     Some(o) => LabelOp::Swap(o),
                     None => LabelOp::Pop,
                 };
-                self.with_lfib(u, |lfib| lfib.install(inl, Nhlfe { op, out_iface }));
+                self.backbone_mut(u).0.install(inl, Nhlfe { op, out_iface });
             }
         }
         netsim_mpls::FtnEntry {
@@ -764,13 +758,35 @@ impl ProviderNetwork {
         }
     }
 
-    pub(crate) fn with_lfib(&mut self, topo_node: usize, f: impl FnOnce(&mut netsim_mpls::Lfib)) {
-        let id = self.node_ids[topo_node];
-        if self.pes.contains(&topo_node) {
-            f(&mut self.net.node_mut::<PeRouter>(id).lfib);
+    /// Backbone node `u`'s LFIB and control plane, PE or P alike.
+    pub(crate) fn backbone(&self, u: usize) -> (&Lfib, &NodeControl) {
+        let id = self.node_ids[u];
+        let (lfib, control) = if self.pes.contains(&u) {
+            let r = self.net.node_ref::<PeRouter>(id);
+            (&r.lfib, &r.control)
         } else {
-            f(&mut self.net.node_mut::<CoreRouter>(id).lfib);
-        }
+            let r = self.net.node_ref::<CoreRouter>(id);
+            (&r.lfib, &r.control)
+        };
+        (lfib, control.as_deref().expect("backbone routers own a control plane"))
+    }
+
+    /// Mutable [`ProviderNetwork::backbone`].
+    pub(crate) fn backbone_mut(&mut self, u: usize) -> (&mut Lfib, &mut NodeControl) {
+        let id = self.node_ids[u];
+        let (lfib, control) = if self.pes.contains(&u) {
+            let r = self.net.node_mut::<PeRouter>(id);
+            (&mut r.lfib, &mut r.control)
+        } else {
+            let r = self.net.node_mut::<CoreRouter>(id);
+            (&mut r.lfib, &mut r.control)
+        };
+        (lfib, control_plane(control))
+    }
+
+    /// Every backbone router's control plane, in topology order.
+    fn controls(&self) -> impl Iterator<Item = &NodeControl> {
+        (0..self.topo.node_count()).map(|u| self.backbone(u).1)
     }
 
     // -- RT policy deltas ---------------------------------------------------
@@ -810,43 +826,45 @@ impl ProviderNetwork {
         self.control_mode
     }
 
-    /// Control-plane counters. Always `Some`: both modes share one control
-    /// database; under the oracle the packet and byte counters stay 0.
+    /// Control-plane counters, summed over every backbone router. Always
+    /// `Some`: every router owns its control plane in both modes; under
+    /// the oracle the packet and byte counters stay 0.
     pub fn control_stats(&self) -> Option<CtrlStats> {
-        Some(self.control.borrow().stats())
+        let mut sum = CtrlStats::default();
+        for c in self.controls() {
+            sum += &c.stats;
+        }
+        Some(sum)
     }
 
     /// Route installs skipped for lack of an LSP toward the egress.
     pub fn no_lsp_to_egress(&self) -> u64 {
-        self.control.borrow().stats.no_lsp_to_egress
+        self.controls().map(|c| c.stats.no_lsp_to_egress).sum()
     }
 
     /// Convergence-latency quantiles (p50, p99, max) in ns of in-band LSA
-    /// application — the propagation + processing component of an outage
-    /// window. `None` in Oracle mode or before any link event.
+    /// application at every router — the propagation + processing
+    /// component of an outage window. `None` in Oracle mode or before any
+    /// link event.
     pub fn control_convergence_ns(&self) -> Option<(u64, u64, u64)> {
-        let db = self.control.borrow();
-        if db.convergence().count() == 0 {
-            return None;
+        let mut h = netsim_obs::Histogram::new();
+        for c in self.controls() {
+            h.merge(&c.convergence);
         }
-        Some((
-            db.convergence().quantile(0.5),
-            db.convergence().quantile(0.99),
-            db.convergence().max(),
-        ))
+        (h.count() > 0).then(|| (h.quantile(0.5), h.quantile(0.99), h.max()))
     }
 
     /// Control bytes offered on backbone link `l` (both directions) since
     /// bring-up. Always 0 in Oracle mode.
     pub fn control_bytes_on_link(&self, l: usize) -> u64 {
-        self.control.borrow().ctrl_bytes_on_link(l)
+        let (a, b, _) = self.topo.link(l);
+        self.backbone(a).1.bytes_on_link(l) + self.backbone(b).1.bytes_on_link(l)
     }
 
-    /// The SPF tree node `u` currently forwards on: its own view in the
-    /// control database (under the oracle, the tree of the last global
-    /// recomputation).
+    /// The SPF tree node `u` currently forwards on: its own view (under
+    /// the oracle, the tree of the last global recomputation).
     pub fn effective_spf(&self, u: usize) -> netsim_routing::SpfTree {
-        self.control.borrow().view_spf(u).clone()
+        self.backbone(u).1.view.spf.clone()
     }
 
     /// The LDP tunnel PE ordinal `ingress`'s control-plane view holds
@@ -854,7 +872,7 @@ impl ProviderNetwork {
     /// LDP-following VPN route at `ingress` toward `egress` resolves
     /// through the PE's tunnel-table entry, which must equal this.
     pub fn view_tunnel(&self, ingress: usize, egress: usize) -> Option<netsim_mpls::FtnEntry> {
-        self.control.borrow().view_ftn(self.pes[ingress], egress as u32).cloned()
+        self.backbone(self.pes[ingress]).1.ftn(egress).cloned()
     }
 
     /// Walks the LSP from PE ordinal `ingress` to PE ordinal `egress`
@@ -863,17 +881,16 @@ impl ProviderNetwork {
     /// mode-parity suite: label *values* may differ between modes (the
     /// oracle reallocates on reconvergence, in-band retains), but the
     /// forwarding path must not.
-    pub fn lsp_path(&mut self, ingress: usize, egress: usize) -> Option<Vec<usize>> {
+    pub fn lsp_path(&self, ingress: usize, egress: usize) -> Option<Vec<usize>> {
         let start = self.pes[ingress];
-        let ftn = self.control.borrow().view_ftn(start, egress as u32).cloned()?;
-        let want = self.pes[egress];
-        self.walk_tunnel(start, &ftn, want)
+        let ftn = self.backbone(start).1.ftn(egress)?;
+        self.walk_tunnel(start, ftn, self.pes[egress])
     }
 
     /// Follows a tunnel FTN from `start` through the live LFIBs until it
     /// unwinds at `want` (or breaks). Dead links break the walk.
     fn walk_tunnel(
-        &mut self,
+        &self,
         start: usize,
         ftn: &netsim_mpls::FtnEntry,
         want: usize,
@@ -894,9 +911,7 @@ impl ProviderNetwork {
                 // PHP already exposed the payload: we must have arrived.
                 return (at == want).then_some(path);
             };
-            let mut nhlfe = None;
-            self.with_lfib(at, |l| nhlfe = l.lookup(top).copied());
-            let nhlfe = nhlfe?;
+            let nhlfe = *self.backbone(at).0.lookup(top)?;
             match nhlfe.op {
                 LabelOp::Pop => {
                     stack.pop();
@@ -924,19 +939,17 @@ impl ProviderNetwork {
     /// component: the oracle reallocates them on reconvergence while
     /// in-band retention keeps them, but both must forward over the same
     /// nodes.
-    pub fn vrf_digest(&mut self, pe: usize, vpn: VpnId) -> Vec<VrfDigestRow> {
+    pub fn vrf_digest(&self, pe: usize, vpn: VpnId) -> Vec<VrfDigestRow> {
         let (_h, vrf_idx) = self.vrf_handles[&(pe, vpn)];
-        let per = self.net.node_ref::<PeRouter>(self.node_ids[self.pes[pe]]);
-        let tunnels = per.tunnels.clone();
-        let rows: Vec<(Prefix, VrfRoute)> =
-            per.vrfs[vrf_idx].fib.iter().map(|(p, r)| (p, r.clone())).collect();
+        let per = self.net.node_ref::<PeRouter>(self.pe_node(pe));
         let start = self.pes[pe];
-        let mut out: Vec<_> = rows
-            .into_iter()
-            .map(|(p, r)| match r {
+        let mut out: Vec<_> = per.vrfs[vrf_idx]
+            .fib
+            .iter()
+            .map(|(p, r)| match *r {
                 VrfRoute::Local { .. } => (p, None),
                 VrfRoute::Remote { egress_pe, vpn_label, .. } => {
-                    let path = PeRouter::resolve_tunnel(&tunnels, &r)
+                    let path = PeRouter::resolve_tunnel(&per.tunnels, r)
                         .and_then(|t| self.walk_tunnel(start, t, self.pes[egress_pe]));
                     (p, Some((egress_pe, vpn_label, path)))
                 }
@@ -982,12 +995,15 @@ impl ProviderNetwork {
     }
 
     /// In-band bookkeeping for a physical link event: bumps the link's LSA
-    /// sequence and opens the convergence episode whose clock starts when
-    /// detection fires (so the histogram measures propagation +
-    /// processing, not the detection delay itself).
+    /// sequence and hands it to both endpoint routers with the instant
+    /// their detection fires, where their LSA's convergence clock starts.
     fn note_control_event(&mut self, topo_link: usize) {
-        let at = self.net.now() + self.detect_ns;
-        self.control.borrow_mut().note_link_event(topo_link, at);
+        self.link_seq[topo_link] += 1;
+        let (seq, at) = (self.link_seq[topo_link], self.net.now() + self.detect_ns);
+        let (a, b, _) = self.topo.link(topo_link);
+        for u in [a, b] {
+            self.backbone_mut(u).1.note_link_event(topo_link, seq, at);
+        }
     }
 
     /// Fails every backbone link incident to `topo_node` — a node (power
@@ -1045,31 +1061,24 @@ impl ProviderNetwork {
     /// *not* re-signalled (RSVP-TE state would need its own refresh); pins
     /// should be re-applied by the caller if still desired.
     pub fn reconverge(&mut self) -> ControlSummary {
-        let failed = self.failed_links.clone();
-        let usable = move |l: usize| !failed.contains(&l);
-        self.igp = Igp::converge_filtered(&self.topo, &usable);
-        let adjacency = self.topo.adjacency_lists();
-        let fecs: Vec<(Fec, usize)> =
-            self.pes.iter().enumerate().map(|(k, &pe)| (Fec(k as u32), pe)).collect();
-        let mut ldp = {
-            let igp = &self.igp;
-            let nh = |u: usize, v: usize| igp.next_hop(u, v);
-            LdpDomain::run(&adjacency, &fecs, &nh, LdpConfig { php: self.php })
-        };
+        let down = &self.failed_links;
+        let (igp, mut ldp) = converge(&self.topo, &self.pes, self.php, down);
+        let links: Vec<(u64, bool)> =
+            self.link_seq.iter().enumerate().map(|(l, &seq)| (seq, down.contains(&l))).collect();
         for u in 0..self.topo.node_count() {
             let lfib = std::mem::take(&mut ldp.nodes[u].lfib);
-            self.with_lfib(u, move |l| {
-                // Replacing the table must not erase the router's
-                // forwarding history: carry the counters into the new LFIB.
-                lfib.stats().merge(l.stats());
-                *l = lfib;
-            });
+            // The reference recompute re-seeds the router's view. Replacing
+            // the LFIB must not erase its forwarding history: carry the
+            // counters into the new table.
+            let (l, control) = self.backbone_mut(u);
+            lfib.stats().merge(l.stats());
+            *l = lfib;
+            control.reseed(&igp, &ldp, &links);
         }
+        self.igp = igp;
         self.ldp = ldp;
-        // The reference recompute re-seeds every router's view and every
-        // PE's tunnel table, then re-installs every VRF route as
-        // LDP-following.
-        self.control.borrow_mut().rebuild(&self.igp, &self.ldp, &self.failed_links);
+        // Then every PE's tunnel table follows its view, and every VRF
+        // route is re-installed as LDP-following.
         self.seed_tunnel_tables();
         self.sync_remote_routes();
         ControlSummary {
@@ -1138,6 +1147,23 @@ impl ProviderNetwork {
             bgp_sessions: self.fabric.session_count(),
         }
     }
+}
+
+/// The global IGP/LDP computation over the links of `topo` not in
+/// `down`: SPF from every node, then one LDP tunnel FEC per PE along
+/// those next hops.
+fn converge(topo: &Topology, pes: &[usize], php: bool, down: &HashSet<usize>) -> (Igp, LdpDomain) {
+    let igp = Igp::converge_filtered(topo, &|l| !down.contains(&l));
+    let fecs: Vec<(Fec, usize)> =
+        pes.iter().enumerate().map(|(k, &pe)| (Fec(k as u32), pe)).collect();
+    let nh = |u: usize, v: usize| igp.next_hop(u, v);
+    let ldp = LdpDomain::run(&topo.adjacency_lists(), &fecs, &nh, LdpConfig { php });
+    (igp, ldp)
+}
+
+/// A backbone router's control plane (the builder gives each one).
+fn control_plane(control: &mut Option<Box<NodeControl>>) -> &mut NodeControl {
+    control.as_deref_mut().expect("backbone routers own a control plane")
 }
 
 /// Aggregated control-plane costs of a provider network.

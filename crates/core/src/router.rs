@@ -19,7 +19,7 @@ use netsim_obs::DropCause;
 use netsim_qos::{Color, ExpMap, MarkingPolicy, SrTcm};
 use netsim_sim::{Ctx, FxHashMap, IfaceId, Node};
 
-use crate::control::{ControlHandle, NodeTables, CTRL_FLOW_BASE};
+use crate::control::{NodeControl, NodeTables, CTRL_FLOW_BASE};
 
 /// Timer-token namespace for BFD-style interface state changes delivered
 /// to routers: the high bit marks the namespace, bit 0 carries down/up,
@@ -67,11 +67,9 @@ pub struct CoreRouter {
     pub fib: LpmTrie<usize>,
     /// Forwarding counters.
     pub counters: RouterCounters,
-    /// The control database, attached only under `ControlMode::InBand`.
-    control: Option<ControlHandle>,
-    /// This router's backbone topology node id (only meaningful when
-    /// `control` is set).
-    topo_id: usize,
+    /// This router's control plane, in a provider network's backbone
+    /// (boxed: the forwarding fields stay together).
+    pub(crate) control: Option<Box<NodeControl>>,
 }
 
 impl CoreRouter {
@@ -83,15 +81,14 @@ impl CoreRouter {
             fib: LpmTrie::new(),
             counters: RouterCounters::default(),
             control: None,
-            topo_id: usize::MAX,
         }
     }
 
-    /// Attaches the shared in-band control database. `topo_id` is this
-    /// router's node id in the backbone topology.
-    pub(crate) fn set_control(&mut self, db: ControlHandle, topo_id: usize) {
-        self.control = Some(db);
-        self.topo_id = topo_id;
+    /// The control plane, when it runs in-band (only then do control
+    /// packets and detection events reach it), and the tables it writes.
+    fn in_band(&mut self) -> Option<(&mut NodeControl, NodeTables<'_>)> {
+        let control = self.control.as_deref_mut().filter(|c| c.cfg.in_band)?;
+        Some((control, NodeTables { lfib: &mut self.lfib, vrfs: None, tunnels: None }))
     }
 
     fn forward_ip(&mut self, mut pkt: Pkt, ctx: &mut Ctx) {
@@ -114,10 +111,8 @@ impl CoreRouter {
 impl Node for CoreRouter {
     fn on_packet(&mut self, iface: IfaceId, mut pkt: Pkt, ctx: &mut Ctx) {
         if pkt.meta.flow >= CTRL_FLOW_BASE {
-            if let Some(db) = &self.control {
-                let mut tables = NodeTables { lfib: &mut self.lfib, vrfs: None, tunnels: None };
-                db.borrow_mut().on_control_packet(self.topo_id, iface.0, pkt, &mut tables, ctx);
-                return;
+            if let Some((control, mut tables)) = self.in_band() {
+                return control.on_control_packet(iface.0, pkt, &mut tables, ctx);
             }
         }
         if pkt.top_label().is_none() {
@@ -146,9 +141,8 @@ impl Node for CoreRouter {
         // protection state at detection time, not at failure time.
         if let Some((iface, down)) = decode_iface_token(token) {
             self.lfib.set_iface_down(iface, down);
-            if let Some(db) = &self.control {
-                let mut tables = NodeTables { lfib: &mut self.lfib, vrfs: None, tunnels: None };
-                db.borrow_mut().on_link_event(self.topo_id, iface, down, &mut tables, ctx);
+            if let Some((control, mut tables)) = self.in_band() {
+                control.on_link_event(iface, down, &mut tables, ctx);
             }
         }
     }
@@ -277,11 +271,9 @@ pub struct PeRouter {
     pub policers: FxHashMap<usize, SrTcm>,
     /// Forwarding counters.
     pub counters: RouterCounters,
-    /// The control database, attached only under `ControlMode::InBand`.
-    control: Option<ControlHandle>,
-    /// This router's backbone topology node id (only meaningful when
-    /// `control` is set).
-    topo_id: usize,
+    /// This router's control plane, in a provider network's backbone
+    /// (boxed: the forwarding fields stay together).
+    pub(crate) control: Option<Box<NodeControl>>,
 }
 
 impl PeRouter {
@@ -299,15 +291,7 @@ impl PeRouter {
             policers: FxHashMap::default(),
             counters: RouterCounters::default(),
             control: None,
-            topo_id: usize::MAX,
         }
-    }
-
-    /// Attaches the shared in-band control database. `topo_id` is this
-    /// router's node id in the backbone topology.
-    pub(crate) fn set_control(&mut self, db: ControlHandle, topo_id: usize) {
-        self.control = Some(db);
-        self.topo_id = topo_id;
     }
 
     /// Adds a VRF, returning its index.
@@ -362,6 +346,13 @@ impl PeRouter {
             VrfRoute::Remote { tunnel: Some(t), .. } => Some(t),
             VrfRoute::Remote { egress_pe, tunnel: None, .. } => tunnels.get(*egress_pe)?.as_ref(),
         }
+    }
+
+    /// The control plane, when it runs in-band, and the tables it writes.
+    fn in_band(&mut self) -> Option<(&mut NodeControl, NodeTables<'_>)> {
+        let control = self.control.as_deref_mut().filter(|c| c.cfg.in_band)?;
+        let (lfib, vrfs, tunnels) = (&mut self.lfib, Some(&mut self.vrfs), Some(&mut self.tunnels));
+        Some((control, NodeTables { lfib, vrfs, tunnels }))
     }
 
     fn police(&mut self, iface: usize, pkt: &mut Packet, now: u64) -> bool {
@@ -498,14 +489,8 @@ impl PeRouter {
 impl Node for PeRouter {
     fn on_packet(&mut self, iface: IfaceId, pkt: Pkt, ctx: &mut Ctx) {
         if pkt.meta.flow >= CTRL_FLOW_BASE {
-            if let Some(db) = &self.control {
-                let mut tables = NodeTables {
-                    lfib: &mut self.lfib,
-                    vrfs: Some(&mut self.vrfs),
-                    tunnels: Some(&mut self.tunnels),
-                };
-                db.borrow_mut().on_control_packet(self.topo_id, iface.0, pkt, &mut tables, ctx);
-                return;
+            if let Some((control, mut tables)) = self.in_band() {
+                return control.on_control_packet(iface.0, pkt, &mut tables, ctx);
             }
         }
         match self.iface_roles.get(iface.0).copied() {
@@ -520,13 +505,8 @@ impl Node for PeRouter {
         // protection state at detection time, not at failure time.
         if let Some((iface, down)) = decode_iface_token(token) {
             self.lfib.set_iface_down(iface, down);
-            if let Some(db) = &self.control {
-                let mut tables = NodeTables {
-                    lfib: &mut self.lfib,
-                    vrfs: Some(&mut self.vrfs),
-                    tunnels: Some(&mut self.tunnels),
-                };
-                db.borrow_mut().on_link_event(self.topo_id, iface, down, &mut tables, ctx);
+            if let Some((control, mut tables)) = self.in_band() {
+                control.on_link_event(iface, down, &mut tables, ctx);
             }
         }
     }

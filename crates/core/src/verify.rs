@@ -27,7 +27,7 @@ use netsim_verify::{
 };
 
 use crate::network::{CoreQos, ProviderNetwork, VpnId};
-use crate::router::{CoreRouter, PeRouter, VrfRoute};
+use crate::router::{PeRouter, VrfRoute};
 
 /// Fraction of a backbone link's capacity the EF aggregate may commit
 /// to: the paper's premium class stays low-delay only while it is
@@ -69,7 +69,7 @@ impl ProviderNetwork {
 
     /// Builds the label-plane model: per-router ILMs straight out of
     /// the simulated routers, plus one stack walk per live FTN (each
-    /// router's control-database view) and per remote VRF route over the
+    /// router's own control-plane view) and per remote VRF route over the
     /// tunnel it resolves to. A remote route that resolves to no tunnel
     /// cannot be walked; it is reported as a `V-LBL-003` black hole.
     fn extract_label_plane(&self, report: &mut VerifyReport) -> LabelPlane {
@@ -78,23 +78,22 @@ impl ProviderNetwork {
         for u in 0..n {
             let neighbors: Vec<Option<usize>> =
                 self.topo.neighbors(u).map(|(v, _, _)| Some(v)).collect();
-            let (name, ilm, local_labels) = if let Some(k) = self.pe_ordinal(u) {
+            let (name, local_labels) = if let Some(k) = self.pe_ordinal(u) {
                 let pe = self.net.node_ref::<PeRouter>(self.node_ids[u]);
                 let mut locals: Vec<u32> = pe.vpn_ilm.keys().copied().collect();
                 locals.sort_unstable();
-                (format!("PE{k}"), pe.lfib.iter().map(|(l, e)| (l, *e)).collect(), locals)
+                (format!("PE{k}"), locals)
             } else {
-                let p = self.net.node_ref::<CoreRouter>(self.node_ids[u]);
-                (format!("P{u}"), p.lfib.iter().map(|(l, e)| (l, *e)).collect(), Vec::new())
+                (format!("P{u}"), Vec::new())
             };
+            let ilm = self.backbone(u).0.iter().map(|(l, e)| (l, *e)).collect();
             nodes.push(LabelNode { name, neighbors, ilm, local_labels });
         }
 
         let mut walks = Vec::new();
-        let db = self.control.borrow();
         for (u, lnode) in nodes.iter().enumerate() {
             for (f, &egress) in self.pes.iter().enumerate().filter(|&(_, &e)| e != u) {
-                let Some(ftn) = db.view_ftn(u, f as u32) else { continue };
+                let Some(ftn) = self.backbone(u).1.ftn(f) else { continue };
                 walks.push(StackWalk {
                     origin: u,
                     fec: format!("{} Fec({f})", lnode.name),

@@ -8,18 +8,18 @@
 //! the LPM trie.
 
 use netsim_net::{Layer, MplsLabel, Packet};
-use std::cell::Cell;
 
 /// Forwarding-plane counters of one LFIB.
 ///
 /// Interior-mutable (`Cell`) so [`Lfib::forward`] keeps its `&self` hot-path
 /// signature: counting must not force exclusive borrows onto every caller.
+#[allow(clippy::disallowed_types)] // perfbench's ledger `replay` forwards through `&Lfib`
 #[derive(Clone, Debug, Default)]
 pub struct LfibStats {
-    swaps: Cell<u64>,
-    pops: Cell<u64>,
-    pushes: Cell<u64>,
-    bypass_activations: Cell<u64>,
+    swaps: std::cell::Cell<u64>,
+    pops: std::cell::Cell<u64>,
+    pushes: std::cell::Cell<u64>,
+    bypass_activations: std::cell::Cell<u64>,
 }
 
 impl LfibStats {

@@ -1,6 +1,5 @@
 //! The drop-cause flight recorder.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
@@ -73,9 +72,10 @@ impl Inner {
 /// comes from the same ledger as the per-cause and per-flow totals.
 /// The ring keeps only the most recent `cap` records; the per-cause,
 /// per-flow and per-node totals are exact forever.
+#[allow(clippy::disallowed_types)] // perfbench's ledger `replay` records through `&self`
 #[derive(Clone)]
 pub struct FlightRecorder {
-    inner: Rc<RefCell<Inner>>,
+    inner: Rc<std::cell::RefCell<Inner>>,
 }
 
 impl std::fmt::Debug for FlightRecorder {
@@ -97,9 +97,10 @@ impl Default for FlightRecorder {
 
 impl FlightRecorder {
     /// Creates a recorder keeping the most recent `cap` drop records.
+    #[allow(clippy::disallowed_types)] // see the struct
     pub fn new(cap: usize) -> Self {
         FlightRecorder {
-            inner: Rc::new(RefCell::new(Inner {
+            inner: Rc::new(std::cell::RefCell::new(Inner {
                 cap: cap.max(1),
                 ring: VecDeque::with_capacity(cap.max(1)),
                 totals: [0; DropCause::COUNT],

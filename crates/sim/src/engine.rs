@@ -130,18 +130,20 @@ pub struct Network {
     now: Nanos,
     seq: u64,
     events_processed: u64,
-    /// Reusable [`Action`] buffer handed to each dispatched [`Ctx`], so node
-    /// handlers don't allocate per event.
-    scratch: Vec<Action>,
+    /// The handler context every dispatch lends its node. Its action
+    /// buffer and spare packet boxes keep their capacity across events, so
+    /// handlers don't allocate per event, and every node shares one spare
+    /// stack.
+    ctx: Ctx,
     /// Optional drop-cause flight recorder. When attached, every packet the
     /// link layer discards (egress refusal, AQM, purge on failure) lands
     /// here with its cause, and so does every packet a node handler passes
     /// to [`Ctx::discard`] or [`Ctx::absorb`], attributed to that node;
     /// `None` keeps the hot path to a single branch.
     recorder: Option<FlightRecorder>,
-    /// Optional hop trace. When attached, every send by any node is
-    /// recorded here, before the egress decides the packet's fate; `None`
-    /// costs one branch per send.
+    /// Optional hop trace ([`Network::enable_trace`]). When enabled, every
+    /// send by any node is recorded here, before the egress decides the
+    /// packet's fate; `None` costs one branch per send.
     trace: Option<TraceLog>,
 }
 
@@ -162,7 +164,7 @@ impl Network {
             now: 0,
             seq: 0,
             events_processed: 0,
-            scratch: Vec::new(),
+            ctx: Ctx { now: 0, actions: Vec::new(), spare: Vec::new() },
             recorder: None,
             trace: None,
         }
@@ -179,10 +181,15 @@ impl Network {
         self.recorder.as_ref()
     }
 
-    /// Attaches a hop trace. The log is a shared handle: clone it before
-    /// attaching to keep a reader on the outside.
-    pub fn set_trace(&mut self, log: TraceLog) {
-        self.trace = Some(log);
+    /// Starts the hop trace: from now on every send by any node is
+    /// recorded.
+    pub fn enable_trace(&mut self) {
+        self.trace.get_or_insert_with(TraceLog::default);
+    }
+
+    /// The hop trace, if enabled.
+    pub fn trace(&self) -> Option<&TraceLog> {
+        self.trace.as_ref()
     }
 
     /// Current simulation time.
@@ -206,6 +213,21 @@ impl Network {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Runs `f` on node `id` (of type `T`, else panics) as a handler runs:
+    /// what it does through the [`Ctx`] takes effect now, as if the node
+    /// had acted on its own.
+    pub fn with_node<T: 'static, R>(
+        &mut self,
+        id: NodeId,
+        f: impl FnOnce(&mut T, &mut Ctx) -> R,
+    ) -> R {
+        let node = self.nodes[id.0].as_any_mut().downcast_mut::<T>().expect("node type mismatch");
+        self.ctx.now = self.now;
+        let out = f(node, &mut self.ctx);
+        self.apply_actions(id);
+        out
     }
 
     /// Downcasts node `id` to its concrete type.
@@ -418,14 +440,14 @@ impl Network {
     fn dispatch(&mut self, ev: Event) {
         match ev {
             Event::Arrival { node, iface, pkt } => {
-                let mut ctx = Ctx::new(self.now, std::mem::take(&mut self.scratch));
-                self.nodes[node.0].on_packet(iface, pkt, &mut ctx);
-                self.apply_actions(node, ctx);
+                self.ctx.now = self.now;
+                self.nodes[node.0].on_packet(iface, pkt, &mut self.ctx);
+                self.apply_actions(node);
             }
             Event::Timer { node, token } => {
-                let mut ctx = Ctx::new(self.now, std::mem::take(&mut self.scratch));
-                self.nodes[node.0].on_timer(token, &mut ctx);
-                self.apply_actions(node, ctx);
+                self.ctx.now = self.now;
+                self.nodes[node.0].on_timer(token, &mut self.ctx);
+                self.apply_actions(node);
             }
             Event::TxIdle { link, dir } => {
                 let d = &mut self.links[link.0].dirs[dir as usize];
@@ -439,8 +461,8 @@ impl Network {
         }
     }
 
-    fn apply_actions(&mut self, node: NodeId, ctx: Ctx) {
-        let mut actions = ctx.into_actions();
+    fn apply_actions(&mut self, node: NodeId) {
+        let mut actions = std::mem::take(&mut self.ctx.actions);
         for action in actions.drain(..) {
             match action {
                 Action::Send { iface, pkt } => self.do_send(node, iface, pkt),
@@ -465,14 +487,14 @@ impl Network {
             }
         }
         // Return the drained buffer so the next dispatch reuses its capacity.
-        self.scratch = actions;
+        self.ctx.actions = actions;
     }
 
     fn do_send(&mut self, node: NodeId, iface: IfaceId, pkt: Pkt) {
         let Some(&(link, dir)) = self.ifaces[node.0].get(iface.0) else {
             panic!("node {node:?} has no interface {iface:?}");
         };
-        if let Some(t) = &self.trace {
+        if let Some(t) = &mut self.trace {
             t.record(self.now, self.nodes[node.0].name(), iface, &pkt);
         }
         let d = &mut self.links[link.0].dirs[dir as usize];
@@ -898,8 +920,7 @@ mod tests {
     #[test]
     fn every_send_is_traced_even_onto_a_dead_link() {
         let mut net = Network::new();
-        let log = TraceLog::new();
-        net.set_trace(log.clone());
+        net.enable_trace();
         let a = net.add_node(Box::new(BlackHole::default()));
         let b = net.add_node(Box::new(Echo));
         let (l, ia, _) = net.connect(a, b, LinkConfig::new(10_000_000, MSEC));
@@ -909,7 +930,7 @@ mod tests {
         let mut lost = pkt(10);
         lost.meta.seq = 1;
         net.inject(a, ia, lost);
-        let records = log.flow(0);
+        let records = net.trace().expect("trace enabled").flow(0);
         let hops: Vec<(Nanos, &str, u64)> =
             records.iter().map(|r| (r.at, r.device.as_str(), r.seq)).collect();
         assert_eq!(hops, [(0, "", 0), (2 * MSEC, "echo", 0), (4 * MSEC, "", 1)]);

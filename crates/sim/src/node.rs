@@ -3,7 +3,7 @@
 
 use std::any::Any;
 
-use netsim_net::Pkt;
+use netsim_net::{Packet, Pkt};
 use netsim_obs::DropCause;
 use netsim_qos::Nanos;
 
@@ -19,11 +19,16 @@ pub struct IfaceId(pub usize);
 /// Handler context: lets a node emit packets, arm timers, and end a
 /// packet's life. Actions are buffered and applied by the network after
 /// the handler returns, so the handler never sees a partially updated
-/// network.
+/// network. It also lends the network's one stack of spare packet boxes
+/// ([`Ctx::recycle`], [`Ctx::boxed`]), shared by every node.
 pub struct Ctx {
-    now: Nanos,
+    pub(crate) now: Nanos,
     pub(crate) actions: Vec<Action>,
+    pub(crate) spare: Vec<Pkt>,
 }
+
+/// Most consumed packet boxes a network keeps for reuse.
+const SPARE_PKTS: usize = 32;
 
 pub(crate) enum Action {
     Send { iface: IfaceId, pkt: Pkt },
@@ -34,17 +39,6 @@ pub(crate) enum Action {
 }
 
 impl Ctx {
-    /// `actions` is a scratch buffer owned by the network and recycled
-    /// across dispatches, so handlers don't cost an allocation per event.
-    pub(crate) fn new(now: Nanos, actions: Vec<Action>) -> Self {
-        debug_assert!(actions.is_empty(), "scratch buffer handed over dirty");
-        Ctx { now, actions }
-    }
-
-    pub(crate) fn into_actions(self) -> Vec<Action> {
-        self.actions
-    }
-
     /// Current simulation time in nanoseconds.
     #[inline]
     pub fn now(&self) -> Nanos {
@@ -81,6 +75,22 @@ impl Ctx {
     /// The network records it as absorbed at this node, not as a drop.
     pub fn absorb(&mut self, pkt: Pkt) {
         self.actions.push(Action::Absorb { pkt });
+    }
+
+    /// Ends a consumed message's life here without a record, keeping its
+    /// box for [`Ctx::boxed`] unless the network already keeps 32.
+    pub fn recycle(&mut self, pkt: Pkt) {
+        if self.spare.len() < SPARE_PKTS {
+            self.spare.push(pkt);
+        }
+    }
+
+    /// Boxes `pkt` for sending: in the most recently recycled box when
+    /// there is one, otherwise in a new allocation.
+    pub fn boxed(&mut self, pkt: Packet) -> Pkt {
+        let Some(mut b) = self.spare.pop() else { return Box::new(pkt) };
+        *b = pkt;
+        b
     }
 }
 

@@ -1,15 +1,13 @@
 //! Hop-by-hop packet tracing (experiment F3).
 //!
-//! A [`Network`](crate::Network) with a [`TraceLog`] attached records one
+//! A [`Network`](crate::Network) with its [`TraceLog`] enabled records one
 //! [`HopRecord`] each time any node sends a packet: which device sent it,
 //! on which interface, and what the label stack and markings looked like
 //! as it left. Nodes carry no trace state. What a device *did* is not
 //! stored: [`TraceLog::path`] derives it as a [`HopOp`] from a packet's
 //! consecutive records, and its `Display` renders it only at export.
 
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 
 use netsim_net::{Dscp, Layer, Packet};
 use netsim_qos::Nanos;
@@ -107,20 +105,16 @@ impl fmt::Display for HopOp {
     }
 }
 
-/// A shared, cheaply cloneable trace sink. Cloning shares the log.
-#[derive(Clone, Default)]
+/// Every send recorded so far, in order; owned by the
+/// [`Network`](crate::Network) that records it.
+#[derive(Clone, Debug, Default)]
 pub struct TraceLog {
-    inner: Rc<RefCell<Vec<HopRecord>>>,
+    records: Vec<HopRecord>,
 }
 
 impl TraceLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        TraceLog::default()
-    }
-
     /// Records a send: captures the packet's current stack and markings.
-    pub(crate) fn record(&self, at: Nanos, device: &str, iface: IfaceId, pkt: &Packet) {
+    pub(crate) fn record(&mut self, at: Nanos, device: &str, iface: IfaceId, pkt: &Packet) {
         let labels = pkt
             .layers()
             .iter()
@@ -129,7 +123,7 @@ impl TraceLog {
                 _ => None,
             })
             .collect();
-        self.inner.borrow_mut().push(HopRecord {
+        self.records.push(HopRecord {
             at,
             device: device.to_owned(),
             iface,
@@ -143,15 +137,14 @@ impl TraceLog {
 
     /// Records for one flow, in order.
     pub fn flow(&self, flow: u64) -> Vec<HopRecord> {
-        self.inner.borrow().iter().filter(|r| r.flow == flow).cloned().collect()
+        self.records.iter().filter(|r| r.flow == flow).cloned().collect()
     }
 
     /// The hops of one packet, in order, each with the operation its
     /// device applied.
     pub fn path(&self, flow: u64, seq: u64) -> Vec<(HopOp, HopRecord)> {
-        let records = self.inner.borrow();
         let mut prev = None;
-        records
+        self.records
             .iter()
             .filter(|r| r.flow == flow && r.seq == seq)
             .map(|r| (HopOp::between(prev.replace(r), r), r.clone()))
@@ -175,7 +168,7 @@ mod tests {
 
     #[test]
     fn records_capture_stack_and_markings() {
-        let log = TraceLog::new();
+        let mut log = TraceLog::default();
         let mut p = labeled(&[]);
         p.meta.flow = 5;
         log.record(100, "CE", IfaceId(0), &p);
@@ -193,11 +186,10 @@ mod tests {
     }
 
     /// Every operation a device can apply is told apart from the records
-    /// alone, and clones of the log share one record list.
+    /// alone.
     #[test]
     fn path_derives_every_hop_operation() {
-        let log = TraceLog::new();
-        let reader = log.clone();
+        let mut log = TraceLog::default();
         let mut host = labeled(&[]);
         host.outer_ipv4_mut().unwrap().dscp = Dscp::BE;
         let steps = [
@@ -216,10 +208,10 @@ mod tests {
         for (i, (pkt, _)) in steps.iter().enumerate() {
             log.record(i as Nanos, "D", IfaceId(i), pkt);
         }
-        let ops: Vec<HopOp> = reader.path(0, 0).into_iter().map(|(op, _)| op).collect();
+        let ops: Vec<HopOp> = log.path(0, 0).into_iter().map(|(op, _)| op).collect();
         let want: Vec<HopOp> = steps.into_iter().map(|(_, op)| op).collect();
         assert_eq!(ops, want);
-        assert!(reader.path(0, 1).is_empty());
+        assert!(log.path(0, 1).is_empty());
     }
 
     #[test]

@@ -28,7 +28,7 @@ use mplsvpn::sim::{
 };
 use mplsvpn::te::SrlgMap;
 use mplsvpn::vpn::{
-    BackboneBuilder, ControlMode, DropCause, FailoverMode, ProviderNetwork, CTRL_FLOW_BASE,
+    BackboneBuilder, ControlMode, DropCause, FailoverMode, ProviderNetwork, VpnId, CTRL_FLOW_BASE,
 };
 
 /// The control mode under test: `CHAOS_CONTROL_MODE=inband` opts in to
@@ -81,6 +81,10 @@ struct Scenario {
     sources: Vec<(NodeId, bool)>, // bool: true = CBR, false = Poisson
     /// Sink node and the flow ids that legitimately belong to it.
     sinks: Vec<(NodeId, Vec<u64>)>,
+    /// Topology node of each PE ordinal.
+    pes: Vec<usize>,
+    /// Every VPN, each with a site on every PE.
+    vpns: Vec<VpnId>,
 }
 
 /// Builds the seeded scenario and replays its fault plan to `RUN_END`.
@@ -109,8 +113,10 @@ fn run_checked(seed: u64, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
     // Two VPNs with the *same* address plan: the harshest isolation test.
     let mut sinks = Vec::new();
     let mut sources = Vec::new();
+    let mut vpns = Vec::new();
     for (v, name) in ["red", "blue"].iter().enumerate() {
         let vpn = pn.new_vpn(*name);
+        vpns.push(vpn);
         let a = pn.add_site(vpn, 0, "10.1.0.0/16".parse().unwrap(), None);
         let b = pn.add_site(vpn, 1, "10.2.0.0/16".parse().unwrap(), None);
         let sink = pn.attach_sink(b, "10.2.0.0/16".parse().unwrap());
@@ -134,7 +140,7 @@ fn run_checked(seed: u64, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
     // traffic window so the faults actually bite.
     let plan = FaultPlan::random(seed, &cuttable, 3 * SEC, 4, 200 * MSEC);
     let events = plan.events();
-    let mut s = Scenario { pn, mode, sources, sinks };
+    let mut s = Scenario { pn, mode, sources, sinks, pes, vpns };
     let mut start = 0;
     for end in 1..=events.len() {
         let next = events.get(end).map(|e| e.at);
@@ -154,10 +160,11 @@ fn run_checked(seed: u64, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
 
 /// Asserts that the fault reactions have played out: no control packet
 /// is queued or in flight, and wherever the control plane reacts to
-/// faults (in-band floods, or the oracle's global reconvergence) every
-/// router's SPF view equals a fresh computation over the links that are
-/// up. Fast reroute under the oracle never reconverges, so there the
-/// views stay at bring-up.
+/// faults (in-band floods, or the oracle's global reconvergence) the
+/// routers' state equals a fresh computation over the links that are up:
+/// every SPF view, every PE-to-PE LSP through the live LFIBs, and the
+/// tunnel every remote VRF route resolves to. Fast reroute under the
+/// oracle never reconverges, so there the views stay at bring-up.
 fn assert_at_rest(s: &Scenario, seed: u64) {
     let t = s.pn.net.now();
     let rec = s.pn.recorder();
@@ -181,6 +188,25 @@ fn assert_at_rest(s: &Scenario, seed: u64) {
             (&want.dist, &want.next_hop),
             "node {u}'s SPF view has not converged at seed {seed}, t={t}"
         );
+    }
+    for (i, &ingress) in s.pes.iter().enumerate() {
+        for (e, &egress) in s.pes.iter().enumerate().filter(|&(e, _)| e != i) {
+            assert_eq!(
+                s.pn.lsp_path(i, e),
+                fresh.path(ingress, egress),
+                "PE{i}'s LSP to PE{e} is not the fresh shortest path at seed {seed}, t={t}"
+            );
+        }
+        for &vpn in &s.vpns {
+            for (prefix, row) in s.pn.vrf_digest(i, vpn) {
+                let Some((e, _, path)) = row else { continue };
+                assert_eq!(
+                    path,
+                    fresh.path(ingress, s.pes[e]),
+                    "PE{i}'s route to {prefix} in {vpn:?} rides a stale tunnel at seed {seed}, t={t}"
+                );
+            }
+        }
     }
 }
 

@@ -5,7 +5,7 @@ use mplsvpn::net::Prefix;
 use mplsvpn::routing::{LinkAttrs, Topology};
 use mplsvpn::sim::{Sink, SourceConfig, MSEC, SEC};
 use mplsvpn::vpn::network::DsSched;
-use mplsvpn::vpn::{BackboneBuilder, CoreQos, HopOp, ProviderNetwork, TraceLog};
+use mplsvpn::vpn::{BackboneBuilder, CoreQos, HopOp, ProviderNetwork};
 
 fn pfx(s: &str) -> Prefix {
     s.parse().unwrap()
@@ -111,8 +111,7 @@ fn simulation_is_deterministic_per_seed() {
 fn delivery_with_php(php: bool) -> (u64, HopOp) {
     let (t, pes) = national();
     let mut pn = BackboneBuilder::new(t, pes).php(php).build();
-    let log = TraceLog::new();
-    pn.net.set_trace(log.clone());
+    pn.net.enable_trace();
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
     let b = pn.add_site(vpn, 2, pfx("10.2.0.0/16"), None);
@@ -121,6 +120,7 @@ fn delivery_with_php(php: bool) -> (u64, HopOp) {
     pn.attach_cbr_source(a, cfg, MSEC, Some(100));
     pn.run_for(SEC);
     let delivered = pn.net.node_ref::<Sink>(sink).flow(1).map(|f| f.rx_packets).unwrap_or(0);
+    let log = pn.net.trace().expect("trace enabled");
     let egress =
         log.path(1, 0).into_iter().find(|(_, r)| r.device == "PE2").expect("egress PE hop");
     (delivered, egress.0)
@@ -145,8 +145,7 @@ fn php_and_non_php_deliver_identically() {
 fn exp_marking_survives_the_whole_backbone() {
     let (t, pes) = national();
     let mut pn: ProviderNetwork = BackboneBuilder::new(t, pes).build();
-    let log = TraceLog::new();
-    pn.net.set_trace(log.clone());
+    pn.net.enable_trace();
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(
         vpn,
@@ -160,6 +159,7 @@ fn exp_marking_survives_the_whole_backbone() {
     let cfg = SourceConfig::udp(1, pn.site_addr(a, 1), pn.site_addr(b, 1), 16400, 160);
     pn.attach_cbr_source(a, cfg, MSEC, Some(5));
     pn.run_for(SEC);
+    let log = pn.net.trace().expect("trace enabled");
     let labeled: Vec<_> = log.flow(1).into_iter().filter(|r| r.exp.is_some()).collect();
     assert!(!labeled.is_empty());
     assert!(labeled.iter().all(|r| r.exp == Some(5)), "{labeled:?}");
