@@ -6,9 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mplsvpn_core::membership::site_prefix;
 use netsim_mpls::ldp::{Fec, LdpConfig, LdpDomain};
 use netsim_routing::igp::spf;
-use netsim_routing::{
-    BgpVpnFabric, DistributionMode, Igp, LinkAttrs, RouteDistinguisher, RouteTarget, Topology,
-};
+use netsim_routing::{BgpVpnFabric, Igp, LinkAttrs, RouteDistinguisher, RouteTarget, Topology};
 use std::hint::black_box;
 
 fn ring(n: usize) -> Topology {
@@ -70,7 +68,7 @@ fn bench_bgp(c: &mut Criterion) {
     for &sites in &[100usize, 1000] {
         g.bench_with_input(BenchmarkId::new("advertise_sites", sites), &sites, |b, &sites| {
             b.iter(|| {
-                let mut f = BgpVpnFabric::new(8, DistributionMode::RouteReflector);
+                let mut f = BgpVpnFabric::new(8);
                 let rt = RouteTarget(1);
                 let handles: Vec<_> = (0..8)
                     .map(|pe| f.add_vrf(pe, RouteDistinguisher::new(65000, 1), vec![rt], vec![rt]))

@@ -54,7 +54,8 @@ pub struct FailoverResult {
     pub switchovers: u64,
     /// Global reconvergences run.
     pub reconvergences: u64,
-    /// IGP + LDP messages spent on reconvergence (0 under FRR).
+    /// IGP + LDP messages the reaction cost: the oracle's
+    /// reconvergences, or the in-band control packets (0 under FRR).
     pub control_messages: u64,
     /// Worst LSA propagation+processing latency of the in-band control
     /// plane, ns (0 in oracle arms — the oracle converges out of band,
@@ -65,19 +66,36 @@ pub struct FailoverResult {
     cs6_control_packets: u64,
 }
 
-/// Runs the cut/repair cycle under `mode` with the given detection delay.
-pub fn measure(mode: FailoverMode, detection_ns: Nanos) -> FailoverResult {
-    measure_full(mode, detection_ns).0
+/// Runs the cut/repair cycle under `mode`, with control messages carried
+/// by `control_mode` and the given detection delay.
+pub fn measure(
+    mode: FailoverMode,
+    control_mode: ControlMode,
+    detection_ns: Nanos,
+) -> FailoverResult {
+    measure_full(mode, control_mode, detection_ns).0
 }
 
 /// [`measure`] plus the run's full metrics snapshot — the cut shows up as
 /// `link_down_purge` drop-cause rows, the bypass as LFIB
 /// `bypass_activations`.
-fn measure_full(mode: FailoverMode, detection_ns: Nanos) -> (FailoverResult, MetricsSnapshot) {
+///
+/// Under [`ControlMode::InBand`] no oracle reconvergence ever runs: the
+/// failure is flooded as CS6 LSA packets through the same (congested,
+/// Q1-mix) links the voice rides, and routers repair their own FIB/LFIB
+/// state incrementally. The loss window then includes a nonzero
+/// propagation component, and the control traffic itself is visible in
+/// the per-class link counters. Under the oracle both stay 0.
+fn measure_full(
+    mode: FailoverMode,
+    control_mode: ControlMode,
+    detection_ns: Nanos,
+) -> (FailoverResult, MetricsSnapshot) {
     let (t, pes) = topo::fish(10);
     let mut pn = BackboneBuilder::new(t, pes)
         .core_qos(CoreQos::DiffServ { cap_bytes: 256 * 1024, sched: DsSched::Priority })
         .detection(detection_ns)
+        .control_mode(control_mode)
         .build();
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
@@ -108,6 +126,11 @@ fn measure_full(mode: FailoverMode, detection_ns: Nanos) -> (FailoverResult, Met
             sla_violations += 1;
         }
     }
+    let ctrl = pn.control_stats().expect("every network exposes control stats");
+    let cs6_control_packets: u64 = (0..pn.topo.link_count())
+        .flat_map(|l| (0..2u8).map(move |d| (l, d)))
+        .map(|(l, d)| pn.net.link_stats(LinkId(l), d).tx_by_class[6])
+        .sum();
     let result = FailoverResult {
         mode,
         detection_ns,
@@ -118,69 +141,14 @@ fn measure_full(mode: FailoverMode, detection_ns: Nanos) -> (FailoverResult, Met
         sla_violations,
         switchovers: out.switchovers,
         reconvergences: out.reconvergences,
-        control_messages: out.control_messages,
-        ctrl_propagation_ns: 0,
-        cs6_control_packets: 0,
+        // The oracle's reconvergences or the in-band packets: one of the
+        // two terms is 0 in each transport.
+        control_messages: out.control_messages + ctrl.pkts_sent,
+        ctrl_propagation_ns: pn.control_convergence_ns().map_or(0, |(_, _, max)| max),
+        cs6_control_packets,
     };
     let snap = pn.metrics_snapshot();
     (result, snap)
-}
-
-/// Runs the same cut/repair cycle with the *in-band* control plane: no
-/// oracle reconvergence ever runs — the failure is flooded as CS6 LSA
-/// packets through the same (congested, Q1-mix) links the voice rides,
-/// and routers repair their own FIB/LFIB state incrementally. The loss
-/// window therefore includes a nonzero propagation component, and the
-/// control traffic itself is visible in the per-class link counters.
-fn measure_inband(detection_ns: Nanos) -> FailoverResult {
-    let (t, pes) = topo::fish(10);
-    let mut pn = BackboneBuilder::new(t, pes)
-        .core_qos(CoreQos::DiffServ { cap_bytes: 256 * 1024, sched: DsSched::Priority })
-        .detection(detection_ns)
-        .control_mode(ControlMode::InBand)
-        .build();
-    let vpn = pn.new_vpn("acme");
-    let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
-    let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
-    let sink = pn.attach_sink(b, pfx("10.2.0.0/16"));
-    let flows = mix::attach_mix_provider(&mut pn, a, b, 1, SEED, RUN_SECS * SEC);
-    pn.verify().assert_clean("failover experiment, pre-cut (in-band)");
-
-    let plan = FaultPlan::new(vec![
-        FaultEvent { at: CUT_AT, link: topo::FISH_SHORT[1], action: FaultAction::Cut },
-        FaultEvent { at: REPAIR_AT, link: topo::FISH_SHORT[1], action: FaultAction::Repair },
-    ]);
-    let out = pn.execute_fault_plan(&plan, FailoverMode::GlobalReconverge, (RUN_SECS + 1) * SEC);
-
-    let sla = Sla::backbone_voice();
-    let (mut voice_tx, mut voice_lost, mut sla_violations) = (0, 0, 0);
-    for f in flows.iter().filter(|f| f.class == "EF") {
-        let tx = mix::tx_packets(&pn.net, f);
-        let stats = pn.net.node_ref::<Sink>(sink).flow(f.id).expect("voice flow reached sink");
-        voice_tx += tx;
-        voice_lost += tx - stats.rx_packets;
-        if !sla.evaluate(stats, tx).met {
-            sla_violations += 1;
-        }
-    }
-    let ctrl = pn.control_stats().expect("in-band network exposes control stats");
-    let cs6_control_packets: u64 = (0..pn.topo.link_count())
-        .flat_map(|l| (0..2u8).map(move |d| (l, d)))
-        .map(|(l, d)| pn.net.link_stats(LinkId(l), d).tx_by_class[6])
-        .sum();
-    FailoverResult {
-        mode: FailoverMode::GlobalReconverge,
-        detection_ns,
-        voice_tx,
-        voice_lost,
-        loss_window_ns: voice_lost * 2_500_000,
-        sla_violations,
-        switchovers: out.switchovers,
-        reconvergences: out.reconvergences,
-        control_messages: ctrl.pkts_sent,
-        ctrl_propagation_ns: pn.control_convergence_ns().map_or(0, |(_, _, max)| max),
-        cs6_control_packets,
-    }
 }
 
 /// Detection delay used for the FRR rows: ~3 missed BFD hellos.
@@ -190,6 +158,8 @@ pub const IGP_DETECT: Nanos = 200 * MSEC;
 
 /// Runs both modes and renders the table.
 pub fn run(_quick: bool) -> String {
+    use ControlMode::{InBand, Oracle};
+    use FailoverMode::{FastReroute, GlobalReconverge};
     let mut t = Table::new(
         "R2: fish short-path cut at t=2s, repair at t=5s, under the Q1 voice+data mix",
         &[
@@ -219,15 +189,15 @@ pub fn run(_quick: bool) -> String {
             r.cs6_control_packets.to_string(),
         ]);
     };
-    row("global reconvergence (oracle)", &measure(FailoverMode::GlobalReconverge, IGP_DETECT));
-    row("global reconvergence (in-band)", &measure_inband(IGP_DETECT));
-    row("fast reroute", &measure(FailoverMode::FastReroute, FRR_DETECT));
+    row("global reconvergence (oracle)", &measure(GlobalReconverge, Oracle, IGP_DETECT));
+    row("global reconvergence (in-band)", &measure(GlobalReconverge, InBand, IGP_DETECT));
+    row("fast reroute", &measure(FastReroute, Oracle, FRR_DETECT));
     t.render()
 }
 
 /// [`run`]'s table plus the FRR run's snapshot.
 pub fn report(quick: bool) -> ExpReport {
-    let (_, snap) = measure_full(FailoverMode::FastReroute, FRR_DETECT);
+    let (_, snap) = measure_full(FailoverMode::FastReroute, ControlMode::Oracle, FRR_DETECT);
     ExpReport { table: run(quick), snapshot: Some(snap) }
 }
 
@@ -237,8 +207,8 @@ mod tests {
 
     #[test]
     fn frr_shrinks_the_loss_window_at_least_five_fold() {
-        let global = measure(FailoverMode::GlobalReconverge, IGP_DETECT);
-        let frr = measure(FailoverMode::FastReroute, FRR_DETECT);
+        let global = measure(FailoverMode::GlobalReconverge, ControlMode::Oracle, IGP_DETECT);
+        let frr = measure(FailoverMode::FastReroute, ControlMode::Oracle, FRR_DETECT);
         assert!(global.voice_lost > 0, "the cut must hurt: {global:?}");
         assert!(
             frr.loss_window_ns * 5 <= global.loss_window_ns,
@@ -252,8 +222,8 @@ mod tests {
 
     #[test]
     fn frr_keeps_voice_within_sla_where_reconvergence_does_not() {
-        let global = measure(FailoverMode::GlobalReconverge, IGP_DETECT);
-        let frr = measure(FailoverMode::FastReroute, FRR_DETECT);
+        let global = measure(FailoverMode::GlobalReconverge, ControlMode::Oracle, IGP_DETECT);
+        let frr = measure(FailoverMode::FastReroute, ControlMode::Oracle, FRR_DETECT);
         assert!(
             frr.sla_violations < global.sla_violations,
             "FRR must save SLAs: frr={} global={}",
@@ -267,7 +237,7 @@ mod tests {
     /// `bypass_activations` in the protecting router's LFIB stats.
     #[test]
     fn snapshot_attributes_the_cut_and_the_bypass() {
-        let (r, snap) = measure_full(FailoverMode::FastReroute, FRR_DETECT);
+        let (r, snap) = measure_full(FailoverMode::FastReroute, ControlMode::Oracle, FRR_DETECT);
         assert!(r.switchovers >= 1);
         assert!(
             snap.drop_causes.iter().any(|(n, v)| n == "link_down_purge" && *v > 0),
@@ -289,7 +259,7 @@ mod tests {
     /// per-class link counters — riding the same queues as the voice.
     #[test]
     fn inband_reconvergence_has_nonzero_propagation_and_visible_cs6() {
-        let r = measure_inband(IGP_DETECT);
+        let r = measure(FailoverMode::GlobalReconverge, ControlMode::InBand, IGP_DETECT);
         assert_eq!(r.reconvergences, 0, "the oracle must never run in-band: {r:?}");
         assert!(r.ctrl_propagation_ns > 0, "convergence takes wire time: {r:?}");
         assert!(r.cs6_control_packets > 0, "control traffic rides EXP 6: {r:?}");
@@ -302,13 +272,14 @@ mod tests {
 
     #[test]
     fn inband_runs_are_seed_deterministic() {
-        assert_eq!(measure_inband(IGP_DETECT), measure_inband(IGP_DETECT));
+        let run = || measure(FailoverMode::GlobalReconverge, ControlMode::InBand, IGP_DETECT);
+        assert_eq!(run(), run());
     }
 
     #[test]
     fn failover_runs_are_seed_deterministic() {
-        let a = measure(FailoverMode::FastReroute, FRR_DETECT);
-        let b = measure(FailoverMode::FastReroute, FRR_DETECT);
+        let a = measure(FailoverMode::FastReroute, ControlMode::Oracle, FRR_DETECT);
+        let b = measure(FailoverMode::FastReroute, ControlMode::Oracle, FRR_DETECT);
         assert_eq!(a, b, "same seed, same plan, same result");
     }
 }

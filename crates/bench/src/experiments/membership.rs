@@ -5,22 +5,22 @@
 //! PE touch and one route-update fan-out per join; the overlay model pays
 //! N−1 new circuit pairs, provisioned device by device.
 //!
-//! Two extra columns drive the same joins through a *running* backbone
-//! ([`backbone_join_series`]) and count the MP-BGP deltas each join
-//! originated under either transport: update packets on the wire
-//! in-band, deltas applied at once under the oracle. Both are flat.
+//! The MPLS columns drive the joins through a *running* 4-PE backbone
+//! ([`backbone_join_series`]). "mpls messages" is its fabric's update
+//! count (PE → route reflector → other PEs); the two columns after it
+//! count the MP-BGP deltas each join originated under either transport:
+//! update packets on the wire in-band, deltas applied at once under the
+//! oracle. All three are flat.
 
-use mplsvpn_core::membership::{
-    backbone_join_series, mpls_join_series, overlay_join_series, JoinCost,
-};
+use mplsvpn_core::membership::{backbone_join_series, overlay_join_series, JoinCost};
 use mplsvpn_core::ControlMode;
-use netsim_routing::{DistributionMode, LinkAttrs, Topology};
+use netsim_routing::{LinkAttrs, Topology};
 
 use crate::table::Table;
 
-/// Runs both join series for `n` sites.
-pub fn measure(n: usize) -> (Vec<JoinCost>, Vec<JoinCost>) {
-    let mpls = mpls_join_series(4, n, DistributionMode::RouteReflector);
+/// Runs the in-band backbone and the overlay join series for `n` sites.
+pub fn measure(n: usize) -> (Vec<(JoinCost, u64)>, Vec<JoinCost>) {
+    let mpls = backbone_join_series(4, n, ControlMode::InBand);
     let topo = Topology::ring(6, LinkAttrs { cost: 1, capacity_bps: 622_000_000 });
     let attachments: Vec<usize> = (0..n).map(|i| i % 6).collect();
     let overlay = overlay_join_series(&topo, &attachments);
@@ -31,7 +31,6 @@ pub fn measure(n: usize) -> (Vec<JoinCost>, Vec<JoinCost>) {
 pub fn run(quick: bool) -> String {
     let n = if quick { 8 } else { 16 };
     let (mpls, overlay) = measure(n);
-    let inband = backbone_join_series(4, n, ControlMode::InBand);
     let oracle = backbone_join_series(4, n, ControlMode::Oracle);
     let mut t = Table::new(
         "M1: cost of the k-th site join — MPLS/BGP vs overlay full mesh",
@@ -46,19 +45,20 @@ pub fn run(quick: bool) -> String {
         ],
     );
     for k in 0..n {
+        let (cost, inband) = &mpls[k];
         t.row(&[
             k.to_string(),
-            mpls[k].devices_touched.to_string(),
-            mpls[k].control_messages.to_string(),
-            inband[k].control_messages.to_string(),
-            oracle[k].control_messages.to_string(),
+            cost.devices_touched.to_string(),
+            cost.control_messages.to_string(),
+            inband.to_string(),
+            oracle[k].1.to_string(),
             overlay[k].devices_touched.to_string(),
             overlay[k].new_circuits.to_string(),
         ]);
     }
     let mut out = t.render();
     let total_ovl: u64 = overlay.iter().map(|c| c.new_circuits).sum();
-    let total_mpls: u64 = mpls.iter().map(|c| c.control_messages).sum();
+    let total_mpls: u64 = mpls.iter().map(|(c, _)| c.control_messages).sum();
     out.push_str(&format!(
         "totals after {n} joins: overlay {total_ovl} unidirectional circuits \
          ({} pairs); MPLS {total_mpls} update messages, 0 circuits\n",
@@ -75,11 +75,11 @@ mod tests {
     fn join_cost_flat_vs_linear() {
         let (mpls, overlay) = measure(12);
         // MPLS: constant device touches.
-        assert!(mpls.iter().all(|c| c.devices_touched == 1));
+        assert!(mpls.iter().all(|(c, _)| c.devices_touched == 1));
         // Overlay: the 11th join provisions 22 circuits; the 1st join 2.
         assert_eq!(overlay[11].new_circuits, 22);
         assert_eq!(overlay[1].new_circuits, 2);
         // Message cost: MPLS stays bounded per join; overlay grows.
-        assert!(overlay[11].devices_touched > mpls[11].control_messages);
+        assert!(overlay[11].devices_touched > mpls[11].0.control_messages);
     }
 }

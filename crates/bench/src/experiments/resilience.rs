@@ -34,7 +34,7 @@ pub struct ResilienceResult {
 /// Runs one failure/repair cycle with the given detection delay.
 pub fn measure(detection_ns: Nanos) -> ResilienceResult {
     let (t, pes) = topo::fish(10);
-    let mut pn = BackboneBuilder::new(t, pes).build();
+    let mut pn = BackboneBuilder::new(t, pes).detection(detection_ns).build();
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
     let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);

@@ -12,7 +12,7 @@
 use mplsvpn_core::membership::site_prefix;
 use mplsvpn_core::overlay::OverlayNetwork;
 use netsim_mpls::ldp::{Fec, LdpConfig, LdpDomain};
-use netsim_routing::{BgpVpnFabric, DistributionMode, Igp, RouteDistinguisher, RouteTarget};
+use netsim_routing::{BgpVpnFabric, Igp, RouteDistinguisher, RouteTarget};
 
 use crate::table::Table;
 use crate::{parallel_sweep, topo};
@@ -59,7 +59,7 @@ pub fn measure(n: usize) -> ScalePoint {
     let nh = |u: usize, v: usize| igp.next_hop(u, v);
     let ldp = LdpDomain::run(&adjacency, &fecs, &nh, LdpConfig::default());
 
-    let mut fabric = BgpVpnFabric::new(DEVICES, DistributionMode::RouteReflector);
+    let mut fabric = BgpVpnFabric::new(DEVICES);
     let rt = RouteTarget(1);
     let mut handles = Vec::new();
     for pe in 0..DEVICES {

@@ -56,8 +56,6 @@ pub fn fish(mbps: u64) -> (Topology, Vec<usize>) {
 pub const FISH_SHORT: [usize; 2] = [0, 1];
 /// Links on the fish's long path.
 pub const FISH_LONG: [usize; 3] = [2, 3, 4];
-/// The node path of the fish's long way around.
-pub const FISH_LONG_PATH: [usize; 4] = [0, 2, 3, 4];
 
 /// A small national backbone: `pe_count` PEs hanging off a `core` ring of
 /// P routers. Returns `(topology, pe nodes)`.

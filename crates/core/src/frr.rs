@@ -1,7 +1,7 @@
 //! Fast-reroute orchestration on a running provider network.
 //!
 //! The control-plane pieces live elsewhere — [`netsim_te::frr`] computes
-//! SRLG-disjoint backup routes, [`netsim_mpls::Lfib`] holds per-interface
+//! SRLG-disjoint bypass paths, [`netsim_mpls::Lfib`] holds per-interface
 //! bypass entries, and the routers flip interfaces down when their
 //! BFD-style detection timers fire. This module wires them together on a
 //! [`ProviderNetwork`]:
@@ -20,7 +20,7 @@
 //! re-optimizing.
 
 use netsim_qos::Nanos;
-use netsim_sim::{FaultAction, FaultPlan};
+use netsim_sim::{FaultAction, FaultPlan, LinkId};
 use netsim_te::{cspf_path_excluding, SrlgMap};
 
 use crate::control::ControlMode;
@@ -64,11 +64,10 @@ impl ProviderNetwork {
     /// (0–2; an SRLG-disjoint detour does not always exist).
     fn protect_link(&mut self, topo_link: usize, srlg: &SrlgMap) -> usize {
         assert!(topo_link < self.topo.link_count(), "unknown backbone link {topo_link}");
-        let failed = self.failed_links();
         let (u, v, _) = self.topo.link(topo_link);
         let mut installed = 0;
         for (near, far) in [(u, v), (v, u)] {
-            let usable = |l: usize| !failed.contains(&l);
+            let usable = |l: usize| self.net.link_enabled(LinkId(l));
             let Some(path) = cspf_path_excluding(&self.topo, near, far, srlg, topo_link, &usable)
             else {
                 continue;

@@ -7,9 +7,7 @@
 //! provisioned hop by hop.
 
 use netsim_net::{Ip, Prefix};
-use netsim_routing::{
-    BgpVpnFabric, DistributionMode, LinkAttrs, RouteDistinguisher, RouteTarget, Topology,
-};
+use netsim_routing::{LinkAttrs, Topology};
 use netsim_sim::MSEC;
 
 use crate::control::ControlMode;
@@ -32,68 +30,43 @@ pub fn site_prefix(i: usize) -> Prefix {
     Prefix::new(Ip(0x0A00_0000 | ((i as u32) << 8)), 24)
 }
 
-/// Joins `n_sites` sites (round-robin over `pe_count` PEs) to one VPN via
-/// the BGP/MPLS control plane and records per-join costs.
-pub fn mpls_join_series(pe_count: usize, n_sites: usize, mode: DistributionMode) -> Vec<JoinCost> {
-    let rt = RouteTarget(1);
-    let rd = RouteDistinguisher::new(65000, 1);
-    let mut fabric = BgpVpnFabric::new(pe_count, mode);
-    let mut handles = vec![None; pe_count];
-    let mut costs = Vec::with_capacity(n_sites);
-    for i in 0..n_sites {
-        let pe = i % pe_count;
-        let before = fabric.messages();
-        let handle = match handles[pe] {
-            Some(h) => h,
-            None => {
-                let h = fabric.add_vrf(pe, rd, vec![rt], vec![rt]);
-                // A brand-new VRF pulls the existing routes from the RR.
-                fabric.refresh_vrf(h);
-                handles[pe] = Some(h);
-                h
-            }
-        };
-        fabric.advertise(handle, site_prefix(i));
-        costs.push(JoinCost {
-            // The join reconfigures exactly one device: the homing PE.
-            devices_touched: 1,
-            control_messages: fabric.messages() - before,
-            new_circuits: 0,
-        });
-    }
-    costs
-}
-
 /// Joins `n_sites` sites (round-robin over `pe_count` PEs, full-mesh
 /// backbone) to one VPN on a *running* [`crate::ProviderNetwork`] and
-/// records per-join control cost under `mode`.
+/// records each join's cost under `mode`.
 ///
-/// Unlike [`mpls_join_series`] — which measures the abstract fabric —
-/// this drives the deployed network and counts the MP-BGP deltas each
-/// join originated: one per remote member PE, flat in the number of
-/// *sites*. The cost is the same under either transport — packets on the
-/// wire under [`ControlMode::InBand`], deltas applied at once under
-/// [`ControlMode::Oracle`].
-pub fn backbone_join_series(pe_count: usize, n_sites: usize, mode: ControlMode) -> Vec<JoinCost> {
+/// Each entry pairs the join's [`JoinCost`], whose `control_messages` are
+/// the BGP/MPLS fabric's update messages (PE → route reflector → every
+/// other PE, plus the reflector's refresh of a brand-new VRF), with the
+/// MP-BGP deltas the join originated: one per remote member PE, flat in
+/// the number of *sites*. The delta count is the same under either
+/// transport — packets on the wire under [`ControlMode::InBand`], deltas
+/// applied at once under [`ControlMode::Oracle`].
+pub fn backbone_join_series(
+    pe_count: usize,
+    n_sites: usize,
+    mode: ControlMode,
+) -> Vec<(JoinCost, u64)> {
     let attrs = LinkAttrs { cost: 1, capacity_bps: 1_000_000_000 };
     let topo = Topology::full_mesh(pe_count, attrs);
     let pes: Vec<usize> = (0..pe_count).collect();
     let mut pn = BackboneBuilder::new(topo, pes).control_mode(mode).build();
     let vpn = pn.new_vpn("m1");
-    let cost_so_far =
+    let originated =
         |pn: &crate::ProviderNetwork| pn.control_stats().map_or(0, |s| s.bgp_originated);
     let mut costs = Vec::with_capacity(n_sites);
     for i in 0..n_sites {
         let pe = i % pe_count;
-        let before = cost_so_far(&pn);
+        let (fabric_before, before) = (pn.fabric.messages(), originated(&pn));
         pn.add_site(vpn, pe, site_prefix(i), None);
         // Let in-band updates propagate (one hop on a full mesh).
         pn.run_for(20 * MSEC);
-        costs.push(JoinCost {
+        let cost = JoinCost {
+            // The join reconfigures exactly one device: the homing PE.
             devices_touched: 1,
-            control_messages: cost_so_far(&pn) - before,
+            control_messages: pn.fabric.messages() - fabric_before,
             new_circuits: 0,
-        });
+        };
+        costs.push((cost, originated(&pn) - before));
     }
     costs
 }
@@ -131,15 +104,15 @@ mod tests {
 
     #[test]
     fn mpls_join_cost_is_flat() {
-        let costs = mpls_join_series(4, 16, DistributionMode::RouteReflector);
+        let costs = backbone_join_series(4, 16, ControlMode::Oracle);
         assert_eq!(costs.len(), 16);
         // Every join touches one device and costs one update fan-out (plus
         // at most a VRF refresh).
-        assert!(costs.iter().all(|c| c.devices_touched == 1));
-        let late = costs[15].control_messages;
-        let early = costs[1].control_messages;
+        assert!(costs.iter().all(|(c, _)| c.devices_touched == 1));
+        let late = costs[15].0.control_messages;
+        let early = costs[1].0.control_messages;
         assert!(late <= early + 16, "join cost must not grow linearly: early={early} late={late}");
-        assert!(costs.iter().all(|c| c.new_circuits == 0));
+        assert!(costs.iter().all(|(c, _)| c.new_circuits == 0));
     }
 
     #[test]
@@ -149,9 +122,9 @@ mod tests {
             let costs = backbone_join_series(pe_count, n, mode);
             // Steady state (every PE already has the VRF): exactly one
             // MP-BGP update per remote member PE, regardless of table size.
-            for (i, c) in costs.iter().enumerate().skip(pe_count) {
+            for (i, &(_, deltas)) in costs.iter().enumerate().skip(pe_count) {
                 assert_eq!(
-                    c.control_messages,
+                    deltas,
                     (pe_count - 1) as u64,
                     "{mode:?} join {i} must cost one update per remote PE"
                 );

@@ -27,8 +27,8 @@ use netsim_qos::{
     QueueDiscipline, RedParams, RedQueue, WfqScheduler,
 };
 use netsim_routing::{
-    BgpVpnFabric, DistributionMode, Igp, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget,
-    Topology, VrfHandle,
+    BgpVpnFabric, Igp, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget, Topology,
+    VrfHandle,
 };
 use netsim_sim::{
     CbrSource, FxHashMap, IfaceId, LinkConfig, LinkId, Network, NodeId, OnOffSource, PoissonSource,
@@ -159,7 +159,6 @@ pub struct BackboneBuilder {
     core_qos: CoreQos,
     access_rate_bps: u64,
     access_delay_ns: Nanos,
-    distribution: DistributionMode,
     seed: u64,
     detect_ns: Nanos,
     control_mode: ControlMode,
@@ -178,7 +177,6 @@ impl BackboneBuilder {
             core_qos: CoreQos::BestEffort { cap_bytes: 256 * 1024 },
             access_rate_bps: 100_000_000,
             access_delay_ns: 100_000,
-            distribution: DistributionMode::RouteReflector,
             seed: 1,
             detect_ns: 50_000_000, // 50 ms: ~3 missed BFD hellos at slow timers
             control_mode: ControlMode::Oracle,
@@ -220,12 +218,6 @@ impl BackboneBuilder {
         self
     }
 
-    /// Sets the iBGP distribution mode.
-    pub fn distribution(mut self, d: DistributionMode) -> Self {
-        self.distribution = d;
-        self
-    }
-
     /// Seeds the RED queues (determinism knob).
     pub fn seed(mut self, s: u64) -> Self {
         self.seed = s;
@@ -234,7 +226,7 @@ impl BackboneBuilder {
 
     /// Runs the control planes and materializes the simulated network.
     pub fn build(self) -> ProviderNetwork {
-        let (igp, mut ldp) = converge(&self.topo, &self.pes, self.php, &HashSet::new());
+        let (igp, mut ldp) = converge(&self.topo, &self.pes, self.php, &|_| true);
 
         let mut net = Network::new();
         // Observability is always on: one flight recorder in the engine,
@@ -264,17 +256,20 @@ impl BackboneBuilder {
             };
             node_ids.push(id);
         }
-        // Materialize backbone links in id order: interface numbers now
-        // equal adjacency-list positions, which LDP's tables assume.
+        // Materialize backbone links in id order, before any other link:
+        // interface numbers now equal adjacency-list positions, which LDP's
+        // tables assume, and simulator link ids equal topology link ids,
+        // so the engine's enabled bit is the one record of a failed link.
         for l in 0..self.topo.link_count() {
             let (u, v, attrs) = self.topo.link(l);
             let cfg = LinkConfig::new(attrs.capacity_bps, BACKBONE_HOP_DELAY_NS);
             let qa = self.core_qos.make_qdisc(self.seed.wrapping_add(l as u64 * 2));
             let qb = self.core_qos.make_qdisc(self.seed.wrapping_add(l as u64 * 2 + 1));
-            net.connect_with_qdiscs(node_ids[u], node_ids[v], cfg, cfg, qa, qb);
+            let (id, _, _) = net.connect_with_qdiscs(node_ids[u], node_ids[v], cfg, cfg, qa, qb);
+            debug_assert_eq!(id, LinkId(l));
         }
 
-        let fabric = BgpVpnFabric::new(self.pes.len(), self.distribution);
+        let fabric = BgpVpnFabric::new(self.pes.len());
         let links = self.topo.link_count();
         let mut pn = ProviderNetwork {
             net,
@@ -291,7 +286,6 @@ impl BackboneBuilder {
             access_rate_bps: self.access_rate_bps,
             access_delay_ns: self.access_delay_ns,
             php: self.php,
-            failed_links: HashSet::new(),
             link_seq: vec![0; links],
             detect_ns: self.detect_ns,
             core_qos: self.core_qos,
@@ -335,7 +329,6 @@ pub struct ProviderNetwork {
     access_rate_bps: u64,
     access_delay_ns: Nanos,
     php: bool,
-    failed_links: HashSet<usize>,
     /// Per-link event sequence, bumped once per fail/repair and written
     /// into both endpoint routers, so both originate the same LSA.
     link_seq: Vec<u64>,
@@ -726,7 +719,7 @@ impl ProviderNetwork {
         use netsim_mpls::lfib::{LabelOp, Nhlfe, LOCAL_IFACE};
         assert!(path.len() >= 2, "an LSP needs at least ingress and egress");
         {
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = HashSet::new();
             assert!(path.iter().all(|&u| seen.insert(u)), "explicit route must be loop-free");
         }
         let php = self.php;
@@ -902,7 +895,7 @@ impl ProviderNetwork {
         let mut path = vec![at];
         for _ in 0..(4 * self.topo.node_count().max(4)) {
             let (next, _, link) = self.topo.neighbors(at).nth(iface)?;
-            if self.failed_links.contains(&link) {
+            if !self.net.link_enabled(LinkId(link)) {
                 return None;
             }
             at = next;
@@ -973,7 +966,7 @@ impl ProviderNetwork {
     /// are never double-counted and timers never re-armed.
     pub fn fail_link(&mut self, topo_link: usize) {
         assert!(topo_link < self.topo.link_count(), "unknown backbone link {topo_link}");
-        if !self.failed_links.insert(topo_link) {
+        if !self.net.link_enabled(LinkId(topo_link)) {
             return;
         }
         self.net.set_link_enabled(LinkId(topo_link), false);
@@ -986,7 +979,8 @@ impl ProviderNetwork {
     /// stop using any bypass; call [`ProviderNetwork::reconverge`]
     /// afterwards to re-optimize global routing onto it. Idempotent.
     pub fn repair_link(&mut self, topo_link: usize) {
-        if !self.failed_links.remove(&topo_link) {
+        assert!(topo_link < self.topo.link_count(), "unknown backbone link {topo_link}");
+        if self.net.link_enabled(LinkId(topo_link)) {
             return;
         }
         self.net.set_link_enabled(LinkId(topo_link), true);
@@ -1019,7 +1013,7 @@ impl ProviderNetwork {
         let incident: Vec<(usize, usize)> =
             self.topo.neighbors(topo_node).map(|(far, _, l)| (l, far)).collect();
         for (l, far) in incident {
-            if !self.failed_links.insert(l) {
+            if !self.net.link_enabled(LinkId(l)) {
                 continue; // already failed: no double-counted drops/timers
             }
             self.net.set_link_enabled(LinkId(l), false);
@@ -1033,11 +1027,9 @@ impl ProviderNetwork {
         }
     }
 
-    /// Links currently administratively failed.
+    /// Backbone links currently failed, in id order.
     pub fn failed_links(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.failed_links.iter().copied().collect();
-        v.sort_unstable();
-        v
+        (0..self.topo.link_count()).filter(|&l| !self.net.link_enabled(LinkId(l))).collect()
     }
 
     /// Arms the interface up/down notification timers on both ends of a
@@ -1061,10 +1053,10 @@ impl ProviderNetwork {
     /// *not* re-signalled (RSVP-TE state would need its own refresh); pins
     /// should be re-applied by the caller if still desired.
     pub fn reconverge(&mut self) -> ControlSummary {
-        let down = &self.failed_links;
-        let (igp, mut ldp) = converge(&self.topo, &self.pes, self.php, down);
+        let up = |l: usize| self.net.link_enabled(LinkId(l));
+        let (igp, mut ldp) = converge(&self.topo, &self.pes, self.php, &up);
         let links: Vec<(u64, bool)> =
-            self.link_seq.iter().enumerate().map(|(l, &seq)| (seq, down.contains(&l))).collect();
+            self.link_seq.iter().enumerate().map(|(l, &seq)| (seq, !up(l))).collect();
         for u in 0..self.topo.node_count() {
             let lfib = std::mem::take(&mut ldp.nodes[u].lfib);
             // The reference recompute re-seeds the router's view. Replacing
@@ -1149,11 +1141,16 @@ impl ProviderNetwork {
     }
 }
 
-/// The global IGP/LDP computation over the links of `topo` not in
-/// `down`: SPF from every node, then one LDP tunnel FEC per PE along
+/// The global IGP/LDP computation over the links of `topo` that are
+/// `usable`: SPF from every node, then one LDP tunnel FEC per PE along
 /// those next hops.
-fn converge(topo: &Topology, pes: &[usize], php: bool, down: &HashSet<usize>) -> (Igp, LdpDomain) {
-    let igp = Igp::converge_filtered(topo, &|l| !down.contains(&l));
+fn converge(
+    topo: &Topology,
+    pes: &[usize],
+    php: bool,
+    usable: &dyn Fn(usize) -> bool,
+) -> (Igp, LdpDomain) {
+    let igp = Igp::converge_filtered(topo, usable);
     let fecs: Vec<(Fec, usize)> =
         pes.iter().enumerate().map(|(k, &pe)| (Fec(k as u32), pe)).collect();
     let nh = |u: usize, v: usize| igp.next_hop(u, v);
@@ -1510,6 +1507,67 @@ mod tests {
         assert_eq!(pn.net.node_ref::<Sink>(sink).flow(1).map(|f| f.rx_packets), Some(20));
         assert_eq!(pn.net.link_stats(LinkId(0), 0).tx_packets, 0, "short path unused");
         assert_eq!(pn.net.link_stats(LinkId(2), 0).tx_packets, 20, "long path carries the LSP");
+    }
+
+    /// A `len`-node line backbone (PEs at both ends) with PHP on or off.
+    fn line_of(len: usize, php: bool) -> ProviderNetwork {
+        let mut topo = Topology::new(len);
+        let attrs = LinkAttrs { cost: 1, capacity_bps: 100_000_000 };
+        for u in 1..len {
+            topo.add_link(u - 1, u, attrs);
+        }
+        BackboneBuilder::new(topo, vec![0, len - 1]).php(php).build()
+    }
+
+    fn live_labels(pn: &ProviderNetwork) -> u64 {
+        pn.ldp.nodes.iter().map(|n| n.space.live()).sum()
+    }
+
+    /// An explicit LSP along a line installs a label chain the live LFIBs
+    /// follow to the egress, allocating one label per labelled hop:
+    /// len−2 with PHP (the egress takes the packet unlabelled), len−1
+    /// without.
+    #[test]
+    fn explicit_lsp_chain_reaches_the_egress() {
+        for len in 2..=10 {
+            for php in [true, false] {
+                let mut pn = line_of(len, php);
+                let path: Vec<usize> = (0..len).collect();
+                let before = live_labels(&pn);
+                let ftn = pn.install_explicit_lsp(&path);
+                let want = if php { len - 2 } else { len - 1 };
+                assert_eq!(live_labels(&pn) - before, want as u64, "len {len} php {php}");
+                assert_eq!(pn.walk_tunnel(0, &ftn, len - 1), Some(path), "len {len} php {php}");
+            }
+        }
+    }
+
+    /// Two LSPs through one LSR get distinct labels there: both chains
+    /// stay intact.
+    #[test]
+    fn explicit_lsps_through_one_lsr_get_distinct_labels() {
+        for php in [true, false] {
+            let mut pn = line_of(4, php);
+            let entries = |pn: &ProviderNetwork| pn.backbone(1).0.len();
+            let before = entries(&pn);
+            let ab = pn.install_explicit_lsp(&[0, 1, 2, 3]);
+            let ba = pn.install_explicit_lsp(&[3, 2, 1, 0]);
+            assert_eq!(entries(&pn), before + 2, "php {php}");
+            assert_eq!(pn.walk_tunnel(0, &ab, 3), Some(vec![0, 1, 2, 3]));
+            assert_eq!(pn.walk_tunnel(3, &ba, 0), Some(vec![3, 2, 1, 0]));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "loop-free")]
+    fn looping_explicit_route_rejected() {
+        line_of(3, true).install_explicit_lsp(&[0, 1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least ingress and egress")]
+    fn one_node_explicit_route_rejected() {
+        line_of(3, true).install_explicit_lsp(&[0]);
     }
 
     /// Pinning an existing route keeps that route's egress PE and VPN

@@ -45,17 +45,6 @@ impl Sla {
         }
     }
 
-    /// An interactive-data SLA: 300 ms mean, 500 ms p99, no jitter bound,
-    /// 2% loss.
-    pub fn interactive() -> Self {
-        Sla {
-            max_mean_latency_ns: 300 * netsim_sim::MSEC,
-            max_p99_latency_ns: 500 * netsim_sim::MSEC,
-            max_jitter_ns: f64::INFINITY,
-            max_loss: 0.02,
-        }
-    }
-
     /// Evaluates measured receiver stats against the SLA, given the
     /// sender's transmitted packet count.
     pub fn evaluate(&self, stats: &FlowStats, tx_packets: u64) -> SlaReport {

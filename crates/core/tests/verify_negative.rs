@@ -180,39 +180,3 @@ fn ef_overcommit_fails_admission() {
     pn.commit_ef_contract("sane voice", 10_000_000);
     assert!(pn.verify().is_clean());
 }
-
-#[test]
-fn backup_route_sharing_fate_with_its_primary_is_flagged() {
-    // The TE pass runs on a standalone domain (same topology family the
-    // backbone uses). A protected trunk whose bypass later ends up in the
-    // same risk group as the primary must be flagged: the operator thinks
-    // the trunk survives a conduit cut, and it will not.
-    let mut topo = Topology::new(5);
-    let attrs = LinkAttrs { cost: 1, capacity_bps: 100_000_000 };
-    for (u, v) in [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)] {
-        topo.add_link(u, v, attrs);
-    }
-    let mut te = netsim_te::TeDomain::new(topo);
-    let (id, _) = te.signal(netsim_te::TrunkRequest::new(0, 4, 10_000_000)).unwrap();
-    assert_eq!(te.protect_trunk(id), 2, "both short-path links protected");
-
-    // Healthy: bypasses are risk-disjoint.
-    let mut report = netsim_verify::VerifyReport::new();
-    netsim_verify::verify_te(&te, &mut report);
-    assert!(report.is_clean(), "{report}");
-
-    // Now the short link 1→4 and the long link 3→4 are declared to ride
-    // one conduit into node 4 — the existing bypass silently shares fate.
-    te.assign_srlg(1, 7);
-    te.assign_srlg(4, 7);
-    let mut report = netsim_verify::VerifyReport::new();
-    netsim_verify::verify_te(&te, &mut report);
-    assert!(report.has_code(codes::TE_BACKUP_SHARED), "{report}");
-
-    // Corrupting a backup into a non-path is caught by the same code.
-    te.corrupt_backup_for_test(id, 0, vec![0, 4]);
-    let mut report = netsim_verify::VerifyReport::new();
-    netsim_verify::verify_te(&te, &mut report);
-    let hits = report.diagnostics().iter().filter(|d| d.code == codes::TE_BACKUP_SHARED).count();
-    assert_eq!(hits, 2, "both corrupted backups flagged: {report}");
-}

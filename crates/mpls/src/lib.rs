@@ -10,8 +10,6 @@
 //!   that runs in synchronous rounds over a topology and counts every
 //!   Label Mapping message — the currency of the paper's scalability
 //!   argument (§2.1 vs §4).
-//! * [`explicit`] — RSVP-TE-style signalling of an LSP along an explicit
-//!   route, used by the traffic-engineering crate.
 //!
 //! The paper (§3): "MPLS brings the same kind of label swapping based
 //! forwarding used in frame relay and ATM to the handling of IP traffic."
@@ -39,12 +37,10 @@
 
 #![warn(missing_docs)]
 
-pub mod explicit;
 pub mod label;
 pub mod ldp;
 pub mod lfib;
 
-pub use explicit::{signal_explicit_lsp, ExplicitLsp, LspHop};
 pub use label::LabelSpace;
 pub use ldp::{Fec, LdpConfig, LdpDomain, LdpNodeState};
 pub use lfib::{FtnEntry, LabelOp, Lfib, LfibStats, Nhlfe};

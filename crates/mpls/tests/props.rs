@@ -1,9 +1,9 @@
 //! Property-based tests for the MPLS substrate: LDP correctness on random
-//! connected graphs and LFIB/explicit-LSP invariants.
+//! connected graphs and LFIB invariants.
 
 use netsim_mpls::ldp::{Fec, LdpConfig, LdpDomain};
 use netsim_mpls::lfib::{LabelOp, Nhlfe};
-use netsim_mpls::{signal_explicit_lsp, LabelSpace, Lfib};
+use netsim_mpls::Lfib;
 use proptest::prelude::*;
 
 /// Generates a random connected undirected graph as an adjacency list:
@@ -121,49 +121,6 @@ proptest! {
         let m1 = run(1);
         let mn = run(n);
         prop_assert!(mn >= m1);
-    }
-
-    /// An explicit LSP signalled over any loop-free path installs a
-    /// consistent swap chain: simulating the label operations hop by hop
-    /// reaches the egress, and teardown frees every label.
-    #[test]
-    fn explicit_lsp_chain_consistent(len in 2usize..10, php in any::<bool>()) {
-        let path: Vec<usize> = (0..len).collect();
-        let mut spaces: Vec<LabelSpace> = (0..len).map(|_| LabelSpace::new()).collect();
-        let mut lfibs: Vec<Lfib> = (0..len).map(|_| Lfib::new()).collect();
-        let iface = |_u: usize, v: usize| v;
-        let lsp = signal_explicit_lsp(&path, &mut spaces, &mut lfibs, &iface, php);
-
-        // Follow the chain.
-        let mut label = lsp.ingress_ftn.push.first().copied();
-        let mut at = lsp.ingress_ftn.out_iface; // iface == next node id here
-        let mut hops = 1;
-        while let Some(l) = label {
-            let e = lfibs[at].lookup(l).expect("chain installed");
-            match e.op {
-                LabelOp::Swap(out) => {
-                    label = Some(out);
-                    at = e.out_iface;
-                    hops += 1;
-                }
-                LabelOp::Pop => {
-                    label = None;
-                    if e.out_iface != netsim_mpls::lfib::LOCAL_IFACE {
-                        at = e.out_iface;
-                        hops += 1;
-                    }
-                }
-                LabelOp::SwapPush { .. } => prop_assert!(false, "explicit LSPs never SwapPush"),
-            }
-        }
-        prop_assert_eq!(at, len - 1, "chain must end at the egress");
-        prop_assert!(hops <= len);
-
-        let live: u64 = spaces.iter().map(netsim_mpls::LabelSpace::live).sum();
-        prop_assert_eq!(live as usize, if php { len - 2 } else { len - 1 });
-        lsp.tear_down(&mut spaces, &mut lfibs);
-        prop_assert_eq!(spaces.iter().map(netsim_mpls::LabelSpace::live).sum::<u64>(), 0);
-        prop_assert!(lfibs.iter().all(netsim_mpls::Lfib::is_empty));
     }
 
     /// LFIB forward over arbitrary swap entries preserves EXP and

@@ -9,7 +9,7 @@
 //!   multiple VPNs whose internal address spaces overlap").
 //! * **Reachability exchange** — each PE advertises its customer prefixes
 //!   as VPN-IPv4 routes (route distinguisher + prefix) with a *piggybacked
-//!   VPN label*, via a route reflector or a full iBGP mesh. Messages and
+//!   VPN label*, via a route reflector. Messages and
 //!   sessions are counted: they are the per-VPN control cost that the §2.1
 //!   overlay model pays N(N−1)/2 circuits for.
 //! * **Data separation** — the importer ends up with a per-VRF LPM table
@@ -115,24 +115,15 @@ struct PeControl {
     vpn_ilm: HashMap<u32, (usize, Prefix)>,
 }
 
-/// How VPN-IPv4 routes are distributed among PEs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DistributionMode {
-    /// Full iBGP mesh: P·(P−1)/2 sessions; an update goes to every peer.
-    FullMesh,
-    /// One route reflector: P sessions; an update goes PE → RR → others.
-    RouteReflector,
-}
-
 /// First label value the fabric hands out as a VPN label. Kept disjoint
 /// from the LDP range (which grows upward from 16) so that a PE's VPN
 /// labels can never alias its transit labels.
 pub const VPN_LABEL_BASE: u32 = 1 << 17;
 
-/// The provider's VPN route distribution fabric.
+/// The provider's VPN route distribution fabric: one route reflector with
+/// an iBGP session to every PE, so an update goes PE → RR → other PEs.
 pub struct BgpVpnFabric {
     pes: Vec<PeControl>,
-    mode: DistributionMode,
     /// All advertisements currently in the fabric (the RR's Adj-RIB).
     rib: Vec<VpnRouteAd>,
     messages: u64,
@@ -140,7 +131,7 @@ pub struct BgpVpnFabric {
 
 impl BgpVpnFabric {
     /// Creates a fabric over `pe_count` PEs.
-    pub fn new(pe_count: usize, mode: DistributionMode) -> Self {
+    pub fn new(pe_count: usize) -> Self {
         BgpVpnFabric {
             pes: (0..pe_count)
                 .map(|_| PeControl {
@@ -149,7 +140,6 @@ impl BgpVpnFabric {
                     vpn_ilm: HashMap::new(),
                 })
                 .collect(),
-            mode,
             rib: Vec::new(),
             messages: 0,
         }
@@ -160,13 +150,9 @@ impl BgpVpnFabric {
         self.pes.len()
     }
 
-    /// iBGP sessions implied by the distribution mode.
+    /// iBGP sessions: one per PE, to the route reflector.
     pub fn session_count(&self) -> u64 {
-        let p = self.pes.len() as u64;
-        match self.mode {
-            DistributionMode::FullMesh => p * (p.saturating_sub(1)) / 2,
-            DistributionMode::RouteReflector => p,
-        }
+        self.pes.len() as u64
     }
 
     /// Update messages sent so far.
@@ -260,7 +246,7 @@ impl BgpVpnFabric {
         };
         let ad = self.rib.swap_remove(pos);
         // Withdrawal costs the same messages as the announcement.
-        self.messages += self.update_fanout(ad.egress_pe);
+        self.messages += self.update_fanout();
         let withdrawn = ad.route();
         let mut changed = Vec::with_capacity(self.pes.len());
         for (pi, pe) in self.pes.iter_mut().enumerate() {
@@ -296,14 +282,10 @@ impl BgpVpnFabric {
         changed
     }
 
-    fn update_fanout(&self, from_pe: usize) -> u64 {
-        let _ = from_pe;
-        let p = self.pes.len() as u64;
-        match self.mode {
-            DistributionMode::FullMesh => p.saturating_sub(1),
-            // PE → RR, then RR reflects to the other P−1 PEs.
-            DistributionMode::RouteReflector => 1 + p.saturating_sub(1),
-        }
+    /// Messages one update costs: PE → RR, then RR reflects to the other
+    /// P−1 PEs.
+    fn update_fanout(&self) -> u64 {
+        1 + (self.pes.len() as u64).saturating_sub(1)
     }
 
     /// BGP best-path tie-break for two advertisements of the same prefix
@@ -315,7 +297,7 @@ impl BgpVpnFabric {
 
     /// Offers `ad` to every importing VRF and returns those that selected it.
     fn distribute(&mut self, ad: &VpnRouteAd) -> Vec<RouteChange> {
-        self.messages += self.update_fanout(ad.egress_pe);
+        self.messages += self.update_fanout();
         let cand = ad.route();
         // A VPN usually has one VRF per PE.
         let mut changed = Vec::with_capacity(self.pes.len());
@@ -464,7 +446,7 @@ mod tests {
     /// stay strictly separate.
     #[test]
     fn overlapping_address_spaces_stay_separate() {
-        let mut f = BgpVpnFabric::new(3, DistributionMode::RouteReflector);
+        let mut f = BgpVpnFabric::new(3);
         let a0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
         let a1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]);
         let b0 = f.add_vrf(0, rd(2), vec![RT_B], vec![RT_B]);
@@ -489,7 +471,7 @@ mod tests {
 
     #[test]
     fn labels_dispatch_to_the_right_vrf_at_egress() {
-        let mut f = BgpVpnFabric::new(2, DistributionMode::RouteReflector);
+        let mut f = BgpVpnFabric::new(2);
         let a = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
         let b = f.add_vrf(0, rd(2), vec![RT_B], vec![RT_B]);
         let (la, _) = f.advertise(a, pfx("10.0.0.0/8"));
@@ -501,30 +483,18 @@ mod tests {
     }
 
     #[test]
-    fn session_counts_by_mode() {
-        let mesh = BgpVpnFabric::new(10, DistributionMode::FullMesh);
-        assert_eq!(mesh.session_count(), 45);
-        let rr = BgpVpnFabric::new(10, DistributionMode::RouteReflector);
-        assert_eq!(rr.session_count(), 10);
-    }
-
-    #[test]
     fn message_counting_per_update() {
-        let mut f = BgpVpnFabric::new(5, DistributionMode::RouteReflector);
+        let mut f = BgpVpnFabric::new(5);
+        assert_eq!(f.session_count(), 5, "one session per PE, to the RR");
         let v = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
         f.advertise(v, pfx("192.168.0.0/24"));
         // PE → RR (1) + RR → 4 other PEs.
         assert_eq!(f.messages(), 5);
-
-        let mut m = BgpVpnFabric::new(5, DistributionMode::FullMesh);
-        let v = m.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
-        m.advertise(v, pfx("192.168.0.0/24"));
-        assert_eq!(m.messages(), 4);
     }
 
     #[test]
     fn withdraw_removes_route_and_frees_label() {
-        let mut f = BgpVpnFabric::new(2, DistributionMode::RouteReflector);
+        let mut f = BgpVpnFabric::new(2);
         let a0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
         let a1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]);
         let (l, _) = f.advertise(a1, pfx("172.16.0.0/12"));
@@ -541,7 +511,7 @@ mod tests {
     fn hub_and_spoke_via_asymmetric_targets() {
         // Spokes export RT_A, import RT_B; hub exports RT_B, imports RT_A:
         // spokes see only the hub, the hub sees all spokes.
-        let mut f = BgpVpnFabric::new(3, DistributionMode::RouteReflector);
+        let mut f = BgpVpnFabric::new(3);
         let hub = f.add_vrf(0, rd(10), vec![RT_A], vec![RT_B]);
         let s1 = f.add_vrf(1, rd(11), vec![RT_B], vec![RT_A]);
         let s2 = f.add_vrf(2, rd(12), vec![RT_B], vec![RT_A]);
@@ -558,7 +528,7 @@ mod tests {
 
     #[test]
     fn late_joining_vrf_catches_up_with_refresh() {
-        let mut f = BgpVpnFabric::new(3, DistributionMode::RouteReflector);
+        let mut f = BgpVpnFabric::new(3);
         let a0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
         f.advertise(a0, pfx("10.0.0.0/24"));
         let a1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]);
@@ -575,7 +545,7 @@ mod tests {
     /// survivor.
     #[test]
     fn multihomed_prefix_best_path_and_failover() {
-        let mut f = BgpVpnFabric::new(3, DistributionMode::RouteReflector);
+        let mut f = BgpVpnFabric::new(3);
         let v0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]); // importer
         let v1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]); // primary home
         let v2 = f.add_vrf(2, rd(1), vec![RT_A], vec![RT_A]); // backup home
@@ -598,7 +568,7 @@ mod tests {
     #[test]
     fn multihoming_is_order_independent() {
         let order_a = {
-            let mut f = BgpVpnFabric::new(3, DistributionMode::RouteReflector);
+            let mut f = BgpVpnFabric::new(3);
             let v0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
             let v1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]);
             let v2 = f.add_vrf(2, rd(1), vec![RT_A], vec![RT_A]);
@@ -607,7 +577,7 @@ mod tests {
             f.routes(v0).lookup(pfx("10.5.0.0/16").addr()).copied().unwrap().egress_pe
         };
         let order_b = {
-            let mut f = BgpVpnFabric::new(3, DistributionMode::RouteReflector);
+            let mut f = BgpVpnFabric::new(3);
             let v0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
             let v1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]);
             let v2 = f.add_vrf(2, rd(1), vec![RT_A], vec![RT_A]);
@@ -623,7 +593,7 @@ mod tests {
     /// pulls newly importable ones — and reports exactly the delta.
     #[test]
     fn refilter_applies_import_policy_deltas() {
-        let mut f = BgpVpnFabric::new(3, DistributionMode::RouteReflector);
+        let mut f = BgpVpnFabric::new(3);
         let a0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
         let a1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]);
         let b2 = f.add_vrf(2, rd(2), vec![RT_B], vec![RT_B]);
@@ -656,7 +626,7 @@ mod tests {
 
     #[test]
     fn pe_state_counts() {
-        let mut f = BgpVpnFabric::new(2, DistributionMode::RouteReflector);
+        let mut f = BgpVpnFabric::new(2);
         let a0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
         let a1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]);
         f.advertise(a0, pfx("10.0.0.0/24"));

@@ -8,7 +8,7 @@
 //! * [`bgpvpn`] — the RFC 2547 machinery: route distinguishers make
 //!   overlapping customer prefixes globally unique, route targets control
 //!   VRF import/export, VPN labels are piggybacked on route updates, and a
-//!   route reflector (or full iBGP mesh) distributes everything. Message
+//!   route reflector distributes everything. Message
 //!   and session counts are first-class outputs — they are the quantities
 //!   behind the paper's §2.1 scalability argument.
 //!
@@ -19,7 +19,7 @@
 //!
 //! ```
 //! use netsim_routing::{
-//!     BgpVpnFabric, DistributionMode, Igp, LinkAttrs, RouteDistinguisher, RouteTarget, Topology,
+//!     BgpVpnFabric, Igp, LinkAttrs, RouteDistinguisher, RouteTarget, Topology,
 //! };
 //!
 //! // A 3-node backbone and its IGP.
@@ -33,7 +33,7 @@
 //! // Two VRFs in one VPN exchange a route with a piggybacked label.
 //! let rt = RouteTarget(1);
 //! let rd = RouteDistinguisher::new(65000, 1);
-//! let mut fabric = BgpVpnFabric::new(2, DistributionMode::RouteReflector);
+//! let mut fabric = BgpVpnFabric::new(2);
 //! let a = fabric.add_vrf(0, rd, vec![rt], vec![rt]);
 //! let b = fabric.add_vrf(1, rd, vec![rt], vec![rt]);
 //! let (label, _) = fabric.advertise(b, "10.2.0.0/16".parse().unwrap());
@@ -48,8 +48,7 @@ pub mod igp;
 pub mod topology;
 
 pub use bgpvpn::{
-    BgpVpnFabric, DistributionMode, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget,
-    VrfHandle,
+    BgpVpnFabric, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget, VrfHandle,
 };
 pub use igp::{Igp, SpfTree};
 pub use topology::{LinkAttrs, Topology};

@@ -7,8 +7,7 @@ use std::collections::BTreeSet;
 use netsim_net::{Ip, Prefix};
 use netsim_routing::igp::spf_filtered;
 use netsim_routing::{
-    BgpVpnFabric, DistributionMode, Igp, LinkAttrs, RemoteRoute, RouteDistinguisher, RouteTarget,
-    Topology, VrfHandle,
+    BgpVpnFabric, Igp, LinkAttrs, RemoteRoute, RouteDistinguisher, RouteTarget, Topology, VrfHandle,
 };
 use proptest::prelude::*;
 
@@ -229,7 +228,7 @@ proptest! {
         let rts = |bits: u8| -> Vec<RouteTarget> {
             (0..4).filter(|b| bits & (1 << b) != 0).map(|b| RouteTarget(b as u64)).collect()
         };
-        let mut f = BgpVpnFabric::new(pe_count, DistributionMode::RouteReflector);
+        let mut f = BgpVpnFabric::new(pe_count);
         let importer = f.add_vrf(0, RouteDistinguisher::new(65000, 1), rts(import_bits), vec![]);
         let exporter =
             f.add_vrf(1, RouteDistinguisher::new(65000, 2), vec![], rts(export_bits));
@@ -250,7 +249,7 @@ proptest! {
         let rt = RouteTarget(9);
         let rd = RouteDistinguisher::new(65000, 9);
         let build = |with_extra: bool| {
-            let mut f = BgpVpnFabric::new(4, DistributionMode::RouteReflector);
+            let mut f = BgpVpnFabric::new(4);
             let handles: Vec<_> = (0..4).map(|pe| f.add_vrf(pe, rd, vec![rt], vec![rt])).collect();
             for (pe, third) in &others {
                 let p = Prefix::new(Ip(0xC0A8_0000 | (u32::from(*third) << 8)), 24);
@@ -294,7 +293,7 @@ proptest! {
         vrfs in proptest::collection::vec((any::<usize>(), 0u64..3, 0u8..8), 1..10),
         ops in proptest::collection::vec((0u8..6, any::<usize>(), any::<usize>()), 1..40),
     ) {
-        let mut f = BgpVpnFabric::new(pe_count, DistributionMode::RouteReflector);
+        let mut f = BgpVpnFabric::new(pe_count);
         // A VRF of VPN `vpn` exports that VPN's target and imports it plus
         // the extra targets in `extra`'s bits.
         let handles: Vec<VrfHandle> = vrfs
@@ -347,29 +346,5 @@ proptest! {
             expected.sort_by_key(|&(h, _)| (h.pe, h.index));
             prop_assert_eq!(reported, expected);
         }
-    }
-
-    /// Session-count algebra: full mesh is quadratic, RR linear, and both
-    /// distribute to the same importers.
-    #[test]
-    fn distribution_modes_agree_on_reachability(pe_count in 2usize..6, n_routes in 1usize..8) {
-        let rt = RouteTarget(1);
-        let rd = RouteDistinguisher::new(65000, 1);
-        let run = |mode| {
-            let mut f = BgpVpnFabric::new(pe_count, mode);
-            let handles: Vec<_> =
-                (0..pe_count).map(|pe| f.add_vrf(pe, rd, vec![rt], vec![rt])).collect();
-            for i in 0..n_routes {
-                let p = Prefix::new(Ip(0x0A00_0000 | ((i as u32) << 8)), 24);
-                f.advertise(handles[i % pe_count], p);
-            }
-            let routes: Vec<usize> = handles.iter().map(|&h| f.routes(h).len()).collect();
-            (routes, f.session_count())
-        };
-        let (mesh_routes, mesh_sessions) = run(DistributionMode::FullMesh);
-        let (rr_routes, rr_sessions) = run(DistributionMode::RouteReflector);
-        prop_assert_eq!(mesh_routes, rr_routes, "reachability must not depend on distribution");
-        prop_assert_eq!(mesh_sessions, (pe_count * (pe_count - 1) / 2) as u64);
-        prop_assert_eq!(rr_sessions, pe_count as u64);
     }
 }

@@ -115,9 +115,6 @@ enum Event {
     Timer { node: NodeId, token: u64 },
     /// A deferred send (see [`Ctx::send_after`]) reaches its egress queue.
     DeferredSend { node: NodeId, iface: IfaceId, pkt: Pkt },
-    /// A scheduled administrative link state change (fault injection: cut
-    /// or repair lands exactly at its calendar time).
-    LinkAdmin { link: LinkId, enabled: bool },
 }
 
 /// The simulated network: nodes, links, and the event calendar.
@@ -369,15 +366,6 @@ impl Network {
         self.links[link.0].dirs[0].enabled
     }
 
-    /// Schedules an administrative link state change at absolute time `at`
-    /// (a [`FaultPlan`](crate::FaultPlan) entry landing on the calendar).
-    ///
-    /// # Panics
-    /// Panics in debug builds if `at` is in the past.
-    pub fn schedule_link_admin(&mut self, at: Nanos, link: LinkId, enabled: bool) {
-        self.push(at, Event::LinkAdmin { link, enabled });
-    }
-
     /// Packets currently buffered across every link egress — the "in
     /// flight or queued" term of the chaos harness's conservation check
     /// (delivered + dropped + queued == sent).
@@ -457,7 +445,6 @@ impl Network {
                 self.try_start_tx(link, dir);
             }
             Event::DeferredSend { node, iface, pkt } => self.do_send(node, iface, pkt),
-            Event::LinkAdmin { link, enabled } => self.set_link_enabled(link, enabled),
         }
     }
 
@@ -834,25 +821,6 @@ mod tests {
         net.run_to_quiescence();
         assert_eq!(net.node_ref::<Recorder>(b).arrivals.len(), 2, "in-flight packet survives");
         assert_eq!(net.queued_packets(), 0);
-    }
-
-    #[test]
-    fn scheduled_link_admin_cuts_and_repairs_on_the_calendar() {
-        let mut net = Network::new();
-        let a = net.add_node(Box::new(BlackHole::default()));
-        let b = net.add_node(Box::new(Recorder::default()));
-        let (l, ia, _) = net.connect(a, b, LinkConfig::new(100_000_000, 0));
-        net.schedule_link_admin(2 * MSEC, l, false);
-        net.schedule_link_admin(4 * MSEC, l, true);
-        net.run_until(MSEC);
-        net.inject(a, ia, pkt(100)); // link still up: delivered
-        net.run_until(3 * MSEC);
-        net.inject(a, ia, pkt(100)); // cut landed at 2 ms: dropped
-        net.run_until(5 * MSEC);
-        net.inject(a, ia, pkt(100)); // repair landed at 4 ms: delivered
-        net.run_to_quiescence();
-        assert_eq!(net.node_ref::<Recorder>(b).arrivals.len(), 2);
-        assert_eq!(net.link_stats(l, 0).dropped, 1);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! from a seed ([`FaultPlan::random`]) for chaos testing: the same seed
 //! always yields the same schedule, so a failing chaos run can be replayed
 //! bit-for-bit. Plans are pure data — the executor (in `mplsvpn-core`)
-//! walks the schedule against a live network, or individual entries can be
-//! dropped straight onto the calendar via
-//! [`Network::schedule_link_admin`](crate::Network::schedule_link_admin).
+//! walks the schedule against a live network through
+//! `ProviderNetwork::fail_link` and `repair_link`, which arm the detection
+//! timers and LSA sequence a cut or repair needs.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};

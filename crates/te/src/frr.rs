@@ -1,11 +1,11 @@
-//! Fast-reroute link protection: SRLG bookkeeping and backup-route
+//! Fast-reroute link protection: SRLG bookkeeping and bypass-path
 //! computation.
 //!
 //! The paper's §5 promise is that MPLS lets the operator "avoid congested,
 //! constrained or disabled links"; plain re-optimization only does that
 //! *after* global reconvergence. Fast reroute closes the gap: for every
-//! link `u → v` a protected trunk crosses, a *bypass* route from `u` to the
-//! merge point `v` is precomputed, excluding the protected link and every
+//! protected link `u → v`, a *bypass* route from `u` to the merge point
+//! `v` is precomputed, excluding the protected link and every
 //! link sharing a risk group (SRLG) with it. When `u` detects the link
 //! down, it pushes the bypass label over the label it would have sent and
 //! forwards on — the merge point sees exactly the traffic it expected, just
@@ -50,8 +50,8 @@ impl SrlgMap {
 
 /// Computes a bypass path `src → dst` that avoids `protected` and every
 /// link sharing an SRLG with it, on top of the caller's `usable` filter.
-/// This is the CSPF exclusion primitive both trunk protection and
-/// link-level protection build on.
+/// This is the CSPF exclusion primitive link-level protection
+/// (`ProviderNetwork::protect_all_links` in `mplsvpn-core`) builds on.
 pub fn cspf_path_excluding(
     topo: &Topology,
     src: usize,
@@ -61,16 +61,6 @@ pub fn cspf_path_excluding(
     usable: &dyn Fn(usize) -> bool,
 ) -> Option<Vec<usize>> {
     cspf_path(topo, src, dst, &|l| usable(l) && !srlg.share_risk(l, protected))
-}
-
-/// A precomputed backup explicit route protecting one link of a trunk.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BackupRoute {
-    /// The topology link this bypass protects.
-    pub protected_link: usize,
-    /// Node path from the upstream end of the protected link to the merge
-    /// point (its downstream end), avoiding the link and its SRLG peers.
-    pub path: Vec<usize>,
 }
 
 #[cfg(test)]

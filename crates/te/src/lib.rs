@@ -43,6 +43,6 @@ pub mod intserv;
 pub mod trunk;
 
 pub use cspf::cspf_path;
-pub use frr::{cspf_path_excluding, BackupRoute, SrlgMap};
+pub use frr::{cspf_path_excluding, SrlgMap};
 pub use intserv::{FlowId, FlowRequest, IntServDomain, RsvpError};
 pub use trunk::{TeDomain, TeError, TrunkId, TrunkRequest};

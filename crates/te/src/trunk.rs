@@ -4,7 +4,6 @@
 use netsim_routing::Topology;
 
 use crate::cspf::cspf_path;
-use crate::frr::{cspf_path_excluding, BackupRoute, SrlgMap};
 
 /// Number of priority levels (0 = most important, 7 = least).
 pub const PRIORITIES: usize = 8;
@@ -78,10 +77,6 @@ struct Trunk {
     req: TrunkRequest,
     path: Vec<usize>,
     links: Vec<usize>,
-    /// Fast-reroute bypasses, one per protected link of `path` (empty
-    /// until [`TeDomain::protect_trunk`] runs; recompute after the trunk
-    /// moves).
-    backups: Vec<BackupRoute>,
 }
 
 /// The TE bandwidth broker for one backbone.
@@ -90,7 +85,6 @@ pub struct TeDomain {
     /// reserved[link][prio] = bits/s held at that priority.
     reserved: Vec<[u64; PRIORITIES]>,
     trunks: Vec<Option<Trunk>>,
-    srlg: SrlgMap,
 }
 
 impl TeDomain {
@@ -98,24 +92,7 @@ impl TeDomain {
     /// [`netsim_routing::LinkAttrs::capacity_bps`]).
     pub fn new(topo: Topology) -> Self {
         let links = topo.link_count();
-        TeDomain {
-            topo,
-            reserved: vec![[0; PRIORITIES]; links],
-            trunks: Vec::new(),
-            srlg: SrlgMap::new(links),
-        }
-    }
-
-    /// Declares that `link` belongs to shared-risk group `group`; backup
-    /// computation avoids the whole group, not just the protected link.
-    pub fn assign_srlg(&mut self, link: usize, group: u32) {
-        assert!(link < self.topo.link_count(), "no such link");
-        self.srlg.assign(link, group);
-    }
-
-    /// The SRLG membership map.
-    pub fn srlg(&self) -> &SrlgMap {
-        &self.srlg
+        TeDomain { topo, reserved: vec![[0; PRIORITIES]; links], trunks: Vec::new() }
     }
 
     /// The underlying topology.
@@ -211,51 +188,8 @@ impl TeDomain {
             self.reserved[l][req.hold_priority as usize] += req.demand_bps;
         }
         let id = TrunkId(self.trunks.len());
-        self.trunks.push(Some(Trunk { req, path, links, backups: Vec::new() }));
+        self.trunks.push(Some(Trunk { req, path, links }));
         Ok((id, preempted))
-    }
-
-    /// Computes a fast-reroute bypass for every link of an admitted
-    /// trunk's path: from the link's upstream node to its downstream node
-    /// (the merge point), excluding the protected link and every link
-    /// sharing an SRLG with it — a conduit cut must not take primary and
-    /// bypass down together. Returns how many of the path's links could be
-    /// protected; links with no risk-disjoint detour are left unprotected.
-    /// Bypasses reserve no bandwidth (the standard zero-bandwidth bypass
-    /// model: protection is transient, and moving the trunk for good means
-    /// releasing and re-signalling it).
-    ///
-    /// # Panics
-    /// Panics if `id` does not name an admitted trunk.
-    pub fn protect_trunk(&mut self, id: TrunkId) -> usize {
-        let t = self.trunks[id.0].as_ref().expect("protecting an unknown trunk");
-        let path = t.path.clone();
-        let links = t.links.clone();
-        let mut backups = Vec::new();
-        for (w, &protected) in path.windows(2).zip(&links) {
-            let bypass =
-                cspf_path_excluding(&self.topo, w[0], w[1], &self.srlg, protected, &|_| true);
-            if let Some(p) = bypass {
-                backups.push(BackupRoute { protected_link: protected, path: p });
-            }
-        }
-        let n = backups.len();
-        self.trunks[id.0].as_mut().expect("checked above").backups = backups;
-        n
-    }
-
-    /// The computed backup routes of a trunk (empty before
-    /// [`TeDomain::protect_trunk`], or when no link had a disjoint detour).
-    pub fn backups(&self, id: TrunkId) -> &[BackupRoute] {
-        self.trunks.get(id.0).and_then(|t| t.as_ref()).map_or(&[], |t| t.backups.as_slice())
-    }
-
-    /// Overwrites one backup route — a fault-injection hook for the static
-    /// verifier's negative tests (models a stale bypass surviving a
-    /// re-placement that moved the primary onto it). Not used by any
-    /// forwarding path.
-    pub fn corrupt_backup_for_test(&mut self, id: TrunkId, backup_idx: usize, path: Vec<usize>) {
-        self.trunks[id.0].as_mut().expect("unknown trunk").backups[backup_idx].path = path;
     }
 
     /// Releases a trunk's reservation. Idempotent.
@@ -412,33 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn protect_trunk_computes_disjoint_bypasses() {
-        let mut te = TeDomain::new(fish());
-        let (a, _) = te.signal(TrunkRequest::new(0, 4, 1_000_000)).unwrap();
-        assert_eq!(te.path(a).unwrap(), &[0, 1, 4]);
-        assert!(te.backups(a).is_empty(), "no protection before protect_trunk");
-        assert_eq!(te.protect_trunk(a), 2, "both links of the short path protectable");
-        let backups = te.backups(a);
-        assert_eq!(backups[0].protected_link, 0);
-        assert_eq!(backups[0].path, vec![0, 2, 3, 4, 1], "bypass merges at node 1");
-        assert_eq!(backups[1].protected_link, 1);
-        assert_eq!(backups[1].path, vec![1, 0, 2, 3, 4], "bypass merges at node 4");
-    }
-
-    #[test]
-    fn srlg_blocks_fate_shared_bypass() {
-        let mut te = TeDomain::new(fish());
-        // Short and long approaches to node 4 ride one conduit.
-        te.assign_srlg(1, 7);
-        te.assign_srlg(4, 7);
-        let (a, _) = te.signal(TrunkRequest::new(0, 4, 1_000_000)).unwrap();
-        // Link 0 (0→1) still has a risk-disjoint detour; link 1 (1→4)
-        // does not — its only alternative shares the conduit.
-        assert_eq!(te.protect_trunk(a), 1);
-        assert_eq!(te.backups(a)[0].protected_link, 0);
-    }
-
-    #[test]
     fn stats_track_signalling_outcomes() {
         let mut te = TeDomain::new(fish());
         te.signal(TrunkRequest::new(0, 4, 9_000_000).priority(7)).unwrap();
@@ -447,9 +354,8 @@ mod tests {
             te.signal(TrunkRequest::new(0, 4, 5_000_000).priority(7)),
             Err(TeError::NoFeasiblePath)
         );
-        let (high, pre) = te.signal(TrunkRequest::new(0, 4, 9_000_000).priority(0)).unwrap();
+        let (_, pre) = te.signal(TrunkRequest::new(0, 4, 9_000_000).priority(0)).unwrap();
         assert_eq!(pre.len(), 1);
-        assert!(te.protect_trunk(high) >= 1);
     }
 
     #[test]

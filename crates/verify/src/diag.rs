@@ -44,9 +44,6 @@ pub mod codes {
     pub const TE_UNSATISFIABLE: &str = "V-TE-002";
     /// Per-priority reservation counters disagree with admitted trunks.
     pub const TE_ACCOUNTING: &str = "V-TE-003";
-    /// A trunk's backup route shares a link or risk group with the link
-    /// it protects (or is not a connected path at all).
-    pub const TE_BACKUP_SHARED: &str = "V-TE-004";
 }
 
 /// How bad a finding is.

@@ -14,7 +14,7 @@
 //! | label-plane integrity | [`labelplane`] | `V-LBL-001` … `V-LBL-005` |
 //! | VRF isolation         | [`isolation`]  | `V-VRF-001` … `V-VRF-004` |
 //! | QoS configuration     | [`qoslint`]    | `V-QOS-001` … `V-QOS-004` |
-//! | TE accounting         | [`te`]         | `V-TE-001` … `V-TE-004`  |
+//! | TE accounting         | [`te`]         | `V-TE-001` … `V-TE-003`  |
 //!
 //! `mplsvpn-core` glues these to `ProviderNetwork::verify()`; the passes
 //! themselves operate on neutral models so they can be unit-tested (and

@@ -9,45 +9,10 @@
 //!   exceeds every cut between its endpoints can only exist through
 //!   corrupted accounting (`V-TE-002`);
 //! * the per-priority reservation counters equal the sum of demands of
-//!   the trunks holding them (`V-TE-003`);
-//! * every backup route protecting a trunk link is a connected path that
-//!   avoids the protected link and its SRLG peers — a bypass that dies
-//!   with its primary is worse than none, because the operator believes
-//!   the trunk is protected (`V-TE-004`).
+//!   the trunks holding them (`V-TE-003`).
 
 use crate::diag::{codes, Severity, VerifyReport};
-use netsim_te::{cspf_path, trunk::PRIORITIES, TeDomain, TrunkId};
-
-/// Checks that each backup route of `id` is a connected path whose links
-/// are all risk-disjoint from the link it claims to protect.
-fn verify_backups(te: &TeDomain, id: TrunkId, report: &mut VerifyReport) {
-    let topo = te.topology();
-    for b in te.backups(id) {
-        let (pu, pv, _) = topo.link(b.protected_link);
-        let subject = format!("trunk {} backup for link {pu}-{pv}", id.0);
-        for w in b.path.windows(2) {
-            let Some(link) = topo.neighbors(w[0]).find(|&(n, _, _)| n == w[1]).map(|(_, _, l)| l)
-            else {
-                report.push(
-                    codes::TE_BACKUP_SHARED,
-                    Severity::Error,
-                    subject.clone(),
-                    format!("backup path hop {}-{} is not a backbone adjacency", w[0], w[1]),
-                );
-                continue;
-            };
-            if te.srlg().share_risk(link, b.protected_link) {
-                let detail = if link == b.protected_link {
-                    format!("backup path rides the protected link {pu}-{pv} itself")
-                } else {
-                    let (bu, bv, _) = topo.link(link);
-                    format!("backup link {bu}-{bv} shares a risk group with protected {pu}-{pv}")
-                };
-                report.push(codes::TE_BACKUP_SHARED, Severity::Error, subject.clone(), detail);
-            }
-        }
-    }
-}
+use netsim_te::{cspf_path, trunk::PRIORITIES, TeDomain};
 
 /// Runs the TE accounting pass over an admitted-trunk database.
 pub fn verify_te(te: &TeDomain, report: &mut VerifyReport) {
@@ -70,7 +35,6 @@ pub fn verify_te(te: &TeDomain, report: &mut VerifyReport) {
                 ),
             );
         }
-        verify_backups(te, id, report);
     }
     for (link, expect_prios) in expect.iter().enumerate() {
         let (u, v, attrs) = topo.link(link);
@@ -133,60 +97,6 @@ mod tests {
         verify_te(&te, &mut r);
         assert!(r.has_code(codes::TE_ACCOUNTING), "{r}");
         let _ = id;
-    }
-
-    /// Fish: short 0-1-4 (links 0,1), long 0-2-3-4 (links 2,3,4).
-    fn fish() -> Topology {
-        let mut t = Topology::new(5);
-        let attrs = LinkAttrs { cost: 1, capacity_bps: 100_000_000 };
-        for (u, v) in [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)] {
-            t.add_link(u, v, attrs);
-        }
-        t
-    }
-
-    #[test]
-    fn healthy_backups_verify_clean() {
-        let mut te = TeDomain::new(fish());
-        let (id, _) = te.signal(TrunkRequest::new(0, 4, 10_000_000)).unwrap();
-        assert_eq!(te.protect_trunk(id), 2);
-        let mut r = VerifyReport::new();
-        verify_te(&te, &mut r);
-        assert!(r.is_clean(), "{r}");
-    }
-
-    #[test]
-    fn backup_sharing_fate_with_its_primary_is_caught() {
-        let mut te = TeDomain::new(fish());
-        let (id, _) = te.signal(TrunkRequest::new(0, 4, 10_000_000)).unwrap();
-        te.protect_trunk(id);
-        // Operator error discovered late: the bypass for link 1 (1→4) and
-        // the protected link ride the same conduit into node 4.
-        te.assign_srlg(1, 9);
-        te.assign_srlg(4, 9);
-        let mut r = VerifyReport::new();
-        verify_te(&te, &mut r);
-        assert!(r.has_code(codes::TE_BACKUP_SHARED), "{r}");
-    }
-
-    #[test]
-    fn corrupted_backup_path_is_caught() {
-        let mut te = TeDomain::new(fish());
-        let (id, _) = te.signal(TrunkRequest::new(0, 4, 10_000_000)).unwrap();
-        te.protect_trunk(id);
-        // Backup 1 protects link 1 (1→4): replace it with a "path" that
-        // rides the protected link itself plus a non-adjacency.
-        te.corrupt_backup_for_test(id, 1, vec![1, 4, 0]);
-        let mut r = VerifyReport::new();
-        verify_te(&te, &mut r);
-        assert!(r.has_code(codes::TE_BACKUP_SHARED), "{r}");
-        // The report dedups by (code, location): one diagnostic per
-        // backup, and the first defect found (the protected-link ride)
-        // is the one surfaced.
-        let shared: Vec<_> =
-            r.diagnostics().iter().filter(|d| d.code == codes::TE_BACKUP_SHARED).collect();
-        assert_eq!(shared.len(), 1, "{r}");
-        assert!(shared[0].message.contains("protected link"), "{r}");
     }
 
     #[test]

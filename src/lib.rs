@@ -12,14 +12,15 @@
 //! * [`net`] — packets, addresses, prefixes, LPM trie, wire codec.
 //! * [`sim`] — the discrete-event simulator, traffic sources, statistics.
 //! * [`qos`] — classifiers, meters, RED, schedulers, DSCP↔EXP.
-//! * [`mpls`] — label spaces, LFIB, LDP, explicit LSPs.
+//! * [`mpls`] — label spaces, LFIB, LDP.
 //! * [`routing`] — topology, link-state IGP, BGP/MPLS VPN fabric.
 //! * [`te`] — CSPF and trunk admission with preemption.
 //! * [`ipsec`] — ESP tunnel emulation and IKE simulation.
 //! * [`obs`] — telemetry: drop-cause flight recorder, histograms, SLA
 //!   probe rows, `metrics/v1` snapshots (DESIGN.md §8).
-//! * [`vpn`] — the assembled architecture: provider networks, PE/P/CE
-//!   routers, baselines, SLAs, tracing.
+//! * [`vpn`] — the assembled architecture: provider networks (with
+//!   explicit TE LSPs and fast reroute), PE/P/CE routers, baselines, SLAs,
+//!   tracing.
 //!
 //! ## Quickstart
 //!

@@ -16,11 +16,10 @@
 //! reconvergence, bypass LSPs), odd seeds run global reconvergence after
 //! every fault event.
 //!
-//! Both *control* modes run too: the default is the oracle; setting
-//! `CHAOS_CONTROL_MODE=inband` rebuilds every scenario with the in-band
-//! message-driven control plane, whose CS6 packets share links and
-//! queues with the data — the conservation ledger then carries explicit
-//! control-plane send/terminate terms.
+//! Both *control* modes run too: every seed runs once under the oracle
+//! and once with the in-band message-driven control plane, whose CS6
+//! packets share links and queues with the data — the conservation
+//! ledger then carries explicit control-plane send/terminate terms.
 
 use mplsvpn::routing::{Igp, LinkAttrs, Topology};
 use mplsvpn::sim::{
@@ -31,13 +30,24 @@ use mplsvpn::vpn::{
     BackboneBuilder, ControlMode, DropCause, FailoverMode, ProviderNetwork, VpnId, CTRL_FLOW_BASE,
 };
 
-/// The control mode under test: `CHAOS_CONTROL_MODE=inband` opts in to
-/// the message-driven control plane; anything else runs the oracle.
-fn control_mode() -> ControlMode {
-    match std::env::var("CHAOS_CONTROL_MODE") {
-        Ok(v) if v.eq_ignore_ascii_case("inband") => ControlMode::InBand,
-        _ => ControlMode::Oracle,
+/// One chaos run: a seed under one control mode.
+#[derive(Clone, Copy)]
+struct Case {
+    seed: u64,
+    control: ControlMode,
+}
+
+impl std::fmt::Display for Case {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "seed {} ({:?})", self.seed, self.control)
     }
+}
+
+/// Seeds 0–7, each under both control modes.
+fn cases() -> impl Iterator<Item = Case> {
+    [ControlMode::Oracle, ControlMode::InBand]
+        .into_iter()
+        .flat_map(|control| (0..8).map(move |seed| Case { seed, control }))
 }
 
 /// Sources stop emitting here…
@@ -88,8 +98,8 @@ struct Scenario {
 }
 
 /// Builds the seeded scenario and replays its fault plan to `RUN_END`.
-fn run_scenario(seed: u64) -> Scenario {
-    run_checked(seed, |_| {})
+fn run_scenario(case: Case) -> Scenario {
+    run_checked(case, |_| {})
 }
 
 /// [`run_scenario`], calling `at_rest` at every quiescent point between
@@ -97,7 +107,8 @@ fn run_scenario(seed: u64) -> Scenario {
 /// after the previous one, once [`assert_at_rest`] has passed there. The
 /// plan runs in groups split at those points, which replays exactly as
 /// one run of the whole plan.
-fn run_checked(seed: u64, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
+fn run_checked(case: Case, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
+    let seed = case.seed;
     let (topo, pes, cuttable) = if seed % 4 < 2 { fish() } else { ladder() };
     let mode = if seed.is_multiple_of(2) {
         FailoverMode::FastReroute
@@ -107,7 +118,7 @@ fn run_checked(seed: u64, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
     let link_count = topo.link_count();
     let mut pn = BackboneBuilder::new(topo, pes.clone())
         .detection(25 * MSEC)
-        .control_mode(control_mode())
+        .control_mode(case.control)
         .build();
 
     // Two VPNs with the *same* address plan: the harshest isolation test.
@@ -151,7 +162,7 @@ fn run_checked(seed: u64, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
         s.pn.execute_fault_plan(&group, mode, next.unwrap_or(RUN_END));
         start = end;
         if next.is_some() {
-            assert_at_rest(&s, seed);
+            assert_at_rest(&s, case);
             at_rest(&s);
         }
     }
@@ -165,7 +176,7 @@ fn run_checked(seed: u64, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
 /// every SPF view, every PE-to-PE LSP through the live LFIBs, and the
 /// tunnel every remote VRF route resolves to. Fast reroute under the
 /// oracle never reconverges, so there the views stay at bring-up.
-fn assert_at_rest(s: &Scenario, seed: u64) {
+fn assert_at_rest(s: &Scenario, case: Case) {
     let t = s.pn.net.now();
     let rec = s.pn.recorder();
     let ctrl_dropped: u64 = (0..3).map(|proto| rec.flow_drops(CTRL_FLOW_BASE + proto)).sum();
@@ -174,9 +185,9 @@ fn assert_at_rest(s: &Scenario, seed: u64) {
     assert_eq!(
         ctrl_sent,
         ctrl_terminated + ctrl_dropped,
-        "control packets still in the network at seed {seed}, t={t}"
+        "control packets still in the network at {case}, t={t}"
     );
-    if control_mode() == ControlMode::Oracle && s.mode == FailoverMode::FastReroute {
+    if case.control == ControlMode::Oracle && s.mode == FailoverMode::FastReroute {
         return;
     }
     let down = s.pn.failed_links();
@@ -186,7 +197,7 @@ fn assert_at_rest(s: &Scenario, seed: u64) {
         assert_eq!(
             (&view.dist, &view.next_hop),
             (&want.dist, &want.next_hop),
-            "node {u}'s SPF view has not converged at seed {seed}, t={t}"
+            "node {u}'s SPF view has not converged at {case}, t={t}"
         );
     }
     for (i, &ingress) in s.pes.iter().enumerate() {
@@ -194,7 +205,7 @@ fn assert_at_rest(s: &Scenario, seed: u64) {
             assert_eq!(
                 s.pn.lsp_path(i, e),
                 fresh.path(ingress, egress),
-                "PE{i}'s LSP to PE{e} is not the fresh shortest path at seed {seed}, t={t}"
+                "PE{i}'s LSP to PE{e} is not the fresh shortest path at {case}, t={t}"
             );
         }
         for &vpn in &s.vpns {
@@ -203,7 +214,7 @@ fn assert_at_rest(s: &Scenario, seed: u64) {
                 assert_eq!(
                     path,
                     fresh.path(ingress, s.pes[e]),
-                    "PE{i}'s route to {prefix} in {vpn:?} rides a stale tunnel at seed {seed}, t={t}"
+                    "PE{i}'s route to {prefix} in {vpn:?} rides a stale tunnel at {case}, t={t}"
                 );
             }
         }
@@ -224,7 +235,7 @@ fn router_terminations(s: &Scenario) -> (u64, u64) {
 
 /// Asserts that every packet sent so far is delivered, dropped, absorbed,
 /// terminated by the control plane, queued or still in flight.
-fn assert_conserved(s: &Scenario, seed: u64) {
+fn assert_conserved(s: &Scenario, case: Case) {
     let sent: u64 = s
         .sources
         .iter()
@@ -253,30 +264,30 @@ fn assert_conserved(s: &Scenario, seed: u64) {
     assert_eq!(
         sent + ctrl_sent,
         delivered + link_dropped + router_dropped + delivered_local + ctrl_terminated + queued,
-        "conservation broke at seed {seed}, t={}: sent={sent} ctrl_sent={ctrl_sent} \
+        "conservation broke at {case}, t={}: sent={sent} ctrl_sent={ctrl_sent} \
          delivered={delivered} link_dropped={link_dropped} \
          router_dropped={router_dropped} local={delivered_local} \
          ctrl_terminated={ctrl_terminated} queued or in flight={queued}",
         s.pn.net.now()
     );
-    assert!(sent > 0, "seed {seed} generated no traffic");
+    assert!(sent > 0, "{case} generated no traffic");
 }
 
 #[test]
 fn chaos_packet_conservation_holds_under_any_failure_order() {
     let mut rests = 0;
-    for seed in 0..8 {
-        let s = run_checked(seed, |s| {
-            assert_conserved(s, seed);
+    for case in cases() {
+        let s = run_checked(case, |s| {
+            assert_conserved(s, case);
             rests += 1;
         });
-        assert_eq!(s.pn.net.packets_in_flight(), 0, "packets in flight at the end, seed {seed}");
-        assert_conserved(&s, seed);
+        assert_eq!(s.pn.net.packets_in_flight(), 0, "packets in flight at the end, {case}");
+        assert_conserved(&s, case);
         let delivered: u64 =
             s.sinks.iter().map(|&(n, _)| s.pn.net.node_ref::<Sink>(n).total_packets).sum();
-        assert!(delivered > 0, "seed {seed} delivered nothing — network dead");
+        assert!(delivered > 0, "{case} delivered nothing — network dead");
     }
-    assert!(rests >= 8, "only {rests} quiescent points between faults");
+    assert!(rests >= 16, "only {rests} quiescent points between faults");
 }
 
 #[test]
@@ -286,8 +297,8 @@ fn chaos_every_loss_has_a_recorded_cause() {
     //    drop counters, and per VPN every packet a source emitted is
     //    delivered, attributed to a cause, absorbed locally, or still
     //    queued. No loss may go unexplained.
-    for seed in 0..8 {
-        let s = run_scenario(seed);
+    for case in cases() {
+        let s = run_scenario(case);
         let link_dropped: u64 = (0..s.pn.net.link_count())
             .flat_map(|l| (0..2).map(move |d| (l, d)))
             .map(|(l, d)| s.pn.net.link_stats(LinkId(l), d).dropped)
@@ -297,7 +308,7 @@ fn chaos_every_loss_has_a_recorded_cause() {
         assert_eq!(
             rec.total_drops() - router_dropped,
             link_dropped,
-            "recorded link drops disagree with LinkStats at seed {seed}: {:?}",
+            "recorded link drops disagree with LinkStats at {case}: {:?}",
             rec.cause_rows()
         );
 
@@ -315,7 +326,7 @@ fn chaos_every_loss_has_a_recorded_cause() {
                 let attributed = rec.flow_drops(flow) + rec.absorbed_of(flow);
                 let deficit = (sent - rx).checked_sub(attributed).unwrap_or_else(|| {
                     panic!(
-                        "flow {flow} over-attributed at seed {seed}: sent={sent} rx={rx} \
+                        "flow {flow} over-attributed at {case}: sent={sent} rx={rx} \
                          causes={:?} absorbed={}",
                         rec.flow_causes(flow),
                         rec.absorbed_of(flow)
@@ -329,7 +340,7 @@ fn chaos_every_loss_has_a_recorded_cause() {
         assert_eq!(
             explained_deficit,
             s.pn.net.queued_packets(),
-            "unexplained losses at seed {seed}: {:?}",
+            "unexplained losses at {case}: {:?}",
             rec.cause_rows()
         );
     }
@@ -342,20 +353,20 @@ fn chaos_live_tables_verify_clean_after_every_fault_plan() {
     //    reconvergence or in-band LSA/LDP repair), the static verifier
     //    finds nothing wrong with the live tables.
     let mut rests = 0;
-    for seed in 0..8 {
-        let s = run_checked(seed, |s| {
-            s.pn.verify().assert_clean(&format!("chaos seed {seed} at t={}", s.pn.net.now()));
+    for case in cases() {
+        let s = run_checked(case, |s| {
+            s.pn.verify().assert_clean(&format!("chaos {case} at t={}", s.pn.net.now()));
             rests += 1;
         });
-        s.pn.verify().assert_clean(&format!("chaos seed {seed}"));
+        s.pn.verify().assert_clean(&format!("chaos {case}"));
     }
-    assert!(rests >= 8, "only {rests} quiescent points between faults");
+    assert!(rests >= 16, "only {rests} quiescent points between faults");
 }
 
 #[test]
 fn chaos_no_cross_vrf_delivery_ever() {
-    for seed in 0..8 {
-        let s = run_scenario(seed);
+    for case in cases() {
+        let s = run_scenario(case);
         let all_ids: Vec<u64> = s.sinks.iter().flat_map(|(_, ids)| ids.iter().copied()).collect();
         for (sink, own_ids) in &s.sinks {
             let sink = s.pn.net.node_ref::<Sink>(*sink);
@@ -363,10 +374,10 @@ fn chaos_no_cross_vrf_delivery_ever() {
             // flows: per-flow counts must add up to the absolute total.
             let own_rx: u64 =
                 own_ids.iter().filter_map(|&id| sink.flow(id)).map(|f| f.rx_packets).sum();
-            assert_eq!(own_rx, sink.total_packets, "foreign packets at a VRF sink, seed {seed}");
+            assert_eq!(own_rx, sink.total_packets, "foreign packets at a VRF sink, {case}");
             // And no foreign flow id ever materialized.
             for id in all_ids.iter().filter(|id| !own_ids.contains(id)) {
-                assert!(sink.flow(*id).is_none(), "flow {id} leaked across VRFs, seed {seed}");
+                assert!(sink.flow(*id).is_none(), "flow {id} leaked across VRFs, {case}");
             }
         }
     }
@@ -374,10 +385,10 @@ fn chaos_no_cross_vrf_delivery_ever() {
 
 #[test]
 fn chaos_replays_are_bit_identical() {
-    for seed in 0..8 {
-        let sig_a = signature(run_scenario(seed));
-        let sig_b = signature(run_scenario(seed));
-        assert_eq!(sig_a, sig_b, "seed {seed} did not replay identically");
+    for case in cases() {
+        let sig_a = signature(run_scenario(case));
+        let sig_b = signature(run_scenario(case));
+        assert_eq!(sig_a, sig_b, "{case} did not replay identically");
     }
 }
 
