@@ -1,10 +1,13 @@
 //! Criterion bench for experiment F4: longest-prefix-match lookup vs MPLS
-//! label lookup/swap, across FIB sizes.
+//! label lookup/swap, across FIB sizes. Two more cases price the route
+//! cache the routers look up through: a hit, and 17 interleaved
+//! destinations, more than its 16 ways, so some evict each other on every
+//! round. F4's table times the uncached walk.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mplsvpn_bench::experiments::forwarding::build_tables;
 use netsim_net::addr::ip;
-use netsim_net::{Dscp, Layer, MplsLabel, Packet};
+use netsim_net::{Dscp, Layer, LpmCache, MplsLabel, Packet};
 use std::hint::black_box;
 
 fn bench_lookups(c: &mut Criterion) {
@@ -18,6 +21,19 @@ fn bench_lookups(c: &mut Criterion) {
                 let q = queries[i % queries.len()];
                 i += 1;
                 black_box(fib.lookup(black_box(q)))
+            });
+        });
+        g.bench_with_input(BenchmarkId::new("lpm_cached_hit", k), &k, |b, _| {
+            let mut cache = LpmCache::default();
+            b.iter(|| black_box(fib.lookup_cached(black_box(queries[0]), &mut cache)));
+        });
+        g.bench_with_input(BenchmarkId::new("lpm_cached_17_interleaved", k), &k, |b, _| {
+            let mut cache = LpmCache::default();
+            let mut i = 0;
+            b.iter(|| {
+                let q = queries[i % 17];
+                i += 1;
+                black_box(fib.lookup_cached(black_box(q), &mut cache))
             });
         });
         g.bench_with_input(BenchmarkId::new("label_lookup", k), &k, |b, _| {

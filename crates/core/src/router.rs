@@ -47,7 +47,11 @@ pub struct RouterCounters {
     pub forwarded: u64,
     /// Label operations performed (push/swap/pop, counted per packet).
     pub label_ops: u64,
-    /// Longest-prefix-match lookups performed.
+    /// Longest-prefix-match lookups on the forwarding path. In the MPLS
+    /// VPN these are a CE's delivery into its site and a PE's ingress and
+    /// egress VRF lookups; a P router counts its plain IP FIB lookups,
+    /// which only the unlabeled baselines use. An edge device's upstream
+    /// check for a local destination is not counted.
     pub lpm_lookups: u64,
 }
 
@@ -538,7 +542,7 @@ pub struct CeRouter {
     pub uplink: usize,
     /// Host-facing routes: destination prefix → local interface.
     pub local: LpmTrie<usize>,
-    /// Route cache for [`CeRouter::deliver_local`] (self-invalidating).
+    /// Route cache for [`CeRouter::local`] lookups (self-invalidating).
     local_cache: LpmCache,
     /// Upstream classification/marking policy (CPE role). `None` leaves
     /// host markings untouched.
@@ -596,7 +600,7 @@ impl Node for CeRouter {
             return;
         }
         // Upstream from a host. Local destinations short-circuit.
-        if self.local.lookup(dst).is_some() {
+        if self.local.lookup_cached(dst, &mut self.local_cache).is_some() {
             let undelivered = self.deliver_local(dst, pkt, ctx);
             debug_assert!(undelivered.is_none());
             return;

@@ -6,10 +6,18 @@
 //! allocation. This is the structure whose per-packet cost experiment **F4**
 //! compares against the MPLS label swap (paper §3: "the less time devices
 //! spend inspecting traffic, the more time they have to forward it").
+//!
+//! Routers look routes up through [`LpmTrie::lookup_cached`], which skips
+//! the walk for destinations seen since the table last changed. F4 times
+//! [`LpmTrie::lookup`], the uncached walk, on purpose: the experiment prices
+//! IP inspection itself, not a cache that a label swap does not need.
 
 use crate::addr::{Ip, Prefix};
 
 const NONE: u32 = u32::MAX;
+
+/// Ways of an [`LpmCache`].
+const WAYS: usize = 16;
 
 #[derive(Clone, Debug)]
 struct Node<V> {
@@ -23,15 +31,34 @@ impl<V> Node<V> {
     }
 }
 
-/// One-entry memo for [`LpmTrie::lookup_cached`]: the destination of the
-/// last lookup and the trie node it resolved to, stamped with the trie's
-/// mutation version. `Default` starts empty; owners need no setup.
+/// One remembered lookup: a destination and the trie node it resolved to
+/// (`NONE` for a miss), stamped with the trie's version plus one, so the
+/// all-zero way of a new cache matches no trie.
+#[derive(Clone, Copy, Debug, Default)]
+struct Way {
+    dst: Ip,
+    node: u32,
+    stamp: u64,
+}
+
+/// Route cache for [`LpmTrie::lookup_cached`]: 16 direct-mapped ways, one
+/// per destination hash. A way counts only while its stamp matches the
+/// trie's mutation version. `Default` starts empty; owners need no setup.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LpmCache {
-    /// `(destination, matched node index)`; `u32::MAX` encodes a miss.
-    entry: Option<(Ip, u32)>,
-    /// Trie version the entry was taken at.
-    version: u64,
+    ways: [Way; WAYS],
+    /// Trie walks taken on misses.
+    #[cfg(test)]
+    walks: u64,
+}
+
+impl LpmCache {
+    /// The way `dst` maps to: the top four bits of a multiplicative hash,
+    /// so destinations that differ only in low bits spread out.
+    #[inline]
+    fn way_of(dst: Ip) -> usize {
+        (dst.0.wrapping_mul(0x9E37_79B9) >> 28) as usize
+    }
 }
 
 /// A longest-prefix-match table mapping [`Prefix`]es to values of type `V`.
@@ -39,7 +66,7 @@ pub struct LpmCache {
 pub struct LpmTrie<V> {
     nodes: Vec<Node<V>>,
     len: usize,
-    /// Bumped on every mutation; lets [`LpmCache`] entries self-invalidate.
+    /// Bumped on every mutation; lets [`LpmCache`] ways self-invalidate.
     version: u64,
 }
 
@@ -111,22 +138,17 @@ impl<V> LpmTrie<V> {
 
     /// [`LpmTrie::lookup`] memoized through a caller-owned [`LpmCache`].
     ///
-    /// Routers keep one cache per table next to it; steady flows hit the
-    /// same destination repeatedly, turning the bit-by-bit trie walk into a
-    /// single indexed load. The cache is stamped with the trie's mutation
-    /// version, so route changes (insert/remove/`get_mut`) transparently
-    /// force a re-walk — no explicit invalidation hook to forget.
+    /// Routers keep one cache per table next to it. Flows interleave, so
+    /// each destination keeps its own way and a hit is one indexed load.
+    /// A way is stamped with the trie's mutation version, so route changes
+    /// (insert/remove/`get_mut`) transparently force a re-walk — no
+    /// explicit invalidation hook to forget.
     #[inline]
     pub fn lookup_cached<'a>(&'a self, ip: Ip, cache: &mut LpmCache) -> Option<&'a V> {
-        if cache.version == self.version {
-            if let Some((hit_ip, node)) = cache.entry {
-                if hit_ip == ip {
-                    if node == NONE {
-                        return None;
-                    }
-                    return self.nodes[node as usize].value.as_ref();
-                }
-            }
+        let (way, stamp) = (LpmCache::way_of(ip), self.version + 1);
+        let hit = cache.ways[way];
+        if hit.stamp == stamp && hit.dst == ip {
+            return self.nodes.get(hit.node as usize)?.value.as_ref();
         }
         // Miss (or stale): walk the trie, remembering the deepest node
         // carrying a value so the next packet to `ip` skips the walk.
@@ -143,13 +165,12 @@ impl<V> LpmTrie<V> {
                 best = node as u32;
             }
         }
-        cache.version = self.version;
-        cache.entry = Some((ip, best));
-        if best == NONE {
-            None
-        } else {
-            self.nodes[best as usize].value.as_ref()
+        cache.ways[way] = Way { dst: ip, node: best, stamp };
+        #[cfg(test)]
+        {
+            cache.walks += 1;
         }
+        self.nodes.get(best as usize)?.value.as_ref()
     }
 
     /// Exact-match lookup of a stored prefix.
@@ -228,6 +249,7 @@ impl<V> FromIterator<(Prefix, V)> for LpmTrie<V> {
 mod tests {
     use super::*;
     use crate::addr::{ip, pfx};
+    use proptest::prelude::*;
 
     #[test]
     fn longest_match_wins() {
@@ -332,5 +354,84 @@ mod tests {
         assert_eq!(t.lookup_cached(other, &mut cache), None);
         t.insert(pfx("0.0.0.0/0"), 9);
         assert_eq!(t.lookup_cached(other, &mut cache), Some(&9));
+    }
+
+    /// One step of the route-cache reference test: a mutation or a lookup
+    /// of a pool destination. `(kind, pool index, prefix length, value)`.
+    fn arb_op() -> impl Strategy<Value = (u8, usize, u8, u32)> {
+        (0u8..6, 0usize..48, 0u8..=32, any::<u32>())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The cache never changes an answer. Prefixes of every length,
+        /// `/0` and `/32` included, are cut from a pool of more than 16
+        /// destinations, half of them inside 10/8, so ways collide and
+        /// mutations leave stale stamps behind.
+        #[test]
+        fn cached_lookup_matches_walk_under_mutation(
+            pool in proptest::collection::vec(any::<u32>(), 17..48),
+            ops in proptest::collection::vec(arb_op(), 1..400),
+        ) {
+            let pool: Vec<Ip> = pool
+                .iter()
+                .map(|&x| Ip(if x & 1 == 0 { 0x0A00_0000 | (x >> 8) } else { x }))
+                .collect();
+            let mut t = LpmTrie::new();
+            let mut cache = LpmCache::default();
+            for (kind, i, len, value) in ops {
+                let dst = pool[i % pool.len()];
+                let prefix = Prefix::new(dst, len);
+                match kind {
+                    0 => {
+                        t.insert(prefix, value);
+                    }
+                    1 => {
+                        t.remove(prefix);
+                    }
+                    2 => {
+                        if let Some(v) = t.get_mut(prefix) {
+                            *v = value;
+                        }
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(t.lookup_cached(dst, &mut cache), t.lookup(dst));
+            }
+            for &dst in &pool {
+                prop_assert_eq!(t.lookup_cached(dst, &mut cache), t.lookup(dst));
+            }
+        }
+    }
+
+    #[test]
+    fn destinations_in_distinct_ways_walk_once_each() {
+        let mut t = LpmTrie::new();
+        t.insert(pfx("10.0.0.0/8"), 8);
+        t.insert(pfx("10.1.0.0/16"), 16);
+        // One destination per way, the first 10/8 address that hashes there.
+        let mut dsts = [None; WAYS];
+        for x in 0x0A00_0000u32.. {
+            let way = &mut dsts[LpmCache::way_of(Ip(x))];
+            way.get_or_insert(Ip(x));
+            if dsts.iter().all(Option::is_some) {
+                break;
+            }
+        }
+        let dsts: Vec<Ip> = dsts.iter().flatten().copied().collect();
+        let mut cache = LpmCache::default();
+        for _ in 0..4 {
+            for &dst in &dsts {
+                assert_eq!(t.lookup_cached(dst, &mut cache), t.lookup(dst));
+            }
+        }
+        assert_eq!(cache.walks, WAYS as u64);
+        // A mutation stales every way: each destination walks once more.
+        t.insert(pfx("10.2.0.0/16"), 16);
+        for &dst in dsts.iter().chain(&dsts) {
+            assert_eq!(t.lookup_cached(dst, &mut cache), t.lookup(dst));
+        }
+        assert_eq!(cache.walks, 2 * WAYS as u64);
     }
 }

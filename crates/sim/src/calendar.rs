@@ -9,14 +9,17 @@
 //!
 //! Three structural decisions keep the constant factor low:
 //!
-//! * **Events are stored inline.** An `Event` is 32 bytes (its packet is
-//!   boxed), so slots hold `(at, seq, event)` keys directly. Only level-0
-//!   slots keep their buffers; drained upper-level buffers are recycled.
+//! * **Events live in one slab.** Each pending event is one
+//!   `(at, seq, next, item)` entry from push to pop, and popped entries are
+//!   reused last-in first-out, so a push writes an entry that is still in
+//!   cache. A wheel slot is only the head index of an intrusive list
+//!   threaded through `next`: a push writes one 4-byte head, and a
+//!   cascade relinks indices instead of copying events.
 //! * **Three 256-slot levels over a 2^10 ns ≈ 1 µs granule** (level 0 spans
 //!   ~262 µs, level 1 ~67 ms, level 2 ~17 s), plus a binary heap for the
 //!   rare far-future timers beyond the wheel span, plus `cur` — a small
-//!   heap holding every event whose granule is at or behind the cursor,
-//!   which is what `pop` actually drains.
+//!   sorted vector of the keys of every event whose granule is at or
+//!   behind the cursor, which is what `pop` actually drains.
 //! * **The cursor jumps over empty time.** Per-level occupancy bitmaps
 //!   name the next occupied slot of the lowest non-empty level, and the
 //!   cursor moves straight to its start. Reaching a 1 ms backbone hop or
@@ -51,29 +54,20 @@ const MASK: u64 = (SLOTS - 1) as u64;
 const LEVELS: usize = 3;
 /// Granules covered by all wheel levels together (2^24 granules ≈ 17 s).
 const WHEEL_SPAN: u64 = 1 << (SLOT_BITS * LEVELS as u32);
+/// End of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
 
-/// A scheduled event with its scheduling key, ordered by `(at, seq)` only.
-struct Key<T> {
+/// The ordering key of a pending event and its slab index. `seq` is
+/// unique, so the index never decides a comparison.
+type Key = (Nanos, u64, u32);
+
+/// A slab entry: a pending event, or (with `item` empty) a free one.
+struct Entry<T> {
     at: Nanos,
     seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for Key<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Key<T> {}
-impl<T> PartialOrd for Key<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Key<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+    /// Next entry in the same wheel slot, or in the free list.
+    next: u32,
+    item: Option<T>,
 }
 
 /// Index of the first set bit at or after `from` in a 256-bit slot bitmap.
@@ -98,30 +92,30 @@ fn next_set_bit(occ: &[u64; SLOTS / 64], from: usize) -> Option<usize> {
 /// A hierarchical timing wheel with a heap overflow level, popping items in
 /// strict `(at, seq)` order.
 pub(crate) struct TimingWheel<T> {
-    /// Events whose granule is ≤ the cursor, sorted descending by
-    /// `(at, seq)`: the next event to pop is always `cur.last()`.
-    cur: Vec<Key<T>>,
-    /// Wheel levels; `levels[l][s]` holds events `SLOTS^l` granules apart.
-    levels: [Vec<Vec<Key<T>>>; LEVELS],
-    /// Drained level-1 and level-2 slot buffers (never zero-capacity),
-    /// taken by the next upper-level slot to fill.
-    spare: Vec<Vec<Key<T>>>,
-    /// Per-level slot-occupancy bitmaps (bit `s` set iff `levels[l][s]` is
-    /// non-empty): `advance` finds the next populated slot with a couple of
-    /// word scans instead of touching up to 255 slot `Vec` headers.
+    /// Every event, pending or freed. It grows only when no entry is free,
+    /// so its length is the most events ever pending at once.
+    slab: Vec<Entry<T>>,
+    /// Head of the free list threaded through `Entry::next`.
+    free: u32,
+    /// Keys of the events whose granule is ≤ the cursor, sorted descending:
+    /// the next event to pop is always `cur.last()`.
+    cur: Vec<Key>,
+    /// Wheel levels; `heads[l][s]` starts the list of events in slot `s`,
+    /// `SLOTS^l` granules apart.
+    heads: [[u32; SLOTS]; LEVELS],
+    /// Per-level slot-occupancy bitmaps (bit `s` set iff `heads[l][s]`
+    /// starts a list): `advance` finds the next populated slot with a
+    /// couple of word scans.
     occ: [[u64; SLOTS / 64]; LEVELS],
     /// Events currently resident per wheel level.
     counts: [usize; LEVELS],
-    /// Events beyond the wheel span, refilled as the cursor crosses
-    /// top-level boundaries.
-    overflow: BinaryHeap<Reverse<Key<T>>>,
+    /// Keys of the events beyond the wheel span, refilled as the cursor
+    /// crosses top-level boundaries.
+    overflow: BinaryHeap<Reverse<Key>>,
     /// Cursor granule (`at >> GRANULE_BITS`).
     tick: u64,
     /// Total events pending (all storage areas).
     len: usize,
-    /// Most upper-level slots ever live at once, a cascading one included.
-    #[cfg(test)]
-    upper_peak: usize,
     /// Boundary steps `jump` has taken.
     #[cfg(test)]
     steps: u64,
@@ -130,16 +124,15 @@ pub(crate) struct TimingWheel<T> {
 impl<T> TimingWheel<T> {
     pub(crate) fn new() -> Self {
         TimingWheel {
+            slab: Vec::new(),
+            free: NIL,
             cur: Vec::new(),
-            levels: std::array::from_fn(|_| (0..SLOTS).map(|_| Vec::new()).collect()),
-            spare: Vec::new(),
+            heads: [[NIL; SLOTS]; LEVELS],
             occ: [[0; SLOTS / 64]; LEVELS],
             counts: [0; LEVELS],
             overflow: BinaryHeap::new(),
             tick: 0,
             len: 0,
-            #[cfg(test)]
-            upper_peak: 0,
             #[cfg(test)]
             steps: 0,
         }
@@ -152,117 +145,111 @@ impl<T> TimingWheel<T> {
 
     /// Every pending item, in no particular order.
     pub(crate) fn items(&self) -> impl Iterator<Item = &T> {
-        let wheel = self.levels.iter().flatten().flatten();
-        let overflow = self.overflow.iter().map(|k| &k.0);
-        self.cur.iter().chain(wheel).chain(overflow).map(|k| &k.item)
+        self.slab.iter().filter_map(|e| e.item.as_ref())
     }
 
     /// Schedules `item` at time `at` with tie-break key `seq`.
     pub(crate) fn push(&mut self, at: Nanos, seq: u64, item: T) {
         self.len += 1;
-        self.place(Key { at, seq, item });
+        let entry = Entry { at, seq, next: NIL, item: Some(item) };
+        let idx = self.free;
+        if idx == NIL {
+            let idx = u32::try_from(self.slab.len()).ok().filter(|&i| i != NIL);
+            let idx = idx.expect("fewer than 2^32 - 1 events pending at once");
+            self.slab.push(entry);
+            self.place(idx);
+        } else {
+            let e = &mut self.slab[idx as usize];
+            self.free = e.next;
+            *e = entry;
+            self.place(idx);
+        }
     }
 
     /// Timestamp of the earliest pending event. Advances the cursor (an
     /// order-preserving internal reorganization), hence `&mut self`.
     pub(crate) fn peek_at(&mut self) -> Option<Nanos> {
         self.advance();
-        self.cur.last().map(|k| k.at)
+        self.cur.last().map(|k| k.0)
     }
 
     /// Removes and returns the earliest pending event.
     pub(crate) fn pop(&mut self) -> Option<(Nanos, u64, T)> {
         self.advance();
-        let k = self.cur.pop()?;
+        let (at, seq, idx) = self.cur.pop()?;
         self.len -= 1;
-        Some((k.at, k.seq, k.item))
+        let e = &mut self.slab[idx as usize];
+        e.next = self.free;
+        self.free = idx;
+        Some((at, seq, e.item.take().expect("a pending entry holds its item")))
     }
 
-    /// Routes a key to `cur`, a wheel slot, or the overflow heap based on
-    /// its distance from the cursor. Does not touch `len`.
-    fn place(&mut self, k: Key<T>) {
-        let g = k.at >> GRANULE_BITS;
+    /// Routes slab entry `idx` to `cur`, a wheel slot, or the overflow heap
+    /// based on its distance from the cursor. Does not touch `len`.
+    fn place(&mut self, idx: u32) {
+        let e = &mut self.slab[idx as usize];
+        let key = (e.at, e.seq, idx);
+        let g = e.at >> GRANULE_BITS;
         if g <= self.tick {
             // Sorted insert (descending). `cur` holds the few events of the
             // current granule, so the shift is short; ties are impossible
             // (`seq` is unique) which makes the position unambiguous.
-            let pos = self.cur.partition_point(|x| *x > k);
-            self.cur.insert(pos, k);
+            let pos = self.cur.partition_point(|x| *x > key);
+            self.cur.insert(pos, key);
             return;
         }
         let delta = g - self.tick;
-        if delta < SLOTS as u64 {
-            self.slot_in(0, (g & MASK) as usize, k);
+        let (lvl, slot) = if delta < SLOTS as u64 {
+            (0, g & MASK)
         } else if delta < 1 << (2 * SLOT_BITS) {
-            self.slot_in(1, ((g >> SLOT_BITS) & MASK) as usize, k);
+            (1, (g >> SLOT_BITS) & MASK)
         } else if delta < WHEEL_SPAN {
-            self.slot_in(2, ((g >> (2 * SLOT_BITS)) & MASK) as usize, k);
+            (2, (g >> (2 * SLOT_BITS)) & MASK)
         } else {
-            self.overflow.push(Reverse(k));
-        }
-    }
-
-    /// Appends `k` to `levels[lvl][slot]`, keeping the occupancy bitmap and
-    /// resident count in sync. An upper-level slot without a buffer takes a
-    /// spare one.
-    fn slot_in(&mut self, lvl: usize, slot: usize, k: Key<T>) {
-        let buf = &mut self.levels[lvl][slot];
-        if lvl > 0 && buf.capacity() == 0 {
-            if let Some(spare) = self.spare.pop() {
-                *buf = spare;
-            }
-        }
-        buf.push(k);
+            self.overflow.push(Reverse(key));
+            return;
+        };
+        let slot = slot as usize;
+        e.next = self.heads[lvl][slot];
+        self.heads[lvl][slot] = idx;
         self.occ[lvl][slot >> 6] |= 1 << (slot & 63);
         self.counts[lvl] += 1;
-        #[cfg(test)]
-        {
-            let live = self.occ[1..].iter().flatten().map(|w| w.count_ones() as usize).sum();
-            self.upper_peak = self.upper_peak.max(live);
-        }
     }
 
-    /// Empties `levels[lvl][slot]`, re-placing each key relative to the
+    /// Empties `heads[lvl][slot]`, re-placing each event relative to the
     /// current cursor. With the cursor at the slot's granule this moves
-    /// level-0 keys straight into `cur`.
+    /// level-0 events straight into `cur`.
     fn cascade(&mut self, lvl: usize, slot: usize) {
-        let mut tmp = std::mem::take(&mut self.levels[lvl][slot]);
-        self.counts[lvl] -= tmp.len();
+        let mut idx = std::mem::replace(&mut self.heads[lvl][slot], NIL);
+        self.occ[lvl][slot >> 6] &= !(1 << (slot & 63));
         if lvl == 0 {
-            self.occ[0][slot >> 6] &= !(1 << (slot & 63));
-            // Every key in a level-0 slot shares one granule ≤ the cursor,
-            // so the whole slot belongs in `cur`. With `cur` empty this is
-            // a buffer swap (no copying); otherwise merge and re-sort.
-            if self.cur.is_empty() {
-                std::mem::swap(&mut self.cur, &mut tmp);
-            } else {
-                self.cur.append(&mut tmp);
+            // Every event in a level-0 slot shares one granule ≤ the
+            // cursor, so the whole slot belongs in `cur`.
+            while idx != NIL {
+                let e = &self.slab[idx as usize];
+                self.cur.push((e.at, e.seq, idx));
+                self.counts[0] -= 1;
+                idx = e.next;
             }
             self.cur.sort_unstable_by(|a, b| b.cmp(a));
-            // Hand the (now empty) vector back so the slot keeps its capacity.
-            self.levels[0][slot] = tmp;
         } else {
-            // Still marked while its keys move: it is live for `upper_peak`.
-            for k in tmp.drain(..) {
-                self.place(k);
-            }
-            self.occ[lvl][slot >> 6] &= !(1 << (slot & 63));
-            // An empty cascade drains a buffer that never grew; keeping it
-            // would only stack up zero-capacity vectors.
-            if tmp.capacity() > 0 {
-                self.spare.push(tmp);
+            while idx != NIL {
+                let next = self.slab[idx as usize].next;
+                self.counts[lvl] -= 1;
+                self.place(idx);
+                idx = next;
             }
         }
     }
 
     /// Moves overflow events with granule below `horizon` into the wheels.
     fn refill_overflow(&mut self, horizon: u64) {
-        while let Some(Reverse(head)) = self.overflow.peek() {
-            if head.at >> GRANULE_BITS >= horizon {
+        while let Some(&Reverse((at, _, idx))) = self.overflow.peek() {
+            if at >> GRANULE_BITS >= horizon {
                 break;
             }
-            let Reverse(k) = self.overflow.pop().expect("peeked");
-            self.place(k);
+            self.overflow.pop();
+            self.place(idx);
         }
     }
 
@@ -303,8 +290,8 @@ impl<T> TimingWheel<T> {
         // All wheels empty: jump straight to the first overflow event and
         // pull everything within a wheel span of it.
         let Some(lvl) = (0..LEVELS).find(|&l| self.counts[l] > 0) else {
-            let Some(Reverse(head)) = self.overflow.peek() else { return false };
-            self.tick = head.at >> GRANULE_BITS;
+            let Some(&Reverse((at, ..))) = self.overflow.peek() else { return false };
+            self.tick = at >> GRANULE_BITS;
             self.refill_overflow(self.tick + WHEEL_SPAN);
             debug_assert!(!self.cur.is_empty());
             return false;
@@ -341,7 +328,7 @@ impl<T> TimingWheel<T> {
         // Events at exactly the boundary granule may now sit in `cur`
         // (cascaded with zero delta) or in level-0 slot 0 (inserted
         // directly before the cursor arrived); merge both.
-        if !self.levels[0][0].is_empty() {
+        if self.heads[0][0] != NIL {
             self.cascade(0, 0);
         }
         self.cur.is_empty()
@@ -442,23 +429,26 @@ mod tests {
     }
 
     #[test]
-    fn spare_stack_keeps_only_buffers_of_live_slots() {
+    fn slab_never_outgrows_peak_pending() {
         // A few sparse far-future timers at a time, each pop moving the
-        // cursor across empty level-1 and level-2 time. A step to a parent
-        // boundary (the keys wrapped) cascades whatever slot starts there,
-        // often an empty one; none of those may leave a buffer behind.
+        // cursor across empty level-1 and level-2 time, then a burst and a
+        // drain. Popped entries are reused before the slab grows, so its
+        // length is the most events ever pending at once.
         let mut w = TimingWheel::new();
         let mut reference = BinaryHeap::new();
         let mut rng = Rng(0x2545_f491_4f6c_dd1d);
         let mut now = 0u64;
         let mut seq = 0u64;
-        for _ in 0..3000 {
-            for _ in 0..1 + rng.next() % 3 {
+        let mut peak = 0;
+        for round in 0..3000 {
+            let pushes = if round == 1500 { 500 } else { 1 + rng.next() % 3 };
+            for _ in 0..pushes {
                 // 2^18..2^34 ns ahead: level-1 and level-2 territory.
                 let at = now + (1 << 18) + rng.next() % (1 << 34);
                 w.push(at, seq, 0);
                 reference.push(Reverse((at, seq)));
                 seq += 1;
+                peak = peak.max(w.len());
             }
             for _ in 0..1 + rng.next() % 3 {
                 let got = w.pop().map(|(at, s, _)| (at, s));
@@ -467,19 +457,47 @@ mod tests {
                     now = at;
                 }
             }
+            assert_eq!(w.slab.len(), peak, "round {round}");
         }
+        assert!(peak > 500, "the burst never piled up: peak {peak}");
         assert_eq!(
             drain(&mut w),
             std::iter::from_fn(|| reference.pop().map(|Reverse(p)| p)).collect::<Vec<_>>()
         );
-        let spare: Vec<usize> = w.spare.iter().map(Vec::capacity).collect();
-        let peak = w.upper_peak;
-        assert!(spare.iter().all(|&c| c > 0), "zero-capacity spare buffers: {spare:?}");
-        assert!(
-            !spare.is_empty() && spare.len() <= peak,
-            "{} spare buffers, peak {peak}",
-            spare.len()
-        );
+        assert_eq!(w.slab.len(), peak);
+    }
+
+    #[test]
+    fn items_yield_exactly_the_pending_events() {
+        // Mixed horizons with interleaved pops; at random points the items
+        // must be exactly the reference heap's live set, whether they wait
+        // in `cur`, a wheel slot or the overflow heap.
+        let mut w = TimingWheel::new();
+        let mut reference = BinaryHeap::new();
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let mut now = 0u64;
+        let mut checks = 0;
+        for seq in 0..4000u64 {
+            let at = now + rng.next() % (1 << (10 + rng.next() % 27));
+            w.push(at, seq, seq);
+            reference.push(Reverse((at, seq)));
+            for _ in 0..rng.next() % 3 {
+                let got = w.pop().map(|(at, s, _)| (at, s));
+                assert_eq!(got, reference.pop().map(|Reverse(p)| p));
+                if let Some((at, _)) = got {
+                    now = at;
+                }
+            }
+            if rng.next().is_multiple_of(50) {
+                let mut items: Vec<u64> = w.items().copied().collect();
+                let mut live: Vec<u64> = reference.iter().map(|Reverse((_, s))| *s).collect();
+                items.sort_unstable();
+                live.sort_unstable();
+                assert_eq!(items, live, "after push {seq}");
+                checks += 1;
+            }
+        }
+        assert!(checks > 40);
     }
 
     #[test]
