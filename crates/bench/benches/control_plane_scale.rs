@@ -1,12 +1,14 @@
 //! Criterion bench for control-plane convergence: LDP fixpoint over growing
-//! rings, IGP SPF, and BGP/VPN route distribution — the costs behind
-//! experiments T1 and M1.
+//! rings, IGP SPF, and BGP/VPN route distribution and withdrawal — the
+//! costs behind experiments T1 and M1.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mplsvpn_core::membership::site_prefix;
 use netsim_mpls::ldp::{Fec, LdpConfig, LdpDomain};
 use netsim_routing::igp::spf;
-use netsim_routing::{BgpVpnFabric, Igp, LinkAttrs, RouteDistinguisher, RouteTarget, Topology};
+use netsim_routing::{
+    BgpVpnFabric, Igp, LinkAttrs, RouteDistinguisher, RouteTarget, Topology, VrfHandle,
+};
 use std::hint::black_box;
 
 fn ring(n: usize) -> Topology {
@@ -56,7 +58,7 @@ fn bench_spf(c: &mut Criterion) {
     let mut tree = spf(&topo, 0);
     g.bench_function("ladder_2x5_in_place", |b| {
         b.iter(|| {
-            tree.recompute(black_box(&topo), 0, &|l| l != 10);
+            tree.recompute(black_box(&topo), 0, |l| l != 10);
             black_box(&tree);
         });
     });
@@ -80,6 +82,24 @@ fn bench_bgp(c: &mut Criterion) {
             });
         });
     }
+    // One site's /24 advertised and withdrawn in a fabric of 4 VPNs × 6
+    // PEs whose 24 VRFs each already import their VPN's other five sites:
+    // the withdraw visits the five VRFs that hold the route, not all 24.
+    let mut f = BgpVpnFabric::new(6);
+    for vpn in 0..4u32 {
+        let rt = RouteTarget(u64::from(vpn) + 1);
+        for pe in 0..6 {
+            let h = f.add_vrf(pe, RouteDistinguisher::new(65000, vpn + 1), vec![rt], vec![rt]);
+            f.advertise(h, site_prefix(vpn as usize * 6 + pe));
+        }
+    }
+    let origin = VrfHandle { pe: 0, index: 0 }; // VPN 0's VRF on PE 0
+    g.bench_function("withdraw_24_vrfs", |b| {
+        b.iter(|| {
+            black_box(f.advertise(origin, site_prefix(24)));
+            black_box(f.withdraw(origin, site_prefix(24)))
+        });
+    });
     g.finish();
 }
 

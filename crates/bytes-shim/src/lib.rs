@@ -9,21 +9,23 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Size of the shared all-zero backing buffer used by [`Bytes::zeroed`].
+/// Size of the static all-zero buffer behind [`Bytes::zeroed`].
 const ZERO_CHUNK: usize = 1 << 16;
 
-/// Lazily initialized shared zero buffer; every `Bytes::zeroed` call up to
-/// [`ZERO_CHUNK`] bytes is a reference-count bump into this allocation.
-static ZEROS: OnceLock<Arc<[u8]>> = OnceLock::new();
+/// The static zero buffer: every `Bytes::zeroed` view up to [`ZERO_CHUNK`]
+/// bytes points into it, with no allocation and no reference count.
+static ZEROS: [u8; ZERO_CHUNK] = [0; ZERO_CHUNK];
 
-/// An immutable, reference-counted byte buffer. Cloning is O(1). A `Bytes`
-/// is a view (`offset`, `len`) into a shared backing allocation, so views
-/// of a common buffer (e.g. zero-filled payloads) share storage.
+/// An immutable byte buffer. Cloning is O(1). A `Bytes` is a view
+/// (`offset`, `len`) into a reference-counted backing allocation, or, for
+/// zero-filled payloads, into one static zero buffer, which views share
+/// without touching a reference count.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// The backing allocation; `None` for a view of [`ZEROS`].
+    data: Option<Arc<[u8]>>,
     off: usize,
     len: usize,
 }
@@ -32,7 +34,7 @@ impl Bytes {
     /// Creates an empty buffer.
     #[must_use]
     pub fn new() -> Self {
-        Self { data: Arc::from(&[][..]), off: 0, len: 0 }
+        Self::zeroed(0)
     }
 
     /// Wraps a static byte slice (copied; the real crate borrows, but the
@@ -46,17 +48,17 @@ impl Bytes {
     #[must_use]
     pub fn copy_from_slice(data: &[u8]) -> Self {
         let len = data.len();
-        Self { data: Arc::from(data), off: 0, len }
+        Self { data: Some(Arc::from(data)), off: 0, len }
     }
 
-    /// `len` zero bytes. Allocation-free for lengths up to 64 KiB: the view
-    /// aliases one shared zero buffer, which is what makes synthetic-payload
-    /// packet construction cheap on the simulator hot path.
+    /// `len` zero bytes. Free of allocation and reference counting for
+    /// lengths up to 64 KiB: the view points at a static zero buffer, so
+    /// building and dropping a synthetic-payload packet on the simulator
+    /// hot path does no atomic read-modify-write.
     #[must_use]
     pub fn zeroed(len: usize) -> Self {
         if len <= ZERO_CHUNK {
-            let data = ZEROS.get_or_init(|| Arc::from(vec![0u8; ZERO_CHUNK])).clone();
-            Self { data, off: 0, len }
+            Self { data: None, off: 0, len }
         } else {
             Self::from(vec![0u8; len])
         }
@@ -76,7 +78,8 @@ impl Bytes {
 
     #[inline]
     fn as_slice(&self) -> &[u8] {
-        &self.data[self.off..self.off + self.len]
+        let data = self.data.as_deref().unwrap_or(&ZEROS);
+        &data[self.off..self.off + self.len]
     }
 }
 
@@ -109,7 +112,7 @@ impl Borrow<[u8]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let len = v.len();
-        Self { data: Arc::from(v), off: 0, len }
+        Self { data: Some(Arc::from(v)), off: 0, len }
     }
 }
 
@@ -213,8 +216,11 @@ mod tests {
         assert!(a.iter().all(|&x| x == 0));
         assert_eq!(a, b);
         assert_eq!(a, Bytes::from(vec![0u8; 100]));
-        // Both views alias the one shared zero chunk.
-        assert!(Arc::ptr_eq(&a.data, &b.data));
+        // Both views point at the static zero buffer: no backing
+        // allocation, so no reference count to touch.
+        assert!(a.data.is_none() && b.data.is_none());
+        assert!(Bytes::zeroed(ZERO_CHUNK).data.is_none());
+        assert!(std::ptr::eq(a.as_ptr(), ZEROS.as_ptr()));
         // Beyond the chunk size a dedicated allocation is made.
         let big = Bytes::zeroed(ZERO_CHUNK + 1);
         assert_eq!(big.len(), ZERO_CHUNK + 1);

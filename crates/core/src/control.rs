@@ -373,8 +373,8 @@ impl NodeView {
         for (&(Fec(f), nbr), &label) in &st.received {
             view.received[nbr * np + f as usize] = Some(label);
         }
-        for (&Fec(f), entry) in &st.ftn {
-            view.ftn[f as usize] = Some(entry.clone());
+        for (&Fec(f), &entry) in &st.ftn {
+            view.ftn[f as usize] = Some(entry);
         }
         view
     }
@@ -601,7 +601,7 @@ impl NodeControl {
         let topo = &self.cfg.topo;
         let NodeView { spf, link_state, .. } = &mut self.view;
         if spf.affected_by(topo, link, down) {
-            spf.recompute(topo, self.node, &|l| !link_state[l].1);
+            spf.recompute(topo, self.node, |l| !link_state[l].1);
             self.stats.spf_runs += 1;
         } else {
             self.stats.spf_skips += 1;
@@ -643,16 +643,14 @@ impl NodeControl {
         }
         let desired = self.desired_ftn(f);
         let view = &mut self.view;
-        let current = view.ftn[f].as_ref().map(|e| (e.out_iface, e.push.as_slice()));
-        if current != desired.as_ref().map(|(iface, l)| (*iface, push_stack(l))) {
-            view.ftn[f] = desired
-                .map(|(iface, l)| FtnEntry { push: push_stack(&l).to_vec(), out_iface: iface });
+        if view.ftn[f] != desired {
+            view.ftn[f] = desired;
             // Transit repair: re-point the ILM entry for our own binding.
             if let Some(local) = view.bindings[f].filter(|&l| l != IMPLICIT_NULL) {
                 match desired {
-                    Some((iface, l)) => {
-                        let op = if l == IMPLICIT_NULL { LabelOp::Pop } else { LabelOp::Swap(l) };
-                        tables.lfib.install(local, Nhlfe { op, out_iface: iface });
+                    Some(FtnEntry { push, out_iface }) => {
+                        let op = push.map_or(LabelOp::Pop, LabelOp::Swap);
+                        tables.lfib.install(local, Nhlfe { op, out_iface });
                     }
                     None => {
                         tables.lfib.remove(local);
@@ -663,8 +661,8 @@ impl NodeControl {
             // stale entry in place, so VPN traffic degrades in place (it
             // drops at the dead link) instead of silently un-routing.
             if let Some(tunnels) = tables.tunnels.as_deref_mut() {
-                if view.ftn[f].is_some() {
-                    tunnels[f].clone_from(&view.ftn[f]);
+                if desired.is_some() {
+                    tunnels[f] = desired;
                 }
             }
         }
@@ -703,11 +701,14 @@ impl NodeControl {
     }
 
     /// The FTN tunnel FEC `f` should have under the view: the first hop's
-    /// interface and label, `None` while the egress is unreachable or
-    /// before the first hop's label arrives (session refresh in flight).
-    fn desired_ftn(&self, f: usize) -> Option<(usize, u32)> {
+    /// interface and label (none for implicit null), `None` while the
+    /// egress is unreachable or before the first hop's label arrives
+    /// (session refresh in flight).
+    fn desired_ftn(&self, f: usize) -> Option<FtnEntry> {
         let nh = self.view.spf.next_hop[self.cfg.pes[f]]?;
-        self.view.received[self.rx(nh, f)].map(|l| (self.cfg.topo.iface_toward(self.node, nh), l))
+        let label = self.view.received[self.rx(nh, f)]?;
+        let out_iface = self.cfg.topo.iface_toward(self.node, nh);
+        Some(FtnEntry { push: (label != IMPLICIT_NULL).then_some(label), out_iface })
     }
 
     /// Slot of neighbor `nbr`'s label for tunnel FEC `f` in `NodeView::received`.
@@ -792,17 +793,8 @@ impl NodeControl {
 
     /// This router's current FTN entry for tunnel FEC `fec` (egress-PE
     /// ordinal).
-    pub(crate) fn ftn(&self, fec: usize) -> Option<&FtnEntry> {
-        self.view.ftn.get(fec)?.as_ref()
-    }
-}
-
-/// The labels an FTN pushes for next-hop binding `l` (none for implicit null).
-fn push_stack(l: &u32) -> &[u32] {
-    if *l == IMPLICIT_NULL {
-        &[]
-    } else {
-        std::slice::from_ref(l)
+    pub(crate) fn ftn(&self, fec: usize) -> Option<FtnEntry> {
+        *self.view.ftn.get(fec)?
     }
 }
 
@@ -824,9 +816,7 @@ mod tests {
         let node = c.node;
         for (f, &egress) in c.cfg.pes.iter().enumerate().filter(|&(_, &e)| e != node) {
             let view = &c.view;
-            let current = view.ftn[f].as_ref().map(|e| (e.out_iface, e.push.clone()));
-            let full = c.desired_ftn(f).map(|(iface, l)| (iface, push_stack(&l).to_vec()));
-            assert_eq!(current, full, "stale FTN for FEC {f} at node {node}");
+            assert_eq!(view.ftn[f], c.desired_ftn(f), "stale FTN for FEC {f} at node {node}");
             let reachable = view.spf.next_hop[egress].is_some();
             assert_eq!(view.fec_reachable[f], reachable, "stale reachability for FEC {f}");
         }

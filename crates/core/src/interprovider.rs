@@ -136,9 +136,9 @@ impl InterProviderVpn {
         }
         {
             // ASBR_B: Y → PE_B's VPN label under domain B's tunnel to PE_B.
-            let tun = ldp_b.nodes[b.asbr].ftn.get(&Fec(0)).expect("LSP ASBR_B→PE_B").clone();
-            let op = match tun.push.first() {
-                Some(&t) => LabelOp::SwapPush { swap: vpn_label_b, push: t },
+            let tun = *ldp_b.nodes[b.asbr].ftn.get(&Fec(0)).expect("LSP ASBR_B→PE_B");
+            let op = match tun.push {
+                Some(t) => LabelOp::SwapPush { swap: vpn_label_b, push: t },
                 None => LabelOp::Swap(vpn_label_b),
             };
             let asbr_b = net.node_mut::<CoreRouter>(id_b(b.asbr));
@@ -150,9 +150,9 @@ impl InterProviderVpn {
             asbr_b.lfib.install(x_a, Nhlfe { op: LabelOp::Swap(y_a), out_iface: asbr_b_if.0 });
         }
         {
-            let tun = ldp_a.nodes[a.asbr].ftn.get(&Fec(0)).expect("LSP ASBR_A→PE_A").clone();
-            let op = match tun.push.first() {
-                Some(&t) => LabelOp::SwapPush { swap: vpn_label_a, push: t },
+            let tun = *ldp_a.nodes[a.asbr].ftn.get(&Fec(0)).expect("LSP ASBR_A→PE_A");
+            let op = match tun.push {
+                Some(t) => LabelOp::SwapPush { swap: vpn_label_a, push: t },
                 None => LabelOp::Swap(vpn_label_a),
             };
             let asbr_a = net.node_mut::<CoreRouter>(id_a(a.asbr));
@@ -175,7 +175,7 @@ impl InterProviderVpn {
             pe.install_local_route(v, prefix_a, pea_if.0);
             pe.install_vpn_label(vpn_label_a, v);
             // Remote: prefix_b via domain A's tunnel toward ASBR_A, label X.
-            let tun = ldp_a.nodes[a.pe].ftn.get(&Fec(1)).expect("LSP PE_A→ASBR_A").clone();
+            let tun = *ldp_a.nodes[a.pe].ftn.get(&Fec(1)).expect("LSP PE_A→ASBR_A");
             pe.vrfs[v].install_remote(prefix_b, 1, x_b, Some(tun));
         }
         {
@@ -185,7 +185,7 @@ impl InterProviderVpn {
             assert_eq!(declared, peb_if.0);
             pe.install_local_route(v, prefix_b, peb_if.0);
             pe.install_vpn_label(vpn_label_b, v);
-            let tun = ldp_b.nodes[b.pe].ftn.get(&Fec(1)).expect("LSP PE_B→ASBR_B").clone();
+            let tun = *ldp_b.nodes[b.pe].ftn.get(&Fec(1)).expect("LSP PE_B→ASBR_B");
             pe.vrfs[v].install_remote(prefix_a, 0, x_a, Some(tun));
         }
 

@@ -564,7 +564,7 @@ impl ProviderNetwork {
             pe.tunnels.resize(self.pes.len(), None);
             for (f, slot) in pe.tunnels.iter_mut().enumerate() {
                 if let Some(ftn) = control.ftn(f) {
-                    *slot = Some(ftn.clone());
+                    *slot = Some(ftn);
                 }
             }
         }
@@ -746,7 +746,7 @@ impl ProviderNetwork {
             }
         }
         netsim_mpls::FtnEntry {
-            push: label_in[1].into_iter().collect(),
+            push: label_in[1],
             out_iface: self.topo.iface_toward(path[0], path[1]),
         }
     }
@@ -865,7 +865,7 @@ impl ProviderNetwork {
     /// LDP-following VPN route at `ingress` toward `egress` resolves
     /// through the PE's tunnel-table entry, which must equal this.
     pub fn view_tunnel(&self, ingress: usize, egress: usize) -> Option<netsim_mpls::FtnEntry> {
-        self.backbone(self.pes[ingress]).1.ftn(egress).cloned()
+        self.backbone(self.pes[ingress]).1.ftn(egress)
     }
 
     /// Walks the LSP from PE ordinal `ingress` to PE ordinal `egress`
@@ -877,7 +877,7 @@ impl ProviderNetwork {
     pub fn lsp_path(&self, ingress: usize, egress: usize) -> Option<Vec<usize>> {
         let start = self.pes[ingress];
         let ftn = self.backbone(start).1.ftn(egress)?;
-        self.walk_tunnel(start, ftn, self.pes[egress])
+        self.walk_tunnel(start, &ftn, self.pes[egress])
     }
 
     /// Follows a tunnel FTN from `start` through the live LFIBs until it
@@ -889,7 +889,7 @@ impl ProviderNetwork {
         want: usize,
     ) -> Option<Vec<usize>> {
         use netsim_mpls::lfib::{LabelOp, LOCAL_IFACE};
-        let mut stack: Vec<u32> = ftn.push.clone(); // bottom .. top
+        let mut stack: Vec<u32> = ftn.push.into_iter().collect(); // bottom .. top
         let mut at = start;
         let mut iface = ftn.out_iface;
         let mut path = vec![at];
@@ -1587,7 +1587,7 @@ mod tests {
         pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
         pn.add_site(vpn, 2, pfx("10.2.0.0/24"), None);
         let ftn = pn.install_explicit_lsp(&[0, 1, 2]);
-        pn.pin_prefix_to_tunnel(vpn, 0, pfx("10.2.0.0/16"), ftn.clone());
+        pn.pin_prefix_to_tunnel(vpn, 0, pfx("10.2.0.0/16"), ftn);
         let (handle, vrf_idx) = pn.vrf_handle(0, vpn).unwrap();
         let r = *pn.fabric.routes(handle).get(pfx("10.2.0.0/16")).unwrap();
         assert_eq!(r.egress_pe, 1);

@@ -394,9 +394,6 @@ impl PeRouter {
         }
         let (dst, dscp, ttl) = (hdr.dst, hdr.dscp, hdr.ttl);
         self.counters.lpm_lookups += 1;
-        // The route and its tunnel are borrowed, not cloned: a tunnel owns
-        // its label vector, and cloning it per packet would put a heap
-        // allocation on the forwarding fast path.
         let VrfFib { fib, ingress_cache, .. } = &mut self.vrfs[vrf];
         let Some(route) = fib.lookup_cached(dst, ingress_cache) else {
             return ctx.discard(pkt, DropCause::NoRoute);
@@ -416,7 +413,7 @@ impl PeRouter {
                 let exp = self.exp_map.exp_of(dscp);
                 pkt.push_outer(Layer::Mpls(MplsLabel::new(*vpn_label, exp, ttl)));
                 self.counters.label_ops += 1;
-                for &l in &tunnel.push {
+                if let Some(l) = tunnel.push {
                     pkt.push_outer(Layer::Mpls(MplsLabel::new(l, exp, ttl)));
                     self.counters.label_ops += 1;
                 }
@@ -664,7 +661,7 @@ mod tests {
         let mut pe0 = PeRouter::new("PE0", Lfib::new(), 1);
         let v0 = pe0.add_vrf("acme");
         pe0.attach_customer_iface(v0); // iface 1
-        pe0.tunnels = vec![None, Some(FtnEntry { push: vec![100], out_iface: 0 })];
+        pe0.tunnels = vec![None, Some(FtnEntry { push: Some(100), out_iface: 0 })];
         pe0.vrfs[v0].install_remote(pfx("10.2.0.0/16"), 1, 500, None);
 
         // P: iface 0 to PE0, iface 1 to PE1; PHP-pops tunnel label 100.

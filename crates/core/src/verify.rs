@@ -97,7 +97,7 @@ impl ProviderNetwork {
                 walks.push(StackWalk {
                     origin: u,
                     fec: format!("{} Fec({f})", lnode.name),
-                    push: ftn.push.clone(),
+                    push: ftn.push.into_iter().collect(),
                     out_iface: ftn.out_iface,
                     expect_delivery: Some(egress),
                 });
@@ -121,7 +121,7 @@ impl ProviderNetwork {
                         continue;
                     };
                     let mut push = vec![*vpn_label];
-                    push.extend_from_slice(&tunnel.push);
+                    push.extend(tunnel.push);
                     walks.push(StackWalk {
                         origin: pe_topo,
                         fec,

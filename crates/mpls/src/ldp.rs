@@ -48,7 +48,7 @@ pub struct LdpNodeState {
     pub lfib: Lfib,
     /// Local binding per FEC (implicit-null at a PHP egress).
     pub bindings: HashMap<Fec, u32>,
-    /// Ingress map: FEC → labels to push + egress interface.
+    /// Ingress map: FEC → label to push + egress interface.
     pub ftn: HashMap<Fec, FtnEntry>,
     /// Bindings heard per (FEC, neighbor) — liberal retention.
     pub received: HashMap<(Fec, usize), u32>,
@@ -151,7 +151,7 @@ impl LdpDomain {
                     .expect("mapping sender must be a neighbor");
                 let op =
                     if m.label == IMPLICIT_NULL { LabelOp::Pop } else { LabelOp::Swap(m.label) };
-                let push = if m.label == IMPLICIT_NULL { Vec::new() } else { vec![m.label] };
+                let push = (m.label != IMPLICIT_NULL).then_some(m.label);
                 node.ftn.insert(m.fec, FtnEntry { push, out_iface });
                 match node.bindings.get(&m.fec) {
                     Some(&local) => {
@@ -190,7 +190,7 @@ impl LdpDomain {
         }
         let ftn = self.nodes[ingress].ftn.get(&fec)?;
         let mut path = vec![ingress];
-        let mut label = ftn.push.first().copied();
+        let mut label = ftn.push;
         let mut at = *adjacency[ingress].get(ftn.out_iface)?;
         for _ in 0..adjacency.len() {
             path.push(at);

@@ -82,11 +82,13 @@ pub struct Nhlfe {
     pub out_iface: usize,
 }
 
-/// Ingress mapping for one FEC: labels to push and the egress interface.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Ingress mapping for one FEC: the label to push and the egress interface.
+/// Every FTN pushes at most one label (an LDP tunnel, an explicit LSP or a
+/// bypass), so the entry is a plain `Copy` value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FtnEntry {
-    /// Labels to push, bottom first (tunnel label last ⇒ outermost).
-    pub push: Vec<u32>,
+    /// Label to push; `None` when the first hop advertised implicit null.
+    pub push: Option<u32>,
     /// Egress interface index.
     pub out_iface: usize,
 }
@@ -120,7 +122,7 @@ pub struct Lfib {
     /// protecting that egress. The bypass terminates at the merge point
     /// (the protected link's far end), which expects exactly the label
     /// this LSR would have sent — so switchover is "apply the primary
-    /// operation, then push the bypass labels and redirect".
+    /// operation, then push the bypass label and redirect".
     protection: Vec<Option<FtnEntry>>,
     /// Interfaces the local failure detector has declared down.
     down: Vec<bool>,
@@ -219,7 +221,7 @@ impl Lfib {
     }
 
     /// Fast-reroute switchover: if `out_iface` is down and protected,
-    /// pushes the bypass labels over whatever the packet now carries and
+    /// pushes the bypass label over whatever the packet now carries and
     /// returns the bypass egress; otherwise returns `out_iface` unchanged.
     /// Single-level: a bypass is never itself rerouted.
     #[inline]
@@ -236,8 +238,8 @@ impl Lfib {
             // from the IP precedence bits (the default DSCP→EXP fold).
             None => (pkt.dscp().map_or(0, |d| d.value() >> 3), 64),
         };
-        for &l in &bypass.push {
-            pkt.push_outer(Layer::Mpls(MplsLabel { label: l, exp, ttl }));
+        if let Some(label) = bypass.push {
+            pkt.push_outer(Layer::Mpls(MplsLabel { label, exp, ttl }));
             self.stats.pushes.set(self.stats.pushes.get() + 1);
         }
         self.stats.bypass_activations.set(self.stats.bypass_activations.get() + 1);
@@ -391,7 +393,7 @@ mod tests {
     fn protection_reroutes_only_while_iface_is_down() {
         let mut lfib = Lfib::new();
         lfib.install(100, Nhlfe { op: LabelOp::Swap(200), out_iface: 3 });
-        lfib.install_protection(3, FtnEntry { push: vec![900], out_iface: 7 });
+        lfib.install_protection(3, FtnEntry { push: Some(900), out_iface: 7 });
 
         // Healthy: primary egress, single label.
         let mut p = labeled(100, 5, 64);
@@ -435,7 +437,7 @@ mod tests {
         // it expected.
         let mut lfib = Lfib::new();
         lfib.install(77, Nhlfe { op: LabelOp::Pop, out_iface: 2 });
-        lfib.install_protection(2, FtnEntry { push: vec![901], out_iface: 5 });
+        lfib.install_protection(2, FtnEntry { push: Some(901), out_iface: 5 });
         lfib.set_iface_down(2, true);
         let mut p = labeled(77, 5, 10);
         p.outer_ipv4_mut().unwrap().dscp = Dscp::EF;
@@ -448,8 +450,8 @@ mod tests {
     #[test]
     fn protection_table_management() {
         let mut lfib = Lfib::new();
-        lfib.install_protection(4, FtnEntry { push: vec![1], out_iface: 0 });
-        lfib.install_protection(9, FtnEntry { push: vec![2], out_iface: 1 });
+        lfib.install_protection(4, FtnEntry { push: Some(1), out_iface: 0 });
+        lfib.install_protection(9, FtnEntry { push: Some(2), out_iface: 1 });
         assert_eq!(lfib.protection(4).map(|b| b.out_iface), Some(0));
         assert_eq!(lfib.protection(9).map(|b| b.out_iface), Some(1));
         assert!(lfib.protection(5).is_none() && lfib.protection(1000).is_none());
@@ -482,7 +484,7 @@ mod tests {
     fn stats_count_bypass_and_merge_carries_history() {
         let mut lfib = Lfib::new();
         lfib.install(100, Nhlfe { op: LabelOp::Swap(200), out_iface: 3 });
-        lfib.install_protection(3, FtnEntry { push: vec![900], out_iface: 7 });
+        lfib.install_protection(3, FtnEntry { push: Some(900), out_iface: 7 });
         lfib.set_iface_down(3, true);
         let mut p = labeled(100, 0, 64);
         lfib.forward(&mut p);

@@ -189,12 +189,13 @@ impl<V> LpmTrie<V> {
     /// Removes `prefix`, returning its value if present. Interior trie nodes
     /// are not reclaimed (tables in the emulator only shrink when routes are
     /// withdrawn, and reuse the slots on re-insert).
+    /// Only an actual removal invalidates the route caches.
     pub fn remove(&mut self, prefix: Prefix) -> Option<V> {
-        self.version += 1;
         let node = self.find_node(prefix)?;
         let old = self.nodes[node].value.take();
         if old.is_some() {
             self.len -= 1;
+            self.version += 1;
         }
         old
     }
@@ -405,12 +406,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn destinations_in_distinct_ways_walk_once_each() {
-        let mut t = LpmTrie::new();
-        t.insert(pfx("10.0.0.0/8"), 8);
-        t.insert(pfx("10.1.0.0/16"), 16);
-        // One destination per way, the first 10/8 address that hashes there.
+    /// One destination per way, the first 10/8 address that hashes there.
+    fn one_destination_per_way() -> Vec<Ip> {
         let mut dsts = [None; WAYS];
         for x in 0x0A00_0000u32.. {
             let way = &mut dsts[LpmCache::way_of(Ip(x))];
@@ -419,7 +416,15 @@ mod tests {
                 break;
             }
         }
-        let dsts: Vec<Ip> = dsts.iter().flatten().copied().collect();
+        dsts.iter().flatten().copied().collect()
+    }
+
+    #[test]
+    fn destinations_in_distinct_ways_walk_once_each() {
+        let mut t = LpmTrie::new();
+        t.insert(pfx("10.0.0.0/8"), 8);
+        t.insert(pfx("10.1.0.0/16"), 16);
+        let dsts = one_destination_per_way();
         let mut cache = LpmCache::default();
         for _ in 0..4 {
             for &dst in &dsts {
@@ -432,6 +437,34 @@ mod tests {
         for &dst in dsts.iter().chain(&dsts) {
             assert_eq!(t.lookup_cached(dst, &mut cache), t.lookup(dst));
         }
+        assert_eq!(cache.walks, 2 * WAYS as u64);
+    }
+
+    #[test]
+    fn noop_remove_keeps_cached_ways_valid() {
+        let mut t = LpmTrie::new();
+        t.insert(pfx("10.0.0.0/8"), 8);
+        t.insert(pfx("10.1.0.0/16"), 16);
+        let dsts = one_destination_per_way();
+        let mut cache = LpmCache::default();
+        let sweep = |t: &LpmTrie<i32>, cache: &mut LpmCache| {
+            for &dst in &dsts {
+                assert_eq!(t.lookup_cached(dst, cache), t.lookup(dst));
+            }
+        };
+        sweep(&t, &mut cache);
+        assert_eq!(cache.walks, WAYS as u64);
+        // Neither a prefix with no trie node nor an interior node without
+        // a value removes anything, so every way stays valid.
+        assert_eq!(t.remove(pfx("192.168.0.0/16")), None);
+        assert_eq!(t.remove(pfx("10.0.0.0/12")), None);
+        sweep(&t, &mut cache);
+        assert_eq!(cache.walks, WAYS as u64);
+        // A real removal stales every way once; removing it again does not.
+        assert_eq!(t.remove(pfx("10.1.0.0/16")), Some(16));
+        sweep(&t, &mut cache);
+        assert_eq!(t.remove(pfx("10.1.0.0/16")), None);
+        sweep(&t, &mut cache);
         assert_eq!(cache.walks, 2 * WAYS as u64);
     }
 }

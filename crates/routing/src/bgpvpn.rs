@@ -75,7 +75,7 @@ pub struct RemoteRoute {
 pub type RouteChange = (VrfHandle, Option<RemoteRoute>);
 
 /// A VPN-IPv4 advertisement as carried by the fabric.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct VpnRouteAd {
     rd: RouteDistinguisher,
     prefix: Prefix,
@@ -83,12 +83,23 @@ struct VpnRouteAd {
     vpn_label: u32,
     export_targets: Vec<RouteTarget>,
     origin: VrfHandle,
+    /// Every VRF this advertisement was installed into: the only VRFs a
+    /// withdraw must visit. VRFs that have since replaced or dropped the
+    /// route may stay listed; the withdraw checks each one.
+    holders: Vec<VrfHandle>,
 }
 
 impl VpnRouteAd {
     /// The route an importing VRF installs for this advertisement.
     fn route(&self) -> RemoteRoute {
         RemoteRoute { egress_pe: self.egress_pe, vpn_label: self.vpn_label, rd: self.rd }
+    }
+
+    /// Records that `vrf` installed this advertisement.
+    fn held_by(&mut self, vrf: VrfHandle) {
+        if !self.holders.contains(&vrf) {
+            self.holders.push(vrf);
+        }
     }
 }
 
@@ -221,15 +232,16 @@ impl BgpVpnFabric {
         pe.vpn_ilm.insert(label, (vrf.index, prefix));
         let v = &mut pe.vrfs[vrf.index];
         v.local.push((prefix, label));
-        let ad = VpnRouteAd {
+        let mut ad = VpnRouteAd {
             rd: v.rd,
             prefix,
             egress_pe: vrf.pe,
             vpn_label: label,
             export_targets: v.export.clone(),
             origin: vrf,
+            holders: Vec::new(),
         };
-        let changed = self.distribute(&ad);
+        let changed = self.distribute(&mut ad);
         self.rib.push(ad);
         (label, changed)
     }
@@ -244,36 +256,37 @@ impl BgpVpnFabric {
         else {
             return Vec::new();
         };
-        let ad = self.rib.swap_remove(pos);
+        let mut ad = self.rib.swap_remove(pos);
         // Withdrawal costs the same messages as the announcement.
         self.messages += self.update_fanout();
         let withdrawn = ad.route();
-        let mut changed = Vec::with_capacity(self.pes.len());
-        for (pi, pe) in self.pes.iter_mut().enumerate() {
-            if pi == ad.egress_pe {
-                continue; // local routes are never imported
+        // Only a VRF the route was installed into can hold it.
+        ad.holders.sort_unstable_by_key(|h| (h.pe, h.index));
+        let mut changed = Vec::with_capacity(ad.holders.len());
+        let BgpVpnFabric { pes, rib, .. } = self;
+        for &h in &ad.holders {
+            let v = &mut pes[h.pe].vrfs[h.index];
+            if v.table.get(prefix) != Some(&withdrawn) {
+                continue;
             }
-            for (index, v) in pe.vrfs.iter_mut().enumerate() {
-                if v.table.get(prefix) != Some(&withdrawn) {
-                    continue;
-                }
-                v.table.remove(prefix);
-                // Failover: best remaining importable advertisement.
-                let best = self
-                    .rib
-                    .iter()
-                    .filter(|x| {
-                        x.prefix == prefix
-                            && x.egress_pe != pi
-                            && v.import.iter().any(|t| x.export_targets.contains(t))
-                    })
-                    .min_by_key(|x| (x.egress_pe, x.vpn_label))
-                    .map(VpnRouteAd::route);
-                if let Some(alt) = best {
-                    v.table.insert(prefix, alt);
-                }
-                changed.push((VrfHandle { pe: pi, index }, best));
+            v.table.remove(prefix);
+            // Failover: best remaining importable advertisement.
+            let best = rib
+                .iter_mut()
+                .filter(|x| {
+                    x.prefix == prefix
+                        && x.egress_pe != h.pe
+                        && v.import.iter().any(|t| x.export_targets.contains(t))
+                })
+                .min_by_key(|x| (x.egress_pe, x.vpn_label))
+                .map(|x| {
+                    x.held_by(h);
+                    x.route()
+                });
+            if let Some(alt) = best {
+                v.table.insert(prefix, alt);
             }
+            changed.push((h, best));
         }
         let pe = &mut self.pes[vrf.pe];
         pe.vpn_ilm.remove(&ad.vpn_label);
@@ -295,8 +308,9 @@ impl BgpVpnFabric {
         (a.egress_pe, a.vpn_label) < (b.egress_pe, b.vpn_label)
     }
 
-    /// Offers `ad` to every importing VRF and returns those that selected it.
-    fn distribute(&mut self, ad: &VpnRouteAd) -> Vec<RouteChange> {
+    /// Offers `ad` to every importing VRF and returns those that selected
+    /// it, which become its holders.
+    fn distribute(&mut self, ad: &mut VpnRouteAd) -> Vec<RouteChange> {
         self.messages += self.update_fanout();
         let cand = ad.route();
         // A VPN usually has one VRF per PE.
@@ -315,6 +329,7 @@ impl BgpVpnFabric {
                 }
             }
         }
+        ad.holders.extend(changed.iter().map(|&(h, _)| h));
         changed
     }
 
@@ -323,22 +338,17 @@ impl BgpVpnFabric {
     /// Returns the number of routes imported.
     pub fn refresh_vrf(&mut self, vrf: VrfHandle) -> usize {
         let mut imported = 0;
-        let rib: Vec<VpnRouteAd> = self.rib.clone();
-        for ad in &rib {
-            if ad.egress_pe == vrf.pe {
-                continue;
-            }
-            let v = &mut self.pes[vrf.pe].vrfs[vrf.index];
+        let BgpVpnFabric { pes, rib, messages } = self;
+        let v = &mut pes[vrf.pe].vrfs[vrf.index];
+        for ad in rib.iter_mut().filter(|ad| ad.egress_pe != vrf.pe) {
             if v.import.iter().any(|t| ad.export_targets.contains(t)) {
                 let cand = ad.route();
-                match v.table.get(ad.prefix) {
-                    Some(existing) if !Self::better(&cand, existing) => {}
-                    _ => {
-                        v.table.insert(ad.prefix, cand);
-                    }
+                if v.table.get(ad.prefix).is_none_or(|existing| Self::better(&cand, existing)) {
+                    v.table.insert(ad.prefix, cand);
+                    ad.held_by(vrf);
                 }
                 imported += 1;
-                self.messages += 1; // RR replays one update
+                *messages += 1; // RR replays one update
             }
         }
         imported
@@ -357,11 +367,12 @@ impl BgpVpnFabric {
         &mut self,
         vrf: VrfHandle,
     ) -> (Vec<(Prefix, RemoteRoute)>, Vec<(Prefix, RemoteRoute)>) {
-        // Desired state: best importable advertisement per prefix.
-        let mut desired: Vec<(Prefix, RemoteRoute)> = Vec::new();
+        // Desired state: best importable advertisement per prefix, with
+        // its RIB position.
+        let mut desired: Vec<(Prefix, RemoteRoute, usize)> = Vec::new();
         {
             let v = &self.pes[vrf.pe].vrfs[vrf.index];
-            for ad in &self.rib {
+            for (at, ad) in self.rib.iter().enumerate() {
                 if ad.egress_pe == vrf.pe {
                     continue;
                 }
@@ -369,28 +380,30 @@ impl BgpVpnFabric {
                     continue;
                 }
                 let cand = ad.route();
-                match desired.iter_mut().find(|(p, _)| *p == ad.prefix) {
-                    Some((_, existing)) if !Self::better(&cand, existing) => {}
-                    Some((_, existing)) => *existing = cand,
-                    None => desired.push((ad.prefix, cand)),
+                match desired.iter_mut().find(|(p, ..)| *p == ad.prefix) {
+                    Some((_, existing, _)) if !Self::better(&cand, existing) => {}
+                    Some((_, existing, from)) => (*existing, *from) = (cand, at),
+                    None => desired.push((ad.prefix, cand, at)),
                 }
             }
         }
-        let v = &mut self.pes[vrf.pe].vrfs[vrf.index];
+        let BgpVpnFabric { pes, rib, .. } = self;
+        let v = &mut pes[vrf.pe].vrfs[vrf.index];
         let current: Vec<(Prefix, RemoteRoute)> = v.table.iter().map(|(p, r)| (p, *r)).collect();
         let mut removed = Vec::new();
         for (p, r) in &current {
-            if !desired.iter().any(|(dp, _)| dp == p) {
+            if !desired.iter().any(|(dp, ..)| dp == p) {
                 v.table.remove(*p);
                 removed.push((*p, *r));
             }
         }
         let mut added = Vec::new();
-        for (p, r) in desired {
+        for (p, r, at) in desired {
             match v.table.get(p) {
                 Some(existing) if !Self::better(&r, existing) => {}
                 _ => {
                     v.table.insert(p, r);
+                    rib[at].held_by(vrf);
                     added.push((p, r));
                 }
             }

@@ -34,7 +34,9 @@ impl SpfTree {
     /// the smaller of the two. The minimum of a union of first-hop sets is the minimum of
     /// their minima, and every link cost is at least 1, so `u`'s first hop is final when
     /// `u` leaves the heap: the result is the lowest id of the full ECMP set.
-    pub fn recompute(&mut self, topo: &Topology, root: usize, usable: &dyn Fn(usize) -> bool) {
+    ///
+    /// `usable` is generic so that the per-edge test inlines.
+    pub fn recompute(&mut self, topo: &Topology, root: usize, usable: impl Fn(usize) -> bool) {
         let n = topo.node_count();
         self.root = root;
         self.dist.clear();
@@ -104,15 +106,15 @@ impl Igp {
     /// originates one LSA which is flooded once over every link (the
     /// standard reliable-flooding lower bound, 2·E messages per LSA).
     pub fn converge(topo: &Topology) -> Igp {
-        Self::converge_filtered(topo, &|_| true)
+        Self::converge_filtered(topo, |_| true)
     }
 
     /// Like [`Igp::converge`], but links for which `usable(link_id)` is
     /// false are ignored — the reconvergence path after a link failure.
-    pub fn converge_filtered(topo: &Topology, usable: &dyn Fn(usize) -> bool) -> Igp {
+    pub fn converge_filtered(topo: &Topology, usable: impl Fn(usize) -> bool) -> Igp {
         let n = topo.node_count();
         let live_links = (0..topo.link_count()).filter(|&l| usable(l)).count() as u64;
-        let trees = (0..n).map(|r| spf_filtered(topo, r, usable)).collect();
+        let trees = (0..n).map(|r| spf_filtered(topo, r, &usable)).collect();
         let lsa_messages = (n as u64) * 2 * live_links;
         Igp { trees, lsa_messages }
     }
@@ -164,11 +166,11 @@ impl Igp {
 /// Dijkstra from `root` with deterministic tie-breaking: the lowest-id
 /// first hop among equal-cost paths.
 pub fn spf(topo: &Topology, root: usize) -> SpfTree {
-    spf_filtered(topo, root, &|_| true)
+    spf_filtered(topo, root, |_| true)
 }
 
 /// [`spf`] restricted to links for which `usable(link_id)` holds; see [`SpfTree::recompute`].
-pub fn spf_filtered(topo: &Topology, root: usize, usable: &dyn Fn(usize) -> bool) -> SpfTree {
+pub fn spf_filtered(topo: &Topology, root: usize, usable: impl Fn(usize) -> bool) -> SpfTree {
     let mut tree = SpfTree::default();
     tree.recompute(topo, root, usable);
     tree
@@ -270,7 +272,7 @@ mod tests {
         // (offering 0→3 at cost 2 < 6) affects the tree, while
         // "repairing" the already-loose link 3 at its current cost does:
         // dist[2]=1, 1+5=6 == dist[3]=6 → equality recomputes.
-        let cut = spf_filtered(&t, 0, &|l| l != 1);
+        let cut = spf_filtered(&t, 0, |l| l != 1);
         assert_eq!(cut.dist[3], 6);
         assert!(cut.affected_by(&t, 1, false));
         assert!(cut.affected_by(&t, 3, false));
@@ -282,7 +284,7 @@ mod tests {
         t.add_link(0, 1, attrs(1)); // link 0
         t.add_link(1, 2, attrs(1)); // link 1
                                     // Tree computed with link 1 dead: node 2 unreachable.
-        let tree = spf_filtered(&t, 0, &|l| l != 1);
+        let tree = spf_filtered(&t, 0, |l| l != 1);
         assert!(!tree.reachable(2));
         // Failing the already-unusable far link cannot affect the tree…
         assert!(!tree.affected_by(&t, 1, true));

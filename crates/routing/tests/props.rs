@@ -1,13 +1,15 @@
 //! Property-based tests for routing: SPF against Floyd–Warshall and
 //! Bellman–Ford reference models on random weighted graphs, and BGP/VPN
-//! fabric invariants under random VRF/route scripts.
+//! fabric invariants under random VRF/route scripts, including the route
+//! reflector against a full-scan reference.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use netsim_net::{Ip, Prefix};
 use netsim_routing::igp::spf_filtered;
 use netsim_routing::{
-    BgpVpnFabric, Igp, LinkAttrs, RemoteRoute, RouteDistinguisher, RouteTarget, Topology, VrfHandle,
+    BgpVpnFabric, Igp, LinkAttrs, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget,
+    Topology, VrfHandle,
 };
 use proptest::prelude::*;
 
@@ -125,6 +127,147 @@ fn floyd_warshall(t: &Topology) -> Vec<Vec<u64>> {
     d
 }
 
+/// Full-scan reference for the route reflector. It keeps every VRF's
+/// table and the RIB, and a withdraw visits every VRF on every PE: no
+/// index of who holds a route.
+struct ScanFabric {
+    /// Per VRF, in the order the test created them: handle, import and
+    /// export targets, RD and table.
+    vrfs: Vec<ScanVrf>,
+    /// Live advertisements: origin VRF, prefix, route, export targets.
+    rib: Vec<(usize, Prefix, RemoteRoute, Vec<RouteTarget>)>,
+}
+
+struct ScanVrf {
+    handle: VrfHandle,
+    import: Vec<RouteTarget>,
+    export: Vec<RouteTarget>,
+    rd: RouteDistinguisher,
+    table: BTreeMap<Prefix, RemoteRoute>,
+}
+
+impl ScanFabric {
+    fn imports(v: &ScanVrf, export: &[RouteTarget]) -> bool {
+        v.import.iter().any(|t| export.contains(t))
+    }
+
+    fn better(a: &RemoteRoute, b: &RemoteRoute) -> bool {
+        (a.egress_pe, a.vpn_label) < (b.egress_pe, b.vpn_label)
+    }
+
+    /// VRF indices in fabric order (PE, then VRF index).
+    fn fabric_order(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.vrfs.len()).collect();
+        order.sort_by_key(|&i| (self.vrfs[i].handle.pe, self.vrfs[i].handle.index));
+        order
+    }
+
+    fn advertise(&mut self, origin: usize, prefix: Prefix, label: u32) -> Vec<RouteChange> {
+        let o = &self.vrfs[origin];
+        let route = RemoteRoute { egress_pe: o.handle.pe, vpn_label: label, rd: o.rd };
+        let export = o.export.clone();
+        let mut changed = Vec::new();
+        for i in self.fabric_order() {
+            let v = &mut self.vrfs[i];
+            if v.handle.pe != route.egress_pe
+                && Self::imports(v, &export)
+                && v.table.get(&prefix).is_none_or(|e| Self::better(&route, e))
+            {
+                v.table.insert(prefix, route);
+                changed.push((v.handle, Some(route)));
+            }
+        }
+        self.rib.push((origin, prefix, route, export));
+        changed
+    }
+
+    fn withdraw(&mut self, origin: usize, prefix: Prefix) -> Vec<RouteChange> {
+        let Some(pos) = self.rib.iter().position(|ad| (ad.0, ad.1) == (origin, prefix)) else {
+            return Vec::new();
+        };
+        let (_, _, gone, _) = self.rib.swap_remove(pos);
+        let mut changed = Vec::new();
+        for i in self.fabric_order() {
+            let v = &mut self.vrfs[i];
+            if v.handle.pe == gone.egress_pe || v.table.get(&prefix) != Some(&gone) {
+                continue;
+            }
+            v.table.remove(&prefix);
+            let best = self
+                .rib
+                .iter()
+                .filter(|ad| ad.1 == prefix && ad.2.egress_pe != v.handle.pe)
+                .filter(|ad| Self::imports(v, &ad.3))
+                .map(|ad| ad.2)
+                .min_by_key(|r| (r.egress_pe, r.vpn_label));
+            if let Some(alt) = best {
+                v.table.insert(prefix, alt);
+            }
+            changed.push((v.handle, best));
+        }
+        changed
+    }
+
+    /// The best importable route per prefix for VRF `i`.
+    fn importable(&self, i: usize) -> BTreeMap<Prefix, RemoteRoute> {
+        let v = &self.vrfs[i];
+        let mut best: BTreeMap<Prefix, RemoteRoute> = BTreeMap::new();
+        for (_, p, r, export) in &self.rib {
+            if r.egress_pe != v.handle.pe
+                && Self::imports(v, export)
+                && best.get(p).is_none_or(|e| Self::better(r, e))
+            {
+                best.insert(*p, *r);
+            }
+        }
+        best
+    }
+
+    fn refresh(&mut self, i: usize) {
+        for (p, r) in self.importable(i) {
+            let table = &mut self.vrfs[i].table;
+            if table.get(&p).is_none_or(|e| Self::better(&r, e)) {
+                table.insert(p, r);
+            }
+        }
+    }
+
+    fn refilter(&mut self, i: usize) {
+        let desired = self.importable(i);
+        let table = &mut self.vrfs[i].table;
+        table.retain(|p, _| desired.contains_key(p));
+        for (p, r) in desired {
+            if table.get(&p).is_none_or(|e| Self::better(&r, e)) {
+                table.insert(p, r);
+            }
+        }
+    }
+}
+
+/// A withdraw still reaches a VRF whose import target was removed after
+/// it imported the route (a stale import), and fails it over to the
+/// multihomed prefix's other PE when another target still imports that.
+#[test]
+fn withdraw_reaches_a_stale_import_and_fails_over() {
+    let (rt_a, rt_b) = (RouteTarget(1), RouteTarget(2));
+    let mut f = BgpVpnFabric::new(3);
+    let home0 = f.add_vrf(0, RouteDistinguisher::new(65000, 1), vec![], vec![rt_a]);
+    let importer = f.add_vrf(1, RouteDistinguisher::new(65000, 2), vec![rt_a, rt_b], vec![]);
+    let home2 = f.add_vrf(2, RouteDistinguisher::new(65000, 3), vec![], vec![rt_b]);
+    let p: Prefix = "10.9.0.0/24".parse().unwrap();
+    f.advertise(home0, p);
+    let (label2, _) = f.advertise(home2, p);
+    assert_eq!(f.routes(importer).get(p).map(|r| r.egress_pe), Some(0));
+    f.remove_import_target(importer, rt_a);
+    let alt =
+        RemoteRoute { egress_pe: 2, vpn_label: label2, rd: RouteDistinguisher::new(65000, 3) };
+    assert_eq!(f.withdraw(home0, p), vec![(importer, Some(alt))]);
+    assert_eq!(f.routes(importer).get(p), Some(&alt));
+    f.remove_import_target(importer, rt_b);
+    assert_eq!(f.withdraw(home2, p), vec![(importer, None)]);
+    assert!(f.routes(importer).is_empty());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -190,9 +333,9 @@ proptest! {
         let prior_root = (root + 1 + roots.1 % (n - 1)) % n;
         let (mut mask, prior_mask) = (failures.0, failures.0 ^ failures.1);
         let usable = |mask: u64| move |l: usize| mask >> (l % 64) & 1 == 0;
-        let mut reused = spf_filtered(&topo, prior_root, &usable(prior_mask));
-        reused.recompute(&topo, root, &usable(mask));
-        let fresh = spf_filtered(&topo, root, &usable(mask));
+        let mut reused = spf_filtered(&topo, prior_root, usable(prior_mask));
+        reused.recompute(&topo, root, usable(mask));
+        let fresh = spf_filtered(&topo, root, usable(mask));
         let reference = bellman_ford(&topo, root, &usable(mask));
         for tree in [&reused, &fresh] {
             prop_assert_eq!(tree.root, root);
@@ -202,13 +345,13 @@ proptest! {
         for (pick, reroot) in events {
             if reroot || topo.link_count() == 0 {
                 root = pick % n;
-                reused.recompute(&topo, root, &usable(mask));
+                reused.recompute(&topo, root, usable(mask));
             } else {
                 let link = pick % topo.link_count();
                 let down = usable(mask)(link);
                 mask ^= 1 << (link % 64);
                 if reused.affected_by(&topo, link, down) {
-                    reused.recompute(&topo, root, &usable(mask));
+                    reused.recompute(&topo, root, usable(mask));
                 }
             }
             let reference = bellman_ford(&topo, root, &usable(mask));
@@ -345,6 +488,110 @@ proptest! {
                 .collect();
             expected.sort_by_key(|&(h, _)| (h.pe, h.index));
             prop_assert_eq!(reported, expected);
+        }
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The route reflector's holder index loses nothing: after every
+    /// random step, what `advertise` and `withdraw` report and every VRF
+    /// table equal the full-scan reference. Prefixes come from a pool of
+    /// three, so sites are multihomed; one prefix is always advertised
+    /// from two PEs first. Import targets come and go without a refilter,
+    /// leaving stale imports for a withdraw to find, and sites join a
+    /// running fabric through `refresh_vrf`.
+    #[test]
+    fn route_reflector_index_matches_full_scan(
+        pe_count in 2usize..5,
+        vrfs in proptest::collection::vec((any::<usize>(), 0u64..3, 0u8..8), 2..8),
+        ops in proptest::collection::vec((0u8..10, any::<usize>(), any::<usize>()), 1..60),
+    ) {
+        let mut f = BgpVpnFabric::new(pe_count);
+        let mut scan = ScanFabric { vrfs: Vec::new(), rib: Vec::new() };
+        // A VRF of VPN `vpn` exports that VPN's target and imports it plus
+        // the extra targets in `extra`'s bits.
+        let add_vrf = |f: &mut BgpVpnFabric, scan: &mut ScanFabric, pe, vpn, extra: u8| {
+            let mut import = vec![RouteTarget(vpn)];
+            import.extend((0..3).filter(|b| extra & (1 << b) != 0).map(RouteTarget));
+            let rd = RouteDistinguisher::new(65000, scan.vrfs.len() as u32);
+            let export = vec![RouteTarget(vpn)];
+            let handle = f.add_vrf(pe, rd, import.clone(), export.clone());
+            scan.vrfs.push(ScanVrf { handle, import, export, rd, table: BTreeMap::new() });
+        };
+        for (i, &(pe, vpn, extra)) in vrfs.iter().enumerate() {
+            // The first two VRFs sit on PEs 0 and 1 and export target 0.
+            let (pe, vpn) = if i < 2 { (i, 0) } else { (pe % pe_count, vpn) };
+            add_vrf(&mut f, &mut scan, pe, vpn, extra);
+        }
+        let multihomed = Prefix::new(Ip(0x0A00_0000), 16);
+        let mut advertised: Vec<(usize, Prefix)> = vec![(0, multihomed), (1, multihomed)];
+        for &(i, p) in &advertised {
+            let (label, reported) = f.advertise(scan.vrfs[i].handle, p);
+            prop_assert_eq!(reported, scan.advertise(i, p, label));
+        }
+        for (kind, a, b) in ops {
+            let i = a % scan.vrfs.len();
+            let vrf = scan.vrfs[i].handle;
+            let prefix = Prefix::new(Ip(0x0A00_0000 | (((b % 3) as u32) << 16)), 16);
+            let rt = RouteTarget((b % 3) as u64);
+            match kind {
+                0 | 1 => {
+                    advertised.push((i, prefix));
+                    let (label, reported) = f.advertise(vrf, prefix);
+                    prop_assert_eq!(reported, scan.advertise(i, prefix, label));
+                }
+                2 | 3 => {
+                    let (i, prefix) = if advertised.is_empty() {
+                        (i, prefix) // nothing to withdraw: a no-op
+                    } else {
+                        advertised.swap_remove(b % advertised.len())
+                    };
+                    let reported = f.withdraw(scan.vrfs[i].handle, prefix);
+                    prop_assert_eq!(reported, scan.withdraw(i, prefix));
+                }
+                4 => {
+                    f.remove_import_target(vrf, rt);
+                    scan.vrfs[i].import.retain(|t| *t != rt);
+                }
+                5 => {
+                    f.add_import_target(vrf, rt);
+                    if !scan.vrfs[i].import.contains(&rt) {
+                        scan.vrfs[i].import.push(rt);
+                    }
+                }
+                6 => {
+                    f.refresh_vrf(vrf);
+                    scan.refresh(i);
+                }
+                7 => {
+                    f.refilter_vrf(vrf);
+                    scan.refilter(i);
+                }
+                8 => {
+                    // A site joins the running fabric.
+                    add_vrf(&mut f, &mut scan, a % pe_count, (b % 3) as u64, (b / 3 % 8) as u8);
+                    let new = scan.vrfs.len() - 1;
+                    f.refresh_vrf(scan.vrfs[new].handle);
+                    scan.refresh(new);
+                }
+                _ => {
+                    // Extranet provisioning: a new import target, applied.
+                    f.add_import_target(vrf, rt);
+                    if !scan.vrfs[i].import.contains(&rt) {
+                        scan.vrfs[i].import.push(rt);
+                    }
+                    f.refilter_vrf(vrf);
+                    scan.refilter(i);
+                }
+            }
+            for v in &scan.vrfs {
+                let table: BTreeMap<Prefix, RemoteRoute> =
+                    f.routes(v.handle).iter().map(|(p, r)| (p, *r)).collect();
+                prop_assert_eq!(&table, &v.table, "VRF {:?}", v.handle);
+            }
         }
     }
 }

@@ -191,7 +191,7 @@ fn assert_at_rest(s: &Scenario, case: Case) {
         return;
     }
     let down = s.pn.failed_links();
-    let fresh = Igp::converge_filtered(&s.pn.topo, &|l| !down.contains(&l));
+    let fresh = Igp::converge_filtered(&s.pn.topo, |l| !down.contains(&l));
     for u in 0..s.pn.topo.node_count() {
         let (view, want) = (s.pn.effective_spf(u), fresh.tree(u));
         assert_eq!(
