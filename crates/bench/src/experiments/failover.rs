@@ -6,16 +6,19 @@
 //! protection. Every backbone link gets a precomputed SRLG-disjoint
 //! bypass LSP; when the short path of the fish is cut mid-call, the
 //! upstream router switches onto the bypass as soon as BFD detection
-//! fires — no control-plane convergence in the loss path.
+//! fires — no control-plane convergence in the loss path. The control
+//! plane still converges around the cut in every arm; the upstream router
+//! holds its own repair for a local convergence delay (RFC 8333) while the
+//! bypass carries its traffic.
 //!
 //! The voice+data mix (Q1's, ~35% oversubscribed) crosses the fish for
 //! 8 s; the cut lands at t = 2 s and the repair at t = 5 s. The table
-//! compares the two failover modes on voice loss, the implied blind
-//! window, and how many of the 8 voice flows still meet the backbone
-//! voice SLA.
+//! compares a protected and an unprotected backbone on voice loss, the
+//! implied blind window, and how many of the 8 voice flows still meet the
+//! backbone voice SLA.
 
 use mplsvpn_core::network::DsSched;
-use mplsvpn_core::{BackboneBuilder, ControlMode, CoreQos, FailoverMode, MetricsSnapshot, Sla};
+use mplsvpn_core::{BackboneBuilder, ControlMode, CoreQos, MetricsSnapshot, Sla};
 use netsim_net::addr::pfx;
 use netsim_qos::Nanos;
 use netsim_sim::{FaultAction, FaultEvent, FaultPlan, LinkId, Sink, MSEC, SEC};
@@ -37,8 +40,8 @@ const SEED: u64 = 7;
 /// Outcome of one failover run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FailoverResult {
-    /// Failover mode exercised.
-    pub mode: FailoverMode,
+    /// Whether every link had a bypass (fast reroute).
+    pub protected: bool,
     /// Detection delay modelled, ns.
     pub detection_ns: Nanos,
     /// Voice packets sent across all 8 EF flows.
@@ -52,42 +55,33 @@ pub struct FailoverResult {
     sla_violations: usize,
     /// Bypass switchovers activated by the cut.
     pub switchovers: u64,
-    /// Global reconvergences run.
-    pub reconvergences: u64,
-    /// IGP + LDP messages the reaction cost: the oracle's
-    /// reconvergences, or the in-band control packets (0 under FRR).
+    /// Control packets the routers sent over the run: the LSAs and LDP
+    /// messages of the reaction under either transport, plus in band the
+    /// MP-BGP packets that brought the VPN up (the oracle transport
+    /// applies an MP-BGP delta at its target PE at once, unsent).
     pub control_messages: u64,
-    /// Worst LSA propagation+processing latency of the in-band control
-    /// plane, ns (0 in oracle arms — the oracle converges out of band,
-    /// in zero simulated time).
+    /// Worst LSA propagation+processing latency of the control plane, ns
+    /// (0 in oracle arms — the oracle transport takes no simulated time).
     ctrl_propagation_ns: Nanos,
     /// CS6 control packets that crossed backbone links (EXP 6 in the
     /// per-class link counters; 0 in oracle arms).
     cs6_control_packets: u64,
 }
 
-/// Runs the cut/repair cycle under `mode`, with control messages carried
-/// by `control_mode` and the given detection delay.
-pub fn measure(
-    mode: FailoverMode,
-    control_mode: ControlMode,
-    detection_ns: Nanos,
-) -> FailoverResult {
-    measure_full(mode, control_mode, detection_ns).0
-}
-
-/// [`measure`] plus the run's full metrics snapshot — the cut shows up as
-/// `link_down_purge` drop-cause rows, the bypass as LFIB
-/// `bypass_activations`.
+/// Runs the cut/repair cycle, with every link `protected` by a bypass or
+/// none, control messages carried by `control_mode` and the given
+/// detection delay. Returns the outcome and the run's full metrics
+/// snapshot — the cut shows up as `link_down_purge` drop-cause rows, the
+/// bypass as LFIB `bypass_activations`.
 ///
-/// Under [`ControlMode::InBand`] no oracle reconvergence ever runs: the
-/// failure is flooded as CS6 LSA packets through the same (congested,
-/// Q1-mix) links the voice rides, and routers repair their own FIB/LFIB
-/// state incrementally. The loss window then includes a nonzero
-/// propagation component, and the control traffic itself is visible in
-/// the per-class link counters. Under the oracle both stay 0.
-fn measure_full(
-    mode: FailoverMode,
+/// Under [`ControlMode::InBand`] the failure is flooded as CS6 LSA packets
+/// through the same (congested, Q1-mix) links the voice rides, and
+/// routers repair their own FIB/LFIB state incrementally. The loss window
+/// then includes a nonzero propagation component, and the control traffic
+/// itself is visible in the per-class link counters. Under the oracle the
+/// same messages take no time and cross no link, so both stay 0.
+pub fn measure(
+    protected: bool,
     control_mode: ControlMode,
     detection_ns: Nanos,
 ) -> (FailoverResult, MetricsSnapshot) {
@@ -103,7 +97,7 @@ fn measure_full(
     let sink = pn.attach_sink(b, pfx("10.2.0.0/16"));
     let flows = mix::attach_mix_provider(&mut pn, a, b, 1, SEED, RUN_SECS * SEC);
 
-    if mode == FailoverMode::FastReroute {
+    if protected {
         let srlg = SrlgMap::new(pn.topo.link_count());
         pn.protect_all_links(&srlg);
     }
@@ -113,7 +107,7 @@ fn measure_full(
         FaultEvent { at: CUT_AT, link: topo::FISH_SHORT[1], action: FaultAction::Cut },
         FaultEvent { at: REPAIR_AT, link: topo::FISH_SHORT[1], action: FaultAction::Repair },
     ]);
-    let out = pn.execute_fault_plan(&plan, mode, (RUN_SECS + 1) * SEC);
+    let out = pn.execute_fault_plan(&plan, (RUN_SECS + 1) * SEC);
 
     let sla = Sla::backbone_voice();
     let (mut voice_tx, mut voice_lost, mut sla_violations) = (0, 0, 0);
@@ -132,7 +126,7 @@ fn measure_full(
         .map(|(l, d)| pn.net.link_stats(LinkId(l), d).tx_by_class[6])
         .sum();
     let result = FailoverResult {
-        mode,
+        protected,
         detection_ns,
         voice_tx,
         voice_lost,
@@ -140,10 +134,7 @@ fn measure_full(
         loss_window_ns: voice_lost * 2_500_000,
         sla_violations,
         switchovers: out.switchovers,
-        reconvergences: out.reconvergences,
-        // The oracle's reconvergences or the in-band packets: one of the
-        // two terms is 0 in each transport.
-        control_messages: out.control_messages + ctrl.pkts_sent,
+        control_messages: ctrl.pkts_sent,
         ctrl_propagation_ns: pn.control_convergence_ns().map_or(0, |(_, _, max)| max),
         cs6_control_packets,
     };
@@ -156,10 +147,9 @@ pub const FRR_DETECT: Nanos = 20 * MSEC;
 /// Detection delay used for the global rows: ~3 missed IGP hellos.
 pub const IGP_DETECT: Nanos = 200 * MSEC;
 
-/// Runs both modes and renders the table.
+/// Runs the three arms and renders the table.
 pub fn run(_quick: bool) -> String {
     use ControlMode::{InBand, Oracle};
-    use FailoverMode::{FastReroute, GlobalReconverge};
     let mut t = Table::new(
         "R2: fish short-path cut at t=2s, repair at t=5s, under the Q1 voice+data mix",
         &[
@@ -169,7 +159,6 @@ pub fn run(_quick: bool) -> String {
             "loss window ms",
             "SLA violations (of 8)",
             "switchovers",
-            "reconvergences",
             "control msgs",
             "ctrl prop ms",
             "CS6 pkts",
@@ -183,21 +172,20 @@ pub fn run(_quick: bool) -> String {
             ms(r.loss_window_ns),
             r.sla_violations.to_string(),
             r.switchovers.to_string(),
-            r.reconvergences.to_string(),
             r.control_messages.to_string(),
             ms(r.ctrl_propagation_ns),
             r.cs6_control_packets.to_string(),
         ]);
     };
-    row("global reconvergence (oracle)", &measure(GlobalReconverge, Oracle, IGP_DETECT));
-    row("global reconvergence (in-band)", &measure(GlobalReconverge, InBand, IGP_DETECT));
-    row("fast reroute", &measure(FastReroute, Oracle, FRR_DETECT));
+    row("global reconvergence (oracle)", &measure(false, Oracle, IGP_DETECT).0);
+    row("global reconvergence (in-band)", &measure(false, InBand, IGP_DETECT).0);
+    row("fast reroute", &measure(true, Oracle, FRR_DETECT).0);
     t.render()
 }
 
 /// [`run`]'s table plus the FRR run's snapshot.
 pub fn report(quick: bool) -> ExpReport {
-    let (_, snap) = measure_full(FailoverMode::FastReroute, ControlMode::Oracle, FRR_DETECT);
+    let (_, snap) = measure(true, ControlMode::Oracle, FRR_DETECT);
     ExpReport { table: run(quick), snapshot: Some(snap) }
 }
 
@@ -207,23 +195,23 @@ mod tests {
 
     #[test]
     fn frr_shrinks_the_loss_window_at_least_five_fold() {
-        let global = measure(FailoverMode::GlobalReconverge, ControlMode::Oracle, IGP_DETECT);
-        let frr = measure(FailoverMode::FastReroute, ControlMode::Oracle, FRR_DETECT);
+        let global = measure(false, ControlMode::Oracle, IGP_DETECT).0;
+        let frr = measure(true, ControlMode::Oracle, FRR_DETECT).0;
         assert!(global.voice_lost > 0, "the cut must hurt: {global:?}");
         assert!(
             frr.loss_window_ns * 5 <= global.loss_window_ns,
             "FRR must shrink the loss window ≥5×: frr={frr:?} global={global:?}"
         );
-        assert_eq!(frr.reconvergences, 0, "FRR never reconverges globally");
         assert!(frr.switchovers >= 1, "the cut must activate a bypass");
-        assert_eq!(frr.control_messages, 0, "no control-plane churn under FRR");
-        assert!(global.reconvergences >= 2, "cut + repair each reconverge");
+        assert_eq!(global.switchovers, 0, "nothing to switch over to");
+        // The control plane converges around the cut in both arms.
+        assert!(frr.control_messages > 0 && global.control_messages > 0);
     }
 
     #[test]
     fn frr_keeps_voice_within_sla_where_reconvergence_does_not() {
-        let global = measure(FailoverMode::GlobalReconverge, ControlMode::Oracle, IGP_DETECT);
-        let frr = measure(FailoverMode::FastReroute, ControlMode::Oracle, FRR_DETECT);
+        let global = measure(false, ControlMode::Oracle, IGP_DETECT).0;
+        let frr = measure(true, ControlMode::Oracle, FRR_DETECT).0;
         assert!(
             frr.sla_violations < global.sla_violations,
             "FRR must save SLAs: frr={} global={}",
@@ -234,23 +222,38 @@ mod tests {
 
     /// The flight recorder explains the outage: packets lost to the cut
     /// appear as `link_down_purge`, and the bypass LSP leaves
-    /// `bypass_activations` in the protecting router's LFIB stats.
+    /// `bypass_activations` in the protecting router's LFIB stats, under
+    /// either transport: the point of local repair holds its own repair
+    /// while the rest of the network converges.
     #[test]
     fn snapshot_attributes_the_cut_and_the_bypass() {
-        let (r, snap) = measure_full(FailoverMode::FastReroute, ControlMode::Oracle, FRR_DETECT);
-        assert!(r.switchovers >= 1);
-        assert!(
-            snap.drop_causes.iter().any(|(n, v)| n == "link_down_purge" && *v > 0),
-            "the blind window's losses must be attributed: {:?}",
-            snap.drop_causes
-        );
-        let bypassed: u64 = snap
-            .counters
-            .iter()
-            .filter(|(n, _)| n.ends_with(".lfib.bypass_activations"))
-            .map(|&(_, v)| v)
-            .sum();
-        assert!(bypassed > 0, "protected traffic must show in LFIB stats");
+        for mode in [ControlMode::Oracle, ControlMode::InBand] {
+            let (r, snap) = measure(true, mode, FRR_DETECT);
+            assert!(r.switchovers >= 1);
+            assert!(
+                snap.drop_causes.iter().any(|(n, v)| n == "link_down_purge" && *v > 0),
+                "the blind window's losses must be attributed ({mode:?}): {:?}",
+                snap.drop_causes
+            );
+            let bypassed: u64 = snap
+                .counters
+                .iter()
+                .filter(|(n, _)| n.ends_with(".lfib.bypass_activations"))
+                .map(|&(_, v)| v)
+                .sum();
+            assert!(bypassed > 0, "protected traffic must show in LFIB stats ({mode:?})");
+        }
+    }
+
+    /// The oracle transport moves the same messages without touching a
+    /// link: no CS6 packet crosses one, and convergence takes no time.
+    #[test]
+    fn oracle_control_never_touches_a_link() {
+        for protected in [false, true] {
+            let r = measure(protected, ControlMode::Oracle, FRR_DETECT).0;
+            assert!(r.control_messages > 0, "{r:?}");
+            assert_eq!((r.cs6_control_packets, r.ctrl_propagation_ns), (0, 0), "{r:?}");
+        }
     }
 
     /// The in-band arm pays a real, measurable propagation cost: its
@@ -259,8 +262,7 @@ mod tests {
     /// per-class link counters — riding the same queues as the voice.
     #[test]
     fn inband_reconvergence_has_nonzero_propagation_and_visible_cs6() {
-        let r = measure(FailoverMode::GlobalReconverge, ControlMode::InBand, IGP_DETECT);
-        assert_eq!(r.reconvergences, 0, "the oracle must never run in-band: {r:?}");
+        let r = measure(false, ControlMode::InBand, IGP_DETECT).0;
         assert!(r.ctrl_propagation_ns > 0, "convergence takes wire time: {r:?}");
         assert!(r.cs6_control_packets > 0, "control traffic rides EXP 6: {r:?}");
         assert!(r.control_messages >= r.cs6_control_packets);
@@ -272,14 +274,14 @@ mod tests {
 
     #[test]
     fn inband_runs_are_seed_deterministic() {
-        let run = || measure(FailoverMode::GlobalReconverge, ControlMode::InBand, IGP_DETECT);
+        let run = || measure(false, ControlMode::InBand, IGP_DETECT).0;
         assert_eq!(run(), run());
     }
 
     #[test]
     fn failover_runs_are_seed_deterministic() {
-        let a = measure(FailoverMode::FastReroute, ControlMode::Oracle, FRR_DETECT);
-        let b = measure(FailoverMode::FastReroute, ControlMode::Oracle, FRR_DETECT);
+        let a = measure(true, ControlMode::Oracle, FRR_DETECT).0;
+        let b = measure(true, ControlMode::Oracle, FRR_DETECT).0;
         assert_eq!(a, b, "same seed, same plan, same result");
     }
 }

@@ -17,22 +17,31 @@
 //! a lost LSP leaves the stale slot in place. Routes installed here
 //! follow the table; only explicit TE bindings carry their own tunnel.
 //!
-//! [`ControlMode`] chooses only how a message travels. In-band, it is a
-//! CS6-marked control packet through the same links and queues as data,
-//! and the message rides in the packet itself: `CtrlMsg::encode` writes it
-//! into the packet's metadata words, an LSA's origination instant
-//! included, so no router keeps per-packet or per-episode state. A router
-//! lends its control plane the packet and its live tables (LFIB; at PEs
-//! also the VRF FIBs and tunnel table), so updates land directly in the
-//! forwarding plane. IGP and LDP messages are link-local: each hop
+//! Every router reacts to its own detection events and to the messages it
+//! receives, whichever transport carries them; [`ControlMode`] chooses
+//! only the transport. A message rides in a control packet:
+//! `CtrlMsg::encode` writes it into the packet's metadata words, an LSA's
+//! origination instant included, so no router keeps per-packet or
+//! per-episode state. In-band, the packet is CS6-marked and crosses the
+//! same links and queues as data; under the oracle it is handed to the
+//! next router at once ([`Ctx::deliver`]), a zero-latency transport. A
+//! router lends its control plane the packet and its live tables (LFIB;
+//! at PEs also the VRF FIBs and tunnel table), so updates land directly
+//! in the forwarding plane. IGP and LDP messages are link-local: each hop
 //! terminates them and sends its own. An MP-BGP message runs PE to PE
 //! (paper §3–§4): a router that is not its target sends the same packet
 //! on, with the origin PE's source address, as P routers IP-forward a BGP
 //! session's packets. A terminated packet's box goes back to the
 //! network's one spare stack ([`Ctx::recycle`]) for the next message any
-//! router builds. Under the oracle, a BGP delta is applied at its target
-//! PE the instant it is originated, through the same apply code, and
-//! routing changes only when `reconverge()` re-seeds the views.
+//! router builds. Under the oracle, an originated BGP delta is applied at
+//! its target PE at once, through the same apply code.
+//!
+//! Fast reroute composes with convergence as RFC 8333 ("Micro-loop
+//! Prevention by Introducing a Local Convergence Delay") has it: a router
+//! that detects a failure on an interface with a bypass installed, the
+//! point of local repair, floods the LSA at once but holds its own SPF
+//! and LDP repair for [`LOCAL_CONVERGENCE_DELAY`]. The bypass carries its
+//! traffic meanwhile, and every other router converges as usual.
 //!
 //! Determinism: no message depends on hash-map order. All fan-out walks
 //! index ranges (FEC ordinals, topology adjacency order) or ordered sets,
@@ -51,22 +60,45 @@ use netsim_sim::{Ctx, IfaceId};
 
 use crate::router::VrfFib;
 
-/// How routing, label and VPN state propagates through the backbone.
+/// How control messages travel between backbone routers. Under either
+/// transport LSAs flood hop by hop, each router runs incremental SPF and
+/// repairs its LFIB from retained LDP bindings, and BGP VPN deltas reach
+/// their target PEs as typed messages.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ControlMode {
-    /// Out-of-band oracle: MP-BGP deltas are applied at their target PE
-    /// the instant they are originated, with no wire cost and no loss;
-    /// IGP/LDP state changes only when `reconverge()` recomputes it
-    /// globally and re-seeds every router's view. Zero control packets on
-    /// the wire.
+    /// Zero-latency transport (controller push): a message reaches the
+    /// next router the instant it is sent, with no queueing, no wire time
+    /// and no link bytes, though a cut link still loses it; an MP-BGP
+    /// delta is applied at its target PE the instant it is originated.
+    /// Convergence takes no simulated time, and no control packet crosses
+    /// a link.
     #[default]
     Oracle,
-    /// In-band event-driven control plane: LSAs flood hop-by-hop as CS6
-    /// control packets, each router runs incremental SPF and repairs its
-    /// LFIB from retained LDP bindings, and BGP VPN deltas travel as typed
-    /// PE-to-PE messages. Convergence takes real (simulated) time.
+    /// In-band: messages are CS6 control packets through the same links
+    /// and queues as data, so convergence takes real (simulated) time and
+    /// costs wire bytes.
     InBand,
 }
+
+/// How long a point of local repair holds its own SPF and LDP repair
+/// after it detects a failure on an interface with a bypass installed
+/// (RFC 8333). Every other router must have converged by then, so the
+/// repair never sends traffic back to a neighbour still forwarding over
+/// the failed link. It is far above the in-band flood's measured worst
+/// case (2.15 ms in R2), and a 25 ms detection plus the hold fits the
+/// chaos suite's 125 ms settling time.
+pub(crate) const LOCAL_CONVERGENCE_DELAY: Nanos = 50_000_000;
+
+/// Timer-token namespace for the interface timers a backbone router's
+/// control plane owns: the high bit marks the namespace, bit 0 carries
+/// down/up of a BFD-style detection, [`HOLD_END`] marks the end of a local
+/// convergence hold instead, and the bits above carry the interface index.
+pub(crate) const fn iface_timer_token(iface: usize, down: bool) -> u64 {
+    (1u64 << 63) | ((iface as u64) << 2) | down as u64
+}
+
+/// Token bit of the timer that ends a local convergence hold.
+const HOLD_END: u64 = 2;
 
 /// Flow-id namespace for control packets. Distinct from (and above) the
 /// SLA-probe namespace so routers and sinks can cheaply classify:
@@ -287,13 +319,14 @@ fn bgp_word(prefix: Prefix, label: Option<u32>) -> u64 {
 pub struct CtrlStats {
     /// BGP VPN updates/withdraws originated at PEs.
     pub bgp_originated: u64,
-    /// Control packets put on the wire, by protocol [igp, ldp, bgp].
+    /// Control packets sent — onto the wire in band, handed to the next
+    /// router under the oracle — by protocol [igp, ldp, bgp].
     pub pkts_by_proto: [u64; 3],
-    /// Total control packets put on the wire (floods + forwards included).
+    /// Total control packets sent (floods + forwards included).
     pub pkts_sent: u64,
     /// Total control packets terminated (consumed) at a router.
     pub pkts_terminated: u64,
-    /// Control bytes put on the wire.
+    /// Control bytes put on the wire (in-band only).
     pub bytes_sent: u64,
     /// Messages dropped at origination/forwarding for lack of any route
     /// toward the destination.
@@ -325,9 +358,10 @@ impl std::ops::AddAssign<&CtrlStats> for CtrlStats {
 
 /// What one router currently believes: its link-state database, SPF tree
 /// and LDP session state. Seeded from the global recomputation at
-/// bring-up and at every `reconverge()`, otherwise maintained purely by
-/// messages. Dense: indexed by link id, tunnel FEC ordinal (egress-PE
-/// index) and neighbor node id, so applying a message hashes nothing.
+/// bring-up (and by the reference `reconverge()`), otherwise maintained
+/// purely by messages and the router's own detection events. Dense:
+/// indexed by link id, tunnel FEC ordinal (egress-PE index) and neighbor
+/// node id, so applying a message hashes nothing.
 pub(crate) struct NodeView {
     /// Latest applied (seq, down) per link: LSA dedup state and topology.
     link_state: Vec<(u64, bool)>,
@@ -397,9 +431,8 @@ pub(crate) struct ControlConfig {
     pub(crate) topo: Topology,
     /// Topology node of each PE ordinal.
     pub(crate) pes: Vec<usize>,
-    /// Whether routers run the in-band control plane; under the oracle
-    /// they keep their views but originate nothing on a link event.
-    pub(crate) in_band: bool,
+    /// How messages travel between routers.
+    pub(crate) mode: ControlMode,
 }
 
 /// One backbone router's control plane: its view, its attached links'
@@ -413,11 +446,18 @@ pub(crate) struct NodeControl {
     pub(crate) view: NodeView,
     /// Per link id: (sequence, origination instant) of the link's latest
     /// event, which the provider network writes into both ends when the
-    /// link fails or is repaired. The detection timer's LSA carries them.
-    link_events: Vec<(u64, Nanos)>,
+    /// link fails or is repaired. The origination instant is when
+    /// detection fires, so convergence samples measure propagation and
+    /// processing, not detection. The detection timer's LSA carries them.
+    pub(crate) link_events: Vec<(u64, Nanos)>,
+    /// Per link id: the origination instant of a failure this router
+    /// detected on a protected interface, while it holds its own reaction
+    /// ([`LOCAL_CONVERGENCE_DELAY`]). Its SPF keeps using the link, and
+    /// its LDP session with the far end lives on, until the hold ends.
+    held: Vec<Option<Nanos>>,
     /// Control bytes this router put on each backbone interface.
     bytes_by_iface: Vec<u64>,
-    /// Propagation + processing latency of LSA application here, ns.
+    /// Propagation + processing latency of the LSAs recorded here, ns.
     pub(crate) convergence: Histogram,
     pub(crate) stats: CtrlStats,
     /// `repair_fec` calls so far.
@@ -437,6 +477,7 @@ impl NodeControl {
         NodeControl {
             view: NodeView::seeded(&cfg, node, (igp, ldp), &vec![(0, false); links]),
             link_events: vec![(0, 0); links],
+            held: vec![None; links],
             bytes_by_iface: vec![0; cfg.topo.degree(node)],
             cfg,
             node,
@@ -453,37 +494,47 @@ impl NodeControl {
     /// in `link_state` (`reconverge()`).
     pub(crate) fn reseed(&mut self, igp: &Igp, ldp: &LdpDomain, link_state: &[(u64, bool)]) {
         self.view = NodeView::seeded(&self.cfg, self.node, (igp, ldp), link_state);
+        self.held.fill(None);
     }
 
-    /// Records a physical event on attached link `link`: its LSA sequence
-    /// is now `seq`, and the convergence clock starts at `origin` (event
-    /// time + detection delay, so samples measure propagation and
-    /// processing, not detection).
-    pub(crate) fn note_link_event(&mut self, link: usize, seq: u64, origin: Nanos) {
-        self.link_events[link] = (seq, origin);
-    }
-
-    /// This router's detection timer fired for `iface`: originate the
-    /// LSA, apply it locally, and (on link-up) refresh the LDP session
-    /// over the recovered link.
-    pub(crate) fn on_link_event(
+    /// One of this router's interface timers fired ([`iface_timer_token`]).
+    /// A BFD-style detection flips the interface's protection state at
+    /// detection time, not at failure time, and floods the change; a
+    /// point of local repair then holds its own reaction until the hold's
+    /// timer ends it.
+    pub(crate) fn on_iface_timer(
         &mut self,
-        iface: usize,
-        down: bool,
+        token: u64,
         tables: &mut NodeTables<'_>,
         ctx: &mut Ctx,
     ) {
-        let Some((far, _, link)) = self.cfg.topo.neighbors(self.node).nth(iface) else {
+        let iface = ((token & !(1u64 << 63)) >> 2) as usize;
+        let Some((_, _, link)) = self.cfg.topo.neighbors(self.node).nth(iface) else { return };
+        if token & HOLD_END != 0 {
+            // Unless a newer event on the link ended the hold, or this is
+            // an earlier hold's timer and a later hold runs.
+            let now = ctx.now();
+            if self.held[link].is_some_and(|origin| origin + LOCAL_CONVERGENCE_DELAY <= now) {
+                self.held[link] = None;
+                let far = self.end_session(link);
+                self.converge(link, true, Some(far), tables, ctx);
+            }
             return;
-        };
-        let (seq, origin) = self.link_events[link];
-        if down {
-            // LDP session loss: retained labels from the far end die with
-            // the session.
-            let row = self.rx(far, 0)..self.rx(far + 1, 0);
-            self.view.received[row].fill(None);
         }
-        self.apply_lsa(CtrlMsg::Lsa { link, down, seq, origin }, None, tables, ctx);
+        let down = token & 1 == 1;
+        tables.lfib.set_iface_down(iface, down);
+        let (seq, origin) = self.link_events[link];
+        let lsa = CtrlMsg::Lsa { link, down, seq, origin };
+        if down && tables.lfib.protection(iface).is_some() {
+            // Point of local repair: flood now, converge last.
+            if self.record_lsa(link, true, seq, origin, ctx.now()) {
+                self.held[link] = Some(origin);
+                self.fan_out(None, lsa, ctx);
+                ctx.schedule(LOCAL_CONVERGENCE_DELAY, iface_timer_token(iface, false) | HOLD_END);
+            }
+            return;
+        }
+        self.apply_lsa(lsa, None, tables, ctx);
         if !down {
             // Session re-establishment: re-advertise our bindings to the
             // peer (it dropped them when the session died).
@@ -578,10 +629,11 @@ impl NodeControl {
         }
     }
 
-    /// Applies one LSA here: dedup, link-state update, incremental SPF,
-    /// LDP/FTN/VRF repair, convergence sample, re-flood. `arrival` is the
-    /// interface the LSA came in on, `None` when this router detected the
-    /// link event itself.
+    /// Applies one LSA here: dedup, link-state update, convergence
+    /// sample, incremental SPF, LDP/FTN/VRF repair, re-flood. `arrival` is
+    /// the interface the LSA came in on, `None` when this router detected
+    /// the link event itself. A held failure's own copy, flooded back by the
+    /// far end, is not fresh here and changes nothing.
     fn apply_lsa(
         &mut self,
         lsa: CtrlMsg,
@@ -590,18 +642,61 @@ impl NodeControl {
         ctx: &mut Ctx,
     ) {
         let CtrlMsg::Lsa { link, down, seq, origin } = lsa else { return };
-        let (s_seq, s_down) = self.view.link_state[link];
-        let fresh = seq > s_seq || (seq == s_seq && down != s_down);
-        if !fresh {
+        if !self.record_lsa(link, down, seq, origin, ctx.now()) {
             return;
         }
-        self.view.link_state[link] = (seq, down);
+        // Detecting a failure ends the LDP session with the far end, whose
+        // retained labels die with it; so does a newer event on a link
+        // whose failure this router still holds.
+        let was_held = self.held[link].take().is_some();
+        let lost = ((down && arrival.is_none()) || was_held).then(|| self.end_session(link));
+        self.converge(link, down, lost, tables, ctx);
+        // Re-flood to every live neighbor except the one we heard from.
+        self.fan_out(arrival, lsa, ctx);
+    }
+
+    /// LSA dedup: records `(seq, down)` as link `link`'s state if it is
+    /// newer than what this router knows, with the LSA's age at `now` as a
+    /// convergence sample, and says whether it was.
+    fn record_lsa(&mut self, link: usize, down: bool, seq: u64, origin: Nanos, now: Nanos) -> bool {
+        let (s_seq, s_down) = self.view.link_state[link];
+        let fresh = seq > s_seq || (seq == s_seq && down != s_down);
+        if fresh {
+            self.view.link_state[link] = (seq, down);
+            self.convergence.record(now.saturating_sub(origin));
+        }
+        fresh
+    }
+
+    /// Ends the LDP session over attached link `link`: the far end's
+    /// retained labels are dropped. Returns the far end.
+    fn end_session(&mut self, link: usize) -> usize {
+        let (a, b, _) = self.cfg.topo.link(link);
+        let far = if a == self.node { b } else { a };
+        let row = self.rx(far, 0)..self.rx(far + 1, 0);
+        self.view.received[row].fill(None);
+        far
+    }
+
+    /// This router's own reaction to a recorded change of link `link`:
+    /// incremental SPF over the links it believes up (a held one counts as
+    /// up), then repair of the FECs that need it. `lost` is a neighbor
+    /// whose labels were just dropped.
+    fn converge(
+        &mut self,
+        link: usize,
+        down: bool,
+        lost: Option<usize>,
+        tables: &mut NodeTables<'_>,
+        ctx: &mut Ctx,
+    ) {
         // Incremental SPF: recompute only if the changed link can alter
         // this root's tree; otherwise the LSA is topological noise here.
         let topo = &self.cfg.topo;
         let NodeView { spf, link_state, .. } = &mut self.view;
         if spf.affected_by(topo, link, down) {
-            spf.recompute(topo, self.node, |l| !link_state[l].1);
+            let held = &self.held;
+            spf.recompute(topo, self.node, |l| !link_state[l].1 || held[l].is_some());
             self.stats.spf_runs += 1;
         } else {
             self.stats.spf_skips += 1;
@@ -609,11 +704,8 @@ impl NodeControl {
         // Repair, from retained LDP state, the tunnel FECs whose first hop
         // moved (liberal retention is what makes this purely local in the
         // common case). Every other write to `received` repairs its own
-        // FEC, so the rest already match the view; the exception is a
-        // failure this router detected itself, which also ended the LDP
-        // session with the far end, whose labels `on_link_event` dropped.
-        let (a, b, _) = topo.link(link);
-        let lost = (down && arrival.is_none()).then_some(if a == self.node { b } else { a });
+        // FEC, so the rest already match the view; the exception is an
+        // ended session, whose labels `end_session` dropped.
         for f in 0..self.cfg.pes.len() {
             if self.needs_repair(f, lost) {
                 self.repair_fec(f, tables, ctx);
@@ -621,11 +713,6 @@ impl NodeControl {
         }
         #[cfg(test)]
         tests::check_ftns(self);
-        if seq > 0 {
-            self.convergence.record(ctx.now().saturating_sub(origin));
-        }
-        // Re-flood to every live neighbor except the one we heard from.
-        self.fan_out(arrival, lsa, ctx);
     }
 
     /// Recomputes the desired FTN for tunnel FEC `f` from the current
@@ -729,34 +816,31 @@ impl NodeControl {
 
     /// Sends a PE-addressed packet on, unchanged, one hop along the
     /// view's shortest path toward the target node. The hop costs what an
-    /// originated one does: a send and its bytes on the link.
+    /// originated one does: a send, and in-band its bytes on the link.
     fn forward_toward(&mut self, target_node: usize, pkt: Pkt, ctx: &mut Ctx) {
         let Some(nh) = self.view.spf.next_hop[target_node] else {
             self.stats.undeliverable += 1;
             return ctx.recycle(pkt);
         };
         let iface = self.cfg.topo.iface_toward(self.node, nh);
-        self.count_send(iface, PROTO_BGP, &pkt);
-        ctx.send(IfaceId(iface), pkt);
+        self.transmit(iface, PROTO_BGP, pkt, ctx);
     }
 
-    /// In-band transport: originates a BGP message at this PE, sending it
-    /// along the view's shortest path toward its target PE (counted
-    /// undeliverable when there is none).
-    pub(crate) fn originate_bgp(&mut self, msg: CtrlMsg, ctx: &mut Ctx) {
-        let Some(target) = msg.bgp_target() else { return };
+    /// Originates a BGP message at this PE: counts it, and returns the
+    /// interface toward its target PE along the view's shortest path
+    /// (`None`, counted undeliverable, when there is none).
+    pub(crate) fn originate_bgp(&mut self, msg: &CtrlMsg) -> Option<usize> {
+        let target = msg.bgp_target()?;
         self.stats.bgp_originated += 1;
         let Some(nh) = self.view.spf.next_hop[self.cfg.pes[target]] else {
             self.stats.undeliverable += 1;
-            return;
+            return None;
         };
-        let iface = self.cfg.topo.iface_toward(self.node, nh);
-        self.send_msg(iface, msg, ctx);
+        Some(self.cfg.topo.iface_toward(self.node, nh))
     }
 
-    /// Sends `msg` on `iface`, in a spare box when there is one, and
-    /// counts the send.
-    fn send_msg(&mut self, iface: usize, msg: CtrlMsg, ctx: &mut Ctx) {
+    /// Sends `msg` on `iface`, in a spare box when there is one.
+    pub(crate) fn send_msg(&mut self, iface: usize, msg: CtrlMsg, ctx: &mut Ctx) {
         let fresh = Packet::udp(
             Ip(0xC0DE_0000 + self.node as u32),
             Ip(0xC0DE_FFFF),
@@ -767,21 +851,28 @@ impl NodeControl {
         );
         let mut pkt = ctx.boxed(fresh);
         msg.encode(&mut pkt.meta);
-        self.count_send(iface, msg.proto(), &pkt);
-        ctx.send(IfaceId(iface), pkt);
+        self.transmit(iface, msg.proto(), pkt, ctx);
     }
 
-    /// Send-side bookkeeping for one control packet leaving on `iface`:
-    /// counters and per-interface bytes.
-    fn count_send(&mut self, iface: usize, proto: usize, pkt: &Packet) {
+    /// Counts one control packet leaving on `iface` and hands it to the
+    /// transport: onto the link in-band, where its bytes count too, or
+    /// straight to the far end under the oracle.
+    fn transmit(&mut self, iface: usize, proto: usize, pkt: Pkt, ctx: &mut Ctx) {
         self.stats.pkts_by_proto[proto] += 1;
         self.stats.pkts_sent += 1;
-        self.stats.bytes_sent += pkt.wire_len() as u64;
-        self.bytes_by_iface[iface] += pkt.wire_len() as u64;
         #[cfg(test)]
         {
             let src = pkt.outer_ipv4().map_or(Ip(0), |h| h.src);
             self.sent.push((src, CtrlMsg::decode(&pkt.meta)));
+        }
+        match self.cfg.mode {
+            ControlMode::InBand => {
+                let bytes = pkt.wire_len() as u64;
+                self.stats.bytes_sent += bytes;
+                self.bytes_by_iface[iface] += bytes;
+                ctx.send(IfaceId(iface), pkt);
+            }
+            ControlMode::Oracle => ctx.deliver(IfaceId(iface), pkt),
         }
     }
 

@@ -10,32 +10,26 @@
 //!   each backbone link (both directions) and installs it as the link's
 //!   protection entry at each upstream router.
 //! * [`ProviderNetwork::active_switchovers`] counts the failed-link
-//!   directions whose traffic rides a bypass right now.
+//!   directions whose upstream router has switched its bypass on.
 //! * [`ProviderNetwork::execute_fault_plan`] replays a deterministic
-//!   [`FaultPlan`] against the network under either failover mode.
+//!   [`FaultPlan`] against the network.
 //!
-//! A bypass is single-level protection: the bypass LSP itself is never
-//! rerouted, and [`ProviderNetwork::reconverge`] — which rebuilds every
-//! LFIB from scratch — erases all protection state. Re-protect after
-//! re-optimizing.
+//! There is one failover model. Fast reroute is on where
+//! `protect_all_links` installed a bypass, and the control plane always
+//! converges around a failure. The two compose as RFC 8333 has it: the
+//! upstream router (the point of local repair) switches onto the bypass
+//! at detection, floods the failure at once and holds its own repair for
+//! a local convergence delay, while every other router converges; then
+//! the point of local repair converges too, and the bypass stays armed
+//! but idle. A bypass is single-level protection: the bypass LSP itself
+//! is never rerouted, and the reference [`ProviderNetwork::reconverge`],
+//! which rebuilds every LFIB from scratch, erases all protection state.
 
 use netsim_qos::Nanos;
 use netsim_sim::{FaultAction, FaultPlan, LinkId};
 use netsim_te::{cspf_path_excluding, SrlgMap};
 
-use crate::control::ControlMode;
 use crate::network::ProviderNetwork;
-
-/// How the network reacts to a link failure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FailoverMode {
-    /// No local protection: traffic blackholes until the control plane
-    /// detects the failure and globally reconverges (IGP + LDP).
-    GlobalReconverge,
-    /// Fast reroute: upstream routers switch onto precomputed bypass
-    /// LSPs as soon as detection fires; no global reconvergence.
-    FastReroute,
-}
 
 /// What happened while executing a [`FaultPlan`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -45,14 +39,10 @@ pub struct FaultOutcome {
     pub cuts: u64,
     /// Link repairs applied.
     pub repairs: u64,
-    /// Cut directions that had a bypass installed when the cut landed —
-    /// the switchovers that activate once detection fires.
+    /// Directions of a link the plan took down that had a bypass installed
+    /// when the cut landed — the switchovers that activate once detection
+    /// fires. A cut of a link already down switches nothing.
     pub switchovers: u64,
-    /// Global reconvergences run (always 0 under
-    /// [`FailoverMode::FastReroute`]).
-    pub reconvergences: u64,
-    /// IGP + LDP messages those reconvergences cost.
-    pub control_messages: u64,
 }
 
 impl ProviderNetwork {
@@ -87,91 +77,45 @@ impl ProviderNetwork {
     }
 
     /// Failed-link directions whose upstream router currently has both a
-    /// bypass installed and the interface marked down — i.e. traffic is
-    /// flowing over the bypass right now.
-    pub fn active_switchovers(&mut self) -> u64 {
-        let mut n = 0;
-        for link in self.failed_links() {
-            let (u, v, _) = self.topo.link(link);
-            for (near, far) in [(u, v), (v, u)] {
-                let iface = self.topo.iface_toward(near, far);
-                let l = self.backbone(near).0;
-                n += u64::from(l.iface_down(iface) && l.protection(iface).is_some());
-            }
-        }
-        n
+    /// bypass installed and the interface marked down — the switchovers
+    /// in force. The bypass carries the router's traffic until its local
+    /// convergence delay ends; after that it stays armed for packets still
+    /// sent toward the dead link.
+    pub fn active_switchovers(&self) -> u64 {
+        self.failed_links().into_iter().map(|l| self.protected_directions(l, true)).sum()
     }
 
-    /// Cut directions of `topo_link` that currently have a bypass
-    /// installed upstream (whether or not detection has fired yet).
-    fn protected_directions(&mut self, topo_link: usize) -> u64 {
+    /// Directions of `topo_link` whose upstream router has a bypass
+    /// installed, counting only those it has switched on (the interface
+    /// marked down) when `active`.
+    fn protected_directions(&self, topo_link: usize, active: bool) -> u64 {
         let (u, v, _) = self.topo.link(topo_link);
-        let mut n = 0;
-        for (near, far) in [(u, v), (v, u)] {
-            let iface = self.topo.iface_toward(near, far);
-            n += u64::from(self.backbone(near).0.protection(iface).is_some());
-        }
-        n
+        let on = |(near, far)| {
+            let (lfib, iface) = (self.backbone(near).0, self.topo.iface_toward(near, far));
+            lfib.protection(iface).is_some() && (!active || lfib.iface_down(iface))
+        };
+        [(u, v), (v, u)].into_iter().filter(|&d| on(d)).count() as u64
     }
 
     /// Replays `plan` against the network, advancing the simulator to
     /// each event's timestamp before applying it, and finally runs the
-    /// simulator to `until`. Under [`FailoverMode::GlobalReconverge`] a
-    /// global reconvergence is scheduled one detection delay after every
-    /// event (cut *and* repair) — the control plane's reaction; under
-    /// [`FailoverMode::FastReroute`] the routers' own detection timers do
-    /// all the work and no reconvergence runs. Events at or after `until`
-    /// are ignored. Deterministic: the same plan, mode and network seed
-    /// replay identically.
-    pub fn execute_fault_plan(
-        &mut self,
-        plan: &FaultPlan,
-        mode: FailoverMode,
-        until: Nanos,
-    ) -> FaultOutcome {
-        enum Step {
-            Cut(usize),
-            Repair(usize),
-            Reconverge,
-        }
-        let mut steps: Vec<(Nanos, Step)> = Vec::new();
-        for ev in plan.events() {
-            let step = match ev.action {
-                FaultAction::Cut => Step::Cut(ev.link),
-                FaultAction::Repair => Step::Repair(ev.link),
-            };
-            steps.push((ev.at, step));
-            // Under in-band control the LSA flood *is* the reaction; the
-            // oracle reconvergence only stands in for it in Oracle mode.
-            if mode == FailoverMode::GlobalReconverge && self.control_mode() == ControlMode::Oracle
-            {
-                steps.push((ev.at + self.detect_ns, Step::Reconverge));
-            }
-        }
-        // Stable: a cut stays ahead of a reconvergence landing at the
-        // same instant.
-        steps.sort_by_key(|&(t, _)| t);
-
+    /// simulator to `until`. The routers' own detection timers and control
+    /// planes do the reacting. Events at or after `until` are ignored.
+    /// Deterministic: the same plan and network seed replay identically.
+    pub fn execute_fault_plan(&mut self, plan: &FaultPlan, until: Nanos) -> FaultOutcome {
         let mut out = FaultOutcome::default();
-        for (t, step) in steps {
-            if t >= until {
-                break;
-            }
-            self.net.run_until(t);
-            match step {
-                Step::Cut(l) => {
-                    out.switchovers += self.protected_directions(l);
-                    self.fail_link(l);
+        for ev in plan.events().iter().take_while(|ev| ev.at < until) {
+            self.net.run_until(ev.at);
+            match ev.action {
+                FaultAction::Cut => {
+                    if self.fail_link(ev.link) {
+                        out.switchovers += self.protected_directions(ev.link, false);
+                    }
                     out.cuts += 1;
                 }
-                Step::Repair(l) => {
-                    self.repair_link(l);
+                FaultAction::Repair => {
+                    self.repair_link(ev.link);
                     out.repairs += 1;
-                }
-                Step::Reconverge => {
-                    let s = self.reconverge();
-                    out.control_messages += s.igp_lsa_messages + s.ldp_messages;
-                    out.reconvergences += 1;
                 }
             }
         }
@@ -231,7 +175,7 @@ mod tests {
 
         let sink = start_flow(&mut pn, a, b, 300); // 3 s of traffic
         pn.run_for(SEC);
-        pn.fail_link(1); // cut 1-4 mid-stream; no reconvergence ever runs
+        pn.fail_link(1); // cut 1-4 mid-stream
         pn.run_for(3 * SEC);
 
         let f = pn.net.node_ref::<Sink>(sink).flow(1).unwrap();
@@ -244,16 +188,40 @@ mod tests {
     }
 
     #[test]
-    fn unprotected_failure_blackholes_until_reconvergence() {
-        let (mut pn, a, b) = fish_network(10 * MSEC);
+    fn unprotected_failure_loses_the_detection_window_then_converges() {
+        let (mut pn, a, b) = fish_network(200 * MSEC);
         let sink = start_flow(&mut pn, a, b, 300);
         pn.run_for(SEC);
         pn.fail_link(1);
         pn.run_for(3 * SEC);
         let f = pn.net.node_ref::<Sink>(sink).flow(1).unwrap();
         let lost = 300 - f.rx_packets;
-        // ~2 s of blackhole at 100 pps: the whole tail is gone.
-        assert!(lost > 150, "expected a blackhole, lost only {lost}");
+        // 200 ms of blackhole at 100 pps, then the long path carries the rest.
+        assert!((19..=21).contains(&lost), "lost {lost}");
+        assert_eq!(pn.active_switchovers(), 0, "nothing to switch over to");
+    }
+
+    /// The point of local repair converges last: while the hold runs its
+    /// SPF view still uses the failed link and the bypass carries its
+    /// traffic; once the hold has expired its view is a fresh
+    /// recomputation's.
+    #[test]
+    fn point_of_local_repair_holds_its_repair_then_converges() {
+        use crate::control::LOCAL_CONVERGENCE_DELAY;
+        use netsim_routing::Igp;
+        let (mut pn, _a, _b) = fish_network(10 * MSEC);
+        let srlg = SrlgMap::new(pn.topo.link_count());
+        pn.protect_link(1, &srlg);
+        let before = pn.effective_spf(1);
+        pn.fail_link(1); // P1 protects its link toward PE4
+        pn.run_for(10 * MSEC + LOCAL_CONVERGENCE_DELAY - 1);
+        let fresh = Igp::converge_filtered(&pn.topo, |l| l != 1);
+        assert_eq!(pn.effective_spf(0).next_hop, fresh.tree(0).next_hop, "PE0 converged");
+        assert_eq!(pn.effective_spf(1).next_hop, before.next_hop, "P1 still holds");
+        assert_eq!(pn.active_switchovers(), 2);
+        pn.run_for(1);
+        let view = pn.effective_spf(1);
+        assert_eq!((&view.dist, &view.next_hop), (&fresh.tree(1).dist, &fresh.tree(1).next_hop));
     }
 
     #[test]
@@ -264,8 +232,8 @@ mod tests {
         pn.fail_link(1);
         pn.run_for(50 * MSEC); // detection fires at 10 ms
         assert_eq!(pn.active_switchovers(), 2, "FRR carries both directions");
-        assert!(pn.reconverge().igp_lsa_messages > 0);
-        // Reconvergence wiped protection state.
+        pn.reconverge();
+        // The reference recompute wiped protection state.
         assert_eq!(pn.active_switchovers(), 0);
     }
 
@@ -283,7 +251,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_replay_is_mode_aware() {
+    fn fault_plan_replay_counts_switchovers_only_where_protected() {
         let plan = FaultPlan::new(vec![
             FaultEvent { at: 100 * MSEC, link: 1, action: FaultAction::Cut },
             FaultEvent { at: 400 * MSEC, link: 1, action: FaultAction::Repair },
@@ -292,18 +260,32 @@ mod tests {
         let (mut frr, _a, _b) = fish_network(10 * MSEC);
         let srlg = SrlgMap::new(frr.topo.link_count());
         frr.protect_all_links(&srlg);
-        let out = frr.execute_fault_plan(&plan, FailoverMode::FastReroute, SEC);
-        assert_eq!((out.cuts, out.repairs), (1, 1));
-        assert_eq!(out.switchovers, 2);
-        assert_eq!(out.reconvergences, 0);
+        let out = frr.execute_fault_plan(&plan, SEC);
+        assert_eq!((out.cuts, out.repairs, out.switchovers), (1, 1, 2));
 
-        let (mut global, _a, _b) = fish_network(10 * MSEC);
-        let out = global.execute_fault_plan(&plan, FailoverMode::GlobalReconverge, SEC);
-        assert_eq!((out.cuts, out.repairs), (1, 1));
-        assert_eq!(out.switchovers, 0);
-        assert_eq!(out.reconvergences, 2);
-        assert!(out.control_messages > 0, "reconvergence costs messages");
-        // After the repair-side reconvergence the link is usable again.
-        assert!(global.net.link_enabled(LinkId(1)));
+        let (mut bare, _a, _b) = fish_network(10 * MSEC);
+        let out = bare.execute_fault_plan(&plan, SEC);
+        assert_eq!((out.cuts, out.repairs, out.switchovers), (1, 1, 0));
+        // The repair's detection brought the link and the routes back.
+        assert!(bare.net.link_enabled(LinkId(1)));
+        assert_eq!(bare.lsp_path(0, 1), Some(vec![0, 1, 4]));
+    }
+
+    /// Two flaps of one protected link overlap: the second cut lands on a
+    /// link already down and switches nothing over.
+    #[test]
+    fn a_recut_of_a_down_link_is_no_switchover() {
+        let plan = FaultPlan::new(vec![
+            FaultEvent { at: 100 * MSEC, link: 1, action: FaultAction::Cut },
+            FaultEvent { at: 200 * MSEC, link: 1, action: FaultAction::Cut },
+            FaultEvent { at: 300 * MSEC, link: 1, action: FaultAction::Repair },
+            FaultEvent { at: 400 * MSEC, link: 1, action: FaultAction::Repair },
+        ]);
+        let (mut pn, _a, _b) = fish_network(10 * MSEC);
+        let srlg = SrlgMap::new(pn.topo.link_count());
+        pn.protect_all_links(&srlg);
+        let out = pn.execute_fault_plan(&plan, SEC);
+        assert_eq!((out.cuts, out.repairs), (2, 2), "every plan event is counted");
+        assert_eq!(out.switchovers, 2, "only the first cut switches the two directions");
     }
 }

@@ -46,7 +46,7 @@ pub mod sla;
 mod verify;
 
 pub use control::{ControlMode, CtrlStats, CTRL_FLOW_BASE};
-pub use frr::{FailoverMode, FaultOutcome};
+pub use frr::FaultOutcome;
 pub use netsim_obs::{DropCause, FlightRecorder, MetricsSnapshot, ProbeRow};
 pub use netsim_sim::{HopOp, HopRecord, TraceLog};
 pub use netsim_verify::{codes, Diagnostic, Severity, VerifyReport};

@@ -183,8 +183,8 @@ impl BackboneBuilder {
         }
     }
 
-    /// Selects how control messages travel: applied at once by the
-    /// out-of-band [`ControlMode::Oracle`] (default) or carried as packets
+    /// Selects how control messages travel: handed over at once by the
+    /// zero-latency [`ControlMode::Oracle`] (default) or carried as packets
     /// by the in-band [`ControlMode::InBand`].
     pub fn control_mode(mut self, m: ControlMode) -> Self {
         self.control_mode = m;
@@ -240,7 +240,7 @@ impl BackboneBuilder {
         let cfg = Rc::new(ControlConfig {
             topo: self.topo.clone(),
             pes: self.pes.clone(),
-            in_band: self.control_mode == ControlMode::InBand,
+            mode: self.control_mode,
         });
         for u in 0..self.topo.node_count() {
             let control = Some(Box::new(NodeControl::new(Rc::clone(&cfg), u, &igp, &ldp)));
@@ -292,7 +292,6 @@ impl BackboneBuilder {
             extranets: Vec::new(),
             ef_contracts: Vec::new(),
             probes: Vec::new(),
-            control_mode: self.control_mode,
         };
         pn.seed_tunnel_tables();
         pn
@@ -337,7 +336,6 @@ pub struct ProviderNetwork {
     pub(crate) extranets: Vec<(VpnId, VpnId)>,
     pub(crate) ef_contracts: Vec<netsim_verify::EfContract>,
     pub(crate) probes: Vec<crate::obs::ProbeSpec>,
-    control_mode: ControlMode,
 }
 
 impl ProviderNetwork {
@@ -504,21 +502,22 @@ impl ProviderNetwork {
         changed.sort_unstable_by_key(|(h, _)| (h.pe, self.vrf_owners[h].0 .0));
     }
 
-    /// Delivers an MP-BGP delta originated at PE `origin_pe` — the one
-    /// place the control mode picks a transport. In-band, it leaves as a
-    /// CS6 packet along the origin's view of the shortest path (counted
-    /// undeliverable when there is none); under the oracle, it is applied
-    /// at the target PE at once.
+    /// Delivers an MP-BGP delta originated at PE `origin_pe` along the
+    /// origin's view of the shortest path (counted undeliverable when
+    /// there is none). In-band, it leaves as a CS6 packet; under the
+    /// oracle, it is applied at the target PE at once, so a network that
+    /// never loses a link changes no state later than the call.
     fn send_bgp(&mut self, origin_pe: usize, msg: CtrlMsg) {
         let origin = self.pes[origin_pe];
-        match self.control_mode {
+        let control = self.backbone_mut(origin).1;
+        let Some(iface) = control.originate_bgp(&msg) else { return };
+        match control.cfg.mode {
             ControlMode::InBand => {
                 self.net.with_node(self.node_ids[origin], |pe: &mut PeRouter, ctx| {
-                    control_plane(&mut pe.control).originate_bgp(msg, ctx);
+                    control_plane(&mut pe.control).send_msg(iface, msg, ctx);
                 });
             }
             ControlMode::Oracle => {
-                self.backbone_mut(origin).1.stats.bgp_originated += 1;
                 let Some(target) = msg.bgp_target() else { return };
                 let pe = self.net.node_mut::<PeRouter>(self.pe_node(target));
                 control_plane(&mut pe.control).apply_bgp(&mut pe.vrfs, msg);
@@ -814,14 +813,9 @@ impl ProviderNetwork {
 
     // -- control-plane observability & parity hooks -------------------------
 
-    /// Which control-plane mode this network runs.
-    pub fn control_mode(&self) -> ControlMode {
-        self.control_mode
-    }
-
     /// Control-plane counters, summed over every backbone router. Always
-    /// `Some`: every router owns its control plane in both modes; under
-    /// the oracle the packet and byte counters stay 0.
+    /// `Some`: every router owns its control plane under both transports;
+    /// under the oracle the byte counters stay 0.
     pub fn control_stats(&self) -> Option<CtrlStats> {
         let mut sum = CtrlStats::default();
         for c in self.controls() {
@@ -835,10 +829,10 @@ impl ProviderNetwork {
         self.controls().map(|c| c.stats.no_lsp_to_egress).sum()
     }
 
-    /// Convergence-latency quantiles (p50, p99, max) in ns of in-band LSA
+    /// Convergence-latency quantiles (p50, p99, max) in ns of LSA
     /// application at every router — the propagation + processing
-    /// component of an outage window. `None` in Oracle mode or before any
-    /// link event.
+    /// component of an outage window (0 under the oracle transport).
+    /// `None` before any link event.
     pub fn control_convergence_ns(&self) -> Option<(u64, u64, u64)> {
         let mut h = netsim_obs::Histogram::new();
         for c in self.controls() {
@@ -848,14 +842,13 @@ impl ProviderNetwork {
     }
 
     /// Control bytes offered on backbone link `l` (both directions) since
-    /// bring-up. Always 0 in Oracle mode.
+    /// bring-up. Always 0 under the oracle transport.
     pub fn control_bytes_on_link(&self, l: usize) -> u64 {
         let (a, b, _) = self.topo.link(l);
         self.backbone(a).1.bytes_on_link(l) + self.backbone(b).1.bytes_on_link(l)
     }
 
-    /// The SPF tree node `u` currently forwards on: its own view (under
-    /// the oracle, the tree of the last global recomputation).
+    /// The SPF tree node `u` currently forwards on: its own view.
     pub fn effective_spf(&self, u: usize) -> netsim_routing::SpfTree {
         self.backbone(u).1.view.spf.clone()
     }
@@ -870,10 +863,7 @@ impl ProviderNetwork {
 
     /// Walks the LSP from PE ordinal `ingress` to PE ordinal `egress`
     /// through the live router LFIBs, returning the topology nodes
-    /// visited. `None` when no complete LSP exists. Used by the
-    /// mode-parity suite: label *values* may differ between modes (the
-    /// oracle reallocates on reconvergence, in-band retains), but the
-    /// forwarding path must not.
+    /// visited. `None` when no complete LSP exists.
     pub fn lsp_path(&self, ingress: usize, egress: usize) -> Option<Vec<usize>> {
         let start = self.pes[ingress];
         let ftn = self.backbone(start).1.ftn(egress)?;
@@ -928,10 +918,9 @@ impl ProviderNetwork {
     /// route, `Some((egress_pe, vpn_label, tunnel_path))` for a remote
     /// one, where `tunnel_path` is the node walk of the tunnel the route
     /// resolves to through the live LFIBs (`None` = broken LSP or no
-    /// tunnel). Label *values* are deliberately excluded from the tunnel
-    /// component: the oracle reallocates them on reconvergence while
-    /// in-band retention keeps them, but both must forward over the same
-    /// nodes.
+    /// tunnel). The tunnel is compared by the nodes it crosses, so the
+    /// digest also holds against [`ProviderNetwork::reconverge`], which
+    /// allocates labels afresh.
     pub fn vrf_digest(&self, pe: usize, vpn: VpnId) -> Vec<VrfDigestRow> {
         let (_h, vrf_idx) = self.vrf_handles[&(pe, vpn)];
         let per = self.net.node_ref::<PeRouter>(self.pe_node(pe));
@@ -958,46 +947,26 @@ impl ProviderNetwork {
     /// are armed on both adjacent routers. After the detection delay
     /// (see [`BackboneBuilder::detection`]) those routers mark the
     /// interface down, which activates any fast-reroute bypass installed
-    /// for it; routing otherwise does **not** change until
-    /// [`ProviderNetwork::reconverge`] runs (that gap is the detection +
-    /// convergence outage experiment R1 measures).
+    /// for it, and flood the failure; every router then repairs its own
+    /// routes and labels (the detection + convergence outage experiment R1
+    /// measures). A router with a bypass on the interface holds its own
+    /// repair a little longer and lets the bypass carry its traffic.
     ///
     /// Idempotent: failing an already-failed link is a no-op, so drops
-    /// are never double-counted and timers never re-armed.
-    pub fn fail_link(&mut self, topo_link: usize) {
-        assert!(topo_link < self.topo.link_count(), "unknown backbone link {topo_link}");
-        if !self.net.link_enabled(LinkId(topo_link)) {
-            return;
-        }
-        self.net.set_link_enabled(LinkId(topo_link), false);
-        self.note_control_event(topo_link);
-        self.arm_detection(topo_link, true);
+    /// are never double-counted and timers never re-armed. Returns
+    /// whether the link went down.
+    pub fn fail_link(&mut self, topo_link: usize) -> bool {
+        let (u, v, _) = self.topo.link(topo_link);
+        self.link_event(topo_link, false, &[(u, v), (v, u)])
     }
 
     /// Brings a previously failed link back. The adjacent routers notice
-    /// after the same detection delay (BFD session re-establishment) and
-    /// stop using any bypass; call [`ProviderNetwork::reconverge`]
-    /// afterwards to re-optimize global routing onto it. Idempotent.
-    pub fn repair_link(&mut self, topo_link: usize) {
-        assert!(topo_link < self.topo.link_count(), "unknown backbone link {topo_link}");
-        if self.net.link_enabled(LinkId(topo_link)) {
-            return;
-        }
-        self.net.set_link_enabled(LinkId(topo_link), true);
-        self.note_control_event(topo_link);
-        self.arm_detection(topo_link, false);
-    }
-
-    /// In-band bookkeeping for a physical link event: bumps the link's LSA
-    /// sequence and hands it to both endpoint routers with the instant
-    /// their detection fires, where their LSA's convergence clock starts.
-    fn note_control_event(&mut self, topo_link: usize) {
-        self.link_seq[topo_link] += 1;
-        let (seq, at) = (self.link_seq[topo_link], self.net.now() + self.detect_ns);
-        let (a, b, _) = self.topo.link(topo_link);
-        for u in [a, b] {
-            self.backbone_mut(u).1.note_link_event(topo_link, seq, at);
-        }
+    /// after the same detection delay (BFD session re-establishment), stop
+    /// using any bypass and flood the repair, and routing converges back
+    /// onto the link. Idempotent; returns whether the link came up.
+    pub fn repair_link(&mut self, topo_link: usize) -> bool {
+        let (u, v, _) = self.topo.link(topo_link);
+        self.link_event(topo_link, true, &[(u, v), (v, u)])
     }
 
     /// Fails every backbone link incident to `topo_node` — a node (power
@@ -1013,17 +982,7 @@ impl ProviderNetwork {
         let incident: Vec<(usize, usize)> =
             self.topo.neighbors(topo_node).map(|(far, _, l)| (l, far)).collect();
         for (l, far) in incident {
-            if !self.net.link_enabled(LinkId(l)) {
-                continue; // already failed: no double-counted drops/timers
-            }
-            self.net.set_link_enabled(LinkId(l), false);
-            self.note_control_event(l);
-            let iface = self.topo.iface_toward(far, topo_node);
-            self.net.arm_timer(
-                self.node_ids[far],
-                self.detect_ns,
-                crate::router::iface_timer_token(iface, true),
-            );
+            self.link_event(l, false, &[(far, topo_node)]);
         }
     }
 
@@ -1032,27 +991,41 @@ impl ProviderNetwork {
         (0..self.topo.link_count()).filter(|&l| !self.net.link_enabled(LinkId(l))).collect()
     }
 
-    /// Arms the interface up/down notification timers on both ends of a
-    /// link, `detect_ns` from now.
-    fn arm_detection(&mut self, topo_link: usize, down: bool) {
-        let (u, v, _) = self.topo.link(topo_link);
-        for (near, far) in [(u, v), (v, u)] {
-            let iface = self.topo.iface_toward(near, far);
-            self.net.arm_timer(
-                self.node_ids[near],
-                self.detect_ns,
-                crate::router::iface_timer_token(iface, down),
-            );
+    /// Takes backbone link `topo_link` up or down, unless it already is
+    /// (no double-counted drops, no re-armed timers), and says whether it
+    /// changed. The event bumps the link's LSA sequence and hands it to
+    /// both endpoint routers with the instant detection fires, where their
+    /// LSA's convergence clock starts; then each `(near, far)` end's
+    /// detection timer is armed, `detect_ns` from now, at `near`.
+    fn link_event(&mut self, topo_link: usize, up: bool, detect: &[(usize, usize)]) -> bool {
+        assert!(topo_link < self.topo.link_count(), "unknown backbone link {topo_link}");
+        if self.net.link_enabled(LinkId(topo_link)) == up {
+            return false;
         }
+        self.net.set_link_enabled(LinkId(topo_link), up);
+        self.link_seq[topo_link] += 1;
+        let (seq, at) = (self.link_seq[topo_link], self.net.now() + self.detect_ns);
+        let (a, b, _) = self.topo.link(topo_link);
+        for u in [a, b] {
+            self.backbone_mut(u).1.link_events[topo_link] = (seq, at);
+        }
+        for &(near, far) in detect {
+            let token = crate::control::iface_timer_token(self.topo.iface_toward(near, far), !up);
+            self.net.arm_timer(self.node_ids[near], self.detect_ns, token);
+        }
+        true
     }
 
-    /// Re-runs IGP and LDP excluding failed links and installs the new
-    /// tables into the running routers — the control-plane reaction to a
-    /// failure. Returns the messages this reconvergence cost. Explicit
-    /// LSPs installed via [`ProviderNetwork::install_explicit_lsp`] are
-    /// *not* re-signalled (RSVP-TE state would need its own refresh); pins
-    /// should be re-applied by the caller if still desired.
-    pub fn reconverge(&mut self) -> ControlSummary {
+    /// The reference recompute: re-runs IGP and LDP globally over the
+    /// links that are up and installs the new tables into the running
+    /// routers, re-seeding every router's view. The control plane reaches
+    /// the same routes by itself; this is what tests and benchmarks check
+    /// it against. Labels are allocated afresh and every LFIB is rebuilt,
+    /// so explicit LSPs installed via
+    /// [`ProviderNetwork::install_explicit_lsp`] (fast-reroute bypasses
+    /// included) are gone, and every pinned route is back on its LDP
+    /// tunnel.
+    pub fn reconverge(&mut self) {
         let up = |l: usize| self.net.link_enabled(LinkId(l));
         let (igp, mut ldp) = converge(&self.topo, &self.pes, self.php, &up);
         let links: Vec<(u64, bool)> =
@@ -1073,13 +1046,6 @@ impl ProviderNetwork {
         // route is re-installed as LDP-following.
         self.seed_tunnel_tables();
         self.sync_remote_routes();
-        ControlSummary {
-            igp_lsa_messages: self.igp.lsa_messages(),
-            ldp_messages: self.ldp.messages,
-            ldp_sessions: self.ldp.sessions,
-            bgp_messages: 0, // VPN routes are unchanged by an IGP event
-            bgp_sessions: self.fabric.session_count(),
-        }
     }
 
     /// Pins a destination prefix at an ingress PE onto a tunnel (e.g. a TE
@@ -1092,7 +1058,7 @@ impl ProviderNetwork {
     ///
     /// The pinned route stops following the PE's LDP tunnel table: site
     /// joins and detaches elsewhere leave the binding alone, and so does
-    /// in-band LDP repair after a link fails or recovers. Only
+    /// LDP repair after a link fails or recovers. Only the reference
     /// [`ProviderNetwork::reconverge`] restores the LDP tunnel.
     ///
     /// # Panics
@@ -1435,9 +1401,9 @@ mod tests {
         assert_eq!(at_primary_t3 + at_backup, 200);
     }
 
-    /// A failed backbone link loses packets until reconvergence; after
-    /// reconvergence the flow rides the alternate path, and repairing the
-    /// link plus reconverging restores the original one.
+    /// A failed backbone link loses packets until detection; once the
+    /// routers have converged the flow rides the alternate path, and
+    /// repairing the link restores the original one.
     #[test]
     fn link_failure_reroute_and_repair() {
         // Diamond with distinct costs: short 0-1-3, detour 0-2-3.
@@ -1461,16 +1427,15 @@ mod tests {
         pn.run_for(SEC); // healthy: short path
         assert!(pn.net.link_stats(LinkId(0), 0).tx_packets > 0);
         pn.fail_link(1); // cut 1-3
-        pn.run_for(100 * MSEC); // detection window: packets die
-        let summary = pn.reconverge();
-        assert!(summary.ldp_messages > 0);
+        pn.run_for(100 * MSEC); // packets die until detection at 50 ms
+        assert!(pn.control_stats().unwrap().pkts_by_proto[0] > 0, "the cut was flooded");
         let detour_before = pn.net.link_stats(LinkId(2), 0).tx_packets;
         pn.run_for(900 * MSEC);
         let detour_after = pn.net.link_stats(LinkId(2), 0).tx_packets;
         assert!(detour_after > detour_before + 50, "traffic must ride the detour");
 
         pn.repair_link(1);
-        pn.reconverge();
+        pn.run_for(100 * MSEC); // the routers notice at 50 ms
         let short_before = pn.net.link_stats(LinkId(0), 0).tx_packets;
         pn.run_for(2 * SEC);
         let short_after = pn.net.link_stats(LinkId(0), 0).tx_packets;

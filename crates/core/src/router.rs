@@ -21,22 +21,6 @@ use netsim_sim::{Ctx, FxHashMap, IfaceId, Node};
 
 use crate::control::{NodeControl, NodeTables, CTRL_FLOW_BASE};
 
-/// Timer-token namespace for BFD-style interface state changes delivered
-/// to routers: the high bit marks the namespace, bit 0 carries down/up,
-/// and the bits between carry the interface index. Routers own no other
-/// timers, so the namespace guard is future-proofing, not disambiguation.
-pub const fn iface_timer_token(iface: usize, down: bool) -> u64 {
-    (1u64 << 63) | ((iface as u64) << 1) | down as u64
-}
-
-/// Decodes a token produced by [`iface_timer_token`].
-fn decode_iface_token(token: u64) -> Option<(usize, bool)> {
-    if token & (1u64 << 63) == 0 {
-        return None;
-    }
-    Some((((token & !(1u64 << 63)) >> 1) as usize, token & 1 == 1))
-}
-
 /// Forwarding counters shared by all router roles. A packet a router
 /// drops or absorbs is not counted here: the handler passes it to
 /// [`Ctx::discard`] or [`Ctx::absorb`], and the network's flight recorder
@@ -88,10 +72,10 @@ impl CoreRouter {
         }
     }
 
-    /// The control plane, when it runs in-band (only then do control
-    /// packets and detection events reach it), and the tables it writes.
-    fn in_band(&mut self) -> Option<(&mut NodeControl, NodeTables<'_>)> {
-        let control = self.control.as_deref_mut().filter(|c| c.cfg.in_band)?;
+    /// The control plane (a provider network's backbone routers own one)
+    /// and the tables it writes.
+    fn control_plane(&mut self) -> Option<(&mut NodeControl, NodeTables<'_>)> {
+        let control = self.control.as_deref_mut()?;
         Some((control, NodeTables { lfib: &mut self.lfib, vrfs: None, tunnels: None }))
     }
 
@@ -115,7 +99,7 @@ impl CoreRouter {
 impl Node for CoreRouter {
     fn on_packet(&mut self, iface: IfaceId, mut pkt: Pkt, ctx: &mut Ctx) {
         if pkt.meta.flow >= CTRL_FLOW_BASE {
-            if let Some((control, mut tables)) = self.in_band() {
+            if let Some((control, mut tables)) = self.control_plane() {
                 return control.on_control_packet(iface.0, pkt, &mut tables, ctx);
             }
         }
@@ -141,13 +125,8 @@ impl Node for CoreRouter {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
-        // BFD-style link-state notification: flip the interface's
-        // protection state at detection time, not at failure time.
-        if let Some((iface, down)) = decode_iface_token(token) {
-            self.lfib.set_iface_down(iface, down);
-            if let Some((control, mut tables)) = self.in_band() {
-                control.on_link_event(iface, down, &mut tables, ctx);
-            }
+        if let Some((control, mut tables)) = self.control_plane() {
+            control.on_iface_timer(token, &mut tables, ctx);
         }
     }
 
@@ -352,9 +331,10 @@ impl PeRouter {
         }
     }
 
-    /// The control plane, when it runs in-band, and the tables it writes.
-    fn in_band(&mut self) -> Option<(&mut NodeControl, NodeTables<'_>)> {
-        let control = self.control.as_deref_mut().filter(|c| c.cfg.in_band)?;
+    /// The control plane (a provider network's backbone routers own one)
+    /// and the tables it writes.
+    fn control_plane(&mut self) -> Option<(&mut NodeControl, NodeTables<'_>)> {
+        let control = self.control.as_deref_mut()?;
         let (lfib, vrfs, tunnels) = (&mut self.lfib, Some(&mut self.vrfs), Some(&mut self.tunnels));
         Some((control, NodeTables { lfib, vrfs, tunnels }))
     }
@@ -490,7 +470,7 @@ impl PeRouter {
 impl Node for PeRouter {
     fn on_packet(&mut self, iface: IfaceId, pkt: Pkt, ctx: &mut Ctx) {
         if pkt.meta.flow >= CTRL_FLOW_BASE {
-            if let Some((control, mut tables)) = self.in_band() {
+            if let Some((control, mut tables)) = self.control_plane() {
                 return control.on_control_packet(iface.0, pkt, &mut tables, ctx);
             }
         }
@@ -502,13 +482,8 @@ impl Node for PeRouter {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
-        // BFD-style link-state notification: flip the interface's
-        // protection state at detection time, not at failure time.
-        if let Some((iface, down)) = decode_iface_token(token) {
-            self.lfib.set_iface_down(iface, down);
-            if let Some((control, mut tables)) = self.in_band() {
-                control.on_link_event(iface, down, &mut tables, ctx);
-            }
+        if let Some((control, mut tables)) = self.control_plane() {
+            control.on_iface_timer(token, &mut tables, ctx);
         }
     }
 

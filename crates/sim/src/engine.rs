@@ -453,6 +453,7 @@ impl Network {
         for action in actions.drain(..) {
             match action {
                 Action::Send { iface, pkt } => self.do_send(node, iface, pkt),
+                Action::Deliver { iface, pkt } => self.do_deliver(node, iface, pkt),
                 Action::SendLater { iface, pkt, delay } => {
                     let at = self.now + delay;
                     self.push(at, Event::DeferredSend { node, iface, pkt });
@@ -486,13 +487,7 @@ impl Network {
         }
         let d = &mut self.links[link.0].dirs[dir as usize];
         if !d.enabled {
-            // Interface is down: the packet is lost on the floor.
-            d.stats.dropped += 1;
-            d.stats.dropped_by_class[wire_class(&pkt)] += 1;
-            if let Some(rec) = &self.recorder {
-                rec.record(self.now, pkt.meta.flow, pkt.meta.seq, DropCause::LinkDownPurge);
-            }
-            return;
+            return lose_on_down_link(d, self.recorder.as_ref(), self.now, &pkt);
         }
         match d.qdisc.enqueue(pkt, self.now) {
             EnqueueOutcome::Queued => {}
@@ -513,6 +508,18 @@ impl Network {
             // queue again the moment it finishes.
             self.arm_poke(link, dir, busy_until);
         }
+    }
+
+    /// [`Ctx::deliver`]: the packet arrives at the far end of `iface`'s
+    /// link at this instant, or is lost if the link is disabled.
+    fn do_deliver(&mut self, node: NodeId, iface: IfaceId, pkt: Pkt) {
+        let (link, dir) = self.ifaces[node.0][iface.0];
+        let d = &mut self.links[link.0].dirs[dir as usize];
+        if !d.enabled {
+            return lose_on_down_link(d, self.recorder.as_ref(), self.now, &pkt);
+        }
+        let (node, iface) = (d.dst_node, d.dst_iface);
+        self.push(self.now, Event::Arrival { node, iface, pkt });
     }
 
     /// Schedules a [`Event::TxIdle`] poke at `at` unless an earlier (or
@@ -570,6 +577,15 @@ impl Network {
                 }
             }
         }
+    }
+}
+
+/// Counts `pkt`, offered to disabled direction `d`, as lost on the floor.
+fn lose_on_down_link(d: &mut Direction, rec: Option<&FlightRecorder>, now: Nanos, pkt: &Pkt) {
+    d.stats.dropped += 1;
+    d.stats.dropped_by_class[wire_class(pkt)] += 1;
+    if let Some(rec) = rec {
+        rec.record(now, pkt.meta.flow, pkt.meta.seq, DropCause::LinkDownPurge);
     }
 }
 
@@ -649,6 +665,45 @@ mod tests {
         assert_eq!(st.tx_packets, 3);
         assert_eq!(st.tx_bytes, 3 * 1250);
         assert_eq!(st.busy_ns, 3 * MSEC);
+    }
+
+    /// A node that hands every packet to the far end of its interface 0
+    /// with [`Ctx::deliver`].
+    struct Deliverer;
+    impl Node for Deliverer {
+        fn on_packet(&mut self, _iface: IfaceId, pkt: Pkt, ctx: &mut Ctx) {
+            ctx.deliver(IfaceId(0), pkt);
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn deliver_arrives_now_off_the_link_and_dies_on_a_cut() {
+        let mut net = Network::new();
+        let rec = FlightRecorder::default();
+        net.set_recorder(rec.clone());
+        let a = net.add_node(Box::new(Deliverer));
+        let b = net.add_node(Box::new(Recorder::default()));
+        let feed = net.add_node(Box::new(BlackHole::default()));
+        let (l, _, _) = net.connect(a, b, LinkConfig::new(1_000_000, 5 * MSEC));
+        let (_, f_if, _) = net.connect(feed, a, LinkConfig::new(1_000_000_000, 0));
+        net.inject(feed, f_if, pkt(1000));
+        net.run_to_quiescence();
+        // The feed link takes 8.224 us; the deliver adds nothing.
+        assert_eq!(net.node_ref::<Recorder>(b).arrivals, vec![8_224]);
+        assert_eq!(net.link_stats(l, 0), LinkStats::default(), "no queue, no link bytes");
+
+        net.set_link_enabled(l, false);
+        net.inject(feed, f_if, pkt(1000));
+        net.run_to_quiescence();
+        assert_eq!(net.node_ref::<Recorder>(b).arrivals.len(), 1);
+        assert_eq!(net.link_stats(l, 0).dropped, 1, "lost as a send on a cut link is");
+        assert_eq!(rec.total_drops(), 1);
     }
 
     #[test]

@@ -32,6 +32,7 @@ const SPARE_PKTS: usize = 32;
 
 pub(crate) enum Action {
     Send { iface: IfaceId, pkt: Pkt },
+    Deliver { iface: IfaceId, pkt: Pkt },
     SendLater { iface: IfaceId, pkt: Pkt, delay: Nanos },
     Timer { delay: Nanos, token: u64 },
     Discard { pkt: Pkt, cause: DropCause },
@@ -51,6 +52,14 @@ impl Ctx {
     /// being forwarded (no new allocation).
     pub fn send(&mut self, iface: IfaceId, pkt: impl Into<Pkt>) {
         self.actions.push(Action::Send { iface, pkt: pkt.into() });
+    }
+
+    /// Hands `pkt` to the far end of `iface`'s link now, as a zero-latency
+    /// out-of-band transport would: it skips the egress queue, takes no
+    /// transmission or propagation time and adds nothing to the link's
+    /// transmit counters. A disabled link loses it as [`Ctx::send`] does.
+    pub fn deliver(&mut self, iface: IfaceId, pkt: Pkt) {
+        self.actions.push(Action::Deliver { iface, pkt });
     }
 
     /// Like [`Ctx::send`], but the packet reaches the egress queue only

@@ -12,14 +12,15 @@
 //! 3. **Determinism** — the same seed replays to bit-identical flow and
 //!    link statistics.
 //!
-//! Both failover modes are exercised: even seeds run fast reroute (no
-//! reconvergence, bypass LSPs), odd seeds run global reconvergence after
-//! every fault event.
+//! One failover model runs everywhere: the routers' control planes
+//! converge around every fault, and even seeds also protect every link
+//! with a fast-reroute bypass, whose upstream router holds its own repair
+//! for a local convergence delay.
 //!
-//! Both *control* modes run too: every seed runs once under the oracle
-//! and once with the in-band message-driven control plane, whose CS6
-//! packets share links and queues with the data — the conservation
-//! ledger then carries explicit control-plane send/terminate terms.
+//! Both control transports run too: every seed runs once over the
+//! zero-latency oracle and once with in-band CS6 packets that share links
+//! and queues with the data. The conservation ledger carries explicit
+//! control-plane send/terminate terms under both.
 
 use mplsvpn::routing::{Igp, LinkAttrs, Topology};
 use mplsvpn::sim::{
@@ -27,7 +28,7 @@ use mplsvpn::sim::{
 };
 use mplsvpn::te::SrlgMap;
 use mplsvpn::vpn::{
-    BackboneBuilder, ControlMode, DropCause, FailoverMode, ProviderNetwork, VpnId, CTRL_FLOW_BASE,
+    BackboneBuilder, ControlMode, DropCause, ProviderNetwork, VpnId, CTRL_FLOW_BASE,
 };
 
 /// One chaos run: a seed under one control mode.
@@ -55,8 +56,8 @@ const TRAFFIC_END: u64 = 4 * SEC;
 /// …and the simulator runs on to here so everything in flight lands.
 const RUN_END: u64 = 6 * SEC;
 /// A fault's reaction has played out this long after it lands: the 25 ms
-/// detection, then reconvergence or the in-band flood and repair.
-/// [`assert_at_rest`] checks that it has.
+/// detection, the flood and repair, and a point of local repair's 50 ms
+/// hold. [`assert_at_rest`] checks that it has.
 const SETTLE: u64 = 125 * MSEC;
 
 /// The fish: 5 nodes, short path 0-1-4 over links {0,1}, long path over
@@ -85,8 +86,6 @@ fn ladder() -> (Topology, Vec<usize>, Vec<usize>) {
 /// Everything a scenario needs for its post-mortem.
 struct Scenario {
     pn: ProviderNetwork,
-    /// Fast reroute on even seeds, global reconvergence on odd ones.
-    mode: FailoverMode,
     /// (source node, flow id) per attached source.
     sources: Vec<(NodeId, bool)>, // bool: true = CBR, false = Poisson
     /// Sink node and the flow ids that legitimately belong to it.
@@ -110,11 +109,6 @@ fn run_scenario(case: Case) -> Scenario {
 fn run_checked(case: Case, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
     let seed = case.seed;
     let (topo, pes, cuttable) = if seed % 4 < 2 { fish() } else { ladder() };
-    let mode = if seed.is_multiple_of(2) {
-        FailoverMode::FastReroute
-    } else {
-        FailoverMode::GlobalReconverge
-    };
     let link_count = topo.link_count();
     let mut pn = BackboneBuilder::new(topo, pes.clone())
         .detection(25 * MSEC)
@@ -142,7 +136,7 @@ fn run_checked(case: Case, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
         sinks.push((sink, vec![base, base + 1]));
     }
 
-    if mode == FailoverMode::FastReroute {
+    if seed.is_multiple_of(2) {
         let srlg = SrlgMap::new(link_count);
         pn.protect_all_links(&srlg);
     }
@@ -151,7 +145,7 @@ fn run_checked(case: Case, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
     // traffic window so the faults actually bite.
     let plan = FaultPlan::random(seed, &cuttable, 3 * SEC, 4, 200 * MSEC);
     let events = plan.events();
-    let mut s = Scenario { pn, mode, sources, sinks, pes, vpns };
+    let mut s = Scenario { pn, sources, sinks, pes, vpns };
     let mut start = 0;
     for end in 1..=events.len() {
         let next = events.get(end).map(|e| e.at);
@@ -159,7 +153,7 @@ fn run_checked(case: Case, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
             continue;
         }
         let group = FaultPlan::new(events[start..end].to_vec());
-        s.pn.execute_fault_plan(&group, mode, next.unwrap_or(RUN_END));
+        s.pn.execute_fault_plan(&group, next.unwrap_or(RUN_END));
         start = end;
         if next.is_some() {
             assert_at_rest(&s, case);
@@ -170,12 +164,10 @@ fn run_checked(case: Case, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
 }
 
 /// Asserts that the fault reactions have played out: no control packet
-/// is queued or in flight, and wherever the control plane reacts to
-/// faults (in-band floods, or the oracle's global reconvergence) the
-/// routers' state equals a fresh computation over the links that are up:
-/// every SPF view, every PE-to-PE LSP through the live LFIBs, and the
-/// tunnel every remote VRF route resolves to. Fast reroute under the
-/// oracle never reconverges, so there the views stay at bring-up.
+/// is queued or in flight, and the routers' state equals a fresh
+/// computation over the links that are up: every SPF view, every
+/// PE-to-PE LSP through the live LFIBs, and the tunnel every remote VRF
+/// route resolves to.
 fn assert_at_rest(s: &Scenario, case: Case) {
     let t = s.pn.net.now();
     let rec = s.pn.recorder();
@@ -187,9 +179,6 @@ fn assert_at_rest(s: &Scenario, case: Case) {
         ctrl_terminated + ctrl_dropped,
         "control packets still in the network at {case}, t={t}"
     );
-    if case.control == ControlMode::Oracle && s.mode == FailoverMode::FastReroute {
-        return;
-    }
     let down = s.pn.failed_links();
     let fresh = Igp::converge_filtered(&s.pn.topo, |l| !down.contains(&l));
     for u in 0..s.pn.topo.node_count() {
@@ -255,10 +244,9 @@ fn assert_conserved(s: &Scenario, case: Case) {
         .sum();
     let queued = s.pn.net.queued_packets() + s.pn.net.packets_in_flight();
     let (router_dropped, delivered_local) = router_terminations(s);
-    // In-band control packets enter the same ledger: each one sent is
-    // terminated at a router, purged on a cut link (already inside
-    // `link_dropped`), or still queued. Both terms are 0 under the
-    // oracle, collapsing to the original data-only equation.
+    // Control packets enter the same ledger: each one sent is terminated
+    // at a router, lost on a cut link (already inside `link_dropped`), or
+    // still queued or in flight.
     let (ctrl_sent, ctrl_terminated) =
         s.pn.control_stats().map_or((0, 0), |c| (c.pkts_sent, c.pkts_terminated));
     assert_eq!(
@@ -349,9 +337,9 @@ fn chaos_every_loss_has_a_recorded_cause() {
 #[test]
 fn chaos_live_tables_verify_clean_after_every_fault_plan() {
     // 5. **Verifier** — at every quiescent point between faults and after
-    //    the fault plan has played out (bypass activations, repairs,
-    //    reconvergence or in-band LSA/LDP repair), the static verifier
-    //    finds nothing wrong with the live tables.
+    //    the fault plan has played out (bypass activations, held repairs,
+    //    LSA/LDP repair over either transport), the static verifier finds
+    //    nothing wrong with the live tables.
     let mut rests = 0;
     for case in cases() {
         let s = run_checked(case, |s| {

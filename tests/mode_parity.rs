@@ -3,22 +3,22 @@
 //! Both control modes run one delta engine and differ only in transport.
 //! In-band (`ControlMode::InBand`), LSAs, LDP label messages and MP-BGP
 //! route deltas travel as CS6 packets through the same links the data
-//! plane uses, so convergence takes simulated *time*; the oracle applies
-//! each MP-BGP delta at once and recomputes IGP/LDP globally at
-//! `reconverge()`. Once quiescent, both modes must agree on every piece
-//! of forwarding state: SPF trees, LSP forwarding paths through the live
-//! LFIBs, VRF contents, and VPN-label dispatch tables.
-//!
-//! Label *values* are deliberately outside the contract: the oracle
-//! reallocates labels on every reconvergence while in-band liberal
-//! retention keeps them stable. The digests below compare forwarding
-//! *paths*, not label numbers.
+//! plane uses, so convergence takes simulated *time*; the oracle hands
+//! the same messages to the next router at once. Once quiescent, both
+//! modes must agree on every piece of forwarding state: SPF trees, LSP
+//! forwarding paths through the live LFIBs, VRF contents, VPN-label
+//! dispatch tables, and the label values themselves — every LFIB entry
+//! and every PE's tunnel table — since both transports keep the labels
+//! LDP bound at bring-up.
 
+use mplsvpn::mpls::{FtnEntry, Lfib, Nhlfe};
 use mplsvpn::net::Prefix;
 use mplsvpn::routing::{LinkAttrs, RouteTarget, Topology};
 use mplsvpn::sim::MSEC;
 use mplsvpn::vpn::router::VrfRoute;
-use mplsvpn::vpn::{BackboneBuilder, ControlMode, PeRouter, ProviderNetwork, VpnId, VrfDigestRow};
+use mplsvpn::vpn::{
+    BackboneBuilder, ControlMode, CoreRouter, PeRouter, ProviderNetwork, VpnId, VrfDigestRow,
+};
 
 /// One node's SPF view: (dist, next_hop) of the tree it forwards on.
 type SpfRow = (Vec<u64>, Vec<Option<usize>>);
@@ -54,6 +54,10 @@ struct Digest {
     vrfs: Vec<Vec<VrfDigestRow>>,
     /// Per PE: sorted VPN-label dispatch table.
     ilm: Vec<Vec<(u32, usize)>>,
+    /// Per backbone node: every LFIB entry, by incoming label.
+    lfibs: Vec<Vec<(u32, Nhlfe)>>,
+    /// Per PE: its LDP tunnel table, by egress PE.
+    tunnels: Vec<Vec<Option<FtnEntry>>>,
 }
 
 fn digest(pn: &mut ProviderNetwork, vpns: &[VpnId]) -> Digest {
@@ -95,7 +99,22 @@ fn digest(pn: &mut ProviderNetwork, vpns: &[VpnId]) -> Digest {
             rows
         })
         .collect();
-    Digest { spf, lsps, vrfs, ilm }
+    let lfibs = (0..nodes)
+        .map(|u| {
+            let id = pn.backbone_node(u);
+            let lfib: &Lfib = if (0..n_pe).any(|k| pn.pe_node(k) == id) {
+                &pn.net.node_ref::<PeRouter>(id).lfib
+            } else {
+                &pn.net.node_ref::<CoreRouter>(id).lfib
+            };
+            let mut rows: Vec<(u32, Nhlfe)> = lfib.iter().map(|(l, n)| (l, *n)).collect();
+            rows.sort_unstable_by_key(|&(l, _)| l);
+            rows
+        })
+        .collect();
+    let tunnels =
+        (0..n_pe).map(|k| pn.net.node_ref::<PeRouter>(pn.pe_node(k)).tunnels.clone()).collect();
+    Digest { spf, lsps, vrfs, ilm, lfibs, tunnels }
 }
 
 /// Recursive next-hop resolution holds at every PE: the tunnel-table
@@ -130,8 +149,8 @@ fn assert_recursive_resolution(pn: &ProviderNetwork, what: &str) {
 /// Runs the canonical churn scenario — cut, join-under-failure, repair,
 /// detach, RT-policy add/remove — returning the digest at each
 /// checkpoint, where the static verifier must also find the live tables
-/// clean and recursive resolution must hold. Oracle arms reconverge explicitly after cut and repair; in-band
-/// arms are given settle time and converge by themselves.
+/// clean and recursive resolution must hold. Both transports get the same
+/// settle time and converge by themselves.
 fn run_scenario(
     topo: Topology,
     pes: Vec<usize>,
@@ -139,7 +158,6 @@ fn run_scenario(
     mode: ControlMode,
     seed: u64,
 ) -> Vec<Digest> {
-    let oracle = mode == ControlMode::Oracle;
     let mut pn =
         BackboneBuilder::new(topo, pes).detection(20 * MSEC).seed(seed).control_mode(mode).build();
     let vpn_a = pn.new_vpn("acme");
@@ -159,13 +177,9 @@ fn run_scenario(
     };
     checkpoint(&mut pn);
 
-    // Cut a short-path link; detection fires, then LSAs (or the oracle).
+    // Cut a short-path link; detection fires, then the LSAs.
     pn.fail_link(cut);
-    pn.run_for(300 * MSEC);
-    if oracle {
-        pn.reconverge();
-    }
-    pn.run_for(100 * MSEC);
+    pn.run_for(400 * MSEC);
     checkpoint(&mut pn);
 
     // Membership join while the failure is still active: the new route
@@ -175,11 +189,7 @@ fn run_scenario(
     checkpoint(&mut pn);
 
     pn.repair_link(cut);
-    pn.run_for(300 * MSEC);
-    if oracle {
-        pn.reconverge();
-    }
-    pn.run_for(100 * MSEC);
+    pn.run_for(400 * MSEC);
     checkpoint(&mut pn);
 
     // Membership leave: the withdraw must evict the route remotely.
@@ -260,9 +270,10 @@ fn rt_policy_is_a_local_delta_in_both_modes() {
     }
 }
 
-/// A partition no longer panics the oracle resync: a PE with no LSP to
-/// the egress skips the install and the event is counted, surfaced
-/// through the metrics snapshot.
+/// A partition never panics, under either transport: an MP-BGP update
+/// that cannot cross it is counted undeliverable, and a PE that has no
+/// LSP toward a route's egress skips the install and counts it. Both
+/// counters surface through the metrics snapshot.
 #[test]
 fn partition_counts_no_lsp_to_egress_instead_of_panicking() {
     for mode in [ControlMode::Oracle, ControlMode::InBand] {
@@ -273,42 +284,31 @@ fn partition_counts_no_lsp_to_egress_instead_of_panicking() {
         let mut pn =
             BackboneBuilder::new(topo, vec![0, 2]).detection(20 * MSEC).control_mode(mode).build();
         let vpn = pn.new_vpn("acme");
+        let late = pn.new_vpn("latecomer");
         pn.add_site(vpn, 0, "10.1.0.0/16".parse().unwrap(), None);
         pn.add_site(vpn, 1, "10.2.0.0/16".parse().unwrap(), None);
+        pn.add_site(late, 1, "10.8.0.0/16".parse().unwrap(), None);
         pn.run_for(100 * MSEC);
         // Cut the only link out of PE0: the backbone is partitioned.
         pn.fail_link(0);
         pn.run_for(100 * MSEC);
-        if mode == ControlMode::Oracle {
-            pn.reconverge(); // used to assert; must now count and continue
-            assert!(
-                pn.no_lsp_to_egress() >= 1,
-                "partition must surface as a counted skip, not a panic"
-            );
-            let snap = pn.metrics_snapshot();
-            let row = snap
-                .counters
-                .iter()
-                .find(|(n, _)| n == "control.no_lsp_to_egress")
-                .expect("counter exported");
-            assert!(row.1 >= 1);
-        } else {
-            // Join on the far side: the MP-BGP update cannot cross the
-            // partition — counted as undeliverable, never a panic.
-            pn.add_site(vpn, 1, "10.3.0.0/16".parse().unwrap(), None);
-            pn.run_for(100 * MSEC);
-            let stats = pn.control_stats().expect("in-band stats");
-            assert!(
-                stats.undeliverable >= 1,
-                "partitioned update must be counted undeliverable: {stats:?}"
-            );
-            let snap = pn.metrics_snapshot();
-            let row = snap
-                .counters
-                .iter()
-                .find(|(n, _)| n == "control.undeliverable")
-                .expect("counter exported");
-            assert!(row.1 >= 1);
+        // Join on the far side: the MP-BGP update cannot cross the
+        // partition — counted as undeliverable, never a panic.
+        pn.add_site(vpn, 1, "10.3.0.0/16".parse().unwrap(), None);
+        // A new VRF on PE0 downloads a route toward PE1, which PE0's view
+        // no longer reaches: the install is skipped and counted.
+        pn.add_site(late, 0, "10.9.0.0/16".parse().unwrap(), None);
+        pn.run_for(100 * MSEC);
+        let stats = pn.control_stats().expect("control stats");
+        assert!(
+            stats.undeliverable >= 1,
+            "partitioned update must be counted undeliverable ({mode:?}): {stats:?}"
+        );
+        assert!(pn.no_lsp_to_egress() >= 1, "the skipped install must be counted ({mode:?})");
+        let snap = pn.metrics_snapshot();
+        for name in ["control.undeliverable", "control.no_lsp_to_egress"] {
+            let row = snap.counters.iter().find(|(n, _)| n == name).expect("counter exported");
+            assert!(row.1 >= 1, "{name} ({mode:?})");
         }
     }
 }
@@ -386,11 +386,10 @@ fn override_survives_a_join_elsewhere_in_both_modes() {
     }
 }
 
-/// A route moved onto a TE tunnel keeps it through in-band LDP repair:
-/// cutting and restoring a link on the route's LDP path rewrites the
-/// PE's tunnel table, not the explicitly bound route. The oracle sees no
-/// routing change without `reconverge()`, which restores the LDP tunnel
-/// in both modes.
+/// A route moved onto a TE tunnel keeps it through LDP repair: cutting
+/// and restoring a link on the route's LDP path rewrites the PE's tunnel
+/// table, not the explicitly bound route, under either transport. Only
+/// the reference `reconverge()` restores the LDP tunnel.
 #[test]
 fn override_survives_ldp_repair_in_both_modes() {
     let moved: Prefix = "10.2.0.0/16".parse().unwrap();
