@@ -68,6 +68,7 @@ pub fn measure(aqm: Aqm, duration: Nanos) -> AqmResult {
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
     let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
+    pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
     pn.verify().assert_clean("aqm experiment");
     let sink = pn.attach_tcp_sink(b, pfx("10.2.0.0/16"));
     let sources: Vec<_> = (0..FLOWS)

@@ -55,10 +55,9 @@ pub struct FailoverResult {
     sla_violations: usize,
     /// Bypass switchovers activated by the cut.
     pub switchovers: u64,
-    /// Control packets the routers sent over the run: the LSAs and LDP
-    /// messages of the reaction under either transport, plus in band the
-    /// MP-BGP packets that brought the VPN up (the oracle transport
-    /// applies an MP-BGP delta at its target PE at once, unsent).
+    /// Control packets the routers sent over the run, under either
+    /// transport: the MP-BGP packets that brought the VPN up, then the
+    /// LSAs and LDP messages of the reaction.
     pub control_messages: u64,
     /// Worst LSA propagation+processing latency of the control plane, ns
     /// (0 in oracle arms — the oracle transport takes no simulated time).
@@ -94,6 +93,9 @@ pub fn measure(
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
     let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
+    // The VPN is up before the first call starts: the MP-BGP updates have
+    // landed (at t = 0 under the oracle, a few ms later in band).
+    pn.run_to_quiescence();
     let sink = pn.attach_sink(b, pfx("10.2.0.0/16"));
     let flows = mix::attach_mix_provider(&mut pn, a, b, 1, SEED, RUN_SECS * SEC);
 

@@ -96,6 +96,7 @@ fn core_router_ops() -> (u64, u64) {
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
     let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
+    pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
     pn.verify().assert_clean("forwarding experiment");
     pn.attach_sink(b, pfx("10.2.0.0/16"));
     let cfg = SourceConfig::udp(1, pn.site_addr(a, 1), pn.site_addr(b, 1), 5000, 200);
@@ -117,10 +118,11 @@ fn php_ablation() -> Vec<(&'static str, u64, u64, u64)> {
     for (name, php) in [("PHP on", true), ("PHP off", false)] {
         let (t, pes) = crate::topo::line(2, 1000);
         let mut pn = BackboneBuilder::new(t, pes).php(php).build();
-        let labels = pn.ldp.total_labels();
+        let labels = pn.live_labels();
         let vpn = pn.new_vpn("acme");
         let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
         let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
+        pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
         pn.verify().assert_clean("php ablation");
         pn.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, pn.site_addr(a, 1), pn.site_addr(b, 1), 5000, 200);

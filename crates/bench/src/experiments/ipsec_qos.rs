@@ -48,6 +48,7 @@ fn measure_mpls(duration: Nanos, seed: u64) -> Q2Row {
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
     let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
+    pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
     pn.verify().assert_clean("ipsec-comparison MPLS reference");
     let sink = pn.attach_sink(b, pfx("10.2.0.0/16"));
     let flows = attach_mix_provider(&mut pn, a, b, 1, seed, duration);

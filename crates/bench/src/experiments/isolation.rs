@@ -40,6 +40,7 @@ pub fn measure(vpn_count: usize, packets: u64) -> IsolationResult {
         flows.push(flow);
     }
     // Static isolation proof over every VRF pair before the dynamic one.
+    pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
     pn.verify().assert_clean("isolation experiment");
     pn.run_for(3 * SEC);
 

@@ -9,8 +9,8 @@
 //! ([`backbone_join_series`]). "mpls messages" is its fabric's update
 //! count (PE → route reflector → other PEs); the two columns after it
 //! count the MP-BGP deltas each join originated under either transport:
-//! update packets on the wire in-band, deltas applied at once under the
-//! oracle. All three are flat.
+//! update packets on the wire in-band, the same packets handed on at once
+//! under the oracle. All three are flat.
 
 use mplsvpn_core::membership::{backbone_join_series, overlay_join_series, JoinCost};
 use mplsvpn_core::ControlMode;

@@ -86,6 +86,7 @@ pub fn measure(qos: CoreQos, duration: Nanos, seed: u64) -> (Vec<ClassRow>, f64)
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
     let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
+    pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
     pn.verify().assert_clean("qos experiment");
     let sink = pn.attach_sink(b, pfx("10.2.0.0/16"));
     let flows = attach_mix_provider(&mut pn, a, b, 1, seed, duration);

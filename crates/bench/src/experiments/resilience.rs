@@ -41,6 +41,7 @@ pub fn measure(detection_ns: Nanos) -> ResilienceResult {
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
     let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
+    pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
     pn.verify().assert_clean("resilience experiment, pre-cut");
     let sink = pn.attach_sink(b, pfx("10.2.0.0/16"));
     // 200 pps voice-like flow for 8 s.

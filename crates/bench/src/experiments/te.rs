@@ -38,6 +38,7 @@ fn build() -> ProviderNetwork {
     let vpn = pn.new_vpn("acme");
     let _a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
     let _b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
+    pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
     pn.verify().assert_clean("te experiment backbone");
     pn
 }

@@ -21,6 +21,7 @@ pub fn measure() -> (TraceLog, u64) {
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), Some(MarkingPolicy::enterprise_default()));
     let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
+    pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
     pn.verify().assert_clean("trace scenario");
     let sink = pn.attach_sink(b, pfx("10.2.0.0/16"));
     // A voice packet (UDP to an RTP port → the CPE marks it EF).

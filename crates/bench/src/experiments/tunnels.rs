@@ -97,6 +97,7 @@ fn data_plane_check() -> String {
     let v1 = pn.new_vpn("V1");
     let a = pn.add_site(v1, 0, pfx("10.1.0.0/16"), None);
     let c = pn.add_site(v1, 2, pfx("10.3.0.0/16"), None);
+    pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
     pn.verify().assert_clean("tunnel-state data-plane check");
     let sink = pn.attach_sink(c, pfx("10.3.0.0/16"));
     let cfg = SourceConfig::udp(1, pn.site_addr(a, 1), pn.site_addr(c, 1), 5000, 200);

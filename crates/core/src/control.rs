@@ -33,15 +33,19 @@
 //! on, with the origin PE's source address, as P routers IP-forward a BGP
 //! session's packets. A terminated packet's box goes back to the
 //! network's one spare stack ([`Ctx::recycle`]) for the next message any
-//! router builds. Under the oracle, an originated BGP delta is applied at
-//! its target PE at once, through the same apply code.
+//! router builds. Every message leaves its origin this way, MP-BGP deltas
+//! included, and `NodeControl::transmit` is the one place a transport is
+//! picked: no control state changes outside the simulator's run, so a
+//! delta sent under the oracle lands when the simulator next runs, at the
+//! instant it was sent.
 //!
 //! Fast reroute composes with convergence as RFC 8333 ("Micro-loop
 //! Prevention by Introducing a Local Convergence Delay") has it: a router
 //! that detects a failure on an interface with a bypass installed, the
 //! point of local repair, floods the LSA at once but holds its own SPF
-//! and LDP repair for [`LOCAL_CONVERGENCE_DELAY`]. The bypass carries its
-//! traffic meanwhile, and every other router converges as usual.
+//! and LDP repair for `LOCAL_CONVERGENCE_DELAY` (50 ms). The bypass
+//! carries its traffic meanwhile, and every other router converges as
+//! usual.
 //!
 //! Determinism: no message depends on hash-map order. All fan-out walks
 //! index ranges (FEC ordinals, topology adjacency order) or ordered sets,
@@ -51,6 +55,7 @@ use std::rc::Rc;
 
 use netsim_mpls::ldp::{Fec, LdpDomain};
 use netsim_mpls::lfib::{FtnEntry, LabelOp, Lfib, Nhlfe};
+use netsim_mpls::LabelSpace;
 use netsim_net::mpls::IMPLICIT_NULL;
 use netsim_net::{Dscp, Ip, Packet, Pkt, PktMeta, Prefix};
 use netsim_obs::Histogram;
@@ -68,10 +73,10 @@ use crate::router::VrfFib;
 pub enum ControlMode {
     /// Zero-latency transport (controller push): a message reaches the
     /// next router the instant it is sent, with no queueing, no wire time
-    /// and no link bytes, though a cut link still loses it; an MP-BGP
-    /// delta is applied at its target PE the instant it is originated.
-    /// Convergence takes no simulated time, and no control packet crosses
-    /// a link.
+    /// and no link bytes, though a cut link still loses it. An MP-BGP
+    /// delta crosses the P routers to its target PE the same way, when the
+    /// simulator runs at the instant it was sent. Convergence takes no
+    /// simulated time, and no control packet crosses a link.
     #[default]
     Oracle,
     /// In-band: messages are CS6 control packets through the same links
@@ -198,7 +203,7 @@ impl CtrlMsg {
     }
 
     /// Target PE ordinal of a BGP message (`None` for IGP/LDP).
-    pub(crate) fn bgp_target(&self) -> Option<usize> {
+    fn bgp_target(&self) -> Option<usize> {
         match *self {
             CtrlMsg::BgpUpdate { target, .. } | CtrlMsg::BgpWithdraw { target, .. } => Some(target),
             _ => None,
@@ -444,6 +449,10 @@ pub(crate) struct NodeControl {
     node: usize,
     /// What this router believes (re-seeded whole by `reconverge()`).
     pub(crate) view: NodeView,
+    /// This router's platform label space, taken from the LDP run that
+    /// seeded the view: its LDP bindings and every explicit-LSP label
+    /// come from here.
+    pub(crate) labels: LabelSpace,
     /// Per link id: (sequence, origination instant) of the link's latest
     /// event, which the provider network writes into both ends when the
     /// link fails or is repaired. The origination instant is when
@@ -471,11 +480,12 @@ pub(crate) struct NodeControl {
 
 impl NodeControl {
     /// Node `node`'s control plane, seeded from the converged bring-up
-    /// state `igp`/`ldp`.
-    pub(crate) fn new(cfg: Rc<ControlConfig>, node: usize, igp: &Igp, ldp: &LdpDomain) -> Self {
+    /// state `igp`/`ldp`, whose label space for the node it takes.
+    pub(crate) fn new(cfg: Rc<ControlConfig>, node: usize, igp: &Igp, ldp: &mut LdpDomain) -> Self {
         let links = cfg.topo.link_count();
         NodeControl {
             view: NodeView::seeded(&cfg, node, (igp, ldp), &vec![(0, false); links]),
+            labels: std::mem::take(&mut ldp.nodes[node].space),
             link_events: vec![(0, 0); links],
             held: vec![None; links],
             bytes_by_iface: vec![0; cfg.topo.degree(node)],
@@ -490,10 +500,11 @@ impl NodeControl {
         }
     }
 
-    /// Re-seeds the view from a global IGP/LDP recomputation over links
-    /// in `link_state` (`reconverge()`).
-    pub(crate) fn reseed(&mut self, igp: &Igp, ldp: &LdpDomain, link_state: &[(u64, bool)]) {
+    /// Re-seeds the view and the label space from a global IGP/LDP
+    /// recomputation over links in `link_state` (`reconverge()`).
+    pub(crate) fn reseed(&mut self, igp: &Igp, ldp: &mut LdpDomain, link_state: &[(u64, bool)]) {
         self.view = NodeView::seeded(&self.cfg, self.node, (igp, ldp), link_state);
+        self.labels = std::mem::take(&mut ldp.nodes[self.node].space);
         self.held.fill(None);
     }
 
@@ -592,7 +603,7 @@ impl NodeControl {
     /// Applies a BGP delta at this PE, its target, whichever transport
     /// carried it. A withdraw evicts the old route, then installs the
     /// replacement best path, if any.
-    pub(crate) fn apply_bgp(&mut self, vrfs: &mut [VrfFib], msg: CtrlMsg) {
+    fn apply_bgp(&mut self, vrfs: &mut [VrfFib], msg: CtrlMsg) {
         match msg {
             CtrlMsg::BgpUpdate { vrf_idx, prefix, egress_pe, vpn_label, .. } => {
                 self.install_route(&mut vrfs[vrf_idx], prefix, egress_pe, vpn_label);
@@ -826,21 +837,25 @@ impl NodeControl {
         self.transmit(iface, PROTO_BGP, pkt, ctx);
     }
 
-    /// Originates a BGP message at this PE: counts it, and returns the
-    /// interface toward its target PE along the view's shortest path
-    /// (`None`, counted undeliverable, when there is none).
-    pub(crate) fn originate_bgp(&mut self, msg: &CtrlMsg) -> Option<usize> {
-        let target = msg.bgp_target()?;
+    /// Originates an MP-BGP delta at this PE: counts it and sends it one
+    /// hop toward its target PE, as a transit router would (counted
+    /// undeliverable when the view has no path).
+    pub(crate) fn originate_bgp(&mut self, msg: CtrlMsg, ctx: &mut Ctx) {
+        let Some(target) = msg.bgp_target() else { return };
         self.stats.bgp_originated += 1;
-        let Some(nh) = self.view.spf.next_hop[self.cfg.pes[target]] else {
-            self.stats.undeliverable += 1;
-            return None;
-        };
-        Some(self.cfg.topo.iface_toward(self.node, nh))
+        let pkt = self.packet(msg, ctx);
+        self.forward_toward(self.cfg.pes[target], pkt, ctx);
     }
 
-    /// Sends `msg` on `iface`, in a spare box when there is one.
-    pub(crate) fn send_msg(&mut self, iface: usize, msg: CtrlMsg, ctx: &mut Ctx) {
+    /// Sends `msg` on `iface`.
+    fn send_msg(&mut self, iface: usize, msg: CtrlMsg, ctx: &mut Ctx) {
+        let pkt = self.packet(msg, ctx);
+        self.transmit(iface, msg.proto(), pkt, ctx);
+    }
+
+    /// A control packet from this router carrying `msg`, in a spare box
+    /// when there is one.
+    fn packet(&self, msg: CtrlMsg, ctx: &mut Ctx) -> Pkt {
         let fresh = Packet::udp(
             Ip(0xC0DE_0000 + self.node as u32),
             Ip(0xC0DE_FFFF),
@@ -851,7 +866,7 @@ impl NodeControl {
         );
         let mut pkt = ctx.boxed(fresh);
         msg.encode(&mut pkt.meta);
-        self.transmit(iface, msg.proto(), pkt, ctx);
+        pkt
     }
 
     /// Counts one control packet leaving on `iface` and hands it to the
@@ -1112,54 +1127,59 @@ mod tests {
         }
     }
 
-    /// An MP-BGP update crosses P routers in the packet its PE sent: it
-    /// arrives with the origin's source address, each hop counts one send
-    /// and one termination, and no P router's tables change.
+    /// An MP-BGP update crosses P routers in the packet its PE sent, under
+    /// either transport: it arrives with the origin's source address, each
+    /// hop counts one send and one termination, and no P router's tables
+    /// change. Only in band do its bytes load the links.
     #[test]
     fn bgp_update_crosses_p_routers_in_its_origin_packet() {
-        // PE0 (node 1) - P0 - P3 - PE1 (node 2).
-        let mut topo = Topology::new(4);
-        for (u, v) in [(1, 0), (0, 3), (3, 2)] {
-            topo.add_link(u, v, LinkAttrs { cost: 1, capacity_bps: 100_000_000 });
-        }
-        let mut pn = in_band(topo, vec![1, 2]);
-        let vpn = pn.new_vpn("acme");
-        pn.add_site(vpn, 1, Prefix::new(Ip(0x0A01_0000), 16), None);
-        pn.run_to_quiescence();
-        let (lfibs0, _) = tables(&pn);
-        let links = |pn: &ProviderNetwork| -> Vec<u64> {
-            (0..3).map(|l| pn.control_bytes_on_link(l)).collect()
-        };
-        let logs = |pn: &ProviderNetwork| -> Vec<usize> {
-            (0..4).map(|u| pn.backbone(u).1.sent.len()).collect()
-        };
-        let (stats0, from, links0) = (stats(&pn), logs(&pn), links(&pn));
-        let prefix = Prefix::new(Ip(0x0A02_0000), 16);
-        pn.add_site(vpn, 0, prefix, None);
-        pn.run_to_quiescence();
+        for mode in [ControlMode::Oracle, ControlMode::InBand] {
+            // PE0 (node 1) - P0 - P3 - PE1 (node 2).
+            let mut topo = Topology::new(4);
+            for (u, v) in [(1, 0), (0, 3), (3, 2)] {
+                topo.add_link(u, v, LinkAttrs { cost: 1, capacity_bps: 100_000_000 });
+            }
+            let mut pn = BackboneBuilder::new(topo, vec![1, 2]).control_mode(mode).build();
+            let vpn = pn.new_vpn("acme");
+            pn.add_site(vpn, 1, Prefix::new(Ip(0x0A01_0000), 16), None);
+            pn.run_to_quiescence();
+            let (lfibs0, _) = tables(&pn);
+            let links = |pn: &ProviderNetwork| -> Vec<u64> {
+                (0..3).map(|l| pn.control_bytes_on_link(l)).collect()
+            };
+            let logs = |pn: &ProviderNetwork| -> Vec<usize> {
+                (0..4).map(|u| pn.backbone(u).1.sent.len()).collect()
+            };
+            let (stats0, from, links0) = (stats(&pn), logs(&pn), links(&pn));
+            let prefix = Prefix::new(Ip(0x0A02_0000), 16);
+            pn.add_site(vpn, 0, prefix, None);
+            pn.run_to_quiescence();
 
-        // What each router sent since, by node id.
-        let sent: Vec<(usize, Ip, CtrlMsg)> = (0..4)
-            .flat_map(|u| pn.backbone(u).1.sent[from[u]..].iter().map(move |&(s, m)| (u, s, m)))
-            .collect();
-        let hops: Vec<(usize, Ip)> = sent.iter().map(|&(u, src, _)| (u, src)).collect();
-        let origin = Ip(0xC0DE_0001);
-        // PE0 (node 1), then P0 and P3; PE1 (node 2) sends nothing.
-        assert_eq!(hops, [(0, origin), (1, origin), (3, origin)], "one packet, three senders");
-        assert!(sent.iter().all(|&(_, _, m)| m == sent[0].2));
-        let stats = stats(&pn);
-        assert_eq!(stats.bgp_originated - stats0.bgp_originated, 1);
-        assert_eq!(stats.pkts_sent - stats0.pkts_sent, 3);
-        assert_eq!(stats.pkts_terminated - stats0.pkts_terminated, 3);
-        assert_eq!(stats.pkts_by_proto[PROTO_BGP] - stats0.pkts_by_proto[PROTO_BGP], 3);
-        let wire = (stats.bytes_sent - stats0.bytes_sent) / 3;
-        for (l, (after, before)) in links(&pn).into_iter().zip(links0).enumerate() {
-            assert_eq!(after - before, wire, "link {l}");
+            // What each router sent since, by node id.
+            let sent: Vec<(usize, Ip, CtrlMsg)> = (0..4)
+                .flat_map(|u| pn.backbone(u).1.sent[from[u]..].iter().map(move |&(s, m)| (u, s, m)))
+                .collect();
+            let hops: Vec<(usize, Ip)> = sent.iter().map(|&(u, src, _)| (u, src)).collect();
+            let origin = Ip(0xC0DE_0001);
+            // PE0 (node 1), then P0 and P3; PE1 (node 2) sends nothing.
+            assert_eq!(hops, [(0, origin), (1, origin), (3, origin)], "{mode:?}");
+            assert!(sent.iter().all(|&(_, _, m)| m == sent[0].2));
+            let stats = stats(&pn);
+            assert_eq!(stats.bgp_originated - stats0.bgp_originated, 1);
+            assert_eq!(stats.pkts_sent - stats0.pkts_sent, 3);
+            assert_eq!(stats.pkts_terminated - stats0.pkts_terminated, 3);
+            assert_eq!(stats.pkts_by_proto[PROTO_BGP] - stats0.pkts_by_proto[PROTO_BGP], 3);
+            let wire = (stats.bytes_sent - stats0.bytes_sent) / 3;
+            assert_eq!(wire == 0, mode == ControlMode::Oracle, "{mode:?} wire bytes {wire}");
+            for (l, (after, before)) in links(&pn).into_iter().zip(links0).enumerate() {
+                assert_eq!(after - before, wire, "link {l} under {mode:?}");
+            }
+            let (lfibs, _) = tables(&pn);
+            assert_eq!((&lfibs[0], &lfibs[3]), (&lfibs0[0], &lfibs0[3]), "P routers untouched");
+            let rows = pn.vrf_digest(1, vpn);
+            let row = rows.iter().find(|r| r.0 == prefix).expect("route installed at PE1");
+            let want = Some((0, Some(vec![2, 3, 0, 1])));
+            assert_eq!(row.1.as_ref().map(|r| (r.0, r.2.clone())), want, "{mode:?}");
         }
-        let (lfibs, _) = tables(&pn);
-        assert_eq!((&lfibs[0], &lfibs[3]), (&lfibs0[0], &lfibs0[3]), "P routers untouched");
-        let rows = pn.vrf_digest(1, vpn);
-        let row = rows.iter().find(|r| r.0 == prefix).expect("route installed at PE1");
-        assert_eq!(row.1.as_ref().map(|r| (r.0, r.2.clone())), Some((0, Some(vec![2, 3, 0, 1]))));
     }
 }

@@ -39,8 +39,9 @@ pub fn site_prefix(i: usize) -> Prefix {
 /// other PE, plus the reflector's refresh of a brand-new VRF), with the
 /// MP-BGP deltas the join originated: one per remote member PE, flat in
 /// the number of *sites*. The delta count is the same under either
-/// transport — packets on the wire under [`ControlMode::InBand`], deltas
-/// applied at once under [`ControlMode::Oracle`].
+/// transport: each delta is an update packet, on the wire under
+/// [`ControlMode::InBand`] and handed on at once under
+/// [`ControlMode::Oracle`].
 pub fn backbone_join_series(
     pe_count: usize,
     n_sites: usize,
@@ -58,7 +59,7 @@ pub fn backbone_join_series(
         let pe = i % pe_count;
         let (fabric_before, before) = (pn.fabric.messages(), originated(&pn));
         pn.add_site(vpn, pe, site_prefix(i), None);
-        // Let in-band updates propagate (one hop on a full mesh).
+        // Let the updates land (one hop on a full mesh).
         pn.run_for(20 * MSEC);
         let cost = JoinCost {
             // The join reconfigures exactly one device: the homing PE.

@@ -5,14 +5,17 @@
 //!
 //! 1. IGP convergence over the backbone ([`netsim_routing::Igp`]).
 //! 2. LDP label distribution for one tunnel FEC per PE
-//!    ([`netsim_mpls::LdpDomain`]); the resulting LFIBs are moved into the
-//!    simulated routers.
+//!    ([`netsim_mpls::LdpDomain`]). Each router's LFIB and label space move
+//!    into the simulated router, whose control plane is seeded from the
+//!    run; nothing else keeps it.
 //! 3. Backbone links are materialized in topology order, so simulator
 //!    interface numbers equal topology adjacency positions.
 //! 4. VPNs and sites are added through [`ProviderNetwork::new_vpn`] /
 //!    [`ProviderNetwork::add_site`]; the BGP/MPLS fabric selects the
 //!    routes and each change reaches the PE data planes as an MP-BGP
-//!    delta through the PEs' control planes ([`crate::control`]).
+//!    delta, a control message from the origin PE
+//!    ([`crate::control`]). Under either transport it lands when the
+//!    simulator runs; under the oracle, at the instant it was sent.
 
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -243,7 +246,7 @@ impl BackboneBuilder {
             mode: self.control_mode,
         });
         for u in 0..self.topo.node_count() {
-            let control = Some(Box::new(NodeControl::new(Rc::clone(&cfg), u, &igp, &ldp)));
+            let control = Some(Box::new(NodeControl::new(Rc::clone(&cfg), u, &igp, &mut ldp)));
             let lfib = std::mem::take(&mut ldp.nodes[u].lfib);
             let id = if let Some(&k) = pe_ordinal.get(&u) {
                 let mut pe = PeRouter::new(format!("PE{k}"), lfib, self.topo.degree(u));
@@ -274,8 +277,6 @@ impl BackboneBuilder {
         let mut pn = ProviderNetwork {
             net,
             topo: self.topo,
-            igp,
-            ldp,
             fabric,
             node_ids,
             pes: self.pes,
@@ -309,12 +310,6 @@ pub struct ProviderNetwork {
     pub net: Network,
     /// The backbone topology.
     pub topo: Topology,
-    /// Converged IGP.
-    pub igp: Igp,
-    /// LDP domain from bring-up or the last [`ProviderNetwork::reconverge`]
-    /// (label spaces and message counts). Its LFIBs have moved into the
-    /// routers, and the live FTNs are the routers' own views.
-    pub ldp: LdpDomain,
     /// The BGP/MPLS VPN route fabric.
     pub fabric: BgpVpnFabric,
     pub(crate) node_ids: Vec<NodeId>,
@@ -502,27 +497,15 @@ impl ProviderNetwork {
         changed.sort_unstable_by_key(|(h, _)| (h.pe, self.vrf_owners[h].0 .0));
     }
 
-    /// Delivers an MP-BGP delta originated at PE `origin_pe` along the
-    /// origin's view of the shortest path (counted undeliverable when
-    /// there is none). In-band, it leaves as a CS6 packet; under the
-    /// oracle, it is applied at the target PE at once, so a network that
-    /// never loses a link changes no state later than the call.
+    /// Sends an MP-BGP delta from PE `origin_pe` toward its target PE
+    /// along the origin's view of the shortest path (counted undeliverable
+    /// when there is none). It is a control packet under either
+    /// transport, so it changes the target's VRF when the simulator next
+    /// runs: at the current instant under the oracle.
     fn send_bgp(&mut self, origin_pe: usize, msg: CtrlMsg) {
-        let origin = self.pes[origin_pe];
-        let control = self.backbone_mut(origin).1;
-        let Some(iface) = control.originate_bgp(&msg) else { return };
-        match control.cfg.mode {
-            ControlMode::InBand => {
-                self.net.with_node(self.node_ids[origin], |pe: &mut PeRouter, ctx| {
-                    control_plane(&mut pe.control).send_msg(iface, msg, ctx);
-                });
-            }
-            ControlMode::Oracle => {
-                let Some(target) = msg.bgp_target() else { return };
-                let pe = self.net.node_mut::<PeRouter>(self.pe_node(target));
-                control_plane(&mut pe.control).apply_bgp(&mut pe.vrfs, msg);
-            }
-        }
+        self.net.with_node(self.pe_node(origin_pe), |pe: &mut PeRouter, ctx| {
+            control_plane(&mut pe.control).originate_bgp(msg, ctx);
+        });
     }
 
     /// The fabric's selected routes for one VRF.
@@ -728,7 +711,7 @@ impl ProviderNetwork {
             label_in[i] = if is_egress && php {
                 None
             } else {
-                Some(self.ldp.nodes[path[i]].space.allocate())
+                Some(self.backbone_mut(path[i]).1.labels.allocate())
             };
         }
         for (i, &u) in path.iter().enumerate() {
@@ -822,6 +805,12 @@ impl ProviderNetwork {
             sum += &c.stats;
         }
         Some(sum)
+    }
+
+    /// Labels allocated and not released, summed over every backbone
+    /// router's label space: LDP bindings plus explicit-LSP labels.
+    pub fn live_labels(&self) -> u64 {
+        self.controls().map(|c| c.labels.live()).sum()
     }
 
     /// Route installs skipped for lack of an LSP toward the egress.
@@ -1038,10 +1027,8 @@ impl ProviderNetwork {
             let (l, control) = self.backbone_mut(u);
             lfib.stats().merge(l.stats());
             *l = lfib;
-            control.reseed(&igp, &ldp, &links);
+            control.reseed(&igp, &mut ldp, &links);
         }
-        self.igp = igp;
-        self.ldp = ldp;
         // Then every PE's tunnel table follows its view, and every VRF
         // route is re-installed as LDP-following.
         self.seed_tunnel_tables();
@@ -1060,6 +1047,10 @@ impl ProviderNetwork {
     /// joins and detaches elsewhere leave the binding alone, and so does
     /// LDP repair after a link fails or recovers. Only the reference
     /// [`ProviderNetwork::reconverge`] restores the LDP tunnel.
+    ///
+    /// Pin after the provisioning has been delivered (`run_for(0)` under
+    /// the oracle transport, longer in band): an MP-BGP update for the
+    /// same prefix that lands after the pin replaces it.
     ///
     /// # Panics
     /// Panics if the VRF has no covering route for `prefix`.
@@ -1094,17 +1085,6 @@ impl ProviderNetwork {
     pub fn vrf_handle(&self, pe: usize, vpn: VpnId) -> Option<(VrfHandle, usize)> {
         self.vrf_handles.get(&(pe, vpn)).copied()
     }
-
-    /// Control-plane cost summary (experiments T1/M1).
-    pub fn control_summary(&self) -> ControlSummary {
-        ControlSummary {
-            igp_lsa_messages: self.igp.lsa_messages(),
-            ldp_messages: self.ldp.messages,
-            ldp_sessions: self.ldp.sessions,
-            bgp_messages: self.fabric.messages(),
-            bgp_sessions: self.fabric.session_count(),
-        }
-    }
 }
 
 /// The global IGP/LDP computation over the links of `topo` that are
@@ -1127,21 +1107,6 @@ fn converge(
 /// A backbone router's control plane (the builder gives each one).
 fn control_plane(control: &mut Option<Box<NodeControl>>) -> &mut NodeControl {
     control.as_deref_mut().expect("backbone routers own a control plane")
-}
-
-/// Aggregated control-plane costs of a provider network.
-#[derive(Clone, Copy, Debug)]
-pub struct ControlSummary {
-    /// IGP LSAs flooded.
-    pub igp_lsa_messages: u64,
-    /// LDP Label Mapping messages.
-    pub ldp_messages: u64,
-    /// LDP sessions (one per backbone adjacency).
-    pub ldp_sessions: u64,
-    /// BGP VPN update messages.
-    pub bgp_messages: u64,
-    /// iBGP sessions.
-    pub bgp_sessions: u64,
 }
 
 #[cfg(test)]
@@ -1294,17 +1259,42 @@ mod tests {
     }
 
     #[test]
-    fn control_summary_counts_are_positive_and_consistent() {
+    fn provisioning_costs_are_counted_where_they_happen() {
         let mut pn = line();
         let vpn = pn.new_vpn("acme");
         pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
         pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
-        let s = pn.control_summary();
-        assert!(s.ldp_messages > 0);
-        assert_eq!(s.ldp_sessions, 2);
-        assert_eq!(s.bgp_sessions, 2, "route reflector mode: one session per PE");
-        assert!(s.bgp_messages >= 2);
-        assert!(s.igp_lsa_messages > 0);
+        pn.run_for(0);
+        assert_eq!(pn.fabric.session_count(), 2, "route reflector mode: one session per PE");
+        assert!(pn.fabric.messages() >= 2);
+        // The second site's update to PE0, sent by PE1 and by P.
+        let s = pn.control_stats().unwrap();
+        assert_eq!(s.bgp_originated, 1);
+        assert_eq!(s.pkts_by_proto, [0, 0, 2]);
+        assert_eq!((s.pkts_sent, s.pkts_terminated, s.bytes_sent), (2, 2, 0));
+    }
+
+    /// Under the oracle an MP-BGP update is a packet like any other: the
+    /// remote VRF changes when the simulator runs, at the instant of the
+    /// call, not inside `add_site`.
+    #[test]
+    fn oracle_update_lands_when_the_simulator_runs() {
+        let mut pn = line();
+        let vpn = pn.new_vpn("acme");
+        pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
+        let prefix = pfx("10.2.0.0/16");
+        pn.add_site(vpn, 1, prefix, None);
+        let (handle, _) = pn.vrf_handle(1, vpn).unwrap();
+        let label = pn.fabric.local_routes(handle)[0].1;
+        let vrf_idx = pn.vrf_handle(0, vpn).unwrap().1;
+        let at_pe0 = |pn: &ProviderNetwork| {
+            pn.net.node_ref::<PeRouter>(pn.pe_node(0)).vrfs[vrf_idx].fib.get(prefix).cloned()
+        };
+        assert_eq!(at_pe0(&pn), None, "sent, not yet delivered");
+        pn.run_for(0);
+        assert_eq!(pn.net.now(), 0);
+        let want = VrfRoute::Remote { egress_pe: 1, vpn_label: label, tunnel: None };
+        assert_eq!(at_pe0(&pn), Some(want));
     }
 
     /// An extranet (paper §1: "linking customers and partners into
@@ -1463,7 +1453,8 @@ mod tests {
         let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
         let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
         let sink = pn.attach_sink(b, pfx("10.2.0.0/16"));
-        // Pin A→B onto the long path 0-2-3.
+        // Pin A→B onto the long path 0-2-3, once the route has landed.
+        pn.run_for(0);
         let ftn = pn.install_explicit_lsp(&[0, 2, 3]);
         pn.pin_prefix_to_tunnel(vpn, 0, pfx("10.2.0.0/16"), ftn);
         let to = pn.site_addr(b, 9);
@@ -1484,10 +1475,6 @@ mod tests {
         BackboneBuilder::new(topo, vec![0, len - 1]).php(php).build()
     }
 
-    fn live_labels(pn: &ProviderNetwork) -> u64 {
-        pn.ldp.nodes.iter().map(|n| n.space.live()).sum()
-    }
-
     /// An explicit LSP along a line installs a label chain the live LFIBs
     /// follow to the egress, allocating one label per labelled hop:
     /// len−2 with PHP (the egress takes the packet unlabelled), len−1
@@ -1498,10 +1485,10 @@ mod tests {
             for php in [true, false] {
                 let mut pn = line_of(len, php);
                 let path: Vec<usize> = (0..len).collect();
-                let before = live_labels(&pn);
+                let before = pn.live_labels();
                 let ftn = pn.install_explicit_lsp(&path);
                 let want = if php { len - 2 } else { len - 1 };
-                assert_eq!(live_labels(&pn) - before, want as u64, "len {len} php {php}");
+                assert_eq!(pn.live_labels() - before, want as u64, "len {len} php {php}");
                 assert_eq!(pn.walk_tunnel(0, &ftn, len - 1), Some(path), "len {len} php {php}");
             }
         }
@@ -1551,6 +1538,7 @@ mod tests {
         pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
         pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
         pn.add_site(vpn, 2, pfx("10.2.0.0/24"), None);
+        pn.run_for(0);
         let ftn = pn.install_explicit_lsp(&[0, 1, 2]);
         pn.pin_prefix_to_tunnel(vpn, 0, pfx("10.2.0.0/16"), ftn);
         let (handle, vrf_idx) = pn.vrf_handle(0, vpn).unwrap();

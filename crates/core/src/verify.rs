@@ -55,7 +55,9 @@ impl ProviderNetwork {
 
     /// Statically analyzes the provisioned control and QoS state and
     /// returns the diagnostics. A freshly built healthy network is
-    /// clean; see [`netsim_verify`] for the diagnostic-code table.
+    /// clean; see [`netsim_verify`] for the diagnostic-code table. Only
+    /// VRF routes that have landed are walked: provisioning reaches remote
+    /// PEs when the simulator runs (`run_for(0)` under the oracle).
     pub fn verify(&self) -> VerifyReport {
         let mut report = VerifyReport::new();
         let plane = self.extract_label_plane(&mut report);

@@ -22,6 +22,8 @@ fn testbed() -> ProviderNetwork {
     pn.add_site(acme, 1, pfx("10.2.0.0/16"), None);
     pn.add_site(globex, 0, pfx("10.1.0.0/16"), None);
     pn.add_site(globex, 1, pfx("10.2.0.0/16"), None);
+    // Deliver the MP-BGP updates, so every VRF holds its remote route.
+    pn.run_for(0);
     pn
 }
 

@@ -16,8 +16,6 @@
 //!   mapping prefixes to `(egress PE, VPN label)`, which `mplsvpn-core`
 //!   installs into PE data planes.
 
-use std::collections::HashMap;
-
 use netsim_mpls::LabelSpace;
 use netsim_net::{LpmTrie, Prefix};
 
@@ -121,9 +119,6 @@ struct PeControl {
     vrfs: Vec<VrfControl>,
     /// VPN label space (per-prefix allocation, the RFC 2547 default).
     label_space: LabelSpace,
-    /// Incoming VPN label → (local VRF index, prefix) — what the PE data
-    /// plane needs to dispatch a popped VPN label into the right VRF.
-    vpn_ilm: HashMap<u32, (usize, Prefix)>,
 }
 
 /// First label value the fabric hands out as a VPN label. Kept disjoint
@@ -148,7 +143,6 @@ impl BgpVpnFabric {
                 .map(|_| PeControl {
                     vrfs: Vec::new(),
                     label_space: LabelSpace::with_base(VPN_LABEL_BASE),
-                    vpn_ilm: HashMap::new(),
                 })
                 .collect(),
             rib: Vec::new(),
@@ -222,14 +216,15 @@ impl BgpVpnFabric {
     }
 
     /// Advertises `prefix` from `vrf` (a connected customer route learned
-    /// from the attached CE): allocates a VPN label, installs the egress
-    /// dispatch entry, and distributes the route to every importing VRF.
+    /// from the attached CE): allocates a VPN label, records it as the
+    /// VRF's local route, and distributes the route to every importing
+    /// VRF. The PE's data plane dispatches the label (`vpn_ilm` of the
+    /// PE router), not the fabric.
     /// Returns the VPN label and every VRF that selected the new route, in
     /// fabric order (PE, then VRF index).
     pub fn advertise(&mut self, vrf: VrfHandle, prefix: Prefix) -> (u32, Vec<RouteChange>) {
         let pe = &mut self.pes[vrf.pe];
         let label = pe.label_space.allocate();
-        pe.vpn_ilm.insert(label, (vrf.index, prefix));
         let v = &mut pe.vrfs[vrf.index];
         v.local.push((prefix, label));
         let mut ad = VpnRouteAd {
@@ -247,7 +242,7 @@ impl BgpVpnFabric {
     }
 
     /// Withdraws a previously advertised prefix: removes it from every
-    /// importer, frees the label, removes the dispatch entry — and, where
+    /// importer, frees the label, drops the local route — and, where
     /// another PE still advertises the same prefix (a multihomed site),
     /// fails importers over to the next-best path. Returns every VRF that
     /// held the withdrawn route, with its failover, in fabric order.
@@ -289,7 +284,6 @@ impl BgpVpnFabric {
             changed.push((h, best));
         }
         let pe = &mut self.pes[vrf.pe];
-        pe.vpn_ilm.remove(&ad.vpn_label);
         pe.label_space.release(ad.vpn_label);
         pe.vrfs[vrf.index].local.retain(|(p, _)| *p != prefix);
         changed
@@ -421,11 +415,6 @@ impl BgpVpnFabric {
         &self.pes[vrf.pe].vrfs[vrf.index].local
     }
 
-    /// All `(label, vrf index, prefix)` dispatch entries of a PE.
-    pub fn vpn_ilm(&self, pe: usize) -> impl Iterator<Item = (u32, usize, Prefix)> + '_ {
-        self.pes[pe].vpn_ilm.iter().map(|(&l, &(v, p))| (l, v, p))
-    }
-
     /// Per-PE control state size: (VRFs, imported routes, live VPN labels).
     /// The T1 state metric.
     pub fn pe_state(&self, pe: usize) -> (usize, usize, u64) {
@@ -439,14 +428,6 @@ impl BgpVpnFabric {
 mod tests {
     use super::*;
     use netsim_net::addr::pfx;
-
-    impl BgpVpnFabric {
-        /// Egress dispatch: which `(vrf index, prefix)` an incoming VPN label
-        /// on `pe` belongs to.
-        fn vpn_label_owner(&self, pe: usize, label: u32) -> Option<(usize, Prefix)> {
-            self.pes[pe].vpn_ilm.get(&label).copied()
-        }
-    }
 
     const RT_A: RouteTarget = RouteTarget(100);
     const RT_B: RouteTarget = RouteTarget(200);
@@ -490,9 +471,11 @@ mod tests {
         let (la, _) = f.advertise(a, pfx("10.0.0.0/8"));
         let (lb, _) = f.advertise(b, pfx("10.0.0.0/8"));
         assert_ne!(la, lb);
-        assert_eq!(f.vpn_label_owner(0, la), Some((a.index, pfx("10.0.0.0/8"))));
-        assert_eq!(f.vpn_label_owner(0, lb), Some((b.index, pfx("10.0.0.0/8"))));
-        assert_eq!(f.vpn_label_owner(1, la), None);
+        // Each label names its own VRF's prefix, and no other VRF's.
+        assert_eq!(f.local_routes(a), [(pfx("10.0.0.0/8"), la)]);
+        assert_eq!(f.local_routes(b), [(pfx("10.0.0.0/8"), lb)]);
+        // PE1 hosts no VRF, so it dispatches nothing.
+        assert_eq!(f.pe_state(1), (0, 0, 0));
     }
 
     #[test]
@@ -514,7 +497,7 @@ mod tests {
         assert!(f.routes(a0).lookup(pfx("172.16.0.0/12").addr()).is_some());
         f.withdraw(a1, pfx("172.16.0.0/12"));
         assert!(f.routes(a0).lookup(pfx("172.16.0.0/12").addr()).is_none());
-        assert_eq!(f.vpn_label_owner(1, l), None);
+        assert!(f.local_routes(a1).iter().all(|&(_, x)| x != l), "label {l} still dispatched");
         assert_eq!(f.pe_state(1).2, 0, "label freed");
         // Idempotent on a second withdraw.
         f.withdraw(a1, pfx("172.16.0.0/12"));

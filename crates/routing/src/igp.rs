@@ -1,4 +1,4 @@
-//! Link-state interior routing: SPF computation and a flooding cost model.
+//! Link-state interior routing: SPF computation.
 //!
 //! The paper's §2.2 observes that "routing protocols like OSPF used to build
 //! routing tables do not exchange QoS information" — the IGP here computes
@@ -93,18 +93,15 @@ impl SpfTree {
     }
 }
 
-/// The link-state IGP over a topology: per-node SPF trees plus an LSA
-/// flooding cost estimate.
+/// The link-state IGP over a topology, converged globally: one SPF tree
+/// per node.
 #[derive(Clone, Debug)]
 pub struct Igp {
     trees: Vec<SpfTree>,
-    lsa_messages: u64,
 }
 
 impl Igp {
-    /// Runs SPF from every node and tallies the flooding cost: each node
-    /// originates one LSA which is flooded once over every link (the
-    /// standard reliable-flooding lower bound, 2·E messages per LSA).
+    /// Runs SPF from every node.
     pub fn converge(topo: &Topology) -> Igp {
         Self::converge_filtered(topo, |_| true)
     }
@@ -112,11 +109,7 @@ impl Igp {
     /// Like [`Igp::converge`], but links for which `usable(link_id)` is
     /// false are ignored — the reconvergence path after a link failure.
     pub fn converge_filtered(topo: &Topology, usable: impl Fn(usize) -> bool) -> Igp {
-        let n = topo.node_count();
-        let live_links = (0..topo.link_count()).filter(|&l| usable(l)).count() as u64;
-        let trees = (0..n).map(|r| spf_filtered(topo, r, &usable)).collect();
-        let lsa_messages = (n as u64) * 2 * live_links;
-        Igp { trees, lsa_messages }
+        Igp { trees: (0..topo.node_count()).map(|r| spf_filtered(topo, r, &usable)).collect() }
     }
 
     /// The SPF tree rooted at `node`.
@@ -155,11 +148,6 @@ impl Igp {
             }
         }
         Some(path)
-    }
-
-    /// LSA messages flooded during convergence (M1 metric).
-    pub fn lsa_messages(&self) -> u64 {
-        self.lsa_messages
     }
 }
 
@@ -245,14 +233,6 @@ mod tests {
                 assert_eq!(igp.path_cost(a, b), igp.path_cost(b, a));
             }
         }
-    }
-
-    #[test]
-    fn flooding_cost_model() {
-        let t = Topology::ring(10, attrs(1));
-        let igp = Igp::converge(&t);
-        // 10 LSAs × 2 × 10 links.
-        assert_eq!(igp.lsa_messages(), 200);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Two control planes the paper's architecture assumes:
 //!
-//! * [`igp`] — a link-state interior gateway protocol (OSPF-like): LSA
-//!   flooding cost model and Dijkstra SPF with deterministic tie-breaking.
+//! * [`igp`] — a link-state interior gateway protocol (OSPF-like):
+//!   Dijkstra SPF with deterministic tie-breaking.
 //!   Its next hops drive LDP label distribution and backbone forwarding.
 //! * [`bgpvpn`] — the RFC 2547 machinery: route distinguishers make
 //!   overlapping customer prefixes globally unique, route targets control

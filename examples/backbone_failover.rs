@@ -37,6 +37,7 @@ fn main() {
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(vpn, 0, "10.1.0.0/16".parse().unwrap(), None);
     let b = pn.add_site(vpn, 1, "10.2.0.0/16".parse().unwrap(), None);
+    pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
     pn.verify().assert_clean("failover backbone, pre-cut");
     let sink = pn.attach_sink(b, "10.2.0.0/16".parse().unwrap());
 

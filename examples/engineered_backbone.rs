@@ -36,7 +36,9 @@ fn main() {
     println!("trunk 1 path: {:?}", te.path(t1).unwrap());
     println!("trunk 2 path: {:?}", te.path(t2).unwrap());
 
-    // Pin trunk 2's share of the destination block onto an explicit LSP.
+    // Pin trunk 2's share of the destination block onto an explicit LSP,
+    // once the MP-BGP updates have landed.
+    pn.run_for(0);
     let p2 = te.path(t2).unwrap().to_vec();
     let ftn = pn.install_explicit_lsp(&p2);
     pn.pin_prefix_to_tunnel(vpn, 0, "10.2.128.0/17".parse().unwrap(), ftn);

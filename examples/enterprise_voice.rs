@@ -43,6 +43,7 @@ fn main() {
     // verify the whole configuration: DSCP↔EXP map, RED profile, EF
     // admission against the 10 Mb/s bottleneck, labels, VRFs.
     pn.commit_ef_contract("enterprise voice", 4 * 100_000);
+    pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
     pn.verify().assert_clean("enterprise voice backbone");
     let sink = pn.attach_sink(branch, "10.2.0.0/16".parse().unwrap());
 

@@ -27,6 +27,7 @@ fn main() {
     let vpn = pn.new_vpn("acme");
     let hq = pn.add_site(vpn, 0, "10.1.0.0/16".parse().unwrap(), None);
     let branch = pn.add_site(vpn, 1, "10.2.0.0/16".parse().unwrap(), None);
+    pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
     let sink = pn.attach_sink(branch, "10.2.0.0/16".parse().unwrap());
 
     // CPE link-sharing tree on the uplink:

@@ -42,6 +42,7 @@ fn main() {
 
     // Static proof of isolation before the dynamic one below: the
     // route-target graph must show zero acme↔globex coupling.
+    pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
     pn.verify().assert_clean("overlapping customers");
 
     let sink_acme = pn.attach_sink(acme_b, "10.2.0.0/16".parse().unwrap());
@@ -69,9 +70,9 @@ fn main() {
     assert!(sa.flow(2).is_none() && sg.flow(1).is_none(), "cross-VPN leak!");
 
     // A third acme site joins at runtime: one call, one PE touched.
-    let before = pn.control_summary().bgp_messages;
+    let before = pn.fabric.messages();
     let acme_c = pn.add_site(acme, 2, "10.3.0.0/16".parse().unwrap(), None);
-    let joined_cost = pn.control_summary().bgp_messages - before;
+    let joined_cost = pn.fabric.messages() - before;
     let sink_c = pn.attach_sink(acme_c, "10.3.0.0/16".parse().unwrap());
     let cfg_c = SourceConfig::udp(3, pn.site_addr(acme_a, 8), pn.site_addr(acme_c, 1), 80, 400);
     pn.attach_cbr_source(acme_a, cfg_c, MSEC, Some(100));

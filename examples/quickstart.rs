@@ -19,7 +19,6 @@ fn main() {
     // 2. Build it: IGP converges, LDP distributes tunnel labels, routers
     //    materialize in the simulator.
     let mut pn = BackboneBuilder::new(topo, vec![0, 2]).build();
-    println!("control plane: {:?}", pn.control_summary());
 
     // 3. Provision a VPN with one site on each PE. Adding a site touches
     //    exactly one PE — the BGP/MPLS fabric tells everyone else.
@@ -27,8 +26,10 @@ fn main() {
     let seoul = pn.add_site(vpn, 0, "10.1.0.0/16".parse().unwrap(), None);
     let busan = pn.add_site(vpn, 1, "10.2.0.0/16".parse().unwrap(), None);
 
-    // 3b. Statically verify the provisioned control plane before pushing
-    //     traffic: label integrity, VRF isolation, QoS sanity.
+    // 3b. The MP-BGP updates land when the simulator runs. Then statically
+    //     verify the provisioned control plane before pushing traffic:
+    //     label integrity, VRF isolation, QoS sanity.
+    pn.run_for(0);
     pn.verify().assert_clean("quickstart backbone");
 
     // 4. Attach a measuring sink in Busan and a 1000-packet CBR source in
@@ -48,4 +49,8 @@ fn main() {
         f.jitter_ns / 1e6
     );
     assert_eq!(f.rx_packets, 1000);
+    // The control plane counts what it sent: one MP-BGP update per remote
+    // VRF, relayed PE → P → PE.
+    println!("iBGP sessions: {}", pn.fabric.session_count());
+    println!("control plane: {:?}", pn.control_stats().expect("control counters"));
 }

@@ -37,6 +37,9 @@ fn voice_fish_over(
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(vpn, 0, "10.1.0.0/16".parse().unwrap(), None);
     let b = pn.add_site(vpn, 1, "10.2.0.0/16".parse().unwrap(), None);
+    // The call starts once the MP-BGP updates have landed: at once under
+    // the oracle, after their trip across the fish in band.
+    pn.run_to_quiescence();
     let sink = pn.attach_sink(b, "10.2.0.0/16".parse().unwrap());
     let interval = 5 * MSEC;
     let total = 8 * SEC / interval;
@@ -81,25 +84,23 @@ fn fast_reroute_loses_exactly_four_packets() {
     assert_eq!(pn.active_switchovers(), 2);
 }
 
-/// The FRR story under both transports: the cut costs the same 4
-/// packets, control bytes cross links only in band, and once the local
-/// convergence delay has run out both points of local repair hold SPF
-/// views equal to a fresh recomputation's. (In
-/// band, the call's first packet also dies at t = 0, before the MP-BGP
-/// update reaches PE0, so the cut's toll is counted from the flight
-/// recorder. R2's FRR run checks that the bypass carries traffic: there
-/// the cut link's egress queue is full when the cut lands. Here no voice
-/// packet is past PE0 when it converges.)
+/// The FRR story under both transports: the call loses the same 4
+/// packets in all, each with a recorded cause, control bytes cross links
+/// only in band, and once the local convergence delay has run out both
+/// points of local repair hold SPF views equal to a fresh recomputation's.
+/// (R2's FRR run checks that the bypass carries traffic: there the cut
+/// link's egress queue is full when the cut lands. Here no voice packet is
+/// past PE0 when it converges.)
 #[test]
 fn fast_reroute_story_converges_the_points_of_local_repair() {
     for mode in [ControlMode::Oracle, ControlMode::InBand] {
-        let (mut pn, _sink, _total) = voice_fish_over(20 * MSEC, mode);
+        let (mut pn, sink, total) = voice_fish_over(20 * MSEC, mode);
         pn.protect_all_links(&SrlgMap::new(pn.topo.link_count()));
         pn.run_for(2 * SEC);
-        let dropped = pn.recorder().flow_drops(1);
         pn.fail_link(1);
         pn.run_for(6 * SEC);
-        assert_eq!(pn.recorder().flow_drops(1) - dropped, 4, "{mode:?}");
+        assert_eq!(lost(&pn, sink, total), 4, "{mode:?}");
+        assert_eq!(pn.recorder().flow_drops(1), 4, "{mode:?}");
         assert_eq!(pn.active_switchovers(), 2, "{mode:?}");
         let wire: u64 = (0..pn.topo.link_count()).map(|l| pn.control_bytes_on_link(l)).sum();
         assert_eq!(wire == 0, mode == ControlMode::Oracle, "control bytes on links: {wire}");

@@ -50,15 +50,28 @@ fn build() -> (ProviderNetwork, Vec<Vec<mplsvpn::vpn::SiteId>>) {
 fn provider_scale_delivery_and_isolation() {
     let (mut pn, sites) = build();
 
-    // Control-plane expectations at this size.
-    let cs = pn.control_summary();
-    assert_eq!(cs.bgp_sessions, PES as u64);
-    assert_eq!(cs.ldp_sessions, (CORE + 2 + PES) as u64);
+    // Control-plane expectations at this size. The fabric counts its
+    // route-reflector sessions and messages.
+    assert_eq!(pn.fabric.session_count(), PES as u64);
     // 32 advertisements with RR fan-out 1+(P-1) each, plus the RR replays
     // when each later site's fresh VRF catches up: Σ s = 28 per VPN.
     let fanout = (VPNS * SITES_PER_VPN * PES) as u64;
     let replays = (VPNS * SITES_PER_VPN * (SITES_PER_VPN - 1) / 2) as u64;
-    assert_eq!(cs.bgp_messages, fanout + replays);
+    assert_eq!(pn.fabric.messages(), fanout + replays);
+    // The routers count what they sent once the provisioning has landed:
+    // site s's join updates the s VRFs its VPN already has on other PEs,
+    // again Σ s = 28 MP-BGP deltas per VPN, each delivered.
+    pn.run_for(0);
+    let cs = pn.control_stats().expect("control counters");
+    assert_eq!(cs.bgp_originated, replays);
+    assert_eq!((cs.undeliverable, cs.no_lsp_to_egress), (0, 0));
+    assert_eq!(cs.pkts_sent, cs.pkts_terminated);
+    // Every PE's view holds an LDP tunnel to every other PE.
+    for i in 0..PES {
+        for j in (0..PES).filter(|&j| j != i) {
+            assert!(pn.view_tunnel(i, j).is_some(), "no LSP from PE{i} to PE{j}");
+        }
+    }
 
     // One sink per site; a ring of flows per VPN (site s → site s+1).
     let mut sinks = Vec::new();
