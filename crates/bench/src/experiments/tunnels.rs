@@ -6,9 +6,9 @@
 //! tunnel mesh each VPN rides, verifies every tunnel follows the IGP
 //! shortest path (stretch 1.0), and reports label stack depth.
 
-use mplsvpn_core::BackboneBuilder;
-use netsim_mpls::ldp::Fec;
+use mplsvpn_core::{BackboneBuilder, ProviderNetwork, SiteId};
 use netsim_net::addr::pfx;
+use netsim_routing::Topology;
 use netsim_sim::{Sink, SourceConfig, MSEC, SEC};
 
 use crate::table::{f2, Table};
@@ -27,52 +27,58 @@ pub struct TunnelRecord {
     stretch: f64,
 }
 
-/// Builds the Figure-2 scenario and walks every tunnel.
-pub fn measure() -> (Vec<TunnelRecord>, u64) {
-    // A standalone LDP run over the same topology the provider network
-    // uses (the builder moves its LFIBs into the simulated routers, so the
-    // mesh is walked on this probe instance — LDP is deterministic, both
-    // runs converge to identical tables).
+/// The Figure-2 backbone with V1's sites on PE0 and PE2, provisioned and
+/// verified clean.
+fn build() -> (ProviderNetwork, SiteId, SiteId) {
     let (t, pes) = topo::national(4, 4, 622);
-    let igp_probe = netsim_routing::Igp::converge(&t);
-    let adjacency = t.adjacency_lists();
-    let fecs: Vec<(Fec, usize)> =
-        pes.iter().enumerate().map(|(k, &pe)| (Fec(k as u32), pe)).collect();
-    let nh = |u: usize, v: usize| igp_probe.next_hop(u, v);
-    let ldp =
-        netsim_mpls::LdpDomain::run(&adjacency, &fecs, &nh, netsim_mpls::LdpConfig::default());
+    let mut pn = BackboneBuilder::new(t, pes).build();
+    let v1 = pn.new_vpn("V1");
+    let a = pn.add_site(v1, 0, pfx("10.1.0.0/16"), None);
+    let c = pn.add_site(v1, 2, pfx("10.3.0.0/16"), None);
+    pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
+    pn.verify().assert_clean("tunnel-state data-plane check");
+    (pn, a, c)
+}
 
+/// Walks every tunnel of the Figure-2 mesh through the live LFIBs of
+/// `pn`, and counts the tunnel labels its routers hold.
+pub fn measure(pn: &ProviderNetwork) -> (Vec<TunnelRecord>, u64) {
     let mut records = Vec::new();
-    let walk_pairs = |vpn: &str, members: &[usize], records: &mut Vec<TunnelRecord>| {
+    let mut walk_pairs = |vpn: &str, members: &[usize]| {
         for &i in members {
             for &j in members {
                 if i == j {
                     continue;
                 }
-                let (from, to) = (pes[i], pes[j]);
-                let path = ldp.walk(&adjacency, from, Fec(j as u32)).expect("tunnel must exist");
-                let cost = (path.len() - 1) as f64;
-                let best = igp_probe.path(from, to).expect("connected").len() as f64 - 1.0;
+                let path = pn.lsp_path(i, j).expect("tunnel must exist");
+                let cost: u64 = path.windows(2).map(|h| link_cost(&pn.topo, h[0], h[1])).sum();
+                let (from, to) = (path[0], path[path.len() - 1]);
+                let best = pn.effective_spf(from).dist[to];
                 records.push(TunnelRecord {
                     vpn: vpn.to_string(),
                     pes: (i, j),
                     path,
-                    stretch: cost / best,
+                    stretch: cost as f64 / best as f64,
                 });
             }
         }
     };
     // V1: sites on PE0, PE1, PE2. V2: sites on PE0, PE3 (paper Figure 2).
-    walk_pairs("V1", &[0, 1, 2], &mut records);
-    walk_pairs("V2", &[0, 3], &mut records);
-    let labels = ldp.total_labels();
-    (records, labels)
+    walk_pairs("V1", &[0, 1, 2]);
+    walk_pairs("V2", &[0, 3]);
+    (records, pn.live_labels())
 }
 
-/// Runs the experiment, also pushing one data flow per V1 site pair to
+/// IGP cost of the link between adjacent nodes `u` and `v`.
+fn link_cost(t: &Topology, u: usize, v: usize) -> u64 {
+    t.neighbors(u).find(|&(w, _, _)| w == v).expect("adjacent").1.cost
+}
+
+/// Runs the experiment, also pushing one data flow over V1 PE0→PE2 to
 /// prove the tunnels carry traffic, and renders the table.
 pub fn run(_quick: bool) -> String {
-    let (records, labels) = measure();
+    let (mut pn, a, c) = build();
+    let (records, labels) = measure(&pn);
     let mut t = Table::new(
         format!("F2: LSP tunnel mesh per VPN (total tunnel labels in backbone: {labels})"),
         &["vpn", "ingress→egress", "LSP path (backbone nodes)", "stretch"],
@@ -86,19 +92,12 @@ pub fn run(_quick: bool) -> String {
         ]);
     }
     let mut out = t.render();
-    out.push_str(&data_plane_check());
+    out.push_str(&data_plane_check(&mut pn, a, c));
     out
 }
 
-fn data_plane_check() -> String {
-    // One concrete V1 flow PE0→PE2 to prove the mesh carries data.
-    let (t, pes) = topo::national(4, 4, 622);
-    let mut pn = BackboneBuilder::new(t, pes).build();
-    let v1 = pn.new_vpn("V1");
-    let a = pn.add_site(v1, 0, pfx("10.1.0.0/16"), None);
-    let c = pn.add_site(v1, 2, pfx("10.3.0.0/16"), None);
-    pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
-    pn.verify().assert_clean("tunnel-state data-plane check");
+/// Sends 100 packets from site `a` to site `c` and reports how many arrive.
+fn data_plane_check(pn: &mut ProviderNetwork, a: SiteId, c: SiteId) -> String {
     let sink = pn.attach_sink(c, pfx("10.3.0.0/16"));
     let cfg = SourceConfig::udp(1, pn.site_addr(a, 1), pn.site_addr(c, 1), 5000, 200);
     pn.attach_cbr_source(a, cfg, MSEC, Some(100));
@@ -113,7 +112,7 @@ mod tests {
 
     #[test]
     fn tunnel_mesh_is_complete_and_shortest_path() {
-        let (records, labels) = measure();
+        let (records, labels) = measure(&build().0);
         // V1: 3 sites → 6 ordered pairs; V2: 2 sites → 2.
         assert_eq!(records.iter().filter(|r| r.vpn == "V1").count(), 6);
         assert_eq!(records.iter().filter(|r| r.vpn == "V2").count(), 2);
@@ -123,7 +122,8 @@ mod tests {
 
     #[test]
     fn tunnels_carry_data() {
-        let s = data_plane_check();
+        let (mut pn, a, c) = build();
+        let s = data_plane_check(&mut pn, a, c);
         assert!(s.contains("100 delivered"), "{s}");
     }
 }

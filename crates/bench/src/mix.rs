@@ -199,7 +199,7 @@ pub fn attach_mix_ipsec(
                     seed + i as u64,
                     Some(until),
                 )));
-                wire_extra_host(n, from, src);
+                wire_extra_host(n, from, src, 0);
                 src
             }
             SourceKind::OnOff => {
@@ -211,17 +211,8 @@ pub fn attach_mix_ipsec(
                     seed + i as u64,
                     Some(until),
                 )));
-                wire_extra_host(n, from, src);
-                n.net.arm_timer(src, 0, 1);
-                out.push(FlowDesc {
-                    id,
-                    name: spec.name,
-                    class: spec.class,
-                    dscp: spec.dscp,
-                    src,
-                    kind: spec.kind,
-                });
-                continue;
+                wire_extra_host(n, from, src, 1);
+                src
             }
         };
         out.push(FlowDesc {
@@ -236,10 +227,12 @@ pub fn attach_mix_ipsec(
     out
 }
 
-fn wire_extra_host(n: &mut IpsecVpnNetwork, gw: GwId, src: NodeId) {
+/// Connects source `src` to gateway `gw` and starts it with timer token
+/// `kick` (each source kind has its own start token).
+fn wire_extra_host(n: &mut IpsecVpnNetwork, gw: GwId, src: NodeId, kick: u64) {
     let gnode = n.gateway_node(gw);
     n.net.connect(src, gnode, netsim_sim::LinkConfig::new(1_000_000_000, 10_000));
-    n.net.arm_timer(src, 0, 0);
+    n.net.arm_timer(src, 0, kick);
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@ use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use netsim_mpls::ldp::{Fec, LdpConfig, LdpDomain};
+use netsim_mpls::walk::{walk, LabelTables, Walk};
 use netsim_mpls::Lfib;
 use netsim_net::{Ip, Packet, Prefix};
 use netsim_obs::FlightRecorder;
@@ -856,50 +857,12 @@ impl ProviderNetwork {
     pub fn lsp_path(&self, ingress: usize, egress: usize) -> Option<Vec<usize>> {
         let start = self.pes[ingress];
         let ftn = self.backbone(start).1.ftn(egress)?;
-        self.walk_tunnel(start, &ftn, self.pes[egress])
+        self.walk_ftn(start, &ftn).path_to(self.pes[egress])
     }
 
-    /// Follows a tunnel FTN from `start` through the live LFIBs until it
-    /// unwinds at `want` (or breaks). Dead links break the walk.
-    fn walk_tunnel(
-        &self,
-        start: usize,
-        ftn: &netsim_mpls::FtnEntry,
-        want: usize,
-    ) -> Option<Vec<usize>> {
-        use netsim_mpls::lfib::{LabelOp, LOCAL_IFACE};
-        let mut stack: Vec<u32> = ftn.push.into_iter().collect(); // bottom .. top
-        let mut at = start;
-        let mut iface = ftn.out_iface;
-        let mut path = vec![at];
-        for _ in 0..(4 * self.topo.node_count().max(4)) {
-            let (next, _, link) = self.topo.neighbors(at).nth(iface)?;
-            if !self.net.link_enabled(LinkId(link)) {
-                return None;
-            }
-            at = next;
-            path.push(at);
-            let Some(&top) = stack.last() else {
-                // PHP already exposed the payload: we must have arrived.
-                return (at == want).then_some(path);
-            };
-            let nhlfe = *self.backbone(at).0.lookup(top)?;
-            match nhlfe.op {
-                LabelOp::Pop => {
-                    stack.pop();
-                }
-                LabelOp::Swap(l) => *stack.last_mut().expect("nonempty") = l,
-                LabelOp::SwapPush { swap, push } => {
-                    *stack.last_mut().expect("nonempty") = swap;
-                    stack.push(push);
-                }
-            }
-            if nhlfe.out_iface == LOCAL_IFACE {
-                return (stack.is_empty() && at == want).then_some(path);
-            }
-            iface = nhlfe.out_iface;
-        }
-        None
+    /// Follows a tunnel FTN from `start` through the live LFIBs.
+    fn walk_ftn(&self, start: usize, ftn: &netsim_mpls::FtnEntry) -> Walk {
+        walk(self, self.topo.node_count(), start, ftn.push.as_slice(), ftn.out_iface)
     }
 
     /// Digest of one VRF's state at PE `pe` for cross-mode parity
@@ -921,7 +884,7 @@ impl ProviderNetwork {
                 VrfRoute::Local { .. } => (p, None),
                 VrfRoute::Remote { egress_pe, vpn_label, .. } => {
                     let path = PeRouter::resolve_tunnel(&per.tunnels, r)
-                        .and_then(|t| self.walk_tunnel(start, t, self.pes[egress_pe]));
+                        .and_then(|t| self.walk_ftn(start, t).path_to(self.pes[egress_pe]));
                     (p, Some((egress_pe, vpn_label, path)))
                 }
             })
@@ -1107,6 +1070,22 @@ fn converge(
 /// A backbone router's control plane (the builder gives each one).
 fn control_plane(control: &mut Option<Box<NodeControl>>) -> &mut NodeControl {
     control.as_deref_mut().expect("backbone routers own a control plane")
+}
+
+/// The live backbone as label tables: a link that is down leads nowhere,
+/// and a PE dispatches the VPN labels of its VRFs.
+impl LabelTables for ProviderNetwork {
+    fn far_end(&self, node: usize, iface: usize) -> Option<usize> {
+        let (next, _, link) = self.topo.neighbors(node).nth(iface)?;
+        self.net.link_enabled(LinkId(link)).then_some(next)
+    }
+    fn nhlfe(&self, node: usize, label: u32) -> Option<netsim_mpls::Nhlfe> {
+        self.backbone(node).0.lookup(label).copied()
+    }
+    fn dispatches(&self, node: usize, label: u32) -> bool {
+        self.pes.contains(&node)
+            && self.net.node_ref::<PeRouter>(self.node_ids[node]).vpn_ilm.contains_key(&label)
+    }
 }
 
 #[cfg(test)]
@@ -1489,7 +1468,11 @@ mod tests {
                 let ftn = pn.install_explicit_lsp(&path);
                 let want = if php { len - 2 } else { len - 1 };
                 assert_eq!(pn.live_labels() - before, want as u64, "len {len} php {php}");
-                assert_eq!(pn.walk_tunnel(0, &ftn, len - 1), Some(path), "len {len} php {php}");
+                assert_eq!(
+                    pn.walk_ftn(0, &ftn).path_to(len - 1),
+                    Some(path),
+                    "len {len} php {php}"
+                );
             }
         }
     }
@@ -1505,8 +1488,8 @@ mod tests {
             let ab = pn.install_explicit_lsp(&[0, 1, 2, 3]);
             let ba = pn.install_explicit_lsp(&[3, 2, 1, 0]);
             assert_eq!(entries(&pn), before + 2, "php {php}");
-            assert_eq!(pn.walk_tunnel(0, &ab, 3), Some(vec![0, 1, 2, 3]));
-            assert_eq!(pn.walk_tunnel(3, &ba, 0), Some(vec![3, 2, 1, 0]));
+            assert_eq!(pn.walk_ftn(0, &ab).path_to(3), Some(vec![0, 1, 2, 3]));
+            assert_eq!(pn.walk_ftn(3, &ba).path_to(0), Some(vec![3, 2, 1, 0]));
         }
     }
 

@@ -171,8 +171,6 @@ pub struct OverlayNetwork {
     sites: Vec<OverlaySite>,
     /// Next VC id per (node, iface).
     vc_alloc: HashMap<(usize, usize), u32>,
-    /// Extra interfaces attached per switch (beyond backbone degree).
-    extra_ifaces: Vec<usize>,
     /// Provisioned PVCs (unidirectional count; a site pair costs two).
     pub vcs_provisioned: u64,
     /// Device-touch operations performed by provisioning.
@@ -200,7 +198,6 @@ impl OverlayNetwork {
                 LinkConfig::new(attrs.capacity_bps, link_delay_ns),
             );
         }
-        let n = topo.node_count();
         OverlayNetwork {
             net,
             topo,
@@ -208,7 +205,6 @@ impl OverlayNetwork {
             node_ids,
             sites: Vec::new(),
             vc_alloc: HashMap::new(),
-            extra_ifaces: vec![0; n],
             vcs_provisioned: 0,
             provisioning_ops: 0,
             access_rate_bps: 100_000_000,
@@ -221,7 +217,6 @@ impl OverlayNetwork {
         let edge = self.net.add_node(Box::new(VcEdge::new(format!("EDGE{}", self.sites.len()))));
         let cfg = LinkConfig::new(self.access_rate_bps, self.access_delay_ns);
         let (_l, _e_if, sw_if) = self.net.connect(edge, self.node_ids[switch], cfg);
-        self.extra_ifaces[switch] += 1;
         let id = OverlaySiteId(self.sites.len());
         self.sites.push(OverlaySite { edge, switch, switch_iface: sw_if.0, prefix });
         id

@@ -71,12 +71,8 @@ impl LdpNodeState {
 pub struct LdpDomain {
     /// Per-node state, indexed by node id.
     pub nodes: Vec<LdpNodeState>,
-    /// Egress node per FEC.
-    pub egress: HashMap<Fec, usize>,
     /// Label Mapping messages exchanged during convergence.
     pub messages: u64,
-    /// Synchronous rounds until quiescence.
-    pub rounds: u32,
     /// LDP sessions (one per adjacency, both directions counted once).
     pub sessions: u64,
 }
@@ -177,49 +173,7 @@ impl LdpDomain {
             queue = next_queue;
         }
 
-        LdpDomain { nodes, egress: egress_of, messages, rounds, sessions }
-    }
-
-    /// Follows the installed tables from `ingress` toward `fec`, returning
-    /// the node path (including ingress and egress) or `None` if forwarding
-    /// fails. Used by tests and the tunnel experiments.
-    pub fn walk(&self, adjacency: &[Vec<usize>], ingress: usize, fec: Fec) -> Option<Vec<usize>> {
-        let egress = *self.egress.get(&fec)?;
-        if ingress == egress {
-            return Some(vec![ingress]);
-        }
-        let ftn = self.nodes[ingress].ftn.get(&fec)?;
-        let mut path = vec![ingress];
-        let mut label = ftn.push;
-        let mut at = *adjacency[ingress].get(ftn.out_iface)?;
-        for _ in 0..adjacency.len() {
-            path.push(at);
-            if at == egress {
-                return match label {
-                    // PHP: the label was already popped upstream.
-                    None => Some(path),
-                    // Non-PHP: the egress must hold a Pop entry for it.
-                    Some(l) => match self.nodes[at].lfib.lookup(l)?.op {
-                        LabelOp::Pop => Some(path),
-                        _ => None,
-                    },
-                };
-            }
-            let l = label?;
-            let nhlfe = self.nodes[at].lfib.lookup(l)?;
-            match nhlfe.op {
-                LabelOp::Swap(out) => {
-                    label = Some(out);
-                    at = *adjacency[at].get(nhlfe.out_iface)?;
-                }
-                LabelOp::Pop => {
-                    label = None;
-                    at = *adjacency[at].get(nhlfe.out_iface)?;
-                }
-                LabelOp::SwapPush { .. } => return None, // LDP never installs these
-            }
-        }
-        None
+        LdpDomain { nodes, messages, sessions }
     }
 
     /// Total labels allocated across all LSRs (state metric for T1).
@@ -231,6 +185,37 @@ impl LdpDomain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walk::{walk, LabelTables};
+
+    /// A converged domain read as label tables: interface `i` of node `u`
+    /// leads to `adjacency[u][i]`.
+    struct Tables<'a>(&'a LdpDomain, &'a [Vec<usize>]);
+
+    impl LabelTables for Tables<'_> {
+        fn far_end(&self, node: usize, iface: usize) -> Option<usize> {
+            self.1[node].get(iface).copied()
+        }
+        fn nhlfe(&self, node: usize, label: u32) -> Option<Nhlfe> {
+            self.0.nodes[node].lfib.lookup(label).copied()
+        }
+        fn dispatches(&self, _: usize, _: u32) -> bool {
+            false
+        }
+    }
+
+    /// The node path of `fec`'s LSP from `ingress`, when it unwinds at
+    /// `egress`.
+    fn lsp(
+        d: &LdpDomain,
+        adj: &[Vec<usize>],
+        ingress: usize,
+        fec: Fec,
+        egress: usize,
+    ) -> Option<Vec<usize>> {
+        let ftn = d.nodes[ingress].ftn.get(&fec)?;
+        walk(&Tables(d, adj), adj.len(), ingress, ftn.push.as_slice(), ftn.out_iface)
+            .path_to(egress)
+    }
 
     /// Hop-count next-hop on an adjacency list via BFS (deterministic:
     /// lowest neighbor id wins ties).
@@ -286,14 +271,12 @@ mod tests {
         let d = LdpDomain::run(&adj, &[(Fec(0), 4)], &nh, LdpConfig { php: true });
         // Every non-egress node walks to the egress.
         for ingress in 0..4 {
-            assert_eq!(d.walk(&adj, ingress, Fec(0)), Some((ingress..=4).collect::<Vec<_>>()));
+            assert_eq!(lsp(&d, &adj, ingress, Fec(0), 4), Some((ingress..=4).collect::<Vec<_>>()));
         }
         // PHP: egress allocated no label; nodes 1..=3 allocated one each,
         // plus node 0 (ingress also re-advertises).
         assert_eq!(d.nodes[4].space.live(), 0);
         assert_eq!(d.total_labels(), 4);
-        // 4 propagation rounds plus the final quiescent delivery round.
-        assert_eq!(d.rounds, 5);
         assert_eq!(d.sessions, 4);
     }
 
@@ -303,7 +286,7 @@ mod tests {
         let nh = bfs_next_hop(&adj);
         let d = LdpDomain::run(&adj, &[(Fec(0), 2)], &nh, LdpConfig { php: false });
         assert_eq!(d.nodes[2].space.live(), 1, "egress allocates an explicit label");
-        assert_eq!(d.walk(&adj, 0, Fec(0)), Some(vec![0, 1, 2]));
+        assert_eq!(lsp(&d, &adj, 0, Fec(0), 2), Some(vec![0, 1, 2]));
         // The penultimate hop swaps (not pops) under non-PHP.
         let local1 = d.nodes[1].bindings[&Fec(0)];
         assert!(matches!(d.nodes[1].lfib.lookup(local1).unwrap().op, LabelOp::Swap(_)));
@@ -325,7 +308,7 @@ mod tests {
             // Every node can reach every FEC.
             for f in 0..n {
                 if f != u {
-                    let path = d.walk(&adj, u, Fec(f as u32)).expect("reachable");
+                    let path = lsp(&d, &adj, u, Fec(f as u32), f).expect("reachable");
                     assert_eq!(*path.last().unwrap(), f);
                     assert_eq!(path[0], u);
                 }
@@ -347,7 +330,7 @@ mod tests {
         for src in 1..=4usize {
             for dst in 1..=4usize {
                 if src != dst {
-                    assert_eq!(d.walk(&adj, src, Fec(dst as u32)), Some(vec![src, 0, dst]));
+                    assert_eq!(lsp(&d, &adj, src, Fec(dst as u32), dst), Some(vec![src, 0, dst]));
                 }
             }
         }
@@ -361,7 +344,7 @@ mod tests {
         let adj = vec![vec![1], vec![0], vec![]];
         let nh = bfs_next_hop(&adj);
         let d = LdpDomain::run(&adj, &[(Fec(9), 2)], &nh, LdpConfig::default());
-        assert!(d.walk(&adj, 0, Fec(9)).is_none());
+        assert!(lsp(&d, &adj, 0, Fec(9), 2).is_none());
         assert!(!d.nodes[0].ftn.contains_key(&Fec(9)));
     }
 

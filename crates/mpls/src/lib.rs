@@ -10,6 +10,9 @@
 //!   that runs in synchronous rounds over a topology and counts every
 //!   Label Mapping message — the currency of the paper's scalability
 //!   argument (§2.1 vs §4).
+//! * [`walk`] — follows a pushed label stack through any node's tables to
+//!   where it unwinds; the verifier, the live network's LSP paths and the
+//!   LDP tests all ask it.
 //!
 //! The paper (§3): "MPLS brings the same kind of label swapping based
 //! forwarding used in frame relay and ATM to the handling of IP traffic."
@@ -40,6 +43,7 @@
 pub mod label;
 pub mod ldp;
 pub mod lfib;
+pub mod walk;
 
 pub use label::LabelSpace;
 pub use ldp::{Fec, LdpConfig, LdpDomain, LdpNodeState};

@@ -16,6 +16,7 @@
 
 use crate::diag::{codes, Severity, VerifyReport};
 use netsim_mpls::lfib::{LabelOp, Nhlfe, LOCAL_IFACE};
+use netsim_mpls::walk::{LabelTables, Stop};
 use netsim_net::mpls::{MAX_LABEL, MIN_UNRESERVED_LABEL};
 
 /// One router's label-plane state.
@@ -213,113 +214,58 @@ fn check_loops(plane: &LabelPlane, report: &mut VerifyReport) {
     }
 }
 
-/// Simulates one ingress stack hop by hop.
+impl LabelTables for LabelPlane {
+    fn far_end(&self, node: usize, iface: usize) -> Option<usize> {
+        self.nodes[node].neighbors.get(iface).copied().flatten()
+    }
+    fn nhlfe(&self, node: usize, label: u32) -> Option<Nhlfe> {
+        lookup(&self.nodes[node], label).copied()
+    }
+    fn dispatches(&self, node: usize, label: u32) -> bool {
+        self.nodes[node].local_labels.contains(&label)
+    }
+}
+
+/// Walks one ingress stack and reports where it stops short of the
+/// advertised egress.
 fn check_walk(plane: &LabelPlane, walk: &StackWalk, report: &mut VerifyReport) {
     let origin = &plane.nodes[walk.origin];
-    let loc = format!("{} FTN {}", origin.name, walk.fec);
-    let mut stack = walk.push.clone();
-    for &l in &stack {
+    for &l in &walk.push {
         if !check_wire_label(&origin.name, &format!("FTN {} push", walk.fec), l, report) {
             return;
         }
     }
-    let mut cur = walk.origin;
-    let mut iface = walk.out_iface;
-    let hop_limit = plane.nodes.len() * 8 + 16;
-    let mut hops = 0usize;
-    loop {
-        hops += 1;
-        if hops > hop_limit {
-            report.push(
-                codes::LBL_LOOP,
-                Severity::Error,
-                loc,
-                format!("walk exceeded {hop_limit} hops without delivery (label loop)"),
-            );
-            return;
-        }
-        // Move across the wire, unless the op said "deliver here".
-        if iface != LOCAL_IFACE {
-            let Some(Some(v)) = plane.nodes[cur].neighbors.get(iface).copied() else {
-                report.push(
-                    codes::LBL_DANGLING,
-                    Severity::Error,
-                    loc,
-                    format!("interface {iface} at {} leads nowhere", plane.nodes[cur].name),
-                );
-                return;
-            };
-            cur = v;
-        }
-        let node = &plane.nodes[cur];
-        let Some(&top) = stack.last() else {
-            // Unlabeled arrival: the far end IP-forwards; delivery is here.
-            deliver(walk, cur, node, &loc, report);
-            return;
-        };
-        if let Some(nhlfe) = lookup(node, top) {
-            match nhlfe.op {
-                LabelOp::Swap(out) => {
-                    *stack.last_mut().expect("non-empty") = out;
-                    iface = nhlfe.out_iface;
-                }
-                LabelOp::SwapPush { swap, push } => {
-                    *stack.last_mut().expect("non-empty") = swap;
-                    stack.push(push);
-                    iface = nhlfe.out_iface;
-                }
-                LabelOp::Pop => {
-                    stack.pop();
-                    if stack.is_empty() && nhlfe.out_iface == LOCAL_IFACE {
-                        deliver(walk, cur, node, &loc, report);
-                        return;
-                    }
-                    iface = nhlfe.out_iface;
-                }
-            }
-        } else if node.local_labels.contains(&top) {
-            stack.pop();
-            if stack.is_empty() {
-                deliver(walk, cur, node, &loc, report);
-            } else {
-                report.push(
-                    codes::LBL_BLACKHOLE,
-                    Severity::Error,
-                    loc,
-                    format!(
-                        "VPN label {top} dispatched at {} with {} labels still stacked",
-                        node.name,
-                        stack.len()
-                    ),
-                );
-            }
-            return;
-        } else {
-            report.push(
+    let name = |u: usize| &plane.nodes[u].name;
+    let stop =
+        netsim_mpls::walk::walk(plane, plane.nodes.len(), walk.origin, &walk.push, walk.out_iface)
+            .stop;
+    let (code, message) = match stop {
+        Stop::Delivered(at) => match walk.expect_delivery {
+            Some(expect) if expect != at => (
                 codes::LBL_BLACKHOLE,
-                Severity::Error,
-                loc,
-                format!("no ILM entry for label {top} at {} — traffic black-holes", node.name),
-            );
-            return;
+                format!("stack unwound at {} but the advertised egress is node {expect}", name(at)),
+            ),
+            _ => return,
+        },
+        Stop::NoLink(node, iface) => {
+            (codes::LBL_DANGLING, format!("interface {iface} at {} leads nowhere", name(node)))
         }
-    }
-}
-
-fn deliver(walk: &StackWalk, at: usize, node: &LabelNode, loc: &str, report: &mut VerifyReport) {
-    if let Some(expect) = walk.expect_delivery {
-        if expect != at {
-            report.push(
-                codes::LBL_BLACKHOLE,
-                Severity::Error,
-                loc.to_string(),
-                format!(
-                    "stack unwound at {} but the advertised egress is node {expect}",
-                    node.name
-                ),
-            );
+        Stop::NoIlm(node, label) => (
+            codes::LBL_BLACKHOLE,
+            format!("no ILM entry for label {label} at {} — traffic black-holes", name(node)),
+        ),
+        Stop::Dispatched(node, label, left) => (
+            codes::LBL_BLACKHOLE,
+            format!(
+                "VPN label {label} dispatched at {} with {left} labels still stacked",
+                name(node)
+            ),
+        ),
+        Stop::HopLimit(limit) => {
+            (codes::LBL_LOOP, format!("walk exceeded {limit} hops without delivery (label loop)"))
         }
-    }
+    };
+    report.push(code, Severity::Error, format!("{} FTN {}", origin.name, walk.fec), message);
 }
 
 /// Runs the full label-plane pass over a model.
