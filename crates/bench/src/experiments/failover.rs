@@ -55,9 +55,9 @@ pub struct FailoverResult {
     sla_violations: usize,
     /// Bypass switchovers activated by the cut.
     pub switchovers: u64,
-    /// Control packets the routers sent over the run, under either
-    /// transport: the MP-BGP packets that brought the VPN up, then the
-    /// LSAs and LDP messages of the reaction.
+    /// Control packets the routers sent since the network came up, under
+    /// either transport: the MP-BGP packets that brought the VPN up, then
+    /// the LSAs and LDP messages of the reaction.
     pub control_messages: u64,
     /// Worst LSA propagation+processing latency of the control plane, ns
     /// (0 in oracle arms — the oracle transport takes no simulated time).
@@ -90,6 +90,7 @@ pub fn measure(
         .detection(detection_ns)
         .control_mode(control_mode)
         .build();
+    let at_bring_up = pn.control_stats().expect("every network exposes control stats").pkts_sent;
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
     let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
@@ -136,7 +137,7 @@ pub fn measure(
         loss_window_ns: voice_lost * 2_500_000,
         sla_violations,
         switchovers: out.switchovers,
-        control_messages: ctrl.pkts_sent,
+        control_messages: ctrl.pkts_sent - at_bring_up,
         ctrl_propagation_ns: pn.control_convergence_ns().map_or(0, |(_, _, max)| max),
         cs6_control_packets,
     };

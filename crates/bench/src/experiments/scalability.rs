@@ -6,13 +6,15 @@
 //! medium-sized VPN), about 20,000 virtual circuits would be required."
 //!
 //! Both models are *built*, not just counted: the overlay provisions every
-//! PVC hop by hop through a switch fabric; the MPLS/BGP side runs LDP plus
-//! the VPN route fabric. Columns report circuits, state and control cost.
+//! PVC hop by hop through a switch fabric; the MPLS/BGP side brings up a
+//! provider network, whose routers distribute the tunnel labels over LDP,
+//! and fills its VPN route fabric. Columns report circuits, state and
+//! control cost.
 
 use mplsvpn_core::membership::site_prefix;
 use mplsvpn_core::overlay::OverlayNetwork;
-use netsim_mpls::ldp::{Fec, LdpConfig, LdpDomain};
-use netsim_routing::{BgpVpnFabric, Igp, RouteDistinguisher, RouteTarget};
+use mplsvpn_core::BackboneBuilder;
+use netsim_routing::{RouteDistinguisher, RouteTarget};
 
 use crate::table::Table;
 use crate::{parallel_sweep, topo};
@@ -50,35 +52,30 @@ pub fn measure(n: usize) -> ScalePoint {
     let sites: Vec<_> = (0..n).map(|i| ov.add_site(i % DEVICES, site_prefix(i))).collect();
     ov.full_mesh(&sites);
 
-    // --- MPLS/BGP: PEs on a ring, LDP tunnels + VPN route fabric.
+    // --- MPLS/BGP: PEs on a ring, brought up with their LDP tunnels, and
+    // the network's VPN route fabric.
     let (mtopo, pes) = topo::national(DEVICES, DEVICES, 622);
-    let igp = Igp::converge(&mtopo);
-    let adjacency = mtopo.adjacency_lists();
-    let fecs: Vec<(Fec, usize)> =
-        pes.iter().enumerate().map(|(k, &pe)| (Fec(k as u32), pe)).collect();
-    let nh = |u: usize, v: usize| igp.next_hop(u, v);
-    let ldp = LdpDomain::run(&adjacency, &fecs, &nh, LdpConfig::default());
-
-    let mut fabric = BgpVpnFabric::new(DEVICES);
+    let mut pn = BackboneBuilder::new(mtopo, pes).build();
     let rt = RouteTarget(1);
     let mut handles = Vec::new();
     for pe in 0..DEVICES {
-        handles.push(fabric.add_vrf(pe, RouteDistinguisher::new(65000, 1), vec![rt], vec![rt]));
+        handles.push(pn.fabric.add_vrf(pe, RouteDistinguisher::new(65000, 1), vec![rt], vec![rt]));
     }
     for i in 0..n {
-        fabric.advertise(handles[i % DEVICES], site_prefix(i));
+        pn.fabric.advertise(handles[i % DEVICES], site_prefix(i));
     }
-    let mpls_max_pe_routes = (0..DEVICES).map(|pe| fabric.pe_state(pe).1).max().unwrap_or(0);
+    let mpls_max_pe_routes = (0..DEVICES).map(|pe| pn.fabric.pe_state(pe).1).max().unwrap_or(0);
 
     ScalePoint {
         n,
         overlay_circuits: ov.circuit_pairs(),
         overlay_state: ov.total_switch_state(),
         overlay_ops: ov.provisioning_ops,
-        mpls_updates: fabric.messages(),
+        mpls_updates: pn.fabric.messages(),
         mpls_max_pe_routes,
-        mpls_tunnel_labels: ldp.total_labels(),
-        mpls_sessions: ldp.sessions + fabric.session_count(),
+        mpls_tunnel_labels: pn.live_labels(),
+        // One LDP session per backbone link, plus the iBGP sessions.
+        mpls_sessions: pn.topo.link_count() as u64 + pn.fabric.session_count(),
     }
 }
 

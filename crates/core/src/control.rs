@@ -39,6 +39,11 @@
 //! delta sent under the oracle lands when the simulator next runs, at the
 //! instant it was sent.
 //!
+//! A router starts cold (`NodeControl::restart`), at bring-up and in
+//! the reference `reconverge()`: it knows its link states and nothing of
+//! LDP, and its bindings arrive through the same deltas (RFC 5036 §2.6),
+//! over the zero-latency transport under either mode.
+//!
 //! Fast reroute composes with convergence as RFC 8333 ("Micro-loop
 //! Prevention by Introducing a Local Convergence Delay") has it: a router
 //! that detects a failure on an interface with a bypass installed, the
@@ -53,14 +58,13 @@
 
 use std::rc::Rc;
 
-use netsim_mpls::ldp::{Fec, LdpDomain};
-use netsim_mpls::lfib::{FtnEntry, LabelOp, Lfib, Nhlfe};
+use netsim_mpls::lfib::{FtnEntry, LabelOp, Lfib, Nhlfe, LOCAL_IFACE};
 use netsim_mpls::LabelSpace;
 use netsim_net::mpls::IMPLICIT_NULL;
 use netsim_net::{Dscp, Ip, Packet, Pkt, PktMeta, Prefix};
 use netsim_obs::Histogram;
 use netsim_qos::Nanos;
-use netsim_routing::{Igp, SpfTree, Topology};
+use netsim_routing::{SpfTree, Topology};
 use netsim_sim::{Ctx, IfaceId};
 
 use crate::router::VrfFib;
@@ -318,8 +322,9 @@ fn bgp_word(prefix: Prefix, label: Option<u32>) -> u64 {
     u64::from(prefix.addr().0) | u64::from(prefix.len()) << 32 | label << 38
 }
 
-/// Control-plane counters, all emergent (counted, not analytic). Each
-/// router counts its own; the provider network sums them when read.
+/// Control-plane counters, all emergent (counted, not analytic), since the
+/// network came up: bring-up's LDP mappings count too. Each router counts
+/// its own; the provider network sums them when read.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CtrlStats {
     /// BGP VPN updates/withdraws originated at PEs.
@@ -362,11 +367,12 @@ impl std::ops::AddAssign<&CtrlStats> for CtrlStats {
 }
 
 /// What one router currently believes: its link-state database, SPF tree
-/// and LDP session state. Seeded from the global recomputation at
-/// bring-up (and by the reference `reconverge()`), otherwise maintained
-/// purely by messages and the router's own detection events. Dense:
-/// indexed by link id, tunnel FEC ordinal (egress-PE index) and neighbor
-/// node id, so applying a message hashes nothing.
+/// and LDP session state. A cold start ([`NodeControl::restart`]) knows
+/// only the link states; everything else arrives in messages or follows
+/// from the router's own detection events. Dense: indexed by link id,
+/// tunnel FEC ordinal (egress-PE index) and neighbor node id, so applying
+/// a message hashes nothing.
+#[derive(Default)]
 pub(crate) struct NodeView {
     /// Latest applied (seq, down) per link: LSA dedup state and topology.
     link_state: Vec<(u64, bool)>,
@@ -382,41 +388,6 @@ pub(crate) struct NodeView {
     /// Whether each tunnel FEC's egress is currently believed reachable
     /// (drives withdraw / re-advertise on transitions).
     fec_reachable: Vec<bool>,
-}
-
-impl NodeView {
-    /// Node `u`'s copy of a global IGP/LDP recomputation, believing
-    /// `link_state`, whose sequence numbers make in-flight LSAs older than
-    /// the recomputation stale.
-    fn seeded(
-        ControlConfig { topo, pes, .. }: &ControlConfig,
-        u: usize,
-        (igp, ldp): (&Igp, &LdpDomain),
-        link_state: &[(u64, bool)],
-    ) -> NodeView {
-        let (n, np) = (topo.node_count(), pes.len());
-        let spf = igp.tree(u).clone();
-        let st = &ldp.nodes[u];
-        let mut view = NodeView {
-            link_state: link_state.to_vec(),
-            fec_reachable: pes.iter().map(|&e| u == e || spf.next_hop[e].is_some()).collect(),
-            spf,
-            bindings: vec![None; np],
-            received: vec![None; n * np],
-            ftn: vec![None; np],
-        };
-        // Every map entry fills its own slot: map order cannot matter.
-        for (&Fec(f), &label) in &st.bindings {
-            view.bindings[f as usize] = Some(label);
-        }
-        for (&(Fec(f), nbr), &label) in &st.received {
-            view.received[nbr * np + f as usize] = Some(label);
-        }
-        for (&Fec(f), &entry) in &st.ftn {
-            view.ftn[f as usize] = Some(entry);
-        }
-        view
-    }
 }
 
 /// Mutable references to one router's forwarding tables, lent to its
@@ -436,6 +407,9 @@ pub(crate) struct ControlConfig {
     pub(crate) topo: Topology,
     /// Topology node of each PE ordinal.
     pub(crate) pes: Vec<usize>,
+    /// Penultimate-hop popping: an egress binds implicit null to its own
+    /// FEC, else a label it pops itself.
+    pub(crate) php: bool,
     /// How messages travel between routers.
     pub(crate) mode: ControlMode,
 }
@@ -447,11 +421,10 @@ pub(crate) struct NodeControl {
     pub(crate) cfg: Rc<ControlConfig>,
     /// This router's backbone topology node id.
     node: usize,
-    /// What this router believes (re-seeded whole by `reconverge()`).
+    /// What this router believes (reset whole by a cold restart).
     pub(crate) view: NodeView,
-    /// This router's platform label space, taken from the LDP run that
-    /// seeded the view: its LDP bindings and every explicit-LSP label
-    /// come from here.
+    /// This router's platform label space: its LDP bindings and every
+    /// explicit-LSP label come from here.
     pub(crate) labels: LabelSpace,
     /// Per link id: (sequence, origination instant) of the link's latest
     /// event, which the provider network writes into both ends when the
@@ -464,6 +437,9 @@ pub(crate) struct NodeControl {
     /// ([`LOCAL_CONVERGENCE_DELAY`]). Its SPF keeps using the link, and
     /// its LDP session with the far end lives on, until the hold ends.
     held: Vec<Option<Nanos>>,
+    /// The transport this router sends on: the configured mode, except
+    /// while a cold restart's messages drain, which ride the oracle.
+    transport: ControlMode,
     /// Control bytes this router put on each backbone interface.
     bytes_by_iface: Vec<u64>,
     /// Propagation + processing latency of the LSAs recorded here, ns.
@@ -479,15 +455,16 @@ pub(crate) struct NodeControl {
 }
 
 impl NodeControl {
-    /// Node `node`'s control plane, seeded from the converged bring-up
-    /// state `igp`/`ldp`, whose label space for the node it takes.
-    pub(crate) fn new(cfg: Rc<ControlConfig>, node: usize, igp: &Igp, ldp: &mut LdpDomain) -> Self {
+    /// Node `node`'s control plane, empty until its first
+    /// [`NodeControl::restart`].
+    pub(crate) fn new(cfg: Rc<ControlConfig>, node: usize) -> Self {
         let links = cfg.topo.link_count();
         NodeControl {
-            view: NodeView::seeded(&cfg, node, (igp, ldp), &vec![(0, false); links]),
-            labels: std::mem::take(&mut ldp.nodes[node].space),
+            view: NodeView::default(),
+            labels: LabelSpace::new(),
             link_events: vec![(0, 0); links],
             held: vec![None; links],
+            transport: cfg.mode,
             bytes_by_iface: vec![0; cfg.topo.degree(node)],
             cfg,
             node,
@@ -500,12 +477,74 @@ impl NodeControl {
         }
     }
 
-    /// Re-seeds the view and the label space from a global IGP/LDP
-    /// recomputation over links in `link_state` (`reconverge()`).
-    pub(crate) fn reseed(&mut self, igp: &Igp, ldp: &mut LdpDomain, link_state: &[(u64, bool)]) {
-        self.view = NodeView::seeded(&self.cfg, self.node, (igp, ldp), link_state);
-        self.labels = std::mem::take(&mut ldp.nodes[self.node].space);
+    /// Cold restart, believing `link_state`: the router forgets its view,
+    /// its label space and its LFIB entries (an empty table takes over the
+    /// old one's counters), then binds its own FEC if it is an egress and
+    /// brings up its LDP sessions. Every other binding follows when the
+    /// next hop's mapping first arrives ([`NodeControl::repair_fec`]).
+    /// Until [`NodeControl::restarted`], the router sends over the oracle.
+    pub(crate) fn restart(
+        &mut self,
+        link_state: &[(u64, bool)],
+        tables: &mut NodeTables<'_>,
+        ctx: &mut Ctx,
+    ) {
+        let ControlConfig { topo, pes, php, .. } = &*self.cfg;
+        let (n, np, u) = (topo.node_count(), pes.len(), self.node);
+        // The link states' sequence numbers make older in-flight LSAs stale.
+        let mut spf = std::mem::take(&mut self.view.spf);
+        spf.recompute(topo, u, |l| !link_state[l].1);
+        self.view = NodeView {
+            link_state: link_state.to_vec(),
+            fec_reachable: pes.iter().map(|&e| u == e || spf.next_hop[e].is_some()).collect(),
+            spf,
+            bindings: vec![None; np],
+            received: vec![None; n * np],
+            ftn: vec![None; np],
+        };
+        self.labels = LabelSpace::new();
         self.held.fill(None);
+        self.transport = ControlMode::Oracle;
+        let old = std::mem::take(&mut *tables.lfib);
+        tables.lfib.stats().merge(old.stats());
+        if let Some(tunnels) = tables.tunnels.as_deref_mut() {
+            tunnels.resize(np, None);
+        }
+        for f in (0..np).filter(|&f| pes[f] == u) {
+            let label = if *php {
+                IMPLICIT_NULL
+            } else {
+                let label = self.labels.allocate();
+                tables.lfib.install(label, Nhlfe { op: LabelOp::Pop, out_iface: LOCAL_IFACE });
+                label
+            };
+            self.view.bindings[f] = Some(label);
+        }
+        self.session_up(None, ctx);
+    }
+
+    /// The cold restart's messages have drained: back to the configured
+    /// transport.
+    pub(crate) fn restarted(&mut self) {
+        self.transport = self.cfg.mode;
+    }
+
+    /// LDP session establishment with the peer on `iface`, or with every
+    /// neighbor the router believes up: it advertises its binding for
+    /// every FEC it can reach (downstream unsolicited, RFC 5036 §2.6). A
+    /// peer whose session died dropped our labels with it.
+    fn session_up(&mut self, iface: Option<usize>, ctx: &mut Ctx) {
+        for f in 0..self.cfg.pes.len() {
+            let Some(label) = self.view.bindings[f] else { continue };
+            if !self.view.fec_reachable[f] {
+                continue;
+            }
+            let msg = CtrlMsg::LdpMapping { fec: f as u32, label, from: self.node };
+            match iface {
+                Some(iface) => self.send_msg(iface, msg, ctx),
+                None => self.fan_out(None, msg, ctx),
+            }
+        }
     }
 
     /// One of this router's interface timers fired ([`iface_timer_token`]).
@@ -547,16 +586,7 @@ impl NodeControl {
         }
         self.apply_lsa(lsa, None, tables, ctx);
         if !down {
-            // Session re-establishment: re-advertise our bindings to the
-            // peer (it dropped them when the session died).
-            for f in 0..self.cfg.pes.len() {
-                let Some(label) = self.view.bindings[f] else { continue };
-                if !self.view.fec_reachable[f] {
-                    continue;
-                }
-                let msg = CtrlMsg::LdpMapping { fec: f as u32, label, from: self.node };
-                self.send_msg(iface, msg, ctx);
-            }
+            self.session_up(Some(iface), ctx);
         }
     }
 
@@ -730,6 +760,8 @@ impl NodeControl {
     /// view, re-points the LFIB transit entry and (at a PE) the
     /// tunnel-table slot every LDP-following VPN route toward that egress
     /// resolves through, and advertises/withdraws on reachability flips.
+    /// Ordered control (RFC 5036 §2.6): the first FTN a router gets for
+    /// `f` allocates its own binding, which it then advertises.
     fn repair_fec(&mut self, f: usize, tables: &mut NodeTables<'_>, ctx: &mut Ctx) {
         #[cfg(test)]
         {
@@ -741,6 +773,10 @@ impl NodeControl {
         }
         let desired = self.desired_ftn(f);
         let view = &mut self.view;
+        let first = desired.is_some() && view.bindings[f].is_none();
+        if first {
+            view.bindings[f] = Some(self.labels.allocate());
+        }
         if view.ftn[f] != desired {
             view.ftn[f] = desired;
             // Transit repair: re-point the ILM entry for our own binding.
@@ -765,7 +801,7 @@ impl NodeControl {
             }
         }
         let reachable = view.spf.next_hop[egress].is_some();
-        if reachable != view.fec_reachable[f] {
+        if first || reachable != view.fec_reachable[f] {
             view.fec_reachable[f] = reachable;
             let msg = match (reachable, view.bindings[f]) {
                 (true, Some(label)) => {
@@ -880,7 +916,7 @@ impl NodeControl {
             let src = pkt.outer_ipv4().map_or(Ip(0), |h| h.src);
             self.sent.push((src, CtrlMsg::decode(&pkt.meta)));
         }
-        match self.cfg.mode {
+        match self.transport {
             ControlMode::InBand => {
                 let bytes = pkt.wire_len() as u64;
                 self.stats.bytes_sent += bytes;

@@ -64,7 +64,7 @@ impl ProviderNetwork {
             };
             let ftn = self.install_explicit_lsp(&path);
             let iface = self.topo.iface_toward(near, far);
-            self.backbone_mut(near).0.install_protection(iface, ftn);
+            self.with_control(near, |_, tables, _| tables.lfib.install_protection(iface, ftn));
             installed += 1;
         }
         installed

@@ -3,13 +3,15 @@
 //!
 //! Construction order (all deterministic):
 //!
-//! 1. IGP convergence over the backbone ([`netsim_routing::Igp`]).
-//! 2. LDP label distribution for one tunnel FEC per PE
-//!    ([`netsim_mpls::LdpDomain`]). Each router's LFIB and label space move
-//!    into the simulated router, whose control plane is seeded from the
-//!    run; nothing else keeps it.
-//! 3. Backbone links are materialized in topology order, so simulator
+//! 1. Every backbone router is created with an empty LFIB and a control
+//!    plane that knows only the shared configuration ([`crate::control`]).
+//! 2. Backbone links are materialized in topology order, so simulator
 //!    interface numbers equal topology adjacency positions.
+//! 3. Every router starts cold: its own SPF over the configured links,
+//!    then LDP label distribution for one tunnel FEC per PE, as the
+//!    per-router deltas the routers run afterwards. The simulator runs at
+//!    t = 0 until those messages drain over the zero-latency transport.
+//!    [`ProviderNetwork::reconverge`] is the same cold restart.
 //! 4. VPNs and sites are added through [`ProviderNetwork::new_vpn`] /
 //!    [`ProviderNetwork::add_site`]; the BGP/MPLS fabric selects the
 //!    routes and each change reaches the PE data planes as an MP-BGP
@@ -20,7 +22,6 @@
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use netsim_mpls::ldp::{Fec, LdpConfig, LdpDomain};
 use netsim_mpls::walk::{walk, LabelTables, Walk};
 use netsim_mpls::Lfib;
 use netsim_net::{Ip, Packet, Prefix};
@@ -31,15 +32,14 @@ use netsim_qos::{
     QueueDiscipline, RedParams, RedQueue, WfqScheduler,
 };
 use netsim_routing::{
-    BgpVpnFabric, Igp, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget, Topology,
-    VrfHandle,
+    BgpVpnFabric, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget, Topology, VrfHandle,
 };
 use netsim_sim::{
-    CbrSource, FxHashMap, IfaceId, LinkConfig, LinkId, Network, NodeId, OnOffSource, PoissonSource,
-    Sink, SourceConfig,
+    CbrSource, Ctx, FxHashMap, IfaceId, LinkConfig, LinkId, Network, NodeId, OnOffSource,
+    PoissonSource, Sink, SourceConfig,
 };
 
-use crate::control::{ControlConfig, ControlMode, CtrlMsg, CtrlStats, NodeControl};
+use crate::control::{ControlConfig, ControlMode, CtrlMsg, CtrlStats, NodeControl, NodeTables};
 use crate::router::{CeRouter, CoreRouter, PeRouter, VrfRoute};
 
 /// Handle to a VPN created on a provider network.
@@ -228,42 +228,39 @@ impl BackboneBuilder {
         self
     }
 
-    /// Runs the control planes and materializes the simulated network.
+    /// Materializes the simulated network and brings its control planes
+    /// up from a cold start.
     pub fn build(self) -> ProviderNetwork {
-        let (igp, mut ldp) = converge(&self.topo, &self.pes, self.php, &|_| true);
-
         let mut net = Network::new();
         // Observability is always on: one flight recorder in the engine,
         // which every router reaches through its handler context.
         net.set_recorder(FlightRecorder::default());
-        let mut node_ids = Vec::with_capacity(self.topo.node_count());
-        let pe_ordinal: HashMap<usize, usize> =
-            self.pes.iter().enumerate().map(|(k, &pe)| (pe, k)).collect();
-        // Every backbone router owns its control plane in either mode,
-        // seeded from the converged bring-up state.
         let cfg = Rc::new(ControlConfig {
             topo: self.topo.clone(),
             pes: self.pes.clone(),
+            php: self.php,
             mode: self.control_mode,
         });
+        // Every backbone router owns its control plane in either mode.
+        let mut node_ids = Vec::with_capacity(self.topo.node_count());
         for u in 0..self.topo.node_count() {
-            let control = Some(Box::new(NodeControl::new(Rc::clone(&cfg), u, &igp, &mut ldp)));
-            let lfib = std::mem::take(&mut ldp.nodes[u].lfib);
-            let id = if let Some(&k) = pe_ordinal.get(&u) {
-                let mut pe = PeRouter::new(format!("PE{k}"), lfib, self.topo.degree(u));
+            let control = Some(Box::new(NodeControl::new(Rc::clone(&cfg), u)));
+            let id = if let Some(k) = self.pes.iter().position(|&pe| pe == u) {
+                let mut pe = PeRouter::new(format!("PE{k}"), Lfib::new(), self.topo.degree(u));
                 pe.control = control;
                 net.add_node(Box::new(pe))
             } else {
-                let mut p = CoreRouter::new(format!("P{u}"), lfib);
+                let mut p = CoreRouter::new(format!("P{u}"), Lfib::new());
                 p.control = control;
                 net.add_node(Box::new(p))
             };
             node_ids.push(id);
         }
         // Materialize backbone links in id order, before any other link:
-        // interface numbers now equal adjacency-list positions, which LDP's
-        // tables assume, and simulator link ids equal topology link ids,
-        // so the engine's enabled bit is the one record of a failed link.
+        // interface numbers now equal adjacency-list positions, which the
+        // control planes assume, and simulator link ids equal topology
+        // link ids, so the engine's enabled bit is the one record of a
+        // failed link.
         for l in 0..self.topo.link_count() {
             let (u, v, attrs) = self.topo.link(l);
             let cfg = LinkConfig::new(attrs.capacity_bps, BACKBONE_HOP_DELAY_NS);
@@ -281,13 +278,13 @@ impl BackboneBuilder {
             fabric,
             node_ids,
             pes: self.pes,
+            cfg,
             vpns: Vec::new(),
             sites: Vec::new(),
             vrf_handles: HashMap::new(),
             vrf_owners: FxHashMap::default(),
             access_rate_bps: self.access_rate_bps,
             access_delay_ns: self.access_delay_ns,
-            php: self.php,
             link_seq: vec![0; links],
             detect_ns: self.detect_ns,
             core_qos: self.core_qos,
@@ -295,7 +292,7 @@ impl BackboneBuilder {
             ef_contracts: Vec::new(),
             probes: Vec::new(),
         };
-        pn.seed_tunnel_tables();
+        pn.restart();
         pn
     }
 }
@@ -315,6 +312,8 @@ pub struct ProviderNetwork {
     pub fabric: BgpVpnFabric,
     pub(crate) node_ids: Vec<NodeId>,
     pub(crate) pes: Vec<usize>,
+    /// The configuration every backbone router's control plane reads.
+    cfg: Rc<ControlConfig>,
     pub(crate) vpns: Vec<VpnInfo>,
     /// All sites added so far, indexed by [`SiteId`].
     pub sites: Vec<SiteInfo>,
@@ -323,7 +322,6 @@ pub struct ProviderNetwork {
     vrf_owners: FxHashMap<VrfHandle, (VpnId, usize)>,
     access_rate_bps: u64,
     access_delay_ns: Nanos,
-    php: bool,
     /// Per-link event sequence, bumped once per fail/repair and written
     /// into both endpoint routers, so both originate the same LSA.
     link_seq: Vec<u64>,
@@ -337,7 +335,7 @@ pub struct ProviderNetwork {
 impl ProviderNetwork {
     /// Whether the backbone runs penultimate-hop popping.
     pub fn php(&self) -> bool {
-        self.php
+        self.cfg.php
     }
 
     /// Number of PEs.
@@ -504,9 +502,7 @@ impl ProviderNetwork {
     /// transport, so it changes the target's VRF when the simulator next
     /// runs: at the current instant under the oracle.
     fn send_bgp(&mut self, origin_pe: usize, msg: CtrlMsg) {
-        self.net.with_node(self.pe_node(origin_pe), |pe: &mut PeRouter, ctx| {
-            control_plane(&mut pe.control).originate_bgp(msg, ctx);
-        });
+        self.with_control(self.pes[origin_pe], |control, _, ctx| control.originate_bgp(msg, ctx));
     }
 
     /// The fabric's selected routes for one VRF.
@@ -517,11 +513,12 @@ impl ProviderNetwork {
     /// Installs routes into VRF `vrf_idx` of PE `pe` over the PE's current
     /// tunnels: a local step at the one PE that owns the VRF.
     fn install_routes(&mut self, pe: usize, vrf_idx: usize, routes: &[(Prefix, RemoteRoute)]) {
-        let per = self.net.node_mut::<PeRouter>(self.pe_node(pe));
-        let (control, vrf) = (control_plane(&mut per.control), &mut per.vrfs[vrf_idx]);
-        for &(prefix, r) in routes {
-            control.install_route(vrf, prefix, r.egress_pe, r.vpn_label);
-        }
+        self.with_control(self.pes[pe], |control, tables, _| {
+            let vrf = &mut tables.vrfs.as_deref_mut().expect("a PE lends its VRFs")[vrf_idx];
+            for &(prefix, r) in routes {
+                control.install_route(vrf, prefix, r.egress_pe, r.vpn_label);
+            }
+        });
     }
 
     /// Re-installs every VRF's imported routes as LDP-following, which
@@ -534,22 +531,6 @@ impl ProviderNetwork {
         for ((pe, _), (handle, vrf_idx)) in vrfs {
             let routes = self.fabric_routes(handle);
             self.install_routes(pe, vrf_idx, &routes);
-        }
-    }
-
-    /// Copies every PE's view FTNs into its tunnel table, the one place its
-    /// VPN routes resolve their LSPs. Where the view has no LSP the stale
-    /// entry stays, so traffic degrades in place as it does in-band.
-    fn seed_tunnel_tables(&mut self) {
-        for k in 0..self.pes.len() {
-            let pe = self.net.node_mut::<PeRouter>(self.pe_node(k));
-            let control = control_plane(&mut pe.control);
-            pe.tunnels.resize(self.pes.len(), None);
-            for (f, slot) in pe.tunnels.iter_mut().enumerate() {
-                if let Some(ftn) = control.ftn(f) {
-                    *slot = Some(ftn);
-                }
-            }
         }
     }
 
@@ -705,14 +686,14 @@ impl ProviderNetwork {
             let mut seen = HashSet::new();
             assert!(path.iter().all(|&u| seen.insert(u)), "explicit route must be loop-free");
         }
-        let php = self.php;
+        let php = self.cfg.php;
         let mut label_in: Vec<Option<u32>> = vec![None; path.len()];
         for i in (1..path.len()).rev() {
             let is_egress = i == path.len() - 1;
             label_in[i] = if is_egress && php {
                 None
             } else {
-                Some(self.backbone_mut(path[i]).1.labels.allocate())
+                Some(self.with_control(path[i], |control, _, _| control.labels.allocate()))
             };
         }
         for (i, &u) in path.iter().enumerate() {
@@ -721,11 +702,9 @@ impl ProviderNetwork {
                 if is_egress { LOCAL_IFACE } else { self.topo.iface_toward(u, path[i + 1]) };
             let out_label = if is_egress { None } else { label_in[i + 1] };
             if let Some(inl) = label_in[i] {
-                let op = match out_label {
-                    Some(o) => LabelOp::Swap(o),
-                    None => LabelOp::Pop,
-                };
-                self.backbone_mut(u).0.install(inl, Nhlfe { op, out_iface });
+                let op = out_label.map_or(LabelOp::Pop, LabelOp::Swap);
+                let nhlfe = Nhlfe { op, out_iface };
+                self.with_control(u, |_, tables, _| tables.lfib.install(inl, nhlfe));
             }
         }
         netsim_mpls::FtnEntry {
@@ -747,17 +726,27 @@ impl ProviderNetwork {
         (lfib, control.as_deref().expect("backbone routers own a control plane"))
     }
 
-    /// Mutable [`ProviderNetwork::backbone`].
-    pub(crate) fn backbone_mut(&mut self, u: usize) -> (&mut Lfib, &mut NodeControl) {
+    /// Runs `f` on backbone node `u`'s control plane with the tables it
+    /// writes and a handler context, PE or P alike; what it sends moves
+    /// when the simulator next runs.
+    pub(crate) fn with_control<R>(
+        &mut self,
+        u: usize,
+        f: impl FnOnce(&mut NodeControl, &mut NodeTables<'_>, &mut Ctx) -> R,
+    ) -> R {
         let id = self.node_ids[u];
-        let (lfib, control) = if self.pes.contains(&u) {
-            let r = self.net.node_mut::<PeRouter>(id);
-            (&mut r.lfib, &mut r.control)
+        let missing = "backbone routers own a control plane";
+        if self.pes.contains(&u) {
+            self.net.with_node(id, |r: &mut PeRouter, ctx| {
+                let (control, mut tables) = r.control_plane().expect(missing);
+                f(control, &mut tables, ctx)
+            })
         } else {
-            let r = self.net.node_mut::<CoreRouter>(id);
-            (&mut r.lfib, &mut r.control)
-        };
-        (lfib, control_plane(control))
+            self.net.with_node(id, |r: &mut CoreRouter, ctx| {
+                let (control, mut tables) = r.control_plane().expect(missing);
+                f(control, &mut tables, ctx)
+            })
+        }
     }
 
     /// Every backbone router's control plane, in topology order.
@@ -959,7 +948,7 @@ impl ProviderNetwork {
         let (seq, at) = (self.link_seq[topo_link], self.net.now() + self.detect_ns);
         let (a, b, _) = self.topo.link(topo_link);
         for u in [a, b] {
-            self.backbone_mut(u).1.link_events[topo_link] = (seq, at);
+            self.with_control(u, |control, _, _| control.link_events[topo_link] = (seq, at));
         }
         for &(near, far) in detect {
             let token = crate::control::iface_timer_token(self.topo.iface_toward(near, far), !up);
@@ -968,34 +957,42 @@ impl ProviderNetwork {
         true
     }
 
-    /// The reference recompute: re-runs IGP and LDP globally over the
-    /// links that are up and installs the new tables into the running
-    /// routers, re-seeding every router's view. The control plane reaches
-    /// the same routes by itself; this is what tests and benchmarks check
-    /// it against. Labels are allocated afresh and every LFIB is rebuilt,
-    /// so explicit LSPs installed via
+    /// The reference recompute: a cold restart of every router over the
+    /// links that are up. The control plane reaches the same routes by
+    /// itself; this is what tests and benchmarks check it against. Labels
+    /// are allocated afresh and every LFIB is rebuilt (its counters carry
+    /// over), so explicit LSPs installed via
     /// [`ProviderNetwork::install_explicit_lsp`] (fast-reroute bypasses
     /// included) are gone, and every pinned route is back on its LDP
     /// tunnel.
     pub fn reconverge(&mut self) {
-        let up = |l: usize| self.net.link_enabled(LinkId(l));
-        let (igp, mut ldp) = converge(&self.topo, &self.pes, self.php, &up);
-        let links: Vec<(u64, bool)> =
-            self.link_seq.iter().enumerate().map(|(l, &seq)| (seq, !up(l))).collect();
-        for u in 0..self.topo.node_count() {
-            let lfib = std::mem::take(&mut ldp.nodes[u].lfib);
-            // The reference recompute re-seeds the router's view. Replacing
-            // the LFIB must not erase its forwarding history: carry the
-            // counters into the new table.
-            let (l, control) = self.backbone_mut(u);
-            lfib.stats().merge(l.stats());
-            *l = lfib;
-            control.reseed(&igp, &mut ldp, &links);
-        }
-        // Then every PE's tunnel table follows its view, and every VRF
-        // route is re-installed as LDP-following.
-        self.seed_tunnel_tables();
+        self.restart();
+        // Every VRF route is re-installed as LDP-following.
         self.sync_remote_routes();
+    }
+
+    /// Cold-restarts every backbone router over the links that are up and
+    /// runs the simulator at the current instant until their LDP messages
+    /// have drained: bring-up and [`ProviderNetwork::reconverge`] alike.
+    /// Whatever was already due at this instant happens first. The
+    /// messages ride the zero-latency transport under either control
+    /// mode, so a restart takes no simulated time. Only egresses advertise
+    /// at a restart; they do so in PE order, which is the order of LDP's
+    /// first round.
+    fn restart(&mut self) {
+        self.net.run_until(self.net.now());
+        let link_state: Vec<(u64, bool)> = (0..self.topo.link_count())
+            .map(|l| (self.link_seq[l], !self.net.link_enabled(LinkId(l))))
+            .collect();
+        let p_routers = (0..self.topo.node_count()).filter(|u| !self.pes.contains(u));
+        let order: Vec<usize> = self.pes.iter().copied().chain(p_routers).collect();
+        for &u in &order {
+            self.with_control(u, |control, tables, ctx| control.restart(&link_state, tables, ctx));
+        }
+        self.net.run_until(self.net.now());
+        for u in order {
+            self.with_control(u, |control, _, _| control.restarted());
+        }
     }
 
     /// Pins a destination prefix at an ingress PE onto a tunnel (e.g. a TE
@@ -1050,28 +1047,6 @@ impl ProviderNetwork {
     }
 }
 
-/// The global IGP/LDP computation over the links of `topo` that are
-/// `usable`: SPF from every node, then one LDP tunnel FEC per PE along
-/// those next hops.
-fn converge(
-    topo: &Topology,
-    pes: &[usize],
-    php: bool,
-    usable: &dyn Fn(usize) -> bool,
-) -> (Igp, LdpDomain) {
-    let igp = Igp::converge_filtered(topo, usable);
-    let fecs: Vec<(Fec, usize)> =
-        pes.iter().enumerate().map(|(k, &pe)| (Fec(k as u32), pe)).collect();
-    let nh = |u: usize, v: usize| igp.next_hop(u, v);
-    let ldp = LdpDomain::run(&topo.adjacency_lists(), &fecs, &nh, LdpConfig { php });
-    (igp, ldp)
-}
-
-/// A backbone router's control plane (the builder gives each one).
-fn control_plane(control: &mut Option<Box<NodeControl>>) -> &mut NodeControl {
-    control.as_deref_mut().expect("backbone routers own a control plane")
-}
-
 /// The live backbone as label tables: a link that is down leads nowhere,
 /// and a PE dispatches the VPN labels of its VRFs.
 impl LabelTables for ProviderNetwork {
@@ -1091,6 +1066,7 @@ impl LabelTables for ProviderNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim_mpls::ldp::{Fec, LdpConfig, LdpDomain};
     use netsim_net::addr::pfx;
     use netsim_routing::LinkAttrs;
     use netsim_sim::{MSEC, SEC};
@@ -1246,11 +1222,13 @@ mod tests {
         pn.run_for(0);
         assert_eq!(pn.fabric.session_count(), 2, "route reflector mode: one session per PE");
         assert!(pn.fabric.messages() >= 2);
-        // The second site's update to PE0, sent by PE1 and by P.
+        // Bring-up's LDP mappings, one per PE FEC on each direction of
+        // each link (2 * 2 * 2), then the second site's update to PE0,
+        // sent by PE1 and by P.
         let s = pn.control_stats().unwrap();
         assert_eq!(s.bgp_originated, 1);
-        assert_eq!(s.pkts_by_proto, [0, 0, 2]);
-        assert_eq!((s.pkts_sent, s.pkts_terminated, s.bytes_sent), (2, 2, 0));
+        assert_eq!(s.pkts_by_proto, [0, 8, 2]);
+        assert_eq!((s.pkts_sent, s.pkts_terminated, s.bytes_sent), (10, 10, 0));
     }
 
     /// Under the oracle an MP-BGP update is a packet like any other: the
@@ -1544,5 +1522,114 @@ mod tests {
         let mut pn = line();
         let vpn = pn.new_vpn("acme");
         pn.add_site(vpn, 9, pfx("10.0.0.0/8"), None);
+    }
+
+    /// A converged [`LdpDomain`] read as label tables: interface `i` of
+    /// node `u` leads to `adjacency[u][i]`.
+    struct LdpTables<'a>(&'a LdpDomain, &'a [Vec<usize>]);
+
+    impl LabelTables for LdpTables<'_> {
+        fn far_end(&self, node: usize, iface: usize) -> Option<usize> {
+            self.1[node].get(iface).copied()
+        }
+        fn nhlfe(&self, node: usize, label: u32) -> Option<netsim_mpls::Nhlfe> {
+            self.0.nodes[node].lfib.lookup(label).copied()
+        }
+        fn dispatches(&self, _: usize, _: u32) -> bool {
+            false
+        }
+    }
+
+    /// Bring-up through the routers' own LDP deltas against the global
+    /// synchronous run over the same topology: the same LSP between every
+    /// PE pair, the same label count and the same number of mappings. The
+    /// zero-latency transport delivers in send order, so every router also
+    /// ends up with the run's label values.
+    fn assert_bring_up_matches_ldp_run(name: &str, topo: &Topology, pes: &[usize]) {
+        for php in [true, false] {
+            let what = format!("{name} pes {pes:?} php {php}");
+            let pn = BackboneBuilder::new(topo.clone(), pes.to_vec()).php(php).build();
+            let igp = netsim_routing::Igp::converge(topo);
+            let adj = topo.adjacency_lists();
+            let fecs: Vec<(Fec, usize)> =
+                pes.iter().enumerate().map(|(k, &pe)| (Fec(k as u32), pe)).collect();
+            let nh = |u: usize, v: usize| igp.next_hop(u, v);
+            let ldp = LdpDomain::run(&adj, &fecs, &nh, LdpConfig { php });
+            for (i, &ingress) in pes.iter().enumerate() {
+                for (j, &egress) in pes.iter().enumerate().filter(|&(j, _)| j != i) {
+                    let ftn = ldp.nodes[ingress].ftn.get(&Fec(j as u32));
+                    let want = ftn.and_then(|t| {
+                        walk(
+                            &LdpTables(&ldp, &adj),
+                            adj.len(),
+                            ingress,
+                            t.push.as_slice(),
+                            t.out_iface,
+                        )
+                        .path_to(egress)
+                    });
+                    assert!(want.is_some(), "{what}: the run has an LSP {i} -> {j}");
+                    assert_eq!(pn.lsp_path(i, j), want, "{what}: LSP {i} -> {j}");
+                }
+            }
+            let run_labels: u64 = ldp.nodes.iter().map(|s| s.space.live()).sum();
+            assert_eq!(pn.live_labels(), run_labels, "{what}: labels");
+            let ldp_pkts = pn.control_stats().unwrap().pkts_by_proto[1];
+            assert_eq!(ldp_pkts, ldp.messages, "{what}: mappings");
+            assert_eq!(ldp_pkts, 2 * topo.link_count() as u64 * pes.len() as u64, "{what}");
+            for u in 0..topo.node_count() {
+                let entries =
+                    |lfib: &Lfib| -> Vec<_> { lfib.iter().map(|(l, e)| (l, *e)).collect() };
+                assert_eq!(
+                    entries(pn.backbone(u).0),
+                    entries(&ldp.nodes[u].lfib),
+                    "{what}: node {u}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bring_up_matches_the_global_ldp_run() {
+        let attrs = |cost| LinkAttrs { cost, capacity_bps: 100_000_000 };
+        let build = |n: usize, links: &[(usize, usize)]| {
+            let mut topo = Topology::new(n);
+            for &(u, v) in links {
+                topo.add_link(u, v, attrs(1));
+            }
+            topo
+        };
+        let fish = build(5, &[(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)]);
+        assert_bring_up_matches_ldp_run("fish", &fish, &[0, 4]);
+        let ladder = build(6, &[(0, 2), (2, 4), (1, 3), (3, 5), (0, 1), (2, 3), (4, 5)]);
+        assert_bring_up_matches_ldp_run("ladder", &ladder, &[0, 5]);
+        let ring: Vec<(usize, usize)> = (0..8).map(|u| (u, (u + 1) % 8)).collect();
+        assert_bring_up_matches_ldp_run("ring", &build(8, &ring), &[0, 2, 5, 7]);
+        // Seeded random connected topologies: a random spanning tree plus
+        // extra links of random cost, with PEs in a random order.
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % bound as u64) as usize
+        };
+        for seed in 0..6 {
+            let n = 4 + next(7);
+            let mut topo = Topology::new(n);
+            for v in 1..n {
+                topo.add_link(next(v), v, attrs(1 + next(3) as u64));
+            }
+            for _ in 0..next(n) {
+                let (u, v) = (next(n), next(n));
+                if u != v {
+                    topo.add_link(u, v, attrs(1 + next(3) as u64));
+                }
+            }
+            let mut nodes: Vec<usize> = (0..n).collect();
+            let pes: Vec<usize> =
+                (0..2 + next(n - 1)).map(|_| nodes.swap_remove(next(nodes.len()))).collect();
+            assert_bring_up_matches_ldp_run(&format!("random {seed}"), &topo, &pes);
+        }
     }
 }

@@ -205,8 +205,9 @@ impl ProviderNetwork {
                 }
             }
         }
-        // Control plane: every router counts in either mode; under the
-        // oracle the packet, byte and convergence rows stay 0 or absent.
+        // Control plane: every router counts in either mode, bring-up's
+        // LDP mappings included; under the oracle the byte and convergence
+        // rows stay 0 or absent.
         let stats = self.control_stats().unwrap_or_default();
         snap.push_counter("control.no_lsp_to_egress".to_owned(), stats.no_lsp_to_egress);
         snap.push_counter("control.igp.pkts".to_owned(), stats.pkts_by_proto[0]);

@@ -74,7 +74,7 @@ impl CoreRouter {
 
     /// The control plane (a provider network's backbone routers own one)
     /// and the tables it writes.
-    fn control_plane(&mut self) -> Option<(&mut NodeControl, NodeTables<'_>)> {
+    pub(crate) fn control_plane(&mut self) -> Option<(&mut NodeControl, NodeTables<'_>)> {
         let control = self.control.as_deref_mut()?;
         Some((control, NodeTables { lfib: &mut self.lfib, vrfs: None, tunnels: None }))
     }
@@ -333,7 +333,7 @@ impl PeRouter {
 
     /// The control plane (a provider network's backbone routers own one)
     /// and the tables it writes.
-    fn control_plane(&mut self) -> Option<(&mut NodeControl, NodeTables<'_>)> {
+    pub(crate) fn control_plane(&mut self) -> Option<(&mut NodeControl, NodeTables<'_>)> {
         let control = self.control.as_deref_mut()?;
         let (lfib, vrfs, tunnels) = (&mut self.lfib, Some(&mut self.vrfs), Some(&mut self.tunnels));
         Some((control, NodeTables { lfib, vrfs, tunnels }))

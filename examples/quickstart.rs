@@ -49,7 +49,8 @@ fn main() {
         f.jitter_ns / 1e6
     );
     assert_eq!(f.rx_packets, 1000);
-    // The control plane counts what it sent: one MP-BGP update per remote
+    // The control plane counts what it sent since bring-up: the LDP
+    // mappings that built the tunnels, then one MP-BGP update per remote
     // VRF, relayed PE → P → PE.
     println!("iBGP sessions: {}", pn.fabric.session_count());
     println!("control plane: {:?}", pn.control_stats().expect("control counters"));

@@ -8,8 +8,9 @@
 //! modes must agree on every piece of forwarding state: SPF trees, LSP
 //! forwarding paths through the live LFIBs, VRF contents, VPN-label
 //! dispatch tables, and the label values themselves — every LFIB entry
-//! and every PE's tunnel table — since both transports keep the labels
-//! LDP bound at bring-up.
+//! and every PE's tunnel table — since bring-up runs over the same
+//! zero-latency transport in both modes, and both keep the labels LDP
+//! bound then.
 
 use mplsvpn::mpls::{FtnEntry, Lfib, Nhlfe};
 use mplsvpn::net::Prefix;
@@ -431,5 +432,34 @@ fn override_survives_ldp_repair_in_both_modes() {
             Some(vec![0, 1, 3, 5]),
             "reconverge restores the LDP tunnel ({mode:?})"
         );
+    }
+}
+
+/// `reconverge()` during a partition leaves the routers cut off from an
+/// egress without a binding for its FEC. When the link comes back, each
+/// of them allocates one on its next hop's first mapping and advertises
+/// it, so the LSPs across the repaired link come back, under either
+/// transport.
+#[test]
+fn reconverge_during_a_partition_recovers_after_the_repair() {
+    for mode in [ControlMode::Oracle, ControlMode::InBand] {
+        // PE0 - P1 - P2 - PE3; link 1 joins the two P routers.
+        let mut topo = Topology::new(4);
+        let attrs = LinkAttrs { cost: 1, capacity_bps: 10_000_000 };
+        for u in 1..4 {
+            topo.add_link(u - 1, u, attrs);
+        }
+        let mut pn =
+            BackboneBuilder::new(topo, vec![0, 3]).detection(20 * MSEC).control_mode(mode).build();
+        pn.fail_link(1);
+        pn.run_for(300 * MSEC);
+        pn.reconverge();
+        assert_eq!(pn.lsp_path(0, 1), None, "partitioned ({mode:?})");
+        pn.repair_link(1);
+        pn.run_for(300 * MSEC);
+        assert_eq!(pn.lsp_path(0, 1), Some(vec![0, 1, 2, 3]), "{mode:?}");
+        assert_eq!(pn.lsp_path(1, 0), Some(vec![3, 2, 1, 0]), "{mode:?}");
+        assert!(pn.view_tunnel(0, 1).is_some() && pn.view_tunnel(1, 0).is_some(), "{mode:?}");
+        pn.verify().assert_clean(&format!("{mode:?} after the repair"));
     }
 }
