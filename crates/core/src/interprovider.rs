@@ -49,7 +49,10 @@ pub struct InterProviderVpn {
     pub ce_a: NodeId,
     /// CE node of the site in domain B.
     pub ce_b: NodeId,
-    /// Total control messages (LDP in both domains + BGP route exchanges).
+    /// Control messages, a modelled count: the messages of each domain's
+    /// `LdpDomain::run` plus 6 modelled BGP route exchanges (PE→ASBR,
+    /// ASBR↔ASBR and ASBR→PE, per prefix and direction). No packet
+    /// carries them.
     pub control_messages: u64,
 }
 

@@ -16,7 +16,7 @@
 //! per-router counters, per-router drops and absorptions (read from the
 //! recorder's node tallies), per-LFIB label operations, per-link class
 //! breakdowns and the control-plane counters into one [`MetricsSnapshot`],
-//! exported as `metrics/v1` JSON.
+//! exported as `metrics/v2` JSON.
 //!
 //! [`ProviderNetwork::attach_sla_probe`] adds a synthetic low-rate probe
 //! flow for one ⟨VPN, class⟩ pair — the paper's §6 "measure the SLA you
@@ -63,7 +63,7 @@ fn push_router_counters(
     snap.push_counter(format!("{prefix}.delivered_local"), rec.node_absorbed(node.0));
     snap.push_counter(format!("{prefix}.label_ops"), c.label_ops);
     snap.push_counter(format!("{prefix}.lpm_lookups"), c.lpm_lookups);
-    for cause in [DropCause::NoRoute, DropCause::Ttl, DropCause::Policer, DropCause::VrfMiss] {
+    for cause in [DropCause::NoRoute, DropCause::Ttl, DropCause::VrfMiss] {
         snap.push_counter(format!("{prefix}.dropped.{cause}"), rec.node_total(node.0, cause));
     }
 }

@@ -14,9 +14,9 @@ use std::any::Any;
 
 use netsim_mpls::lfib::{LfibVerdict, LOCAL_IFACE};
 use netsim_mpls::{FtnEntry, Lfib};
-use netsim_net::{Dscp, Ip, Layer, LpmCache, LpmTrie, MplsLabel, Packet, Pkt, Prefix};
+use netsim_net::{Ip, Layer, LpmCache, LpmTrie, MplsLabel, Pkt, Prefix};
 use netsim_obs::DropCause;
-use netsim_qos::{Color, ExpMap, MarkingPolicy, SrTcm};
+use netsim_qos::{ExpMap, MarkingPolicy};
 use netsim_sim::{Ctx, FxHashMap, IfaceId, Node};
 
 use crate::control::{NodeControl, NodeTables, CTRL_FLOW_BASE};
@@ -249,9 +249,6 @@ pub struct PeRouter {
     iface_roles: Vec<PeIfaceRole>,
     /// DSCP ↔ EXP mapping applied at label imposition.
     pub exp_map: ExpMap,
-    /// Optional per-customer-interface policer (srTCM): green passes,
-    /// yellow is demoted one AF drop precedence, red is dropped.
-    pub policers: FxHashMap<usize, SrTcm>,
     /// Forwarding counters.
     pub counters: RouterCounters,
     /// This router's control plane, in a provider network's backbone
@@ -271,7 +268,6 @@ impl PeRouter {
             tunnels: Vec::new(),
             iface_roles: vec![PeIfaceRole::Core; core_ifaces],
             exp_map: ExpMap::default(),
-            policers: FxHashMap::default(),
             counters: RouterCounters::default(),
             control: None,
         }
@@ -296,12 +292,6 @@ impl PeRouter {
         assert!(vrf < self.vrfs.len(), "unknown vrf {vrf}");
         self.iface_roles.push(PeIfaceRole::Customer { vrf });
         self.iface_roles.len() - 1
-    }
-
-    /// Installs an edge policer on customer interface `iface`.
-    pub fn set_policer(&mut self, iface: usize, meter: SrTcm) {
-        assert!(matches!(self.iface_roles.get(iface), Some(PeIfaceRole::Customer { .. })));
-        self.policers.insert(iface, meter);
     }
 
     /// Installs a local route: `prefix` is reachable via customer
@@ -339,33 +329,7 @@ impl PeRouter {
         Some((control, NodeTables { lfib, vrfs, tunnels }))
     }
 
-    fn police(&mut self, iface: usize, pkt: &mut Packet, now: u64) -> bool {
-        let Some(meter) = self.policers.get_mut(&iface) else {
-            return true;
-        };
-        match meter.meter(pkt.wire_len(), now) {
-            Color::Green => true,
-            Color::Yellow => {
-                // Demote AF drop precedence; EF/BE are left alone (EF
-                // out-of-profile would be dropped by a strict contract, but
-                // the default here is lenient).
-                if let Some(hdr) = pkt.outer_ipv4_mut() {
-                    if let (Some(c), Some(dp)) =
-                        (hdr.dscp.af_class(), hdr.dscp.af_drop_precedence())
-                    {
-                        hdr.dscp = Dscp::af(c, (dp + 1).min(3));
-                    }
-                }
-                true
-            }
-            Color::Red => false,
-        }
-    }
-
-    fn handle_customer(&mut self, in_iface: usize, vrf: usize, mut pkt: Pkt, ctx: &mut Ctx) {
-        if !self.police(in_iface, &mut pkt, ctx.now()) {
-            return ctx.discard(pkt, DropCause::Policer);
-        }
+    fn handle_customer(&mut self, vrf: usize, mut pkt: Pkt, ctx: &mut Ctx) {
         let Some(hdr) = pkt.outer_ipv4_mut() else {
             return ctx.discard(pkt, DropCause::NoRoute);
         };
@@ -475,7 +439,7 @@ impl Node for PeRouter {
             }
         }
         match self.iface_roles.get(iface.0).copied() {
-            Some(PeIfaceRole::Customer { vrf }) => self.handle_customer(iface.0, vrf, pkt, ctx),
+            Some(PeIfaceRole::Customer { vrf }) => self.handle_customer(vrf, pkt, ctx),
             Some(PeIfaceRole::Core) => self.handle_core(pkt, ctx),
             None => ctx.discard(pkt, DropCause::NoRoute),
         }
@@ -608,6 +572,7 @@ mod tests {
     use netsim_mpls::lfib::{LabelOp, Nhlfe};
     use netsim_net::addr::{ip, pfx};
     use netsim_net::ip::proto;
+    use netsim_net::{Dscp, Packet};
     use netsim_obs::FlightRecorder;
     use netsim_qos::MatchRule;
     use netsim_sim::{LinkConfig, Network, Sink};
@@ -811,30 +776,5 @@ mod tests {
         assert_eq!(rec.node_absorbed(n), 1, "unlabeled core packet absorbed");
         assert_eq!(rec.node_total(n, DropCause::NoRoute), 2, "junk + unroutable");
         assert_eq!(rec.node_total(n, DropCause::Ttl), 1);
-    }
-
-    #[test]
-    fn policer_drops_red_and_demotes_yellow() {
-        let mut pe = PeRouter::new("PE", Lfib::new(), 0);
-        let v = pe.add_vrf("x");
-        let cust = pe.attach_customer_iface(v);
-        pe.install_local_route(v, pfx("10.2.0.0/16"), cust); // hairpin for test
-        pe.set_policer(cust, SrTcm::new(8_000_000, 500, 500));
-
-        let (mut net, rec) = recorded_network();
-        let pe_id = net.add_node(Box::new(pe));
-        let ce = net.add_node(Box::new(Sink::new()));
-        net.connect(pe_id, ce, fast()); // customer iface 0
-        for _ in 0..3 {
-            let pkt = Packet::udp(ip("10.1.0.1"), ip("10.2.0.1"), 1, 2, Dscp::AF11, 472);
-            net.inject(ce, IfaceId(0), pkt);
-        }
-        net.run_to_quiescence();
-        let per = net.node_ref::<PeRouter>(pe_id);
-        // 500 B wire each: first green, second yellow (demoted), third red.
-        assert_eq!(rec.node_total(pe_id.0, DropCause::Policer), 1);
-        assert_eq!(per.counters.forwarded, 2);
-        let sink = net.node_ref::<Sink>(ce);
-        assert_eq!(sink.total_packets, 2);
     }
 }

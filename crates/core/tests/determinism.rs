@@ -3,8 +3,8 @@
 //! The simulator's determinism contract (one calendar, `(at, seq)`
 //! tie-break, all randomness from owned seeds) is what makes every QoS
 //! experiment reproducible. This regression test runs a congested DiffServ
-//! VPN scenario — randomized sources, RED, priority scheduling, policing —
-//! twice from identical seeds and requires *exactly* equal observable
+//! VPN scenario — randomized sources, RED, priority scheduling — twice
+//! from identical seeds and requires *exactly* equal observable
 //! state: event count, every link's transmit statistics, and per-flow
 //! receiver statistics down to the f64 jitter bits. Any hot-path change
 //! that reorders events (timing-wheel edits, lazy transmitter pokes,

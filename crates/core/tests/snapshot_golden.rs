@@ -1,18 +1,17 @@
 //! The metrics snapshot is pinned byte for byte.
 //!
 //! One small scenario — a 3-node line with one VPN — makes each router
-//! drop kind happen exactly once (`no_route`, `ttl`, `vrf_miss`,
-//! `policer`) and absorbs one packet at a PE, next to a little delivered
-//! traffic. Its `metrics_snapshot().to_json()` must equal the checked-in
-//! file `golden/metrics_snapshot.json`. A refactor of the telemetry
+//! drop kind happen exactly once (`no_route`, `ttl`, `vrf_miss`) and
+//! absorbs one packet at a PE, next to a little delivered traffic. Its
+//! `metrics_snapshot().to_json()` must equal the checked-in file
+//! `golden/metrics_snapshot.json`. A refactor of the telemetry
 //! plumbing therefore cannot rename, add, drop or change a row unnoticed.
 //! The golden file is edited by hand, and only when a row is meant to
 //! change.
 
-use mplsvpn_core::{BackboneBuilder, PeRouter};
+use mplsvpn_core::BackboneBuilder;
 use netsim_net::addr::{ip, pfx};
 use netsim_net::{Dscp, Layer, MplsLabel, Packet};
-use netsim_qos::SrTcm;
 use netsim_routing::{LinkAttrs, Topology};
 use netsim_sim::{IfaceId, SourceConfig, MSEC, SEC};
 
@@ -38,7 +37,7 @@ fn snapshot_json() -> String {
     let cfg = SourceConfig::udp(1, pn.site_addr(a, 10), pn.site_addr(b, 9), 5000, 200);
     pn.attach_cbr_source(a, cfg, MSEC, Some(5));
 
-    let (ce_a, ce_b) = (pn.sites[a.0].ce, pn.sites[b.0].ce);
+    let ce_a = pn.sites[a.0].ce;
     let p = pn.backbone_node(1);
     // no_route at PE0: nothing in the VRF covers the destination.
     pn.net.inject(ce_a, IfaceId(0), probe("192.0.2.1", 101));
@@ -50,12 +49,6 @@ fn snapshot_json() -> String {
     let mut stray = probe("10.2.0.9", 103);
     stray.push_outer(Layer::Mpls(MplsLabel::new(1_000_000, 0, 64)));
     pn.net.inject(p, IfaceId(1), stray);
-    // policer at PE2: a meter whose buckets are smaller than one packet
-    // colours it red.
-    let pe_b = pn.pe_node(1);
-    let pe_b_iface = pn.sites[b.0].pe_iface;
-    pn.net.node_mut::<PeRouter>(pe_b).set_policer(pe_b_iface, SrTcm::new(1_000_000, 100, 100));
-    pn.net.inject(ce_b, IfaceId(0), probe("10.1.0.9", 104));
     // Absorbed at PE0: unlabeled traffic from the core is for the PE itself.
     pn.net.inject(p, IfaceId(0), probe("10.1.0.9", 105));
 

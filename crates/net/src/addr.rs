@@ -17,9 +17,6 @@ use crate::error::NetError;
 pub struct Ip(pub u32);
 
 impl Ip {
-    /// The unspecified address `0.0.0.0`.
-    pub const UNSPECIFIED: Ip = Ip(0);
-
     /// Builds an address from dotted-quad octets.
     #[inline]
     pub const fn new(a: u8, b: u8, c: u8, d: u8) -> Self {
@@ -143,12 +140,6 @@ impl Prefix {
     #[allow(clippy::len_without_is_empty)] // a prefix has no empty state
     pub const fn len(self) -> u8 {
         self.len
-    }
-
-    /// Whether this is the zero-length default route.
-    #[inline]
-    pub const fn is_default(self) -> bool {
-        self.len == 0
     }
 
     /// Whether `ip` falls inside this prefix.

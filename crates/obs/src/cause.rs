@@ -25,13 +25,11 @@ pub enum DropCause {
     /// A VPN label resolved to no VRF route at the egress PE — the
     /// misdelivery guard of the paper's isolation property.
     VrfMiss,
-    /// An edge policer (srTCM red action) discarded the packet.
-    Policer,
 }
 
 impl DropCause {
     /// Number of distinct causes (array dimension for per-cause tallies).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 7;
 
     /// All causes, in declaration (index) order.
     pub const ALL: [DropCause; DropCause::COUNT] = [
@@ -42,7 +40,6 @@ impl DropCause {
         DropCause::Ttl,
         DropCause::NoRoute,
         DropCause::VrfMiss,
-        DropCause::Policer,
     ];
 
     /// Dense index of this cause, `0..COUNT`.
@@ -61,7 +58,6 @@ impl DropCause {
             DropCause::Ttl => "ttl",
             DropCause::NoRoute => "no_route",
             DropCause::VrfMiss => "vrf_miss",
-            DropCause::Policer => "policer",
         }
     }
 }

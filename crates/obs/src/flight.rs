@@ -280,12 +280,12 @@ mod tests {
     #[test]
     fn clear_resets_everything() {
         let r = FlightRecorder::new(4);
-        r.record_at(0, 0, 1, 0, DropCause::Policer);
+        r.record_at(0, 0, 1, 0, DropCause::VrfMiss);
         r.record_absorbed(0, 1);
         r.clear();
         assert!(r.is_empty());
         assert_eq!(r.absorbed_total(), 0);
-        assert_eq!(r.node_total(0, DropCause::Policer), 0);
+        assert_eq!(r.node_total(0, DropCause::VrfMiss), 0);
         assert_eq!(r.node_absorbed(0), 0);
     }
 }

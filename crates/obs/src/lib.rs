@@ -11,7 +11,7 @@
 //! * [`Histogram`] — the log₂-bucketed duration histogram shared by flow
 //!   statistics and the control plane's convergence samples.
 //! * [`MetricsSnapshot`] — a point-in-time export of named counters,
-//!   gauges, drop causes and SLA probe rows, serialized as `metrics/v1`
+//!   gauges, drop causes and SLA probe rows, serialized as `metrics/v2`
 //!   JSON from any example or experiment. Counters themselves are plain
 //!   fields of the component that does the work; the snapshot is where
 //!   they get names.

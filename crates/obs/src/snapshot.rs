@@ -6,7 +6,7 @@ use crate::flight::FlightRecorder;
 
 /// The schema tag written as the first key of every JSON export. A
 /// change to the layout of the export bumps it.
-const SCHEMA: &str = "metrics/v1";
+const SCHEMA: &str = "metrics/v2";
 
 /// One SLA probe series: measured one-way service of a ⟨VPN, class⟩ pair.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,7 +32,7 @@ pub struct ProbeRow {
 /// A point-in-time export of every metric the emulator tracks: named
 /// counters and gauges, drop-cause totals, and SLA probe rows.
 ///
-/// Serializes to `metrics/v1` JSON ([`MetricsSnapshot::to_json`]) without
+/// Serializes to `metrics/v2` JSON ([`MetricsSnapshot::to_json`]) without
 /// any external dependency, so any example or experiment can dump its
 /// numbers for offline analysis (the R-table workflow in EXPERIMENTS.md).
 #[derive(Clone, Debug, Default)]
@@ -92,7 +92,7 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Serializes the snapshot as a self-contained `metrics/v1` JSON
+    /// Serializes the snapshot as a self-contained `metrics/v2` JSON
     /// object: `schema`, `captured_ns`, then the `counters`, `gauges` and
     /// `drop_causes` objects (rows in push order) and the `probes` array.
     pub fn to_json(&self) -> String {
@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn json_contains_every_section() {
         let j = sample().to_json();
-        assert!(j.starts_with("{\n  \"schema\": \"metrics/v1\",\n  \"captured_ns\": 42,\n"));
+        assert!(j.starts_with("{\n  \"schema\": \"metrics/v2\",\n  \"captured_ns\": 42,\n"));
         assert!(j.contains("\"link0.tx\": 10"));
         assert!(j.contains("\"queue.depth\": -1"));
         assert!(j.contains("\"red_early\": 1"));

@@ -8,13 +8,12 @@
 //!   blind behind IPsec, reproducing §3's observation.
 //! * **PHBs and the DSCP↔EXP mapping** ([`phb`]): how the provider edge maps
 //!   the CPE's DiffServ marking into "the QoS field of the MPLS header".
-//! * **Metering** ([`meter`]): token bucket and srTCM (RFC 2697) for edge
-//!   policing.
+//! * **Metering** ([`meter`]): the token bucket behind CBQ's rate gates.
 //! * **Active queue management** ([`red`]): RED, optionally ECN-marking.
-//! * **Schedulers** ([`queue`], [`sched`], [`cbq_tree`], [`shaper`]): FIFO,
-//!   strict priority, WFQ, DRR, CBQ (flat or a link-sharing tree) and a
-//!   token-bucket shaper, all behind one [`QueueDiscipline`] trait so any
-//!   of them can be attached to any simulated link egress.
+//! * **Schedulers** ([`queue`], [`sched`], [`cbq_tree`]): FIFO, strict
+//!   priority, WFQ, DRR and CBQ (flat or a link-sharing tree), all behind
+//!   one [`QueueDiscipline`] trait so any of them can be attached to any
+//!   simulated link egress.
 //!
 //! Time is a bare `u64` nanosecond count ([`Nanos`]); this crate never owns
 //! a clock — the simulator passes `now` in.
@@ -49,16 +48,14 @@ pub mod phb;
 pub mod queue;
 pub mod red;
 pub mod sched;
-pub mod shaper;
 
 pub use cbq_tree::{CbqNodeConfig, HierCbq};
 pub use classify::{MarkingPolicy, MatchRule};
-pub use meter::{Color, SrTcm, TokenBucket};
+pub use meter::TokenBucket;
 pub use phb::{ExpMap, Phb};
 pub use queue::{ClassOf, EnqueueOutcome, FifoQueue, QueueDiscipline};
 pub use red::{RedParams, RedQueue};
 pub use sched::{DrrScheduler, PriorityScheduler, WfqScheduler};
-pub use shaper::ShapedQueue;
 
 /// Simulation time in nanoseconds.
 pub type Nanos = u64;

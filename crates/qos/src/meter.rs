@@ -1,9 +1,5 @@
-//! Traffic metering: token bucket and the single-rate three-color marker.
-//!
-//! Used at the provider edge to police customer traffic against the
-//! contracted rate before it enters the backbone — the "granular Service
-//! Level Agreements" of the paper's §3.1. Out-of-profile traffic is either
-//! dropped or demoted to a higher drop precedence (AF model).
+//! The token bucket behind CBQ's rate gates: every node of a
+//! [`crate::HierCbq`] class tree meters its traffic through one.
 
 use crate::Nanos;
 
@@ -31,11 +27,6 @@ impl TokenBucket {
             tokens_mibits: burst_bytes as u128 * 8 * MICRO,
             last: 0,
         }
-    }
-
-    /// The configured rate in bits/s.
-    pub fn rate_bps(&self) -> u64 {
-        self.rate_bps
     }
 
     fn refill(&mut self, now: Nanos) {
@@ -72,47 +63,6 @@ impl TokenBucket {
     pub fn level_bytes(&mut self, now: Nanos) -> u64 {
         self.refill(now);
         (self.tokens_mibits / (8 * MICRO)) as u64
-    }
-}
-
-/// Metering verdict of a three-color marker.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Color {
-    /// Within committed rate.
-    Green,
-    /// Exceeds committed rate but within excess burst.
-    Yellow,
-    /// Out of profile.
-    Red,
-}
-
-/// Single-rate three-color marker (RFC 2697): committed information rate
-/// with committed and excess burst sizes, color-blind mode.
-#[derive(Clone, Debug)]
-pub struct SrTcm {
-    committed: TokenBucket,
-    excess: TokenBucket,
-}
-
-impl SrTcm {
-    /// Creates a marker with committed rate `cir_bps`, committed burst
-    /// `cbs_bytes` and excess burst `ebs_bytes`.
-    pub fn new(cir_bps: u64, cbs_bytes: u64, ebs_bytes: u64) -> Self {
-        SrTcm {
-            committed: TokenBucket::new(cir_bps, cbs_bytes),
-            excess: TokenBucket::new(cir_bps, ebs_bytes),
-        }
-    }
-
-    /// Meters one packet of `bytes` at time `now`.
-    pub fn meter(&mut self, bytes: usize, now: Nanos) -> Color {
-        if self.committed.conforms(bytes, now) {
-            Color::Green
-        } else if self.excess.conforms(bytes, now) {
-            Color::Yellow
-        } else {
-            Color::Red
-        }
     }
 }
 
@@ -157,16 +107,6 @@ mod tests {
         assert!(tb.conforms(100, 1000));
         // Clock replay must not mint tokens.
         assert!(!tb.conforms(1, 999));
-    }
-
-    #[test]
-    fn srtcm_colors() {
-        let mut m = SrTcm::new(8_000_000, 500, 500);
-        assert_eq!(m.meter(500, 0), Color::Green);
-        assert_eq!(m.meter(500, 0), Color::Yellow);
-        assert_eq!(m.meter(500, 0), Color::Red);
-        // After enough time both buckets refill.
-        assert_eq!(m.meter(500, SEC), Color::Green);
     }
 
     #[test]

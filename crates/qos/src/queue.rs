@@ -48,8 +48,8 @@ pub trait QueueDiscipline: Send {
 
     /// Wire length of the packet the next `dequeue` would return, when the
     /// discipline can cheaply know it (simple FIFOs can; classful
-    /// schedulers may return `None`). Used by wrappers like
-    /// [`crate::ShapedQueue`] to budget tokens exactly.
+    /// schedulers may return `None`). Nothing in the crates calls it: it
+    /// stays only because perfbench's `Probe` wrapper implements it.
     fn peek_len(&self) -> Option<usize> {
         None
     }
@@ -57,9 +57,9 @@ pub trait QueueDiscipline: Send {
     /// When the discipline could next hand out a packet.
     ///
     /// Work-conserving disciplines return `Some(now)` whenever they hold
-    /// packets. Non-work-conserving ones (shapers, CBQ bounded classes) may
-    /// return a later time: the link must retry `dequeue` then rather than
-    /// going idle. `None` means "nothing buffered".
+    /// packets. Non-work-conserving ones (CBQ bounded classes) may return a
+    /// later time: the link must retry `dequeue` then rather than going
+    /// idle. `None` means "nothing buffered".
     fn next_ready(&self, now: Nanos) -> Option<Nanos> {
         if self.is_empty() {
             None

@@ -2,9 +2,9 @@
 //!
 //! `std`'s default SipHash is DoS-resistant but costs ~1–2 ns per lookup,
 //! which is measurable when a map sits on the per-packet forwarding path
-//! (sink flow stats, PE label tables, per-interface policers). Simulation
-//! keys are small trusted integers, so a multiply-and-rotate hash is safe
-//! and several times faster.
+//! (sink flow stats, PE label tables). Simulation keys are small trusted
+//! integers, so a multiply-and-rotate hash is safe and several times
+//! faster.
 //!
 //! The scheme is the classic FxHash fold used by rustc: for each 64-bit
 //! word of input, `state = (state.rotate_left(5) ^ word) * K` with `K` an

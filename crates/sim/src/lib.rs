@@ -14,7 +14,7 @@
 //! * **Store-and-forward links.** A transmission occupies the egress for
 //!   `wire_len * 8 / rate`; the packet arrives at the peer after an
 //!   additional propagation delay. Non-work-conserving disciplines (CBQ
-//!   bounded classes, shapers) are honoured via
+//!   bounded classes) are honoured via
 //!   [`netsim_qos::QueueDiscipline::next_ready`] retries.
 //! * **Single-threaded networks, parallel experiments.** A [`Network`] is a
 //!   plain single-threaded state machine; the benchmark harness runs many

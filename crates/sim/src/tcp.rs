@@ -342,7 +342,10 @@ mod tests {
     }
 
     fn tcp_cfg(flow: u64) -> SourceConfig {
-        SourceConfig::udp(flow, ip("10.0.0.1"), ip("10.0.0.2"), 80, 1000).as_tcp()
+        SourceConfig {
+            tcp: true,
+            ..SourceConfig::udp(flow, ip("10.0.0.1"), ip("10.0.0.2"), 80, 1000)
+        }
     }
 
     /// Direct source↔sink over a fat link: everything is delivered in

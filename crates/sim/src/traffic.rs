@@ -60,12 +60,6 @@ impl SourceConfig {
         }
     }
 
-    /// Switches the flow to TCP framing.
-    pub fn as_tcp(mut self) -> Self {
-        self.tcp = true;
-        self
-    }
-
     /// Sets the DSCP the source itself marks.
     pub fn with_dscp(mut self, d: Dscp) -> Self {
         self.dscp = d;

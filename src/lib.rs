@@ -17,7 +17,7 @@
 //! * [`te`] — CSPF and trunk admission with preemption.
 //! * [`ipsec`] — ESP tunnel emulation and IKE simulation.
 //! * [`obs`] — telemetry: drop-cause flight recorder, histograms, SLA
-//!   probe rows, `metrics/v1` snapshots (DESIGN.md §8).
+//!   probe rows, `metrics/v2` snapshots (DESIGN.md §8).
 //! * [`vpn`] — the assembled architecture: provider networks (with
 //!   explicit TE LSPs and fast reroute), PE/P/CE routers, baselines, SLAs,
 //!   tracing.

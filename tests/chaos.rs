@@ -4,7 +4,7 @@
 //! 1. **Packet conservation** — every packet a source emitted is either
 //!    delivered to a sink, dropped on a link (tail drop, cut-link flush,
 //!    or down-interface refusal), dropped by a router (no route / TTL /
-//!    policer), absorbed by a control plane, or still queued when the
+//!    VRF miss), absorbed by a control plane, or still queued when the
 //!    clock stops.
 //! 2. **Isolation** — two VPNs with *identical* (overlapping) address
 //!    plans never leak a packet into each other's sinks, no matter which
