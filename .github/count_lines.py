@@ -27,24 +27,30 @@ def git(*args):
                           capture_output=True, text=True, check=True).stdout
 
 
-def sources(rev):
-    """Yields (crate, text) for every counted file."""
+def sources(rev=None):
+    """Yields (path, crate, text) for every counted file, in path order,
+    from the working tree of the current directory or from commit `rev`."""
     if rev is None:
         paths = [p.as_posix() for p in pathlib.Path("crates").rglob("*.rs")]
     else:
         paths = git("ls-tree", "-r", "--name-only", rev, "crates").splitlines()
-    for path in paths:
+    for path in sorted(paths):
         m = PATH.fullmatch(path)
         if m and not m.group(1).endswith("-shim"):
-            yield m.group(1), pathlib.Path(path).read_text() if rev is None else git("show", f"{rev}:{path}")
+            yield path, m.group(1), pathlib.Path(path).read_text() if rev is None else git("show", f"{rev}:{path}")
+
+
+def non_test(text):
+    """The lines of `text` before its first unindented `#[cfg(test)]` line."""
+    lines = text.splitlines()
+    return lines[:next((i for i, l in enumerate(lines) if l.startswith("#[cfg(test)]")), len(lines))]
 
 
 def main():
     os.chdir(pathlib.Path(__file__).resolve().parents[1])
     per_crate = Counter()
-    for crate, text in sources(sys.argv[1] if len(sys.argv) > 1 else None):
-        lines = text.splitlines()
-        per_crate[crate] += next((i for i, l in enumerate(lines) if l.startswith("#[cfg(test)]")), len(lines))
+    for _, crate, text in sources(sys.argv[1] if len(sys.argv) > 1 else None):
+        per_crate[crate] += len(non_test(text))
     print(f"total {sum(per_crate.values())}")
     for crate, n in sorted(per_crate.items()):
         print(f"  {crate} {n}")

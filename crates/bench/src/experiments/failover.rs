@@ -92,13 +92,14 @@ pub fn measure(
         .build();
     let at_bring_up = pn.control_stats().expect("every network exposes control stats").pkts_sent;
     let vpn = pn.new_vpn("acme");
-    let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
-    let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
+    let (pa, pb) = (pfx("10.1.0.0/16"), pfx("10.2.0.0/16"));
+    let a = pn.add_site(vpn, 0, pa, None);
+    let b = pn.add_site(vpn, 1, pb, None);
     // The VPN is up before the first call starts: the MP-BGP updates have
     // landed (at t = 0 under the oracle, a few ms later in band).
     pn.run_to_quiescence();
-    let sink = pn.attach_sink(b, pfx("10.2.0.0/16"));
-    let flows = mix::attach_mix_provider(&mut pn, a, b, 1, SEED, RUN_SECS * SEC);
+    let sink = pn.attach_sink(b, pb);
+    let flows = mix::attach_mix(&mut pn.net, pn.sites[a.0].ce, pa, pb, 1, SEED, RUN_SECS * SEC);
 
     if protected {
         let srlg = SrlgMap::new(pn.topo.link_count());

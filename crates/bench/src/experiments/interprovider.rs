@@ -17,7 +17,7 @@ use netsim_net::addr::pfx;
 use netsim_net::Dscp;
 use netsim_qos::Nanos;
 use netsim_routing::{LinkAttrs, Topology};
-use netsim_sim::{Sink, SourceConfig, MSEC, SEC};
+use netsim_sim::{CbrSource, Sink, SourceConfig, MSEC, SEC};
 
 use crate::table::{ms, pct, Table};
 
@@ -69,8 +69,8 @@ pub fn measure(duration: Nanos, diffserv: bool) -> (Vec<Q4Flow>, bool, u64) {
     let voice_count = duration / (20 * MSEC);
     let bulk_interval = 600_000; // 1228 B wire / 0.6 ms ≈ 16.4 Mb/s
     let bulk_count = duration / bulk_interval;
-    ip.attach_cbr_source_a(voice, 20 * MSEC, Some(voice_count));
-    ip.attach_cbr_source_a(bulk, bulk_interval, Some(bulk_count));
+    ip.net.attach_source(ip.ce_a, Box::new(CbrSource::new(voice, 20 * MSEC, Some(voice_count))));
+    ip.net.attach_source(ip.ce_a, Box::new(CbrSource::new(bulk, bulk_interval, Some(bulk_count))));
     ip.net.run_until(duration + SEC);
 
     let s = ip.net.node_ref::<Sink>(sink);

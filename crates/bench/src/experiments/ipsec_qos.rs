@@ -20,7 +20,7 @@ use netsim_qos::Nanos;
 use netsim_sim::SEC;
 
 use crate::experiments::qos::{class_rows, ClassRow};
-use crate::mix::{attach_mix_ipsec, attach_mix_provider};
+use crate::mix::attach_mix;
 use crate::table::{f2, ms, pct, Table};
 use crate::topo;
 
@@ -46,12 +46,13 @@ fn measure_mpls(duration: Nanos, seed: u64) -> Q2Row {
     let (t, pes) = topo::dumbbell(10);
     let mut pn = BackboneBuilder::new(t, pes).core_qos(ds_core()).seed(seed).build();
     let vpn = pn.new_vpn("acme");
-    let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
-    let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
+    let (pa, pb) = (pfx("10.1.0.0/16"), pfx("10.2.0.0/16"));
+    let a = pn.add_site(vpn, 0, pa, None);
+    let b = pn.add_site(vpn, 1, pb, None);
     pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
     pn.verify().assert_clean("ipsec-comparison MPLS reference");
-    let sink = pn.attach_sink(b, pfx("10.2.0.0/16"));
-    let flows = attach_mix_provider(&mut pn, a, b, 1, seed, duration);
+    let sink = pn.attach_sink(b, pb);
+    let flows = attach_mix(&mut pn.net, pn.sites[a.0].ce, pa, pb, 1, seed, duration);
     pn.run_for(duration + SEC);
     Q2Row {
         config: "MPLS VPN (DSCP→EXP)",
@@ -65,16 +66,18 @@ fn measure_mpls(duration: Nanos, seed: u64) -> Q2Row {
 fn measure_ipsec(duration: Nanos, seed: u64, copy_dscp: bool) -> Q2Row {
     let (t, _) = topo::dumbbell(10);
     let mut n = IpsecVpnNetwork::build(t, 1_000_000, ds_core());
-    let a = n.add_gateway(0, pfx("10.1.0.0/16"), None);
-    let b = n.add_gateway(3, pfx("10.2.0.0/16"), None);
+    let (pa, pb) = (pfx("10.1.0.0/16"), pfx("10.2.0.0/16"));
+    let a = n.add_gateway(0, pa, None);
+    let b = n.add_gateway(3, pb, None);
     n.connect_gateways(a, b);
     n.set_dscp_copy(a, copy_dscp);
     n.set_dscp_copy(b, copy_dscp);
-    let sink = n.attach_sink(b, pfx("10.2.0.0/16"));
-    let flows = attach_mix_ipsec(&mut n, a, b, 1, seed, duration);
+    let sink = n.attach_sink(b, pb);
+    let gw_a = n.gateway_node(a);
+    let flows = attach_mix(&mut n.net, gw_a, pa, pb, 1, seed, duration);
     n.net.run_until(duration + SEC);
     let rows = class_rows(&n.net, sink, &flows);
-    let ga = n.net.node_ref::<IpsecGateway>(n.gateway_node(a));
+    let ga = n.net.node_ref::<IpsecGateway>(gw_a);
     let gb = n.net.node_ref::<IpsecGateway>(n.gateway_node(b));
     let delivered: u64 = rows.iter().map(|r| r.rx).sum();
     let crypto = (ga.crypto_ns + gb.crypto_ns) / delivered.max(1);

@@ -15,7 +15,7 @@ use netsim_net::Dscp;
 use netsim_qos::Nanos;
 use netsim_sim::{FlowStats, NodeId, Sink, MSEC, SEC};
 
-use crate::mix::{attach_mix_provider, tx_packets, FlowDesc};
+use crate::mix::{attach_mix, tx_packets, FlowDesc};
 use crate::report::ExpReport;
 use crate::table::{f2, ms, pct, Table};
 use crate::topo;
@@ -84,12 +84,13 @@ pub fn measure(qos: CoreQos, duration: Nanos, seed: u64) -> (Vec<ClassRow>, f64)
     let (t, pes) = topo::dumbbell(10);
     let mut pn = BackboneBuilder::new(t, pes).core_qos(qos).seed(seed).build();
     let vpn = pn.new_vpn("acme");
-    let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
-    let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
+    let (pa, pb) = (pfx("10.1.0.0/16"), pfx("10.2.0.0/16"));
+    let a = pn.add_site(vpn, 0, pa, None);
+    let b = pn.add_site(vpn, 1, pb, None);
     pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
     pn.verify().assert_clean("qos experiment");
-    let sink = pn.attach_sink(b, pfx("10.2.0.0/16"));
-    let flows = attach_mix_provider(&mut pn, a, b, 1, seed, duration);
+    let sink = pn.attach_sink(b, pb);
+    let flows = attach_mix(&mut pn.net, pn.sites[a.0].ce, pa, pb, 1, seed, duration);
     pn.run_for(duration + SEC); // drain
     let rows = class_rows(&pn.net, sink, &flows);
     let util =
@@ -106,14 +107,15 @@ fn measure_instrumented(duration: Nanos, seed: u64) -> (Vec<ClassRow>, MetricsSn
     let (t, pes) = topo::dumbbell(10);
     let mut pn = BackboneBuilder::new(t, pes).core_qos(qos).seed(seed).build();
     let vpn = pn.new_vpn("acme");
-    let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
-    let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
-    let sink = pn.attach_sink(b, pfx("10.2.0.0/16"));
+    let (pa, pb) = (pfx("10.1.0.0/16"), pfx("10.2.0.0/16"));
+    let a = pn.add_site(vpn, 0, pa, None);
+    let b = pn.add_site(vpn, 1, pb, None);
+    let sink = pn.attach_sink(b, pb);
     // One low-rate probe per sold class: what the SLA dashboard reports.
     for dscp in [Dscp::EF, Dscp::AF41, Dscp::AF21, Dscp::BE] {
         pn.attach_sla_probe(a, b, dscp, 20 * MSEC, Some(duration / (20 * MSEC)));
     }
-    let flows = attach_mix_provider(&mut pn, a, b, 1, seed, duration);
+    let flows = attach_mix(&mut pn.net, pn.sites[a.0].ce, pa, pb, 1, seed, duration);
     pn.run_for(duration + SEC);
     let rows = class_rows(&pn.net, sink, &flows);
     let snap = pn.metrics_snapshot();

@@ -2,11 +2,9 @@
 //! voice (EF), video (AF41), transactional data (AF21) and bulk (BE),
 //! dimensioned to oversubscribe a 10 Mb/s bottleneck by roughly 35%.
 
-use mplsvpn_core::ipsec_vpn::{GwId, IpsecVpnNetwork};
-use mplsvpn_core::{ProviderNetwork, SiteId};
-use netsim_net::{Dscp, Ip};
+use netsim_net::{Dscp, Ip, Prefix};
 use netsim_qos::{Nanos, MSEC};
-use netsim_sim::{CbrSource, Network, NodeId, OnOffSource, PoissonSource, SourceConfig};
+use netsim_sim::{CbrSource, Network, Node, NodeId, OnOffSource, PoissonSource, SourceConfig};
 
 /// How a flow's source is modelled (needed to read back tx counters).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -126,13 +124,17 @@ fn source_config(spec: &Spec, id: u64, src: Ip, dst: Ip) -> SourceConfig {
     }
 }
 
-/// Attaches the canonical mix from `from` to `to` on a provider network,
-/// running until `until`. Returns the flow descriptors (flow ids are
+/// Attaches the canonical mix at `edge` (a CE, an IPsec gateway: the
+/// node a VPN model hangs its site's hosts off), from hosts in `from`
+/// toward hosts in `to`, running until `until`. Every VPN model gets the
+/// same sources, attached and started the same way, so rows are
+/// comparable. Returns the flow descriptors (flow ids are
 /// `base_flow + index`).
-pub fn attach_mix_provider(
-    pn: &mut ProviderNetwork,
-    from: SiteId,
-    to: SiteId,
+pub fn attach_mix(
+    net: &mut Network,
+    edge: NodeId,
+    from: Prefix,
+    to: Prefix,
     base_flow: u64,
     seed: u64,
     until: Nanos,
@@ -141,98 +143,35 @@ pub fn attach_mix_provider(
     let mut out = Vec::with_capacity(specs.len());
     for (i, spec) in specs.iter().enumerate() {
         let id = base_flow + i as u64;
-        let src_ip = pn.site_addr(from, 100 + i as u32);
-        let dst_ip = pn.site_addr(to, 200 + i as u32);
-        let cfg = source_config(spec, id, src_ip, dst_ip);
-        let count = until / spec.interval;
-        let node = match spec.kind {
-            SourceKind::Cbr => pn.attach_cbr_source(from, cfg, spec.interval, Some(count)),
-            SourceKind::Poisson => {
-                pn.attach_poisson_source(from, cfg, spec.interval, seed + i as u64, Some(until))
+        let cfg = source_config(spec, id, from.nth(100 + i as u32), to.nth(200 + i as u32));
+        let seed = seed + i as u64;
+        let src: Box<dyn Node> = match spec.kind {
+            SourceKind::Cbr => {
+                Box::new(CbrSource::new(cfg, spec.interval, Some(until / spec.interval)))
             }
-            SourceKind::OnOff => pn.attach_onoff_source(
-                from,
+            SourceKind::Poisson => {
+                Box::new(PoissonSource::new(cfg, spec.interval, seed, Some(until)))
+            }
+            SourceKind::OnOff => Box::new(OnOffSource::new(
                 cfg,
                 spec.interval,
                 50 * MSEC,
                 50 * MSEC,
-                seed + i as u64,
+                seed,
                 Some(until),
-            ),
+            )),
         };
+        let (src, _) = net.attach_source(edge, src);
         out.push(FlowDesc {
             id,
             name: spec.name,
             class: spec.class,
             dscp: spec.dscp,
-            src: node,
+            src,
             kind: spec.kind,
         });
     }
     out
-}
-
-/// Attaches the canonical mix between two IPsec gateways (same shapes and
-/// classes as [`attach_mix_provider`], so rows are comparable).
-pub fn attach_mix_ipsec(
-    n: &mut IpsecVpnNetwork,
-    from: GwId,
-    to: GwId,
-    base_flow: u64,
-    seed: u64,
-    until: Nanos,
-) -> Vec<FlowDesc> {
-    let specs = mix_specs();
-    let mut out = Vec::with_capacity(specs.len());
-    for (i, spec) in specs.iter().enumerate() {
-        let id = base_flow + i as u64;
-        let src_ip = n.site_addr(from, 100 + i as u32);
-        let dst_ip = n.site_addr(to, 200 + i as u32);
-        let cfg = source_config(spec, id, src_ip, dst_ip);
-        let count = until / spec.interval;
-        let node = match spec.kind {
-            SourceKind::Cbr => n.attach_cbr_source(from, cfg, spec.interval, Some(count)),
-            SourceKind::Poisson => {
-                let src = n.net.add_node(Box::new(PoissonSource::new(
-                    cfg,
-                    spec.interval,
-                    seed + i as u64,
-                    Some(until),
-                )));
-                wire_extra_host(n, from, src, 0);
-                src
-            }
-            SourceKind::OnOff => {
-                let src = n.net.add_node(Box::new(OnOffSource::new(
-                    cfg,
-                    spec.interval,
-                    50 * MSEC,
-                    50 * MSEC,
-                    seed + i as u64,
-                    Some(until),
-                )));
-                wire_extra_host(n, from, src, 1);
-                src
-            }
-        };
-        out.push(FlowDesc {
-            id,
-            name: spec.name,
-            class: spec.class,
-            dscp: spec.dscp,
-            src: node,
-            kind: spec.kind,
-        });
-    }
-    out
-}
-
-/// Connects source `src` to gateway `gw` and starts it with timer token
-/// `kick` (each source kind has its own start token).
-fn wire_extra_host(n: &mut IpsecVpnNetwork, gw: GwId, src: NodeId, kick: u64) {
-    let gnode = n.gateway_node(gw);
-    n.net.connect(src, gnode, netsim_sim::LinkConfig::new(1_000_000_000, 10_000));
-    n.net.arm_timer(src, 0, kick);
 }
 
 #[cfg(test)]

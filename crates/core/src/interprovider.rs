@@ -23,7 +23,7 @@ use netsim_net::Prefix;
 use netsim_obs::FlightRecorder;
 use netsim_qos::{MarkingPolicy, Nanos};
 use netsim_routing::{Igp, Topology};
-use netsim_sim::{CbrSource, LinkConfig, Network, NodeId, Sink, SourceConfig};
+use netsim_sim::{LinkConfig, Network, NodeId, Sink};
 
 use crate::network::{make_core_qdisc, CoreQos};
 use crate::router::{CeRouter, CoreRouter, PeRouter};
@@ -197,24 +197,9 @@ impl InterProviderVpn {
 
     /// Attaches a sink behind the domain-B site.
     pub fn attach_sink_b(&mut self, host_prefix: Prefix) -> NodeId {
-        let sink = self.net.add_node(Box::new(Sink::new()));
-        let (_l, _s, ce_if) =
-            self.net.connect(sink, self.ce_b, LinkConfig::new(1_000_000_000, 10_000));
+        let (sink, ce_if) = self.net.attach_host(self.ce_b, Box::new(Sink::new()));
         self.net.node_mut::<CeRouter>(self.ce_b).add_host_route(host_prefix, ce_if.0);
         sink
-    }
-
-    /// Attaches a CBR source behind the domain-A site and arms it.
-    pub fn attach_cbr_source_a(
-        &mut self,
-        cfg: SourceConfig,
-        interval: Nanos,
-        count: Option<u64>,
-    ) -> NodeId {
-        let src = self.net.add_node(Box::new(CbrSource::new(cfg, interval, count)));
-        self.net.connect(src, self.ce_a, LinkConfig::new(1_000_000_000, 10_000));
-        self.net.arm_timer(src, 0, 0);
-        src
     }
 }
 
@@ -238,7 +223,7 @@ mod tests {
     use super::*;
     use netsim_net::addr::pfx;
     use netsim_routing::LinkAttrs;
-    use netsim_sim::SEC;
+    use netsim_sim::{CbrSource, SourceConfig, SEC};
 
     fn line(n: usize) -> Topology {
         let mut t = Topology::new(n);
@@ -266,7 +251,7 @@ mod tests {
         let sink_b = ip.attach_sink_b(pfx("10.2.0.0/16"));
         let cfg =
             SourceConfig::udp(1, pfx("10.1.0.0/16").nth(5), pfx("10.2.0.0/16").nth(9), 5000, 200);
-        ip.attach_cbr_source_a(cfg, 1_000_000, Some(25));
+        ip.net.attach_source(ip.ce_a, Box::new(CbrSource::new(cfg, 1_000_000, Some(25))));
         ip.net.run_until(SEC);
         assert_eq!(ip.net.node_ref::<Sink>(sink_b).flow(1).map(|f| f.rx_packets), Some(25));
         assert!(ip.control_messages > 0);
@@ -290,7 +275,7 @@ mod tests {
         // Voice-port flow: the CE marks it EF, PE maps to EXP 5.
         let cfg =
             SourceConfig::udp(1, pfx("10.1.0.0/16").nth(5), pfx("10.2.0.0/16").nth(9), 16400, 160);
-        ip.attach_cbr_source_a(cfg, 1_000_000, Some(3));
+        ip.net.attach_source(ip.ce_a, Box::new(CbrSource::new(cfg, 1_000_000, Some(3))));
         ip.net.run_until(SEC);
         assert_eq!(ip.net.node_ref::<Sink>(sink_b).total_packets, 3);
         // Every labeled hop recorded EXP 5 — in both domains.

@@ -312,26 +312,9 @@ impl IpsecVpnNetwork {
     /// Attaches a measuring sink behind a gateway.
     pub fn attach_sink(&mut self, gw: GwId, host_prefix: Prefix) -> NodeId {
         let gnode = self.gws[gw.0].node;
-        let sink = self.net.add_node(Box::new(Sink::new()));
-        let (_l, _s_if, g_if) =
-            self.net.connect(sink, gnode, LinkConfig::new(1_000_000_000, 10_000));
+        let (sink, g_if) = self.net.attach_host(gnode, Box::new(Sink::new()));
         self.net.node_mut::<IpsecGateway>(gnode).local.insert(host_prefix, g_if.0);
         sink
-    }
-
-    /// Attaches a CBR source behind a gateway and arms it.
-    pub fn attach_cbr_source(
-        &mut self,
-        gw: GwId,
-        cfg: netsim_sim::SourceConfig,
-        interval: Nanos,
-        count: Option<u64>,
-    ) -> NodeId {
-        let gnode = self.gws[gw.0].node;
-        let src = self.net.add_node(Box::new(netsim_sim::CbrSource::new(cfg, interval, count)));
-        self.net.connect(src, gnode, LinkConfig::new(1_000_000_000, 10_000));
-        self.net.arm_timer(src, 0, 0);
-        src
     }
 
     /// A host address inside a gateway's site prefix.
@@ -350,7 +333,7 @@ mod tests {
     use netsim_net::addr::pfx;
     use netsim_net::Dscp;
     use netsim_routing::LinkAttrs;
-    use netsim_sim::{SourceConfig, SEC};
+    use netsim_sim::{CbrSource, SourceConfig, SEC};
 
     fn line_ipsec() -> IpsecVpnNetwork {
         let mut topo = Topology::new(3);
@@ -368,7 +351,7 @@ mod tests {
         n.connect_gateways(a, b);
         let sink = n.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, n.site_addr(a, 5), n.site_addr(b, 9), 5000, 200);
-        n.attach_cbr_source(a, cfg, 1_000_000, Some(30));
+        n.net.attach_source(n.gateway_node(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(30))));
         n.net.run_until(SEC);
         let s = n.net.node_ref::<Sink>(sink);
         assert_eq!(s.flow(1).map(|f| f.rx_packets), Some(30));
@@ -385,7 +368,7 @@ mod tests {
         let b = n.add_gateway(2, pfx("10.2.0.0/16"), None);
         let sink = n.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, n.site_addr(a, 5), n.site_addr(b, 9), 5000, 200);
-        n.attach_cbr_source(a, cfg, 1_000_000, Some(10));
+        n.net.attach_source(n.gateway_node(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(10))));
         n.net.run_until(SEC);
         assert_eq!(n.net.node_ref::<Sink>(sink).total_packets, 0);
         let rec = n.net.recorder().expect("the IPsec network attaches a recorder");
@@ -404,7 +387,7 @@ mod tests {
         let sink = n.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, n.site_addr(a, 5), n.site_addr(b, 9), 5000, 160)
             .with_dscp(Dscp::EF);
-        n.attach_cbr_source(a, cfg, 1_000_000, Some(5));
+        n.net.attach_source(n.gateway_node(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(5))));
         n.net.run_until(SEC);
         // Delivered, and the inner EF DSCP survived the tunnel...
         let s = n.net.node_ref::<Sink>(sink);
@@ -425,7 +408,7 @@ mod tests {
         let sink = n.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, n.site_addr(a, 5), n.site_addr(b, 9), 5000, 160)
             .with_dscp(Dscp::EF);
-        n.attach_cbr_source(a, cfg, 1_000_000, Some(5));
+        n.net.attach_source(n.gateway_node(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(5))));
         n.net.run_until(SEC);
         assert_eq!(n.net.node_ref::<Sink>(sink).total_packets, 5);
     }

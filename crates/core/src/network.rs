@@ -35,7 +35,7 @@ use netsim_routing::{
     BgpVpnFabric, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget, Topology, VrfHandle,
 };
 use netsim_sim::{
-    CbrSource, Ctx, FxHashMap, IfaceId, LinkConfig, LinkId, Network, NodeId, OnOffSource,
+    CbrSource, Ctx, FxHashMap, IfaceId, LinkConfig, LinkId, Network, Node, NodeId, OnOffSource,
     PoissonSource, Sink, SourceConfig,
 };
 
@@ -538,19 +538,12 @@ impl ProviderNetwork {
     /// `host_prefix` (must lie inside the site prefix). Returns the sink's
     /// node id.
     pub fn attach_sink(&mut self, site: SiteId, host_prefix: Prefix) -> NodeId {
-        let info = &self.sites[site.0];
-        assert!(info.prefix.overlaps(host_prefix), "host prefix outside the site block");
-        let ce = info.ce;
-        let sink = self.net.add_node(Box::new(Sink::new()));
-        let cfg = LinkConfig::new(1_000_000_000, 10_000);
-        let (_l, _sink_if, ce_if) = self.net.connect(sink, ce, cfg);
-        self.net.node_mut::<CeRouter>(ce).add_host_route(host_prefix, ce_if.0);
-        sink
+        self.attach_site_host(site, host_prefix, Box::new(Sink::new()))
     }
 
     /// Attaches a CBR source host at `site` sending per `cfg` every
-    /// `interval` ns (bounded to `count` packets if given); arms its kick
-    /// timer at t=0. Returns the source node id.
+    /// `interval` ns (bounded to `count` packets if given), from the
+    /// current instant on. Returns the source node id.
     pub fn attach_cbr_source(
         &mut self,
         site: SiteId,
@@ -558,10 +551,8 @@ impl ProviderNetwork {
         interval: Nanos,
         count: Option<u64>,
     ) -> NodeId {
-        let src = self.net.add_node(Box::new(CbrSource::new(cfg, interval, count)));
-        self.wire_source(site, src);
-        self.net.arm_timer(src, 0, 0);
-        src
+        let src = CbrSource::new(cfg, interval, count);
+        self.net.attach_source(self.sites[site.0].ce, Box::new(src)).0
     }
 
     /// Attaches a Poisson source host (mean gap `mean_interval`, stops at
@@ -574,10 +565,8 @@ impl ProviderNetwork {
         seed: u64,
         until: Option<Nanos>,
     ) -> NodeId {
-        let src = self.net.add_node(Box::new(PoissonSource::new(cfg, mean_interval, seed, until)));
-        self.wire_source(site, src);
-        self.net.arm_timer(src, 0, 0);
-        src
+        let src = PoissonSource::new(cfg, mean_interval, seed, until);
+        self.net.attach_source(self.sites[site.0].ce, Box::new(src)).0
     }
 
     /// Attaches a bursty on-off source host.
@@ -592,12 +581,8 @@ impl ProviderNetwork {
         seed: u64,
         until: Option<Nanos>,
     ) -> NodeId {
-        let src = self
-            .net
-            .add_node(Box::new(OnOffSource::new(cfg, interval, mean_on, mean_off, seed, until)));
-        self.wire_source(site, src);
-        self.net.arm_timer(src, 0, 1); // token 1 = toggle ON
-        src
+        let src = OnOffSource::new(cfg, interval, mean_on, mean_off, seed, until);
+        self.net.attach_source(self.sites[site.0].ce, Box::new(src)).0
     }
 
     /// Attaches a closed-loop TCP-like source at `site`. Unlike the open-
@@ -617,30 +602,29 @@ impl ProviderNetwork {
         if ecn {
             tcp = tcp.with_ecn();
         }
-        let src = self.net.add_node(Box::new(tcp));
-        let link = LinkConfig::new(1_000_000_000, 10_000);
-        let (_l, _s_if, ce_if) = self.net.connect(src, ce, link);
+        let (src, ce_if) = self.net.attach_source(ce, Box::new(tcp));
         self.net.node_mut::<CeRouter>(ce).add_host_route(Prefix::host(src_addr), ce_if.0);
-        self.net.arm_timer(src, 0, 0);
         src
     }
 
     /// Attaches an acking TCP sink serving `host_prefix` at `site`.
     pub fn attach_tcp_sink(&mut self, site: SiteId, host_prefix: Prefix) -> NodeId {
+        self.attach_site_host(site, host_prefix, Box::new(netsim_sim::TcpSink::new()))
+    }
+
+    /// Hangs `host` off the site's CE, which routes `host_prefix` to it.
+    fn attach_site_host(
+        &mut self,
+        site: SiteId,
+        host_prefix: Prefix,
+        host: Box<dyn Node>,
+    ) -> NodeId {
         let info = &self.sites[site.0];
         assert!(info.prefix.overlaps(host_prefix), "host prefix outside the site block");
         let ce = info.ce;
-        let sink = self.net.add_node(Box::new(netsim_sim::TcpSink::new()));
-        let link = LinkConfig::new(1_000_000_000, 10_000);
-        let (_l, _s_if, ce_if) = self.net.connect(sink, ce, link);
+        let (host, ce_if) = self.net.attach_host(ce, host);
         self.net.node_mut::<CeRouter>(ce).add_host_route(host_prefix, ce_if.0);
-        sink
-    }
-
-    fn wire_source(&mut self, site: SiteId, src: NodeId) {
-        let ce = self.sites[site.0].ce;
-        let cfg = LinkConfig::new(1_000_000_000, 10_000);
-        self.net.connect(src, ce, cfg);
+        host
     }
 
     /// A convenience address inside a site's prefix.

@@ -298,29 +298,17 @@ impl OverlayNetwork {
         self.node_ids.iter().map(|&id| self.net.node_ref::<VcSwitch>(id).table_size()).sum()
     }
 
+    /// The edge router of a site, where its hosts attach.
+    pub fn edge(&self, site: OverlaySiteId) -> NodeId {
+        self.sites[site.0].edge
+    }
+
     /// Attaches a measuring sink for `host_prefix` at a site.
     pub fn attach_sink(&mut self, site: OverlaySiteId, host_prefix: Prefix) -> NodeId {
         let edge = self.sites[site.0].edge;
-        let sink = self.net.add_node(Box::new(Sink::new()));
-        let (_l, _s_if, e_if) =
-            self.net.connect(sink, edge, LinkConfig::new(1_000_000_000, 10_000));
+        let (sink, e_if) = self.net.attach_host(edge, Box::new(Sink::new()));
         self.net.node_mut::<VcEdge>(edge).local.insert(host_prefix, e_if.0);
         sink
-    }
-
-    /// Attaches a CBR source at a site and arms it.
-    pub fn attach_cbr_source(
-        &mut self,
-        site: OverlaySiteId,
-        cfg: netsim_sim::SourceConfig,
-        interval: Nanos,
-        count: Option<u64>,
-    ) -> NodeId {
-        let edge = self.sites[site.0].edge;
-        let src = self.net.add_node(Box::new(netsim_sim::CbrSource::new(cfg, interval, count)));
-        self.net.connect(src, edge, LinkConfig::new(1_000_000_000, 10_000));
-        self.net.arm_timer(src, 0, 0);
-        src
     }
 
     /// A host address inside a site's prefix.
@@ -341,7 +329,7 @@ mod tests {
     use netsim_net::addr::pfx;
     use netsim_net::Dscp;
     use netsim_routing::LinkAttrs;
-    use netsim_sim::{SourceConfig, SEC};
+    use netsim_sim::{CbrSource, SourceConfig, SEC};
 
     fn line_overlay() -> OverlayNetwork {
         let mut topo = Topology::new(3);
@@ -359,7 +347,7 @@ mod tests {
         ov.connect_sites(a, b);
         let sink = ov.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, ov.site_addr(a, 5), ov.site_addr(b, 9), 5000, 200);
-        ov.attach_cbr_source(a, cfg, 1_000_000, Some(40));
+        ov.net.attach_source(ov.edge(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(40))));
         ov.net.run_until(SEC);
         let s = ov.net.node_ref::<Sink>(sink);
         assert_eq!(s.flow(1).map(|f| f.rx_packets), Some(40));
@@ -373,7 +361,7 @@ mod tests {
         // No PVC provisioned.
         let sink = ov.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, ov.site_addr(a, 5), ov.site_addr(b, 9), 5000, 200);
-        ov.attach_cbr_source(a, cfg, 1_000_000, Some(10));
+        ov.net.attach_source(ov.edge(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(10))));
         ov.net.run_until(SEC);
         assert_eq!(ov.net.node_ref::<Sink>(sink).total_packets, 0);
         let edge = ov.sites[a.0].edge;
@@ -417,7 +405,7 @@ mod tests {
         let sink = ov.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, ov.site_addr(a, 5), ov.site_addr(b, 9), 5000, 100)
             .with_dscp(Dscp::EF);
-        ov.attach_cbr_source(a, cfg, 1_000_000, Some(5));
+        ov.net.attach_source(ov.edge(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(5))));
         ov.net.run_until(SEC);
         assert_eq!(ov.net.node_ref::<Sink>(sink).total_packets, 5);
     }

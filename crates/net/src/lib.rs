@@ -56,6 +56,6 @@ pub use error::NetError;
 pub use fr::VcHeader;
 pub use ip::{proto, Ipv4Header};
 pub use lpm::{LpmCache, LpmTrie};
-pub use mpls::{MplsLabel, EXPLICIT_NULL, IMPLICIT_NULL, MAX_LABEL, MIN_UNRESERVED_LABEL};
+pub use mpls::{MplsLabel, IMPLICIT_NULL, MAX_LABEL, MIN_UNRESERVED_LABEL};
 pub use packet::{Layer, Packet, Pkt, PktMeta};
 pub use transport::{FiveTuple, TcpHeader, UdpHeader};

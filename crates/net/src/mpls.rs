@@ -12,10 +12,6 @@ use std::fmt;
 /// Largest encodable label value (20 bits).
 pub const MAX_LABEL: u32 = (1 << 20) - 1;
 
-/// IPv4 explicit-null reserved label (RFC 3032): pop and forward as IPv4,
-/// preserving the EXP bits for QoS at the egress.
-pub const EXPLICIT_NULL: u32 = 0;
-
 /// Implicit-null reserved label (RFC 3032): advertised by an egress LSR to
 /// request penultimate-hop popping; never appears on the wire.
 pub const IMPLICIT_NULL: u32 = 3;

@@ -27,7 +27,7 @@ pub struct LinkConfig {
 
 impl LinkConfig {
     /// A link with the given rate and delay and a 256 KiB default FIFO.
-    pub fn new(rate_bps: u64, delay_ns: Nanos) -> Self {
+    pub const fn new(rate_bps: u64, delay_ns: Nanos) -> Self {
         LinkConfig { rate_bps, delay_ns, fifo_cap_bytes: 256 * 1024 }
     }
 
@@ -37,6 +37,11 @@ impl LinkConfig {
         self
     }
 }
+
+/// The LAN a customer host hangs off its edge on (1 Gb/s, 10 µs, the
+/// default FIFO): every host [`Network::attach_host`] attaches, in every
+/// VPN model, sits behind one of these.
+pub const HOST_LINK: LinkConfig = LinkConfig::new(1_000_000_000, 10_000);
 
 /// Per-direction transmit statistics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -243,6 +248,24 @@ impl Network {
         self.nodes[id.0].as_any_mut().downcast_mut::<T>().expect("node type mismatch")
     }
 
+    /// Adds `host` and hangs it off `edge` over [`HOST_LINK`]. Returns the
+    /// host's id and the edge-side interface, for the edge's host route.
+    /// It arms no timer.
+    pub fn attach_host(&mut self, edge: NodeId, host: Box<dyn Node>) -> (NodeId, IfaceId) {
+        let id = self.add_node(host);
+        let (_, _, edge_if) = self.connect(id, edge, HOST_LINK);
+        (id, edge_if)
+    }
+
+    /// Attaches a traffic source as [`Network::attach_host`] does and
+    /// starts it: its timer fires with token 0 at the current instant.
+    /// Every source starts on that timer.
+    pub fn attach_source(&mut self, edge: NodeId, src: Box<dyn Node>) -> (NodeId, IfaceId) {
+        let (id, edge_if) = self.attach_host(edge, src);
+        self.arm_timer(id, 0, 0);
+        (id, edge_if)
+    }
+
     /// Connects `a` and `b` with a symmetric duplex link using default FIFO
     /// egress queues. Returns `(link, iface at a, iface at b)`.
     pub fn connect(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig) -> (LinkId, IfaceId, IfaceId) {
@@ -386,8 +409,8 @@ impl Network {
         self.do_send(node, iface, pkt.into());
     }
 
-    /// Arms a timer for `node` to fire after `delay` (used to bootstrap
-    /// sources before the run starts).
+    /// Arms a timer for `node` to fire `delay` after the current instant
+    /// with `token` ([`Network::attach_source`] starts a source with one).
     pub fn arm_timer(&mut self, node: NodeId, delay: Nanos, token: u64) {
         let at = self.now + delay;
         self.push(at, Event::Timer { node, token });
@@ -593,6 +616,7 @@ fn lose_on_down_link(d: &mut Direction, rec: Option<&FlightRecorder>, now: Nanos
 mod tests {
     use super::*;
     use crate::node::BlackHole;
+    use crate::traffic::{CbrSource, OnOffSource, SourceConfig};
     use netsim_net::addr::ip;
     use netsim_net::{Dscp, Packet};
     use netsim_qos::{CbqNodeConfig, HierCbq, MSEC, SEC};
@@ -736,6 +760,58 @@ mod tests {
         assert_eq!(st.tx_packets + st.dropped, 5);
         assert!(st.dropped >= 1, "expected tail drops, got {st:?}");
         assert_eq!(net.node_ref::<Recorder>(b).arrivals.len() as u64, st.tx_packets);
+    }
+
+    #[test]
+    fn attach_host_returns_the_edges_next_iface() {
+        let mut net = Network::new();
+        let edge = net.add_node(Box::new(Recorder::default()));
+        let peer = net.add_node(Box::new(BlackHole::default()));
+        net.connect(peer, edge, LinkConfig::new(1_000_000, 0)); // edge iface 0
+        let (host, edge_if) = net.attach_host(edge, Box::new(BlackHole::default()));
+        assert_eq!((host, edge_if), (NodeId(2), IfaceId(1)));
+        let (_, edge_if) = net.attach_host(edge, Box::new(BlackHole::default()));
+        assert_eq!(edge_if, IfaceId(2));
+    }
+
+    #[test]
+    fn host_link_adds_serialization_and_ten_microseconds() {
+        let mut net = Network::new();
+        let edge = net.add_node(Box::new(Recorder::default()));
+        let (host, _) = net.attach_host(edge, Box::new(BlackHole::default()));
+        net.inject(host, IfaceId(0), pkt(100 - 28)); // wire_len = 100
+        net.run_to_quiescence();
+        // 800 bits at 1 Gb/s is 800 ns, then 10 us of propagation.
+        assert_eq!(net.node_ref::<Recorder>(edge).arrivals, vec![800 + 10_000]);
+    }
+
+    #[test]
+    fn attach_host_arms_no_timer() {
+        let mut net = Network::new();
+        let edge = net.add_node(Box::new(Recorder::default()));
+        let cfg = SourceConfig::udp(1, ip("10.0.0.1"), ip("10.0.0.2"), 5000, 100);
+        net.attach_host(edge, Box::new(CbrSource::new(cfg, MSEC, Some(3))));
+        net.run_to_quiescence();
+        assert_eq!(net.events_processed(), 0);
+        assert!(net.node_ref::<Recorder>(edge).arrivals.is_empty());
+    }
+
+    #[test]
+    fn attach_source_starts_at_the_current_instant() {
+        let cfg = SourceConfig::udp(1, ip("10.0.0.1"), ip("10.0.0.2"), 5000, 100);
+        // 128 B on the wire: 1024 ns at 1 Gb/s, then 10 us.
+        let first_arrival = 5 * MSEC + 1_024 + 10_000;
+        let cbr = Box::new(CbrSource::new(cfg, MSEC, Some(2)));
+        let onoff = Box::new(OnOffSource::new(cfg, MSEC, 20 * MSEC, 20 * MSEC, 9, None));
+        for src in [cbr as Box<dyn Node>, onoff] {
+            let mut net = Network::new();
+            let edge = net.add_node(Box::new(Recorder::default()));
+            net.run_until(5 * MSEC);
+            net.attach_source(edge, src);
+            net.run_until(10 * MSEC);
+            let arrivals = &net.node_ref::<Recorder>(edge).arrivals;
+            assert_eq!(arrivals.first(), Some(&first_arrival), "{arrivals:?}");
+        }
     }
 
     #[test]

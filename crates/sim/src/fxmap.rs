@@ -10,14 +10,11 @@
 //! word of input, `state = (state.rotate_left(5) ^ word) * K` with `K` an
 //! odd constant derived from the golden ratio.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` keyed with [`FxHasher`]; drop-in for `std::collections::HashMap`.
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// A `HashSet` keyed with [`FxHasher`]; drop-in for `std::collections::HashSet`.
-pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -103,7 +100,7 @@ mod tests {
             hasher.finish()
         };
         // Sequential small integers (the common key shape here) must spread.
-        let hashes: FxHashSet<u64> = (0u64..1000).map(h).collect();
+        let hashes: std::collections::HashSet<u64> = (0u64..1000).map(h).collect();
         assert_eq!(hashes.len(), 1000);
     }
 

@@ -23,15 +23,14 @@
 //! # Example
 //!
 //! ```
-//! use netsim_sim::{CbrSource, LinkConfig, Network, Sink, SourceConfig, MSEC, SEC};
+//! use netsim_sim::{CbrSource, Network, Sink, SourceConfig, MSEC, SEC};
 //!
 //! let mut net = Network::new();
 //! let cfg = SourceConfig::udp(
 //!     1, "10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap(), 5000, 200);
-//! let src = net.add_node(Box::new(CbrSource::new(cfg, MSEC, Some(100))));
 //! let dst = net.add_node(Box::new(Sink::new()));
-//! net.connect(src, dst, LinkConfig::new(10_000_000, MSEC)); // 10 Mb/s, 1 ms
-//! net.arm_timer(src, 0, 0);
+//! // The source hangs off `dst` over the host LAN and starts now.
+//! net.attach_source(dst, Box::new(CbrSource::new(cfg, MSEC, Some(100))));
 //! net.run_until(SEC);
 //!
 //! let stats = net.node_ref::<Sink>(dst).flow(1).unwrap();
@@ -53,7 +52,7 @@ pub mod traffic;
 
 pub use engine::{LinkConfig, LinkId, LinkStats, Network};
 pub use fault::{FaultAction, FaultEvent, FaultPlan};
-pub use fxmap::{FxHashMap, FxHashSet, FxHasher};
+pub use fxmap::{FxHashMap, FxHasher};
 pub use netsim_qos::{Nanos, MSEC, SEC};
 pub use node::{Ctx, IfaceId, Node, NodeId};
 pub use stats::{FlowStats, Histogram};

@@ -65,8 +65,8 @@ pub const ECE_FLAG: u8 = 0x40;
 
 impl TcpSource {
     /// Creates a flow sending `cfg.payload`-byte segments toward
-    /// `cfg.dst:cfg.dst_port` until `until` (or forever). Bootstrap with
-    /// `arm_timer(node, 0, 0)`.
+    /// `cfg.dst:cfg.dst_port` until `until` (or forever), from its first
+    /// timer on (see [`crate::Network::attach_source`]).
     pub fn new(cfg: SourceConfig, until: Option<Nanos>) -> Self {
         TcpSource {
             cfg,
@@ -207,7 +207,7 @@ impl Node for TcpSource {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
         if token == 0 && self.next_seq == 0 {
-            // Bootstrap kick.
+            // The start timer.
             self.fill_window(ctx);
             return;
         }

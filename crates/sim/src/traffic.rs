@@ -103,14 +103,24 @@ pub struct TxStats {
     pub tx_bytes: u64,
 }
 
+impl TxStats {
+    /// Emits the open-loop sources' next packet per `cfg` and counts it.
+    /// Its sequence number is the count of packets emitted before it.
+    fn emit(&mut self, cfg: &SourceConfig, ctx: &mut Ctx) {
+        let p = cfg.make_packet(self.tx_packets, ctx.now());
+        self.tx_packets += 1;
+        self.tx_bytes += p.wire_len() as u64;
+        ctx.send(cfg.iface, p);
+    }
+}
+
 /// Constant-bit-rate source: one packet every `interval` ns, optionally
-/// bounded to `count` packets. Bootstrap with
-/// [`crate::Network::arm_timer`]`(node, start_delay, 0)`.
+/// bounded to `count` packets, from its first timer on (see
+/// [`crate::Network::attach_source`]).
 pub struct CbrSource {
     cfg: SourceConfig,
     interval: Nanos,
     remaining: Option<u64>,
-    seq: u64,
     /// Transmit counters.
     pub tx: TxStats,
 }
@@ -119,20 +129,12 @@ impl CbrSource {
     /// Creates a CBR source; `count = None` means unbounded.
     pub fn new(cfg: SourceConfig, interval: Nanos, count: Option<u64>) -> Self {
         assert!(interval > 0, "CBR interval must be positive");
-        CbrSource { cfg, interval, remaining: count, seq: 0, tx: TxStats::default() }
+        CbrSource { cfg, interval, remaining: count, tx: TxStats::default() }
     }
 
     /// The source configuration.
     pub fn config(&self) -> &SourceConfig {
         &self.cfg
-    }
-
-    fn emit(&mut self, ctx: &mut Ctx) {
-        let p = self.cfg.make_packet(self.seq, ctx.now());
-        self.tx.tx_packets += 1;
-        self.tx.tx_bytes += p.wire_len() as u64;
-        self.seq += 1;
-        ctx.send(self.cfg.iface, p);
     }
 }
 
@@ -143,7 +145,7 @@ impl Node for CbrSource {
         if let Some(0) = self.remaining {
             return;
         }
-        self.emit(ctx);
+        self.tx.emit(&self.cfg, ctx);
         if let Some(n) = self.remaining.as_mut() {
             *n -= 1;
             if *n == 0 {
@@ -168,7 +170,6 @@ pub struct PoissonSource {
     cfg: SourceConfig,
     mean_interval: Nanos,
     rng: SmallRng,
-    seq: u64,
     until: Option<Nanos>,
     /// Transmit counters.
     pub tx: TxStats,
@@ -183,7 +184,6 @@ impl PoissonSource {
             cfg,
             mean_interval,
             rng: SmallRng::seed_from_u64(seed),
-            seq: 0,
             until,
             tx: TxStats::default(),
         }
@@ -204,11 +204,7 @@ impl Node for PoissonSource {
                 return;
             }
         }
-        let p = self.cfg.make_packet(self.seq, ctx.now());
-        self.tx.tx_packets += 1;
-        self.tx.tx_bytes += p.wire_len() as u64;
-        self.seq += 1;
-        ctx.send(self.cfg.iface, p);
+        self.tx.emit(&self.cfg, ctx);
         let gap = self.next_gap();
         ctx.schedule(gap, 0);
     }
@@ -233,7 +229,6 @@ pub struct OnOffSource {
     rng: SmallRng,
     on: bool,
     epoch: u64,
-    seq: u64,
     until: Option<Nanos>,
     /// Transmit counters.
     pub tx: TxStats,
@@ -241,13 +236,13 @@ pub struct OnOffSource {
 
 /// Timer token layout for [`OnOffSource`]: low bit selects the handler,
 /// upper bits carry the epoch so stale timers are ignored after a state
-/// flip.
-const KIND_EMIT: u64 = 0;
-const KIND_TOGGLE: u64 = 1;
+/// flip. The start timer, token 0, is a toggle of epoch 0.
+const KIND_TOGGLE: u64 = 0;
+const KIND_EMIT: u64 = 1;
 
 impl OnOffSource {
-    /// Creates an on-off source (starts OFF; the bootstrap timer toggles it
-    /// ON immediately, so arm the kick with token `1`).
+    /// Creates an on-off source. It starts OFF, and its first timer
+    /// toggles it ON.
     pub fn new(
         cfg: SourceConfig,
         interval: Nanos,
@@ -265,7 +260,6 @@ impl OnOffSource {
             rng: SmallRng::seed_from_u64(seed),
             on: false,
             epoch: 0,
-            seq: 0,
             until,
             tx: TxStats::default(),
         }
@@ -312,11 +306,7 @@ impl Node for OnOffSource {
                 if !self.on {
                     return;
                 }
-                let p = self.cfg.make_packet(self.seq, ctx.now());
-                self.tx.tx_packets += 1;
-                self.tx.tx_bytes += p.wire_len() as u64;
-                self.seq += 1;
-                ctx.send(self.cfg.iface, p);
+                self.tx.emit(&self.cfg, ctx);
                 ctx.schedule(self.interval, self.token(KIND_EMIT));
             }
         }
@@ -439,7 +429,7 @@ mod tests {
         )));
         let dst = net.add_node(Box::new(Sink::new()));
         net.connect(src, dst, LinkConfig::new(1_000_000_000, 0));
-        net.arm_timer(src, 0, KIND_TOGGLE);
+        net.arm_timer(src, 0, 0);
         net.run_to_quiescence();
         let got = net.node_ref::<Sink>(dst).total_packets;
         // ~50% duty cycle of 10 kpps over 1 s ≈ 5000; very wide bounds.

@@ -3,7 +3,7 @@
 
 use mplsvpn::net::Prefix;
 use mplsvpn::routing::{LinkAttrs, Topology};
-use mplsvpn::sim::{Sink, SourceConfig, MSEC, SEC};
+use mplsvpn::sim::{CbrSource, Sink, SourceConfig, MSEC, SEC};
 use mplsvpn::vpn::ipsec_vpn::{IpsecGateway, IpsecVpnNetwork};
 use mplsvpn::vpn::overlay::OverlayNetwork;
 use mplsvpn::vpn::{BackboneBuilder, CoreQos};
@@ -47,7 +47,7 @@ fn three_technologies_same_connectivity() {
         ov.connect_sites(a, b);
         let sink = ov.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, ov.site_addr(a, 1), ov.site_addr(b, 1), 5000, 300);
-        ov.attach_cbr_source(a, cfg, MSEC, Some(n_packets));
+        ov.net.attach_source(ov.edge(a), Box::new(CbrSource::new(cfg, MSEC, Some(n_packets))));
         ov.net.run_until(2 * SEC);
         ov.net.node_ref::<Sink>(sink).flow(1).map(|f| f.rx_packets).unwrap_or(0)
     };
@@ -64,7 +64,8 @@ fn three_technologies_same_connectivity() {
         n.connect_gateways(a, b);
         let sink = n.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, n.site_addr(a, 1), n.site_addr(b, 1), 5000, 300);
-        n.attach_cbr_source(a, cfg, MSEC, Some(n_packets));
+        n.net
+            .attach_source(n.gateway_node(a), Box::new(CbrSource::new(cfg, MSEC, Some(n_packets))));
         n.net.run_until(2 * SEC);
         n.net.node_ref::<Sink>(sink).flow(1).map(|f| f.rx_packets).unwrap_or(0)
     };
@@ -100,7 +101,7 @@ fn ipsec_pays_crypto_latency_mpls_does_not() {
         n.connect_gateways(a, b);
         let sink = n.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, n.site_addr(a, 1), n.site_addr(b, 1), 5000, 1000);
-        n.attach_cbr_source(a, cfg, 10 * MSEC, Some(50));
+        n.net.attach_source(n.gateway_node(a), Box::new(CbrSource::new(cfg, 10 * MSEC, Some(50))));
         n.net.run_until(2 * SEC);
         let mean = n.net.node_ref::<Sink>(sink).flow(1).unwrap().latency.mean();
         let gw = n.net.node_ref::<IpsecGateway>(n.gateway_node(a));
@@ -164,8 +165,8 @@ fn overlay_respects_provisioned_topology() {
     // s1 → hub works; s1 → s2 has no PVC and must be dropped at the edge.
     let c1 = SourceConfig::udp(1, ov.site_addr(s1, 1), ov.site_addr(hub, 1), 80, 100);
     let c2 = SourceConfig::udp(2, ov.site_addr(s1, 1), ov.site_addr(s2, 1), 80, 100);
-    ov.attach_cbr_source(s1, c1, MSEC, Some(10));
-    ov.attach_cbr_source(s1, c2, MSEC, Some(10));
+    ov.net.attach_source(ov.edge(s1), Box::new(CbrSource::new(c1, MSEC, Some(10))));
+    ov.net.attach_source(ov.edge(s1), Box::new(CbrSource::new(c2, MSEC, Some(10))));
     ov.net.run_until(SEC);
     assert_eq!(ov.net.node_ref::<Sink>(sink_hub).flow(1).map(|f| f.rx_packets), Some(10));
     assert_eq!(ov.net.node_ref::<Sink>(sink_s2).total_packets, 0);
