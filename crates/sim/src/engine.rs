@@ -5,7 +5,7 @@ use netsim_obs::{DropCause, FlightRecorder};
 use netsim_qos::{EnqueueOutcome, FifoQueue, Nanos, QueueDiscipline, TxCost};
 
 use crate::calendar::TimingWheel;
-use crate::node::{Action, Ctx, IfaceId, Node, NodeId};
+use crate::node::{Ctx, IfaceId, Node, NodeId};
 use crate::trace::TraceLog;
 
 /// Identifies a duplex link within one [`Network`].
@@ -106,6 +106,33 @@ struct Direction {
     stats: LinkStats,
 }
 
+impl Direction {
+    /// An idle, enabled direction toward `dst` (node, interface).
+    fn new(cfg: LinkConfig, qdisc: Box<dyn QueueDiscipline>, dst: (NodeId, IfaceId)) -> Self {
+        Direction {
+            tx_cost: TxCost::new(cfg.rate_bps),
+            delay_ns: cfg.delay_ns,
+            qdisc,
+            enabled: true,
+            busy_until: 0,
+            poke_at: Nanos::MAX,
+            dst_node: dst.0,
+            dst_iface: dst.1,
+            stats: LinkStats::default(),
+        }
+    }
+
+    /// Counts `pkt` as lost here for `cause`: refused by the egress,
+    /// offered while disabled, or purged from the buffer.
+    fn lose(&mut self, rec: Option<&FlightRecorder>, now: Nanos, pkt: &Pkt, cause: DropCause) {
+        self.stats.dropped += 1;
+        self.stats.dropped_by_class[wire_class(pkt)] += 1;
+        if let Some(rec) = rec {
+            rec.record(now, pkt.meta.flow, pkt.meta.seq, cause);
+        }
+    }
+}
+
 struct Link {
     dirs: [Direction; 2],
 }
@@ -122,31 +149,37 @@ enum Event {
     DeferredSend { node: NodeId, iface: IfaceId, pkt: Pkt },
 }
 
-/// The simulated network: nodes, links, and the event calendar.
-pub struct Network {
-    nodes: Vec<Box<dyn Node>>,
+/// Everything of a [`Network`] but its nodes: the interface table, the
+/// links, the calendar and its clock, the flight recorder and the hop
+/// trace. The [`Ctx`] every handler gets owns it, so what a handler does
+/// lands here at once.
+pub(crate) struct LinkLayer {
     /// Per node: iface index → (link, direction owned by this node).
     ifaces: Vec<Vec<(LinkId, u8)>>,
     links: Vec<Link>,
     calendar: TimingWheel<Event>,
-    now: Nanos,
+    pub(crate) now: Nanos,
     seq: u64,
-    events_processed: u64,
-    /// The handler context every dispatch lends its node. Its action
-    /// buffer and spare packet boxes keep their capacity across events, so
-    /// handlers don't allocate per event, and every node shares one spare
-    /// stack.
-    ctx: Ctx,
     /// Optional drop-cause flight recorder. When attached, every packet the
     /// link layer discards (egress refusal, AQM, purge on failure) lands
     /// here with its cause, and so does every packet a node handler passes
     /// to [`Ctx::discard`] or [`Ctx::absorb`], attributed to that node;
     /// `None` keeps the hot path to a single branch.
-    recorder: Option<FlightRecorder>,
+    pub(crate) recorder: Option<FlightRecorder>,
     /// Optional hop trace ([`Network::enable_trace`]). When enabled, every
     /// send by any node is recorded here, before the egress decides the
     /// packet's fate; `None` costs one branch per send.
     trace: Option<TraceLog>,
+}
+
+/// The simulated network: nodes, links, and the event calendar.
+pub struct Network {
+    nodes: Vec<Box<dyn Node>>,
+    events_processed: u64,
+    /// The handler context every dispatch lends its node, holding the rest
+    /// of the network. Its spare packet boxes keep their capacity across
+    /// events, and every node shares one spare stack.
+    ctx: Ctx,
 }
 
 impl Default for Network {
@@ -158,45 +191,51 @@ impl Default for Network {
 impl Network {
     /// Creates an empty network at time zero.
     pub fn new() -> Self {
-        Network {
-            nodes: Vec::new(),
+        let wire = LinkLayer {
             ifaces: Vec::new(),
             links: Vec::new(),
             calendar: TimingWheel::new(),
             now: 0,
             seq: 0,
-            events_processed: 0,
-            ctx: Ctx { now: 0, actions: Vec::new(), spare: Vec::new() },
             recorder: None,
             trace: None,
+        };
+        Network {
+            nodes: Vec::new(),
+            events_processed: 0,
+            ctx: Ctx { node: NodeId(0), wire, spare: Vec::new() },
         }
     }
 
     /// Attaches a drop-cause flight recorder. The recorder is a shared
     /// handle: clone it before attaching to keep a reader on the outside.
     pub fn set_recorder(&mut self, rec: FlightRecorder) {
-        self.recorder = Some(rec);
+        self.ctx.wire.recorder = Some(rec);
     }
 
     /// The attached flight recorder, if any.
     pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.recorder.as_ref()
+        self.ctx.wire.recorder.as_ref()
     }
 
     /// Starts the hop trace: from now on every send by any node is
-    /// recorded.
+    /// recorded, under the device names the nodes have now.
     pub fn enable_trace(&mut self) {
-        self.trace.get_or_insert_with(TraceLog::default);
+        if self.ctx.wire.trace.is_none() {
+            let mut t = TraceLog::default();
+            self.nodes.iter().for_each(|n| t.add_device(n.name()));
+            self.ctx.wire.trace = Some(t);
+        }
     }
 
     /// The hop trace, if enabled.
     pub fn trace(&self) -> Option<&TraceLog> {
-        self.trace.as_ref()
+        self.ctx.wire.trace.as_ref()
     }
 
     /// Current simulation time.
     pub fn now(&self) -> Nanos {
-        self.now
+        self.ctx.wire.now
     }
 
     /// Total events processed so far.
@@ -207,8 +246,11 @@ impl Network {
     /// Adds a node, returning its id.
     pub fn add_node(&mut self, node: Box<dyn Node>) -> NodeId {
         let id = NodeId(self.nodes.len());
+        if let Some(t) = &mut self.ctx.wire.trace {
+            t.add_device(node.name());
+        }
         self.nodes.push(node);
-        self.ifaces.push(Vec::new());
+        self.ctx.wire.ifaces.push(Vec::new());
         id
     }
 
@@ -226,10 +268,8 @@ impl Network {
         f: impl FnOnce(&mut T, &mut Ctx) -> R,
     ) -> R {
         let node = self.nodes[id.0].as_any_mut().downcast_mut::<T>().expect("node type mismatch");
-        self.ctx.now = self.now;
-        let out = f(node, &mut self.ctx);
-        self.apply_actions(id);
-        out
+        self.ctx.node = id;
+        f(node, &mut self.ctx)
     }
 
     /// Downcasts node `id` to its concrete type.
@@ -287,37 +327,15 @@ impl Network {
     ) -> (LinkId, IfaceId, IfaceId) {
         assert!(a.0 < self.nodes.len() && b.0 < self.nodes.len(), "unknown node");
         assert!(cfg_ab.rate_bps > 0 && cfg_ba.rate_bps > 0, "link rate must be positive");
-        let link = LinkId(self.links.len());
-        let ia = IfaceId(self.ifaces[a.0].len());
-        let ib = IfaceId(self.ifaces[b.0].len());
-        self.ifaces[a.0].push((link, 0));
-        self.ifaces[b.0].push((link, 1));
-        self.links.push(Link {
-            dirs: [
-                Direction {
-                    tx_cost: TxCost::new(cfg_ab.rate_bps),
-                    delay_ns: cfg_ab.delay_ns,
-                    qdisc: qdisc_a,
-                    enabled: true,
-                    busy_until: 0,
-                    poke_at: Nanos::MAX,
-                    dst_node: b,
-                    dst_iface: ib,
-                    stats: LinkStats::default(),
-                },
-                Direction {
-                    tx_cost: TxCost::new(cfg_ba.rate_bps),
-                    delay_ns: cfg_ba.delay_ns,
-                    qdisc: qdisc_b,
-                    enabled: true,
-                    busy_until: 0,
-                    poke_at: Nanos::MAX,
-                    dst_node: a,
-                    dst_iface: ia,
-                    stats: LinkStats::default(),
-                },
-            ],
-        });
+        let w = &mut self.ctx.wire;
+        let link = LinkId(w.links.len());
+        let ia = IfaceId(w.ifaces[a.0].len());
+        let ib = IfaceId(w.ifaces[b.0].len());
+        w.ifaces[a.0].push((link, 0));
+        w.ifaces[b.0].push((link, 1));
+        let dirs =
+            [Direction::new(cfg_ab, qdisc_a, (b, ib)), Direction::new(cfg_ba, qdisc_b, (a, ia))];
+        w.links.push(Link { dirs });
         (link, ia, ib)
     }
 
@@ -327,26 +345,22 @@ impl Network {
     /// direction's [`LinkStats::dropped`] so mid-run swaps don't corrupt
     /// loss accounting.
     pub fn set_qdisc(&mut self, link: LinkId, dir: u8, qdisc: Box<dyn QueueDiscipline>) {
-        let now = self.now;
-        let d = &mut self.links[link.0].dirs[dir as usize];
+        let w = &mut self.ctx.wire;
+        let d = &mut w.links[link.0].dirs[dir as usize];
         for pkt in d.qdisc.purge() {
-            d.stats.dropped += 1;
-            d.stats.dropped_by_class[wire_class(&pkt)] += 1;
-            if let Some(rec) = &self.recorder {
-                rec.record(now, pkt.meta.flow, pkt.meta.seq, DropCause::LinkDownPurge);
-            }
+            d.lose(w.recorder.as_ref(), w.now, &pkt, DropCause::LinkDownPurge);
         }
         d.qdisc = qdisc;
     }
 
     /// Number of links in the network.
     pub fn link_count(&self) -> usize {
-        self.links.len()
+        self.ctx.wire.links.len()
     }
 
     /// Transmit statistics of one direction of a link.
     pub fn link_stats(&self, link: LinkId, dir: u8) -> LinkStats {
-        self.links[link.0].dirs[dir as usize].stats
+        self.ctx.wire.links[link.0].dirs[dir as usize].stats
     }
 
     /// Enables or disables both directions of a link (fiber cut / repair).
@@ -357,9 +371,10 @@ impl Network {
         if self.link_enabled(link) == enabled {
             return; // idempotent: re-failing a dead link must not re-purge
         }
-        let now = self.now;
+        let w = &mut self.ctx.wire;
+        let now = w.now;
         let mut kick = [false; 2];
-        for (i, d) in self.links[link.0].dirs.iter_mut().enumerate() {
+        for (i, d) in w.links[link.0].dirs.iter_mut().enumerate() {
             d.enabled = enabled;
             if enabled {
                 kick[i] = now >= d.busy_until;
@@ -368,32 +383,29 @@ impl Network {
                 // the flush so conservation (delivered + dropped + in-flight
                 // == sent) survives any failure schedule.
                 for pkt in d.qdisc.purge() {
-                    d.stats.dropped += 1;
-                    d.stats.dropped_by_class[wire_class(&pkt)] += 1;
-                    if let Some(rec) = &self.recorder {
-                        rec.record(now, pkt.meta.flow, pkt.meta.seq, DropCause::LinkDownPurge);
-                    }
+                    d.lose(w.recorder.as_ref(), now, &pkt, DropCause::LinkDownPurge);
                 }
             }
         }
         // Kick idle transmitters in case traffic queued while down.
         for (i, k) in kick.into_iter().enumerate() {
             if k {
-                self.arm_poke(link, i as u8, now);
+                w.arm_poke(link, i as u8, now);
             }
         }
     }
 
     /// Whether the link is currently enabled.
     pub fn link_enabled(&self, link: LinkId) -> bool {
-        self.links[link.0].dirs[0].enabled
+        self.ctx.wire.links[link.0].dirs[0].enabled
     }
 
     /// Packets currently buffered across every link egress — the "in
     /// flight or queued" term of the chaos harness's conservation check
     /// (delivered + dropped + queued == sent).
     pub fn queued_packets(&self) -> u64 {
-        self.links.iter().flat_map(|l| l.dirs.iter()).map(|d| d.qdisc.len_packets() as u64).sum()
+        let dirs = self.ctx.wire.links.iter().flat_map(|l| l.dirs.iter());
+        dirs.map(|d| d.qdisc.len_packets() as u64).sum()
     }
 
     /// Packets between nodes: propagating on a link or awaiting a deferred
@@ -401,44 +413,37 @@ impl Network {
     /// counts as still in the network before the calendar drains.
     pub fn packets_in_flight(&self) -> u64 {
         let held = |ev: &&Event| matches!(ev, Event::Arrival { .. } | Event::DeferredSend { .. });
-        self.calendar.items().filter(held).count() as u64
+        self.ctx.wire.calendar.items().filter(held).count() as u64
     }
 
     /// Injects a packet as if node `node` had sent it on `iface` now.
     pub fn inject(&mut self, node: NodeId, iface: IfaceId, pkt: impl Into<Pkt>) {
-        self.do_send(node, iface, pkt.into());
+        self.ctx.wire.send(node, iface, pkt.into());
     }
 
     /// Arms a timer for `node` to fire `delay` after the current instant
     /// with `token` ([`Network::attach_source`] starts a source with one).
     pub fn arm_timer(&mut self, node: NodeId, delay: Nanos, token: u64) {
-        let at = self.now + delay;
-        self.push(at, Event::Timer { node, token });
-    }
-
-    fn push(&mut self, at: Nanos, ev: Event) {
-        debug_assert!(at >= self.now, "event scheduled in the past");
-        self.calendar.push(at, self.seq, ev);
-        self.seq += 1;
+        self.ctx.wire.arm_timer(node, delay, token);
     }
 
     /// Runs until the calendar is empty or `t_end` is reached (events at
     /// exactly `t_end` are processed). Returns events processed.
     pub fn run_until(&mut self, t_end: Nanos) -> u64 {
         let start_events = self.events_processed;
-        while let Some(at) = self.calendar.peek_at() {
+        while let Some(at) = self.ctx.wire.calendar.peek_at() {
             if at > t_end {
                 break;
             }
-            let (at, _seq, ev) = self.calendar.pop().expect("peeked");
-            self.now = at;
+            let (at, _seq, ev) = self.ctx.wire.calendar.pop().expect("peeked");
+            self.ctx.wire.now = at;
             self.events_processed += 1;
             self.dispatch(ev);
         }
         if t_end != Nanos::MAX {
             // Advance the clock to the deadline so consecutive run_until
             // calls observe contiguous windows.
-            self.now = self.now.max(t_end);
+            self.ctx.wire.now = self.ctx.wire.now.max(t_end);
         }
         self.events_processed - start_events
     }
@@ -451,77 +456,63 @@ impl Network {
     fn dispatch(&mut self, ev: Event) {
         match ev {
             Event::Arrival { node, iface, pkt } => {
-                self.ctx.now = self.now;
+                self.ctx.node = node;
                 self.nodes[node.0].on_packet(iface, pkt, &mut self.ctx);
-                self.apply_actions(node);
             }
             Event::Timer { node, token } => {
-                self.ctx.now = self.now;
+                self.ctx.node = node;
                 self.nodes[node.0].on_timer(token, &mut self.ctx);
-                self.apply_actions(node);
             }
             Event::TxIdle { link, dir } => {
-                let d = &mut self.links[link.0].dirs[dir as usize];
-                if d.poke_at <= self.now {
+                let w = &mut self.ctx.wire;
+                let d = &mut w.links[link.0].dirs[dir as usize];
+                if d.poke_at <= w.now {
                     d.poke_at = Nanos::MAX;
                 }
-                self.try_start_tx(link, dir);
+                w.try_start_tx(link, dir);
             }
-            Event::DeferredSend { node, iface, pkt } => self.do_send(node, iface, pkt),
+            Event::DeferredSend { node, iface, pkt } => self.ctx.wire.send(node, iface, pkt),
         }
     }
+}
 
-    fn apply_actions(&mut self, node: NodeId) {
-        let mut actions = std::mem::take(&mut self.ctx.actions);
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { iface, pkt } => self.do_send(node, iface, pkt),
-                Action::Deliver { iface, pkt } => self.do_deliver(node, iface, pkt),
-                Action::SendLater { iface, pkt, delay } => {
-                    let at = self.now + delay;
-                    self.push(at, Event::DeferredSend { node, iface, pkt });
-                }
-                Action::Timer { delay, token } => {
-                    let at = self.now + delay;
-                    self.push(at, Event::Timer { node, token });
-                }
-                Action::Discard { pkt, cause } => {
-                    if let Some(rec) = &self.recorder {
-                        rec.record_at(node.0, self.now, pkt.meta.flow, pkt.meta.seq, cause);
-                    }
-                }
-                Action::Absorb { pkt } => {
-                    if let Some(rec) = &self.recorder {
-                        rec.record_absorbed(node.0, pkt.meta.flow);
-                    }
-                }
-            }
-        }
-        // Return the drained buffer so the next dispatch reuses its capacity.
-        self.ctx.actions = actions;
+impl LinkLayer {
+    fn push(&mut self, at: Nanos, ev: Event) {
+        debug_assert!(at >= self.now, "event scheduled in the past");
+        self.calendar.push(at, self.seq, ev);
+        self.seq += 1;
     }
 
-    fn do_send(&mut self, node: NodeId, iface: IfaceId, pkt: Pkt) {
-        let Some(&(link, dir)) = self.ifaces[node.0].get(iface.0) else {
+    /// The link and direction behind `node`'s interface `iface`.
+    fn port(&self, node: NodeId, iface: IfaceId) -> (LinkId, u8) {
+        let Some(&port) = self.ifaces[node.0].get(iface.0) else {
             panic!("node {node:?} has no interface {iface:?}");
         };
+        port
+    }
+
+    /// [`Ctx::schedule`]: `node`'s timer fires `delay` from now.
+    pub(crate) fn arm_timer(&mut self, node: NodeId, delay: Nanos, token: u64) {
+        self.push(self.now + delay, Event::Timer { node, token });
+    }
+
+    /// [`Ctx::send_after`]: `pkt` reaches the egress queue `delay` from now.
+    pub(crate) fn send_after(&mut self, node: NodeId, delay: Nanos, iface: IfaceId, pkt: Pkt) {
+        self.push(self.now + delay, Event::DeferredSend { node, iface, pkt });
+    }
+
+    /// [`Ctx::send`]: `node` transmits `pkt` on `iface` now.
+    pub(crate) fn send(&mut self, node: NodeId, iface: IfaceId, pkt: Pkt) {
+        let (link, dir) = self.port(node, iface);
         if let Some(t) = &mut self.trace {
-            t.record(self.now, self.nodes[node.0].name(), iface, &pkt);
+            t.record(self.now, node, iface, &pkt);
         }
         let d = &mut self.links[link.0].dirs[dir as usize];
         if !d.enabled {
-            return lose_on_down_link(d, self.recorder.as_ref(), self.now, &pkt);
+            return d.lose(self.recorder.as_ref(), self.now, &pkt, DropCause::LinkDownPurge);
         }
-        match d.qdisc.enqueue(pkt, self.now) {
-            EnqueueOutcome::Queued => {}
-            EnqueueOutcome::Dropped(pkt, cause) => {
-                d.stats.dropped += 1;
-                d.stats.dropped_by_class[wire_class(&pkt)] += 1;
-                if let Some(rec) = &self.recorder {
-                    rec.record(self.now, pkt.meta.flow, pkt.meta.seq, cause);
-                }
-                return;
-            }
+        if let EnqueueOutcome::Dropped(pkt, cause) = d.qdisc.enqueue(pkt, self.now) {
+            return d.lose(self.recorder.as_ref(), self.now, &pkt, cause);
         }
         let busy_until = d.busy_until;
         if self.now >= busy_until {
@@ -535,11 +526,11 @@ impl Network {
 
     /// [`Ctx::deliver`]: the packet arrives at the far end of `iface`'s
     /// link at this instant, or is lost if the link is disabled.
-    fn do_deliver(&mut self, node: NodeId, iface: IfaceId, pkt: Pkt) {
-        let (link, dir) = self.ifaces[node.0][iface.0];
+    pub(crate) fn deliver(&mut self, node: NodeId, iface: IfaceId, pkt: Pkt) {
+        let (link, dir) = self.port(node, iface);
         let d = &mut self.links[link.0].dirs[dir as usize];
         if !d.enabled {
-            return lose_on_down_link(d, self.recorder.as_ref(), self.now, &pkt);
+            return d.lose(self.recorder.as_ref(), self.now, &pkt, DropCause::LinkDownPurge);
         }
         let (node, iface) = (d.dst_node, d.dst_iface);
         self.push(self.now, Event::Arrival { node, iface, pkt });
@@ -603,15 +594,6 @@ impl Network {
     }
 }
 
-/// Counts `pkt`, offered to disabled direction `d`, as lost on the floor.
-fn lose_on_down_link(d: &mut Direction, rec: Option<&FlightRecorder>, now: Nanos, pkt: &Pkt) {
-    d.stats.dropped += 1;
-    d.stats.dropped_by_class[wire_class(pkt)] += 1;
-    if let Some(rec) = rec {
-        rec.record(now, pkt.meta.flow, pkt.meta.seq, DropCause::LinkDownPurge);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -625,14 +607,15 @@ mod tests {
         Packet::udp(ip("10.0.0.1"), ip("10.0.0.2"), 1, 2, Dscp::BE, payload)
     }
 
-    /// A node that echoes every packet back out the interface it came in on.
-    struct Echo;
+    /// A node named `.0` that echoes every packet back out the interface
+    /// it came in on.
+    struct Echo(&'static str);
     impl Node for Echo {
         fn on_packet(&mut self, iface: IfaceId, pkt: Pkt, ctx: &mut Ctx) {
             ctx.send(iface, pkt);
         }
         fn name(&self) -> &str {
-            "echo"
+            self.0
         }
         fn as_any(&self) -> &dyn std::any::Any {
             self
@@ -734,7 +717,7 @@ mod tests {
     fn echo_round_trip() {
         let mut net = Network::new();
         let a = net.add_node(Box::new(Recorder::default()));
-        let b = net.add_node(Box::new(Echo));
+        let b = net.add_node(Box::new(Echo("echo")));
         let (_, ia, _) = net.connect(a, b, LinkConfig::new(100_000_000, 500_000));
         net.inject(a, ia, pkt(100));
         net.run_to_quiescence();
@@ -1021,7 +1004,7 @@ mod tests {
         let mut net = Network::new();
         net.enable_trace();
         let a = net.add_node(Box::new(BlackHole::default()));
-        let b = net.add_node(Box::new(Echo));
+        let b = net.add_node(Box::new(Echo("echo")));
         let (l, ia, _) = net.connect(a, b, LinkConfig::new(10_000_000, MSEC));
         net.inject(a, ia, pkt(1250 - 28));
         net.run_to_quiescence();
@@ -1042,5 +1025,125 @@ mod tests {
         let mut net = Network::new();
         let a = net.add_node(Box::new(BlackHole::default()));
         net.inject(a, IfaceId(0), pkt(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "no interface")]
+    fn delivering_on_unknown_interface_panics() {
+        let mut net = Network::new();
+        let a = net.add_node(Box::new(BlackHole::default()));
+        net.with_node(a, |_: &mut BlackHole, ctx| ctx.deliver(IfaceId(0), Box::new(pkt(10))));
+    }
+
+    #[test]
+    fn trace_names_nodes_added_before_and_after_it_starts() {
+        let mut net = Network::new();
+        let cfg = LinkConfig::new(1_000_000_000, 0);
+        let host = net.add_node(Box::new(BlackHole::default()));
+        let before = net.add_node(Box::new(Echo("before")));
+        let (_, to_before, _) = net.connect(host, before, cfg);
+        net.enable_trace();
+        let after = net.add_node(Box::new(Echo("after")));
+        let (_, to_after, _) = net.connect(host, after, cfg);
+        net.inject(host, to_before, pkt(10));
+        let mut second = pkt(10);
+        second.meta.seq = 1;
+        net.inject(host, to_after, second);
+        net.run_to_quiescence();
+        let records = net.trace().expect("trace enabled").flow(0);
+        let hops: Vec<(&str, u64)> = records.iter().map(|r| (r.device.as_str(), r.seq)).collect();
+        assert_eq!(hops, [("", 0), ("", 1), ("before", 0), ("after", 1)]);
+    }
+
+    /// Pins the order in which one handler's mixed effects dispatch: its
+    /// timer, its two sends on a slow link (the second queues behind a
+    /// poke), a send on a cut link and a discard.
+    #[test]
+    #[allow(clippy::disallowed_types)] // the network owns the logging nodes and qdisc
+    fn one_handlers_mixed_effects_land_in_call_order() {
+        use std::cell::RefCell;
+        thread_local! {
+            static LOG: RefCell<Vec<(Nanos, &'static str, u64)>> = const { RefCell::new(Vec::new()) };
+        }
+        fn log(at: Nanos, what: &'static str, n: u64) {
+            LOG.with(|l| l.borrow_mut().push((at, what, n)));
+        }
+        fn numbered(seq: u64) -> Packet {
+            let mut p = pkt(100);
+            p.meta.seq = seq;
+            p
+        }
+        /// Logs every packet it takes off its FIFO.
+        struct Logged(FifoQueue);
+        impl QueueDiscipline for Logged {
+            fn enqueue(&mut self, pkt: Pkt, now: Nanos) -> EnqueueOutcome {
+                self.0.enqueue(pkt, now)
+            }
+            fn dequeue(&mut self, now: Nanos) -> Option<Pkt> {
+                let out = self.0.dequeue(now);
+                out.inspect(|p| log(now, "tx", p.meta.seq))
+            }
+            fn len_packets(&self) -> usize {
+                self.0.len_packets()
+            }
+            fn len_bytes(&self) -> usize {
+                self.0.len_bytes()
+            }
+            fn purge(&mut self) -> Vec<Pkt> {
+                self.0.purge()
+            }
+        }
+        /// Logs its timer and every arrival; on a packet at interface 2 it
+        /// does everything at once.
+        struct Mixer;
+        impl Node for Mixer {
+            fn on_packet(&mut self, iface: IfaceId, pkt: Pkt, ctx: &mut Ctx) {
+                log(ctx.now(), "arrival", pkt.meta.seq);
+                if iface != IfaceId(2) {
+                    return;
+                }
+                ctx.schedule(0, 7);
+                ctx.send(IfaceId(0), numbered(1));
+                ctx.send(IfaceId(0), numbered(2));
+                ctx.send(IfaceId(1), numbered(3));
+                ctx.discard(pkt, DropCause::Ttl);
+            }
+            fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
+                log(ctx.now(), "timer", token);
+            }
+            fn as_any(&self) -> &dyn std::any::Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+        }
+        let mut net = Network::new();
+        let rec = FlightRecorder::default();
+        net.set_recorder(rec.clone());
+        let mixer = net.add_node(Box::new(Mixer));
+        let far = net.add_node(Box::new(Mixer));
+        let feed = net.add_node(Box::new(BlackHole::default()));
+        let slow = LinkConfig::new(1_000_000, 0);
+        let fifo = || Box::new(Logged(FifoQueue::new(1 << 20)));
+        net.connect_with_qdiscs(mixer, far, slow, slow, fifo(), fifo()); // iface 0
+        let (cut, _, _) = net.connect(mixer, far, slow); // iface 1
+        net.set_link_enabled(cut, false);
+        let (_, f_if, _) = net.connect(feed, mixer, LinkConfig::new(1_000_000_000, 0)); // iface 2
+        net.inject(feed, f_if, numbered(0));
+        net.run_to_quiescence();
+        // 128 B on the wire: 1 024 ns at 1 Gb/s, 1.024 ms at 1 Mb/s.
+        let (t, tx) = (1_024, 1_024_000);
+        let want = [
+            (t, "arrival", 0),
+            (t, "tx", 1),
+            (t, "timer", 7),
+            (t + tx, "arrival", 1),
+            (t + tx, "tx", 2),
+            (t + 2 * tx, "arrival", 2),
+        ];
+        assert_eq!(LOG.with(RefCell::take), want);
+        let drops: Vec<(u64, DropCause)> = rec.recent().iter().map(|r| (r.seq, r.cause)).collect();
+        assert_eq!(drops, [(3, DropCause::LinkDownPurge), (0, DropCause::Ttl)]);
     }
 }

@@ -7,6 +7,8 @@ use netsim_net::{Packet, Pkt};
 use netsim_obs::DropCause;
 use netsim_qos::Nanos;
 
+use crate::engine::LinkLayer;
+
 /// Identifies a node within one [`crate::Network`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub usize);
@@ -17,33 +19,28 @@ pub struct NodeId(pub usize);
 pub struct IfaceId(pub usize);
 
 /// Handler context: lets a node emit packets, arm timers, and end a
-/// packet's life. Actions are buffered and applied by the network after
-/// the handler returns, so the handler never sees a partially updated
-/// network. It also lends the network's one stack of spare packet boxes
-/// ([`Ctx::recycle`], [`Ctx::boxed`]), shared by every node.
+/// packet's life. It owns the network's links, calendar, clock, flight
+/// recorder and hop trace, so each call takes effect at once, in call
+/// order, against the node the handler runs for. A handler still observes
+/// the network only through [`Ctx::now`]. It also lends the network's one
+/// stack of spare packet boxes ([`Ctx::recycle`], [`Ctx::boxed`]), shared
+/// by every node.
 pub struct Ctx {
-    pub(crate) now: Nanos,
-    pub(crate) actions: Vec<Action>,
+    /// The node whose handler (or [`crate::Network::with_node`] closure)
+    /// holds this context.
+    pub(crate) node: NodeId,
+    pub(crate) wire: LinkLayer,
     pub(crate) spare: Vec<Pkt>,
 }
 
 /// Most consumed packet boxes a network keeps for reuse.
 const SPARE_PKTS: usize = 32;
 
-pub(crate) enum Action {
-    Send { iface: IfaceId, pkt: Pkt },
-    Deliver { iface: IfaceId, pkt: Pkt },
-    SendLater { iface: IfaceId, pkt: Pkt, delay: Nanos },
-    Timer { delay: Nanos, token: u64 },
-    Discard { pkt: Pkt, cause: DropCause },
-    Absorb { pkt: Pkt },
-}
-
 impl Ctx {
     /// Current simulation time in nanoseconds.
     #[inline]
     pub fn now(&self) -> Nanos {
-        self.now
+        self.wire.now
     }
 
     /// Transmits `pkt` out of local interface `iface`. The packet enters
@@ -51,7 +48,7 @@ impl Ctx {
     /// owned packet (boxed here, at the edge) or an already-boxed [`Pkt`]
     /// being forwarded (no new allocation).
     pub fn send(&mut self, iface: IfaceId, pkt: impl Into<Pkt>) {
-        self.actions.push(Action::Send { iface, pkt: pkt.into() });
+        self.wire.send(self.node, iface, pkt.into());
     }
 
     /// Hands `pkt` to the far end of `iface`'s link now, as a zero-latency
@@ -59,31 +56,37 @@ impl Ctx {
     /// transmission or propagation time and adds nothing to the link's
     /// transmit counters. A disabled link loses it as [`Ctx::send`] does.
     pub fn deliver(&mut self, iface: IfaceId, pkt: Pkt) {
-        self.actions.push(Action::Deliver { iface, pkt });
+        self.wire.deliver(self.node, iface, pkt);
     }
 
     /// Like [`Ctx::send`], but the packet reaches the egress queue only
     /// after `delay` ns — models local processing time (e.g. IPsec crypto)
     /// spent before transmission.
     pub fn send_after(&mut self, delay: Nanos, iface: IfaceId, pkt: impl Into<Pkt>) {
-        self.actions.push(Action::SendLater { iface, pkt: pkt.into(), delay });
+        self.wire.send_after(self.node, delay, iface, pkt.into());
     }
 
     /// Arms a one-shot timer that fires `on_timer(token)` after `delay`.
     pub fn schedule(&mut self, delay: Nanos, token: u64) {
-        self.actions.push(Action::Timer { delay, token });
+        self.wire.arm_timer(self.node, delay, token);
     }
 
     /// Drops `pkt` here for `cause`. The network records the drop in its
     /// flight recorder, if one is attached, against this node.
+    #[allow(clippy::boxed_local)] // takes the box the handler holds; it is freed here
     pub fn discard(&mut self, pkt: Pkt, cause: DropCause) {
-        self.actions.push(Action::Discard { pkt, cause });
+        if let Some(rec) = &self.wire.recorder {
+            rec.record_at(self.node.0, self.wire.now, pkt.meta.flow, pkt.meta.seq, cause);
+        }
     }
 
     /// Ends `pkt`'s life here by design (it was addressed to this node).
     /// The network records it as absorbed at this node, not as a drop.
+    #[allow(clippy::boxed_local)] // takes the box the handler holds; it is freed here
     pub fn absorb(&mut self, pkt: Pkt) {
-        self.actions.push(Action::Absorb { pkt });
+        if let Some(rec) = &self.wire.recorder {
+            rec.record_absorbed(self.node.0, pkt.meta.flow);
+        }
     }
 
     /// Ends a consumed message's life here without a record, keeping its
@@ -117,7 +120,10 @@ pub trait Node: Any {
     /// A timer armed via [`Ctx::schedule`] fired.
     fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx) {}
 
-    /// Device name shown in hop traces; hosts keep the empty default.
+    /// Device name shown in hop traces; hosts keep the empty default. The
+    /// network reads it when tracing starts
+    /// ([`crate::Network::enable_trace`]), or when the node is added if
+    /// tracing is already on.
     fn name(&self) -> &str {
         ""
     }

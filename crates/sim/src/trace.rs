@@ -12,7 +12,7 @@ use std::fmt;
 use netsim_net::{Dscp, Layer, Packet};
 use netsim_qos::Nanos;
 
-use crate::node::IfaceId;
+use crate::node::{IfaceId, NodeId};
 
 /// One send observed at one device.
 #[derive(Clone, Debug)]
@@ -109,12 +109,22 @@ impl fmt::Display for HopOp {
 /// [`Network`](crate::Network) that records it.
 #[derive(Clone, Debug, Default)]
 pub struct TraceLog {
+    /// Device name of every node, by node index: read from
+    /// [`Node::name`](crate::Node::name) when tracing starts, or when a
+    /// node is added while it is on.
+    devices: Vec<String>,
     records: Vec<HopRecord>,
 }
 
 impl TraceLog {
-    /// Records a send: captures the packet's current stack and markings.
-    pub(crate) fn record(&mut self, at: Nanos, device: &str, iface: IfaceId, pkt: &Packet) {
+    /// Names the node with the next index.
+    pub(crate) fn add_device(&mut self, name: &str) {
+        self.devices.push(name.to_owned());
+    }
+
+    /// Records a send by `node`: captures the packet's current stack and
+    /// markings.
+    pub(crate) fn record(&mut self, at: Nanos, node: NodeId, iface: IfaceId, pkt: &Packet) {
         let labels = pkt
             .layers()
             .iter()
@@ -125,7 +135,7 @@ impl TraceLog {
             .collect();
         self.records.push(HopRecord {
             at,
-            device: device.to_owned(),
+            device: self.devices[node.0].clone(),
             iface,
             labels,
             exp: pkt.top_label().map(|l| l.exp),
@@ -169,14 +179,17 @@ mod tests {
     #[test]
     fn records_capture_stack_and_markings() {
         let mut log = TraceLog::default();
+        log.add_device("CE");
+        log.add_device("PE0");
         let mut p = labeled(&[]);
         p.meta.flow = 5;
-        log.record(100, "CE", IfaceId(0), &p);
+        log.record(100, NodeId(0), IfaceId(0), &p);
         p.push_outer(Layer::Mpls(MplsLabel::new(17, 5, 64)));
         p.push_outer(Layer::Mpls(MplsLabel::new(102, 5, 64)));
-        log.record(200, "PE0", IfaceId(2), &p);
+        log.record(200, NodeId(1), IfaceId(2), &p);
         let recs = log.flow(5);
         assert_eq!(recs.len(), 2);
+        assert_eq!((recs[0].device.as_str(), recs[1].device.as_str()), ("CE", "PE0"));
         assert_eq!(recs[0].labels, Vec::<u32>::new());
         assert_eq!(recs[0].dscp, Some(Dscp::EF));
         assert_eq!(recs[1].labels, vec![102, 17]);
@@ -190,6 +203,7 @@ mod tests {
     #[test]
     fn path_derives_every_hop_operation() {
         let mut log = TraceLog::default();
+        log.add_device("D");
         let mut host = labeled(&[]);
         host.outer_ipv4_mut().unwrap().dscp = Dscp::BE;
         let steps = [
@@ -206,7 +220,7 @@ mod tests {
             (labeled(&[]), HopOp::PopAll(vec![31, 500])),
         ];
         for (i, (pkt, _)) in steps.iter().enumerate() {
-            log.record(i as Nanos, "D", IfaceId(i), pkt);
+            log.record(i as Nanos, NodeId(0), IfaceId(i), pkt);
         }
         let ops: Vec<HopOp> = log.path(0, 0).into_iter().map(|(op, _)| op).collect();
         let want: Vec<HopOp> = steps.into_iter().map(|(_, op)| op).collect();
