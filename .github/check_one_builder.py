@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Check that every backbone comes from the one builder.
+
+Three rules over non-test code, cut as `count_lines.py` cuts it (each file
+up to its first unindented `#[cfg(test)]` line), in the files it counts
+(`.rs` under `crates/*/src` and `crates/*/benches`, shims skipped) plus
+`examples/`, `perfbench/src` and the root `src/`:
+
+1. Only `crates/core/src/network.rs` constructs backbone routers: no other
+   file calls `PeRouter::new` or `CoreRouter::new`.
+2. Only `crates/mpls` names `LdpDomain`, the global LDP run that tests use
+   as the reference for the routers' own label distribution.
+3. `crates/core/src/ipsec_vpn.rs` names no `Igp`: the IPsec baseline's
+   routers forward on their own SPF views.
+
+Usage: python3 .github/check_one_builder.py
+Prints each offending line and exits 1 if any rule is broken.
+"""
+import os
+import pathlib
+import re
+import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+from count_lines import non_test, sources  # noqa: E402
+
+EXTRA = ["examples", "perfbench/src", "src"]
+RULES = [
+    (re.compile(r"\b(PeRouter|CoreRouter)::new\b"),
+     lambda path: path == "crates/core/src/network.rs",
+     "constructs a backbone router outside BackboneBuilder"),
+    (re.compile(r"\bLdpDomain\b"),
+     lambda path: path.startswith("crates/mpls/"),
+     "names LdpDomain outside crates/mpls"),
+    (re.compile(r"\bIgp\b"),
+     lambda path: path != "crates/core/src/ipsec_vpn.rs",
+     "gives the IPsec network a global IGP"),
+]
+
+
+def main():
+    os.chdir(pathlib.Path(__file__).resolve().parents[1])
+    files = [(path, text) for path, _, text in sources()]
+    extra = sorted(p.as_posix() for d in EXTRA for p in pathlib.Path(d).rglob("*.rs"))
+    files += [(path, pathlib.Path(path).read_text()) for path in extra]
+    bad = 0
+    for path, text in files:
+        for n, line in enumerate(non_test(text), 1):
+            for pattern, allowed, why in RULES:
+                if pattern.search(line) and not allowed(path):
+                    print(f"{path}:{n}: {why}: {line.strip()}")
+                    bad += 1
+    print(f"{bad} violation(s) of the one-builder rules")
+    sys.exit(1 if bad else 0)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,10 +1,11 @@
-//! Criterion bench for control-plane convergence: LDP fixpoint over growing
-//! rings, IGP SPF, and BGP/VPN route distribution and withdrawal — the
-//! costs behind experiments T1 and M1.
+//! Criterion bench for control-plane convergence: a provider network's
+//! cold restart (every router's SPF and LDP bring-up) over growing rings,
+//! IGP SPF, and BGP/VPN route distribution and withdrawal — the costs
+//! behind experiments T1 and M1.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mplsvpn_core::membership::site_prefix;
-use netsim_mpls::ldp::{Fec, LdpConfig, LdpDomain};
+use mplsvpn_core::BackboneBuilder;
 use netsim_routing::igp::spf;
 use netsim_routing::{
     BgpVpnFabric, Igp, LinkAttrs, RouteDistinguisher, RouteTarget, Topology, VrfHandle,
@@ -18,14 +19,12 @@ fn ring(n: usize) -> Topology {
 fn bench_ldp(c: &mut Criterion) {
     let mut g = c.benchmark_group("ldp_convergence");
     for &n in &[8usize, 32, 128] {
-        let topo = ring(n);
-        let igp = Igp::converge(&topo);
-        let adj = topo.adjacency_lists();
-        let fecs: Vec<(Fec, usize)> = (0..n).map(|i| (Fec(i as u32), i)).collect();
+        // Every router a PE, so every one is an LDP egress.
+        let mut pn = BackboneBuilder::new(ring(n), (0..n).collect()).build();
         g.bench_with_input(BenchmarkId::new("ring_all_fecs", n), &n, |b, _| {
             b.iter(|| {
-                let nh = |u: usize, v: usize| igp.next_hop(u, v);
-                black_box(LdpDomain::run(&adj, &fecs, &nh, LdpConfig::default()))
+                pn.reconverge();
+                black_box(pn.live_labels())
             });
         });
     }

@@ -65,7 +65,7 @@ fn measure_mpls(duration: Nanos, seed: u64) -> Q2Row {
 /// Runs the IPsec baseline, with or without ToS copy.
 fn measure_ipsec(duration: Nanos, seed: u64, copy_dscp: bool) -> Q2Row {
     let (t, _) = topo::dumbbell(10);
-    let mut n = IpsecVpnNetwork::build(t, 1_000_000, ds_core());
+    let mut n = IpsecVpnNetwork::build(t, ds_core());
     let (pa, pb) = (pfx("10.1.0.0/16"), pfx("10.2.0.0/16"));
     let a = n.add_gateway(0, pa, None);
     let b = n.add_gateway(3, pb, None);
@@ -74,11 +74,11 @@ fn measure_ipsec(duration: Nanos, seed: u64, copy_dscp: bool) -> Q2Row {
     n.set_dscp_copy(b, copy_dscp);
     let sink = n.attach_sink(b, pb);
     let gw_a = n.gateway_node(a);
-    let flows = attach_mix(&mut n.net, gw_a, pa, pb, 1, seed, duration);
-    n.net.run_until(duration + SEC);
-    let rows = class_rows(&n.net, sink, &flows);
-    let ga = n.net.node_ref::<IpsecGateway>(gw_a);
-    let gb = n.net.node_ref::<IpsecGateway>(n.gateway_node(b));
+    let flows = attach_mix(&mut n.pn.net, gw_a, pa, pb, 1, seed, duration);
+    n.pn.net.run_until(duration + SEC);
+    let rows = class_rows(&n.pn.net, sink, &flows);
+    let ga = n.pn.net.node_ref::<IpsecGateway>(gw_a);
+    let gb = n.pn.net.node_ref::<IpsecGateway>(n.gateway_node(b));
     let delivered: u64 = rows.iter().map(|r| r.rx).sum();
     let crypto = (ga.crypto_ns + gb.crypto_ns) / delivered.max(1);
     Q2Row {

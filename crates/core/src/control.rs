@@ -31,7 +31,11 @@
 //! terminates them and sends its own. An MP-BGP message runs PE to PE
 //! (paper §3–§4): a router that is not its target sends the same packet
 //! on, with the origin PE's source address, as P routers IP-forward a BGP
-//! session's packets. A terminated packet's box goes back to the
+//! session's packets. A router's IGP never believes an inter-AS link up,
+//! so IGP and LDP stay inside their domain; an MP-BGP message for another
+//! domain's PE crosses at the ASBRs, which re-advertise its route under
+//! labels of their own (RFC 4364 §10(b); `NodeControl::restitch`).
+//! A terminated packet's box goes back to the
 //! network's one spare stack ([`Ctx::recycle`]) for the next message any
 //! router builds. Every message leaves its origin this way, MP-BGP deltas
 //! included, and `NodeControl::transmit` is the one place a transport is
@@ -256,6 +260,18 @@ impl CtrlMsg {
         meta.created_ns = rest;
     }
 
+    /// The route a BGP message carries, as (next hop PE ordinal, label):
+    /// an update's, or a withdraw's replacement.
+    fn route_mut(&mut self) -> Option<(&mut usize, &mut u32)> {
+        match self {
+            CtrlMsg::BgpUpdate { egress_pe, vpn_label, .. } => Some((egress_pe, vpn_label)),
+            CtrlMsg::BgpWithdraw { replacement: Some((egress_pe, label)), .. } => {
+                Some((egress_pe, label))
+            }
+            _ => None,
+        }
+    }
+
     /// Reads back the message [`CtrlMsg::encode`] wrote.
     fn decode(meta: &PktMeta) -> CtrlMsg {
         let field = |i: u32| ((meta.seq >> (TAG_BITS + FIELD_BITS * i)) & FIELD_MAX) as usize;
@@ -407,11 +423,46 @@ pub(crate) struct ControlConfig {
     pub(crate) topo: Topology,
     /// Topology node of each PE ordinal.
     pub(crate) pes: Vec<usize>,
+    /// The routing domain (carrier) of each topology node.
+    pub(crate) domains: Vec<usize>,
+    /// The inter-AS links, whose ends lie in different domains, in id
+    /// order. No router's IGP ever believes one up.
+    pub(crate) inter_as: Vec<usize>,
     /// Penultimate-hop popping: an egress binds implicit null to its own
     /// FEC, else a label it pops itself.
     pub(crate) php: bool,
     /// How messages travel between routers.
     pub(crate) mode: ControlMode,
+}
+
+impl ControlConfig {
+    /// The ASBR pair that carries MP-BGP from `node`'s domain into
+    /// `target`'s: the ends, this domain's first, of the first inter-AS
+    /// link joining the two domains. `None` inside one domain, or when no
+    /// link joins them.
+    fn border(&self, node: usize, target: usize) -> Option<(usize, usize)> {
+        let (own, far) = (self.domains[node], self.domains[target]);
+        self.inter_as.iter().find_map(|&l| {
+            let (a, b, _) = self.topo.link(l);
+            let ends = (self.domains[a], self.domains[b]);
+            (ends == (own, far)).then_some((a, b)).or((ends == (far, own)).then_some((b, a)))
+        })
+    }
+}
+
+/// First label an ASBR hands out for the VPN routes it re-advertises,
+/// above the fabric's VPN labels, so its LFIB never aliases its LDP
+/// labels or its own VRFs' VPN labels.
+const STITCH_LABEL_BASE: u32 = 1 << 18;
+
+/// An option-B label stitch at an ASBR (RFC 4364 §10(b)): the ASBR
+/// re-advertised the VPN route it learned with BGP next hop PE
+/// `egress_pe` and label `label` under its own label `local`.
+#[derive(Clone, Copy, Debug)]
+struct Stitch {
+    local: u32,
+    egress_pe: usize,
+    label: u32,
 }
 
 /// One backbone router's control plane: its view, its attached links'
@@ -442,6 +493,14 @@ pub(crate) struct NodeControl {
     transport: ControlMode,
     /// Control bytes this router put on each backbone interface.
     bytes_by_iface: Vec<u64>,
+    /// Whether this router is an ASBR: a PE with an inter-AS link (the
+    /// builder makes every end of one a PE).
+    asbr: bool,
+    /// The option-B stitches of an ASBR, and the space their labels come
+    /// from. They are BGP state, so a cold restart keeps them and only
+    /// re-installs their LFIB entries.
+    stitches: Vec<Stitch>,
+    stitch_labels: LabelSpace,
     /// Propagation + processing latency of the LSAs recorded here, ns.
     pub(crate) convergence: Histogram,
     pub(crate) stats: CtrlStats,
@@ -459,7 +518,11 @@ impl NodeControl {
     /// [`NodeControl::restart`].
     pub(crate) fn new(cfg: Rc<ControlConfig>, node: usize) -> Self {
         let links = cfg.topo.link_count();
+        let asbr = cfg.topo.neighbors(node).any(|(v, _, _)| cfg.domains[v] != cfg.domains[node]);
         NodeControl {
+            asbr,
+            stitches: Vec::new(),
+            stitch_labels: LabelSpace::with_base(STITCH_LABEL_BASE),
             view: NodeView::default(),
             labels: LabelSpace::new(),
             link_events: vec![(0, 0); links],
@@ -477,25 +540,32 @@ impl NodeControl {
         }
     }
 
-    /// Cold restart, believing `link_state`: the router forgets its view,
-    /// its label space and its LFIB entries (an empty table takes over the
-    /// old one's counters), then binds its own FEC if it is an egress and
-    /// brings up its LDP sessions. Every other binding follows when the
-    /// next hop's mapping first arrives ([`NodeControl::repair_fec`]).
-    /// Until [`NodeControl::restarted`], the router sends over the oracle.
+    /// Cold restart, believing `link_state` with every inter-AS link down:
+    /// the router forgets its view, its label space and its LFIB entries
+    /// (an empty table takes over the old one's counters), then binds its
+    /// own FEC if it is an egress and brings up its LDP sessions. Every
+    /// other binding follows when the next hop's mapping first arrives
+    /// ([`NodeControl::repair_fec`]). An ASBR keeps its stitches and
+    /// re-installs those that lead across an inter-AS link; the others
+    /// follow their tunnels back. Until [`NodeControl::restarted`], the
+    /// router sends over the oracle.
     pub(crate) fn restart(
         &mut self,
         link_state: &[(u64, bool)],
         tables: &mut NodeTables<'_>,
         ctx: &mut Ctx,
     ) {
-        let ControlConfig { topo, pes, php, .. } = &*self.cfg;
+        let ControlConfig { topo, pes, php, inter_as, .. } = &*self.cfg;
         let (n, np, u) = (topo.node_count(), pes.len(), self.node);
         // The link states' sequence numbers make older in-flight LSAs stale.
+        let mut link_state = link_state.to_vec();
+        for &l in inter_as {
+            link_state[l].1 = true;
+        }
         let mut spf = std::mem::take(&mut self.view.spf);
         spf.recompute(topo, u, |l| !link_state[l].1);
         self.view = NodeView {
-            link_state: link_state.to_vec(),
+            link_state,
             fec_reachable: pes.iter().map(|&e| u == e || spf.next_hop[e].is_some()).collect(),
             spf,
             bindings: vec![None; np],
@@ -520,6 +590,7 @@ impl NodeControl {
             };
             self.view.bindings[f] = Some(label);
         }
+        self.install_stitches(None, tables.lfib);
         self.session_up(None, ctx);
     }
 
@@ -597,15 +668,21 @@ impl NodeControl {
     pub(crate) fn on_control_packet(
         &mut self,
         iface: usize,
-        pkt: Pkt,
+        mut pkt: Pkt,
         tables: &mut NodeTables<'_>,
         ctx: &mut Ctx,
     ) {
         self.stats.pkts_terminated += 1;
         if let Some(target) = CtrlMsg::encoded_bgp_target(&pkt.meta) {
+            if self.asbr {
+                let peer = self.cfg.topo.neighbors(self.node).nth(iface).map(|n| n.0);
+                if peer.is_some_and(|p| self.cfg.domains[p] != self.cfg.domains[self.node]) {
+                    self.restitch(&mut pkt, false, tables.lfib);
+                }
+            }
             let target_node = self.cfg.pes[target];
             if target_node != self.node {
-                return self.forward_toward(target_node, pkt, ctx);
+                return self.forward_toward(target_node, pkt, tables.lfib, ctx);
             }
         }
         let msg = CtrlMsg::decode(&pkt.meta);
@@ -793,13 +870,19 @@ impl NodeControl {
             }
             // Ingress repair: one tunnel-table slot. A lost LSP leaves the
             // stale entry in place, so VPN traffic degrades in place (it
-            // drops at the dead link) instead of silently un-routing.
+            // drops at the dead link) instead of silently un-routing. An
+            // ASBR's stitches toward the egress ride the tunnel the same
+            // way.
             if let Some(tunnels) = tables.tunnels.as_deref_mut() {
                 if desired.is_some() {
                     tunnels[f] = desired;
+                    if self.asbr {
+                        self.install_stitches(Some(f), tables.lfib);
+                    }
                 }
             }
         }
+        let view = &mut self.view;
         let reachable = view.spf.next_hop[egress].is_some();
         if first || reachable != view.fec_reachable[f] {
             view.fec_reachable[f] = reachable;
@@ -861,11 +944,26 @@ impl NodeControl {
         }
     }
 
-    /// Sends a PE-addressed packet on, unchanged, one hop along the
-    /// view's shortest path toward the target node. The hop costs what an
-    /// originated one does: a send, and in-band its bytes on the link.
-    fn forward_toward(&mut self, target_node: usize, pkt: Pkt, ctx: &mut Ctx) {
-        let Some(nh) = self.view.spf.next_hop[target_node] else {
+    /// Sends a PE-addressed packet on one hop along the view's shortest
+    /// path toward the target node. A target in another domain is reached
+    /// through this domain's ASBR on the border, which sends the packet
+    /// across the inter-AS link itself (eBGP) after re-advertising its
+    /// route ([`NodeControl::restitch`]); anywhere else the packet goes on
+    /// unchanged. The hop costs what an originated one does: a send, and
+    /// in-band its bytes on the link.
+    fn forward_toward(&mut self, target_node: usize, mut pkt: Pkt, lfib: &mut Lfib, ctx: &mut Ctx) {
+        let nh = match self.view.spf.next_hop[target_node] {
+            Some(nh) => Some(nh),
+            None => match self.cfg.border(self.node, target_node) {
+                Some((asbr, peer)) if asbr == self.node => {
+                    self.restitch(&mut pkt, true, lfib);
+                    Some(peer)
+                }
+                Some((asbr, _)) => self.view.spf.next_hop[asbr],
+                None => None,
+            },
+        };
+        let Some(nh) = nh else {
             self.stats.undeliverable += 1;
             return ctx.recycle(pkt);
         };
@@ -876,11 +974,73 @@ impl NodeControl {
     /// Originates an MP-BGP delta at this PE: counts it and sends it one
     /// hop toward its target PE, as a transit router would (counted
     /// undeliverable when the view has no path).
-    pub(crate) fn originate_bgp(&mut self, msg: CtrlMsg, ctx: &mut Ctx) {
+    pub(crate) fn originate_bgp(&mut self, msg: CtrlMsg, lfib: &mut Lfib, ctx: &mut Ctx) {
         let Some(target) = msg.bgp_target() else { return };
         self.stats.bgp_originated += 1;
         let pkt = self.packet(msg, ctx);
-        self.forward_toward(self.cfg.pes[target], pkt, ctx);
+        self.forward_toward(self.cfg.pes[target], pkt, lfib, ctx);
+    }
+
+    /// Option B at an ASBR (RFC 4364 §10(b)): a BGP packet `leaving` this
+    /// domain whose route's next hop lies inside it, or entering it with a
+    /// next hop beyond it, has its route re-advertised with this ASBR as
+    /// the next hop, under the ASBR's own label ([`NodeControl::stitch`]).
+    fn restitch(&mut self, pkt: &mut Pkt, leaving: bool, lfib: &mut Lfib) {
+        let mut msg = CtrlMsg::decode(&pkt.meta);
+        if let Some((egress_pe, label)) = msg.route_mut() {
+            let home = self.cfg.domains[self.cfg.pes[*egress_pe]] == self.cfg.domains[self.node];
+            if home == leaving {
+                (*egress_pe, *label) = self.stitch(*egress_pe, *label, lfib);
+            }
+        }
+        msg.encode(&mut pkt.meta);
+    }
+
+    /// This ASBR's PE ordinal and its label for the route learned with
+    /// next hop PE `egress_pe` and `label`. The first time, it allocates
+    /// the label and installs its LFIB entry; a route this ASBR originated
+    /// keeps its VPN label.
+    fn stitch(&mut self, egress_pe: usize, label: u32, lfib: &mut Lfib) -> (usize, u32) {
+        let me = self.cfg.pes.iter().position(|&p| p == self.node).expect("an ASBR is a PE");
+        if egress_pe == me {
+            return (me, label);
+        }
+        if let Some(s) = self.stitches.iter().find(|s| (s.egress_pe, s.label) == (egress_pe, label))
+        {
+            return (me, s.local);
+        }
+        let s = Stitch { local: self.stitch_labels.allocate(), egress_pe, label };
+        self.stitches.push(s);
+        if let Some(nhlfe) = self.stitch_nhlfe(s) {
+            lfib.install(s.local, nhlfe);
+        }
+        (me, s.local)
+    }
+
+    /// Installs the LFIB entry of every stitch whose next hop is PE
+    /// `egress_pe`, or of every stitch for `None`.
+    fn install_stitches(&self, egress_pe: Option<usize>, lfib: &mut Lfib) {
+        for &s in self.stitches.iter().filter(|s| egress_pe.is_none_or(|e| e == s.egress_pe)) {
+            if let Some(nhlfe) = self.stitch_nhlfe(s) {
+                lfib.install(s.local, nhlfe);
+            }
+        }
+    }
+
+    /// Where a stitch sends its packets: to the peer ASBR across the
+    /// inter-AS link under the peer's label, or under the next hop's
+    /// label down this domain's tunnel toward it (`None` while the view
+    /// has no tunnel).
+    fn stitch_nhlfe(&self, s: Stitch) -> Option<Nhlfe> {
+        let next = self.cfg.pes[s.egress_pe];
+        if self.cfg.domains[next] != self.cfg.domains[self.node] {
+            let out_iface = self.cfg.topo.iface_toward(self.node, next);
+            return Some(Nhlfe { op: LabelOp::Swap(s.label), out_iface });
+        }
+        let FtnEntry { push, out_iface } = self.view.ftn[s.egress_pe]?;
+        let op =
+            push.map_or(LabelOp::Swap(s.label), |t| LabelOp::SwapPush { swap: s.label, push: t });
+        Some(Nhlfe { op, out_iface })
     }
 
     /// Sends `msg` on `iface`.

@@ -18,12 +18,12 @@ use netsim_ipsec::{
     decapsulate, encapsulate, CryptoCostModel, IkeProposal, IpsecError, SecurityAssociation,
 };
 use netsim_net::{Ip, LpmTrie, Pkt, Prefix};
-use netsim_obs::{DropCause, FlightRecorder};
+use netsim_obs::DropCause;
 use netsim_qos::{MarkingPolicy, Nanos};
-use netsim_routing::{Igp, Topology};
-use netsim_sim::{Ctx, IfaceId, LinkConfig, Network, NodeId, Sink};
+use netsim_routing::Topology;
+use netsim_sim::{Ctx, IfaceId, LinkConfig, LinkId, NodeId, Sink};
 
-use crate::network::CoreQos;
+use crate::network::{BackboneBuilder, CoreQos, ProviderNetwork};
 use crate::router::{CoreRouter, RouterCounters};
 
 /// A security gateway: CE + IPsec tunnel endpoint.
@@ -177,17 +177,18 @@ pub struct GwId(pub usize);
 struct GwInfo {
     node: NodeId,
     attach: usize,
+    /// The gateway's access link to its backbone router.
+    access: LinkId,
     public_ip: Ip,
     prefix: Prefix,
 }
 
 /// An IPsec VPN service over a plain IP backbone.
 pub struct IpsecVpnNetwork {
-    /// The simulator.
-    pub net: Network,
-    topo: Topology,
-    igp: Igp,
-    node_ids: Vec<NodeId>,
+    /// The IP backbone: a provider network without PEs, whose routers
+    /// forward the gateways' ESP on their own SPF views. Its simulator
+    /// carries the gateways too.
+    pub pn: ProviderNetwork,
     gws: Vec<GwInfo>,
     next_spi: u32,
     /// IKE messages exchanged across all tunnels.
@@ -199,30 +200,9 @@ pub struct IpsecVpnNetwork {
 impl IpsecVpnNetwork {
     /// Builds the IP backbone (every topology node is an IP router) with
     /// the given core QoS profile.
-    pub fn build(topo: Topology, link_delay_ns: Nanos, qos: CoreQos) -> Self {
-        let igp = Igp::converge(&topo);
-        let mut net = Network::new();
-        net.set_recorder(FlightRecorder::default());
-        let node_ids: Vec<NodeId> = (0..topo.node_count())
-            .map(|u| net.add_node(Box::new(CoreRouter::new(format!("R{u}"), Default::default()))))
-            .collect();
-        for l in 0..topo.link_count() {
-            let (u, v, attrs) = topo.link(l);
-            let cfg = LinkConfig::new(attrs.capacity_bps, link_delay_ns);
-            let qa = qos_qdisc(&qos, l as u64 * 2);
-            let qb = qos_qdisc(&qos, l as u64 * 2 + 1);
-            net.connect_with_qdiscs(node_ids[u], node_ids[v], cfg, cfg, qa, qb);
-        }
-        IpsecVpnNetwork {
-            net,
-            topo,
-            igp,
-            node_ids,
-            gws: Vec::new(),
-            next_spi: 0x1000,
-            ike_messages: 0,
-            ike_setup_ns: 0,
-        }
+    pub fn build(topo: Topology, qos: CoreQos) -> Self {
+        let pn = BackboneBuilder::new(topo, Vec::new()).core_qos(qos).seed(0).build();
+        IpsecVpnNetwork { pn, gws: Vec::new(), next_spi: 0x1000, ike_messages: 0, ike_setup_ns: 0 }
     }
 
     /// Adds a gateway at backbone node `attach`, serving `prefix`, with
@@ -236,25 +216,41 @@ impl IpsecVpnNetwork {
         let n = self.gws.len() as u8;
         let public_ip = Ip::new(203, 0, 113, n + 1);
         let gw = IpsecGateway::new(format!("GW{n}"), public_ip, marking);
-        let gw_node = self.net.add_node(Box::new(gw));
-        let (_l, _gw_if, _r_if) =
-            self.net.connect(gw_node, self.node_ids[attach], LinkConfig::new(100_000_000, 100_000));
-        // Install the gateway's /32 into every backbone router's FIB.
-        for u in 0..self.topo.node_count() {
+        let pn = &mut self.pn;
+        let gw_node = pn.net.add_node(Box::new(gw));
+        let access = LinkConfig::new(100_000_000, 100_000);
+        let (link, _, r_if) = pn.net.connect(gw_node, pn.backbone_node(attach), access);
+        // Every backbone router routes the gateway's /32 on its own view.
+        for u in 0..pn.topo.node_count() {
             let out = if u == attach {
-                _r_if.0
+                r_if.0
             } else {
-                let nh = self.igp.next_hop(u, attach).expect("backbone connected");
-                self.topo.iface_toward(u, nh)
+                let nh = pn.effective_spf(u).next_hop[attach].expect("backbone connected");
+                pn.topo.iface_toward(u, nh)
             };
-            self.net
-                .node_mut::<CoreRouter>(self.node_ids[u])
-                .fib
-                .insert(Prefix::host(public_ip), out);
+            let router = pn.net.node_mut::<CoreRouter>(pn.backbone_node(u));
+            router.fib.insert(Prefix::host(public_ip), out);
         }
         let id = GwId(self.gws.len());
-        self.gws.push(GwInfo { node: gw_node, attach, public_ip, prefix });
+        self.gws.push(GwInfo { node: gw_node, attach, access: link, public_ip, prefix });
         id
+    }
+
+    /// One-way propagation delay from gateway `a` to gateway `b`: both
+    /// access links and the backbone links on the path the routers' own
+    /// SPF views forward along.
+    fn one_way_delay(&self, a: GwId, b: GwId) -> Nanos {
+        let (ga, gb) = (&self.gws[a.0], &self.gws[b.0]);
+        let net = &self.pn.net;
+        let mut delay = net.link_delay(ga.access, 0) + net.link_delay(gb.access, 1);
+        let mut at = ga.attach;
+        while at != gb.attach {
+            let nh = self.pn.effective_spf(at).next_hop[gb.attach].expect("backbone connected");
+            let (_, _, link) = self.pn.topo.neighbors(at).find(|n| n.0 == nh).expect("adjacent");
+            delay += net.link_delay(LinkId(link), 0);
+            at = nh;
+        }
+        delay
     }
 
     /// Establishes the IPsec tunnel between two gateways: runs the
@@ -270,23 +266,18 @@ impl IpsecVpnNetwork {
             spi_base: spi,
         });
         self.ike_messages += u64::from(xc.messages);
-        let hops = self
-            .igp
-            .path(self.gws[a.0].attach, self.gws[b.0].attach)
-            .map(|p| p.len() as u64)
-            .unwrap_or(1);
-        self.ike_setup_ns += xc.setup_latency_ns(hops * 1_000_000);
+        self.ike_setup_ns += xc.setup_latency_ns(self.one_way_delay(a, b));
 
         let (pa, pb) = (self.gws[a.0].public_ip, self.gws[b.0].public_ip);
         let (prefa, prefb) = (self.gws[a.0].prefix, self.gws[b.0].prefix);
         let (na, nb) = (self.gws[a.0].node, self.gws[b.0].node);
-        self.net.node_mut::<IpsecGateway>(na).add_peer(
+        self.pn.net.node_mut::<IpsecGateway>(na).add_peer(
             pb,
             prefb,
             xc.sas.out_sa.clone(),
             xc.sas.in_sa.clone(),
         );
-        self.net.node_mut::<IpsecGateway>(nb).add_peer(
+        self.pn.net.node_mut::<IpsecGateway>(nb).add_peer(
             pa,
             prefa,
             xc.sas.in_sa.clone(),
@@ -297,7 +288,7 @@ impl IpsecVpnNetwork {
     /// Enables DSCP copying to the outer header on every SA of a gateway.
     pub fn set_dscp_copy(&mut self, gw: GwId, on: bool) {
         let node = self.gws[gw.0].node;
-        let g = self.net.node_mut::<IpsecGateway>(node);
+        let g = self.pn.net.node_mut::<IpsecGateway>(node);
         for (_, out_sa, in_sa) in &mut g.peers {
             out_sa.copy_dscp = on;
             in_sa.copy_dscp = on;
@@ -312,8 +303,8 @@ impl IpsecVpnNetwork {
     /// Attaches a measuring sink behind a gateway.
     pub fn attach_sink(&mut self, gw: GwId, host_prefix: Prefix) -> NodeId {
         let gnode = self.gws[gw.0].node;
-        let (sink, g_if) = self.net.attach_host(gnode, Box::new(Sink::new()));
-        self.net.node_mut::<IpsecGateway>(gnode).local.insert(host_prefix, g_if.0);
+        let (sink, g_if) = self.pn.net.attach_host(gnode, Box::new(Sink::new()));
+        self.pn.net.node_mut::<IpsecGateway>(gnode).local.insert(host_prefix, g_if.0);
         sink
     }
 
@@ -321,10 +312,6 @@ impl IpsecVpnNetwork {
     pub fn site_addr(&self, gw: GwId, host: u32) -> Ip {
         self.gws[gw.0].prefix.nth(host)
     }
-}
-
-fn qos_qdisc(q: &CoreQos, seed: u64) -> Box<dyn netsim_qos::QueueDiscipline> {
-    crate::network::make_core_qdisc(q, seed)
 }
 
 #[cfg(test)]
@@ -340,7 +327,7 @@ mod tests {
         let attrs = LinkAttrs { cost: 1, capacity_bps: 100_000_000 };
         topo.add_link(0, 1, attrs);
         topo.add_link(1, 2, attrs);
-        IpsecVpnNetwork::build(topo, 1_000_000, CoreQos::BestEffort { cap_bytes: 256 * 1024 })
+        IpsecVpnNetwork::build(topo, CoreQos::BestEffort { cap_bytes: 256 * 1024 })
     }
 
     #[test]
@@ -351,14 +338,32 @@ mod tests {
         n.connect_gateways(a, b);
         let sink = n.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, n.site_addr(a, 5), n.site_addr(b, 9), 5000, 200);
-        n.net.attach_source(n.gateway_node(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(30))));
-        n.net.run_until(SEC);
-        let s = n.net.node_ref::<Sink>(sink);
+        n.pn.net
+            .attach_source(n.gateway_node(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(30))));
+        n.pn.net.run_until(SEC);
+        let s = n.pn.net.node_ref::<Sink>(sink);
         assert_eq!(s.flow(1).map(|f| f.rx_packets), Some(30));
         // Crypto time was charged at both gateways.
-        let ga = n.net.node_ref::<IpsecGateway>(n.gateway_node(a));
+        let ga = n.pn.net.node_ref::<IpsecGateway>(n.gateway_node(a));
         assert!(ga.crypto_ns > 0);
         assert_eq!(n.ike_messages, 9);
+    }
+
+    /// IKE's nine messages each cross the one-way path once: on a line
+    /// of three 1 ms backbone links with a 0.1 ms access link at each end
+    /// that is 3.2 ms, so the setup takes 9 × 3.2 ms plus 64 ms of CPU.
+    #[test]
+    fn ike_setup_pays_the_path_delay_of_every_message() {
+        let mut topo = Topology::new(4);
+        for u in 0..3 {
+            topo.add_link(u, u + 1, LinkAttrs { cost: 1, capacity_bps: 100_000_000 });
+        }
+        let mut n = IpsecVpnNetwork::build(topo, CoreQos::BestEffort { cap_bytes: 256 * 1024 });
+        let a = n.add_gateway(0, pfx("10.1.0.0/16"), None);
+        let b = n.add_gateway(3, pfx("10.2.0.0/16"), None);
+        n.connect_gateways(a, b);
+        assert_eq!(n.one_way_delay(a, b), 3_200_000);
+        assert_eq!(n.ike_setup_ns, 92_800_000);
     }
 
     #[test]
@@ -368,10 +373,11 @@ mod tests {
         let b = n.add_gateway(2, pfx("10.2.0.0/16"), None);
         let sink = n.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, n.site_addr(a, 5), n.site_addr(b, 9), 5000, 200);
-        n.net.attach_source(n.gateway_node(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(10))));
-        n.net.run_until(SEC);
-        assert_eq!(n.net.node_ref::<Sink>(sink).total_packets, 0);
-        let rec = n.net.recorder().expect("the IPsec network attaches a recorder");
+        n.pn.net
+            .attach_source(n.gateway_node(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(10))));
+        n.pn.net.run_until(SEC);
+        assert_eq!(n.pn.net.node_ref::<Sink>(sink).total_packets, 0);
+        let rec = n.pn.net.recorder().expect("the IPsec network attaches a recorder");
         let gw = n.gateway_node(a).0;
         assert_eq!(rec.node_total(gw, DropCause::NoRoute), 10, "no tunnel: dies at the gateway");
     }
@@ -387,13 +393,14 @@ mod tests {
         let sink = n.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, n.site_addr(a, 5), n.site_addr(b, 9), 5000, 160)
             .with_dscp(Dscp::EF);
-        n.net.attach_source(n.gateway_node(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(5))));
-        n.net.run_until(SEC);
+        n.pn.net
+            .attach_source(n.gateway_node(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(5))));
+        n.pn.net.run_until(SEC);
         // Delivered, and the inner EF DSCP survived the tunnel...
-        let s = n.net.node_ref::<Sink>(sink);
+        let s = n.pn.net.node_ref::<Sink>(sink);
         assert_eq!(s.total_packets, 5);
         // ...but gateway crypto accounting proves the path was ESP.
-        let ga = n.net.node_ref::<IpsecGateway>(n.gateway_node(a));
+        let ga = n.pn.net.node_ref::<IpsecGateway>(n.gateway_node(a));
         assert_eq!(ga.counters.forwarded, 5);
     }
 
@@ -408,8 +415,9 @@ mod tests {
         let sink = n.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, n.site_addr(a, 5), n.site_addr(b, 9), 5000, 160)
             .with_dscp(Dscp::EF);
-        n.net.attach_source(n.gateway_node(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(5))));
-        n.net.run_until(SEC);
-        assert_eq!(n.net.node_ref::<Sink>(sink).total_packets, 5);
+        n.pn.net
+            .attach_source(n.gateway_node(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(5))));
+        n.pn.net.run_until(SEC);
+        assert_eq!(n.pn.net.node_ref::<Sink>(sink).total_packets, 5);
     }
 }

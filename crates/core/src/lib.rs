@@ -28,14 +28,14 @@
 //! [`overlay`] implements the §2.1 strawman (one PVC per site pair) and
 //! [`ipsec_vpn`] the §2.3/§3 one (IPsec gateways over a plain IP
 //! backbone), both runnable on the same simulator for head-to-head
-//! comparison. [`interprovider`] stitches two MPLS domains at ASBRs to
+//! comparison. Several carriers share one provider network: a
+//! [`BackboneBuilder::domains`] split stitches MPLS domains at ASBRs to
 //! reproduce the cross-provider SLA claim.
 
 #![warn(missing_docs)]
 
 pub mod control;
 pub mod frr;
-pub mod interprovider;
 pub mod ipsec_vpn;
 pub mod membership;
 pub mod network;

@@ -7,8 +7,9 @@
 //!    plane that knows only the shared configuration ([`crate::control`]).
 //! 2. Backbone links are materialized in topology order, so simulator
 //!    interface numbers equal topology adjacency positions.
-//! 3. Every router starts cold: its own SPF over the configured links,
-//!    then LDP label distribution for one tunnel FEC per PE, as the
+//! 3. Every router starts cold: its own SPF over the configured links of
+//!    its domain ([`BackboneBuilder::domains`]; inter-AS links never
+//!    count), then LDP label distribution for one tunnel FEC per PE, as the
 //!    per-router deltas the routers run afterwards. The simulator runs at
 //!    t = 0 until those messages drain over the zero-latency transport.
 //!    [`ProviderNetwork::reconverge`] is the same cold restart.
@@ -159,6 +160,7 @@ const BACKBONE_HOP_DELAY_NS: Nanos = 1_000_000;
 pub struct BackboneBuilder {
     topo: Topology,
     pes: Vec<usize>,
+    domains: Vec<usize>,
     php: bool,
     core_qos: CoreQos,
     access_rate_bps: u64,
@@ -170,11 +172,12 @@ pub struct BackboneBuilder {
 
 impl BackboneBuilder {
     /// Starts a builder over `topo`; `pes` lists the topology nodes acting
-    /// as provider edges (the rest are P routers).
+    /// as provider edges (the rest are P routers). With no PE, the
+    /// backbone is a plain IP core.
     pub fn new(topo: Topology, pes: Vec<usize>) -> Self {
-        assert!(!pes.is_empty(), "at least one PE required");
         assert!(pes.iter().all(|&p| p < topo.node_count()), "PE out of range");
         BackboneBuilder {
+            domains: vec![0; topo.node_count()],
             topo,
             pes,
             php: true,
@@ -185,6 +188,19 @@ impl BackboneBuilder {
             detect_ns: 50_000_000, // 50 ms: ~3 missed BFD hellos at slow timers
             control_mode: ControlMode::Oracle,
         }
+    }
+
+    /// Puts each backbone node in a routing domain (a carrier); all share
+    /// domain 0 by default. A link whose ends lie in different domains is
+    /// an inter-AS link: no router's IGP ever believes it up, so SPF, LSAs
+    /// and LDP sessions stop at it, and cutting it floods nothing. Its ends
+    /// must be PEs, the ASBRs, and MP-BGP crosses it only between them:
+    /// each re-advertises a route from its own domain under a label of its
+    /// own (RFC 4364 §10(b), option B).
+    pub fn domains(mut self, domains: Vec<usize>) -> Self {
+        assert_eq!(domains.len(), self.topo.node_count(), "one domain per backbone node");
+        self.domains = domains;
+        self
     }
 
     /// Selects how control messages travel: handed over at once by the
@@ -235,9 +251,24 @@ impl BackboneBuilder {
         // Observability is always on: one flight recorder in the engine,
         // which every router reaches through its handler context.
         net.set_recorder(FlightRecorder::default());
+        let inter_as: Vec<usize> = (0..self.topo.link_count())
+            .filter(|&l| {
+                let (u, v, _) = self.topo.link(l);
+                self.domains[u] != self.domains[v]
+            })
+            .collect();
+        for &l in &inter_as {
+            let (u, v, _) = self.topo.link(l);
+            assert!(
+                self.pes.contains(&u) && self.pes.contains(&v),
+                "inter-AS link {l} must join two PEs (ASBRs)"
+            );
+        }
         let cfg = Rc::new(ControlConfig {
             topo: self.topo.clone(),
             pes: self.pes.clone(),
+            domains: self.domains,
+            inter_as,
             php: self.php,
             mode: self.control_mode,
         });
@@ -502,7 +533,9 @@ impl ProviderNetwork {
     /// transport, so it changes the target's VRF when the simulator next
     /// runs: at the current instant under the oracle.
     fn send_bgp(&mut self, origin_pe: usize, msg: CtrlMsg) {
-        self.with_control(self.pes[origin_pe], |control, _, ctx| control.originate_bgp(msg, ctx));
+        self.with_control(self.pes[origin_pe], |control, tables, ctx| {
+            control.originate_bgp(msg, tables.lfib, ctx);
+        });
     }
 
     /// The fabric's selected routes for one VRF.
@@ -510,26 +543,42 @@ impl ProviderNetwork {
         self.fabric.routes(handle).iter().map(|(p, r)| (p, *r)).collect()
     }
 
+    /// Whether PE ordinals `a` and `b` lie in one domain.
+    pub(crate) fn same_domain(&self, a: usize, b: usize) -> bool {
+        self.cfg.domains[self.pes[a]] == self.cfg.domains[self.pes[b]]
+    }
+
     /// Installs routes into VRF `vrf_idx` of PE `pe` over the PE's current
-    /// tunnels: a local step at the one PE that owns the VRF.
+    /// tunnels: a local step at the one PE that owns the VRF. A route from
+    /// another domain reaches the VRF only through the ASBRs, so its
+    /// origin PE sends it as an MP-BGP update instead.
     fn install_routes(&mut self, pe: usize, vrf_idx: usize, routes: &[(Prefix, RemoteRoute)]) {
+        let cfg = Rc::clone(&self.cfg);
+        let home = |r: &RemoteRoute| cfg.domains[cfg.pes[r.egress_pe]] == cfg.domains[cfg.pes[pe]];
         self.with_control(self.pes[pe], |control, tables, _| {
             let vrf = &mut tables.vrfs.as_deref_mut().expect("a PE lends its VRFs")[vrf_idx];
-            for &(prefix, r) in routes {
+            for &(prefix, r) in routes.iter().filter(|(_, r)| home(r)) {
                 control.install_route(vrf, prefix, r.egress_pe, r.vpn_label);
             }
         });
+        for &(prefix, r) in routes.iter().filter(|(_, r)| !home(r)) {
+            let (egress_pe, vpn_label) = (r.egress_pe, r.vpn_label);
+            let msg = CtrlMsg::BgpUpdate { target: pe, vrf_idx, prefix, egress_pe, vpn_label };
+            self.send_bgp(egress_pe, msg);
+        }
     }
 
     /// Re-installs every VRF's imported routes as LDP-following, which
-    /// clears TE overrides. Only [`ProviderNetwork::reconverge`] calls
-    /// this.
+    /// clears TE overrides. A route from another domain is left as it is:
+    /// it rides an ASBR's stitch, which the cold restart kept. Only
+    /// [`ProviderNetwork::reconverge`] calls this.
     fn sync_remote_routes(&mut self) {
         let mut vrfs: Vec<_> =
             self.vrf_handles.iter().map(|(&(pe, vpn), &hv)| ((pe, vpn.0), hv)).collect();
         vrfs.sort_unstable_by_key(|&(key, _)| key);
         for ((pe, _), (handle, vrf_idx)) in vrfs {
-            let routes = self.fabric_routes(handle);
+            let mut routes = self.fabric_routes(handle);
+            routes.retain(|(_, r)| self.same_domain(pe, r.egress_pe));
             self.install_routes(pe, vrf_idx, &routes);
         }
     }
@@ -877,6 +926,9 @@ impl ProviderNetwork {
     /// measures). A router with a bypass on the interface holds its own
     /// repair a little longer and lets the bypass carry its traffic.
     ///
+    /// An inter-AS link's cut only stops its data plane: no IGP tracks
+    /// it, so nothing is detected or flooded.
+    ///
     /// Idempotent: failing an already-failed link is a no-op, so drops
     /// are never double-counted and timers never re-armed. Returns
     /// whether the link went down.
@@ -928,6 +980,9 @@ impl ProviderNetwork {
             return false;
         }
         self.net.set_link_enabled(LinkId(topo_link), up);
+        if self.cfg.inter_as.contains(&topo_link) {
+            return true; // no router's IGP tracks it: nothing floods
+        }
         self.link_seq[topo_link] += 1;
         let (seq, at) = (self.link_seq[topo_link], self.net.now() + self.detect_ns);
         let (a, b, _) = self.topo.link(topo_link);
@@ -1615,5 +1670,102 @@ mod tests {
                 (0..2 + next(n - 1)).map(|_| nodes.swap_remove(next(nodes.len()))).collect();
             assert_bring_up_matches_ldp_run(&format!("random {seed}"), &topo, &pes);
         }
+    }
+
+    /// Two carriers, each a ring of four, joined ASBR to ASBR: A is
+    /// 0-1-2-3 (links 0–3), B is 4-5-6-7 (links 4–7), and inter-AS link 8
+    /// joins the ASBRs, nodes 2 and 4 (PE ordinals 2 and 3). PE ordinals
+    /// 0 (node 0) and 1 (node 6) home the sites.
+    fn two_rings(mode: ControlMode) -> ProviderNetwork {
+        let mut topo = Topology::new(8);
+        let attrs = LinkAttrs { cost: 1, capacity_bps: 100_000_000 };
+        let rings = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)];
+        for (u, v) in rings.into_iter().chain([(2, 4)]) {
+            topo.add_link(u, v, attrs);
+        }
+        BackboneBuilder::new(topo, vec![0, 6, 2, 4])
+            .domains(vec![0, 0, 0, 0, 1, 1, 1, 1])
+            .control_mode(mode)
+            .build()
+    }
+
+    /// One VPN with a site in each carrier and a sink behind each.
+    fn span_carriers(pn: &mut ProviderNetwork) -> [(SiteId, NodeId); 2] {
+        let vpn = pn.new_vpn("acme");
+        let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
+        let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
+        pn.run_to_quiescence();
+        [(a, pn.attach_sink(a, pfx("10.1.0.0/16"))), (b, pn.attach_sink(b, pfx("10.2.0.0/16")))]
+    }
+
+    #[test]
+    fn vpn_traffic_crosses_carriers_both_ways_and_survives_a_cold_restart() {
+        for mode in [ControlMode::Oracle, ControlMode::InBand] {
+            let mut pn = two_rings(mode);
+            let [(a, sink_a), (b, sink_b)] = span_carriers(&mut pn);
+            pn.verify().assert_clean(&format!("two carriers, {mode:?}"));
+            // The VRFs name their own carrier's ASBR as the next hop.
+            let next_hop = |pe| pn.vrf_digest(pe, VpnId(0)).iter().find_map(|r| r.1.clone());
+            assert_eq!(next_hop(0).map(|r| (r.0, r.2)), Some((2, Some(vec![0, 1, 2]))));
+            assert_eq!(next_hop(1).map(|r| (r.0, r.2)), Some((3, Some(vec![6, 5, 4]))));
+            pn.reconverge();
+            pn.run_to_quiescence();
+            pn.verify().assert_clean(&format!("two carriers after a cold restart, {mode:?}"));
+            let to_b = pn.site_addr(b, 9);
+            send_flow(&mut pn, a, to_b, 1, 20);
+            let to_a = pn.site_addr(a, 9);
+            send_flow(&mut pn, b, to_a, 2, 20);
+            pn.run_for(SEC);
+            assert_eq!(pn.net.node_ref::<Sink>(sink_b).flow(1).map(|f| f.rx_packets), Some(20));
+            assert_eq!(pn.net.node_ref::<Sink>(sink_a).flow(2).map(|f| f.rx_packets), Some(20));
+            let stats = pn.control_stats().expect("control counters");
+            assert_eq!((stats.undeliverable, stats.no_lsp_to_egress), (0, 0), "{mode:?}");
+            // The withdraw crosses the ASBRs too.
+            pn.detach_site(b);
+            pn.run_to_quiescence();
+            assert_eq!(pn.vrf_digest(0, VpnId(0)), [(pfx("10.1.0.0/16"), None)], "{mode:?}");
+        }
+    }
+
+    /// An intra-domain cut and repair, in band, never leaves its carrier:
+    /// no LSA or LDP byte crosses the inter-AS link, and the other
+    /// carrier's routers run no SPF and keep their FTNs. The ASBR's stitch
+    /// follows its carrier's reroute.
+    #[test]
+    fn a_cut_inside_one_carrier_stays_inside_it() {
+        let mut pn = two_rings(ControlMode::InBand);
+        let [(a, sink_a), (b, sink_b)] = span_carriers(&mut pn);
+        let inter_as = 8;
+        let bytes = pn.control_bytes_on_link(inter_as);
+        assert!(bytes > 0, "the MP-BGP exchange crosses the inter-AS link");
+        let carrier_b = |pn: &ProviderNetwork| -> Vec<(u64, Vec<Option<netsim_mpls::FtnEntry>>)> {
+            (4..8)
+                .map(|u| {
+                    let control = pn.backbone(u).1;
+                    (control.stats.spf_runs, (0..4).map(|f| control.ftn(f)).collect())
+                })
+                .collect()
+        };
+        let before = carrier_b(&pn);
+        // Link 1 (1-2) carries PE0's tunnel to its ASBR.
+        assert_eq!(pn.lsp_path(0, 2), Some(vec![0, 1, 2]));
+        pn.fail_link(1);
+        pn.run_to_quiescence();
+        assert_eq!(pn.lsp_path(0, 2), Some(vec![0, 3, 2]));
+        assert_eq!(pn.lsp_path(2, 0), Some(vec![2, 3, 0]));
+        pn.verify().assert_clean("carrier A rerouted");
+        let to_b = pn.site_addr(b, 9);
+        send_flow(&mut pn, a, to_b, 1, 20);
+        // B → A rides ASBR 2's stitch down carrier A's rerouted tunnel.
+        let to_a = pn.site_addr(a, 9);
+        send_flow(&mut pn, b, to_a, 2, 20);
+        pn.run_for(SEC);
+        assert_eq!(pn.net.node_ref::<Sink>(sink_b).flow(1).map(|f| f.rx_packets), Some(20));
+        assert_eq!(pn.net.node_ref::<Sink>(sink_a).flow(2).map(|f| f.rx_packets), Some(20));
+        pn.repair_link(1);
+        pn.run_to_quiescence();
+        assert_eq!(pn.control_bytes_on_link(inter_as), bytes, "no LSA or LDP crossed");
+        assert_eq!(carrier_b(&pn), before, "carrier B ran no SPF and kept its FTNs");
+        pn.verify().assert_clean("carrier A repaired");
     }
 }

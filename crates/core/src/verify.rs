@@ -107,7 +107,10 @@ impl ProviderNetwork {
         }
         for (k, &pe_topo) in self.pes.iter().enumerate() {
             let pe = self.net.node_ref::<PeRouter>(self.node_ids[pe_topo]);
-            for vrf in &pe.vrfs {
+            for (vrf_idx, vrf) in pe.vrfs.iter().enumerate() {
+                let selected = (0..self.vpns.len())
+                    .find_map(|v| self.vrf_handles.get(&(k, VpnId(v))).filter(|h| h.1 == vrf_idx))
+                    .map(|&(handle, _)| self.fabric.routes(handle));
                 for (prefix, route) in vrf.fib.iter() {
                     let VrfRoute::Remote { egress_pe, vpn_label, .. } = route else {
                         continue;
@@ -122,6 +125,14 @@ impl ProviderNetwork {
                         );
                         continue;
                     };
+                    // A route from another domain names this domain's ASBR
+                    // as its next hop; its stack unwinds at the PE that
+                    // originated it, the fabric's selection.
+                    let origin = selected
+                        .and_then(|routes| routes.get(prefix))
+                        .map(|r| r.egress_pe)
+                        .filter(|&o| !self.same_domain(o, k))
+                        .unwrap_or(*egress_pe);
                     let mut push = vec![*vpn_label];
                     push.extend(tunnel.push);
                     walks.push(StackWalk {
@@ -129,7 +140,7 @@ impl ProviderNetwork {
                         fec,
                         push,
                         out_iface: tunnel.out_iface,
-                        expect_delivery: Some(self.pes[*egress_pe]),
+                        expect_delivery: Some(self.pes[origin]),
                     });
                 }
             }

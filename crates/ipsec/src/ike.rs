@@ -42,9 +42,6 @@ pub struct IkeExchange {
     pub messages: u32,
     /// Total CPU time consumed across both endpoints, ns.
     cpu_ns: u64,
-    /// Handshake latency given a one-way network delay, computable via
-    /// [`IkeExchange::setup_latency_ns`].
-    rtt_messages: u32,
 }
 
 fn derive(a: u64, b: u64, salt: u64) -> u64 {
@@ -70,7 +67,6 @@ pub fn establish(p: IkeProposal) -> IkeExchange {
         sas: SaPair { out_sa, in_sa },
         messages: PHASE1_MESSAGES + PHASE2_MESSAGES,
         cpu_ns: 2 * (PHASE1_CPU_NS + PHASE2_CPU_NS),
-        rtt_messages: PHASE1_MESSAGES + PHASE2_MESSAGES,
     }
 }
 
@@ -78,7 +74,7 @@ impl IkeExchange {
     /// Wall-clock setup latency for a given one-way network delay: each
     /// message traverses the path once, plus each endpoint's CPU time.
     pub fn setup_latency_ns(&self, one_way_delay_ns: u64) -> u64 {
-        u64::from(self.rtt_messages) * one_way_delay_ns + self.cpu_ns
+        u64::from(self.messages) * one_way_delay_ns + self.cpu_ns
     }
 }
 

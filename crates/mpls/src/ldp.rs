@@ -14,9 +14,10 @@
 //! neighbors are remembered (and counted) but not installed.
 //!
 //! A provider network's routers run the same protocol as per-router
-//! deltas from a cold start, which replay these rounds; tests compare them
-//! with [`LdpDomain::run`]. Its other callers are Q4's inter-provider
-//! model and the `ldp_convergence` criterion bench.
+//! deltas from a cold start, which replay these rounds. [`LdpDomain`] is
+//! the reference they are checked against: `mplsvpn-core`'s
+//! `bring_up_matches_the_global_ldp_run` test and this crate's proptests
+//! compare with [`LdpDomain::run`]. No model code runs it.
 
 use std::collections::HashMap;
 

@@ -363,6 +363,11 @@ impl Network {
         self.ctx.wire.links[link.0].dirs[dir as usize].stats
     }
 
+    /// Propagation delay of one direction of a link.
+    pub fn link_delay(&self, link: LinkId, dir: u8) -> Nanos {
+        self.ctx.wire.links[link.0].dirs[dir as usize].delay_ns
+    }
+
     /// Enables or disables both directions of a link (fiber cut / repair).
     /// While disabled, packets offered to either egress are dropped and
     /// counted in [`LinkStats::dropped`]; packets already in flight still

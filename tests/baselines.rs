@@ -54,20 +54,16 @@ fn three_technologies_same_connectivity() {
 
     // IPsec over IP.
     let ipsec = {
-        let mut n = IpsecVpnNetwork::build(
-            line3(),
-            1_000_000,
-            CoreQos::BestEffort { cap_bytes: 256 * 1024 },
-        );
+        let mut n = IpsecVpnNetwork::build(line3(), CoreQos::BestEffort { cap_bytes: 256 * 1024 });
         let a = n.add_gateway(0, pfx("10.1.0.0/16"), None);
         let b = n.add_gateway(2, pfx("10.2.0.0/16"), None);
         n.connect_gateways(a, b);
         let sink = n.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, n.site_addr(a, 1), n.site_addr(b, 1), 5000, 300);
-        n.net
+        n.pn.net
             .attach_source(n.gateway_node(a), Box::new(CbrSource::new(cfg, MSEC, Some(n_packets))));
-        n.net.run_until(2 * SEC);
-        n.net.node_ref::<Sink>(sink).flow(1).map(|f| f.rx_packets).unwrap_or(0)
+        n.pn.net.run_until(2 * SEC);
+        n.pn.net.node_ref::<Sink>(sink).flow(1).map(|f| f.rx_packets).unwrap_or(0)
     };
 
     assert_eq!(mpls, n_packets);
@@ -91,20 +87,17 @@ fn ipsec_pays_crypto_latency_mpls_does_not() {
         pn.net.node_ref::<Sink>(sink).flow(1).unwrap().latency.mean()
     };
     let run_ipsec = || {
-        let mut n = IpsecVpnNetwork::build(
-            line3(),
-            1_000_000,
-            CoreQos::BestEffort { cap_bytes: 256 * 1024 },
-        );
+        let mut n = IpsecVpnNetwork::build(line3(), CoreQos::BestEffort { cap_bytes: 256 * 1024 });
         let a = n.add_gateway(0, pfx("10.1.0.0/16"), None);
         let b = n.add_gateway(2, pfx("10.2.0.0/16"), None);
         n.connect_gateways(a, b);
         let sink = n.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, n.site_addr(a, 1), n.site_addr(b, 1), 5000, 1000);
-        n.net.attach_source(n.gateway_node(a), Box::new(CbrSource::new(cfg, 10 * MSEC, Some(50))));
-        n.net.run_until(2 * SEC);
-        let mean = n.net.node_ref::<Sink>(sink).flow(1).unwrap().latency.mean();
-        let gw = n.net.node_ref::<IpsecGateway>(n.gateway_node(a));
+        n.pn.net
+            .attach_source(n.gateway_node(a), Box::new(CbrSource::new(cfg, 10 * MSEC, Some(50))));
+        n.pn.net.run_until(2 * SEC);
+        let mean = n.pn.net.node_ref::<Sink>(sink).flow(1).unwrap().latency.mean();
+        let gw = n.pn.net.node_ref::<IpsecGateway>(n.gateway_node(a));
         (mean, gw.crypto_ns)
     };
     let mpls_mean = run_mpls();
@@ -121,8 +114,7 @@ fn ipsec_pays_crypto_latency_mpls_does_not() {
 fn ipsec_baseline_rejects_replayed_packets() {
     use mplsvpn::ipsec::encapsulate;
     use mplsvpn::net::{Dscp, Packet};
-    let mut n =
-        IpsecVpnNetwork::build(line3(), 1_000_000, CoreQos::BestEffort { cap_bytes: 256 * 1024 });
+    let mut n = IpsecVpnNetwork::build(line3(), CoreQos::BestEffort { cap_bytes: 256 * 1024 });
     let a = n.add_gateway(0, pfx("10.1.0.0/16"), None);
     let b = n.add_gateway(2, pfx("10.2.0.0/16"), None);
     n.connect_gateways(a, b);
@@ -132,7 +124,7 @@ fn ipsec_baseline_rejects_replayed_packets() {
     // SA, then inject the same ciphertext twice at A's uplink.
     let ga = n.gateway_node(a);
     let (my_ip, peer_ip, mut sa_copy) = {
-        let gw = n.net.node_ref::<IpsecGateway>(ga);
+        let gw = n.pn.net.node_ref::<IpsecGateway>(ga);
         let (peer_ip, out_sa, _) = &gw.peers[0];
         (gw.public_ip, *peer_ip, out_sa.clone())
     };
@@ -140,12 +132,12 @@ fn ipsec_baseline_rejects_replayed_packets() {
         Packet::udp(pfx("10.1.0.0/16").nth(1), pfx("10.2.0.0/16").nth(1), 1, 2, Dscp::BE, 64);
     inner.meta.flow = 9;
     let outer = encapsulate(&inner, &mut sa_copy, my_ip, peer_ip);
-    n.net.inject(ga, mplsvpn::sim::IfaceId(0), outer.clone());
-    n.net.inject(ga, mplsvpn::sim::IfaceId(0), outer);
-    n.net.run_until(SEC);
-    let s = n.net.node_ref::<Sink>(sink);
+    n.pn.net.inject(ga, mplsvpn::sim::IfaceId(0), outer.clone());
+    n.pn.net.inject(ga, mplsvpn::sim::IfaceId(0), outer);
+    n.pn.net.run_until(SEC);
+    let s = n.pn.net.node_ref::<Sink>(sink);
     assert_eq!(s.flow(9).map(|f| f.rx_packets), Some(1), "replay must be dropped");
-    let gb = n.net.node_ref::<IpsecGateway>(n.gateway_node(b));
+    let gb = n.pn.net.node_ref::<IpsecGateway>(n.gateway_node(b));
     assert_eq!(gb.esp_errors, 1);
 }
 

@@ -21,6 +21,11 @@
 //! zero-latency oracle and once with in-band CS6 packets that share links
 //! and queues with the data. The conservation ledger carries explicit
 //! control-plane send/terminate terms under both.
+//!
+//! Seeds 8 and 9 run two carriers, two fishes or two ladders joined at
+//! their ASBRs, with the VPN's sites in different carriers. Their faults
+//! hit intra-domain links only, so the ASBRs' label stitches have to follow
+//! every reroute inside a carrier.
 
 use mplsvpn::routing::{Igp, LinkAttrs, Topology};
 use mplsvpn::sim::{
@@ -44,11 +49,11 @@ impl std::fmt::Display for Case {
     }
 }
 
-/// Seeds 0–7, each under both control modes.
+/// Seeds 0–9, each under both control modes.
 fn cases() -> impl Iterator<Item = Case> {
     [ControlMode::Oracle, ControlMode::InBand]
         .into_iter()
-        .flat_map(|control| (0..8).map(move |seed| Case { seed, control }))
+        .flat_map(|control| (0..10).map(move |seed| Case { seed, control }))
 }
 
 /// Sources stop emitting here…
@@ -83,6 +88,30 @@ fn ladder() -> (Topology, Vec<usize>, Vec<usize>) {
     (t, vec![0, 5], vec![0, 1, 5])
 }
 
+/// Two copies of a one-carrier shape as two carriers: A keeps the shape's
+/// ids and B follows it, turned around, so that an inter-AS link joins A's
+/// second PE to B's first, the ASBRs. PE ordinals 0 and 1 are the outer
+/// PEs, 2 and 3 the ASBRs; both carriers' cuttable links stay cuttable.
+/// Returns the topology, PEs, cuttable links and the domain of each node.
+fn two_carriers(
+    (one, pes, cuttable): (Topology, Vec<usize>, Vec<usize>),
+) -> (Topology, Vec<usize>, Vec<usize>, Vec<usize>) {
+    let (n, m) = (one.node_count(), one.link_count());
+    let mut t = Topology::new(2 * n);
+    for offset in [0, n] {
+        for l in 0..m {
+            let (u, v, attrs) = one.link(l);
+            t.add_link(offset + u, offset + v, attrs);
+        }
+    }
+    let (outer, asbr) = (pes[0], pes[1]);
+    t.add_link(asbr, n + outer, one.link(0).2);
+    let pes = vec![outer, n + asbr, asbr, n + outer];
+    let cuttable = cuttable.iter().flat_map(|&l| [l, m + l]).collect();
+    let domains = (0..2 * n).map(|u| u / n).collect();
+    (t, pes, cuttable, domains)
+}
+
 /// Everything a scenario needs for its post-mortem.
 struct Scenario {
     pn: ProviderNetwork,
@@ -92,8 +121,10 @@ struct Scenario {
     sinks: Vec<(NodeId, Vec<u64>)>,
     /// Topology node of each PE ordinal.
     pes: Vec<usize>,
-    /// Every VPN, each with a site on every PE.
+    /// Every VPN, each with a site on PE ordinals 0 and 1.
     vpns: Vec<VpnId>,
+    /// The routing domain of each backbone node.
+    domains: Vec<usize>,
 }
 
 /// Builds the seeded scenario and replays its fault plan to `RUN_END`.
@@ -108,9 +139,18 @@ fn run_scenario(case: Case) -> Scenario {
 /// one run of the whole plan.
 fn run_checked(case: Case, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
     let seed = case.seed;
-    let (topo, pes, cuttable) = if seed % 4 < 2 { fish() } else { ladder() };
+    let (topo, pes, cuttable, domains) = match seed {
+        8 => two_carriers(fish()),
+        9 => two_carriers(ladder()),
+        _ => {
+            let (topo, pes, cuttable) = if seed % 4 < 2 { fish() } else { ladder() };
+            let domains = vec![0; topo.node_count()];
+            (topo, pes, cuttable, domains)
+        }
+    };
     let link_count = topo.link_count();
     let mut pn = BackboneBuilder::new(topo, pes.clone())
+        .domains(domains.clone())
         .detection(25 * MSEC)
         .control_mode(case.control)
         .build();
@@ -145,7 +185,7 @@ fn run_checked(case: Case, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
     // traffic window so the faults actually bite.
     let plan = FaultPlan::random(seed, &cuttable, 3 * SEC, 4, 200 * MSEC);
     let events = plan.events();
-    let mut s = Scenario { pn, sources, sinks, pes, vpns };
+    let mut s = Scenario { pn, sources, sinks, pes, vpns, domains };
     let mut start = 0;
     for end in 1..=events.len() {
         let next = events.get(end).map(|e| e.at);
@@ -165,9 +205,9 @@ fn run_checked(case: Case, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
 
 /// Asserts that the fault reactions have played out: no control packet
 /// is queued or in flight, and the routers' state equals a fresh
-/// computation over the links that are up: every SPF view, every
-/// PE-to-PE LSP through the live LFIBs, and the tunnel every remote VRF
-/// route resolves to.
+/// computation over the links that are up, inter-AS links excluded (one
+/// per carrier): every SPF view, every PE-to-PE LSP through the live
+/// LFIBs, and the tunnel every remote VRF route resolves to.
 fn assert_at_rest(s: &Scenario, case: Case) {
     let t = s.pn.net.now();
     let rec = s.pn.recorder();
@@ -180,7 +220,11 @@ fn assert_at_rest(s: &Scenario, case: Case) {
         "control packets still in the network at {case}, t={t}"
     );
     let down = s.pn.failed_links();
-    let fresh = Igp::converge_filtered(&s.pn.topo, |l| !down.contains(&l));
+    let inter_as = |l: usize| {
+        let (u, v, _) = s.pn.topo.link(l);
+        s.domains[u] != s.domains[v]
+    };
+    let fresh = Igp::converge_filtered(&s.pn.topo, |l| !down.contains(&l) && !inter_as(l));
     for u in 0..s.pn.topo.node_count() {
         let (view, want) = (s.pn.effective_spf(u), fresh.tree(u));
         assert_eq!(
@@ -197,7 +241,7 @@ fn assert_at_rest(s: &Scenario, case: Case) {
                 "PE{i}'s LSP to PE{e} is not the fresh shortest path at {case}, t={t}"
             );
         }
-        for &vpn in &s.vpns {
+        for &vpn in s.vpns.iter().filter(|&&vpn| s.pn.vrf_handle(i, vpn).is_some()) {
             for (prefix, row) in s.pn.vrf_digest(i, vpn) {
                 let Some((e, _, path)) = row else { continue };
                 assert_eq!(
