@@ -14,9 +14,13 @@ Names are matched as plain words, without paths, so a name shared by two
 items, or named in a comment, hides an item; the list is a floor, not the
 full set of dead code.
 
+The items kept on purpose are listed, one `path name` pair a line with its
+reason, in `.github/callers_kept.txt`, the one copy of that list.
+
 Usage: python3 .github/callers.py
 Reads the working tree and prints one `path:line kind name` row per
-listed item, then a count. It always exits 0.
+listed item, then a count. It exits 1 when an item is callerless but not
+kept, or kept but no longer callerless (it gained a caller or is gone).
 """
 import os
 import pathlib
@@ -28,6 +32,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from count_lines import non_test, sources  # noqa: E402
 
 EXTRA = ["examples", "perfbench/src", "src"]
+KEPT = ".github/callers_kept.txt"
 DEF = re.compile(r"^\s*pub\s+(?:const\s+|unsafe\s+)*(fn|const|struct|enum|trait|type)\s+(\w+)", re.M)
 REEXPORT = re.compile(r"^\s*pub\s+use\b[^;]*;", re.M)
 WORD = re.compile(r"\w+")
@@ -50,7 +55,15 @@ def main():
     for path, line, kind, name in rows:
         print(f"{path}:{line} {kind} {name}")
     print(f"{len(rows)} callerless of {len(defs)} public items")
+    kept = {tuple(line.split()[:2]) for line in pathlib.Path(KEPT).read_text().splitlines()
+            if line.strip() and not line.startswith("#")}
+    found = {(path, name) for path, _, _, name in rows}
+    for path, name in sorted(found - kept):
+        print(f"FAIL: {path} {name} has no caller and is not kept in {KEPT}")
+    for path, name in sorted(kept - found):
+        print(f"FAIL: {path} {name} is kept in {KEPT} but is not callerless")
+    return 1 if found != kept else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -82,52 +82,46 @@ pub enum CoreQos {
     },
 }
 
-impl CoreQos {
-    fn make_qdisc(&self, seed: u64) -> Box<dyn QueueDiscipline> {
-        match *self {
-            CoreQos::BestEffort { cap_bytes } => Box::new(FifoQueue::new(cap_bytes)),
-            CoreQos::DiffServ { cap_bytes, sched } => {
-                let class: ClassOf = class_by_exp_or_dscp();
-                match sched {
-                    DsSched::Priority => {
-                        let per_band = cap_bytes / 8;
-                        let bands: Vec<Box<dyn QueueDiscipline>> = (0..8)
-                            .map(|exp| -> Box<dyn QueueDiscipline> {
-                                match exp {
-                                    // AF bands (1..=4): RED keeps queues short.
-                                    1..=4 => Box::new(RedQueue::new(
-                                        per_band,
-                                        RedParams::new(per_band / 4, per_band * 3 / 4),
-                                        seed ^ exp as u64,
-                                        12_000,
-                                    )),
-                                    // EF (5): shallow buffer for low delay.
-                                    5 => Box::new(FifoQueue::new(per_band / 2)),
-                                    _ => Box::new(FifoQueue::new(per_band)),
-                                }
-                            })
-                            .collect();
-                        Box::new(PriorityScheduler::new(bands, class))
-                    }
-                    DsSched::Wfq => {
-                        // Weights: BE=1, AF1..4 = 2,4,6,8, EF=32, control=4.
-                        let weights = [1u64, 2, 4, 6, 8, 32, 4, 4];
-                        Box::new(WfqScheduler::new(&weights, cap_bytes / 8, class))
-                    }
-                    DsSched::Drr => {
-                        let quanta = [1500usize, 3000, 6000, 9000, 12000, 48000, 6000, 6000];
-                        Box::new(DrrScheduler::new(&quanta, cap_bytes / 8, class))
-                    }
-                }
-            }
-        }
-    }
+/// The RED profile of each AF band (EXP 1–4) of a [`DsSched::Priority`]
+/// egress holding `cap_bytes`, with the band's buffer: each of the eight
+/// bands gets an eighth.
+pub(crate) fn af_band_red(cap_bytes: usize) -> (RedParams, usize) {
+    let per_band = cap_bytes / 8;
+    (RedParams::new(per_band / 4, per_band * 3 / 4), per_band)
 }
 
 /// Builds a core-link egress discipline from a [`CoreQos`] profile (shared
 /// with the baseline networks so comparisons hold the queueing constant).
 pub fn make_core_qdisc(q: &CoreQos, seed: u64) -> Box<dyn QueueDiscipline> {
-    q.make_qdisc(seed)
+    let (cap_bytes, sched) = match *q {
+        CoreQos::BestEffort { cap_bytes } => return Box::new(FifoQueue::new(cap_bytes)),
+        CoreQos::DiffServ { cap_bytes, sched } => (cap_bytes, sched),
+    };
+    let class: ClassOf = class_by_exp_or_dscp();
+    match sched {
+        DsSched::Priority => {
+            let (red, per_band) = af_band_red(cap_bytes);
+            let bands = (0..8u64).map(|exp| -> Box<dyn QueueDiscipline> {
+                match exp {
+                    // AF bands (1..=4): RED keeps queues short.
+                    1..=4 => Box::new(RedQueue::new(per_band, red, seed ^ exp, 12_000)),
+                    // EF (5): shallow buffer for low delay.
+                    5 => Box::new(FifoQueue::new(per_band / 2)),
+                    _ => Box::new(FifoQueue::new(per_band)),
+                }
+            });
+            Box::new(PriorityScheduler::new(bands.collect(), class))
+        }
+        DsSched::Wfq => {
+            // Weights: BE=1, AF1..4 = 2,4,6,8, EF=32, control=4.
+            let weights = [1u64, 2, 4, 6, 8, 32, 4, 4];
+            Box::new(WfqScheduler::new(&weights, cap_bytes / 8, class))
+        }
+        DsSched::Drr => {
+            let quanta = [1500usize, 3000, 6000, 9000, 12000, 48000, 6000, 6000];
+            Box::new(DrrScheduler::new(&quanta, cap_bytes / 8, class))
+        }
+    }
 }
 
 /// Everything known about one customer site.
@@ -295,8 +289,8 @@ impl BackboneBuilder {
         for l in 0..self.topo.link_count() {
             let (u, v, attrs) = self.topo.link(l);
             let cfg = LinkConfig::new(attrs.capacity_bps, BACKBONE_HOP_DELAY_NS);
-            let qa = self.core_qos.make_qdisc(self.seed.wrapping_add(l as u64 * 2));
-            let qb = self.core_qos.make_qdisc(self.seed.wrapping_add(l as u64 * 2 + 1));
+            let qa = make_core_qdisc(&self.core_qos, self.seed.wrapping_add(l as u64 * 2));
+            let qb = make_core_qdisc(&self.core_qos, self.seed.wrapping_add(l as u64 * 2 + 1));
             let (id, _, _) = net.connect_with_qdiscs(node_ids[u], node_ids[v], cfg, cfg, qa, qb);
             debug_assert_eq!(id, LinkId(l));
         }
@@ -884,7 +878,7 @@ impl ProviderNetwork {
 
     /// Follows a tunnel FTN from `start` through the live LFIBs.
     fn walk_ftn(&self, start: usize, ftn: &netsim_mpls::FtnEntry) -> Walk {
-        walk(self, self.topo.node_count(), start, ftn.push.as_slice(), ftn.out_iface)
+        walk(self, start, ftn.push.as_slice(), ftn.out_iface)
     }
 
     /// Digest of one VRF's state at PE `pe` for cross-mode parity
@@ -1086,12 +1080,20 @@ impl ProviderNetwork {
     }
 }
 
-/// The live backbone as label tables: a link that is down leads nowhere,
+/// The live backbone as label tables: the engine says which links are up,
 /// and a PE dispatches the VPN labels of its VRFs.
 impl LabelTables for ProviderNetwork {
+    fn node_count(&self) -> usize {
+        self.topo.node_count()
+    }
     fn far_end(&self, node: usize, iface: usize) -> Option<usize> {
-        let (next, _, link) = self.topo.neighbors(node).nth(iface)?;
-        self.net.link_enabled(LinkId(link)).then_some(next)
+        self.topo.neighbors(node).nth(iface).map(|(next, _, _)| next)
+    }
+    fn link_up(&self, node: usize, iface: usize) -> bool {
+        self.topo
+            .neighbors(node)
+            .nth(iface)
+            .is_some_and(|(_, _, l)| self.net.link_enabled(LinkId(l)))
     }
     fn nhlfe(&self, node: usize, label: u32) -> Option<netsim_mpls::Nhlfe> {
         self.backbone(node).0.lookup(label).copied()
@@ -1563,22 +1565,6 @@ mod tests {
         pn.add_site(vpn, 9, pfx("10.0.0.0/8"), None);
     }
 
-    /// A converged [`LdpDomain`] read as label tables: interface `i` of
-    /// node `u` leads to `adjacency[u][i]`.
-    struct LdpTables<'a>(&'a LdpDomain, &'a [Vec<usize>]);
-
-    impl LabelTables for LdpTables<'_> {
-        fn far_end(&self, node: usize, iface: usize) -> Option<usize> {
-            self.1[node].get(iface).copied()
-        }
-        fn nhlfe(&self, node: usize, label: u32) -> Option<netsim_mpls::Nhlfe> {
-            self.0.nodes[node].lfib.lookup(label).copied()
-        }
-        fn dispatches(&self, _: usize, _: u32) -> bool {
-            false
-        }
-    }
-
     /// Bring-up through the routers' own LDP deltas against the global
     /// synchronous run over the same topology: the same LSP between every
     /// PE pair, the same label count and the same number of mappings. The
@@ -1598,14 +1584,7 @@ mod tests {
                 for (j, &egress) in pes.iter().enumerate().filter(|&(j, _)| j != i) {
                     let ftn = ldp.nodes[ingress].ftn.get(&Fec(j as u32));
                     let want = ftn.and_then(|t| {
-                        walk(
-                            &LdpTables(&ldp, &adj),
-                            adj.len(),
-                            ingress,
-                            t.push.as_slice(),
-                            t.out_iface,
-                        )
-                        .path_to(egress)
+                        walk(&ldp, ingress, t.push.as_slice(), t.out_iface).path_to(egress)
                     });
                     assert!(want.is_some(), "{what}: the run has an LSP {i} -> {j}");
                     assert_eq!(pn.lsp_path(i, j), want, "{what}: LSP {i} -> {j}");

@@ -1,32 +1,33 @@
 //! Static verification of a provisioned [`ProviderNetwork`].
 //!
-//! This module extracts the neutral models consumed by the
-//! [`netsim_verify`] passes from a running provider network and runs
-//! three of its four passes (the TE pass,
-//! [`netsim_verify::verify_te`], operates on a standalone
-//! [`netsim_te::TeDomain`] and is called directly by the experiments
-//! that build one):
+//! This module runs three of the four [`netsim_verify`] passes over a
+//! running provider network (the TE pass, [`netsim_verify::verify_te`],
+//! operates on a standalone [`netsim_te::TeDomain`] and is called
+//! directly by the experiments that build one):
 //!
-//! 1. **Label plane** — every router's LFIB plus every ingress stack
-//!    (live LDP FTNs and per-VRF remote routes) is checked for dangling
-//!    references, black holes, loops and reserved-label misuse.
+//! 1. **Label plane** — the pass reads the routers' live tables through
+//!    [`LabelPlane`]: every router's installed LFIB is checked for
+//!    dangling references, black holes, loops and reserved-label misuse,
+//!    and every ingress stack (live LDP FTNs and per-VRF remote routes)
+//!    is walked over the links that are up.
 //! 2. **VRF isolation** — the route-target import/export graph is
 //!    checked for cross-VPN leaks (unless declared via
 //!    [`ProviderNetwork::declare_extranet`]) and intra-VPN partitions.
-//! 3. **QoS lints** — each PE's DSCP↔EXP map, the core RED drop
-//!    profile, and EF admission against every backbone link.
+//! 3. **QoS lints** — each PE's DSCP↔EXP map, the RED profile the
+//!    builder installs on the AF bands of a strict-priority core, and EF
+//!    admission against every backbone link.
 //!
 //! A healthy network produced by [`crate::BackboneBuilder`] verifies
 //! clean; every experiment binary and example asserts this before
 //! injecting traffic or faults.
 
-use netsim_qos::RedParams;
+use netsim_mpls::Nhlfe;
 use netsim_verify::{
     codes, lint_ef_admission, lint_exp_map, lint_red_profile, verify_isolation, verify_label_plane,
-    LabelNode, LabelPlane, Severity, StackWalk, VerifyReport, VrfPolicy,
+    LabelPlane, Severity, StackWalk, VerifyReport, VrfPolicy,
 };
 
-use crate::network::{CoreQos, ProviderNetwork, VpnId};
+use crate::network::{af_band_red, CoreQos, DsSched, ProviderNetwork, VpnId};
 use crate::router::{PeRouter, VrfRoute};
 
 /// Fraction of a backbone link's capacity the EF aggregate may commit
@@ -55,13 +56,18 @@ impl ProviderNetwork {
 
     /// Statically analyzes the provisioned control and QoS state and
     /// returns the diagnostics. A freshly built healthy network is
-    /// clean; see [`netsim_verify`] for the diagnostic-code table. Only
-    /// VRF routes that have landed are walked: provisioning reaches remote
-    /// PEs when the simulator runs (`run_for(0)` under the oracle).
+    /// clean; see [`netsim_verify`] for the diagnostic-code table. The
+    /// label pass reads the routers' live tables. Its per-entry checks
+    /// hold whatever the link state, but its stack walks cross only links
+    /// that are up: between a cut and its detection, every FTN and VRF
+    /// route whose stack crosses the cut is reported as `V-LBL-001` until
+    /// the routers repair it. Only VRF routes that have landed are walked:
+    /// provisioning reaches remote PEs when the simulator runs
+    /// (`run_for(0)` under the oracle).
     pub fn verify(&self) -> VerifyReport {
         let mut report = VerifyReport::new();
-        let plane = self.extract_label_plane(&mut report);
-        verify_label_plane(&plane, &mut report);
+        let walks = self.stack_walks(&mut report);
+        verify_label_plane(self, &walks, &mut report);
         let extranets: Vec<(usize, usize)> =
             self.extranets.iter().map(|&(a, b)| (a.0, b.0)).collect();
         verify_isolation(&self.vrf_policies(), &extranets, &mut report);
@@ -69,36 +75,18 @@ impl ProviderNetwork {
         report
     }
 
-    /// Builds the label-plane model: per-router ILMs straight out of
-    /// the simulated routers, plus one stack walk per live FTN (each
-    /// router's own control-plane view) and per remote VRF route over the
-    /// tunnel it resolves to. A remote route that resolves to no tunnel
-    /// cannot be walked; it is reported as a `V-LBL-003` black hole.
-    fn extract_label_plane(&self, report: &mut VerifyReport) -> LabelPlane {
-        let n = self.topo.node_count();
-        let mut nodes = Vec::with_capacity(n);
-        for u in 0..n {
-            let neighbors: Vec<Option<usize>> =
-                self.topo.neighbors(u).map(|(v, _, _)| Some(v)).collect();
-            let (name, local_labels) = if let Some(k) = self.pe_ordinal(u) {
-                let pe = self.net.node_ref::<PeRouter>(self.node_ids[u]);
-                let mut locals: Vec<u32> = pe.vpn_ilm.keys().copied().collect();
-                locals.sort_unstable();
-                (format!("PE{k}"), locals)
-            } else {
-                (format!("P{u}"), Vec::new())
-            };
-            let ilm = self.backbone(u).0.iter().map(|(l, e)| (l, *e)).collect();
-            nodes.push(LabelNode { name, neighbors, ilm, local_labels });
-        }
-
+    /// One stack walk per live FTN (each router's own control-plane
+    /// view) and per remote VRF route over the tunnel it resolves to. A
+    /// remote route that resolves to no tunnel cannot be walked; it is
+    /// reported as a `V-LBL-003` black hole.
+    fn stack_walks(&self, report: &mut VerifyReport) -> Vec<StackWalk> {
         let mut walks = Vec::new();
-        for (u, lnode) in nodes.iter().enumerate() {
+        for u in 0..self.topo.node_count() {
             for (f, &egress) in self.pes.iter().enumerate().filter(|&(_, &e)| e != u) {
                 let Some(ftn) = self.backbone(u).1.ftn(f) else { continue };
                 walks.push(StackWalk {
                     origin: u,
-                    fec: format!("{} Fec({f})", lnode.name),
+                    fec: format!("{} Fec({f})", self.node_name(u)),
                     push: ftn.push.into_iter().collect(),
                     out_iface: ftn.out_iface,
                     expect_delivery: Some(egress),
@@ -145,7 +133,7 @@ impl ProviderNetwork {
                 }
             }
         }
-        LabelPlane { nodes, walks }
+        walks
     }
 
     /// Snapshot of every VRF's route-target policy, sorted for
@@ -170,15 +158,9 @@ impl ProviderNetwork {
             let pe = self.net.node_ref::<PeRouter>(self.node_ids[pe_topo]);
             lint_exp_map(&pe.exp_map, &format!("PE{k}"), report);
         }
-        if let CoreQos::DiffServ { cap_bytes, .. } = self.core_qos {
-            // Mirror the AF-band RED profile BackboneBuilder installs.
-            let per_band = cap_bytes / 8;
-            lint_red_profile(
-                &RedParams::new(per_band / 4, per_band * 3 / 4),
-                per_band,
-                "core DiffServ AF band",
-                report,
-            );
+        if let CoreQos::DiffServ { cap_bytes, sched: DsSched::Priority } = self.core_qos {
+            let (red, per_band) = af_band_red(cap_bytes);
+            lint_red_profile(&red, per_band, "core DiffServ AF band", report);
         }
         let links: Vec<(String, u64)> = (0..self.topo.link_count())
             .map(|l| {
@@ -188,8 +170,18 @@ impl ProviderNetwork {
             .collect();
         lint_ef_admission(&self.ef_contracts, &links, EF_SHARE, report);
     }
+}
 
-    fn pe_ordinal(&self, topo_node: usize) -> Option<usize> {
-        self.pes.iter().position(|&p| p == topo_node)
+/// The live routers as the label pass reads them: a PE is named by its
+/// ordinal, a P router by its node.
+impl LabelPlane for ProviderNetwork {
+    fn node_name(&self, node: usize) -> String {
+        match self.pes.iter().position(|&p| p == node) {
+            Some(k) => format!("PE{k}"),
+            None => format!("P{node}"),
+        }
+    }
+    fn ilm(&self, node: usize) -> impl Iterator<Item = (u32, Nhlfe)> + '_ {
+        self.backbone(node).0.iter().map(|(l, e)| (l, *e))
     }
 }

@@ -8,6 +8,7 @@ use netsim_mpls::lfib::{LabelOp, Nhlfe, LOCAL_IFACE};
 use netsim_net::addr::pfx;
 use netsim_net::Dscp;
 use netsim_routing::{LinkAttrs, RouteTarget, Topology};
+use netsim_sim::SEC;
 
 /// PE0 — P1 — PE2 with two VPNs, one site per (PE, VPN).
 fn testbed() -> ProviderNetwork {
@@ -181,4 +182,44 @@ fn ef_overcommit_fails_admission() {
     let mut pn = testbed();
     pn.commit_ef_contract("sane voice", 10_000_000);
     assert!(pn.verify().is_clean());
+}
+
+/// Between a fiber cut and its detection the routers still forward into
+/// the cut link. The stack walks cross live links only, so every FTN and
+/// VRF route whose stack crosses the cut dangles (`V-LBL-001`) until the
+/// routers detect the cut and repair around it.
+#[test]
+fn a_cut_link_dangles_every_stack_across_it_until_detection() {
+    // A square 0-1-2-3 with PEs at nodes 0 and 2, one VPN, a site on each.
+    let mut topo = Topology::new(4);
+    let attrs = LinkAttrs { cost: 1, capacity_bps: 100_000_000 };
+    for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+        topo.add_link(u, v, attrs);
+    }
+    let mut pn = BackboneBuilder::new(topo, vec![0, 2]).build();
+    let acme = pn.new_vpn("acme");
+    pn.add_site(acme, 0, pfx("10.1.0.0/16"), None);
+    pn.add_site(acme, 1, pfx("10.2.0.0/16"), None);
+    pn.run_for(0);
+    pn.verify().assert_clean("before the cut");
+    // Link 0 (0-1) is the first hop of PE0's LSP to PE1.
+    assert_eq!(pn.lsp_path(0, 1), Some(vec![0, 1, 2]));
+    pn.fail_link(0);
+    let report = pn.verify();
+    let found: Vec<_> =
+        report.diagnostics().iter().map(|d| (d.code, d.location.as_str())).collect();
+    let dangling = |loc| (codes::LBL_DANGLING, loc);
+    assert_eq!(
+        found,
+        [
+            dangling("PE0 FTN PE0 Fec(1)"),
+            dangling("P1 FTN P1 Fec(0)"),
+            dangling("PE1 FTN PE1 Fec(0)"),
+            dangling("PE0 FTN PE0 vrf acme 10.2.0.0/16"),
+            dangling("PE1 FTN PE1 vrf acme 10.1.0.0/16"),
+        ],
+        "{report}"
+    );
+    pn.run_for(SEC);
+    pn.verify().assert_clean("after detection and repair");
 }

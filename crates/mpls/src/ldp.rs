@@ -23,6 +23,7 @@ use std::collections::HashMap;
 
 use crate::label::LabelSpace;
 use crate::lfib::{FtnEntry, LabelOp, Lfib, Nhlfe, LOCAL_IFACE};
+use crate::walk::LabelTables;
 use netsim_net::mpls::IMPLICIT_NULL;
 
 /// A forwarding equivalence class. In this emulator a FEC identifies the
@@ -63,6 +64,9 @@ pub struct LdpNodeState {
 /// A converged LDP domain plus its convergence cost metrics.
 #[derive(Debug)]
 pub struct LdpDomain {
+    /// The adjacency the run was given: `adjacency[u][i]` is the node at
+    /// `u`'s interface `i`.
+    pub adjacency: Vec<Vec<usize>>,
     /// Per-node state, indexed by node id.
     pub nodes: Vec<LdpNodeState>,
     /// Label Mapping messages exchanged during convergence.
@@ -164,43 +168,37 @@ impl LdpDomain {
             queue = next_queue;
         }
 
-        LdpDomain { nodes, messages }
+        LdpDomain { adjacency: adjacency.to_vec(), nodes, messages }
+    }
+}
+
+/// A converged domain as label tables: every link is up, and no node
+/// dispatches a label locally.
+impl LabelTables for LdpDomain {
+    fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+    fn far_end(&self, node: usize, iface: usize) -> Option<usize> {
+        self.adjacency[node].get(iface).copied()
+    }
+    fn nhlfe(&self, node: usize, label: u32) -> Option<Nhlfe> {
+        self.nodes[node].lfib.lookup(label).copied()
+    }
+    fn dispatches(&self, _: usize, _: u32) -> bool {
+        false
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::walk::{walk, LabelTables};
-
-    /// A converged domain read as label tables: interface `i` of node `u`
-    /// leads to `adjacency[u][i]`.
-    struct Tables<'a>(&'a LdpDomain, &'a [Vec<usize>]);
-
-    impl LabelTables for Tables<'_> {
-        fn far_end(&self, node: usize, iface: usize) -> Option<usize> {
-            self.1[node].get(iface).copied()
-        }
-        fn nhlfe(&self, node: usize, label: u32) -> Option<Nhlfe> {
-            self.0.nodes[node].lfib.lookup(label).copied()
-        }
-        fn dispatches(&self, _: usize, _: u32) -> bool {
-            false
-        }
-    }
+    use crate::walk::walk;
 
     /// The node path of `fec`'s LSP from `ingress`, when it unwinds at
     /// `egress`.
-    fn lsp(
-        d: &LdpDomain,
-        adj: &[Vec<usize>],
-        ingress: usize,
-        fec: Fec,
-        egress: usize,
-    ) -> Option<Vec<usize>> {
+    fn lsp(d: &LdpDomain, ingress: usize, fec: Fec, egress: usize) -> Option<Vec<usize>> {
         let ftn = d.nodes[ingress].ftn.get(&fec)?;
-        walk(&Tables(d, adj), adj.len(), ingress, ftn.push.as_slice(), ftn.out_iface)
-            .path_to(egress)
+        walk(d, ingress, ftn.push.as_slice(), ftn.out_iface).path_to(egress)
     }
 
     /// Hop-count next-hop on an adjacency list via BFS (deterministic:
@@ -257,7 +255,7 @@ mod tests {
         let d = LdpDomain::run(&adj, &[(Fec(0), 4)], &nh, LdpConfig { php: true });
         // Every non-egress node walks to the egress.
         for ingress in 0..4 {
-            assert_eq!(lsp(&d, &adj, ingress, Fec(0), 4), Some((ingress..=4).collect::<Vec<_>>()));
+            assert_eq!(lsp(&d, ingress, Fec(0), 4), Some((ingress..=4).collect::<Vec<_>>()));
         }
         // PHP: egress allocated no label; nodes 1..=3 allocated one each,
         // plus node 0 (ingress also re-advertises).
@@ -271,7 +269,7 @@ mod tests {
         let nh = bfs_next_hop(&adj);
         let d = LdpDomain::run(&adj, &[(Fec(0), 2)], &nh, LdpConfig { php: false });
         assert_eq!(d.nodes[2].space.live(), 1, "egress allocates an explicit label");
-        assert_eq!(lsp(&d, &adj, 0, Fec(0), 2), Some(vec![0, 1, 2]));
+        assert_eq!(lsp(&d, 0, Fec(0), 2), Some(vec![0, 1, 2]));
         // The penultimate hop swaps (not pops) under non-PHP.
         let local1 = d.nodes[1].bindings[&Fec(0)];
         assert!(matches!(d.nodes[1].lfib.lookup(local1).unwrap().op, LabelOp::Swap(_)));
@@ -293,7 +291,7 @@ mod tests {
             // Every node can reach every FEC.
             for f in 0..n {
                 if f != u {
-                    let path = lsp(&d, &adj, u, Fec(f as u32), f).expect("reachable");
+                    let path = lsp(&d, u, Fec(f as u32), f).expect("reachable");
                     assert_eq!(*path.last().unwrap(), f);
                     assert_eq!(path[0], u);
                 }
@@ -315,7 +313,7 @@ mod tests {
         for src in 1..=4usize {
             for dst in 1..=4usize {
                 if src != dst {
-                    assert_eq!(lsp(&d, &adj, src, Fec(dst as u32), dst), Some(vec![src, 0, dst]));
+                    assert_eq!(lsp(&d, src, Fec(dst as u32), dst), Some(vec![src, 0, dst]));
                 }
             }
         }
@@ -329,7 +327,7 @@ mod tests {
         let adj = vec![vec![1], vec![0], vec![]];
         let nh = bfs_next_hop(&adj);
         let d = LdpDomain::run(&adj, &[(Fec(9), 2)], &nh, LdpConfig::default());
-        assert!(lsp(&d, &adj, 0, Fec(9), 2).is_none());
+        assert!(lsp(&d, 0, Fec(9), 2).is_none());
         assert!(!d.nodes[0].ftn.contains_key(&Fec(9)));
     }
 

@@ -7,17 +7,25 @@
 //! walks, a live network's LSP paths, LDP's own tests — asks where one
 //! stack goes, so [`walk`] answers it once, over any [`LabelTables`].
 //!
-//! The walk follows installed state without rewriting a packet (that is
-//! [`crate::Lfib::forward`]'s job). [`LOCAL_IFACE`] means "stay here and
-//! look up the exposed label", as a router re-enters its own pipeline.
+//! The walk follows installed state over the links that are up, without
+//! rewriting a packet (that is [`crate::Lfib::forward`]'s job).
+//! [`LOCAL_IFACE`] means "stay here and look up the exposed label", as a
+//! router re-enters its own pipeline.
 
 use crate::lfib::{LabelOp, Nhlfe, LOCAL_IFACE};
 
 /// The label-switching state a walk reads, one node at a time.
 pub trait LabelTables {
-    /// The LSR at the far end of `node`'s interface `iface`; `None` when
-    /// no LSR is attached there or the link is down.
+    /// How many LSRs the tables hold, numbered from 0.
+    fn node_count(&self) -> usize;
+    /// The LSR attached at `node`'s interface `iface`, whether its link is
+    /// up or not; `None` when no LSR is attached there.
     fn far_end(&self, node: usize, iface: usize) -> Option<usize>;
+    /// Whether the link at `node`'s interface `iface` is up. Tables
+    /// without link state keep the default: every link is up.
+    fn link_up(&self, _node: usize, _iface: usize) -> bool {
+        true
+    }
     /// `node`'s NHLFE for incoming `label`, if it has an ILM entry.
     fn nhlfe(&self, node: usize, label: u32) -> Option<Nhlfe>;
     /// Whether `node` dispatches `label` locally (a PE's VPN label).
@@ -29,7 +37,8 @@ pub trait LabelTables {
 pub enum Stop {
     /// The stack fully unwound at this node.
     Delivered(usize),
-    /// `(node, iface)`: the interface leads to no live LSR.
+    /// `(node, iface)`: no LSR is attached at the interface, or its link
+    /// is down.
     NoLink(usize, usize),
     /// `(node, label)`: the node neither holds an ILM entry for the label
     /// nor dispatches it.
@@ -59,16 +68,11 @@ impl Walk {
 
 /// Follows the stack `push` (bottom first, last entry outermost) imposed at
 /// `origin` and sent out `out_iface`, hop by hop through `tables`, until it
-/// unwinds or breaks. `nodes` is the node count: a walk that takes more
-/// than `8 * nodes + 16` steps stops with [`Stop::HopLimit`].
-pub fn walk(
-    tables: &impl LabelTables,
-    nodes: usize,
-    origin: usize,
-    push: &[u32],
-    out_iface: usize,
-) -> Walk {
-    let limit = nodes * 8 + 16;
+/// unwinds or breaks. It crosses only links that are up, so it follows
+/// the live state, and it stops with [`Stop::HopLimit`] after
+/// `8 * node_count + 16` steps.
+pub fn walk(tables: &impl LabelTables, origin: usize, push: &[u32], out_iface: usize) -> Walk {
+    let limit = tables.node_count() * 8 + 16;
     let mut stack = push.to_vec();
     let mut path = vec![origin];
     let mut at = origin;
@@ -76,7 +80,8 @@ pub fn walk(
     let stop = 'walk: {
         for _ in 0..limit {
             if iface != LOCAL_IFACE {
-                let Some(next) = tables.far_end(at, iface) else {
+                let next = tables.far_end(at, iface).filter(|_| tables.link_up(at, iface));
+                let Some(next) = next else {
                     break 'walk Stop::NoLink(at, iface);
                 };
                 at = next;
@@ -130,9 +135,14 @@ mod tests {
     }
 
     impl LabelTables for Tables {
+        fn node_count(&self) -> usize {
+            self.links.len()
+        }
         fn far_end(&self, node: usize, iface: usize) -> Option<usize> {
-            let v = *self.links[node].get(iface)?;
-            (!self.down.contains(&(node, iface))).then_some(v)
+            self.links[node].get(iface).copied()
+        }
+        fn link_up(&self, node: usize, iface: usize) -> bool {
+            !self.down.contains(&(node, iface))
         }
         fn nhlfe(&self, node: usize, label: u32) -> Option<Nhlfe> {
             self.ilm.get(&(node, label)).copied()
@@ -185,18 +195,18 @@ mod tests {
     fn php_and_non_php_egress_unwind_at_the_far_pe() {
         for php in [true, false] {
             let t = tunnel(php);
-            let w = walk(&t, 3, 0, &[20], 0);
+            let w = walk(&t, 0, &[20], 0);
             assert_eq!(w, Walk { path: vec![0, 1, 2], stop: Stop::Delivered(2) }, "php {php}");
             // With a VPN label underneath, the far PE dispatches it.
-            let w = walk(&t, 3, 0, &[VPN, 20], 0);
+            let w = walk(&t, 0, &[VPN, 20], 0);
             assert_eq!(w.stop, Stop::Delivered(2), "php {php}");
             assert_eq!(w.path_to(2), Some(vec![0, 1, 2]));
             // An unknown label exposed at the egress black-holes there.
-            assert_eq!(walk(&t, 3, 0, &[7, 20], 0).stop, Stop::NoIlm(2, 7));
+            assert_eq!(walk(&t, 0, &[7, 20], 0).stop, Stop::NoIlm(2, 7));
         }
         // Adjacent PEs under PHP: nothing to push, delivery at the neighbour.
         let t = Tables::line(2);
-        assert_eq!(walk(&t, 2, 0, &[], 0).path_to(1), Some(vec![0, 1]));
+        assert_eq!(walk(&t, 0, &[], 0).path_to(1), Some(vec![0, 1]));
     }
 
     /// Option-B stitching: two domains joined at ASBRs 2 and 3. PE 0 pushes
@@ -216,18 +226,18 @@ mod tests {
         t.install(3, Y, LabelOp::SwapPush { swap: LB, push: TUN_B }, 1);
         t.install(4, TUN_B, LabelOp::Pop, 1);
         t.vpn.push((5, LB));
-        let w = walk(&t, 6, 0, &[X, TUN_A], 0);
+        let w = walk(&t, 0, &[X, TUN_A], 0);
         assert_eq!(w, Walk { path: (0..6).collect(), stop: Stop::Delivered(5) });
         // Without the pushed tunnel label, P 4 sees Lb and has no entry.
         t.install(3, Y, LabelOp::Swap(LB), 1);
-        assert_eq!(walk(&t, 6, 0, &[X, TUN_A], 0).stop, Stop::NoIlm(4, LB));
+        assert_eq!(walk(&t, 0, &[X, TUN_A], 0).stop, Stop::NoIlm(4, LB));
     }
 
     #[test]
     fn vpn_label_dispatched_with_labels_left_is_reported() {
         // The egress dispatches the VPN label while a stray label sits under it.
         let t = tunnel(true);
-        let w = walk(&t, 3, 0, &[99, VPN, 20], 0);
+        let w = walk(&t, 0, &[99, VPN, 20], 0);
         assert_eq!(w.stop, Stop::Dispatched(2, VPN, 1));
         assert_eq!(w.path_to(2), None);
     }
@@ -236,10 +246,10 @@ mod tests {
     fn a_dead_link_stops_the_walk_where_it_was() {
         let mut t = tunnel(false);
         t.down.push((1, 1));
-        let w = walk(&t, 3, 0, &[20], 0);
+        let w = walk(&t, 0, &[20], 0);
         assert_eq!(w, Walk { path: vec![0, 1], stop: Stop::NoLink(1, 1) });
         // An interface with no LSR behind it stops the same way.
-        assert_eq!(walk(&t, 3, 0, &[20], 5).stop, Stop::NoLink(0, 5));
+        assert_eq!(walk(&t, 0, &[20], 5).stop, Stop::NoLink(0, 5));
     }
 
     #[test]
@@ -247,7 +257,7 @@ mod tests {
         let mut t = Tables::line(2);
         t.install(1, 20, LabelOp::Swap(21), 0);
         t.install(0, 21, LabelOp::Swap(20), 0);
-        let w = walk(&t, 2, 0, &[20], 0);
+        let w = walk(&t, 0, &[20], 0);
         assert_eq!(w.stop, Stop::HopLimit(2 * 8 + 16));
         assert_eq!(w.path.len(), 2 * 8 + 16 + 1);
     }

@@ -3,25 +3,9 @@
 
 use netsim_mpls::ldp::{Fec, LdpConfig, LdpDomain};
 use netsim_mpls::lfib::{LabelOp, Nhlfe};
-use netsim_mpls::walk::{walk, LabelTables};
+use netsim_mpls::walk::walk;
 use netsim_mpls::Lfib;
 use proptest::prelude::*;
-
-/// A converged domain read as label tables: interface `i` of node `u`
-/// leads to `adjacency[u][i]`.
-struct Tables<'a>(&'a LdpDomain, &'a [Vec<usize>]);
-
-impl LabelTables for Tables<'_> {
-    fn far_end(&self, node: usize, iface: usize) -> Option<usize> {
-        self.1[node].get(iface).copied()
-    }
-    fn nhlfe(&self, node: usize, label: u32) -> Option<Nhlfe> {
-        self.0.nodes[node].lfib.lookup(label).copied()
-    }
-    fn dispatches(&self, _: usize, _: u32) -> bool {
-        false
-    }
-}
 
 /// Generates a random connected undirected graph as an adjacency list:
 /// a random spanning tree plus extra edges.
@@ -92,8 +76,7 @@ proptest! {
                     continue;
                 }
                 let path = d.nodes[ingress].ftn.get(&Fec(f as u32)).and_then(|ftn| {
-                    walk(&Tables(&d, &adj), n, ingress, ftn.push.as_slice(), ftn.out_iface)
-                        .path_to(f)
+                    walk(&d, ingress, ftn.push.as_slice(), ftn.out_iface).path_to(f)
                 });
                 let path = path.expect("every FEC reachable on a connected graph");
                 prop_assert_eq!(path[0], ingress);

@@ -16,9 +16,12 @@
 //! | QoS configuration     | [`qoslint`]    | `V-QOS-001` … `V-QOS-004` |
 //! | TE accounting         | [`te`]         | `V-TE-001` … `V-TE-003`  |
 //!
-//! `mplsvpn-core` glues these to `ProviderNetwork::verify()`; the passes
-//! themselves operate on neutral models so they can be unit-tested (and
-//! fuzzed) without building a simulator.
+//! `mplsvpn-core` glues these to `ProviderNetwork::verify()`. The label
+//! pass reads the live tables it checks through the [`LabelPlane`] trait,
+//! which the provider network implements over its routers; the other
+//! passes take plain values (route-target policies, queue parameters, a
+//! TE domain). So each pass can be unit-tested (and fuzzed) over a
+//! hand-built fake without building a simulator.
 
 #![warn(missing_docs)]
 
@@ -30,6 +33,6 @@ pub mod te;
 
 pub use diag::{codes, Diagnostic, Severity, VerifyReport};
 pub use isolation::{verify_isolation, VrfPolicy};
-pub use labelplane::{verify_label_plane, LabelNode, LabelPlane, StackWalk};
+pub use labelplane::{verify_label_plane, LabelPlane, StackWalk};
 pub use qoslint::{lint_cbq_tree, lint_ef_admission, lint_exp_map, lint_red_profile, EfContract};
 pub use te::verify_te;

@@ -2,19 +2,19 @@
 //! random mutation of one field must produce a non-empty report whose
 //! diagnostics belong to the matching code class.
 
+mod common;
+
+use common::{Node, Plane};
 use netsim_mpls::lfib::{LabelOp, Nhlfe, LOCAL_IFACE};
 use netsim_qos::RedParams;
-use netsim_verify::{
-    lint_red_profile, verify_isolation, verify_label_plane, LabelNode, LabelPlane, StackWalk,
-    VerifyReport, VrfPolicy,
-};
+use netsim_verify::{lint_red_profile, verify_isolation, StackWalk, VerifyReport, VrfPolicy};
 use proptest::prelude::*;
 
 const VPN_LABEL: u32 = 1 << 17;
 
 /// A clean line backbone `0 — 1 — … — n-1`: one LSP from node 0 to node
 /// n-1 (no PHP: the egress pops), terminated by a VPN label dispatch.
-fn clean_line(n: usize) -> LabelPlane {
+fn clean_line(n: usize) -> Plane {
     assert!(n >= 3);
     let tunnel = |i: usize| 100 + i as u32; // label node i expects
     let mut nodes = Vec::with_capacity(n);
@@ -37,7 +37,7 @@ fn clean_line(n: usize) -> LabelPlane {
             ilm.push((tunnel(i), Nhlfe { op: LabelOp::Pop, out_iface: LOCAL_IFACE }));
         }
         let local_labels = if i + 1 == n { vec![VPN_LABEL] } else { Vec::new() };
-        nodes.push(LabelNode { name: format!("N{i}"), neighbors, ilm, local_labels });
+        nodes.push(Node { name: format!("N{i}"), neighbors, ilm, local_labels });
     }
     let walks = vec![StackWalk {
         origin: 0,
@@ -46,7 +46,7 @@ fn clean_line(n: usize) -> LabelPlane {
         out_iface: 0,
         expect_delivery: Some(n - 1),
     }];
-    LabelPlane { nodes, walks }
+    Plane { nodes, walks }
 }
 
 /// Clean policy set: `vpns` VPNs × 2 VRFs each, one RT per VPN.
@@ -71,8 +71,7 @@ fn label_codes(report: &VerifyReport) -> bool {
 proptest! {
     #[test]
     fn clean_line_stays_clean(n in 3usize..8) {
-        let mut report = VerifyReport::new();
-        verify_label_plane(&clean_line(n), &mut report);
+        let report = clean_line(n).verify();
         prop_assert!(report.is_clean());
         prop_assert_eq!(report.diagnostics().len(), 0);
     }
@@ -83,8 +82,7 @@ proptest! {
         // Every node from 1..n carries exactly the one entry on the path.
         let victim = 1 + pick % (n - 1);
         plane.nodes[victim].ilm.clear();
-        let mut report = VerifyReport::new();
-        verify_label_plane(&plane, &mut report);
+        let report = plane.verify();
         prop_assert!(label_codes(&report), "{}", report);
     }
 
@@ -98,8 +96,7 @@ proptest! {
         let victim = 1 + pick % (n - 2); // a swapping midpoint
         let (_, nhlfe) = &mut plane.nodes[victim].ilm[0];
         nhlfe.op = LabelOp::Swap(junk); // nobody allocated `junk`
-        let mut report = VerifyReport::new();
-        verify_label_plane(&plane, &mut report);
+        let report = plane.verify();
         prop_assert!(label_codes(&report), "{}", report);
     }
 
@@ -112,8 +109,7 @@ proptest! {
         let mut plane = clean_line(n);
         let victim = 1 + pick % (n - 2);
         plane.nodes[victim].ilm[0].1.out_iface = junk; // degree ≤ 2
-        let mut report = VerifyReport::new();
-        verify_label_plane(&plane, &mut report);
+        let report = plane.verify();
         prop_assert!(label_codes(&report), "{}", report);
     }
 
@@ -124,8 +120,7 @@ proptest! {
         // Send the path label back toward the previous node instead of on.
         let prev_label = 100 + victim as u32 - 1;
         plane.nodes[victim].ilm[0].1 = Nhlfe { op: LabelOp::Swap(prev_label), out_iface: 0 };
-        let mut report = VerifyReport::new();
-        verify_label_plane(&plane, &mut report);
+        let report = plane.verify();
         prop_assert!(label_codes(&report), "{}", report);
     }
 
