@@ -152,7 +152,12 @@ pub const FRR_DETECT: Nanos = 20 * MSEC;
 pub const IGP_DETECT: Nanos = 200 * MSEC;
 
 /// Runs the three arms and renders the table.
-pub fn run(_quick: bool) -> String {
+pub fn run(quick: bool) -> String {
+    report(quick).table
+}
+
+/// [`run`]'s table plus the snapshot of its FRR run.
+pub fn report(_quick: bool) -> ExpReport {
     use ControlMode::{InBand, Oracle};
     let mut t = Table::new(
         "R2: fish short-path cut at t=2s, repair at t=5s, under the Q1 voice+data mix",
@@ -183,14 +188,9 @@ pub fn run(_quick: bool) -> String {
     };
     row("global reconvergence (oracle)", &measure(false, Oracle, IGP_DETECT).0);
     row("global reconvergence (in-band)", &measure(false, InBand, IGP_DETECT).0);
-    row("fast reroute", &measure(true, Oracle, FRR_DETECT).0);
-    t.render()
-}
-
-/// [`run`]'s table plus the FRR run's snapshot.
-pub fn report(quick: bool) -> ExpReport {
-    let (_, snap) = measure(true, ControlMode::Oracle, FRR_DETECT);
-    ExpReport { table: run(quick), snapshot: Some(snap) }
+    let (frr, snap) = measure(true, Oracle, FRR_DETECT);
+    row("fast reroute", &frr);
+    ExpReport { table: t.render(), snapshot: Some(snap) }
 }
 
 #[cfg(test)]

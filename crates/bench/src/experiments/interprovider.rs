@@ -46,6 +46,8 @@ pub struct Q4Flow {
     pub mean_ns: u64,
     /// p99 latency, ns.
     pub p99_ns: u64,
+    /// Whether the flow met the backbone voice SLA (`None`: it has no SLA).
+    pub sla_met: Option<bool>,
 }
 
 /// Runs the two-carrier scenario with control messages carried by
@@ -85,13 +87,17 @@ pub fn measure(duration: Nanos, diffserv: bool, control: ControlMode) -> (Vec<Q4
     pn.run_for(duration + SEC);
 
     let s = pn.net.node_ref::<Sink>(sink);
-    let flow = |name, id, sent| Q4Flow {
+    let flow = |name, id, sent, sla: Option<Sla>| Q4Flow {
         name,
         loss: s.flow(id).map_or(1.0, |f| f.loss(sent)),
         mean_ns: s.flow(id).map_or(0, |f| f.latency.mean() as u64),
         p99_ns: s.flow(id).map_or(0, |f| f.latency.quantile(0.99)),
+        sla_met: sla.map(|sla| s.flow(id).is_some_and(|f| sla.evaluate(f, sent).met)),
     };
-    let flows = vec![flow("voice (EF)", 1, voice_count), flow("bulk (BE)", 2, bulk_count)];
+    let flows = vec![
+        flow("voice (EF)", 1, voice_count, Some(Sla::backbone_voice())),
+        flow("bulk (BE)", 2, bulk_count, None),
+    ];
     // EXP preservation: every labeled hop of the voice flow must carry 5.
     let trace = pn.net.trace().expect("trace enabled");
     let exp_ok = trace.flow(1).iter().filter_map(|r| r.exp).all(|e| e == 5);
@@ -111,21 +117,8 @@ pub fn run(quick: bool) -> String {
             &["flow", "loss", "mean ms", "p99 ms", "backbone voice SLA (50ms)"],
         );
         for f in &flows {
-            let sla = if f.name.starts_with("voice") {
-                let s = Sla::backbone_voice();
-                if f.loss <= s.max_loss
-                    && f.mean_ns <= s.max_mean_latency_ns
-                    && f.p99_ns <= s.max_p99_latency_ns
-                {
-                    "MET"
-                } else {
-                    "VIOLATED"
-                }
-                .to_string()
-            } else {
-                "-".into()
-            };
-            t.row(&[f.name.into(), pct(f.loss), ms(f.mean_ns), ms(f.p99_ns), sla]);
+            let sla = f.sla_met.map_or("-", |met| if met { "MET" } else { "VIOLATED" });
+            t.row(&[f.name.into(), pct(f.loss), ms(f.mean_ns), ms(f.p99_ns), sla.into()]);
         }
         out.push_str(&t.render());
         out.push('\n');

@@ -114,12 +114,7 @@ pub fn run(quick: bool) -> String {
         );
         for r in &q.rows {
             let sla = if r.class == "EF" {
-                let s = Sla::voice();
-                let met = r.mean_ns <= s.max_mean_latency_ns
-                    && r.p99_ns <= s.max_p99_latency_ns
-                    && r.jitter_ns <= s.max_jitter_ns
-                    && r.loss <= s.max_loss
-                    && r.rx > 0;
+                let met = Sla::voice().met(r.mean_ns, r.p99_ns, r.jitter_ns, r.loss, r.rx);
                 if met { "MET" } else { "VIOLATED" }.to_string()
             } else {
                 "-".into()

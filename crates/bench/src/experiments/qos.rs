@@ -145,11 +145,7 @@ pub fn run(quick: bool) -> String {
         );
         for r in &rows {
             let sla = if r.class == "EF" {
-                let met = r.mean_ns <= Sla::voice().max_mean_latency_ns
-                    && r.p99_ns <= Sla::voice().max_p99_latency_ns
-                    && r.jitter_ns <= Sla::voice().max_jitter_ns
-                    && r.loss <= Sla::voice().max_loss
-                    && r.rx > 0;
+                let met = Sla::voice().met(r.mean_ns, r.p99_ns, r.jitter_ns, r.loss, r.rx);
                 if met { "MET" } else { "VIOLATED" }.to_string()
             } else {
                 "-".to_string()

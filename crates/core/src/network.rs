@@ -422,13 +422,12 @@ impl ProviderNetwork {
                 let info = &self.vpns[vpn.0];
                 let handle = self.fabric.add_vrf(pe, info.rd, vec![info.rt], vec![info.rt]);
                 let vrf_idx = self.net.node_mut::<PeRouter>(pe_node).add_vrf(info.name.clone());
-                self.fabric.refresh_vrf(handle);
                 self.vrf_handles.insert((pe, vpn), (handle, vrf_idx));
                 self.vrf_owners.insert(handle, (vpn, vrf_idx));
                 // The new VRF's initial route download is local to the one
                 // touched PE; afterwards only deltas arrive.
-                let routes = self.fabric_routes(handle);
-                self.install_routes(pe, vrf_idx, &routes);
+                let routes = self.fabric.refresh_vrf(handle);
+                self.apply_local(pe, vrf_idx, &routes);
                 (handle, vrf_idx)
             }
         };
@@ -443,7 +442,7 @@ impl ProviderNetwork {
         assert_eq!(declared, pe_if.0, "PE interface numbering out of sync");
 
         // Advertise and install.
-        let (label, mut changed) = self.fabric.advertise(handle, prefix);
+        let (label, changed) = self.fabric.advertise(handle, prefix);
         {
             let per = self.net.node_mut::<PeRouter>(pe_node);
             per.install_local_route(vrf_idx, prefix, pe_if.0);
@@ -452,20 +451,7 @@ impl ProviderNetwork {
         // One MP-BGP update (VPN label piggybacked, §4) to every VRF whose
         // best path is now this route. The fabric never imports a PE's own
         // routes, so every target is remote.
-        self.in_send_order(&mut changed);
-        for (h2, _) in changed {
-            let v2 = self.vrf_owners[&h2].1;
-            self.send_bgp(
-                pe,
-                CtrlMsg::BgpUpdate {
-                    target: h2.pe,
-                    vrf_idx: v2,
-                    prefix,
-                    egress_pe: pe,
-                    vpn_label: label,
-                },
-            );
-        }
+        self.send_changes(pe, prefix, changed, false);
 
         let site = SiteId(self.sites.len());
         self.sites.push(SiteInfo { vpn, pe, prefix, ce: ce_id, access_link, pe_iface: pe_if.0 });
@@ -486,7 +472,7 @@ impl ProviderNetwork {
         // The VPN label this home advertised for the prefix.
         let label =
             self.fabric.local_routes(handle).iter().find(|(p, _)| *p == prefix).map(|(_, l)| *l);
-        let mut changed = self.fabric.withdraw(handle, prefix);
+        let changed = self.fabric.withdraw(handle, prefix);
         {
             let per = self.net.node_mut::<PeRouter>(self.pe_node(pe));
             per.vrfs[vrf_idx].fib.remove(prefix);
@@ -498,27 +484,37 @@ impl ProviderNetwork {
         // The detaching PE is the one touched device: it fails over
         // locally to the route its local one masked (a dual-homed site).
         if let Some(&masked) = self.fabric.routes(handle).get(prefix) {
-            self.install_routes(pe, vrf_idx, &[(prefix, masked)]);
+            self.apply_local(pe, vrf_idx, &[(prefix, Some(masked))]);
         }
         // Each VRF that held the withdrawn route gets a withdraw carrying
         // its replacement, if any.
-        self.in_send_order(&mut changed);
-        for (h2, now) in changed {
-            let v2 = self.vrf_owners[&h2].1;
-            let replacement = now.map(|r| (r.egress_pe, r.vpn_label));
-            self.send_bgp(
-                pe,
-                CtrlMsg::BgpWithdraw { target: h2.pe, vrf_idx: v2, prefix, replacement },
-            );
-        }
+        self.send_changes(pe, prefix, changed, true);
     }
 
-    /// Sorts the fabric's `changed` VRFs into `(pe, vpn)` order, the order
-    /// MP-BGP deltas leave in, and drops those the network did not create:
-    /// they get no message.
-    fn in_send_order(&self, changed: &mut Vec<RouteChange>) {
+    /// The one MP-BGP sender of fabric changes: sends each VRF in
+    /// `changed` its delta for `prefix` from PE `origin_pe`, in `(pe, vpn)`
+    /// order. The delta is a withdraw carrying the new route, if any, when
+    /// `withdraw` is set or no route is left, and an update otherwise.
+    /// VRFs the network did not create get no message.
+    fn send_changes(
+        &mut self,
+        origin_pe: usize,
+        prefix: Prefix,
+        mut changed: Vec<RouteChange>,
+        withdraw: bool,
+    ) {
         changed.retain(|(h, _)| self.vrf_owners.contains_key(h));
         changed.sort_unstable_by_key(|(h, _)| (h.pe, self.vrf_owners[h].0 .0));
+        for (h, now) in changed {
+            let (target, vrf_idx) = (h.pe, self.vrf_owners[&h].1);
+            let msg = match now.map(|r| (r.egress_pe, r.vpn_label)) {
+                Some((egress_pe, vpn_label)) if !withdraw => {
+                    CtrlMsg::BgpUpdate { target, vrf_idx, prefix, egress_pe, vpn_label }
+                }
+                replacement => CtrlMsg::BgpWithdraw { target, vrf_idx, prefix, replacement },
+            };
+            self.send_bgp(origin_pe, msg);
+        }
     }
 
     /// Sends an MP-BGP delta from PE `origin_pe` toward its target PE
@@ -532,33 +528,43 @@ impl ProviderNetwork {
         });
     }
 
-    /// The fabric's selected routes for one VRF.
-    fn fabric_routes(&self, handle: VrfHandle) -> Vec<(Prefix, RemoteRoute)> {
-        self.fabric.routes(handle).iter().map(|(p, r)| (p, *r)).collect()
-    }
-
     /// Whether PE ordinals `a` and `b` lie in one domain.
     pub(crate) fn same_domain(&self, a: usize, b: usize) -> bool {
         self.cfg.domains[self.pes[a]] == self.cfg.domains[self.pes[b]]
     }
 
-    /// Installs routes into VRF `vrf_idx` of PE `pe` over the PE's current
-    /// tunnels: a local step at the one PE that owns the VRF. A route from
-    /// another domain reaches the VRF only through the ASBRs, so its
-    /// origin PE sends it as an MP-BGP update instead.
-    fn install_routes(&mut self, pe: usize, vrf_idx: usize, routes: &[(Prefix, RemoteRoute)]) {
+    /// The one local apply of fabric changes: writes each prefix's new
+    /// route (`None`: removed) into VRF `vrf_idx` of PE `pe`, installing
+    /// over the PE's current tunnels — a local step at the one PE that owns
+    /// the VRF. A route from another domain reaches the VRF only through
+    /// the ASBRs, so its origin PE sends it as an MP-BGP update instead.
+    fn apply_local(
+        &mut self,
+        pe: usize,
+        vrf_idx: usize,
+        changes: &[(Prefix, Option<RemoteRoute>)],
+    ) {
         let cfg = Rc::clone(&self.cfg);
         let home = |r: &RemoteRoute| cfg.domains[cfg.pes[r.egress_pe]] == cfg.domains[cfg.pes[pe]];
         self.with_control(self.pes[pe], |control, tables, _| {
             let vrf = &mut tables.vrfs.as_deref_mut().expect("a PE lends its VRFs")[vrf_idx];
-            for &(prefix, r) in routes.iter().filter(|(_, r)| home(r)) {
-                control.install_route(vrf, prefix, r.egress_pe, r.vpn_label);
+            for &(prefix, now) in changes {
+                match now {
+                    None => {
+                        vrf.remove_remote(prefix);
+                    }
+                    Some(r) if home(&r) => {
+                        control.install_route(vrf, prefix, r.egress_pe, r.vpn_label);
+                    }
+                    Some(_) => {}
+                }
             }
         });
-        for &(prefix, r) in routes.iter().filter(|(_, r)| !home(r)) {
-            let (egress_pe, vpn_label) = (r.egress_pe, r.vpn_label);
-            let msg = CtrlMsg::BgpUpdate { target: pe, vrf_idx, prefix, egress_pe, vpn_label };
-            self.send_bgp(egress_pe, msg);
+        for &(prefix, now) in changes {
+            if let Some(RemoteRoute { egress_pe, vpn_label, .. }) = now.filter(|r| !home(r)) {
+                let msg = CtrlMsg::BgpUpdate { target: pe, vrf_idx, prefix, egress_pe, vpn_label };
+                self.send_bgp(egress_pe, msg);
+            }
         }
     }
 
@@ -571,9 +577,14 @@ impl ProviderNetwork {
             self.vrf_handles.iter().map(|(&(pe, vpn), &hv)| ((pe, vpn.0), hv)).collect();
         vrfs.sort_unstable_by_key(|&(key, _)| key);
         for ((pe, _), (handle, vrf_idx)) in vrfs {
-            let mut routes = self.fabric_routes(handle);
-            routes.retain(|(_, r)| self.same_domain(pe, r.egress_pe));
-            self.install_routes(pe, vrf_idx, &routes);
+            let routes: Vec<_> = self
+                .fabric
+                .routes(handle)
+                .iter()
+                .filter(|(_, r)| self.same_domain(pe, r.egress_pe))
+                .map(|(p, r)| (p, Some(*r)))
+                .collect();
+            self.apply_local(pe, vrf_idx, &routes);
         }
     }
 
@@ -803,12 +814,8 @@ impl ProviderNetwork {
     }
 
     fn apply_refilter(&mut self, pe: usize, handle: VrfHandle, vrf_idx: usize) {
-        let (added, removed) = self.fabric.refilter_vrf(handle);
-        let vrf = &mut self.net.node_mut::<PeRouter>(self.pe_node(pe)).vrfs[vrf_idx];
-        for (prefix, _) in removed {
-            vrf.remove_remote(prefix);
-        }
-        self.install_routes(pe, vrf_idx, &added);
+        let changes = self.fabric.refilter_vrf(handle);
+        self.apply_local(pe, vrf_idx, &changes);
     }
 
     // -- control-plane observability & parity hooks -------------------------

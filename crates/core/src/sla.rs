@@ -56,12 +56,18 @@ impl Sla {
             p99_latency_ns: p99,
             jitter_ns: stats.jitter_ns,
             loss,
-            met: mean <= self.max_mean_latency_ns
-                && p99 <= self.max_p99_latency_ns
-                && stats.jitter_ns <= self.max_jitter_ns
-                && loss <= self.max_loss
-                && stats.rx_packets > 0,
+            met: self.met(mean, p99, stats.jitter_ns, loss, stats.rx_packets),
         }
+    }
+
+    /// The SLA's verdict on summary numbers: every bound holds, and
+    /// something arrived.
+    pub fn met(&self, mean_ns: Nanos, p99_ns: Nanos, jitter_ns: f64, loss: f64, rx: u64) -> bool {
+        mean_ns <= self.max_mean_latency_ns
+            && p99_ns <= self.max_p99_latency_ns
+            && jitter_ns <= self.max_jitter_ns
+            && loss <= self.max_loss
+            && rx > 0
     }
 }
 

@@ -16,6 +16,8 @@
 //!   mapping prefixes to `(egress PE, VPN label)`, which `mplsvpn-core`
 //!   installs into PE data planes.
 
+use std::ops::Range;
+
 use netsim_mpls::LabelSpace;
 use netsim_net::{LpmTrie, Prefix};
 
@@ -93,6 +95,13 @@ impl VpnRouteAd {
         RemoteRoute { egress_pe: self.egress_pe, vpn_label: self.vpn_label, rd: self.rd }
     }
 
+    /// BGP best-path rank among the advertisements of one prefix (a
+    /// multihomed site): deterministic — lowest egress PE, then lowest
+    /// label.
+    fn rank(&self) -> (usize, u32) {
+        (self.egress_pe, self.vpn_label)
+    }
+
     /// Records that `vrf` installed this advertisement.
     fn held_by(&mut self, vrf: VrfHandle) {
         if !self.holders.contains(&vrf) {
@@ -128,9 +137,29 @@ pub const VPN_LABEL_BASE: u32 = 1 << 17;
 
 /// The provider's VPN route distribution fabric: one route reflector with
 /// an iBGP session to every PE, so an update goes PE → RR → other PEs.
+///
+/// The reflector has one selection rule: a VRF's route for a prefix is
+/// the lowest (egress PE, VPN label) among the RIB's advertisements of
+/// that prefix that come from another PE and that the VRF imports. Every
+/// operation only chooses which (VRF, prefix) pairs it touches and
+/// reselects them by that rule:
+///
+/// * [`advertise`](Self::advertise): every VRF that imports the new
+///   advertisement;
+/// * [`withdraw`](Self::withdraw): every VRF that held the withdrawn
+///   route;
+/// * [`refresh_vrf`](Self::refresh_vrf) and
+///   [`refilter_vrf`](Self::refilter_vrf): every prefix of the one VRF.
+///
+/// **Invariant:** after an operation, every pair it touched holds the
+/// rule's answer. A pair no operation touched can hold a stale import:
+/// [`remove_import_target`](Self::remove_import_target) without a refilter
+/// leaves the routes the target brought in, and each stays until the next
+/// operation that touches its pair.
 pub struct BgpVpnFabric {
     pes: Vec<PeControl>,
-    /// All advertisements currently in the fabric (the RR's Adj-RIB).
+    /// All advertisements currently in the fabric (the RR's Adj-RIB),
+    /// sorted by prefix; within a prefix, in arrival order.
     rib: Vec<VpnRouteAd>,
     messages: u64,
 }
@@ -180,7 +209,7 @@ impl BgpVpnFabric {
 
     /// Adds an import target to a VRF (extranet provisioning). Takes
     /// effect for subsequently distributed routes; call
-    /// [`BgpVpnFabric::refresh_vrf`] to pull existing ones.
+    /// [`BgpVpnFabric::refilter_vrf`] to pull existing ones.
     pub fn add_import_target(&mut self, vrf: VrfHandle, rt: RouteTarget) {
         let v = &mut self.pes[vrf.pe].vrfs[vrf.index];
         if !v.import.contains(&rt) {
@@ -199,8 +228,9 @@ impl BgpVpnFabric {
     }
 
     /// Removes an import target from a VRF. Already-imported routes stay
-    /// until the next [`BgpVpnFabric::refresh_vrf`] — exactly the stale
-    /// state the static verifier exists to catch.
+    /// until an operation touches their (VRF, prefix) pair, such as
+    /// [`BgpVpnFabric::refilter_vrf`] — exactly the stale state the static
+    /// verifier exists to catch.
     pub fn remove_import_target(&mut self, vrf: VrfHandle, rt: RouteTarget) {
         self.pes[vrf.pe].vrfs[vrf.index].import.retain(|t| *t != rt);
     }
@@ -217,17 +247,17 @@ impl BgpVpnFabric {
 
     /// Advertises `prefix` from `vrf` (a connected customer route learned
     /// from the attached CE): allocates a VPN label, records it as the
-    /// VRF's local route, and distributes the route to every importing
-    /// VRF. The PE's data plane dispatches the label (`vpn_ilm` of the
-    /// PE router), not the fabric.
-    /// Returns the VPN label and every VRF that selected the new route, in
-    /// fabric order (PE, then VRF index).
+    /// VRF's local route, and reselects the prefix in every VRF that
+    /// imports the new advertisement. The PE's data plane dispatches the
+    /// label (`vpn_ilm` of the PE router), not the fabric.
+    /// Returns the VPN label and every VRF whose route moved, in fabric
+    /// order (PE, then VRF index).
     pub fn advertise(&mut self, vrf: VrfHandle, prefix: Prefix) -> (u32, Vec<RouteChange>) {
         let pe = &mut self.pes[vrf.pe];
         let label = pe.label_space.allocate();
         let v = &mut pe.vrfs[vrf.index];
         v.local.push((prefix, label));
-        let mut ad = VpnRouteAd {
+        let ad = VpnRouteAd {
             rd: v.rd,
             prefix,
             egress_pe: vrf.pe,
@@ -236,52 +266,47 @@ impl BgpVpnFabric {
             origin: vrf,
             holders: Vec::new(),
         };
-        let changed = self.distribute(&mut ad);
-        self.rib.push(ad);
+        let at = self.run(prefix).end;
+        self.rib.insert(at, ad);
+        self.messages += self.update_fanout();
+        // The touched VRFs, then those whose route moved. A VPN usually
+        // has one VRF per PE.
+        let mut changed = Vec::with_capacity(self.pes.len());
+        for (pe, p) in self.pes.iter().enumerate() {
+            for index in 0..p.vrfs.len() {
+                let h = VrfHandle { pe, index };
+                if self.imports(h, &self.rib[at]) {
+                    changed.push((h, None));
+                }
+            }
+        }
+        // Sized once, so the holder pushes in `reselect` never regrow it.
+        self.rib[at].holders.reserve(changed.len());
+        changed.retain_mut(|(h, now)| self.reselect(*h, prefix).map(|r| *now = r).is_some());
         (label, changed)
     }
 
-    /// Withdraws a previously advertised prefix: removes it from every
-    /// importer, frees the label, drops the local route — and, where
+    /// Withdraws a previously advertised prefix (the earliest of any
+    /// duplicate advertisements): frees the label, drops the local route
+    /// and reselects the prefix in every VRF that held the route — where
     /// another PE still advertises the same prefix (a multihomed site),
-    /// fails importers over to the next-best path. Returns every VRF that
-    /// held the withdrawn route, with its failover, in fabric order.
+    /// that fails the VRF over to the next-best path. Returns every VRF
+    /// that held the withdrawn route, with its failover, in fabric order.
     pub fn withdraw(&mut self, vrf: VrfHandle, prefix: Prefix) -> Vec<RouteChange> {
-        let Some(pos) = self.rib.iter().position(|ad| ad.origin == vrf && ad.prefix == prefix)
-        else {
+        let Some(at) = self.run(prefix).find(|&i| self.rib[i].origin == vrf) else {
             return Vec::new();
         };
-        let mut ad = self.rib.swap_remove(pos);
+        let mut ad = self.rib.remove(at);
         // Withdrawal costs the same messages as the announcement.
         self.messages += self.update_fanout();
         let withdrawn = ad.route();
         // Only a VRF the route was installed into can hold it.
         ad.holders.sort_unstable_by_key(|h| (h.pe, h.index));
         let mut changed = Vec::with_capacity(ad.holders.len());
-        let BgpVpnFabric { pes, rib, .. } = self;
         for &h in &ad.holders {
-            let v = &mut pes[h.pe].vrfs[h.index];
-            if v.table.get(prefix) != Some(&withdrawn) {
-                continue;
+            if self.routes(h).get(prefix) == Some(&withdrawn) {
+                changed.extend(self.reselect(h, prefix).map(|now| (h, now)));
             }
-            v.table.remove(prefix);
-            // Failover: best remaining importable advertisement.
-            let best = rib
-                .iter_mut()
-                .filter(|x| {
-                    x.prefix == prefix
-                        && x.egress_pe != h.pe
-                        && v.import.iter().any(|t| x.export_targets.contains(t))
-                })
-                .min_by_key(|x| (x.egress_pe, x.vpn_label))
-                .map(|x| {
-                    x.held_by(h);
-                    x.route()
-                });
-            if let Some(alt) = best {
-                v.table.insert(prefix, alt);
-            }
-            changed.push((h, best));
         }
         let pe = &mut self.pes[vrf.pe];
         pe.label_space.release(ad.vpn_label);
@@ -295,114 +320,78 @@ impl BgpVpnFabric {
         1 + (self.pes.len() as u64).saturating_sub(1)
     }
 
-    /// BGP best-path tie-break for two advertisements of the same prefix
-    /// importable by the same VRF (a multihomed site): deterministic —
-    /// lowest egress PE, then lowest label.
-    fn better(a: &RemoteRoute, b: &RemoteRoute) -> bool {
-        (a.egress_pe, a.vpn_label) < (b.egress_pe, b.vpn_label)
+    /// RIB positions of the advertisements of `prefix`.
+    fn run(&self, prefix: Prefix) -> Range<usize> {
+        let start = self.rib.partition_point(|ad| ad.prefix < prefix);
+        start..start + self.rib[start..].iter().take_while(|ad| ad.prefix == prefix).count()
     }
 
-    /// Offers `ad` to every importing VRF and returns those that selected
-    /// it, which become its holders.
-    fn distribute(&mut self, ad: &mut VpnRouteAd) -> Vec<RouteChange> {
-        self.messages += self.update_fanout();
-        let cand = ad.route();
-        // A VPN usually has one VRF per PE.
-        let mut changed = Vec::with_capacity(self.pes.len());
-        for (pi, pe) in self.pes.iter_mut().enumerate() {
-            if pi == ad.egress_pe {
-                continue; // local routes are reached directly, not tunneled
-            }
-            for (index, v) in pe.vrfs.iter_mut().enumerate() {
-                if !v.import.iter().any(|t| ad.export_targets.contains(t)) {
-                    continue;
-                }
-                if v.table.get(ad.prefix).is_none_or(|existing| Self::better(&cand, existing)) {
-                    v.table.insert(ad.prefix, cand);
-                    changed.push((VrfHandle { pe: pi, index }, Some(cand)));
-                }
-            }
+    /// Whether `vrf` imports `ad`: the route comes from another PE (local
+    /// routes are reached directly, not tunneled) and carries one of the
+    /// VRF's import targets.
+    fn imports(&self, vrf: VrfHandle, ad: &VpnRouteAd) -> bool {
+        let import = &self.pes[vrf.pe].vrfs[vrf.index].import;
+        ad.egress_pe != vrf.pe && import.iter().any(|t| ad.export_targets.contains(t))
+    }
+
+    /// The selection rule: the RIB position of the best-ranked
+    /// advertisement of `prefix` that `vrf` imports.
+    fn select(&self, vrf: VrfHandle, prefix: Prefix) -> Option<usize> {
+        self.run(prefix)
+            .filter(|&i| self.imports(vrf, &self.rib[i]))
+            .min_by_key(|&i| self.rib[i].rank())
+    }
+
+    /// Writes [`Self::select`]'s answer for `prefix` into `vrf`'s table and
+    /// the holder index. Returns the VRF's new route (`None`: it has none
+    /// left) if the route moved.
+    fn reselect(&mut self, vrf: VrfHandle, prefix: Prefix) -> Option<Option<RemoteRoute>> {
+        let best = self.select(vrf, prefix);
+        let now = best.map(|i| self.rib[i].route());
+        let table = &mut self.pes[vrf.pe].vrfs[vrf.index].table;
+        // One trie walk: the value the write displaces says whether it moved.
+        let held = match now {
+            Some(route) => table.insert(prefix, route),
+            None => table.remove(prefix),
+        };
+        if held == now {
+            return None;
         }
-        ad.holders.extend(changed.iter().map(|&(h, _)| h));
-        changed
-    }
-
-    /// Re-sends every RIB route to a VRF (used after adding a VRF to an
-    /// already-running VPN — the "new site joins" path of experiment M1).
-    /// Returns the number of routes imported.
-    pub fn refresh_vrf(&mut self, vrf: VrfHandle) -> usize {
-        let mut imported = 0;
-        let BgpVpnFabric { pes, rib, messages } = self;
-        let v = &mut pes[vrf.pe].vrfs[vrf.index];
-        for ad in rib.iter_mut().filter(|ad| ad.egress_pe != vrf.pe) {
-            if v.import.iter().any(|t| ad.export_targets.contains(t)) {
-                let cand = ad.route();
-                if v.table.get(ad.prefix).is_none_or(|existing| Self::better(&cand, existing)) {
-                    v.table.insert(ad.prefix, cand);
-                    ad.held_by(vrf);
-                }
-                imported += 1;
-                *messages += 1; // RR replays one update
-            }
+        if let Some(i) = best {
+            self.rib[i].held_by(vrf);
         }
-        imported
+        Some(now)
     }
 
-    /// Re-applies `vrf`'s *current* import policy to its table: routes no
-    /// longer covered by any import target are removed, newly importable
-    /// RIB routes are added (best-path among candidates). This is the
-    /// RT-policy delta path — a local Adj-RIB-In re-evaluation that costs
-    /// zero update messages in either distribution mode, unlike
-    /// [`BgpVpnFabric::refresh_vrf`] which only ever adds. Returns the
-    /// `(added, removed)` prefix deltas with their routes, so a caller
+    /// Replays the RIB to a VRF (used after adding a VRF to an
+    /// already-running VPN — the "new site joins" path of experiment M1):
+    /// the route reflector sends one update per advertisement the VRF
+    /// imports, and the VRF then reselects every prefix as
+    /// [`BgpVpnFabric::refilter_vrf`] does, whose changes it returns.
+    pub fn refresh_vrf(&mut self, vrf: VrfHandle) -> Vec<(Prefix, Option<RemoteRoute>)> {
+        let replayed = self.rib.iter().filter(|ad| self.imports(vrf, ad)).count();
+        self.messages += replayed as u64;
+        self.refilter_vrf(vrf)
+    }
+
+    /// Re-applies `vrf`'s *current* import policy to its table by
+    /// reselecting every prefix in the RIB: routes no longer covered by
+    /// any import target leave, and newly importable ones replace them or
+    /// arrive. This is the RT-policy delta path — a local Adj-RIB-In
+    /// re-evaluation that costs zero update messages in either
+    /// distribution mode. Returns every prefix whose route moved, with its
+    /// new route (`None`: removed), in prefix order, so a caller
     /// maintaining a data-plane mirror can apply exactly the change.
-    #[allow(clippy::type_complexity)]
-    pub fn refilter_vrf(
-        &mut self,
-        vrf: VrfHandle,
-    ) -> (Vec<(Prefix, RemoteRoute)>, Vec<(Prefix, RemoteRoute)>) {
-        // Desired state: best importable advertisement per prefix, with
-        // its RIB position.
-        let mut desired: Vec<(Prefix, RemoteRoute, usize)> = Vec::new();
-        {
-            let v = &self.pes[vrf.pe].vrfs[vrf.index];
-            for (at, ad) in self.rib.iter().enumerate() {
-                if ad.egress_pe == vrf.pe {
-                    continue;
-                }
-                if !v.import.iter().any(|t| ad.export_targets.contains(t)) {
-                    continue;
-                }
-                let cand = ad.route();
-                match desired.iter_mut().find(|(p, ..)| *p == ad.prefix) {
-                    Some((_, existing, _)) if !Self::better(&cand, existing) => {}
-                    Some((_, existing, from)) => (*existing, *from) = (cand, at),
-                    None => desired.push((ad.prefix, cand, at)),
-                }
-            }
+    pub fn refilter_vrf(&mut self, vrf: VrfHandle) -> Vec<(Prefix, Option<RemoteRoute>)> {
+        // A table holds no prefix the RIB lacks: a withdraw reselects
+        // every VRF that held the route.
+        let mut changes = Vec::new();
+        let mut at = 0;
+        while let Some(prefix) = self.rib.get(at).map(|ad| ad.prefix) {
+            at += self.rib[at..].iter().take_while(|ad| ad.prefix == prefix).count();
+            changes.extend(self.reselect(vrf, prefix).map(|now| (prefix, now)));
         }
-        let BgpVpnFabric { pes, rib, .. } = self;
-        let v = &mut pes[vrf.pe].vrfs[vrf.index];
-        let current: Vec<(Prefix, RemoteRoute)> = v.table.iter().map(|(p, r)| (p, *r)).collect();
-        let mut removed = Vec::new();
-        for (p, r) in &current {
-            if !desired.iter().any(|(dp, ..)| dp == p) {
-                v.table.remove(*p);
-                removed.push((*p, *r));
-            }
-        }
-        let mut added = Vec::new();
-        for (p, r, at) in desired {
-            match v.table.get(p) {
-                Some(existing) if !Self::better(&r, existing) => {}
-                _ => {
-                    v.table.insert(p, r);
-                    rib[at].held_by(vrf);
-                    added.push((p, r));
-                }
-            }
-        }
-        (added, removed)
+        changes
     }
 
     /// The imported remote-route table of a VRF.
@@ -532,7 +521,11 @@ mod tests {
         // The late VRF missed the first update until refreshed.
         let late = f.add_vrf(2, rd(1), vec![RT_A], vec![RT_A]);
         assert!(f.routes(late).is_empty());
-        assert_eq!(f.refresh_vrf(late), 2);
+        let before = f.messages();
+        let changes = f.refresh_vrf(late);
+        assert_eq!(f.messages() - before, 2, "the RR replays one update per route");
+        assert_eq!(changes.len(), 2);
+        assert!(changes.iter().all(|(p, r)| f.routes(late).get(*p) == r.as_ref()));
         assert_eq!(f.routes(late).len(), 2);
     }
 
@@ -600,24 +593,41 @@ mod tests {
         // Import RT_B too: the refilter pulls b2's route without messages.
         let before = f.messages();
         f.add_import_target(a0, RT_B);
-        let (added, removed) = f.refilter_vrf(a0);
+        let changes = f.refilter_vrf(a0);
         assert_eq!(f.messages(), before, "RT policy is local, not an update");
-        assert_eq!(added.len(), 1);
-        assert_eq!(added[0].0, pfx("10.9.0.0/16"));
-        assert!(removed.is_empty());
+        let b_route = f.routes(a0).get(pfx("10.9.0.0/16")).copied();
+        assert!(b_route.is_some_and(|r| r.egress_pe == 2));
+        assert_eq!(changes, [(pfx("10.9.0.0/16"), b_route)]);
         assert_eq!(f.routes(a0).len(), 2);
 
         // Drop RT_A: its route leaves and the delta says so.
         f.remove_import_target(a0, RT_A);
-        let (added, removed) = f.refilter_vrf(a0);
-        assert!(added.is_empty());
-        assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].0, pfx("10.1.0.0/16"));
+        assert_eq!(f.refilter_vrf(a0), [(pfx("10.1.0.0/16"), None)]);
         assert_eq!(f.routes(a0).len(), 1);
 
         // Idempotent once settled.
-        let (added, removed) = f.refilter_vrf(a0);
-        assert!(added.is_empty() && removed.is_empty());
+        assert!(f.refilter_vrf(a0).is_empty());
+    }
+
+    /// A removed import target takes its route away even where a worse
+    /// advertisement of the same prefix stays importable: the importer
+    /// falls back to it, and the delta reports it.
+    #[test]
+    fn refilter_drops_a_better_route_no_longer_imported() {
+        let mut f = BgpVpnFabric::new(3);
+        let home0 = f.add_vrf(0, rd(1), vec![], vec![RT_A]);
+        let home1 = f.add_vrf(1, rd(2), vec![], vec![RT_B]);
+        let importer = f.add_vrf(2, rd(3), vec![RT_A, RT_B], vec![]);
+        let p = pfx("10.4.4.0/24");
+        f.advertise(home0, p);
+        let (l1, _) = f.advertise(home1, p);
+        assert_eq!(f.routes(importer).get(p).map(|r| r.egress_pe), Some(0));
+
+        f.remove_import_target(importer, RT_A);
+        let changes = f.refilter_vrf(importer);
+        let pe1 = RemoteRoute { egress_pe: 1, vpn_label: l1, rd: rd(2) };
+        assert_eq!(f.routes(importer).get(p), Some(&pe1));
+        assert_eq!(changes, [(p, Some(pe1))]);
     }
 
     #[test]

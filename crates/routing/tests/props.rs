@@ -127,9 +127,13 @@ fn floyd_warshall(t: &Topology) -> Vec<Vec<u64>> {
     d
 }
 
-/// Full-scan reference for the route reflector. It keeps every VRF's
-/// table and the RIB, and a withdraw visits every VRF on every PE: no
-/// index of who holds a route.
+/// Full-scan reference for the route reflector, written to its one rule:
+/// a VRF's route for a prefix is the lowest (egress PE, VPN label) among
+/// the RIB's advertisements of the prefix from another PE that the VRF
+/// imports, and each operation sets its touched (VRF, prefix) pairs to
+/// that answer. Selecting scans the whole RIB, kept in arrival order, and
+/// a withdraw visits every VRF on every PE: no index of who holds a route,
+/// no sorting.
 struct ScanFabric {
     /// Per VRF, in the order the test created them: handle, import and
     /// export targets, RD and table.
@@ -147,12 +151,34 @@ struct ScanVrf {
 }
 
 impl ScanFabric {
-    fn imports(v: &ScanVrf, export: &[RouteTarget]) -> bool {
-        v.import.iter().any(|t| export.contains(t))
+    /// Whether VRF `i` imports a route from `egress_pe` exporting `export`.
+    fn imports(&self, i: usize, egress_pe: usize, export: &[RouteTarget]) -> bool {
+        let v = &self.vrfs[i];
+        v.handle.pe != egress_pe && v.import.iter().any(|t| export.contains(t))
     }
 
-    fn better(a: &RemoteRoute, b: &RemoteRoute) -> bool {
-        (a.egress_pe, a.vpn_label) < (b.egress_pe, b.vpn_label)
+    /// The rule's answer for VRF `i` and `prefix`.
+    fn select(&self, i: usize, prefix: Prefix) -> Option<RemoteRoute> {
+        self.rib
+            .iter()
+            .filter(|ad| ad.1 == prefix && self.imports(i, ad.2.egress_pe, &ad.3))
+            .map(|ad| ad.2)
+            .min_by_key(|r| (r.egress_pe, r.vpn_label))
+    }
+
+    /// Sets VRF `i`'s route for `prefix` to the rule's answer; returns the
+    /// new route if it moved.
+    fn reselect(&mut self, i: usize, prefix: Prefix) -> Option<Option<RemoteRoute>> {
+        let now = self.select(i, prefix);
+        let table = &mut self.vrfs[i].table;
+        if table.get(&prefix) == now.as_ref() {
+            return None;
+        }
+        match now {
+            Some(r) => table.insert(prefix, r),
+            None => table.remove(&prefix),
+        };
+        Some(now)
     }
 
     /// VRF indices in fabric order (PE, then VRF index).
@@ -162,85 +188,43 @@ impl ScanFabric {
         order
     }
 
+    /// Touches every VRF that imports the new advertisement.
     fn advertise(&mut self, origin: usize, prefix: Prefix, label: u32) -> Vec<RouteChange> {
         let o = &self.vrfs[origin];
         let route = RemoteRoute { egress_pe: o.handle.pe, vpn_label: label, rd: o.rd };
         let export = o.export.clone();
+        self.rib.push((origin, prefix, route, export.clone()));
         let mut changed = Vec::new();
         for i in self.fabric_order() {
-            let v = &mut self.vrfs[i];
-            if v.handle.pe != route.egress_pe
-                && Self::imports(v, &export)
-                && v.table.get(&prefix).is_none_or(|e| Self::better(&route, e))
-            {
-                v.table.insert(prefix, route);
-                changed.push((v.handle, Some(route)));
+            if self.imports(i, route.egress_pe, &export) {
+                changed.extend(self.reselect(i, prefix).map(|now| (self.vrfs[i].handle, now)));
             }
         }
-        self.rib.push((origin, prefix, route, export));
         changed
     }
 
+    /// Removes the earliest matching advertisement and touches every VRF
+    /// that held its route.
     fn withdraw(&mut self, origin: usize, prefix: Prefix) -> Vec<RouteChange> {
         let Some(pos) = self.rib.iter().position(|ad| (ad.0, ad.1) == (origin, prefix)) else {
             return Vec::new();
         };
-        let (_, _, gone, _) = self.rib.swap_remove(pos);
+        let (_, _, gone, _) = self.rib.remove(pos);
         let mut changed = Vec::new();
         for i in self.fabric_order() {
-            let v = &mut self.vrfs[i];
-            if v.handle.pe == gone.egress_pe || v.table.get(&prefix) != Some(&gone) {
-                continue;
+            if self.vrfs[i].table.get(&prefix) == Some(&gone) {
+                changed.extend(self.reselect(i, prefix).map(|now| (self.vrfs[i].handle, now)));
             }
-            v.table.remove(&prefix);
-            let best = self
-                .rib
-                .iter()
-                .filter(|ad| ad.1 == prefix && ad.2.egress_pe != v.handle.pe)
-                .filter(|ad| Self::imports(v, &ad.3))
-                .map(|ad| ad.2)
-                .min_by_key(|r| (r.egress_pe, r.vpn_label));
-            if let Some(alt) = best {
-                v.table.insert(prefix, alt);
-            }
-            changed.push((v.handle, best));
         }
         changed
     }
 
-    /// The best importable route per prefix for VRF `i`.
-    fn importable(&self, i: usize) -> BTreeMap<Prefix, RemoteRoute> {
-        let v = &self.vrfs[i];
-        let mut best: BTreeMap<Prefix, RemoteRoute> = BTreeMap::new();
-        for (_, p, r, export) in &self.rib {
-            if r.egress_pe != v.handle.pe
-                && Self::imports(v, export)
-                && best.get(p).is_none_or(|e| Self::better(r, e))
-            {
-                best.insert(*p, *r);
-            }
-        }
-        best
-    }
-
-    fn refresh(&mut self, i: usize) {
-        for (p, r) in self.importable(i) {
-            let table = &mut self.vrfs[i].table;
-            if table.get(&p).is_none_or(|e| Self::better(&r, e)) {
-                table.insert(p, r);
-            }
-        }
-    }
-
-    fn refilter(&mut self, i: usize) {
-        let desired = self.importable(i);
-        let table = &mut self.vrfs[i].table;
-        table.retain(|p, _| desired.contains_key(p));
-        for (p, r) in desired {
-            if table.get(&p).is_none_or(|e| Self::better(&r, e)) {
-                table.insert(p, r);
-            }
-        }
+    /// Touches every prefix VRF `i` holds or the RIB carries; returns the
+    /// moves in prefix order.
+    fn refilter(&mut self, i: usize) -> Vec<(Prefix, Option<RemoteRoute>)> {
+        let mut prefixes: BTreeSet<Prefix> = self.vrfs[i].table.keys().copied().collect();
+        prefixes.extend(self.rib.iter().map(|ad| ad.1));
+        prefixes.into_iter().filter_map(|p| self.reselect(i, p).map(|now| (p, now))).collect()
     }
 }
 
@@ -496,9 +480,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The route reflector's holder index loses nothing: after every
-    /// random step, what `advertise` and `withdraw` report and every VRF
-    /// table equal the full-scan reference. Prefixes come from a pool of
+    /// The route reflector's holder index and sorted RIB lose nothing:
+    /// after every random step, what `advertise`, `withdraw`,
+    /// `refresh_vrf` and `refilter_vrf` report and every VRF table equal
+    /// the full-scan reference. Prefixes come from a pool of
     /// three, so sites are multihomed; one prefix is always advertised
     /// from two PEs first. Import targets come and go without a refilter,
     /// leaving stale imports for a withdraw to find, and sites join a
@@ -563,19 +548,16 @@ proptest! {
                     }
                 }
                 6 => {
-                    f.refresh_vrf(vrf);
-                    scan.refresh(i);
+                    prop_assert_eq!(f.refresh_vrf(vrf), scan.refilter(i));
                 }
                 7 => {
-                    f.refilter_vrf(vrf);
-                    scan.refilter(i);
+                    prop_assert_eq!(f.refilter_vrf(vrf), scan.refilter(i));
                 }
                 8 => {
                     // A site joins the running fabric.
                     add_vrf(&mut f, &mut scan, a % pe_count, (b % 3) as u64, (b / 3 % 8) as u8);
                     let new = scan.vrfs.len() - 1;
-                    f.refresh_vrf(scan.vrfs[new].handle);
-                    scan.refresh(new);
+                    prop_assert_eq!(f.refresh_vrf(scan.vrfs[new].handle), scan.refilter(new));
                 }
                 _ => {
                     // Extranet provisioning: a new import target, applied.
@@ -583,8 +565,7 @@ proptest! {
                     if !scan.vrfs[i].import.contains(&rt) {
                         scan.vrfs[i].import.push(rt);
                     }
-                    f.refilter_vrf(vrf);
-                    scan.refilter(i);
+                    prop_assert_eq!(f.refilter_vrf(vrf), scan.refilter(i));
                 }
             }
             for v in &scan.vrfs {

@@ -271,6 +271,52 @@ fn rt_policy_is_a_local_delta_in_both_modes() {
     }
 }
 
+/// Taking an extranet import back restores the VRF's own route where the
+/// partner VPN advertises the same prefix: acme's VRF at PE2 selects
+/// globex's 10.1.0.0/16 at PE0 while it imports globex's target, and
+/// acme's own at PE1 again once it no longer does — in both modes, with
+/// zero control messages and the verifier clean.
+#[test]
+fn removed_import_target_restores_the_own_route_in_both_modes() {
+    let overlap: Prefix = "10.1.0.0/16".parse().unwrap();
+    let egress_at_pe2 = |pn: &mut ProviderNetwork, vpn: VpnId| {
+        let rows = pn.vrf_digest(2, vpn);
+        rows.into_iter().find(|(p, _)| *p == overlap).and_then(|(_, r)| r.map(|r| r.0))
+    };
+    for mode in [ControlMode::Oracle, ControlMode::InBand] {
+        let mut topo = Topology::new(3);
+        let attrs = LinkAttrs { cost: 1, capacity_bps: 10_000_000 };
+        for (u, v) in [(0, 1), (1, 2), (0, 2)] {
+            topo.add_link(u, v, attrs);
+        }
+        let mut pn = BackboneBuilder::new(topo, vec![0, 1, 2])
+            .detection(20 * MSEC)
+            .control_mode(mode)
+            .build();
+        let acme = pn.new_vpn("acme");
+        let globex = pn.new_vpn("globex");
+        pn.add_site(globex, 0, overlap, None);
+        pn.add_site(acme, 1, overlap, None);
+        pn.add_site(acme, 2, "10.2.0.0/16".parse().unwrap(), None);
+        pn.run_for(100 * MSEC);
+        assert_eq!(egress_at_pe2(&mut pn, acme), Some(1), "acme's own route ({mode:?})");
+        let bgp_before = pn.control_stats().map_or(0, |s| s.pkts_by_proto[2]);
+
+        let globex_rt = RouteTarget(100 + globex.0 as u64);
+        pn.add_import_target(2, acme, globex_rt);
+        assert_eq!(egress_at_pe2(&mut pn, acme), Some(0), "the extranet route ranks first");
+        pn.remove_import_target(2, acme, globex_rt);
+        assert_eq!(
+            egress_at_pe2(&mut pn, acme),
+            Some(1),
+            "removing the target takes globex's route away ({mode:?})"
+        );
+        let bgp_after = pn.control_stats().map_or(0, |s| s.pkts_by_proto[2]);
+        assert_eq!(bgp_after, bgp_before, "RT re-filtering costs zero messages");
+        pn.verify().assert_clean(&format!("{mode:?} after the import is taken back"));
+    }
+}
+
 /// A partition never panics, under either transport: an MP-BGP update
 /// that cannot cross it is counted undeliverable, and a PE that has no
 /// LSP toward a route's egress skips the install and counts it. Both
