@@ -72,7 +72,9 @@ fn bench_bgp(c: &mut Criterion) {
                 let mut f = BgpVpnFabric::new(8);
                 let rt = RouteTarget(1);
                 let handles: Vec<_> = (0..8)
-                    .map(|pe| f.add_vrf(pe, RouteDistinguisher::new(65000, 1), vec![rt], vec![rt]))
+                    .map(|pe| {
+                        f.add_vrf(pe, RouteDistinguisher::new(65000, 1), vec![rt], vec![rt]).0
+                    })
                     .collect();
                 for i in 0..sites {
                     f.advertise(handles[i % 8], site_prefix(i));
@@ -88,15 +90,15 @@ fn bench_bgp(c: &mut Criterion) {
     for vpn in 0..4u32 {
         let rt = RouteTarget(u64::from(vpn) + 1);
         for pe in 0..6 {
-            let h = f.add_vrf(pe, RouteDistinguisher::new(65000, vpn + 1), vec![rt], vec![rt]);
+            let (h, _) = f.add_vrf(pe, RouteDistinguisher::new(65000, vpn + 1), vec![rt], vec![rt]);
             f.advertise(h, site_prefix(vpn as usize * 6 + pe));
         }
     }
     let origin = VrfHandle { pe: 0, index: 0 }; // VPN 0's VRF on PE 0
     g.bench_function("withdraw_24_vrfs", |b| {
         b.iter(|| {
-            black_box(f.advertise(origin, site_prefix(24)));
-            black_box(f.withdraw(origin, site_prefix(24)))
+            let (label, _) = black_box(f.advertise(origin, site_prefix(24)));
+            black_box(f.withdraw(origin, site_prefix(24), label))
         });
     });
     g.finish();

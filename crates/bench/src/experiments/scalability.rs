@@ -57,10 +57,9 @@ pub fn measure(n: usize) -> ScalePoint {
     let (mtopo, pes) = topo::national(DEVICES, DEVICES, 622);
     let mut pn = BackboneBuilder::new(mtopo, pes).build();
     let rt = RouteTarget(1);
-    let mut handles = Vec::new();
-    for pe in 0..DEVICES {
-        handles.push(pn.fabric.add_vrf(pe, RouteDistinguisher::new(65000, 1), vec![rt], vec![rt]));
-    }
+    let rd = RouteDistinguisher::new(65000, 1);
+    let handles: Vec<_> =
+        (0..DEVICES).map(|pe| pn.fabric.add_vrf(pe, rd, vec![rt], vec![rt]).0).collect();
     for i in 0..n {
         pn.fabric.advertise(handles[i % DEVICES], site_prefix(i));
     }

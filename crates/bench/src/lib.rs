@@ -1,10 +1,10 @@
 //! # mplsvpn-bench — the experiment harness
 //!
 //! One module per table/figure of the paper (see DESIGN.md §4), each
-//! exposing `run(quick) -> String` so the `exp_*` binaries, the `exp_all`
-//! aggregator, and the unit tests all share one implementation. `quick`
-//! shortens simulated durations for CI; the binaries run the full
-//! parameters.
+//! exposing `run(quick) -> String` so the `exp_all` runner (one section
+//! per module, `exp_all --full Q1` runs one) and the unit tests share one
+//! implementation. `quick` shortens simulated durations for CI; `--full`
+//! runs the full parameters.
 //!
 //! Shared pieces: [`table`] (fixed-width table formatting), [`topo`]
 //! (reference topologies), [`mix`] (the canonical voice/video/data/bulk

@@ -1231,7 +1231,7 @@ mod tests {
         for pe in [1, 2] {
             pn.add_site(globex, pe, Prefix::new(Ip(0x0A10_0000 + ((pe as u32) << 8)), 24), None);
             pn.add_site(acme, pe, Prefix::new(Ip(0x0A20_0000 + ((pe as u32) << 8)), 24), None);
-            let (globex_vrf, _) = pn.vrf_handle(pe, globex).expect("globex VRF");
+            let globex_vrf = pn.vrf_handle(pe, globex).expect("globex VRF");
             pn.fabric.add_import_target(globex_vrf, pn.vpns[acme.0].rt);
         }
         // A fabric-only VRF on PE1 that imports acme as well.

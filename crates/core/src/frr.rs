@@ -212,7 +212,7 @@ mod tests {
         let (mut pn, _a, _b) = fish_network(10 * MSEC);
         let srlg = SrlgMap::new(pn.topo.link_count());
         pn.protect_link(1, &srlg);
-        let before = pn.effective_spf(1);
+        let before = pn.effective_spf(1).clone();
         pn.fail_link(1); // P1 protects its link toward PE4
         pn.run_for(10 * MSEC + LOCAL_CONVERGENCE_DELAY - 1);
         let fresh = Igp::converge_filtered(&pn.topo, |l| l != 1);

@@ -20,7 +20,7 @@
 //!    ([`crate::control`]). Under either transport it lands when the
 //!    simulator runs; under the oracle, at the instant it was sent.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::rc::Rc;
 
 use netsim_mpls::walk::{walk, LabelTables, Walk};
@@ -36,8 +36,8 @@ use netsim_routing::{
     BgpVpnFabric, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget, Topology, VrfHandle,
 };
 use netsim_sim::{
-    CbrSource, Ctx, FxHashMap, IfaceId, LinkConfig, LinkId, Network, Node, NodeId, OnOffSource,
-    PoissonSource, Sink, SourceConfig,
+    CbrSource, Ctx, IfaceId, LinkConfig, LinkId, Network, Node, NodeId, OnOffSource, PoissonSource,
+    Sink, SourceConfig,
 };
 
 use crate::control::{ControlConfig, ControlMode, CtrlMsg, CtrlStats, NodeControl, NodeTables};
@@ -137,8 +137,9 @@ pub struct SiteInfo {
     pub ce: NodeId,
     /// Access link (CE↔PE); direction 0 is CE→PE.
     pub access_link: LinkId,
-    /// PE-side interface index of the access link.
-    pub pe_iface: usize,
+    /// The VPN label the site's prefix is advertised under: the one
+    /// advertisement a detach withdraws.
+    pub label: u32,
 }
 
 pub(crate) struct VpnInfo {
@@ -302,12 +303,11 @@ impl BackboneBuilder {
             topo: self.topo,
             fabric,
             node_ids,
+            vrf_vpns: vec![Vec::new(); self.pes.len()],
             pes: self.pes,
             cfg,
             vpns: Vec::new(),
             sites: Vec::new(),
-            vrf_handles: HashMap::new(),
-            vrf_owners: FxHashMap::default(),
             access_rate_bps: self.access_rate_bps,
             access_delay_ns: self.access_delay_ns,
             link_seq: vec![0; links],
@@ -342,9 +342,10 @@ pub struct ProviderNetwork {
     pub(crate) vpns: Vec<VpnInfo>,
     /// All sites added so far, indexed by [`SiteId`].
     pub sites: Vec<SiteInfo>,
-    pub(crate) vrf_handles: HashMap<(usize, VpnId), (VrfHandle, usize)>,
-    /// The inverse of `vrf_handles`: fabric handle → (VPN, VRF index).
-    vrf_owners: FxHashMap<VrfHandle, (VpnId, usize)>,
+    /// Per PE ordinal, the VPN of each VRF slot in creation order. A slot
+    /// is the VRF's index on the PE router and in the fabric alike, so
+    /// `VrfHandle { pe, index }` names VPN `vrf_vpns[pe][index]`'s VRF.
+    pub(crate) vrf_vpns: Vec<Vec<VpnId>>,
     access_rate_bps: u64,
     access_delay_ns: Nanos,
     /// Per-link event sequence, bumped once per fail/repair and written
@@ -415,20 +416,20 @@ impl ProviderNetwork {
         let pe_topo = self.pes[pe];
         let pe_node = self.node_ids[pe_topo];
 
-        // Ensure the VRF exists on this PE (control plane + data plane).
-        let (handle, vrf_idx) = match self.vrf_handles.get(&(pe, vpn)) {
-            Some(&hv) => hv,
+        // Ensure the VRF exists on this PE: the fabric and the PE router
+        // create it together, in the same slot.
+        let vrf = match self.vrf_handle(pe, vpn) {
+            Some(vrf) => vrf,
             None => {
                 let info = &self.vpns[vpn.0];
-                let handle = self.fabric.add_vrf(pe, info.rd, vec![info.rt], vec![info.rt]);
-                let vrf_idx = self.net.node_mut::<PeRouter>(pe_node).add_vrf(info.name.clone());
-                self.vrf_handles.insert((pe, vpn), (handle, vrf_idx));
-                self.vrf_owners.insert(handle, (vpn, vrf_idx));
+                let (vrf, routes) = self.fabric.add_vrf(pe, info.rd, vec![info.rt], vec![info.rt]);
+                let slot = self.net.node_mut::<PeRouter>(pe_node).add_vrf();
+                assert_eq!(vrf.index, slot, "fabric and PE VRF numbering out of sync");
+                self.vrf_vpns[pe].push(vpn);
                 // The new VRF's initial route download is local to the one
                 // touched PE; afterwards only deltas arrive.
-                let routes = self.fabric.refresh_vrf(handle);
-                self.apply_local(pe, vrf_idx, &routes);
-                (handle, vrf_idx)
+                self.apply_local(vrf, &routes);
+                vrf
             }
         };
 
@@ -438,15 +439,15 @@ impl ProviderNetwork {
         let ce_id = self.net.add_node(Box::new(ce));
         let cfg = LinkConfig::new(self.access_rate_bps, self.access_delay_ns);
         let (access_link, _ce_if, pe_if) = self.net.connect(ce_id, pe_node, cfg);
-        let declared = self.net.node_mut::<PeRouter>(pe_node).attach_customer_iface(vrf_idx);
+        let declared = self.net.node_mut::<PeRouter>(pe_node).attach_customer_iface(vrf.index);
         assert_eq!(declared, pe_if.0, "PE interface numbering out of sync");
 
         // Advertise and install.
-        let (label, changed) = self.fabric.advertise(handle, prefix);
+        let (label, changed) = self.fabric.advertise(vrf, prefix);
         {
             let per = self.net.node_mut::<PeRouter>(pe_node);
-            per.install_local_route(vrf_idx, prefix, pe_if.0);
-            per.install_vpn_label(label, vrf_idx);
+            per.install_local_route(vrf.index, prefix, pe_if.0);
+            per.install_vpn_label(label, vrf.index);
         }
         // One MP-BGP update (VPN label piggybacked, §4) to every VRF whose
         // best path is now this route. The fabric never imports a PE's own
@@ -454,7 +455,7 @@ impl ProviderNetwork {
         self.send_changes(pe, prefix, changed, false);
 
         let site = SiteId(self.sites.len());
-        self.sites.push(SiteInfo { vpn, pe, prefix, ce: ce_id, access_link, pe_iface: pe_if.0 });
+        self.sites.push(SiteInfo { vpn, pe, prefix, ce: ce_id, access_link, label });
         site
     }
 
@@ -462,29 +463,27 @@ impl ProviderNetwork {
     /// homing PE's local route and VPN-label dispatch, and takes the
     /// access link down. If the same prefix is still advertised from
     /// another PE (a dual-homed site), every importer fails over to the
-    /// surviving home.
+    /// surviving home. Only the site's own advertisement is withdrawn, but
+    /// two sites of a VPN with one prefix on one PE share its local route,
+    /// which either one's detach removes. Detaching a site again does
+    /// nothing.
     pub fn detach_site(&mut self, site: SiteId) {
-        let (vpn, pe, prefix, access_link) = {
-            let s = &self.sites[site.0];
-            (s.vpn, s.pe, s.prefix, s.access_link)
-        };
-        let (handle, vrf_idx) = self.vrf_handles[&(pe, vpn)];
-        // The VPN label this home advertised for the prefix.
-        let label =
-            self.fabric.local_routes(handle).iter().find(|(p, _)| *p == prefix).map(|(_, l)| *l);
-        let changed = self.fabric.withdraw(handle, prefix);
+        let SiteInfo { vpn, pe, prefix, access_link, label, .. } = self.sites[site.0];
+        if !self.net.link_enabled(access_link) {
+            return; // already detached: its label may serve another site now
+        }
+        let vrf = self.expect_vrf(pe, vpn);
+        let changed = self.fabric.withdraw(vrf, prefix, label);
         {
             let per = self.net.node_mut::<PeRouter>(self.pe_node(pe));
-            per.vrfs[vrf_idx].fib.remove(prefix);
-            if let Some(l) = label {
-                per.vpn_ilm.remove(&l);
-            }
+            per.vrfs[vrf.index].fib.remove(prefix);
+            per.vpn_ilm.remove(&label);
         }
         self.net.set_link_enabled(access_link, false);
         // The detaching PE is the one touched device: it fails over
         // locally to the route its local one masked (a dual-homed site).
-        if let Some(&masked) = self.fabric.routes(handle).get(prefix) {
-            self.apply_local(pe, vrf_idx, &[(prefix, Some(masked))]);
+        if let Some(&masked) = self.fabric.routes(vrf).get(prefix) {
+            self.apply_local(vrf, &[(prefix, Some(masked))]);
         }
         // Each VRF that held the withdrawn route gets a withdraw carrying
         // its replacement, if any.
@@ -495,7 +494,8 @@ impl ProviderNetwork {
     /// `changed` its delta for `prefix` from PE `origin_pe`, in `(pe, vpn)`
     /// order. The delta is a withdraw carrying the new route, if any, when
     /// `withdraw` is set or no route is left, and an update otherwise.
-    /// VRFs the network did not create get no message.
+    /// VRFs the network did not create (past the PE's last slot) get no
+    /// message.
     fn send_changes(
         &mut self,
         origin_pe: usize,
@@ -503,10 +503,9 @@ impl ProviderNetwork {
         mut changed: Vec<RouteChange>,
         withdraw: bool,
     ) {
-        changed.retain(|(h, _)| self.vrf_owners.contains_key(h));
-        changed.sort_unstable_by_key(|(h, _)| (h.pe, self.vrf_owners[h].0 .0));
-        for (h, now) in changed {
-            let (target, vrf_idx) = (h.pe, self.vrf_owners[&h].1);
+        changed.retain(|(h, _)| h.index < self.vrf_vpns[h.pe].len());
+        changed.sort_unstable_by_key(|(h, _)| (h.pe, self.vrf_vpns[h.pe][h.index].0));
+        for (VrfHandle { pe: target, index: vrf_idx }, now) in changed {
             let msg = match now.map(|r| (r.egress_pe, r.vpn_label)) {
                 Some((egress_pe, vpn_label)) if !withdraw => {
                     CtrlMsg::BgpUpdate { target, vrf_idx, prefix, egress_pe, vpn_label }
@@ -534,27 +533,23 @@ impl ProviderNetwork {
     }
 
     /// The one local apply of fabric changes: writes each prefix's new
-    /// route (`None`: removed) into VRF `vrf_idx` of PE `pe`, installing
-    /// over the PE's current tunnels — a local step at the one PE that owns
-    /// the VRF. A route from another domain reaches the VRF only through
-    /// the ASBRs, so its origin PE sends it as an MP-BGP update instead.
-    fn apply_local(
-        &mut self,
-        pe: usize,
-        vrf_idx: usize,
-        changes: &[(Prefix, Option<RemoteRoute>)],
-    ) {
+    /// route (`None`: removed) into `vrf`'s slot of its PE, installing over
+    /// the PE's current tunnels — a local step at the one PE that owns the
+    /// VRF. A route from another domain reaches the VRF only through the
+    /// ASBRs, so its origin PE sends it as an MP-BGP update instead.
+    fn apply_local(&mut self, vrf: VrfHandle, changes: &[(Prefix, Option<RemoteRoute>)]) {
+        let VrfHandle { pe, index: vrf_idx } = vrf;
         let cfg = Rc::clone(&self.cfg);
         let home = |r: &RemoteRoute| cfg.domains[cfg.pes[r.egress_pe]] == cfg.domains[cfg.pes[pe]];
         self.with_control(self.pes[pe], |control, tables, _| {
-            let vrf = &mut tables.vrfs.as_deref_mut().expect("a PE lends its VRFs")[vrf_idx];
+            let fib = &mut tables.vrfs.as_deref_mut().expect("a PE lends its VRFs")[vrf_idx];
             for &(prefix, now) in changes {
                 match now {
                     None => {
-                        vrf.remove_remote(prefix);
+                        fib.remove_remote(prefix);
                     }
                     Some(r) if home(&r) => {
-                        control.install_route(vrf, prefix, r.egress_pe, r.vpn_label);
+                        control.install_route(fib, prefix, r.egress_pe, r.vpn_label);
                     }
                     Some(_) => {}
                 }
@@ -573,18 +568,16 @@ impl ProviderNetwork {
     /// it rides an ASBR's stitch, which the cold restart kept. Only
     /// [`ProviderNetwork::reconverge`] calls this.
     fn sync_remote_routes(&mut self) {
-        let mut vrfs: Vec<_> =
-            self.vrf_handles.iter().map(|(&(pe, vpn), &hv)| ((pe, vpn.0), hv)).collect();
-        vrfs.sort_unstable_by_key(|&(key, _)| key);
-        for ((pe, _), (handle, vrf_idx)) in vrfs {
+        let vrfs: Vec<VrfHandle> = self.vrfs().map(|(vrf, _)| vrf).collect();
+        for vrf in vrfs {
             let routes: Vec<_> = self
                 .fabric
-                .routes(handle)
+                .routes(vrf)
                 .iter()
-                .filter(|(_, r)| self.same_domain(pe, r.egress_pe))
+                .filter(|(_, r)| self.same_domain(vrf.pe, r.egress_pe))
                 .map(|(p, r)| (p, Some(*r)))
                 .collect();
-            self.apply_local(pe, vrf_idx, &routes);
+            self.apply_local(vrf, &routes);
         }
     }
 
@@ -799,23 +792,23 @@ impl ProviderNetwork {
     /// Adj-RIB-In re-filtering — zero control messages in either mode;
     /// only the one touched PE's data plane changes.
     pub fn add_import_target(&mut self, pe: usize, vpn: VpnId, rt: RouteTarget) {
-        let (handle, vrf_idx) = self.vrf_handles[&(pe, vpn)];
-        self.fabric.add_import_target(handle, rt);
-        self.apply_refilter(pe, handle, vrf_idx);
+        let vrf = self.expect_vrf(pe, vpn);
+        self.fabric.add_import_target(vrf, rt);
+        self.apply_refilter(vrf);
     }
 
     /// Removes an import route target from the VRF for `vpn` at PE `pe`
     /// and applies the resulting route deltas (withdrawing imports that no
     /// longer match any policy).
     pub fn remove_import_target(&mut self, pe: usize, vpn: VpnId, rt: RouteTarget) {
-        let (handle, vrf_idx) = self.vrf_handles[&(pe, vpn)];
-        self.fabric.remove_import_target(handle, rt);
-        self.apply_refilter(pe, handle, vrf_idx);
+        let vrf = self.expect_vrf(pe, vpn);
+        self.fabric.remove_import_target(vrf, rt);
+        self.apply_refilter(vrf);
     }
 
-    fn apply_refilter(&mut self, pe: usize, handle: VrfHandle, vrf_idx: usize) {
-        let changes = self.fabric.refilter_vrf(handle);
-        self.apply_local(pe, vrf_idx, &changes);
+    fn apply_refilter(&mut self, vrf: VrfHandle) {
+        let changes = self.fabric.refilter_vrf(vrf);
+        self.apply_local(vrf, &changes);
     }
 
     // -- control-plane observability & parity hooks -------------------------
@@ -862,8 +855,8 @@ impl ProviderNetwork {
     }
 
     /// The SPF tree node `u` currently forwards on: its own view.
-    pub fn effective_spf(&self, u: usize) -> netsim_routing::SpfTree {
-        self.backbone(u).1.view.spf.clone()
+    pub fn effective_spf(&self, u: usize) -> &netsim_routing::SpfTree {
+        &self.backbone(u).1.view.spf
     }
 
     /// The LDP tunnel PE ordinal `ingress`'s control-plane view holds
@@ -897,10 +890,10 @@ impl ProviderNetwork {
     /// digest also holds against [`ProviderNetwork::reconverge`], which
     /// allocates labels afresh.
     pub fn vrf_digest(&self, pe: usize, vpn: VpnId) -> Vec<VrfDigestRow> {
-        let (_h, vrf_idx) = self.vrf_handles[&(pe, vpn)];
+        let vrf = self.expect_vrf(pe, vpn);
         let per = self.net.node_ref::<PeRouter>(self.pe_node(pe));
         let start = self.pes[pe];
-        let mut out: Vec<_> = per.vrfs[vrf_idx]
+        let mut out: Vec<_> = per.vrfs[vrf.index]
             .fib
             .iter()
             .map(|(p, r)| match *r {
@@ -1061,17 +1054,14 @@ impl ProviderNetwork {
         prefix: Prefix,
         tunnel: netsim_mpls::FtnEntry,
     ) {
-        let (handle, vrf_idx) = *self
-            .vrf_handles
-            .get(&(ingress_pe, vpn))
-            .unwrap_or_else(|| panic!("no VRF for VPN {vpn:?} on PE{ingress_pe}"));
-        let routes = self.fabric.routes(handle);
+        let vrf = self.expect_vrf(ingress_pe, vpn);
+        let routes = self.fabric.routes(vrf);
         let r = *(0..=prefix.len())
             .rev()
             .find_map(|len| routes.get(Prefix::new(prefix.addr(), len)))
             .unwrap_or_else(|| panic!("no covering route for {prefix} at PE{ingress_pe}"));
         let pe_node = self.pe_node(ingress_pe);
-        self.net.node_mut::<PeRouter>(pe_node).vrfs[vrf_idx].install_remote(
+        self.net.node_mut::<PeRouter>(pe_node).vrfs[vrf.index].install_remote(
             prefix,
             r.egress_pe,
             r.vpn_label,
@@ -1079,11 +1069,25 @@ impl ProviderNetwork {
         );
     }
 
-    /// The fabric handle and local VRF index for a VPN on a PE, if that PE
-    /// hosts any of the VPN's sites. Needed for policy surgery such as
-    /// extranet route-target additions.
-    pub fn vrf_handle(&self, pe: usize, vpn: VpnId) -> Option<(VrfHandle, usize)> {
-        self.vrf_handles.get(&(pe, vpn)).copied()
+    /// The VRF of a VPN on a PE, if that PE hosts any of the VPN's sites.
+    /// The handle is the VRF in the fabric and, by its `index`, the VRF's
+    /// slot on the PE router. Needed for policy surgery such as extranet
+    /// route-target additions.
+    pub fn vrf_handle(&self, pe: usize, vpn: VpnId) -> Option<VrfHandle> {
+        let index = self.vrf_vpns.get(pe)?.iter().position(|&v| v == vpn)?;
+        Some(VrfHandle { pe, index })
+    }
+
+    /// Every VRF the network created, with its VPN, in (PE, slot) order.
+    pub(crate) fn vrfs(&self) -> impl Iterator<Item = (VrfHandle, VpnId)> + '_ {
+        self.vrf_vpns.iter().enumerate().flat_map(|(pe, vpns)| {
+            vpns.iter().enumerate().map(move |(index, &vpn)| (VrfHandle { pe, index }, vpn))
+        })
+    }
+
+    /// [`Self::vrf_handle`] for a VRF that must exist.
+    pub(crate) fn expect_vrf(&self, pe: usize, vpn: VpnId) -> VrfHandle {
+        self.vrf_handle(pe, vpn).unwrap_or_else(|| panic!("no VRF for VPN {vpn:?} on PE{pe}"))
     }
 }
 
@@ -1289,9 +1293,8 @@ mod tests {
         pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
         let prefix = pfx("10.2.0.0/16");
         pn.add_site(vpn, 1, prefix, None);
-        let (handle, _) = pn.vrf_handle(1, vpn).unwrap();
-        let label = pn.fabric.local_routes(handle)[0].1;
-        let vrf_idx = pn.vrf_handle(0, vpn).unwrap().1;
+        let label = pn.sites[1].label;
+        let vrf_idx = pn.vrf_handle(0, vpn).unwrap().index;
         let at_pe0 = |pn: &ProviderNetwork| {
             pn.net.node_ref::<PeRouter>(pn.pe_node(0)).vrfs[vrf_idx].fib.get(prefix).cloned()
         };
@@ -1321,19 +1324,15 @@ mod tests {
         // Extranet provisioning: the depot VRF exports an extra RT that the
         // globex VRF imports; re-advertise under the new policy.
         let extranet_rt = RouteTarget(999);
-        let (depot_handle, depot_vrf) = pn.vrf_handle(1, acme).expect("depot VRF");
-        let (globex_handle, _) = pn.vrf_handle(0, globex).expect("globex VRF");
-        pn.fabric.add_export_target(depot_handle, extranet_rt);
-        pn.fabric.add_import_target(globex_handle, extranet_rt);
-        pn.fabric.withdraw(depot_handle, pfx("10.77.0.0/16"));
-        let (label, _) = pn.fabric.advertise(depot_handle, pfx("10.77.0.0/16"));
-        {
-            let depot_iface = pn.sites[depot.0].pe_iface;
-            let pe1 = pn.pe_node(1);
-            let per = pn.net.node_mut::<PeRouter>(pe1);
-            per.install_vpn_label(label, depot_vrf);
-            per.install_local_route(depot_vrf, pfx("10.77.0.0/16"), depot_iface);
-        }
+        let depot_vrf = pn.vrf_handle(1, acme).expect("depot VRF");
+        let globex_vrf = pn.vrf_handle(0, globex).expect("globex VRF");
+        pn.fabric.add_export_target(depot_vrf, extranet_rt);
+        pn.fabric.add_import_target(globex_vrf, extranet_rt);
+        pn.fabric.withdraw(depot_vrf, pfx("10.77.0.0/16"), pn.sites[depot.0].label);
+        // The depot's local route stays; its new label is dispatched too.
+        let (label, _) = pn.fabric.advertise(depot_vrf, pfx("10.77.0.0/16"));
+        let pe1 = pn.pe_node(1);
+        pn.net.node_mut::<PeRouter>(pe1).install_vpn_label(label, depot_vrf.index);
         pn.reconverge();
 
         let sink_depot = pn.attach_sink(depot, pfx("10.77.0.0/16"));
@@ -1394,6 +1393,39 @@ mod tests {
         // Total delivery ≈ all packets (failover is a control-plane step
         // here, so no loss window).
         assert_eq!(at_primary_t3 + at_backup, 200);
+    }
+
+    /// Two sites of one VPN on PE0 own the same prefix, each advertised
+    /// under its own label. Detaching the second withdraws its own
+    /// advertisement and label: PE0 keeps dispatching the first site's
+    /// label, and PE1 routes the prefix with it.
+    #[test]
+    fn detaching_one_of_two_same_prefix_sites_keeps_the_other_label() {
+        let mut pn = line();
+        let vpn = pn.new_vpn("acme");
+        let p = pfx("10.1.0.0/16");
+        let first = pn.add_site(vpn, 0, p, None);
+        let second = pn.add_site(vpn, 0, p, None);
+        pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
+        pn.run_for(0);
+        let (kept, gone) = (pn.sites[first.0].label, pn.sites[second.0].label);
+        assert_ne!(kept, gone);
+        pn.detach_site(second);
+        pn.run_for(0);
+        let pe0 = pn.net.node_ref::<PeRouter>(pn.pe_node(0));
+        assert_eq!(pe0.vpn_ilm.keys().copied().collect::<Vec<_>>(), [kept]);
+        let pe1 = pn.net.node_ref::<PeRouter>(pn.pe_node(1));
+        let vrf = pn.vrf_handle(1, vpn).unwrap();
+        let want = VrfRoute::Remote { egress_pe: 0, vpn_label: kept, tunnel: None };
+        assert_eq!(pe1.vrfs[vrf.index].fib.get(p), Some(&want));
+        // The freed label goes to the next site; detaching the second site
+        // again leaves it alone.
+        let third = pn.add_site(vpn, 0, pfx("10.3.0.0/16"), None);
+        assert_eq!(pn.sites[third.0].label, gone);
+        pn.detach_site(second);
+        let pe0 = pn.net.node_ref::<PeRouter>(pn.pe_node(0));
+        assert_eq!(pe0.vpn_ilm.len(), 2);
+        assert!(pe0.vpn_ilm.contains_key(&gone));
     }
 
     /// A failed backbone link loses packets until detection; once the
@@ -1550,12 +1582,12 @@ mod tests {
         pn.run_for(0);
         let ftn = pn.install_explicit_lsp(&[0, 1, 2]);
         pn.pin_prefix_to_tunnel(vpn, 0, pfx("10.2.0.0/16"), ftn);
-        let (handle, vrf_idx) = pn.vrf_handle(0, vpn).unwrap();
-        let r = *pn.fabric.routes(handle).get(pfx("10.2.0.0/16")).unwrap();
+        let vrf = pn.vrf_handle(0, vpn).unwrap();
+        let r = *pn.fabric.routes(vrf).get(pfx("10.2.0.0/16")).unwrap();
         assert_eq!(r.egress_pe, 1);
         let pe = pn.net.node_ref::<PeRouter>(pn.pe_node(0));
         assert_eq!(
-            pe.vrfs[vrf_idx].fib.get(pfx("10.2.0.0/16")),
+            pe.vrfs[vrf.index].fib.get(pfx("10.2.0.0/16")),
             Some(&VrfRoute::Remote {
                 egress_pe: r.egress_pe,
                 vpn_label: r.vpn_label,

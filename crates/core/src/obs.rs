@@ -156,8 +156,8 @@ impl ProviderNetwork {
         let mut seen = std::collections::HashSet::new();
         for s in &self.sites {
             if seen.insert((s.pe, s.vpn)) {
-                let (_, vrf) = self.vrf_handles[&(s.pe, s.vpn)];
-                let fib = &self.net.node_ref::<PeRouter>(self.pe_node(s.pe)).vrfs[vrf];
+                let vrf = self.expect_vrf(s.pe, s.vpn);
+                let fib = &self.net.node_ref::<PeRouter>(self.pe_node(s.pe)).vrfs[vrf.index];
                 let name = format!("vrf.{}.pe{}.forwarded", self.vpn_name(s.vpn), s.pe);
                 snap.push_counter(name, fib.forwarded);
             }

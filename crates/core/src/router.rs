@@ -170,11 +170,10 @@ pub enum VrfRoute {
     },
 }
 
-/// One VRF's data-plane state on a PE.
+/// One VRF's data-plane state on a PE. It is named by the VPN whose VRF
+/// fills its slot (see `ProviderNetwork::vrf_handle`).
 #[derive(Debug, Default)]
 pub struct VrfFib {
-    /// VRF display name.
-    pub name: String,
     /// Per-VRF forwarding table.
     pub fib: LpmTrie<VrfRoute>,
     /// Route cache for ingress (customer → label imposition) lookups.
@@ -274,14 +273,8 @@ impl PeRouter {
     }
 
     /// Adds a VRF, returning its index.
-    pub fn add_vrf(&mut self, name: impl Into<String>) -> usize {
-        self.vrfs.push(VrfFib {
-            name: name.into(),
-            fib: LpmTrie::new(),
-            ingress_cache: LpmCache::default(),
-            egress_cache: LpmCache::default(),
-            forwarded: 0,
-        });
+    pub fn add_vrf(&mut self) -> usize {
+        self.vrfs.push(VrfFib::default());
         self.vrfs.len() - 1
     }
 
@@ -599,7 +592,7 @@ mod tests {
     fn end_to_end_vpn_path_php() {
         // PE0: core iface 0 (to P), customer iface 1 (to CE0).
         let mut pe0 = PeRouter::new("PE0", Lfib::new(), 1);
-        let v0 = pe0.add_vrf("acme");
+        let v0 = pe0.add_vrf();
         pe0.attach_customer_iface(v0); // iface 1
         pe0.tunnels = vec![None, Some(FtnEntry { push: Some(100), out_iface: 0 })];
         pe0.vrfs[v0].install_remote(pfx("10.2.0.0/16"), 1, 500, None);
@@ -611,7 +604,7 @@ mod tests {
 
         // PE1: core iface 0 (to P), customer iface 1 (to CE1).
         let mut pe1 = PeRouter::new("PE1", Lfib::new(), 1);
-        let v1 = pe1.add_vrf("acme");
+        let v1 = pe1.add_vrf();
         pe1.attach_customer_iface(v1); // iface 1
         pe1.install_vpn_label(500, v1);
         pe1.install_local_route(v1, pfx("10.2.0.0/16"), 1);
@@ -660,7 +653,7 @@ mod tests {
     #[test]
     fn pe_drops_unknown_vpn_label() {
         let mut pe = PeRouter::new("PE", Lfib::new(), 1);
-        pe.add_vrf("x");
+        pe.add_vrf();
         let (mut net, rec) = recorded_network();
         let pe_id = net.add_node(Box::new(pe));
         let peer = net.add_node(Box::new(netsim_sim::node::BlackHole::default()));
@@ -742,7 +735,7 @@ mod tests {
     fn routers_absorb_garbage_gracefully() {
         let (mut net, rec) = recorded_network();
         let mut pe = PeRouter::new("PE", Lfib::new(), 1);
-        let v = pe.add_vrf("x");
+        let v = pe.add_vrf();
         pe.attach_customer_iface(v);
         let pe_id = net.add_node(Box::new(pe));
         let core_peer = net.add_node(Box::new(netsim_sim::node::BlackHole::default()));

@@ -22,6 +22,7 @@
 //! injecting traffic or faults.
 
 use netsim_mpls::Nhlfe;
+use netsim_routing::VrfHandle;
 use netsim_verify::{
     codes, lint_ef_admission, lint_exp_map, lint_red_profile, verify_isolation, verify_label_plane,
     LabelPlane, Severity, StackWalk, VerifyReport, VrfPolicy,
@@ -95,15 +96,13 @@ impl ProviderNetwork {
         }
         for (k, &pe_topo) in self.pes.iter().enumerate() {
             let pe = self.net.node_ref::<PeRouter>(self.node_ids[pe_topo]);
-            for (vrf_idx, vrf) in pe.vrfs.iter().enumerate() {
-                let selected = (0..self.vpns.len())
-                    .find_map(|v| self.vrf_handles.get(&(k, VpnId(v))).filter(|h| h.1 == vrf_idx))
-                    .map(|&(handle, _)| self.fabric.routes(handle));
+            for (index, (vrf, vpn)) in pe.vrfs.iter().zip(&self.vrf_vpns[k]).enumerate() {
+                let selected = self.fabric.routes(VrfHandle { pe: k, index });
                 for (prefix, route) in vrf.fib.iter() {
                     let VrfRoute::Remote { egress_pe, vpn_label, .. } = route else {
                         continue;
                     };
-                    let fec = format!("PE{k} vrf {} {prefix}", vrf.name);
+                    let fec = format!("PE{k} vrf {} {prefix}", self.vpns[vpn.0].name);
                     let Some(tunnel) = PeRouter::resolve_tunnel(&pe.tunnels, route) else {
                         report.push(
                             codes::LBL_BLACKHOLE,
@@ -117,7 +116,7 @@ impl ProviderNetwork {
                     // as its next hop; its stack unwinds at the PE that
                     // originated it, the fabric's selection.
                     let origin = selected
-                        .and_then(|routes| routes.get(prefix))
+                        .get(prefix)
                         .map(|r| r.egress_pe)
                         .filter(|&o| !self.same_domain(o, k))
                         .unwrap_or(*egress_pe);
@@ -140,13 +139,12 @@ impl ProviderNetwork {
     /// deterministic diagnostics.
     fn vrf_policies(&self) -> Vec<VrfPolicy> {
         let mut policies: Vec<VrfPolicy> = self
-            .vrf_handles
-            .iter()
-            .map(|(&(pe, vpn), &(handle, _))| VrfPolicy {
-                name: format!("PE{pe}:{}", self.vpns[vpn.0].name),
+            .vrfs()
+            .map(|(vrf, vpn)| VrfPolicy {
+                name: format!("PE{}:{}", vrf.pe, self.vpns[vpn.0].name),
                 vpn: vpn.0,
-                imports: self.fabric.import_targets(handle).iter().map(|rt| rt.0).collect(),
-                exports: self.fabric.export_targets(handle).iter().map(|rt| rt.0).collect(),
+                imports: self.fabric.import_targets(vrf).iter().map(|rt| rt.0).collect(),
+                exports: self.fabric.export_targets(vrf).iter().map(|rt| rt.0).collect(),
             })
             .collect();
         policies.sort_by(|a, b| a.name.cmp(&b.name));

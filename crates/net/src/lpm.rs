@@ -33,8 +33,10 @@ impl<V> Node<V> {
 
 /// One remembered lookup: a destination and the trie node it resolved to
 /// (`NONE` for a miss), stamped with the trie's version plus one, so the
-/// all-zero way of a new cache matches no trie.
+/// all-zero way of a new cache matches no trie. Aligned to its size, so a
+/// lookup reads one cache line wherever its owner puts the cache.
 #[derive(Clone, Copy, Debug, Default)]
+#[repr(align(16))]
 struct Way {
     dst: Ip,
     node: u32,

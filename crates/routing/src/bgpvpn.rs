@@ -49,7 +49,9 @@ impl std::fmt::Display for RouteDistinguisher {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct RouteTarget(pub u64);
 
-/// Identifies one VRF instance on one PE.
+/// Identifies one VRF instance on one PE. A provider network creates each
+/// VRF on the fabric and on the PE router together, so `index` is also the
+/// VRF's slot in the PE's data plane.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct VrfHandle {
     /// The PE hosting the VRF.
@@ -110,14 +112,13 @@ impl VpnRouteAd {
     }
 }
 
-/// One VRF's control-plane state.
+/// One VRF's control-plane state. The routes it originates live only in
+/// the RIB, as advertisements whose `origin` is the VRF.
 #[derive(Debug)]
 struct VrfControl {
     rd: RouteDistinguisher,
     import: Vec<RouteTarget>,
     export: Vec<RouteTarget>,
-    /// Prefixes this VRF originates, with their VPN labels.
-    local: Vec<(Prefix, u32)>,
     /// Imported remote routes.
     table: LpmTrie<RemoteRoute>,
 }
@@ -148,8 +149,11 @@ pub const VPN_LABEL_BASE: u32 = 1 << 17;
 ///   advertisement;
 /// * [`withdraw`](Self::withdraw): every VRF that held the withdrawn
 ///   route;
-/// * [`refresh_vrf`](Self::refresh_vrf) and
-///   [`refilter_vrf`](Self::refilter_vrf): every prefix of the one VRF.
+/// * [`add_vrf`](Self::add_vrf) and [`refilter_vrf`](Self::refilter_vrf):
+///   every prefix of the one VRF.
+///
+/// A VRF's own routes are its advertisements in the RIB, each with the
+/// VPN label it was advertised under; there is no second record of them.
 ///
 /// **Invariant:** after an operation, every pair it touched holds the
 /// rule's answer. A pair no operation touched can hold a stale import:
@@ -194,17 +198,23 @@ impl BgpVpnFabric {
         self.messages
     }
 
-    /// Creates a VRF on `pe` with the given RD and import/export targets.
+    /// Creates a VRF on `pe` with the given RD and import/export targets,
+    /// next after the PE's existing VRFs, and replays the RIB to it: the
+    /// route reflector sends one update per advertisement the VRF imports
+    /// (none before any advertisement), and the VRF selects every prefix
+    /// (the "new site joins" path of experiment M1). Returns the handle and
+    /// every route the VRF installed, in prefix order.
     pub fn add_vrf(
         &mut self,
         pe: usize,
         rd: RouteDistinguisher,
         import: Vec<RouteTarget>,
         export: Vec<RouteTarget>,
-    ) -> VrfHandle {
+    ) -> (VrfHandle, Vec<(Prefix, Option<RemoteRoute>)>) {
         let vrfs = &mut self.pes[pe].vrfs;
-        vrfs.push(VrfControl { rd, import, export, local: Vec::new(), table: LpmTrie::new() });
-        VrfHandle { pe, index: vrfs.len() - 1 }
+        vrfs.push(VrfControl { rd, import, export, table: LpmTrie::new() });
+        let vrf = VrfHandle { pe, index: vrfs.len() - 1 };
+        (vrf, self.reselect_all(vrf, true))
     }
 
     /// Adds an import target to a VRF (extranet provisioning). Takes
@@ -246,17 +256,15 @@ impl BgpVpnFabric {
     }
 
     /// Advertises `prefix` from `vrf` (a connected customer route learned
-    /// from the attached CE): allocates a VPN label, records it as the
-    /// VRF's local route, and reselects the prefix in every VRF that
-    /// imports the new advertisement. The PE's data plane dispatches the
-    /// label (`vpn_ilm` of the PE router), not the fabric.
-    /// Returns the VPN label and every VRF whose route moved, in fabric
-    /// order (PE, then VRF index).
+    /// from the attached CE): allocates a VPN label, adds the advertisement
+    /// to the RIB, and reselects the prefix in every VRF that imports it.
+    /// The PE's data plane dispatches the label (`vpn_ilm` of the PE
+    /// router), not the fabric. Returns the VPN label and every VRF whose
+    /// route moved, in fabric order (PE, then VRF index).
     pub fn advertise(&mut self, vrf: VrfHandle, prefix: Prefix) -> (u32, Vec<RouteChange>) {
         let pe = &mut self.pes[vrf.pe];
         let label = pe.label_space.allocate();
-        let v = &mut pe.vrfs[vrf.index];
-        v.local.push((prefix, label));
+        let v = &pe.vrfs[vrf.index];
         let ad = VpnRouteAd {
             rd: v.rd,
             prefix,
@@ -286,14 +294,17 @@ impl BgpVpnFabric {
         (label, changed)
     }
 
-    /// Withdraws a previously advertised prefix (the earliest of any
-    /// duplicate advertisements): frees the label, drops the local route
+    /// Withdraws the advertisement of `prefix` that `vrf` made under VPN
+    /// label `label` (a VRF may advertise one prefix for several sites,
+    /// each under its own label): removes it from the RIB, frees the label
     /// and reselects the prefix in every VRF that held the route — where
-    /// another PE still advertises the same prefix (a multihomed site),
-    /// that fails the VRF over to the next-best path. Returns every VRF
-    /// that held the withdrawn route, with its failover, in fabric order.
-    pub fn withdraw(&mut self, vrf: VrfHandle, prefix: Prefix) -> Vec<RouteChange> {
-        let Some(at) = self.run(prefix).find(|&i| self.rib[i].origin == vrf) else {
+    /// another advertisement of the prefix stays importable (a multihomed
+    /// site), that fails the VRF over to the next-best path. Returns every
+    /// VRF whose route moved, with its failover, in fabric order; nothing
+    /// when no such advertisement is left.
+    pub fn withdraw(&mut self, vrf: VrfHandle, prefix: Prefix, label: u32) -> Vec<RouteChange> {
+        let mine = |ad: &VpnRouteAd| ad.origin == vrf && ad.vpn_label == label;
+        let Some(at) = self.run(prefix).find(|&i| mine(&self.rib[i])) else {
             return Vec::new();
         };
         let mut ad = self.rib.remove(at);
@@ -308,9 +319,7 @@ impl BgpVpnFabric {
                 changed.extend(self.reselect(h, prefix).map(|now| (h, now)));
             }
         }
-        let pe = &mut self.pes[vrf.pe];
-        pe.label_space.release(ad.vpn_label);
-        pe.vrfs[vrf.index].local.retain(|(p, _)| *p != prefix);
+        self.pes[vrf.pe].label_space.release(label);
         changed
     }
 
@@ -363,17 +372,6 @@ impl BgpVpnFabric {
         Some(now)
     }
 
-    /// Replays the RIB to a VRF (used after adding a VRF to an
-    /// already-running VPN — the "new site joins" path of experiment M1):
-    /// the route reflector sends one update per advertisement the VRF
-    /// imports, and the VRF then reselects every prefix as
-    /// [`BgpVpnFabric::refilter_vrf`] does, whose changes it returns.
-    pub fn refresh_vrf(&mut self, vrf: VrfHandle) -> Vec<(Prefix, Option<RemoteRoute>)> {
-        let replayed = self.rib.iter().filter(|ad| self.imports(vrf, ad)).count();
-        self.messages += replayed as u64;
-        self.refilter_vrf(vrf)
-    }
-
     /// Re-applies `vrf`'s *current* import policy to its table by
     /// reselecting every prefix in the RIB: routes no longer covered by
     /// any import target leave, and newly importable ones replace them or
@@ -383,12 +381,24 @@ impl BgpVpnFabric {
     /// new route (`None`: removed), in prefix order, so a caller
     /// maintaining a data-plane mirror can apply exactly the change.
     pub fn refilter_vrf(&mut self, vrf: VrfHandle) -> Vec<(Prefix, Option<RemoteRoute>)> {
+        self.reselect_all(vrf, false)
+    }
+
+    /// Reselects every prefix of the RIB in `vrf`, in one pass over it,
+    /// and returns the prefixes whose route moved. With `replay`, the
+    /// route reflector also sends the VRF one update per advertisement it
+    /// imports.
+    fn reselect_all(&mut self, vrf: VrfHandle, replay: bool) -> Vec<(Prefix, Option<RemoteRoute>)> {
         // A table holds no prefix the RIB lacks: a withdraw reselects
         // every VRF that held the route.
         let mut changes = Vec::new();
         let mut at = 0;
         while let Some(prefix) = self.rib.get(at).map(|ad| ad.prefix) {
-            at += self.rib[at..].iter().take_while(|ad| ad.prefix == prefix).count();
+            let run = at..at + self.rib[at..].iter().take_while(|ad| ad.prefix == prefix).count();
+            at = run.end;
+            if replay {
+                self.messages += run.filter(|&i| self.imports(vrf, &self.rib[i])).count() as u64;
+            }
             changes.extend(self.reselect(vrf, prefix).map(|now| (prefix, now)));
         }
         changes
@@ -399,17 +409,14 @@ impl BgpVpnFabric {
         &self.pes[vrf.pe].vrfs[vrf.index].table
     }
 
-    /// The locally originated `(prefix, vpn_label)` pairs of a VRF.
-    pub fn local_routes(&self, vrf: VrfHandle) -> &[(Prefix, u32)] {
-        &self.pes[vrf.pe].vrfs[vrf.index].local
-    }
-
-    /// Per-PE control state size: (VRFs, imported routes, live VPN labels).
-    /// The T1 state metric.
+    /// Per-PE control state size: (VRFs, routes, live VPN labels), where
+    /// the routes are the VRFs' imported ones plus the RIB advertisements
+    /// the PE originated. The T1 state metric.
     pub fn pe_state(&self, pe: usize) -> (usize, usize, u64) {
         let p = &self.pes[pe];
-        let routes = p.vrfs.iter().map(|v| v.table.len() + v.local.len()).sum();
-        (p.vrfs.len(), routes, p.label_space.live())
+        let imported: usize = p.vrfs.iter().map(|v| v.table.len()).sum();
+        let originated = self.rib.iter().filter(|ad| ad.egress_pe == pe).count();
+        (p.vrfs.len(), imported + originated, p.label_space.live())
     }
 }
 
@@ -430,10 +437,10 @@ mod tests {
     #[test]
     fn overlapping_address_spaces_stay_separate() {
         let mut f = BgpVpnFabric::new(3);
-        let a0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
-        let a1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]);
-        let b0 = f.add_vrf(0, rd(2), vec![RT_B], vec![RT_B]);
-        let b2 = f.add_vrf(2, rd(2), vec![RT_B], vec![RT_B]);
+        let a0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]).0;
+        let a1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]).0;
+        let b0 = f.add_vrf(0, rd(2), vec![RT_B], vec![RT_B]).0;
+        let b2 = f.add_vrf(2, rd(2), vec![RT_B], vec![RT_B]).0;
 
         let (la, _) = f.advertise(a1, pfx("10.1.0.0/16"));
         let (lb, _) = f.advertise(b2, pfx("10.1.0.0/16")); // same prefix, other VPN
@@ -455,14 +462,17 @@ mod tests {
     #[test]
     fn labels_dispatch_to_the_right_vrf_at_egress() {
         let mut f = BgpVpnFabric::new(2);
-        let a = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
-        let b = f.add_vrf(0, rd(2), vec![RT_B], vec![RT_B]);
+        let a = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]).0;
+        let b = f.add_vrf(0, rd(2), vec![RT_B], vec![RT_B]).0;
         let (la, _) = f.advertise(a, pfx("10.0.0.0/8"));
         let (lb, _) = f.advertise(b, pfx("10.0.0.0/8"));
         assert_ne!(la, lb);
-        // Each label names its own VRF's prefix, and no other VRF's.
-        assert_eq!(f.local_routes(a), [(pfx("10.0.0.0/8"), la)]);
-        assert_eq!(f.local_routes(b), [(pfx("10.0.0.0/8"), lb)]);
+        // Each label withdraws its own VRF's advertisement, and no other
+        // VRF's.
+        assert!(f.withdraw(a, pfx("10.0.0.0/8"), lb).is_empty());
+        assert_eq!(f.pe_state(0), (2, 2, 2), "a wrong label withdraws nothing");
+        f.withdraw(a, pfx("10.0.0.0/8"), la);
+        assert_eq!(f.pe_state(0), (2, 1, 1));
         // PE1 hosts no VRF, so it dispatches nothing.
         assert_eq!(f.pe_state(1), (0, 0, 0));
     }
@@ -471,7 +481,7 @@ mod tests {
     fn message_counting_per_update() {
         let mut f = BgpVpnFabric::new(5);
         assert_eq!(f.session_count(), 5, "one session per PE, to the RR");
-        let v = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
+        let v = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]).0;
         f.advertise(v, pfx("192.168.0.0/24"));
         // PE → RR (1) + RR → 4 other PEs.
         assert_eq!(f.messages(), 5);
@@ -480,16 +490,15 @@ mod tests {
     #[test]
     fn withdraw_removes_route_and_frees_label() {
         let mut f = BgpVpnFabric::new(2);
-        let a0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
-        let a1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]);
+        let a0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]).0;
+        let a1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]).0;
         let (l, _) = f.advertise(a1, pfx("172.16.0.0/12"));
         assert!(f.routes(a0).lookup(pfx("172.16.0.0/12").addr()).is_some());
-        f.withdraw(a1, pfx("172.16.0.0/12"));
+        f.withdraw(a1, pfx("172.16.0.0/12"), l);
         assert!(f.routes(a0).lookup(pfx("172.16.0.0/12").addr()).is_none());
-        assert!(f.local_routes(a1).iter().all(|&(_, x)| x != l), "label {l} still dispatched");
-        assert_eq!(f.pe_state(1).2, 0, "label freed");
+        assert_eq!(f.pe_state(1), (1, 0, 0), "advertisement gone, label freed");
         // Idempotent on a second withdraw.
-        f.withdraw(a1, pfx("172.16.0.0/12"));
+        assert!(f.withdraw(a1, pfx("172.16.0.0/12"), l).is_empty());
     }
 
     #[test]
@@ -497,9 +506,9 @@ mod tests {
         // Spokes export RT_A, import RT_B; hub exports RT_B, imports RT_A:
         // spokes see only the hub, the hub sees all spokes.
         let mut f = BgpVpnFabric::new(3);
-        let hub = f.add_vrf(0, rd(10), vec![RT_A], vec![RT_B]);
-        let s1 = f.add_vrf(1, rd(11), vec![RT_B], vec![RT_A]);
-        let s2 = f.add_vrf(2, rd(12), vec![RT_B], vec![RT_A]);
+        let hub = f.add_vrf(0, rd(10), vec![RT_A], vec![RT_B]).0;
+        let s1 = f.add_vrf(1, rd(11), vec![RT_B], vec![RT_A]).0;
+        let s2 = f.add_vrf(2, rd(12), vec![RT_B], vec![RT_A]).0;
         f.advertise(hub, pfx("10.0.0.0/24"));
         f.advertise(s1, pfx("10.1.0.0/24"));
         f.advertise(s2, pfx("10.2.0.0/24"));
@@ -512,21 +521,23 @@ mod tests {
     }
 
     #[test]
-    fn late_joining_vrf_catches_up_with_refresh() {
+    fn late_joining_vrf_catches_up_on_creation() {
         let mut f = BgpVpnFabric::new(3);
-        let a0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
+        let a0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]).0;
         f.advertise(a0, pfx("10.0.0.0/24"));
-        let a1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]);
+        let a1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]).0;
         f.advertise(a1, pfx("10.1.0.0/24"));
-        // The late VRF missed the first update until refreshed.
-        let late = f.add_vrf(2, rd(1), vec![RT_A], vec![RT_A]);
-        assert!(f.routes(late).is_empty());
+        // The late VRF gets the RIB replayed as it is created.
         let before = f.messages();
-        let changes = f.refresh_vrf(late);
+        let (late, changes) = f.add_vrf(2, rd(1), vec![RT_A], vec![RT_A]);
         assert_eq!(f.messages() - before, 2, "the RR replays one update per route");
         assert_eq!(changes.len(), 2);
         assert!(changes.iter().all(|(p, r)| f.routes(late).get(*p) == r.as_ref()));
         assert_eq!(f.routes(late).len(), 2);
+        // A VRF created before any advertisement costs no message.
+        let mut fresh = BgpVpnFabric::new(2);
+        assert!(fresh.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]).1.is_empty());
+        assert_eq!(fresh.messages(), 0);
     }
 
     /// A site advertised from two PEs (multihoming): importers pick the
@@ -535,9 +546,9 @@ mod tests {
     #[test]
     fn multihomed_prefix_best_path_and_failover() {
         let mut f = BgpVpnFabric::new(3);
-        let v0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]); // importer
-        let v1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]); // primary home
-        let v2 = f.add_vrf(2, rd(1), vec![RT_A], vec![RT_A]); // backup home
+        let v0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]).0; // importer
+        let v1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]).0; // primary home
+        let v2 = f.add_vrf(2, rd(1), vec![RT_A], vec![RT_A]).0; // backup home
         let p = pfx("10.5.0.0/16");
         let (l1, _) = f.advertise(v1, p);
         let (l2, _) = f.advertise(v2, p);
@@ -545,11 +556,11 @@ mod tests {
         let r = f.routes(v0).lookup(p.addr()).copied().unwrap();
         assert_eq!((r.egress_pe, r.vpn_label), (1, l1));
         // Primary withdraws: importer fails over to PE2.
-        f.withdraw(v1, p);
+        f.withdraw(v1, p, l1);
         let r = f.routes(v0).lookup(p.addr()).copied().unwrap();
         assert_eq!((r.egress_pe, r.vpn_label), (2, l2));
         // Backup withdraws too: the prefix is gone.
-        f.withdraw(v2, p);
+        f.withdraw(v2, p, l2);
         assert!(f.routes(v0).lookup(p.addr()).is_none());
     }
 
@@ -558,18 +569,18 @@ mod tests {
     fn multihoming_is_order_independent() {
         let order_a = {
             let mut f = BgpVpnFabric::new(3);
-            let v0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
-            let v1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]);
-            let v2 = f.add_vrf(2, rd(1), vec![RT_A], vec![RT_A]);
+            let v0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]).0;
+            let v1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]).0;
+            let v2 = f.add_vrf(2, rd(1), vec![RT_A], vec![RT_A]).0;
             f.advertise(v1, pfx("10.5.0.0/16"));
             f.advertise(v2, pfx("10.5.0.0/16"));
             f.routes(v0).lookup(pfx("10.5.0.0/16").addr()).copied().unwrap().egress_pe
         };
         let order_b = {
             let mut f = BgpVpnFabric::new(3);
-            let v0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
-            let v1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]);
-            let v2 = f.add_vrf(2, rd(1), vec![RT_A], vec![RT_A]);
+            let v0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]).0;
+            let v1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]).0;
+            let v2 = f.add_vrf(2, rd(1), vec![RT_A], vec![RT_A]).0;
             f.advertise(v2, pfx("10.5.0.0/16"));
             f.advertise(v1, pfx("10.5.0.0/16"));
             f.routes(v0).lookup(pfx("10.5.0.0/16").addr()).copied().unwrap().egress_pe
@@ -583,9 +594,9 @@ mod tests {
     #[test]
     fn refilter_applies_import_policy_deltas() {
         let mut f = BgpVpnFabric::new(3);
-        let a0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
-        let a1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]);
-        let b2 = f.add_vrf(2, rd(2), vec![RT_B], vec![RT_B]);
+        let a0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]).0;
+        let a1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]).0;
+        let b2 = f.add_vrf(2, rd(2), vec![RT_B], vec![RT_B]).0;
         f.advertise(a1, pfx("10.1.0.0/16"));
         f.advertise(b2, pfx("10.9.0.0/16"));
         assert_eq!(f.routes(a0).len(), 1);
@@ -615,9 +626,9 @@ mod tests {
     #[test]
     fn refilter_drops_a_better_route_no_longer_imported() {
         let mut f = BgpVpnFabric::new(3);
-        let home0 = f.add_vrf(0, rd(1), vec![], vec![RT_A]);
-        let home1 = f.add_vrf(1, rd(2), vec![], vec![RT_B]);
-        let importer = f.add_vrf(2, rd(3), vec![RT_A, RT_B], vec![]);
+        let home0 = f.add_vrf(0, rd(1), vec![], vec![RT_A]).0;
+        let home1 = f.add_vrf(1, rd(2), vec![], vec![RT_B]).0;
+        let importer = f.add_vrf(2, rd(3), vec![RT_A, RT_B], vec![]).0;
         let p = pfx("10.4.4.0/24");
         f.advertise(home0, p);
         let (l1, _) = f.advertise(home1, p);
@@ -633,13 +644,31 @@ mod tests {
     #[test]
     fn pe_state_counts() {
         let mut f = BgpVpnFabric::new(2);
-        let a0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]);
-        let a1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]);
+        let a0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]).0;
+        let a1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]).0;
         f.advertise(a0, pfx("10.0.0.0/24"));
         f.advertise(a1, pfx("10.1.0.0/24"));
         let (vrfs, routes, labels) = f.pe_state(0);
         assert_eq!(vrfs, 1);
         assert_eq!(routes, 2, "one local + one imported");
         assert_eq!(labels, 1);
+    }
+
+    /// A VRF that advertises one prefix twice (two sites behind one PE)
+    /// and withdraws the first label keeps the second advertisement: it
+    /// still counts as the PE's route, and importers route with it.
+    #[test]
+    fn withdrawing_one_of_two_advertisements_keeps_the_other() {
+        let mut f = BgpVpnFabric::new(2);
+        let a0 = f.add_vrf(0, rd(1), vec![RT_A], vec![RT_A]).0;
+        let a1 = f.add_vrf(1, rd(1), vec![RT_A], vec![RT_A]).0;
+        let p = pfx("10.1.0.0/16");
+        let (first, _) = f.advertise(a0, p);
+        let (second, _) = f.advertise(a0, p);
+        let changed = f.withdraw(a0, p, first);
+        let now = RemoteRoute { egress_pe: 0, vpn_label: second, rd: rd(1) };
+        assert_eq!(changed, [(a1, Some(now))]);
+        assert_eq!(f.pe_state(0), (1, 1, 1));
+        assert_eq!(f.routes(a1).get(p), Some(&now));
     }
 }

@@ -34,8 +34,8 @@
 //! let rt = RouteTarget(1);
 //! let rd = RouteDistinguisher::new(65000, 1);
 //! let mut fabric = BgpVpnFabric::new(2);
-//! let a = fabric.add_vrf(0, rd, vec![rt], vec![rt]);
-//! let b = fabric.add_vrf(1, rd, vec![rt], vec![rt]);
+//! let (a, _) = fabric.add_vrf(0, rd, vec![rt], vec![rt]);
+//! let (b, _) = fabric.add_vrf(1, rd, vec![rt], vec![rt]);
 //! let (label, _) = fabric.advertise(b, "10.2.0.0/16".parse().unwrap());
 //! let route = fabric.routes(a).lookup("10.2.0.9".parse().unwrap()).unwrap();
 //! assert_eq!((route.egress_pe, route.vpn_label), (1, label));

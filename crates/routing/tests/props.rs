@@ -203,10 +203,13 @@ impl ScanFabric {
         changed
     }
 
-    /// Removes the earliest matching advertisement and touches every VRF
-    /// that held its route.
-    fn withdraw(&mut self, origin: usize, prefix: Prefix) -> Vec<RouteChange> {
-        let Some(pos) = self.rib.iter().position(|ad| (ad.0, ad.1) == (origin, prefix)) else {
+    /// Removes the advertisement `origin` made of `prefix` under `label`
+    /// and touches every VRF that held its route.
+    fn withdraw(&mut self, origin: usize, prefix: Prefix, label: u32) -> Vec<RouteChange> {
+        let mine = |ad: &(usize, Prefix, RemoteRoute, _)| {
+            (ad.0, ad.1, ad.2.vpn_label) == (origin, prefix, label)
+        };
+        let Some(pos) = self.rib.iter().position(mine) else {
             return Vec::new();
         };
         let (_, _, gone, _) = self.rib.remove(pos);
@@ -235,20 +238,20 @@ impl ScanFabric {
 fn withdraw_reaches_a_stale_import_and_fails_over() {
     let (rt_a, rt_b) = (RouteTarget(1), RouteTarget(2));
     let mut f = BgpVpnFabric::new(3);
-    let home0 = f.add_vrf(0, RouteDistinguisher::new(65000, 1), vec![], vec![rt_a]);
-    let importer = f.add_vrf(1, RouteDistinguisher::new(65000, 2), vec![rt_a, rt_b], vec![]);
-    let home2 = f.add_vrf(2, RouteDistinguisher::new(65000, 3), vec![], vec![rt_b]);
+    let home0 = f.add_vrf(0, RouteDistinguisher::new(65000, 1), vec![], vec![rt_a]).0;
+    let importer = f.add_vrf(1, RouteDistinguisher::new(65000, 2), vec![rt_a, rt_b], vec![]).0;
+    let home2 = f.add_vrf(2, RouteDistinguisher::new(65000, 3), vec![], vec![rt_b]).0;
     let p: Prefix = "10.9.0.0/24".parse().unwrap();
-    f.advertise(home0, p);
+    let (label0, _) = f.advertise(home0, p);
     let (label2, _) = f.advertise(home2, p);
     assert_eq!(f.routes(importer).get(p).map(|r| r.egress_pe), Some(0));
     f.remove_import_target(importer, rt_a);
     let alt =
         RemoteRoute { egress_pe: 2, vpn_label: label2, rd: RouteDistinguisher::new(65000, 3) };
-    assert_eq!(f.withdraw(home0, p), vec![(importer, Some(alt))]);
+    assert_eq!(f.withdraw(home0, p, label0), vec![(importer, Some(alt))]);
     assert_eq!(f.routes(importer).get(p), Some(&alt));
     f.remove_import_target(importer, rt_b);
-    assert_eq!(f.withdraw(home2, p), vec![(importer, None)]);
+    assert_eq!(f.withdraw(home2, p, label2), vec![(importer, None)]);
     assert!(f.routes(importer).is_empty());
 }
 
@@ -356,9 +359,10 @@ proptest! {
             (0..4).filter(|b| bits & (1 << b) != 0).map(|b| RouteTarget(b as u64)).collect()
         };
         let mut f = BgpVpnFabric::new(pe_count);
-        let importer = f.add_vrf(0, RouteDistinguisher::new(65000, 1), rts(import_bits), vec![]);
+        let importer =
+            f.add_vrf(0, RouteDistinguisher::new(65000, 1), rts(import_bits), vec![]).0;
         let exporter =
-            f.add_vrf(1, RouteDistinguisher::new(65000, 2), vec![], rts(export_bits));
+            f.add_vrf(1, RouteDistinguisher::new(65000, 2), vec![], rts(export_bits)).0;
         let p: Prefix = "192.168.0.0/24".parse().unwrap();
         f.advertise(exporter, p);
         let should_import = import_bits & export_bits != 0;
@@ -377,7 +381,8 @@ proptest! {
         let rd = RouteDistinguisher::new(65000, 9);
         let build = |with_extra: bool| {
             let mut f = BgpVpnFabric::new(4);
-            let handles: Vec<_> = (0..4).map(|pe| f.add_vrf(pe, rd, vec![rt], vec![rt])).collect();
+            let handles: Vec<_> =
+                (0..4).map(|pe| f.add_vrf(pe, rd, vec![rt], vec![rt]).0).collect();
             for (pe, third) in &others {
                 let p = Prefix::new(Ip(0xC0A8_0000 | (u32::from(*third) << 8)), 24);
                 f.advertise(handles[*pe as usize % 4], p);
@@ -385,8 +390,8 @@ proptest! {
             if with_extra {
                 let extra: Prefix = "172.16.0.0/12".parse().unwrap();
                 let h = handles[target_pe as usize % 4];
-                f.advertise(h, extra);
-                f.withdraw(h, extra);
+                let (label, _) = f.advertise(h, extra);
+                f.withdraw(h, extra, label);
             }
             let tables: Vec<Vec<(Prefix, usize, u32)>> = handles
                 .iter()
@@ -429,13 +434,13 @@ proptest! {
                 let mut import = vec![RouteTarget(vpn)];
                 import.extend((0..3).filter(|b| extra & (1 << b) != 0).map(RouteTarget));
                 let rd = RouteDistinguisher::new(65000, vpn as u32);
-                f.add_vrf(pe % pe_count, rd, import, vec![RouteTarget(vpn)])
+                f.add_vrf(pe % pe_count, rd, import, vec![RouteTarget(vpn)]).0
             })
             .collect();
         let selected = |f: &BgpVpnFabric, p: Prefix| -> Vec<Option<RemoteRoute>> {
             handles.iter().map(|&h| f.routes(h).get(p).copied()).collect()
         };
-        let mut advertised: Vec<(VrfHandle, Prefix)> = Vec::new();
+        let mut advertised: Vec<(VrfHandle, Prefix, u32)> = Vec::new();
         for (kind, a, b) in ops {
             let vrf = handles[a % handles.len()];
             let prefix = Prefix::new(Ip(0x0A00_0000 | (((b % 3) as u32) << 16)), 16);
@@ -443,17 +448,18 @@ proptest! {
             let (prefix, before, reported) = match kind {
                 0 | 1 => {
                     let before = selected(&f, prefix);
-                    advertised.push((vrf, prefix));
-                    (prefix, before, f.advertise(vrf, prefix).1)
+                    let (label, reported) = f.advertise(vrf, prefix);
+                    advertised.push((vrf, prefix, label));
+                    (prefix, before, reported)
                 }
                 2 | 3 => {
-                    let (vrf, prefix) = if advertised.is_empty() {
-                        (vrf, prefix) // nothing to withdraw: a no-op
+                    let (vrf, prefix, label) = if advertised.is_empty() {
+                        (vrf, prefix, 0) // nothing to withdraw: a no-op
                     } else {
                         advertised.swap_remove(a % advertised.len())
                     };
                     let before = selected(&f, prefix);
-                    (prefix, before, f.withdraw(vrf, prefix))
+                    (prefix, before, f.withdraw(vrf, prefix, label))
                 }
                 4 => {
                     f.remove_import_target(vrf, rt);
@@ -481,13 +487,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The route reflector's holder index and sorted RIB lose nothing:
-    /// after every random step, what `advertise`, `withdraw`,
-    /// `refresh_vrf` and `refilter_vrf` report and every VRF table equal
-    /// the full-scan reference. Prefixes come from a pool of
-    /// three, so sites are multihomed; one prefix is always advertised
-    /// from two PEs first. Import targets come and go without a refilter,
-    /// leaving stale imports for a withdraw to find, and sites join a
-    /// running fabric through `refresh_vrf`.
+    /// after every random step, what `advertise`, `withdraw` (by label),
+    /// `add_vrf` and `refilter_vrf` report and every VRF table equal the
+    /// full-scan reference. Prefixes come from a pool of three, so sites
+    /// are multihomed, and a VRF may advertise one prefix twice; one
+    /// prefix is always advertised from two PEs first. Import targets come
+    /// and go without a refilter, leaving stale imports for a withdraw to
+    /// find, and VRFs join a running fabric through `add_vrf`'s replay.
     #[test]
     fn route_reflector_index_matches_full_scan(
         pe_count in 2usize..5,
@@ -503,19 +509,23 @@ proptest! {
             import.extend((0..3).filter(|b| extra & (1 << b) != 0).map(RouteTarget));
             let rd = RouteDistinguisher::new(65000, scan.vrfs.len() as u32);
             let export = vec![RouteTarget(vpn)];
-            let handle = f.add_vrf(pe, rd, import.clone(), export.clone());
+            let (handle, replayed) = f.add_vrf(pe, rd, import.clone(), export.clone());
             scan.vrfs.push(ScanVrf { handle, import, export, rd, table: BTreeMap::new() });
+            (replayed, scan.refilter(scan.vrfs.len() - 1))
         };
         for (i, &(pe, vpn, extra)) in vrfs.iter().enumerate() {
             // The first two VRFs sit on PEs 0 and 1 and export target 0.
             let (pe, vpn) = if i < 2 { (i, 0) } else { (pe % pe_count, vpn) };
-            add_vrf(&mut f, &mut scan, pe, vpn, extra);
+            let (replayed, expected) = add_vrf(&mut f, &mut scan, pe, vpn, extra);
+            prop_assert!(replayed.is_empty());
+            prop_assert!(expected.is_empty());
         }
         let multihomed = Prefix::new(Ip(0x0A00_0000), 16);
-        let mut advertised: Vec<(usize, Prefix)> = vec![(0, multihomed), (1, multihomed)];
-        for &(i, p) in &advertised {
-            let (label, reported) = f.advertise(scan.vrfs[i].handle, p);
-            prop_assert_eq!(reported, scan.advertise(i, p, label));
+        let mut advertised: Vec<(usize, Prefix, u32)> = Vec::new();
+        for i in 0..2 {
+            let (label, reported) = f.advertise(scan.vrfs[i].handle, multihomed);
+            prop_assert_eq!(reported, scan.advertise(i, multihomed, label));
+            advertised.push((i, multihomed, label));
         }
         for (kind, a, b) in ops {
             let i = a % scan.vrfs.len();
@@ -524,18 +534,18 @@ proptest! {
             let rt = RouteTarget((b % 3) as u64);
             match kind {
                 0 | 1 => {
-                    advertised.push((i, prefix));
                     let (label, reported) = f.advertise(vrf, prefix);
                     prop_assert_eq!(reported, scan.advertise(i, prefix, label));
+                    advertised.push((i, prefix, label));
                 }
                 2 | 3 => {
-                    let (i, prefix) = if advertised.is_empty() {
-                        (i, prefix) // nothing to withdraw: a no-op
+                    let (i, prefix, label) = if advertised.is_empty() {
+                        (i, prefix, 0) // nothing to withdraw: a no-op
                     } else {
                         advertised.swap_remove(b % advertised.len())
                     };
-                    let reported = f.withdraw(scan.vrfs[i].handle, prefix);
-                    prop_assert_eq!(reported, scan.withdraw(i, prefix));
+                    let reported = f.withdraw(scan.vrfs[i].handle, prefix, label);
+                    prop_assert_eq!(reported, scan.withdraw(i, prefix, label));
                 }
                 4 => {
                     f.remove_import_target(vrf, rt);
@@ -547,17 +557,14 @@ proptest! {
                         scan.vrfs[i].import.push(rt);
                     }
                 }
-                6 => {
-                    prop_assert_eq!(f.refresh_vrf(vrf), scan.refilter(i));
-                }
-                7 => {
+                6 | 7 => {
                     prop_assert_eq!(f.refilter_vrf(vrf), scan.refilter(i));
                 }
                 8 => {
                     // A site joins the running fabric.
-                    add_vrf(&mut f, &mut scan, a % pe_count, (b % 3) as u64, (b / 3 % 8) as u8);
-                    let new = scan.vrfs.len() - 1;
-                    prop_assert_eq!(f.refresh_vrf(scan.vrfs[new].handle), scan.refilter(new));
+                    let (pe, vpn, extra) = (a % pe_count, (b % 3) as u64, (b / 3 % 8) as u8);
+                    let (replayed, expected) = add_vrf(&mut f, &mut scan, pe, vpn, extra);
+                    prop_assert_eq!(replayed, expected);
                 }
                 _ => {
                     // Extranet provisioning: a new import target, applied.

@@ -3,7 +3,7 @@
 //! Enough of TCP to make queues *react*: slow start, congestion avoidance,
 //! fast retransmit on three duplicate ACKs, RTO with Jacobson's estimator,
 //! cumulative ACKs. This is what turns RED from a curiosity into a win —
-//! the AQM ablation (`exp_aqm`) runs these sources against tail-drop and
+//! the AQM ablation (`exp_all A1`) runs these sources against tail-drop and
 //! RED bottlenecks.
 //!
 //! Simplifications (documented, deliberate): segment = one packet, no
