@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that every backbone comes from the one builder.
 
-Three rules over non-test code, cut as `count_lines.py` cuts it (each file
+Four rules over non-test code, cut as `count_lines.py` cuts it (each file
 up to its first unindented `#[cfg(test)]` line), in the files it counts
 (`.rs` under `crates/*/src` and `crates/*/benches`, shims skipped) plus
 `examples/`, `perfbench/src` and the root `src/`:
@@ -12,6 +12,10 @@ up to its first unindented `#[cfg(test)]` line), in the files it counts
    as the reference for the routers' own label distribution.
 3. `crates/core/src/ipsec_vpn.rs` names no `Igp`: the IPsec baseline's
    routers forward on their own SPF views.
+4. Only `ProviderNetwork` admits trunks: no file under `crates/bench/src`,
+   `examples/`, `perfbench/src` or the root `src/` calls `cspf_path` or
+   copies a network's topology (`.topo.clone()`) to place paths beside
+   the network's own record.
 
 Usage: python3 .github/check_one_builder.py
 Prints each offending line and exits 1 if any rule is broken.
@@ -35,6 +39,9 @@ RULES = [
     (re.compile(r"\bIgp\b"),
      lambda path: path != "crates/core/src/ipsec_vpn.rs",
      "gives the IPsec network a global IGP"),
+    (re.compile(r"\bcspf_path\b|\.topo\.clone\(\)"),
+     lambda path: not path.startswith(("crates/bench/src/", "examples/", "perfbench/src/", "src/")),
+     "admits a trunk outside ProviderNetwork"),
 ]
 
 

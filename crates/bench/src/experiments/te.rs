@@ -7,14 +7,15 @@
 //!
 //! Two 6.5 Mb/s trunks cross the fish topology (two 10 Mb/s paths). Under
 //! IGP routing both pile onto the short path (13 Mb/s offered on 10 —
-//! heavy loss). With CSPF admission the second trunk is pinned to the long
-//! path and both flows are clean.
+//! heavy loss). With CSPF admission the network places the second trunk on
+//! the long path, each flow is pinned to its own trunk's LSP, and both
+//! flows are clean. Each row prints the path its flow rides, walked
+//! through the live LFIBs.
 
 use mplsvpn_core::{BackboneBuilder, ProviderNetwork};
 use netsim_net::addr::pfx;
 use netsim_qos::Nanos;
 use netsim_sim::{LinkId, Sink, SourceConfig, SEC};
-use netsim_te::{TeDomain, TrunkRequest};
 
 use crate::table::{ms, pct, Table};
 use crate::topo;
@@ -51,29 +52,25 @@ pub fn measure(with_te: bool, duration: Nanos) -> TeResult {
     let (a, b) = (mplsvpn_core::SiteId(0), mplsvpn_core::SiteId(1));
     let sink = pn.attach_sink(b, pfx("10.2.0.0/16"));
 
-    let mut used_paths: Vec<Vec<usize>> = Vec::new();
-    if with_te {
-        // CSPF admission over the same topology the backbone runs.
-        let mut te = TeDomain::new(pn.topo.clone());
-        let (t1, _) = te.signal(TrunkRequest::new(0, 4, DEMAND_BPS)).expect("trunk 1");
-        let (t2, _) = te.signal(TrunkRequest::new(0, 4, DEMAND_BPS)).expect("trunk 2");
-        let p1 = te.path(t1).unwrap().to_vec();
-        let p2 = te.path(t2).unwrap().to_vec();
-        // Trunk 1 keeps the IGP/LDP short path (CSPF chose it too). Trunk 2
-        // is pinned onto an explicit LSP along the CSPF detour: flow 2's
-        // destination half of the site block (10.2.128.0/17) rides it.
-        let ftn2 = pn.install_explicit_lsp(&p2);
-        pn.pin_prefix_to_tunnel(vpn, 0, pfx("10.2.128.0/17"), ftn2);
-        // The pinned LSP and the trunk ledgers must both pass the verifier.
-        let mut report = pn.verify();
-        netsim_verify::verify_te(&te, &mut report);
-        report.assert_clean("te experiment, trunks placed");
-        used_paths.push(p1);
-        used_paths.push(p2);
+    // The path each flow rides, walked through the live LFIBs.
+    let used_paths = if with_te {
+        // CSPF admission over the live backbone: trunk 1 takes the short
+        // path, trunk 2 the detour. Each flow's half of the destination
+        // block (10.2.0.0/17 and 10.2.128.0/17) is pinned to its own
+        // trunk's LSP, so each row is the path its flow rides.
+        let mut paths = Vec::new();
+        for half in [pfx("10.2.0.0/17"), pfx("10.2.128.0/17")] {
+            let trunk = pn.admit_trunk(0, 4, DEMAND_BPS).expect("CSPF finds room for each trunk");
+            pn.pin_prefix_to_tunnel(vpn, 0, half, trunk.ftn);
+            paths.push(pn.trunk_lsp_path(&trunk).expect("a trunk's LSP reaches its egress"));
+        }
+        // The pinned LSPs and the trunk record must pass the verifier.
+        pn.verify().assert_clean("te experiment, trunks placed");
+        paths
     } else {
-        used_paths.push(vec![0, 1, 4]);
-        used_paths.push(vec![0, 1, 4]);
-    }
+        let igp = pn.lsp_path(0, 1).expect("an LDP LSP between the PEs");
+        vec![igp.clone(), igp]
+    };
 
     // Two trunk flows: 972 B payload (1000 B wire) at 6.5 Mb/s each
     // → one packet every 1.2308 ms.

@@ -21,7 +21,8 @@
 //! CE routers classify and mark (CBQ/DSCP, [`router::CeRouter`]); the
 //! ingress PE maps DSCP into the MPLS EXP bits
 //! ([`netsim_qos::ExpMap`]); core links schedule on EXP (priority + RED);
-//! TE trunks steer traffic away from congestion ([`netsim_te`]).
+//! TE trunks steer traffic away from congestion
+//! ([`ProviderNetwork::admit_trunk`], CSPF from [`netsim_te`]).
 //!
 //! ## Baselines
 //!
@@ -43,6 +44,7 @@ pub mod obs;
 pub mod overlay;
 pub mod router;
 pub mod sla;
+mod te;
 mod verify;
 
 pub use control::{ControlMode, CtrlStats, CTRL_FLOW_BASE};

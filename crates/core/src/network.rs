@@ -140,6 +140,9 @@ pub struct SiteInfo {
     /// The VPN label the site's prefix is advertised under: the one
     /// advertisement a detach withdraws.
     pub label: u32,
+    /// The PE's interface toward the CE (32 bits, so the record stays
+    /// six words).
+    pub(crate) pe_iface: u32,
 }
 
 pub(crate) struct VpnInfo {
@@ -315,6 +318,7 @@ impl BackboneBuilder {
             core_qos: self.core_qos,
             extranets: Vec::new(),
             ef_contracts: Vec::new(),
+            trunks: Vec::new(),
             probes: Vec::new(),
         };
         pn.restart();
@@ -355,6 +359,9 @@ pub struct ProviderNetwork {
     pub(crate) core_qos: CoreQos,
     pub(crate) extranets: Vec<(VpnId, VpnId)>,
     pub(crate) ef_contracts: Vec<netsim_verify::EfContract>,
+    /// The admitted TE trunks ([`ProviderNetwork::admit_trunk`]): the one
+    /// record of their reservations and LSPs.
+    pub(crate) trunks: Vec<netsim_verify::Trunk>,
     pub(crate) probes: Vec<crate::obs::ProbeSpec>,
 }
 
@@ -455,7 +462,15 @@ impl ProviderNetwork {
         self.send_changes(pe, prefix, changed, false);
 
         let site = SiteId(self.sites.len());
-        self.sites.push(SiteInfo { vpn, pe, prefix, ce: ce_id, access_link, label });
+        self.sites.push(SiteInfo {
+            vpn,
+            pe,
+            prefix,
+            ce: ce_id,
+            access_link,
+            label,
+            pe_iface: u32::try_from(pe_if.0).expect("PE interface numbers fit 32 bits"),
+        });
         site
     }
 
@@ -463,10 +478,10 @@ impl ProviderNetwork {
     /// homing PE's local route and VPN-label dispatch, and takes the
     /// access link down. If the same prefix is still advertised from
     /// another PE (a dual-homed site), every importer fails over to the
-    /// surviving home. Only the site's own advertisement is withdrawn, but
-    /// two sites of a VPN with one prefix on one PE share its local route,
-    /// which either one's detach removes. Detaching a site again does
-    /// nothing.
+    /// surviving home. Only the site's own advertisement is withdrawn: when
+    /// another attached site of the VPN on the same PE owns the same
+    /// prefix, the PE's local route moves to that site's access
+    /// interface. Detaching a site again does nothing.
     pub fn detach_site(&mut self, site: SiteId) {
         let SiteInfo { vpn, pe, prefix, access_link, label, .. } = self.sites[site.0];
         if !self.net.link_enabled(access_link) {
@@ -474,15 +489,31 @@ impl ProviderNetwork {
         }
         let vrf = self.expect_vrf(pe, vpn);
         let changed = self.fabric.withdraw(vrf, prefix, label);
+        let heir = self
+            .sites
+            .iter()
+            .enumerate()
+            .find(|&(i, s)| {
+                i != site.0
+                    && (s.vpn, s.pe, s.prefix) == (vpn, pe, prefix)
+                    && self.net.link_enabled(s.access_link)
+            })
+            .map(|(_, s)| s.pe_iface as usize);
         {
             let per = self.net.node_mut::<PeRouter>(self.pe_node(pe));
-            per.vrfs[vrf.index].fib.remove(prefix);
+            match heir {
+                Some(iface) => per.install_local_route(vrf.index, prefix, iface),
+                None => {
+                    per.vrfs[vrf.index].fib.remove(prefix);
+                }
+            }
             per.vpn_ilm.remove(&label);
         }
         self.net.set_link_enabled(access_link, false);
-        // The detaching PE is the one touched device: it fails over
-        // locally to the route its local one masked (a dual-homed site).
-        if let Some(&masked) = self.fabric.routes(vrf).get(prefix) {
+        // The detaching PE is the one touched device: with no local owner
+        // left, it fails over locally to the route its local one masked
+        // (a dual-homed site).
+        if let Some(&masked) = self.fabric.routes(vrf).get(prefix).filter(|_| heir.is_none()) {
             self.apply_local(vrf, &[(prefix, Some(masked))]);
         }
         // Each VRF that held the withdrawn route gets a withdraw carrying
@@ -877,7 +908,7 @@ impl ProviderNetwork {
     }
 
     /// Follows a tunnel FTN from `start` through the live LFIBs.
-    fn walk_ftn(&self, start: usize, ftn: &netsim_mpls::FtnEntry) -> Walk {
+    pub(crate) fn walk_ftn(&self, start: usize, ftn: &netsim_mpls::FtnEntry) -> Walk {
         walk(self, start, ftn.push.as_slice(), ftn.out_iface)
     }
 
@@ -996,10 +1027,12 @@ impl ProviderNetwork {
     /// are allocated afresh and every LFIB is rebuilt (its counters carry
     /// over), so explicit LSPs installed via
     /// [`ProviderNetwork::install_explicit_lsp`] (fast-reroute bypasses
-    /// included) are gone, and every pinned route is back on its LDP
+    /// and admitted trunks included) are gone, the trunk record is
+    /// cleared with them, and every pinned route is back on its LDP
     /// tunnel.
     pub fn reconverge(&mut self) {
         self.restart();
+        self.trunks.clear();
         // Every VRF route is re-installed as LDP-following.
         self.sync_remote_routes();
     }
@@ -1426,6 +1459,29 @@ mod tests {
         let pe0 = pn.net.node_ref::<PeRouter>(pn.pe_node(0));
         assert_eq!(pe0.vpn_ilm.len(), 2);
         assert!(pe0.vpn_ilm.contains_key(&gone));
+    }
+
+    /// Two sites of a VPN own one prefix on one PE; detaching the second
+    /// moves PE0's local route to the first site's access link, so traffic
+    /// from a remote site still reaches the first one.
+    #[test]
+    fn detaching_one_of_two_same_prefix_sites_keeps_the_other_reachable() {
+        let mut pn = line();
+        let vpn = pn.new_vpn("acme");
+        let p = pfx("10.1.0.0/16");
+        let first = pn.add_site(vpn, 0, p, None);
+        let second = pn.add_site(vpn, 0, p, None);
+        let third = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
+        pn.run_for(0);
+        pn.detach_site(second);
+        pn.run_for(0);
+        let sink = pn.attach_sink(first, p);
+        let to = pn.site_addr(first, 9);
+        send_flow(&mut pn, third, to, 1, 20);
+        pn.run_for(SEC);
+        assert_eq!(pn.net.node_ref::<Sink>(sink).flow(1).map(|f| f.rx_packets), Some(20));
+        assert_eq!(pn.net.recorder().unwrap().total_drops(), 0);
+        pn.verify().assert_clean("one of two same-prefix sites detached");
     }
 
     /// A failed backbone link loses packets until detection; once the

@@ -1,9 +1,7 @@
 //! Static verification of a provisioned [`ProviderNetwork`].
 //!
-//! This module runs three of the four [`netsim_verify`] passes over a
-//! running provider network (the TE pass, [`netsim_verify::verify_te`],
-//! operates on a standalone [`netsim_te::TeDomain`] and is called
-//! directly by the experiments that build one):
+//! This module runs the four [`netsim_verify`] passes over a running
+//! provider network:
 //!
 //! 1. **Label plane** — the pass reads the routers' live tables through
 //!    [`LabelPlane`]: every router's installed LFIB is checked for
@@ -16,6 +14,11 @@
 //! 3. **QoS lints** — each PE's DSCP↔EXP map, the RED profile the
 //!    builder installs on the AF bands of a strict-priority core, and EF
 //!    admission against every backbone link.
+//! 4. **TE** — the pass reads the admitted trunks through
+//!    [`netsim_verify::TePlane`]: no link reserved past capacity, no
+//!    trunk unsatisfiable on an empty network, and every trunk's FTN,
+//!    walked over the links that are up, visits exactly the path it
+//!    reserved.
 //!
 //! A healthy network produced by [`crate::BackboneBuilder`] verifies
 //! clean; every experiment binary and example asserts this before
@@ -25,7 +28,7 @@ use netsim_mpls::Nhlfe;
 use netsim_routing::VrfHandle;
 use netsim_verify::{
     codes, lint_ef_admission, lint_exp_map, lint_red_profile, verify_isolation, verify_label_plane,
-    LabelPlane, Severity, StackWalk, VerifyReport, VrfPolicy,
+    verify_te, LabelPlane, Severity, StackWalk, VerifyReport, VrfPolicy,
 };
 
 use crate::network::{af_band_red, CoreQos, DsSched, ProviderNetwork, VpnId};
@@ -64,7 +67,10 @@ impl ProviderNetwork {
     /// route whose stack crosses the cut is reported as `V-LBL-001` until
     /// the routers repair it. Only VRF routes that have landed are walked:
     /// provisioning reaches remote PEs when the simulator runs
-    /// (`run_for(0)` under the oracle).
+    /// (`run_for(0)` under the oracle). An admitted trunk is walked the
+    /// same way, so a trunk whose path crosses a cut link is `V-TE-004`
+    /// until the link is repaired or [`ProviderNetwork::reconverge`]
+    /// clears the record.
     pub fn verify(&self) -> VerifyReport {
         let mut report = VerifyReport::new();
         let walks = self.stack_walks(&mut report);
@@ -73,6 +79,7 @@ impl ProviderNetwork {
             self.extranets.iter().map(|&(a, b)| (a.0, b.0)).collect();
         verify_isolation(&self.vrf_policies(), &extranets, &mut report);
         self.lint_qos(&mut report);
+        verify_te(self, &mut report);
         report
     }
 

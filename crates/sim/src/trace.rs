@@ -63,6 +63,9 @@ impl HopOp {
     /// The operation that turned `prev` (the packet's previous record, or
     /// `None` at its source) into `cur`. Labels both stacks share at the
     /// bottom were left alone; the rest of each stack is what changed.
+    /// Every device that sends a labelled packet applies a label
+    /// operation, so an unchanged non-empty stack is a swap to the same
+    /// label.
     pub fn between(prev: Option<&HopRecord>, cur: &HopRecord) -> HopOp {
         let Some(prev) = prev else {
             return HopOp::Originate;
@@ -77,6 +80,9 @@ impl HopOp {
         let old = &prev.labels[..prev.labels.len() - kept];
         let new = &cur.labels[..cur.labels.len() - kept];
         match (old, new) {
+            // An unchanged labelled stack: the LSR looked the top label up
+            // and swapped it for the same value.
+            ([], []) if !cur.labels.is_empty() => HopOp::Swap(cur.labels[0], cur.labels[0]),
             ([], []) => match cur.dscp {
                 Some(d) if cur.dscp != prev.dscp => HopOp::Mark(d),
                 _ => HopOp::Forward,
@@ -226,6 +232,23 @@ mod tests {
         let want: Vec<HopOp> = steps.into_iter().map(|(_, op)| op).collect();
         assert_eq!(ops, want);
         assert!(log.path(0, 1).is_empty());
+    }
+
+    /// An LSR whose downstream label equals its incoming one sends the
+    /// stack unchanged: that is a swap, not a forward.
+    #[test]
+    fn an_unchanged_labelled_stack_is_a_swap_to_the_same_label() {
+        let mut log = TraceLog::default();
+        log.add_device("D");
+        for (i, labels) in [&[17, 500][..], &[17, 500], &[500], &[500]].into_iter().enumerate() {
+            log.record(i as Nanos, NodeId(0), IfaceId(i), &labeled(labels));
+        }
+        let ops: Vec<HopOp> = log.path(0, 0).into_iter().map(|(op, _)| op).collect();
+        assert_eq!(
+            ops,
+            [HopOp::Originate, HopOp::Swap(17, 17), HopOp::Pop(17, 500), HopOp::Swap(500, 500)]
+        );
+        assert_eq!(HopOp::Swap(17, 17).to_string(), "swap 17→17");
     }
 
     #[test]

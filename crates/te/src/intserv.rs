@@ -158,11 +158,6 @@ impl<'a> IntServDomain<'a> {
         let hop_msgs: u64 = self.flows.values().map(|f| 2 * (f.path.len() as u64 - 1)).sum();
         hop_msgs as f64 / REFRESH_PERIOD_SECS
     }
-
-    /// Reserved bandwidth on a link.
-    pub fn reserved_bps(&self, link: usize) -> u64 {
-        self.reserved[link]
-    }
 }
 
 /// The DiffServ comparison point: classes of state per interface,
@@ -206,7 +201,7 @@ mod tests {
         assert_eq!(d.flow_count(), 10);
         // Every node on the path holds all 10 flows' state.
         assert_eq!(d.per_node_state, vec![10, 10, 10, 10]);
-        assert_eq!(d.reserved_bps(1), 10_000_000);
+        assert_eq!(d.reserved[1], 10_000_000);
         // Setup cost: (PATH + RESV) × 3 hops × 10 flows.
         assert_eq!(d.messages, 60);
         // Refresh: 2 × 3 hops × 10 flows / 30 s = 2/s.
@@ -239,7 +234,7 @@ mod tests {
         d.teardown(FlowId(1));
         assert_eq!(d.flow_count(), 0);
         assert_eq!(d.max_node_state(), 0);
-        assert_eq!(d.reserved_bps(0), 0);
+        assert_eq!(d.reserved[0], 0);
         d.teardown(FlowId(1)); // idempotent
     }
 

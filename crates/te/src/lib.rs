@@ -7,20 +7,24 @@
 //! exchanges no resource information); this crate adds what is missing:
 //!
 //! * [`cspf`] — constraint-based shortest path first: Dijkstra over only
-//!   those links with enough *unreserved* bandwidth at the trunk's setup
-//!   priority.
-//! * [`trunk`] — trunk admission control: bandwidth bookkeeping per link
-//!   and per priority, preemption of lower-priority trunks, and release.
+//!   the links a caller's constraint admits (up, with enough unreserved
+//!   bandwidth).
+//! * [`frr`] — SRLG-disjoint bypass paths for fast reroute.
+//! * [`intserv`] — per-flow RSVP reservations, the §2.2 comparison.
 //!
-//! Experiment Q3 routes two trunks across the classic "fish" topology: the
-//! IGP piles both onto the shortest path and congests it; CSPF places the
-//! second trunk on the longer path and both meet their SLAs.
+//! Trunk admission lives with the LSPs it installs:
+//! `ProviderNetwork::admit_trunk` (in `mplsvpn-core`) runs [`cspf_path`]
+//! over the network's live topology and records each trunk, and the
+//! verifier's TE pass reads that record. Experiment Q3 routes two trunks
+//! across the classic "fish" topology: the IGP piles both onto the
+//! shortest path and congests it; CSPF places the second trunk on the
+//! longer path and both meet their SLAs.
 //!
 //! # Example
 //!
 //! ```
 //! use netsim_routing::{LinkAttrs, Topology};
-//! use netsim_te::{TeDomain, TrunkRequest};
+//! use netsim_te::cspf_path;
 //!
 //! // The fish: a short and a long path between nodes 0 and 4.
 //! let mut t = Topology::new(5);
@@ -28,11 +32,9 @@
 //! for (u, v) in [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)] {
 //!     t.add_link(u, v, attrs);
 //! }
-//! let mut te = TeDomain::new(t);
-//! let (t1, _) = te.signal(TrunkRequest::new(0, 4, 7_000_000)).unwrap();
-//! let (t2, _) = te.signal(TrunkRequest::new(0, 4, 7_000_000)).unwrap();
-//! assert_eq!(te.path(t1).unwrap(), &[0, 1, 4]);      // shortest
-//! assert_eq!(te.path(t2).unwrap(), &[0, 2, 3, 4]);   // CSPF detours
+//! assert_eq!(cspf_path(&t, 0, 4, &|_| true), Some(vec![0, 1, 4])); // shortest
+//! // With link 1 (1-4) full, CSPF detours.
+//! assert_eq!(cspf_path(&t, 0, 4, &|l| l != 1), Some(vec![0, 2, 3, 4]));
 //! ```
 
 #![warn(missing_docs)]
@@ -40,9 +42,7 @@
 pub mod cspf;
 pub mod frr;
 pub mod intserv;
-pub mod trunk;
 
 pub use cspf::cspf_path;
 pub use frr::{cspf_path_excluding, SrlgMap};
 pub use intserv::{FlowId, FlowRequest, IntServDomain, RsvpError};
-pub use trunk::{TeDomain, TeError, TrunkId, TrunkRequest};

@@ -42,8 +42,8 @@ pub mod codes {
     pub const TE_OVERSUB: &str = "V-TE-001";
     /// A trunk's constraints are unsatisfiable even on an empty network.
     pub const TE_UNSATISFIABLE: &str = "V-TE-002";
-    /// Per-priority reservation counters disagree with admitted trunks.
-    pub const TE_ACCOUNTING: &str = "V-TE-003";
+    /// A trunk's LSP does not ride the path the trunk reserved.
+    pub const TE_PATH: &str = "V-TE-004";
 }
 
 /// How bad a finding is.

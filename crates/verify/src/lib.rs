@@ -3,7 +3,7 @@
 //! The paper's §4 functions (membership, reachability, separation) and §5
 //! QoS pipeline are configuration-correctness claims. This crate checks
 //! them *statically* — over installed FTN/ILM/NHLFE tables, route-target
-//! policies, queue parameters and TE reservations — before a single packet
+//! policies, queue parameters and TE trunks — before a single packet
 //! is simulated, and reports violations as structured [`Diagnostic`]s with
 //! stable codes (see [`codes`]).
 //!
@@ -14,13 +14,14 @@
 //! | label-plane integrity | [`labelplane`] | `V-LBL-001` … `V-LBL-005` |
 //! | VRF isolation         | [`isolation`]  | `V-VRF-001` … `V-VRF-004` |
 //! | QoS configuration     | [`qoslint`]    | `V-QOS-001` … `V-QOS-004` |
-//! | TE accounting         | [`te`]         | `V-TE-001` … `V-TE-003`  |
+//! | TE trunks             | [`te`]         | `V-TE-001`, `V-TE-002`, `V-TE-004` |
 //!
 //! `mplsvpn-core` glues these to `ProviderNetwork::verify()`. The label
 //! pass reads the live tables it checks through the [`LabelPlane`] trait,
-//! which the provider network implements over its routers; the other
-//! passes take plain values (route-target policies, queue parameters, a
-//! TE domain). So each pass can be unit-tested (and fuzzed) over a
+//! which the provider network implements over its routers, and the TE
+//! pass reads the network's trunks through [`TePlane`], which extends it;
+//! the other passes take plain values (route-target policies, queue
+//! parameters). So each pass can be unit-tested (and fuzzed) over a
 //! hand-built fake without building a simulator.
 
 #![warn(missing_docs)]
@@ -35,4 +36,4 @@ pub use diag::{codes, Diagnostic, Severity, VerifyReport};
 pub use isolation::{verify_isolation, VrfPolicy};
 pub use labelplane::{verify_label_plane, LabelPlane, StackWalk};
 pub use qoslint::{lint_cbq_tree, lint_ef_admission, lint_exp_map, lint_red_profile, EfContract};
-pub use te::verify_te;
+pub use te::{verify_te, TePlane, Trunk};

@@ -1,44 +1,94 @@
-//! Pass 4: TE accounting — trunk reservations vs. reservable bandwidth.
+//! Pass 4: TE — the admitted trunks against the topology and the LSPs
+//! they ride.
 //!
-//! Reads the admitted-trunk state of a [`TeDomain`] and checks:
+//! Reads the network's trunk record through [`TePlane`], the label plane
+//! the trunks' LSPs are installed in, and checks:
 //!
-//! * no link carries more total reservation than its capacity
-//!   (`V-TE-001`);
+//! * no link carries more reservation than its capacity, a link's
+//!   reservation being the sum of the demands of the trunks that cross
+//!   it (`V-TE-001`);
 //! * every admitted trunk's constraints are satisfiable at all — i.e.
 //!   CSPF finds a path on an *empty* network; a trunk whose demand
-//!   exceeds every cut between its endpoints can only exist through
-//!   corrupted accounting (`V-TE-002`);
-//! * the per-priority reservation counters equal the sum of demands of
-//!   the trunks holding them (`V-TE-003`).
+//!   exceeds every cut between its endpoints can only exist through a
+//!   corrupted record (`V-TE-002`);
+//! * every trunk's FTN, walked over the links that are up, visits
+//!   exactly the path the trunk reserved (`V-TE-004`).
 
 use crate::diag::{codes, Severity, VerifyReport};
-use netsim_te::{cspf_path, trunk::PRIORITIES, TeDomain};
+use crate::labelplane::LabelPlane;
+use netsim_mpls::walk::walk;
+use netsim_mpls::FtnEntry;
+use netsim_routing::Topology;
+use netsim_te::cspf_path;
 
-/// Runs the TE accounting pass over an admitted-trunk database.
-pub fn verify_te(te: &TeDomain, report: &mut VerifyReport) {
-    let topo = te.topology();
-    // Recompute what the per-priority ledgers should say.
-    let mut expect = vec![[0u64; PRIORITIES]; topo.link_count()];
-    for (id, req, links) in te.trunk_entries() {
-        for &l in links {
-            expect[l][req.hold_priority as usize] += req.demand_bps;
+/// One admitted traffic trunk: a bandwidth reservation along `path` and
+/// the explicit LSP installed along it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Trunk {
+    /// Ingress node.
+    pub src: usize,
+    /// Egress node.
+    pub dst: usize,
+    /// Bandwidth reserved on every link of the path, bits/s.
+    pub demand_bps: u64,
+    /// The node path reserved, `src` first.
+    pub path: Vec<usize>,
+    /// The ingress FTN of the trunk's LSP.
+    pub ftn: FtnEntry,
+}
+
+/// What the TE pass reads: the label plane the trunks' LSPs live in, the
+/// topology they reserve bandwidth on, and the trunk record.
+pub trait TePlane: LabelPlane {
+    /// The topology whose link capacities the trunks reserve.
+    fn topology(&self) -> &Topology;
+    /// The admitted trunks.
+    fn trunks(&self) -> &[Trunk];
+    /// Per link id, the bandwidth reserved on it: the sum of the demands
+    /// of the trunks whose path crosses it. Derived on every call; there
+    /// is no other ledger.
+    fn reservations(&self) -> Vec<u64> {
+        let topo = self.topology();
+        let mut reserved = vec![0; topo.link_count()];
+        for t in self.trunks() {
+            for w in t.path.windows(2) {
+                let link = topo.neighbors(w[0]).find(|&(peer, _, _)| peer == w[1]);
+                let (_, _, l) = link.expect("a trunk's path follows topology links");
+                reserved[l] += t.demand_bps;
+            }
         }
-        let demand = req.demand_bps;
-        if cspf_path(topo, req.src, req.dst, &|l| topo.link(l).2.capacity_bps >= demand).is_none() {
+        reserved
+    }
+}
+
+/// Runs the TE pass over a network's admitted trunks.
+pub fn verify_te(plane: &impl TePlane, report: &mut VerifyReport) {
+    let topo = plane.topology();
+    for (i, t) in plane.trunks().iter().enumerate() {
+        let demand = t.demand_bps;
+        if cspf_path(topo, t.src, t.dst, &|l| topo.link(l).2.capacity_bps >= demand).is_none() {
             report.push(
                 codes::TE_UNSATISFIABLE,
                 Severity::Error,
-                format!("trunk {}", id.0),
+                format!("trunk {i}"),
                 format!(
                     "no path from {} to {} can carry {demand} b/s even on an empty network",
-                    req.src, req.dst
+                    t.src, t.dst
                 ),
             );
         }
+        let walked = walk(plane, t.src, t.ftn.push.as_slice(), t.ftn.out_iface).path_to(t.dst);
+        if walked.as_ref() != Some(&t.path) {
+            report.push(
+                codes::TE_PATH,
+                Severity::Error,
+                format!("trunk {i}"),
+                format!("reserved path {:?} but its LSP rides {walked:?}", t.path),
+            );
+        }
     }
-    for (link, expect_prios) in expect.iter().enumerate() {
+    for (link, total) in plane.reservations().into_iter().enumerate() {
         let (u, v, attrs) = topo.link(link);
-        let total = te.reserved_bps(link);
         if total > attrs.capacity_bps {
             report.push(
                 codes::TE_OVERSUB,
@@ -47,65 +97,5 @@ pub fn verify_te(te: &TeDomain, report: &mut VerifyReport) {
                 format!("reservations total {total} b/s on a {} b/s link", attrs.capacity_bps),
             );
         }
-        for (prio, &want) in expect_prios.iter().enumerate() {
-            #[allow(clippy::cast_possible_truncation)]
-            let held = te.reserved_at(link, prio as u8);
-            if held != want {
-                report.push(
-                    codes::TE_ACCOUNTING,
-                    Severity::Error,
-                    format!("link {u}-{v} prio {prio}"),
-                    format!("ledger holds {held} b/s but admitted trunks account for {want} b/s"),
-                );
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use netsim_routing::{LinkAttrs, Topology};
-    use netsim_te::TrunkRequest;
-
-    fn line(capacity_bps: u64) -> Topology {
-        let mut t = Topology::new(3);
-        let attrs = LinkAttrs { cost: 1, capacity_bps };
-        t.add_link(0, 1, attrs);
-        t.add_link(1, 2, attrs);
-        t
-    }
-
-    #[test]
-    fn admitted_trunks_verify_clean() {
-        let mut te = TeDomain::new(line(100_000_000));
-        te.signal(TrunkRequest::new(0, 2, 40_000_000).priority(2)).unwrap();
-        te.signal(TrunkRequest::new(0, 2, 30_000_000).priority(5)).unwrap();
-        let mut r = VerifyReport::new();
-        verify_te(&te, &mut r);
-        assert!(r.is_clean(), "{r}");
-        assert_eq!(r.diagnostics().len(), 0, "{r}");
-    }
-
-    #[test]
-    fn ledger_corruption_is_caught() {
-        let mut te = TeDomain::new(line(100_000_000));
-        let (id, _) = te.signal(TrunkRequest::new(0, 2, 40_000_000)).unwrap();
-        // Simulate a double-release / lost-teardown accounting bug.
-        te.corrupt_reservation_for_test(0, 7, 10_000_000);
-        let mut r = VerifyReport::new();
-        verify_te(&te, &mut r);
-        assert!(r.has_code(codes::TE_ACCOUNTING), "{r}");
-        let _ = id;
-    }
-
-    #[test]
-    fn oversubscribed_link_is_caught() {
-        let mut te = TeDomain::new(line(100_000_000));
-        te.signal(TrunkRequest::new(0, 2, 90_000_000)).unwrap();
-        te.corrupt_reservation_for_test(1, 3, 50_000_000);
-        let mut r = VerifyReport::new();
-        verify_te(&te, &mut r);
-        assert!(r.has_code(codes::TE_OVERSUB), "{r}");
     }
 }

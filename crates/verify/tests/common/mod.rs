@@ -1,8 +1,12 @@
-//! The hand-built label plane that the label-pass tests verify.
+//! The hand-built label plane that the label-pass and TE-pass tests
+//! verify.
 
 use netsim_mpls::lfib::Nhlfe;
 use netsim_mpls::walk::LabelTables;
-use netsim_verify::{verify_label_plane, LabelPlane, StackWalk, VerifyReport};
+use netsim_routing::Topology;
+use netsim_verify::{
+    verify_label_plane, verify_te, LabelPlane, StackWalk, TePlane, Trunk, VerifyReport,
+};
 
 /// One router of a [`Plane`].
 #[derive(Clone, Debug, Default)]
@@ -18,13 +22,19 @@ pub(crate) struct Node {
     pub(crate) local_labels: Vec<u32>,
 }
 
-/// A label plane held in plain vectors, with the ingress stacks to walk.
+/// A label plane held in plain vectors, with the ingress stacks to walk
+/// and the TE trunks admitted over it.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Plane {
     /// The routers, indexed by node id.
     pub(crate) nodes: Vec<Node>,
     /// The ingress stacks to walk.
     pub(crate) walks: Vec<StackWalk>,
+    /// The topology the trunks reserve (its interface numbering should
+    /// match the nodes' `neighbors`); empty when no trunk is admitted.
+    pub(crate) topo: Topology,
+    /// The admitted trunks.
+    pub(crate) trunks: Vec<Trunk>,
 }
 
 impl LabelTables for Plane {
@@ -51,11 +61,22 @@ impl LabelPlane for Plane {
     }
 }
 
+impl TePlane for Plane {
+    fn topology(&self) -> &Topology {
+        &self.topo
+    }
+    fn trunks(&self) -> &[Trunk] {
+        &self.trunks
+    }
+}
+
 impl Plane {
-    /// Runs the label pass over the plane and its walks.
+    /// Runs the label pass over the plane and its walks, then the TE pass
+    /// over its trunks.
     pub(crate) fn verify(&self) -> VerifyReport {
         let mut report = VerifyReport::new();
         verify_label_plane(self, &self.walks, &mut report);
+        verify_te(self, &mut report);
         report
     }
 }

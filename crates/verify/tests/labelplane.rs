@@ -33,6 +33,7 @@ fn clean_plane() -> Plane {
             out_iface: 0,
             expect_delivery: Some(2),
         }],
+        ..Plane::default()
     }
 }
 
@@ -129,6 +130,7 @@ fn php_delivery_with_empty_stack_is_clean() {
             out_iface: 0,
             expect_delivery: Some(1),
         }],
+        ..Plane::default()
     };
     let r = plane.verify();
     assert!(r.is_clean(), "{r}");

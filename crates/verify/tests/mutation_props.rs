@@ -46,7 +46,7 @@ fn clean_line(n: usize) -> Plane {
         out_iface: 0,
         expect_delivery: Some(n - 1),
     }];
-    Plane { nodes, walks }
+    Plane { nodes, walks, ..Plane::default() }
 }
 
 /// Clean policy set: `vpns` VPNs × 2 VRFs each, one RT per VPN.

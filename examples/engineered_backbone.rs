@@ -8,7 +8,6 @@
 
 use mplsvpn::routing::{LinkAttrs, Topology};
 use mplsvpn::sim::{LinkId, Sink, SourceConfig, SEC};
-use mplsvpn::te::{TeDomain, TrunkRequest};
 use mplsvpn::vpn::BackboneBuilder;
 
 fn fish() -> Topology {
@@ -29,25 +28,20 @@ fn main() {
     let b = pn.add_site(vpn, 1, "10.2.0.0/16".parse().unwrap(), None);
     let sink = pn.attach_sink(b, "10.2.0.0/16".parse().unwrap());
 
-    // Admission-control two 6.5 Mb/s trunks over the same 10 Mb/s fish.
-    let mut te = TeDomain::new(pn.topo.clone());
-    let (t1, _) = te.signal(TrunkRequest::new(0, 4, 6_500_000)).expect("trunk 1 fits");
-    let (t2, _) = te.signal(TrunkRequest::new(0, 4, 6_500_000)).expect("trunk 2 diverted");
-    println!("trunk 1 path: {:?}", te.path(t1).unwrap());
-    println!("trunk 2 path: {:?}", te.path(t2).unwrap());
-
-    // Pin trunk 2's share of the destination block onto an explicit LSP,
-    // once the MP-BGP updates have landed.
+    // Admission-control two 6.5 Mb/s trunks over the same 10 Mb/s fish,
+    // once the MP-BGP updates have landed, and pin each trunk's share of
+    // the destination block onto its LSP.
     pn.run_for(0);
-    let p2 = te.path(t2).unwrap().to_vec();
-    let ftn = pn.install_explicit_lsp(&p2);
-    pn.pin_prefix_to_tunnel(vpn, 0, "10.2.128.0/17".parse().unwrap(), ftn);
+    for (i, half) in ["10.2.0.0/17", "10.2.128.0/17"].into_iter().enumerate() {
+        let trunk = pn.admit_trunk(0, 4, 6_500_000).expect("CSPF finds room for each trunk");
+        println!("trunk {} path: {:?}", i + 1, pn.trunk_lsp_path(&trunk).unwrap());
+        pn.pin_prefix_to_tunnel(vpn, 0, half.parse().unwrap(), trunk.ftn);
+    }
 
-    // The pinned LSP and the trunk ledgers must both verify: the explicit
-    // label path unwinds at PE4 and no fish link is over-reserved.
-    let mut report = pn.verify();
-    mplsvpn::verify::verify_te(&te, &mut report);
-    report.assert_clean("engineered backbone");
+    // The pinned LSPs and the trunk record must verify: each explicit
+    // label path unwinds at PE4 along the path its trunk reserved, and no
+    // fish link is over-reserved.
+    pn.verify().assert_clean("engineered backbone");
 
     // Two 6.5 Mb/s flows, one per trunk.
     let interval = 1_000u64 * 8 * 1_000_000_000 / 6_500_000; // 1000 B wire

@@ -14,7 +14,8 @@
 //! * [`qos`] — classifiers, meters, RED, schedulers, DSCP↔EXP.
 //! * [`mpls`] — label spaces, LFIB, LDP.
 //! * [`routing`] — topology, link-state IGP, BGP/MPLS VPN fabric.
-//! * [`te`] — CSPF and trunk admission with preemption.
+//! * [`te`] — CSPF, fast-reroute bypass paths and IntServ/RSVP reservations
+//!   (trunk admission is `ProviderNetwork::admit_trunk`).
 //! * [`ipsec`] — ESP tunnel emulation and IKE simulation.
 //! * [`obs`] — telemetry: drop-cause flight recorder, histograms, SLA
 //!   probe rows, `metrics/v2` snapshots (DESIGN.md §8).
