@@ -1,11 +1,11 @@
-//! Hierarchical timing-wheel event calendar.
+//! One-level timing-wheel event calendar.
 //!
 //! The hot path of the simulator is `push` + `pop` of near-future events:
 //! serialization completions and propagation arrivals sit microseconds to
-//! milliseconds ahead of the clock. A binary heap pays O(log n) compares
-//! *and* moves the full event payload at every sift step; the wheel places
-//! each event in a slot indexed by its arrival granule in O(1) and only
-//! heap-orders the handful of events sharing the cursor's granule.
+//! a couple of milliseconds ahead of the clock. A binary heap pays O(log n)
+//! compares *and* moves the full event payload at every sift step; the
+//! wheel places each event in a slot indexed by its arrival granule in O(1)
+//! and only sorts the handful of events sharing the cursor's granule.
 //!
 //! Three structural decisions keep the constant factor low:
 //!
@@ -13,26 +13,30 @@
 //!   `(at, seq, next, item)` entry from push to pop, and popped entries are
 //!   reused last-in first-out, so a push writes an entry that is still in
 //!   cache. A wheel slot is only the head index of an intrusive list
-//!   threaded through `next`: a push writes one 4-byte head, and a
-//!   cascade relinks indices instead of copying events.
-//! * **Three 256-slot levels over a 2^10 ns ≈ 1 µs granule** (level 0 spans
-//!   ~262 µs, level 1 ~67 ms, level 2 ~17 s), plus a binary heap for the
-//!   rare far-future timers beyond the wheel span, plus `cur` — a small
-//!   sorted vector of the keys of every event whose granule is at or
-//!   behind the cursor, which is what `pop` actually drains.
-//! * **The cursor jumps over empty time.** Per-level occupancy bitmaps
-//!   name the next occupied slot of the lowest non-empty level, and the
-//!   cursor moves straight to its start. Reaching a 1 ms backbone hop or
-//!   a 20 ms detection timer takes one boundary step, two when its slot
-//!   wrapped into the next level-2 revolution.
+//!   threaded through `next`, so a push writes one 4-byte head.
+//! * **One ring that spans a backbone hop.** [`SLOTS`] slots over a
+//!   2^10 ns ≈ 1 µs granule cover ≈ 2.1 ms, so a 1 ms backbone hop and a
+//!   0.5–1 ms CBR period land in the ring at push. The rarer events due
+//!   farther ahead (detection and hold timers, a slow bottleneck's queue)
+//!   wait as keys in a binary heap. `cur`, a small sorted vector, holds the
+//!   keys of every event whose granule is at or behind the cursor, which is
+//!   what `pop_due` drains.
+//! * **Each event moves at most once.** The cursor goes straight to the
+//!   earlier of the next occupied slot (a circular scan of 32 occupancy
+//!   words under one summary word) and the heap's minimum, and that
+//!   granule's slot list and heap keys move into `cur`. Nothing cascades:
+//!   an event reaches `cur` at push, from its slot or from the heap.
 //!
 //! Ordering contract: events pop in exactly `(at, seq)` order, identical to
-//! the `BinaryHeap<Reverse<Scheduled>>` the engine used before. Two
+//! the `BinaryHeap<Reverse<Scheduled>>` the engine used before. Three
 //! invariants make the wheel order-safe:
 //!
-//! * every wheel slot only ever holds events of a single granule (level 0)
-//!   or a single parent-granule (levels 1–2) at a time, so draining a slot
-//!   wholesale into `cur` cannot reorder anything already pending;
+//! * the ring admits granules 1 to `SLOTS - 1` past the cursor, so a slot
+//!   holds a single granule, the cursor's own slot stays empty and the
+//!   circular scan meets granules in time order;
+//! * a heap key stays in the heap until its granule is the cursor's, and
+//!   then moves into `cur` with the slot list of that granule, so draining
+//!   both wholesale cannot reorder anything already pending;
 //! * events pushed at or behind the cursor go straight into `cur`, which is
 //!   fully ordered — late injection (e.g. after `run_until` parked the
 //!   cursor far ahead) degrades to heap behaviour instead of misordering.
@@ -44,16 +48,20 @@ use netsim_qos::Nanos;
 
 /// log2 of the wheel granule in nanoseconds (2^10 ns ≈ 1 µs).
 const GRANULE_BITS: u32 = 10;
-/// log2 of the slot count per wheel level.
-const SLOT_BITS: u32 = 8;
-/// Slots per wheel level.
+/// log2 of the ring's slot count.
+const SLOT_BITS: u32 = 11;
+/// Ring slots: 2^11 granules ≈ 2.1 ms, past a 1 ms backbone hop. Counted
+/// over seed-1 perfbench runs, no push of `forward` falls farther ahead,
+/// 4.2% of `congested`'s (its 10 Mb/s bottleneck) and 13.4% of
+/// `control`'s (detection and hold timers). Half the ring would also send
+/// `congested`'s 29% due 1.05–2.1 ms ahead to the heap. The heads are
+/// inline, so the ring allocates nothing.
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Slot index mask.
 const MASK: u64 = (SLOTS - 1) as u64;
-/// Number of wheel levels; farther events go to the overflow heap.
-const LEVELS: usize = 3;
-/// Granules covered by all wheel levels together (2^24 granules ≈ 17 s).
-const WHEEL_SPAN: u64 = 1 << (SLOT_BITS * LEVELS as u32);
+/// Occupancy words, one bit each in the summary word.
+const WORDS: usize = SLOTS / 64;
+const _: () = assert!(WORDS == u32::BITS as usize);
 /// End of a slot list or of the free list.
 const NIL: u32 = u32::MAX;
 
@@ -65,31 +73,12 @@ type Key = (Nanos, u64, u32);
 struct Entry<T> {
     at: Nanos,
     seq: u64,
-    /// Next entry in the same wheel slot, or in the free list.
+    /// Next entry in the same ring slot, or in the free list.
     next: u32,
     item: Option<T>,
 }
 
-/// Index of the first set bit at or after `from` in a 256-bit slot bitmap.
-fn next_set_bit(occ: &[u64; SLOTS / 64], from: usize) -> Option<usize> {
-    if from >= SLOTS {
-        return None;
-    }
-    let mut w = from >> 6;
-    let mut word = occ[w] & (!0u64 << (from & 63));
-    loop {
-        if word != 0 {
-            return Some((w << 6) + word.trailing_zeros() as usize);
-        }
-        w += 1;
-        if w == SLOTS / 64 {
-            return None;
-        }
-        word = occ[w];
-    }
-}
-
-/// A hierarchical timing wheel with a heap overflow level, popping items in
+/// A one-level timing wheel with a heap for far events, popping items in
 /// strict `(at, seq)` order.
 pub(crate) struct TimingWheel<T> {
     /// Every event, pending or freed. It grows only when no entry is free,
@@ -100,25 +89,21 @@ pub(crate) struct TimingWheel<T> {
     /// Keys of the events whose granule is ≤ the cursor, sorted descending:
     /// the next event to pop is always `cur.last()`.
     cur: Vec<Key>,
-    /// Wheel levels; `heads[l][s]` starts the list of events in slot `s`,
-    /// `SLOTS^l` granules apart.
-    heads: [[u32; SLOTS]; LEVELS],
-    /// Per-level slot-occupancy bitmaps (bit `s` set iff `heads[l][s]`
-    /// starts a list): `advance` finds the next populated slot with a
-    /// couple of word scans.
-    occ: [[u64; SLOTS / 64]; LEVELS],
-    /// Events currently resident per wheel level.
-    counts: [usize; LEVELS],
-    /// Keys of the events beyond the wheel span, refilled as the cursor
-    /// crosses top-level boundaries.
-    overflow: BinaryHeap<Reverse<Key>>,
+    /// `heads[s]` starts the list of the events due in the one granule
+    /// 1 to `SLOTS - 1` past the cursor that maps to slot `s`.
+    heads: [u32; SLOTS],
+    /// Slot occupancy: bit `s % 64` of word `s / 64` is set iff `heads[s]`
+    /// starts a list.
+    occ: [u64; WORDS],
+    /// Bit `w` is set iff `occ[w]` is non-zero.
+    summary: u32,
+    /// Keys of the events pushed `SLOTS` or more granules ahead of the
+    /// cursor. Each stays here until its granule is the cursor's.
+    far: BinaryHeap<Reverse<Key>>,
     /// Cursor granule (`at >> GRANULE_BITS`).
     tick: u64,
-    /// Total events pending (all storage areas).
-    len: usize,
-    /// Boundary steps `jump` has taken.
     #[cfg(test)]
-    steps: u64,
+    moves: tests::MoveLog,
 }
 
 impl<T> TimingWheel<T> {
@@ -127,20 +112,14 @@ impl<T> TimingWheel<T> {
             slab: Vec::new(),
             free: NIL,
             cur: Vec::new(),
-            heads: [[NIL; SLOTS]; LEVELS],
-            occ: [[0; SLOTS / 64]; LEVELS],
-            counts: [0; LEVELS],
-            overflow: BinaryHeap::new(),
+            heads: [NIL; SLOTS],
+            occ: [0; WORDS],
+            summary: 0,
+            far: BinaryHeap::new(),
             tick: 0,
-            len: 0,
             #[cfg(test)]
-            steps: 0,
+            moves: tests::MoveLog::default(),
         }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.len
     }
 
     /// Every pending item, in no particular order.
@@ -150,7 +129,6 @@ impl<T> TimingWheel<T> {
 
     /// Schedules `item` at time `at` with tie-break key `seq`.
     pub(crate) fn push(&mut self, at: Nanos, seq: u64, item: T) {
-        self.len += 1;
         let entry = Entry { at, seq, next: NIL, item: Some(item) };
         let idx = self.free;
         if idx == NIL {
@@ -166,178 +144,166 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Timestamp of the earliest pending event. Advances the cursor (an
-    /// order-preserving internal reorganization), hence `&mut self`.
-    pub(crate) fn peek_at(&mut self) -> Option<Nanos> {
-        self.advance();
-        self.cur.last().map(|k| k.0)
-    }
-
-    /// Removes and returns the earliest pending event.
-    pub(crate) fn pop(&mut self) -> Option<(Nanos, u64, T)> {
-        self.advance();
-        let (at, seq, idx) = self.cur.pop()?;
-        self.len -= 1;
+    /// Removes and returns the earliest pending event if it is due at or
+    /// before `until`. Either way the cursor moves up to the earliest
+    /// pending event (an order-preserving reorganization), where a later
+    /// push at or behind it goes straight into `cur`.
+    pub(crate) fn pop_due(&mut self, until: Nanos) -> Option<(Nanos, u64, T)> {
+        if self.cur.is_empty() {
+            self.advance();
+        }
+        let &(at, seq, idx) = self.cur.last()?;
+        if at > until {
+            return None;
+        }
+        self.cur.pop();
+        #[cfg(test)]
+        self.moves.popped(idx);
         let e = &mut self.slab[idx as usize];
         e.next = self.free;
         self.free = idx;
         Some((at, seq, e.item.take().expect("a pending entry holds its item")))
     }
 
-    /// Routes slab entry `idx` to `cur`, a wheel slot, or the overflow heap
-    /// based on its distance from the cursor. Does not touch `len`.
+    /// Routes slab entry `idx` to `cur`, a ring slot or the far heap by its
+    /// distance from the cursor.
     fn place(&mut self, idx: u32) {
+        #[cfg(test)]
+        self.moves.pushed(idx);
         let e = &mut self.slab[idx as usize];
-        let key = (e.at, e.seq, idx);
         let g = e.at >> GRANULE_BITS;
         if g <= self.tick {
             // Sorted insert (descending). `cur` holds the few events of the
             // current granule, so the shift is short; ties are impossible
             // (`seq` is unique) which makes the position unambiguous.
+            let key = (e.at, e.seq, idx);
             let pos = self.cur.partition_point(|x| *x > key);
             self.cur.insert(pos, key);
-            return;
-        }
-        let delta = g - self.tick;
-        let (lvl, slot) = if delta < SLOTS as u64 {
-            (0, g & MASK)
-        } else if delta < 1 << (2 * SLOT_BITS) {
-            (1, (g >> SLOT_BITS) & MASK)
-        } else if delta < WHEEL_SPAN {
-            (2, (g >> (2 * SLOT_BITS)) & MASK)
+        } else if g - self.tick < SLOTS as u64 {
+            let s = (g & MASK) as usize;
+            e.next = self.heads[s];
+            self.heads[s] = idx;
+            self.occ[s >> 6] |= 1 << (s & 63);
+            self.summary |= 1 << (s >> 6);
         } else {
-            self.overflow.push(Reverse(key));
-            return;
-        };
-        let slot = slot as usize;
-        e.next = self.heads[lvl][slot];
-        self.heads[lvl][slot] = idx;
-        self.occ[lvl][slot >> 6] |= 1 << (slot & 63);
-        self.counts[lvl] += 1;
+            self.far.push(Reverse((e.at, e.seq, idx)));
+        }
     }
 
-    /// Empties `heads[lvl][slot]`, re-placing each event relative to the
-    /// current cursor. With the cursor at the slot's granule this moves
-    /// level-0 events straight into `cur`.
-    fn cascade(&mut self, lvl: usize, slot: usize) {
-        let mut idx = std::mem::replace(&mut self.heads[lvl][slot], NIL);
-        self.occ[lvl][slot >> 6] &= !(1 << (slot & 63));
-        if lvl == 0 {
-            // Every event in a level-0 slot shares one granule ≤ the
-            // cursor, so the whole slot belongs in `cur`.
+    /// Granule of the first occupied slot after the cursor's, in circular
+    /// order, which is time order: the ring holds granules 1 to
+    /// `SLOTS - 1` past the cursor.
+    fn next_occupied(&self) -> Option<u64> {
+        if self.summary == 0 {
+            return None;
+        }
+        let cursor = (self.tick & MASK) as usize;
+        let from = (cursor + 1) & (SLOTS - 1);
+        let w = from >> 6;
+        let word = self.occ[w] & (!0u64 << (from & 63));
+        let s = if word == 0 {
+            // The later words, else wrap around to the first occupied one,
+            // which may be `w` itself below `from`.
+            let later = self.summary & (!1u32 << w);
+            let w = (if later == 0 { self.summary } else { later }).trailing_zeros() as usize;
+            (w << 6) + self.occ[w].trailing_zeros() as usize
+        } else {
+            (w << 6) + word.trailing_zeros() as usize
+        };
+        Some(self.tick + (s.wrapping_sub(cursor) & (SLOTS - 1)) as u64)
+    }
+
+    /// Moves the cursor to the earliest pending granule and that granule's
+    /// events into `cur`: the next occupied slot's list, the heap keys of
+    /// the granule, or both. Called with `cur` empty; no-op when nothing is
+    /// pending.
+    fn advance(&mut self) {
+        let ring = self.next_occupied();
+        let far = self.far.peek().map(|Reverse(k)| k.0 >> GRANULE_BITS);
+        self.tick = match (ring, far) {
+            (Some(r), Some(f)) => r.min(f),
+            (Some(r), None) => r,
+            (None, Some(f)) => f,
+            (None, None) => return,
+        };
+        if ring == Some(self.tick) {
+            let s = (self.tick & MASK) as usize;
+            let mut idx = std::mem::replace(&mut self.heads[s], NIL);
+            self.occ[s >> 6] &= !(1 << (s & 63));
+            if self.occ[s >> 6] == 0 {
+                self.summary &= !(1 << (s >> 6));
+            }
             while idx != NIL {
                 let e = &self.slab[idx as usize];
                 self.cur.push((e.at, e.seq, idx));
-                self.counts[0] -= 1;
+                #[cfg(test)]
+                self.moves.moved(idx, false);
                 idx = e.next;
             }
-            self.cur.sort_unstable_by(|a, b| b.cmp(a));
-        } else {
-            while idx != NIL {
-                let next = self.slab[idx as usize].next;
-                self.counts[lvl] -= 1;
-                self.place(idx);
-                idx = next;
-            }
         }
-    }
-
-    /// Moves overflow events with granule below `horizon` into the wheels.
-    fn refill_overflow(&mut self, horizon: u64) {
-        while let Some(&Reverse((at, _, idx))) = self.overflow.peek() {
-            if at >> GRANULE_BITS >= horizon {
-                break;
-            }
-            self.overflow.pop();
-            self.place(idx);
-        }
-    }
-
-    /// Advances the cursor until `cur` holds the earliest pending events.
-    /// No-op when `cur` is already populated or nothing is pending.
-    fn advance(&mut self) {
-        if !self.cur.is_empty() || self.len == 0 {
-            return;
-        }
-        loop {
-            // Scan the remainder of the current level-0 revolution. Slots
-            // strictly after the cursor's slot can only hold this
-            // revolution's granules (`base + s`); wrapped entries for the
-            // next revolution sit in slots ≤ the cursor's and are reached
-            // after the boundary cascade in `jump`.
-            if self.counts[0] > 0 {
-                let base = self.tick & !MASK;
-                let from = ((self.tick & MASK) + 1) as usize;
-                if let Some(s) = next_set_bit(&self.occ[0], from) {
-                    self.tick = base + s as u64;
-                    self.cascade(0, s);
-                    return;
+        if far == Some(self.tick) {
+            while let Some(&Reverse(key)) = self.far.peek() {
+                if key.0 >> GRANULE_BITS != self.tick {
+                    break;
                 }
+                self.far.pop();
+                self.cur.push(key);
+                #[cfg(test)]
+                self.moves.moved(key.2, true);
             }
-            if !self.jump() {
-                return;
-            }
         }
-    }
-
-    /// Moves the cursor past a level-0 revolution with nothing left ahead
-    /// in it, to the next boundary that can release events, and cascades
-    /// what starts there. Returns whether `cur` is still empty, so level 0
-    /// needs scanning again. Out of line: dense traffic pops nearly every
-    /// event through the level-0 scan in `advance` and rarely gets here.
-    #[inline(never)]
-    fn jump(&mut self) -> bool {
-        // All wheels empty: jump straight to the first overflow event and
-        // pull everything within a wheel span of it.
-        let Some(lvl) = (0..LEVELS).find(|&l| self.counts[l] > 0) else {
-            let Some(&Reverse((at, ..))) = self.overflow.peek() else { return false };
-            self.tick = at >> GRANULE_BITS;
-            self.refill_overflow(self.tick + WHEEL_SPAN);
-            debug_assert!(!self.cur.is_empty());
-            return false;
-        };
-        // Every level below `lvl` is empty. Jump to the start of the next
-        // occupied slot of `lvl` in its parent's current revolution: the
-        // rule of the level-0 scan, one level up. Nothing at a higher level
-        // or in the overflow heap is due before that parent's next
-        // boundary. With nothing ahead (the keys wrapped, as at level 0
-        // here) step to that boundary.
-        let shift = SLOT_BITS * lvl as u32;
-        let slot = ((self.tick >> shift) & MASK) as usize;
-        let ahead = if lvl == 0 { None } else { next_set_bit(&self.occ[lvl], slot + 1) };
-        let next = match ahead {
-            Some(s) => (((self.tick >> shift) & !MASK) + s as u64) << shift,
-            None => ((self.tick >> (shift + SLOT_BITS)) + 1) << (shift + SLOT_BITS),
-        };
-        #[cfg(test)]
-        {
-            self.steps += 1;
+        if self.cur.len() > 1 {
+            self.cur.sort_unstable_by(|a, b| b.cmp(a));
         }
-        // `next` is a level-1 boundary at least: cascade every slot that
-        // starts there, top level first.
-        self.tick = next;
-        if next & (WHEEL_SPAN - 1) == 0 {
-            self.refill_overflow(next + WHEEL_SPAN);
-        }
-        if next & ((1 << (2 * SLOT_BITS)) - 1) == 0 && self.counts[2] > 0 {
-            self.cascade(2, ((next >> (2 * SLOT_BITS)) & MASK) as usize);
-        }
-        if self.counts[1] > 0 {
-            self.cascade(1, ((next >> SLOT_BITS) & MASK) as usize);
-        }
-        // Events at exactly the boundary granule may now sit in `cur`
-        // (cascaded with zero delta) or in level-0 slot 0 (inserted
-        // directly before the cursor arrived); merge both.
-        if self.heads[0][0] != NIL {
-            self.cascade(0, 0);
-        }
-        self.cur.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// How often each pending event moved between storage areas after its
+    /// push: into `cur` from a ring slot or from the far heap.
+    #[derive(Default)]
+    pub(super) struct MoveLog {
+        /// Moves per slab entry since its push.
+        per_entry: Vec<u32>,
+        /// The most moves any popped event made.
+        most: u32,
+        /// Moves in all, and those out of the far heap.
+        total: u64,
+        from_far: u64,
+    }
+
+    impl MoveLog {
+        pub(super) fn pushed(&mut self, idx: u32) {
+            let i = idx as usize;
+            if self.per_entry.len() <= i {
+                self.per_entry.resize(i + 1, 0);
+            }
+            self.per_entry[i] = 0;
+        }
+
+        pub(super) fn moved(&mut self, idx: u32, from_far: bool) {
+            self.per_entry[idx as usize] += 1;
+            self.total += 1;
+            self.from_far += u64::from(from_far);
+        }
+
+        pub(super) fn popped(&mut self, idx: u32) {
+            self.most = self.most.max(self.per_entry[idx as usize]);
+        }
+    }
+
+    impl<T> TimingWheel<T> {
+        fn pop(&mut self) -> Option<(Nanos, u64, T)> {
+            self.pop_due(Nanos::MAX)
+        }
+
+        fn len(&self) -> usize {
+            self.items().count()
+        }
+    }
 
     /// Deterministic xorshift64* so the shuffle test needs no RNG crate.
     struct Rng(u64);
@@ -352,12 +318,30 @@ mod tests {
         }
     }
 
-    fn drain(w: &mut TimingWheel<u32>) -> Vec<(Nanos, u64)> {
+    type Reference = BinaryHeap<Reverse<(Nanos, u64)>>;
+
+    fn drain<T>(w: &mut TimingWheel<T>) -> Vec<(Nanos, u64)> {
         let mut out = Vec::new();
         while let Some((at, seq, _)) = w.pop() {
             out.push((at, seq));
         }
         out
+    }
+
+    /// Pops the next event due by `until` from the wheel and the reference
+    /// heap, and asserts that they agree.
+    fn pop_both<T>(
+        w: &mut TimingWheel<T>,
+        reference: &mut Reference,
+        until: Nanos,
+    ) -> Option<(Nanos, u64)> {
+        let got = w.pop_due(until).map(|(at, s, _)| (at, s));
+        let want = match reference.peek() {
+            Some(&Reverse(p)) if p.0 <= until => reference.pop().map(|Reverse(p)| p),
+            _ => None,
+        };
+        assert_eq!(got, want);
+        got
     }
 
     #[test]
@@ -366,9 +350,9 @@ mod tests {
         w.push(500, 2, 0);
         w.push(500, 1, 0);
         w.push(100, 3, 0);
-        w.push(2_000_000, 0, 0); // level 1 territory
-        assert_eq!(w.peek_at(), Some(100));
-        assert_eq!(drain(&mut w), vec![(100, 3), (500, 1), (500, 2), (2_000_000, 0)]);
+        w.push(3_000_000, 0, 0); // beyond the ring
+        assert!(w.pop_due(99).is_none());
+        assert_eq!(drain(&mut w), vec![(100, 3), (500, 1), (500, 2), (3_000_000, 0)]);
         assert_eq!(w.len(), 0);
     }
 
@@ -390,9 +374,9 @@ mod tests {
 
     #[test]
     fn matches_reference_heap_on_shuffled_workload() {
-        // Mixed horizons: same-granule ties, level 0/1/2 and overflow, plus
-        // interleaved pops. The wheel must reproduce the reference heap's
-        // (at, seq) order exactly.
+        // Mixed horizons: same-granule ties, ring and far-heap distances,
+        // plus interleaved pops. The wheel must reproduce the reference
+        // heap's (at, seq) order exactly.
         let mut w = TimingWheel::new();
         let mut reference = BinaryHeap::new();
         let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
@@ -400,9 +384,9 @@ mod tests {
         for round in 0..2000u64 {
             let horizon = match rng.next() % 5 {
                 0 => rng.next() % (1 << 12), // same/near granule
-                1 => rng.next() % (1 << 19), // level 0/1
-                2 => rng.next() % (1 << 27), // level 2
-                3 => rng.next() % (1 << 36), // overflow
+                1 => rng.next() % (1 << 22), // ring or just past it
+                2 => rng.next() % (1 << 27), // far heap
+                3 => rng.next() % (1 << 36), // far heap, seconds ahead
                 _ => rng.next() % 64,        // dense ties
             };
             let at = now + horizon;
@@ -410,30 +394,73 @@ mod tests {
             w.push(at, round, round);
             reference.push(Reverse((at, round)));
             if rng.next().is_multiple_of(3) {
-                let got = w.pop().map(|(at, s, _)| (at, s));
-                let want = reference.pop().map(|Reverse(p)| p);
-                assert_eq!(got, want, "diverged at round {round}");
-                if let Some((at, _)) = got {
+                if let Some((at, _)) = pop_both(&mut w, &mut reference, Nanos::MAX) {
                     now = at; // future pushes stay causal, like the engine
                 }
             }
         }
-        loop {
-            let got = w.pop().map(|(at, s, _)| (at, s));
-            let want = reference.pop().map(|Reverse(p)| p);
-            assert_eq!(got, want);
-            if got.is_none() {
-                break;
+        while pop_both(&mut w, &mut reference, Nanos::MAX).is_some() {}
+    }
+
+    #[test]
+    fn edge_of_ring_pushes_match_reference_heap() {
+        // Pushes exactly SLOTS - 1, SLOTS and SLOTS + 1 granules past the
+        // cursor, at every offset within the granule, from cursor positions
+        // all round the ring, so ring slots wrap below the cursor's. Pushes
+        // into the granule of an earlier far push put heap keys next to a
+        // slot list or, once the cursor arrives, next to `cur`. Deadlines
+        // before the next event park the cursor, and some pushes then land
+        // between the clock and the cursor.
+        const G: u64 = 1 << GRANULE_BITS;
+        let span = SLOTS as u64;
+        let mut w = TimingWheel::new();
+        let mut reference = BinaryHeap::new();
+        let mut rng = Rng(0x4f6c_dd1d_9e37_79b9);
+        let (mut now, mut far_granule) = (0u64, 0u64);
+        let (mut behind, mut shared) = (0, 0);
+        for seq in 0..40_000u64 {
+            let tick = w.tick;
+            let at = match rng.next() % 8 {
+                0..=2 => {
+                    let delta = span - 1 + rng.next() % 3;
+                    if delta >= span {
+                        far_granule = tick + delta;
+                    }
+                    (tick + delta) * G + rng.next() % G
+                }
+                3 if far_granule > tick => {
+                    shared += 1;
+                    far_granule * G + rng.next() % G
+                }
+                4 if tick * G > now => {
+                    behind += 1;
+                    now + rng.next() % (tick * G - now)
+                }
+                5 => tick * G + rng.next() % G,
+                _ => (tick + 1 + rng.next() % (2 * span)) * G + rng.next() % G,
+            };
+            let at = at.max(now);
+            w.push(at, seq, seq);
+            reference.push(Reverse((at, seq)));
+            for _ in 0..rng.next() % 3 {
+                let until = if rng.next().is_multiple_of(4) { now } else { Nanos::MAX };
+                if let Some((at, _)) = pop_both(&mut w, &mut reference, until) {
+                    now = at;
+                }
             }
         }
+        assert!(w.moves.from_far > 1000, "{} keys came from the heap", w.moves.from_far);
+        assert!(behind > 300 && shared > 1000, "{behind} pushes behind, {shared} shared");
+        assert!(now >> (GRANULE_BITS + SLOT_BITS) >= 10, "few ring revolutions");
+        while pop_both(&mut w, &mut reference, Nanos::MAX).is_some() {}
     }
 
     #[test]
     fn slab_never_outgrows_peak_pending() {
-        // A few sparse far-future timers at a time, each pop moving the
-        // cursor across empty level-1 and level-2 time, then a burst and a
-        // drain. Popped entries are reused before the slab grows, so its
-        // length is the most events ever pending at once.
+        // A few sparse timers at a time, 0.26 ms to 17 s ahead (ring and
+        // far heap), each pop moving the cursor across empty time, then a
+        // burst and a drain. Popped entries are reused before the slab
+        // grows, so its length is the most events ever pending at once.
         let mut w = TimingWheel::new();
         let mut reference = BinaryHeap::new();
         let mut rng = Rng(0x2545_f491_4f6c_dd1d);
@@ -443,7 +470,6 @@ mod tests {
         for round in 0..3000 {
             let pushes = if round == 1500 { 500 } else { 1 + rng.next() % 3 };
             for _ in 0..pushes {
-                // 2^18..2^34 ns ahead: level-1 and level-2 territory.
                 let at = now + (1 << 18) + rng.next() % (1 << 34);
                 w.push(at, seq, 0);
                 reference.push(Reverse((at, seq)));
@@ -451,9 +477,7 @@ mod tests {
                 peak = peak.max(w.len());
             }
             for _ in 0..1 + rng.next() % 3 {
-                let got = w.pop().map(|(at, s, _)| (at, s));
-                assert_eq!(got, reference.pop().map(|Reverse(p)| p));
-                if let Some((at, _)) = got {
+                if let Some((at, _)) = pop_both(&mut w, &mut reference, Nanos::MAX) {
                     now = at;
                 }
             }
@@ -471,7 +495,7 @@ mod tests {
     fn items_yield_exactly_the_pending_events() {
         // Mixed horizons with interleaved pops; at random points the items
         // must be exactly the reference heap's live set, whether they wait
-        // in `cur`, a wheel slot or the overflow heap.
+        // in `cur`, a ring slot or the far heap.
         let mut w = TimingWheel::new();
         let mut reference = BinaryHeap::new();
         let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
@@ -482,9 +506,7 @@ mod tests {
             w.push(at, seq, seq);
             reference.push(Reverse((at, seq)));
             for _ in 0..rng.next() % 3 {
-                let got = w.pop().map(|(at, s, _)| (at, s));
-                assert_eq!(got, reference.pop().map(|Reverse(p)| p));
-                if let Some((at, _)) = got {
+                if let Some((at, _)) = pop_both(&mut w, &mut reference, Nanos::MAX) {
                     now = at;
                 }
             }
@@ -502,19 +524,19 @@ mod tests {
 
     #[test]
     fn matches_reference_heap_on_sparse_timeline() {
-        // Control-plane shaped load: level 0 is usually empty, most events
-        // sit 0.3-70 ms (level 1) or 67 ms-17 s (level 2) ahead, a few lie
-        // beyond the wheel span, and the clock crosses several `WHEEL_SPAN`
-        // boundaries. `peek_at` parks the cursor on the next event before
-        // some pushes, which then land at or behind it.
+        // Control-plane shaped load: the ring is usually empty, most events
+        // sit 0.3 ms to 17 s ahead, a few up to 47 s, and the clock crosses
+        // many ring revolutions. A deadline before the next event parks
+        // the cursor on it before some pushes, which then land at or
+        // behind it.
         let mut w = TimingWheel::new();
         let mut reference = BinaryHeap::new();
         let mut rng = Rng(0x5851_f42d_4c95_7f2d);
         let mut now = 0u64;
         for round in 0..6000u64 {
             if rng.next().is_multiple_of(4) {
-                if let Some(at) = w.peek_at() {
-                    assert!(at >= now);
+                if let Some((at, _)) = pop_both(&mut w, &mut reference, now) {
+                    now = at;
                 }
             }
             let at = match rng.next() % 8 {
@@ -527,29 +549,23 @@ mod tests {
             w.push(at, round, 0);
             reference.push(Reverse((at, round)));
             for _ in 0..rng.next() % 3 {
-                let got = w.pop().map(|(at, s, _)| (at, s));
-                assert_eq!(got, reference.pop().map(|Reverse(p)| p), "diverged at round {round}");
-                if let Some((at, _)) = got {
+                if let Some((at, _)) = pop_both(&mut w, &mut reference, Nanos::MAX) {
                     now = at;
                 }
             }
         }
-        let spans = now >> (GRANULE_BITS + SLOT_BITS * LEVELS as u32);
-        assert!(spans >= 3, "the clock crossed only {spans} wheel-span boundaries");
-        assert_eq!(
-            drain(&mut w),
-            std::iter::from_fn(|| reference.pop().map(|Reverse(p)| p)).collect::<Vec<_>>()
-        );
+        let revolutions = now >> (GRANULE_BITS + SLOT_BITS);
+        assert!(revolutions >= 3, "the clock crossed only {revolutions} ring revolutions");
+        assert!(w.moves.from_far > 0, "no key came from the far heap");
+        while pop_both(&mut w, &mut reference, Nanos::MAX).is_some() {}
     }
 
     #[test]
-    fn sparse_timers_pop_within_two_boundary_steps() {
+    fn every_event_moves_at_most_once() {
         // Two 1 ms hop chains and a 20 ms detection timer, rescheduled as
-        // each fires: the cursor crosses empty wheel time between nearly
-        // every pop. A jump to the next occupied slot takes one boundary
-        // step, plus one more when the slot wrapped into the next level-2
-        // revolution; walking level-0 revolutions would take about four
-        // per millisecond.
+        // each fires, then a dense mix of horizons from 1 µs to 2 ms: an
+        // event reaches `cur` at its push, from its ring slot or from the
+        // far heap, and never moves again.
         let periods = [1_000_000u64, 1_000_000, 20_000_000];
         let mut w = TimingWheel::new();
         let mut reference = BinaryHeap::new();
@@ -560,22 +576,33 @@ mod tests {
             seq += 1;
         }
         for _ in 0..5000 {
-            let before = w.steps;
             let (at, s, chain) = w.pop().expect("chains never end");
             assert_eq!(Some((at, s)), reference.pop().map(|Reverse(p)| p));
-            let steps = w.steps - before;
-            assert!(steps <= 2, "{steps} boundary steps to reach {at} ns");
             w.push(at + periods[chain], seq, chain);
             reference.push(Reverse((at + periods[chain], seq)));
             seq += 1;
         }
-        assert!(w.steps > 0);
+        assert!(w.moves.from_far > 0, "the 20 ms timer never rode the heap");
+        let mut rng = Rng(0x7f4a_7c15_2545_f491);
+        let mut now = w.tick << GRANULE_BITS;
+        for _ in 0..20_000 {
+            let at = now + 1_000 + rng.next() % 2_000_000;
+            w.push(at, seq, 3);
+            reference.push(Reverse((at, seq)));
+            seq += 1;
+            if w.len() > 64 {
+                now = pop_both(&mut w, &mut reference, Nanos::MAX).expect("pending").0;
+            }
+        }
+        while pop_both(&mut w, &mut reference, Nanos::MAX).is_some() {}
+        assert_eq!(w.moves.most, 1, "an event moved twice, or none moved");
+        assert!(w.moves.total > 20_000);
     }
 
     #[test]
     fn far_timer_beyond_wheel_span_pops_correctly() {
         let mut w = TimingWheel::new();
-        let far = 60 * 1_000_000_000u64; // 60 s — deep into overflow
+        let far = 60 * 1_000_000_000u64; // 60 s — deep in the far heap
         w.push(far, 0, 1);
         w.push(10, 1, 2);
         assert_eq!(drain(&mut w), vec![(10, 1), (far, 0)]);
@@ -598,7 +625,7 @@ mod tests {
     #[test]
     fn empty_wheel_behaves() {
         let mut w: TimingWheel<()> = TimingWheel::new();
-        assert_eq!(w.peek_at(), None);
+        assert!(w.pop_due(Nanos::MAX).is_none());
         assert!(w.pop().is_none());
     }
 }

@@ -436,11 +436,7 @@ impl Network {
     /// exactly `t_end` are processed). Returns events processed.
     pub fn run_until(&mut self, t_end: Nanos) -> u64 {
         let start_events = self.events_processed;
-        while let Some(at) = self.ctx.wire.calendar.peek_at() {
-            if at > t_end {
-                break;
-            }
-            let (at, _seq, ev) = self.ctx.wire.calendar.pop().expect("peeked");
+        while let Some((at, _seq, ev)) = self.ctx.wire.calendar.pop_due(t_end) {
             self.ctx.wire.now = at;
             self.events_processed += 1;
             self.dispatch(ev);
