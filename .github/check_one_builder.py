@@ -1,21 +1,26 @@
 #!/usr/bin/env python3
-"""Check that every backbone comes from the one builder.
+"""Check that every backbone comes from the one builder, and that each
+mechanism it relies on has one copy.
 
-Four rules over non-test code, cut as `count_lines.py` cuts it (each file
+Five rules over non-test code, cut as `count_lines.py` cuts it (each file
 up to its first unindented `#[cfg(test)]` line), in the files it counts
 (`.rs` under `crates/*/src` and `crates/*/benches`, shims skipped) plus
 `examples/`, `perfbench/src` and the root `src/`:
 
 1. Only `crates/core/src/network.rs` constructs backbone routers: no other
    file calls `PeRouter::new` or `CoreRouter::new`.
-2. Only `crates/mpls` names `LdpDomain`, the global LDP run that tests use
-   as the reference for the routers' own label distribution.
+2. No file names `LdpDomain`: the synchronous LDP run is test code
+   (`crates/mpls/tests/common/ldp_reference.rs`), the reference for the
+   routers' own label distribution, which is the model's one LDP.
 3. `crates/core/src/ipsec_vpn.rs` names no `Igp`: the IPsec baseline's
    routers forward on their own SPF views.
 4. Only `ProviderNetwork` admits trunks: no file under `crates/bench/src`,
    `examples/`, `perfbench/src` or the root `src/` calls `cspf_path` or
    copies a network's topology (`.topo.clone()`) to place paths beside
    the network's own record.
+5. Only `crates/net/src/dscp.rs` folds a DSCP into an EXP class: no other
+   file shifts a DSCP right by three bits (`>> 3` on a line that names
+   `dscp`); `Dscp::default_exp` is the one fold.
 
 Usage: python3 .github/check_one_builder.py
 Prints each offending line and exits 1 if any rule is broken.
@@ -34,14 +39,17 @@ RULES = [
      lambda path: path == "crates/core/src/network.rs",
      "constructs a backbone router outside BackboneBuilder"),
     (re.compile(r"\bLdpDomain\b"),
-     lambda path: path.startswith("crates/mpls/"),
-     "names LdpDomain outside crates/mpls"),
+     lambda path: False,
+     "names LdpDomain, the test-only LDP reference run"),
     (re.compile(r"\bIgp\b"),
      lambda path: path != "crates/core/src/ipsec_vpn.rs",
      "gives the IPsec network a global IGP"),
     (re.compile(r"\bcspf_path\b|\.topo\.clone\(\)"),
      lambda path: not path.startswith(("crates/bench/src/", "examples/", "perfbench/src/", "src/")),
      "admits a trunk outside ProviderNetwork"),
+    (re.compile(r"(?i)dscp.*>>\s*3\b"),
+     lambda path: path == "crates/net/src/dscp.rs",
+     "folds a DSCP outside Dscp::default_exp"),
 ]
 
 

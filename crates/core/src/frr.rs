@@ -1,9 +1,10 @@
 //! Fast-reroute orchestration on a running provider network.
 //!
-//! The control-plane pieces live elsewhere — [`netsim_te::frr`] computes
-//! SRLG-disjoint bypass paths, [`netsim_mpls::Lfib`] holds per-interface
-//! bypass entries, and the routers flip interfaces down when their
-//! BFD-style detection timers fire. This module wires them together on a
+//! The control-plane pieces live elsewhere — [`netsim_te`] supplies CSPF
+//! and the shared-risk groups ([`netsim_te::frr`]) a bypass must avoid,
+//! [`netsim_mpls::Lfib`] holds per-interface bypass entries, and the
+//! routers flip interfaces down when their BFD-style detection timers
+//! fire. This module wires them together on a
 //! [`ProviderNetwork`]:
 //!
 //! * [`ProviderNetwork::protect_all_links`] signals a bypass LSP around
@@ -27,7 +28,7 @@
 
 use netsim_qos::Nanos;
 use netsim_sim::{FaultAction, FaultPlan, LinkId};
-use netsim_te::{cspf_path_excluding, SrlgMap};
+use netsim_te::{cspf_path, SrlgMap};
 
 use crate::network::ProviderNetwork;
 
@@ -57,9 +58,9 @@ impl ProviderNetwork {
         let (u, v, _) = self.topo.link(topo_link);
         let mut installed = 0;
         for (near, far) in [(u, v), (v, u)] {
-            let usable = |l: usize| self.net.link_enabled(LinkId(l));
-            let Some(path) = cspf_path_excluding(&self.topo, near, far, srlg, topo_link, &usable)
-            else {
+            let usable =
+                |l: usize| self.net.link_enabled(LinkId(l)) && !srlg.share_risk(l, topo_link);
+            let Some(path) = cspf_path(&self.topo, near, far, &usable) else {
                 continue;
             };
             let ftn = self.install_explicit_lsp(&path);

@@ -7,7 +7,7 @@
 //! each and every packet"), which bench `lpm_vs_label` quantifies against
 //! the LPM trie.
 
-use netsim_net::{Layer, MplsLabel, Packet};
+use netsim_net::{Dscp, Layer, MplsLabel, Packet};
 
 /// Forwarding-plane counters of one LFIB.
 ///
@@ -235,8 +235,8 @@ impl Lfib {
         let (exp, ttl) = match pkt.top_label() {
             Some(l) => (l.exp, l.ttl),
             // PHP already stripped the stack: classify the bypass label
-            // from the IP precedence bits (the default DSCP→EXP fold).
-            None => (pkt.dscp().map_or(0, |d| d.value() >> 3), 64),
+            // by the default DSCP→EXP fold.
+            None => (pkt.dscp().map_or(0, Dscp::default_exp), 64),
         };
         if let Some(label) = bypass.push {
             pkt.push_outer(Layer::Mpls(MplsLabel { label, exp, ttl }));
@@ -316,7 +316,6 @@ pub const LOCAL_IFACE: usize = usize::MAX;
 mod tests {
     use super::*;
     use netsim_net::addr::ip;
-    use netsim_net::Dscp;
 
     fn labeled(label: u32, exp: u8, ttl: u8) -> Packet {
         let mut p = Packet::udp(ip("10.0.0.1"), ip("10.0.0.2"), 1, 2, Dscp::BE, 64);
@@ -431,20 +430,22 @@ mod tests {
     }
 
     #[test]
-    fn php_pop_onto_bypass_classifies_from_precedence() {
+    fn php_pop_onto_bypass_classifies_by_the_default_fold() {
         // Penultimate hop: the pop strips the last label; protection must
         // still wrap the bare IP packet so the merge point receives what
-        // it expected.
+        // it expected, in the class the edge mapped it to (CS7 shares
+        // network control's EXP 6).
         let mut lfib = Lfib::new();
         lfib.install(77, Nhlfe { op: LabelOp::Pop, out_iface: 2 });
         lfib.install_protection(2, FtnEntry { push: Some(901), out_iface: 5 });
         lfib.set_iface_down(2, true);
-        let mut p = labeled(77, 5, 10);
-        p.outer_ipv4_mut().unwrap().dscp = Dscp::EF;
-        assert_eq!(lfib.forward(&mut p), LfibVerdict::Forward { out_iface: 5 });
-        let top = p.top_label().unwrap();
-        assert_eq!(top.label, 901);
-        assert_eq!(top.exp, 5, "EF precedence bits classify the bypass label");
+        for (dscp, exp) in [(Dscp::EF, 5), (Dscp::new(56), 6)] {
+            let mut p = labeled(77, exp, 10);
+            p.outer_ipv4_mut().unwrap().dscp = dscp;
+            assert_eq!(lfib.forward(&mut p), LfibVerdict::Forward { out_iface: 5 });
+            let top = p.top_label().unwrap();
+            assert_eq!((top.label, top.exp), (901, exp), "{dscp} classifies the bypass label");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # netsim-mpls — MPLS data plane and label distribution
+//! # netsim-mpls — MPLS data plane
 //!
 //! The label-switching substrate of the reproduction:
 //!
@@ -6,13 +6,17 @@
 //! * [`lfib`] — the forwarding tables: ILM (incoming label map) with O(1)
 //!   dense lookup, NHLFE operations (swap/push/pop with TTL and EXP
 //!   handling), and the FTN (FEC-to-NHLFE) map used at the ingress.
-//! * [`ldp`] — an LDP emulation (downstream-unsolicited, ordered control)
-//!   that runs in synchronous rounds over a topology and counts every
-//!   Label Mapping message — the currency of the paper's scalability
-//!   argument (§2.1 vs §4).
 //! * [`walk`] — follows a pushed label stack through any node's tables to
 //!   where it unwinds; the verifier, the live network's LSP paths and the
 //!   LDP tests all ask it.
+//!
+//! The label distribution protocol the model runs is not here: each
+//! backbone router's `NodeControl` (in `mplsvpn-core`) binds, installs
+//! and re-advertises tunnel labels as per-router deltas, and counts every
+//! Label Mapping message — the currency of the paper's scalability
+//! argument (§2.1 vs §4). This crate's tests keep a synchronous-rounds
+//! run (`tests/common/ldp_reference.rs`) as the reference that
+//! distribution is checked against.
 //!
 //! The paper (§3): "MPLS brings the same kind of label swapping based
 //! forwarding used in frame relay and ATM to the handling of IP traffic."
@@ -41,10 +45,8 @@
 #![warn(missing_docs)]
 
 pub mod label;
-pub mod ldp;
 pub mod lfib;
 pub mod walk;
 
 pub use label::LabelSpace;
-pub use ldp::{Fec, LdpConfig, LdpDomain, LdpNodeState};
 pub use lfib::{FtnEntry, LabelOp, Lfib, LfibStats, Nhlfe};

@@ -1,7 +1,10 @@
-//! Property-based tests for the MPLS substrate: LDP correctness on random
-//! connected graphs and LFIB invariants.
+//! Tests of the MPLS substrate: the LDP reference run on fixed and random
+//! connected graphs, and LFIB invariants.
 
-use netsim_mpls::ldp::{Fec, LdpConfig, LdpDomain};
+#[path = "common/ldp_reference.rs"]
+mod ldp_reference;
+
+use ldp_reference::{Fec, LdpConfig, LdpDomain};
 use netsim_mpls::lfib::{LabelOp, Nhlfe};
 use netsim_mpls::walk::walk;
 use netsim_mpls::Lfib;
@@ -36,7 +39,15 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Vec<Vec<usize>>> {
         })
 }
 
-/// Deterministic BFS next-hop over an adjacency list.
+/// The node path of `fec`'s LSP from `ingress`, when it unwinds at
+/// `egress`.
+fn lsp(d: &LdpDomain, ingress: usize, fec: Fec, egress: usize) -> Option<Vec<usize>> {
+    let ftn = d.nodes[ingress].ftn.get(&fec)?;
+    walk(d, ingress, ftn.push.as_slice(), ftn.out_iface).path_to(egress)
+}
+
+/// Hop-count next hop over an adjacency list via BFS (deterministic:
+/// the lowest neighbor id wins ties).
 fn bfs_next_hop(adj: &[Vec<usize>]) -> impl Fn(usize, usize) -> Option<usize> + '_ {
     move |from, to| {
         if from == to {
@@ -58,6 +69,116 @@ fn bfs_next_hop(adj: &[Vec<usize>]) -> impl Fn(usize, usize) -> Option<usize> + 
     }
 }
 
+fn chain(n: usize) -> Vec<Vec<usize>> {
+    (0..n)
+        .map(|i| {
+            let mut adj = Vec::new();
+            if i > 0 {
+                adj.push(i - 1);
+            }
+            if i + 1 < n {
+                adj.push(i + 1);
+            }
+            adj
+        })
+        .collect()
+}
+
+#[test]
+fn chain_converges_and_forwards_php() {
+    let adj = chain(5);
+    let nh = bfs_next_hop(&adj);
+    let d = LdpDomain::run(&adj, &[(Fec(0), 4)], &nh, LdpConfig { php: true });
+    // Every non-egress node walks to the egress.
+    for ingress in 0..4 {
+        assert_eq!(lsp(&d, ingress, Fec(0), 4), Some((ingress..=4).collect::<Vec<_>>()));
+    }
+    // PHP: egress allocated no label; nodes 1..=3 allocated one each,
+    // plus node 0 (ingress also re-advertises).
+    assert_eq!(d.nodes[4].space.live(), 0);
+    assert!((0..4).all(|u| d.nodes[u].space.live() == 1));
+}
+
+#[test]
+fn chain_non_php_has_egress_label() {
+    let adj = chain(3);
+    let nh = bfs_next_hop(&adj);
+    let d = LdpDomain::run(&adj, &[(Fec(0), 2)], &nh, LdpConfig { php: false });
+    assert_eq!(d.nodes[2].space.live(), 1, "egress allocates an explicit label");
+    assert_eq!(lsp(&d, 0, Fec(0), 2), Some(vec![0, 1, 2]));
+    // The penultimate hop swaps (not pops) under non-PHP.
+    let local1 = d.nodes[1].bindings[&Fec(0)];
+    assert!(matches!(d.nodes[1].lfib.lookup(local1).unwrap().op, LabelOp::Swap(_)));
+}
+
+#[test]
+fn full_mesh_fecs_state_scales_linearly_per_node() {
+    // 6-node ring, one FEC per node (the T1 comparison point: per-PE
+    // state grows O(N), not O(N²)).
+    let n = 6;
+    let adj: Vec<Vec<usize>> = (0..n).map(|i| vec![(i + n - 1) % n, (i + 1) % n]).collect();
+    let nh = bfs_next_hop(&adj);
+    let fecs: Vec<(Fec, usize)> = (0..n).map(|i| (Fec(i as u32), i)).collect();
+    let d = LdpDomain::run(&adj, &fecs, &nh, LdpConfig::default());
+    for u in 0..n {
+        // Each node binds every FEC except where it's penultimate-free.
+        assert!(d.nodes[u].bindings.len() <= n);
+        assert!(d.nodes[u].lfib.len() < n, "per-node ILM is O(N)");
+        // Every node can reach every FEC.
+        for f in 0..n {
+            if f != u {
+                let path = lsp(&d, u, Fec(f as u32), f).expect("reachable");
+                assert_eq!(*path.last().unwrap(), f);
+                assert_eq!(path[0], u);
+            }
+        }
+    }
+    assert!(d.messages > 0);
+}
+
+#[test]
+fn star_topology_hub_carries_all_lsps() {
+    // Node 0 is the hub; 1..=4 are leaves.
+    let mut adj = vec![vec![1, 2, 3, 4]];
+    for _ in 1..=4 {
+        adj.push(vec![0]);
+    }
+    let nh = bfs_next_hop(&adj);
+    let fecs: Vec<(Fec, usize)> = (1..=4).map(|i| (Fec(i as u32), i)).collect();
+    let d = LdpDomain::run(&adj, &fecs, &nh, LdpConfig { php: false });
+    for src in 1..=4usize {
+        for dst in 1..=4usize {
+            if src != dst {
+                assert_eq!(lsp(&d, src, Fec(dst as u32), dst), Some(vec![src, 0, dst]));
+            }
+        }
+    }
+    // The hub holds a binding for each of the 4 FECs.
+    assert_eq!(d.nodes[0].bindings.len(), 4);
+}
+
+#[test]
+fn unreachable_fec_installs_nothing() {
+    // Two disconnected components: {0,1} and {2}.
+    let adj = vec![vec![1], vec![0], vec![]];
+    let nh = bfs_next_hop(&adj);
+    let d = LdpDomain::run(&adj, &[(Fec(9), 2)], &nh, LdpConfig::default());
+    assert!(lsp(&d, 0, Fec(9), 2).is_none());
+    assert!(!d.nodes[0].ftn.contains_key(&Fec(9)));
+}
+
+#[test]
+fn messages_grow_with_topology_size() {
+    let messages = |n: usize| {
+        let adj = chain(n);
+        let nh = bfs_next_hop(&adj);
+        let fecs: Vec<_> = (0..n).map(|i| (Fec(i as u32), i)).collect();
+        LdpDomain::run(&adj, &fecs, &nh, LdpConfig::default()).messages
+    };
+    let (small, large) = (messages(4), messages(16));
+    assert!(large > small * 4, "messages must scale with N and FEC count");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -75,9 +196,7 @@ proptest! {
                 if ingress == f {
                     continue;
                 }
-                let path = d.nodes[ingress].ftn.get(&Fec(f as u32)).and_then(|ftn| {
-                    walk(&d, ingress, ftn.push.as_slice(), ftn.out_iface).path_to(f)
-                });
+                let path = lsp(&d, ingress, Fec(f as u32), f);
                 let path = path.expect("every FEC reachable on a connected graph");
                 prop_assert_eq!(path[0], ingress);
                 prop_assert_eq!(*path.last().unwrap(), f);

@@ -78,6 +78,17 @@ impl Dscp {
         }
     }
 
+    /// The MPLS EXP class this code point folds into by default: EF → 5,
+    /// AF class `c` → `c`, class selectors CS1–CS5 → their precedence,
+    /// CS6 and CS7 (network control) → 6, anything else → 0. The provider
+    /// edge's default map, the EXP-or-DSCP schedulers, the engine's
+    /// per-class link counters and a bypass label pushed over a bare IP
+    /// packet all classify with it.
+    #[inline]
+    pub const fn default_exp(self) -> u8 {
+        DEFAULT_EXP[self.0 as usize]
+    }
+
     /// Returns the AF code point for (class, drop precedence).
     ///
     /// # Panics
@@ -87,6 +98,27 @@ impl Dscp {
         Dscp(8 * class + 2 * dp)
     }
 }
+
+/// [`Dscp::default_exp`] of every code point, worked out at compile time:
+/// schedulers and link counters classify a mix of code points per packet,
+/// and one load costs them no branch.
+const DEFAULT_EXP: [u8; 64] = {
+    let mut table = [0; 64];
+    let mut v = 0;
+    while v < 64 {
+        table[v as usize] = match v {
+            46 => 5,
+            48 | 56 => 6,
+            _ if v % 8 == 0 => v / 8,
+            _ => match Dscp(v).af_class() {
+                Some(class) => class,
+                None => 0,
+            },
+        };
+        v += 1;
+    }
+    table
+};
 
 impl fmt::Display for Dscp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -141,6 +173,21 @@ mod tests {
         }
         assert_eq!(Dscp::EF.af_class(), None);
         assert_eq!(Dscp::BE.af_class(), None);
+    }
+
+    #[test]
+    fn default_exp_folds_by_phb_group() {
+        assert_eq!(Dscp::EF.default_exp(), 5);
+        assert_eq!(Dscp::AF32.default_exp(), 3);
+        assert_eq!(Dscp::AF41.default_exp(), 4);
+        assert_eq!(Dscp::BE.default_exp(), 0);
+        assert_eq!(Dscp::new(8).default_exp(), 1, "CS1");
+        assert_eq!(Dscp::new(40).default_exp(), 5, "CS5");
+        assert_eq!(Dscp::CS6.default_exp(), 6);
+        assert_eq!(Dscp::new(56).default_exp(), 6, "CS7 shares network control's class");
+        assert_eq!(Dscp::new(5).default_exp(), 0, "unassigned code points are best effort");
+        assert_eq!(Dscp::new(44).default_exp(), 0);
+        assert!((0..64).all(|v| Dscp::new(v).default_exp() <= 7));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! * **Classification & marking** ([`classify`]): rule-based 5-tuple
 //!   classifiers used at the customer premises to set DSCP — and which go
 //!   blind behind IPsec, reproducing §3's observation.
-//! * **PHBs and the DSCP↔EXP mapping** ([`phb`]): how the provider edge maps
-//!   the CPE's DiffServ marking into "the QoS field of the MPLS header".
+//! * **The DSCP↔EXP mapping** ([`phb`]): how the provider edge maps the
+//!   CPE's DiffServ marking into "the QoS field of the MPLS header".
 //! * **Metering** ([`meter`]): the token bucket behind CBQ's rate gates.
 //! * **Active queue management** ([`red`]): RED, optionally ECN-marking.
 //! * **Schedulers** ([`queue`], [`sched`], [`cbq_tree`]): FIFO, strict
@@ -52,7 +52,7 @@ pub mod sched;
 pub use cbq_tree::{CbqNodeConfig, HierCbq};
 pub use classify::{MarkingPolicy, MatchRule};
 pub use meter::TokenBucket;
-pub use phb::{ExpMap, Phb};
+pub use phb::ExpMap;
 pub use queue::{ClassOf, EnqueueOutcome, FifoQueue, QueueDiscipline};
 pub use red::{RedParams, RedQueue};
 pub use sched::{DrrScheduler, PriorityScheduler, WfqScheduler};

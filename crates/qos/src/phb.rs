@@ -1,47 +1,19 @@
-//! Per-hop behaviours and the DSCP ↔ MPLS EXP mapping.
+//! The DSCP ↔ MPLS EXP mapping.
 //!
 //! The paper's §5 pipeline: the CPE marks DiffServ/ToS; "the network edge
 //! will then map the CPE-specified DiffServ/ToS service level specification
 //! into the QoS field of the MPLS header". The EXP field has 3 bits, so the
-//! 64 DSCP values fold into 8 EXP classes; [`ExpMap`] is that fold plus its
-//! inverse (applied when the egress LSR pops the stack and restores IP
+//! 64 DSCP values fold into 8 EXP classes ([`Dscp::default_exp`]);
+//! [`ExpMap`] is that fold, overridable per DSCP, plus its inverse
+//! (applied when the egress LSR pops the stack and restores IP
 //! scheduling).
 
 use netsim_net::Dscp;
 
-/// The per-hop behaviour groups the emulator schedules on.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum Phb {
-    /// Expedited forwarding: low delay, low jitter (voice).
-    Ef,
-    /// Assured forwarding class 1..=4 (higher class = better treatment).
-    Af(u8),
-    /// Class selector (network control and legacy IP precedence).
-    Cs(u8),
-    /// Default best-effort forwarding.
-    BestEffort,
-}
-
-impl Phb {
-    /// Maps a DSCP to its PHB group.
-    pub fn of(dscp: Dscp) -> Phb {
-        if dscp == Dscp::EF {
-            return Phb::Ef;
-        }
-        if let Some(class) = dscp.af_class() {
-            return Phb::Af(class);
-        }
-        let v = dscp.value();
-        if v != 0 && v.is_multiple_of(8) {
-            return Phb::Cs(v / 8);
-        }
-        Phb::BestEffort
-    }
-}
-
 /// Bidirectional DSCP ↔ EXP mapping used at the MPLS edge.
 ///
-/// The default map follows the common deployment convention:
+/// The default map is the fold [`Dscp::default_exp`], the common
+/// deployment convention:
 ///
 /// | traffic | DSCP | EXP |
 /// |---|---|---|
@@ -63,17 +35,7 @@ pub struct ExpMap {
 
 impl Default for ExpMap {
     fn default() -> Self {
-        let mut dscp_to_exp = [0u8; 64];
-        for v in 0..64u8 {
-            let d = Dscp::new(v);
-            dscp_to_exp[v as usize] = match Phb::of(d) {
-                Phb::Ef => 5,
-                Phb::Af(c) => c, // AF1x..AF4x -> 1..4
-                Phb::Cs(p) if p >= 6 => 6,
-                Phb::Cs(p) => p.min(7),
-                Phb::BestEffort => 0,
-            };
-        }
+        let dscp_to_exp = std::array::from_fn(|v| Dscp::new(v as u8).default_exp());
         let exp_to_dscp = [
             Dscp::BE,
             Dscp::AF11,
@@ -111,16 +73,6 @@ impl ExpMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn phb_grouping() {
-        assert_eq!(Phb::of(Dscp::EF), Phb::Ef);
-        assert_eq!(Phb::of(Dscp::AF32), Phb::Af(3));
-        assert_eq!(Phb::of(Dscp::BE), Phb::BestEffort);
-        assert_eq!(Phb::of(Dscp::CS6), Phb::Cs(6));
-        assert_eq!(Phb::of(Dscp::new(8)), Phb::Cs(1));
-        assert_eq!(Phb::of(Dscp::new(5)), Phb::BestEffort);
-    }
 
     #[test]
     fn default_map_conventions() {

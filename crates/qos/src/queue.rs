@@ -82,16 +82,15 @@ pub trait QueueDiscipline: Send {
 /// WFQ/DRR/CBQ classes).
 pub type ClassOf = Box<dyn Fn(&Packet) -> usize + Send>;
 
-/// Class selector: the EXP of the top label if labeled, else the EXP the
-/// default [`crate::ExpMap`] would assign from the IP DSCP. Lets one
+/// Class selector: the EXP of the top label if labeled, else the IP
+/// DSCP's default fold ([`netsim_net::Dscp::default_exp`]). Lets one
 /// scheduler serve both labeled core traffic and unlabeled edge traffic.
 pub fn class_by_exp_or_dscp() -> ClassOf {
-    let map = crate::ExpMap::default();
-    Box::new(move |p: &Packet| {
+    Box::new(|p: &Packet| {
         if let Some(l) = p.top_label() {
             usize::from(l.exp)
         } else {
-            p.dscp().map_or(0, |d| usize::from(map.exp_of(d)))
+            p.dscp().map_or(0, |d| usize::from(d.default_exp()))
         }
     })
 }

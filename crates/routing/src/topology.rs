@@ -83,12 +83,6 @@ impl Topology {
         self.adj[u].len()
     }
 
-    /// The adjacency as plain neighbor lists (what `netsim-mpls`'s LDP
-    /// expects; position in the list = interface index).
-    pub fn adjacency_lists(&self) -> Vec<Vec<usize>> {
-        self.adj.iter().map(|edges| edges.iter().map(|e| e.peer).collect()).collect()
-    }
-
     /// The interface index (position in `u`'s neighbor list) of the first
     /// link from `u` to `v`.
     ///
@@ -141,14 +135,19 @@ mod tests {
         assert_eq!((u, v, a.cost), (0, 1, 5));
     }
 
+    /// `BackboneBuilder::build` numbers each router's interfaces in
+    /// `neighbors` order, and the control planes find a peer's interface
+    /// with `iface_toward`: the two must agree.
     #[test]
-    fn adjacency_lists_match_iface_order() {
+    fn neighbor_order_is_iface_order() {
         let mut t = Topology::new(3);
         t.add_link(0, 2, LinkAttrs::default());
         t.add_link(0, 1, LinkAttrs::default());
-        let adj = t.adjacency_lists();
-        assert_eq!(adj[0], vec![2, 1]);
-        assert_eq!(t.iface_toward(0, 1), 1);
+        let peers: Vec<usize> = t.neighbors(0).map(|(v, _, _)| v).collect();
+        assert_eq!(peers, [2, 1]);
+        for (i, &v) in peers.iter().enumerate() {
+            assert_eq!(t.iface_toward(0, v), i);
+        }
     }
 
     #[test]

@@ -73,13 +73,13 @@ impl LinkStats {
 }
 
 /// The 3-bit wire class a queue drop or transmission is attributed to:
-/// the MPLS EXP bits of the top label inside the core, or the IP
-/// precedence (DSCP >> 3) at the unlabeled edge — the same fold every
-/// EXP-classifying discipline applies.
+/// the MPLS EXP bits of the top label inside the core, or the DSCP's
+/// default fold ([`netsim_net::Dscp::default_exp`]) at the unlabeled
+/// edge — the class an EXP-or-DSCP scheduler serves the packet from.
 fn wire_class(pkt: &Pkt) -> usize {
     match pkt.top_label() {
         Some(l) => (l.exp & 0x7) as usize,
-        None => pkt.dscp().map_or(0, |d| (d.value() >> 3) as usize),
+        None => pkt.dscp().map_or(0, |d| usize::from(d.default_exp())),
     }
 }
 

@@ -1,19 +1,16 @@
-//! Fast-reroute link protection: SRLG bookkeeping and bypass-path
-//! computation.
+//! Fast-reroute link protection: SRLG bookkeeping for bypass paths.
 //!
 //! The paper's §5 promise is that MPLS lets the operator "avoid congested,
 //! constrained or disabled links"; plain re-optimization only does that
 //! *after* global reconvergence. Fast reroute closes the gap: for every
 //! protected link `u → v`, a *bypass* route from `u` to the merge point
-//! `v` is precomputed, excluding the protected link and every
-//! link sharing a risk group (SRLG) with it. When `u` detects the link
-//! down, it pushes the bypass label over the label it would have sent and
-//! forwards on — the merge point sees exactly the traffic it expected, just
-//! one detour later.
-
-use netsim_routing::Topology;
-
-use crate::cspf::cspf_path;
+//! `v` is precomputed, excluding the protected link and every link
+//! sharing a risk group (SRLG) with it: `ProviderNetwork::protect_all_links`
+//! (in `mplsvpn-core`) runs [`crate::cspf_path`] over the links for which
+//! [`SrlgMap::share_risk`] with the protected link is false. When `u`
+//! detects the link down, it pushes the bypass label over the label it
+//! would have sent and forwards on — the merge point sees exactly the
+//! traffic it expected, just one detour later.
 
 /// Shared-risk link group membership: links riding the same conduit or
 /// fiber fail together, so a backup must avoid the whole group, not just
@@ -48,25 +45,11 @@ impl SrlgMap {
     }
 }
 
-/// Computes a bypass path `src → dst` that avoids `protected` and every
-/// link sharing an SRLG with it, on top of the caller's `usable` filter.
-/// This is the CSPF exclusion primitive link-level protection
-/// (`ProviderNetwork::protect_all_links` in `mplsvpn-core`) builds on.
-pub fn cspf_path_excluding(
-    topo: &Topology,
-    src: usize,
-    dst: usize,
-    srlg: &SrlgMap,
-    protected: usize,
-    usable: &dyn Fn(usize) -> bool,
-) -> Option<Vec<usize>> {
-    cspf_path(topo, src, dst, &|l| usable(l) && !srlg.share_risk(l, protected))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim_routing::LinkAttrs;
+    use crate::cspf::cspf_path;
+    use netsim_routing::{LinkAttrs, Topology};
 
     /// The fish: short path 0-1-4 (links 0,1), long path 0-2-3-4 (2,3,4).
     fn fish() -> Topology {
@@ -83,7 +66,7 @@ mod tests {
         let t = fish();
         let srlg = SrlgMap::new(t.link_count());
         // Protecting 1→4 (link 1): bypass must reach 4 the long way round.
-        let p = cspf_path_excluding(&t, 1, 4, &srlg, 1, &|_| true).unwrap();
+        let p = cspf_path(&t, 1, 4, &|l| !srlg.share_risk(l, 1)).unwrap();
         assert_eq!(p, vec![1, 0, 2, 3, 4]);
     }
 
@@ -97,7 +80,7 @@ mod tests {
         assert!(srlg.share_risk(1, 4));
         assert!(!srlg.share_risk(1, 3));
         // With the whole group down, node 4 is unreachable from 1.
-        assert_eq!(cspf_path_excluding(&t, 1, 4, &srlg, 1, &|_| true), None);
+        assert_eq!(cspf_path(&t, 1, 4, &|l| !srlg.share_risk(l, 1)), None);
     }
 
     #[test]
@@ -105,6 +88,6 @@ mod tests {
         let t = fish();
         let srlg = SrlgMap::new(t.link_count());
         // Protect link 1, and link 3 is administratively unusable.
-        assert_eq!(cspf_path_excluding(&t, 1, 4, &srlg, 1, &|l| l != 3), None);
+        assert_eq!(cspf_path(&t, 1, 4, &|l| l != 3 && !srlg.share_risk(l, 1)), None);
     }
 }

@@ -9,7 +9,9 @@
 //! * [`cspf`] — constraint-based shortest path first: Dijkstra over only
 //!   the links a caller's constraint admits (up, with enough unreserved
 //!   bandwidth).
-//! * [`frr`] — SRLG-disjoint bypass paths for fast reroute.
+//! * [`frr`] — shared-risk link groups for fast reroute: a bypass is a
+//!   [`cspf_path`] whose constraint also excludes every link that shares a
+//!   risk with the protected one.
 //! * [`intserv`] — per-flow RSVP reservations, the §2.2 comparison.
 //!
 //! Trunk admission lives with the LSPs it installs:
@@ -44,5 +46,5 @@ pub mod frr;
 pub mod intserv;
 
 pub use cspf::cspf_path;
-pub use frr::{cspf_path_excluding, SrlgMap};
+pub use frr::SrlgMap;
 pub use intserv::{FlowId, FlowRequest, IntServDomain, RsvpError};

@@ -40,8 +40,6 @@ pub mod codes {
 
     /// Reservations on a link exceed its reservable bandwidth.
     pub const TE_OVERSUB: &str = "V-TE-001";
-    /// A trunk's constraints are unsatisfiable even on an empty network.
-    pub const TE_UNSATISFIABLE: &str = "V-TE-002";
     /// A trunk's LSP does not ride the path the trunk reserved.
     pub const TE_PATH: &str = "V-TE-004";
 }

@@ -14,7 +14,11 @@
 //! | label-plane integrity | [`labelplane`] | `V-LBL-001` … `V-LBL-005` |
 //! | VRF isolation         | [`isolation`]  | `V-VRF-001` … `V-VRF-004` |
 //! | QoS configuration     | [`qoslint`]    | `V-QOS-001` … `V-QOS-004` |
-//! | TE trunks             | [`te`]         | `V-TE-001`, `V-TE-002`, `V-TE-004` |
+//! | TE trunks             | [`te`]         | `V-TE-001`, `V-TE-004` |
+//!
+//! Retired codes are not reused: `V-TE-002` (a trunk no path could carry
+//! on an empty network, which `V-TE-001` already catches) and `V-TE-003`
+//! (a second reservation ledger that no longer exists).
 //!
 //! `mplsvpn-core` glues these to `ProviderNetwork::verify()`. The label
 //! pass reads the live tables it checks through the [`LabelPlane`] trait,

@@ -7,19 +7,19 @@
 //! * no link carries more reservation than its capacity, a link's
 //!   reservation being the sum of the demands of the trunks that cross
 //!   it (`V-TE-001`);
-//! * every admitted trunk's constraints are satisfiable at all — i.e.
-//!   CSPF finds a path on an *empty* network; a trunk whose demand
-//!   exceeds every cut between its endpoints can only exist through a
-//!   corrupted record (`V-TE-002`);
 //! * every trunk's FTN, walked over the links that are up, visits
 //!   exactly the path the trunk reserved (`V-TE-004`).
+//!
+//! A trunk no path could carry even on an empty network needs no check of
+//! its own: its recorded path follows topology links, so one of them has
+//! less capacity than the trunk's demand, which is at most that link's
+//! reservation, and `V-TE-001` fires.
 
 use crate::diag::{codes, Severity, VerifyReport};
 use crate::labelplane::LabelPlane;
 use netsim_mpls::walk::walk;
 use netsim_mpls::FtnEntry;
 use netsim_routing::Topology;
-use netsim_te::cspf_path;
 
 /// One admitted traffic trunk: a bandwidth reservation along `path` and
 /// the explicit LSP installed along it.
@@ -65,18 +65,6 @@ pub trait TePlane: LabelPlane {
 pub fn verify_te(plane: &impl TePlane, report: &mut VerifyReport) {
     let topo = plane.topology();
     for (i, t) in plane.trunks().iter().enumerate() {
-        let demand = t.demand_bps;
-        if cspf_path(topo, t.src, t.dst, &|l| topo.link(l).2.capacity_bps >= demand).is_none() {
-            report.push(
-                codes::TE_UNSATISFIABLE,
-                Severity::Error,
-                format!("trunk {i}"),
-                format!(
-                    "no path from {} to {} can carry {demand} b/s even on an empty network",
-                    t.src, t.dst
-                ),
-            );
-        }
         let walked = walk(plane, t.src, t.ftn.push.as_slice(), t.ftn.out_iface).path_to(t.dst);
         if walked.as_ref() != Some(&t.path) {
             report.push(

@@ -61,14 +61,20 @@ fn admitted_trunks_verify_clean() {
 fn oversubscribed_link_is_caught() {
     let r = line_with_trunks(&[90 * MBPS, 50 * MBPS]).verify();
     assert!(r.has_code(codes::TE_OVERSUB), "{r}");
-    assert!(!r.has_code(codes::TE_UNSATISFIABLE), "each trunk fits on its own: {r}");
     assert_eq!(r.diagnostics().len(), 2, "one per link: {r}");
 }
 
+/// A trunk no path could carry even on an empty network oversubscribes
+/// every link of the path it records.
 #[test]
 fn unsatisfiable_trunk_is_caught() {
     let r = line_with_trunks(&[150 * MBPS]).verify();
-    assert!(r.has_code(codes::TE_UNSATISFIABLE), "{r}");
+    let found: Vec<_> = r.diagnostics().iter().map(|d| (d.code, d.location.as_str())).collect();
+    assert_eq!(
+        found,
+        [(codes::TE_OVERSUB, "link 0-1"), (codes::TE_OVERSUB, "link 1-2")],
+        "both links of its path: {r}"
+    );
 }
 
 /// Each corruption leaves trunk 1's FTN off the path its record names.
