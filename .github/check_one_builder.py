@@ -2,7 +2,7 @@
 """Check that every backbone comes from the one builder, and that each
 mechanism it relies on has one copy.
 
-Five rules over non-test code, cut as `count_lines.py` cuts it (each file
+Six rules over non-test code, cut as `count_lines.py` cuts it (each file
 up to its first unindented `#[cfg(test)]` line), in the files it counts
 (`.rs` under `crates/*/src` and `crates/*/benches`, shims skipped) plus
 `examples/`, `perfbench/src` and the root `src/`:
@@ -21,6 +21,10 @@ up to its first unindented `#[cfg(test)]` line), in the files it counts
 5. Only `crates/net/src/dscp.rs` folds a DSCP into an EXP class: no other
    file shifts a DSCP right by three bits (`>> 3` on a line that names
    `dscp`); `Dscp::default_exp` is the one fold.
+6. Only `crates/routing/src/igp.rs` runs a shortest-path search: no other
+   file under `crates/*/src` names `BinaryHeap`, save the simulator's
+   calendar (`crates/sim/src/calendar.rs`); CSPF is `cspf_path`, SPF over
+   the links a constraint admits.
 
 Usage: python3 .github/check_one_builder.py
 Prints each offending line and exits 1 if any rule is broken.
@@ -50,6 +54,10 @@ RULES = [
     (re.compile(r"(?i)dscp.*>>\s*3\b"),
      lambda path: path == "crates/net/src/dscp.rs",
      "folds a DSCP outside Dscp::default_exp"),
+    (re.compile(r"\bBinaryHeap\b"),
+     lambda path: not re.match(r"crates/[^/]+/src/", path)
+     or path in ("crates/routing/src/igp.rs", "crates/sim/src/calendar.rs"),
+     "runs a shortest-path search outside the IGP's SPF"),
 ]
 
 

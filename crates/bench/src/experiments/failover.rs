@@ -3,7 +3,7 @@
 //! §5 argues MPLS lets operators "avoid congested, constrained or
 //! disabled links"; R1 showed what a *disabled* link costs when the only
 //! reaction is global reconvergence. R2 adds the missing mechanism: link
-//! protection. Every backbone link gets a precomputed SRLG-disjoint
+//! protection. Every backbone link gets a precomputed link-disjoint
 //! bypass LSP; when the short path of the fish is cut mid-call, the
 //! upstream router switches onto the bypass as soon as BFD detection
 //! fires — no control-plane convergence in the loss path. The control
@@ -22,7 +22,6 @@ use mplsvpn_core::{BackboneBuilder, ControlMode, CoreQos, MetricsSnapshot, Sla};
 use netsim_net::addr::pfx;
 use netsim_qos::Nanos;
 use netsim_sim::{FaultAction, FaultEvent, FaultPlan, LinkId, Sink, MSEC, SEC};
-use netsim_te::SrlgMap;
 
 use crate::report::ExpReport;
 use crate::table::{ms, Table};
@@ -102,8 +101,7 @@ pub fn measure(
     let flows = mix::attach_mix(&mut pn.net, pn.sites[a.0].ce, pa, pb, 1, SEED, RUN_SECS * SEC);
 
     if protected {
-        let srlg = SrlgMap::new(pn.topo.link_count());
-        pn.protect_all_links(&srlg);
+        pn.protect_all_links();
     }
     pn.verify().assert_clean("failover experiment, pre-cut");
 

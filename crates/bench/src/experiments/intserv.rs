@@ -10,8 +10,8 @@
 //! load RSVP requires, against DiffServ's constant eight classes per
 //! interface.
 
+use mplsvpn_core::intserv::{diffserv_node_state, FlowId, FlowRequest, IntServDomain};
 use netsim_routing::Igp;
-use netsim_te::intserv::{diffserv_node_state, FlowId, FlowRequest, IntServDomain};
 
 use crate::table::{f2, Table};
 use crate::topo;
@@ -37,7 +37,7 @@ pub struct IntServPoint {
 pub fn measure(n: usize) -> IntServPoint {
     let (t, pes) = topo::national(6, 8, 622);
     let igp = Igp::converge(&t);
-    let mut d = IntServDomain::new(&t, |u, v| igp.next_hop(u, v));
+    let mut d = IntServDomain::new(&t, &igp);
     let mut admitted = 0;
     for i in 0..n {
         let src = pes[i % pes.len()];

@@ -71,7 +71,7 @@ pub fn measure(pn: &ProviderNetwork) -> (Vec<TunnelRecord>, u64) {
 
 /// IGP cost of the link between adjacent nodes `u` and `v`.
 fn link_cost(t: &Topology, u: usize, v: usize) -> u64 {
-    t.neighbors(u).find(|&(w, _, _)| w == v).expect("adjacent").1.cost
+    t.link(t.link_between(u, v).expect("adjacent")).2.cost
 }
 
 /// Runs the experiment, also pushing one data flow over V1 PE0→PE2 to

@@ -1,10 +1,9 @@
 //! Fast-reroute orchestration on a running provider network.
 //!
-//! The control-plane pieces live elsewhere — [`netsim_te`] supplies CSPF
-//! and the shared-risk groups ([`netsim_te::frr`]) a bypass must avoid,
-//! [`netsim_mpls::Lfib`] holds per-interface bypass entries, and the
-//! routers flip interfaces down when their BFD-style detection timers
-//! fire. This module wires them together on a
+//! The control-plane pieces live elsewhere — [`netsim_routing::cspf_path`]
+//! finds each bypass, [`netsim_mpls::Lfib`] holds per-interface bypass
+//! entries, and the routers flip interfaces down when their BFD-style
+//! detection timers fire. This module wires them together on a
 //! [`ProviderNetwork`]:
 //!
 //! * [`ProviderNetwork::protect_all_links`] signals a bypass LSP around
@@ -27,8 +26,8 @@
 //! which rebuilds every LFIB from scratch, erases all protection state.
 
 use netsim_qos::Nanos;
+use netsim_routing::cspf_path;
 use netsim_sim::{FaultAction, FaultPlan, LinkId};
-use netsim_te::{cspf_path, SrlgMap};
 
 use crate::network::ProviderNetwork;
 
@@ -50,17 +49,15 @@ impl ProviderNetwork {
     /// Signals a bypass LSP around backbone link `topo_link` in each
     /// direction and installs it as that direction's protection entry at
     /// the upstream router. The bypass excludes the protected link and
-    /// every link sharing a risk group with it, and avoids currently
-    /// failed links. Returns how many directions could be protected
-    /// (0–2; an SRLG-disjoint detour does not always exist).
-    fn protect_link(&mut self, topo_link: usize, srlg: &SrlgMap) -> usize {
+    /// avoids currently failed links. Returns how many directions could be
+    /// protected (0–2; a link-disjoint detour does not always exist).
+    fn protect_link(&mut self, topo_link: usize) -> usize {
         assert!(topo_link < self.topo.link_count(), "unknown backbone link {topo_link}");
         let (u, v, _) = self.topo.link(topo_link);
         let mut installed = 0;
         for (near, far) in [(u, v), (v, u)] {
-            let usable =
-                |l: usize| self.net.link_enabled(LinkId(l)) && !srlg.share_risk(l, topo_link);
-            let Some(path) = cspf_path(&self.topo, near, far, &usable) else {
+            let usable = |l: usize| l != topo_link && self.net.link_enabled(LinkId(l));
+            let Some(path) = cspf_path(&self.topo, near, far, usable) else {
                 continue;
             };
             let ftn = self.install_explicit_lsp(&path);
@@ -71,10 +68,10 @@ impl ProviderNetwork {
         installed
     }
 
-    /// Protects every backbone link that has a viable SRLG-disjoint
+    /// Protects every backbone link that has a viable link-disjoint
     /// detour. Returns the number of protected directions installed.
-    pub fn protect_all_links(&mut self, srlg: &SrlgMap) -> usize {
-        (0..self.topo.link_count()).map(|l| self.protect_link(l, srlg)).sum()
+    pub fn protect_all_links(&mut self) -> usize {
+        (0..self.topo.link_count()).map(|l| self.protect_link(l)).sum()
     }
 
     /// Failed-link directions whose upstream router currently has both a
@@ -169,10 +166,9 @@ mod tests {
     #[test]
     fn protected_failure_keeps_traffic_flowing_after_detection() {
         let (mut pn, a, b) = fish_network(10 * MSEC);
-        let srlg = SrlgMap::new(pn.topo.link_count());
         // Both directions of both short-path links get bypasses.
-        assert_eq!(pn.protect_link(0, &srlg), 2);
-        assert_eq!(pn.protect_link(1, &srlg), 2);
+        assert_eq!(pn.protect_link(0), 2);
+        assert_eq!(pn.protect_link(1), 2);
 
         let sink = start_flow(&mut pn, a, b, 300); // 3 s of traffic
         pn.run_for(SEC);
@@ -211,8 +207,7 @@ mod tests {
         use crate::control::LOCAL_CONVERGENCE_DELAY;
         use netsim_routing::Igp;
         let (mut pn, _a, _b) = fish_network(10 * MSEC);
-        let srlg = SrlgMap::new(pn.topo.link_count());
-        pn.protect_link(1, &srlg);
+        pn.protect_link(1);
         let before = pn.effective_spf(1).clone();
         pn.fail_link(1); // P1 protects its link toward PE4
         pn.run_for(10 * MSEC + LOCAL_CONVERGENCE_DELAY - 1);
@@ -228,8 +223,7 @@ mod tests {
     #[test]
     fn reconverge_wipes_active_switchovers() {
         let (mut pn, _a, _b) = fish_network(10 * MSEC);
-        let srlg = SrlgMap::new(pn.topo.link_count());
-        pn.protect_link(1, &srlg);
+        pn.protect_link(1);
         pn.fail_link(1);
         pn.run_for(50 * MSEC); // detection fires at 10 ms
         assert_eq!(pn.active_switchovers(), 2, "FRR carries both directions");
@@ -259,8 +253,7 @@ mod tests {
         ]);
 
         let (mut frr, _a, _b) = fish_network(10 * MSEC);
-        let srlg = SrlgMap::new(frr.topo.link_count());
-        frr.protect_all_links(&srlg);
+        frr.protect_all_links();
         let out = frr.execute_fault_plan(&plan, SEC);
         assert_eq!((out.cuts, out.repairs, out.switchovers), (1, 1, 2));
 
@@ -283,8 +276,7 @@ mod tests {
             FaultEvent { at: 400 * MSEC, link: 1, action: FaultAction::Repair },
         ]);
         let (mut pn, _a, _b) = fish_network(10 * MSEC);
-        let srlg = SrlgMap::new(pn.topo.link_count());
-        pn.protect_all_links(&srlg);
+        pn.protect_all_links();
         let out = pn.execute_fault_plan(&plan, SEC);
         assert_eq!((out.cuts, out.repairs), (2, 2), "every plan event is counted");
         assert_eq!(out.switchovers, 2, "only the first cut switches the two directions");

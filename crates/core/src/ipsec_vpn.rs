@@ -246,7 +246,7 @@ impl IpsecVpnNetwork {
         let mut at = ga.attach;
         while at != gb.attach {
             let nh = self.pn.effective_spf(at).next_hop[gb.attach].expect("backbone connected");
-            let (_, _, link) = self.pn.topo.neighbors(at).find(|n| n.0 == nh).expect("adjacent");
+            let link = self.pn.topo.link_between(at, nh).expect("adjacent");
             delay += net.link_delay(LinkId(link), 0);
             at = nh;
         }

@@ -22,14 +22,16 @@
 //! ingress PE maps DSCP into the MPLS EXP bits
 //! ([`netsim_qos::ExpMap`]); core links schedule on EXP (priority + RED);
 //! TE trunks steer traffic away from congestion
-//! ([`ProviderNetwork::admit_trunk`], CSPF from [`netsim_te`]).
+//! ([`ProviderNetwork::admit_trunk`], CSPF from
+//! [`netsim_routing::cspf_path`]).
 //!
 //! ## Baselines
 //!
 //! [`overlay`] implements the §2.1 strawman (one PVC per site pair) and
 //! [`ipsec_vpn`] the §2.3/§3 one (IPsec gateways over a plain IP
 //! backbone), both runnable on the same simulator for head-to-head
-//! comparison. Several carriers share one provider network: a
+//! comparison; [`intserv`] prices the §2.2 per-flow RSVP road the paper
+//! declines. Several carriers share one provider network: a
 //! [`BackboneBuilder::domains`] split stitches MPLS domains at ASBRs to
 //! reproduce the cross-provider SLA claim.
 
@@ -37,6 +39,7 @@
 
 pub mod control;
 pub mod frr;
+pub mod intserv;
 pub mod ipsec_vpn;
 pub mod membership;
 pub mod network;

@@ -25,7 +25,7 @@ use std::rc::Rc;
 
 use netsim_mpls::walk::{walk, LabelTables, Walk};
 use netsim_mpls::Lfib;
-use netsim_net::{Ip, Packet, Prefix};
+use netsim_net::{Ip, Prefix};
 use netsim_obs::FlightRecorder;
 use netsim_qos::sched::PriorityScheduler;
 use netsim_qos::{
@@ -36,8 +36,8 @@ use netsim_routing::{
     BgpVpnFabric, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget, Topology, VrfHandle,
 };
 use netsim_sim::{
-    CbrSource, Ctx, IfaceId, LinkConfig, LinkId, Network, Node, NodeId, OnOffSource, PoissonSource,
-    Sink, SourceConfig,
+    CbrSource, Ctx, LinkConfig, LinkId, Network, Node, NodeId, OnOffSource, PoissonSource, Sink,
+    SourceConfig,
 };
 
 use crate::control::{ControlConfig, ControlMode, CtrlMsg, CtrlStats, NodeControl, NodeTables};
@@ -721,18 +721,6 @@ impl ProviderNetwork {
         self.net.run_to_quiescence();
     }
 
-    /// Sends one ad-hoc packet from a site host into the VPN (useful for
-    /// connectivity probing). The packet is injected at the CE uplink.
-    pub fn probe(&mut self, site: SiteId, mut pkt: Packet) {
-        let ce = self.sites[site.0].ce;
-        // Inject as if a host behind the CE had sent it: deliver to the CE
-        // on a synthetic host port. Simplest faithful path: decrement at
-        // CE happens on arrival, so give it directly to the uplink send.
-        pkt.meta.created_ns = self.net.now();
-        let uplink = IfaceId(self.net.node_ref::<CeRouter>(ce).uplink);
-        self.net.inject(ce, uplink, pkt);
-    }
-
     /// Signals an explicit-route LSP along `path` (backbone topology node
     /// ids) directly into the running routers — the RSVP-TE role. Labels
     /// come from each node's platform label space, so they can never alias
@@ -1152,8 +1140,9 @@ impl LabelTables for ProviderNetwork {
 mod tests {
     use super::*;
     use netsim_net::addr::pfx;
+    use netsim_net::Packet;
     use netsim_routing::LinkAttrs;
-    use netsim_sim::{MSEC, SEC};
+    use netsim_sim::{IfaceId, MSEC, SEC};
 
     /// PE0 — P — PE1 line, 100 Mb/s backbone.
     fn line() -> ProviderNetwork {

@@ -19,7 +19,7 @@ use netsim_net::{Layer, LpmTrie, Pkt, Prefix, VcHeader};
 use netsim_obs::{DropCause, FlightRecorder};
 use netsim_qos::Nanos;
 use netsim_routing::{Igp, Topology};
-use netsim_sim::{Ctx, IfaceId, LinkConfig, LinkId, Network, NodeId, Sink};
+use netsim_sim::{Ctx, IfaceId, LinkConfig, Network, NodeId, Sink};
 
 use crate::router::RouterCounters;
 
@@ -314,12 +314,6 @@ impl OverlayNetwork {
     /// A host address inside a site's prefix.
     pub fn site_addr(&self, site: OverlaySiteId, host: u32) -> netsim_net::Ip {
         self.sites[site.0].prefix.nth(host)
-    }
-
-    /// The access link of a site (direction 0 = edge → switch).
-    pub fn access_link(&self, site: OverlaySiteId) -> LinkId {
-        // Access links are created per site in order, after backbone links.
-        LinkId(self.topo.link_count() + site.0)
     }
 }
 

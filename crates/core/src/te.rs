@@ -20,9 +20,8 @@
 //! LSP, so it clears the record too. Trunks are never released,
 //! re-signalled or made before broken.
 
-use netsim_routing::Topology;
+use netsim_routing::{cspf_path, Topology};
 use netsim_sim::LinkId;
-use netsim_te::cspf_path;
 use netsim_verify::{TePlane, Trunk};
 
 use crate::network::ProviderNetwork;
@@ -44,7 +43,7 @@ impl ProviderNetwork {
             self.net.link_enabled(LinkId(l))
                 && self.topo.link(l).2.capacity_bps.saturating_sub(reserved[l]) >= demand_bps
         };
-        let path = cspf_path(&self.topo, src, dst, &usable)?;
+        let path = cspf_path(&self.topo, src, dst, usable)?;
         let ftn = self.install_explicit_lsp(&path);
         let trunk = Trunk { src, dst, demand_bps, path, ftn };
         self.trunks.push(trunk.clone());

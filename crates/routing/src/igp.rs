@@ -1,9 +1,12 @@
-//! Link-state interior routing: SPF computation.
+//! Link-state interior routing: SPF computation, and CSPF as SPF over the
+//! links a constraint admits.
 //!
 //! The paper's §2.2 observes that "routing protocols like OSPF used to build
 //! routing tables do not exchange QoS information" — the IGP here computes
-//! pure min-cost paths (experiment Q3 contrasts that against CSPF from
-//! `netsim-te`, which *does* see resources).
+//! pure min-cost paths. Its §5 has TE use the same routing information "to
+//! avoid congested, constrained or disabled links": [`cspf_path`] runs the
+//! same SPF over only the links a caller's constraint admits (RFC 2702), and
+//! experiment Q3 contrasts the two.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -164,6 +167,62 @@ pub fn spf_filtered(topo: &Topology, root: usize, usable: impl Fn(usize) -> bool
     tree
 }
 
+/// Constraint-based SPF: the min-cost node path `src → … → dst`, both
+/// endpoints included, over only the links where `usable(link_id)` holds
+/// (a caller encodes link state and reservations in it); `None` when no
+/// such path exists or a node is out of range.
+///
+/// It is [`SpfTree::recompute`] rooted at `dst`, read forward from `src`:
+/// each hop goes to the lowest-id neighbour that lies on a shortest path
+/// over a usable link, the hop rule of [`SpfTree`] and [`Igp::path`], so the
+/// result is `Igp::converge_filtered(topo, usable).path(src, dst)`. Among
+/// equal-cost paths that is the lowest first hop at every node, not the
+/// fewest hops.
+///
+/// # Example
+///
+/// ```
+/// use netsim_routing::{cspf_path, LinkAttrs, Topology};
+///
+/// // The fish: a short and a long path between nodes 0 and 4.
+/// let mut t = Topology::new(5);
+/// let attrs = LinkAttrs { cost: 1, capacity_bps: 10_000_000 };
+/// for (u, v) in [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)] {
+///     t.add_link(u, v, attrs);
+/// }
+/// assert_eq!(cspf_path(&t, 0, 4, |_| true), Some(vec![0, 1, 4])); // shortest
+/// // With link 1 (1-4) full, CSPF detours.
+/// assert_eq!(cspf_path(&t, 0, 4, |l| l != 1), Some(vec![0, 2, 3, 4]));
+/// ```
+pub fn cspf_path(
+    topo: &Topology,
+    src: usize,
+    dst: usize,
+    usable: impl Fn(usize) -> bool,
+) -> Option<Vec<usize>> {
+    if src.max(dst) >= topo.node_count() {
+        return None;
+    }
+    let tree = spf_filtered(topo, dst, &usable);
+    if !tree.reachable(src) {
+        return None;
+    }
+    let mut path = vec![src];
+    let mut at = src;
+    while at != dst {
+        at = topo
+            .neighbors(at)
+            .filter(|&(v, attrs, l)| {
+                usable(l) && tree.dist[v].saturating_add(attrs.cost) == tree.dist[at]
+            })
+            .map(|(v, _, _)| v)
+            .min()
+            .expect("a reachable node has a neighbour one shortest hop closer");
+        path.push(at);
+    }
+    Some(path)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,5 +369,51 @@ mod tests {
                 assert_eq!(Some(cost), igp.path_cost(a, b), "{a}->{b} via {p:?}");
             }
         }
+    }
+
+    #[test]
+    fn cspf_unconstrained_takes_shortest() {
+        assert_eq!(cspf_path(&diamond(), 0, 3, |_| true), Some(vec![0, 1, 3]));
+    }
+
+    #[test]
+    fn cspf_constraint_diverts_to_detour() {
+        // Link 1 (1→3) is full: must take the costly detour.
+        assert_eq!(cspf_path(&diamond(), 0, 3, |l| l != 1), Some(vec![0, 2, 3]));
+    }
+
+    #[test]
+    fn cspf_no_feasible_path_returns_none() {
+        assert_eq!(cspf_path(&diamond(), 0, 3, |l| l != 1 && l != 3), None);
+    }
+
+    #[test]
+    fn cspf_degenerate_cases() {
+        let t = diamond();
+        assert_eq!(cspf_path(&t, 2, 2, |_| true), Some(vec![2]));
+        assert_eq!(cspf_path(&t, 0, 9, |_| true), None);
+    }
+
+    #[test]
+    fn cspf_deterministic_on_equal_cost() {
+        let mut t = Topology::new(4);
+        t.add_link(0, 1, attrs(1));
+        t.add_link(1, 3, attrs(1));
+        t.add_link(0, 2, attrs(1));
+        t.add_link(2, 3, attrs(1));
+        // Both paths cost 2: the lower first hop (1) wins.
+        assert_eq!(cspf_path(&t, 0, 3, |_| true), Some(vec![0, 1, 3]));
+    }
+
+    /// Equal cost does not break toward fewer hops: the direct link 0-3
+    /// costs as much as 0-1-3, and the lowest-id neighbour, 1, is taken.
+    #[test]
+    fn cspf_ties_go_to_the_lowest_hop_not_the_fewest_hops() {
+        let mut t = Topology::new(4);
+        t.add_link(0, 3, attrs(2));
+        t.add_link(0, 1, attrs(1));
+        t.add_link(1, 3, attrs(1));
+        assert_eq!(cspf_path(&t, 0, 3, |_| true), Some(vec![0, 1, 3]));
+        assert_eq!(Igp::converge(&t).path(0, 3), Some(vec![0, 1, 3]));
     }
 }

@@ -4,7 +4,9 @@
 //!
 //! * [`igp`] — a link-state interior gateway protocol (OSPF-like):
 //!   Dijkstra SPF with deterministic tie-breaking.
-//!   Its next hops drive LDP label distribution and backbone forwarding.
+//!   Its next hops drive LDP label distribution and backbone forwarding,
+//!   and [`cspf_path`], the same SPF over the links a constraint admits,
+//!   places TE trunks and fast-reroute bypasses.
 //! * [`bgpvpn`] — the RFC 2547 machinery: route distinguishers make
 //!   overlapping customer prefixes globally unique, route targets control
 //!   VRF import/export, VPN labels are piggybacked on route updates, and a
@@ -12,8 +14,7 @@
 //!   and session counts are first-class outputs — they are the quantities
 //!   behind the paper's §2.1 scalability argument.
 //!
-//! [`topology`] holds the weighted graph both planes (and `netsim-te`) run
-//! over.
+//! [`topology`] holds the weighted graph both planes run over.
 //!
 //! # Example
 //!
@@ -50,5 +51,5 @@ pub mod topology;
 pub use bgpvpn::{
     BgpVpnFabric, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget, VrfHandle,
 };
-pub use igp::{Igp, SpfTree};
+pub use igp::{cspf_path, Igp, SpfTree};
 pub use topology::{LinkAttrs, Topology};

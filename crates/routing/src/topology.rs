@@ -78,6 +78,12 @@ impl Topology {
         self.adj[u].iter().map(|e| (e.peer, e.attrs, e.link))
     }
 
+    /// The id of the first link between `u` and `v`, in `u`'s interface
+    /// order; `None` when they are not adjacent.
+    pub fn link_between(&self, u: usize, v: usize) -> Option<usize> {
+        self.adj[u].iter().find(|e| e.peer == v).map(|e| e.link)
+    }
+
     /// Degree of node `u`.
     pub fn degree(&self, u: usize) -> usize {
         self.adj[u].len()
@@ -133,6 +139,7 @@ mod tests {
         assert_eq!(t.iface_toward(1, 2), 1);
         let (u, v, a) = t.link(0);
         assert_eq!((u, v, a.cost), (0, 1, 5));
+        assert_eq!((t.link_between(2, 1), t.link_between(0, 2)), (Some(1), None));
     }
 
     /// `BackboneBuilder::build` numbers each router's interfaces in

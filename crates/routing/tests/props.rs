@@ -8,8 +8,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use netsim_net::{Ip, Prefix};
 use netsim_routing::igp::spf_filtered;
 use netsim_routing::{
-    BgpVpnFabric, Igp, LinkAttrs, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget,
-    Topology, VrfHandle,
+    cspf_path, BgpVpnFabric, Igp, LinkAttrs, RemoteRoute, RouteChange, RouteDistinguisher,
+    RouteTarget, Topology, VrfHandle,
 };
 use proptest::prelude::*;
 
@@ -344,6 +344,36 @@ proptest! {
             let reference = bellman_ford(&topo, root, &usable(mask));
             prop_assert_eq!(&reused.dist, &reference.0);
             prop_assert_eq!(&reused.next_hop, &reference.1);
+        }
+    }
+
+    /// CSPF is SPF over the links a filter admits: on random multigraphs
+    /// with random failed-link sets, its path crosses only usable links,
+    /// costs the filtered Bellman–Ford distance, is the filtered IGP's
+    /// path, and is `None` exactly when the destination is unreachable.
+    #[test]
+    fn cspf_path_is_the_filtered_spf_path(
+        topo in arb_multigraph(10),
+        ends in (any::<usize>(), any::<usize>()),
+        mask in arb_failures(),
+    ) {
+        let n = topo.node_count();
+        let (src, dst) = (ends.0 % n, ends.1 % n);
+        let usable = |l: usize| mask >> (l % 64) & 1 == 0;
+        let path = cspf_path(&topo, src, dst, usable);
+        prop_assert_eq!(&path, &Igp::converge_filtered(&topo, usable).path(src, dst));
+        let dist = bellman_ford(&topo, src, &usable).0[dst];
+        prop_assert_eq!(path.is_none(), dist == u64::MAX);
+        if let Some(path) = path {
+            prop_assert_eq!((path[0], path[path.len() - 1]), (src, dst));
+            let mut cost = 0;
+            for w in path.windows(2) {
+                let hop = topo.neighbors(w[0]).filter(|&(v, _, l)| v == w[1] && usable(l));
+                let hop = hop.map(|(_, attrs, _)| attrs.cost).min();
+                prop_assert!(hop.is_some(), "{path:?} crosses no usable link {} -> {}", w[0], w[1]);
+                cost += hop.unwrap_or_default();
+            }
+            prop_assert_eq!(cost, dist);
         }
     }
 

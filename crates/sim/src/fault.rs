@@ -89,12 +89,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Time of the last event, or 0 for an empty plan (callers use this to
-    /// size the run window past the final repair).
-    pub fn end(&self) -> Nanos {
-        self.events.last().map_or(0, |e| e.at)
-    }
 }
 
 #[cfg(test)]
@@ -140,6 +134,6 @@ mod tests {
             FaultEvent { at: 10 * MSEC, link: 1, action: FaultAction::Cut },
         ]);
         assert_eq!(plan.events()[0].action, FaultAction::Cut);
-        assert_eq!(plan.end(), 30 * MSEC);
+        assert_eq!(plan.events().last().map(|e| e.at), Some(30 * MSEC));
     }
 }

@@ -131,11 +131,6 @@ impl CbrSource {
         assert!(interval > 0, "CBR interval must be positive");
         CbrSource { cfg, interval, remaining: count, tx: TxStats::default() }
     }
-
-    /// The source configuration.
-    pub fn config(&self) -> &SourceConfig {
-        &self.cfg
-    }
 }
 
 impl Node for CbrSource {

@@ -46,14 +46,13 @@ pub trait TePlane: LabelPlane {
     fn trunks(&self) -> &[Trunk];
     /// Per link id, the bandwidth reserved on it: the sum of the demands
     /// of the trunks whose path crosses it. Derived on every call; there
-    /// is no other ledger.
+    /// is no other ledger. A hop between nodes that share no link reserves
+    /// nothing: no LSP can ride it, and `V-TE-004` reports the trunk.
     fn reservations(&self) -> Vec<u64> {
         let topo = self.topology();
         let mut reserved = vec![0; topo.link_count()];
         for t in self.trunks() {
-            for w in t.path.windows(2) {
-                let link = topo.neighbors(w[0]).find(|&(peer, _, _)| peer == w[1]);
-                let (_, _, l) = link.expect("a trunk's path follows topology links");
+            for l in t.path.windows(2).filter_map(|w| topo.link_between(w[0], w[1])) {
                 reserved[l] += t.demand_bps;
             }
         }

@@ -96,3 +96,15 @@ fn a_trunk_whose_lsp_misses_its_path_is_caught() {
         assert_eq!(r.diagnostics().len(), 1, "only trunk 1: {r}");
     }
 }
+
+/// A recorded path whose consecutive nodes share no link reserves nothing
+/// on that hop; the walk, which follows links, cannot match it.
+#[test]
+fn a_trunk_path_between_unlinked_nodes_is_caught() {
+    let mut plane = line_with_trunks(&[40 * MBPS]);
+    plane.trunks[0].path = vec![0, 2];
+    assert_eq!(plane.reservations(), [0, 0]);
+    let r = plane.verify();
+    let found: Vec<_> = r.diagnostics().iter().map(|d| (d.code, d.location.as_str())).collect();
+    assert_eq!(found, [(codes::TE_PATH, "trunk 0")], "{r}");
+}

@@ -10,7 +10,6 @@
 
 use mplsvpn::routing::{LinkAttrs, Topology};
 use mplsvpn::sim::{LinkId, Sink, SourceConfig, MSEC, SEC};
-use mplsvpn::te::SrlgMap;
 use mplsvpn::vpn::{BackboneBuilder, ProviderNetwork};
 
 /// Fish: short path PE0-P1-PE4, long path PE0-P2-P3-PE4.
@@ -98,8 +97,7 @@ fn main() {
     let vpn = pn.new_vpn("acme");
     let a = pn.add_site(vpn, 0, "10.1.0.0/16".parse().unwrap(), None);
     let b = pn.add_site(vpn, 1, "10.2.0.0/16".parse().unwrap(), None);
-    let srlg = SrlgMap::new(pn.topo.link_count());
-    let bypasses = pn.protect_all_links(&srlg);
+    let bypasses = pn.protect_all_links();
     println!("t=0s    {bypasses} bypass LSPs installed (every link, both directions)");
     let sink = pn.attach_sink(b, "10.2.0.0/16".parse().unwrap());
     let cfg = SourceConfig::udp(1, pn.site_addr(a, 1), pn.site_addr(b, 1), 16400, 160);

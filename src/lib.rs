@@ -13,15 +13,14 @@
 //! * [`sim`] — the discrete-event simulator, traffic sources, statistics.
 //! * [`qos`] — classifiers, meters, RED, schedulers, DSCP↔EXP.
 //! * [`mpls`] — label spaces, LFIB, LDP.
-//! * [`routing`] — topology, link-state IGP, BGP/MPLS VPN fabric.
-//! * [`te`] — CSPF, fast-reroute bypass paths and IntServ/RSVP reservations
-//!   (trunk admission is `ProviderNetwork::admit_trunk`).
+//! * [`routing`] — topology, link-state IGP and CSPF over it, BGP/MPLS VPN
+//!   fabric.
 //! * [`ipsec`] — ESP tunnel emulation and IKE simulation.
 //! * [`obs`] — telemetry: drop-cause flight recorder, histograms, SLA
 //!   probe rows, `metrics/v2` snapshots (DESIGN.md §8).
-//! * [`vpn`] — the assembled architecture: provider networks (with
-//!   explicit TE LSPs and fast reroute), PE/P/CE routers, baselines, SLAs,
-//!   tracing.
+//! * [`vpn`] — the assembled architecture: provider networks (with TE
+//!   trunks and fast reroute), PE/P/CE routers, baselines (overlay, IPsec,
+//!   IntServ/RSVP reservations), SLAs, tracing.
 //!
 //! ## Quickstart
 //!
@@ -66,9 +65,6 @@ pub use netsim_mpls as mpls;
 
 /// IGP and BGP/MPLS VPN control planes ([`netsim_routing`]).
 pub use netsim_routing as routing;
-
-/// Traffic engineering ([`netsim_te`]).
-pub use netsim_te as te;
 
 /// IPsec emulation ([`netsim_ipsec`]).
 pub use netsim_ipsec as ipsec;

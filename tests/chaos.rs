@@ -31,7 +31,6 @@ use mplsvpn::routing::{Igp, LinkAttrs, Topology};
 use mplsvpn::sim::{
     CbrSource, FaultPlan, LinkId, NodeId, PoissonSource, Sink, SourceConfig, MSEC, SEC,
 };
-use mplsvpn::te::SrlgMap;
 use mplsvpn::vpn::{
     BackboneBuilder, ControlMode, DropCause, ProviderNetwork, VpnId, CTRL_FLOW_BASE,
 };
@@ -148,7 +147,6 @@ fn run_checked(case: Case, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
             (topo, pes, cuttable, domains)
         }
     };
-    let link_count = topo.link_count();
     let mut pn = BackboneBuilder::new(topo, pes.clone())
         .domains(domains.clone())
         .detection(25 * MSEC)
@@ -177,8 +175,7 @@ fn run_checked(case: Case, mut at_rest: impl FnMut(&Scenario)) -> Scenario {
     }
 
     if seed.is_multiple_of(2) {
-        let srlg = SrlgMap::new(link_count);
-        pn.protect_all_links(&srlg);
+        pn.protect_all_links();
     }
 
     // 4 flaps over the cuttable links, outages ≥ 200 ms, all inside the

@@ -9,7 +9,6 @@
 
 use mplsvpn::routing::{Igp, LinkAttrs, Topology};
 use mplsvpn::sim::{Sink, SourceConfig, MSEC, SEC};
-use mplsvpn::te::SrlgMap;
 use mplsvpn::vpn::{BackboneBuilder, ControlMode, ProviderNetwork};
 
 /// Fish: short path PE0-P1-PE4 (links 0,1), long PE0-P2-P3-PE4 (2,3,4).
@@ -75,8 +74,7 @@ fn global_reconvergence_loses_exactly_thirty_packets() {
 #[test]
 fn fast_reroute_loses_exactly_four_packets() {
     let (mut pn, sink, total) = voice_fish(20 * MSEC);
-    let srlg = SrlgMap::new(pn.topo.link_count());
-    assert_eq!(pn.protect_all_links(&srlg), 10, "both directions of all five links");
+    assert_eq!(pn.protect_all_links(), 10, "both directions of all five links");
     pn.run_for(2 * SEC);
     pn.fail_link(1);
     pn.run_for(6 * SEC);
@@ -95,7 +93,7 @@ fn fast_reroute_loses_exactly_four_packets() {
 fn fast_reroute_story_converges_the_points_of_local_repair() {
     for mode in [ControlMode::Oracle, ControlMode::InBand] {
         let (mut pn, sink, total) = voice_fish_over(20 * MSEC, mode);
-        pn.protect_all_links(&SrlgMap::new(pn.topo.link_count()));
+        pn.protect_all_links();
         pn.run_for(2 * SEC);
         pn.fail_link(1);
         pn.run_for(6 * SEC);
