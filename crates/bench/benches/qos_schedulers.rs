@@ -1,13 +1,16 @@
 //! Criterion bench for the queueing disciplines: enqueue+dequeue cost per
 //! packet for FIFO, RED, strict priority, WFQ, DRR, and CBQ (flat
-//! and a link-sharing tree).
+//! and a link-sharing tree), and the cost of one packet through an idle
+//! egress, by `admit` and by its definition.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use mplsvpn_core::network::{make_core_qdisc, DsSched};
+use mplsvpn_core::CoreQos;
 use netsim_net::addr::ip;
 use netsim_net::{Dscp, Packet, Pkt};
 use netsim_qos::{
-    CbqNodeConfig, ClassOf, DrrScheduler, EnqueueOutcome, FifoQueue, HierCbq, PriorityScheduler,
-    QueueDiscipline, RedParams, RedQueue, WfqScheduler,
+    enqueue_then_dequeue, Admit, CbqNodeConfig, ClassOf, DrrScheduler, EnqueueOutcome, FifoQueue,
+    HierCbq, Nanos, PriorityScheduler, QueueDiscipline, RedParams, RedQueue, WfqScheduler,
 };
 use std::hint::black_box;
 
@@ -46,7 +49,37 @@ fn bench_qdisc(c: &mut Criterion, name: &str, mut q: Box<dyn QueueDiscipline>) {
     g.finish();
 }
 
+/// One packet through an idle egress: offered to the empty discipline
+/// `q` and sent at once, by `admit` (what the link model calls) and by
+/// `enqueue_then_dequeue` (its definition). The packet is AF21, so the
+/// core profile's priority scheduler hands it to a RED band.
+fn bench_idle_egress(c: &mut Criterion, name: &str, mut q: Box<dyn QueueDiscipline>) {
+    type Offer = fn(&mut dyn QueueDiscipline, Pkt, Nanos) -> Admit;
+    let by_admit: Offer = |q, pkt, now| q.admit(pkt, now);
+    let by_definition: Offer = |q, pkt, now| enqueue_then_dequeue(q, pkt, now);
+    let mut g = c.benchmark_group("idle_egress");
+    g.throughput(Throughput::Elements(1));
+    for (how, offer) in [("admit", by_admit), ("enqueue_then_dequeue", by_definition)] {
+        g.bench_function(format!("{name}/{how}"), |b| {
+            let mut pkt = Some(mk_pkt());
+            pkt.as_mut().and_then(|p| p.outer_ipv4_mut()).expect("ipv4").dscp = Dscp::AF21;
+            let mut now = 0u64;
+            b.iter(|| {
+                now += 1_000;
+                let Admit::Transmit(p) = offer(q.as_mut(), pkt.take().expect("sent"), now) else {
+                    panic!("an idle egress sends the packet at once");
+                };
+                pkt = Some(black_box(p));
+            });
+        });
+    }
+    g.finish();
+}
+
 fn benches(c: &mut Criterion) {
+    bench_idle_egress(c, "fifo", Box::new(FifoQueue::new(1 << 20)));
+    let diffserv = CoreQos::DiffServ { cap_bytes: 1 << 20, sched: DsSched::Priority };
+    bench_idle_egress(c, "diffserv_priority", make_core_qdisc(&diffserv, 1));
     bench_qdisc(c, "fifo", Box::new(FifoQueue::new(1 << 20)));
     bench_qdisc(
         c,

@@ -108,6 +108,8 @@ impl IpsecGateway {
         let peer_ip = *peer_ip;
         let my_ip = self.public_ip;
         let outer = encapsulate(&pkt, out_sa, my_ip, peer_ip);
+        ctx.recycle(pkt);
+        let outer = ctx.boxed(outer);
         let cost = self.cost.cost_ns(outer.payload.len());
         self.crypto_ns += cost;
         self.counters.forwarded += 1;
@@ -124,7 +126,7 @@ impl IpsecGateway {
         };
         let Some(&peer_idx) = self.spi_map.get(&spi) else {
             self.esp_errors += 1;
-            return;
+            return ctx.recycle(pkt);
         };
         let cost = self.cost.cost_ns(pkt.payload.len());
         self.crypto_ns += cost;
@@ -133,7 +135,7 @@ impl IpsecGateway {
             Ok(p) => p,
             Err(IpsecError::Replayed { .. }) | Err(_) => {
                 self.esp_errors += 1;
-                return;
+                return ctx.recycle(pkt);
             }
         };
         // The inner packet carries the outer one's flow and sequence
@@ -145,6 +147,8 @@ impl IpsecGateway {
         match self.local.lookup(dst) {
             Some(&out) => {
                 self.counters.forwarded += 1;
+                ctx.recycle(pkt);
+                let inner = ctx.boxed(inner);
                 ctx.send_after(cost, IfaceId(out), inner);
             }
             None => ctx.discard(pkt, DropCause::NoRoute),

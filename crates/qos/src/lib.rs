@@ -53,7 +53,7 @@ pub use cbq_tree::{CbqNodeConfig, HierCbq};
 pub use classify::{MarkingPolicy, MatchRule};
 pub use meter::TokenBucket;
 pub use phb::ExpMap;
-pub use queue::{ClassOf, EnqueueOutcome, FifoQueue, QueueDiscipline};
+pub use queue::{enqueue_then_dequeue, Admit, ClassOf, EnqueueOutcome, FifoQueue, QueueDiscipline};
 pub use red::{RedParams, RedQueue};
 pub use sched::{DrrScheduler, PriorityScheduler, WfqScheduler};
 

@@ -1,9 +1,10 @@
 //! The queueing-discipline abstraction and the basic tail-drop FIFO.
 //!
 //! Every simulated link egress owns one `Box<dyn QueueDiscipline>`; the
-//! simulator enqueues on arrival and dequeues when the transmitter goes
-//! idle. All QoS experiments reduce to swapping the discipline attached to
-//! the bottleneck link.
+//! simulator offers a packet to an idle transmitter's discipline with
+//! [`QueueDiscipline::admit`], enqueues it behind a busy one, and dequeues
+//! when the transmitter goes idle. All QoS experiments reduce to swapping
+//! the discipline attached to the bottleneck link.
 
 use netsim_net::{Packet, Pkt};
 use netsim_obs::DropCause;
@@ -27,6 +28,28 @@ impl EnqueueOutcome {
     }
 }
 
+/// Result of offering a packet to an idle transmitter's discipline
+/// ([`QueueDiscipline::admit`]).
+#[derive(Debug)]
+pub enum Admit {
+    /// This packet leaves now: the offered one, or the head the discipline
+    /// chose over it.
+    Transmit(Pkt),
+    /// The packet was accepted and nothing is eligible to leave now.
+    Queued,
+    /// The packet was dropped, with why.
+    Dropped(Pkt, DropCause),
+}
+
+/// [`QueueDiscipline::admit`] as its definition: `enqueue` then `dequeue`,
+/// both at `now`.
+pub fn enqueue_then_dequeue<Q: QueueDiscipline + ?Sized>(q: &mut Q, pkt: Pkt, now: Nanos) -> Admit {
+    match q.enqueue(pkt, now) {
+        EnqueueOutcome::Dropped(pkt, cause) => Admit::Dropped(pkt, cause),
+        EnqueueOutcome::Queued => q.dequeue(now).map_or(Admit::Queued, Admit::Transmit),
+    }
+}
+
 /// A queueing discipline: the scheduler + buffer attached to a link egress.
 pub trait QueueDiscipline: Send {
     /// Offers a packet at time `now`.
@@ -34,6 +57,14 @@ pub trait QueueDiscipline: Send {
 
     /// Takes the next packet to transmit at time `now`, if any.
     fn dequeue(&mut self, now: Nanos) -> Option<Pkt>;
+
+    /// Offers a packet to an idle transmitter at time `now`: exactly
+    /// [`enqueue_then_dequeue`], in outcome and in the state it leaves. A
+    /// discipline overrides it only where it can take a shortcut, such as
+    /// handing a packet straight back when its buffer is empty.
+    fn admit(&mut self, pkt: Pkt, now: Nanos) -> Admit {
+        enqueue_then_dequeue(self, pkt, now)
+    }
 
     /// Packets currently buffered.
     fn len_packets(&self) -> usize;
@@ -124,6 +155,17 @@ impl QueueDiscipline for FifoQueue {
         let pkt = self.q.pop_front()?;
         self.bytes -= pkt.wire_len();
         Some(pkt)
+    }
+
+    /// An empty FIFO hands back whatever fits its capacity.
+    fn admit(&mut self, pkt: Pkt, now: Nanos) -> Admit {
+        if !self.q.is_empty() {
+            return enqueue_then_dequeue(self, pkt, now);
+        }
+        if pkt.wire_len() > self.cap_bytes {
+            return Admit::Dropped(pkt, DropCause::QueueOverflow);
+        }
+        Admit::Transmit(pkt)
     }
 
     fn len_packets(&self) -> usize {

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use netsim_net::Pkt;
 use netsim_obs::DropCause;
 
-use crate::queue::{EnqueueOutcome, QueueDiscipline};
+use crate::queue::{enqueue_then_dequeue, Admit, EnqueueOutcome, QueueDiscipline};
 use crate::Nanos;
 
 /// RED drop-curve parameters (byte-based).
@@ -161,27 +161,36 @@ impl RedQueue {
         self.ecn = true;
         self
     }
-}
 
-impl QueueDiscipline for RedQueue {
-    fn enqueue(&mut self, mut pkt: Pkt, now: Nanos) -> EnqueueOutcome {
+    /// The arrival half of `enqueue`: updates the average, then refuses
+    /// `pkt` with its cause or accepts it, CE-marked when an early drop
+    /// hits an ECN-capable packet.
+    fn screen(&mut self, mut pkt: Pkt, now: Nanos) -> Result<Pkt, (Pkt, DropCause)> {
         self.core.update_avg(self.bytes, now);
-        let sz = pkt.wire_len();
-        if self.bytes + sz > self.cap_bytes {
-            return EnqueueOutcome::Dropped(pkt, DropCause::QueueOverflow);
+        if self.bytes + pkt.wire_len() > self.cap_bytes {
+            return Err((pkt, DropCause::QueueOverflow));
         }
         if let Some(cause) = self.core.should_drop(&self.params) {
             let ect = self.ecn && pkt.outer_ipv4().is_some_and(netsim_net::Ipv4Header::is_ect);
-            if ect {
-                // Mark, then fall through and queue the packet.
-                pkt.outer_ipv4_mut().expect("checked above").set_ce();
-            } else {
-                return EnqueueOutcome::Dropped(pkt, cause);
+            if !ect {
+                return Err((pkt, cause));
             }
+            pkt.outer_ipv4_mut().expect("checked above").set_ce();
         }
-        self.bytes += sz;
-        self.q.push_back(pkt);
-        EnqueueOutcome::Queued
+        Ok(pkt)
+    }
+}
+
+impl QueueDiscipline for RedQueue {
+    fn enqueue(&mut self, pkt: Pkt, now: Nanos) -> EnqueueOutcome {
+        match self.screen(pkt, now) {
+            Ok(pkt) => {
+                self.bytes += pkt.wire_len();
+                self.q.push_back(pkt);
+                EnqueueOutcome::Queued
+            }
+            Err((pkt, cause)) => EnqueueOutcome::Dropped(pkt, cause),
+        }
     }
 
     fn dequeue(&mut self, now: Nanos) -> Option<Pkt> {
@@ -191,6 +200,21 @@ impl QueueDiscipline for RedQueue {
             self.core.note_empty(now);
         }
         Some(pkt)
+    }
+
+    /// An empty RED queue screens the packet as `enqueue` does and hands
+    /// an accepted one back, idle again from `now` as `dequeue` leaves it.
+    fn admit(&mut self, pkt: Pkt, now: Nanos) -> Admit {
+        if !self.q.is_empty() {
+            return enqueue_then_dequeue(self, pkt, now);
+        }
+        match self.screen(pkt, now) {
+            Ok(pkt) => {
+                self.core.note_empty(now);
+                Admit::Transmit(pkt)
+            }
+            Err((pkt, cause)) => Admit::Dropped(pkt, cause),
+        }
     }
 
     fn len_packets(&self) -> usize {
@@ -310,6 +334,89 @@ mod tests {
         assert!(zero_arrivals > 1_000, "only {zero_arrivals} arrivals at a zero average");
         assert!(decayed_to_zero > 0, "no trace decayed back to zero");
         assert!(drops > 100, "only {drops} drops");
+    }
+
+    /// An admit verdict as (sent / sent CE-marked / refused for overflow /
+    /// refused by RED, cause index, sequence number).
+    fn verdict(a: &Admit) -> (usize, usize, u64) {
+        match a {
+            Admit::Transmit(p) => (usize::from(p.outer_ipv4().unwrap().is_ce()), 0, p.meta.seq),
+            Admit::Dropped(p, DropCause::QueueOverflow) => (2, 0, p.meta.seq),
+            Admit::Dropped(p, cause) => (3, cause.index(), p.meta.seq),
+            Admit::Queued => panic!("an empty RED queue sends or refuses"),
+        }
+    }
+
+    /// `admit` on an empty queue is exactly `enqueue` then `dequeue`: its
+    /// verdict, drop cause and CE mark, and the average, drop count, drop
+    /// RNG and idle mark it leaves, agree after every operation with a
+    /// twin driven by [`enqueue_then_dequeue`], with ECN on and off. Each
+    /// trace alternates bursts that push the average past both thresholds
+    /// (whose arrivals mostly find the transmitter busy and are enqueued)
+    /// with sparse segments in which every arrival finds the queue empty,
+    /// half of them separated by idle gaps of up to ~20 s that decay the
+    /// average. One packet in ten is too large for the buffer even when it
+    /// is empty.
+    #[test]
+    fn admit_matches_enqueue_then_dequeue() {
+        // Admissions per verdict kind, as `verdict` numbers them.
+        let mut seen = [0u32; 4];
+        for seed in 1..=8u64 {
+            for ecn in [false, true] {
+                let params = RedParams::new(300, 1_500).with_max_p(0.5);
+                let make = || {
+                    let q = RedQueue::new(4_000, params, seed, 12_000);
+                    if ecn {
+                        q.with_ecn()
+                    } else {
+                        q
+                    }
+                };
+                let (mut fast, mut twin) = (make(), make());
+                let mut rng = DropRng::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                let mut now = 0u64;
+                for _ in 0..30 {
+                    let sparse = rng.next_f64() < 0.3;
+                    for _ in 0..400 {
+                        now += (rng.next_f64() * 4_000.0) as u64;
+                        if !fast.q.is_empty() && (sparse || rng.next_f64() < 0.4) {
+                            let got = fast.dequeue(now).map(|p| p.meta.seq);
+                            assert_eq!(got, twin.dequeue(now).map(|p| p.meta.seq));
+                        } else {
+                            let large = rng.next_f64() < 0.1;
+                            let mut p = pkt(if large { 3_990 } else { 400 + (now % 900) as usize });
+                            p.meta.seq = now;
+                            if rng.next_f64() < 0.5 {
+                                p.outer_ipv4_mut().unwrap().ecn = netsim_net::ip::ecn::ECT0;
+                            }
+                            // A burst finds the transmitter busy most of the time.
+                            let busy = !sparse && rng.next_f64() < 0.7;
+                            if busy || !fast.q.is_empty() {
+                                let got = fast.enqueue(p.clone(), now).is_queued();
+                                assert_eq!(got, twin.enqueue(p, now).is_queued());
+                            } else {
+                                let want = enqueue_then_dequeue(&mut twin, p.clone(), now);
+                                let got = fast.admit(p, now);
+                                assert_eq!(verdict(&got), verdict(&want), "seed {seed} ecn {ecn}");
+                                seen[verdict(&got).0] += 1;
+                            }
+                        }
+                        assert_eq!(fast.core.avg.to_bits(), twin.core.avg.to_bits());
+                        assert_eq!(fast.core.count, twin.core.count);
+                        assert_eq!(fast.core.rng.0, twin.core.rng.0);
+                        assert_eq!(fast.core.idle_since, twin.core.idle_since, "seed {seed}");
+                        assert_eq!((fast.bytes, fast.q.len()), (twin.bytes, twin.q.len()));
+                    }
+                    if rng.next_f64() < 0.5 {
+                        now += (rng.next_f64() * rng.next_f64() * 2e10) as u64;
+                    }
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 1_000),
+            "admissions sent, marked, overflowed, dropped: {seen:?}"
+        );
     }
 
     /// Fill-and-hold: with the average persistently above max_th, every

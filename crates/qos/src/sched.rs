@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use netsim_net::Pkt;
 use netsim_obs::DropCause;
 
-use crate::queue::{ClassOf, EnqueueOutcome, QueueDiscipline};
+use crate::queue::{enqueue_then_dequeue, Admit, ClassOf, EnqueueOutcome, QueueDiscipline};
 use crate::Nanos;
 
 // ---------------------------------------------------------------------------
@@ -58,6 +58,22 @@ impl QueueDiscipline for PriorityScheduler {
         let band = &mut self.bands[i];
         let out = band.q.enqueue(pkt, now);
         if out.is_queued() {
+            band.len += 1;
+            self.len += 1;
+        }
+        out
+    }
+
+    /// An empty scheduler's verdict is that of the packet's band: no other
+    /// band holds a packet that could leave first.
+    fn admit(&mut self, pkt: Pkt, now: Nanos) -> Admit {
+        if self.len > 0 {
+            return enqueue_then_dequeue(self, pkt, now);
+        }
+        let i = (self.class_of)(&pkt).min(self.bands.len() - 1);
+        let band = &mut self.bands[i];
+        let out = band.q.admit(pkt, now);
+        if let Admit::Queued = out {
             band.len += 1;
             self.len += 1;
         }

@@ -7,15 +7,21 @@ use std::collections::VecDeque;
 use netsim_net::addr::ip;
 use netsim_net::{Dscp, Packet, Pkt};
 use netsim_qos::{
-    CbqNodeConfig, ClassOf, DrrScheduler, EnqueueOutcome, FifoQueue, HierCbq, PriorityScheduler,
-    QueueDiscipline, RedParams, RedQueue, TokenBucket, WfqScheduler, SEC,
+    Admit, CbqNodeConfig, ClassOf, DrrScheduler, EnqueueOutcome, FifoQueue, HierCbq,
+    PriorityScheduler, QueueDiscipline, RedParams, RedQueue, TokenBucket, WfqScheduler, SEC,
 };
 use proptest::prelude::*;
 
 /// An arbitrary traffic script: (class, payload, enqueue-or-dequeue).
 #[derive(Clone, Debug)]
 enum Op {
-    Enq { class: u8, payload: u16 },
+    /// Offer a packet. `idle` says the transmitter is free, so a reference
+    /// test may offer it through `admit` instead of `enqueue`.
+    Enq {
+        class: u8,
+        payload: u16,
+        idle: bool,
+    },
     Deq,
 }
 
@@ -27,7 +33,11 @@ fn arb_ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
 fn arb_ops_over(classes: u8, max: usize) -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
-            (0u8..classes, 0u16..1400).prop_map(|(class, payload)| Op::Enq { class, payload }),
+            (0u8..classes, 0u16..1400, any::<bool>()).prop_map(|(class, payload, idle)| Op::Enq {
+                class,
+                payload,
+                idle
+            }),
             Just(Op::Deq),
         ],
         1..max,
@@ -43,6 +53,34 @@ fn mk_pkt(class: u8, payload: u16, seq: u64) -> Pkt {
 
 fn by_flow() -> ClassOf {
     Box::new(|p: &Packet| p.meta.flow as usize)
+}
+
+/// What offering a packet through `admit` did, in a model's terms: the
+/// `(seq, wire bytes)` sent at once, queued, or refused.
+#[derive(Debug, PartialEq)]
+enum Offer {
+    Sent(u64, usize),
+    Queued,
+    Dropped,
+}
+
+impl Offer {
+    /// A discipline's [`Admit`] verdict.
+    fn of(a: Admit) -> Self {
+        match a {
+            Admit::Transmit(p) => Offer::Sent(p.meta.seq, p.wire_len()),
+            Admit::Queued => Offer::Queued,
+            Admit::Dropped(..) => Offer::Dropped,
+        }
+    }
+
+    /// A model's enqueue (`fits` it reported) then `dequeue`.
+    fn model(fits: bool, dequeue: impl FnOnce() -> Option<(u64, usize)>) -> Self {
+        if !fits {
+            return Offer::Dropped;
+        }
+        dequeue().map_or(Offer::Queued, |(seq, sz)| Offer::Sent(seq, sz))
+    }
 }
 
 /// A random CBQ forest of 1–6 nodes: each node is a root or the child of
@@ -298,7 +336,7 @@ fn check_conservation(mut q: Box<dyn QueueDiscipline>, ops: &[Op]) {
     for op in ops {
         now += 1_000;
         match op {
-            Op::Enq { class, payload } => {
+            Op::Enq { class, payload, .. } => {
                 let p = mk_pkt(*class, *payload, seq);
                 seq += 1;
                 let sz = p.wire_len();
@@ -402,7 +440,7 @@ proptest! {
         for op in &ops {
             now += 1_000;
             match op {
-                Op::Enq { class, payload } => {
+                Op::Enq { class, payload, .. } => {
                     seq += 1;
                     let _ = q.enqueue(mk_pkt(*class, *payload, seq), now);
                 }
@@ -422,6 +460,56 @@ proptest! {
         }
     }
 
+    /// A FIFO matches a naive reference model — one `VecDeque` of `(seq,
+    /// wire bytes)` under the same byte cap — on random enqueue, dequeue
+    /// and purge traces; caps down to 100 B make tail drops common, also
+    /// of a packet offered to an empty FIFO. A packet flagged `idle` is
+    /// offered through `admit`, whether or not the FIFO holds packets, and
+    /// its verdict must be the model's enqueue then dequeue; that checks
+    /// both the empty-FIFO override and its fallback. Other packets are
+    /// enqueued, so backlogs build. After every operation `len_packets`,
+    /// `len_bytes` and `is_empty` must agree.
+    #[test]
+    fn fifo_matches_reference_model(
+        ops in arb_ops(300),
+        cap in 100usize..6_000,
+        purge_after in proptest::collection::vec(0usize..300, 0..3),
+    ) {
+        let mut q = FifoQueue::new(cap);
+        let mut reference: VecDeque<(u64, usize)> = VecDeque::new();
+        for (seq, op) in ops.iter().enumerate() {
+            match op {
+                Op::Enq { class, payload, idle } => {
+                    let p = mk_pkt(*class, *payload, seq as u64);
+                    let sz = p.wire_len();
+                    let fits = reference.iter().map(|&(_, b)| b).sum::<usize>() + sz <= cap;
+                    if fits {
+                        reference.push_back((seq as u64, sz));
+                    }
+                    if *idle {
+                        let want = Offer::model(fits, || reference.pop_front());
+                        prop_assert_eq!(Offer::of(q.admit(p, 0)), want, "admit of seq {}", seq);
+                    } else {
+                        let queued = q.enqueue(p, 0).is_queued();
+                        prop_assert_eq!(queued, fits, "enqueue outcome of seq {}", seq);
+                    }
+                }
+                Op::Deq => {
+                    let got = q.dequeue(0).map(|p| (p.meta.seq, p.wire_len()));
+                    prop_assert_eq!(got, reference.pop_front(), "dequeue at seq {}", seq);
+                }
+            }
+            if purge_after.contains(&seq) {
+                let got: Vec<u64> = q.purge().iter().map(|p| p.meta.seq).collect();
+                let want: Vec<u64> = reference.drain(..).map(|(s, _)| s).collect();
+                prop_assert_eq!(got, want, "purge after seq {}", seq);
+            }
+            prop_assert_eq!(q.len_packets(), reference.len());
+            prop_assert_eq!(q.len_bytes(), reference.iter().map(|&(_, b)| b).sum::<usize>());
+            prop_assert_eq!(q.is_empty(), reference.is_empty());
+        }
+    }
+
     /// Strict priority over FIFO bands matches a naive reference model —
     /// one `VecDeque` per band with the same byte caps — on random
     /// enqueue/dequeue traces: every enqueue has the same outcome, every
@@ -431,7 +519,11 @@ proptest! {
     /// purge the scheduler midway. With `shaped_kbps` set, the middle band
     /// is a bounded one-leaf CBQ (modelled by a token bucket of the same
     /// contract): while it holds packets but lacks tokens, dequeue must
-    /// fall through to the band below.
+    /// fall through to the band below. A packet flagged `idle` that finds
+    /// the model empty is offered through `admit`, whose verdict must be
+    /// the model's enqueue then dequeue (a shaped band short of tokens
+    /// keeps it queued); every other packet is enqueued, so backlogs
+    /// build as before.
     #[test]
     fn priority_matches_reference_model(
         ops in arb_ops(300),
@@ -488,16 +580,23 @@ proptest! {
         for (seq, op) in ops.iter().enumerate() {
             now += 1_000;
             match op {
-                Op::Enq { class, payload } => {
+                Op::Enq { class, payload, idle } => {
                     let p = mk_pkt(*class, *payload, seq as u64);
                     let sz = p.wire_len();
                     let band = usize::from(*class).min(caps.len() - 1);
+                    let idle = *idle && reference.iter().all(VecDeque::is_empty);
                     let fits = ref_bytes(&reference, band) + sz <= caps[band];
                     if fits {
                         reference[band].push_back((seq as u64, sz));
                     }
-                    let queued = q.enqueue(p, now).is_queued();
-                    prop_assert_eq!(queued, fits, "enqueue outcome of seq {}", seq);
+                    if idle {
+                        let want =
+                            Offer::model(fits, || ref_dequeue(&mut reference, &mut bucket, now));
+                        prop_assert_eq!(Offer::of(q.admit(p, now)), want, "admit of seq {}", seq);
+                    } else {
+                        let queued = q.enqueue(p, now).is_queued();
+                        prop_assert_eq!(queued, fits, "enqueue outcome of seq {}", seq);
+                    }
                 }
                 Op::Deq => {
                     let want = ref_dequeue(&mut reference, &mut bucket, now);
@@ -540,7 +639,10 @@ proptest! {
     /// dequeued `(seq, wire_len)`, `len_packets`, `len_bytes` and
     /// `is_empty` must agree. Quanta as small as 1 byte make heads wait
     /// through many rounds; fewer classes than traffic classes exercise
-    /// the clamp onto the last class.
+    /// the clamp onto the last class. A packet flagged `idle` that finds
+    /// the model empty is offered through `admit`, whose verdict must be
+    /// the model's enqueue then dequeue; every other packet is enqueued,
+    /// so backlogs build as before.
     #[test]
     fn drr_matches_reference_model(
         ops in arb_ops(300),
@@ -552,11 +654,17 @@ proptest! {
         let mut reference = RefDrr::new(quanta.clone(), cap);
         for (seq, op) in ops.iter().enumerate() {
             match op {
-                Op::Enq { class, payload } => {
+                Op::Enq { class, payload, idle } => {
                     let p = mk_pkt(*class, *payload, seq as u64);
+                    let idle = *idle && reference.fifos.iter().all(VecDeque::is_empty);
                     let fits = reference.enqueue(usize::from(*class), seq as u64, p.wire_len());
-                    let queued = q.enqueue(p, 0).is_queued();
-                    prop_assert_eq!(queued, fits, "enqueue outcome of seq {}", seq);
+                    if idle {
+                        let want = Offer::model(fits, || reference.dequeue());
+                        prop_assert_eq!(Offer::of(q.admit(p, 0)), want, "admit of seq {}", seq);
+                    } else {
+                        let queued = q.enqueue(p, 0).is_queued();
+                        prop_assert_eq!(queued, fits, "enqueue outcome of seq {}", seq);
+                    }
                 }
                 Op::Deq => {
                     let got = q.dequeue(0).map(|p| (p.meta.seq, p.wire_len()));
@@ -592,6 +700,10 @@ proptest! {
     /// Traffic spans 8 classes, so fewer weights exercise the clamp onto
     /// the last class. Small weights and payloads rounded to 350 B steps
     /// make equal finish tags common, so the class tie-break is exercised.
+    /// A packet flagged `idle` that finds the model empty is offered
+    /// through `admit`, whose verdict must be the model's enqueue then
+    /// dequeue; every other packet is enqueued, so backlogs build as
+    /// before.
     #[test]
     fn wfq_matches_reference_model(
         ops in arb_ops_over(8, 300),
@@ -603,11 +715,17 @@ proptest! {
         let mut reference = RefWfq::new(weights.clone(), cap);
         for (seq, op) in ops.iter().enumerate() {
             match op {
-                Op::Enq { class, payload } => {
+                Op::Enq { class, payload, idle } => {
                     let p = mk_pkt(*class, *payload / 350 * 350, seq as u64);
+                    let idle = *idle && reference.queued.is_empty();
                     let fits = reference.enqueue(usize::from(*class), seq as u64, p.wire_len());
-                    let queued = q.enqueue(p, 0).is_queued();
-                    prop_assert_eq!(queued, fits, "enqueue outcome of seq {}", seq);
+                    if idle {
+                        let want = Offer::model(fits, || reference.dequeue());
+                        prop_assert_eq!(Offer::of(q.admit(p, 0)), want, "admit of seq {}", seq);
+                    } else {
+                        let queued = q.enqueue(p, 0).is_queued();
+                        prop_assert_eq!(queued, fits, "enqueue outcome of seq {}", seq);
+                    }
                 }
                 Op::Deq => {
                     let got = q.dequeue(0).map(|p| (p.meta.seq, p.wire_len()));
@@ -655,7 +773,7 @@ proptest! {
         for (seq, op) in ops.iter().enumerate() {
             now += gaps[seq];
             match op {
-                Op::Enq { class, payload } => {
+                Op::Enq { class, payload, .. } => {
                     let p = mk_pkt(*class, *payload, seq as u64);
                     let fits = reference.enqueue(usize::from(*class), seq as u64, p.wire_len());
                     let queued = q.enqueue(p, now).is_queued();

@@ -24,17 +24,15 @@ pub struct IfaceId(pub usize);
 /// order, against the node the handler runs for. A handler still observes
 /// the network only through [`Ctx::now`]. It also lends the network's one
 /// stack of spare packet boxes ([`Ctx::recycle`], [`Ctx::boxed`]), shared
-/// by every node.
+/// by every node and link: every packet whose life ends in a handler or
+/// on a link returns its box there, and every packet a handler builds is
+/// boxed from there.
 pub struct Ctx {
     /// The node whose handler (or [`crate::Network::with_node`] closure)
     /// holds this context.
     pub(crate) node: NodeId,
     pub(crate) wire: LinkLayer,
-    pub(crate) spare: Vec<Pkt>,
 }
-
-/// Most consumed packet boxes a network keeps for reuse.
-const SPARE_PKTS: usize = 32;
 
 impl Ctx {
     /// Current simulation time in nanoseconds.
@@ -44,11 +42,10 @@ impl Ctx {
     }
 
     /// Transmits `pkt` out of local interface `iface`. The packet enters
-    /// that egress's queueing discipline immediately. Accepts either an
-    /// owned packet (boxed here, at the edge) or an already-boxed [`Pkt`]
-    /// being forwarded (no new allocation).
-    pub fn send(&mut self, iface: IfaceId, pkt: impl Into<Pkt>) {
-        self.wire.send(self.node, iface, pkt.into());
+    /// that egress's queueing discipline immediately. A handler that
+    /// builds a packet boxes it with [`Ctx::boxed`].
+    pub fn send(&mut self, iface: IfaceId, pkt: Pkt) {
+        self.wire.send(self.node, iface, pkt);
     }
 
     /// Hands `pkt` to the far end of `iface`'s link now, as a zero-latency
@@ -62,8 +59,8 @@ impl Ctx {
     /// Like [`Ctx::send`], but the packet reaches the egress queue only
     /// after `delay` ns — models local processing time (e.g. IPsec crypto)
     /// spent before transmission.
-    pub fn send_after(&mut self, delay: Nanos, iface: IfaceId, pkt: impl Into<Pkt>) {
-        self.wire.send_after(self.node, delay, iface, pkt.into());
+    pub fn send_after(&mut self, delay: Nanos, iface: IfaceId, pkt: Pkt) {
+        self.wire.send_after(self.node, delay, iface, pkt);
     }
 
     /// Arms a one-shot timer that fires `on_timer(token)` after `delay`.
@@ -72,37 +69,35 @@ impl Ctx {
     }
 
     /// Drops `pkt` here for `cause`. The network records the drop in its
-    /// flight recorder, if one is attached, against this node.
-    #[allow(clippy::boxed_local)] // takes the box the handler holds; it is freed here
+    /// flight recorder, if one is attached, against this node, and keeps
+    /// the box.
     pub fn discard(&mut self, pkt: Pkt, cause: DropCause) {
         if let Some(rec) = &self.wire.recorder {
             rec.record_at(self.node.0, self.wire.now, pkt.meta.flow, pkt.meta.seq, cause);
         }
+        self.wire.spare.recycle(pkt);
     }
 
     /// Ends `pkt`'s life here by design (it was addressed to this node).
-    /// The network records it as absorbed at this node, not as a drop.
-    #[allow(clippy::boxed_local)] // takes the box the handler holds; it is freed here
+    /// The network records it as absorbed at this node, not as a drop,
+    /// and keeps the box.
     pub fn absorb(&mut self, pkt: Pkt) {
         if let Some(rec) = &self.wire.recorder {
             rec.record_absorbed(self.node.0, pkt.meta.flow);
         }
+        self.wire.spare.recycle(pkt);
     }
 
-    /// Ends a consumed message's life here without a record, keeping its
-    /// box for [`Ctx::boxed`] unless the network already keeps 32.
+    /// Ends a consumed packet's life here without a record, keeping its
+    /// box for [`Ctx::boxed`] unless the network's spare stack is full.
     pub fn recycle(&mut self, pkt: Pkt) {
-        if self.spare.len() < SPARE_PKTS {
-            self.spare.push(pkt);
-        }
+        self.wire.spare.recycle(pkt);
     }
 
     /// Boxes `pkt` for sending: in the most recently recycled box when
     /// there is one, otherwise in a new allocation.
     pub fn boxed(&mut self, pkt: Packet) -> Pkt {
-        let Some(mut b) = self.spare.pop() else { return Box::new(pkt) };
-        *b = pkt;
-        b
+        self.wire.spare.boxed(pkt)
     }
 }
 
@@ -143,8 +138,9 @@ pub struct BlackHole {
 }
 
 impl Node for BlackHole {
-    fn on_packet(&mut self, _iface: IfaceId, _pkt: Pkt, _ctx: &mut Ctx) {
+    fn on_packet(&mut self, _iface: IfaceId, pkt: Pkt, ctx: &mut Ctx) {
         self.absorbed += 1;
+        ctx.recycle(pkt);
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -132,7 +132,7 @@ impl TcpSource {
         }
         let limit = self.snd_una + self.cwnd.floor().max(1.0) as u64;
         while self.next_seq < limit {
-            let p = self.segment(self.next_seq, ctx.now());
+            let p = ctx.boxed(self.segment(self.next_seq, ctx.now()));
             self.tx.tx_packets += 1;
             self.tx.tx_bytes += p.wire_len() as u64;
             ctx.send(self.cfg.iface, p);
@@ -167,12 +167,13 @@ impl Node for TcpSource {
         // An ACK: `meta.seq` (and the header's ack field) carry the
         // cumulative next-expected sequence; created_ns echoes the data
         // packet's send time for RTT sampling.
-        let ack = pkt.meta.seq;
+        let (ack, sent_at) = (pkt.meta.seq, pkt.meta.created_ns);
         // ECN echo (RFC 3168): halve once per window, no retransmission.
         let ece = pkt.layers().iter().any(|l| match l {
             netsim_net::Layer::Tcp(t) => t.flags & ECE_FLAG != 0,
             _ => false,
         });
+        ctx.recycle(pkt);
         if self.ecn && ece && self.snd_una >= self.ecn_reduced_at {
             self.ssthresh = (self.cwnd / 2.0).max(2.0);
             self.cwnd = self.ssthresh;
@@ -180,7 +181,7 @@ impl Node for TcpSource {
             self.ecn_reductions += 1;
         }
         if ack > self.snd_una {
-            self.update_rtt(ctx.now().saturating_sub(pkt.meta.created_ns));
+            self.update_rtt(ctx.now().saturating_sub(sent_at));
             self.snd_una = ack;
             self.dup_acks = 0;
             // Re-arm the RTO for remaining in-flight data.
@@ -198,7 +199,7 @@ impl Node for TcpSource {
                 // Fast retransmit + multiplicative decrease.
                 self.ssthresh = (self.cwnd / 2.0).max(2.0);
                 self.cwnd = self.ssthresh;
-                let p = self.segment(self.snd_una, ctx.now());
+                let p = ctx.boxed(self.segment(self.snd_una, ctx.now()));
                 self.retransmits += 1;
                 ctx.send(self.cfg.iface, p);
             }
@@ -278,7 +279,7 @@ impl Node for TcpSink {
         let seq = pkt.meta.seq;
         let (src, dst, sp, dp) = match pkt.visible_five_tuple() {
             Some(t) => (t.src, t.dst, t.src_port, t.dst_port),
-            None => return,
+            None => return ctx.recycle(pkt),
         };
         let f = self.flows.entry(flow).or_default();
         if seq == f.expected {
@@ -315,6 +316,8 @@ impl Node for TcpSink {
         ack.meta.flow = flow;
         ack.meta.seq = f.expected;
         ack.meta.created_ns = pkt.meta.created_ns;
+        ctx.recycle(pkt);
+        let ack = ctx.boxed(ack);
         ctx.send(iface, ack);
     }
 

@@ -107,7 +107,7 @@ impl TxStats {
     /// Emits the open-loop sources' next packet per `cfg` and counts it.
     /// Its sequence number is the count of packets emitted before it.
     fn emit(&mut self, cfg: &SourceConfig, ctx: &mut Ctx) {
-        let p = cfg.make_packet(self.tx_packets, ctx.now());
+        let p = ctx.boxed(cfg.make_packet(self.tx_packets, ctx.now()));
         self.tx_packets += 1;
         self.tx_bytes += p.wire_len() as u64;
         ctx.send(cfg.iface, p);
@@ -355,6 +355,7 @@ impl Node for Sink {
             pkt.meta.seq,
             bytes,
         );
+        ctx.recycle(pkt);
     }
 
     fn as_any(&self) -> &dyn Any {
