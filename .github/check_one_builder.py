@@ -2,7 +2,7 @@
 """Check that every backbone comes from the one builder, and that each
 mechanism it relies on has one copy.
 
-Six rules over non-test code, cut as `count_lines.py` cuts it (each file
+Seven rules over non-test code, cut as `count_lines.py` cuts it (each file
 up to its first unindented `#[cfg(test)]` line), in the files it counts
 (`.rs` under `crates/*/src` and `crates/*/benches`, shims skipped) plus
 `examples/`, `perfbench/src` and the root `src/`:
@@ -25,6 +25,10 @@ up to its first unindented `#[cfg(test)]` line), in the files it counts
    file under `crates/*/src` names `BinaryHeap`, save the simulator's
    calendar (`crates/sim/src/calendar.rs`); CSPF is `cspf_path`, SPF over
    the links a constraint admits.
+7. Only `crates/mpls/src/lfib.rs` interprets a label operation: no other
+   file matches on `LabelOp` (a `LabelOp::…` pattern followed by `=>` on
+   one line). Packets, the label walk and the verifier all read a label
+   operation through `LabelOp::apply`.
 
 Usage: python3 .github/check_one_builder.py
 Prints each offending line and exits 1 if any rule is broken.
@@ -58,6 +62,9 @@ RULES = [
      lambda path: not re.match(r"crates/[^/]+/src/", path)
      or path in ("crates/routing/src/igp.rs", "crates/sim/src/calendar.rs"),
      "runs a shortest-path search outside the IGP's SPF"),
+    (re.compile(r"\bLabelOp::\w+.*=>"),
+     lambda path: path == "crates/mpls/src/lfib.rs",
+     "interprets a LabelOp outside LabelOp::apply"),
 ]
 
 

@@ -575,8 +575,7 @@ impl NodeControl {
         self.labels = LabelSpace::new();
         self.held.fill(None);
         self.transport = ControlMode::Oracle;
-        let old = std::mem::take(&mut *tables.lfib);
-        tables.lfib.stats().merge(old.stats());
+        tables.lfib.clear();
         if let Some(tunnels) = tables.tunnels.as_deref_mut() {
             tunnels.resize(np, None);
         }
@@ -646,7 +645,7 @@ impl NodeControl {
         tables.lfib.set_iface_down(iface, down);
         let (seq, origin) = self.link_events[link];
         let lsa = CtrlMsg::Lsa { link, down, seq, origin };
-        if down && tables.lfib.protection(iface).is_some() {
+        if tables.lfib.bypass(iface).is_some() {
             // Point of local repair: flood now, converge last.
             if self.record_lsa(link, true, seq, origin, ctx.now()) {
                 self.held[link] = Some(origin);

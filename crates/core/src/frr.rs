@@ -90,7 +90,7 @@ impl ProviderNetwork {
         let (u, v, _) = self.topo.link(topo_link);
         let on = |(near, far)| {
             let (lfib, iface) = (self.backbone(near).0, self.topo.iface_toward(near, far));
-            lfib.protection(iface).is_some() && (!active || lfib.iface_down(iface))
+            (if active { lfib.bypass(iface) } else { lfib.protection(iface) }).is_some()
         };
         [(u, v), (v, u)].into_iter().filter(|&d| on(d)).count() as u64
     }
@@ -280,5 +280,64 @@ mod tests {
         let out = pn.execute_fault_plan(&plan, SEC);
         assert_eq!((out.cuts, out.repairs), (2, 2), "every plan event is counted");
         assert_eq!(out.switchovers, 2, "only the first cut switches the two directions");
+    }
+
+    /// From detection to the end of the point of local repair's hold the
+    /// packets ride the bypass, and so do the verifier's stack walks: the
+    /// stacks P1 and PE4 (PE ordinal 1) send into the cut are `V-LBL-006`
+    /// information, not `V-LBL-001` errors, under both transports. Before
+    /// detection they dangle, and after the hold no stack rides a bypass.
+    /// In band, PE0's LSP rides P1's bypass until PE0 has reconverged; the
+    /// oracle reconverges PE0 at detection.
+    #[test]
+    fn stacks_ride_the_bypass_from_detection_to_the_end_of_the_hold() {
+        use crate::control::{ControlMode, LOCAL_CONVERGENCE_DELAY};
+        use netsim_verify::codes;
+        const DETECT: Nanos = 10 * MSEC;
+        for mode in [ControlMode::Oracle, ControlMode::InBand] {
+            let mut pn = BackboneBuilder::new(fish(), vec![0, 4])
+                .detection(DETECT)
+                .control_mode(mode)
+                .build();
+            let vpn = pn.new_vpn("acme");
+            pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
+            pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
+            pn.run_to_quiescence();
+            pn.protect_link(1);
+            pn.verify().assert_clean("before the cut");
+            pn.fail_link(1);
+            let cut = pn.net.now();
+            let r = pn.verify();
+            assert!(r.has_code(codes::LBL_DANGLING) && !r.has_code(codes::LBL_BYPASS), "{r}");
+            pn.run_for(DETECT);
+            let (bypass, converged) = (vec![0, 1, 0, 2, 3, 4], vec![0, 2, 3, 4]);
+            let mut reconverged = false;
+            while pn.net.now() < cut + DETECT + LOCAL_CONVERGENCE_DELAY {
+                let at = pn.net.now() - cut;
+                let r = pn.verify();
+                assert!(r.is_clean(), "{mode:?} at {at} ns: {r}");
+                let rides: Vec<_> =
+                    r.with_code(codes::LBL_BYPASS).map(|d| d.location.as_str()).collect();
+                for loc in
+                    ["P1 FTN P1 Fec(1)", "PE1 FTN PE1 Fec(0)", "PE1 FTN PE1 vrf acme 10.1.0.0/16"]
+                {
+                    assert!(rides.contains(&loc), "{mode:?} at {at} ns: {r}");
+                }
+                let path = pn.lsp_path(0, 1).unwrap_or_else(|| panic!("{mode:?} at {at} ns"));
+                reconverged |= path == converged;
+                assert_eq!(
+                    &path,
+                    if reconverged { &converged } else { &bypass },
+                    "{mode:?} at {at} ns"
+                );
+                if at == DETECT {
+                    assert_eq!(reconverged, mode == ControlMode::Oracle, "{at} ns");
+                }
+                pn.run_for(100_000);
+            }
+            assert!(reconverged, "{mode:?}");
+            let r = pn.verify();
+            assert!(r.is_clean() && !r.has_code(codes::LBL_BYPASS), "{mode:?} after the hold: {r}");
+        }
     }
 }

@@ -1113,7 +1113,8 @@ impl ProviderNetwork {
 }
 
 /// The live backbone as label tables: the engine says which links are up,
-/// and a PE dispatches the VPN labels of its VRFs.
+/// each router's LFIB which bypasses are in force, and a PE dispatches the
+/// VPN labels of its VRFs.
 impl LabelTables for ProviderNetwork {
     fn node_count(&self) -> usize {
         self.topo.node_count()
@@ -1129,6 +1130,9 @@ impl LabelTables for ProviderNetwork {
     }
     fn nhlfe(&self, node: usize, label: u32) -> Option<netsim_mpls::Nhlfe> {
         self.backbone(node).0.lookup(label).copied()
+    }
+    fn bypass(&self, node: usize, iface: usize) -> Option<netsim_mpls::FtnEntry> {
+        self.backbone(node).0.bypass(iface)
     }
     fn dispatches(&self, node: usize, label: u32) -> bool {
         self.pes.contains(&node)
@@ -1606,7 +1610,7 @@ mod tests {
     fn explicit_lsps_through_one_lsr_get_distinct_labels() {
         for php in [true, false] {
             let mut pn = line_of(4, php);
-            let entries = |pn: &ProviderNetwork| pn.backbone(1).0.len();
+            let entries = |pn: &ProviderNetwork| pn.backbone(1).0.iter().count();
             let before = entries(&pn);
             let ab = pn.install_explicit_lsp(&[0, 1, 2, 3]);
             let ba = pn.install_explicit_lsp(&[3, 2, 1, 0]);

@@ -71,10 +71,10 @@ fn push_router_counters(
 /// Pushes one LFIB's operation counters into `snap` under `prefix.lfib.`.
 fn push_lfib_stats(snap: &mut MetricsSnapshot, prefix: &str, lfib: &netsim_mpls::Lfib) {
     let s = lfib.stats();
-    snap.push_counter(format!("{prefix}.lfib.swaps"), s.swaps());
-    snap.push_counter(format!("{prefix}.lfib.pops"), s.pops());
-    snap.push_counter(format!("{prefix}.lfib.pushes"), s.pushes());
-    snap.push_counter(format!("{prefix}.lfib.bypass_activations"), s.bypass_activations());
+    snap.push_counter(format!("{prefix}.lfib.swaps"), s.swaps);
+    snap.push_counter(format!("{prefix}.lfib.pops"), s.pops);
+    snap.push_counter(format!("{prefix}.lfib.pushes"), s.pushes);
+    snap.push_counter(format!("{prefix}.lfib.bypass_activations"), s.bypass_activations);
 }
 
 impl ProviderNetwork {
@@ -168,17 +168,12 @@ impl ProviderNetwork {
         // Backbone routers, in topology-node order.
         for u in 0..self.topo.node_count() {
             let id = self.node_ids[u];
-            if let Some(k) = self.pes.iter().position(|&p| p == u) {
-                let pe = self.net.node_ref::<PeRouter>(id);
-                let name = format!("pe{k}");
-                push_router_counters(&mut snap, &name, &pe.counters, rec, id);
-                push_lfib_stats(&mut snap, &name, &pe.lfib);
-            } else {
-                let p = self.net.node_ref::<CoreRouter>(id);
-                let name = format!("p{u}");
-                push_router_counters(&mut snap, &name, &p.counters, rec, id);
-                push_lfib_stats(&mut snap, &name, &p.lfib);
-            }
+            let (name, counters) = match self.pes.iter().position(|&p| p == u) {
+                Some(k) => (format!("pe{k}"), &self.net.node_ref::<PeRouter>(id).counters),
+                None => (format!("p{u}"), &self.net.node_ref::<CoreRouter>(id).counters),
+            };
+            push_router_counters(&mut snap, &name, counters, rec, id);
+            push_lfib_stats(&mut snap, &name, self.backbone(u).0);
         }
         // CE routers, in site order.
         for (i, s) in self.sites.iter().enumerate() {

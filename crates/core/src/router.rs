@@ -120,7 +120,7 @@ impl Node for CoreRouter {
             }
             LfibVerdict::PoppedToLocal => ctx.absorb(pkt),
             LfibVerdict::TtlExpired => ctx.discard(pkt, DropCause::Ttl),
-            LfibVerdict::NoEntry | LfibVerdict::NotLabeled => ctx.discard(pkt, DropCause::NoRoute),
+            LfibVerdict::NoEntry => ctx.discard(pkt, DropCause::NoRoute),
         }
     }
 
@@ -357,8 +357,11 @@ impl PeRouter {
                 self.counters.forwarded += 1;
                 // Fast reroute: if the primary core interface is held down
                 // by link-failure detection and a bypass is installed, the
-                // LFIB pushes the bypass label(s) and redirects locally.
-                let out_iface = self.lfib.apply_protection(&mut pkt, tunnel.out_iface);
+                // LFIB pushes the bypass label and redirects locally.
+                let out_iface = match self.lfib.bypass(tunnel.out_iface) {
+                    Some(bypass) => self.lfib.impose_bypass(&mut pkt, bypass),
+                    None => tunnel.out_iface,
+                };
                 self.vrfs[vrf].forwarded += 1;
                 ctx.send(IfaceId(out_iface), pkt);
             }

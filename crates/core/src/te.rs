@@ -139,6 +139,29 @@ mod tests {
         pn.verify().assert_clean("the trunk's link is back");
     }
 
+    /// A protected cut moves the trunk's packets onto P1's bypass for good:
+    /// the control plane repairs LDP tunnels, not explicit LSPs, so after
+    /// the hold the trunk still rides links it never reserved, and the
+    /// error names the path it rides.
+    #[test]
+    fn a_trunk_on_a_bypass_stays_flagged_with_the_path_it_rides() {
+        use crate::control::LOCAL_CONVERGENCE_DELAY;
+        let mut pn = fish();
+        let t = pn.admit_trunk(0, 4, 7 * MBPS).unwrap();
+        pn.protect_all_links();
+        pn.fail_link(1);
+        pn.run_for(pn.detect_ns + LOCAL_CONVERGENCE_DELAY + 1);
+        assert_eq!(pn.trunk_lsp_path(&t), Some(vec![0, 1, 0, 2, 3, 4]));
+        let r = pn.verify();
+        let flagged: Vec<_> = r.with_code(codes::TE_PATH).map(|d| d.message.as_str()).collect();
+        assert_eq!(
+            flagged,
+            ["reserved path [0, 1, 4] but its LSP rides Some([0, 1, 0, 2, 3, 4])"],
+            "{r}"
+        );
+        assert!(!r.is_clean(), "{r}");
+    }
+
     /// Trunk 2's label at P2 is re-pointed onto an LSP 2-0-1-4: its FTN
     /// still reaches PE4, but not along the path it reserved.
     #[test]

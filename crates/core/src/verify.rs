@@ -7,7 +7,8 @@
 //!    [`LabelPlane`]: every router's installed LFIB is checked for
 //!    dangling references, black holes, loops and reserved-label misuse,
 //!    and every ingress stack (live LDP FTNs and per-VRF remote routes)
-//!    is walked over the links that are up.
+//!    is walked as its packets go: over the links that are up, on the
+//!    bypasses in force.
 //! 2. **VRF isolation** — the route-target import/export graph is
 //!    checked for cross-VPN leaks (unless declared via
 //!    [`ProviderNetwork::declare_extranet`]) and intra-VPN partitions.
@@ -28,7 +29,7 @@ use netsim_mpls::Nhlfe;
 use netsim_routing::VrfHandle;
 use netsim_verify::{
     codes, lint_ef_admission, lint_exp_map, lint_red_profile, verify_isolation, verify_label_plane,
-    verify_te, LabelPlane, Severity, StackWalk, VerifyReport, VrfPolicy,
+    verify_te, LabelPlane, StackWalk, VerifyReport, VrfPolicy,
 };
 
 use crate::network::{af_band_red, CoreQos, DsSched, ProviderNetwork, VpnId};
@@ -62,15 +63,14 @@ impl ProviderNetwork {
     /// returns the diagnostics. A freshly built healthy network is
     /// clean; see [`netsim_verify`] for the diagnostic-code table. The
     /// label pass reads the routers' live tables. Its per-entry checks
-    /// hold whatever the link state, but its stack walks cross only links
-    /// that are up: between a cut and its detection, every FTN and VRF
-    /// route whose stack crosses the cut is reported as `V-LBL-001` until
-    /// the routers repair it. Only VRF routes that have landed are walked:
-    /// provisioning reaches remote PEs when the simulator runs
-    /// (`run_for(0)` under the oracle). An admitted trunk is walked the
-    /// same way, so a trunk whose path crosses a cut link is `V-TE-004`
-    /// until the link is repaired or [`ProviderNetwork::reconverge`]
-    /// clears the record.
+    /// hold whatever the link state; its stack walks take the step the
+    /// packets take. A stack across a cut is `V-LBL-001` until its router
+    /// detects the cut, then `V-LBL-006` information while a bypass
+    /// carries it, until the routers repair it. Only VRF routes that have
+    /// landed are walked: provisioning reaches remote PEs when the
+    /// simulator runs (`run_for(0)` under the oracle). A trunk whose path
+    /// crosses a cut link is `V-TE-004`, bypass or not, until the link is
+    /// repaired or [`ProviderNetwork::reconverge`] clears the record.
     pub fn verify(&self) -> VerifyReport {
         let mut report = VerifyReport::new();
         let walks = self.stack_walks(&mut report);
@@ -97,7 +97,7 @@ impl ProviderNetwork {
                     fec: format!("{} Fec({f})", self.node_name(u)),
                     push: ftn.push.into_iter().collect(),
                     out_iface: ftn.out_iface,
-                    expect_delivery: Some(egress),
+                    egress,
                 });
             }
         }
@@ -113,7 +113,6 @@ impl ProviderNetwork {
                     let Some(tunnel) = PeRouter::resolve_tunnel(&pe.tunnels, route) else {
                         report.push(
                             codes::LBL_BLACKHOLE,
-                            Severity::Error,
                             fec,
                             format!("remote route resolves to no tunnel toward PE{egress_pe}"),
                         );
@@ -134,7 +133,7 @@ impl ProviderNetwork {
                         fec,
                         push,
                         out_iface: tunnel.out_iface,
-                        expect_delivery: Some(self.pes[origin]),
+                        egress: self.pes[origin],
                     });
                 }
             }

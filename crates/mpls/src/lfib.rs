@@ -9,49 +9,19 @@
 
 use netsim_net::{Dscp, Layer, MplsLabel, Packet};
 
-/// Forwarding-plane counters of one LFIB.
-///
-/// Interior-mutable (`Cell`) so [`Lfib::forward`] keeps its `&self` hot-path
-/// signature: counting must not force exclusive borrows onto every caller.
-#[allow(clippy::disallowed_types)] // perfbench's ledger `replay` forwards through `&Lfib`
-#[derive(Clone, Debug, Default)]
-pub struct LfibStats {
-    swaps: std::cell::Cell<u64>,
-    pops: std::cell::Cell<u64>,
-    pushes: std::cell::Cell<u64>,
-    bypass_activations: std::cell::Cell<u64>,
-}
-
-impl LfibStats {
+/// Forwarding-plane counters of one LFIB: numbers as [`Lfib::stats`] reads
+/// them, cells inside the table.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LfibStats<T = u64> {
     /// Label swap operations applied (including the swap half of
     /// swap-and-push).
-    pub fn swaps(&self) -> u64 {
-        self.swaps.get()
-    }
-
+    pub swaps: T,
     /// Labels popped (PHP and egress pops alike).
-    pub fn pops(&self) -> u64 {
-        self.pops.get()
-    }
-
+    pub pops: T,
     /// Labels pushed (tunnel nesting and fast-reroute bypass wraps).
-    pub fn pushes(&self) -> u64 {
-        self.pushes.get()
-    }
-
+    pub pushes: T,
     /// Packets redirected into a fast-reroute bypass tunnel.
-    pub fn bypass_activations(&self) -> u64 {
-        self.bypass_activations.get()
-    }
-
-    /// Accumulates another block's counts into this one — used to carry
-    /// forwarding history across a table replacement on reconvergence.
-    pub fn merge(&self, other: &LfibStats) {
-        self.swaps.set(self.swaps.get() + other.swaps.get());
-        self.pops.set(self.pops.get() + other.pops.get());
-        self.pushes.set(self.pushes.get() + other.pushes.get());
-        self.bypass_activations.set(self.bypass_activations.get() + other.bypass_activations.get());
-    }
+    pub bypass_activations: T,
 }
 
 /// The label operation of an NHLFE.
@@ -69,6 +39,44 @@ pub enum LabelOp {
         /// Additional label pushed above it.
         push: u32,
     },
+}
+
+impl LabelOp {
+    /// Applies the operation to `stack`, whose top is the incoming label:
+    /// the one reading of a label operation, for packets and walks alike.
+    #[inline]
+    pub fn apply(self, stack: &mut impl LabelStack) {
+        match self {
+            LabelOp::Swap(out) => stack.swap_top(out),
+            LabelOp::SwapPush { swap, push } => {
+                stack.swap_top(swap);
+                stack.push_label(push);
+            }
+            LabelOp::Pop => stack.pop_label(),
+        }
+    }
+}
+
+/// A label stack, top last: a walk's bare labels or a packet's entries.
+pub trait LabelStack {
+    /// Replaces the top label.
+    fn swap_top(&mut self, label: u32);
+    /// Pushes `label` over the top.
+    fn push_label(&mut self, label: u32);
+    /// Removes the top label.
+    fn pop_label(&mut self);
+}
+
+impl LabelStack for Vec<u32> {
+    fn swap_top(&mut self, label: u32) {
+        *self.last_mut().expect("a swap needs a top label") = label;
+    }
+    fn push_label(&mut self, label: u32) {
+        self.push(label);
+    }
+    fn pop_label(&mut self) {
+        self.pop();
+    }
 }
 
 /// Next-hop label forwarding entry: what to do with a matched packet and
@@ -93,6 +101,41 @@ pub struct FtnEntry {
     pub out_iface: usize,
 }
 
+impl FtnEntry {
+    /// Pushes the entry's label, if any, onto `stack`; returns its egress.
+    #[inline]
+    pub fn impose(self, stack: &mut impl LabelStack) -> usize {
+        if let Some(label) = self.push {
+            stack.push_label(label);
+        }
+        self.out_iface
+    }
+}
+
+/// One forwarding step at an LSR: the ILM entry for the top label, and
+/// the bypass in force on its out-interface ([`Lfib::bypass`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Step {
+    /// The primary entry.
+    pub nhlfe: Nhlfe,
+    /// The bypass the step rides instead of the entry's out-interface.
+    pub bypass: Option<FtnEntry>,
+}
+
+impl Step {
+    /// Applies the entry's operation to `stack`, then pushes the bypass
+    /// label over it (RFC 4090 facility backup: the merge point expects
+    /// the label the operation wrote); returns the egress.
+    #[inline]
+    pub fn apply(self, stack: &mut impl LabelStack) -> usize {
+        self.nhlfe.op.apply(stack);
+        match self.bypass {
+            Some(bypass) => bypass.impose(stack),
+            None => self.nhlfe.out_iface,
+        }
+    }
+}
+
 /// Result of running a packet through [`Lfib::forward`].
 #[derive(Debug, PartialEq, Eq)]
 pub enum LfibVerdict {
@@ -104,33 +147,29 @@ pub enum LfibVerdict {
     /// The stack emptied at this LSR: deliver the inner packet locally
     /// (egress processing, e.g. VPN label handling or IP forwarding).
     PoppedToLocal,
-    /// No ILM entry for the top label: drop (counts as a misrouting bug in
-    /// tests).
+    /// No ILM entry for the top label, or no label at all: drop (counts as
+    /// a misrouting bug in tests).
     NoEntry,
     /// MPLS TTL expired: drop.
     TtlExpired,
-    /// The packet carried no label.
-    NotLabeled,
 }
 
 /// The label forwarding table of one LSR.
+#[allow(clippy::disallowed_types)] // `counts`: see the field
 #[derive(Clone, Debug, Default)]
 pub struct Lfib {
     ilm: Vec<Option<Nhlfe>>,
-    entries: usize,
     /// Fast-reroute state: `protection[out_iface]` is the bypass tunnel
-    /// protecting that egress. The bypass terminates at the merge point
-    /// (the protected link's far end), which expects exactly the label
-    /// this LSR would have sent — so switchover is "apply the primary
-    /// operation, then push the bypass label and redirect".
+    /// protecting that egress (see [`Step::apply`]).
     protection: Vec<Option<FtnEntry>>,
     /// Interfaces the local failure detector has declared down.
     down: Vec<bool>,
     /// Whether any interface is down — keeps the hot path to one branch
     /// while the network is healthy.
     any_down: bool,
-    /// Forwarding counters (interior-mutable; see [`LfibStats`]).
-    stats: LfibStats,
+    /// Forwarding counters, interior-mutable so that [`Lfib::forward`] keeps
+    /// its `&self` signature, which perfbench's ledger replays through.
+    counts: LfibStats<std::cell::Cell<u64>>,
 }
 
 impl Lfib {
@@ -145,18 +184,17 @@ impl Lfib {
         if idx >= self.ilm.len() {
             self.ilm.resize(idx + 1, None);
         }
-        if self.ilm[idx].replace(nhlfe).is_none() {
-            self.entries += 1;
-        }
+        self.ilm[idx] = Some(nhlfe);
+    }
+
+    /// Empties the table at a router's cold restart; the counters carry on.
+    pub fn clear(&mut self) {
+        *self = Lfib { counts: self.counts.clone(), ..Lfib::default() };
     }
 
     /// Removes the ILM entry for `in_label`, returning it if present.
     pub fn remove(&mut self, in_label: u32) -> Option<Nhlfe> {
-        let e = self.ilm.get_mut(in_label as usize)?.take();
-        if e.is_some() {
-            self.entries -= 1;
-        }
-        e
+        self.ilm.get_mut(in_label as usize)?.take()
     }
 
     /// Looks up an incoming label. This is the hot path.
@@ -165,19 +203,11 @@ impl Lfib {
         self.ilm.get(in_label as usize)?.as_ref()
     }
 
-    /// Number of installed ILM entries (per-LSR state metric for T1).
-    pub fn len(&self) -> usize {
-        self.entries
-    }
-
     /// The forwarding counters of this table.
-    pub fn stats(&self) -> &LfibStats {
-        &self.stats
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
+    pub fn stats(&self) -> LfibStats {
+        let c = &self.counts;
+        let (swaps, pops, pushes) = (c.swaps.get(), c.pops.get(), c.pushes.get());
+        LfibStats { swaps, pops, pushes, bypass_activations: c.bypass_activations.get() }
     }
 
     /// Iterates over the installed `(incoming label, NHLFE)` pairs, in
@@ -197,8 +227,8 @@ impl Lfib {
     }
 
     /// The bypass protecting `out_iface`, if any.
-    pub fn protection(&self, out_iface: usize) -> Option<&FtnEntry> {
-        self.protection.get(out_iface)?.as_ref()
+    pub fn protection(&self, out_iface: usize) -> Option<FtnEntry> {
+        *self.protection.get(out_iface)?
     }
 
     /// Records the local failure detector's view of an interface. Marking
@@ -206,106 +236,97 @@ impl Lfib {
     /// the dead link and drops there, as without FRR).
     pub fn set_iface_down(&mut self, iface: usize, down: bool) {
         if iface >= self.down.len() {
-            if !down {
-                return;
-            }
             self.down.resize(iface + 1, false);
         }
         self.down[iface] = down;
-        self.any_down = self.down.iter().any(|&d| d);
+        self.any_down = self.down.contains(&true);
     }
 
-    /// Whether the failure detector considers `iface` down.
-    pub fn iface_down(&self, iface: usize) -> bool {
-        self.down.get(iface).copied().unwrap_or(false)
-    }
-
-    /// Fast-reroute switchover: if `out_iface` is down and protected,
-    /// pushes the bypass label over whatever the packet now carries and
-    /// returns the bypass egress; otherwise returns `out_iface` unchanged.
-    /// Single-level: a bypass is never itself rerouted.
+    /// The bypass in force on `out_iface`: installed, and the interface
+    /// marked down by the local failure detector.
     #[inline]
-    pub fn apply_protection(&self, pkt: &mut Packet, out_iface: usize) -> usize {
-        if !self.any_down || !self.iface_down(out_iface) {
-            return out_iface;
+    pub fn bypass(&self, out_iface: usize) -> Option<FtnEntry> {
+        if !self.any_down || !self.down.get(out_iface).copied().unwrap_or(false) {
+            return None;
         }
-        let Some(bypass) = self.protection.get(out_iface).and_then(Option::as_ref) else {
-            return out_iface;
-        };
-        let (exp, ttl) = match pkt.top_label() {
-            Some(l) => (l.exp, l.ttl),
-            // PHP already stripped the stack: classify the bypass label
-            // by the default DSCP→EXP fold.
-            None => (pkt.dscp().map_or(0, Dscp::default_exp), 64),
-        };
-        if let Some(label) = bypass.push {
-            pkt.push_outer(Layer::Mpls(MplsLabel { label, exp, ttl }));
-            self.stats.pushes.set(self.stats.pushes.get() + 1);
-        }
-        self.stats.bypass_activations.set(self.stats.bypass_activations.get() + 1);
-        bypass.out_iface
+        self.protection(out_iface)
     }
 
-    /// Applies this LSR's forwarding to a labeled packet in place:
-    /// TTL check + ILM lookup + label operation, then fast-reroute
-    /// switchover when the chosen egress is down and protected.
+    /// The step a packet with top label `label` takes now.
+    #[inline]
+    pub fn step(&self, label: u32) -> Option<Step> {
+        let nhlfe = *self.lookup(label)?;
+        Some(Step { nhlfe, bypass: self.bypass(nhlfe.out_iface) })
+    }
+
+    /// Fast-reroute switchover at a PE's ingress: pushes `bypass`'s label
+    /// over the imposed stack; returns the bypass egress.
+    pub fn impose_bypass(&self, pkt: &mut Packet, bypass: FtnEntry) -> usize {
+        bump(&self.counts.bypass_activations);
+        let ttl = pkt.top_label().map_or(0, |l| l.ttl);
+        bypass.impose(&mut Rewrite { pkt, ttl, counts: &self.counts })
+    }
+
+    /// Applies this LSR's [`Lfib::step`] to a labeled packet in place,
+    /// after the TTL check.
     pub fn forward(&self, pkt: &mut Packet) -> LfibVerdict {
-        match self.forward_primary(pkt) {
-            LfibVerdict::Forward { out_iface } if self.any_down => {
-                LfibVerdict::Forward { out_iface: self.apply_protection(pkt, out_iface) }
-            }
-            v => v,
-        }
-    }
-
-    /// The primary forwarding decision, before protection.
-    fn forward_primary(&self, pkt: &mut Packet) -> LfibVerdict {
-        let Some(top) = pkt.top_label() else {
-            return LfibVerdict::NotLabeled;
-        };
-        let Some(nhlfe) = self.lookup(top.label) else {
-            return LfibVerdict::NoEntry;
-        };
+        let Some(mut top) = pkt.top_label() else { return LfibVerdict::NoEntry };
+        let Some(step) = self.step(top.label) else { return LfibVerdict::NoEntry };
         // TTL processing: decrement the top entry; expiry drops the packet.
-        let mut top = top;
         if !top.decrement_ttl() {
             return LfibVerdict::TtlExpired;
         }
-        match nhlfe.op {
-            LabelOp::Swap(out) => {
-                if let Some(Layer::Mpls(l)) = pkt.outer_mut() {
-                    *l = MplsLabel { label: out, exp: top.exp, ttl: top.ttl };
-                }
-                self.stats.swaps.set(self.stats.swaps.get() + 1);
-                LfibVerdict::Forward { out_iface: nhlfe.out_iface }
-            }
-            LabelOp::SwapPush { swap, push } => {
-                if let Some(Layer::Mpls(l)) = pkt.outer_mut() {
-                    *l = MplsLabel { label: swap, exp: top.exp, ttl: top.ttl };
-                }
-                pkt.push_outer(Layer::Mpls(MplsLabel { label: push, exp: top.exp, ttl: top.ttl }));
-                self.stats.swaps.set(self.stats.swaps.get() + 1);
-                self.stats.pushes.set(self.stats.pushes.get() + 1);
-                LfibVerdict::Forward { out_iface: nhlfe.out_iface }
-            }
-            LabelOp::Pop => {
-                pkt.pop_outer();
-                self.stats.pops.set(self.stats.pops.get() + 1);
-                if pkt.top_label().is_some() {
-                    // Propagate the decremented TTL to the exposed entry
-                    // (uniform TTL model) and keep forwarding.
-                    if let Some(Layer::Mpls(l)) = pkt.outer_mut() {
-                        l.ttl = top.ttl;
-                    }
-                    LfibVerdict::Forward { out_iface: nhlfe.out_iface }
-                } else if nhlfe.out_iface == LOCAL_IFACE {
-                    LfibVerdict::PoppedToLocal
-                } else {
-                    // Penultimate-hop pop: forward the now-unlabeled packet.
-                    LfibVerdict::Forward { out_iface: nhlfe.out_iface }
-                }
-            }
+        if step.bypass.is_some() {
+            bump(&self.counts.bypass_activations);
         }
+        let out_iface = step.apply(&mut Rewrite { pkt, ttl: top.ttl, counts: &self.counts });
+        if out_iface == LOCAL_IFACE && pkt.top_label().is_none() {
+            return LfibVerdict::PoppedToLocal;
+        }
+        LfibVerdict::Forward { out_iface }
+    }
+}
+
+#[allow(clippy::disallowed_types)] // one of the table's counters
+fn bump(count: &std::cell::Cell<u64>) {
+    count.set(count.get() + 1);
+}
+
+/// A packet's entries as a [`LabelStack`]: a swap or pop leaves `ttl` on
+/// the top entry (uniform TTL model), a push copies the entry it covers,
+/// and `counts` counts each.
+struct Rewrite<'a> {
+    pkt: &'a mut Packet,
+    ttl: u8,
+    #[allow(clippy::disallowed_types)] // the table's counters
+    counts: &'a LfibStats<std::cell::Cell<u64>>,
+}
+
+impl LabelStack for Rewrite<'_> {
+    fn swap_top(&mut self, label: u32) {
+        if let Some(Layer::Mpls(l)) = self.pkt.outer_mut() {
+            *l = MplsLabel { label, ttl: self.ttl, ..*l };
+        }
+        bump(&self.counts.swaps);
+    }
+
+    fn push_label(&mut self, label: u32) {
+        let (exp, ttl) = match self.pkt.top_label() {
+            Some(l) => (l.exp, l.ttl),
+            // PHP already stripped the stack: classify the bypass label by
+            // the default DSCP→EXP fold.
+            None => (self.pkt.dscp().map_or(0, Dscp::default_exp), 64),
+        };
+        self.pkt.push_outer(Layer::Mpls(MplsLabel { label, exp, ttl }));
+        bump(&self.counts.pushes);
+    }
+
+    fn pop_label(&mut self) {
+        self.pkt.pop_outer();
+        if let Some(Layer::Mpls(l)) = self.pkt.outer_mut() {
+            l.ttl = self.ttl;
+        }
+        bump(&self.counts.pops);
     }
 }
 
@@ -385,7 +406,7 @@ mod tests {
         let mut q = labeled(9, 0, 64);
         assert_eq!(lfib.forward(&mut q), LfibVerdict::NoEntry);
         let mut r = Packet::udp(ip("1.1.1.1"), ip("2.2.2.2"), 1, 2, Dscp::BE, 0);
-        assert_eq!(lfib.forward(&mut r), LfibVerdict::NotLabeled);
+        assert_eq!(lfib.forward(&mut r), LfibVerdict::NoEntry);
     }
 
     #[test]
@@ -402,7 +423,7 @@ mod tests {
         // Down: primary swap still applied, bypass label pushed on top
         // (the merge point expects label 200), redirected out iface 7.
         lfib.set_iface_down(3, true);
-        assert!(lfib.iface_down(3));
+        assert_eq!(lfib.bypass(3), Some(FtnEntry { push: Some(900), out_iface: 7 }));
         let mut p = labeled(100, 5, 64);
         assert_eq!(lfib.forward(&mut p), LfibVerdict::Forward { out_iface: 7 });
         assert_eq!(p.label_depth(), 2);
@@ -456,9 +477,14 @@ mod tests {
         assert_eq!(lfib.protection(4).map(|b| b.out_iface), Some(0));
         assert_eq!(lfib.protection(9).map(|b| b.out_iface), Some(1));
         assert!(lfib.protection(5).is_none() && lfib.protection(1000).is_none());
-        // Marking an out-of-range iface up is a no-op, not a panic.
+        // Marking an out-of-range iface up is not a panic.
         lfib.set_iface_down(1000, false);
-        assert!(!lfib.iface_down(1000));
+        assert!(lfib.bypass(1000).is_none());
+        // A bypass is in force only while its interface is marked down.
+        assert!(lfib.bypass(4).is_none());
+        lfib.set_iface_down(4, true);
+        assert_eq!(lfib.bypass(4).map(|b| b.out_iface), Some(0));
+        assert!(lfib.bypass(9).is_none(), "iface 9 is still up");
     }
 
     #[test]
@@ -475,28 +501,29 @@ mod tests {
         lfib.forward(&mut p);
         let mut p = labeled(10, 0, 64);
         lfib.forward(&mut p);
-        assert_eq!(lfib.stats().swaps(), 4, "3 plain swaps + the swap half of swap-push");
-        assert_eq!(lfib.stats().pops(), 1);
-        assert_eq!(lfib.stats().pushes(), 1);
-        assert_eq!(lfib.stats().bypass_activations(), 0);
+        assert_eq!(lfib.stats().swaps, 4, "3 plain swaps + the swap half of swap-push");
+        assert_eq!(lfib.stats().pops, 1);
+        assert_eq!(lfib.stats().pushes, 1);
+        assert_eq!(lfib.stats().bypass_activations, 0);
     }
 
     #[test]
-    fn stats_count_bypass_and_merge_carries_history() {
+    fn stats_count_bypass_and_clear_carries_history() {
         let mut lfib = Lfib::new();
         lfib.install(100, Nhlfe { op: LabelOp::Swap(200), out_iface: 3 });
         lfib.install_protection(3, FtnEntry { push: Some(900), out_iface: 7 });
         lfib.set_iface_down(3, true);
         let mut p = labeled(100, 0, 64);
         lfib.forward(&mut p);
-        assert_eq!(lfib.stats().bypass_activations(), 1);
-        assert_eq!(lfib.stats().pushes(), 1, "bypass wrap is a push");
+        assert_eq!(lfib.stats().bypass_activations, 1);
+        assert_eq!(lfib.stats().pushes, 1, "bypass wrap is a push");
 
-        // Reconvergence replaces the table; merging first keeps history.
-        let fresh = Lfib::new();
-        fresh.stats().merge(lfib.stats());
-        assert_eq!(fresh.stats().swaps(), 1);
-        assert_eq!(fresh.stats().bypass_activations(), 1);
+        // A cold restart empties the table and keeps the history.
+        let before = lfib.stats();
+        lfib.clear();
+        assert!(lfib.iter().next().is_none() && lfib.bypass(3).is_none());
+        assert_eq!(lfib.stats(), before);
+        assert_eq!((before.swaps, before.bypass_activations), (1, 1));
     }
 
     #[test]
@@ -504,12 +531,12 @@ mod tests {
         let mut lfib = Lfib::new();
         lfib.install(100, Nhlfe { op: LabelOp::Pop, out_iface: 0 });
         lfib.install(100, Nhlfe { op: LabelOp::Swap(1), out_iface: 0 });
-        assert_eq!(lfib.len(), 1, "reinstall replaces");
+        assert_eq!(lfib.iter().count(), 1, "reinstall replaces");
         lfib.install(200, Nhlfe { op: LabelOp::Pop, out_iface: 0 });
-        assert_eq!(lfib.len(), 2);
+        assert_eq!(lfib.iter().count(), 2);
         assert!(lfib.remove(100).is_some());
         assert!(lfib.remove(100).is_none());
-        assert_eq!(lfib.len(), 1);
+        assert_eq!(lfib.iter().count(), 1);
         assert!(lfib.lookup(100).is_none());
     }
 }

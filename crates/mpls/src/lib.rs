@@ -4,8 +4,8 @@
 //!
 //! * [`label`] — per-LSR label spaces (allocation/release).
 //! * [`lfib`] — the forwarding tables: ILM (incoming label map) with O(1)
-//!   dense lookup, NHLFE operations (swap/push/pop with TTL and EXP
-//!   handling), and the FTN (FEC-to-NHLFE) map used at the ingress.
+//!   dense lookup, NHLFE operations, fast-reroute bypasses, and the one
+//!   forwarding [`lfib::Step`] a packet and a walk both take.
 //! * [`walk`] — follows a pushed label stack through any node's tables to
 //!   where it unwinds; the verifier, the live network's LSP paths and the
 //!   LDP tests all ask it.

@@ -7,12 +7,12 @@
 //! walks, a live network's LSP paths, LDP's own tests — asks where one
 //! stack goes, so [`walk`] answers it once, over any [`LabelTables`].
 //!
-//! The walk follows installed state over the links that are up, without
-//! rewriting a packet (that is [`crate::Lfib::forward`]'s job).
-//! [`LOCAL_IFACE`] means "stay here and look up the exposed label", as a
-//! router re-enters its own pipeline.
+//! The walk takes the [`Step`] a packet takes, bypass included, through
+//! the same [`Step::apply`] as [`crate::Lfib::forward`], and crosses only
+//! links that are up. [`LOCAL_IFACE`] means "stay here and look up the
+//! exposed label", as a router re-enters its own pipeline.
 
-use crate::lfib::{LabelOp, Nhlfe, LOCAL_IFACE};
+use crate::lfib::{FtnEntry, Nhlfe, Step, LOCAL_IFACE};
 
 /// The label-switching state a walk reads, one node at a time.
 pub trait LabelTables {
@@ -28,6 +28,11 @@ pub trait LabelTables {
     }
     /// `node`'s NHLFE for incoming `label`, if it has an ILM entry.
     fn nhlfe(&self, node: usize, label: u32) -> Option<Nhlfe>;
+    /// The bypass in force at `node`'s interface `iface`
+    /// ([`crate::Lfib::bypass`]); none by default.
+    fn bypass(&self, _node: usize, _iface: usize) -> Option<FtnEntry> {
+        None
+    }
     /// Whether `node` dispatches `label` locally (a PE's VPN label).
     fn dispatches(&self, node: usize, label: u32) -> bool;
 }
@@ -57,6 +62,9 @@ pub struct Walk {
     pub path: Vec<usize>,
     /// Where the walk stopped.
     pub stop: Stop,
+    /// Each `(node, iface)` whose bypass the stack rode: the point of
+    /// local repair and the protected interface, in walk order.
+    pub bypassed: Vec<(usize, usize)>,
 }
 
 impl Walk {
@@ -75,15 +83,18 @@ pub fn walk(tables: &impl LabelTables, origin: usize, push: &[u32], out_iface: u
     let limit = tables.node_count() * 8 + 16;
     let mut stack = push.to_vec();
     let mut path = vec![origin];
-    let mut at = origin;
-    let mut iface = out_iface;
+    let mut bypassed = Vec::new();
+    let (mut at, mut iface) = (origin, out_iface);
+    // The ingress rides the bypass in force on its first hop, as a PE does.
+    if let Some(bypass) = tables.bypass(origin, out_iface) {
+        bypassed.push((origin, out_iface));
+        iface = bypass.impose(&mut stack);
+    }
     let stop = 'walk: {
         for _ in 0..limit {
             if iface != LOCAL_IFACE {
                 let next = tables.far_end(at, iface).filter(|_| tables.link_up(at, iface));
-                let Some(next) = next else {
-                    break 'walk Stop::NoLink(at, iface);
-                };
+                let Some(next) = next else { break 'walk Stop::NoLink(at, iface) };
                 at = next;
                 path.push(at);
             }
@@ -99,39 +110,36 @@ pub fn walk(tables: &impl LabelTables, origin: usize, push: &[u32], out_iface: u
                     left => Stop::Dispatched(at, top, left),
                 };
             };
-            match nhlfe.op {
-                LabelOp::Swap(out) => *stack.last_mut().expect("non-empty") = out,
-                LabelOp::SwapPush { swap, push } => {
-                    *stack.last_mut().expect("non-empty") = swap;
-                    stack.push(push);
-                }
-                LabelOp::Pop => {
-                    stack.pop();
-                }
-            }
-            iface = nhlfe.out_iface;
+            let bypass = tables.bypass(at, nhlfe.out_iface);
+            bypassed.extend(bypass.map(|_| (at, nhlfe.out_iface)));
+            iface = Step { nhlfe, bypass }.apply(&mut stack);
             if stack.is_empty() && iface == LOCAL_IFACE {
                 break 'walk Stop::Delivered(at);
             }
         }
         Stop::HopLimit(limit)
     };
-    Walk { path, stop }
+    Walk { path, stop, bypassed }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lfib::LabelOp;
     use std::collections::HashMap;
 
     /// Hand-built tables: `links[u][iface]` is the far end, `down` lists
-    /// dead (node, iface) pairs, `vpn` the locally dispatched labels.
+    /// dead (node, iface) pairs, `vpn` the locally dispatched labels,
+    /// `protection` the bypass installed on a (node, iface) and `marked`
+    /// the (node, iface) pairs a failure detector has declared down.
     #[derive(Default)]
     struct Tables {
         links: Vec<Vec<usize>>,
         down: Vec<(usize, usize)>,
         ilm: HashMap<(usize, u32), Nhlfe>,
         vpn: Vec<(usize, u32)>,
+        protection: HashMap<(usize, usize), FtnEntry>,
+        marked: Vec<(usize, usize)>,
     }
 
     impl LabelTables for Tables {
@@ -146,6 +154,12 @@ mod tests {
         }
         fn nhlfe(&self, node: usize, label: u32) -> Option<Nhlfe> {
             self.ilm.get(&(node, label)).copied()
+        }
+        fn bypass(&self, node: usize, iface: usize) -> Option<FtnEntry> {
+            self.protection
+                .get(&(node, iface))
+                .copied()
+                .filter(|_| self.marked.contains(&(node, iface)))
         }
         fn dispatches(&self, node: usize, label: u32) -> bool {
             self.vpn.contains(&(node, label))
@@ -196,7 +210,11 @@ mod tests {
         for php in [true, false] {
             let t = tunnel(php);
             let w = walk(&t, 0, &[20], 0);
-            assert_eq!(w, Walk { path: vec![0, 1, 2], stop: Stop::Delivered(2) }, "php {php}");
+            assert_eq!(
+                w,
+                Walk { path: vec![0, 1, 2], stop: Stop::Delivered(2), bypassed: vec![] },
+                "php {php}"
+            );
             // With a VPN label underneath, the far PE dispatches it.
             let w = walk(&t, 0, &[VPN, 20], 0);
             assert_eq!(w.stop, Stop::Delivered(2), "php {php}");
@@ -227,7 +245,7 @@ mod tests {
         t.install(4, TUN_B, LabelOp::Pop, 1);
         t.vpn.push((5, LB));
         let w = walk(&t, 0, &[X, TUN_A], 0);
-        assert_eq!(w, Walk { path: (0..6).collect(), stop: Stop::Delivered(5) });
+        assert_eq!(w, Walk { path: (0..6).collect(), stop: Stop::Delivered(5), bypassed: vec![] });
         // Without the pushed tunnel label, P 4 sees Lb and has no entry.
         t.install(3, Y, LabelOp::Swap(LB), 1);
         assert_eq!(walk(&t, 0, &[X, TUN_A], 0).stop, Stop::NoIlm(4, LB));
@@ -247,7 +265,7 @@ mod tests {
         let mut t = tunnel(false);
         t.down.push((1, 1));
         let w = walk(&t, 0, &[20], 0);
-        assert_eq!(w, Walk { path: vec![0, 1], stop: Stop::NoLink(1, 1) });
+        assert_eq!(w, Walk { path: vec![0, 1], stop: Stop::NoLink(1, 1), bypassed: vec![] });
         // An interface with no LSR behind it stops the same way.
         assert_eq!(walk(&t, 0, &[20], 5).stop, Stop::NoLink(0, 5));
     }
@@ -260,5 +278,74 @@ mod tests {
         let w = walk(&t, 0, &[20], 0);
         assert_eq!(w.stop, Stop::HopLimit(2 * 8 + 16));
         assert_eq!(w.path.len(), 2 * 8 + 16 + 1);
+    }
+
+    const BYPASS: u32 = 30;
+
+    /// The tunnel of [`tunnel`] with a detour 1 — 3 — 2 beside its link
+    /// 1 — 2 (node 1's iface 1): P 1 protects that iface with a bypass
+    /// 1-3-2 whose label 30 node 3 pops (PHP). The link is cut and node 1
+    /// has detected it.
+    fn protected_tunnel(php: bool) -> Tables {
+        let mut t = tunnel(php);
+        t.links[1].push(3);
+        t.links[2].push(3);
+        t.links.push(vec![1, 2]);
+        t.install(3, BYPASS, LabelOp::Pop, 1);
+        t.protection.insert((1, 1), FtnEntry { push: Some(BYPASS), out_iface: 2 });
+        t.down.push((1, 1));
+        t.marked.push((1, 1));
+        t
+    }
+
+    #[test]
+    fn a_swap_onto_a_bypass_unwinds_at_the_merge_point() {
+        let mut t = protected_tunnel(false);
+        // P 1 swaps 20 → 21 and pushes 30 over it; P 3 pops 30, so PE 2
+        // sees the 21 it expected, pops it and dispatches the VPN label.
+        let w = walk(&t, 0, &[VPN, 20], 0);
+        let rode =
+            Walk { path: vec![0, 1, 3, 2], stop: Stop::Delivered(2), bypassed: vec![(1, 1)] };
+        assert_eq!(w, rode);
+        // A repaired link still carries nothing until node 1 detects it.
+        t.down.clear();
+        assert_eq!(walk(&t, 0, &[VPN, 20], 0), rode);
+        // Before detection the stack dies on the cut link, as packets do.
+        t.down.push((1, 1));
+        t.marked.clear();
+        let w = walk(&t, 0, &[VPN, 20], 0);
+        assert_eq!(w, Walk { path: vec![0, 1], stop: Stop::NoLink(1, 1), bypassed: vec![] });
+    }
+
+    #[test]
+    fn a_php_pop_onto_a_bypass_wraps_the_bare_stack() {
+        let t = protected_tunnel(true);
+        // P 1 pops the tunnel label and wraps what is left (nothing, or the
+        // VPN label) in the bypass label, which P 3 pops in turn.
+        for push in [&[20][..], &[VPN, 20]] {
+            let w = walk(&t, 0, push, 0);
+            assert_eq!(w.bypassed, [(1, 1)], "{push:?}");
+            assert_eq!(w.path_to(2), Some(vec![0, 1, 3, 2]), "{push:?}");
+        }
+    }
+
+    #[test]
+    fn the_origin_rides_the_bypass_on_its_first_hop() {
+        let t = protected_tunnel(false);
+        // Node 1's own FTN toward 2 pushes 21 out the protected iface.
+        let w = walk(&t, 1, &[VPN, 21], 1);
+        assert_eq!(
+            w,
+            Walk { path: vec![1, 3, 2], stop: Stop::Delivered(2), bypassed: vec![(1, 1)] }
+        );
+    }
+
+    #[test]
+    fn a_bypass_over_a_dead_link_stops_there() {
+        let mut t = protected_tunnel(false);
+        t.down.push((1, 2));
+        let w = walk(&t, 0, &[VPN, 20], 0);
+        assert_eq!(w, Walk { path: vec![0, 1], stop: Stop::NoLink(1, 2), bypassed: vec![(1, 1)] });
+        assert_eq!(walk(&t, 1, &[21], 1).stop, Stop::NoLink(1, 2));
     }
 }

@@ -123,7 +123,7 @@ fn full_mesh_fecs_state_scales_linearly_per_node() {
     for u in 0..n {
         // Each node binds every FEC except where it's penultimate-free.
         assert!(d.nodes[u].bindings.len() <= n);
-        assert!(d.nodes[u].lfib.len() < n, "per-node ILM is O(N)");
+        assert!(d.nodes[u].lfib.iter().count() < n, "per-node ILM is O(N)");
         // Every node can reach every FEC.
         for f in 0..n {
             if f != u {

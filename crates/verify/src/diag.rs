@@ -17,6 +17,9 @@ pub mod codes {
     pub const LBL_LOOP: &str = "V-LBL-004";
     /// PHP inconsistency: a reserved label would appear on the wire.
     pub const LBL_PHP: &str = "V-LBL-005";
+    /// Fast reroute in force: a stack reaches its egress only over the
+    /// bypass of a link its point of local repair has marked down.
+    pub const LBL_BYPASS: &str = "V-LBL-006";
 
     /// Cross-VPN route leak: a VRF imports a route target exported by a
     /// different VPN without a declared extranet.
@@ -42,6 +45,17 @@ pub mod codes {
     pub const TE_OVERSUB: &str = "V-TE-001";
     /// A trunk's LSP does not ride the path the trunk reserved.
     pub const TE_PATH: &str = "V-TE-004";
+
+    /// The severity of every diagnostic with `code`: a declared extranet
+    /// and a bypass in force are information, an import no VRF exports is
+    /// a warning, and every other finding is an error.
+    pub fn severity(code: &str) -> super::Severity {
+        match code {
+            VRF_EXTRANET | LBL_BYPASS => super::Severity::Info,
+            VRF_USELESS_IMPORT => super::Severity::Warning,
+            _ => super::Severity::Error,
+        }
+    }
 }
 
 /// How bad a finding is.
@@ -68,10 +82,9 @@ impl fmt::Display for Severity {
 /// One finding of the static analyzer.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Diagnostic {
-    /// Stable code, e.g. `V-LBL-001` (see [`codes`]).
+    /// Stable code, e.g. `V-LBL-001` (see [`codes`]); it fixes the
+    /// severity ([`codes::severity`]).
     pub code: &'static str,
-    /// Severity class.
-    severity: Severity,
     /// Where the problem is, e.g. `PE0/vrf acme` or `P3 label 17`.
     pub location: String,
     /// Human-readable explanation.
@@ -80,7 +93,8 @@ pub struct Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} [{}] {}: {}", self.severity, self.code, self.location, self.message)
+        let severity = codes::severity(self.code);
+        write!(f, "{severity} [{}] {}: {}", self.code, self.location, self.message)
     }
 }
 
@@ -102,11 +116,10 @@ impl VerifyReport {
     pub fn push(
         &mut self,
         code: &'static str,
-        severity: Severity,
         location: impl Into<String>,
         message: impl Into<String>,
     ) {
-        let d = Diagnostic { code, severity, location: location.into(), message: message.into() };
+        let d = Diagnostic { code, location: location.into(), message: message.into() };
         if !self.diagnostics.iter().any(|e| e.code == d.code && e.location == d.location) {
             self.diagnostics.push(d);
         }
@@ -116,11 +129,6 @@ impl VerifyReport {
     #[must_use]
     pub fn diagnostics(&self) -> &[Diagnostic] {
         &self.diagnostics
-    }
-
-    /// Only the error-severity diagnostics.
-    fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.severity == Severity::Error)
     }
 
     /// Diagnostics carrying exactly this code.
@@ -137,16 +145,7 @@ impl VerifyReport {
     /// True when no *errors* were found (warnings and infos allowed).
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.errors().next().is_none()
-    }
-
-    /// Merges another report into this one.
-    pub fn merge(&mut self, other: VerifyReport) {
-        for d in other.diagnostics {
-            if !self.diagnostics.iter().any(|e| e.code == d.code && e.location == d.location) {
-                self.diagnostics.push(d);
-            }
-        }
+        self.diagnostics.iter().all(|d| codes::severity(d.code) != Severity::Error)
     }
 
     /// Panics with a readable listing if the report contains errors.
@@ -175,11 +174,14 @@ mod tests {
     #[test]
     fn dedup_and_severity_filtering() {
         let mut r = VerifyReport::new();
-        r.push(codes::LBL_DANGLING, Severity::Error, "PE0", "x");
-        r.push(codes::LBL_DANGLING, Severity::Error, "PE0", "x again");
-        r.push(codes::VRF_EXTRANET, Severity::Info, "acme~beta", "declared");
+        r.push(codes::LBL_DANGLING, "PE0", "x");
+        r.push(codes::LBL_DANGLING, "PE0", "x again");
+        r.push(codes::VRF_EXTRANET, "acme~beta", "declared");
         assert_eq!(r.diagnostics().len(), 2);
-        assert_eq!(r.errors().count(), 1);
+        assert_eq!(
+            r.diagnostics().iter().filter(|d| codes::severity(d.code) == Severity::Error).count(),
+            1
+        );
         assert!(!r.is_clean());
         assert!(r.has_code(codes::LBL_DANGLING));
         assert!(!r.has_code(codes::TE_OVERSUB));
@@ -190,7 +192,7 @@ mod tests {
     #[test]
     fn clean_report_asserts() {
         let mut r = VerifyReport::new();
-        r.push(codes::VRF_EXTRANET, Severity::Info, "a", "b");
+        r.push(codes::VRF_EXTRANET, "a", "b");
         assert!(r.is_clean());
         r.assert_clean("test");
     }

@@ -11,7 +11,7 @@
 //!   (`V-VRF-003`);
 //! * imports nobody exports are dead configuration (`V-VRF-004`).
 
-use crate::diag::{codes, Severity, VerifyReport};
+use crate::diag::{codes, VerifyReport};
 
 /// The route-target policy of one VRF, plus which VPN it belongs to.
 #[derive(Clone, Debug)]
@@ -49,7 +49,6 @@ pub fn verify_isolation(
                 if !reach {
                     report.push(
                         codes::VRF_PARTITION,
-                        Severity::Error,
                         format!("{} ↛ {}", a.name, b.name),
                         format!(
                             "VRFs of the same VPN {} cannot exchange routes \
@@ -62,14 +61,12 @@ pub fn verify_isolation(
                 if allowed(a.vpn, b.vpn) {
                     report.push(
                         codes::VRF_EXTRANET,
-                        Severity::Info,
                         format!("{} → {}", a.name, b.name),
                         "declared extranet: cross-VPN reachability is intended".to_string(),
                     );
                 } else {
                     report.push(
                         codes::VRF_LEAK,
-                        Severity::Error,
                         format!("{} → {}", a.name, b.name),
                         format!(
                             "routes of VPN {} leak into VPN {} via a shared route target",
@@ -83,7 +80,6 @@ pub fn verify_isolation(
             if !vrfs.iter().any(|v| v.exports.contains(rt)) {
                 report.push(
                     codes::VRF_USELESS_IMPORT,
-                    Severity::Warning,
                     format!("{} import {rt}", a.name),
                     "imported route target is exported by no VRF (typo or stale policy?)"
                         .to_string(),

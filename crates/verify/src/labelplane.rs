@@ -13,18 +13,21 @@
 //!   ambiguous — `V-LBL-002`;
 //! * the cross-router swap graph must be acyclic — `V-LBL-004`;
 //! * every stack walk must unwind its stack exactly at the node the
-//!   control plane advertised — otherwise `V-LBL-001`/`V-LBL-003`.
+//!   control plane advertised — otherwise `V-LBL-001`/`V-LBL-003`;
+//! * a stack that gets there only over a fast-reroute bypass is reported
+//!   as information — `V-LBL-006`.
 //!
 //! The per-entry checks read what is installed whatever the link state:
 //! an idle entry over a cut link (a bypass, say) is not an error. The
-//! stack walks follow the links that are up, as traffic does, so an
-//! ingress stack that crosses a cut link is `V-LBL-001` until the control
-//! plane moves it.
+//! stack walks take the step traffic takes, over the links that are up
+//! and the bypasses in force, so a stack across a cut is `V-LBL-001`
+//! until its router detects the cut, then `V-LBL-006` while a bypass
+//! carries it.
 
 use std::collections::HashSet;
 
-use crate::diag::{codes, Severity, VerifyReport};
-use netsim_mpls::lfib::{LabelOp, Nhlfe, LOCAL_IFACE};
+use crate::diag::{codes, VerifyReport};
+use netsim_mpls::lfib::{Nhlfe, LOCAL_IFACE};
 use netsim_mpls::walk::{walk, LabelTables, Stop};
 use netsim_net::mpls::{MAX_LABEL, MIN_UNRESERVED_LABEL};
 
@@ -50,34 +53,22 @@ pub struct StackWalk {
     /// First-hop interface at the origin.
     pub out_iface: usize,
     /// Node where the stack must fully unwind (the advertised egress).
-    pub expect_delivery: Option<usize>,
+    pub egress: usize,
 }
 
 /// Checks a label value that is about to be written to the wire; `loc`
 /// names where, for a diagnostic.
 fn check_wire_label(label: u32, loc: impl FnOnce() -> String, report: &mut VerifyReport) -> bool {
-    if label > MAX_LABEL {
-        report.push(
-            codes::LBL_DANGLING,
-            Severity::Error,
-            loc(),
-            format!("label {label} exceeds the 20-bit label space"),
-        );
-        return false;
-    }
-    if label < MIN_UNRESERVED_LABEL {
-        report.push(
-            codes::LBL_PHP,
-            Severity::Error,
-            loc(),
-            format!(
-                "reserved label {label} would appear on the wire \
-                 (implicit/explicit null must be signalled, not forwarded)"
-            ),
-        );
-        return false;
-    }
-    true
+    let (code, message) = if label > MAX_LABEL {
+        (codes::LBL_DANGLING, format!("label {label} exceeds the 20-bit label space"))
+    } else if label < MIN_UNRESERVED_LABEL {
+        let why = "implicit/explicit null must be signalled, not forwarded";
+        (codes::LBL_PHP, format!("reserved label {label} would appear on the wire ({why})"))
+    } else {
+        return true;
+    };
+    report.push(code, loc(), message);
+    false
 }
 
 /// Static per-entry checks: interface validity, wire-label validity,
@@ -89,24 +80,20 @@ fn check_entries(plane: &impl LabelPlane, report: &mut VerifyReport) {
             if plane.dispatches(u, in_label) {
                 report.push(
                     codes::LBL_COLLISION,
-                    Severity::Error,
                     format!("{} label {in_label}", plane.node_name(u)),
                     "label claimed by both the LFIB and the VPN dispatch table".to_string(),
                 );
             }
-            let out_label = match nhlfe.op {
-                LabelOp::Swap(out) => Some(out),
-                LabelOp::SwapPush { swap, push } => {
-                    check_wire_label(swap, || format!("{} swap", loc()), report);
-                    Some(push)
-                }
-                LabelOp::Pop => None,
-            };
+            let mut written = vec![in_label];
+            nhlfe.op.apply(&mut written);
+            let out_label = written.last().copied();
+            for &swap in written.iter().rev().skip(1) {
+                check_wire_label(swap, || format!("{} swap", loc()), report);
+            }
             if nhlfe.out_iface == LOCAL_IFACE {
                 if out_label.is_some() {
                     report.push(
                         codes::LBL_DANGLING,
-                        Severity::Error,
                         loc(),
                         "swap entry targets the local-delivery interface".to_string(),
                     );
@@ -116,7 +103,6 @@ fn check_entries(plane: &impl LabelPlane, report: &mut VerifyReport) {
             let Some(v) = plane.far_end(u, nhlfe.out_iface) else {
                 report.push(
                     codes::LBL_DANGLING,
-                    Severity::Error,
                     loc(),
                     format!("out_iface {} has no LSR attached", nhlfe.out_iface),
                 );
@@ -129,7 +115,6 @@ fn check_entries(plane: &impl LabelPlane, report: &mut VerifyReport) {
                 if plane.nhlfe(v, out).is_none() && !plane.dispatches(v, out) {
                     report.push(
                         codes::LBL_BLACKHOLE,
-                        Severity::Error,
                         loc(),
                         format!(
                             "outgoing label {out} has no ILM entry at next hop {} (hop {u}→{v})",
@@ -146,15 +131,13 @@ fn check_entries(plane: &impl LabelPlane, report: &mut VerifyReport) {
 /// ILM entry leads to at most one next entry, so the pass follows each
 /// chain once and reports the first entry that a chain reaches twice.
 fn check_loops(plane: &impl LabelPlane, report: &mut VerifyReport) {
-    // (u, l) --Swap(out)/SwapPush{push}--> (v, out|push), when v has an
+    // (u, l) --op--> (v, the label the op writes on top), when v has an
     // ILM entry for it.
     let next = |(u, l): (usize, u32)| -> Option<(usize, u32)> {
         let nhlfe = plane.nhlfe(u, l)?;
-        let out = match nhlfe.op {
-            LabelOp::Swap(out) => out,
-            LabelOp::SwapPush { push, .. } => push,
-            LabelOp::Pop => return None,
-        };
+        let mut written = vec![l];
+        nhlfe.op.apply(&mut written);
+        let &out = written.last()?;
         let v = plane.far_end(u, nhlfe.out_iface)?;
         plane.nhlfe(v, out).map(|_| (v, out))
     };
@@ -167,7 +150,6 @@ fn check_loops(plane: &impl LabelPlane, report: &mut VerifyReport) {
                 if chain.contains(&s) {
                     report.push(
                         codes::LBL_LOOP,
-                        Severity::Error,
                         format!("{} label {}", plane.node_name(s.0), s.1),
                         "label-switched path loops back on itself".to_string(),
                     );
@@ -190,15 +172,22 @@ fn check_walk(plane: &impl LabelPlane, stack: &StackWalk, report: &mut VerifyRep
             return;
         }
     }
-    let name = |u: usize| plane.node_name(u);
-    let (code, message) = match walk(plane, stack.origin, &stack.push, stack.out_iface).stop {
-        Stop::Delivered(at) => match stack.expect_delivery {
-            Some(expect) if expect != at => (
-                codes::LBL_BLACKHOLE,
-                format!("stack unwound at {} but the advertised egress is node {expect}", name(at)),
-            ),
-            _ => return,
-        },
+    let (name, egress) = (|u: usize| plane.node_name(u), stack.egress);
+    let walked = walk(plane, stack.origin, &stack.push, stack.out_iface);
+    let (code, message) = match walked.stop {
+        Stop::Delivered(at) if at != egress => (
+            codes::LBL_BLACKHOLE,
+            format!("stack unwound at {} but the advertised egress is node {egress}", name(at)),
+        ),
+        Stop::Delivered(_) if walked.bypassed.is_empty() => return,
+        Stop::Delivered(_) => {
+            let plrs: Vec<_> = walked
+                .bypassed
+                .iter()
+                .map(|&(u, i)| format!("interface {i} at {}", name(u)))
+                .collect();
+            (codes::LBL_BYPASS, format!("rides the bypass of {}", plrs.join(", then ")))
+        }
         Stop::NoLink(node, iface) => {
             let why =
                 if plane.far_end(node, iface).is_some() { "is down" } else { "leads nowhere" };
@@ -219,7 +208,7 @@ fn check_walk(plane: &impl LabelPlane, stack: &StackWalk, report: &mut VerifyRep
             (codes::LBL_LOOP, format!("walk exceeded {limit} hops without delivery (label loop)"))
         }
     };
-    report.push(code, Severity::Error, loc(), message);
+    report.push(code, loc(), message);
 }
 
 /// Runs the full label-plane pass: the per-entry and loop checks over

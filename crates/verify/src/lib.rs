@@ -11,7 +11,7 @@
 //!
 //! | pass | module | codes |
 //! |------|--------|-------|
-//! | label-plane integrity | [`labelplane`] | `V-LBL-001` … `V-LBL-005` |
+//! | label-plane integrity | [`labelplane`] | `V-LBL-001` … `V-LBL-006` |
 //! | VRF isolation         | [`isolation`]  | `V-VRF-001` … `V-VRF-004` |
 //! | QoS configuration     | [`qoslint`]    | `V-QOS-001` … `V-QOS-004` |
 //! | TE trunks             | [`te`]         | `V-TE-001`, `V-TE-004` |

@@ -11,7 +11,7 @@
 //! * [`lint_ef_admission`] — EF aggregate vs. engineered link share
 //!   (`V-QOS-004`).
 
-use crate::diag::{codes, Severity, VerifyReport};
+use crate::diag::{codes, VerifyReport};
 use netsim_net::Dscp;
 use netsim_qos::{CbqNodeConfig, ExpMap, RedParams};
 
@@ -24,7 +24,6 @@ pub fn lint_cbq_tree(configs: &[CbqNodeConfig], location: &str, report: &mut Ver
         if child_sum > cfg.rate_bps {
             report.push(
                 codes::QOS_CBQ_OVERSUB,
-                Severity::Error,
                 format!("{location} class {i}"),
                 format!(
                     "children allocate {child_sum} b/s but the class is limited to {} b/s",
@@ -56,7 +55,6 @@ pub fn lint_exp_map(map: &ExpMap, location: &str, report: &mut VerifyReport) {
             if map.exp_of(da) == map.exp_of(db) {
                 report.push(
                     codes::QOS_EXP_MAP,
-                    Severity::Error,
                     format!("{location} exp {}", map.exp_of(da)),
                     format!("PHBs {na} and {nb} map to the same EXP — not injective"),
                 );
@@ -75,7 +73,6 @@ pub fn lint_exp_map(map: &ExpMap, location: &str, report: &mut VerifyReport) {
         if back != exp {
             report.push(
                 codes::QOS_EXP_MAP,
-                Severity::Error,
                 format!("{location} exp {exp}"),
                 format!(
                     "EXP {exp} decodes to DSCP {} which re-encodes as EXP {back} — \
@@ -103,7 +100,6 @@ pub fn lint_red_profile(
     {
         report.push(
             codes::QOS_WRED_ORDER,
-            Severity::Error,
             location.to_string(),
             format!(
                 "thresholds out of order: need min < max ≤ cap, got min={} max={} cap={}",
@@ -114,7 +110,6 @@ pub fn lint_red_profile(
     if !(params.max_p > 0.0 && params.max_p <= 1.0) {
         report.push(
             codes::QOS_WRED_ORDER,
-            Severity::Error,
             location.to_string(),
             format!("max_p={} is not a probability in (0, 1]", params.max_p),
         );
@@ -150,7 +145,6 @@ pub fn lint_ef_admission(
         if total as f64 > budget {
             report.push(
                 codes::QOS_EF_ADMISSION,
-                Severity::Error,
                 name.clone(),
                 format!(
                     "EF aggregate {total} b/s exceeds the engineered EF share \

@@ -7,15 +7,15 @@
 //! * no link carries more reservation than its capacity, a link's
 //!   reservation being the sum of the demands of the trunks that cross
 //!   it (`V-TE-001`);
-//! * every trunk's FTN, walked over the links that are up, visits
-//!   exactly the path the trunk reserved (`V-TE-004`).
+//! * every trunk's FTN, walked as its packets go, visits exactly the
+//!   path the trunk reserved (`V-TE-004`).
 //!
 //! A trunk no path could carry even on an empty network needs no check of
 //! its own: its recorded path follows topology links, so one of them has
 //! less capacity than the trunk's demand, which is at most that link's
 //! reservation, and `V-TE-001` fires.
 
-use crate::diag::{codes, Severity, VerifyReport};
+use crate::diag::{codes, VerifyReport};
 use crate::labelplane::LabelPlane;
 use netsim_mpls::walk::walk;
 use netsim_mpls::FtnEntry;
@@ -68,7 +68,6 @@ pub fn verify_te(plane: &impl TePlane, report: &mut VerifyReport) {
         if walked.as_ref() != Some(&t.path) {
             report.push(
                 codes::TE_PATH,
-                Severity::Error,
                 format!("trunk {i}"),
                 format!("reserved path {:?} but its LSP rides {walked:?}", t.path),
             );
@@ -79,7 +78,6 @@ pub fn verify_te(plane: &impl TePlane, report: &mut VerifyReport) {
         if total > attrs.capacity_bps {
             report.push(
                 codes::TE_OVERSUB,
-                Severity::Error,
                 format!("link {u}-{v}"),
                 format!("reservations total {total} b/s on a {} b/s link", attrs.capacity_bps),
             );

@@ -31,7 +31,7 @@ fn clean_plane() -> Plane {
             fec: "vpn/10.2.0.0/16".into(),
             push: vec![1 << 17, 17],
             out_iface: 0,
-            expect_delivery: Some(2),
+            egress: 2,
         }],
         ..Plane::default()
     }
@@ -110,7 +110,7 @@ fn reserved_label_on_wire_is_php_inconsistency() {
 #[test]
 fn misdelivery_is_flagged() {
     let mut plane = clean_plane();
-    plane.walks[0].expect_delivery = Some(1);
+    plane.walks[0].egress = 1;
     let r = plane.verify();
     assert!(r.has_code(codes::LBL_BLACKHOLE), "{r}");
 }
@@ -128,7 +128,7 @@ fn php_delivery_with_empty_stack_is_clean() {
             fec: "FEC(1)".into(),
             push: vec![],
             out_iface: 0,
-            expect_delivery: Some(1),
+            egress: 1,
         }],
         ..Plane::default()
     };

@@ -44,7 +44,7 @@ fn clean_line(n: usize) -> Plane {
         fec: "site".to_string(),
         push: vec![VPN_LABEL, tunnel(1)],
         out_iface: 0,
-        expect_delivery: Some(n - 1),
+        egress: n - 1,
     }];
     Plane { nodes, walks, ..Plane::default() }
 }
