@@ -2,7 +2,7 @@
 """Check that every backbone comes from the one builder, and that each
 mechanism it relies on has one copy.
 
-Seven rules over non-test code, cut as `count_lines.py` cuts it (each file
+Eight rules over non-test code, cut as `count_lines.py` cuts it (each file
 up to its first unindented `#[cfg(test)]` line), in the files it counts
 (`.rs` under `crates/*/src` and `crates/*/benches`, shims skipped) plus
 `examples/`, `perfbench/src` and the root `src/`:
@@ -29,6 +29,11 @@ up to its first unindented `#[cfg(test)]` line), in the files it counts
    file matches on `LabelOp` (a `LabelOp::…` pattern followed by `=>` on
    one line). Packets, the label walk and the verifier all read a label
    operation through `LabelOp::apply`.
+8. Only `crates/ipsec/src/esp.rs` opens an ESP packet: no other file names
+   `unseal`, the one way to the inner packet of a `Sealed` record, save
+   `crates/net/src/packet.rs`, which defines it. It takes the SA's SPI,
+   sequence number and keys, so the paper's §3 blindness (nothing between
+   the gateways can classify on the inner headers) is structural.
 
 Usage: python3 .github/check_one_builder.py
 Prints each offending line and exits 1 if any rule is broken.
@@ -65,6 +70,9 @@ RULES = [
     (re.compile(r"\bLabelOp::\w+.*=>"),
      lambda path: path == "crates/mpls/src/lfib.rs",
      "interprets a LabelOp outside LabelOp::apply"),
+    (re.compile(r"\bunseal\b"),
+     lambda path: path in ("crates/ipsec/src/esp.rs", "crates/net/src/packet.rs"),
+     "opens a sealed ESP packet outside decapsulate"),
 ]
 
 

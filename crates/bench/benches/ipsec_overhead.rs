@@ -1,11 +1,12 @@
 //! Criterion bench for the IPsec substrate: ESP encapsulate/decapsulate at
-//! several packet sizes, plus the raw wire codec — the per-packet CPU cost
-//! behind the paper's §3.1 performance concern.
+//! several packet sizes — the simulator's own per-packet cost of the
+//! tunnel, beside the modelled crypto cost behind the paper's §3.1
+//! performance concern.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use netsim_ipsec::{decapsulate, encapsulate, SecurityAssociation};
 use netsim_net::addr::ip;
-use netsim_net::{wire, Dscp, Packet};
+use netsim_net::{Dscp, Packet};
 use std::hint::black_box;
 
 fn sa() -> SecurityAssociation {
@@ -24,7 +25,7 @@ fn bench_esp(c: &mut Criterion) {
             });
         });
         g.bench_with_input(BenchmarkId::new("decapsulate", payload), &payload, |b, _| {
-            // Pre-encrypt once; use a fresh receive SA per iteration so the
+            // Encapsulate once; use a fresh receive SA per iteration so the
             // anti-replay window accepts the packet every time.
             let mut tx = sa();
             let outer = encapsulate(&inner, &mut tx, ip("1.1.1.1"), ip("2.2.2.2"));
@@ -37,15 +38,5 @@ fn bench_esp(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_wire(c: &mut Criterion) {
-    let mut g = c.benchmark_group("wire_codec");
-    let pkt = Packet::udp(ip("10.1.0.5"), ip("10.2.0.9"), 16000, 16400, Dscp::AF21, 512);
-    let bytes = wire::encode(&pkt).unwrap();
-    g.throughput(Throughput::Bytes(bytes.len() as u64));
-    g.bench_function("encode", |b| b.iter(|| black_box(wire::encode(black_box(&pkt)).unwrap())));
-    g.bench_function("decode", |b| b.iter(|| black_box(wire::decode(black_box(&bytes)).unwrap())));
-    g.finish();
-}
-
-criterion_group!(ipsec_benches, bench_esp, bench_wire);
+criterion_group!(ipsec_benches, bench_esp);
 criterion_main!(ipsec_benches);

@@ -50,7 +50,7 @@ pub struct IpsecGateway {
     pub counters: RouterCounters,
     /// Total crypto CPU time spent, ns.
     pub crypto_ns: u64,
-    /// ESP packets rejected (integrity, replay, padding).
+    /// ESP packets rejected (unknown SPI, unopened seal, replay).
     pub esp_errors: u64,
 }
 
@@ -110,7 +110,7 @@ impl IpsecGateway {
         let outer = encapsulate(&pkt, out_sa, my_ip, peer_ip);
         ctx.recycle(pkt);
         let outer = ctx.boxed(outer);
-        let cost = self.cost.cost_ns(outer.payload.len());
+        let cost = self.cost.cost_ns(outer.payload_len as usize);
         self.crypto_ns += cost;
         self.counters.forwarded += 1;
         ctx.send_after(cost, IfaceId(self.uplink), outer);
@@ -128,7 +128,7 @@ impl IpsecGateway {
             self.esp_errors += 1;
             return ctx.recycle(pkt);
         };
-        let cost = self.cost.cost_ns(pkt.payload.len());
+        let cost = self.cost.cost_ns(pkt.payload_len as usize);
         self.crypto_ns += cost;
         let (_, _, in_sa) = &mut self.peers[peer_idx];
         let inner = match decapsulate(&pkt, in_sa) {

@@ -747,7 +747,7 @@ mod tests {
         net.connect(cust_peer, pe_id, fast()); // PE iface 1 = customer
 
         // 1. A payload-only frame with no headers at all, from the customer.
-        net.inject(cust_peer, IfaceId(0), Packet::new(vec![], b"junk".as_slice().into()));
+        net.inject(cust_peer, IfaceId(0), Packet::new(vec![], 4));
         // 2. An unlabeled IP packet arriving from the core (control plane).
         net.inject(
             core_peer,

@@ -1,24 +1,33 @@
 //! ESP tunnel-mode encapsulation and decapsulation.
 //!
-//! Wire layout of the produced packet:
+//! Layout of the produced packet:
 //!
 //! ```text
-//! [outer IPv4, proto=50][ESP: spi, seq][payload = IV ‖ E(inner ‖ pad ‖
-//!   pad_len ‖ next_hdr) ‖ ICV]
+//! [outer IPv4, proto=50][ESP: spi, seq] + a body of IV ‖ (inner ‖ pad ‖
+//!   pad_len ‖ next_hdr) ‖ ICV bytes, the inner packet sealed under the SA
 //! ```
 //!
-//! The inner packet is a *real* wire serialization of the customer packet,
-//! so nothing downstream can classify on it — the mechanical core of the
+//! The body is a length (RFC 4303 §2), and the inner packet a [`Sealed`]
+//! record that only the SA's SPI, sequence number and keys open, so
+//! nothing downstream can classify on it — the mechanical core of the
 //! paper's §3 observation and of experiment Q2.
 
-use bytes::Bytes;
 use netsim_net::ip::proto;
 use netsim_net::packet::EspHeader;
-use netsim_net::{wire, Dscp, Ip, Ipv4Header, Layer, NetError, Packet};
+use netsim_net::{Dscp, Ip, Ipv4Header, Layer, Packet, Sealed};
 
-use crate::auth::{icv, verify, ICV_LEN};
-use crate::cipher::{FeistelCipher, BLOCK};
 use crate::sa::SecurityAssociation;
+
+/// Bytes of the per-packet initialization vector ahead of the inner packet.
+const IV_LEN: usize = 8;
+/// The cipher block the padded inner packet fills (a 64-bit block cipher).
+const BLOCK: usize = 8;
+/// Bytes of the integrity check value behind the inner packet.
+const ICV_LEN: usize = 8;
+/// Bytes of the frame type (ethertype) ahead of the inner packet's headers.
+const FRAME_TYPE_LEN: usize = 2;
+/// Bytes of the pad length and next header trailer.
+const TRAILER_LEN: usize = 2;
 
 /// Why decapsulation failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -30,17 +39,14 @@ pub enum IpsecError {
         /// SPI found in the packet.
         got: u32,
     },
-    /// Integrity check failed (corruption or wrong key).
+    /// This SA's keys or the packet's ESP header do not open the sealed
+    /// inner packet: what a failed ICV check catches on a real link.
     BadIcv,
     /// Anti-replay rejected the sequence number.
     Replayed {
         /// The offending sequence number.
         seq: u32,
     },
-    /// Padding or trailer was malformed after decryption.
-    BadPadding,
-    /// The decrypted inner bytes did not parse as a packet.
-    BadInner(NetError),
 }
 
 /// Per-packet crypto processing cost model, used by the IPsec gateway node
@@ -69,6 +75,12 @@ impl CryptoCostModel {
     }
 }
 
+/// The ESP body that seals `inner` (RFC 4303 §2): the IV, the inner frame
+/// and its trailer padded to the cipher block, and the ICV.
+fn body_len(inner: &Packet) -> usize {
+    IV_LEN + (FRAME_TYPE_LEN + inner.wire_len() + TRAILER_LEN).next_multiple_of(BLOCK) + ICV_LEN
+}
+
 /// Encapsulates `inner` in ESP tunnel mode under `sa`, producing the outer
 /// packet addressed `outer_src → outer_dst`. Simulation metadata is
 /// carried over so measurement survives the tunnel.
@@ -78,33 +90,7 @@ pub fn encapsulate(
     outer_src: Ip,
     outer_dst: Ip,
 ) -> Packet {
-    let inner_bytes = wire::encode(inner).expect("inner packet must be encodable");
     let seq = sa.next_seq();
-
-    // Pad to the cipher block: data ‖ 0x00.. ‖ pad_len ‖ next_header(=wire).
-    let mut body = inner_bytes;
-    let unpadded = body.len() + 2;
-    let pad = (BLOCK - unpadded % BLOCK) % BLOCK;
-    body.extend(std::iter::repeat_n(0u8, pad));
-    body.push(pad as u8);
-    body.push(0x04); // next header: IP-in-IP, as tunnel mode uses
-
-    // Deterministic per-packet IV (derived from the sequence number the
-    // way many implementations derive from a counter).
-    let cipher = FeistelCipher::new(sa.enc_key);
-    let iv = cipher.encrypt_block(u64::from(seq) ^ 0xA5A5_5A5A_0F0F_F0F0);
-    cipher.cbc_encrypt(iv, &mut body);
-
-    // Payload = IV ‖ ciphertext ‖ ICV(spi‖seq‖iv‖ciphertext).
-    let mut payload = Vec::with_capacity(BLOCK + body.len() + ICV_LEN);
-    payload.extend_from_slice(&iv.to_be_bytes());
-    payload.extend_from_slice(&body);
-    let mut auth_scope = Vec::with_capacity(8 + payload.len());
-    auth_scope.extend_from_slice(&sa.spi.to_be_bytes());
-    auth_scope.extend_from_slice(&seq.to_be_bytes());
-    auth_scope.extend_from_slice(&payload);
-    payload.extend_from_slice(&icv(sa.auth_key, &auth_scope));
-
     let outer_dscp = if sa.copy_dscp {
         inner.outer_ipv4().map(|h| h.dscp).unwrap_or(Dscp::BE)
     } else {
@@ -115,14 +101,16 @@ pub fn encapsulate(
             Layer::Ipv4(Ipv4Header::new(outer_src, outer_dst, proto::ESP, outer_dscp)),
             Layer::Esp(EspHeader { spi: sa.spi, seq }),
         ],
-        Bytes::from(payload),
+        body_len(inner),
     );
+    outer.sealed = Some(Box::new(Sealed::new(inner.clone(), sa.spi, seq, sa.enc_key, sa.auth_key)));
     outer.meta = inner.meta;
     outer
 }
 
-/// Reverses [`encapsulate`]: verifies integrity, enforces anti-replay,
-/// decrypts, and parses the inner packet.
+/// Reverses [`encapsulate`]: checks the SPI, opens the sealed inner packet
+/// with the ESP header and the SA's keys, then enforces anti-replay, and
+/// returns the inner packet with the outer one's metadata.
 pub fn decapsulate(outer: &Packet, sa: &mut SecurityAssociation) -> Result<Packet, IpsecError> {
     let esp = match (outer.layers().first(), outer.layers().get(1)) {
         (Some(Layer::Ipv4(h)), Some(Layer::Esp(e))) if h.protocol == proto::ESP => *e,
@@ -131,42 +119,16 @@ pub fn decapsulate(outer: &Packet, sa: &mut SecurityAssociation) -> Result<Packe
     if esp.spi != sa.spi {
         return Err(IpsecError::WrongSpi { got: esp.spi });
     }
-    let payload = &outer.payload;
-    if payload.len() < BLOCK + ICV_LEN || !(payload.len() - BLOCK - ICV_LEN).is_multiple_of(BLOCK) {
-        return Err(IpsecError::BadPadding);
-    }
-    let (body, tag) = payload.split_at(payload.len() - ICV_LEN);
-    let mut auth_scope = Vec::with_capacity(8 + body.len());
-    auth_scope.extend_from_slice(&esp.spi.to_be_bytes());
-    auth_scope.extend_from_slice(&esp.seq.to_be_bytes());
-    auth_scope.extend_from_slice(body);
-    if !verify(sa.auth_key, &auth_scope, tag) {
+    let Some(inner) =
+        outer.sealed.as_deref().and_then(|s| s.unseal(esp.spi, esp.seq, sa.enc_key, sa.auth_key))
+    else {
         return Err(IpsecError::BadIcv);
-    }
+    };
     // Integrity verified before replay state is touched (RFC 4303 order).
     if !sa.replay.check_and_update(esp.seq) {
         return Err(IpsecError::Replayed { seq: esp.seq });
     }
-
-    let iv = u64::from_be_bytes(body[..BLOCK].try_into().expect("checked length"));
-    let mut ct = body[BLOCK..].to_vec();
-    let cipher = FeistelCipher::new(sa.enc_key);
-    cipher.cbc_decrypt(iv, &mut ct);
-
-    // Strip trailer.
-    if ct.len() < 2 {
-        return Err(IpsecError::BadPadding);
-    }
-    let next_hdr = ct[ct.len() - 1];
-    let pad_len = ct[ct.len() - 2] as usize;
-    if next_hdr != 0x04 || pad_len + 2 > ct.len() {
-        return Err(IpsecError::BadPadding);
-    }
-    let inner_len = ct.len() - 2 - pad_len;
-    if !ct[inner_len..ct.len() - 2].iter().all(|&b| b == 0) {
-        return Err(IpsecError::BadPadding);
-    }
-    let mut inner = wire::decode(&ct[..inner_len]).map_err(IpsecError::BadInner)?;
+    let mut inner = inner.clone();
     inner.meta = outer.meta;
     Ok(inner)
 }
@@ -194,7 +156,7 @@ mod tests {
         let outer = encapsulate(&inner(), &mut tx, ip("100.0.0.1"), ip("100.0.0.2"));
         let got = decapsulate(&outer, &mut rx).expect("decap");
         assert_eq!(got.layers(), inner().layers());
-        assert_eq!(got.payload, inner().payload);
+        assert_eq!(got.payload_len, inner().payload_len);
         assert_eq!(got.meta.flow, 9);
         assert_eq!(got.meta.created_ns, 777);
     }
@@ -207,13 +169,8 @@ mod tests {
         assert_eq!(t.protocol, proto::ESP);
         assert_eq!((t.src_port, t.dst_port), (0, 0));
         assert_eq!(outer.dscp(), Some(Dscp::BE), "EF marking is gone");
-        // The inner header bytes must not appear in the ciphertext.
-        let inner_bytes = wire::encode(&inner()).unwrap();
-        let hay = &outer.payload[..];
-        assert!(
-            !hay.windows(8).any(|w| inner_bytes.windows(8).any(|x| x == w)),
-            "plaintext leaked into ESP payload"
-        );
+        // No inner header is a layer of the outer packet: it ends at ESP.
+        assert!(matches!(outer.layers(), [Layer::Ipv4(_), Layer::Esp(_)]));
     }
 
     #[test]
@@ -226,13 +183,27 @@ mod tests {
     }
 
     #[test]
-    fn tampering_detected() {
+    fn spi_then_seal_then_replay() {
         let (mut tx, mut rx) = (sa(), sa());
-        let mut outer = encapsulate(&inner(), &mut tx, ip("100.0.0.1"), ip("100.0.0.2"));
-        let mut tampered = outer.payload.to_vec();
-        tampered[10] ^= 1;
-        outer.payload = Bytes::from(tampered);
-        assert_eq!(decapsulate(&outer, &mut rx), Err(IpsecError::BadIcv));
+        let outer = encapsulate(&inner(), &mut tx, ip("100.0.0.1"), ip("100.0.0.2"));
+        // A forged sequence number does not open, and leaves the replay
+        // window as it was: the genuine packet is still accepted once.
+        let mut forged = outer.clone();
+        let ip_hdr = forged.pop_outer().expect("outer IPv4");
+        if let Some(Layer::Esp(e)) = forged.outer_mut() {
+            e.seq = 2;
+        }
+        forged.push_outer(ip_hdr);
+        assert_eq!(decapsulate(&forged, &mut rx), Err(IpsecError::BadIcv));
+        assert!(decapsulate(&outer, &mut rx).is_ok());
+        assert_eq!(decapsulate(&outer, &mut rx), Err(IpsecError::Replayed { seq: 1 }));
+        // The SPI is checked first, even on a replayed packet.
+        let mut other = SecurityAssociation::new(0x2002, rx.enc_key, rx.auth_key);
+        assert_eq!(decapsulate(&outer, &mut other), Err(IpsecError::WrongSpi { got: 0x1001 }));
+        // A packet that lost its sealed record opens under no SA.
+        let mut emptied = outer;
+        emptied.sealed = None;
+        assert_eq!(decapsulate(&emptied, &mut sa()), Err(IpsecError::BadIcv));
     }
 
     #[test]

@@ -6,17 +6,18 @@
 //! are encrypted thus erasing any hope one may have to control QoS."
 //!
 //! This crate makes that observation *mechanically true* inside the
-//! emulator: [`esp::encapsulate`] wire-serializes the real inner packet,
-//! encrypts the bytes, and ships them as the payload of an outer
-//! `IP(proto=50)+ESP` packet. Downstream classifiers see exactly what a
-//! real DiffServ edge would see — an opaque ESP flow.
+//! emulator: [`esp::encapsulate`] seals the real inner packet under the
+//! security association and ships it behind an outer `IP(proto=50)+ESP`
+//! header, with the ESP body's RFC 4303 length. Downstream classifiers see
+//! exactly what a real DiffServ edge would see — an opaque ESP flow — and
+//! only [`esp::decapsulate`], with the SA's SPI, sequence number and keys,
+//! opens the inner packet again.
 //!
-//! **Security disclaimer (per DESIGN.md substitution table):** the block
-//! cipher is a toy 16-round Feistel network and the authenticator a keyed
-//! 64-bit hash. They stand in for DES/3DES + HMAC so that framing, padding,
-//! replay protection and per-byte processing cost are realistic; they are
-//! **not** cryptographically secure and exist only to drive the QoS
-//! experiments.
+//! **No cipher (per DESIGN.md substitution table):** every experiment
+//! reads only packet lengths and the [`CryptoCostModel`]'s per-packet and
+//! per-byte cost, so the inner packet is sealed by type, not encrypted.
+//! Framing lengths, sequence numbers, replay protection and crypto cost are
+//! modelled; cryptographic strength is not.
 //!
 //! # Example
 //!
@@ -42,13 +43,10 @@
 
 #![warn(missing_docs)]
 
-pub mod auth;
-pub mod cipher;
 pub mod esp;
 pub mod ike;
 pub mod sa;
 
-pub use cipher::FeistelCipher;
 pub use esp::{decapsulate, encapsulate, CryptoCostModel, IpsecError};
 pub use ike::{IkeExchange, IkeProposal};
 pub use sa::{ReplayWindow, SaPair, SecurityAssociation};

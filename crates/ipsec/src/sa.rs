@@ -42,9 +42,9 @@ impl ReplayWindow {
 pub struct SecurityAssociation {
     /// Security parameters index carried in the ESP header.
     pub spi: u32,
-    /// Encryption key (toy cipher).
+    /// Encryption key: with `auth_key`, what opens a sealed inner packet.
     pub enc_key: u64,
-    /// Authentication key (keyed hash).
+    /// Authentication key.
     pub auth_key: u64,
     /// Next outbound sequence number (sender side).
     pub seq: u32,

@@ -1,8 +1,8 @@
 //! Property-based tests for the IPsec substrate: ESP round-trips for
-//! arbitrary inner packets, tamper resistance over random corruption, and
-//! replay-window behaviour under random sequence schedules.
+//! arbitrary inner packets, forged headers and wrong keys that never open
+//! the sealed inner packet, and replay-window behaviour under random
+//! sequence schedules.
 
-use bytes::Bytes;
 use netsim_ipsec::{decapsulate, encapsulate, ReplayWindow, SecurityAssociation};
 use netsim_net::addr::ip;
 use netsim_net::ip::proto;
@@ -10,24 +10,14 @@ use netsim_net::{Dscp, Ip, Ipv4Header, Layer, Packet};
 use proptest::prelude::*;
 
 fn arb_inner() -> impl Strategy<Value = Packet> {
-    (
-        any::<u32>(),
-        any::<u32>(),
-        0u8..64,
-        any::<u16>(),
-        any::<u16>(),
-        any::<bool>(),
-        proptest::collection::vec(any::<u8>(), 0..600),
-    )
+    (any::<u32>(), any::<u32>(), 0u8..64, any::<u16>(), any::<u16>(), any::<bool>(), 0usize..600)
         .prop_map(|(src, dst, dscp, sp, dp, tcp, payload)| {
             let d = Dscp::new(dscp);
-            let mut pkt = if tcp {
-                Packet::tcp(Ip(src), Ip(dst), sp, dp, d, 0, 0)
+            if tcp {
+                Packet::tcp(Ip(src), Ip(dst), sp, dp, d, 0, payload)
             } else {
-                Packet::udp(Ip(src), Ip(dst), sp, dp, d, 0)
-            };
-            pkt.payload = Bytes::from(payload);
-            pkt
+                Packet::udp(Ip(src), Ip(dst), sp, dp, d, payload)
+            }
         })
 }
 
@@ -38,35 +28,21 @@ fn sa(k: u64) -> SecurityAssociation {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any inner packet round-trips through ESP bit-exactly.
+    /// Any inner packet round-trips through ESP exactly.
     #[test]
     fn esp_roundtrip_arbitrary_inner(inner in arb_inner(), key in any::<u64>()) {
         let mut tx = sa(key);
         let mut rx = sa(key);
         let outer = encapsulate(&inner, &mut tx, ip("198.51.100.1"), ip("198.51.100.2"));
         // ESP payload is block-aligned plus IV and ICV.
-        prop_assert_eq!((outer.payload.len() - 8 - 8) % 8, 0);
+        prop_assert_eq!((outer.payload_len - 8 - 8) % 8, 0);
         let got = decapsulate(&outer, &mut rx).expect("roundtrip");
         prop_assert_eq!(got.layers(), inner.layers());
-        prop_assert_eq!(&got.payload, &inner.payload);
+        prop_assert_eq!(got.payload_len, inner.payload_len);
     }
 
-    /// Flipping any single bit of the ESP payload is detected — decap must
-    /// never return success on tampered ciphertext.
-    #[test]
-    fn any_single_bitflip_detected(inner in arb_inner(), key in any::<u64>(), pos in any::<usize>(), bit in 0u8..8) {
-        let mut tx = sa(key);
-        let mut rx = sa(key);
-        let mut outer = encapsulate(&inner, &mut tx, ip("198.51.100.1"), ip("198.51.100.2"));
-        let mut body = outer.payload.to_vec();
-        let idx = pos % body.len();
-        body[idx] ^= 1 << bit;
-        outer.payload = Bytes::from(body);
-        prop_assert!(decapsulate(&outer, &mut rx).is_err());
-    }
-
-    /// Tampering with the ESP header (SPI/seq) is also detected, because
-    /// both are inside the ICV scope.
+    /// Tampering with the ESP header's sequence number is detected: the
+    /// sealed inner packet opens only under the header it was sealed with.
     #[test]
     fn header_tamper_detected(inner in arb_inner(), key in any::<u64>(), dseq in 1u32..1000) {
         let mut tx = sa(key);
@@ -78,7 +54,8 @@ proptest! {
             e.seq = e.seq.wrapping_add(dseq);
         }
         let forged = {
-            let mut p = Packet::new(layers, outer.payload.clone());
+            let mut p = Packet::new(layers, outer.payload_len as usize);
+            p.sealed = outer.sealed.clone();
             p.meta = outer.meta;
             p
         };
@@ -116,8 +93,8 @@ proptest! {
         prop_assert!(decapsulate(&outer, &mut rx).is_err());
     }
 
-    /// Ciphertext reveals nothing classifiable: the visible 5-tuple of the
-    /// outer packet is constant regardless of the inner flow.
+    /// The sealed packet reveals nothing classifiable: the visible 5-tuple
+    /// of the outer packet is constant regardless of the inner flow.
     #[test]
     fn outer_tuple_independent_of_inner(a in arb_inner(), b in arb_inner(), key in any::<u64>()) {
         let mut tx = sa(key);
@@ -128,20 +105,6 @@ proptest! {
         prop_assert_eq!(ta.protocol, proto::ESP);
         prop_assert_eq!((ta.src, ta.dst, ta.src_port, ta.dst_port), (tb.src, tb.dst, tb.src_port, tb.dst_port));
     }
-
-    /// The cipher itself: CBC round-trips any block-aligned buffer.
-    #[test]
-    fn cbc_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..32).prop_map(|mut v| {
-        v.resize(v.len() / 8 * 8, 0);
-        v
-    }), key in any::<u64>(), iv in any::<u64>()) {
-        use netsim_ipsec::FeistelCipher;
-        let c = FeistelCipher::new(key);
-        let mut buf = data.clone();
-        c.cbc_encrypt(iv, &mut buf);
-        c.cbc_decrypt(iv, &mut buf);
-        prop_assert_eq!(buf, data);
-    }
 }
 
 /// Sanity for the oddly-typed `header_tamper_detected` helper above: a
@@ -150,7 +113,7 @@ proptest! {
 fn forged_seq_actually_differs() {
     let inner = Packet::new(
         vec![Layer::Ipv4(Ipv4Header::new(ip("1.1.1.1"), ip("2.2.2.2"), proto::UDP, Dscp::BE))],
-        Bytes::new(),
+        0,
     );
     let mut tx = sa(5);
     let outer = encapsulate(&inner, &mut tx, ip("3.3.3.3"), ip("4.4.4.4"));

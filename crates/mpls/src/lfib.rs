@@ -260,10 +260,15 @@ impl Lfib {
     }
 
     /// Fast-reroute switchover at a PE's ingress: pushes `bypass`'s label
-    /// over the imposed stack; returns the bypass egress.
+    /// over the imposed stack, with the TTL of what it covers (the top
+    /// label, or the IP header when the FTN imposed none); returns the
+    /// bypass egress.
     pub fn impose_bypass(&self, pkt: &mut Packet, bypass: FtnEntry) -> usize {
         bump(&self.counts.bypass_activations);
-        let ttl = pkt.top_label().map_or(0, |l| l.ttl);
+        let ttl = match pkt.top_label() {
+            Some(l) => l.ttl,
+            None => pkt.outer_ipv4().map_or(0, |h| h.ttl),
+        };
         bypass.impose(&mut Rewrite { pkt, ttl, counts: &self.counts })
     }
 
@@ -292,9 +297,10 @@ fn bump(count: &std::cell::Cell<u64>) {
     count.set(count.get() + 1);
 }
 
-/// A packet's entries as a [`LabelStack`]: a swap or pop leaves `ttl` on
-/// the top entry (uniform TTL model), a push copies the entry it covers,
-/// and `counts` counts each.
+/// A packet's entries as a [`LabelStack`]: a swap, pop or push leaves
+/// `ttl` on the top entry (uniform TTL model), so a bypass label pushed
+/// over a PHP-popped packet carries the TTL the pop left; a push copies the
+/// EXP of the entry it covers; and `counts` counts each.
 struct Rewrite<'a> {
     pkt: &'a mut Packet,
     ttl: u8,
@@ -311,13 +317,13 @@ impl LabelStack for Rewrite<'_> {
     }
 
     fn push_label(&mut self, label: u32) {
-        let (exp, ttl) = match self.pkt.top_label() {
-            Some(l) => (l.exp, l.ttl),
+        let exp = match self.pkt.top_label() {
+            Some(l) => l.exp,
             // PHP already stripped the stack: classify the bypass label by
             // the default DSCP→EXP fold.
-            None => (self.pkt.dscp().map_or(0, Dscp::default_exp), 64),
+            None => self.pkt.dscp().map_or(0, Dscp::default_exp),
         };
-        self.pkt.push_outer(Layer::Mpls(MplsLabel { label, exp, ttl }));
+        self.pkt.push_outer(Layer::Mpls(MplsLabel { label, exp, ttl: self.ttl }));
         bump(&self.counts.pushes);
     }
 
@@ -467,6 +473,35 @@ mod tests {
             let top = p.top_label().unwrap();
             assert_eq!((top.label, top.exp), (901, exp), "{dscp} classifies the bypass label");
         }
+    }
+
+    #[test]
+    fn php_pop_onto_bypass_keeps_the_decremented_ttl() {
+        // The bypass label covers a bare packet: it takes the TTL the pop
+        // left, so a packet looping between bypasses still dies by TTL.
+        let mut lfib = Lfib::new();
+        lfib.install(77, Nhlfe { op: LabelOp::Pop, out_iface: 2 });
+        lfib.install_protection(2, FtnEntry { push: Some(901), out_iface: 5 });
+        lfib.set_iface_down(2, true);
+        let mut p = labeled(77, 0, 10);
+        assert_eq!(lfib.forward(&mut p), LfibVerdict::Forward { out_iface: 5 });
+        assert_eq!(p.label_depth(), 1);
+        assert_eq!(p.top_label().unwrap().ttl, 9);
+    }
+
+    #[test]
+    fn ingress_bypass_over_a_bare_packet_takes_the_ip_ttl() {
+        // At a PE whose FTN imposed nothing, the bypass label covers the IP
+        // header and takes its TTL; over a label it takes the label's.
+        let lfib = Lfib::new();
+        let bypass = FtnEntry { push: Some(902), out_iface: 6 };
+        let mut p = Packet::udp(ip("10.0.0.1"), ip("10.0.0.2"), 1, 2, Dscp::BE, 64);
+        p.outer_ipv4_mut().unwrap().ttl = 37;
+        assert_eq!(lfib.impose_bypass(&mut p, bypass), 6);
+        assert_eq!(p.top_label().unwrap(), MplsLabel::new(902, 0, 37));
+        let mut p = labeled(100, 3, 12);
+        assert_eq!(lfib.impose_bypass(&mut p, bypass), 6);
+        assert_eq!(p.top_label().unwrap(), MplsLabel::new(902, 3, 12));
     }
 
     #[test]

@@ -1,47 +1,17 @@
-//! Error type for packet parsing and address handling.
+//! Error type for address handling.
 
 use std::fmt;
 
-/// Errors produced while parsing addresses or decoding wire bytes.
+/// Errors produced while parsing addresses.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NetError {
     /// A textual address or prefix failed to parse.
     BadAddress(String),
-    /// The wire buffer ended before the header was complete.
-    Truncated {
-        /// Which header was being decoded.
-        what: &'static str,
-        /// Bytes that were needed.
-        needed: usize,
-        /// Bytes that were available.
-        have: usize,
-    },
-    /// A header field held an unsupported or inconsistent value.
-    BadField {
-        /// Which header was being decoded.
-        what: &'static str,
-        /// Description of the offending field.
-        field: &'static str,
-        /// The value observed.
-        value: u64,
-    },
-    /// The IPv4 header checksum did not verify.
-    BadChecksum,
-    /// An unknown protocol or ethertype was encountered.
-    UnknownProtocol(u16),
 }
 
 impl NetError {
     pub(crate) fn bad_addr(s: &str) -> Self {
         NetError::BadAddress(s.to_owned())
-    }
-
-    pub(crate) fn truncated(what: &'static str, needed: usize, have: usize) -> Self {
-        NetError::Truncated { what, needed, have }
-    }
-
-    pub(crate) fn bad_field(what: &'static str, field: &'static str, value: u64) -> Self {
-        NetError::BadField { what, field, value }
     }
 }
 
@@ -49,14 +19,6 @@ impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NetError::BadAddress(s) => write!(f, "malformed address {s:?}"),
-            NetError::Truncated { what, needed, have } => {
-                write!(f, "truncated {what}: needed {needed} bytes, have {have}")
-            }
-            NetError::BadField { what, field, value } => {
-                write!(f, "bad {what} field {field}: value {value}")
-            }
-            NetError::BadChecksum => write!(f, "IPv4 header checksum mismatch"),
-            NetError::UnknownProtocol(p) => write!(f, "unknown protocol 0x{p:04x}"),
         }
     }
 }

@@ -32,18 +32,6 @@ impl VcHeader {
         assert!(vc_id < (1 << 22), "vc id {vc_id} exceeds 22 bits");
         VcHeader { vc_id, discard_eligible }
     }
-
-    /// Encodes to the 32-bit wire form.
-    #[inline]
-    pub fn encode(self) -> u32 {
-        (self.vc_id << 1) | u32::from(self.discard_eligible)
-    }
-
-    /// Decodes from the 32-bit wire form.
-    #[inline]
-    pub fn decode(word: u32) -> Self {
-        VcHeader { vc_id: (word >> 1) & ((1 << 22) - 1), discard_eligible: word & 1 == 1 }
-    }
 }
 
 impl fmt::Debug for VcHeader {
@@ -55,14 +43,6 @@ impl fmt::Debug for VcHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip() {
-        for de in [false, true] {
-            let h = VcHeader::new(0x3FFFFF, de);
-            assert_eq!(VcHeader::decode(h.encode()), h);
-        }
-    }
 
     #[test]
     #[should_panic(expected = "exceeds 22 bits")]

@@ -1,4 +1,4 @@
-//! IPv4 header model and checksum.
+//! IPv4 header model.
 
 use crate::addr::Ip;
 use crate::dscp::Dscp;
@@ -11,19 +11,13 @@ pub mod proto {
     pub const TCP: u8 = 6;
     /// Encapsulating Security Payload (RFC 2406).
     pub const ESP: u8 = 50;
-    /// IP-in-IP (RFC 2003); used by the IP tunnel baseline.
-    pub const IPIP: u8 = 4;
-    /// Emulator-internal "control plane" protocol number (from the
-    /// experimental range) carrying signalling between routers when a test
-    /// chooses to run control traffic in-band.
-    pub const CONTROL: u8 = 253;
 }
 
 /// An IPv4 header in structured form.
 ///
 /// Options are not modelled (header length is always 20 bytes); nothing in
-/// the paper's architecture requires them. `total_len` and the checksum are
-/// materialized only at wire-encode time.
+/// the paper's architecture requires them, and neither do `total_len` or
+/// the checksum, which only a byte encoding would need.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Ipv4Header {
     /// Source address.
@@ -66,12 +60,6 @@ impl Ipv4Header {
         Ipv4Header { src, dst, dscp, ecn: 0, ttl: DEFAULT_TTL, protocol, id: 0 }
     }
 
-    /// The ToS byte as it would appear on the wire.
-    #[inline]
-    pub fn tos(&self) -> u8 {
-        (self.dscp.value() << 2) | (self.ecn & 0x3)
-    }
-
     /// Decrement TTL; returns `false` when it has expired (reached zero).
     #[inline]
     pub fn decrement_ttl(&mut self) -> bool {
@@ -98,35 +86,10 @@ impl Ipv4Header {
     }
 }
 
-/// Computes the Internet checksum (RFC 1071) over `data`.
-///
-/// Used for the IPv4 header at wire-encode time and verified at decode time.
-pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
-    }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
-    }
-    while sum > 0xFFFF {
-        sum = (sum & 0xFFFF) + (sum >> 16);
-    }
-    !(sum as u16)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::ip;
-
-    #[test]
-    fn tos_combines_dscp_and_ecn() {
-        let mut h = Ipv4Header::new(ip("1.1.1.1"), ip("2.2.2.2"), proto::UDP, Dscp::EF);
-        h.ecn = 0b10;
-        assert_eq!(h.tos(), (46 << 2) | 0b10);
-    }
 
     #[test]
     fn ttl_expiry() {
@@ -138,32 +101,5 @@ mod tests {
         // Saturates rather than wrapping.
         assert!(!h.decrement_ttl());
         assert_eq!(h.ttl, 0);
-    }
-
-    #[test]
-    fn checksum_known_vector() {
-        // Example from RFC 1071 discussions: header with checksum field zero.
-        let hdr: [u8; 20] = [
-            0x45, 0x00, 0x00, 0x73, 0x00, 0x00, 0x40, 0x00, 0x40, 0x11, 0x00, 0x00, 0xc0, 0xa8,
-            0x00, 0x01, 0xc0, 0xa8, 0x00, 0xc7,
-        ];
-        assert_eq!(internet_checksum(&hdr), 0xb861);
-    }
-
-    #[test]
-    fn checksum_verifies_to_zero_when_included() {
-        let mut hdr: [u8; 20] = [
-            0x45, 0x00, 0x00, 0x73, 0x00, 0x00, 0x40, 0x00, 0x40, 0x11, 0x00, 0x00, 0xc0, 0xa8,
-            0x00, 0x01, 0xc0, 0xa8, 0x00, 0xc7,
-        ];
-        let ck = internet_checksum(&hdr);
-        hdr[10..12].copy_from_slice(&ck.to_be_bytes());
-        assert_eq!(internet_checksum(&hdr), 0);
-    }
-
-    #[test]
-    fn checksum_odd_length() {
-        // Must not panic and must treat the trailing byte as high-order.
-        assert_eq!(internet_checksum(&[0xFF]), !0xFF00u16);
     }
 }

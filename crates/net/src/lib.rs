@@ -1,16 +1,15 @@
 //! # netsim-net — packet formats and address machinery
 //!
 //! Foundation crate for the MPLS VPN emulator: IPv4 addressing and CIDR
-//! prefixes, a longest-prefix-match trie, the packet model shared by every
-//! other crate, and wire serialization for all supported headers.
+//! prefixes, a longest-prefix-match trie, and the packet model shared by
+//! every other crate.
 //!
-//! The emulator's routers operate on the *structured* representation
-//! ([`Packet`], a stack of [`Layer`]s over an opaque payload) so that the hot
-//! forwarding path never re-parses bytes. Wire encoding/decoding
-//! ([`wire`]) exists so that (a) IPsec can encrypt a *real* serialization of
-//! the inner packet — making the paper's "encryption erases QoS visibility"
-//! claim physically true in the emulator — and (b) property tests can verify
-//! that every structured packet round-trips through its wire form.
+//! The emulator's routers operate on a *structured* packet ([`Packet`], a
+//! stack of [`Layer`]s over a payload length), so the forwarding path never
+//! touches bytes: every figure the emulator produces reads lengths. An ESP
+//! packet carries its inner packet [`Sealed`] under its security
+//! association, so a classifier sees only the outer headers — the paper's
+//! "encryption erases QoS visibility" claim (§3).
 //!
 //! Nothing in this crate knows about simulation time, queueing, or routing
 //! protocols; those live in `netsim-sim`, `netsim-qos`, and `netsim-routing`.
@@ -29,11 +28,9 @@
 //! let dst = "10.1.2.3".parse().unwrap();
 //! assert_eq!(fib.lookup(dst), Some(&"customer"));
 //!
-//! // Packets round-trip through the wire codec.
+//! // A packet's size on the wire is its headers plus its payload length.
 //! let pkt = Packet::udp("10.1.2.3".parse().unwrap(), dst, 1000, 53, Dscp::EF, 64);
-//! let bytes = netsim_net::wire::encode(&pkt).unwrap();
-//! let back = netsim_net::wire::decode(&bytes).unwrap();
-//! assert_eq!(back.layers(), pkt.layers());
+//! assert_eq!(pkt.wire_len(), 20 + 8 + 64);
 //! # let _: Prefix = "0.0.0.0/0".parse().unwrap();
 //! ```
 
@@ -48,7 +45,6 @@ pub mod lpm;
 pub mod mpls;
 pub mod packet;
 pub mod transport;
-pub mod wire;
 
 pub use addr::{Ip, Prefix};
 pub use dscp::Dscp;
@@ -57,5 +53,5 @@ pub use fr::VcHeader;
 pub use ip::{proto, Ipv4Header};
 pub use lpm::{LpmCache, LpmTrie};
 pub use mpls::{MplsLabel, IMPLICIT_NULL, MAX_LABEL, MIN_UNRESERVED_LABEL};
-pub use packet::{Layer, Packet, Pkt, PktMeta};
+pub use packet::{Layer, Packet, Pkt, PktMeta, Sealed};
 pub use transport::{FiveTuple, TcpHeader, UdpHeader};

@@ -181,13 +181,6 @@ impl<V> LpmTrie<V> {
         self.nodes[node].value.as_ref()
     }
 
-    /// Mutable exact-match lookup.
-    pub fn get_mut(&mut self, prefix: Prefix) -> Option<&mut V> {
-        let node = self.find_node(prefix)?;
-        self.version += 1;
-        self.nodes[node].value.as_mut()
-    }
-
     /// Removes `prefix`, returning its value if present. Interior trie nodes
     /// are not reclaimed (tables in the emulator only shrink when routes are
     /// withdrawn, and reuse the slots on re-insert).
@@ -393,10 +386,9 @@ mod tests {
                     1 => {
                         t.remove(prefix);
                     }
-                    2 => {
-                        if let Some(v) = t.get_mut(prefix) {
-                            *v = value;
-                        }
+                    // Overwrite a present entry only.
+                    2 if t.get(prefix).is_some() => {
+                        t.insert(prefix, value);
                     }
                     _ => {}
                 }

@@ -3,7 +3,7 @@
 //! A label stack entry is 32 bits on the wire:
 //! `label (20) | EXP (3) | S (1) | TTL (8)`. In the structured [`crate::Packet`]
 //! representation each entry is one [`crate::Layer::Mpls`]; the bottom-of-stack
-//! bit is implied by stack position and materialized only at wire-encode time.
+//! bit is implied by stack position.
 //! The 3-bit EXP field is the "QoS field of the MPLS header" the paper's §5
 //! maps DiffServ markings into.
 
@@ -42,27 +42,6 @@ impl MplsLabel {
         MplsLabel { label, exp, ttl }
     }
 
-    /// Encodes the entry to its 32-bit wire form with the given
-    /// bottom-of-stack bit.
-    #[inline]
-    pub fn encode(self, bottom_of_stack: bool) -> u32 {
-        (self.label << 12)
-            | (u32::from(self.exp) << 9)
-            | (u32::from(bottom_of_stack) << 8)
-            | u32::from(self.ttl)
-    }
-
-    /// Decodes a 32-bit wire entry; returns the entry and the
-    /// bottom-of-stack bit.
-    #[inline]
-    pub fn decode(word: u32) -> (Self, bool) {
-        let label = word >> 12;
-        let exp = ((word >> 9) & 0x7) as u8;
-        let bos = (word >> 8) & 1 == 1;
-        let ttl = (word & 0xFF) as u8;
-        (MplsLabel { label, exp, ttl }, bos)
-    }
-
     /// Decrement TTL; returns `false` when it has expired.
     #[inline]
     pub fn decrement_ttl(&mut self) -> bool {
@@ -83,26 +62,6 @@ pub const MPLS_ENTRY_LEN: usize = 4;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let e = MplsLabel::new(0xABCDE, 5, 63);
-        for bos in [true, false] {
-            let (d, b) = MplsLabel::decode(e.encode(bos));
-            assert_eq!(d, e);
-            assert_eq!(b, bos);
-        }
-    }
-
-    #[test]
-    fn field_packing_layout() {
-        let e = MplsLabel::new(1, 0, 0);
-        assert_eq!(e.encode(false), 1 << 12);
-        let e = MplsLabel::new(0, 7, 0);
-        assert_eq!(e.encode(false), 7 << 9);
-        let e = MplsLabel::new(0, 0, 255);
-        assert_eq!(e.encode(true), 0x100 | 255);
-    }
 
     #[test]
     #[should_panic(expected = "exceeds 20 bits")]

@@ -1,12 +1,10 @@
 //! The structured packet model shared by the whole emulator.
 //!
-//! A [`Packet`] is a stack of [`Layer`]s (outermost first) over an opaque
-//! payload. Routers push/pop/swap layers without any byte-level work; the
-//! wire form (see [`crate::wire`]) is produced only when something needs real
-//! bytes — IPsec encryption, link-serialization byte counting, or the codec
-//! property tests.
-
-use bytes::Bytes;
+//! A [`Packet`] is a stack of [`Layer`]s (outermost first) over a payload
+//! that is only a length: every figure the emulator produces reads sizes,
+//! never payload bytes. Routers push/pop/swap layers without any byte-level
+//! work. An ESP packet carries its inner packet as a [`Sealed`] record that
+//! only the security association's SPI, sequence number and keys open.
 
 use crate::addr::Ip;
 use crate::dscp::Dscp;
@@ -16,8 +14,9 @@ use crate::mpls::{MplsLabel, MPLS_ENTRY_LEN};
 use crate::transport::{FiveTuple, TcpHeader, UdpHeader, TCP_HEADER_LEN, UDP_HEADER_LEN};
 
 /// An ESP header (RFC 2406): security parameters index plus sequence number.
-/// The encrypted body (ciphertext, padding, trailer, ICV) travels as the
-/// packet payload; only `netsim-ipsec` can look inside.
+/// The ESP body (IV, padded inner packet, trailer, ICV) travels as the
+/// packet's payload length, and the inner packet as its [`Sealed`] record;
+/// only `netsim-ipsec` can look inside.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EspHeader {
     /// Security parameters index identifying the SA at the receiver.
@@ -40,7 +39,7 @@ pub enum Layer {
     Udp(UdpHeader),
     /// TCP subset.
     Tcp(TcpHeader),
-    /// ESP: everything beneath is encrypted into the payload.
+    /// ESP: everything beneath is sealed in [`Packet::sealed`].
     Esp(EspHeader),
     /// Frame-relay-like virtual circuit header (overlay baseline).
     Vc(VcHeader),
@@ -81,10 +80,11 @@ pub struct PktMeta {
 
 /// A heap-boxed packet: the form in which packets travel through queues,
 /// the event calendar, and node handlers. Hot-path code moves this 8-byte
-/// handle instead of the ~150-byte [`Packet`] itself; the one allocation
-/// happens at the traffic source and the box is reused unchanged across
-/// every hop until the sink frees it. `Packet: Into<Pkt>` (via the blanket
-/// `From<T> for Box<T>`), so construction sites can stay oblivious.
+/// handle instead of the [`Packet`] itself (136 bytes on 64-bit targets);
+/// the one allocation happens at the traffic source and the box is reused
+/// unchanged across every hop until the sink frees it. `Packet: Into<Pkt>`
+/// (via the blanket `From<T> for Box<T>`), so construction sites can stay
+/// oblivious.
 pub type Pkt = Box<Packet>;
 
 /// Inline capacity of a packet's layer stack. VPN-path stacks are at most
@@ -181,24 +181,65 @@ impl From<Vec<Layer>> for LayerStack {
     }
 }
 
-/// A packet: layered headers over an opaque payload.
+/// An ESP packet's inner packet, sealed under its security association.
+///
+/// It stands in for the ciphertext of RFC 4303: the fields are private, and
+/// the one way back to the inner packet, [`Sealed::unseal`], takes the SPI,
+/// sequence number and keys it was sealed under. Only `netsim-ipsec`'s
+/// `decapsulate` calls it, so no code without the SA reaches the inner
+/// headers. Its length on the wire is the outer packet's payload length.
+#[derive(Clone, PartialEq)]
+pub struct Sealed {
+    inner: Packet,
+    spi: u32,
+    seq: u32,
+    keys: (u64, u64),
+}
+
+impl Sealed {
+    /// Seals `inner` under the SA's `spi`, the packet's `seq` and the SA's
+    /// encryption and authentication keys.
+    pub fn new(inner: Packet, spi: u32, seq: u32, enc_key: u64, auth_key: u64) -> Self {
+        Sealed { inner, spi, seq, keys: (enc_key, auth_key) }
+    }
+
+    /// The inner packet, if `spi`, `seq` and the keys are the ones it was
+    /// sealed under: a wrong key or a forged ESP header does not open it.
+    pub fn unseal(&self, spi: u32, seq: u32, enc_key: u64, auth_key: u64) -> Option<&Packet> {
+        (self.spi == spi && self.seq == seq && self.keys == (enc_key, auth_key))
+            .then_some(&self.inner)
+    }
+}
+
+impl std::fmt::Debug for Sealed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Sealed").finish_non_exhaustive()
+    }
+}
+
+/// A packet: layered headers over a payload length.
 #[derive(Clone)]
 pub struct Packet {
     layers: LayerStack,
     /// Cached sum of the layers' header bytes; maintained by every method
     /// that alters the stack so [`Packet::wire_len`] is O(1). Payload bytes
-    /// are not included (the payload field is public and may be swapped).
+    /// are not included (the payload length is public and may be changed).
     hdr_len: u32,
-    /// Opaque application payload (or ESP ciphertext when the innermost
-    /// layer is [`Layer::Esp`]).
-    pub payload: Bytes,
+    /// Application payload bytes (the ESP body when the packet carries a
+    /// [`Sealed`] inner packet).
+    pub payload_len: u32,
+    /// The inner packet of an ESP packet; `None` for every other packet.
+    pub sealed: Option<Box<Sealed>>,
     /// Simulation metadata (never serialized).
     pub meta: PktMeta,
 }
 
 impl PartialEq for Packet {
     fn eq(&self, other: &Self) -> bool {
-        self.layers() == other.layers() && self.payload == other.payload && self.meta == other.meta
+        self.layers() == other.layers()
+            && self.payload_len == other.payload_len
+            && self.sealed == other.sealed
+            && self.meta == other.meta
     }
 }
 
@@ -206,20 +247,27 @@ impl std::fmt::Debug for Packet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Packet")
             .field("layers", &self.layers())
-            .field("payload", &self.payload)
+            .field("payload_len", &self.payload_len)
+            .field("sealed", &self.sealed)
             .field("meta", &self.meta)
             .finish()
     }
 }
 
 impl Packet {
-    /// Creates a packet from layers (outermost first) and payload.
-    pub fn new(layers: Vec<Layer>, payload: Bytes) -> Self {
+    /// Creates a packet from layers (outermost first) and a payload length.
+    pub fn new(layers: Vec<Layer>, payload_len: usize) -> Self {
         let hdr_len = layers.iter().map(Layer::wire_len).sum::<usize>() as u32;
-        Packet { layers: layers.into(), hdr_len, payload, meta: PktMeta::default() }
+        Packet {
+            layers: layers.into(),
+            hdr_len,
+            payload_len: payload_len as u32,
+            sealed: None,
+            meta: PktMeta::default(),
+        }
     }
 
-    /// Convenience: a UDP datagram with `payload_len` zero bytes of payload.
+    /// Convenience: a UDP datagram with `payload_len` bytes of payload.
     pub fn udp(
         src: Ip,
         dst: Ip,
@@ -234,12 +282,13 @@ impl Packet {
                 Layer::Udp(UdpHeader::new(src_port, dst_port)),
             ),
             hdr_len: (IPV4_HEADER_LEN + UDP_HEADER_LEN) as u32,
-            payload: Bytes::zeroed(payload_len),
+            payload_len: payload_len as u32,
+            sealed: None,
             meta: PktMeta::default(),
         }
     }
 
-    /// Convenience: a TCP segment with `payload_len` zero bytes of payload.
+    /// Convenience: a TCP segment with `payload_len` bytes of payload.
     pub fn tcp(
         src: Ip,
         dst: Ip,
@@ -255,7 +304,8 @@ impl Packet {
                 Layer::Tcp(TcpHeader::new(src_port, dst_port, seq)),
             ),
             hdr_len: (IPV4_HEADER_LEN + TCP_HEADER_LEN) as u32,
-            payload: Bytes::zeroed(payload_len),
+            payload_len: payload_len as u32,
+            sealed: None,
             meta: PktMeta::default(),
         }
     }
@@ -309,7 +359,7 @@ impl Packet {
             self.layers().iter().map(Layer::wire_len).sum::<usize>(),
             "cached header length diverged from the layer stack",
         );
-        self.hdr_len as usize + self.payload.len()
+        self.hdr_len as usize + self.payload_len as usize
     }
 
     /// The outermost MPLS label entry, if the packet is currently labeled.
@@ -372,8 +422,8 @@ mod tests {
 
     impl Packet {
         /// The innermost IPv4 header — the customer packet inside any tunnels.
-        /// Note this cannot see through ESP: an encrypted inner packet lives in
-        /// the payload and is *not* visible here, by design.
+        /// Note this cannot see through ESP: a sealed inner packet is *not*
+        /// visible here, by design.
         fn inner_ipv4(&self) -> Option<&Ipv4Header> {
             self.layers().iter().rev().find_map(|l| match l {
                 Layer::Ipv4(h) => Some(h),
@@ -423,7 +473,7 @@ mod tests {
                 Layer::Ipv4(Ipv4Header::new(ip("1.1.1.1"), ip("2.2.2.2"), proto::ESP, Dscp::BE)),
                 Layer::Esp(EspHeader { spi: 7, seq: 1 }),
             ],
-            Bytes::from(vec![0u8; 64]),
+            64,
         );
         let t = p.visible_five_tuple().unwrap();
         assert_eq!(t.protocol, proto::ESP);
@@ -437,7 +487,7 @@ mod tests {
         p.push_outer(Layer::Ipv4(Ipv4Header::new(
             ip("100.0.0.1"),
             ip("100.0.0.2"),
-            proto::IPIP,
+            4, // IP-in-IP (RFC 2003)
             Dscp::BE,
         )));
         assert_eq!(p.inner_ipv4().unwrap().dst, inner_dst);

@@ -3,7 +3,7 @@
 
 use crate::addr::Ip;
 
-/// A UDP header (ports only; length/checksum are materialized at encode).
+/// A UDP header (ports only; the emulator needs no length or checksum).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct UdpHeader {
     /// Source port.

@@ -182,17 +182,6 @@ impl FlightRecorder {
         self.inner.borrow().ring.iter().copied().collect()
     }
 
-    /// Number of records currently held in the ring.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().ring.len()
-    }
-
-    /// Whether nothing has been recorded (ring empty *and* totals zero).
-    pub fn is_empty(&self) -> bool {
-        let inner = self.inner.borrow();
-        inner.ring.is_empty() && inner.totals.iter().all(|&t| t == 0)
-    }
-
     /// `(cause name, total)` rows for every cause with a nonzero total.
     pub fn cause_rows(&self) -> Vec<(&'static str, u64)> {
         let totals = self.totals();
@@ -203,16 +192,6 @@ impl FlightRecorder {
                 (t > 0).then_some((c.as_str(), t))
             })
             .collect()
-    }
-
-    /// Resets the ring and every tally.
-    pub fn clear(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.ring.clear();
-        inner.totals = [0; DropCause::COUNT];
-        inner.by_flow.clear();
-        inner.absorbed.clear();
-        inner.by_node.clear();
     }
 }
 
@@ -237,7 +216,7 @@ mod tests {
         for i in 0..10 {
             r.record(i, 7, i, DropCause::QueueOverflow);
         }
-        assert_eq!(r.len(), 4, "ring keeps only the most recent");
+        assert_eq!(r.recent().len(), 4, "ring keeps only the most recent");
         assert_eq!(r.recent()[0].at, 6, "oldest surviving record");
         assert_eq!(r.total(DropCause::QueueOverflow), 10, "totals are exact");
         assert_eq!(r.flow_drops(7), 10);
@@ -275,17 +254,5 @@ mod tests {
         let r = FlightRecorder::new(4);
         r.record(0, 1, 0, DropCause::RedForced);
         assert_eq!(r.cause_rows(), vec![("red_forced", 1)]);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let r = FlightRecorder::new(4);
-        r.record_at(0, 0, 1, 0, DropCause::VrfMiss);
-        r.record_absorbed(0, 1);
-        r.clear();
-        assert!(r.is_empty());
-        assert_eq!(r.absorbed_total(), 0);
-        assert_eq!(r.node_total(0, DropCause::VrfMiss), 0);
-        assert_eq!(r.node_absorbed(0), 0);
     }
 }

@@ -173,7 +173,6 @@ impl MarkingPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use netsim_net::addr::ip;
     use netsim_net::ip::proto;
     use netsim_net::packet::EspHeader;
@@ -241,14 +240,14 @@ mod tests {
                 )),
                 Layer::Esp(EspHeader { spi: 1, seq: 1 }),
             ],
-            Bytes::from(vec![0u8; 180]),
+            180,
         );
         assert_eq!(policy.classify(&esp), Dscp::BE);
     }
 
     #[test]
     fn wildcard_matches_headerless_packet_but_specific_rules_do_not() {
-        let bare = Packet::new(vec![], Bytes::from_static(b"x"));
+        let bare = Packet::new(vec![], 1);
         assert!(MatchRule::any().matches(&bare));
         assert!(!MatchRule::any().dst_port(80).matches(&bare));
     }

@@ -79,16 +79,6 @@ impl FaultPlan {
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
     }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the plan is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +99,7 @@ mod tests {
     #[test]
     fn events_are_time_sorted_and_cut_precedes_its_repair() {
         let plan = FaultPlan::random(42, &[0, 1], 50 * MSEC, 8, 5 * MSEC);
-        assert_eq!(plan.len(), 16);
+        assert_eq!(plan.events().len(), 16);
         for w in plan.events().windows(2) {
             assert!(w[0].at <= w[1].at);
         }

@@ -84,7 +84,7 @@ enum End {
     Lost(usize),
     /// Discarded by this node's handler.
     Discarded(usize),
-    /// Its TTL expired, or it still circulates.
+    /// Its TTL expired, or it still circulates (which [`check`] rejects).
     Looped,
 }
 
@@ -219,6 +219,12 @@ fn check(topo: Topology, pe_seed: u64, php: bool, cuts: Vec<Cut>) -> Result<(), 
         };
         if !same {
             return Err(format!("{}: the packet visited {path:?}", ctx()));
+        }
+        // A loop between bypasses is bounded: every label over the packet
+        // carries the TTL of what it covers, so the probe dies by TTL.
+        let causes = pn.net.recorder().expect("recorder on").flow_causes(p.flow);
+        if end == End::Looped && causes[DropCause::Ttl.index()] == 0 {
+            return Err(format!("{}: still circulating after 400 ms on {path:?}", ctx()));
         }
         // The label plane is consistent: a probe reaches its egress, dies
         // on a cut no one has detected, or loops between bypasses.
