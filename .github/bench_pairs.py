@@ -11,10 +11,14 @@ parent commit unpacked with `git archive` and the working tree). Each run
 is `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`,
 started in its checkout with CARGO_TARGET_DIR set to that checkout's own
 `.bench_build`, so the two sides never share a build and nothing is
-written in either tree outside `.bench_build`. Before the pairs, each side
-runs once with `--seconds 0` to build the benchmark; that run is not
-counted. Within each pair the side that runs first alternates: the parent
-first in odd pairs, the change first in even ones.
+written in either tree outside `.bench_build`. That directory is stamped
+with a hash of the checkout's sources (`crates/`, `perfbench/src` and the
+root `Cargo.*`) and removed when the stamp differs, so a checkout
+re-extracted with older file times is never measured from old binaries.
+Before the pairs, each side runs once with `--seconds 0` to build the
+benchmark; that run is not counted. Within each pair the side that runs
+first alternates: the parent first in odd pairs, the change first in even
+ones.
 
 It prints every run's end-to-end metrics and failed count, then per
 metric (names, direction and bound from BENCHMARK.json next to this
@@ -25,6 +29,8 @@ change won, and a verdict:
   and the medians differ by more than the parent's interquartile range;
 * regression: the change's median is worse than the parent's by more than
   the metric's bound (a fraction of the parent's median);
+* unresolved: the parent's interquartile range is wider than the bound,
+  and not every run of the change is better than every run of the parent;
 * otherwise: within the bound.
 
 Timings are advisory, so CI does not run this. The exit status is non-zero
@@ -32,9 +38,11 @@ only if a run failed a repetition (or gave no result at all).
 """
 
 import argparse
+import hashlib
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,6 +52,44 @@ def bench_spec():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "BENCHMARK.json")) as f:
         return json.load(f)
+
+
+STAMP = "source.sha256"
+
+
+def source_hash(checkout):
+    """SHA-256 over the paths and contents of the files the benchmark
+    builds from."""
+    paths = [os.path.join(checkout, n) for n in sorted(os.listdir(checkout))
+             if n.startswith("Cargo.")]
+    for tree in ("crates", os.path.join("perfbench", "src")):
+        for root, dirs, files in os.walk(os.path.join(checkout, tree)):
+            dirs.sort()
+            paths += [os.path.join(root, f) for f in sorted(files)]
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(os.path.relpath(path, checkout).encode() + b"\0")
+        with open(path, "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()
+
+
+def fresh_build_dir(checkout):
+    """Removes `checkout`'s `.bench_build` unless its stamp matches the
+    sources, then stamps it."""
+    build = os.path.join(checkout, ".bench_build")
+    stamp = os.path.join(build, STAMP)
+    digest = source_hash(checkout)
+    try:
+        with open(stamp) as f:
+            current = f.read().strip() == digest
+    except OSError:
+        current = False
+    if not current:
+        shutil.rmtree(build, ignore_errors=True)
+        os.makedirs(build)
+        with open(stamp, "w") as f:
+            f.write(digest + "\n")
 
 
 def run(checkout, workload, seed, seconds):
@@ -88,6 +134,7 @@ def main() -> int:
 
     failed = False
     for side, checkout in sides.items():
+        fresh_build_dir(checkout)
         if run(checkout, args.workload, args.seed, 0) is None:
             print(f"{side}: the warm-up run gave no result (build failed?)")
             failed = True
@@ -128,6 +175,9 @@ def main() -> int:
             verdict = "gain"
         elif worse > m["bound"]:
             verdict = f"regression (worse by more than {m['bound']:.0%})"
+        elif pmed and (pq3 - pq1) / pmed > m["bound"] and not (
+                max(chg) < min(par) if lower else min(chg) > max(par)):
+            verdict = f"unresolved (parent IQR wider than the bound, {m['bound']:.0%})"
         else:
             verdict = f"within the bound ({m['bound']:.0%})"
         print(f"\n{name} ({m['unit']}, {m['better']} is better)")

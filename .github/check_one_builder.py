@@ -2,7 +2,7 @@
 """Check that every backbone comes from the one builder, and that each
 mechanism it relies on has one copy.
 
-Eight rules over non-test code, cut as `count_lines.py` cuts it (each file
+Nine rules over non-test code, cut as `count_lines.py` cuts it (each file
 up to its first unindented `#[cfg(test)]` line), in the files it counts
 (`.rs` under `crates/*/src` and `crates/*/benches`, shims skipped) plus
 `examples/`, `perfbench/src` and the root `src/`:
@@ -34,6 +34,14 @@ up to its first unindented `#[cfg(test)]` line), in the files it counts
    `crates/net/src/packet.rs`, which defines it. It takes the SA's SPI,
    sequence number and keys, so the paper's §3 blindness (nothing between
    the gateways can classify on the inner headers) is structural.
+9. Only `ProviderNetwork` writes VPN routes: under `crates/`, no file but
+   `crates/core/src/network.rs` calls `BgpVpnFabric::new` or a fabric
+   mutator (`add_vrf`, `advertise`, `withdraw`, `add_import_target`,
+   `remove_import_target` or `add_export_target` on a `fabric`), so every
+   VPN routing change reaches the routers as the MP-BGP packets they
+   count. `crates/routing`, which defines the fabric, and
+   `crates/bench/benches/control_plane_scale.rs`, which prices the fabric
+   on its own, are exempt.
 
 Usage: python3 .github/check_one_builder.py
 Prints each offending line and exits 1 if any rule is broken.
@@ -73,6 +81,12 @@ RULES = [
     (re.compile(r"\bunseal\b"),
      lambda path: path in ("crates/ipsec/src/esp.rs", "crates/net/src/packet.rs"),
      "opens a sealed ESP packet outside decapsulate"),
+    (re.compile(r"\bBgpVpnFabric::new\b|\bfabric\s*\.\s*(add_vrf|advertise|withdraw"
+                r"|add_import_target|remove_import_target|add_export_target)\s*\("),
+     lambda path: not path.startswith("crates/")
+     or path.startswith("crates/routing/")
+     or path in ("crates/core/src/network.rs", "crates/bench/benches/control_plane_scale.rs"),
+     "writes VPN routes outside ProviderNetwork"),
 ]
 
 

@@ -70,16 +70,13 @@ fn bench_bgp(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("advertise_sites", sites), &sites, |b, &sites| {
             b.iter(|| {
                 let mut f = BgpVpnFabric::new(8);
-                let rt = RouteTarget(1);
-                let handles: Vec<_> = (0..8)
-                    .map(|pe| {
-                        f.add_vrf(pe, RouteDistinguisher::new(65000, 1), vec![rt], vec![rt]).0
-                    })
-                    .collect();
+                let (rt, rd) = (RouteTarget(1), RouteDistinguisher::new(65000, 1));
+                let handles: Vec<_> =
+                    (0..8).map(|pe| f.add_vrf(pe, rd, vec![rt], vec![rt]).0).collect();
                 for i in 0..sites {
                     f.advertise(handles[i % 8], site_prefix(i));
                 }
-                black_box(f.messages())
+                black_box(f)
             });
         });
     }

@@ -2,13 +2,13 @@
 //!
 //! "Members can join and leave the VPN service network and those changes
 //! need to be known by all remaining members." The MPLS/BGP model pays one
-//! PE touch and one route-update fan-out per join; the overlay model pays
-//! N−1 new circuit pairs, provisioned device by device.
+//! PE touch and one MP-BGP update per remote member PE per join; the
+//! overlay model pays N−1 new circuit pairs, provisioned device by device.
 //!
 //! The MPLS columns drive the joins through a *running* 4-PE backbone
-//! ([`backbone_join_series`]). "mpls messages" is its fabric's update
-//! count (PE → route reflector → other PEs); the two columns after it
-//! count the MP-BGP deltas each join originated under either transport:
+//! ([`backbone_join_series`]). "mpls messages" is the MP-BGP packets the
+//! join's updates put on the wire, counted per hop; the two columns after
+//! it count the MP-BGP deltas each join originated under either transport:
 //! update packets on the wire in-band, the same packets handed on at once
 //! under the oracle. All three are flat.
 

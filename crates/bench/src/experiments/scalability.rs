@@ -8,13 +8,16 @@
 //! Both models are *built*, not just counted: the overlay provisions every
 //! PVC hop by hop through a switch fabric; the MPLS/BGP side brings up a
 //! provider network, whose routers distribute the tunnel labels over LDP,
-//! and fills its VPN route fabric. Columns report circuits, state and
-//! control cost.
+//! and adds every site to it, so its PEs distribute the VPN routes over
+//! MP-BGP. Every column is read from the built devices: circuits, state,
+//! sessions and the control packets sent.
+
+use std::collections::BTreeSet;
 
 use mplsvpn_core::membership::site_prefix;
 use mplsvpn_core::overlay::OverlayNetwork;
-use mplsvpn_core::BackboneBuilder;
-use netsim_routing::{RouteDistinguisher, RouteTarget};
+use mplsvpn_core::router::VrfRoute;
+use mplsvpn_core::{BackboneBuilder, PeRouter};
 
 use crate::table::Table;
 use crate::{parallel_sweep, topo};
@@ -33,14 +36,17 @@ pub struct ScalePoint {
     overlay_state: usize,
     /// Overlay: device-touch provisioning operations.
     overlay_ops: u64,
-    /// MPLS: BGP update messages to distribute all site routes.
+    /// Overlay: CE–CE routing adjacencies, one per circuit pair.
+    overlay_sessions: usize,
+    /// MPLS: MP-BGP updates the PEs originated to distribute all site
+    /// routes.
     mpls_updates: u64,
     /// MPLS: worst per-PE VRF route count.
     mpls_max_pe_routes: usize,
     /// MPLS: tunnel LSP labels across the whole backbone (independent of
     /// the number of sites — it scales with PEs).
     mpls_tunnel_labels: u64,
-    /// MPLS: LDP + BGP sessions.
+    /// MPLS: LDP adjacencies plus the PE pairs that exchanged MP-BGP.
     mpls_sessions: u64,
 }
 
@@ -53,39 +59,43 @@ pub fn measure(n: usize) -> ScalePoint {
     ov.full_mesh(&sites);
 
     // --- MPLS/BGP: PEs on a ring, brought up with their LDP tunnels, and
-    // the network's VPN route fabric.
+    // every site added to one VPN, its updates delivered.
     let (mtopo, pes) = topo::national(DEVICES, DEVICES, 622);
     let mut pn = BackboneBuilder::new(mtopo, pes).build();
-    let rt = RouteTarget(1);
-    let rd = RouteDistinguisher::new(65000, 1);
-    let handles: Vec<_> =
-        (0..DEVICES).map(|pe| pn.fabric.add_vrf(pe, rd, vec![rt], vec![rt]).0).collect();
+    let vpn = pn.new_vpn("t1");
     for i in 0..n {
-        pn.fabric.advertise(handles[i % DEVICES], site_prefix(i));
+        pn.add_site(vpn, i % DEVICES, site_prefix(i), None);
     }
-    let mpls_max_pe_routes = (0..DEVICES).map(|pe| pn.fabric.pe_state(pe).1).max().unwrap_or(0);
+    pn.run_for(0);
+    // Per PE router: its VRF routes, and the egress PEs of the remote ones.
+    let (mut mpls_max_pe_routes, mut bgp_pairs) = (0, BTreeSet::new());
+    for pe in 0..DEVICES {
+        let vrfs = &pn.net.node_ref::<PeRouter>(pn.pe_node(pe)).vrfs;
+        mpls_max_pe_routes = mpls_max_pe_routes.max(vrfs.iter().map(|v| v.fib.len()).sum());
+        for (_, route) in vrfs.iter().flat_map(|v| v.fib.iter()) {
+            if let VrfRoute::Remote { egress_pe, .. } = *route {
+                bgp_pairs.insert((pe.min(egress_pe), pe.max(egress_pe)));
+            }
+        }
+    }
 
     ScalePoint {
         n,
         overlay_circuits: ov.circuit_pairs(),
         overlay_state: ov.total_switch_state(),
         overlay_ops: ov.provisioning_ops,
-        mpls_updates: pn.fabric.messages(),
+        overlay_sessions: ov.ce_adjacencies(),
+        mpls_updates: pn.control_stats().map_or(0, |s| s.bgp_originated),
         mpls_max_pe_routes,
         mpls_tunnel_labels: pn.live_labels(),
-        // One LDP session per backbone link, plus the iBGP sessions.
-        mpls_sessions: pn.topo.link_count() as u64 + pn.fabric.session_count(),
+        mpls_sessions: pn.ldp_adjacencies() + bgp_pairs.len() as u64,
     }
 }
 
 /// Runs the sweep and renders the table.
 pub fn run(quick: bool) -> String {
     let sizes: Vec<usize> = if quick { vec![10, 50, 100] } else { vec![10, 50, 100, 200, 500] };
-    let jobs: Vec<Box<dyn FnOnce() -> ScalePoint + Send>> = sizes
-        .iter()
-        .map(|&n| Box::new(move || measure(n)) as Box<dyn FnOnce() -> ScalePoint + Send>)
-        .collect();
-    let points = parallel_sweep(jobs);
+    let points = parallel_sweep(sizes.iter().map(|&n| move || measure(n)).collect());
 
     let mut t = Table::new(
         "T1: overlay VC explosion vs MPLS VPN state (paper §2.1: 10 sites→45 VCs, 200→~20,000)",
@@ -110,7 +120,7 @@ pub fn run(quick: bool) -> String {
             p.mpls_updates.to_string(),
             p.mpls_max_pe_routes.to_string(),
             p.mpls_tunnel_labels.to_string(),
-            (p.n * (p.n - 1) / 2).to_string(),
+            p.overlay_sessions.to_string(),
             p.mpls_sessions.to_string(),
         ]);
     }
@@ -125,8 +135,18 @@ mod tests {
     fn reproduces_the_papers_numbers() {
         let p10 = measure(10);
         assert_eq!(p10.overlay_circuits, 45, "paper: 10 sites → 45 VCs");
+        assert_eq!(p10.overlay_sessions, 45);
         let p200 = measure(200);
         assert_eq!(p200.overlay_circuits, 19_900, "paper: 200 sites → ~20,000 VCs");
+    }
+
+    /// The i-th site's join updates the min(i, 7) PEs that already hold
+    /// the VPN's VRF (a PE's new VRF picks up the existing routes locally),
+    /// so n sites cost Σ_{i<n} min(i, 7) updates.
+    #[test]
+    fn mpls_updates_are_the_packets_the_pes_originate() {
+        assert_eq!(measure(10).mpls_updates, 42);
+        assert_eq!(measure(50).mpls_updates, 322);
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub const CTRL_FLOW_BASE: u64 = 1 << 49;
 /// Protocol ordinal inside the control flow-id namespace.
 const PROTO_IGP: usize = 0;
 const PROTO_LDP: usize = 1;
-const PROTO_BGP: usize = 2;
+pub(crate) const PROTO_BGP: usize = 2;
 
 /// A typed control message. The wire packet is CS6-marked UDP of a
 /// representative size; the message itself rides in the packet's two
@@ -1097,6 +1097,12 @@ impl NodeControl {
     pub(crate) fn ftn(&self, fec: usize) -> Option<FtnEntry> {
         *self.view.ftn.get(fec)?
     }
+
+    /// Whether this router holds a label that neighbor node `nbr`
+    /// advertised: their LDP session is up and has carried a mapping.
+    pub(crate) fn holds_labels_from(&self, nbr: usize) -> bool {
+        self.view.received[self.rx(nbr, 0)..self.rx(nbr + 1, 0)].iter().any(Option::is_some)
+    }
 }
 
 #[cfg(test)]
@@ -1214,8 +1220,7 @@ mod tests {
     }
 
     /// MP-BGP deltas leave in `(pe, vpn)` order even where a PE created
-    /// its VRFs in another order than their VPN ids, and a fabric VRF the
-    /// network did not create gets none.
+    /// its VRFs in another order than their VPN ids.
     #[test]
     fn bgp_deltas_leave_in_pe_vpn_order() {
         // PE0, PE1 and PE2 (nodes 1, 2, 3) around P node 0.
@@ -1230,12 +1235,8 @@ mod tests {
         for pe in [1, 2] {
             pn.add_site(globex, pe, Prefix::new(Ip(0x0A10_0000 + ((pe as u32) << 8)), 24), None);
             pn.add_site(acme, pe, Prefix::new(Ip(0x0A20_0000 + ((pe as u32) << 8)), 24), None);
-            let globex_vrf = pn.vrf_handle(pe, globex).expect("globex VRF");
-            pn.fabric.add_import_target(globex_vrf, pn.vpns[acme.0].rt);
+            pn.add_import_target(pe, globex, pn.vpns[acme.0].rt);
         }
-        // A fabric-only VRF on PE1 that imports acme as well.
-        let (rd, rt) = (pn.vpns[acme.0].rd, pn.vpns[acme.0].rt);
-        pn.fabric.add_vrf(1, rd, vec![rt], vec![rt]);
         pn.run_to_quiescence();
         // The (target PE, VRF) of each BGP message PE0 (node 1) sent since
         // its log entry `from`.

@@ -9,9 +9,9 @@
 //!   communities; adding a site touches exactly one PE
 //!   ([`ProviderNetwork::add_site`]), and route distribution makes every
 //!   other member learn it ([`membership`] quantifies the cost).
-//! * **Reachability exchange** — the BGP/MPLS fabric distributes VPN-IPv4
-//!   routes with piggybacked labels; [`ProviderNetwork`] installs them into
-//!   PE VRF FIBs.
+//! * **Reachability exchange** — the BGP/MPLS fabric selects VPN-IPv4
+//!   routes with piggybacked labels; [`ProviderNetwork`], which owns it,
+//!   sends each change to the PE VRF FIBs as an MP-BGP packet.
 //! * **Data separation** — customer packets travel with a two-level label
 //!   stack (tunnel label above, VPN label below); P routers never see
 //!   customer addresses, and overlapping address spaces cannot collide.

@@ -2,15 +2,15 @@
 //!
 //! The paper's §4.1: "Members can join and leave the VPN service network
 //! and those changes need to be known by all remaining members." In the
-//! MPLS/BGP model a join touches one PE and costs one route update's
-//! fan-out; in the overlay model it costs N−1 new circuit pairs, each
-//! provisioned hop by hop.
+//! MPLS/BGP model a join touches one PE and costs one MP-BGP update per
+//! remote member PE; in the overlay model it costs N−1 new circuit pairs,
+//! each provisioned hop by hop.
 
 use netsim_net::{Ip, Prefix};
 use netsim_routing::{LinkAttrs, Topology};
 use netsim_sim::MSEC;
 
-use crate::control::ControlMode;
+use crate::control::{ControlMode, PROTO_BGP};
 use crate::network::BackboneBuilder;
 use crate::overlay::{OverlayNetwork, OverlaySiteId};
 
@@ -35,11 +35,11 @@ pub fn site_prefix(i: usize) -> Prefix {
 /// records each join's cost under `mode`.
 ///
 /// Each entry pairs the join's [`JoinCost`], whose `control_messages` are
-/// the BGP/MPLS fabric's update messages (PE → route reflector → every
-/// other PE, plus the reflector's refresh of a brand-new VRF), with the
-/// MP-BGP deltas the join originated: one per remote member PE, flat in
-/// the number of *sites*. The delta count is the same under either
-/// transport: each delta is an update packet, on the wire under
+/// the MP-BGP packets its updates put on the wire (the BGP entry of
+/// [`crate::CtrlStats::pkts_by_proto`], counted per hop), with the MP-BGP
+/// deltas the join originated: one per remote member PE, flat in the
+/// number of *sites*. Both counts are the same under either transport:
+/// each delta is an update packet, on the wire under
 /// [`ControlMode::InBand`] and handed on at once under
 /// [`ControlMode::Oracle`].
 pub fn backbone_join_series(
@@ -52,22 +52,21 @@ pub fn backbone_join_series(
     let pes: Vec<usize> = (0..pe_count).collect();
     let mut pn = BackboneBuilder::new(topo, pes).control_mode(mode).build();
     let vpn = pn.new_vpn("m1");
-    let originated =
-        |pn: &crate::ProviderNetwork| pn.control_stats().map_or(0, |s| s.bgp_originated);
+    let stats = |pn: &crate::ProviderNetwork| pn.control_stats().expect("control counters");
     let mut costs = Vec::with_capacity(n_sites);
     for i in 0..n_sites {
-        let pe = i % pe_count;
-        let (fabric_before, before) = (pn.fabric.messages(), originated(&pn));
-        pn.add_site(vpn, pe, site_prefix(i), None);
+        let before = stats(&pn);
+        pn.add_site(vpn, i % pe_count, site_prefix(i), None);
         // Let the updates land (one hop on a full mesh).
         pn.run_for(20 * MSEC);
+        let after = stats(&pn);
         let cost = JoinCost {
             // The join reconfigures exactly one device: the homing PE.
             devices_touched: 1,
-            control_messages: pn.fabric.messages() - fabric_before,
+            control_messages: after.pkts_by_proto[PROTO_BGP] - before.pkts_by_proto[PROTO_BGP],
             new_circuits: 0,
         };
-        costs.push((cost, originated(&pn) - before));
+        costs.push((cost, after.bgp_originated - before.bgp_originated));
     }
     costs
 }
@@ -107,8 +106,8 @@ mod tests {
     fn mpls_join_cost_is_flat() {
         let costs = backbone_join_series(4, 16, ControlMode::Oracle);
         assert_eq!(costs.len(), 16);
-        // Every join touches one device and costs one update fan-out (plus
-        // at most a VRF refresh).
+        // Every join touches one device and costs one update per remote
+        // member PE.
         assert!(costs.iter().all(|(c, _)| c.devices_touched == 1));
         let late = costs[15].0.control_messages;
         let early = costs[1].0.control_messages;
@@ -130,6 +129,18 @@ mod tests {
                     "{mode:?} join {i} must cost one update per remote PE"
                 );
             }
+        }
+    }
+
+    /// The k-th join puts min(k, 3) MP-BGP packets on the wire: one
+    /// update to each PE already holding the VPN's VRF, one hop each on
+    /// the full mesh.
+    #[test]
+    fn kth_join_puts_one_packet_per_member_pe_on_the_wire() {
+        for mode in [ControlMode::InBand, ControlMode::Oracle] {
+            let pkts: Vec<u64> =
+                backbone_join_series(4, 8, mode).iter().map(|(c, _)| c.control_messages).collect();
+            assert_eq!(pkts, [0, 1, 2, 3, 3, 3, 3, 3], "{mode:?}");
         }
     }
 

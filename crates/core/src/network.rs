@@ -33,7 +33,8 @@ use netsim_qos::{
     QueueDiscipline, RedParams, RedQueue, WfqScheduler,
 };
 use netsim_routing::{
-    BgpVpnFabric, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget, Topology, VrfHandle,
+    BgpVpnFabric, PrefixChange, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget,
+    Topology, VrfHandle,
 };
 use netsim_sim::{
     CbrSource, Ctx, LinkConfig, LinkId, Network, Node, NodeId, OnOffSource, PoissonSource, Sink,
@@ -299,12 +300,11 @@ impl BackboneBuilder {
             debug_assert_eq!(id, LinkId(l));
         }
 
-        let fabric = BgpVpnFabric::new(self.pes.len());
         let links = self.topo.link_count();
         let mut pn = ProviderNetwork {
             net,
             topo: self.topo,
-            fabric,
+            fabric: BgpVpnFabric::new(self.pes.len()),
             node_ids,
             vrf_vpns: vec![Vec::new(); self.pes.len()],
             pes: self.pes,
@@ -337,8 +337,9 @@ pub struct ProviderNetwork {
     pub net: Network,
     /// The backbone topology.
     pub topo: Topology,
-    /// The BGP/MPLS VPN route fabric.
-    pub fabric: BgpVpnFabric,
+    /// The BGP/MPLS VPN route fabric: every VPN routing change enters
+    /// through this network, which sends what it changed as MP-BGP deltas.
+    pub(crate) fabric: BgpVpnFabric,
     pub(crate) node_ids: Vec<NodeId>,
     pub(crate) pes: Vec<usize>,
     /// The configuration every backbone router's control plane reads.
@@ -525,8 +526,6 @@ impl ProviderNetwork {
     /// `changed` its delta for `prefix` from PE `origin_pe`, in `(pe, vpn)`
     /// order. The delta is a withdraw carrying the new route, if any, when
     /// `withdraw` is set or no route is left, and an update otherwise.
-    /// VRFs the network did not create (past the PE's last slot) get no
-    /// message.
     fn send_changes(
         &mut self,
         origin_pe: usize,
@@ -534,7 +533,6 @@ impl ProviderNetwork {
         mut changed: Vec<RouteChange>,
         withdraw: bool,
     ) {
-        changed.retain(|(h, _)| h.index < self.vrf_vpns[h.pe].len());
         changed.sort_unstable_by_key(|(h, _)| (h.pe, self.vrf_vpns[h.pe][h.index].0));
         for (VrfHandle { pe: target, index: vrf_idx }, now) in changed {
             let msg = match now.map(|r| (r.egress_pe, r.vpn_label)) {
@@ -568,7 +566,7 @@ impl ProviderNetwork {
     /// the PE's current tunnels — a local step at the one PE that owns the
     /// VRF. A route from another domain reaches the VRF only through the
     /// ASBRs, so its origin PE sends it as an MP-BGP update instead.
-    fn apply_local(&mut self, vrf: VrfHandle, changes: &[(Prefix, Option<RemoteRoute>)]) {
+    fn apply_local(&mut self, vrf: VrfHandle, changes: &[PrefixChange]) {
         let VrfHandle { pe, index: vrf_idx } = vrf;
         let cfg = Rc::clone(&self.cfg);
         let home = |r: &RemoteRoute| cfg.domains[cfg.pes[r.egress_pe]] == cfg.domains[cfg.pes[pe]];
@@ -812,8 +810,8 @@ impl ProviderNetwork {
     /// only the one touched PE's data plane changes.
     pub fn add_import_target(&mut self, pe: usize, vpn: VpnId, rt: RouteTarget) {
         let vrf = self.expect_vrf(pe, vpn);
-        self.fabric.add_import_target(vrf, rt);
-        self.apply_refilter(vrf);
+        let changes = self.fabric.add_import_target(vrf, rt);
+        self.apply_local(vrf, &changes);
     }
 
     /// Removes an import route target from the VRF for `vpn` at PE `pe`
@@ -821,12 +819,7 @@ impl ProviderNetwork {
     /// longer match any policy).
     pub fn remove_import_target(&mut self, pe: usize, vpn: VpnId, rt: RouteTarget) {
         let vrf = self.expect_vrf(pe, vpn);
-        self.fabric.remove_import_target(vrf, rt);
-        self.apply_refilter(vrf);
-    }
-
-    fn apply_refilter(&mut self, vrf: VrfHandle) {
-        let changes = self.fabric.refilter_vrf(vrf);
+        let changes = self.fabric.remove_import_target(vrf, rt);
         self.apply_local(vrf, &changes);
     }
 
@@ -841,6 +834,14 @@ impl ProviderNetwork {
             sum += &c.stats;
         }
         Some(sum)
+    }
+
+    /// LDP adjacencies: backbone links whose two routers each hold a
+    /// label the other advertised.
+    pub fn ldp_adjacencies(&self) -> u64 {
+        let up = |a: usize, b: usize| self.backbone(a).1.holds_labels_from(b);
+        let links = (0..self.topo.link_count()).map(|l| self.topo.link(l));
+        links.filter(|&(a, b, _)| up(a, b) && up(b, a)).count() as u64
     }
 
     /// Labels allocated and not released, summed over every backbone
@@ -1092,8 +1093,7 @@ impl ProviderNetwork {
 
     /// The VRF of a VPN on a PE, if that PE hosts any of the VPN's sites.
     /// The handle is the VRF in the fabric and, by its `index`, the VRF's
-    /// slot on the PE router. Needed for policy surgery such as extranet
-    /// route-target additions.
+    /// slot on the PE router.
     pub fn vrf_handle(&self, pe: usize, vpn: VpnId) -> Option<VrfHandle> {
         let index = self.vrf_vpns.get(pe)?.iter().position(|&v| v == vpn)?;
         Some(VrfHandle { pe, index })
@@ -1318,8 +1318,6 @@ mod tests {
         pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
         pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
         pn.run_for(0);
-        assert_eq!(pn.fabric.session_count(), 2, "route reflector mode: one session per PE");
-        assert!(pn.fabric.messages() >= 2);
         // Bring-up's LDP mappings, one per PE FEC on each direction of
         // each link (2 * 2 * 2), then the second site's update to PE0,
         // sent by PE1 and by P.

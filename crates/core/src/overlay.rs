@@ -293,6 +293,13 @@ impl OverlayNetwork {
         self.vcs_provisioned / 2
     }
 
+    /// CE–CE routing adjacencies: one per PVC pair, read from the edges'
+    /// PVC maps (an edge maps one PVC to each site it peers with).
+    pub fn ce_adjacencies(&self) -> usize {
+        let pvcs = self.sites.iter().map(|s| self.net.node_ref::<VcEdge>(s.edge).pvc_map.len());
+        pvcs.sum::<usize>() / 2
+    }
+
     /// Total cross-connect entries across all switches.
     pub fn total_switch_state(&self) -> usize {
         self.node_ids.iter().map(|&id| self.net.node_ref::<VcSwitch>(id).table_size()).sum()
@@ -373,6 +380,7 @@ mod tests {
             .collect();
         ov.full_mesh(&sites);
         assert_eq!(ov.circuit_pairs(), 45);
+        assert_eq!(ov.ce_adjacencies(), 45);
         // Each unidirectional PVC crosses the single switch once.
         assert_eq!(ov.total_switch_state(), 90);
     }

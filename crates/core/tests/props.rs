@@ -2,7 +2,7 @@
 //! delivery over randomized VPN layouts — the strongest form of the
 //! paper's §4 "kept separate" requirement.
 
-use mplsvpn_core::{BackboneBuilder, ProviderNetwork};
+use mplsvpn_core::{BackboneBuilder, PeRouter, ProviderNetwork};
 use netsim_net::{Ip, Prefix};
 use netsim_routing::{LinkAttrs, Topology};
 use netsim_sim::{Sink, SourceConfig, MSEC, SEC};
@@ -156,9 +156,13 @@ proptest! {
             for &i in order {
                 sites[i] = Some(pn.add_site(vpn, i % 3, block(i), None));
             }
+            pn.run_for(0);
             // Route counts per PE are the reachability fingerprint.
             let mut counts: Vec<usize> = (0..3)
-                .map(|pe| pn.fabric.pe_state(pe).1)
+                .map(|pe| {
+                    let vrfs = &pn.net.node_ref::<PeRouter>(pn.pe_node(pe)).vrfs;
+                    vrfs.iter().map(|v| v.fib.len()).sum()
+                })
                 .collect();
             counts.sort_unstable();
             counts

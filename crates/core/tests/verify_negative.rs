@@ -128,8 +128,7 @@ fn cross_vpn_import_is_a_leak_until_declared() {
     let acme = VpnId(0);
     let globex = VpnId(1);
     // Leak: acme's VRF on PE0 imports globex's route target (100 + id).
-    let handle = pn.vrf_handle(0, acme).expect("acme VRF on PE0");
-    pn.fabric.add_import_target(handle, RouteTarget(101));
+    pn.add_import_target(0, acme, RouteTarget(101));
     let report = pn.verify();
     assert!(report.has_code(codes::VRF_LEAK), "{report}");
     assert!(!report.is_clean());
@@ -146,8 +145,7 @@ fn cross_vpn_import_is_a_leak_until_declared() {
 fn dropped_import_partitions_the_vpn() {
     let mut pn = testbed();
     let acme = VpnId(0);
-    let handle = pn.vrf_handle(1, acme).expect("acme VRF on PE1");
-    pn.fabric.remove_import_target(handle, RouteTarget(100));
+    pn.remove_import_target(1, acme, RouteTarget(100));
     let report = pn.verify();
     assert!(report.has_code(codes::VRF_PARTITION), "{report}");
 }
@@ -155,8 +153,7 @@ fn dropped_import_partitions_the_vpn() {
 #[test]
 fn import_of_an_unexported_target_is_useless() {
     let mut pn = testbed();
-    let handle = pn.vrf_handle(0, VpnId(0)).expect("acme VRF on PE0");
-    pn.fabric.add_import_target(handle, RouteTarget(999));
+    pn.add_import_target(0, VpnId(0), RouteTarget(999));
     let report = pn.verify();
     assert!(report.has_code(codes::VRF_USELESS_IMPORT), "{report}");
 }

@@ -143,7 +143,7 @@ impl<V> LpmTrie<V> {
     /// Routers keep one cache per table next to it. Flows interleave, so
     /// each destination keeps its own way and a hit is one indexed load.
     /// A way is stamped with the trie's mutation version, so route changes
-    /// (insert/remove/`get_mut`) transparently force a re-walk — no
+    /// (insert/remove) transparently force a re-walk — no
     /// explicit invalidation hook to forget.
     #[inline]
     pub fn lookup_cached<'a>(&'a self, ip: Ip, cache: &mut LpmCache) -> Option<&'a V> {

@@ -9,10 +9,10 @@
 //!   places TE trunks and fast-reroute bypasses.
 //! * [`bgpvpn`] — the RFC 2547 machinery: route distinguishers make
 //!   overlapping customer prefixes globally unique, route targets control
-//!   VRF import/export, VPN labels are piggybacked on route updates, and a
-//!   route reflector distributes everything. Message
-//!   and session counts are first-class outputs — they are the quantities
-//!   behind the paper's §2.1 scalability argument.
+//!   VRF import/export, VPN labels are piggybacked on route updates, and
+//!   one selection rule picks every VRF's routes. The fabric reports what
+//!   each operation changed; the provider network that owns it sends those
+//!   changes as MP-BGP packets, whose count is the §2.1 control cost.
 //!
 //! [`topology`] holds the weighted graph both planes run over.
 //!
@@ -49,7 +49,8 @@ pub mod igp;
 pub mod topology;
 
 pub use bgpvpn::{
-    BgpVpnFabric, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget, VrfHandle,
+    BgpVpnFabric, PrefixChange, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget,
+    VrfHandle,
 };
 pub use igp::{cspf_path, Igp, SpfTree};
 pub use topology::{LinkAttrs, Topology};

@@ -127,7 +127,7 @@ fn floyd_warshall(t: &Topology) -> Vec<Vec<u64>> {
     d
 }
 
-/// Full-scan reference for the route reflector, written to its one rule:
+/// Full-scan reference for the route fabric, written to its one rule:
 /// a VRF's route for a prefix is the lowest (egress PE, VPN label) among
 /// the RIB's advertisements of the prefix from another PE that the VRF
 /// imports, and each operation sets its touched (VRF, prefix) pairs to
@@ -229,30 +229,6 @@ impl ScanFabric {
         prefixes.extend(self.rib.iter().map(|ad| ad.1));
         prefixes.into_iter().filter_map(|p| self.reselect(i, p).map(|now| (p, now))).collect()
     }
-}
-
-/// A withdraw still reaches a VRF whose import target was removed after
-/// it imported the route (a stale import), and fails it over to the
-/// multihomed prefix's other PE when another target still imports that.
-#[test]
-fn withdraw_reaches_a_stale_import_and_fails_over() {
-    let (rt_a, rt_b) = (RouteTarget(1), RouteTarget(2));
-    let mut f = BgpVpnFabric::new(3);
-    let home0 = f.add_vrf(0, RouteDistinguisher::new(65000, 1), vec![], vec![rt_a]).0;
-    let importer = f.add_vrf(1, RouteDistinguisher::new(65000, 2), vec![rt_a, rt_b], vec![]).0;
-    let home2 = f.add_vrf(2, RouteDistinguisher::new(65000, 3), vec![], vec![rt_b]).0;
-    let p: Prefix = "10.9.0.0/24".parse().unwrap();
-    let (label0, _) = f.advertise(home0, p);
-    let (label2, _) = f.advertise(home2, p);
-    assert_eq!(f.routes(importer).get(p).map(|r| r.egress_pe), Some(0));
-    f.remove_import_target(importer, rt_a);
-    let alt =
-        RemoteRoute { egress_pe: 2, vpn_label: label2, rd: RouteDistinguisher::new(65000, 3) };
-    assert_eq!(f.withdraw(home0, p, label0), vec![(importer, Some(alt))]);
-    assert_eq!(f.routes(importer).get(p), Some(&alt));
-    f.remove_import_target(importer, rt_b);
-    assert_eq!(f.withdraw(home2, p, label2), vec![(importer, None)]);
-    assert!(f.routes(importer).is_empty());
 }
 
 proptest! {
@@ -400,8 +376,8 @@ proptest! {
     }
 
     /// Advertise-then-withdraw leaves every VRF table exactly as before,
-    /// and label accounting returns to baseline, for any interleaving of
-    /// other routes.
+    /// and label accounting returns to baseline (every PE's next label is
+    /// the same), for any interleaving of other routes.
     #[test]
     fn withdraw_restores_state(
         others in proptest::collection::vec((0u8..4, any::<u16>()), 0..12),
@@ -435,7 +411,8 @@ proptest! {
                     v
                 })
                 .collect();
-            let labels: Vec<u64> = (0..4).map(|pe| f.pe_state(pe).2).collect();
+            let probe: Prefix = "192.0.2.0/24".parse().unwrap();
+            let labels: Vec<u32> = handles.iter().map(|&h| f.advertise(h, probe).0).collect();
             (tables, labels)
         };
         // Duplicate prefixes in `others` advertise twice; fine — both runs
@@ -448,7 +425,7 @@ proptest! {
     /// it equals the before/after diff of every VRF's `routes(h).get(..)`,
     /// in fabric order (PE, then VRF index). VRFs join random VPNs in a
     /// random order, prefixes are shared (multihomed sites), and import
-    /// targets come and go without a refilter, leaving stale routes.
+    /// targets come and go between the steps.
     #[test]
     fn change_report_matches_route_diff(
         pe_count in 2usize..5,
@@ -516,19 +493,18 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The route reflector's holder index and sorted RIB lose nothing:
-    /// after every random step, what `advertise`, `withdraw` (by label),
-    /// `add_vrf` and `refilter_vrf` report and every VRF table equal the
-    /// full-scan reference. Prefixes come from a pool of three, so sites
-    /// are multihomed, and a VRF may advertise one prefix twice; one
-    /// prefix is always advertised from two PEs first. Import targets come
-    /// and go without a refilter, leaving stale imports for a withdraw to
-    /// find, and VRFs join a running fabric through `add_vrf`'s replay.
+    /// The fabric's holder index and sorted RIB lose nothing: after every
+    /// random step, what `advertise`, `withdraw` (by label), `add_vrf`,
+    /// `add_import_target` and `remove_import_target` report and every VRF
+    /// table equal the full-scan reference. Prefixes come from a pool of
+    /// three, so sites are multihomed, and a VRF may advertise one prefix
+    /// twice; one prefix is always advertised from two PEs first. VRFs
+    /// join a running fabric through `add_vrf`.
     #[test]
     fn route_reflector_index_matches_full_scan(
         pe_count in 2usize..5,
         vrfs in proptest::collection::vec((any::<usize>(), 0u64..3, 0u8..8), 2..8),
-        ops in proptest::collection::vec((0u8..10, any::<usize>(), any::<usize>()), 1..60),
+        ops in proptest::collection::vec((0u8..9, any::<usize>(), any::<usize>()), 1..60),
     ) {
         let mut f = BgpVpnFabric::new(pe_count);
         let mut scan = ScanFabric { vrfs: Vec::new(), rib: Vec::new() };
@@ -539,15 +515,15 @@ proptest! {
             import.extend((0..3).filter(|b| extra & (1 << b) != 0).map(RouteTarget));
             let rd = RouteDistinguisher::new(65000, scan.vrfs.len() as u32);
             let export = vec![RouteTarget(vpn)];
-            let (handle, replayed) = f.add_vrf(pe, rd, import.clone(), export.clone());
+            let (handle, installed) = f.add_vrf(pe, rd, import.clone(), export.clone());
             scan.vrfs.push(ScanVrf { handle, import, export, rd, table: BTreeMap::new() });
-            (replayed, scan.refilter(scan.vrfs.len() - 1))
+            (installed, scan.refilter(scan.vrfs.len() - 1))
         };
         for (i, &(pe, vpn, extra)) in vrfs.iter().enumerate() {
             // The first two VRFs sit on PEs 0 and 1 and export target 0.
             let (pe, vpn) = if i < 2 { (i, 0) } else { (pe % pe_count, vpn) };
-            let (replayed, expected) = add_vrf(&mut f, &mut scan, pe, vpn, extra);
-            prop_assert!(replayed.is_empty());
+            let (installed, expected) = add_vrf(&mut f, &mut scan, pe, vpn, extra);
+            prop_assert!(installed.is_empty());
             prop_assert!(expected.is_empty());
         }
         let multihomed = Prefix::new(Ip(0x0A00_0000), 16);
@@ -577,32 +553,24 @@ proptest! {
                     let reported = f.withdraw(scan.vrfs[i].handle, prefix, label);
                     prop_assert_eq!(reported, scan.withdraw(i, prefix, label));
                 }
-                4 => {
-                    f.remove_import_target(vrf, rt);
+                4 | 5 => {
+                    let reported = f.remove_import_target(vrf, rt);
                     scan.vrfs[i].import.retain(|t| *t != rt);
-                }
-                5 => {
-                    f.add_import_target(vrf, rt);
-                    if !scan.vrfs[i].import.contains(&rt) {
-                        scan.vrfs[i].import.push(rt);
-                    }
+                    prop_assert_eq!(reported, scan.refilter(i));
                 }
                 6 | 7 => {
-                    prop_assert_eq!(f.refilter_vrf(vrf), scan.refilter(i));
-                }
-                8 => {
-                    // A site joins the running fabric.
-                    let (pe, vpn, extra) = (a % pe_count, (b % 3) as u64, (b / 3 % 8) as u8);
-                    let (replayed, expected) = add_vrf(&mut f, &mut scan, pe, vpn, extra);
-                    prop_assert_eq!(replayed, expected);
-                }
-                _ => {
-                    // Extranet provisioning: a new import target, applied.
-                    f.add_import_target(vrf, rt);
+                    // Extranet provisioning: a new import target.
+                    let reported = f.add_import_target(vrf, rt);
                     if !scan.vrfs[i].import.contains(&rt) {
                         scan.vrfs[i].import.push(rt);
                     }
-                    prop_assert_eq!(f.refilter_vrf(vrf), scan.refilter(i));
+                    prop_assert_eq!(reported, scan.refilter(i));
+                }
+                _ => {
+                    // A site joins the running fabric.
+                    let (pe, vpn, extra) = (a % pe_count, (b % 3) as u64, (b / 3 % 8) as u8);
+                    let (installed, expected) = add_vrf(&mut f, &mut scan, pe, vpn, extra);
+                    prop_assert_eq!(installed, expected);
                 }
             }
             for v in &scan.vrfs {

@@ -13,7 +13,7 @@
 
 use mplsvpn::routing::{LinkAttrs, Topology};
 use mplsvpn::sim::{Sink, SourceConfig, MSEC, SEC};
-use mplsvpn::vpn::BackboneBuilder;
+use mplsvpn::vpn::{BackboneBuilder, ProviderNetwork};
 
 fn main() {
     // Four PEs around a square of P routers.
@@ -70,9 +70,11 @@ fn main() {
     assert!(sa.flow(2).is_none() && sg.flow(1).is_none(), "cross-VPN leak!");
 
     // A third acme site joins at runtime: one call, one PE touched.
-    let before = pn.fabric.messages();
+    let originated = |pn: &ProviderNetwork| pn.control_stats().map_or(0, |s| s.bgp_originated);
+    let before = originated(&pn);
     let acme_c = pn.add_site(acme, 2, "10.3.0.0/16".parse().unwrap(), None);
-    let joined_cost = pn.fabric.messages() - before;
+    pn.run_for(0);
+    let joined_cost = originated(&pn) - before;
     let sink_c = pn.attach_sink(acme_c, "10.3.0.0/16".parse().unwrap());
     let cfg_c = SourceConfig::udp(3, pn.site_addr(acme_a, 8), pn.site_addr(acme_c, 1), 80, 400);
     pn.attach_cbr_source(acme_a, cfg_c, MSEC, Some(100));

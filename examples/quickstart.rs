@@ -52,6 +52,5 @@ fn main() {
     // The control plane counts what it sent since bring-up: the LDP
     // mappings that built the tunnels, then one MP-BGP update per remote
     // VRF, relayed PE → P → PE.
-    println!("iBGP sessions: {}", pn.fabric.session_count());
     println!("control plane: {:?}", pn.control_stats().expect("control counters"));
 }

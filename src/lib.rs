@@ -9,12 +9,13 @@
 //!
 //! This facade crate re-exports the public API of the workspace:
 //!
-//! * [`net`] — packets, addresses, prefixes, LPM trie, wire codec.
+//! * [`net`] — packets over a payload length, addresses, prefixes, LPM
+//!   trie.
 //! * [`sim`] — the discrete-event simulator, traffic sources, statistics.
 //! * [`qos`] — classifiers, meters, RED, schedulers, DSCP↔EXP.
 //! * [`mpls`] — label spaces, LFIB, LDP.
-//! * [`routing`] — topology, link-state IGP and CSPF over it, BGP/MPLS VPN
-//!   fabric.
+//! * [`routing`] — topology, link-state IGP and CSPF over it, the BGP/MPLS
+//!   VPN route fabric (one selection rule; the provider network owns it).
 //! * [`ipsec`] — ESP tunnel emulation and IKE simulation.
 //! * [`obs`] — telemetry: drop-cause flight recorder, histograms, SLA
 //!   probe rows, `metrics/v2` snapshots (DESIGN.md §8).

@@ -1,13 +1,13 @@
 //! Scale smoke test: a provider-sized deployment — 6-router core ring,
 //! 8 PEs, 4 VPNs with 8 sites each (all VPNs reusing the same address
 //! plan) — carrying a 64-flow traffic matrix. Verifies complete delivery,
-//! zero inter-VPN leakage, and that control-plane state matches the
-//! analytic expectations at this size.
+//! zero inter-VPN leakage, and that the routers' control-plane state and
+//! counts match the expectations at this size.
 
 use mplsvpn::net::{Ip, Prefix};
 use mplsvpn::routing::{LinkAttrs, Topology};
 use mplsvpn::sim::{Sink, SourceConfig, MSEC, SEC};
-use mplsvpn::vpn::{BackboneBuilder, ProviderNetwork};
+use mplsvpn::vpn::{BackboneBuilder, PeRouter, ProviderNetwork};
 
 const CORE: usize = 6;
 const PES: usize = 8;
@@ -43,6 +43,8 @@ fn build() -> (ProviderNetwork, Vec<Vec<mplsvpn::vpn::SiteId>>) {
         }
         sites.push(vsites);
     }
+    // Deliver the provisioning's MP-BGP updates.
+    pn.run_for(0);
     (pn, sites)
 }
 
@@ -50,20 +52,13 @@ fn build() -> (ProviderNetwork, Vec<Vec<mplsvpn::vpn::SiteId>>) {
 fn provider_scale_delivery_and_isolation() {
     let (mut pn, sites) = build();
 
-    // Control-plane expectations at this size. The fabric counts its
-    // route-reflector sessions and messages.
-    assert_eq!(pn.fabric.session_count(), PES as u64);
-    // 32 advertisements with RR fan-out 1+(P-1) each, plus the RR replays
-    // when each later site's fresh VRF catches up: Σ s = 28 per VPN.
-    let fanout = (VPNS * SITES_PER_VPN * PES) as u64;
-    let replays = (VPNS * SITES_PER_VPN * (SITES_PER_VPN - 1) / 2) as u64;
-    assert_eq!(pn.fabric.messages(), fanout + replays);
-    // The routers count what they sent once the provisioning has landed:
-    // site s's join updates the s VRFs its VPN already has on other PEs,
-    // again Σ s = 28 MP-BGP deltas per VPN, each delivered.
-    pn.run_for(0);
+    // Control-plane expectations at this size. The routers count what
+    // they sent once the provisioning has landed: site s's join updates
+    // the s VRFs its VPN already has on other PEs, Σ s = 28 MP-BGP deltas
+    // per VPN, each delivered.
     let cs = pn.control_stats().expect("control counters");
-    assert_eq!(cs.bgp_originated, replays);
+    let deltas = (VPNS * SITES_PER_VPN * (SITES_PER_VPN - 1) / 2) as u64;
+    assert_eq!(cs.bgp_originated, deltas);
     assert_eq!((cs.undeliverable, cs.no_lsp_to_egress), (0, 0));
     assert_eq!(cs.pkts_sent, cs.pkts_terminated);
     // Every PE's view holds an LDP tunnel to every other PE.
@@ -125,9 +120,9 @@ fn per_pe_state_is_linear_in_its_own_load() {
     // Each PE homes exactly VPNS vrfs (one per VPN) and each VRF holds
     // SITES_PER_VPN routes (its own + 7 imported).
     for pe in 0..PES {
-        let (vrfs, routes, labels) = pn.fabric.pe_state(pe);
-        assert_eq!(vrfs, VPNS);
-        assert_eq!(routes, VPNS * SITES_PER_VPN);
-        assert_eq!(labels as usize, VPNS, "one label per locally homed site");
+        let router = pn.net.node_ref::<PeRouter>(pn.pe_node(pe));
+        assert_eq!(router.vrfs.len(), VPNS);
+        assert!(router.vrfs.iter().all(|v| v.fib.len() == SITES_PER_VPN));
+        assert_eq!(router.vpn_ilm.len(), VPNS, "one label per locally homed site");
     }
 }
