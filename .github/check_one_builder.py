@@ -2,7 +2,7 @@
 """Check that every backbone comes from the one builder, and that each
 mechanism it relies on has one copy.
 
-Nine rules over non-test code, cut as `count_lines.py` cuts it (each file
+Ten rules over non-test code, cut as `count_lines.py` cuts it (each file
 up to its first unindented `#[cfg(test)]` line), in the files it counts
 (`.rs` under `crates/*/src` and `crates/*/benches`, shims skipped) plus
 `examples/`, `perfbench/src` and the root `src/`:
@@ -12,8 +12,9 @@ up to its first unindented `#[cfg(test)]` line), in the files it counts
 2. No file names `LdpDomain`: the synchronous LDP run is test code
    (`crates/mpls/tests/common/ldp_reference.rs`), the reference for the
    routers' own label distribution, which is the model's one LDP.
-3. `crates/core/src/ipsec_vpn.rs` names no `Igp`: the IPsec baseline's
-   routers forward on their own SPF views.
+3. Neither baseline, `crates/core/src/ipsec_vpn.rs` nor
+   `crates/core/src/overlay.rs`, names an `Igp`: the IPsec baseline's
+   routers and the overlay's switches forward on their own SPF views.
 4. Only `ProviderNetwork` admits trunks: no file under `crates/bench/src`,
    `examples/`, `perfbench/src` or the root `src/` calls `cspf_path` or
    copies a network's topology (`.topo.clone()`) to place paths beside
@@ -42,6 +43,12 @@ up to its first unindented `#[cfg(test)]` line), in the files it counts
    count. `crates/routing`, which defines the fabric, and
    `crates/bench/benches/control_plane_scale.rs`, which prices the fabric
    on its own, are exempt.
+10. Only `crates/core/src/network.rs` creates a simulator: no other file
+   under `crates/core/src` or `crates/bench/src` calls `Network::new` or
+   `set_recorder`, so every network an experiment runs, the overlay and
+   IPsec baselines included, comes from `BackboneBuilder`. The benches
+   under `crates/*/benches` and `perfbench/src`, which price the bare
+   engine, are exempt.
 
 Usage: python3 .github/check_one_builder.py
 Prints each offending line and exits 1 if any rule is broken.
@@ -63,8 +70,8 @@ RULES = [
      lambda path: False,
      "names LdpDomain, the test-only LDP reference run"),
     (re.compile(r"\bIgp\b"),
-     lambda path: path != "crates/core/src/ipsec_vpn.rs",
-     "gives the IPsec network a global IGP"),
+     lambda path: path not in ("crates/core/src/ipsec_vpn.rs", "crates/core/src/overlay.rs"),
+     "gives a baseline network a global IGP"),
     (re.compile(r"\bcspf_path\b|\.topo\.clone\(\)"),
      lambda path: not path.startswith(("crates/bench/src/", "examples/", "perfbench/src/", "src/")),
      "admits a trunk outside ProviderNetwork"),
@@ -87,6 +94,10 @@ RULES = [
      or path.startswith("crates/routing/")
      or path in ("crates/core/src/network.rs", "crates/bench/benches/control_plane_scale.rs"),
      "writes VPN routes outside ProviderNetwork"),
+    (re.compile(r"\bNetwork::new\b|\bset_recorder\b"),
+     lambda path: not path.startswith(("crates/core/src/", "crates/bench/src/"))
+     or path == "crates/core/src/network.rs",
+     "creates a simulator outside BackboneBuilder"),
 ]
 
 

@@ -6,7 +6,8 @@
 //! medium-sized VPN), about 20,000 virtual circuits would be required."
 //!
 //! Both models are *built*, not just counted: the overlay provisions every
-//! PVC hop by hop through a switch fabric; the MPLS/BGP side brings up a
+//! PVC switch by switch on the P routers of a backbone built without PEs,
+//! one LFIB entry per switch; the MPLS/BGP side brings up a
 //! provider network, whose routers distribute the tunnel labels over LDP,
 //! and adds every site to it, so its PEs distribute the VPN routes over
 //! MP-BGP. Every column is read from the built devices: circuits, state,
@@ -32,7 +33,7 @@ pub struct ScalePoint {
     pub n: usize,
     /// Overlay: bidirectional circuit pairs (the paper's headline number).
     overlay_circuits: u64,
-    /// Overlay: total switch cross-connect entries.
+    /// Overlay: total switch LFIB entries, one per switch per PVC.
     overlay_state: usize,
     /// Overlay: device-touch provisioning operations.
     overlay_ops: u64,
@@ -54,7 +55,7 @@ pub struct ScalePoint {
 pub fn measure(n: usize) -> ScalePoint {
     // --- Overlay: ring of switches, sites round-robin, full mesh.
     let (ring, _) = topo::national(DEVICES, 0, 622);
-    let mut ov = OverlayNetwork::build(ring, 1_000_000);
+    let mut ov = OverlayNetwork::build(ring);
     let sites: Vec<_> = (0..n).map(|i| ov.add_site(i % DEVICES, site_prefix(i))).collect();
     ov.full_mesh(&sites);
 

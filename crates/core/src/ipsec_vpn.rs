@@ -247,12 +247,9 @@ impl IpsecVpnNetwork {
         let (ga, gb) = (&self.gws[a.0], &self.gws[b.0]);
         let net = &self.pn.net;
         let mut delay = net.link_delay(ga.access, 0) + net.link_delay(gb.access, 1);
-        let mut at = ga.attach;
-        while at != gb.attach {
-            let nh = self.pn.effective_spf(at).next_hop[gb.attach].expect("backbone connected");
-            let link = self.pn.topo.link_between(at, nh).expect("adjacent");
+        for hop in self.pn.igp_path(ga.attach, gb.attach).windows(2) {
+            let link = self.pn.topo.link_between(hop[0], hop[1]).expect("adjacent");
             delay += net.link_delay(LinkId(link), 0);
-            at = nh;
         }
         delay
     }

@@ -27,10 +27,11 @@
 //!
 //! ## Baselines
 //!
-//! [`overlay`] implements the §2.1 strawman (one PVC per site pair) and
-//! [`ipsec_vpn`] the §2.3/§3 one (IPsec gateways over a plain IP
-//! backbone), both runnable on the same simulator for head-to-head
-//! comparison; [`intserv`] prices the §2.2 per-flow RSVP road the paper
+//! [`overlay`] implements the §2.1 strawman (one PVC per site pair, a
+//! label path through switches) and [`ipsec_vpn`] the §2.3/§3 one (IPsec
+//! gateways over a plain IP backbone). Both backbones are
+//! [`BackboneBuilder`] networks without PEs, so the three models run on
+//! the same routers for head-to-head comparison; [`intserv`] prices the §2.2 per-flow RSVP road the paper
 //! declines. Several carriers share one provider network: a
 //! [`BackboneBuilder::domains`] split stitches MPLS domains at ASBRs to
 //! reproduce the cross-provider SLA claim.

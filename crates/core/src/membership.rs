@@ -75,7 +75,7 @@ pub fn backbone_join_series(
 /// switch `attachments[i]`), full-meshing each new site with all existing
 /// ones, and records per-join costs.
 pub fn overlay_join_series(topo: &Topology, attachments: &[usize]) -> Vec<JoinCost> {
-    let mut ov = OverlayNetwork::build(topo.clone(), 1_000_000);
+    let mut ov = OverlayNetwork::build(topo.clone());
     let mut sites: Vec<OverlaySiteId> = Vec::new();
     let mut costs = Vec::with_capacity(attachments.len());
     for (i, &sw) in attachments.iter().enumerate() {

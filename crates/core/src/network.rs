@@ -351,8 +351,8 @@ pub struct ProviderNetwork {
     /// is the VRF's index on the PE router and in the fabric alike, so
     /// `VrfHandle { pe, index }` names VPN `vrf_vpns[pe][index]`'s VRF.
     pub(crate) vrf_vpns: Vec<Vec<VpnId>>,
-    access_rate_bps: u64,
-    access_delay_ns: Nanos,
+    pub(crate) access_rate_bps: u64,
+    pub(crate) access_delay_ns: Nanos,
     /// Per-link event sequence, bumped once per fail/repair and written
     /// into both endpoint routers, so both originate the same LSA.
     link_seq: Vec<u64>,
@@ -877,6 +877,17 @@ impl ProviderNetwork {
     /// The SPF tree node `u` currently forwards on: its own view.
     pub fn effective_spf(&self, u: usize) -> &netsim_routing::SpfTree {
         &self.backbone(u).1.view.spf
+    }
+
+    /// The backbone nodes from `from` to `to`, both included, each hop
+    /// the next hop of the router it leaves on its own SPF view.
+    pub(crate) fn igp_path(&self, from: usize, to: usize) -> Vec<usize> {
+        let (mut path, mut at) = (vec![from], from);
+        while at != to {
+            at = self.effective_spf(at).next_hop[to].expect("backbone connected");
+            path.push(at);
+        }
+        path
     }
 
     /// The LDP tunnel PE ordinal `ingress`'s control-plane view holds

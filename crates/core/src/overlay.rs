@@ -6,79 +6,35 @@
 //! network with 200 service points (a medium-sized VPN), about 20,000
 //! virtual circuits would be required."
 //!
-//! The baseline is fully functional, not a formula: frame-relay-like
-//! switches forward on `(interface, VC id)`, PVCs are provisioned hop by
-//! hop along IGP paths, and the edge maps destination prefixes onto PVCs.
-//! Experiment T1 counts its circuits, per-switch table entries and
+//! The baseline is fully functional, not a formula. Its switches are the P
+//! routers of a backbone [`BackboneBuilder`] builds without PEs, and a PVC
+//! is a label path through them: each switch on the path gives it one label
+//! from its platform label space and one LFIB entry, as a frame-relay
+//! switch gives it one DLCI cross-connect (RFC 3034 carries MPLS labels in
+//! the DLCI field; RFC 3031 §3.14 names both label spaces). Paths follow
+//! the switches' own SPF views, and the edge maps destination prefixes onto
+//! PVCs. Experiment T1 counts its circuits, per-switch table entries and
 //! provisioning touches against the MPLS VPN's control plane.
 
 use std::any::Any;
-use std::collections::HashMap;
 
-use netsim_net::{Layer, LpmTrie, Pkt, Prefix, VcHeader};
-use netsim_obs::{DropCause, FlightRecorder};
-use netsim_qos::Nanos;
-use netsim_routing::{Igp, Topology};
-use netsim_sim::{Ctx, IfaceId, LinkConfig, Network, NodeId, Sink};
+use netsim_mpls::lfib::{LabelOp, Nhlfe};
+use netsim_net::{Layer, LpmTrie, MplsLabel, Pkt, Prefix};
+use netsim_obs::DropCause;
+use netsim_routing::Topology;
+use netsim_sim::{Ctx, IfaceId, LinkConfig, NodeId, Sink};
 
+use crate::network::{BackboneBuilder, ProviderNetwork};
 use crate::router::RouterCounters;
 
-/// A frame-relay-like switch: forwards on `(in iface, VC id)`.
-pub struct VcSwitch {
-    /// Device name.
-    pub name: String,
-    /// The circuit cross-connect table.
-    pub table: HashMap<(usize, u32), (usize, u32)>,
-    /// Forwarding counters.
-    pub counters: RouterCounters,
-}
-
-impl VcSwitch {
-    /// Creates an empty switch.
-    pub fn new(name: impl Into<String>) -> Self {
-        VcSwitch { name: name.into(), table: HashMap::new(), counters: RouterCounters::default() }
-    }
-
-    /// Installed cross-connect entries (state metric for T1).
-    fn table_size(&self) -> usize {
-        self.table.len()
-    }
-}
-
-impl netsim_sim::Node for VcSwitch {
-    fn on_packet(&mut self, iface: IfaceId, mut pkt: Pkt, ctx: &mut Ctx) {
-        let Some(Layer::Vc(vc)) = pkt.outer() else {
-            return ctx.discard(pkt, DropCause::NoRoute);
-        };
-        let de = vc.discard_eligible;
-        let Some(&(out_iface, out_vc)) = self.table.get(&(iface.0, vc.vc_id)) else {
-            return ctx.discard(pkt, DropCause::NoRoute);
-        };
-        if let Some(Layer::Vc(v)) = pkt.outer_mut() {
-            *v = VcHeader::new(out_vc, de);
-        }
-        self.counters.label_ops += 1; // VC swap is the overlay's "label op"
-        self.counters.forwarded += 1;
-        ctx.send(IfaceId(out_iface), pkt);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 /// The customer edge of the overlay model: maps destination prefixes onto
-/// PVCs and (de)encapsulates the VC header.
+/// PVCs, pushing the circuit's label, and pops it on the way down.
 pub struct VcEdge {
     /// Device name.
     pub name: String,
     /// Uplink interface to the switch (always 0).
     pub uplink: usize,
-    /// Destination prefix → VC id on the uplink.
+    /// Destination prefix → the PVC's label at the head switch.
     pvc_map: LpmTrie<u32>,
     /// Host routes inside the site.
     pub local: LpmTrie<usize>,
@@ -102,8 +58,8 @@ impl VcEdge {
 impl netsim_sim::Node for VcEdge {
     fn on_packet(&mut self, iface: IfaceId, mut pkt: Pkt, ctx: &mut Ctx) {
         if iface.0 == self.uplink {
-            // Downstream: strip the VC header and deliver into the site.
-            if matches!(pkt.outer(), Some(Layer::Vc(_))) {
+            // Downstream: pop the circuit label and deliver into the site.
+            if pkt.top_label().is_some() {
                 pkt.pop_outer();
             }
             let Some(dst) = pkt.outer_ipv4().map(|h| h.dst) else {
@@ -126,19 +82,24 @@ impl netsim_sim::Node for VcEdge {
         if !hdr.decrement_ttl() {
             return ctx.discard(pkt, DropCause::Ttl);
         }
-        let dst = hdr.dst;
+        let (dst, ttl) = (hdr.dst, hdr.ttl);
         if let Some(&out) = self.local.lookup(dst) {
             self.counters.forwarded += 1;
             ctx.send(IfaceId(out), pkt);
             return;
         }
         self.counters.lpm_lookups += 1;
-        let Some(&vc) = self.pvc_map.lookup(dst) else {
+        let Some(&label) = self.pvc_map.lookup(dst) else {
             return ctx.discard(pkt, DropCause::NoRoute);
         };
-        pkt.push_outer(Layer::Vc(VcHeader::new(vc, false)));
+        // A circuit has no class field: EXP stays 0 whatever the DSCP.
+        pkt.push_outer(Layer::Mpls(MplsLabel::new(label, 0, ttl)));
         self.counters.forwarded += 1;
         ctx.send(IfaceId(self.uplink), pkt);
+    }
+
+    fn name(&self) -> &str {
+        &self.name
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -163,111 +124,59 @@ struct OverlaySite {
 
 /// The overlay VPN provider: switches + provisioned PVCs.
 pub struct OverlayNetwork {
-    /// The simulator.
-    pub net: Network,
-    topo: Topology,
-    igp: Igp,
-    node_ids: Vec<NodeId>,
+    /// The switched backbone: a provider network without PEs, whose P
+    /// routers are the switches. Its simulator carries the edges too.
+    pub pn: ProviderNetwork,
     sites: Vec<OverlaySite>,
-    /// Next VC id per (node, iface).
-    vc_alloc: HashMap<(usize, usize), u32>,
     /// Provisioned PVCs (unidirectional count; a site pair costs two).
     pub vcs_provisioned: u64,
     /// Device-touch operations performed by provisioning.
     pub provisioning_ops: u64,
-    access_rate_bps: u64,
-    access_delay_ns: Nanos,
 }
 
 impl OverlayNetwork {
-    /// Builds the switch fabric over `topo` (every node is a switch).
-    /// Backbone links inherit `LinkAttrs::capacity_bps` and use
-    /// `link_delay_ns` propagation.
-    pub fn build(topo: Topology, link_delay_ns: Nanos) -> Self {
-        let igp = Igp::converge(&topo);
-        let mut net = Network::new();
-        net.set_recorder(FlightRecorder::default());
-        let node_ids: Vec<NodeId> = (0..topo.node_count())
-            .map(|u| net.add_node(Box::new(VcSwitch::new(format!("SW{u}")))))
-            .collect();
-        for l in 0..topo.link_count() {
-            let (u, v, attrs) = topo.link(l);
-            net.connect(
-                node_ids[u],
-                node_ids[v],
-                LinkConfig::new(attrs.capacity_bps, link_delay_ns),
-            );
-        }
-        OverlayNetwork {
-            net,
-            topo,
-            igp,
-            node_ids,
-            sites: Vec::new(),
-            vc_alloc: HashMap::new(),
-            vcs_provisioned: 0,
-            provisioning_ops: 0,
-            access_rate_bps: 100_000_000,
-            access_delay_ns: 100_000,
-        }
+    /// Builds the switched backbone over `topo` (every node is a switch).
+    pub fn build(topo: Topology) -> Self {
+        let pn = BackboneBuilder::new(topo, Vec::new()).build();
+        OverlayNetwork { pn, sites: Vec::new(), vcs_provisioned: 0, provisioning_ops: 0 }
     }
 
     /// Adds a site homed on switch `switch` with address block `prefix`.
     pub fn add_site(&mut self, switch: usize, prefix: Prefix) -> OverlaySiteId {
-        let edge = self.net.add_node(Box::new(VcEdge::new(format!("EDGE{}", self.sites.len()))));
-        let cfg = LinkConfig::new(self.access_rate_bps, self.access_delay_ns);
-        let (_l, _e_if, sw_if) = self.net.connect(edge, self.node_ids[switch], cfg);
+        let pn = &mut self.pn;
+        let edge = pn.net.add_node(Box::new(VcEdge::new(format!("EDGE{}", self.sites.len()))));
+        let cfg = LinkConfig::new(pn.access_rate_bps, pn.access_delay_ns);
+        let (_, _, sw_if) = pn.net.connect(edge, pn.backbone_node(switch), cfg);
         let id = OverlaySiteId(self.sites.len());
         self.sites.push(OverlaySite { edge, switch, switch_iface: sw_if.0, prefix });
         id
     }
 
-    fn alloc_vc(&mut self, node: usize, iface: usize) -> u32 {
-        let next = self.vc_alloc.entry((node, iface)).or_insert(100);
-        let vc = *next;
-        *next += 1;
-        vc
-    }
-
-    /// Provisions the unidirectional PVC `a → b` along the IGP path and
-    /// maps `b`'s prefix onto it at `a`'s edge. Returns the number of
-    /// devices touched.
+    /// Provisions the unidirectional PVC `a → b` along the switches' SPF
+    /// views and maps `b`'s prefix onto it at `a`'s edge. Each switch on
+    /// the path swaps the label it gave the PVC for the next switch's; the
+    /// tail swaps onto one more label of its own toward `b`'s edge, so
+    /// every link between the edges carries the circuit label. Returns the
+    /// number of devices touched.
     fn provision_pvc(&mut self, a: OverlaySiteId, b: OverlaySiteId) -> u64 {
         let (sa, sb) = (&self.sites[a.0], &self.sites[b.0]);
-        let (swa, swb) = (sa.switch, sb.switch);
-        let path = self.igp.path(swa, swb).expect("switches must be connected");
-        let (edge_a, sa_iface, sb_iface, dst_prefix) =
-            (sa.edge, sa.switch_iface, sb.switch_iface, sb.prefix);
-
-        // VC id on the access link a→swa.
-        let first_vc = self.alloc_vc(swa, sa_iface);
-        let mut touched = 1u64; // the edge device
-        self.net.node_mut::<VcEdge>(edge_a).pvc_map.insert(dst_prefix, first_vc);
-
-        // Hop-by-hop cross-connects.
-        let mut in_iface = sa_iface;
-        let mut in_vc = first_vc;
-        for (i, &sw) in path.iter().enumerate() {
-            let (out_iface, out_vc) = if i + 1 < path.len() {
-                let next = path[i + 1];
-                let oi = self.topo.iface_toward(sw, next);
-                let iv_in_at_next = self.topo.iface_toward(next, sw);
-                let ov = self.alloc_vc(next, iv_in_at_next);
-                (oi, ov)
-            } else {
-                // Last switch: hand off to b's edge on its access iface.
-                (sb_iface, self.alloc_vc(sw, sb_iface))
-            };
-            self.net
-                .node_mut::<VcSwitch>(self.node_ids[sw])
-                .table
-                .insert((in_iface, in_vc), (out_iface, out_vc));
-            touched += 1;
-            if i + 1 < path.len() {
-                in_iface = self.topo.iface_toward(path[i + 1], sw);
+        let (edge_a, dst_prefix, mut out_iface) = (sa.edge, sb.prefix, sb.switch_iface);
+        let path = self.pn.igp_path(sa.switch, sb.switch);
+        let tail = path[path.len() - 1];
+        let mut label = self.pn.with_control(tail, |control, _, _| control.labels.allocate());
+        for (i, &sw) in path.iter().enumerate().rev() {
+            let nhlfe = Nhlfe { op: LabelOp::Swap(label), out_iface };
+            label = self.pn.with_control(sw, |control, tables, _| {
+                let in_label = control.labels.allocate();
+                tables.lfib.install(in_label, nhlfe);
+                in_label
+            });
+            if i > 0 {
+                out_iface = self.pn.topo.iface_toward(path[i - 1], sw);
             }
-            in_vc = out_vc;
         }
+        self.pn.net.node_mut::<VcEdge>(edge_a).pvc_map.insert(dst_prefix, label);
+        let touched = 1 + path.len() as u64; // the edge and every switch
         self.vcs_provisioned += 1;
         self.provisioning_ops += touched;
         touched
@@ -296,13 +205,13 @@ impl OverlayNetwork {
     /// CE–CE routing adjacencies: one per PVC pair, read from the edges'
     /// PVC maps (an edge maps one PVC to each site it peers with).
     pub fn ce_adjacencies(&self) -> usize {
-        let pvcs = self.sites.iter().map(|s| self.net.node_ref::<VcEdge>(s.edge).pvc_map.len());
+        let pvcs = self.sites.iter().map(|s| self.pn.net.node_ref::<VcEdge>(s.edge).pvc_map.len());
         pvcs.sum::<usize>() / 2
     }
 
-    /// Total cross-connect entries across all switches.
+    /// LFIB entries across all switches: one per switch per PVC.
     pub fn total_switch_state(&self) -> usize {
-        self.node_ids.iter().map(|&id| self.net.node_ref::<VcSwitch>(id).table_size()).sum()
+        (0..self.pn.topo.node_count()).map(|u| self.pn.backbone(u).0.iter().count()).sum()
     }
 
     /// The edge router of a site, where its hosts attach.
@@ -313,8 +222,8 @@ impl OverlayNetwork {
     /// Attaches a measuring sink for `host_prefix` at a site.
     pub fn attach_sink(&mut self, site: OverlaySiteId, host_prefix: Prefix) -> NodeId {
         let edge = self.sites[site.0].edge;
-        let (sink, e_if) = self.net.attach_host(edge, Box::new(Sink::new()));
-        self.net.node_mut::<VcEdge>(edge).local.insert(host_prefix, e_if.0);
+        let (sink, e_if) = self.pn.net.attach_host(edge, Box::new(Sink::new()));
+        self.pn.net.node_mut::<VcEdge>(edge).local.insert(host_prefix, e_if.0);
         sink
     }
 
@@ -337,7 +246,7 @@ mod tests {
         let attrs = LinkAttrs { cost: 1, capacity_bps: 100_000_000 };
         topo.add_link(0, 1, attrs);
         topo.add_link(1, 2, attrs);
-        OverlayNetwork::build(topo, 1_000_000)
+        OverlayNetwork::build(topo)
     }
 
     #[test]
@@ -348,10 +257,18 @@ mod tests {
         ov.connect_sites(a, b);
         let sink = ov.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, ov.site_addr(a, 5), ov.site_addr(b, 9), 5000, 200);
-        ov.net.attach_source(ov.edge(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(40))));
-        ov.net.run_until(SEC);
-        let s = ov.net.node_ref::<Sink>(sink);
-        assert_eq!(s.flow(1).map(|f| f.rx_packets), Some(40));
+        ov.pn.net.attach_source(ov.edge(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(40))));
+        ov.pn.net.run_until(SEC);
+        let s = ov.pn.net.node_ref::<Sink>(sink);
+        let f = s.flow(1).expect("the flow arrives");
+        assert_eq!(f.rx_packets, 40);
+        // Every packet takes the same uncontended path: host link, access
+        // link, two backbone hops, access link, host link. On the four
+        // links between the edges the 228-byte IP packet carries one
+        // 4-byte circuit label.
+        assert_eq!(f.latency.max(), 2_297_888);
+        assert_eq!(f.latency.mean(), 2_297_888.0);
+        assert_eq!(s.total_bytes, 40 * 228);
     }
 
     #[test]
@@ -362,19 +279,18 @@ mod tests {
         // No PVC provisioned.
         let sink = ov.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, ov.site_addr(a, 5), ov.site_addr(b, 9), 5000, 200);
-        ov.net.attach_source(ov.edge(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(10))));
-        ov.net.run_until(SEC);
-        assert_eq!(ov.net.node_ref::<Sink>(sink).total_packets, 0);
+        ov.pn.net.attach_source(ov.edge(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(10))));
+        ov.pn.net.run_until(SEC);
+        assert_eq!(ov.pn.net.node_ref::<Sink>(sink).total_packets, 0);
         let edge = ov.sites[a.0].edge;
-        let rec = ov.net.recorder().expect("overlay attaches a recorder");
-        assert_eq!(rec.node_total(edge.0, DropCause::NoRoute), 10);
+        assert_eq!(ov.pn.recorder().node_total(edge.0, DropCause::NoRoute), 10);
     }
 
     #[test]
     fn full_mesh_circuit_count_matches_formula() {
         // Single switch, 10 sites: 45 circuit pairs (the paper's number).
         let topo = Topology::new(1);
-        let mut ov = OverlayNetwork::build(topo, 1_000_000);
+        let mut ov = OverlayNetwork::build(topo);
         let sites: Vec<OverlaySiteId> = (0..10)
             .map(|i| ov.add_site(0, Prefix::new(netsim_net::Ip((10 << 24) | (i << 16)), 16)))
             .collect();
@@ -398,8 +314,8 @@ mod tests {
 
     #[test]
     fn overlay_has_no_class_differentiation_mechanism() {
-        // Even with an EF marking, the overlay VC header carries only the
-        // DE bit — assert the data plane doesn't alter or act on DSCP.
+        // An EF marking reaches no field a switch reads: the circuit label
+        // carries EXP 0 on every hop, and only the IP header keeps EF.
         let mut ov = line_overlay();
         let a = ov.add_site(0, pfx("10.1.0.0/16"));
         let b = ov.add_site(2, pfx("10.2.0.0/16"));
@@ -407,8 +323,16 @@ mod tests {
         let sink = ov.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, ov.site_addr(a, 5), ov.site_addr(b, 9), 5000, 100)
             .with_dscp(Dscp::EF);
-        ov.net.attach_source(ov.edge(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(5))));
-        ov.net.run_until(SEC);
-        assert_eq!(ov.net.node_ref::<Sink>(sink).total_packets, 5);
+        ov.pn.net.enable_trace();
+        ov.pn.net.attach_source(ov.edge(a), Box::new(CbrSource::new(cfg, 1_000_000, Some(5))));
+        ov.pn.net.run_until(SEC);
+        assert_eq!(ov.pn.net.node_ref::<Sink>(sink).total_packets, 5);
+        let hops = ov.pn.net.trace().expect("tracing is on").path(1, 0);
+        let devices: Vec<&str> = hops.iter().map(|(_, r)| r.device.as_str()).collect();
+        assert_eq!(devices, ["", "EDGE0", "P0", "P1", "P2", "EDGE1"]);
+        for (_, hop) in &hops[1..5] {
+            assert_eq!((hop.labels.len(), hop.exp), (1, Some(0)), "at {}", hop.device);
+        }
+        assert_eq!(hops[4].1.dscp, Some(Dscp::EF), "EF leaves the tail switch");
     }
 }

@@ -9,7 +9,9 @@
 //! touches bytes: every figure the emulator produces reads lengths. An ESP
 //! packet carries its inner packet [`Sealed`] under its security
 //! association, so a classifier sees only the outer headers — the paper's
-//! "encryption erases QoS visibility" claim (§3).
+//! "encryption erases QoS visibility" claim (§3). Every label the emulator
+//! switches on, the overlay baseline's circuit labels included, is one
+//! RFC 3032 [`MplsLabel`] entry.
 //!
 //! Nothing in this crate knows about simulation time, queueing, or routing
 //! protocols; those live in `netsim-sim`, `netsim-qos`, and `netsim-routing`.
@@ -39,7 +41,6 @@
 pub mod addr;
 pub mod dscp;
 pub mod error;
-pub mod fr;
 pub mod ip;
 pub mod lpm;
 pub mod mpls;
@@ -49,7 +50,6 @@ pub mod transport;
 pub use addr::{Ip, Prefix};
 pub use dscp::Dscp;
 pub use error::NetError;
-pub use fr::VcHeader;
 pub use ip::{proto, Ipv4Header};
 pub use lpm::{LpmCache, LpmTrie};
 pub use mpls::{MplsLabel, IMPLICIT_NULL, MAX_LABEL, MIN_UNRESERVED_LABEL};

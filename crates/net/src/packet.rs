@@ -8,7 +8,6 @@
 
 use crate::addr::Ip;
 use crate::dscp::Dscp;
-use crate::fr::{VcHeader, VC_HEADER_LEN};
 use crate::ip::{proto, Ipv4Header, IPV4_HEADER_LEN};
 use crate::mpls::{MplsLabel, MPLS_ENTRY_LEN};
 use crate::transport::{FiveTuple, TcpHeader, UdpHeader, TCP_HEADER_LEN, UDP_HEADER_LEN};
@@ -41,8 +40,6 @@ pub enum Layer {
     Tcp(TcpHeader),
     /// ESP: everything beneath is sealed in [`Packet::sealed`].
     Esp(EspHeader),
-    /// Frame-relay-like virtual circuit header (overlay baseline).
-    Vc(VcHeader),
 }
 
 impl Layer {
@@ -55,7 +52,6 @@ impl Layer {
             Layer::Udp(_) => UDP_HEADER_LEN,
             Layer::Tcp(_) => TCP_HEADER_LEN,
             Layer::Esp(_) => ESP_HEADER_LEN,
-            Layer::Vc(_) => VC_HEADER_LEN,
         }
     }
 }
@@ -94,7 +90,7 @@ const INLINE_LAYERS: usize = 4;
 
 /// Placeholder occupying unused inline slots; never observable through the
 /// public API, which only exposes the live prefix.
-const FILL: Layer = Layer::Vc(VcHeader { vc_id: 0, discard_eligible: false });
+const FILL: Layer = Layer::Mpls(MplsLabel { label: 0, exp: 0, ttl: 0 });
 
 /// Layer storage: a fixed inline array up to [`INLINE_LAYERS`] deep, or a
 /// heap vector beyond that. Both variants keep the stack contiguous so
@@ -376,7 +372,7 @@ impl Packet {
         self.layers().iter().take_while(|l| matches!(l, Layer::Mpls(_))).count()
     }
 
-    /// The first (outermost) IPv4 header, skipping any MPLS/VC encapsulation.
+    /// The first (outermost) IPv4 header, skipping any MPLS encapsulation.
     pub fn outer_ipv4(&self) -> Option<&Ipv4Header> {
         self.layers().iter().find_map(|l| match l {
             Layer::Ipv4(h) => Some(h),

@@ -4,7 +4,7 @@
 use netsim_net::ip::proto;
 use netsim_net::packet::EspHeader;
 use netsim_net::transport::{TcpHeader, UdpHeader};
-use netsim_net::{Dscp, Ip, Ipv4Header, Layer, LpmTrie, MplsLabel, Packet, Prefix, VcHeader};
+use netsim_net::{Dscp, Ip, Ipv4Header, Layer, LpmTrie, MplsLabel, Packet, Prefix};
 use proptest::prelude::*;
 
 fn arb_ip() -> impl Strategy<Value = Ip> {
@@ -23,8 +23,8 @@ fn arb_payload() -> impl Strategy<Value = usize> {
     0usize..256
 }
 
-/// Generates structurally valid packets: optional MPLS stack and/or outer VC,
-/// an IPv4 chain (possibly IP-in-IP), and a transport or ESP tail.
+/// Generates structurally valid packets: an optional MPLS stack, an IPv4
+/// chain (possibly IP-in-IP), and a transport or ESP tail.
 fn arb_packet() -> impl Strategy<Value = Packet> {
     let transport = prop_oneof![
         (any::<u16>(), any::<u16>())
@@ -50,10 +50,9 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
         transport,
         arb_payload(),
         proptest::collection::vec((0u32..(1 << 20), 0u8..8, 1u8..=255), 0..4),
-        proptest::option::of((0u32..(1 << 22), any::<bool>())),
         proptest::option::of((arb_ip(), arb_ip(), arb_dscp())),
     )
-        .prop_map(|(src, dst, dscp, ttl, (pr, tl), payload, labels, vc, outer_ip)| {
+        .prop_map(|(src, dst, dscp, ttl, (pr, tl), payload, labels, outer_ip)| {
             let mut ip_hdr = Ipv4Header::new(src, dst, pr, dscp);
             ip_hdr.ttl = ttl;
             let mut layers = vec![Layer::Ipv4(ip_hdr)];
@@ -64,12 +63,8 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
                 layers.insert(0, Layer::Ipv4(Ipv4Header::new(osrc, odst, 4, odscp)));
             }
             let mut pkt = Packet::new(layers, payload);
-            if let Some((vcid, de)) = vc {
-                pkt.push_outer(Layer::Vc(VcHeader::new(vcid, de)));
-            } else {
-                for (label, exp, lttl) in labels {
-                    pkt.push_outer(Layer::Mpls(MplsLabel::new(label, exp, lttl)));
-                }
+            for (label, exp, lttl) in labels {
+                pkt.push_outer(Layer::Mpls(MplsLabel::new(label, exp, lttl)));
             }
             pkt
         })

@@ -41,15 +41,15 @@ fn three_technologies_same_connectivity() {
 
     // Overlay PVC.
     let overlay = {
-        let mut ov = OverlayNetwork::build(line3(), 1_000_000);
+        let mut ov = OverlayNetwork::build(line3());
         let a = ov.add_site(0, pfx("10.1.0.0/16"));
         let b = ov.add_site(2, pfx("10.2.0.0/16"));
         ov.connect_sites(a, b);
         let sink = ov.attach_sink(b, pfx("10.2.0.0/16"));
         let cfg = SourceConfig::udp(1, ov.site_addr(a, 1), ov.site_addr(b, 1), 5000, 300);
-        ov.net.attach_source(ov.edge(a), Box::new(CbrSource::new(cfg, MSEC, Some(n_packets))));
-        ov.net.run_until(2 * SEC);
-        ov.net.node_ref::<Sink>(sink).flow(1).map(|f| f.rx_packets).unwrap_or(0)
+        ov.pn.net.attach_source(ov.edge(a), Box::new(CbrSource::new(cfg, MSEC, Some(n_packets))));
+        ov.pn.net.run_until(2 * SEC);
+        ov.pn.net.node_ref::<Sink>(sink).flow(1).map(|f| f.rx_packets).unwrap_or(0)
     };
 
     // IPsec over IP.
@@ -146,7 +146,7 @@ fn ipsec_baseline_rejects_replayed_packets() {
 #[test]
 fn overlay_respects_provisioned_topology() {
     let t = Topology::new(1); // a single switch is enough
-    let mut ov = OverlayNetwork::build(t, 1_000_000);
+    let mut ov = OverlayNetwork::build(t);
     let hub = ov.add_site(0, pfx("10.0.0.0/16"));
     let s1 = ov.add_site(0, pfx("10.1.0.0/16"));
     let s2 = ov.add_site(0, pfx("10.2.0.0/16"));
@@ -157,9 +157,9 @@ fn overlay_respects_provisioned_topology() {
     // s1 → hub works; s1 → s2 has no PVC and must be dropped at the edge.
     let c1 = SourceConfig::udp(1, ov.site_addr(s1, 1), ov.site_addr(hub, 1), 80, 100);
     let c2 = SourceConfig::udp(2, ov.site_addr(s1, 1), ov.site_addr(s2, 1), 80, 100);
-    ov.net.attach_source(ov.edge(s1), Box::new(CbrSource::new(c1, MSEC, Some(10))));
-    ov.net.attach_source(ov.edge(s1), Box::new(CbrSource::new(c2, MSEC, Some(10))));
-    ov.net.run_until(SEC);
-    assert_eq!(ov.net.node_ref::<Sink>(sink_hub).flow(1).map(|f| f.rx_packets), Some(10));
-    assert_eq!(ov.net.node_ref::<Sink>(sink_s2).total_packets, 0);
+    ov.pn.net.attach_source(ov.edge(s1), Box::new(CbrSource::new(c1, MSEC, Some(10))));
+    ov.pn.net.attach_source(ov.edge(s1), Box::new(CbrSource::new(c2, MSEC, Some(10))));
+    ov.pn.net.run_until(SEC);
+    assert_eq!(ov.pn.net.node_ref::<Sink>(sink_hub).flow(1).map(|f| f.rx_packets), Some(10));
+    assert_eq!(ov.pn.net.node_ref::<Sink>(sink_s2).total_packets, 0);
 }
