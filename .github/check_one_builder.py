@@ -21,7 +21,11 @@ up to its first unindented `#[cfg(test)]` line), in the files it counts
    the network's own record.
 5. Only `crates/net/src/dscp.rs` folds a DSCP into an EXP class: no other
    file shifts a DSCP right by three bits (`>> 3` on a line that names
-   `dscp`); `Dscp::default_exp` is the one fold.
+   `dscp`); `Dscp::default_exp` is the one fold. And only `crates/net/src`
+   decides a packet's class: outside it, no line of code (a comment may)
+   names `default_exp`, save the PE's label imposition in
+   `crates/core/src/router.rs`. Every scheduler, link counter and label
+   push reads the class through `Packet::class`.
 6. Only `crates/routing/src/igp.rs` runs a shortest-path search: no other
    file under `crates/*/src` names `BinaryHeap`, save the simulator's
    calendar (`crates/sim/src/calendar.rs`); CSPF is `cspf_path`, SPF over
@@ -78,6 +82,9 @@ RULES = [
     (re.compile(r"(?i)dscp.*>>\s*3\b"),
      lambda path: path == "crates/net/src/dscp.rs",
      "folds a DSCP outside Dscp::default_exp"),
+    (re.compile(r"^(?!\s*//).*\bdefault_exp\b"),
+     lambda path: path.startswith("crates/net/src/") or path == "crates/core/src/router.rs",
+     "classifies a packet outside Packet::class"),
     (re.compile(r"\bBinaryHeap\b"),
      lambda path: not re.match(r"crates/[^/]+/src/", path)
      or path in ("crates/routing/src/igp.rs", "crates/sim/src/calendar.rs"),

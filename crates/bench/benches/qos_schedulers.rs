@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mplsvpn_core::network::{make_core_qdisc, DsSched};
 use mplsvpn_core::CoreQos;
 use netsim_net::addr::ip;
-use netsim_net::{Dscp, Packet, Pkt};
+use netsim_net::{Dscp, Layer, MplsLabel, Packet, Pkt};
 use netsim_qos::{
     enqueue_then_dequeue, Admit, CbqNodeConfig, ClassOf, DrrScheduler, EnqueueOutcome, FifoQueue,
     HierCbq, Nanos, PriorityScheduler, QueueDiscipline, RedParams, RedQueue, WfqScheduler,
@@ -16,6 +16,13 @@ use std::hint::black_box;
 
 fn mk_pkt() -> Pkt {
     Packet::udp(ip("10.0.0.1"), ip("10.0.0.2"), 1, 2, Dscp::BE, 472).into()
+}
+
+/// A packet under one label, whose EXP the qdisc loop sets to the class.
+fn mk_labelled() -> Pkt {
+    let mut p = mk_pkt();
+    p.push_outer(Layer::Mpls(MplsLabel::new(16, 0, 64)));
+    p
 }
 
 fn by_flow() -> ClassOf {
@@ -30,14 +37,18 @@ fn bench_qdisc(c: &mut Criterion, name: &str, mut q: Box<dyn QueueDiscipline>) {
         // dropped) box is re-enqueued, so the loop times the qdisc, not
         // packet construction. Only if a scheduler holds back the whole
         // pool does the loop build a packet.
-        let mut pool: Vec<Pkt> = (0..64).map(|_| mk_pkt()).collect();
+        let mut pool: Vec<Pkt> = (0..64).map(|_| mk_labelled()).collect();
         let mut now = 0u64;
         let mut class = 0u64;
         b.iter(|| {
             now += 1_000;
             class = (class + 1) % 4;
-            let mut pkt = pool.pop().unwrap_or_else(mk_pkt);
+            let mut pkt = pool.pop().unwrap_or_else(mk_labelled);
+            // CBQ leaves read the flow; the other schedulers read the EXP.
             pkt.meta.flow = class;
+            if let Some(Layer::Mpls(l)) = pkt.outer_mut() {
+                l.exp = class as u8;
+            }
             if let EnqueueOutcome::Dropped(pkt, _) = q.enqueue(pkt, now) {
                 pool.push(pkt);
             }
@@ -88,13 +99,9 @@ fn benches(c: &mut Criterion) {
     );
     let bands: Vec<Box<dyn QueueDiscipline>> =
         (0..4).map(|_| Box::new(FifoQueue::new(1 << 18)) as Box<dyn QueueDiscipline>).collect();
-    bench_qdisc(c, "priority4", Box::new(PriorityScheduler::new(bands, by_flow())));
-    bench_qdisc(c, "wfq4", Box::new(WfqScheduler::new(&[1, 2, 4, 8], 1 << 18, by_flow())));
-    bench_qdisc(
-        c,
-        "drr4",
-        Box::new(DrrScheduler::new(&[1500, 3000, 6000, 12000], 1 << 18, by_flow())),
-    );
+    bench_qdisc(c, "priority4", Box::new(PriorityScheduler::new(bands)));
+    bench_qdisc(c, "wfq4", Box::new(WfqScheduler::new(&[1, 2, 4, 8], 1 << 18)));
+    bench_qdisc(c, "drr4", Box::new(DrrScheduler::new(&[1500, 3000, 6000, 12000], 1 << 18)));
     let cbq = HierCbq::new(
         (0..4)
             .map(|_| CbqNodeConfig {

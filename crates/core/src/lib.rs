@@ -19,8 +19,9 @@
 //! ## The §5 QoS pipeline
 //!
 //! CE routers classify and mark (CBQ/DSCP, [`router::CeRouter`]); the
-//! ingress PE maps DSCP into the MPLS EXP bits
-//! ([`netsim_qos::ExpMap`]); core links schedule on EXP (priority + RED);
+//! ingress PE maps DSCP into the MPLS EXP bits by the one fold
+//! ([`netsim_net::Dscp::default_exp`]); core links schedule on the
+//! packet's class ([`netsim_net::Packet::class`], priority + RED);
 //! TE trunks steer traffic away from congestion
 //! ([`ProviderNetwork::admit_trunk`], CSPF from
 //! [`netsim_routing::cspf_path`]).

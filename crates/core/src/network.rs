@@ -29,8 +29,8 @@ use netsim_net::{Ip, Prefix};
 use netsim_obs::FlightRecorder;
 use netsim_qos::sched::PriorityScheduler;
 use netsim_qos::{
-    queue::class_by_exp_or_dscp, ClassOf, DrrScheduler, FifoQueue, MarkingPolicy, Nanos,
-    QueueDiscipline, RedParams, RedQueue, WfqScheduler,
+    DrrScheduler, FifoQueue, MarkingPolicy, Nanos, QueueDiscipline, RedParams, RedQueue,
+    WfqScheduler,
 };
 use netsim_routing::{
     BgpVpnFabric, PrefixChange, RemoteRoute, RouteChange, RouteDistinguisher, RouteTarget,
@@ -98,7 +98,6 @@ pub fn make_core_qdisc(q: &CoreQos, seed: u64) -> Box<dyn QueueDiscipline> {
         CoreQos::BestEffort { cap_bytes } => return Box::new(FifoQueue::new(cap_bytes)),
         CoreQos::DiffServ { cap_bytes, sched } => (cap_bytes, sched),
     };
-    let class: ClassOf = class_by_exp_or_dscp();
     match sched {
         DsSched::Priority => {
             let (red, per_band) = af_band_red(cap_bytes);
@@ -111,16 +110,16 @@ pub fn make_core_qdisc(q: &CoreQos, seed: u64) -> Box<dyn QueueDiscipline> {
                     _ => Box::new(FifoQueue::new(per_band)),
                 }
             });
-            Box::new(PriorityScheduler::new(bands.collect(), class))
+            Box::new(PriorityScheduler::new(bands.collect()))
         }
         DsSched::Wfq => {
             // Weights: BE=1, AF1..4 = 2,4,6,8, EF=32, control=4.
             let weights = [1u64, 2, 4, 6, 8, 32, 4, 4];
-            Box::new(WfqScheduler::new(&weights, cap_bytes / 8, class))
+            Box::new(WfqScheduler::new(&weights, cap_bytes / 8))
         }
         DsSched::Drr => {
             let quanta = [1500usize, 3000, 6000, 9000, 12000, 48000, 6000, 6000];
-            Box::new(DrrScheduler::new(&quanta, cap_bytes / 8, class))
+            Box::new(DrrScheduler::new(&quanta, cap_bytes / 8))
         }
     }
 }
@@ -1301,25 +1300,65 @@ mod tests {
         }
     }
 
-    /// An unlabeled CS7 packet (a bare IP packet after PHP, or a baseline's
-    /// traffic) rides band 6 of a strict-priority egress, and the link
-    /// counts it there.
+    /// Every packet counts in the band of a strict-priority egress that
+    /// serves it: a bare packet (after PHP, or a baseline's traffic) in its
+    /// DSCP's fold, a labelled one in its top label's EXP. A PE imposes
+    /// both labels of a customer packet at its DSCP's fold.
     #[test]
-    fn unlabeled_cs7_counts_in_the_band_that_serves_it() {
+    fn every_packet_counts_in_the_band_that_serves_it() {
+        use netsim_net::{Dscp, Layer, MplsLabel};
         let mut topo = Topology::new(2);
         topo.add_link(0, 1, LinkAttrs { cost: 1, capacity_bps: 100_000_000 });
         let sched = DsSched::Priority;
         let mut pn = BackboneBuilder::new(topo, vec![0, 1])
             .core_qos(CoreQos::DiffServ { cap_bytes: 512 * 1024, sched })
             .build();
-        let cs7 = Packet::udp(Ip(1), Ip(2), 1, 2, netsim_net::Dscp::new(56), 100);
-        assert_eq!(class_by_exp_or_dscp()(&cs7), 6);
-        let before = pn.net.link_stats(LinkId(0), 0).tx_by_class;
-        pn.net.inject(pn.backbone_node(0), IfaceId(0), cs7);
-        pn.run_for(10 * MSEC);
-        let after = pn.net.link_stats(LinkId(0), 0).tx_by_class;
-        let sent: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
-        assert_eq!(sent, [0, 0, 0, 0, 0, 0, 1, 0]);
+        let bare = (0..64u8).map(|v| {
+            let d = Dscp::new(v);
+            (Packet::udp(Ip(1), Ip(2), 1, 2, d, 100), d.default_exp())
+        });
+        let labelled = (0..8u8).map(|exp| {
+            // An inner marking whose fold is another class.
+            let inner = if exp == 5 { Dscp::BE } else { Dscp::EF };
+            let mut p = Packet::udp(Ip(1), Ip(2), 1, 2, inner, 100);
+            p.push_outer(Layer::Mpls(MplsLabel::new(100, exp, 64)));
+            (p, exp)
+        });
+        for (pkt, class) in bare.chain(labelled) {
+            let before = pn.net.link_stats(LinkId(0), 0).tx_by_class;
+            pn.net.inject(pn.backbone_node(0), IfaceId(0), pkt);
+            pn.run_for(10 * MSEC);
+            let after = pn.net.link_stats(LinkId(0), 0).tx_by_class;
+            let sent: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+            let mut want = [0; 8];
+            want[usize::from(class)] = 1;
+            assert_eq!(sent, want, "class {class}");
+        }
+
+        let mut pn = line();
+        let vpn = pn.new_vpn("acme");
+        let a = pn.add_site(vpn, 0, pfx("10.1.0.0/16"), None);
+        let b = pn.add_site(vpn, 1, pfx("10.2.0.0/16"), None);
+        pn.run_for(0);
+        pn.net.enable_trace();
+        let (src, dst, vpn_label) = (pn.site_addr(a, 10), pn.site_addr(b, 9), pn.sites[b.0].label);
+        for v in 0..64u8 {
+            let d = Dscp::new(v);
+            let mut pkt = Packet::udp(src, dst, 1, 2, d, 100);
+            pkt.meta.flow = u64::from(v) + 1;
+            pn.net.inject(pn.sites[a.0].ce, IfaceId(0), pkt);
+            pn.run_for(10 * MSEC);
+            let hops = pn.net.trace().expect("tracing is on").path(u64::from(v) + 1, 0);
+            let devices: Vec<&str> = hops.iter().map(|(_, r)| r.device.as_str()).collect();
+            assert_eq!(devices[1..3], ["PE0", "P1"], "{d}");
+            // PE0 pushes the tunnel label over the VPN label; P1 pops the
+            // tunnel label (PHP), exposing the VPN label's own EXP.
+            let (pe, p) = (&hops[1].1, &hops[2].1);
+            assert_eq!((pe.labels.len(), pe.labels[1]), (2, vpn_label), "{d}");
+            assert_eq!(pe.exp, Some(d.default_exp()), "tunnel label of {d}");
+            assert_eq!(p.labels, [vpn_label], "{d}");
+            assert_eq!(p.exp, Some(d.default_exp()), "VPN label of {d}");
+        }
     }
 
     #[test]

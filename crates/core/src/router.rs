@@ -16,7 +16,7 @@ use netsim_mpls::lfib::{LfibVerdict, LOCAL_IFACE};
 use netsim_mpls::{FtnEntry, Lfib};
 use netsim_net::{Ip, Layer, LpmCache, LpmTrie, MplsLabel, Pkt, Prefix};
 use netsim_obs::DropCause;
-use netsim_qos::{ExpMap, MarkingPolicy};
+use netsim_qos::MarkingPolicy;
 use netsim_sim::{Ctx, FxHashMap, IfaceId, Node};
 
 use crate::control::{NodeControl, NodeTables, CTRL_FLOW_BASE};
@@ -246,8 +246,6 @@ pub struct PeRouter {
     pub tunnels: Vec<Option<FtnEntry>>,
     /// Role of each interface, indexed by [`IfaceId`].
     iface_roles: Vec<PeIfaceRole>,
-    /// DSCP ↔ EXP mapping applied at label imposition.
-    pub exp_map: ExpMap,
     /// Forwarding counters.
     pub counters: RouterCounters,
     /// This router's control plane, in a provider network's backbone
@@ -266,7 +264,6 @@ impl PeRouter {
             vrfs: Vec::new(),
             tunnels: Vec::new(),
             iface_roles: vec![PeIfaceRole::Core; core_ifaces],
-            exp_map: ExpMap::default(),
             counters: RouterCounters::default(),
             control: None,
         }
@@ -347,7 +344,7 @@ impl PeRouter {
                     return ctx.discard(pkt, DropCause::NoRoute);
                 };
                 // §5: map the CPE's DiffServ marking into the MPLS QoS field.
-                let exp = self.exp_map.exp_of(dscp);
+                let exp = dscp.default_exp();
                 pkt.push_outer(Layer::Mpls(MplsLabel::new(*vpn_label, exp, ttl)));
                 self.counters.label_ops += 1;
                 if let Some(l) = tunnel.push {

@@ -12,9 +12,9 @@
 //! 2. **VRF isolation** — the route-target import/export graph is
 //!    checked for cross-VPN leaks (unless declared via
 //!    [`ProviderNetwork::declare_extranet`]) and intra-VPN partitions.
-//! 3. **QoS lints** — each PE's DSCP↔EXP map, the RED profile the
-//!    builder installs on the AF bands of a strict-priority core, and EF
-//!    admission against every backbone link.
+//! 3. **QoS lints** — the RED profile the builder installs on the AF
+//!    bands of a strict-priority core, and EF admission against every
+//!    backbone link.
 //! 4. **TE** — the pass reads the admitted trunks through
 //!    [`netsim_verify::TePlane`]: no link reserved past capacity, no
 //!    trunk unsatisfiable on an empty network, and every trunk's FTN,
@@ -28,8 +28,8 @@
 use netsim_mpls::Nhlfe;
 use netsim_routing::VrfHandle;
 use netsim_verify::{
-    codes, lint_ef_admission, lint_exp_map, lint_red_profile, verify_isolation, verify_label_plane,
-    verify_te, LabelPlane, StackWalk, VerifyReport, VrfPolicy,
+    codes, lint_ef_admission, lint_red_profile, verify_isolation, verify_label_plane, verify_te,
+    LabelPlane, StackWalk, VerifyReport, VrfPolicy,
 };
 
 use crate::network::{af_band_red, CoreQos, DsSched, ProviderNetwork, VpnId};
@@ -158,10 +158,6 @@ impl ProviderNetwork {
     }
 
     fn lint_qos(&self, report: &mut VerifyReport) {
-        for (k, &pe_topo) in self.pes.iter().enumerate() {
-            let pe = self.net.node_ref::<PeRouter>(self.node_ids[pe_topo]);
-            lint_exp_map(&pe.exp_map, &format!("PE{k}"), report);
-        }
         if let CoreQos::DiffServ { cap_bytes, sched: DsSched::Priority } = self.core_qos {
             let (red, per_band) = af_band_red(cap_bytes);
             lint_red_profile(&red, per_band, "core DiffServ AF band", report);

@@ -6,7 +6,6 @@
 use mplsvpn_core::{codes, BackboneBuilder, CoreRouter, PeRouter, ProviderNetwork, VpnId};
 use netsim_mpls::lfib::{LabelOp, Nhlfe, LOCAL_IFACE};
 use netsim_net::addr::pfx;
-use netsim_net::Dscp;
 use netsim_routing::{LinkAttrs, RouteTarget, Topology};
 use netsim_sim::SEC;
 
@@ -156,15 +155,6 @@ fn import_of_an_unexported_target_is_useless() {
     pn.add_import_target(0, VpnId(0), RouteTarget(999));
     let report = pn.verify();
     assert!(report.has_code(codes::VRF_USELESS_IMPORT), "{report}");
-}
-
-#[test]
-fn folding_ef_onto_best_effort_is_flagged() {
-    let mut pn = testbed();
-    let pe0 = pn.pe_node(0);
-    pn.net.node_mut::<PeRouter>(pe0).exp_map.set_exp(Dscp::EF, 0);
-    let report = pn.verify();
-    assert!(report.has_code(codes::QOS_EXP_MAP), "{report}");
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! each and every packet"), which bench `lpm_vs_label` quantifies against
 //! the LPM trie.
 
-use netsim_net::{Dscp, Layer, MplsLabel, Packet};
+use netsim_net::{Layer, MplsLabel, Packet};
 
 /// Forwarding-plane counters of one LFIB: numbers as [`Lfib::stats`] reads
 /// them, cells inside the table.
@@ -299,8 +299,9 @@ fn bump(count: &std::cell::Cell<u64>) {
 
 /// A packet's entries as a [`LabelStack`]: a swap, pop or push leaves
 /// `ttl` on the top entry (uniform TTL model), so a bypass label pushed
-/// over a PHP-popped packet carries the TTL the pop left; a push copies the
-/// EXP of the entry it covers; and `counts` counts each.
+/// over a PHP-popped packet carries the TTL the pop left; a push takes the
+/// packet's class (the EXP of the entry it covers, if any); and `counts`
+/// counts each.
 struct Rewrite<'a> {
     pkt: &'a mut Packet,
     ttl: u8,
@@ -317,12 +318,7 @@ impl LabelStack for Rewrite<'_> {
     }
 
     fn push_label(&mut self, label: u32) {
-        let exp = match self.pkt.top_label() {
-            Some(l) => l.exp,
-            // PHP already stripped the stack: classify the bypass label by
-            // the default DSCP→EXP fold.
-            None => self.pkt.dscp().map_or(0, Dscp::default_exp),
-        };
+        let exp = self.pkt.class();
         self.pkt.push_outer(Layer::Mpls(MplsLabel { label, exp, ttl: self.ttl }));
         bump(&self.counts.pushes);
     }
@@ -343,6 +339,7 @@ pub const LOCAL_IFACE: usize = usize::MAX;
 mod tests {
     use super::*;
     use netsim_net::addr::ip;
+    use netsim_net::Dscp;
 
     fn labeled(label: u32, exp: u8, ttl: u8) -> Packet {
         let mut p = Packet::udp(ip("10.0.0.1"), ip("10.0.0.2"), 1, 2, Dscp::BE, 64);

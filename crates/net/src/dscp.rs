@@ -81,9 +81,9 @@ impl Dscp {
     /// The MPLS EXP class this code point folds into by default: EF → 5,
     /// AF class `c` → `c`, class selectors CS1–CS5 → their precedence,
     /// CS6 and CS7 (network control) → 6, anything else → 0. The provider
-    /// edge's default map, the EXP-or-DSCP schedulers, the engine's
-    /// per-class link counters and a bypass label pushed over a bare IP
-    /// packet all classify with it.
+    /// edge imposes it on both labels of a customer packet, and
+    /// [`Packet::class`](crate::Packet::class) reads it for an unlabelled
+    /// one.
     #[inline]
     pub const fn default_exp(self) -> u8 {
         DEFAULT_EXP[self.0 as usize]
@@ -188,6 +188,14 @@ mod tests {
         assert_eq!(Dscp::new(5).default_exp(), 0, "unassigned code points are best effort");
         assert_eq!(Dscp::new(44).default_exp(), 0);
         assert!((0..64).all(|v| Dscp::new(v).default_exp() <= 7));
+        // EF, AF1–AF4, network control and best effort keep pairwise
+        // distinct classes inside the MPLS core.
+        let phbs = [Dscp::EF, Dscp::AF11, Dscp::AF21, Dscp::AF31, Dscp::AF41, Dscp::CS6, Dscp::BE];
+        for (i, a) in phbs.iter().enumerate() {
+            for b in &phbs[i + 1..] {
+                assert_ne!(a.default_exp(), b.default_exp(), "{a} and {b} share an EXP");
+            }
+        }
     }
 
     #[test]

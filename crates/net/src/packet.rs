@@ -409,6 +409,18 @@ impl Packet {
     pub fn dscp(&self) -> Option<Dscp> {
         self.outer_ipv4().map(|h| h.dscp)
     }
+
+    /// The class of service (0–7) the packet is queued and counted in: the
+    /// top label's EXP if it is labelled, else the outer IPv4 DSCP folded
+    /// by [`Dscp::default_exp`], else 0. Every scheduler band, per-class
+    /// link counter and bypass label push reads the class here.
+    #[inline]
+    pub fn class(&self) -> u8 {
+        match self.outer() {
+            Some(Layer::Mpls(l)) => l.exp & 7,
+            _ => self.dscp().map_or(0, Dscp::default_exp),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -450,6 +462,15 @@ mod tests {
         assert_eq!(p.wire_len(), 8 + 20 + 8 + 100);
         assert_eq!(p.pop_outer(), Some(Layer::Mpls(MplsLabel::new(200, 5, 64))));
         assert_eq!(p.label_depth(), 1);
+    }
+
+    #[test]
+    fn class_is_top_exp_else_dscp_fold() {
+        let mut p = sample();
+        assert_eq!(p.class(), 5, "EF folds to 5");
+        p.push_outer(Layer::Mpls(MplsLabel::new(9, 3, 1)));
+        assert_eq!(p.class(), 3, "a label's EXP wins over the DSCP");
+        assert_eq!(Packet::new(Vec::new(), 10).class(), 0, "no header: best effort");
     }
 
     #[test]

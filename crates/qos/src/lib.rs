@@ -6,14 +6,15 @@
 //! * **Classification & marking** ([`classify`]): rule-based 5-tuple
 //!   classifiers used at the customer premises to set DSCP — and which go
 //!   blind behind IPsec, reproducing §3's observation.
-//! * **The DSCP↔EXP mapping** ([`phb`]): how the provider edge maps the
-//!   CPE's DiffServ marking into "the QoS field of the MPLS header".
 //! * **Metering** ([`meter`]): the token bucket behind CBQ's rate gates.
 //! * **Active queue management** ([`red`]): RED, optionally ECN-marking.
 //! * **Schedulers** ([`queue`], [`sched`], [`cbq_tree`]): FIFO, strict
 //!   priority, WFQ, DRR and CBQ (flat or a link-sharing tree), all behind
 //!   one [`QueueDiscipline`] trait so any of them can be attached to any
-//!   simulated link egress.
+//!   simulated link egress. The priority, WFQ and DRR schedulers serve a
+//!   packet in its class of service ([`netsim_net::Packet::class`]): the
+//!   EXP the provider edge maps the CPE's DiffServ marking into ("the QoS
+//!   field of the MPLS header"), or an unlabelled packet's DSCP fold.
 //!
 //! Time is a bare `u64` nanosecond count ([`Nanos`]); this crate never owns
 //! a clock — the simulator passes `now` in.
@@ -22,12 +23,13 @@
 //!
 //! ```
 //! use netsim_net::{Dscp, Packet};
-//! use netsim_qos::{queue::class_by_exp_or_dscp, FifoQueue, PriorityScheduler, QueueDiscipline};
+//! use netsim_qos::{FifoQueue, PriorityScheduler, QueueDiscipline};
 //!
-//! // An 8-band strict-priority scheduler keyed on EXP/DSCP class.
+//! // An 8-band strict-priority scheduler: a packet rides the band of its
+//! // class of service.
 //! let bands: Vec<Box<dyn QueueDiscipline>> =
 //!     (0..8).map(|_| Box::new(FifoQueue::new(64 * 1024)) as Box<dyn QueueDiscipline>).collect();
-//! let mut sched = PriorityScheduler::new(bands, class_by_exp_or_dscp());
+//! let mut sched = PriorityScheduler::new(bands);
 //!
 //! let src = "10.0.0.1".parse().unwrap();
 //! let dst = "10.0.0.2".parse().unwrap();
@@ -44,7 +46,6 @@
 pub mod cbq_tree;
 pub mod classify;
 pub mod meter;
-pub mod phb;
 pub mod queue;
 pub mod red;
 pub mod sched;
@@ -52,7 +53,6 @@ pub mod sched;
 pub use cbq_tree::{CbqNodeConfig, HierCbq};
 pub use classify::{MarkingPolicy, MatchRule};
 pub use meter::TokenBucket;
-pub use phb::ExpMap;
 pub use queue::{enqueue_then_dequeue, Admit, ClassOf, EnqueueOutcome, FifoQueue, QueueDiscipline};
 pub use red::{RedParams, RedQueue};
 pub use sched::{DrrScheduler, PriorityScheduler, WfqScheduler};

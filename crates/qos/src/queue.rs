@@ -109,22 +109,11 @@ pub trait QueueDiscipline: Send {
     fn purge(&mut self) -> Vec<Pkt>;
 }
 
-/// Maps a packet to a class index for classful disciplines (priority bands,
-/// WFQ/DRR/CBQ classes).
+/// Maps a packet to a [`HierCbq`](crate::HierCbq) leaf: a CPE's
+/// configured class assignment. A class of service is the packet's own
+/// [`class`](netsim_net::Packet::class), which the priority, WFQ and DRR
+/// schedulers read directly.
 pub type ClassOf = Box<dyn Fn(&Packet) -> usize + Send>;
-
-/// Class selector: the EXP of the top label if labeled, else the IP
-/// DSCP's default fold ([`netsim_net::Dscp::default_exp`]). Lets one
-/// scheduler serve both labeled core traffic and unlabeled edge traffic.
-pub fn class_by_exp_or_dscp() -> ClassOf {
-    Box::new(|p: &Packet| {
-        if let Some(l) = p.top_label() {
-            usize::from(l.exp)
-        } else {
-            p.dscp().map_or(0, |d| usize::from(d.default_exp()))
-        }
-    })
-}
 
 /// A FIFO with tail drop, bounded by bytes (the common router buffer model).
 pub struct FifoQueue {
@@ -238,16 +227,5 @@ mod tests {
         q.dequeue(0);
         assert_eq!(q.len_bytes(), 0);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn exp_or_dscp_selector_uses_default_map_when_unlabeled() {
-        let sel = class_by_exp_or_dscp();
-        let mut p = pkt(0);
-        p.outer_ipv4_mut().unwrap().dscp = Dscp::EF;
-        assert_eq!(sel(&p), 5);
-        use netsim_net::{Layer, MplsLabel};
-        p.push_outer(Layer::Mpls(MplsLabel::new(9, 3, 1)));
-        assert_eq!(sel(&p), 3);
     }
 }

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use netsim_net::Pkt;
 use netsim_obs::DropCause;
 
-use crate::queue::{enqueue_then_dequeue, Admit, ClassOf, EnqueueOutcome, QueueDiscipline};
+use crate::queue::{enqueue_then_dequeue, Admit, EnqueueOutcome, QueueDiscipline};
 use crate::Nanos;
 
 // ---------------------------------------------------------------------------
@@ -21,8 +21,9 @@ use crate::Nanos;
 
 /// Strict-priority scheduler over child disciplines.
 ///
-/// `class_of` maps a packet to a band index; **higher band index = higher
-/// priority** (matching MPLS EXP semantics where EXP 5 outranks EXP 0).
+/// A packet rides the band of its [`class`](netsim_net::Packet::class),
+/// clamped to the last band; **higher band index = higher priority**
+/// (matching MPLS EXP semantics where EXP 5 outranks EXP 0).
 /// A band can be any child discipline, e.g. RED for the AF bands.
 ///
 /// The scheduler counts the packets each band holds, so `dequeue` goes
@@ -32,7 +33,6 @@ use crate::Nanos;
 /// in this crate.
 pub struct PriorityScheduler {
     bands: Vec<Band>,
-    class_of: ClassOf,
     /// Packets held by all bands together.
     len: usize,
 }
@@ -45,16 +45,16 @@ struct Band {
 
 impl PriorityScheduler {
     /// Creates a scheduler from child bands (index = class = priority).
-    pub fn new(bands: Vec<Box<dyn QueueDiscipline>>, class_of: ClassOf) -> Self {
+    pub fn new(bands: Vec<Box<dyn QueueDiscipline>>) -> Self {
         assert!(!bands.is_empty(), "priority scheduler needs at least one band");
         let bands = bands.into_iter().map(|q| Band { q, len: 0 }).collect();
-        PriorityScheduler { bands, class_of, len: 0 }
+        PriorityScheduler { bands, len: 0 }
     }
 }
 
 impl QueueDiscipline for PriorityScheduler {
     fn enqueue(&mut self, pkt: Pkt, now: Nanos) -> EnqueueOutcome {
-        let i = (self.class_of)(&pkt).min(self.bands.len() - 1);
+        let i = usize::from(pkt.class()).min(self.bands.len() - 1);
         let band = &mut self.bands[i];
         let out = band.q.enqueue(pkt, now);
         if out.is_queued() {
@@ -70,7 +70,7 @@ impl QueueDiscipline for PriorityScheduler {
         if self.len > 0 {
             return enqueue_then_dequeue(self, pkt, now);
         }
-        let i = (self.class_of)(&pkt).min(self.bands.len() - 1);
+        let i = usize::from(pkt.class()).min(self.bands.len() - 1);
         let band = &mut self.bands[i];
         let out = band.q.admit(pkt, now);
         if let Admit::Queued = out {
@@ -134,10 +134,11 @@ struct WfqClass {
 /// Weighted fair queueing (a practical virtual-finish-time approximation).
 ///
 /// Each class receives bandwidth proportional to its weight when backlogged;
-/// unused capacity redistributes to the others (work conserving).
+/// unused capacity redistributes to the others (work conserving). A packet
+/// joins the class of its [`class`](netsim_net::Packet::class), clamped to
+/// the last one.
 pub struct WfqScheduler {
     classes: Vec<WfqClass>,
-    class_of: ClassOf,
     vtime: u128,
 }
 
@@ -150,7 +151,7 @@ impl WfqScheduler {
     ///
     /// # Panics
     /// Panics if any weight is zero.
-    pub fn new(weights: &[u64], cap_bytes: usize, class_of: ClassOf) -> Self {
+    pub fn new(weights: &[u64], cap_bytes: usize) -> Self {
         assert!(!weights.is_empty(), "WFQ needs at least one class");
         let classes = weights
             .iter()
@@ -159,13 +160,13 @@ impl WfqScheduler {
                 WfqClass { weight: w, q: VecDeque::new(), bytes: 0, cap_bytes, last_finish: 0 }
             })
             .collect();
-        WfqScheduler { classes, class_of, vtime: 0 }
+        WfqScheduler { classes, vtime: 0 }
     }
 }
 
 impl QueueDiscipline for WfqScheduler {
     fn enqueue(&mut self, pkt: Pkt, _now: Nanos) -> EnqueueOutcome {
-        let ci = (self.class_of)(&pkt).min(self.classes.len() - 1);
+        let ci = usize::from(pkt.class()).min(self.classes.len() - 1);
         let c = &mut self.classes[ci];
         let sz = pkt.wire_len();
         if c.bytes + sz > c.cap_bytes {
@@ -235,11 +236,11 @@ struct DrrClass {
 }
 
 /// Deficit round robin (Shreedhar & Varghese): O(1) fair queueing with
-/// byte-accurate shares set by per-class quanta.
+/// byte-accurate shares set by per-class quanta. A packet joins the class
+/// of its [`class`](netsim_net::Packet::class), clamped to the last one.
 pub struct DrrScheduler {
     classes: Vec<DrrClass>,
     active: VecDeque<usize>,
-    class_of: ClassOf,
 }
 
 impl DrrScheduler {
@@ -247,7 +248,7 @@ impl DrrScheduler {
     ///
     /// # Panics
     /// Panics if any quantum is zero.
-    pub fn new(quanta: &[usize], cap_bytes: usize, class_of: ClassOf) -> Self {
+    pub fn new(quanta: &[usize], cap_bytes: usize) -> Self {
         assert!(!quanta.is_empty(), "DRR needs at least one class");
         let classes = quanta
             .iter()
@@ -263,13 +264,13 @@ impl DrrScheduler {
                 }
             })
             .collect();
-        DrrScheduler { classes, active: VecDeque::new(), class_of }
+        DrrScheduler { classes, active: VecDeque::new() }
     }
 }
 
 impl QueueDiscipline for DrrScheduler {
     fn enqueue(&mut self, pkt: Pkt, _now: Nanos) -> EnqueueOutcome {
-        let ci = (self.class_of)(&pkt).min(self.classes.len() - 1);
+        let ci = usize::from(pkt.class()).min(self.classes.len() - 1);
         let c = &mut self.classes[ci];
         let sz = pkt.wire_len();
         if c.bytes + sz > c.cap_bytes {
@@ -343,17 +344,16 @@ mod tests {
     use super::*;
     use crate::queue::FifoQueue;
     use netsim_net::addr::ip;
-    use netsim_net::Dscp;
-    use netsim_net::Packet;
+    use netsim_net::{Dscp, Layer, MplsLabel, Packet};
 
-    fn pkt_class(class: u64, payload: usize) -> Pkt {
+    /// A labelled packet of class `class` (its top label's EXP, also kept
+    /// in `meta.flow` for the assertions); `payload` plus 32 header bytes
+    /// on the wire.
+    fn pkt_class(class: u8, payload: usize) -> Pkt {
         let mut p = Packet::udp(ip("1.1.1.1"), ip("2.2.2.2"), 1, 2, Dscp::BE, payload);
-        p.meta.flow = class;
+        p.push_outer(Layer::Mpls(MplsLabel::new(16, class, 64)));
+        p.meta.flow = u64::from(class);
         p.into()
-    }
-
-    fn by_flow() -> ClassOf {
-        Box::new(|p: &Packet| p.meta.flow as usize)
     }
 
     // --- priority ---
@@ -362,7 +362,7 @@ mod tests {
     fn priority_serves_high_band_first() {
         let bands: Vec<Box<dyn QueueDiscipline>> =
             (0..3).map(|_| Box::new(FifoQueue::new(1 << 20)) as Box<dyn QueueDiscipline>).collect();
-        let mut s = PriorityScheduler::new(bands, by_flow());
+        let mut s = PriorityScheduler::new(bands);
         s.enqueue(pkt_class(0, 10), 0);
         s.enqueue(pkt_class(2, 10), 0);
         s.enqueue(pkt_class(1, 10), 0);
@@ -375,8 +375,8 @@ mod tests {
     fn priority_clamps_out_of_range_class() {
         let bands: Vec<Box<dyn QueueDiscipline>> =
             (0..2).map(|_| Box::new(FifoQueue::new(1 << 20)) as Box<dyn QueueDiscipline>).collect();
-        let mut s = PriorityScheduler::new(bands, by_flow());
-        assert!(s.enqueue(pkt_class(9, 10), 0).is_queued());
+        let mut s = PriorityScheduler::new(bands);
+        assert!(s.enqueue(pkt_class(7, 10), 0).is_queued());
         assert_eq!(s.len_packets(), 1);
         assert!(s.dequeue(0).is_some());
     }
@@ -385,8 +385,8 @@ mod tests {
     fn priority_passes_child_drops_through() {
         let bands: Vec<Box<dyn QueueDiscipline>> =
             vec![Box::new(FifoQueue::new(50)), Box::new(FifoQueue::new(1 << 20))];
-        let mut s = PriorityScheduler::new(bands, by_flow());
-        // 128 B > 50 B cap: the band's own verdict comes back unchanged.
+        let mut s = PriorityScheduler::new(bands);
+        // 132 B > 50 B cap: the band's own verdict comes back unchanged.
         match s.enqueue(pkt_class(0, 100), 0) {
             EnqueueOutcome::Dropped(_, cause) => assert_eq!(cause, DropCause::QueueOverflow),
             EnqueueOutcome::Queued => panic!("the full band must drop"),
@@ -421,7 +421,7 @@ mod tests {
         let bands: Vec<Box<dyn QueueDiscipline>> = (0..3)
             .map(|_| Box::new(NoEmptyDequeue(FifoQueue::new(1 << 20))) as Box<dyn QueueDiscipline>)
             .collect();
-        let mut s = PriorityScheduler::new(bands, by_flow());
+        let mut s = PriorityScheduler::new(bands);
         s.enqueue(pkt_class(2, 10), 0);
         s.enqueue(pkt_class(1, 10), 0);
         assert_eq!(s.purge().len(), 2);
@@ -438,10 +438,10 @@ mod tests {
     /// Two saturated classes with weights 3:1 must share throughput ~3:1.
     #[test]
     fn wfq_weighted_shares() {
-        let mut s = WfqScheduler::new(&[3, 1], 1 << 20, by_flow());
+        let mut s = WfqScheduler::new(&[3, 1], 1 << 20);
         for _ in 0..600 {
-            s.enqueue(pkt_class(0, 472), 0); // 500 B wire
-            s.enqueue(pkt_class(1, 472), 0);
+            s.enqueue(pkt_class(0, 468), 0); // 500 B wire
+            s.enqueue(pkt_class(1, 468), 0);
         }
         let mut sent = [0usize; 2];
         for _ in 0..400 {
@@ -456,10 +456,10 @@ mod tests {
     /// With unequal packet sizes, shares must be fair in *bytes* not packets.
     #[test]
     fn wfq_is_byte_fair() {
-        let mut s = WfqScheduler::new(&[1, 1], 1 << 22, by_flow());
+        let mut s = WfqScheduler::new(&[1, 1], 1 << 22);
         for _ in 0..2000 {
-            s.enqueue(pkt_class(0, 1472), 0); // 1500 B wire
-            s.enqueue(pkt_class(1, 72), 0); // 100 B wire
+            s.enqueue(pkt_class(0, 1468), 0); // 1500 B wire
+            s.enqueue(pkt_class(1, 68), 0); // 100 B wire
         }
         let mut bytes = [0usize; 2];
         for _ in 0..1000 {
@@ -472,7 +472,7 @@ mod tests {
 
     #[test]
     fn wfq_empty_class_cedes_bandwidth() {
-        let mut s = WfqScheduler::new(&[1, 1000], 1 << 20, by_flow());
+        let mut s = WfqScheduler::new(&[1, 1000], 1 << 20);
         for _ in 0..10 {
             s.enqueue(pkt_class(0, 100), 0);
         }
@@ -485,7 +485,7 @@ mod tests {
 
     #[test]
     fn wfq_per_class_buffer_cap() {
-        let mut s = WfqScheduler::new(&[1, 1], 150, by_flow());
+        let mut s = WfqScheduler::new(&[1, 1], 150);
         assert!(s.enqueue(pkt_class(0, 100), 0).is_queued());
         assert!(!s.enqueue(pkt_class(0, 100), 0).is_queued());
         // Other class has its own budget.
@@ -497,7 +497,7 @@ mod tests {
 
     #[test]
     fn drr_quantum_shares() {
-        let mut s = DrrScheduler::new(&[1500, 500], 1 << 22, by_flow());
+        let mut s = DrrScheduler::new(&[1500, 500], 1 << 22);
         for _ in 0..3000 {
             s.enqueue(pkt_class(0, 472), 0);
             s.enqueue(pkt_class(1, 472), 0);
@@ -515,7 +515,7 @@ mod tests {
     fn drr_handles_quantum_smaller_than_packet() {
         // Quantum 100 < packet 500: class must bank deficits across rounds
         // and still get served; must not loop forever.
-        let mut s = DrrScheduler::new(&[100, 100], 1 << 20, by_flow());
+        let mut s = DrrScheduler::new(&[100, 100], 1 << 20);
         s.enqueue(pkt_class(0, 472), 0);
         s.enqueue(pkt_class(1, 472), 0);
         assert!(s.dequeue(0).is_some());
@@ -525,7 +525,7 @@ mod tests {
 
     #[test]
     fn drr_single_class_degenerates_to_fifo() {
-        let mut s = DrrScheduler::new(&[1500], 1 << 20, Box::new(|_| 0));
+        let mut s = DrrScheduler::new(&[1500], 1 << 20);
         for seq in 0..5u64 {
             let mut p = pkt_class(0, 100);
             p.meta.seq = seq;

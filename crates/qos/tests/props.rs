@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 
 use netsim_net::addr::ip;
-use netsim_net::{Dscp, Packet, Pkt};
+use netsim_net::{Dscp, Layer, MplsLabel, Packet, Pkt};
 use netsim_qos::{
     Admit, CbqNodeConfig, ClassOf, DrrScheduler, EnqueueOutcome, FifoQueue, HierCbq,
     PriorityScheduler, QueueDiscipline, RedParams, RedQueue, TokenBucket, WfqScheduler, SEC,
@@ -44,8 +44,12 @@ fn arb_ops_over(classes: u8, max: usize) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// A labelled packet of class `class`: its top label's EXP (the class of
+/// service the priority, WFQ and DRR schedulers read), also kept in
+/// `meta.flow` for the CBQ classifier and the assertions.
 fn mk_pkt(class: u8, payload: u16, seq: u64) -> Pkt {
     let mut p = Packet::udp(ip("10.0.0.1"), ip("10.0.0.2"), 1, 2, Dscp::BE, payload as usize);
+    p.push_outer(Layer::Mpls(MplsLabel::new(16, class, 64)));
     p.meta.flow = u64::from(class);
     p.meta.seq = seq;
     p.into()
@@ -398,18 +402,18 @@ proptest! {
     fn priority_conserves(ops in arb_ops(200)) {
         let bands: Vec<Box<dyn QueueDiscipline>> =
             (0..4).map(|_| Box::new(FifoQueue::new(16 * 1024)) as Box<dyn QueueDiscipline>).collect();
-        check_conservation(Box::new(PriorityScheduler::new(bands, by_flow())), &ops);
+        check_conservation(Box::new(PriorityScheduler::new(bands)), &ops);
     }
 
     #[test]
     fn wfq_conserves(ops in arb_ops(200)) {
-        check_conservation(Box::new(WfqScheduler::new(&[1, 2, 4, 8], 16 * 1024, by_flow())), &ops);
+        check_conservation(Box::new(WfqScheduler::new(&[1, 2, 4, 8], 16 * 1024)), &ops);
     }
 
     #[test]
     fn drr_conserves(ops in arb_ops(200)) {
         check_conservation(
-            Box::new(DrrScheduler::new(&[1500, 1500, 3000, 6000], 16 * 1024, by_flow())),
+            Box::new(DrrScheduler::new(&[1500, 1500, 3000, 6000], 16 * 1024)),
             &ops,
         );
     }
@@ -429,10 +433,10 @@ proptest! {
             1 => {
                 let bands: Vec<Box<dyn QueueDiscipline>> =
                     (0..4).map(|_| Box::new(FifoQueue::new(1 << 18)) as Box<dyn QueueDiscipline>).collect();
-                Box::new(PriorityScheduler::new(bands, by_flow()))
+                Box::new(PriorityScheduler::new(bands))
             }
-            2 => Box::new(WfqScheduler::new(&[1, 2, 4, 8], 1 << 18, by_flow())),
-            _ => Box::new(DrrScheduler::new(&[1500, 1500, 3000, 6000], 1 << 18, by_flow())),
+            2 => Box::new(WfqScheduler::new(&[1, 2, 4, 8], 1 << 18)),
+            _ => Box::new(DrrScheduler::new(&[1500, 1500, 3000, 6000], 1 << 18)),
         };
         let mut seq = 0u64;
         let mut now = 0u64;
@@ -553,7 +557,7 @@ proptest! {
                 }
             })
             .collect();
-        let mut q = PriorityScheduler::new(bands, by_flow());
+        let mut q = PriorityScheduler::new(bands);
         // Reference: per band, (seq, wire bytes) in arrival order.
         let mut reference: Vec<VecDeque<(u64, usize)>> = vec![VecDeque::new(); caps.len()];
         let mut bucket = shaped_kbps.map(|kbps| TokenBucket::new(kbps * 1000, BURST));
@@ -650,7 +654,7 @@ proptest! {
         cap in 1_500usize..6_000,
         purge_after in proptest::collection::vec(0usize..300, 0..3),
     ) {
-        let mut q = DrrScheduler::new(&quanta, cap, by_flow());
+        let mut q = DrrScheduler::new(&quanta, cap);
         let mut reference = RefDrr::new(quanta.clone(), cap);
         for (seq, op) in ops.iter().enumerate() {
             match op {
@@ -711,7 +715,7 @@ proptest! {
         cap in 1_500usize..6_000,
         purge_after in proptest::collection::vec(0usize..300, 0..3),
     ) {
-        let mut q = WfqScheduler::new(&weights, cap, by_flow());
+        let mut q = WfqScheduler::new(&weights, cap);
         let mut reference = RefWfq::new(weights.clone(), cap);
         for (seq, op) in ops.iter().enumerate() {
             match op {
@@ -827,17 +831,5 @@ proptest! {
         }
         let budget = burst + rate * now / 8 / 1_000_000_000 + 2000;
         prop_assert!(accepted <= budget, "accepted {accepted} > budget {budget}");
-    }
-
-    /// The EXP map always produces 3-bit values and the inverse lands in
-    /// the same scheduling class.
-    #[test]
-    fn exp_map_closed_under_roundtrip(v in 0u8..64) {
-        let m = netsim_qos::ExpMap::default();
-        let d = Dscp::new(v);
-        let e = m.exp_of(d);
-        prop_assert!(e <= 7);
-        let back = m.dscp_of(e);
-        prop_assert_eq!(m.exp_of(back), e);
     }
 }

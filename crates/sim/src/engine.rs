@@ -54,8 +54,9 @@ pub struct LinkStats {
     pub dropped: u64,
     /// Nanoseconds the transmitter was busy (utilization = busy / elapsed).
     pub busy_ns: Nanos,
-    /// Transmitted packets broken down by wire class (MPLS EXP of the top
-    /// label, or IP precedence when unlabeled).
+    /// Transmitted packets broken down by class of service
+    /// ([`netsim_net::Packet::class`]: the top label's EXP, or an
+    /// unlabelled packet's DSCP fold).
     pub tx_by_class: [u64; 8],
     /// Dropped packets broken down the same way.
     pub dropped_by_class: [u64; 8],
@@ -69,17 +70,6 @@ impl LinkStats {
         } else {
             self.busy_ns as f64 / elapsed as f64
         }
-    }
-}
-
-/// The 3-bit wire class a queue drop or transmission is attributed to:
-/// the MPLS EXP bits of the top label inside the core, or the DSCP's
-/// default fold ([`netsim_net::Dscp::default_exp`]) at the unlabeled
-/// edge — the class an EXP-or-DSCP scheduler serves the packet from.
-fn wire_class(pkt: &Pkt) -> usize {
-    match pkt.top_label() {
-        Some(l) => (l.exp & 0x7) as usize,
-        None => pkt.dscp().map_or(0, |d| usize::from(d.default_exp())),
     }
 }
 
@@ -134,7 +124,7 @@ impl Direction {
         spare: &mut SpareBoxes,
     ) {
         self.stats.dropped += 1;
-        self.stats.dropped_by_class[wire_class(&pkt)] += 1;
+        self.stats.dropped_by_class[usize::from(pkt.class())] += 1;
         if let Some(rec) = rec {
             rec.record(now, pkt.meta.flow, pkt.meta.seq, cause);
         }
@@ -627,7 +617,7 @@ impl LinkLayer {
         d.stats.tx_packets += 1;
         d.stats.tx_bytes += bytes as u64;
         d.stats.busy_ns += tx;
-        d.stats.tx_by_class[wire_class(&pkt)] += 1;
+        d.stats.tx_by_class[usize::from(pkt.class())] += 1;
         let arrive = now + tx + d.delay_ns;
         let dst_node = d.dst_node;
         let dst_iface = d.dst_iface;

@@ -34,8 +34,6 @@ pub mod codes {
 
     /// CBQ link-share over-subscription: children outweigh their parent.
     pub const QOS_CBQ_OVERSUB: &str = "V-QOS-001";
-    /// DSCP↔EXP map incomplete or non-injective across PHBs.
-    pub const QOS_EXP_MAP: &str = "V-QOS-002";
     /// RED thresholds out of order (`min < max ≤ cap` violated).
     pub const QOS_WRED_ORDER: &str = "V-QOS-003";
     /// EF aggregate admission exceeds the engineered share of a link.

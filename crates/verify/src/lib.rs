@@ -13,12 +13,14 @@
 //! |------|--------|-------|
 //! | label-plane integrity | [`labelplane`] | `V-LBL-001` … `V-LBL-006` |
 //! | VRF isolation         | [`isolation`]  | `V-VRF-001` … `V-VRF-004` |
-//! | QoS configuration     | [`qoslint`]    | `V-QOS-001` … `V-QOS-004` |
+//! | QoS configuration     | [`qoslint`]    | `V-QOS-001`, `V-QOS-003`, `V-QOS-004` |
 //! | TE trunks             | [`te`]         | `V-TE-001`, `V-TE-004` |
 //!
-//! Retired codes are not reused: `V-TE-002` (a trunk no path could carry
-//! on an empty network, which `V-TE-001` already catches) and `V-TE-003`
-//! (a second reservation ledger that no longer exists).
+//! Retired codes are not reused: `V-QOS-002` (a per-PE DSCP↔EXP map that
+//! no longer exists: every packet's class is the one fold,
+//! `netsim_net::Dscp::default_exp`), `V-TE-002` (a trunk no path could
+//! carry on an empty network, which `V-TE-001` already catches) and
+//! `V-TE-003` (a second reservation ledger that no longer exists).
 //!
 //! `mplsvpn-core` glues these to `ProviderNetwork::verify()`. The label
 //! pass reads the live tables it checks through the [`LabelPlane`] trait,
@@ -39,5 +41,5 @@ pub mod te;
 pub use diag::{codes, Diagnostic, Severity, VerifyReport};
 pub use isolation::{verify_isolation, VrfPolicy};
 pub use labelplane::{verify_label_plane, LabelPlane, StackWalk};
-pub use qoslint::{lint_cbq_tree, lint_ef_admission, lint_exp_map, lint_red_profile, EfContract};
+pub use qoslint::{lint_cbq_tree, lint_ef_admission, lint_red_profile, EfContract};
 pub use te::{verify_te, TePlane, Trunk};

@@ -5,15 +5,12 @@
 //! mutation:
 //!
 //! * [`lint_cbq_tree`] — link-share over-subscription (`V-QOS-001`);
-//! * [`lint_exp_map`] — DSCP↔EXP maps that drop or merge PHBs
-//!   (`V-QOS-002`);
 //! * [`lint_red_profile`] — RED threshold ordering (`V-QOS-003`);
 //! * [`lint_ef_admission`] — EF aggregate vs. engineered link share
 //!   (`V-QOS-004`).
 
 use crate::diag::{codes, VerifyReport};
-use netsim_net::Dscp;
-use netsim_qos::{CbqNodeConfig, ExpMap, RedParams};
+use netsim_qos::{CbqNodeConfig, RedParams};
 
 /// Checks a CBQ link-share tree: the allocated rates of each node's
 /// children must not exceed the node's own rate.
@@ -28,56 +25,6 @@ pub fn lint_cbq_tree(configs: &[CbqNodeConfig], location: &str, report: &mut Ver
                 format!(
                     "children allocate {child_sum} b/s but the class is limited to {} b/s",
                     cfg.rate_bps
-                ),
-            );
-        }
-    }
-}
-
-/// The standard per-hop behaviours whose distinction must survive the
-/// DSCP→EXP fold (EF, the four AF classes, network control, best effort).
-const PHB_REPRESENTATIVES: [(Dscp, &str); 7] = [
-    (Dscp::EF, "EF"),
-    (Dscp::AF11, "AF1"),
-    (Dscp::AF21, "AF2"),
-    (Dscp::AF31, "AF3"),
-    (Dscp::AF41, "AF4"),
-    (Dscp::CS6, "CS6"),
-    (Dscp::BE, "BE"),
-];
-
-/// Checks a DSCP↔EXP map for completeness and injectivity across PHBs.
-pub fn lint_exp_map(map: &ExpMap, location: &str, report: &mut VerifyReport) {
-    // Non-injective across PHBs: two distinct PHBs folded onto one EXP
-    // lose their distinction inside the MPLS core.
-    for (i, &(da, na)) in PHB_REPRESENTATIVES.iter().enumerate() {
-        for &(db, nb) in &PHB_REPRESENTATIVES[i + 1..] {
-            if map.exp_of(da) == map.exp_of(db) {
-                report.push(
-                    codes::QOS_EXP_MAP,
-                    format!("{location} exp {}", map.exp_of(da)),
-                    format!("PHBs {na} and {nb} map to the same EXP — not injective"),
-                );
-            }
-        }
-    }
-    // Incomplete inverse: a *reachable* EXP whose designated DSCP does
-    // not map back to it breaks DSCP reconstruction at the egress PE.
-    // (EXP values no DSCP produces are allowed any inverse.)
-    let reachable: Vec<u8> = (0u8..64).map(|v| map.exp_of(Dscp::new(v))).collect();
-    for exp in 0u8..8 {
-        if !reachable.contains(&exp) {
-            continue;
-        }
-        let back = map.exp_of(map.dscp_of(exp));
-        if back != exp {
-            report.push(
-                codes::QOS_EXP_MAP,
-                format!("{location} exp {exp}"),
-                format!(
-                    "EXP {exp} decodes to DSCP {} which re-encodes as EXP {back} — \
-                     the map is not a bijection on the EXP side",
-                    map.dscp_of(exp).value()
                 ),
             );
         }
@@ -186,23 +133,6 @@ mod tests {
         let mut r = VerifyReport::new();
         lint_cbq_tree(&configs, "cpe", &mut r);
         assert!(r.has_code(codes::QOS_CBQ_OVERSUB), "{r}");
-    }
-
-    #[test]
-    fn default_exp_map_is_clean() {
-        let mut r = VerifyReport::new();
-        lint_exp_map(&ExpMap::default(), "PE0", &mut r);
-        assert!(r.is_clean(), "{r}");
-        assert_eq!(r.diagnostics().len(), 0, "{r}");
-    }
-
-    #[test]
-    fn ef_folded_onto_be_is_flagged() {
-        let mut map = ExpMap::default();
-        map.set_exp(Dscp::EF, 0); // EF now shares EXP 0 with best effort.
-        let mut r = VerifyReport::new();
-        lint_exp_map(&map, "PE0", &mut r);
-        assert!(r.has_code(codes::QOS_EXP_MAP), "{r}");
     }
 
     #[test]

@@ -40,8 +40,8 @@ fn main() {
     let branch = pn.add_site(vpn, 1, "10.2.0.0/16".parse().unwrap(), None);
 
     // Commit the voice contract (4 calls ≈ 100 kb/s each) and statically
-    // verify the whole configuration: DSCP↔EXP map, RED profile, EF
-    // admission against the 10 Mb/s bottleneck, labels, VRFs.
+    // verify the whole configuration: RED profile, EF admission against
+    // the 10 Mb/s bottleneck, labels, VRFs.
     pn.commit_ef_contract("enterprise voice", 4 * 100_000);
     pn.run_for(0); // the MP-BGP updates land, then the VRFs verify
     pn.verify().assert_clean("enterprise voice backbone");

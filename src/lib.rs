@@ -12,7 +12,8 @@
 //! * [`net`] — packets over a payload length, addresses, prefixes, LPM
 //!   trie.
 //! * [`sim`] — the discrete-event simulator, traffic sources, statistics.
-//! * [`qos`] — classifiers, meters, RED, schedulers, DSCP↔EXP.
+//! * [`qos`] — classifiers, meters, RED, schedulers that serve a packet
+//!   in its class (`Packet::class`).
 //! * [`mpls`] — label spaces, LFIB, LDP.
 //! * [`routing`] — topology, link-state IGP and CSPF over it, the BGP/MPLS
 //!   VPN route fabric (one selection rule; the provider network owns it).
